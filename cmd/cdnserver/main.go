@@ -52,20 +52,16 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/hex"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
 	crowdcdn "repro"
+	"repro/internal/server/loadgen"
 )
 
 func main() {
@@ -282,34 +278,23 @@ func runSmoke(seed int64, params crowdcdn.Params, instances int) error {
 // process state abruptly mid-slot (no flush, no graceful drain),
 // restart from the on-disk log, finish the trace, and require every
 // slot's plan to be byte-identical to an uninterrupted offline
-// simulation of the same trace. The trace is driven slot by slot with
-// explicit posts (not the replay harness) so the kill lands at an
-// exact request boundary.
+// simulation of the same trace.
 func runCrashSmoke(seed int64, params crowdcdn.Params, instances int, walDir, fsync string, ckptEvery int) error {
 	world, tr, err := crowdcdn.Generate(smokeConfig(seed))
 	if err != nil {
 		return err
 	}
-	simParams := params
-	if simParams == (crowdcdn.Params{}) {
-		simParams = crowdcdn.DefaultParams()
+	offline, err := loadgen.OfflinePlans(world, tr, params)
+	if err != nil {
+		return err
 	}
-	offline := make(map[int]string)
-	if _, err := crowdcdn.Simulate(world, tr, crowdcdn.NewRBCAer(simParams), crowdcdn.SimOptions{
-		PlanSink: func(slot int, plan *crowdcdn.Plan) {
-			offline[slot] = hex.EncodeToString(plan.Canonical())
-		},
-	}); err != nil {
-		return fmt.Errorf("offline sim: %w", err)
-	}
-
 	if instances <= 0 {
 		// Recovery must rebuild the whole fleet's state, so the crash
 		// smoke defaults to a real multi-frontend tier.
 		instances = 3
 	}
 	boot := func() (*crowdcdn.Server, error) {
-		srv, err := crowdcdn.NewServer(crowdcdn.ServerConfig{
+		return crowdcdn.NewServer(crowdcdn.ServerConfig{
 			World:           world,
 			Params:          params,
 			Instances:       instances,
@@ -320,118 +305,41 @@ func runCrashSmoke(seed int64, params crowdcdn.Params, instances int, walDir, fs
 			Fsync:           fsync,
 			CheckpointEvery: ckptEvery,
 		})
-		if err != nil {
-			return nil, err
-		}
-		if err := srv.Start(); err != nil {
-			return nil, err
-		}
-		return srv, nil
-	}
-	post := func(srv *crowdcdn.Server, i int, r crowdcdn.Request) error {
-		body, err := json.Marshal(map[string]any{
-			"user": int64(r.User), "video": int64(r.Video),
-			"x": r.Location.X, "y": r.Location.Y,
-		})
-		if err != nil {
-			return err
-		}
-		addr := srv.InstanceAddr(i % srv.NumInstances())
-		resp, err := http.Post("http://"+addr+"/ingest", "application/json", bytes.NewReader(body))
-		if err != nil {
-			return fmt.Errorf("ingest: %w", err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusAccepted {
-			return fmt.Errorf("ingest status %d", resp.StatusCode)
-		}
-		return nil
-	}
-	advance := func(srv *crowdcdn.Server, online map[int]string) error {
-		resp, err := http.Post("http://"+srv.Addr()+"/admin/advance", "application/json", nil)
-		if err != nil {
-			return fmt.Errorf("advance: %w", err)
-		}
-		defer resp.Body.Close()
-		var adv struct {
-			Slot      int  `json:"slot"`
-			Scheduled bool `json:"scheduled"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&adv); err != nil {
-			return fmt.Errorf("advance decode: %w", err)
-		}
-		if !adv.Scheduled {
-			return fmt.Errorf("slot %d did not schedule", adv.Slot)
-		}
-		for _, rec := range srv.Plans() {
-			if rec.Slot == adv.Slot {
-				online[adv.Slot] = rec.Canonical
-			}
-		}
-		return nil
 	}
 
-	srv, err := boot()
+	// Half the crash slot's requests become durable, then the tier dies.
+	bySlot := tr.BySlot()
+	crashSlot := tr.Slots / 2
+	total := len(bySlot[crashSlot])
+	drill, err := loadgen.CrashDrill(boot, tr, []loadgen.CrashPoint{{Slot: crashSlot, After: total / 2}})
 	if err != nil {
 		return err
 	}
-	online := make(map[int]string)
-	crashSlot := tr.Slots / 2
-	for slot, reqs := range tr.BySlot() {
+	st := drill.Recovered[0]
+	if st.Records == 0 {
+		return fmt.Errorf("restart recovered no WAL records")
+	}
+	for slot, reqs := range bySlot {
+		n := len(reqs)
 		if slot == crashSlot {
-			// Half the slot's requests become durable, then the tier
-			// dies abruptly: no WAL flush, no graceful shutdown.
-			for i, r := range reqs[:len(reqs)/2] {
-				if err := post(srv, i, r); err != nil {
-					return err
-				}
-			}
-			srv.Kill()
-			// The default client still pools conns to the dead tier;
-			// drop them so they cannot be resurrected against whatever
-			// binds those ports next, or stall a later Shutdown.
-			http.DefaultClient.CloseIdleConnections()
-			fmt.Printf("killed tier mid-slot %d after %d/%d requests\n", slot, len(reqs)/2, len(reqs))
-			if srv, err = boot(); err != nil {
-				return fmt.Errorf("restart: %w", err)
-			}
-			st := srv.WALState()
-			if st == nil || st.Records == 0 {
-				return fmt.Errorf("restart recovered no WAL records")
-			}
-			if st.Slot != crashSlot {
-				return fmt.Errorf("restart recovered slot %d, want %d", st.Slot, crashSlot)
-			}
+			fmt.Printf("killed tier mid-slot %d after %d/%d requests\n", slot, total/2, total)
 			fmt.Printf("restarted from %s: slot %d, %d records replayed, %d torn bytes truncated\n",
 				walDir, st.Slot, st.Records, st.TruncatedBytes)
-			reqs = reqs[len(reqs)/2:]
+			n -= total / 2
 		}
-		for i, r := range reqs {
-			if err := post(srv, i, r); err != nil {
-				return err
-			}
-		}
-		if err := advance(srv, online); err != nil {
-			return err
-		}
-		fmt.Printf("slot %d: scheduled after %d requests\n", slot, len(reqs))
-	}
-	http.DefaultClient.CloseIdleConnections()
-	if err := srv.Close(); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
+		fmt.Printf("slot %d: scheduled after %d requests\n", slot, n)
 	}
 
-	if len(online) != len(offline) {
-		return fmt.Errorf("online scheduled %d slots, offline %d", len(online), len(offline))
+	if len(drill.Plans) != len(offline) {
+		return fmt.Errorf("online scheduled %d slots, offline %d", len(drill.Plans), len(offline))
 	}
 	for slot, want := range offline {
-		if online[slot] != want {
+		if drill.Plans[slot] != want {
 			return fmt.Errorf("slot %d: plan after kill/restart differs from offline simulation", slot)
 		}
 	}
 	fmt.Printf("crash smoke ok: %d slots byte-identical to offline after kill/restart at slot %d\n",
-		len(online), crashSlot)
+		len(drill.Plans), crashSlot)
 	return nil
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"strconv"
@@ -228,6 +229,31 @@ func ParseCanonical(canonical []byte) (*Plan, error) {
 		return nil, fmt.Errorf("core: canonical plan: %d trailing bytes", len(cp.rest))
 	}
 	return p, nil
+}
+
+// The three ways VerifyCanonical refuses plan bytes.
+var (
+	ErrCanonicalDigest    = errors.New("core: plan bytes do not hash to the advertised digest")
+	ErrCanonicalParse     = errors.New("core: plan bytes do not parse")
+	ErrCanonicalRoundTrip = errors.New("core: plan bytes did not round-trip")
+)
+
+// VerifyCanonical is the one gate received or recovered plan bytes
+// pass before anything serves them: canonical must hash to the
+// advertised digest, parse strictly, and re-encode to the identical
+// bytes. Each failure wraps its own Err* sentinel.
+func VerifyCanonical(canonical []byte, digest uint64) (*Plan, error) {
+	if got := DigestOf(canonical); got != digest {
+		return nil, fmt.Errorf("%w: got %016x, advertised %016x", ErrCanonicalDigest, got, digest)
+	}
+	plan, err := ParseCanonical(canonical)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCanonicalParse, err)
+	}
+	if !bytes.Equal(plan.Canonical(), canonical) {
+		return nil, ErrCanonicalRoundTrip
+	}
+	return plan, nil
 }
 
 // prealloc clamps a declared section length to a safe preallocation

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/similarity"
@@ -145,6 +146,45 @@ func TestParseCanonicalRejectsMalformed(t *testing.T) {
 	for name, data := range cases {
 		if _, err := ParseCanonical(data); err == nil {
 			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+// TestVerifyCanonical: the one verifier accepts exactly the advertised
+// canonical bytes and names which of its three checks refused the rest
+// (the inputs are TestInstallVerification's corruptions).
+func TestVerifyCanonical(t *testing.T) {
+	good := (&Plan{
+		Flows:         []FlowEdge{{From: 0, To: 1, Amount: 3}},
+		Redirects:     []Redirect{{From: 0, To: 1, Video: 7, Count: 2}},
+		Placement:     []similarity.Set{similarity.NewSet(1, 2), similarity.NewSet(7)},
+		OverflowToCDN: []int64{0, 4},
+	}).Canonical()
+	plan, err := VerifyCanonical(good, DigestOf(good))
+	if err != nil || !bytes.Equal(plan.Canonical(), good) {
+		t.Fatalf("genuine bytes: plan %v, err %v", plan, err)
+	}
+
+	flipped := append([]byte(nil), good...)
+	flipped[len(flipped)/2] ^= 0x40
+	// Parses (placement row 0 lists 2 before 1) but is not what
+	// AppendCanonical writes for that plan.
+	unsorted := bytes.Replace(good, []byte("p 0 1 2"), []byte("p 0 2 1"), 1)
+	truncated := good[:len(good)-3]
+	cases := []struct {
+		name      string
+		canonical []byte
+		digest    uint64
+		want      error
+	}{
+		{"flipped byte under the genuine digest", flipped, DigestOf(good), ErrCanonicalDigest},
+		{"advertised digest off by one", good, DigestOf(good) + 1, ErrCanonicalDigest},
+		{"parseable but non-canonical, own digest", unsorted, DigestOf(unsorted), ErrCanonicalRoundTrip},
+		{"truncated body, own digest", truncated, DigestOf(truncated), ErrCanonicalParse},
+	}
+	for _, tc := range cases {
+		if plan, err := VerifyCanonical(tc.canonical, tc.digest); plan != nil || !errors.Is(err, tc.want) {
+			t.Errorf("%s: plan %v, err %v, want %v", tc.name, plan, err, tc.want)
 		}
 	}
 }

@@ -34,9 +34,7 @@ func benchEdges(n int) []struct {
 
 // BenchmarkMCMFSolveReuse measures the steady-state arena pattern the
 // scheduler uses: Reinit one long-lived graph, rebuild the edges, and
-// solve — no per-round graph or scratch allocation. Compare against
-// BenchmarkMCMFSolve (in the repository root), which allocates a fresh
-// graph per solve.
+// solve — no per-round graph or scratch allocation.
 func BenchmarkMCMFSolveReuse(b *testing.B) {
 	const n = 200
 	edges := benchEdges(n)

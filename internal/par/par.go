@@ -15,8 +15,8 @@ import (
 // Workers resolves a requested worker count: positive requests are
 // capped at runtime.GOMAXPROCS(0) — CPU-bound fan-out gains nothing
 // from goroutines beyond the Ps available, and oversubscription
-// measurably slows the scheduler's hot loops (the BENCH_7
-// Schedule/workers=8 regression on smaller hosts) — and anything else
+// slows the scheduler's hot loops (an 8-worker round on a smaller host
+// ran slower than the serial one) — and anything else
 // (the zero value of a knob) selects GOMAXPROCS outright. Results
 // never depend on the effective count (see the package comment), so
 // the clamp cannot change a plan.

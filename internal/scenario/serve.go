@@ -1,19 +1,13 @@
 package scenario
 
 import (
-	"bytes"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/scheme"
 	"repro/internal/server"
-	"repro/internal/sim"
+	"repro/internal/server/loadgen"
 	"repro/internal/trace"
 )
 
@@ -40,26 +34,23 @@ func (doc *Doc) executeServe(opt ExecOptions) (*Report, error) {
 		}
 		crash[ev.At] = true
 	}
+	// Each crash lands mid-slot: half the slot's requests accepted.
+	var crashes []loadgen.CrashPoint
+	for slot, reqs := range tr.BySlot() {
+		if crash[slot] {
+			crashes = append(crashes, loadgen.CrashPoint{Slot: slot, After: len(reqs) / 2})
+		}
+	}
 
 	simSeed := doc.Spec.Seed
 	if simSeed == 0 {
 		simSeed = cfg.Seed
 	}
 	params := core.DefaultParams()
-	offline := make(map[int]string)
-	if _, err := sim.Run(world, tr, scheme.NewRBCAer(params), sim.Options{
-		PlanSink: func(slot int, plan *core.Plan) {
-			offline[slot] = hex.EncodeToString(plan.Canonical())
-		},
-	}); err != nil {
-		return nil, fmt.Errorf("scenario: offline reference run: %w", err)
+	offline, err := loadgen.OfflinePlans(world, tr, params)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: %w", err)
 	}
-
-	reg := obs.NewRegistry()
-	crashes := reg.Counter("serve.crashes")
-	matched := reg.Counter("serve.plans_match")
-	mismatched := reg.Counter("serve.plans_mismatched")
-	recovered := reg.Counter("serve.recovered_records")
 
 	instances := doc.Spec.Instances
 	if instances == 0 {
@@ -76,7 +67,7 @@ func (doc *Doc) executeServe(opt ExecOptions) (*Report, error) {
 	defer os.RemoveAll(walDir)
 
 	boot := func() (*server.Server, error) {
-		srv, err := server.New(server.Config{
+		return server.New(server.Config{
 			World:           world,
 			Params:          params,
 			Instances:       instances,
@@ -87,67 +78,21 @@ func (doc *Doc) executeServe(opt ExecOptions) (*Report, error) {
 			Fsync:           fsync,
 			CheckpointEvery: doc.Spec.CheckpointEvery,
 		})
-		if err != nil {
-			return nil, fmt.Errorf("scenario: serve tier: %w", err)
-		}
-		if err := srv.Start(); err != nil {
-			return nil, fmt.Errorf("scenario: serve tier: %w", err)
-		}
-		return srv, nil
 	}
-
-	srv, err := boot()
+	drill, err := loadgen.CrashDrill(boot, tr, crashes)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("scenario: serve tier: %w", err)
 	}
-	defer func() {
-		if srv != nil {
-			srv.Kill()
-		}
-	}()
-	online := make(map[int]string)
-	for slot, reqs := range tr.BySlot() {
-		total := len(reqs)
-		if crash[slot] {
-			for i, r := range reqs[:len(reqs)/2] {
-				if err := servePost(srv, i, r); err != nil {
-					return nil, err
-				}
-			}
-			srv.Kill()
-			// Drop pooled conns to the dead tier (see serveAdvance's
-			// client note): a stale keep-alive must not be replayed
-			// against the restarted frontends' reused ports.
-			http.DefaultClient.CloseIdleConnections()
-			crashes.Inc()
-			if srv, err = boot(); err != nil {
-				return nil, fmt.Errorf("scenario: restart after crash at slot %d: %w", slot, err)
-			}
-			st := srv.WALState()
-			if st == nil {
-				return nil, fmt.Errorf("scenario: restart after crash at slot %d recovered no WAL state", slot)
-			}
-			if st.Slot != slot {
-				return nil, fmt.Errorf("scenario: restart recovered slot %d, want %d", st.Slot, slot)
-			}
-			recovered.Add(int64(st.Records))
-			reqs = reqs[len(reqs)/2:]
-		}
-		for i, r := range reqs {
-			if err := servePost(srv, i, r); err != nil {
-				return nil, err
-			}
-		}
-		if err := serveAdvance(srv, total > 0, online); err != nil {
-			return nil, err
-		}
-	}
-	http.DefaultClient.CloseIdleConnections()
-	if err := srv.Close(); err != nil {
-		return nil, fmt.Errorf("scenario: serve tier shutdown: %w", err)
-	}
-	srv = nil
+	online := drill.Plans
 
+	reg := obs.NewRegistry()
+	reg.Counter("serve.crashes").Add(int64(len(drill.Recovered)))
+	matched := reg.Counter("serve.plans_match")
+	mismatched := reg.Counter("serve.plans_mismatched")
+	recovered := reg.Counter("serve.recovered_records")
+	for _, st := range drill.Recovered {
+		recovered.Add(int64(st.Records))
+	}
 	for slot, want := range offline {
 		if online[slot] == want {
 			matched.Inc()
@@ -171,7 +116,7 @@ func (doc *Doc) executeServe(opt ExecOptions) (*Report, error) {
 		Serve:           true,
 		ServeInstances:  instances,
 		ServeFsync:      fsync,
-		Crashes:         int(crashes.Value()),
+		Crashes:         len(drill.Recovered),
 		PlansMatched:    int(matched.Value()),
 		PlansMismatched: int(mismatched.Value()),
 	}
@@ -195,57 +140,4 @@ func (doc *Doc) executeServe(opt ExecOptions) (*Report, error) {
 	}
 	rep.Pass = pass
 	return rep, nil
-}
-
-// servePost posts one trace request by location to frontend i mod N,
-// requiring a 202.
-func servePost(srv *server.Server, i int, r trace.Request) error {
-	body, err := json.Marshal(map[string]any{
-		"user": int64(r.User), "video": int64(r.Video),
-		"x": r.Location.X, "y": r.Location.Y,
-	})
-	if err != nil {
-		return fmt.Errorf("scenario: %w", err)
-	}
-	addr := srv.InstanceAddr(i % srv.NumInstances())
-	resp, err := http.Post("http://"+addr+"/ingest", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("scenario: ingest: %w", err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		return fmt.Errorf("scenario: ingest status %d", resp.StatusCode)
-	}
-	return nil
-}
-
-// serveAdvance forces one slot boundary and records the published
-// plan's canonical hex bytes into online. wantPlan marks slots that fed
-// the scheduler demand and therefore must schedule.
-func serveAdvance(srv *server.Server, wantPlan bool, online map[int]string) error {
-	resp, err := http.Post("http://"+srv.Addr()+"/admin/advance", "application/json", nil)
-	if err != nil {
-		return fmt.Errorf("scenario: advance: %w", err)
-	}
-	defer resp.Body.Close()
-	var adv struct {
-		Slot      int  `json:"slot"`
-		Scheduled bool `json:"scheduled"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&adv); err != nil {
-		return fmt.Errorf("scenario: advance decode: %w", err)
-	}
-	if !adv.Scheduled {
-		if wantPlan {
-			return fmt.Errorf("scenario: slot %d did not schedule", adv.Slot)
-		}
-		return nil
-	}
-	for _, rec := range srv.Plans() {
-		if rec.Slot == adv.Slot {
-			online[adv.Slot] = rec.Canonical
-		}
-	}
-	return nil
 }

@@ -47,12 +47,20 @@ func (p *RBCAer) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) {
 		p.sched = sched
 	}
 
-	plan, err := p.sched.ScheduleRound(ctx.Demand, core.Constraints{
+	return ScheduleSlot(ctx, p.sched.ScheduleRound)
+}
+
+// ScheduleSlot is the shared tail of every plan-producing policy: run
+// one round (a scheduler's ScheduleRound) against the slot's effective,
+// fault-degraded capacities and materialise its plan into the slot's
+// assignment.
+func ScheduleSlot(ctx *sim.SlotContext, round func(*core.Demand, core.Constraints) (*core.Plan, error)) (*sim.Assignment, error) {
+	plan, err := round(ctx.Demand, core.Constraints{
 		Service: ctx.EffectiveCapacity(),
 		Cache:   ctx.EffectiveCacheCapacity(),
 	})
 	if err != nil {
-		return nil, fmt.Errorf("scheme: RBCAer scheduling: %w", err)
+		return nil, fmt.Errorf("scheme: scheduling round: %w", err)
 	}
 	asg, err := MaterializePlan(ctx, plan)
 	if err != nil {

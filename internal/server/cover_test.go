@@ -26,9 +26,6 @@ func TestQueuedFromSnapshot(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("queuedFromSnapshot = %+v, want %+v", got, want)
 	}
-	if got := entriesFromMap(nil); len(got) != 0 {
-		t.Fatalf("entriesFromMap(nil) = %v", got)
-	}
 }
 
 // TestInstanceAddrs: "" before Start, real listen addresses after.

@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/hex"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -185,11 +184,11 @@ func (s *Server) writeCheckpoint() {
 			cp.Cursors[in.id] = seq
 		}
 	}
-	pend := make(map[[2]int]int64)
+	pend := make(map[wal.EntryKey]int64)
 	for _, sh := range s.allShards {
 		for h, vids := range sh.perVideo {
 			for v, n := range vids {
-				pend[[2]int{int(h), int(v)}] += n
+				pend[wal.EntryKey{Hotspot: int(h), Video: int(v)}] += n
 			}
 		}
 	}
@@ -198,7 +197,7 @@ func (s *Server) writeCheckpoint() {
 	}
 	s.mu.Unlock()
 
-	cp.Pending = entriesFromMap(pend)
+	cp.Pending = wal.SortedEntries(pend)
 	if err := s.wal.WriteCheckpoint(cp, mark); err != nil {
 		s.walErrors.Inc()
 	}
@@ -207,29 +206,13 @@ func (s *Server) writeCheckpoint() {
 // queuedFromSnapshot renders one queued slot snapshot as its durable
 // form.
 func queuedFromSnapshot(snap *slotSnapshot) wal.QueuedSlot {
-	m := make(map[[2]int]int64)
+	m := make(map[wal.EntryKey]int64)
 	for h := range snap.demand.PerVideo {
 		for v, n := range snap.demand.PerVideo[h] {
-			m[[2]int{h, int(v)}] += n
+			m[wal.EntryKey{Hotspot: h, Video: int(v)}] += n
 		}
 	}
-	return wal.QueuedSlot{Slot: snap.slot, Requests: snap.requests, Entries: entriesFromMap(m)}
-}
-
-// entriesFromMap renders a demand map as (hotspot, video)-sorted
-// entries (deterministic checkpoint bytes).
-func entriesFromMap(m map[[2]int]int64) []wal.Entry {
-	out := make([]wal.Entry, 0, len(m))
-	for k, n := range m {
-		out = append(out, wal.Entry{Hotspot: k[0], Video: k[1], Count: n})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Hotspot != out[j].Hotspot {
-			return out[i].Hotspot < out[j].Hotspot
-		}
-		return out[i].Video < out[j].Video
-	})
-	return out
+	return wal.QueuedSlot{Slot: snap.slot, Requests: snap.requests, Entries: wal.SortedEntries(m)}
 }
 
 // Kill terminates the server the way a crash would: listeners are

@@ -1,8 +1,6 @@
 package server_test
 
 import (
-	"bytes"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -10,9 +8,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/scheme"
 	"repro/internal/server"
-	"repro/internal/sim"
+	"repro/internal/server/loadgen"
 	"repro/internal/trace"
 )
 
@@ -36,50 +33,6 @@ func durabilityWorldAndTrace(t *testing.T) (*trace.World, *trace.Trace) {
 	return world, tr
 }
 
-// postIngest posts one trace request by location, requiring a 202.
-func postIngest(t *testing.T, addr string, r trace.Request) {
-	t.Helper()
-	body, _ := json.Marshal(map[string]any{
-		"user": int64(r.User), "video": int64(r.Video),
-		"x": r.Location.X, "y": r.Location.Y,
-	})
-	resp, err := http.Post("http://"+addr+"/ingest", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("ingest: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("ingest: status %d", resp.StatusCode)
-	}
-}
-
-// advanceSlot forces a slot boundary and records the newly published
-// plan's canonical bytes into online.
-func advanceSlot(t *testing.T, srv *server.Server, online map[int]string) {
-	t.Helper()
-	resp, err := http.Post("http://"+srv.Addr()+"/admin/advance", "application/json", nil)
-	if err != nil {
-		t.Fatalf("advance: %v", err)
-	}
-	var adv struct {
-		Slot      int    `json:"slot"`
-		Scheduled bool   `json:"scheduled"`
-		Digest    string `json:"digest"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&adv); err != nil {
-		t.Fatalf("advance decode: %v", err)
-	}
-	resp.Body.Close()
-	if !adv.Scheduled {
-		t.Fatalf("slot %d did not schedule", adv.Slot)
-	}
-	for _, rec := range srv.Plans() {
-		if rec.Slot == adv.Slot {
-			online[adv.Slot] = rec.Canonical
-		}
-	}
-}
-
 // TestCrashRecoveryMatchesOfflineSim is the durability centerpiece: a
 // three-frontend serving tier with the WAL on is killed abruptly twice
 // while replaying a trace — once mid-slot (half the slot's requests
@@ -89,19 +42,14 @@ func advanceSlot(t *testing.T, srv *server.Server, online map[int]string) {
 func TestCrashRecoveryMatchesOfflineSim(t *testing.T) {
 	world, tr := durabilityWorldAndTrace(t)
 	params := core.DefaultParams()
-
-	offline := make(map[int]string)
-	if _, err := sim.Run(world, tr, scheme.NewRBCAer(params), sim.Options{
-		PlanSink: func(slot int, plan *core.Plan) {
-			offline[slot] = hex.EncodeToString(plan.Canonical())
-		},
-	}); err != nil {
-		t.Fatalf("sim.Run: %v", err)
+	offline, err := loadgen.OfflinePlans(world, tr, params)
+	if err != nil {
+		t.Fatalf("OfflinePlans: %v", err)
 	}
 
 	walDir := t.TempDir()
-	boot := func() *server.Server {
-		srv, err := server.New(server.Config{
+	boot := func() (*server.Server, error) {
+		return server.New(server.Config{
 			World:           world,
 			Params:          params,
 			Instances:       3,
@@ -112,74 +60,30 @@ func TestCrashRecoveryMatchesOfflineSim(t *testing.T) {
 			Fsync:           "always",
 			CheckpointEvery: 2,
 		})
-		if err != nil {
-			t.Fatalf("New: %v", err)
-		}
-		if err := srv.Start(); err != nil {
-			t.Fatalf("Start: %v", err)
-		}
-		return srv
+	}
+	drill, err := loadgen.CrashDrill(boot, tr, []loadgen.CrashPoint{
+		// Mid-slot: half the slot's requests are accepted and durable,
+		// then the process dies without any graceful work.
+		{Slot: 2, After: len(tr.BySlot()[2]) / 2},
+		// On a boundary: slot 3's plan published and became durable,
+		// then the process dies before slot 4's first request.
+		{Slot: 4, After: 0},
+	})
+	if err != nil {
+		t.Fatalf("CrashDrill: %v", err)
+	}
+	if st := drill.Recovered[0]; st.Records == 0 {
+		t.Errorf("mid-slot restart recovered no WAL records: %+v", st)
+	}
+	if st := drill.Recovered[1]; st.Plan == nil || st.Plan.Slot != 3 {
+		t.Errorf("restart after the boundary crash did not recover slot 3's plan: %+v", st.Plan)
 	}
 
-	srv := boot()
-	online := make(map[int]string)
-	bySlot := tr.BySlot()
-	target := func(i int) string { return srv.InstanceAddr(i % srv.NumInstances()) }
-
-	for slot, reqs := range bySlot {
-		switch slot {
-		case 2:
-			// Crash mid-slot: half the slot's requests are accepted and
-			// durable, then the process dies without any graceful work.
-			for i, r := range reqs[:len(reqs)/2] {
-				postIngest(t, target(i), r)
-			}
-			srv.Kill()
-			srv = boot()
-			st := srv.WALState()
-			if st == nil || st.Records == 0 {
-				t.Fatalf("restart recovered no WAL records: %+v", st)
-			}
-			if st.Slot != 2 {
-				t.Fatalf("restart recovered slot %d, want 2", st.Slot)
-			}
-			for i, r := range reqs[len(reqs)/2:] {
-				postIngest(t, target(i), r)
-			}
-			advanceSlot(t, srv, online)
-		case 3:
-			// Crash on a slot boundary: the plan published and became
-			// durable, then the process dies before the next slot.
-			for i, r := range reqs {
-				postIngest(t, target(i), r)
-			}
-			advanceSlot(t, srv, online)
-			srv.Kill()
-			srv = boot()
-			if st := srv.WALState(); st == nil || st.Plan == nil {
-				t.Fatalf("restart after boundary crash recovered no plan")
-			}
-		default:
-			for i, r := range reqs {
-				postIngest(t, target(i), r)
-			}
-			advanceSlot(t, srv, online)
-		}
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	if len(online) != len(offline) {
-		t.Fatalf("online scheduled %d slots, offline %d", len(online), len(offline))
+	if len(drill.Plans) != len(offline) {
+		t.Fatalf("online scheduled %d slots, offline %d", len(drill.Plans), len(offline))
 	}
 	for slot, want := range offline {
-		got, ok := online[slot]
-		if !ok {
-			t.Errorf("slot %d: no online plan", slot)
-			continue
-		}
-		if got != want {
+		if got := drill.Plans[slot]; got != want {
 			t.Errorf("slot %d: plan after kill/restart differs from offline (%d vs %d hex bytes)",
 				slot, len(got), len(want))
 		}
@@ -209,11 +113,12 @@ func TestRecoveryServesLastDurablePlan(t *testing.T) {
 	if err := srv.Start(); err != nil {
 		t.Fatalf("Start: %v", err)
 	}
-	online := make(map[int]string)
-	for i, r := range tr.BySlot()[0] {
-		postIngest(t, srv.InstanceAddr(i%2), r)
+	first := &trace.Trace{Slots: 1, Requests: tr.BySlot()[0]}
+	targets := []string{"http://" + srv.InstanceAddr(0), "http://" + srv.InstanceAddr(1)}
+	rep, err := loadgen.Replay(targets[0], world, first, loadgen.Options{Targets: targets})
+	if err != nil || !rep.Slots[0].Scheduled {
+		t.Fatalf("replaying slot 0: %v (report %+v)", err, rep)
 	}
-	advanceSlot(t, srv, online)
 	wantEpoch, wantDigest := srv.InstanceEpochDigest(0)
 	srv.Kill()
 

@@ -1,7 +1,6 @@
 package server_test
 
 import (
-	"encoding/hex"
 	"encoding/json"
 	"net/http"
 	"strconv"
@@ -9,10 +8,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/scheme"
 	"repro/internal/server"
 	"repro/internal/server/loadgen"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -47,14 +44,9 @@ func TestServerMatchesOfflineSim(t *testing.T) {
 	params := core.DefaultParams()
 
 	// Offline reference: collect every slot's canonical plan bytes.
-	offline := make(map[int]string)
-	_, err := sim.Run(world, tr, scheme.NewRBCAer(params), sim.Options{
-		PlanSink: func(slot int, plan *core.Plan) {
-			offline[slot] = hex.EncodeToString(plan.Canonical())
-		},
-	})
+	offline, err := loadgen.OfflinePlans(world, tr, params)
 	if err != nil {
-		t.Fatalf("sim.Run: %v", err)
+		t.Fatalf("OfflinePlans: %v", err)
 	}
 	if len(offline) == 0 {
 		t.Fatalf("offline run produced no plans")
@@ -134,14 +126,9 @@ func TestServerDeltaMatchesOfflineFullSim(t *testing.T) {
 	world, tr := e2eWorldAndTrace(t)
 
 	// Offline reference: plain full solves.
-	offline := make(map[int]string)
-	_, err := sim.Run(world, tr, scheme.NewRBCAer(core.DefaultParams()), sim.Options{
-		PlanSink: func(slot int, plan *core.Plan) {
-			offline[slot] = hex.EncodeToString(plan.Canonical())
-		},
-	})
+	offline, err := loadgen.OfflinePlans(world, tr, core.DefaultParams())
 	if err != nil {
-		t.Fatalf("sim.Run: %v", err)
+		t.Fatalf("OfflinePlans: %v", err)
 	}
 
 	// Online: delta mode, never falling back on drift but re-solving
@@ -201,14 +188,9 @@ func TestMultiInstanceServerMatchesOfflineSim(t *testing.T) {
 	world, tr := e2eWorldAndTrace(t)
 	params := core.DefaultParams()
 
-	offline := make(map[int]string)
-	_, err := sim.Run(world, tr, scheme.NewRBCAer(params), sim.Options{
-		PlanSink: func(slot int, plan *core.Plan) {
-			offline[slot] = hex.EncodeToString(plan.Canonical())
-		},
-	})
+	offline, err := loadgen.OfflinePlans(world, tr, params)
 	if err != nil {
-		t.Fatalf("sim.Run: %v", err)
+		t.Fatalf("OfflinePlans: %v", err)
 	}
 
 	const instances = 4
@@ -327,14 +309,9 @@ func TestReplayByHotspot(t *testing.T) {
 	world, tr := e2eWorldAndTrace(t)
 	params := core.DefaultParams()
 
-	offline := make(map[int]string)
-	_, err := sim.Run(world, tr, scheme.NewRBCAer(params), sim.Options{
-		PlanSink: func(slot int, plan *core.Plan) {
-			offline[slot] = hex.EncodeToString(plan.Canonical())
-		},
-	})
+	offline, err := loadgen.OfflinePlans(world, tr, params)
 	if err != nil {
-		t.Fatalf("sim.Run: %v", err)
+		t.Fatalf("OfflinePlans: %v", err)
 	}
 
 	srv, err := server.New(server.Config{

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -110,28 +109,18 @@ func (in *instance) handler() http.Handler {
 
 // install is the receive side of the plan-distribution channel: the
 // frontend rebuilds its serving plan from the canonical bytes the
-// scheduler published and verifies it is exactly the advertised plan —
-// the received bytes must hash to the advertised digest, must parse,
-// and must re-encode to the identical bytes. Any mismatch rejects the
-// swap (the frontend keeps serving its previous plan) and is counted
-// loudly; install never tears a plan, because publication is a single
-// atomic pointer store of a fully built plan.
+// scheduler published, after core.VerifyCanonical proved they are
+// exactly the advertised plan. Any mismatch rejects the swap (the
+// frontend keeps serving its previous plan) and is counted loudly;
+// install never tears a plan, because publication is a single atomic
+// pointer store of a fully built plan.
 func (in *instance) install(epoch int64, slot int, requests int64, canonical []byte, digest uint64) error {
-	if got := core.DigestOf(canonical); got != digest {
-		in.rejects.Inc()
-		return fmt.Errorf("server: instance %d: plan digest %016x, advertised %016x", in.id, got, digest)
-	}
-	plan, err := core.ParseCanonical(canonical)
+	plan, err := core.VerifyCanonical(canonical, digest)
 	if err != nil {
 		in.rejects.Inc()
 		return fmt.Errorf("server: instance %d: %w", in.id, err)
 	}
-	sp := newServingPlan(epoch, slot, requests, plan, in.srv.world.NumVideos)
-	if !bytes.Equal(sp.canonical, canonical) {
-		in.rejects.Inc()
-		return fmt.Errorf("server: instance %d: plan bytes did not round-trip", in.id)
-	}
-	in.current.Store(sp)
+	in.current.Store(newServingPlan(epoch, slot, requests, plan, canonical, digest, in.srv.world.NumVideos))
 	in.swaps.Inc()
 	return nil
 }

@@ -6,7 +6,8 @@
 // which blocks until the slot's plan is live. The per-slot report
 // carries the served plan's epoch and digest so harnesses can compare
 // the replay against an offline sim.Run of the same trace byte for
-// byte.
+// byte. OfflinePlans is that reference, and CrashDrill the one
+// kill/restart differential every durability check is a caller of.
 package loadgen
 
 import (
@@ -45,6 +46,21 @@ type Options struct {
 	// Pace 10 ten times faster). 0 posts as fast as the workers go.
 	// Only open-loop drives honour it.
 	Pace float64
+}
+
+// resolve applies the defaults: 4 workers, a private client, baseURL as
+// the only target.
+func (o Options) resolve(baseURL string) (int, *http.Client, []string) {
+	if o.Workers <= 0 {
+		o.Workers = 4
+	}
+	if o.Client == nil {
+		o.Client = &http.Client{}
+	}
+	if len(o.Targets) == 0 {
+		o.Targets = []string{baseURL}
+	}
+	return o.Workers, o.Client, o.Targets
 }
 
 // SlotReport is the outcome of replaying one timeslot.
@@ -86,23 +102,11 @@ func Replay(baseURL string, world *trace.World, tr *trace.Trace, opts Options) (
 	if err := tr.Validate(world); err != nil {
 		return nil, fmt.Errorf("loadgen: %w", err)
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = 4
-	}
-	client := opts.Client
-	if client == nil {
-		client = &http.Client{}
-	}
+	workers, client, targets := opts.resolve(baseURL)
 	// Drop the keep-alive pool once the drive completes: conns left
 	// behind (including spare dials that never carried a request) keep
 	// the tier's graceful Shutdown waiting out its drain deadline.
 	defer client.CloseIdleConnections()
-
-	targets := opts.Targets
-	if len(targets) == 0 {
-		targets = []string{baseURL}
-	}
 
 	report := &Report{}
 	for slot, reqs := range tr.BySlot() {
@@ -129,13 +133,23 @@ func replaySlot(client *http.Client, baseURL string, targets []string, slot int,
 		}
 		index = g
 	}
+	bodies, err := encodeSlot(reqs, index)
+	if err != nil {
+		return SlotReport{Slot: slot, Sent: len(reqs)}, err
+	}
+	return driveSlot(client, baseURL, targets, slot, bodies, workers)
+}
+
+// encodeSlot renders requests in the ingest wire form: by location, or
+// (index non-nil) pre-resolved to their nearest hotspot.
+func encodeSlot(reqs []trace.Request, index *geo.Grid) ([][]byte, error) {
 	bodies := make([][]byte, len(reqs))
 	for i, req := range reqs {
 		body := ingestBody{User: int64(req.User), Video: int64(req.Video)}
 		if index != nil {
 			h, _, ok := index.Nearest(req.Location)
 			if !ok {
-				return SlotReport{Slot: slot, Sent: len(reqs)}, fmt.Errorf("loadgen: no hotspot for request %d", req.ID)
+				return nil, fmt.Errorf("loadgen: no hotspot for request %d", req.ID)
 			}
 			hh := int64(h)
 			body.Hotspot = &hh
@@ -145,11 +159,11 @@ func replaySlot(client *http.Client, baseURL string, targets []string, slot int,
 		}
 		data, err := json.Marshal(body)
 		if err != nil {
-			return SlotReport{Slot: slot, Sent: len(reqs)}, fmt.Errorf("loadgen: %w", err)
+			return nil, fmt.Errorf("loadgen: %w", err)
 		}
 		bodies[i] = data
 	}
-	return driveSlot(client, baseURL, targets, slot, bodies, workers)
+	return bodies, nil
 }
 
 // driveSlot posts one slot's pre-encoded ingest bodies (rotating across
@@ -208,14 +222,17 @@ func driveSlot(client *http.Client, baseURL string, targets []string, slot int, 
 	}
 	sr.Accepted = accepted.Load()
 	sr.Rejected = rejected.Load()
+	return closeSlot(client, baseURL, sr)
+}
 
+// closeSlot forces the slot boundary through baseURL and records the
+// outcome in sr.
+func closeSlot(client *http.Client, baseURL string, sr SlotReport) (SlotReport, error) {
 	adv, err := advance(client, baseURL)
 	if err != nil {
 		return sr, err
 	}
-	sr.Scheduled = adv.Scheduled
-	sr.Epoch = adv.Epoch
-	sr.Digest = adv.Digest
+	sr.Scheduled, sr.Epoch, sr.Digest = adv.Scheduled, adv.Epoch, adv.Digest
 	return sr, nil
 }
 

@@ -144,20 +144,9 @@ func DriveOpenLoop(baseURL string, stream *Stream, opts Options) (*Report, error
 // drive's start, single in-order poster — the open-loop discipline);
 // with Pace 0 requests are fanned out as fast as the workers go.
 func DriveOpenLoopContext(ctx context.Context, baseURL string, stream *Stream, opts Options) (*Report, error) {
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = 4
-	}
-	client := opts.Client
-	if client == nil {
-		client = &http.Client{}
-	}
+	workers, client, targets := opts.resolve(baseURL)
 	// See Replay: lingering keep-alives stall the tier's Shutdown.
 	defer client.CloseIdleConnections()
-	targets := opts.Targets
-	if len(targets) == 0 {
-		targets = []string{baseURL}
-	}
 	report := &Report{}
 	var scratch []byte
 	start := time.Now()
@@ -229,12 +218,5 @@ func drivePacedSlot(ctx context.Context, client *http.Client, baseURL string, ta
 			return sr, fmt.Errorf("loadgen: ingest status %d", status)
 		}
 	}
-	adv, err := advance(client, baseURL)
-	if err != nil {
-		return sr, err
-	}
-	sr.Scheduled = adv.Scheduled
-	sr.Epoch = adv.Epoch
-	sr.Digest = adv.Digest
-	return sr, nil
+	return closeSlot(client, baseURL, sr)
 }

@@ -73,14 +73,16 @@ func (e *redirectEntry) next() int {
 	return int(e.targets[j])
 }
 
-// newServingPlan materialises a core plan for serving.
-func newServingPlan(epoch int64, slot int, requests int64, plan *core.Plan, numVideos int) *servingPlan {
+// newServingPlan materialises a core plan for serving. canonical and
+// digest are the plan's verified encoding and fingerprint (install
+// holds both already; recomputing either re-encodes the whole plan).
+func newServingPlan(epoch int64, slot int, requests int64, plan *core.Plan, canonical []byte, digest uint64, numVideos int) *servingPlan {
 	sp := &servingPlan{
 		epoch:     epoch,
 		slot:      slot,
 		requests:  requests,
-		canonical: plan.Canonical(),
-		digest:    plan.Digest(),
+		canonical: canonical,
+		digest:    digest,
 		placement: plan.Placement,
 		redirect:  make(map[int64]*redirectEntry),
 		numVideos: int64(numVideos),

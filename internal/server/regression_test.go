@@ -108,7 +108,7 @@ func TestRedirectCursorOverflow(t *testing.T) {
 		Placement:     make([]similarity.Set, 3),
 		OverflowToCDN: make([]int64, 3),
 	}
-	sp := newServingPlan(1, 0, 1001, plan, 10)
+	sp := newServingPlan(1, 0, 1001, plan, nil, 0, 10)
 	e := sp.redirect[int64(0)*10+5]
 	if e == nil {
 		t.Fatal("no redirect entry for (0, 5)")
@@ -152,9 +152,6 @@ func TestSlotLatencyMicrosHistogram(t *testing.T) {
 	}
 	if got := reg.Histogram("server.slot.latency_us", obs.PowersOf2Buckets(24)).Count(); got != 1 {
 		t.Errorf("server.slot.latency_us count = %d, want 1", got)
-	}
-	if got := reg.Histogram("server.slot.latency_ms", obs.PowersOf2Buckets(16)).Count(); got != 0 {
-		t.Errorf("legacy server.slot.latency_ms histogram still observed %d values", got)
 	}
 }
 

@@ -523,10 +523,8 @@ func (s *Server) runSlot(snap *slotSnapshot) {
 		s.reg.Counter("server.plan.delta_fallbacks").Inc()
 	}
 	latency := time.Since(snap.start)
-	// Microsecond buckets: scheduling rounds routinely finish in well
-	// under a millisecond (delta rounds especially), where millisecond
-	// buckets collapsed everything into bucket zero. 2^24 µs ≈ 16.8 s
-	// comfortably covers the slowest degraded round.
+	// Microsecond buckets: small rounds finish in well under a
+	// millisecond, and 2^24 µs ≈ 16.8 s covers the slowest degraded one.
 	s.reg.Histogram("server.slot.latency_us", obs.PowersOf2Buckets(24)).Observe(latency.Microseconds())
 	s.reg.Timer("server.slot.schedule").Observe(latency)
 	if s.cfg.Tracer != nil {

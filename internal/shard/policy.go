@@ -3,7 +3,6 @@ package shard
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/scheme"
 	"repro/internal/sim"
 )
@@ -42,21 +41,5 @@ func (p *Policy) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) {
 		}
 		p.sched = sched
 	}
-	plan, err := p.sched.ScheduleRound(ctx.Demand, core.Constraints{
-		Service: ctx.EffectiveCapacity(),
-		Cache:   ctx.EffectiveCacheCapacity(),
-	})
-	if err != nil {
-		return nil, err
-	}
-	asg, err := scheme.MaterializePlan(ctx, plan)
-	if err != nil {
-		return nil, err
-	}
-	asg.Degraded = plan.Degraded
-	asg.StrandedDemand = plan.Stats.StrandedToCDN
-	asg.Phases = plan.Stats.Phases
-	asg.Events = plan.Events
-	asg.Plan = plan
-	return asg, nil
+	return scheme.ScheduleSlot(ctx, p.sched.ScheduleRound)
 }

@@ -246,7 +246,7 @@ func TestShardedDeltaMatchesShardedFull(t *testing.T) {
 	}
 }
 
-// driftDemands mirrors cdnbench's delta workload: each step clones its
+// driftDemands is a slow-drift workload: each step clones its
 // predecessor and shuffles ~10% of two hotspots' request mass between
 // videos already in their working sets, keeping totals fixed.
 func driftDemands(base *core.Demand, steps int) []*core.Demand {

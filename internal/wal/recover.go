@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"bytes"
 	"sort"
 
 	"repro/internal/core"
@@ -38,24 +37,16 @@ type State struct {
 	TruncatedBytes int64
 }
 
-// verifyPlanBytes re-verifies canonical plan bytes exactly like the
-// serving tier's fan-out install: the bytes must hash to the
-// advertised digest, must parse strictly, and must re-encode to the
-// identical bytes. Durable state never reaches the server without
-// passing this.
+// verifyPlanBytes holds durable plan bytes to the same gate as the
+// serving tier's fan-out install (core.VerifyCanonical). Durable state
+// never reaches the server without passing this.
 func verifyPlanBytes(canonical []byte, digest uint64) bool {
-	if core.DigestOf(canonical) != digest {
-		return false
-	}
-	plan, err := core.ParseCanonical(canonical)
-	if err != nil {
-		return false
-	}
-	return bytes.Equal(plan.Canonical(), canonical)
+	_, err := core.VerifyCanonical(canonical, digest)
+	return err == nil
 }
 
-// entryKey merges demand increments.
-type entryKey struct{ hotspot, video int }
+// EntryKey is the (hotspot, video) pair demand increments merge under.
+type EntryKey struct{ Hotspot, Video int }
 
 // buildState deterministically reconstructs server state from a base
 // checkpoint (nil for none) plus the decoded WAL records, in log
@@ -148,8 +139,8 @@ func buildState(ckpt *Checkpoint, recs []record) *State {
 		return a.seq < b.seq
 	})
 
-	pending := make(map[entryKey]int64)
-	queued := make(map[int]map[entryKey]int64)
+	pending := make(map[EntryKey]int64)
+	queued := make(map[int]map[EntryKey]int64)
 	queuedReqs := make(map[int]int64)
 	if ckpt != nil {
 		for _, q := range ckpt.Queue {
@@ -158,11 +149,11 @@ func buildState(ckpt *Checkpoint, recs []record) *State {
 			}
 			m := queued[q.Slot]
 			if m == nil {
-				m = make(map[entryKey]int64)
+				m = make(map[EntryKey]int64)
 				queued[q.Slot] = m
 			}
 			for _, e := range q.Entries {
-				m[entryKey{e.Hotspot, e.Video}] += e.Count
+				m[EntryKey{e.Hotspot, e.Video}] += e.Count
 			}
 			queuedReqs[q.Slot] += q.Requests
 		}
@@ -174,31 +165,31 @@ func buildState(ckpt *Checkpoint, recs []record) *State {
 		if r.slot < drainedBound {
 			m := queued[r.slot]
 			if m == nil {
-				m = make(map[entryKey]int64)
+				m = make(map[EntryKey]int64)
 				queued[r.slot] = m
 			}
-			m[entryKey{r.hotspot, r.video}] += r.count
+			m[EntryKey{r.hotspot, r.video}] += r.count
 			queuedReqs[r.slot] += r.count
 		} else {
-			pending[entryKey{r.hotspot, r.video}] += r.count
+			pending[EntryKey{r.hotspot, r.video}] += r.count
 			st.PendingRequests += r.count
 		}
 	}
 	if ckpt != nil {
 		for _, e := range ckpt.Pending {
-			pending[entryKey{e.Hotspot, e.Video}] += e.Count
+			pending[EntryKey{e.Hotspot, e.Video}] += e.Count
 			st.PendingRequests += e.Count
 		}
 	}
 
-	st.Pending = sortedEntries(pending)
+	st.Pending = SortedEntries(pending)
 	slots := make([]int, 0, len(queued))
 	for s := range queued {
 		slots = append(slots, s)
 	}
 	sort.Ints(slots)
 	for _, s := range slots {
-		es := sortedEntries(queued[s])
+		es := SortedEntries(queued[s])
 		if len(es) == 0 {
 			continue
 		}
@@ -207,12 +198,13 @@ func buildState(ckpt *Checkpoint, recs []record) *State {
 	return st
 }
 
-// sortedEntries renders a demand map as (hotspot, video)-sorted
-// entries.
-func sortedEntries(m map[entryKey]int64) []Entry {
+// SortedEntries renders a merged demand map as (hotspot, video)-sorted
+// entries: the deterministic order of checkpoint bytes and of
+// recovered state.
+func SortedEntries(m map[EntryKey]int64) []Entry {
 	out := make([]Entry, 0, len(m))
 	for k, n := range m {
-		out = append(out, Entry{Hotspot: k.hotspot, Video: k.video, Count: n})
+		out = append(out, Entry{Hotspot: k.Hotspot, Video: k.Video, Count: n})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Hotspot != out[j].Hotspot {

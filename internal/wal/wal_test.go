@@ -496,11 +496,11 @@ func TestSegmentRotationAndGC(t *testing.T) {
 
 // drainEntries mirrors the test's ingest pattern as merged entries.
 func drainEntries(n int) []Entry {
-	m := make(map[entryKey]int64)
+	m := make(map[EntryKey]int64)
 	for i := 0; i < n; i++ {
-		m[entryKey{i % 7, i % 11}]++
+		m[EntryKey{i % 7, i % 11}]++
 	}
-	return sortedEntries(m)
+	return SortedEntries(m)
 }
 
 func TestCrashDropsUnsyncedTail(t *testing.T) {
