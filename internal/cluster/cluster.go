@@ -129,16 +129,20 @@ func AgglomerativeMatrix(dist [][]float64, link Linkage) (*Dendrogram, error) {
 	if n == 1 {
 		return &Dendrogram{n: 1}, nil
 	}
+	// One backing array, filled and validated in a single pass: row i
+	// takes its upper triangle from dist[i] and hands each value to the
+	// lower triangle of the rows below it.
 	d := make([][]float64, n)
+	cells := make([]float64, n*n)
 	for i := range d {
-		if len(dist[i]) != n {
-			return nil, fmt.Errorf("cluster: distance matrix row %d has %d entries, want %d", i, len(dist[i]), n)
-		}
-		d[i] = make([]float64, n)
+		d[i] = cells[i*n : (i+1)*n : (i+1)*n]
 	}
-	for i := 0; i < n; i++ {
+	for i, row := range dist {
+		if len(row) != n {
+			return nil, fmt.Errorf("cluster: distance matrix row %d has %d entries, want %d", i, len(row), n)
+		}
 		for j := i + 1; j < n; j++ {
-			v := dist[i][j]
+			v := row[j]
 			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
 				return nil, fmt.Errorf("cluster: invalid distance %v between %d and %d", v, i, j)
 			}

@@ -599,9 +599,9 @@ func (ds *deltaState) refreshClusters(s *Scheduler, d *Demand) ([]int, int, erro
 	}
 
 	// Patch the matrix rows of the changed signatures with the map
-	// kernel (documented exact-identical to DistanceMatrix's bitset
-	// kernel); above ~m/8 changed rows the full parallel recompute is
-	// cheaper than m serial evaluations per row.
+	// kernel (DistanceMatrix is tested == to it on every cell); above
+	// ~m/8 changed rows the full recompute is cheaper than m map
+	// evaluations per row.
 	if len(changed)*8 > m {
 		ds.dist = similarity.DistanceMatrix(ds.sets, par.Workers(s.params.Workers))
 	} else {

@@ -304,9 +304,9 @@ func (s *Scheduler) contentClusters(d *Demand) ([]int, int, error) {
 		}
 		sets[h] = set
 	}
-	// The O(m²) Jaccard matrix dominates clustering on large fleets;
-	// compute it in parallel and hand the finished matrix to the
-	// (inherently sequential) nearest-neighbour-chain algorithm.
+	// The matrix costs one increment per pair of hotspots sharing a
+	// signature video; the (inherently sequential) nearest-neighbour
+	// chain that takes it is the larger half of the phase.
 	dist := similarity.DistanceMatrix(sets, par.Workers(s.params.Workers))
 	dendro, err := cluster.AgglomerativeMatrix(dist, s.params.Linkage)
 	if err != nil {

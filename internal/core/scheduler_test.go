@@ -4,7 +4,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/geo"
+	"repro/internal/similarity"
 	"repro/internal/trace"
 )
 
@@ -332,4 +334,76 @@ func randomDemand(w *trace.World, requests, videos int, seed int64) *Demand {
 		d.Add(trace.HotspotID(h), trace.VideoID(v), 1)
 	}
 	return d
+}
+
+// TestContentClustersMatchReference holds the matrix path of
+// contentClusters (inverted-index DistanceMatrix into
+// AgglomerativeMatrix) to the per-pair reference — cluster.Agglomerative
+// over a JaccardDistance closure — on demand shaped like the serving
+// benchmark's city fleet: ~7-video signatures, one video in more than
+// half of them, a few hotspots with no demand at all.
+func TestContentClustersMatchReference(t *testing.T) {
+	const m = 150
+	rng := rand.New(rand.NewSource(17))
+	d := NewDemand(m)
+	for h := 0; h < m; h++ {
+		if h%40 == 7 {
+			continue // an idle hotspot: empty signature
+		}
+		if rng.Intn(3) > 0 {
+			d.Add(trace.HotspotID(h), 0, 1000)
+		}
+		// 35 distinct videos, popular ones drawn from a small shared
+		// head so neighbours overlap: the top 20 % is 7 of them.
+		for len(d.PerVideo[h]) < 35 {
+			v := 1 + rng.Intn(12)
+			if rng.Intn(4) == 0 {
+				v = 13 + rng.Intn(900)
+			}
+			d.Add(trace.HotspotID(h), trace.VideoID(v), int64(1+rng.Intn(50)))
+		}
+	}
+	params := DefaultParams()
+	s, err := New(lineWorld(m, 0.3, 5, 8), params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clusterOf, nClusters, err := s.contentClusters(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sets := make([]similarity.Set, m)
+	holdTop, empty := 0, 0
+	for h := range sets {
+		if sets[h], err = similarity.TopFraction(d.VideoCounts(h), params.TopFraction); err != nil {
+			t.Fatal(err)
+		}
+		if sets[h].Contains(0) {
+			holdTop++
+		}
+		if sets[h].Len() == 0 {
+			empty++
+		}
+	}
+	if holdTop*2 <= m || empty < 3 {
+		t.Fatalf("demand lost its shape: video 0 in %d of %d signatures, %d empty", holdTop, m, empty)
+	}
+	dendro, err := cluster.Agglomerative(m, func(i, j int) float64 {
+		return similarity.JaccardDistance(sets[i], sets[j])
+	}, params.Linkage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := dendro.Cut(params.ClusterCut)
+	if nClusters != len(groups) || nClusters < 2 || nClusters >= m {
+		t.Fatalf("contentClusters found %d clusters, reference %d (of %d hotspots)", nClusters, len(groups), m)
+	}
+	for k, grp := range groups {
+		for _, h := range grp {
+			if clusterOf[h] != k {
+				t.Fatalf("hotspot %d in cluster %d, reference %d", h, clusterOf[h], k)
+			}
+		}
+	}
 }

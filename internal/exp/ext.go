@@ -352,7 +352,9 @@ func (r *Runner) AblatePrediction() (*Figure, error) {
 	}{
 		{"oracle", true, func() sim.Scheduler { return scheme.NewRBCAer(r.coreParams()) }},
 		{"factored(seasonal)", false, func() sim.Scheduler { return scheme.NewFactoredPredicted(scheme.NewRBCAer(r.coreParams())) }},
-		{"factored+overprov(4x)", false, func() sim.Scheduler { return scheme.NewFactoredPredicted(scheme.NewRBCAer(overprovisionParams(r.coreParams(), 4))) }},
+		{"factored+overprov(4x)", false, func() sim.Scheduler {
+			return scheme.NewFactoredPredicted(scheme.NewRBCAer(overprovisionParams(r.coreParams(), 4)))
+		}},
 		{"seasonal(24)", false, func() sim.Scheduler {
 			return &scheme.Predicted{Inner: scheme.NewRBCAer(r.coreParams()), Method: predict.Seasonal{Period: 24}}
 		}},

@@ -23,10 +23,10 @@ func zeroSlackWorld(t *testing.T, b2Cache int) (*trace.World, *sim.SlotContext) 
 	world := &trace.World{
 		Bounds: geo.Rect{MinX: 0, MinY: 0, MaxX: 12, MaxY: 6},
 		Hotspots: []trace.Hotspot{
-			{ID: 0, Location: geo.Point{X: 1, Y: 1}, ServiceCapacity: 2, CacheCapacity: 4},   // a0: overloaded
-			{ID: 1, Location: geo.Point{X: 8, Y: 1}, ServiceCapacity: 4, CacheCapacity: 4},   // b1: slack 2
+			{ID: 0, Location: geo.Point{X: 1, Y: 1}, ServiceCapacity: 2, CacheCapacity: 4},         // a0: overloaded
+			{ID: 1, Location: geo.Point{X: 8, Y: 1}, ServiceCapacity: 4, CacheCapacity: 4},         // b1: slack 2
 			{ID: 2, Location: geo.Point{X: 8.5, Y: 1}, ServiceCapacity: 2, CacheCapacity: b2Cache}, // b2: slack 2
-			{ID: 3, Location: geo.Point{X: 9, Y: 1}, ServiceCapacity: 3, CacheCapacity: 4},   // b3: slack 0
+			{ID: 3, Location: geo.Point{X: 9, Y: 1}, ServiceCapacity: 3, CacheCapacity: 4},         // b3: slack 0
 		},
 		NumVideos:     16,
 		CDNDistanceKm: 14,

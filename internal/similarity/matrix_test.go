@@ -1,0 +1,122 @@
+package similarity
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+)
+
+func randomSet(rng *rand.Rand, universe, size int) Set {
+	s := make(Set)
+	for k := 0; k < size; k++ {
+		s.Add(rng.Intn(universe))
+	}
+	return s
+}
+
+// checkMatrix requires DistanceMatrix(sets) to equal the map kernel
+// JaccardDistance on every cell — float64 ==, not a tolerance: both
+// divide the same two integers — with a zero diagonal, and to be
+// reflect.DeepEqual across worker counts.
+func checkMatrix(t *testing.T, name string, sets []Set) {
+	t.Helper()
+	serial := DistanceMatrix(sets, 1)
+	if len(serial) != len(sets) {
+		t.Fatalf("%s: %d rows, want %d", name, len(serial), len(sets))
+	}
+	for i := range sets {
+		if len(serial[i]) != len(sets) {
+			t.Fatalf("%s: row %d has %d cells, want %d", name, i, len(serial[i]), len(sets))
+		}
+		for j := range sets {
+			want := JaccardDistance(sets[i], sets[j])
+			if i == j {
+				want = 0
+			}
+			if serial[i][j] != want {
+				t.Fatalf("%s: d[%d][%d] = %v, reference %v", name, i, j, serial[i][j], want)
+			}
+		}
+	}
+	for _, workers := range []int{2, 4, 8} {
+		if got := DistanceMatrix(sets, workers); !reflect.DeepEqual(serial, got) {
+			t.Fatalf("%s: workers=%d differs from serial", name, workers)
+		}
+	}
+}
+
+// TestDistanceMatrixKernelAgreement is the exact differential of the
+// inverted-index kernel against the map reference over seeded random
+// families that cover its regimes: small universes where most pairs
+// share something, large ones where few do, empty sets mixed in,
+// negative ids, and a shifted universe wider than any packed layout.
+func TestDistanceMatrixKernelAgreement(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 240; trial++ {
+		universe := 1 + rng.Intn(5000)
+		if trial%3 == 0 {
+			universe = 1 + rng.Intn(40)
+		}
+		offset := 0
+		switch trial % 4 {
+		case 1:
+			offset = -universe / 2
+		case 2:
+			offset = 1 << 40
+		}
+		sets := make([]Set, rng.Intn(48))
+		for i := range sets {
+			sets[i] = make(Set)
+			if rng.Intn(6) == 0 {
+				continue
+			}
+			for id := range randomSet(rng, universe, rng.Intn(60)) {
+				sets[i].Add(offset + id*(1+trial%5))
+			}
+		}
+		checkMatrix(t, fmt.Sprintf("trial %d", trial), sets)
+	}
+}
+
+func TestDistanceMatrixTable(t *testing.T) {
+	everywhere := make([]Set, 9)
+	for i := range everywhere {
+		everywhere[i] = NewSet(7, 100+i, 200+i%3)
+	}
+	tests := []struct {
+		name string
+		sets []Set
+		want [][]float64 // nil: the reference comparison alone
+	}{
+		{"n=0", nil, [][]float64{}},
+		{"n=1", []Set{NewSet(1, 2)}, [][]float64{{0}}},
+		{"n=1 empty", []Set{{}}, [][]float64{{0}}},
+		{"n=2", []Set{NewSet(1, 2, 3), NewSet(2, 3, 4)}, [][]float64{{0, 0.5}, {0.5, 0}}},
+		{"two empty sets", []Set{{}, {}}, [][]float64{{0, 0}, {0, 0}}},
+		{"empty vs non-empty", []Set{{}, NewSet(4)}, [][]float64{{0, 1}, {1, 0}}},
+		{"identical", []Set{NewSet(1, 2, 3), NewSet(3, 2, 1)}, [][]float64{{0, 0}, {0, 0}}},
+		{"disjoint", []Set{NewSet(1, 2), NewSet(3, 4)}, [][]float64{{0, 1}, {1, 0}}},
+		{"empties among others", []Set{{}, NewSet(1), {}, NewSet(1, 2), nil}, [][]float64{
+			{0, 1, 0, 1, 0},
+			{1, 0, 1, 0.5, 1},
+			{0, 1, 0, 1, 0},
+			{1, 0.5, 1, 0, 1},
+			{0, 1, 0, 1, 0},
+		}},
+		{"negative ids", []Set{NewSet(-130, -1, 0, 77), NewSet(-130, 77, 90), NewSet(-1)}, nil},
+		{"id span beyond 2^21", []Set{NewSet(0, 1<<21+1), NewSet(0), NewSet(1<<21 + 1), NewSet(-1<<50, 1<<50)}, nil},
+		{"one id in every set", everywhere, nil},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			checkMatrix(t, tt.name, tt.sets)
+			if tt.want == nil {
+				return
+			}
+			if got := DistanceMatrix(tt.sets, 0); !reflect.DeepEqual(got, tt.want) {
+				t.Errorf("DistanceMatrix = %v, want %v", got, tt.want)
+			}
+		})
+	}
+}

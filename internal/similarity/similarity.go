@@ -3,7 +3,9 @@
 // content set of a hotspot from its demand vector. The paper uses the
 // Jaccard similarity of nearby hotspots' top-20% content sets both in
 // its measurement study (Fig. 3b) and as the clustering distance of the
-// content-aggregation stage (Eq. 13).
+// content-aggregation stage (Eq. 13). The map-based Jaccard is the
+// definition and the reference; DistanceMatrix computes the same values
+// for a whole fleet from an inverted index of the sets.
 package similarity
 
 import (
@@ -75,41 +77,110 @@ func Jaccard(a, b Set) float64 {
 func JaccardDistance(a, b Set) float64 { return 1 - Jaccard(a, b) }
 
 // DistanceMatrix computes the full pairwise JaccardDistance matrix of
-// sets. The O(n²) pair evaluations — the dominant cost of the
-// content-clustering stage on large fleets — run on the packed BitSet
-// popcount kernel (falling back to the map kernel when the id universe
-// is too sparse to pack) and fan out over workers goroutines (0 selects
-// GOMAXPROCS, 1 is serial); rows are striped across workers and each
-// unordered pair is computed exactly once, so the result is identical
-// for every worker count — and, because both kernels compute the same
-// exact integer intersection/union, identical between kernels too. The
-// diagonal is 0.
+// sets, exactly, in time proportional to the pairs that share an id
+// rather than to pairs × id universe. It builds the id → sets inverted
+// index once; row i then walks the posting lists of its own ids and
+// counts, per later set j, how many ids they share. That count is
+// |A∩B|, |A∪B| = |A|+|B|−|A∩B| needs no second pass, and a pair that
+// shares nothing keeps the pre-filled Jd = 1 without being visited (two
+// empty sets are Jd = 0, as in JaccardDistance). The work is
+// Σ_v C(n_v, 2) increments, n_v the number of sets holding id v;
+// DESIGN §9 sets that against a dense word-parallel kernel.
+//
+// Rows fan out over workers goroutines (0 selects GOMAXPROCS, 1 is
+// serial), striped so the shrinking upper-triangle rows balance; every
+// cell has exactly one writer and the same integers enter the same
+// 1 − inter/union float as in JaccardDistance, so the result is
+// bit-identical to it for every worker count and every map iteration
+// order. The diagonal is 0.
 func DistanceMatrix(sets []Set, workers int) [][]float64 {
 	n := len(sets)
 	d := make([][]float64, n)
-	rows := make([]float64, n*n)
+	cells := make([]float64, n*n)
+	for i := range cells {
+		cells[i] = 1
+	}
 	for i := range d {
-		d[i] = rows[i*n : (i+1)*n : (i+1)*n]
+		d[i] = cells[i*n : (i+1)*n : (i+1)*n]
+		d[i][i] = 0
 	}
-	// Row i computes the upper triangle j > i and mirrors into d[j][i];
-	// every cell has exactly one writer, so no synchronisation is
-	// needed. Striding balances the shrinking rows across workers.
-	if bs, ok := NewBitSets(sets); ok {
-		par.Strided(n, par.Workers(workers), func(i int) {
-			bi := &bs[i]
-			for j := i + 1; j < n; j++ {
-				v := bi.JaccardDistance(&bs[j])
-				d[i][j] = v
-				d[j][i] = v
+
+	// Both directions of the membership relation in CSR form, so the
+	// row loop never touches a map: set i holds the dense ids
+	// member[setAt[i]:setAt[i+1]], and dense id k is held by the sets
+	// post[postAt[k]:postAt[k+1]], ascending because the fill visits
+	// the sets in order.
+	setAt := make([]int, n+1)
+	for i, s := range sets {
+		setAt[i+1] = setAt[i] + len(s)
+	}
+	member := make([]int32, 0, setAt[n])
+	dense := make(map[int]int32)
+	var postAt []int // per-id counts first, then their prefix sums
+	for _, s := range sets {
+		for id := range s {
+			k, ok := dense[id]
+			if !ok {
+				k = int32(len(dense))
+				dense[id] = k
+				postAt = append(postAt, 0)
 			}
-		})
-		return d
+			postAt[k]++
+			member = append(member, k)
+		}
 	}
-	par.Strided(n, par.Workers(workers), func(i int) {
-		for j := i + 1; j < n; j++ {
-			v := JaccardDistance(sets[i], sets[j])
-			d[i][j] = v
-			d[j][i] = v
+	postAt = append(postAt, 0)
+	for k, sum := 0, 0; k < len(postAt); k++ {
+		postAt[k], sum = sum, sum+postAt[k]
+	}
+	post := make([]int32, len(member))
+	fill := slices.Clone(postAt[:len(dense)])
+	var empty []int
+	for i := range sets {
+		mine := member[setAt[i]:setAt[i+1]]
+		if len(mine) == 0 {
+			empty = append(empty, i)
+		}
+		for _, k := range mine {
+			post[fill[k]] = int32(i)
+			fill[k]++
+		}
+	}
+
+	// No posting list holds an empty set, so these cells are out of the
+	// row loop's reach and it out of theirs.
+	for a, i := range empty {
+		for _, j := range empty[a+1:] {
+			d[i][j], d[j][i] = 0, 0
+		}
+	}
+
+	// One goroutine per worker, each striding over its own rows with
+	// its own scratch.
+	w := min(par.Workers(workers), n)
+	par.Strided(w, w, func(first int) {
+		shared := make([]int32, n) // |sets[i] ∩ sets[j]| for the current row i; zero between rows
+		var touched []int32        // the j with shared[j] > 0
+		for i := first; i < n; i += w {
+			mine := member[setAt[i]:setAt[i+1]]
+			for _, k := range mine {
+				p := post[postAt[k]:postAt[k+1]]
+				for x := len(p) - 1; x >= 0 && int(p[x]) > i; x-- {
+					j := p[x]
+					if shared[j] == 0 {
+						touched = append(touched, j)
+					}
+					shared[j]++
+				}
+			}
+			for _, j := range touched {
+				inter := int(shared[j])
+				union := len(mine) + setAt[j+1] - setAt[j] - inter
+				v := 1 - float64(inter)/float64(union)
+				d[i][j], d[j][i] = v, v
+				shared[j] = 0
+			}
+			touched = touched[:0]
 		}
 	})
 	return d

@@ -15,13 +15,13 @@ func FuzzWorldValidate(f *testing.F) {
 	// Seed corpus: a healthy world, plus one neighbour per rejection
 	// branch in Validate.
 	f.Add(0.0, 0.0, 4.0, 5.0, int16(3), int64(10), int32(8), 100, 20.0, int32(0))
-	f.Add(3.0, 1.0, 3.0, 9.0, int16(2), int64(5), int32(4), 50, 20.0, int32(0))     // zero-area bounds
-	f.Add(0.0, 0.0, 4.0, 5.0, int16(0), int64(10), int32(8), 100, 20.0, int32(0))   // no hotspots
-	f.Add(0.0, 0.0, 4.0, 5.0, int16(3), int64(-1), int32(8), 100, 20.0, int32(0))   // negative service
-	f.Add(0.0, 0.0, 4.0, 5.0, int16(3), int64(10), int32(-2), 100, 20.0, int32(0))  // negative cache
-	f.Add(0.0, 0.0, 4.0, 5.0, int16(3), int64(10), int32(8), 0, 20.0, int32(0))     // no videos
-	f.Add(0.0, 0.0, 4.0, 5.0, int16(3), int64(10), int32(8), 100, -3.0, int32(0))   // bad CDN distance
-	f.Add(0.0, 0.0, 4.0, 5.0, int16(3), int64(10), int32(8), 100, 20.0, int32(7))   // sparse IDs
+	f.Add(3.0, 1.0, 3.0, 9.0, int16(2), int64(5), int32(4), 50, 20.0, int32(0))    // zero-area bounds
+	f.Add(0.0, 0.0, 4.0, 5.0, int16(0), int64(10), int32(8), 100, 20.0, int32(0))  // no hotspots
+	f.Add(0.0, 0.0, 4.0, 5.0, int16(3), int64(-1), int32(8), 100, 20.0, int32(0))  // negative service
+	f.Add(0.0, 0.0, 4.0, 5.0, int16(3), int64(10), int32(-2), 100, 20.0, int32(0)) // negative cache
+	f.Add(0.0, 0.0, 4.0, 5.0, int16(3), int64(10), int32(8), 0, 20.0, int32(0))    // no videos
+	f.Add(0.0, 0.0, 4.0, 5.0, int16(3), int64(10), int32(8), 100, -3.0, int32(0))  // bad CDN distance
+	f.Add(0.0, 0.0, 4.0, 5.0, int16(3), int64(10), int32(8), 100, 20.0, int32(7))  // sparse IDs
 	f.Add(math.NaN(), 0.0, 4.0, 5.0, int16(3), int64(10), int32(8), 100, 20.0, int32(0))
 
 	f.Fuzz(func(t *testing.T, minX, minY, maxX, maxY float64,
