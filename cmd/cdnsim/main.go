@@ -36,6 +36,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	crowdcdn "repro"
 )
@@ -52,7 +53,7 @@ func run(args []string) error {
 	scenarioPath := fs.String("scenario", "", "scenario YAML file: run it and report assertion pass/fail")
 	worldPath := fs.String("world", "", "world JSON file (default: generate eval world)")
 	tracePath := fs.String("trace", "", "requests CSV file (default: generate eval trace)")
-	schemeName := fs.String("scheme", "rbcaer", "scheduling policy: rbcaer, nearest, random, lp, hier, p2c, reactive-lru, reactive-lfu")
+	schemeName := fs.String("scheme", "rbcaer", "scheduling policy: "+strings.Join(crowdcdn.SchemeNames(), ", "))
 	radius := fs.Float64("radius", 1.5, "Random scheme routing radius in km")
 	capFrac := fs.Float64("capacity", 0, "override service capacity as a fraction of the video set")
 	cacheFrac := fs.Float64("cache", 0, "override cache size as a fraction of the video set")
@@ -97,12 +98,6 @@ func run(args []string) error {
 		fmt.Fprintf(os.Stderr, "cdnsim: debug server on http://%s/debug/metrics\n", addr)
 	}
 
-	world, tr, err := loadOrGenerate(*worldPath, *tracePath, *seed)
-	if err != nil {
-		return err
-	}
-	overrideCapacities(world, *capFrac, *cacheFrac)
-
 	if *shards < 0 || *shardCellKm < 0 {
 		return fmt.Errorf("-shards and -shard-cell-km must be non-negative (got %d, %v)", *shards, *shardCellKm)
 	}
@@ -110,67 +105,26 @@ func run(args []string) error {
 		return fmt.Errorf("-shards/-shard-cell-km require -scheme rbcaer (got %q)", *schemeName)
 	}
 
-	// slotIndependent marks policies that carry no state between slots,
-	// so their timeslots may be scheduled concurrently (one policy
-	// instance per worker) without changing the metrics.
-	var newPolicy func() crowdcdn.Scheduler
-	slotIndependent := false
-	switch *schemeName {
-	case "rbcaer":
-		params := crowdcdn.DefaultParams()
-		if *delta {
-			params = crowdcdn.DeltaParams(*deltaEvery)
-			params.DeltaVerify = *deltaVerify
-		}
-		params.Obs = reg
-		params.RecordEvents = tracer != nil
-		if *shards > 0 || *shardCellKm > 0 {
-			// Sharded mode: shard-level concurrency replaces
-			// intra-round fan-out, so the per-shard solvers run serial.
-			params.Workers = 1
-			sp := crowdcdn.ShardParams{
-				Shards:  *shards,
-				CellKm:  *shardCellKm,
-				Local:   params,
-				Workers: *workers,
-				Obs:     reg,
-			}
-			newPolicy = func() crowdcdn.Scheduler { return crowdcdn.NewSharded(sp) }
-		} else {
-			params.Workers = *workers
-			newPolicy = func() crowdcdn.Scheduler { return crowdcdn.NewRBCAer(params) }
-		}
-		// Delta mode carries warm-start state from slot to slot, so its
-		// slots must be scheduled in order on one policy instance.
-		slotIndependent = !*delta
-	case "nearest":
-		newPolicy = func() crowdcdn.Scheduler { return crowdcdn.NewNearest() }
-		slotIndependent = true
-	case "random":
-		newPolicy = func() crowdcdn.Scheduler { return crowdcdn.NewRandom(*radius) }
-		slotIndependent = true
-	case "lp":
-		newPolicy = func() crowdcdn.Scheduler { return crowdcdn.NewLPBased() }
-	case "hier":
-		newPolicy = func() crowdcdn.Scheduler { return crowdcdn.NewHierarchical(0) }
-	case "p2c":
-		newPolicy = func() crowdcdn.Scheduler { return crowdcdn.NewPowerOfTwo(*radius) }
-		slotIndependent = true
-	case "reactive-lru":
-		newPolicy = func() crowdcdn.Scheduler { return crowdcdn.NewReactiveLRU() }
-	case "reactive-lfu":
-		newPolicy = func() crowdcdn.Scheduler { return crowdcdn.NewReactiveLFU() }
-	default:
-		return fmt.Errorf("unknown scheme %q (want rbcaer, nearest, random, lp, hier, p2c, reactive-lru, or reactive-lfu)", *schemeName)
+	params := crowdcdn.DefaultParams()
+	if *delta {
+		params = crowdcdn.DeltaParams(*deltaEvery)
+		params.DeltaVerify = *deltaVerify
+	}
+	params.Obs = reg
+	params.RecordEvents = tracer != nil
+	sp := crowdcdn.ShardParams{Shards: *shards, CellKm: *shardCellKm}
+	policy, err := crowdcdn.LookupScheme(*schemeName, *radius, params, sp, *workers)
+	if err != nil {
+		return err
 	}
 
-	opts := crowdcdn.SimOptions{Seed: *seed, HotspotChurn: *churn, Registry: reg, Tracer: tracer}
-	var m *crowdcdn.Metrics
-	if slotIndependent && tr.Slots > 1 {
-		m, err = crowdcdn.SimulateParallel(world, tr, newPolicy, *workers, opts)
-	} else {
-		m, err = crowdcdn.Simulate(world, tr, newPolicy(), opts)
+	world, tr, err := loadOrGenerate(*worldPath, *tracePath, *seed)
+	if err != nil {
+		return err
 	}
+	world.OverrideCapacities(*capFrac, *cacheFrac)
+	m, err := policy.Run(world, tr, *workers,
+		crowdcdn.SimOptions{Seed: *seed, HotspotChurn: *churn, Registry: reg, Tracer: tracer})
 	if err != nil {
 		return err
 	}
@@ -296,15 +250,4 @@ func loadOrGenerate(worldPath, tracePath string, seed int64) (*crowdcdn.World, *
 		return nil, nil, fmt.Errorf("reading %s: %w", tracePath, err)
 	}
 	return world, tr, nil
-}
-
-func overrideCapacities(world *crowdcdn.World, capFrac, cacheFrac float64) {
-	for i := range world.Hotspots {
-		if capFrac > 0 {
-			world.Hotspots[i].ServiceCapacity = int64(float64(world.NumVideos)*capFrac + 0.5)
-		}
-		if cacheFrac > 0 {
-			world.Hotspots[i].CacheCapacity = int(float64(world.NumVideos)*cacheFrac + 0.5)
-		}
-	}
 }

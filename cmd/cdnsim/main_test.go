@@ -45,10 +45,19 @@ func writeTinyWorld(t *testing.T) (worldPath, tracePath string) {
 	return worldPath, tracePath
 }
 
+// TestRunAllSchemesOnFiles runs every name of the scheme table, and
+// guards the one place the names are spelled by hand — the -scheme line
+// of the usage comment — against drifting from it.
 func TestRunAllSchemesOnFiles(t *testing.T) {
 	worldPath, tracePath := writeTinyWorld(t)
-	schemes := []string{"rbcaer", "nearest", "random", "hier", "p2c", "reactive-lru", "reactive-lfu"}
-	for _, s := range schemes {
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if usage := "//\t-scheme " + strings.Join(crowdcdn.SchemeNames(), "|") + "\n"; !strings.Contains(string(src), usage) {
+		t.Errorf("usage comment does not list the scheme table: want %q", usage)
+	}
+	for _, s := range crowdcdn.SchemeNames() {
 		t.Run(s, func(t *testing.T) {
 			err := run([]string{
 				"-world", worldPath, "-trace", tracePath,

@@ -319,7 +319,7 @@ type ShardParams = shard.Params
 // NewSharded returns the sharded regional scheduling policy. Merged
 // plans are byte-identical for any ShardParams.Workers value, and
 // identical to the plain RBCAer when the partition has one shard.
-func NewSharded(p ShardParams) Scheduler { return shard.NewPolicy(p) }
+func NewSharded(p ShardParams) Scheduler { return scheme.NewSharded(p) }
 
 // NewShardScheduler returns the low-level sharded scheduler for
 // driving rounds manually, mirroring NewRBCAScheduler.
@@ -347,13 +347,29 @@ func Simulate(world *World, tr *Trace, policy Scheduler, opts SimOptions) (*Metr
 
 // SimulateParallel is Simulate with independent timeslots scheduled
 // concurrently on up to workers goroutines (0 selects
-// runtime.GOMAXPROCS(0); <=1 falls back to Simulate). Each worker
-// schedules with its own policy instance from newPolicy, so the policy
-// must be stateless across slots (RBCAer, Nearest, Random and
-// power-of-two qualify; the reactive and predicted policies do not).
-// Metrics are identical to Simulate's for every worker count.
+// runtime.GOMAXPROCS(0); 1 is Simulate). Each worker schedules with its
+// own policy instance from newPolicy, so the policy must be stateless
+// across slots (RBCAer, Nearest, Random and power-of-two qualify; the
+// reactive and predicted policies do not — LookupScheme knows which is
+// which). Metrics are identical to Simulate's for every worker count.
 func SimulateParallel(world *World, tr *Trace, newPolicy func() Scheduler, workers int, opts SimOptions) (*Metrics, error) {
 	return sim.RunParallel(world, tr, newPolicy, workers, opts)
+}
+
+// SchemeFactory is a scheme name resolved to a policy: New builds
+// instances, and Run replays a trace under them on as many workers as
+// the policy allows (one, when it carries state from slot to slot).
+type SchemeFactory = scheme.Factory
+
+// SchemeNames lists the policy names LookupScheme accepts (cdnsim
+// -scheme, a scenario's run.scheme).
+func SchemeNames() []string { return scheme.Names() }
+
+// LookupScheme resolves a policy name. radiusKm is the random/p2c
+// routing radius; params, sp and workers configure rbcaer only: a
+// non-zero sp.Shards or sp.CellKm selects the sharded scheduler.
+func LookupScheme(name string, radiusKm float64, params Params, sp ShardParams, workers int) (SchemeFactory, error) {
+	return scheme.Lookup(name, radiusKm, params, sp, workers)
 }
 
 // NewExperimentRunner returns a harness that regenerates the paper's

@@ -56,18 +56,9 @@ type Merge struct {
 
 // Dendrogram is the result of hierarchical clustering over n items.
 type Dendrogram struct {
-	n      int
+	n int
+	// merges is the merge sequence, ordered by ascending height.
 	merges []Merge
-}
-
-// NumLeaves returns the number of clustered items.
-func (d *Dendrogram) NumLeaves() int { return d.n }
-
-// Merges returns the merge sequence, ordered by ascending height.
-func (d *Dendrogram) Merges() []Merge {
-	out := make([]Merge, len(d.merges))
-	copy(out, d.merges)
-	return out
 }
 
 // DistFunc returns the dissimilarity between items i and j. It must be

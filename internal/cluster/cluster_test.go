@@ -32,7 +32,7 @@ func TestSingleItem(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Agglomerative: %v", err)
 	}
-	if d.NumLeaves() != 1 || len(d.Merges()) != 0 {
+	if d.n != 1 || len(d.merges) != 0 {
 		t.Fatalf("unexpected dendrogram for single item: %+v", d)
 	}
 	groups := d.Cut(0.5)
@@ -122,7 +122,7 @@ func TestMergesSortedByHeight(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Agglomerative: %v", err)
 			}
-			merges := d.Merges()
+			merges := d.merges
 			if len(merges) != n-1 {
 				t.Fatalf("%v: %d merges, want %d", link, len(merges), n-1)
 			}
@@ -283,8 +283,8 @@ func TestAgglomerativeMatrixMatchesAgglomerative(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: AgglomerativeMatrix: %v", link, err)
 		}
-		if !reflect.DeepEqual(want.Merges(), got.Merges()) {
-			t.Errorf("%v: dendrograms differ:\n%+v\nvs\n%+v", link, want.Merges(), got.Merges())
+		if !reflect.DeepEqual(want.merges, got.merges) {
+			t.Errorf("%v: dendrograms differ:\n%+v\nvs\n%+v", link, want.merges, got.merges)
 		}
 	}
 	if !reflect.DeepEqual(m, orig) {
@@ -309,7 +309,7 @@ func TestAgglomerativeMatrixErrors(t *testing.T) {
 		t.Error("bad linkage accepted")
 	}
 	d, err := AgglomerativeMatrix([][]float64{{0}}, Complete)
-	if err != nil || d.NumLeaves() != 1 {
+	if err != nil || d.n != 1 {
 		t.Errorf("single-item matrix: %v, %v", d, err)
 	}
 }

@@ -76,7 +76,7 @@ func TestQuickCapacityOverrideInvariants(t *testing.T) {
 				svc[h] = sc.svc
 			}
 		}
-		plan, err := s.ScheduleWithCapacities(d, svc)
+		plan, err := s.ScheduleRound(d, Constraints{Service: svc})
 		if err != nil {
 			return false
 		}
@@ -102,14 +102,14 @@ func TestScheduleWithCapacitiesValidation(t *testing.T) {
 	}
 	d := NewDemand(3)
 	d.Add(0, 1, 5)
-	if _, err := s.ScheduleWithCapacities(d, []int64{1, 2}); err == nil {
+	if _, err := s.ScheduleRound(d, Constraints{Service: []int64{1, 2}}); err == nil {
 		t.Error("short capacity slice accepted")
 	}
-	if _, err := s.ScheduleWithCapacities(d, []int64{1, -2, 3}); err == nil {
+	if _, err := s.ScheduleRound(d, Constraints{Service: []int64{1, -2, 3}}); err == nil {
 		t.Error("negative capacity accepted")
 	}
 	// Zero capacities everywhere: everything overflows to the CDN.
-	plan, err := s.ScheduleWithCapacities(d, []int64{0, 0, 0})
+	plan, err := s.ScheduleRound(d, Constraints{Service: []int64{0, 0, 0}})
 	if err != nil {
 		t.Fatalf("all-zero capacities: %v", err)
 	}

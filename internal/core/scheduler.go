@@ -77,15 +77,6 @@ func (s *Scheduler) Schedule(d *Demand) (*Plan, error) {
 	return s.ScheduleRound(d, Constraints{})
 }
 
-// ScheduleWithCapacities is Schedule with per-round effective service
-// capacities overriding the world's nominal values (the simulator uses
-// this to model churned-out hotspots as capacity 0 for a slot). A nil
-// svc uses the world's capacities; otherwise svc must cover every
-// hotspot with non-negative values.
-func (s *Scheduler) ScheduleWithCapacities(d *Demand, svc []int64) (*Plan, error) {
-	return s.ScheduleRound(d, Constraints{Service: svc})
-}
-
 // solveFn indirects the MCMF solve so tests can inject solver failures
 // and panics to exercise the degraded path.
 var solveFn = func(g *mcmf.Graph, source, sink int, limit int64, alg mcmf.Algorithm) (mcmf.Result, error) {

@@ -140,14 +140,7 @@ func withCapacities(world *trace.World, svcFrac, cacheFrac float64) *trace.World
 	out := *world
 	out.Hotspots = make([]trace.Hotspot, len(world.Hotspots))
 	copy(out.Hotspots, world.Hotspots)
-	for i := range out.Hotspots {
-		if svcFrac > 0 {
-			out.Hotspots[i].ServiceCapacity = int64(float64(world.NumVideos)*svcFrac + 0.5)
-		}
-		if cacheFrac > 0 {
-			out.Hotspots[i].CacheCapacity = int(float64(world.NumVideos)*cacheFrac + 0.5)
-		}
-	}
+	out.OverrideCapacities(svcFrac, cacheFrac)
 	return &out
 }
 

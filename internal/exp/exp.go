@@ -15,6 +15,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/scheme"
+	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -144,8 +146,8 @@ type Runner struct {
 	Scale float64
 	// Workers bounds the experiments' scheduling parallelism: it is
 	// forwarded to core.Params.Workers for every RBCAer instance, and
-	// per-slot-independent policies on multi-slot traces schedule their
-	// timeslots concurrently on this many goroutines (sim.RunParallel).
+	// per-slot-independent policies schedule their timeslots
+	// concurrently on this many goroutines (scheme.Factory.Run).
 	// 0 selects runtime.GOMAXPROCS(0); 1 forces serial runs. Results
 	// are identical for every value.
 	Workers int
@@ -180,17 +182,15 @@ func (r *Runner) simOpts() sim.Options {
 	return sim.Options{Seed: r.Seed, Registry: r.Obs, Tracer: r.Tracer}
 }
 
-// runPolicy replays the trace under one policy instance from the
-// factory. Per-slot-independent policies on multi-slot traces schedule
-// their timeslots concurrently on the runner's workers (each worker
-// gets its own instance); stateful policies must pass
-// slotIndependent=false to keep the sequential slot order they depend
-// on. Either path yields identical metrics for such policies.
-func (r *Runner) runPolicy(world *trace.World, tr *trace.Trace, newPolicy func() sim.Scheduler, slotIndependent bool, opts sim.Options) (*sim.Metrics, error) {
-	if slotIndependent && tr.Slots > 1 {
-		return sim.RunParallel(world, tr, newPolicy, r.Workers, opts)
+// runScheme replays the trace under a scheme-table policy (1.5 km
+// routing radius, the runner's RBCAer parameters) on the runner's
+// workers.
+func (r *Runner) runScheme(name string, world *trace.World, tr *trace.Trace, opts sim.Options) (*sim.Metrics, error) {
+	f, err := scheme.Lookup(name, 1.5, r.coreParams(), shard.Params{}, r.Workers)
+	if err != nil {
+		return nil, err
 	}
-	return sim.Run(world, tr, newPolicy(), opts)
+	return f.Run(world, tr, r.Workers, opts)
 }
 
 // evalData generates (once) and returns the Sec. V world and trace.

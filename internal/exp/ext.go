@@ -82,7 +82,11 @@ func (r *Runner) runExtension(id string) ([]*Figure, error) {
 
 // ExtHierarchical compares flat RBCAer against the hierarchical
 // cross-region mode (paper Sec. VI / reference [28]) as the deployment
-// grows, reporting scheduling time and serving ratio.
+// grows, reporting scheduling time and serving ratio. The hierarchical
+// mode's cross-region round balances beyond flat RBCAer's default
+// θ2 = 1.5 km, so flat RBCAer with θ2 widened to 3 and 6 km runs
+// alongside as the control: what the longer reach buys without the
+// decomposition.
 func (r *Runner) ExtHierarchical() (*Figure, error) {
 	base := r.evalConfig()
 	fig := &Figure{
@@ -91,9 +95,27 @@ func (r *Runner) ExtHierarchical() (*Figure, error) {
 		XLabel: "hotspots",
 		YLabel: "seconds / ratio",
 	}
-	sizes := []int{1, 2, 4}
-	var xs, flatT, hierT, flatServe, hierServe []float64
-	for _, mult := range sizes {
+	flatTheta2 := func(km float64) func() sim.Scheduler {
+		return func() sim.Scheduler {
+			p := r.coreParams()
+			p.Theta2 = km
+			return scheme.NewRBCAer(p)
+		}
+	}
+	variants := []struct {
+		name   string
+		policy func() sim.Scheduler
+	}{
+		{"flat", flatTheta2(core.DefaultParams().Theta2)},
+		{"flat(theta2=3)", flatTheta2(3)},
+		{"flat(theta2=6)", flatTheta2(6)},
+		{"hier", func() sim.Scheduler { return region.NewPolicy(3.0) }},
+	}
+	var xs []float64
+	times := make([][]float64, len(variants))
+	serving := make([][]float64, len(variants))
+	last := make([]*sim.Metrics, len(variants)) // at the largest fleet
+	for _, mult := range []int{1, 2, 4} {
 		cfg := base
 		cfg.NumHotspots = base.NumHotspots * mult
 		cfg.NumUsers = base.NumUsers * mult
@@ -107,28 +129,28 @@ func (r *Runner) ExtHierarchical() (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		flat, err := sim.Run(world, tr, scheme.NewRBCAer(r.coreParams()), r.simOpts())
-		if err != nil {
-			return nil, fmt.Errorf("exp: ext-hier flat at %dx: %w", mult, err)
-		}
-		hier, err := sim.Run(world, tr, region.NewPolicy(3.0), r.simOpts())
-		if err != nil {
-			return nil, fmt.Errorf("exp: ext-hier hierarchical at %dx: %w", mult, err)
-		}
 		xs = append(xs, float64(cfg.NumHotspots))
-		flatT = append(flatT, flat.SchedulingTime.Seconds())
-		hierT = append(hierT, hier.SchedulingTime.Seconds())
-		flatServe = append(flatServe, flat.HotspotServingRatio)
-		hierServe = append(hierServe, hier.HotspotServingRatio)
+		for i, v := range variants {
+			m, err := sim.Run(world, tr, v.policy(), r.simOpts())
+			if err != nil {
+				return nil, fmt.Errorf("exp: ext-hier %s at %dx: %w", v.name, mult, err)
+			}
+			times[i] = append(times[i], m.SchedulingTime.Seconds())
+			serving[i] = append(serving[i], m.HotspotServingRatio)
+			last[i] = m
+		}
 	}
-	fig.AddSeries("flat-time(s)", xs, flatT)
-	fig.AddSeries("hier-time(s)", xs, hierT)
-	fig.AddSeries("flat-serving", xs, flatServe)
-	fig.AddSeries("hier-serving", xs, hierServe)
-	last := len(xs) - 1
-	if hierT[last] > 0 {
-		fig.Note("at %d hotspots the hierarchical mode schedules %.1fx faster with %.1f%% of flat serving ratio",
-			int(xs[last]), flatT[last]/hierT[last], 100*hierServe[last]/flatServe[last])
+	for i, v := range variants {
+		fig.AddSeries(v.name+"-time(s)", xs, times[i])
+	}
+	for i, v := range variants {
+		fig.AddSeries(v.name+"-serving", xs, serving[i])
+	}
+	for i, v := range variants {
+		m := last[i]
+		fig.Note("at %d hotspots %s schedules in %.2fs: serving %.3f, distance %.2fkm, replication %.2fx",
+			len(m.PerHotspotLoad), v.name, m.SchedulingTime.Seconds(),
+			m.HotspotServingRatio, m.AvgAccessDistanceKm, m.ReplicationCost)
 	}
 	return fig, nil
 }
@@ -141,13 +163,6 @@ func (r *Runner) ExtChurn() (*Figure, error) {
 		return nil, err
 	}
 	churns := []float64{0, 0.05, 0.1, 0.2, 0.4}
-	policies := func() []sim.Scheduler {
-		return []sim.Scheduler{
-			scheme.NewRBCAer(r.coreParams()),
-			scheme.Nearest{},
-			scheme.Random{RadiusKm: 1.5},
-		}
-	}
 	fig := &Figure{
 		ID:     "ext-churn",
 		Title:  "Hotspot serving ratio under device churn",
@@ -157,7 +172,7 @@ func (r *Runner) ExtChurn() (*Figure, error) {
 	names := make([]string, 0, 3)
 	series := make(map[string][]float64)
 	for _, churn := range churns {
-		for _, policy := range policies() {
+		for _, policy := range r.evalPolicies() {
 			opts := r.simOpts()
 			opts.HotspotChurn = churn
 			m, err := sim.Run(world, tr, policy, opts)
@@ -196,17 +211,8 @@ func (r *Runner) ExtReactive() (*Figure, error) {
 	}
 	// Proactive policies are per-slot independent and schedule their 24
 	// slots concurrently; the reactive caches carry state across slots
-	// and must replay sequentially.
-	policies := []struct {
-		independent bool
-		make        func() sim.Scheduler
-	}{
-		{true, func() sim.Scheduler { return scheme.NewRBCAer(r.coreParams()) }},
-		{true, func() sim.Scheduler { return scheme.Nearest{} }},
-		{true, func() sim.Scheduler { return scheme.PowerOfTwo{RadiusKm: 1.5} }},
-		{false, func() sim.Scheduler { return scheme.NewReactiveLRU() }},
-		{false, func() sim.Scheduler { return scheme.NewReactiveLFU() }},
-	}
+	// and replay sequentially (the scheme table knows which is which).
+	policies := []string{"rbcaer", "nearest", "p2c", "reactive-lru", "reactive-lfu"}
 	fig := &Figure{
 		ID:     "ext-reactive",
 		Title:  "Proactive prefetch vs reactive edge caching (24 hourly slots)",
@@ -214,9 +220,9 @@ func (r *Runner) ExtReactive() (*Figure, error) {
 		YLabel: "value",
 	}
 	for _, policy := range policies {
-		m, err := r.runPolicy(world, tr, policy.make, policy.independent, r.simOpts())
+		m, err := r.runScheme(policy, world, tr, r.simOpts())
 		if err != nil {
-			return nil, fmt.Errorf("exp: ext-reactive %s: %w", policy.make().Name(), err)
+			return nil, fmt.Errorf("exp: ext-reactive %s: %w", policy, err)
 		}
 		fig.AddSeries(m.Scheme,
 			[]float64{0, 1, 2},
@@ -265,7 +271,7 @@ func (r *Runner) ExtShard() (*Figure, error) {
 		// counters; the runner's shared registry still receives the
 		// slot-level sim counters via simOpts.
 		reg := obs.NewRegistry()
-		m, err := sim.Run(world, tr, shard.NewPolicy(shard.Params{
+		m, err := sim.Run(world, tr, scheme.NewSharded(shard.Params{
 			CellKm:  cell,
 			Workers: r.Workers,
 			Obs:     reg,
@@ -375,7 +381,7 @@ func (r *Runner) AblatePrediction() (*Figure, error) {
 		YLabel: "value",
 	}
 	for _, v := range variants {
-		m, err := r.runPolicy(world, tr, v.policy, v.independent, r.simOpts())
+		m, err := scheme.Factory{New: v.policy, SlotsIndependent: v.independent}.Run(world, tr, r.Workers, r.simOpts())
 		if err != nil {
 			return nil, fmt.Errorf("exp: abl-prediction %s: %w", v.name, err)
 		}

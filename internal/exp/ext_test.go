@@ -47,8 +47,9 @@ func TestExtHierarchical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ExtHierarchical: %v", err)
 	}
-	if len(fig.Series) != 4 {
-		t.Fatalf("got %d series, want 4", len(fig.Series))
+	// flat, flat at θ2 = 3 and 6 km, hierarchical: time and serving each.
+	if len(fig.Series) != 8 {
+		t.Fatalf("got %d series, want 8", len(fig.Series))
 	}
 	for _, s := range fig.Series {
 		if len(s.X) != 3 {

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/geo"
-	"repro/internal/scheme"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -133,13 +132,7 @@ func (r *Runner) Resilience() ([]*Figure, error) {
 		},
 	}
 
-	policies := []struct {
-		make func() sim.Scheduler
-	}{
-		{func() sim.Scheduler { return scheme.NewRBCAer(r.coreParams()) }},
-		{func() sim.Scheduler { return scheme.Nearest{} }},
-		{func() sim.Scheduler { return scheme.Random{RadiusKm: 1.5} }},
-	}
+	policies := []string{"rbcaer", "nearest", "random"}
 
 	var figs []*Figure
 	for _, fam := range families {
@@ -156,10 +149,10 @@ func (r *Runner) Resilience() ([]*Figure, error) {
 			opts := r.simOpts()
 			opts.Faults = fam.scenario(li)
 			for _, pol := range policies {
-				m, err := r.runPolicy(world, tr, pol.make, true, opts)
+				m, err := r.runScheme(pol, world, tr, opts)
 				if err != nil {
 					return nil, fmt.Errorf("exp: resilience-%s %s at level %v: %w",
-						fam.name, pol.make().Name(), fam.levels[li], err)
+						fam.name, pol, fam.levels[li], err)
 				}
 				if _, ok := serving[m.Scheme]; !ok {
 					names = append(names, m.Scheme)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/geo"
+	"repro/internal/scheme"
 	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -81,7 +82,7 @@ func TestShardedPlanInvariants(t *testing.T) {
 	for fname, opts := range families {
 		for pname, params := range partitioners {
 			t.Run(fname+"/"+pname, func(t *testing.T) {
-				pol := &shardCheckingPolicy{inner: shard.NewPolicy(params)}
+				pol := &shardCheckingPolicy{inner: scheme.NewSharded(params)}
 				if _, err := sim.Run(world, tr, pol, opts); err != nil {
 					t.Fatalf("Run: %v", err)
 				}

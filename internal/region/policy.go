@@ -21,12 +21,6 @@ type Policy struct {
 	// ClusterPartition via a closure). When nil, GridPartition(CellKm)
 	// is used.
 	Partitioner func(*trace.World) (*Partition, error)
-	// VirtualParams drive the cross-region round. The zero value
-	// derives a θ range from CellKm (θ1 = cell, θ2 = 3x cell).
-	VirtualParams core.Params
-	// LocalParams drive the per-region rounds; the zero value selects
-	// core.DefaultParams().
-	LocalParams core.Params
 
 	world        *trace.World
 	part         *Partition
@@ -73,22 +67,17 @@ func (p *Policy) build(world *trace.World) error {
 		return err
 	}
 
-	vp := p.VirtualParams
-	if vp == (core.Params{}) {
-		vp = core.DefaultParams()
-		vp.Theta1 = cell
-		vp.Theta2 = 3 * cell
-		vp.DeltaD = cell
-	}
+	// The cross-region round sweeps θ over the cell scale; the
+	// per-region rounds run RBCAer's defaults.
+	vp := core.DefaultParams()
+	vp.Theta1 = cell
+	vp.Theta2 = 3 * cell
+	vp.DeltaD = cell
 	virtualSched, err := core.New(virtual, vp)
 	if err != nil {
 		return fmt.Errorf("region: building virtual scheduler: %w", err)
 	}
 
-	lp := p.LocalParams
-	if lp == (core.Params{}) {
-		lp = core.DefaultParams()
-	}
 	localScheds := make([]*core.Scheduler, part.NumRegions())
 	toGlobal := make([][]int, part.NumRegions())
 	for k, members := range part.Regions {
@@ -96,7 +85,7 @@ func (p *Policy) build(world *trace.World) error {
 		if err != nil {
 			return err
 		}
-		sched, err := core.New(sub, lp)
+		sched, err := core.New(sub, core.DefaultParams())
 		if err != nil {
 			return fmt.Errorf("region: building scheduler for region %d: %w", k, err)
 		}
@@ -148,7 +137,7 @@ func (p *Policy) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) {
 	for h := 0; h < m; h++ {
 		virtualCap[p.part.OfHotspot[h]] += ctx.EffectiveCapacity()[h]
 	}
-	virtualPlan, err := p.virtualSched.ScheduleWithCapacities(virtualDemand, virtualCap)
+	virtualPlan, err := p.virtualSched.ScheduleRound(virtualDemand, core.Constraints{Service: virtualCap})
 	if err != nil {
 		return nil, fmt.Errorf("region: virtual round: %w", err)
 	}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geo"
-	"repro/internal/scheme"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -132,36 +131,6 @@ func TestSubWorld(t *testing.T) {
 	}
 	if _, _, err := SubWorld(world, []int{99}); err == nil {
 		t.Error("SubWorld(out of range) succeeded")
-	}
-}
-
-func TestHierarchicalPolicyFeasibleAndCompetitive(t *testing.T) {
-	world, tr := genWorld(t, 80, 3000, 6000, 11000, 8)
-
-	hier, err := sim.Run(world, tr, NewPolicy(3.0), sim.Options{Seed: 1})
-	if err != nil {
-		t.Fatalf("Run(hierarchical): %v", err)
-	}
-	if hier.Infeasible != 0 {
-		t.Errorf("hierarchical produced %d infeasible targets", hier.Infeasible)
-	}
-	near, err := sim.Run(world, tr, scheme.Nearest{}, sim.Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hier.HotspotServingRatio < near.HotspotServingRatio {
-		t.Errorf("hierarchical serving %.3f below Nearest %.3f",
-			hier.HotspotServingRatio, near.HotspotServingRatio)
-	}
-	flat, err := sim.Run(world, tr, scheme.NewRBCAer(core.DefaultParams()), sim.Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Hierarchical trades some quality for scalability but should stay
-	// within a reasonable band of flat RBCAer.
-	if hier.HotspotServingRatio < 0.9*flat.HotspotServingRatio {
-		t.Errorf("hierarchical serving %.3f more than 10%% below flat RBCAer %.3f",
-			hier.HotspotServingRatio, flat.HotspotServingRatio)
 	}
 }
 

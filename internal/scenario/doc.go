@@ -3,8 +3,11 @@ package scenario
 import (
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
+
+	"repro/internal/scheme"
 )
 
 // Doc is one parsed scenario file: a generated world, a run
@@ -469,9 +472,7 @@ func (doc *Doc) decodeSlotAsserts(n *node) error {
 // themselves are validated again by fault.Scenario.Validate at compile
 // time; this layer catches scenario-level contradictions.
 func (doc *Doc) validate() error {
-	switch doc.Spec.Scheme {
-	case "", "rbcaer", "nearest", "random", "lp", "hier", "p2c", "reactive-lru", "reactive-lfu":
-	default:
+	if doc.Spec.Scheme != "" && !slices.Contains(scheme.Names(), doc.Spec.Scheme) {
 		return fmt.Errorf("scenario: unknown run.scheme %q", doc.Spec.Scheme)
 	}
 	if doc.Spec.Churn < 0 || doc.Spec.Churn > 1 {

@@ -3,6 +3,8 @@ package scenario
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/scheme"
 )
 
 // minDoc wraps an events/assert fragment into a parseable document.
@@ -142,6 +144,17 @@ func TestParseErrors(t *testing.T) {
 				t.Fatalf("error = %v, want substring %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestParseAcceptsTheSchemeTable: run.scheme takes exactly the scheme
+// table's names.
+func TestParseAcceptsTheSchemeTable(t *testing.T) {
+	for _, name := range append(scheme.Names(), "bogus") {
+		_, err := Parse([]byte("name: s\nrun:\n  scheme: " + name + "\n"))
+		if want := name != "bogus"; (err == nil) != want {
+			t.Errorf("run.scheme %q: err = %v, accepted should be %v", name, err, want)
+		}
 	}
 }
 

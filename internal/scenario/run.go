@@ -11,7 +11,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/geo"
 	"repro/internal/obs"
-	"repro/internal/region"
 	"repro/internal/scheme"
 	"repro/internal/shard"
 	"repro/internal/sim"
@@ -109,7 +108,7 @@ func (doc *Doc) Execute(opt ExecOptions) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario: generating world: %w", err)
 	}
-	doc.applyCapacityOverrides(world)
+	world.OverrideCapacities(doc.Spec.CapacityFrac, doc.Spec.CacheFrac)
 
 	stressSeed := cfg.Seed
 	if doc.Stress != nil && doc.Stress.SeedSet {
@@ -128,7 +127,7 @@ func (doc *Doc) Execute(opt ExecOptions) (*Report, error) {
 	if simSeed == 0 {
 		simSeed = cfg.Seed
 	}
-	factory, slotIndependent, err := doc.policy(reg, opt.Workers)
+	factory, err := doc.policy(reg, opt.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -183,12 +182,7 @@ func (doc *Doc) Execute(opt ExecOptions) (*Report, error) {
 		SlotSink:        sink,
 	}
 
-	var m *sim.Metrics
-	if slotIndependent && cfg.Slots > 1 {
-		m, err = sim.RunParallel(world, tr, factory, opt.Workers, opts)
-	} else {
-		m, err = sim.Run(world, tr, factory(), opts)
-	}
+	m, err := factory.Run(world, tr, opt.Workers, opts)
 	rep.SlotResults = slotResults
 	if err != nil {
 		if errors.Is(err, errFailFast) {
@@ -270,19 +264,6 @@ func (doc *Doc) traceConfig() trace.Config {
 	return cfg
 }
 
-// applyCapacityOverrides applies the run section's world-level capacity
-// overrides (fractions of the video set, like cdnsim -capacity/-cache).
-func (doc *Doc) applyCapacityOverrides(world *trace.World) {
-	for i := range world.Hotspots {
-		if doc.Spec.CapacityFrac > 0 {
-			world.Hotspots[i].ServiceCapacity = int64(float64(world.NumVideos)*doc.Spec.CapacityFrac + 0.5)
-		}
-		if doc.Spec.CacheFrac > 0 {
-			world.Hotspots[i].CacheCapacity = int(float64(world.NumVideos)*doc.Spec.CacheFrac + 0.5)
-		}
-	}
-}
-
 // compileFaults lowers the explicit events plus the stress expansion
 // onto a single fault.Scenario — the same structure PR-2 composes in Go
 // — so there is exactly one injection path. θ events are handled by the
@@ -341,103 +322,75 @@ func (doc *Doc) schemeName() string {
 	return doc.Spec.Scheme
 }
 
-// policy builds the scheduling-policy factory and reports whether slots
-// may be scheduled concurrently (mirroring cmd/cdnsim's table).
-func (doc *Doc) policy(reg *obs.Registry, workers int) (func() sim.Scheduler, bool, error) {
+// policy resolves the run scheme through the scheme table. θ events
+// (rbcaer only, see validate) wrap the factory's instances in a
+// per-regime router.
+func (doc *Doc) policy(reg *obs.Registry, workers int) (scheme.Factory, error) {
 	radius := doc.Spec.RadiusKm
 	if radius == 0 {
 		radius = 1.5
 	}
-	var thetas []Event
+	params := core.DefaultParams()
+	if doc.Spec.Delta {
+		params.DeltaThreshold = core.DefaultDeltaThreshold
+		if doc.Spec.DeltaThreshold > 0 {
+			params.DeltaThreshold = doc.Spec.DeltaThreshold
+		}
+		params.FullSolveEvery = doc.Spec.DeltaEvery
+		params.DeltaVerify = doc.Spec.DeltaVerify
+	}
+	params.Obs = reg
+	// Each theta event switches the θ-sweep parameters from its slot
+	// onward.
+	starts, regimes := []int{0}, []core.Params{params}
 	for _, ev := range doc.Events {
-		if ev.Kind == EventTheta {
-			thetas = append(thetas, ev)
+		if ev.Kind != EventTheta {
+			continue
+		}
+		if ev.Theta1 >= 0 {
+			params.Theta1 = ev.Theta1
+		}
+		if ev.Theta2 >= 0 {
+			params.Theta2 = ev.Theta2
+		}
+		if ev.DeltaD > 0 {
+			params.DeltaD = ev.DeltaD
+		}
+		starts, regimes = append(starts, ev.At), append(regimes, params)
+	}
+	sp := shard.Params{Shards: doc.Spec.Shards, CellKm: doc.Spec.ShardCellKm}
+	factories := make([]scheme.Factory, len(regimes))
+	for i, p := range regimes {
+		f, err := scheme.Lookup(doc.schemeName(), radius, p, sp, workers)
+		if err != nil {
+			return f, fmt.Errorf("scenario: %w", err)
+		}
+		factories[i] = f
+	}
+	policy := factories[0]
+	if len(factories) > 1 {
+		policy.New = func() sim.Scheduler {
+			p := &thetaPolicy{starts: starts}
+			for _, f := range factories {
+				p.scheds = append(p.scheds, f.New())
+			}
+			return p
 		}
 	}
-	switch doc.schemeName() {
-	case "rbcaer":
-		params := core.DefaultParams()
-		if doc.Spec.Delta {
-			params.DeltaThreshold = core.DefaultDeltaThreshold
-			if doc.Spec.DeltaThreshold > 0 {
-				params.DeltaThreshold = doc.Spec.DeltaThreshold
-			}
-			params.FullSolveEvery = doc.Spec.DeltaEvery
-			params.DeltaVerify = doc.Spec.DeltaVerify
-		}
-		params.Obs = reg
-		if doc.Spec.Shards > 0 || doc.Spec.ShardCellKm > 0 {
-			// Sharded mode: shard-level concurrency replaces
-			// intra-round fan-out (theta events are rejected by
-			// validate, so thetas is empty here).
-			params.Workers = 1
-			sp := shard.Params{
-				Shards:  doc.Spec.Shards,
-				CellKm:  doc.Spec.ShardCellKm,
-				Local:   params,
-				Workers: workers,
-				Obs:     reg,
-			}
-			return func() sim.Scheduler { return shard.NewPolicy(sp) }, !doc.Spec.Delta, nil
-		}
-		params.Workers = workers
-		if len(thetas) == 0 {
-			return func() sim.Scheduler { return scheme.NewRBCAer(params) }, !doc.Spec.Delta, nil
-		}
-		return func() sim.Scheduler { return newThetaPolicy(params, thetas) }, true, nil
-	case "nearest":
-		return func() sim.Scheduler { return scheme.Nearest{} }, true, nil
-	case "random":
-		return func() sim.Scheduler { return scheme.Random{RadiusKm: radius} }, true, nil
-	case "lp":
-		return func() sim.Scheduler { return scheme.LPBased{} }, false, nil
-	case "hier":
-		return func() sim.Scheduler { return region.NewPolicy(0) }, false, nil
-	case "p2c":
-		return func() sim.Scheduler { return scheme.PowerOfTwo{RadiusKm: radius} }, true, nil
-	case "reactive-lru":
-		return func() sim.Scheduler { return scheme.NewReactiveLRU() }, false, nil
-	case "reactive-lfu":
-		return func() sim.Scheduler { return scheme.NewReactiveLFU() }, false, nil
-	default:
-		return nil, false, fmt.Errorf("scenario: unknown scheme %q", doc.Spec.Scheme)
-	}
+	return policy, nil
 }
 
 // thetaPolicy routes each slot to the RBCAer instance whose θ regime
 // covers it: the base parameters before the first theta event, then
-// each event's overrides from its slot onward. Every factory call
-// builds fresh instances, so each sim worker owns its own regime set
-// and slots stay independently schedulable.
+// each event's overrides from its slot onward. Every instance owns
+// its own regime set, so slots stay independently schedulable.
 type thetaPolicy struct {
 	starts []int
 	scheds []sim.Scheduler
 }
 
-func newThetaPolicy(base core.Params, events []Event) *thetaPolicy {
-	p := &thetaPolicy{
-		starts: []int{0},
-		scheds: []sim.Scheduler{scheme.NewRBCAer(base)},
-	}
-	cur := base
-	for _, ev := range events {
-		if ev.Theta1 >= 0 {
-			cur.Theta1 = ev.Theta1
-		}
-		if ev.Theta2 >= 0 {
-			cur.Theta2 = ev.Theta2
-		}
-		if ev.DeltaD > 0 {
-			cur.DeltaD = ev.DeltaD
-		}
-		p.starts = append(p.starts, ev.At)
-		p.scheds = append(p.scheds, scheme.NewRBCAer(cur))
-	}
-	return p
-}
-
 // Name implements sim.Scheduler.
-func (p *thetaPolicy) Name() string { return "RBCAer" }
+func (p *thetaPolicy) Name() string { return p.scheds[0].Name() }
 
 // Schedule implements sim.Scheduler.
 func (p *thetaPolicy) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) {

@@ -25,7 +25,7 @@ func (doc *Doc) executeServe(opt ExecOptions) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario: generating world: %w", err)
 	}
-	doc.applyCapacityOverrides(world)
+	world.OverrideCapacities(doc.Spec.CapacityFrac, doc.Spec.CacheFrac)
 
 	crash := make(map[int]bool)
 	for i, ev := range doc.Events {

@@ -162,8 +162,10 @@ func (s LPBased) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) {
 			}
 		}
 	}
-	// Service capacity (Eq. 6).
-	perServer := make(map[int]map[lp.Var]float64)
+	// Service capacity (Eq. 6). Rows enter the LP in hotspot order, not
+	// map order: the simplex's pivots — and, on a degenerate LP, which
+	// optimal vertex it stops at — depend on the row order.
+	perServer := make([]map[lp.Var]float64, m)
 	for gi, g := range groups {
 		for _, j := range candsOf[gi] {
 			if perServer[j] == nil {
@@ -175,6 +177,9 @@ func (s LPBased) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) {
 	capacity := ctx.EffectiveCapacity()
 	cache := ctx.EffectiveCacheCapacity()
 	for j, row := range perServer {
+		if row == nil {
+			continue
+		}
 		if err := prob.AddConstraint(row, lp.LE, float64(capacity[j])); err != nil {
 			return nil, fmt.Errorf("scheme: LP capacity row: %w", err)
 		}
@@ -182,7 +187,7 @@ func (s LPBased) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) {
 	// Cache capacity (Eq. 7). Explicit y <= 1 rows are redundant: y is
 	// only pushed up by x <= y with Σx = 1, and the objective minimises
 	// y, so y never exceeds 1 at an optimum.
-	perCache := make(map[int]map[lp.Var]float64)
+	perCache := make([]map[lp.Var]float64, m)
 	for k, v := range yVar {
 		j := int(k % int64(m))
 		if perCache[j] == nil {
@@ -191,6 +196,9 @@ func (s LPBased) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) {
 		perCache[j][v] = 1
 	}
 	for j, row := range perCache {
+		if row == nil {
+			continue
+		}
 		if err := prob.AddConstraint(row, lp.LE, float64(cache[j])); err != nil {
 			return nil, fmt.Errorf("scheme: LP cache row: %w", err)
 		}

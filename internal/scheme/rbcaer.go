@@ -4,58 +4,76 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
-// RBCAer adapts the core scheduler (Algorithm 1 + Procedure 1) to the
-// simulator: it runs a scheduling round on the slot's aggregated
-// demand, then materialises the plan's per-video redirects into
-// per-request targets.
-type RBCAer struct {
-	// Params are forwarded to core.New; the zero value selects
-	// core.DefaultParams.
-	Params core.Params
+// PlanPolicy adapts a plan-producing scheduler — the flat
+// core.Scheduler (Algorithm 1 + Procedure 1) or the sharded
+// shard.Scheduler — to the simulator: it builds the scheduler lazily
+// for the slot's world (again if the world changes), runs one round on
+// the slot's aggregated demand, and materialises the plan's per-video
+// redirects into per-request targets.
+type PlanPolicy struct {
+	name string
+	// build returns the ScheduleRound of a scheduler for the world.
+	build func(*trace.World) (roundFunc, error)
 
-	// sched caches the core scheduler across slots for one world.
-	sched *core.Scheduler
+	world *trace.World
+	round roundFunc
 }
 
-var _ sim.Scheduler = (*RBCAer)(nil)
+// roundFunc is one scheduling round: a scheduler's ScheduleRound.
+type roundFunc = func(*core.Demand, core.Constraints) (*core.Plan, error)
 
-// NewRBCAer returns the policy with the given parameters.
-func NewRBCAer(params core.Params) *RBCAer {
-	return &RBCAer{Params: params}
+var _ sim.Scheduler = (*PlanPolicy)(nil)
+
+// NewRBCAer returns the RBCAer policy with the given parameters; the
+// zero value selects core.DefaultParams.
+func NewRBCAer(params core.Params) *PlanPolicy {
+	if params == (core.Params{}) {
+		params = core.DefaultParams()
+	}
+	return &PlanPolicy{name: "RBCAer", build: func(world *trace.World) (roundFunc, error) {
+		sched, err := core.New(world, params)
+		if err != nil {
+			return nil, err
+		}
+		return sched.ScheduleRound, nil
+	}}
+}
+
+// NewSharded returns the sharded regional RBCAer policy (see
+// internal/shard): one sharded round per slot.
+func NewSharded(p shard.Params) *PlanPolicy {
+	return &PlanPolicy{name: "RBCAer-sharded", build: func(world *trace.World) (roundFunc, error) {
+		sched, err := shard.New(world, p)
+		if err != nil {
+			return nil, err
+		}
+		return sched.ScheduleRound, nil
+	}}
 }
 
 // Name implements sim.Scheduler.
-func (p *RBCAer) Name() string { return "RBCAer" }
+func (p *PlanPolicy) Name() string { return p.name }
 
 // Schedule implements sim.Scheduler.
-func (p *RBCAer) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) {
+func (p *PlanPolicy) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) {
 	if ctx == nil {
 		return nil, fmt.Errorf("scheme: nil context")
 	}
-	if p.Params == (core.Params{}) {
-		p.Params = core.DefaultParams()
-	}
-	if p.sched == nil || p.sched.World() != ctx.World {
-		sched, err := core.New(ctx.World, p.Params)
+	if p.round == nil || p.world != ctx.World {
+		round, err := p.build(ctx.World)
 		if err != nil {
-			return nil, fmt.Errorf("scheme: building RBCAer: %w", err)
+			return nil, fmt.Errorf("scheme: building %s: %w", p.name, err)
 		}
-		p.sched = sched
+		p.world, p.round = ctx.World, round
 	}
-
-	return ScheduleSlot(ctx, p.sched.ScheduleRound)
-}
-
-// ScheduleSlot is the shared tail of every plan-producing policy: run
-// one round (a scheduler's ScheduleRound) against the slot's effective,
-// fault-degraded capacities and materialise its plan into the slot's
-// assignment.
-func ScheduleSlot(ctx *sim.SlotContext, round func(*core.Demand, core.Constraints) (*core.Plan, error)) (*sim.Assignment, error) {
-	plan, err := round(ctx.Demand, core.Constraints{
+	// The round runs against the slot's effective, fault-degraded
+	// capacities.
+	plan, err := p.round(ctx.Demand, core.Constraints{
 		Service: ctx.EffectiveCapacity(),
 		Cache:   ctx.EffectiveCacheCapacity(),
 	})

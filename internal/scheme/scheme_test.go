@@ -131,7 +131,7 @@ func TestRBCAerFeasibleAndBetterThanNearest(t *testing.T) {
 
 func TestRBCAerZeroParamsDefaulted(t *testing.T) {
 	ctx, _, _ := buildContext(t, nil)
-	policy := &RBCAer{}
+	policy := NewRBCAer(core.Params{})
 	if _, err := policy.Schedule(ctx); err != nil {
 		t.Fatalf("Schedule with zero params: %v", err)
 	}

@@ -96,12 +96,8 @@ type Server struct {
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 
-	// sched is owned by the recompute worker goroutine; svcCaps and
-	// cacheCaps are the nominal capacity rows it passes each round
-	// (copied per round, mirroring the offline policy's fresh slices).
-	sched     *core.Scheduler
-	svcCaps   []int64
-	cacheCaps []int
+	// sched is owned by the recompute worker goroutine.
+	sched *core.Scheduler
 
 	// cached hot-path counters (a registry lookup per request would
 	// cost a map access under lock on the ingest fast path).
@@ -144,18 +140,15 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
-	m := len(cfg.World.Hotspots)
 	s := &Server{
-		cfg:       cfg,
-		world:     cfg.World,
-		index:     index,
-		reg:       cfg.Registry,
-		ring:      rg,
-		kick:      make(chan struct{}, 1),
-		stop:      make(chan struct{}),
-		sched:     sched,
-		svcCaps:   make([]int64, m),
-		cacheCaps: make([]int, m),
+		cfg:   cfg,
+		world: cfg.World,
+		index: index,
+		reg:   cfg.Registry,
+		ring:  rg,
+		kick:  make(chan struct{}, 1),
+		stop:  make(chan struct{}),
+		sched: sched,
 	}
 	s.ingestAccepted = s.reg.Counter("server.ingest.accepted")
 	s.ingestRejected = s.reg.Counter("server.ingest.rejected")
@@ -168,10 +161,6 @@ func New(cfg Config) (*Server, error) {
 		in := newInstance(s, i)
 		s.instances = append(s.instances, in)
 		s.allShards = append(s.allShards, in.shards...)
-	}
-	for h, hs := range cfg.World.Hotspots {
-		s.svcCaps[h] = hs.ServiceCapacity
-		s.cacheCaps[h] = hs.CacheCapacity
 	}
 	s.walErrors = s.reg.Counter("server.wal.errors")
 	if cfg.WALDir != "" {
@@ -455,22 +444,18 @@ func (s *Server) drainQueue() {
 
 // runSlot runs one scheduling round and distributes the plan to every
 // frontend. The round sees the same inputs the offline policy hands
-// core.ScheduleRound — nominal service and cache capacity rows,
-// freshly copied — so a replayed trace produces byte-identical plans
-// (see e2e_test.go). Distribution ships the canonical plan bytes plus
-// their digest; each instance independently decodes and verifies
-// before swapping (see instance.install).
+// core.ScheduleRound — the zero Constraints are the world's nominal
+// service and cache capacity rows — so a replayed trace produces
+// byte-identical plans (see e2e_test.go). Distribution ships the
+// canonical plan bytes plus their digest; each instance independently
+// decodes and verifies before swapping (see instance.install).
 func (s *Server) runSlot(snap *slotSnapshot) {
 	defer func() {
 		for _, d := range snap.done {
 			close(d)
 		}
 	}()
-	svc := make([]int64, len(s.svcCaps))
-	copy(svc, s.svcCaps)
-	cache := make([]int, len(s.cacheCaps))
-	copy(cache, s.cacheCaps)
-	plan, err := s.sched.ScheduleRound(snap.demand, core.Constraints{Service: svc, Cache: cache})
+	plan, err := s.sched.ScheduleRound(snap.demand, core.Constraints{})
 	if err != nil {
 		// Contract violations only (ScheduleRound degrades instead of
 		// failing on solver trouble): keep serving the previous plan.

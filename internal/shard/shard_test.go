@@ -4,12 +4,9 @@ import (
 	"bytes"
 	"math/rand"
 	"slices"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/fault"
-	"repro/internal/geo"
 	"repro/internal/obs"
 	"repro/internal/obs/invariant"
 	"repro/internal/sim"
@@ -135,72 +132,6 @@ func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 			}
 			if !bytes.Equal(plan.Canonical(), ref[slot]) {
 				t.Fatalf("workers=%d slot %d: plan bytes differ from workers=1", workers, slot)
-			}
-		}
-	}
-}
-
-// faultScenario is the rotating fault timeline the determinism tests
-// run under: churn plus an outage window plus a capacity degradation.
-func faultScenario() *fault.Scenario {
-	return &fault.Scenario{
-		Name:  "shard-rotating",
-		Churn: &fault.MarkovChurn{FailPerSlot: 0.15, RecoverPerSlot: 0.5},
-		Outages: []fault.RegionalOutage{
-			{Center: geo.Point{X: 8, Y: 5}, RadiusKm: 3, StartSlot: 1, EndSlot: 3},
-		},
-		Degradations: []fault.CapacityDegradation{
-			{StartSlot: 2, EndSlot: 4, Fraction: 0.4, ServiceFactor: 0.5, CacheFactor: 0.7},
-		},
-	}
-}
-
-// TestShardedDeterministicUnderFaults drives the sharded policy through
-// the simulator under a rotating fault timeline and requires per-slot
-// plans byte-identical across sim worker counts and shard worker
-// counts. Run under -race this also certifies the concurrent fan-out.
-func TestShardedDeterministicUnderFaults(t *testing.T) {
-	world, tr := genWorld(t, 60, 1500, 3000, 9000, 4)
-
-	collect := func(simWorkers, shardWorkers int) map[int][]byte {
-		var mu sync.Mutex
-		plans := make(map[int][]byte)
-		opts := sim.Options{
-			Seed:   7,
-			Faults: faultScenario(),
-			PlanSink: func(slot int, plan *core.Plan) {
-				mu.Lock()
-				plans[slot] = plan.Canonical()
-				mu.Unlock()
-			},
-		}
-		newPolicy := func() sim.Scheduler {
-			return NewPolicy(Params{CellKm: 4, Workers: shardWorkers, Local: localParams()})
-		}
-		var err error
-		if simWorkers > 1 {
-			_, err = sim.RunParallel(world, tr, newPolicy, simWorkers, opts)
-		} else {
-			_, err = sim.Run(world, tr, NewPolicy(Params{CellKm: 4, Workers: shardWorkers, Local: localParams()}), opts)
-		}
-		if err != nil {
-			t.Fatalf("sim run (simWorkers=%d shardWorkers=%d): %v", simWorkers, shardWorkers, err)
-		}
-		return plans
-	}
-
-	ref := collect(1, 1)
-	if len(ref) == 0 {
-		t.Fatal("no plans collected")
-	}
-	for _, cfg := range [][2]int{{1, 4}, {1, 8}, {4, 4}, {8, 8}} {
-		got := collect(cfg[0], cfg[1])
-		if len(got) != len(ref) {
-			t.Fatalf("config %v: %d plans, reference has %d", cfg, len(got), len(ref))
-		}
-		for slot, b := range ref {
-			if !bytes.Equal(got[slot], b) {
-				t.Fatalf("config %v slot %d: plan bytes differ from reference", cfg, slot)
 			}
 		}
 	}
@@ -435,29 +366,5 @@ func TestShardedObsPublish(t *testing.T) {
 	// Deterministic snapshots exclude wall-clock instruments entirely.
 	if n := len(reg.Snapshot(false).Timers); n != 0 {
 		t.Errorf("deterministic snapshot carries %d timers", n)
-	}
-}
-
-// TestPolicySchedAccessor pins the lazy scheduler exposure: nil before
-// the first slot, then built for the policy's world.
-func TestPolicySchedAccessor(t *testing.T) {
-	p := NewPolicy(Params{CellKm: 4})
-	if p.Sched() != nil {
-		t.Fatal("Sched() non-nil before first Schedule")
-	}
-	world, tr := genWorld(t, 20, 500, 1000, 2000, 1)
-	index, err := world.Index()
-	if err != nil {
-		t.Fatalf("Index: %v", err)
-	}
-	ctx, err := sim.BuildSlotContext(world, index, 0, tr.BySlot()[0], stats.SplitRand(1, "shard-test"))
-	if err != nil {
-		t.Fatalf("BuildSlotContext: %v", err)
-	}
-	if _, err := p.Schedule(ctx); err != nil {
-		t.Fatalf("Schedule: %v", err)
-	}
-	if p.Sched() == nil || p.Sched().World() != world {
-		t.Error("Sched() not built for the scheduled world")
 	}
 }

@@ -204,8 +204,8 @@ type Metrics struct {
 	// report phases. Wall-clock: not part of the determinism contract.
 	Phases obs.PhaseTimings
 	// WallTime is the run's total wall clock (the "simulate" phase).
-	// In RunParallel it is shorter than SchedulingTime, which sums the
-	// concurrent per-slot rounds.
+	// On several workers it can be shorter than SchedulingTime, which
+	// sums the concurrent per-slot rounds.
 	WallTime time.Duration
 }
 
@@ -295,79 +295,48 @@ func (o Options) Validate() error {
 // Run replays the trace against the world under the policy and returns
 // aggregate metrics.
 func Run(world *trace.World, tr *trace.Trace, policy Scheduler, opts Options) (*Metrics, error) {
-	runStart := time.Now()
 	if policy == nil {
 		return nil, fmt.Errorf("sim: nil policy")
 	}
-	if err := validateRun(world, tr, opts); err != nil {
-		return nil, err
-	}
-	tr, tl, injected, err := compileFaults(world, tr, opts)
-	if err != nil {
-		return nil, err
-	}
-	index, err := world.Index()
-	if err != nil {
-		return nil, err
-	}
-	churnRng := stats.SplitRand(opts.Seed, "hotspot-churn")
-
-	metrics := newRunMetrics(world, tr, policy.Name(), opts)
-	metrics.FlashInjectedRequests = injected
-	var distanceSum float64
-	prevPlacement := make([]similarity.Set, len(world.Hotspots))
-
-	bySlot := tr.BySlot()
-	for slot, requests := range bySlot {
-		if len(requests) == 0 {
-			continue
-		}
-		w := &slotWork{slot: slot, requests: requests}
-		prepareSlot(world, tl, bySlot, churnRng, opts, metrics, w)
-		if !w.allOffline {
-			if err := scheduleSlot(world, index, policy, opts, w); err != nil {
-				return nil, err
-			}
-		}
-		metrics.SchedulingTime += w.took
-		if err := applySlot(world, opts, metrics, w, prevPlacement, &distanceSum); err != nil {
-			return nil, err
-		}
-		if w.asg != nil {
-			prevPlacement = w.asg.Placement
-		}
-	}
-	finalizeMetrics(world, metrics, distanceSum)
-	metrics.WallTime = time.Since(runStart)
-	publishRunMetrics(opts.Registry, metrics)
-	return metrics, nil
+	return run(world, tr, []Scheduler{policy}, opts)
 }
 
 // RunParallel is Run with the per-slot scheduling rounds — the
 // simulation's dominant cost — executed concurrently on up to workers
-// goroutines (0 selects GOMAXPROCS; 1 falls back to Run). Each worker
-// schedules with its own policy instance from newPolicy, so policies
-// need not be safe for concurrent use, and everything order-sensitive
-// (churn draws, replica accounting against the previous slot's
-// placement, request serving, metric accumulation) still runs
-// sequentially in slot order. The metrics are therefore identical to
-// Run's — including float accumulation order — whenever each policy
-// instance's decisions depend only on the slot it is handed. Policies
-// that carry state across slots (demand predictors, reactive caches)
-// would observe slots out of order; run those through Run instead.
+// goroutines (0 selects GOMAXPROCS; 1 is Run). Each worker schedules
+// with its own policy instance from newPolicy, so policies need not be
+// safe for concurrent use, and everything order-sensitive (churn draws,
+// replica accounting against the previous slot's placement, request
+// serving, metric accumulation) still runs sequentially in slot order.
+// The metrics are therefore identical to Run's — including float
+// accumulation order — whenever each policy instance's decisions depend
+// only on the slot it is handed. Policies that carry state across slots
+// (demand predictors, reactive caches) would observe every workers-th
+// slot only; run those on one worker.
 func RunParallel(world *trace.World, tr *trace.Trace, newPolicy func() Scheduler, workers int, opts Options) (*Metrics, error) {
-	runStart := time.Now()
 	if newPolicy == nil {
 		return nil, fmt.Errorf("sim: nil policy factory")
 	}
-	first := newPolicy()
-	if first == nil {
-		return nil, fmt.Errorf("sim: policy factory returned nil")
+	policies := make([]Scheduler, par.Workers(workers))
+	for k := range policies {
+		if policies[k] = newPolicy(); policies[k] == nil {
+			return nil, fmt.Errorf("sim: policy factory returned nil")
+		}
 	}
-	workers = par.Workers(workers)
-	if workers <= 1 {
-		return Run(world, tr, first, opts)
-	}
+	return run(world, tr, policies, opts)
+}
+
+// run is the simulator's one slot loop, a pipeline over windows of
+// W = len(policies) slots: take the next ≤ W non-empty slots, prepare
+// them in slot order, schedule them (window position k on policies[k],
+// so an instance sees every W-th non-empty slot), then apply them in
+// slot order. Only the scheduling step runs concurrently; with one
+// policy the window is one slot and the loop is strictly sequential.
+// At most W slots' contexts and assignments are live at a time, and an
+// error — a failing round, or a SlotSink abort — stops the run before
+// the next window is scheduled.
+func run(world *trace.World, tr *trace.Trace, policies []Scheduler, opts Options) (*Metrics, error) {
+	runStart := time.Now()
 	if err := validateRun(world, tr, opts); err != nil {
 		return nil, err
 	}
@@ -380,69 +349,41 @@ func RunParallel(world *trace.World, tr *trace.Trace, newPolicy func() Scheduler
 		return nil, err
 	}
 	churnRng := stats.SplitRand(opts.Seed, "hotspot-churn")
-	metrics := newRunMetrics(world, tr, first.Name(), opts)
+
+	metrics := newRunMetrics(world, tr, policies[0].Name(), opts)
 	metrics.FlashInjectedRequests = injected
-
-	// Sequential prologue: collect the non-empty slots and draw their
-	// churn in slot order, so the churn stream matches Run's exactly.
-	// Fault injection reads the precompiled timeline, so it is
-	// order-independent, but folding it into the same prologue keeps the
-	// metric accumulation identical to Run's.
-	var work []*slotWork
-	bySlot := tr.BySlot()
-	for slot, requests := range bySlot {
-		if len(requests) == 0 {
-			continue
-		}
-		w := &slotWork{slot: slot, requests: requests}
-		prepareSlot(world, tl, bySlot, churnRng, opts, metrics, w)
-		work = append(work, w)
-	}
-
-	// Parallel phase: schedule each slot with a worker-owned policy
-	// instance. Slots are striped across workers; each worker touches
-	// only its own slotWork entries, so no synchronisation beyond the
-	// final Wait is needed.
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		policy := first
-		if wk > 0 {
-			policy = newPolicy()
-		}
-		if policy == nil {
-			return nil, fmt.Errorf("sim: policy factory returned nil")
-		}
-		wg.Add(1)
-		go func(wk int, policy Scheduler) {
-			defer wg.Done()
-			for idx := wk; idx < len(work); idx += workers {
-				w := work[idx]
-				if w.allOffline {
-					continue
-				}
-				w.err = scheduleSlot(world, index, policy, opts, w)
-			}
-		}(wk, policy)
-	}
-	wg.Wait()
-	for _, w := range work {
-		if w.err != nil {
-			return nil, w.err
-		}
-	}
-
-	// Sequential epilogue: apply the slots in order, exactly as Run
-	// does. SchedulingTime sums the per-slot rounds, i.e. total CPU
-	// time spent scheduling, not the (shorter) parallel wall time.
-	prevPlacement := make([]similarity.Set, len(world.Hotspots))
 	var distanceSum float64
-	for _, w := range work {
-		metrics.SchedulingTime += w.took
-		if err := applySlot(world, opts, metrics, w, prevPlacement, &distanceSum); err != nil {
-			return nil, err
+	prevPlacement := make([]similarity.Set, len(world.Hotspots))
+
+	bySlot := tr.BySlot()
+	window := make([]*slotWork, 0, len(policies))
+	for next := 0; ; {
+		window = window[:0]
+		for ; next < len(bySlot) && len(window) < len(policies); next++ {
+			if len(bySlot[next]) == 0 {
+				continue
+			}
+			w := &slotWork{slot: next, requests: bySlot[next]}
+			prepareSlot(world, tl, bySlot, churnRng, opts, metrics, w)
+			window = append(window, w)
 		}
-		if w.asg != nil {
-			prevPlacement = w.asg.Placement
+		if len(window) == 0 {
+			break
+		}
+		scheduleWindow(world, index, policies, opts, window)
+		for _, w := range window {
+			if w.err != nil {
+				return nil, w.err
+			}
+			// SchedulingTime sums the per-slot rounds, i.e. total CPU
+			// time spent scheduling, not the window's wall time.
+			metrics.SchedulingTime += w.took
+			if err := applySlot(world, opts, metrics, w, prevPlacement, &distanceSum); err != nil {
+				return nil, err
+			}
+			if w.asg != nil {
+				prevPlacement = w.asg.Placement
+			}
 		}
 	}
 	finalizeMetrics(world, metrics, distanceSum)
@@ -451,8 +392,34 @@ func RunParallel(world *trace.World, tr *trace.Trace, newPolicy func() Scheduler
 	return metrics, nil
 }
 
-// slotWork carries one non-empty timeslot through the prepare →
-// schedule → apply pipeline shared by Run and RunParallel.
+// scheduleWindow schedules window[k] on policies[k], recording each
+// slot's outcome on its slotWork. A lone slot runs on the caller's
+// goroutine; otherwise each slot gets its own, and since a goroutine
+// touches only its own slotWork and policy, the final Wait is the only
+// synchronisation needed.
+func scheduleWindow(world *trace.World, index *geo.Grid, policies []Scheduler, opts Options, window []*slotWork) {
+	if len(window) == 1 {
+		if w := window[0]; !w.allOffline {
+			w.err = scheduleSlot(world, index, policies[0], opts, w)
+		}
+		return
+	}
+	var wg sync.WaitGroup
+	for k, w := range window {
+		if w.allOffline {
+			continue
+		}
+		wg.Add(1)
+		go func(policy Scheduler, w *slotWork) {
+			defer wg.Done()
+			w.err = scheduleSlot(world, index, policy, opts, w)
+		}(policies[k], w)
+	}
+	wg.Wait()
+}
+
+// slotWork carries one non-empty timeslot through run's prepare →
+// schedule → apply pipeline.
 type slotWork struct {
 	slot       int
 	requests   []trace.Request
@@ -558,7 +525,7 @@ func prepareSlot(world *trace.World, tl *fault.Timeline, bySlot [][]trace.Reques
 	}
 }
 
-// validateRun checks the shared Run/RunParallel inputs.
+// validateRun checks a run's inputs.
 func validateRun(world *trace.World, tr *trace.Trace, opts Options) error {
 	if world == nil || tr == nil {
 		return fmt.Errorf("sim: nil world or trace")
@@ -689,22 +656,6 @@ func applySlot(world *trace.World, opts Options, metrics *Metrics, w *slotWork, 
 		metrics.ServedByCDN += int64(len(requests))
 		metrics.TotalRequests += int64(len(requests))
 		*distanceSum += world.CDNDistanceKm * float64(len(requests))
-		if opts.KeepSlotMetrics || opts.SlotSink != nil {
-			sm := SlotMetrics{
-				Slot:        slot,
-				Requests:    int64(len(requests)),
-				ServedByCDN: int64(len(requests)),
-				Degraded:    true,
-			}
-			if opts.KeepSlotMetrics {
-				metrics.PerSlot = append(metrics.PerSlot, sm)
-			}
-			if opts.SlotSink != nil {
-				if err := opts.SlotSink(sm); err != nil {
-					return fmt.Errorf("sim: slot %d: %w", slot, err)
-				}
-			}
-		}
 		opts.Tracer.Emit(obs.Event{Type: "slot", Slot: slot, Attrs: []obs.Attr{
 			obs.I("requests", int64(len(requests))),
 			obs.I("served_hotspot", 0),
@@ -712,7 +663,12 @@ func applySlot(world *trace.World, opts Options, metrics *Metrics, w *slotWork, 
 			obs.I("replicas", 0),
 			obs.I("all_offline", 1),
 		}})
-		return nil
+		return sinkSlot(opts, metrics, SlotMetrics{
+			Slot:        slot,
+			Requests:    int64(len(requests)),
+			ServedByCDN: int64(len(requests)),
+			Degraded:    true,
+		})
 	}
 
 	asg := w.asg
@@ -804,8 +760,8 @@ func applySlot(world *trace.World, opts Options, metrics *Metrics, w *slotWork, 
 
 	// Flush the slot's trace: first whatever the policy recorded during
 	// its round, then the simulator's own slot summary. applySlot runs
-	// sequentially in slot order in both Run and RunParallel, so the
-	// event sequence is worker-count independent.
+	// sequentially in slot order, so the event sequence is worker-count
+	// independent.
 	if opts.Tracer != nil {
 		opts.Tracer.EmitAll(slot, asg.Events)
 		opts.Tracer.Emit(obs.Event{Type: "slot", Slot: slot, Attrs: []obs.Attr{
@@ -818,27 +774,31 @@ func applySlot(world *trace.World, opts Options, metrics *Metrics, w *slotWork, 
 		}})
 	}
 
-	if opts.KeepSlotMetrics || opts.SlotSink != nil {
-		sm := SlotMetrics{
-			Slot:            slot,
-			Requests:        int64(len(requests)),
-			ServedByHotspot: metrics.ServedByHotspot - slotServedBefore,
-			ServedByCDN:     metrics.ServedByCDN - slotCDNBefore,
-			Replicas:        metrics.Replicas - slotReplicasBefore,
-			Infeasible:      metrics.Infeasible - slotInfeasibleBefore,
-			Stranded:        asg.StrandedDemand,
-			Degraded:        asg.Degraded,
-		}
-		if sm.Requests > 0 {
-			sm.HotspotServingRatio = float64(sm.ServedByHotspot) / float64(sm.Requests)
-		}
-		if opts.KeepSlotMetrics {
-			metrics.PerSlot = append(metrics.PerSlot, sm)
-		}
-		if opts.SlotSink != nil {
-			if err := opts.SlotSink(sm); err != nil {
-				return fmt.Errorf("sim: slot %d: %w", slot, err)
-			}
+	sm := SlotMetrics{
+		Slot:            slot,
+		Requests:        int64(len(requests)),
+		ServedByHotspot: metrics.ServedByHotspot - slotServedBefore,
+		ServedByCDN:     metrics.ServedByCDN - slotCDNBefore,
+		Replicas:        metrics.Replicas - slotReplicasBefore,
+		Infeasible:      metrics.Infeasible - slotInfeasibleBefore,
+		Stranded:        asg.StrandedDemand,
+		Degraded:        asg.Degraded,
+	}
+	if sm.Requests > 0 {
+		sm.HotspotServingRatio = float64(sm.ServedByHotspot) / float64(sm.Requests)
+	}
+	return sinkSlot(opts, metrics, sm)
+}
+
+// sinkSlot hands one applied slot's metrics to whoever asked for them:
+// the PerSlot timeline and the SlotSink, whose error aborts the run.
+func sinkSlot(opts Options, metrics *Metrics, sm SlotMetrics) error {
+	if opts.KeepSlotMetrics {
+		metrics.PerSlot = append(metrics.PerSlot, sm)
+	}
+	if opts.SlotSink != nil {
+		if err := opts.SlotSink(sm); err != nil {
+			return fmt.Errorf("sim: slot %d: %w", sm.Slot, err)
 		}
 	}
 	return nil

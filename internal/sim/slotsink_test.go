@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/similarity"
@@ -136,5 +137,73 @@ func TestSlotSinkAbortsRun(t *testing.T) {
 	}
 	if calls != 2 {
 		t.Fatalf("sink called %d times, want 2 (slots 0 and 1)", calls)
+	}
+}
+
+// recordingPolicy is cdnOnly that notes which slots it was asked to
+// schedule and fails the round of slot failAt.
+type recordingPolicy struct {
+	cdnOnly
+	mu        *sync.Mutex
+	scheduled map[int]bool
+	failAt    int
+	err       error
+}
+
+func (p recordingPolicy) Schedule(ctx *SlotContext) (*Assignment, error) {
+	p.mu.Lock()
+	p.scheduled[ctx.Slot] = true
+	p.mu.Unlock()
+	if ctx.Slot == p.failAt {
+		return nil, p.err
+	}
+	return p.cdnOnly.Schedule(ctx)
+}
+
+// TestSlotSinkAbortStopsScheduling: a fail-fast sink error stops the
+// run at the window that raised it. With three policies and an abort at
+// slot 1, the first window (slots 0-2) has been scheduled and nothing
+// after it, and the sink saw slots 0 and 1 only; a round that fails
+// likewise lets the slots before it through and stops there.
+func TestSlotSinkAbortStopsScheduling(t *testing.T) {
+	world, tr := sinkWorldTrace(t, 9)
+	sentinel := errors.New("enough")
+	for _, tc := range []struct {
+		name string
+		// the sink aborts at sinkAbort; the policy fails at roundFail.
+		sinkAbort, roundFail int
+		wantSunk             []int
+		lastScheduled        int
+	}{
+		{"sink abort", 1, -1, []int{0, 1}, 2},
+		{"failing round", -1, 4, []int{0, 1, 2, 3}, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var mu sync.Mutex
+			scheduled := make(map[int]bool)
+			policies := make([]Scheduler, 3)
+			for k := range policies {
+				policies[k] = recordingPolicy{mu: &mu, scheduled: scheduled, failAt: tc.roundFail, err: sentinel}
+			}
+			var sunk []int
+			_, err := run(world, tr, policies, Options{Seed: 1, SlotSink: func(sm SlotMetrics) error {
+				sunk = append(sunk, sm.Slot)
+				if sm.Slot == tc.sinkAbort {
+					return sentinel
+				}
+				return nil
+			}})
+			if !errors.Is(err, sentinel) {
+				t.Fatalf("run error = %v, want the sentinel", err)
+			}
+			if !reflect.DeepEqual(sunk, tc.wantSunk) {
+				t.Errorf("sink saw slots %v, want %v", sunk, tc.wantSunk)
+			}
+			for slot := 0; slot < tr.Slots; slot++ {
+				if scheduled[slot] != (slot <= tc.lastScheduled) {
+					t.Errorf("slot %d scheduled = %v; the aborting window ends at slot %d", slot, scheduled[slot], tc.lastScheduled)
+				}
+			}
+		})
 	}
 }

@@ -101,6 +101,20 @@ func (w *World) Validate() error {
 	return nil
 }
 
+// OverrideCapacities sets every hotspot's service and cache capacity to
+// a fraction of the video-set size, the unit the paper's sweeps use
+// (<= 0 keeps that capacity as it is).
+func (w *World) OverrideCapacities(svcFrac, cacheFrac float64) {
+	for i := range w.Hotspots {
+		if svcFrac > 0 {
+			w.Hotspots[i].ServiceCapacity = int64(float64(w.NumVideos)*svcFrac + 0.5)
+		}
+		if cacheFrac > 0 {
+			w.Hotspots[i].CacheCapacity = int(float64(w.NumVideos)*cacheFrac + 0.5)
+		}
+	}
+}
+
 // Index builds a spatial index over the world's hotspots for
 // nearest/range queries. Cell size is chosen for ~1 hotspot per cell.
 func (w *World) Index() (*geo.Grid, error) {
