@@ -293,12 +293,14 @@ func runCrashSmoke(seed int64, params crowdcdn.Params, instances int, walDir, fs
 		// smoke defaults to a real multi-frontend tier.
 		instances = 3
 	}
+	var reg *crowdcdn.MetricsRegistry // of the newest boot
 	boot := func() (*crowdcdn.Server, error) {
+		reg = crowdcdn.NewMetricsRegistry()
 		return crowdcdn.NewServer(crowdcdn.ServerConfig{
 			World:           world,
 			Params:          params,
 			Instances:       instances,
-			Registry:        crowdcdn.NewMetricsRegistry(),
+			Registry:        reg,
 			PlanHistory:     tr.Slots + 1,
 			QueueBound:      1 << 26,
 			WALDir:          walDir,
@@ -318,6 +320,16 @@ func runCrashSmoke(seed int64, params crowdcdn.Params, instances int, walDir, fs
 	st := drill.Recovered[0]
 	if st.Records == 0 {
 		return fmt.Errorf("restart recovered no WAL records")
+	}
+	// The reboot must have left recovery's signals in its registry.
+	counters := make(map[string]bool)
+	for _, c := range reg.Snapshot(false).Counters {
+		counters[c.Name] = true
+	}
+	for _, name := range []string{"wal.recover_us", "wal.recover_skipped", "wal.recover_plan_verify_us"} {
+		if !counters[name] {
+			return fmt.Errorf("restart left no %s in the registry", name)
+		}
 	}
 	for slot, reqs := range bySlot {
 		n := len(reqs)

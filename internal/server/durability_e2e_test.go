@@ -1,16 +1,25 @@
 package server_test
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
+	"strconv"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/server/loadgen"
 	"repro/internal/trace"
+	"repro/internal/wal"
 )
 
 // durabilityWorldAndTrace is a multi-slot deployment sized so every
@@ -77,6 +86,16 @@ func TestCrashRecoveryMatchesOfflineSim(t *testing.T) {
 	}
 	if st := drill.Recovered[1]; st.Plan == nil || st.Plan.Slot != 3 {
 		t.Errorf("restart after the boundary crash did not recover slot 3's plan: %+v", st.Plan)
+	}
+	// Recovery is bounded by the checkpoint cadence (DESIGN §16).
+	slotMax := 0
+	for _, reqs := range tr.BySlot() {
+		slotMax = max(slotMax, len(reqs))
+	}
+	for i, st := range drill.Recovered {
+		if bound := wal.ReplayBound(2, slotMax, 0); st.Records > bound {
+			t.Errorf("restart %d replayed %d records, wal.ReplayBound(2, %d, 0) = %d", i, st.Records, slotMax, bound)
+		}
 	}
 
 	if len(drill.Plans) != len(offline) {
@@ -149,9 +168,10 @@ func TestRecoveryServesLastDurablePlan(t *testing.T) {
 	defer resp.Body.Close()
 	var hz struct {
 		WAL *struct {
-			Policy           string `json:"policy"`
-			RecoveredRecords int    `json:"recovered_records"`
-			RecoveredSlot    int    `json:"recovered_slot"`
+			Policy           string   `json:"policy"`
+			RecoveredRecords int      `json:"recovered_records"`
+			RecoverMS        *float64 `json:"recover_ms"`
+			RecoveredSlot    int      `json:"recovered_slot"`
 		} `json:"wal"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&hz); err != nil {
@@ -165,6 +185,14 @@ func TestRecoveryServesLastDurablePlan(t *testing.T) {
 	}
 	if hz.WAL.RecoveredRecords == 0 {
 		t.Error("healthz reports 0 recovered records")
+	}
+	if hz.WAL.RecoverMS == nil || *hz.WAL.RecoverMS <= 0 {
+		t.Errorf("healthz recover_ms %v, want the boot's recovery time", hz.WAL.RecoverMS)
+	}
+	for _, name := range []string{"wal.recover_us", "wal.recover_plan_verify_us"} {
+		if got := cfg.Registry.Counter(name).Value(); got <= 0 {
+			t.Errorf("%s = %d after replaying a log with a plan in it", name, got)
+		}
 	}
 	if hz.WAL.RecoveredSlot != 1 {
 		t.Errorf("healthz recovered slot %d, want 1", hz.WAL.RecoveredSlot)
@@ -195,5 +223,169 @@ func TestKillIdempotence(t *testing.T) {
 	if err == nil {
 		resp.Body.Close()
 		t.Fatal("advance succeeded against a killed server")
+	}
+}
+
+// TestFsyncNoneKillReschedulesLostPlan crosses the seam Fsync "none"
+// opens: nothing flushes the log's 64 KiB user-space buffer but its
+// filling up, so a Kill can drop a plan record the tier was already
+// serving while keeping the slot's boundary. The test feeds slot 1
+// until the buffer will fill inside the plan record about to be
+// appended, closes the slot (epoch 2 serves), and kills the tier: the
+// reboot must find the torn plan record, truncate it, queue slot 1
+// again, and — with every frontend's /redirect hammered from before
+// Start — answer nothing but 200s carrying either the last durable
+// plan (epoch 1) or the rescheduled one, whose epoch and digest are
+// those the killed tier served and the offline reference gives.
+func TestFsyncNoneKillReschedulesLostPlan(t *testing.T) {
+	gen := trace.DefaultConfig()
+	gen.Seed = 13
+	gen.NumHotspots = 16
+	gen.NumVideos = 400
+	gen.NumUsers = 800
+	gen.NumRequests = 9000
+	gen.Slots = 2
+	gen.NumRegions = 3
+	world, tr, err := trace.Generate(gen)
+	if err != nil {
+		t.Fatalf("Generate: %v", err)
+	}
+	bySlot := tr.BySlot()
+
+	const walBuffer = 1 << 16 // internal/wal's bufio.Writer
+	cfg := server.Config{
+		World:       world,
+		Instances:   2,
+		Registry:    obs.NewRegistry(),
+		PlanHistory: 4,
+		QueueBound:  1 << 20,
+		WALDir:      t.TempDir(),
+		Fsync:       "none",
+	}
+	srv, err := server.New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if err := srv.Start(); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	defer srv.Kill()
+	ingest := func(i int, q trace.Request) {
+		t.Helper()
+		body := fmt.Sprintf(`{"user":%d,"video":%d,"x":%s,"y":%s}`, q.User, q.Video,
+			strconv.FormatFloat(q.Location.X, 'g', -1, 64), strconv.FormatFloat(q.Location.Y, 'g', -1, 64))
+		rr := httptest.NewRecorder()
+		srv.InstanceHandler(i%srv.NumInstances()).ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/ingest", strings.NewReader(body)))
+		if rr.Code != http.StatusAccepted {
+			t.Fatalf("ingest %d: status %d %s", i, rr.Code, rr.Body)
+		}
+	}
+	for i, q := range bySlot[0] {
+		ingest(i, q)
+	}
+	if _, _, err := srv.AdvanceSlot(context.Background()); err != nil {
+		t.Fatalf("AdvanceSlot 0: %v", err)
+	}
+	plan0 := srv.Plans()[0]
+	// Slot 1's plan record will be at least half as long as slot 0's;
+	// its advance record is ten bytes. Stop feeding once the buffer's
+	// next fill falls inside that plan record.
+	walBytes := cfg.Registry.Counter("wal.bytes")
+	fed := 0
+	for fed < len(bySlot[1]) {
+		ingest(fed, bySlot[1][fed])
+		fed++
+		if room := walBuffer - (walBytes.Value()+10)%walBuffer; room < int64(len(plan0.Canonical)/4) {
+			break
+		}
+	}
+	if fed == len(bySlot[1]) {
+		t.Fatalf("slot 1's %d requests never brought the log near a buffer boundary", fed)
+	}
+	if _, _, err := srv.AdvanceSlot(context.Background()); err != nil {
+		t.Fatalf("AdvanceSlot 1: %v", err)
+	}
+	plan1 := srv.Plans()[1]
+	srv.Kill()
+
+	ref := &trace.Trace{Slots: 2, Requests: append(append([]trace.Request(nil), bySlot[0]...), bySlot[1][:fed]...)}
+	offline, err := loadgen.OfflinePlans(world, ref, core.Params{})
+	if err != nil {
+		t.Fatalf("OfflinePlans: %v", err)
+	}
+	if plan0.Canonical != offline[0] || plan1.Canonical != offline[1] || plan1.Epoch != 2 {
+		t.Fatalf("the killed tier's plans (epochs %d, %d) differ from the offline reference", plan0.Epoch, plan1.Epoch)
+	}
+
+	cfg.Registry = obs.NewRegistry()
+	srv2, err := server.New(cfg)
+	if err != nil {
+		t.Fatalf("New after the kill: %v", err)
+	}
+	defer srv2.Close()
+	st := srv2.WALState()
+	if st.Plan == nil || st.Plan.Epoch != 1 || len(st.Queue) != 1 || st.Queue[0].Slot != 1 ||
+		st.Queue[0].Requests != int64(fed) || st.TruncatedBytes == 0 {
+		t.Fatalf("the kill did not land on the seam: recovered plan %+v, queue %+v, %d torn bytes; want epoch 1, slot 1 queued with %d requests, a torn plan record",
+			st.Plan, st.Queue, st.TruncatedBytes, fed)
+	}
+
+	allowed := map[int64]string{1: plan0.Digest, 2: plan1.Digest}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	stopHammer := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer stopHammer()
+	var answers [3]atomic.Int64 // by epoch
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			h := srv2.InstanceHandler(g % srv2.NumInstances())
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				target := fmt.Sprintf("/redirect?video=%d&hotspot=%d", (g+7*n)%world.NumVideos, n%len(world.Hotspots))
+				rr := httptest.NewRecorder()
+				h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, target, nil))
+				var ans struct {
+					Epoch  int64  `json:"epoch"`
+					Digest string `json:"digest"`
+				}
+				if rr.Code != http.StatusOK || json.Unmarshal(rr.Body.Bytes(), &ans) != nil || allowed[ans.Epoch] != ans.Digest || ans.Digest == "" {
+					t.Errorf("%s answered %d %s; want a 200 carrying epoch 1 or 2 with its digest", target, rr.Code, rr.Body)
+					return
+				}
+				answers[ans.Epoch].Add(1)
+			}
+		}(g)
+	}
+	for answers[1].Load() == 0 && !t.Failed() {
+		runtime.Gosched() // the last durable plan is served before Start
+	}
+	if err := srv2.Start(); err != nil {
+		t.Fatalf("Start after the kill: %v", err)
+	}
+	deadline := time.Now().Add(20 * time.Second)
+	for i := 0; i < srv2.NumInstances(); i++ {
+		for {
+			if epoch, digest := srv2.InstanceEpochDigest(i); epoch == 2 && digest == plan1.Digest {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("frontend %d never served the rescheduled epoch 2", i)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	before := answers[2].Load()
+	for answers[2].Load() == before && !t.Failed() {
+		runtime.Gosched()
+	}
+	stopHammer()
+	if got := srv2.Plans(); len(got) != 2 || got[1].Canonical != offline[1] || got[1].Epoch != 2 {
+		t.Errorf("the rebooted tier's plan history %d long does not end in the offline plan of slot 1 at epoch 2", len(got))
 	}
 }

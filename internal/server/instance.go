@@ -260,6 +260,7 @@ func (in *instance) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		}
 		if st := s.walState; st != nil {
 			walResp["recovered_records"] = st.Records
+			walResp["recover_ms"] = float64(st.Elapsed.Microseconds()) / 1e3
 			walResp["recovered_slot"] = st.Slot
 			walResp["truncated_bytes"] = st.TruncatedBytes
 		}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/server"
 	"repro/internal/server/loadgen"
 	"repro/internal/trace"
+	"repro/internal/wal"
 )
 
 // drillWorldAndTrace is a deployment small enough for a table of
@@ -65,6 +66,11 @@ func TestCrashDrill(t *testing.T) {
 	}
 	bySlot := tr.BySlot()
 	half := func(slot int) int { return len(bySlot[slot]) / 2 }
+	slotMax := 0
+	for _, reqs := range bySlot {
+		slotMax = max(slotMax, len(reqs))
+	}
+	replayBound := wal.ReplayBound(2, slotMax, 0) // drillBoot checkpoints every 2 slots
 
 	cases := []struct {
 		name    string
@@ -86,6 +92,11 @@ func TestCrashDrill(t *testing.T) {
 			}
 			if len(drill.Recovered) != len(tc.crashes) {
 				t.Fatalf("%d recoveries for %d crash points", len(drill.Recovered), len(tc.crashes))
+			}
+			for i, st := range drill.Recovered {
+				if st.Records > replayBound {
+					t.Errorf("restart %d replayed %d records, bound %d", i, st.Records, replayBound)
+				}
 			}
 			if len(drill.Plans) != len(offline) {
 				t.Fatalf("online scheduled %d slots, offline %d", len(drill.Plans), len(offline))

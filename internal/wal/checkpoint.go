@@ -1,12 +1,13 @@
 package wal
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 )
 
 // Checkpoints compact the log: one file captures the full durable
@@ -94,7 +95,7 @@ func (c *Checkpoint) encode(b []byte) []byte {
 	for id := range c.Cursors {
 		ids = append(ids, id)
 	}
-	sort.Ints(ids)
+	slices.Sort(ids)
 	b = binary.AppendUvarint(b, uint64(len(ids)))
 	for _, id := range ids {
 		b = binary.AppendUvarint(b, uint64(id))
@@ -291,7 +292,7 @@ func listCheckpoints(dir string) ([]uint64, error) {
 			seqs = append(seqs, seq)
 		}
 	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] > seqs[j] })
+	slices.SortFunc(seqs, func(a, b uint64) int { return cmp.Compare(b, a) })
 	return seqs, nil
 }
 

@@ -297,7 +297,7 @@ func TestLoadCheckpointsSkipsDamaged(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ckpt, maxSeq, err := loadCheckpoints(dir)
+	ckpt, maxSeq, _, err := loadCheckpoints(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

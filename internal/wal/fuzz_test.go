@@ -5,61 +5,62 @@ import (
 	"testing"
 )
 
-// FuzzWALReplay throws arbitrary bytes at the full recovery path:
-// segment scanning, record decoding, checkpoint unmarshalling, and
-// state building must never panic, the valid prefix must be stable
-// (re-scanning it yields the same records), and any plan that reaches
-// a State must pass full verification.
+// FuzzWALReplay throws arbitrary bytes at the full recovery path, as a
+// segment (seg) replayed onto an optional checkpoint file (ckpt):
+// segment scanning, record decoding, checkpoint unmarshalling, and the
+// fold must never panic, the valid prefix must be stable (re-scanning
+// it yields the same records), the fold must equal the two-pass oracle
+// field by field, and any plan that reaches a State must pass full
+// verification.
 func FuzzWALReplay(f *testing.F) {
 	// Seed with a well-formed segment and checkpoint so the fuzzer
 	// starts from structurally valid corpora.
-	var seg []byte
-	recs := []record{
-		{kind: recIngest, slot: 0, instance: 1, seq: 1, hotspot: 2, video: 3, count: 4},
-		{kind: recAdvance, slot: 0},
-		{kind: recPlan, slot: 0, epoch: 1, digest: 42, canonical: []byte("plan v1\n")},
-		{kind: recRoundErr, slot: 1},
-	}
-	for i := range recs {
-		seg = appendFrame(seg, recs[i].encode(nil))
-	}
-	f.Add(seg)
-	f.Add(marshalCheckpoint(&Checkpoint{
+	seedCkpt := marshalCheckpoint(&Checkpoint{
 		Slot:    2,
 		Epoch:   3,
 		Cursors: map[int]uint64{0: 5},
 		Pending: []Entry{{Hotspot: 1, Video: 2, Count: 3}},
 		Queue:   []QueuedSlot{{Slot: 1, Requests: 2, Entries: []Entry{{Hotspot: 0, Video: 0, Count: 2}}}},
-	}))
-	f.Add([]byte{})
-	f.Add([]byte("WALCKPT1garbage"))
+	})
+	f.Add(frames([]record{
+		{kind: recIngest, slot: 0, instance: 1, seq: 1, hotspot: 2, video: 3, count: 4},
+		{kind: recAdvance, slot: 0},
+		{kind: recPlan, slot: 0, epoch: 1, digest: 42, canonical: []byte("plan v1\n")},
+		{kind: recRoundErr, slot: 1},
+	}), []byte{})
+	f.Add([]byte{}, seedCkpt)
+	f.Add([]byte{}, []byte{})
+	f.Add([]byte{}, []byte("WALCKPT1garbage"))
+	// The two streams the fold could plausibly get wrong: a plan record
+	// failing verification mid-log, and ingests out of slot and
+	// sequence order on top of a checkpoint.
+	f.Add(frames(badPlanMidLog(f)), []byte{})
+	outOfOrder, outOfOrderCkpt := outOfOrderIngests(f)
+	f.Add(frames(outOfOrder), marshalCheckpoint(outOfOrderCkpt))
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, validLen := scanSegment(data)
-		if validLen < 0 || validLen > len(data) {
-			t.Fatalf("validLen %d out of range [0, %d]", validLen, len(data))
+	f.Fuzz(func(t *testing.T, seg, ckpt []byte) {
+		recs, validLen := scanRecords(seg)
+		if validLen < 0 || validLen > len(seg) {
+			t.Fatalf("validLen %d out of range [0, %d]", validLen, len(seg))
 		}
-		again, againLen := scanSegment(data[:validLen])
+		again, againLen := scanRecords(seg[:validLen])
 		if againLen != validLen || len(again) != len(recs) {
 			t.Fatalf("valid prefix not stable: %d/%d records, %d/%d bytes",
 				len(again), len(recs), againLen, validLen)
 		}
 
-		st := buildState(nil, recs)
-		if st.Plan != nil && !verifyPlanBytes(st.Plan.Canonical, st.Plan.Digest) {
-			t.Fatal("buildState surfaced an unverified plan")
-		}
+		st := requireFoldMatchesReference(t, nil, recs, "no checkpoint")
 		for _, q := range st.Queue {
 			if len(q.Entries) == 0 {
-				t.Fatal("buildState surfaced an empty queued slot")
+				t.Fatal("the fold surfaced an empty queued slot")
 			}
 		}
 
-		if cp, err := unmarshalCheckpoint(data); err == nil {
+		if cp, err := unmarshalCheckpoint(ckpt); err == nil {
 			// A checkpoint that decodes must re-marshal into bytes that
 			// decode to the same checkpoint (modulo the CRC frame), and
 			// must be safe to replay records onto.
-			st2 := buildState(cp, recs)
+			st2 := requireFoldMatchesReference(t, cp, recs, "on the checkpoint")
 			if st2.Plan != nil && cp.Plan == nil && st.Plan == nil {
 				t.Fatal("plan appeared from nowhere")
 			}

@@ -49,7 +49,9 @@ const (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// record is one decoded log record.
+// record is one decoded log record. canonical aliases the payload it
+// was decoded from: whoever keeps a plan record past the scan copies
+// the bytes.
 type record struct {
 	kind      byte
 	slot      int
@@ -182,7 +184,7 @@ func decodeRecord(payload []byte) (record, error) {
 		if v, b, ok = uvarint(b); !ok || v > uint64(len(b)) {
 			return record{}, fmt.Errorf("wal: plan record: bad canonical length")
 		}
-		r.canonical = append([]byte(nil), b[:v]...)
+		r.canonical = b[:v:v]
 		b = b[v:]
 	default:
 		return record{}, fmt.Errorf("wal: unknown record kind %d", r.kind)
@@ -193,31 +195,31 @@ func decodeRecord(payload []byte) (record, error) {
 	return r, nil
 }
 
-// scanSegment decodes data's longest valid record prefix. It returns
-// the decoded records and the byte length of the prefix they occupy —
-// everything after validLen is a torn tail or corruption and must be
-// truncated. scanSegment never panics, whatever the bytes (FuzzWALReplay
-// holds it to that).
-func scanSegment(data []byte) (recs []record, validLen int) {
+// scanSegment walks data's longest valid record prefix, handing each
+// CRC-valid, strictly decoded record to visit in log order, and
+// returns the byte length of that prefix — everything after it is a
+// torn tail or corruption and must be truncated. scanSegment never
+// panics, whatever the bytes (FuzzWALReplay holds it to that).
+func scanSegment(data []byte, visit func(record)) (validLen int) {
 	off := 0
 	for {
 		rest := data[off:]
 		if len(rest) < frameHeaderBytes {
-			return recs, off
+			return off
 		}
 		n := binary.LittleEndian.Uint32(rest[0:4])
 		if n > maxRecordBytes || int(n) > len(rest)-frameHeaderBytes {
-			return recs, off
+			return off
 		}
 		payload := rest[frameHeaderBytes : frameHeaderBytes+int(n)]
 		if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(rest[4:8]) {
-			return recs, off
+			return off
 		}
 		rec, err := decodeRecord(payload)
 		if err != nil {
-			return recs, off
+			return off
 		}
-		recs = append(recs, rec)
+		visit(rec)
 		off += frameHeaderBytes + int(n)
 	}
 }

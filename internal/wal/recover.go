@@ -1,7 +1,10 @@
 package wal
 
 import (
-	"sort"
+	"bytes"
+	"cmp"
+	"slices"
+	"time"
 
 	"repro/internal/core"
 )
@@ -30,11 +33,40 @@ type State struct {
 	Cursors map[int]uint64
 	// CheckpointSeq is the loaded checkpoint's sequence (0 = none).
 	CheckpointSeq uint64
-	// Records counts WAL records replayed on top of the checkpoint.
+	// Records counts WAL records replayed on top of the checkpoint,
+	// Skipped the ingests among them at or below the checkpoint's
+	// cursors (scanned, but already part of the checkpoint's state).
 	Records int
+	Skipped int
 	// TruncatedBytes counts bytes discarded as torn tail / corruption
 	// (including whole segments after the first invalid frame).
 	TruncatedBytes int64
+	// Elapsed is how long Open took, PlanVerify the part of it spent in
+	// core.VerifyCanonical (the checkpoint's plan and every plan
+	// record).
+	Elapsed    time.Duration
+	PlanVerify time.Duration
+}
+
+// ReplayBound is the worst case of State.Records — the records a boot
+// scans, whichever checkpoint it loads — for a server that checkpoints
+// every checkpointEvery scheduled slots, logs at most slotIngests
+// ingests per slot, schedules every slot it closes and is not lagging
+// when it captures a checkpoint. Segment collection lags one checkpoint
+// (WriteCheckpoint), so the log on disk starts with the segment that
+// was active when the previous checkpoint was captured: at most one
+// segment of rounding before that capture, checkpointEvery slots up to
+// the newest checkpoint, checkpointEvery more until the next one has
+// collected, and the slot that is open meanwhile — each slot its
+// ingests, an advance and a plan record. DESIGN §16 says what the
+// excluded cases add. segmentBytes 0 selects DefaultSegmentBytes.
+func ReplayBound(checkpointEvery, slotIngests int, segmentBytes int64) int {
+	if segmentBytes <= 0 {
+		segmentBytes = DefaultSegmentBytes
+	}
+	// The shortest frame is an advance record: header, kind, slot.
+	const minFrameBytes = frameHeaderBytes + 2
+	return int(segmentBytes/minFrameBytes) + 1 + (2*checkpointEvery+1)*(slotIngests+2)
 }
 
 // verifyPlanBytes holds durable plan bytes to the same gate as the
@@ -45,155 +77,211 @@ func verifyPlanBytes(canonical []byte, digest uint64) bool {
 	return err == nil
 }
 
+// timedVerify is verifyPlanBytes with its wall time added to *spent.
+func timedVerify(canonical []byte, digest uint64, spent *time.Duration) bool {
+	t0 := time.Now()
+	ok := verifyPlanBytes(canonical, digest)
+	*spent += time.Since(t0)
+	return ok
+}
+
 // EntryKey is the (hotspot, video) pair demand increments merge under.
 type EntryKey struct{ Hotspot, Video int }
 
-// buildState deterministically reconstructs server state from a base
-// checkpoint (nil for none) plus the decoded WAL records, in log
-// order. It never panics, whatever the inputs (FuzzWALReplay drives
-// it with adversarial record streams), and any plan it returns has
-// passed verifyPlanBytes.
-func buildState(ckpt *Checkpoint, recs []record) *State {
-	st := &State{Cursors: make(map[int]uint64)}
-	base := make(map[int]uint64) // checkpoint cursors, frozen for skip decisions
+// slotDemand is merged demand under one slot tag: counts per
+// (hotspot, video) and the requests behind them.
+type slotDemand struct {
+	entries  map[EntryKey]int64
+	requests int64
+}
+
+// add merges checkpointed entries in.
+func (d *slotDemand) add(es []Entry) {
+	if d.entries == nil {
+		d.entries = make(map[EntryKey]int64, len(es))
+	}
+	for _, e := range es {
+		d.entries[EntryKey{e.Hotspot, e.Video}] += e.Count
+	}
+}
+
+// absorb merges src in, adopting src's map outright while d has none.
+func (d *slotDemand) absorb(src *slotDemand) {
+	d.requests += src.requests
+	if d.entries == nil {
+		d.entries = src.entries
+		return
+	}
+	for k, n := range src.entries {
+		d.entries[k] += n
+	}
+}
+
+// replay is the recovery fold. Seeded from the base checkpoint (nil
+// for none), it is handed every valid log record once, in log order
+// (apply), keeps only sums and high-water marks — no record outlives
+// its call — and finish renders the State. Demand counts commute, so
+// adding each ingest into its slot's map as it is scanned gives the
+// sums that replaying the ingests in (slot, instance, seq) order
+// would; the rules that need the whole log (was the slot's plan
+// durable, had its boundary passed) wait for finish. The fold never
+// panics, whatever the records (FuzzWALReplay drives it with
+// adversarial streams), and any plan it returns has passed
+// verifyPlanBytes.
+type replay struct {
+	st   *State
+	ckpt *Checkpoint
+	// maxAdv is the advance high-water mark; outcome holds the slots
+	// whose plan or contract error is durable.
+	maxAdv  int
+	outcome map[int]bool
+	// demand is the ingests above the checkpoint's cursors, merged by
+	// slot tag; last is the tag of the previous ingest, whose successor
+	// nearly always carries the same one.
+	demand   map[int]*slotDemand
+	last     *slotDemand
+	lastSlot int
+	// stopped is set by the first plan record that fails verification.
+	stopped bool
+}
+
+func newReplay(ckpt *Checkpoint) *replay {
+	rp := &replay{
+		st:      &State{Cursors: make(map[int]uint64)},
+		ckpt:    ckpt,
+		maxAdv:  -1,
+		outcome: make(map[int]bool),
+		demand:  make(map[int]*slotDemand),
+	}
 	if ckpt != nil {
+		st := rp.st
 		st.Slot = ckpt.Slot
 		st.Epoch = ckpt.Epoch
 		st.Plan = ckpt.Plan
 		st.CheckpointSeq = ckpt.Seq
 		for id, seq := range ckpt.Cursors {
-			base[id] = seq
 			st.Cursors[id] = seq
 		}
 	}
+	return rp
+}
 
-	// A plan record whose bytes fail verification is corruption that
-	// slipped past the CRC; trusting anything after it would violate
-	// the durable-prefix contract, so replay stops there.
-	for i := range recs {
-		if recs[i].kind == recPlan && !verifyPlanBytes(recs[i].canonical, recs[i].digest) {
-			recs = recs[:i]
+// apply folds one record in.
+func (rp *replay) apply(r record) {
+	if rp.stopped {
+		return
+	}
+	st := rp.st
+	switch r.kind {
+	case recAdvance:
+		rp.maxAdv = max(rp.maxAdv, r.slot)
+	case recPlan:
+		// A plan record whose bytes fail verification is corruption
+		// that slipped past the CRC; trusting anything after it would
+		// violate the durable-prefix contract, so replay stops there.
+		if !timedVerify(r.canonical, r.digest, &st.PlanVerify) {
+			rp.stopped = true
+			return
+		}
+		rp.outcome[r.slot] = true
+		if st.Plan == nil || r.epoch > st.Plan.Epoch {
+			st.Plan = &PlanState{Slot: r.slot, Epoch: r.epoch, Digest: r.digest, Canonical: bytes.Clone(r.canonical)}
+		}
+		st.Epoch = max(st.Epoch, r.epoch)
+	case recRoundErr:
+		rp.outcome[r.slot] = true
+	case recIngest:
+		if r.seq > st.Cursors[r.instance] {
+			st.Cursors[r.instance] = r.seq
+		}
+		// The checkpoint's own cursors decide the skip, not the
+		// advancing ones: the log need not hold an instance's records
+		// in sequence order. (A nil checkpoint reads as cursor 0.)
+		var base uint64
+		if rp.ckpt != nil {
+			base = rp.ckpt.Cursors[r.instance]
+		}
+		if r.seq <= base {
+			st.Skipped++
 			break
 		}
+		d := rp.last
+		if d == nil || r.slot != rp.lastSlot {
+			if d = rp.demand[r.slot]; d == nil {
+				d = &slotDemand{entries: make(map[EntryKey]int64)}
+				rp.demand[r.slot] = d
+			}
+			rp.last, rp.lastSlot = d, r.slot
+		}
+		d.entries[EntryKey{r.hotspot, r.video}] += r.count
+		d.requests += r.count
 	}
-	st.Records = len(recs)
+	st.Records++
+}
 
-	// First pass, log order: slot outcomes (plan or contract error),
-	// the newest plan, and the advance high-water mark.
-	maxAdv := -1
-	outcome := make(map[int]bool)
-	var ingests []record
-	for _, r := range recs {
-		switch r.kind {
-		case recAdvance:
-			if r.slot > maxAdv {
-				maxAdv = r.slot
-			}
-		case recPlan:
-			outcome[r.slot] = true
-			if st.Plan == nil || r.epoch > st.Plan.Epoch {
-				st.Plan = &PlanState{Slot: r.slot, Epoch: r.epoch, Digest: r.digest, Canonical: r.canonical}
-			}
-			if r.epoch > st.Epoch {
-				st.Epoch = r.epoch
-			}
-		case recRoundErr:
-			outcome[r.slot] = true
-		case recIngest:
-			if r.seq > base[r.instance] {
-				ingests = append(ingests, r)
-			}
-			if r.seq > st.Cursors[r.instance] {
-				st.Cursors[r.instance] = r.seq
-			}
-		}
+// finish applies the whole-log rules and renders the State: a slot
+// whose plan or contract error is durable has consumed its demand;
+// below drainedBound a slot has durably passed its boundary, so its
+// surviving demand belongs to the queue; everything at or above it is
+// still pending.
+func (rp *replay) finish() *State {
+	st, ckpt := rp.st, rp.ckpt
+	st.Slot = max(st.Slot, rp.maxAdv+1)
+	for s := range rp.outcome {
+		st.Slot = max(st.Slot, s+1)
 	}
-	if maxAdv+1 > st.Slot {
-		st.Slot = maxAdv + 1
-	}
-	for s := range outcome {
-		if s+1 > st.Slot {
-			st.Slot = s + 1
-		}
-	}
-	// drainedBound: slots strictly below it have durably passed their
-	// boundary; their surviving demand belongs to the queue, everything
-	// at or above it is still pending.
-	drainedBound := maxAdv + 1
-	if ckpt != nil && ckpt.Slot > drainedBound {
-		drainedBound = ckpt.Slot
+	drainedBound := rp.maxAdv + 1
+	if ckpt != nil {
+		drainedBound = max(drainedBound, ckpt.Slot)
 	}
 
-	// Deterministic replay order. Demand counts commute, so the merge
-	// result is order-independent — the sort pins the record-for-record
-	// reconstruction order regardless of how concurrent appends from
-	// different stripes interleaved in the log.
-	sort.SliceStable(ingests, func(i, j int) bool {
-		a, b := ingests[i], ingests[j]
-		if a.slot != b.slot {
-			return a.slot < b.slot
+	var pending slotDemand
+	queued := make(map[int]*slotDemand)
+	queue := func(slot int) *slotDemand {
+		q := queued[slot]
+		if q == nil {
+			q = &slotDemand{}
+			queued[slot] = q
 		}
-		if a.instance != b.instance {
-			return a.instance < b.instance
+		return q
+	}
+	for slot, d := range rp.demand {
+		switch {
+		case rp.outcome[slot]: // consumed by a durable plan
+		case slot < drainedBound:
+			queue(slot).absorb(d)
+		default:
+			pending.absorb(d)
 		}
-		return a.seq < b.seq
-	})
-
-	pending := make(map[EntryKey]int64)
-	queued := make(map[int]map[EntryKey]int64)
-	queuedReqs := make(map[int]int64)
+	}
 	if ckpt != nil {
 		for _, q := range ckpt.Queue {
-			if outcome[q.Slot] {
+			if rp.outcome[q.Slot] {
 				continue // its plan (or contract error) became durable after the checkpoint
 			}
-			m := queued[q.Slot]
-			if m == nil {
-				m = make(map[EntryKey]int64)
-				queued[q.Slot] = m
-			}
-			for _, e := range q.Entries {
-				m[EntryKey{e.Hotspot, e.Video}] += e.Count
-			}
-			queuedReqs[q.Slot] += q.Requests
+			qd := queue(q.Slot)
+			qd.add(q.Entries)
+			qd.requests += q.Requests
 		}
-	}
-	for _, r := range ingests {
-		if outcome[r.slot] {
-			continue // consumed by a durable plan
-		}
-		if r.slot < drainedBound {
-			m := queued[r.slot]
-			if m == nil {
-				m = make(map[EntryKey]int64)
-				queued[r.slot] = m
-			}
-			m[EntryKey{r.hotspot, r.video}] += r.count
-			queuedReqs[r.slot] += r.count
-		} else {
-			pending[EntryKey{r.hotspot, r.video}] += r.count
-			st.PendingRequests += r.count
-		}
-	}
-	if ckpt != nil {
+		pending.add(ckpt.Pending)
 		for _, e := range ckpt.Pending {
-			pending[EntryKey{e.Hotspot, e.Video}] += e.Count
-			st.PendingRequests += e.Count
+			pending.requests += e.Count
 		}
 	}
 
-	st.Pending = SortedEntries(pending)
+	st.Pending = SortedEntries(pending.entries)
+	st.PendingRequests = pending.requests
 	slots := make([]int, 0, len(queued))
 	for s := range queued {
 		slots = append(slots, s)
 	}
-	sort.Ints(slots)
+	slices.Sort(slots)
 	for _, s := range slots {
-		es := SortedEntries(queued[s])
+		es := SortedEntries(queued[s].entries)
 		if len(es) == 0 {
 			continue
 		}
-		st.Queue = append(st.Queue, QueuedSlot{Slot: s, Requests: queuedReqs[s], Entries: es})
+		st.Queue = append(st.Queue, QueuedSlot{Slot: s, Requests: queued[s].requests, Entries: es})
 	}
 	return st
 }
@@ -206,11 +294,11 @@ func SortedEntries(m map[EntryKey]int64) []Entry {
 	for k, n := range m {
 		out = append(out, Entry{Hotspot: k.Hotspot, Video: k.Video, Count: n})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Hotspot != out[j].Hotspot {
-			return out[i].Hotspot < out[j].Hotspot
+	slices.SortFunc(out, func(a, b Entry) int {
+		if c := cmp.Compare(a.Hotspot, b.Hotspot); c != 0 {
+			return c
 		}
-		return out[i].Video < out[j].Video
+		return cmp.Compare(a.Video, b.Video)
 	})
 	return out
 }

@@ -1,0 +1,312 @@
+package wal
+
+import (
+	"bytes"
+	"reflect"
+	"sort"
+	"testing"
+)
+
+// referenceState is the independent oracle the fold (replay) is held
+// to: recovery as it was before the fold, kept verbatim — the whole log
+// as a slice, a pass that cuts it at the first plan record failing
+// verification, a pass over the survivors, a stable sort of the
+// ingests into (slot, instance, seq) order, then the merge. It
+// deterministically reconstructs server state from a base checkpoint
+// (nil for none) plus the decoded WAL records, in log order.
+func referenceState(ckpt *Checkpoint, recs []record) *State {
+	st := &State{Cursors: make(map[int]uint64)}
+	base := make(map[int]uint64) // checkpoint cursors, frozen for skip decisions
+	if ckpt != nil {
+		st.Slot = ckpt.Slot
+		st.Epoch = ckpt.Epoch
+		st.Plan = ckpt.Plan
+		st.CheckpointSeq = ckpt.Seq
+		for id, seq := range ckpt.Cursors {
+			base[id] = seq
+			st.Cursors[id] = seq
+		}
+	}
+
+	// A plan record whose bytes fail verification is corruption that
+	// slipped past the CRC; trusting anything after it would violate
+	// the durable-prefix contract, so replay stops there.
+	for i := range recs {
+		if recs[i].kind == recPlan && !verifyPlanBytes(recs[i].canonical, recs[i].digest) {
+			recs = recs[:i]
+			break
+		}
+	}
+	st.Records = len(recs)
+
+	// First pass, log order: slot outcomes (plan or contract error),
+	// the newest plan, and the advance high-water mark.
+	maxAdv := -1
+	outcome := make(map[int]bool)
+	var ingests []record
+	for _, r := range recs {
+		switch r.kind {
+		case recAdvance:
+			if r.slot > maxAdv {
+				maxAdv = r.slot
+			}
+		case recPlan:
+			outcome[r.slot] = true
+			if st.Plan == nil || r.epoch > st.Plan.Epoch {
+				st.Plan = &PlanState{Slot: r.slot, Epoch: r.epoch, Digest: r.digest, Canonical: r.canonical}
+			}
+			if r.epoch > st.Epoch {
+				st.Epoch = r.epoch
+			}
+		case recRoundErr:
+			outcome[r.slot] = true
+		case recIngest:
+			if r.seq > base[r.instance] {
+				ingests = append(ingests, r)
+			}
+			if r.seq > st.Cursors[r.instance] {
+				st.Cursors[r.instance] = r.seq
+			}
+		}
+	}
+	if maxAdv+1 > st.Slot {
+		st.Slot = maxAdv + 1
+	}
+	for s := range outcome {
+		if s+1 > st.Slot {
+			st.Slot = s + 1
+		}
+	}
+	// drainedBound: slots strictly below it have durably passed their
+	// boundary; their surviving demand belongs to the queue, everything
+	// at or above it is still pending.
+	drainedBound := maxAdv + 1
+	if ckpt != nil && ckpt.Slot > drainedBound {
+		drainedBound = ckpt.Slot
+	}
+
+	// Deterministic replay order. Demand counts commute, so the merge
+	// result is order-independent — the sort pins the record-for-record
+	// reconstruction order regardless of how concurrent appends from
+	// different stripes interleaved in the log.
+	sort.SliceStable(ingests, func(i, j int) bool {
+		a, b := ingests[i], ingests[j]
+		if a.slot != b.slot {
+			return a.slot < b.slot
+		}
+		if a.instance != b.instance {
+			return a.instance < b.instance
+		}
+		return a.seq < b.seq
+	})
+
+	pending := make(map[EntryKey]int64)
+	queued := make(map[int]map[EntryKey]int64)
+	queuedReqs := make(map[int]int64)
+	if ckpt != nil {
+		for _, q := range ckpt.Queue {
+			if outcome[q.Slot] {
+				continue // its plan (or contract error) became durable after the checkpoint
+			}
+			m := queued[q.Slot]
+			if m == nil {
+				m = make(map[EntryKey]int64)
+				queued[q.Slot] = m
+			}
+			for _, e := range q.Entries {
+				m[EntryKey{e.Hotspot, e.Video}] += e.Count
+			}
+			queuedReqs[q.Slot] += q.Requests
+		}
+	}
+	for _, r := range ingests {
+		if outcome[r.slot] {
+			continue // consumed by a durable plan
+		}
+		if r.slot < drainedBound {
+			m := queued[r.slot]
+			if m == nil {
+				m = make(map[EntryKey]int64)
+				queued[r.slot] = m
+			}
+			m[EntryKey{r.hotspot, r.video}] += r.count
+			queuedReqs[r.slot] += r.count
+		} else {
+			pending[EntryKey{r.hotspot, r.video}] += r.count
+			st.PendingRequests += r.count
+		}
+	}
+	if ckpt != nil {
+		for _, e := range ckpt.Pending {
+			pending[EntryKey{e.Hotspot, e.Video}] += e.Count
+			st.PendingRequests += e.Count
+		}
+	}
+
+	st.Pending = SortedEntries(pending)
+	slots := make([]int, 0, len(queued))
+	for s := range queued {
+		slots = append(slots, s)
+	}
+	sort.Ints(slots)
+	for _, s := range slots {
+		es := SortedEntries(queued[s])
+		if len(es) == 0 {
+			continue
+		}
+		st.Queue = append(st.Queue, QueuedSlot{Slot: s, Requests: queuedReqs[s], Entries: es})
+	}
+	return st
+}
+
+// scanRecords collects data's valid record prefix for the oracle, plan
+// bytes copied out of data.
+func scanRecords(data []byte) (recs []record, validLen int) {
+	validLen = scanSegment(data, func(r record) {
+		r.canonical = bytes.Clone(r.canonical)
+		recs = append(recs, r)
+	})
+	return recs, validLen
+}
+
+// foldState runs recovery's fold over recs, as Open does over the
+// records its scan decodes.
+func foldState(ckpt *Checkpoint, recs []record) *State {
+	rp := newReplay(ckpt)
+	for _, r := range recs {
+		rp.apply(r)
+	}
+	return rp.finish()
+}
+
+// requireFoldMatchesReference holds the fold to the oracle on one
+// (checkpoint, record stream) input and returns the fold's State.
+func requireFoldMatchesReference(t *testing.T, ckpt *Checkpoint, recs []record, ctx string) *State {
+	t.Helper()
+	st := foldState(ckpt, recs)
+	requireStateEqual(t, st, referenceState(ckpt, recs), ctx)
+	return st
+}
+
+// frames renders recs as one segment's bytes.
+func frames(recs []record) []byte {
+	var seg []byte
+	for i := range recs {
+		seg = appendFrame(seg, recs[i].encode(nil))
+	}
+	return seg
+}
+
+// badPlanMidLog is a log whose second plan record passes the CRC but
+// fails verification (its digest is not its bytes'): the durable
+// prefix ends right before it, so none of the four records after it
+// may leave a trace.
+func badPlanMidLog(t testing.TB) []record {
+	c0, d0 := testPlanBytes(t, 1)
+	c1, d1 := testPlanBytes(t, 2)
+	return []record{
+		{kind: recIngest, slot: 0, instance: 0, seq: 1, hotspot: 1, video: 1, count: 2},
+		{kind: recAdvance, slot: 0},
+		{kind: recPlan, slot: 0, epoch: 1, digest: d0, canonical: c0},
+		{kind: recIngest, slot: 1, instance: 0, seq: 2, hotspot: 2, video: 2, count: 1},
+		{kind: recAdvance, slot: 1},
+		{kind: recPlan, slot: 1, epoch: 2, digest: d1 + 1, canonical: c1},
+		{kind: recIngest, slot: 2, instance: 0, seq: 3, hotspot: 3, video: 3, count: 5},
+		{kind: recIngest, slot: 2, instance: 7, seq: 1, hotspot: 3, video: 4, count: 5},
+		{kind: recAdvance, slot: 2},
+		{kind: recPlan, slot: 2, epoch: 3, digest: d1, canonical: c1},
+	}
+}
+
+// outOfOrderIngests is a checkpoint plus a suffix that respects none of
+// the orders a live server writes in: ingests for slot 1 after slot 1's
+// plan, sequence numbers descending, a duplicate (instance, seq), an
+// ingest below the checkpoint's cursor between two above it, slot tags
+// interleaved, and demand for a slot the checkpoint still queues.
+func outOfOrderIngests(t testing.TB) ([]record, *Checkpoint) {
+	c1, d1 := testPlanBytes(t, 4)
+	ckpt := &Checkpoint{
+		Seq:     3,
+		Slot:    3,
+		Epoch:   3,
+		Cursors: map[int]uint64{0: 4, 1: 2},
+		Pending: []Entry{{Hotspot: 0, Video: 0, Count: 2}, {Hotspot: 5, Video: 1, Count: 1}},
+		Queue: []QueuedSlot{
+			{Slot: 1, Requests: 3, Entries: []Entry{{Hotspot: 1, Video: 1, Count: 3}}},
+			{Slot: 2, Requests: 1, Entries: []Entry{{Hotspot: 2, Video: 2, Count: 1}}},
+		},
+	}
+	return []record{
+		{kind: recIngest, slot: 3, instance: 0, seq: 7, hotspot: 0, video: 0, count: 1},
+		{kind: recIngest, slot: 2, instance: 1, seq: 5, hotspot: 2, video: 2, count: 2},
+		{kind: recIngest, slot: 3, instance: 0, seq: 3, hotspot: 9, video: 9, count: 9}, // below the cursor
+		{kind: recIngest, slot: 3, instance: 0, seq: 6, hotspot: 0, video: 0, count: 1},
+		{kind: recPlan, slot: 1, epoch: 4, digest: d1, canonical: c1},
+		{kind: recIngest, slot: 1, instance: 1, seq: 4, hotspot: 1, video: 1, count: 1}, // after its slot's plan
+		{kind: recIngest, slot: 3, instance: 0, seq: 6, hotspot: 0, video: 0, count: 1}, // duplicate (instance, seq)
+		{kind: recIngest, slot: 4, instance: 2, seq: 1, hotspot: 4, video: 4, count: 3},
+		{kind: recAdvance, slot: 3},
+		{kind: recIngest, slot: 3, instance: 1, seq: 3, hotspot: 5, video: 1, count: 1},
+		{kind: recIngest, slot: 0, instance: 2, seq: 0, hotspot: 6, video: 6, count: 6}, // seq 0: never above a cursor
+	}, ckpt
+}
+
+// TestFoldAdversarialStreams pins, on the two seeded streams, what the
+// fuzz target only compares: the fold equals the oracle, and the values
+// both give are the ones the durable-prefix contract names.
+func TestFoldAdversarialStreams(t *testing.T) {
+	t.Run("plan record failing verification mid-log", func(t *testing.T) {
+		recs := badPlanMidLog(t)
+		st := requireFoldMatchesReference(t, nil, recs, "bad plan")
+		if st.Records != 5 {
+			t.Errorf("replayed %d records, want the 5 before the bad plan", st.Records)
+		}
+		if st.Plan == nil || st.Plan.Epoch != 1 || st.Epoch != 1 {
+			t.Errorf("plan %+v epoch %d, want the first plan (epoch 1)", st.Plan, st.Epoch)
+		}
+		if st.Slot != 2 || len(st.Pending) != 0 {
+			t.Errorf("slot %d pending %+v, want slot 2 and nothing pending", st.Slot, st.Pending)
+		}
+		wantQueue := []QueuedSlot{{Slot: 1, Requests: 1, Entries: []Entry{{Hotspot: 2, Video: 2, Count: 1}}}}
+		if !reflect.DeepEqual(st.Queue, wantQueue) {
+			t.Errorf("queue %+v, want %+v", st.Queue, wantQueue)
+		}
+		if want := map[int]uint64{0: 2}; !reflect.DeepEqual(st.Cursors, want) {
+			t.Errorf("cursors %v, want %v (nothing after the bad plan)", st.Cursors, want)
+		}
+		// Every prefix of the stream, so the cut is right wherever the
+		// log happens to end.
+		for n := range recs {
+			requireFoldMatchesReference(t, nil, recs[:n], "bad plan, prefix "+itoa(n))
+		}
+	})
+	t.Run("ingests out of slot and sequence order on a checkpoint", func(t *testing.T) {
+		recs, ckpt := outOfOrderIngests(t)
+		st := requireFoldMatchesReference(t, ckpt, recs, "out of order")
+		if st.Skipped != 2 || st.Records != len(recs) {
+			t.Errorf("skipped %d of %d records, want 2 of %d", st.Skipped, st.Records, len(recs))
+		}
+		if want := map[int]uint64{0: 7, 1: 5, 2: 1}; !reflect.DeepEqual(st.Cursors, want) {
+			t.Errorf("cursors %v, want %v", st.Cursors, want)
+		}
+		// Slot 1 went to its plan (queued entry and late ingest both),
+		// slot 2 keeps the checkpoint's queued demand plus the suffix's,
+		// slot 3 passed its boundary with no plan, slot 4 is pending
+		// beside the checkpoint's.
+		wantQueue := []QueuedSlot{
+			{Slot: 2, Requests: 3, Entries: []Entry{{Hotspot: 2, Video: 2, Count: 3}}},
+			{Slot: 3, Requests: 4, Entries: []Entry{{Hotspot: 0, Video: 0, Count: 3}, {Hotspot: 5, Video: 1, Count: 1}}},
+		}
+		if !reflect.DeepEqual(st.Queue, wantQueue) {
+			t.Errorf("queue %+v, want %+v", st.Queue, wantQueue)
+		}
+		wantPending := []Entry{{Hotspot: 0, Video: 0, Count: 2}, {Hotspot: 4, Video: 4, Count: 3}, {Hotspot: 5, Video: 1, Count: 1}}
+		if !reflect.DeepEqual(st.Pending, wantPending) || st.PendingRequests != 6 {
+			t.Errorf("pending %+v (%d requests), want %+v (6)", st.Pending, st.PendingRequests, wantPending)
+		}
+		for n := range recs {
+			requireFoldMatchesReference(t, ckpt, recs[:n], "out of order, prefix "+itoa(n))
+			requireFoldMatchesReference(t, nil, recs[:n], "out of order, no checkpoint, prefix "+itoa(n))
+		}
+	})
+}

@@ -18,7 +18,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -134,8 +134,6 @@ type Log struct {
 	appends     *obs.Counter
 	fsyncs      *obs.Counter
 	bytesC      *obs.Counter
-	truncated   *obs.Counter
-	recovered   *obs.Counter
 	checkpoints *obs.Counter
 	appendUS    *obs.Histogram
 }
@@ -159,7 +157,7 @@ func listSegments(dir string) ([]uint64, error) {
 			idxs = append(idxs, idx)
 		}
 	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
+	slices.Sort(idxs)
 	return idxs, nil
 }
 
@@ -169,10 +167,12 @@ func listSegments(dir string) ([]uint64, error) {
 // CRC, strict decoding, and plan verification is loaded, every
 // retained segment is scanned in order — the scan stops at the first
 // invalid frame, physically truncating that segment to its valid
-// prefix and deleting all later segments — and the surviving records
-// are replayed onto the checkpoint in deterministic (slot, instance,
-// sequence) order.
+// prefix and deleting all later segments — and each surviving record
+// is folded onto the checkpoint as the scan decodes it (replay); the
+// result equals a replay in (slot, instance, sequence) order, because
+// all the fold keeps of an ingest is a sum.
 func Open(dir string, opts Options) (*Log, *State, error) {
+	start := time.Now()
 	if opts.Interval <= 0 {
 		opts.Interval = DefaultInterval
 	}
@@ -194,8 +194,6 @@ func Open(dir string, opts Options) (*Log, *State, error) {
 	l.appends = reg.Counter("wal.appends")
 	l.fsyncs = reg.Counter("wal.fsyncs")
 	l.bytesC = reg.Counter("wal.bytes")
-	l.truncated = reg.Counter("wal.truncated_tail")
-	l.recovered = reg.Counter("wal.recovered_records")
 	l.checkpoints = reg.Counter("wal.checkpoints")
 	l.appendUS = reg.Histogram("wal.append_us", obs.PowersOf2Buckets(20))
 
@@ -210,7 +208,7 @@ func Open(dir string, opts Options) (*Log, *State, error) {
 		}
 	}
 
-	ckpt, maxCkptSeq, err := loadCheckpoints(dir)
+	ckpt, maxCkptSeq, ckptVerify, err := loadCheckpoints(dir)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -220,7 +218,7 @@ func Open(dir string, opts Options) (*Log, *State, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
-	var recs []record
+	rp := newReplay(ckpt)
 	var truncatedBytes int64
 	for i, idx := range segs {
 		path := filepath.Join(dir, segmentName(idx))
@@ -228,8 +226,7 @@ func Open(dir string, opts Options) (*Log, *State, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("wal: reading %s: %w", path, err)
 		}
-		segRecs, validLen := scanSegment(data)
-		recs = append(recs, segRecs...)
+		validLen := scanSegment(data, rp.apply)
 		if validLen == len(data) {
 			continue
 		}
@@ -253,10 +250,9 @@ func Open(dir string, opts Options) (*Log, *State, error) {
 		break
 	}
 
-	st := buildState(ckpt, recs)
+	st := rp.finish()
 	st.TruncatedBytes = truncatedBytes
-	l.recovered.Add(int64(st.Records))
-	l.truncated.Add(truncatedBytes)
+	st.PlanVerify += ckptVerify
 
 	// Open the newest segment for appends (creating the first one on a
 	// fresh dir), and make the recovery-time truncations durable.
@@ -284,18 +280,24 @@ func Open(dir string, opts Options) (*Log, *State, error) {
 		l.flushDone = make(chan struct{})
 		go l.flushLoop()
 	}
+	st.Elapsed = time.Since(start)
+	reg.Counter("wal.recovered_records").Add(int64(st.Records))
+	reg.Counter("wal.truncated_tail").Add(truncatedBytes)
+	reg.Counter("wal.recover_skipped").Add(int64(st.Skipped))
+	reg.Counter("wal.recover_us").Add(st.Elapsed.Microseconds())
+	reg.Counter("wal.recover_plan_verify_us").Add(st.PlanVerify.Microseconds())
 	return l, st, nil
 }
 
 // loadCheckpoints loads the newest fully valid checkpoint (nil when
 // none) and the highest checkpoint sequence present in any file name,
-// so newly written checkpoints never collide with a damaged one.
-func loadCheckpoints(dir string) (*Checkpoint, uint64, error) {
+// so newly written checkpoints never collide with a damaged one; verify
+// is the time spent verifying checkpointed plans.
+func loadCheckpoints(dir string) (ckpt *Checkpoint, maxSeq uint64, verify time.Duration, err error) {
 	seqs, err := listCheckpoints(dir)
 	if err != nil {
-		return nil, 0, fmt.Errorf("wal: %w", err)
+		return nil, 0, 0, fmt.Errorf("wal: %w", err)
 	}
-	var maxSeq uint64
 	if len(seqs) > 0 {
 		maxSeq = seqs[0]
 	}
@@ -308,12 +310,12 @@ func loadCheckpoints(dir string) (*Checkpoint, uint64, error) {
 		if err != nil {
 			continue
 		}
-		if c.Plan != nil && !verifyPlanBytes(c.Plan.Canonical, c.Plan.Digest) {
+		if c.Plan != nil && !timedVerify(c.Plan.Canonical, c.Plan.Digest, &verify) {
 			continue
 		}
-		return c, maxSeq, nil
+		return c, maxSeq, verify, nil
 	}
-	return nil, maxSeq, nil
+	return nil, maxSeq, verify, nil
 }
 
 // flushLoop is the PolicyInterval flusher.

@@ -166,6 +166,10 @@ func requireStateEqual(t *testing.T, got, want *State, ctx string) {
 	if !reflect.DeepEqual(g, w) {
 		t.Fatalf("%s: recovered state diverged from durable prefix\n got: %+v\nwant: %+v", ctx, g, w)
 	}
+	if got.Records != want.Records || got.CheckpointSeq != want.CheckpointSeq {
+		t.Fatalf("%s: replayed %d records on checkpoint %d, want %d on %d",
+			ctx, got.Records, got.CheckpointSeq, want.Records, want.CheckpointSeq)
+	}
 	if got.Plan != nil && !verifyPlanBytes(got.Plan.Canonical, got.Plan.Digest) {
 		t.Fatalf("%s: recovery installed an unverified plan", ctx)
 	}
@@ -228,7 +232,7 @@ func TestTornTailRecovery(t *testing.T) {
 	}
 	var prefixRecs []record
 	for _, data := range segs[:len(segs)-1] {
-		rs, v := scanSegment(data)
+		rs, v := scanRecords(data)
 		if v != len(data) {
 			t.Fatalf("sealed segment not fully valid")
 		}
@@ -254,8 +258,8 @@ func TestTornTailRecovery(t *testing.T) {
 		}
 		l.Close()
 
-		rs, validLen := scanSegment(last[:off])
-		want := buildState(nil, append(append([]record(nil), prefixRecs...), rs...))
+		rs, validLen := scanRecords(last[:off])
+		want := referenceState(nil, append(append([]record(nil), prefixRecs...), rs...))
 		requireStateEqual(t, st, want, "truncate@"+itoa(off))
 		if wantTrunc := int64(off - validLen); st.TruncatedBytes != wantTrunc {
 			t.Fatalf("offset %d: truncated %d bytes, want %d", off, st.TruncatedBytes, wantTrunc)
@@ -277,7 +281,7 @@ func TestCorruptionRecovery(t *testing.T) {
 	segs := readSegments(t, src)
 	segRecs := make([][]record, len(segs))
 	for i, data := range segs {
-		rs, v := scanSegment(data)
+		rs, v := scanRecords(data)
 		if v != len(data) {
 			t.Fatalf("segment %d not fully valid", i)
 		}
@@ -317,7 +321,7 @@ func TestCorruptionRecovery(t *testing.T) {
 				want = append(want, segRecs[sj]...)
 			}
 			want = append(want, segRecs[si][:damaged]...)
-			requireStateEqual(t, st, buildState(nil, want), "flip@seg"+itoa(si)+"+"+itoa(off))
+			requireStateEqual(t, st, referenceState(nil, want), "flip@seg"+itoa(si)+"+"+itoa(off))
 			if st.TruncatedBytes <= 0 {
 				t.Fatalf("segment %d offset %d: corruption not counted as truncated tail", si, off)
 			}
@@ -400,6 +404,9 @@ func TestCheckpointCursorSkip(t *testing.T) {
 	}
 	if st.Cursors[0] != 3 {
 		t.Errorf("cursor %d, want 3", st.Cursors[0])
+	}
+	if st.Records != 3 || st.Skipped != 2 {
+		t.Errorf("replayed %d records, skipped %d; want 3 scanned, 2 of them under the cursor", st.Records, st.Skipped)
 	}
 }
 
@@ -491,6 +498,88 @@ func TestSegmentRotationAndGC(t *testing.T) {
 	defer l2.Close()
 	if st.PendingRequests != 60 || st.Cursors[0] != 60 {
 		t.Errorf("recovered %d pending (cursor %d), want 60/60", st.PendingRequests, st.Cursors[0])
+	}
+}
+
+// TestReplayBound drives the log the way the server does — a slot's
+// ingests, its advance, the next slot's ingests arriving while the
+// round runs, the plan, a checkpoint every few slots with the segment
+// mark taken at capture — over segments small enough to rotate many
+// times a slot, and boots a copy at every point a crash could leave
+// the most behind: no boot may scan more than ReplayBound records, and
+// the worst boot must come close to it.
+func TestReplayBound(t *testing.T) {
+	const (
+		every       = 3
+		slotIngests = 40
+		segBytes    = 256
+		slots       = 4*every + 2
+	)
+	dir := t.TempDir()
+	l, _, err := Open(dir, Options{Policy: PolicyAlways, SegmentBytes: segBytes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	m := must(t)
+	var seq uint64
+	feed := func(slot int) []Entry {
+		es := make([]Entry, slotIngests)
+		for i := range es {
+			seq++
+			m(l.AppendIngest(slot, 0, seq, slot%7, i, 1))
+			es[i] = Entry{Hotspot: slot % 7, Video: i, Count: 1}
+		}
+		return es
+	}
+	bound := ReplayBound(every, slotIngests, segBytes)
+	worst := 0
+	scratch := t.TempDir()
+	boot := func(ctx string) {
+		t.Helper()
+		if err := l.Sync(l.LastLSN()); err != nil { // the buffered tail reaches the files
+			t.Fatal(err)
+		}
+		cp := filepath.Join(scratch, ctx)
+		if err := os.MkdirAll(cp, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		copyDir(t, dir, cp)
+		l2, st, err := Open(cp, Options{Policy: PolicyNone, SegmentBytes: segBytes})
+		if err != nil {
+			t.Fatalf("%s: %v", ctx, err)
+		}
+		l2.Crash()
+		if st.Records > bound {
+			t.Fatalf("%s: boot scanned %d records, ReplayBound(%d, %d, %d) = %d",
+				ctx, st.Records, every, slotIngests, segBytes, bound)
+		}
+		worst = max(worst, st.Records)
+	}
+	feed(0)
+	for slot := 0; slot < slots; slot++ {
+		m(l.AppendAdvance(slot))
+		arrived := feed(slot + 1)
+		c, d := testPlanBytes(t, int64(slot+1))
+		m(l.AppendPlan(slot, int64(slot+1), d, c))
+		boot("planned-" + itoa(slot))
+		if (slot+1)%every != 0 {
+			continue
+		}
+		mark := l.CurrentSegment()
+		if err := l.WriteCheckpoint(&Checkpoint{
+			Slot:    slot + 1,
+			Epoch:   int64(slot + 1),
+			Plan:    &PlanState{Slot: slot, Epoch: int64(slot + 1), Digest: d, Canonical: c},
+			Cursors: map[int]uint64{0: seq},
+			Pending: arrived,
+		}, mark); err != nil {
+			t.Fatal(err)
+		}
+		boot("checkpointed-" + itoa(slot))
+	}
+	if floor := 2 * every * (slotIngests + 2); worst < floor {
+		t.Errorf("worst boot scanned %d records, expected at least %d: the test no longer reaches the case the bound is for", worst, floor)
 	}
 }
 
