@@ -4,14 +4,17 @@
 // O(n^2) time on reducible linkages.
 //
 // RBCAer clusters content hotspots by the content-aware distance
-// Jd(i,j) = 1 - Jaccard(top-20% sets) and cuts the dendrogram at 0.5 so
-// that hotspots in one cluster request similar content (paper
-// Sec. IV-B).
+// Jd(i,j) = 1 - Jaccard(top-20% sets) and cuts the dendrogram at
+// core.Params.ClusterCut so that hotspots in one cluster request
+// similar content (paper Sec. IV-B). The paper cuts at 0.5; this
+// repository's default is 0.75 (core.DefaultParams, recalibrated to its
+// synthetic trace), so nothing here may assume 0.5.
 package cluster
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -72,32 +75,24 @@ func Agglomerative(n int, dist DistFunc, link Linkage) (*Dendrogram, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("cluster: non-positive item count %d", n)
 	}
-	switch link {
-	case Single, Complete, Average:
-	default:
-		return nil, fmt.Errorf("cluster: unknown linkage %v", link)
+	if err := checkLinkage(link); err != nil {
+		return nil, err
 	}
 	if n == 1 {
 		return &Dendrogram{n: 1}, nil
 	}
-
-	// Condensed distance matrix between active clusters, indexed by
-	// slot (0..n-1 initially; merged clusters reuse a slot).
-	d := make([][]float64, n)
-	for i := range d {
-		d[i] = make([]float64, n)
-	}
+	cells := make([]float64, n*n)
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			v := dist(i, j)
-			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-				return nil, fmt.Errorf("cluster: invalid distance %v between %d and %d", v, i, j)
+			if !validDistance(v) {
+				return nil, distanceError(v, i, j)
 			}
-			d[i][j] = v
-			d[j][i] = v
+			cells[i*n+j] = v
+			cells[j*n+i] = v
 		}
 	}
-	return agglomerate(n, d, link)
+	return agglomerate(n, cells, link), nil
 }
 
 // AgglomerativeMatrix clusters the n items whose pairwise distances
@@ -105,53 +100,105 @@ func Agglomerative(n int, dist DistFunc, link Linkage) (*Dendrogram, error) {
 // parallel (similarity.DistanceMatrix) so the O(n²) distance
 // evaluations come off the clustering hot path. The matrix must be
 // symmetric with finite, non-negative entries; only the upper triangle
-// is read and dist is left unmodified. The result is identical to
-// Agglomerative over the same distances.
+// is read and dist is left unmodified: the chain runs over a private
+// flat copy. The result is identical to Agglomerative over the same
+// distances. A caller that no longer needs its matrix saves the copy
+// with AgglomerativeInPlace.
 func AgglomerativeMatrix(dist [][]float64, link Linkage) (*Dendrogram, error) {
 	n := len(dist)
 	if n == 0 {
 		return nil, fmt.Errorf("cluster: empty distance matrix")
 	}
-	switch link {
-	case Single, Complete, Average:
-	default:
-		return nil, fmt.Errorf("cluster: unknown linkage %v", link)
+	if err := checkLinkage(link); err != nil {
+		return nil, err
 	}
 	if n == 1 {
 		return &Dendrogram{n: 1}, nil
 	}
-	// One backing array, filled and validated in a single pass: row i
-	// takes its upper triangle from dist[i] and hands each value to the
-	// lower triangle of the rows below it.
-	d := make([][]float64, n)
+	// Copied and validated in a single pass: row i takes its upper
+	// triangle from dist[i] and hands each value to the lower triangle of
+	// the rows below it.
 	cells := make([]float64, n*n)
-	for i := range d {
-		d[i] = cells[i*n : (i+1)*n : (i+1)*n]
-	}
 	for i, row := range dist {
 		if len(row) != n {
 			return nil, fmt.Errorf("cluster: distance matrix row %d has %d entries, want %d", i, len(row), n)
 		}
 		for j := i + 1; j < n; j++ {
 			v := row[j]
-			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-				return nil, fmt.Errorf("cluster: invalid distance %v between %d and %d", v, i, j)
+			if !validDistance(v) {
+				return nil, distanceError(v, i, j)
 			}
-			d[i][j] = v
-			d[j][i] = v
+			cells[i*n+j] = v
+			cells[j*n+i] = v
 		}
 	}
-	return agglomerate(n, d, link)
+	return agglomerate(n, cells, link), nil
 }
 
-// agglomerate runs the nearest-neighbour-chain algorithm over a
-// symmetric distance matrix it may freely mutate.
-func agglomerate(n int, d [][]float64, link Linkage) (*Dendrogram, error) {
-	active := make([]bool, n)
+// AgglomerativeInPlace clusters the n items whose pairwise distances
+// fill the row-major span cells (cells[i*n+j] = distance of i and j,
+// len(cells) = n·n) and consumes it: the chain keeps its inter-cluster
+// distances in cells, so the contents afterwards are unspecified and a
+// caller that wants the span again refills all of it. The matrix must
+// be symmetric — both triangles are read — with finite, non-negative
+// entries; n, the length, the linkage and every upper-triangle cell are
+// checked before the first write, so a rejected input is handed back
+// untouched. The result is identical to AgglomerativeMatrix over the
+// same distances.
+func AgglomerativeInPlace(n int, cells []float64, link Linkage) (*Dendrogram, error) {
+	if n <= 0 {
+		return nil, fmt.Errorf("cluster: non-positive item count %d", n)
+	}
+	if len(cells) != n*n {
+		return nil, fmt.Errorf("cluster: %d cells for a %d×%d distance matrix", len(cells), n, n)
+	}
+	if err := checkLinkage(link); err != nil {
+		return nil, err
+	}
+	for i := 0; i < n; i++ {
+		for j, v := range cells[i*n+i+1 : (i+1)*n] {
+			if !validDistance(v) {
+				return nil, distanceError(v, i, i+1+j)
+			}
+		}
+	}
+	if n == 1 {
+		return &Dendrogram{n: 1}, nil
+	}
+	return agglomerate(n, cells, link), nil
+}
+
+func checkLinkage(link Linkage) error {
+	switch link {
+	case Single, Complete, Average:
+		return nil
+	default:
+		return fmt.Errorf("cluster: unknown linkage %v", link)
+	}
+}
+
+// validDistance reports whether v is finite and non-negative (NaN fails
+// both comparisons).
+func validDistance(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }
+
+func distanceError(v float64, i, j int) error {
+	return fmt.Errorf("cluster: invalid distance %v between %d and %d", v, i, j)
+}
+
+// agglomerate runs the nearest-neighbour-chain algorithm over the
+// symmetric, validated, row-major n×n distance matrix d, which it
+// consumes: a merge writes the merged cluster's distances into the
+// surviving slot's row and column.
+func agglomerate(n int, d []float64, link Linkage) *Dendrogram {
+	// The slots still holding a cluster, ascending. Every scan below
+	// walks this list instead of all n slots, so scans shrink as clusters
+	// merge while visiting the survivors in the same order — which is
+	// what the tie-breaks are defined on.
+	active := make([]int32, n)
 	size := make([]int, n)
 	clusterID := make([]int, n) // slot -> current dendrogram cluster id
 	for i := 0; i < n; i++ {
-		active[i] = true
+		active[i] = int32(i)
 		size[i] = 1
 		clusterID[i] = i
 	}
@@ -159,77 +206,83 @@ func agglomerate(n int, d [][]float64, link Linkage) (*Dendrogram, error) {
 	merges := make([]Merge, 0, n-1)
 	nextID := n
 	chain := make([]int, 0, n)
-	remaining := n
 
-	for remaining > 1 {
+	for len(active) > 1 {
 		if len(chain) == 0 {
-			for s := 0; s < n; s++ {
-				if active[s] {
-					chain = append(chain, s)
-					break
-				}
-			}
+			chain = append(chain, int(active[0]))
 		}
 		top := chain[len(chain)-1]
 		// Nearest active neighbour of top (smallest slot on ties, but
 		// prefer the chain predecessor so reciprocal pairs terminate).
-		var prev = -1
+		prev := -1
 		if len(chain) >= 2 {
 			prev = chain[len(chain)-2]
 		}
 		nn := -1
 		best := math.Inf(1)
-		for s := 0; s < n; s++ {
-			if !active[s] || s == top {
+		row := d[top*n : (top+1)*n]
+		for _, s32 := range active {
+			s := int(s32)
+			if s == top {
 				continue
 			}
-			v := d[top][s]
+			v := row[s]
 			if v < best || (v == best && s == prev) {
 				best = v
 				nn = s
 			}
 		}
-		if nn == prev && prev >= 0 {
-			// Reciprocal nearest neighbours: merge top and prev.
-			chain = chain[:len(chain)-2]
-			a, b := prev, top
-			mergeHeight := best
-			// Lance-Williams update into slot a.
-			for s := 0; s < n; s++ {
-				if !active[s] || s == a || s == b {
-					continue
-				}
-				var nv float64
-				switch link {
-				case Single:
-					nv = math.Min(d[a][s], d[b][s])
-				case Complete:
-					nv = math.Max(d[a][s], d[b][s])
-				case Average:
-					na, nb := float64(size[a]), float64(size[b])
-					nv = (na*d[a][s] + nb*d[b][s]) / (na + nb)
-				}
-				d[a][s] = nv
-				d[s][a] = nv
-			}
-			idA, idB := clusterID[a], clusterID[b]
-			if idA > idB {
-				idA, idB = idB, idA
-			}
-			merges = append(merges, Merge{
-				A:      idA,
-				B:      idB,
-				Height: mergeHeight,
-				Size:   size[a] + size[b],
-			})
-			size[a] += size[b]
-			active[b] = false
-			clusterID[a] = nextID
-			nextID++
-			remaining--
-		} else {
+		if nn != prev || prev < 0 {
 			chain = append(chain, nn)
+			continue
 		}
+		// Reciprocal nearest neighbours: merge top into prev's slot with
+		// the Lance-Williams update of its row and column.
+		chain = chain[:len(chain)-2]
+		a, b := prev, top
+		ra, rb := d[a*n:(a+1)*n], d[b*n:(b+1)*n]
+		switch link {
+		case Single:
+			for _, s32 := range active {
+				if s := int(s32); s != a && s != b {
+					nv := min(ra[s], rb[s])
+					ra[s] = nv
+					d[s*n+a] = nv
+				}
+			}
+		case Complete:
+			for _, s32 := range active {
+				if s := int(s32); s != a && s != b {
+					nv := max(ra[s], rb[s])
+					ra[s] = nv
+					d[s*n+a] = nv
+				}
+			}
+		case Average:
+			na, nb := float64(size[a]), float64(size[b])
+			for _, s32 := range active {
+				if s := int(s32); s != a && s != b {
+					nv := (na*ra[s] + nb*rb[s]) / (na + nb)
+					ra[s] = nv
+					d[s*n+a] = nv
+				}
+			}
+		}
+		idA, idB := clusterID[a], clusterID[b]
+		if idA > idB {
+			idA, idB = idB, idA
+		}
+		merges = append(merges, Merge{
+			A:      idA,
+			B:      idB,
+			Height: best,
+			Size:   size[a] + size[b],
+		})
+		size[a] += size[b]
+		at, _ := slices.BinarySearch(active, int32(b))
+		active = slices.Delete(active, at, at+1)
+		clusterID[a] = nextID
+		nextID++
 	}
 
 	// NN-chain emits merges in chain order, not height order. Re-sort
@@ -244,26 +297,23 @@ func agglomerate(n int, d [][]float64, link Linkage) (*Dendrogram, error) {
 	sort.SliceStable(order, func(i, j int) bool {
 		return merges[order[i]].Height < merges[order[j]].Height
 	})
-	remap := make(map[int]int, len(merges))
-	sorted := make([]Merge, len(merges))
+	remap := make([]int, n+len(merges)) // cluster id in chain order -> in height order
+	for i := 0; i < n; i++ {
+		remap[i] = i
+	}
 	for newIdx, origIdx := range order {
 		remap[n+origIdx] = n + newIdx
 	}
-	mapID := func(id int) int {
-		if id < n {
-			return id
-		}
-		return remap[id]
-	}
+	sorted := make([]Merge, len(merges))
 	for newIdx, origIdx := range order {
 		m := merges[origIdx]
-		a, b := mapID(m.A), mapID(m.B)
+		a, b := remap[m.A], remap[m.B]
 		if a > b {
 			a, b = b, a
 		}
 		sorted[newIdx] = Merge{A: a, B: b, Height: m.Height, Size: m.Size}
 	}
-	return &Dendrogram{n: n, merges: sorted}, nil
+	return &Dendrogram{n: n, merges: sorted}
 }
 
 // Cut returns the clusters obtained by applying every merge with
@@ -271,109 +321,58 @@ func agglomerate(n int, d [][]float64, link Linkage) (*Dendrogram, error) {
 // exactly one cluster; clusters are ordered by their smallest leaf and
 // leaves within a cluster are ascending.
 func (d *Dendrogram) Cut(threshold float64) [][]int {
-	uf := newUnionFind(d.n)
-	// Merge identifiers above n refer to previous merges; with merges
-	// sorted by height, union the two leaf-set representatives.
-	leafOf := make(map[int]int, d.n+len(d.merges)) // cluster id -> any leaf
-	for i := 0; i < d.n; i++ {
-		leafOf[i] = i
-	}
-	nextID := d.n
-	for _, m := range d.merges {
-		la, okA := leafOf[m.A]
-		lb, okB := leafOf[m.B]
-		if !okA || !okB {
-			// Height-sorted order can reference a merge that sorted
-			// later; fall back to scanning (cannot happen for
-			// monotone linkages, defensive for exotic inputs).
-			continue
-		}
-		id := nextID
-		nextID++
-		leafOf[id] = la
-		if m.Height <= threshold {
-			uf.union(la, lb)
-		} else {
-			// Still track representative for parents; use la.
-			_ = lb
-		}
-	}
-	return uf.groups()
+	return d.cut(func(_ int, m Merge) bool { return m.Height <= threshold })
 }
 
 // CutK returns exactly k clusters (1 <= k <= n) by applying the n-k
-// lowest merges.
+// lowest merges, in the order Cut documents.
 func (d *Dendrogram) CutK(k int) ([][]int, error) {
 	if k < 1 || k > d.n {
 		return nil, fmt.Errorf("cluster: k %d outside [1, %d]", k, d.n)
 	}
-	uf := newUnionFind(d.n)
-	leafOf := make(map[int]int, d.n+len(d.merges))
-	for i := 0; i < d.n; i++ {
-		leafOf[i] = i
+	return d.cut(func(i int, _ Merge) bool { return i < d.n-k }), nil
+}
+
+// cut applies the merges, lowest first, for as long as keep(i, merge i)
+// holds, and returns the leaves grouped by the cluster they end up in.
+func (d *Dendrogram) cut(keep func(i int, m Merge) bool) [][]int {
+	// Cluster ids are dense (leaves 0..n-1, merge i creates n+i) and
+	// each is joined into at most one later cluster, so "which applied
+	// merge consumed this id" is a forest in one flat table.
+	parent := make([]int32, d.n+len(d.merges))
+	for id := range parent {
+		parent[id] = -1
 	}
-	nextID := d.n
 	applied := 0
-	for _, m := range d.merges {
-		la := leafOf[m.A]
-		lb := leafOf[m.B]
-		id := nextID
-		nextID++
-		leafOf[id] = la
-		if applied < d.n-k {
-			uf.union(la, lb)
-			applied++
+	for i, m := range d.merges {
+		if !keep(i, m) {
+			break
 		}
+		parent[m.A], parent[m.B] = int32(d.n+i), int32(d.n+i)
+		applied++
 	}
-	return uf.groups(), nil
-}
-
-type unionFind struct {
-	parent []int
-	rank   []int
-}
-
-func newUnionFind(n int) *unionFind {
-	uf := &unionFind{parent: make([]int, n), rank: make([]int, n)}
-	for i := range uf.parent {
-		uf.parent[i] = i
+	// Leaves in ascending order open their cluster's group on first
+	// sight, which is the documented order with nothing left to sort.
+	groupOf := make([]int32, len(parent)) // root id -> its index into out plus one; 0 = not opened yet
+	out := make([][]int, 0, d.n-applied)
+	for leaf := 0; leaf < d.n; leaf++ {
+		root := int32(leaf)
+		for parent[root] >= 0 {
+			root = parent[root]
+		}
+		for id := int32(leaf); parent[id] >= 0; {
+			id, parent[id] = parent[id], root // the next leaf of this cluster gets there in one hop
+		}
+		if groupOf[root] == 0 {
+			size := 1
+			if int(root) >= d.n {
+				size = d.merges[int(root)-d.n].Size
+			}
+			out = append(out, make([]int, 0, size))
+			groupOf[root] = int32(len(out))
+		}
+		g := groupOf[root] - 1
+		out[g] = append(out[g], leaf)
 	}
-	return uf
-}
-
-func (uf *unionFind) find(x int) int {
-	for uf.parent[x] != x {
-		uf.parent[x] = uf.parent[uf.parent[x]]
-		x = uf.parent[x]
-	}
-	return x
-}
-
-func (uf *unionFind) union(a, b int) {
-	ra, rb := uf.find(a), uf.find(b)
-	if ra == rb {
-		return
-	}
-	if uf.rank[ra] < uf.rank[rb] {
-		ra, rb = rb, ra
-	}
-	uf.parent[rb] = ra
-	if uf.rank[ra] == uf.rank[rb] {
-		uf.rank[ra]++
-	}
-}
-
-func (uf *unionFind) groups() [][]int {
-	byRoot := make(map[int][]int)
-	for i := range uf.parent {
-		r := uf.find(i)
-		byRoot[r] = append(byRoot[r], i)
-	}
-	out := make([][]int, 0, len(byRoot))
-	for _, g := range byRoot {
-		sort.Ints(g)
-		out = append(out, g)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
 	return out
 }

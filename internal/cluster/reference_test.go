@@ -1,0 +1,448 @@
+package cluster
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
+	"testing"
+
+	"repro/internal/similarity"
+)
+
+// referenceAgglomerate is the nearest-neighbour chain as it stood before
+// the kernel moved onto one flat, consumable matrix: [][]float64 rows, a
+// []bool of active slots scanned in full every time, the linkage switch
+// inside the update loop, math.Min/Max. Kept verbatim as the oracle —
+// the chain's tie-breaks (smallest slot, chain predecessor preferred)
+// decide which slot survives a merge and so every later merge, and with
+// Jaccard distances over ~7-video signatures ties are the rule.
+func referenceAgglomerate(n int, d [][]float64, link Linkage) (*Dendrogram, error) {
+	active := make([]bool, n)
+	size := make([]int, n)
+	clusterID := make([]int, n) // slot -> current dendrogram cluster id
+	for i := 0; i < n; i++ {
+		active[i] = true
+		size[i] = 1
+		clusterID[i] = i
+	}
+
+	merges := make([]Merge, 0, n-1)
+	nextID := n
+	chain := make([]int, 0, n)
+	remaining := n
+
+	for remaining > 1 {
+		if len(chain) == 0 {
+			for s := 0; s < n; s++ {
+				if active[s] {
+					chain = append(chain, s)
+					break
+				}
+			}
+		}
+		top := chain[len(chain)-1]
+		// Nearest active neighbour of top (smallest slot on ties, but
+		// prefer the chain predecessor so reciprocal pairs terminate).
+		var prev = -1
+		if len(chain) >= 2 {
+			prev = chain[len(chain)-2]
+		}
+		nn := -1
+		best := math.Inf(1)
+		for s := 0; s < n; s++ {
+			if !active[s] || s == top {
+				continue
+			}
+			v := d[top][s]
+			if v < best || (v == best && s == prev) {
+				best = v
+				nn = s
+			}
+		}
+		if nn == prev && prev >= 0 {
+			// Reciprocal nearest neighbours: merge top and prev.
+			chain = chain[:len(chain)-2]
+			a, b := prev, top
+			mergeHeight := best
+			// Lance-Williams update into slot a.
+			for s := 0; s < n; s++ {
+				if !active[s] || s == a || s == b {
+					continue
+				}
+				var nv float64
+				switch link {
+				case Single:
+					nv = math.Min(d[a][s], d[b][s])
+				case Complete:
+					nv = math.Max(d[a][s], d[b][s])
+				case Average:
+					na, nb := float64(size[a]), float64(size[b])
+					nv = (na*d[a][s] + nb*d[b][s]) / (na + nb)
+				}
+				d[a][s] = nv
+				d[s][a] = nv
+			}
+			idA, idB := clusterID[a], clusterID[b]
+			if idA > idB {
+				idA, idB = idB, idA
+			}
+			merges = append(merges, Merge{
+				A:      idA,
+				B:      idB,
+				Height: mergeHeight,
+				Size:   size[a] + size[b],
+			})
+			size[a] += size[b]
+			active[b] = false
+			clusterID[a] = nextID
+			nextID++
+			remaining--
+		} else {
+			chain = append(chain, nn)
+		}
+	}
+
+	// NN-chain emits merges in chain order, not height order. Re-sort
+	// by height so threshold cuts are well-defined, then renumber
+	// internal cluster ids to match the new order. For the monotone
+	// linkages supported here a child merge never has greater height
+	// than its parent, so a stable sort keeps children before parents.
+	order := make([]int, len(merges))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(i, j int) bool {
+		return merges[order[i]].Height < merges[order[j]].Height
+	})
+	remap := make(map[int]int, len(merges))
+	sorted := make([]Merge, len(merges))
+	for newIdx, origIdx := range order {
+		remap[n+origIdx] = n + newIdx
+	}
+	mapID := func(id int) int {
+		if id < n {
+			return id
+		}
+		return remap[id]
+	}
+	for newIdx, origIdx := range order {
+		m := merges[origIdx]
+		a, b := mapID(m.A), mapID(m.B)
+		if a > b {
+			a, b = b, a
+		}
+		sorted[newIdx] = Merge{A: a, B: b, Height: m.Height, Size: m.Size}
+	}
+	return &Dendrogram{n: n, merges: sorted}, nil
+}
+
+// referenceCut and referenceCutK are Cut and CutK as they stood on a
+// map[int]int leaf table and a union-find grouped through a
+// map[int][]int, kept verbatim as the oracle for the slice version's
+// output order.
+func referenceCut(d *Dendrogram, threshold float64) [][]int {
+	uf := newReferenceUnionFind(d.n)
+	leafOf := make(map[int]int, d.n+len(d.merges)) // cluster id -> any leaf
+	for i := 0; i < d.n; i++ {
+		leafOf[i] = i
+	}
+	nextID := d.n
+	for _, m := range d.merges {
+		la, okA := leafOf[m.A]
+		lb, okB := leafOf[m.B]
+		if !okA || !okB {
+			continue
+		}
+		id := nextID
+		nextID++
+		leafOf[id] = la
+		if m.Height <= threshold {
+			uf.union(la, lb)
+		}
+	}
+	return uf.groups()
+}
+
+func referenceCutK(d *Dendrogram, k int) [][]int {
+	uf := newReferenceUnionFind(d.n)
+	leafOf := make(map[int]int, d.n+len(d.merges))
+	for i := 0; i < d.n; i++ {
+		leafOf[i] = i
+	}
+	nextID := d.n
+	applied := 0
+	for _, m := range d.merges {
+		la := leafOf[m.A]
+		lb := leafOf[m.B]
+		id := nextID
+		nextID++
+		leafOf[id] = la
+		if applied < d.n-k {
+			uf.union(la, lb)
+			applied++
+		}
+	}
+	return uf.groups()
+}
+
+type referenceUnionFind struct {
+	parent []int
+	rank   []int
+}
+
+func newReferenceUnionFind(n int) *referenceUnionFind {
+	uf := &referenceUnionFind{parent: make([]int, n), rank: make([]int, n)}
+	for i := range uf.parent {
+		uf.parent[i] = i
+	}
+	return uf
+}
+
+func (uf *referenceUnionFind) find(x int) int {
+	for uf.parent[x] != x {
+		uf.parent[x] = uf.parent[uf.parent[x]]
+		x = uf.parent[x]
+	}
+	return x
+}
+
+func (uf *referenceUnionFind) union(a, b int) {
+	ra, rb := uf.find(a), uf.find(b)
+	if ra == rb {
+		return
+	}
+	if uf.rank[ra] < uf.rank[rb] {
+		ra, rb = rb, ra
+	}
+	uf.parent[rb] = ra
+	if uf.rank[ra] == uf.rank[rb] {
+		uf.rank[ra]++
+	}
+}
+
+func (uf *referenceUnionFind) groups() [][]int {
+	byRoot := make(map[int][]int)
+	for i := range uf.parent {
+		r := uf.find(i)
+		byRoot[r] = append(byRoot[r], i)
+	}
+	out := make([][]int, 0, len(byRoot))
+	for _, g := range byRoot {
+		sort.Ints(g)
+		out = append(out, g)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
+	return out
+}
+
+// symmetric builds an n×n matrix with a zero diagonal from one value per
+// unordered pair.
+func symmetric(n int, pair func(i, j int) float64) [][]float64 {
+	m := make([][]float64, n)
+	for i := range m {
+		m[i] = make([]float64, n)
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			v := pair(i, j)
+			m[i][j], m[j][i] = v, v
+		}
+	}
+	return m
+}
+
+// citySets draws n content signatures shaped like the serving
+// benchmark's city fleet: about seven ids each from a small shared head
+// plus a long tail, one id in most of them, and an idle hotspot — an
+// empty signature — every 40th.
+func citySets(n int, rng *rand.Rand) []similarity.Set {
+	sets := make([]similarity.Set, n)
+	for i := range sets {
+		sets[i] = similarity.Set{}
+		if i%40 == 7 {
+			continue
+		}
+		if rng.Intn(3) > 0 {
+			sets[i].Add(0)
+		}
+		for want := 5 + rng.Intn(4); sets[i].Len() < want; {
+			id := 1 + rng.Intn(12)
+			if rng.Intn(4) == 0 {
+				id = 13 + rng.Intn(900)
+			}
+			sets[i].Add(id)
+		}
+	}
+	return sets
+}
+
+// cityJaccard is the JaccardDistance matrix of n citySets.
+func cityJaccard(n int, rng *rand.Rand) [][]float64 {
+	sets := citySets(n, rng)
+	return symmetric(n, func(i, j int) float64 { return similarity.JaccardDistance(sets[i], sets[j]) })
+}
+
+// tieFamilies are seeded distance families on which equal distances are
+// the rule, so the chain's tie-breaks decide the dendrogram.
+var tieFamilies = []struct {
+	name string
+	make func(n int, rng *rand.Rand) [][]float64
+}{
+	{"eighths", func(n int, rng *rand.Rand) [][]float64 {
+		return symmetric(n, func(int, int) float64 { return float64(rng.Intn(9)) / 8 })
+	}},
+	{"city-jaccard", cityJaccard},
+	{"all-equal", func(n int, _ *rand.Rand) [][]float64 {
+		return symmetric(n, func(int, int) float64 { return 0.5 })
+	}},
+}
+
+func cloneMatrix(m [][]float64) [][]float64 {
+	out := make([][]float64, len(m))
+	for i := range m {
+		out[i] = slices.Clone(m[i])
+	}
+	return out
+}
+
+func flatten(m [][]float64) []float64 {
+	var cells []float64
+	for _, row := range m {
+		cells = append(cells, row...)
+	}
+	return cells
+}
+
+// sameBits reports whether two spans hold the same floats bit for bit
+// (so a NaN equals itself and -0 differs from 0).
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestAgglomerateMatchesReference holds the flat in-place kernel to the
+// old chain through all three doors: the full merge list — A, B, Height,
+// Size — must be deep-equal for every linkage on every tie-heavy family,
+// the copying door must leave its input bit-for-bit alone, and Cut/CutK
+// on slices must group exactly as the map versions did.
+func TestAgglomerateMatchesReference(t *testing.T) {
+	for _, fam := range tieFamilies {
+		for _, n := range []int{1, 2, 3, 17, 200} {
+			for seed := int64(1); seed <= 3; seed++ {
+				dist := fam.make(n, rand.New(rand.NewSource(seed*1000+int64(n))))
+				for _, link := range []Linkage{Single, Complete, Average} {
+					name := fmt.Sprintf("%s/n=%d/seed=%d/%v", fam.name, n, seed, link)
+					want, err := referenceAgglomerate(n, cloneMatrix(dist), link)
+					if err != nil {
+						t.Fatalf("%s: reference: %v", name, err)
+					}
+					if n == 1 {
+						want.merges = nil // the doors return before the kernel
+					}
+
+					input := cloneMatrix(dist)
+					viaMatrix, err := AgglomerativeMatrix(input, link)
+					if err != nil {
+						t.Fatalf("%s: AgglomerativeMatrix: %v", name, err)
+					}
+					if !sameBits(flatten(input), flatten(dist)) {
+						t.Errorf("%s: AgglomerativeMatrix modified its input", name)
+					}
+					viaFunc, err := Agglomerative(n, matrixDist(dist), link)
+					if err != nil {
+						t.Fatalf("%s: Agglomerative: %v", name, err)
+					}
+					inPlace, err := AgglomerativeInPlace(n, flatten(dist), link)
+					if err != nil {
+						t.Fatalf("%s: AgglomerativeInPlace: %v", name, err)
+					}
+					for door, got := range map[string]*Dendrogram{
+						"AgglomerativeMatrix": viaMatrix, "Agglomerative": viaFunc, "AgglomerativeInPlace": inPlace,
+					} {
+						if got.n != n || !reflect.DeepEqual(got.merges, want.merges) {
+							t.Fatalf("%s: %s diverges from the reference chain:\n got %+v\nwant %+v", name, door, got.merges, want.merges)
+						}
+					}
+
+					for _, threshold := range []float64{-1, 0, 0.25, 0.5, 0.75, 1, 2} {
+						if got, ref := inPlace.Cut(threshold), referenceCut(want, threshold); !reflect.DeepEqual(got, ref) {
+							t.Fatalf("%s: Cut(%v) = %v, reference %v", name, threshold, got, ref)
+						}
+					}
+					for k := 1; k <= n; k += 1 + n/9 {
+						got, err := inPlace.CutK(k)
+						if err != nil {
+							t.Fatalf("%s: CutK(%d): %v", name, k, err)
+						}
+						if ref := referenceCutK(want, k); !reflect.DeepEqual(got, ref) {
+							t.Fatalf("%s: CutK(%d) = %v, reference %v", name, k, got, ref)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAgglomerativeInPlaceRejectsBeforeMutating feeds the in-place door
+// inputs it must refuse and checks it hands every cell back as it got
+// it: the bad value sits in the last upper-triangle cell, behind every
+// cell a validate-as-you-go kernel would already have consumed.
+func TestAgglomerativeInPlaceRejectsBeforeMutating(t *testing.T) {
+	const n = 17
+	rng := rand.New(rand.NewSource(23))
+	good := flatten(symmetric(n, func(int, int) float64 { return float64(rng.Intn(9)) / 8 }))
+	last := (n-2)*n + (n - 1)
+	bad := func(v float64) []float64 {
+		c := slices.Clone(good)
+		c[last] = v
+		return c
+	}
+	cases := []struct {
+		name  string
+		n     int
+		link  Linkage
+		cells []float64
+	}{
+		{"NaN", n, Complete, bad(math.NaN())},
+		{"+Inf", n, Complete, bad(math.Inf(1))},
+		{"-Inf", n, Complete, bad(math.Inf(-1))},
+		{"negative", n, Complete, bad(-0.125)},
+		{"too-short", n, Complete, slices.Clone(good[:n*n-1])},
+		{"too-long", n, Complete, append(slices.Clone(good), 0)},
+		{"n=0", 0, Complete, nil},
+		{"n<0", -3, Complete, nil},
+		{"bad-linkage", n, Linkage(9), slices.Clone(good)},
+	}
+	for _, tc := range cases {
+		before := slices.Clone(tc.cells)
+		if d, err := AgglomerativeInPlace(tc.n, tc.cells, tc.link); err == nil {
+			t.Errorf("%s: accepted, dendrogram %+v", tc.name, d)
+		}
+		if !sameBits(tc.cells, before) {
+			t.Errorf("%s: rejected input came back modified", tc.name)
+		}
+	}
+	// The accepted case does consume its input — that is the contract the
+	// rejections are measured against.
+	cells := slices.Clone(good)
+	if _, err := AgglomerativeInPlace(n, cells, Complete); err != nil {
+		t.Fatal(err)
+	}
+	if sameBits(cells, good) {
+		t.Error("in-place door left a valid matrix untouched: the test no longer exercises the consuming kernel")
+	}
+	if d, err := AgglomerativeInPlace(1, []float64{0}, Complete); err != nil || d.n != 1 || len(d.merges) != 0 {
+		t.Errorf("single item: %+v, %v", d, err)
+	}
+}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/par"
@@ -27,11 +29,20 @@ func spreadDemand(n, k int, perOver int64) *Demand {
 // TestArenaReusePlansIdentical locks the arena against cross-round
 // leakage: the same demand scheduled on a long-lived scheduler —
 // before and after rounds on a different demand — must produce a plan
-// deep-equal to a fresh scheduler's, for both guide modes.
+// deep-equal to a fresh scheduler's, canonical bytes included, for both
+// guide modes. Nothing of the round in between — its distance matrix,
+// which the chain leaves half-consumed in the arena, its clusters, its
+// flow network — may reach the next one, whether that round clustered
+// (B) or took the MaxFlow == 0 fast path and never touched the matrix
+// (idle).
 func TestArenaReusePlansIdentical(t *testing.T) {
 	world := lineWorld(12, 0.4, 6, 8)
 	dA := spreadDemand(12, 3, 4)
 	dB := spreadDemand(12, 5, 7)
+	dIdle := NewDemand(12)
+	for h := 0; h < 12; h++ {
+		dIdle.Add(trace.HotspotID(h), trace.VideoID(h%3), 2)
+	}
 	for _, disableGuides := range []bool{false, true} {
 		params := DefaultParams()
 		params.DisableGuides = disableGuides
@@ -47,7 +58,13 @@ func TestArenaReusePlansIdentical(t *testing.T) {
 			}
 			return p
 		}
-		wantA, wantB := fresh(dA), fresh(dB)
+		wantA, wantB, wantIdle := fresh(dA), fresh(dB), fresh(dIdle)
+		if wantIdle.Stats.MaxFlow != 0 || wantIdle.Stats.Clusters != 0 {
+			t.Fatalf("idle demand left the fast path: %+v", wantIdle.Stats)
+		}
+		if !disableGuides && (wantA.Stats.Clusters == 0 || wantB.Stats.Clusters == 0) {
+			t.Fatalf("A and B must cluster: %d and %d clusters", wantA.Stats.Clusters, wantB.Stats.Clusters)
+		}
 
 		s, err := New(world, params)
 		if err != nil {
@@ -62,6 +79,8 @@ func TestArenaReusePlansIdentical(t *testing.T) {
 			{"B-interleaved", dB, wantB},
 			{"A-again", dA, wantA},
 			{"B-again", dB, wantB},
+			{"idle-fast-path", dIdle, wantIdle},
+			{"A-after-idle", dA, wantA},
 		}
 		for _, step := range sequence {
 			got, err := s.Schedule(step.d)
@@ -71,6 +90,52 @@ func TestArenaReusePlansIdentical(t *testing.T) {
 			if !reflect.DeepEqual(got, step.want) {
 				t.Errorf("guides=%v %s: reused-arena plan diverges from fresh scheduler", !disableGuides, step.name)
 			}
+			if !bytes.Equal(got.Canonical(), step.want.Canonical()) {
+				t.Errorf("guides=%v %s: reused-arena canonical bytes diverge from fresh scheduler", !disableGuides, step.name)
+			}
+		}
+	}
+}
+
+// TestRoundSteadyStateAllocatesNoMatrix pins the arena's distance
+// matrix: once a warm-up round has allocated it, a whole ScheduleRound —
+// signatures, fill, chain, sweep, replication, plan — must allocate
+// less than one m×m float64 matrix (8·m² bytes), i.e. nothing quadratic
+// in hotspots is allocated per round. The matrix itself appears only
+// when a round first clusters.
+func TestRoundSteadyStateAllocatesNoMatrix(t *testing.T) {
+	const m = 600
+	world := lineWorld(m, 0.2, 5, 8)
+	params := DefaultParams()
+	params.Workers = 1
+	s, err := New(world, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.ar.dist != nil {
+		t.Fatal("distance matrix allocated before any round clustered")
+	}
+	round := func(seed int64) uint64 {
+		d := randomDemand(world, 6000, 2000, seed)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		plan, err := s.ScheduleRound(d, Constraints{})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Stats.Clusters < 2 || plan.Stats.Iterations == 0 {
+			t.Fatalf("round did no clustering or no sweep: %+v", plan.Stats)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	const matrixBytes = 8 * m * m
+	if warm := round(1); warm < matrixBytes {
+		t.Fatalf("warm-up round allocated %d bytes, less than the %d-byte matrix it must create", warm, matrixBytes)
+	}
+	for seed := int64(2); seed <= 4; seed++ {
+		if got := round(seed); got >= matrixBytes {
+			t.Errorf("steady-state round (seed %d) allocated %d bytes, want < 8·m² = %d", seed, got, matrixBytes)
 		}
 	}
 }

@@ -33,3 +33,37 @@ func BenchmarkBuildNetwork(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkScheduleRoundSteady measures rounds 2…N of one scheduler at
+// the serving benchmark's city_sched size — the first round, which
+// allocates the arena and its m×m distance matrix, runs before the
+// timer. B/op is the steady-state figure behind the bench harness's
+// core.round_alloc_mb: signatures, the over×under distance cache,
+// replication heaps and the plan. A matrix allocated per round would add
+// 8·1240² = 12.3 MB to it, and as much again for a chain that copies.
+func BenchmarkScheduleRoundSteady(b *testing.B) {
+	const m = 1240
+	world := lineWorld(m, 0.1, 30, 40)
+	slots := []*Demand{
+		randomDemand(world, 50000, 15000, 1),
+		randomDemand(world, 50000, 15000, 2),
+	}
+	s, err := New(world, DefaultParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := s.ScheduleRound(slots[1], Constraints{}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		plan, err := s.ScheduleRound(slots[i%len(slots)], Constraints{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if plan.Stats.Clusters == 0 {
+			b.Fatal("round did not cluster")
+		}
+	}
+}

@@ -306,9 +306,12 @@ func (s *Scheduler) contentClusters(d *Demand) ([]int, int, error) {
 	}
 	// The matrix costs one increment per pair of hotspots sharing a
 	// signature video; the (inherently sequential) nearest-neighbour
-	// chain that takes it is the larger half of the phase.
-	dist := similarity.DistanceMatrix(sets, par.Workers(s.params.Workers))
-	dendro, err := cluster.AgglomerativeMatrix(dist, s.params.Linkage)
+	// chain that takes it is the larger half of the phase. Both work in
+	// the arena's one m×m span: the fill rewrites every cell and the
+	// chain consumes them, so no round sees another's distances.
+	dist := s.ar.distMatrix(m)
+	similarity.FillDistanceMatrix(dist, sets, par.Workers(s.params.Workers))
+	dendro, err := cluster.AgglomerativeInPlace(m, dist, s.params.Linkage)
 	if err != nil {
 		return nil, 0, fmt.Errorf("core: clustering hotspots: %w", err)
 	}

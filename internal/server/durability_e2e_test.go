@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -40,6 +41,20 @@ func durabilityWorldAndTrace(t *testing.T) (*trace.World, *trace.Trace) {
 		t.Fatalf("Generate: %v", err)
 	}
 	return world, tr
+}
+
+// ingestVia posts trace request q by location straight into frontend
+// i mod N's handler — no socket, so it also works before Start — and
+// requires the 202.
+func ingestVia(t *testing.T, srv *server.Server, i int, q trace.Request) {
+	t.Helper()
+	body := fmt.Sprintf(`{"user":%d,"video":%d,"x":%s,"y":%s}`, q.User, q.Video,
+		strconv.FormatFloat(q.Location.X, 'g', -1, 64), strconv.FormatFloat(q.Location.Y, 'g', -1, 64))
+	rr := httptest.NewRecorder()
+	srv.InstanceHandler(i%srv.NumInstances()).ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/ingest", strings.NewReader(body)))
+	if rr.Code != http.StatusAccepted {
+		t.Fatalf("ingest %d: status %d %s", i, rr.Code, rr.Body)
+	}
 }
 
 // TestCrashRecoveryMatchesOfflineSim is the durability centerpiece: a
@@ -106,6 +121,138 @@ func TestCrashRecoveryMatchesOfflineSim(t *testing.T) {
 			t.Errorf("slot %d: plan after kill/restart differs from offline (%d vs %d hex bytes)",
 				slot, len(got), len(want))
 		}
+	}
+}
+
+// TestMidSlotCheckpointCrashMatchesOfflineSim is the crash differential
+// for a checkpoint captured while the open slot already holds demand —
+// the normal case on a timer-driven tier, where the worker's cadence
+// checkpoint lands while the ticker's next slot is filling, and one the
+// AdvanceSlot-driven drills never produce (they checkpoint with empty
+// stripes). The checkpoint's pending demand belongs to the slot that was
+// open at the capture, so a log that goes on to close or plan that slot
+// must move it with the slot. Two kills, each after a forced mid-slot
+// checkpoint: (b) after the slot's plan record is durable — the demand
+// was scheduled and must not come back as pending, where it would be
+// scheduled a second time with the next slot; (a) after the advance only
+// — the whole slot is queued, not half queued and half pending. Then
+// the trace finishes, and every slot's plan must be the offline
+// reference's, byte for byte.
+func TestMidSlotCheckpointCrashMatchesOfflineSim(t *testing.T) {
+	world, tr := durabilityWorldAndTrace(t)
+	offline, err := loadgen.OfflinePlans(world, tr, core.Params{})
+	if err != nil {
+		t.Fatalf("OfflinePlans: %v", err)
+	}
+	bySlot := tr.BySlot()
+	cfg := server.Config{
+		World:       world,
+		Instances:   2,
+		PlanHistory: tr.Slots + 1,
+		QueueBound:  1 << 20,
+		WALDir:      t.TempDir(),
+		Fsync:       "always",
+		// The default cadence (8 scheduled slots) never fires in this
+		// five-slot trace: the only checkpoints are the forced ones.
+	}
+	boot := func() *server.Server {
+		t.Helper()
+		cfg.Registry = obs.NewRegistry()
+		srv, err := server.New(cfg)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		return srv
+	}
+	// feed posts the slot's requests with a checkpoint forced half way.
+	feed := func(srv *server.Server, slot int) {
+		t.Helper()
+		for i, q := range bySlot[slot] {
+			if i == len(bySlot[slot])/2 {
+				srv.ForceCheckpoint()
+			}
+			ingestVia(t, srv, i, q)
+		}
+	}
+	planOf := func(srv *server.Server, slot int) string {
+		for _, rec := range srv.Plans() {
+			if rec.Slot == slot {
+				return rec.Canonical
+			}
+		}
+		return ""
+	}
+
+	// (b) Slot 0: checkpoint mid-slot, close it, kill once its plan is
+	// live (so its plan record is durable).
+	srv := boot()
+	if err := srv.Start(); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	feed(srv, 0)
+	if _, _, err := srv.AdvanceSlot(context.Background()); err != nil {
+		t.Fatalf("AdvanceSlot 0: %v", err)
+	}
+	if got := planOf(srv, 0); got != offline[0] {
+		t.Fatalf("slot 0: plan before the kill differs from offline")
+	}
+	srv.Kill()
+
+	// Reboot without starting: nothing schedules, so the kill after
+	// slot 1's advance lands before any plan record.
+	srv = boot()
+	st := srv.WALState()
+	if st == nil || st.CheckpointSeq == 0 || st.Slot != 1 {
+		t.Fatalf("reboot after slot 0's plan: state %+v, want slot 1 on a checkpoint", st)
+	}
+	if st.Plan == nil || st.Plan.Slot != 0 || len(st.Pending) != 0 || st.PendingRequests != 0 || len(st.Queue) != 0 {
+		t.Errorf("reboot after slot 0's plan: recovered plan present %v, %d pending requests, %d queued slots; want slot 0's plan and no demand left — it was all scheduled",
+			st.Plan != nil, st.PendingRequests, len(st.Queue))
+	}
+
+	// (a) Slot 1: checkpoint mid-slot, make the advance durable, kill
+	// before the round.
+	feed(srv, 1)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if slot, _, err := srv.AdvanceSlot(cancelled); slot != 1 || err == nil {
+		t.Fatalf("AdvanceSlot on the unstarted tier: slot %d, err %v; want slot 1 closed and the wait abandoned", slot, err)
+	}
+	srv.Kill()
+
+	srv = boot()
+	defer srv.Kill() // a no-op after the Close below
+	st = srv.WALState()
+	if st == nil || st.Slot != 2 || st.Plan == nil || st.Plan.Slot != 0 {
+		t.Fatalf("reboot after slot 1's advance: state %+v, want slot 2 with slot 0's plan", st)
+	}
+	var queued []string
+	for _, q := range st.Queue {
+		queued = append(queued, fmt.Sprintf("slot %d: %d requests", q.Slot, q.Requests))
+	}
+	if want := []string{fmt.Sprintf("slot 1: %d requests", len(bySlot[1]))}; len(st.Pending) != 0 || !slices.Equal(queued, want) {
+		t.Errorf("reboot after slot 1's advance: %d pending requests, queue %v; want nothing pending and queue %v",
+			st.PendingRequests, queued, want)
+	}
+
+	// Start schedules the queued slot, in order before the rest of the
+	// trace.
+	if err := srv.Start(); err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	for slot := 2; slot < tr.Slots; slot++ {
+		feed(srv, slot)
+		if _, _, err := srv.AdvanceSlot(context.Background()); err != nil {
+			t.Fatalf("AdvanceSlot %d: %v", slot, err)
+		}
+	}
+	for slot, want := range offline {
+		if got := planOf(srv, slot); got != want {
+			t.Errorf("slot %d: plan after the mid-slot-checkpoint kills differs from offline (%d vs %d hex bytes)", slot, len(got), len(want))
+		}
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
 }
 
@@ -270,18 +417,8 @@ func TestFsyncNoneKillReschedulesLostPlan(t *testing.T) {
 		t.Fatalf("Start: %v", err)
 	}
 	defer srv.Kill()
-	ingest := func(i int, q trace.Request) {
-		t.Helper()
-		body := fmt.Sprintf(`{"user":%d,"video":%d,"x":%s,"y":%s}`, q.User, q.Video,
-			strconv.FormatFloat(q.Location.X, 'g', -1, 64), strconv.FormatFloat(q.Location.Y, 'g', -1, 64))
-		rr := httptest.NewRecorder()
-		srv.InstanceHandler(i%srv.NumInstances()).ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/ingest", strings.NewReader(body)))
-		if rr.Code != http.StatusAccepted {
-			t.Fatalf("ingest %d: status %d %s", i, rr.Code, rr.Body)
-		}
-	}
 	for i, q := range bySlot[0] {
-		ingest(i, q)
+		ingestVia(t, srv, i, q)
 	}
 	if _, _, err := srv.AdvanceSlot(context.Background()); err != nil {
 		t.Fatalf("AdvanceSlot 0: %v", err)
@@ -293,7 +430,7 @@ func TestFsyncNoneKillReschedulesLostPlan(t *testing.T) {
 	walBytes := cfg.Registry.Counter("wal.bytes")
 	fed := 0
 	for fed < len(bySlot[1]) {
-		ingest(fed, bySlot[1][fed])
+		ingestVia(t, srv, fed, bySlot[1][fed])
 		fed++
 		if room := walBuffer - (walBytes.Value()+10)%walBuffer; room < int64(len(plan0.Canonical)/4) {
 			break

@@ -77,15 +77,33 @@ func Jaccard(a, b Set) float64 {
 func JaccardDistance(a, b Set) float64 { return 1 - Jaccard(a, b) }
 
 // DistanceMatrix computes the full pairwise JaccardDistance matrix of
-// sets, exactly, in time proportional to the pairs that share an id
-// rather than to pairs × id universe. It builds the id → sets inverted
-// index once; row i then walks the posting lists of its own ids and
-// counts, per later set j, how many ids they share. That count is
-// |A∩B|, |A∪B| = |A|+|B|−|A∩B| needs no second pass, and a pair that
-// shares nothing keeps the pre-filled Jd = 1 without being visited (two
-// empty sets are Jd = 0, as in JaccardDistance). The work is
-// Σ_v C(n_v, 2) increments, n_v the number of sets holding id v;
-// DESIGN §9 sets that against a dense word-parallel kernel.
+// sets: one freshly allocated n·n span filled by FillDistanceMatrix,
+// returned as its n row views.
+func DistanceMatrix(sets []Set, workers int) [][]float64 {
+	n := len(sets)
+	cells := make([]float64, n*n)
+	FillDistanceMatrix(cells, sets, workers)
+	d := make([][]float64, n)
+	for i := range d {
+		d[i] = cells[i*n : (i+1)*n : (i+1)*n]
+	}
+	return d
+}
+
+// FillDistanceMatrix writes the full pairwise JaccardDistance matrix of
+// sets into cells, row-major (cells[i*n+j] = Jd(sets[i], sets[j]),
+// n = len(sets)); cells must hold exactly n·n values and every one of
+// them is overwritten, so a caller may hand the same span back round
+// after round. The values are exact and cost time proportional to the
+// pairs that share an id rather than to pairs × id universe. The fill
+// builds the id → sets inverted index once; row i then walks the
+// posting lists of its own ids and counts, per later set j, how many
+// ids they share. That count is |A∩B|, |A∪B| = |A|+|B|−|A∩B| needs no
+// second pass, and a pair that shares nothing keeps the pre-filled
+// Jd = 1 without being visited (two empty sets are Jd = 0, as in
+// JaccardDistance). The work is one n²-cell pre-fill plus Σ_v C(n_v, 2)
+// increments, n_v the number of sets holding id v; DESIGN §9 sets that
+// against a dense word-parallel kernel.
 //
 // Rows fan out over workers goroutines (0 selects GOMAXPROCS, 1 is
 // serial), striped so the shrinking upper-triangle rows balance; every
@@ -93,16 +111,16 @@ func JaccardDistance(a, b Set) float64 { return 1 - Jaccard(a, b) }
 // 1 − inter/union float as in JaccardDistance, so the result is
 // bit-identical to it for every worker count and every map iteration
 // order. The diagonal is 0.
-func DistanceMatrix(sets []Set, workers int) [][]float64 {
+func FillDistanceMatrix(cells []float64, sets []Set, workers int) {
 	n := len(sets)
-	d := make([][]float64, n)
-	cells := make([]float64, n*n)
+	if len(cells) != n*n {
+		panic(fmt.Sprintf("similarity: %d cells for a %d×%d distance matrix", len(cells), n, n))
+	}
 	for i := range cells {
 		cells[i] = 1
 	}
-	for i := range d {
-		d[i] = cells[i*n : (i+1)*n : (i+1)*n]
-		d[i][i] = 0
+	for i := 0; i < n; i++ {
+		cells[i*n+i] = 0
 	}
 
 	// Both directions of the membership relation in CSR form, so the
@@ -151,7 +169,7 @@ func DistanceMatrix(sets []Set, workers int) [][]float64 {
 	// row loop's reach and it out of theirs.
 	for a, i := range empty {
 		for _, j := range empty[a+1:] {
-			d[i][j], d[j][i] = 0, 0
+			cells[i*n+j], cells[j*n+i] = 0, 0
 		}
 	}
 
@@ -177,13 +195,12 @@ func DistanceMatrix(sets []Set, workers int) [][]float64 {
 				inter := int(shared[j])
 				union := len(mine) + setAt[j+1] - setAt[j] - inter
 				v := 1 - float64(inter)/float64(union)
-				d[i][j], d[j][i] = v, v
+				cells[i*n+int(j)], cells[int(j)*n+i] = v, v
 				shared[j] = 0
 			}
 			touched = touched[:0]
 		}
 	})
-	return d
 }
 
 // TopFraction returns the items accounting for the top frac of entries

@@ -69,7 +69,9 @@ type Checkpoint struct {
 	// reflected in this checkpoint's state.
 	Cursors map[int]uint64
 	// Pending is the accepted-but-not-yet-drained demand, merged
-	// across instances and sorted (hotspot, video).
+	// across instances and sorted (hotspot, video). It is slot Slot's:
+	// recovery queues it with that slot once the log shows the slot's
+	// advance, and drops it once the log holds the slot's plan.
 	Pending []Entry
 	// Queue is the drained-but-unscheduled slot snapshots, slot order.
 	Queue []QueuedSlot

@@ -31,12 +31,16 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{}, seedCkpt)
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte{}, []byte("WALCKPT1garbage"))
-	// The two streams the fold could plausibly get wrong: a plan record
+	// Two streams the fold could plausibly get wrong: a plan record
 	// failing verification mid-log, and ingests out of slot and
 	// sequence order on top of a checkpoint.
 	f.Add(frames(badPlanMidLog(f)), []byte{})
 	outOfOrder, outOfOrderCkpt := outOfOrderIngests(f)
 	f.Add(frames(outOfOrder), marshalCheckpoint(outOfOrderCkpt))
+	// And the one it did get wrong: a checkpoint holding pending demand
+	// whose slot the log then advances and plans.
+	midSlot, midSlotCkpt := pendingThenAdvancePlan(f)
+	f.Add(frames(midSlot), marshalCheckpoint(midSlotCkpt))
 
 	f.Fuzz(func(t *testing.T, seg, ckpt []byte) {
 		recs, validLen := scanRecords(seg)

@@ -235,6 +235,24 @@ func (rp *replay) finish() *State {
 		drainedBound = max(drainedBound, ckpt.Slot)
 	}
 
+	if ckpt != nil && len(ckpt.Pending) > 0 {
+		// What the checkpoint found in the stripes is demand of the slot
+		// that was open at the capture — tagged ckpt.Slot like the
+		// ingests that put it there (all at or below the checkpoint's
+		// cursors, so none is counted again), and subject to the same
+		// rules: when the log goes on to close that slot it is queued,
+		// and when it holds the slot's plan it has been scheduled.
+		d := rp.demand[ckpt.Slot]
+		if d == nil {
+			d = &slotDemand{}
+			rp.demand[ckpt.Slot] = d
+		}
+		d.add(ckpt.Pending)
+		for _, e := range ckpt.Pending {
+			d.requests += e.Count
+		}
+	}
+
 	var pending slotDemand
 	queued := make(map[int]*slotDemand)
 	queue := func(slot int) *slotDemand {
@@ -262,10 +280,6 @@ func (rp *replay) finish() *State {
 			qd := queue(q.Slot)
 			qd.add(q.Entries)
 			qd.requests += q.Requests
-		}
-		pending.add(ckpt.Pending)
-		for _, e := range ckpt.Pending {
-			pending.requests += e.Count
 		}
 	}
 

@@ -8,7 +8,8 @@ import (
 )
 
 // referenceState is the independent oracle the fold (replay) is held
-// to: recovery as it was before the fold, kept verbatim — the whole log
+// to: recovery as it was before the fold, kept verbatim but for the
+// tagging of Checkpoint.Pending (marked below) — the whole log
 // as a slice, a pass that cuts it at the first plan record failing
 // verification, a pass over the survivors, a stable sort of the
 // ingests into (slot, instance, seq) order, then the merge. It
@@ -85,6 +86,17 @@ func referenceState(ckpt *Checkpoint, recs []record) *State {
 		drainedBound = ckpt.Slot
 	}
 
+	// The one departure from the pre-fold replay (ISSUE 20): what the
+	// checkpoint found in the stripes is demand of the slot open at the
+	// capture, so it enters as ingests tagged ckpt.Slot and meets the
+	// outcome / drainedBound rules below, where the old replay added it
+	// to pending whatever the log went on to show.
+	if ckpt != nil {
+		for _, e := range ckpt.Pending {
+			ingests = append(ingests, record{kind: recIngest, slot: ckpt.Slot, hotspot: e.Hotspot, video: e.Video, count: e.Count})
+		}
+	}
+
 	// Deterministic replay order. Demand counts commute, so the merge
 	// result is order-independent — the sort pins the record-for-record
 	// reconstruction order regardless of how concurrent appends from
@@ -134,12 +146,6 @@ func referenceState(ckpt *Checkpoint, recs []record) *State {
 		} else {
 			pending[EntryKey{r.hotspot, r.video}] += r.count
 			st.PendingRequests += r.count
-		}
-	}
-	if ckpt != nil {
-		for _, e := range ckpt.Pending {
-			pending[EntryKey{e.Hotspot, e.Video}] += e.Count
-			st.PendingRequests += e.Count
 		}
 	}
 
@@ -251,7 +257,30 @@ func outOfOrderIngests(t testing.TB) ([]record, *Checkpoint) {
 	}, ckpt
 }
 
-// TestFoldAdversarialStreams pins, on the two seeded streams, what the
+// pendingThenAdvancePlan is a checkpoint captured mid-slot — slot 2
+// open with demand already in the stripes, as any timer-driven tier
+// checkpoints — and a log that goes on to finish that slot: one of the
+// checkpointed ingests again (at the cursor), one more ingest for slot
+// 2, its advance, the next slot's first ingest, slot 2's plan.
+func pendingThenAdvancePlan(t testing.TB) ([]record, *Checkpoint) {
+	c, d := testPlanBytes(t, 3)
+	ckpt := &Checkpoint{
+		Seq:     1,
+		Slot:    2,
+		Epoch:   2,
+		Cursors: map[int]uint64{0: 3},
+		Pending: []Entry{{Hotspot: 1, Video: 1, Count: 2}, {Hotspot: 3, Video: 0, Count: 1}},
+	}
+	return []record{
+		{kind: recIngest, slot: 2, instance: 0, seq: 3, hotspot: 3, video: 0, count: 1}, // already in Pending
+		{kind: recIngest, slot: 2, instance: 0, seq: 4, hotspot: 1, video: 1, count: 1},
+		{kind: recAdvance, slot: 2},
+		{kind: recIngest, slot: 3, instance: 0, seq: 5, hotspot: 7, video: 7, count: 4},
+		{kind: recPlan, slot: 2, epoch: 3, digest: d, canonical: c},
+	}, ckpt
+}
+
+// TestFoldAdversarialStreams pins, on the seeded streams, what the
 // fuzz target only compares: the fold equals the oracle, and the values
 // both give are the ones the durable-prefix contract names.
 func TestFoldAdversarialStreams(t *testing.T) {
@@ -291,22 +320,70 @@ func TestFoldAdversarialStreams(t *testing.T) {
 		}
 		// Slot 1 went to its plan (queued entry and late ingest both),
 		// slot 2 keeps the checkpoint's queued demand plus the suffix's,
-		// slot 3 passed its boundary with no plan, slot 4 is pending
-		// beside the checkpoint's.
+		// slot 3 passed its boundary with no plan — and takes the
+		// checkpoint's pending demand with it, which was slot 3's —
+		// so only slot 4 is pending.
 		wantQueue := []QueuedSlot{
 			{Slot: 2, Requests: 3, Entries: []Entry{{Hotspot: 2, Video: 2, Count: 3}}},
-			{Slot: 3, Requests: 4, Entries: []Entry{{Hotspot: 0, Video: 0, Count: 3}, {Hotspot: 5, Video: 1, Count: 1}}},
+			{Slot: 3, Requests: 7, Entries: []Entry{{Hotspot: 0, Video: 0, Count: 5}, {Hotspot: 5, Video: 1, Count: 2}}},
 		}
 		if !reflect.DeepEqual(st.Queue, wantQueue) {
 			t.Errorf("queue %+v, want %+v", st.Queue, wantQueue)
 		}
-		wantPending := []Entry{{Hotspot: 0, Video: 0, Count: 2}, {Hotspot: 4, Video: 4, Count: 3}, {Hotspot: 5, Video: 1, Count: 1}}
-		if !reflect.DeepEqual(st.Pending, wantPending) || st.PendingRequests != 6 {
-			t.Errorf("pending %+v (%d requests), want %+v (6)", st.Pending, st.PendingRequests, wantPending)
+		wantPending := []Entry{{Hotspot: 4, Video: 4, Count: 3}}
+		if !reflect.DeepEqual(st.Pending, wantPending) || st.PendingRequests != 3 {
+			t.Errorf("pending %+v (%d requests), want %+v (3)", st.Pending, st.PendingRequests, wantPending)
 		}
 		for n := range recs {
 			requireFoldMatchesReference(t, ckpt, recs[:n], "out of order, prefix "+itoa(n))
 			requireFoldMatchesReference(t, nil, recs[:n], "out of order, no checkpoint, prefix "+itoa(n))
+		}
+	})
+	t.Run("checkpoint with pending demand, then its slot's advance and plan", func(t *testing.T) {
+		// The checkpoint's pending demand is slot 2's: wherever the log
+		// ends, it is in exactly one place — pending while slot 2 is
+		// open, queued under slot 2 once the advance is durable, gone
+		// once the plan that scheduled it is.
+		recs, ckpt := pendingThenAdvancePlan(t)
+		slot2 := func(extra int64) []Entry {
+			return []Entry{{Hotspot: 1, Video: 1, Count: 2 + extra}, {Hotspot: 3, Video: 0, Count: 1}}
+		}
+		slot3 := []Entry{{Hotspot: 7, Video: 7, Count: 4}}
+		want := []struct {
+			slot    int
+			epoch   int64
+			pending []Entry
+			queue   []QueuedSlot
+		}{
+			0: {2, 2, slot2(0), nil},
+			1: {2, 2, slot2(0), nil}, // the ingest at the cursor is skipped
+			2: {2, 2, slot2(1), nil},
+			3: {3, 2, []Entry{}, []QueuedSlot{{Slot: 2, Requests: 4, Entries: slot2(1)}}},
+			4: {3, 2, slot3, []QueuedSlot{{Slot: 2, Requests: 4, Entries: slot2(1)}}},
+			5: {3, 3, slot3, nil},
+		}
+		for n, w := range want {
+			ctx := "pending then advance + plan, prefix " + itoa(n)
+			st := requireFoldMatchesReference(t, ckpt, recs[:n], ctx)
+			if st.Slot != w.slot || st.Epoch != w.epoch {
+				t.Errorf("%s: slot %d epoch %d, want %d and %d", ctx, st.Slot, st.Epoch, w.slot, w.epoch)
+			}
+			if !reflect.DeepEqual(st.Pending, w.pending) {
+				t.Errorf("%s: pending %+v, want %+v", ctx, st.Pending, w.pending)
+			}
+			if !reflect.DeepEqual(st.Queue, w.queue) {
+				t.Errorf("%s: queue %+v, want %+v", ctx, st.Queue, w.queue)
+			}
+			var reqs int64
+			for _, e := range w.pending {
+				reqs += e.Count
+			}
+			if st.PendingRequests != reqs {
+				t.Errorf("%s: %d pending requests, want %d", ctx, st.PendingRequests, reqs)
+			}
+		}
+		if st := foldState(ckpt, recs); st.Plan == nil || st.Plan.Slot != 2 || st.Plan.Epoch != 3 || st.Skipped != 1 {
+			t.Errorf("full stream: plan %+v, skipped %d; want slot 2's plan at epoch 3 and 1 skipped", st.Plan, st.Skipped)
 		}
 	})
 }
