@@ -37,7 +37,6 @@ import (
 	"repro/internal/geo"
 	"repro/internal/obs"
 	"repro/internal/predict"
-	"repro/internal/region"
 	"repro/internal/scenario"
 	"repro/internal/scheme"
 	"repro/internal/server"
@@ -308,7 +307,7 @@ func NewFactoredPredicted(inner Scheduler) Scheduler {
 // extension the paper proposes via its region-partition prior work):
 // RBCAer across region-level virtual hotspots, then within each region.
 // cellKm is the region grid size (0 selects 3 km).
-func NewHierarchical(cellKm float64) Scheduler { return region.NewPolicy(cellKm) }
+func NewHierarchical(cellKm float64) Scheduler { return scheme.NewHierarchical(cellKm) }
 
 // ShardParams configure the sharded regional scheduler: geo-partition
 // the world, run one RBCAer round per shard concurrently, then

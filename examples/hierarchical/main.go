@@ -1,9 +1,11 @@
 // Hierarchical: scale RBCAer to a city-size fleet with the
 // cross-region mode the paper proposes as future work — RBCAer across
-// region-level virtual hotspots, then RBCAer within each region —
-// and compare it against flat RBCAer, at the paper's θ2 = 1.5 km and
-// with θ2 widened to the range the cross-region round reaches, on
-// quality and scheduling time.
+// region-level virtual hotspots, the cross-region flow realised as
+// demand moves between hotspots, then one sharded round (RBCAer within
+// each region, regions solved concurrently, no boundary pass) — and
+// compare it against flat RBCAer, at the paper's θ2 = 1.5 km and with
+// θ2 widened to the range the cross-region round reaches, on quality
+// and scheduling time.
 package main
 
 import (

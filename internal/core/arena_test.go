@@ -230,7 +230,7 @@ func TestBuildNetworkSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	over, under, phiOver, phiUnder := s.partition(d, s.worldCapacities())
+	over, under, phiOver, phiUnder := s.partition(d, nominalService(s.world))
 	dc := s.newDistCache(over, under, par.Workers(params.Workers))
 
 	for _, useGuides := range []bool{true, false} {

@@ -22,7 +22,7 @@ func BenchmarkBuildNetwork(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	over, under, phiOver, phiUnder := s.partition(d, s.worldCapacities())
+	over, under, phiOver, phiUnder := s.partition(d, nominalService(s.world))
 	dc := s.newDistCache(over, under, par.Workers(params.Workers))
 	b.ReportAllocs()
 	b.ResetTimer()

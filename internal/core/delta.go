@@ -376,7 +376,7 @@ func (s *Scheduler) deltaRound(d *Demand, svc []int64, cache []int, totalsOrSvcC
 		obs.I("patched_rows", int64(patched)),
 		obs.I("sweep_replayed", boolAttr(stats.SweepReplayed)),
 		obs.I("skipped_stage_a", boolAttr(skippedA)))
-	plan := s.assemblePlan(&stats, &ro, over, under, phiOver, flows, redirects, placement, dcache, mcmfPaths, false)
+	plan := s.assemblePlan(&stats, &ro, over, phiOver, flows, redirects, placement, mcmfPaths, false)
 
 	if !replayed {
 		rec.retainFlows(flows)

@@ -352,7 +352,7 @@ func (s *Scheduler) AnalyzeTheta(d *Demand, theta float64) (ThetaAnalysis, error
 	if theta < 0 {
 		return ThetaAnalysis{}, fmt.Errorf("core: negative theta %v", theta)
 	}
-	over, under, phiOver, phiUnder := s.partition(d, s.worldCapacities())
+	over, under, phiOver, phiUnder := s.partition(d, nominalService(s.world))
 	dc := s.newDistCache(over, under, par.Workers(s.params.Workers))
 	nb := s.buildNetwork(theta, over, under, phiOver, phiUnder, dc, nil, false)
 	res, err := nb.g.Solve(nb.source, nb.sink, int64(1)<<62, s.params.Algorithm)

@@ -112,7 +112,7 @@ func safeSolve(g *mcmf.Graph, source, sink int, limit int64, alg mcmf.Algorithm)
 // Hard errors remain only for contract violations by the caller: nil
 // or negative demand, mis-sized or negative capacity vectors.
 func (s *Scheduler) ScheduleRound(d *Demand, cons Constraints) (*Plan, error) {
-	svc, cache, err := s.validateRound(d, cons)
+	svc, cache, err := cons.Resolve(s.world, d)
 	if err != nil {
 		return nil, err
 	}
@@ -122,13 +122,16 @@ func (s *Scheduler) ScheduleRound(d *Demand, cons Constraints) (*Plan, error) {
 	return s.scheduleFull(d, svc, cache, nil, false)
 }
 
-// validateRound checks the caller-contract inputs of one round and
-// resolves the effective capacity vectors.
-func (s *Scheduler) validateRound(d *Demand, cons Constraints) (svc []int64, cache []int, err error) {
+// Resolve is the caller contract of a scheduling round, shared by every
+// scheduler that takes (Demand, Constraints): it rejects nil, mis-sized
+// or negative demand and capacity vectors and returns the round's
+// effective service and cache capacities, nil slices resolved to the
+// world's nominal values.
+func (cons Constraints) Resolve(world *trace.World, d *Demand) (svc []int64, cache []int, err error) {
 	if d == nil {
 		return nil, nil, fmt.Errorf("core: nil demand")
 	}
-	m := len(s.world.Hotspots)
+	m := len(world.Hotspots)
 	if d.NumHotspots() != m {
 		return nil, nil, fmt.Errorf("core: demand covers %d hotspots, world has %d", d.NumHotspots(), m)
 	}
@@ -142,7 +145,7 @@ func (s *Scheduler) validateRound(d *Demand, cons Constraints) (svc []int64, cac
 	}
 	svc = cons.Service
 	if svc == nil {
-		svc = s.worldCapacities()
+		svc = nominalService(world)
 	} else {
 		if len(svc) != m {
 			return nil, nil, fmt.Errorf("core: capacities cover %d hotspots, world has %d", len(svc), m)
@@ -155,7 +158,7 @@ func (s *Scheduler) validateRound(d *Demand, cons Constraints) (svc []int64, cac
 	}
 	cache = cons.Cache
 	if cache == nil {
-		cache = s.worldCacheCapacities()
+		cache = nominalCache(world)
 	} else {
 		if len(cache) != m {
 			return nil, nil, fmt.Errorf("core: cache capacities cover %d hotspots, world has %d", len(cache), m)
@@ -217,13 +220,12 @@ func (s *Scheduler) scheduleFull(d *Demand, svc []int64, cache []int, rec *sweep
 	// cache is empty whenever either side of the partition is, so the
 	// plan is identical to the full path's.
 	if stats.MaxFlow == 0 {
-		dcache := &distCache{}
 		if rec != nil {
 			// A zero-iteration record: the next round, if unchanged,
 			// "replays" an empty sweep.
-			rec.captureRound(over, under, dcache, s.delta.clusterEpoch, true)
+			rec.captureRound(over, under, &distCache{}, s.delta.clusterEpoch, true)
 		}
-		return s.finishRound(d, &stats, &ro, over, under, phiOver, s.ar.emptyFlows(), svc, cache, dcache, 0, quiet)
+		return s.finishRound(d, &stats, &ro, over, phiOver, s.ar.emptyFlows(), svc, cache, 0, quiet)
 	}
 
 	var clusterOf []int
@@ -264,7 +266,7 @@ func (s *Scheduler) scheduleFull(d *Demand, svc []int64, cache []int, rec *sweep
 		rec.captureRound(over, under, dcache, s.delta.clusterEpoch, !stats.Degraded)
 	}
 
-	return s.finishRound(d, &stats, &ro, over, under, phiOver, flows, svc, cache, dcache, mcmfPaths, quiet)
+	return s.finishRound(d, &stats, &ro, over, phiOver, flows, svc, cache, mcmfPaths, quiet)
 }
 
 // runSweep runs Algorithm 1's θ sweep plus the residual Gd pass,
@@ -311,32 +313,9 @@ func (s *Scheduler) runSweep(
 		nb := s.buildNetworkIn(g, shell, theta, over, under, phiOver, phiUnder, dcache, clusterOf, !s.params.DisableGuides)
 		stats.DirectEdges += nb.directPairs
 		stats.GuideNodes += nb.guideNodes
-		var extracted int64
-		var paths int64
-		var recovered int64
-		if len(nb.edges) > 0 {
-			res, err := safeSolve(nb.g, nb.source, nb.sink, stats.MaxFlow-moved, s.params.Algorithm)
-			if err != nil {
-				// Recoverable: the iteration's flow stays unmoved and
-				// falls back to the CDN with the rest of the surplus.
-				stats.Degraded = true
-				stats.RecoveredErrors++
-				recovered = 1
-			} else {
-				extracted = s.extractFlows(nb, flows, phiOver, phiUnder)
-				if extracted != res.Flow {
-					// Attribution mismatch: trust the extracted flows (they
-					// reflect the edges actually carrying flow, and φ was
-					// decremented to match) and degrade instead of failing.
-					stats.Degraded = true
-					stats.RecoveredErrors++
-					recovered = 1
-				}
-				paths = int64(res.Paths)
-				mcmfPaths += paths
-				moved += extracted
-			}
-		}
+		extracted, paths, recovered := s.solveStep(nb, stats.MaxFlow-moved, flows, phiOver, phiUnder, stats)
+		mcmfPaths += paths
+		moved += extracted
 		if rec != nil {
 			rec.capture(theta, false, extracted, paths)
 		}
@@ -357,27 +336,9 @@ func (s *Scheduler) runSweep(
 		tRes := ro.now()
 		g, shell := dest()
 		nb := s.buildNetworkIn(g, shell, s.params.Theta2, over, under, phiOver, phiUnder, dcache, nil, false)
-		var extracted int64
-		var paths int64
-		var recovered int64
-		if len(nb.edges) > 0 {
-			res, err := safeSolve(nb.g, nb.source, nb.sink, stats.MaxFlow-moved, s.params.Algorithm)
-			if err != nil {
-				stats.Degraded = true
-				stats.RecoveredErrors++
-				recovered = 1
-			} else {
-				extracted = s.extractFlows(nb, flows, phiOver, phiUnder)
-				if extracted != res.Flow {
-					stats.Degraded = true
-					stats.RecoveredErrors++
-					recovered = 1
-				}
-				paths = int64(res.Paths)
-				mcmfPaths += paths
-				moved += extracted
-			}
-		}
+		extracted, paths, recovered := s.solveStep(nb, stats.MaxFlow-moved, flows, phiOver, phiUnder, stats)
+		mcmfPaths += paths
+		moved += extracted
 		if rec != nil {
 			rec.capture(s.params.Theta2, true, extracted, paths)
 		}
@@ -396,6 +357,31 @@ func (s *Scheduler) runSweep(
 	return mcmfPaths
 }
 
+// solveStep solves one network of the sweep (a θ iteration's Gc or the
+// residual Gd) for at most limit units and extracts the attributed
+// flows. It returns the units extracted, the augmenting-path count, and
+// 1 in recovered when the step degraded the round instead of failing
+// it: a solver error or panic leaves the step's flow unmoved, to fall
+// back to the CDN with the rest of the surplus; an attribution mismatch
+// trusts the extracted flows (they reflect the edges actually carrying
+// flow, and φ was decremented to match).
+func (s *Scheduler) solveStep(nb *flowNet, limit int64, flows map[int64]int64, phiOver, phiUnder []int64, stats *Stats) (extracted, paths, recovered int64) {
+	if len(nb.edges) == 0 {
+		return 0, 0, 0
+	}
+	res, err := safeSolve(nb.g, nb.source, nb.sink, limit, s.params.Algorithm)
+	if err == nil {
+		extracted = s.extractFlows(nb, flows, phiOver, phiUnder)
+		paths = int64(res.Paths)
+	}
+	if err != nil || extracted != res.Flow {
+		stats.Degraded = true
+		stats.RecoveredErrors++
+		recovered = 1
+	}
+	return extracted, paths, recovered
+}
+
 // finishRound runs the round's tail shared by the full θ-sweep path and
 // the MaxFlow==0 fast path: Procedure 1 replication followed by
 // assemblePlan.
@@ -403,12 +389,11 @@ func (s *Scheduler) finishRound(
 	d *Demand,
 	stats *Stats,
 	ro *roundObs,
-	over, under []int,
+	over []int,
 	phiOver []int64,
 	flows map[int64]int64,
 	svc []int64,
 	cache []int,
-	dcache *distCache,
 	mcmfPaths int64,
 	quiet bool,
 ) (*Plan, error) {
@@ -422,7 +407,7 @@ func (s *Scheduler) finishRound(
 	stats.UnrealizedFlow = unrealized
 	stats.Replicas = replicas
 	stats.Phases.Replicate = ro.since(tRep)
-	return s.assemblePlan(stats, ro, over, under, phiOver, flows, redirects, placement, dcache, mcmfPaths, quiet), nil
+	return s.assemblePlan(stats, ro, over, phiOver, flows, redirects, placement, mcmfPaths, quiet), nil
 }
 
 // assemblePlan runs the round's final accounting — CDN overflow, the
@@ -433,12 +418,11 @@ func (s *Scheduler) finishRound(
 func (s *Scheduler) assemblePlan(
 	stats *Stats,
 	ro *roundObs,
-	over, under []int,
+	over []int,
 	phiOver []int64,
 	flows map[int64]int64,
 	redirects []Redirect,
 	placement []similarity.Set,
-	dcache *distCache,
 	mcmfPaths int64,
 	quiet bool,
 ) *Plan {
@@ -451,22 +435,21 @@ func (s *Scheduler) assemblePlan(
 		overflow[i] = phiOver[i]
 	}
 
-	// Unrealised flow stays at its overloaded source and therefore
-	// also falls back to the CDN.
-	realized := make(map[int64]int64, len(flows))
-	for _, r := range redirects {
-		realized[pairKey(int(r.From), int(r.To), m)] += r.Count
-	}
+	// Unrealised flow — what the sweep moved minus what Procedure 1
+	// realised as redirects — stays at its overloaded source and
+	// therefore also falls back to the CDN.
+	edges := FlowEdges(redirects, m)
 	for k, f := range flows {
-		if miss := f - realized[k]; miss > 0 {
-			i, _ := unpackPair(k, m)
-			overflow[i] += miss
-		}
+		i, _ := unpackPair(k, m)
+		overflow[i] += f
+	}
+	for _, e := range edges {
+		overflow[e.From] -= e.Amount
 	}
 	for _, o := range overflow {
 		stats.StrandedToCDN += o
 	}
-	stats.Omega1Km = s.omega1(redirects, stats.StrandedToCDN, over, under, dcache)
+	stats.Omega1Km = Omega1Km(s.world, redirects, stats.StrandedToCDN)
 
 	if stats.Degraded {
 		ro.emit("degraded",
@@ -492,7 +475,7 @@ func (s *Scheduler) assemblePlan(
 	}
 
 	return &Plan{
-		Flows:         flowEdges(flows, realized, m),
+		Flows:         edges,
 		Redirects:     redirects,
 		Placement:     placement,
 		OverflowToCDN: overflow,
@@ -510,36 +493,25 @@ func boolAttr(b bool) int64 {
 	return 0
 }
 
-// omega1 computes the round's realised access-latency cost Ω1: every
-// redirected request pays the inter-hotspot distance (reusing the
-// round's distance cache, so no extra geo evaluations), every
-// CDN-stranded request pays CDNDistanceKm, and locally served requests
-// pay 0. The summation order is fixed (redirect slice order, then the
-// stranded total), keeping the value deterministic.
-func (s *Scheduler) omega1(redirects []Redirect, stranded int64, over, under []int, dcache *distCache) float64 {
+// Omega1Km computes a plan's realised access-latency cost Ω1: every
+// redirected request pays the distance between its source and target
+// hotspots, every CDN-stranded request pays CDNDistanceKm, and locally
+// served requests pay 0. The summation order is fixed (redirect slice
+// order, then the stranded total), keeping the value deterministic.
+func Omega1Km(world *trace.World, redirects []Redirect, stranded int64) float64 {
 	var sum float64
-	if len(redirects) > 0 {
-		oIdx := make(map[int]int, len(over))
-		for oi, h := range over {
-			oIdx[h] = oi
-		}
-		uIdx := make(map[int]int, len(under))
-		for uj, h := range under {
-			uIdx[h] = uj
-		}
-		for _, r := range redirects {
-			sum += float64(r.Count) * dcache.at(oIdx[int(r.From)], uIdx[int(r.To)])
-		}
+	for _, r := range redirects {
+		sum += float64(r.Count) * world.Hotspots[r.From].Location.DistanceTo(world.Hotspots[r.To].Location)
 	}
-	return sum + float64(stranded)*s.world.CDNDistanceKm
+	return sum + float64(stranded)*world.CDNDistanceKm
 }
 
-// worldCacheCapacities returns the nominal per-hotspot cache
+// nominalCache returns the world's nominal per-hotspot cache
 // capacities.
-func (s *Scheduler) worldCacheCapacities() []int {
-	cache := make([]int, len(s.world.Hotspots))
-	for h := range s.world.Hotspots {
-		cache[h] = s.world.Hotspots[h].CacheCapacity
+func nominalCache(world *trace.World) []int {
+	cache := make([]int, len(world.Hotspots))
+	for h := range world.Hotspots {
+		cache[h] = world.Hotspots[h].CacheCapacity
 	}
 	return cache
 }
@@ -594,36 +566,34 @@ func (s *Scheduler) extractFlows(nb *flowNet, flows map[int64]int64, phiOver, ph
 	return total
 }
 
-// flowEdges converts the realised flow map into a deterministic slice,
-// keeping only the realised amounts (flows Procedure 1 backed out are
-// reported via OverflowToCDN instead).
-func flowEdges(flows, realized map[int64]int64, m int) []FlowEdge {
-	keys := make([]int64, 0, len(flows))
-	for k := range flows {
+// FlowEdges derives Plan.Flows from a plan's redirects: the realised
+// amount per (source, target) pair, in ascending (source, target)
+// order over a world of m hotspots. Flow that Procedure 1 backed out
+// has no redirect and is reported via OverflowToCDN instead.
+func FlowEdges(redirects []Redirect, m int) []FlowEdge {
+	realized := make(map[int64]int64)
+	for _, r := range redirects {
+		realized[pairKey(int(r.From), int(r.To), m)] += r.Count
+	}
+	keys := make([]int64, 0, len(realized))
+	for k := range realized {
 		keys = append(keys, k)
 	}
 	slices.Sort(keys)
-	out := make([]FlowEdge, 0, len(keys))
-	for _, k := range keys {
-		amt := realized[k]
-		if amt <= 0 {
-			continue
-		}
+	out := make([]FlowEdge, len(keys))
+	for n, k := range keys {
 		i, j := unpackPair(k, m)
-		out = append(out, FlowEdge{
-			From:   trace.HotspotID(i),
-			To:     trace.HotspotID(j),
-			Amount: amt,
-		})
+		out[n] = FlowEdge{From: trace.HotspotID(i), To: trace.HotspotID(j), Amount: realized[k]}
 	}
 	return out
 }
 
-// worldCapacities returns the nominal per-hotspot service capacities.
-func (s *Scheduler) worldCapacities() []int64 {
-	svc := make([]int64, len(s.world.Hotspots))
-	for h := range s.world.Hotspots {
-		svc[h] = s.world.Hotspots[h].ServiceCapacity
+// nominalService returns the world's nominal per-hotspot service
+// capacities.
+func nominalService(world *trace.World) []int64 {
+	svc := make([]int64, len(world.Hotspots))
+	for h := range world.Hotspots {
+		svc[h] = world.Hotspots[h].ServiceCapacity
 	}
 	return svc
 }

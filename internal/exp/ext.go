@@ -109,7 +109,7 @@ func (r *Runner) ExtHierarchical() (*Figure, error) {
 		{"flat", flatTheta2(core.DefaultParams().Theta2)},
 		{"flat(theta2=3)", flatTheta2(3)},
 		{"flat(theta2=6)", flatTheta2(6)},
-		{"hier", func() sim.Scheduler { return region.NewPolicy(3.0) }},
+		{"hier", func() sim.Scheduler { return scheme.NewHierarchical(3.0) }},
 	}
 	var xs []float64
 	times := make([][]float64, len(variants))

@@ -204,28 +204,6 @@ func (g *Grid) Within(p Point, radius float64) []Neighbor {
 	return out
 }
 
-// KNearest returns up to k nearest points to p sorted by ascending
-// distance.
-func (g *Grid) KNearest(p Point, k int) []Neighbor {
-	if k <= 0 || len(g.ids) == 0 {
-		return nil
-	}
-	// Expand the search radius geometrically until k points are found
-	// or the whole index is covered.
-	radius := g.cellSize
-	diag := g.bounds.Diagonal() + g.cellSize
-	for {
-		nbrs := g.Within(p, radius)
-		if len(nbrs) >= k || radius > diag {
-			if len(nbrs) > k {
-				nbrs = nbrs[:k]
-			}
-			return nbrs
-		}
-		radius *= 2
-	}
-}
-
 func (g *Grid) forEachCellNear(p Point, radius float64, fn func(cell int)) {
 	x0 := int((p.X - radius - g.bounds.MinX) / g.cellSize)
 	x1 := int((p.X + radius - g.bounds.MinX) / g.cellSize)

@@ -144,28 +144,6 @@ func TestGridWithinNegativeRadius(t *testing.T) {
 	}
 }
 
-func TestGridKNearest(t *testing.T) {
-	g := newTestGrid(t, 1)
-	for i := 0; i < 10; i++ {
-		g.Insert(i, Point{X: float64(i), Y: 0})
-	}
-	got := g.KNearest(Point{0, 0}, 3)
-	if len(got) != 3 {
-		t.Fatalf("KNearest() returned %d, want 3", len(got))
-	}
-	for i, wantID := range []int{0, 1, 2} {
-		if got[i].ID != wantID {
-			t.Errorf("KNearest()[%d].ID = %d, want %d", i, got[i].ID, wantID)
-		}
-	}
-	if got := g.KNearest(Point{0, 0}, 100); len(got) != 10 {
-		t.Errorf("KNearest(k>n) returned %d, want 10", len(got))
-	}
-	if got := g.KNearest(Point{0, 0}, 0); got != nil {
-		t.Errorf("KNearest(0) = %v, want nil", got)
-	}
-}
-
 func TestGridPairsMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 20; trial++ {

@@ -264,24 +264,3 @@ func (f *Forecaster) Forecast() map[int]int64 {
 	}
 	return out
 }
-
-// MAE returns the mean absolute error of per-key one-step forecasts
-// against the observed values. Used by tests and the prediction
-// ablation to quantify learner quality.
-func MAE(forecast, actual map[int]int64) float64 {
-	keys := make(map[int]struct{}, len(forecast)+len(actual))
-	for k := range forecast {
-		keys[k] = struct{}{}
-	}
-	for k := range actual {
-		keys[k] = struct{}{}
-	}
-	if len(keys) == 0 {
-		return 0
-	}
-	var sum float64
-	for k := range keys {
-		sum += math.Abs(float64(forecast[k] - actual[k]))
-	}
-	return sum / float64(len(keys))
-}

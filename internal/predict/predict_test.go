@@ -159,18 +159,6 @@ func TestForecasterSparseRounding(t *testing.T) {
 	}
 }
 
-func TestMAE(t *testing.T) {
-	if got := MAE(nil, nil); got != 0 {
-		t.Errorf("MAE(empty) = %v, want 0", got)
-	}
-	forecast := map[int]int64{1: 5, 2: 0}
-	actual := map[int]int64{1: 7, 3: 4}
-	// Errors: |5-7| + |0-0| + |0-4| over 3 keys = 2.
-	if got := MAE(forecast, actual); !almostEqual(got, 2, 1e-12) {
-		t.Errorf("MAE = %v, want 2", got)
-	}
-}
-
 func TestSeasonal(t *testing.T) {
 	m := Seasonal{Period: 3}
 	if m.Name() == "" {

@@ -1,15 +1,16 @@
-// Package region implements the cross-region extension the paper
-// proposes via its prior work ([28], Sec. VI): partition the deployment
-// into geographic regions, aggregate each region's hotspots into one
-// virtual hotspot, run RBCAer *across* regions on the virtual
-// deployment, then run RBCAer *within* each region on its own hotspots.
+// Package region partitions a deployment into geographic regions and
+// derives the two worlds a partitioned round is solved on: the virtual
+// world (each region's hotspots aggregated into one virtual hotspot)
+// and the sub-world (one region as a world of its own). It is the
+// geometry behind the cross-region extension the paper proposes via
+// its prior work ([28], Sec. VI): internal/shard runs one RBCAer round
+// per region on the sub-worlds, and scheme.NewHierarchical first runs
+// RBCAer *across* regions on the virtual world.
 //
 // The payoff is scalability: RBCAer's clustering and flow steps are
 // superlinear in the hotspot count, so a city-scale deployment (the
-// measurement study's 5,000 hotspots) schedules far faster as ~K
-// region-local problems plus one K-region problem, at a modest quality
-// cost. The Hierarchical policy in this package is benchmarked against
-// flat RBCAer in the extension benches.
+// measurement study's 5,000 hotspots) is ~K region-local problems plus
+// at most one K-region problem.
 package region
 
 import (

@@ -3,9 +3,7 @@ package region
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/geo"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -134,50 +132,6 @@ func TestSubWorld(t *testing.T) {
 	}
 }
 
-func TestHierarchicalPolicyValidation(t *testing.T) {
-	if _, err := NewPolicy(3).Schedule(nil); err == nil {
-		t.Error("Schedule(nil) succeeded")
-	}
-	p := &Policy{CellKm: -1}
-	world, tr := genWorld(t, 20, 500, 500, 600, 3)
-	index, err := world.Index()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := &sim.SlotContext{
-		World:    world,
-		Index:    index,
-		Requests: tr.Requests,
-		Nearest:  make([]int, len(tr.Requests)),
-		Demand:   core.NewDemand(len(world.Hotspots)),
-	}
-	if _, err := p.Schedule(ctx); err == nil {
-		t.Error("Schedule with negative cell succeeded")
-	}
-	if NewPolicy(0).Name() != "RBCAer-hierarchical" {
-		t.Error("Name() wrong")
-	}
-}
-
-func TestMoveDemand(t *testing.T) {
-	d := core.NewDemand(2)
-	d.Add(0, 7, 5)
-	moveDemand(d, 0, 1, 7, 3)
-	if d.PerVideo[0][7] != 2 || d.PerVideo[1][7] != 3 {
-		t.Errorf("after partial move: %v", d.PerVideo)
-	}
-	if d.Totals[0] != 2 || d.Totals[1] != 3 {
-		t.Errorf("totals after partial move: %v", d.Totals)
-	}
-	moveDemand(d, 0, 1, 7, 2)
-	if _, ok := d.PerVideo[0][7]; ok {
-		t.Error("fully moved video still present at source")
-	}
-	if d.PerVideo[1][7] != 5 {
-		t.Errorf("target count %d, want 5", d.PerVideo[1][7])
-	}
-}
-
 func TestPartitionWithClusteredHotspots(t *testing.T) {
 	// Hotspots at two far-apart clusters must land in different regions.
 	world := &trace.World{
@@ -226,32 +180,5 @@ func TestClusterPartition(t *testing.T) {
 	// Virtual world built over a cluster partition is valid too.
 	if _, err := VirtualWorld(world, p); err != nil {
 		t.Errorf("VirtualWorld over cluster partition: %v", err)
-	}
-}
-
-func TestHierarchicalPolicyWithClusterPartitioner(t *testing.T) {
-	world, tr := genWorld(t, 60, 2000, 4000, 8000, 7)
-	policy := &Policy{
-		Partitioner: func(w *trace.World) (*Partition, error) {
-			return ClusterPartition(w, 8)
-		},
-	}
-	m, err := sim.Run(world, tr, policy, sim.Options{Seed: 1})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if m.Infeasible != 0 {
-		t.Errorf("cluster-partitioned policy produced %d infeasible targets", m.Infeasible)
-	}
-	if m.HotspotServingRatio <= 0 {
-		t.Error("nothing served")
-	}
-
-	// A partitioner returning garbage must be rejected.
-	bad := &Policy{Partitioner: func(w *trace.World) (*Partition, error) {
-		return &Partition{}, nil
-	}}
-	if _, err := sim.Run(world, tr, bad, sim.Options{Seed: 1}); err == nil {
-		t.Error("invalid partition accepted")
 	}
 }

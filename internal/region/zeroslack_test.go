@@ -1,10 +1,11 @@
-package region
+package region_test
 
 import (
 	"testing"
 
 	"repro/internal/geo"
 	"repro/internal/obs/invariant"
+	"repro/internal/scheme"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -82,7 +83,7 @@ func countTargets(asg *sim.Assignment, m int) (perHotspot []int, cdn int) {
 // and the materialised assignment must stay feasible.
 func TestCrossMoveZeroSlackTargets(t *testing.T) {
 	world, ctx := zeroSlackWorld(t, 4)
-	pol := NewPolicy(5) // cells: {a0} and {b1,b2,b3}
+	pol := scheme.NewHierarchical(5) // cells: {a0} and {b1,b2,b3}
 
 	asg, err := pol.Schedule(ctx)
 	if err != nil {
@@ -115,7 +116,7 @@ func TestCrossMoveZeroSlackTargets(t *testing.T) {
 // reserved inflow released) rather than served without placement.
 func TestCrossMoveCacheFullTargetDropped(t *testing.T) {
 	world, ctx := zeroSlackWorld(t, 0) // b2 has zero cache slots
-	pol := NewPolicy(5)
+	pol := scheme.NewHierarchical(5)
 
 	asg, err := pol.Schedule(ctx)
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/region"
 	"repro/internal/shard"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -38,8 +37,8 @@ func (f Factory) Run(world *trace.World, tr *trace.Trace, workers int, opts sim.
 // schemes is the scheme table: every name cdnsim -scheme and a
 // scenario's run.scheme accept, in the order usage strings list them.
 // independent reports whether the policy's slots may be scheduled
-// concurrently; the others carry state from slot to slot (or, for lp
-// and hier, nobody has certified that they do not).
+// concurrently; the others carry state from slot to slot (or, for lp,
+// nobody has certified that it does not).
 var schemes = []struct {
 	name        string
 	independent func(core.Params) bool
@@ -52,7 +51,7 @@ var schemes = []struct {
 		return Random{RadiusKm: radiusKm}
 	}},
 	{"lp", never, func(float64, core.Params, shard.Params, int) sim.Scheduler { return LPBased{} }},
-	{"hier", never, func(float64, core.Params, shard.Params, int) sim.Scheduler { return region.NewPolicy(0) }},
+	{"hier", always, func(float64, core.Params, shard.Params, int) sim.Scheduler { return NewHierarchical(0) }},
 	{"p2c", always, func(radiusKm float64, _ core.Params, _ shard.Params, _ int) sim.Scheduler {
 		return PowerOfTwo{RadiusKm: radiusKm}
 	}},

@@ -27,7 +27,8 @@ type tableRun struct {
 
 // TestSchemeTableAcrossWorkers runs every row of the scheme table (and
 // the sharded and delta variants of rbcaer) at 1, 2 and 4 workers, on a
-// clean trace and under churn plus stale load reports, and requires
+// clean trace, under churn plus stale load reports and under churn plus
+// a regional outage, and requires
 // what a run can show — metrics, the SlotSink, PlanSink and tracer
 // sequences — to be the same at every worker count. A policy whose
 // slots are not independent must be given exactly one instance however
@@ -63,6 +64,10 @@ func TestSchemeTableAcrossWorkers(t *testing.T) {
 		"churn+stale": {Seed: 7, HotspotChurn: 0.15, Faults: &fault.Scenario{
 			Name:      "table",
 			Staleness: &fault.StaleReports{LagSlots: 1, DropFraction: 0.2},
+		}},
+		"churn+outage": {Seed: 7, HotspotChurn: 0.15, Faults: &fault.Scenario{
+			Name:    "table-outage",
+			Outages: []fault.RegionalOutage{{Center: world.Bounds.Center(), RadiusKm: 3, StartSlot: 2, EndSlot: 4}},
 		}},
 	}
 

@@ -13,7 +13,6 @@ package shard
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -53,7 +52,8 @@ type Params struct {
 	BoundaryThetaKm float64
 	// DisableBoundary skips the boundary-reconciliation pass, leaving
 	// each shard's residual overload stranded to the CDN. Used by the
-	// shard-size sweep to isolate the cost of federation itself.
+	// shard-size sweep to isolate the cost of federation itself, and by
+	// scheme.NewHierarchical, whose cross-region round runs first.
 	DisableBoundary bool
 	// Obs, when non-nil, receives shard counters, deterministic
 	// per-shard solve histograms, and wall-clock phase timers.
@@ -177,9 +177,9 @@ func (s *Scheduler) Schedule(d *core.Demand) (*core.Plan, error) {
 // statistics. The returned plan passes invariant.CheckPlan against the
 // same demand and constraints.
 func (s *Scheduler) ScheduleRound(d *core.Demand, cons core.Constraints) (*core.Plan, error) {
-	svc, cache, err := s.validateRound(d, cons)
+	svc, cache, err := cons.Resolve(s.world, d)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("shard: %w", err)
 	}
 	obsOn := s.params.Obs != nil
 
@@ -293,52 +293,6 @@ func (s *Scheduler) ScheduleRound(d *core.Demand, cons core.Constraints) (*core.
 	return merged, nil
 }
 
-// validateRound mirrors core.Scheduler.validateRound at the global
-// level and resolves nil constraints to the world's nominal capacities.
-func (s *Scheduler) validateRound(d *core.Demand, cons core.Constraints) (svc []int64, cache []int, err error) {
-	if d == nil {
-		return nil, nil, fmt.Errorf("shard: nil demand")
-	}
-	m := len(s.world.Hotspots)
-	if d.NumHotspots() != m || len(d.PerVideo) != m {
-		return nil, nil, fmt.Errorf("shard: demand covers %d hotspots, world has %d", d.NumHotspots(), m)
-	}
-	for h, n := range d.Totals {
-		if n < 0 {
-			return nil, nil, fmt.Errorf("shard: negative demand %d at hotspot %d", n, h)
-		}
-	}
-	svc = cons.Service
-	if svc == nil {
-		svc = make([]int64, m)
-		for h := range s.world.Hotspots {
-			svc[h] = s.world.Hotspots[h].ServiceCapacity
-		}
-	} else if len(svc) != m {
-		return nil, nil, fmt.Errorf("shard: capacities cover %d hotspots, world has %d", len(svc), m)
-	}
-	cache = cons.Cache
-	if cache == nil {
-		cache = make([]int, m)
-		for h := range s.world.Hotspots {
-			cache[h] = s.world.Hotspots[h].CacheCapacity
-		}
-	} else if len(cache) != m {
-		return nil, nil, fmt.Errorf("shard: cache capacities cover %d hotspots, world has %d", len(cache), m)
-	}
-	for h, c := range svc {
-		if c < 0 {
-			return nil, nil, fmt.Errorf("shard: negative capacity %d at hotspot %d", c, h)
-		}
-	}
-	for h, c := range cache {
-		if c < 0 {
-			return nil, nil, fmt.Errorf("shard: negative cache capacity %d at hotspot %d", c, h)
-		}
-	}
-	return svc, cache, nil
-}
-
 // finalizeStats rebuilds the merged plan's flows, ledger and Ω1 from
 // the merged redirects so the plan is self-consistent under
 // invariant.CheckPlan.
@@ -353,31 +307,7 @@ func (s *Scheduler) validateRound(d *core.Demand, cons core.Constraints) (svc []
 // could not realise returns to overflow and may be re-moved by the
 // boundary pass, so the naive sum can double-count.
 func (s *Scheduler) finalizeStats(plan *core.Plan, d *core.Demand, svc []int64, sumUnrealized int64) {
-	// Flows: per-(from,to) totals of the merged redirects, emitted in
-	// ascending (from, to) order — the same order core's flowEdges
-	// uses, so single-shard plans stay byte-identical.
-	pairTotals := make(map[[2]int]int64)
-	for _, r := range plan.Redirects {
-		pairTotals[[2]int{int(r.From), int(r.To)}] += r.Count
-	}
-	pairs := make([][2]int, 0, len(pairTotals))
-	for p := range pairTotals {
-		pairs = append(pairs, p)
-	}
-	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a][0] != pairs[b][0] {
-			return pairs[a][0] < pairs[b][0]
-		}
-		return pairs[a][1] < pairs[b][1]
-	})
-	plan.Flows = plan.Flows[:0]
-	for _, p := range pairs {
-		plan.Flows = append(plan.Flows, core.FlowEdge{
-			From:   trace.HotspotID(p[0]),
-			To:     trace.HotspotID(p[1]),
-			Amount: pairTotals[p],
-		})
-	}
+	plan.Flows = core.FlowEdges(plan.Redirects, len(s.world.Hotspots))
 
 	var overSum, underSum, totalOut, stranded, replicas int64
 	for h := range d.Totals {
@@ -413,16 +343,7 @@ func (s *Scheduler) finalizeStats(plan *core.Plan, d *core.Demand, svc []int64, 
 	st.StrandedToCDN = stranded
 	st.Replicas = replicas
 
-	// Ω1 recomputed over the merged redirect order, exactly as the
-	// invariant checker does.
-	omega := 0.0
-	for _, r := range plan.Redirects {
-		from := s.world.Hotspots[r.From].Location
-		to := s.world.Hotspots[r.To].Location
-		omega += float64(r.Count) * from.DistanceTo(to)
-	}
-	omega += float64(stranded) * s.world.CDNDistanceKm
-	st.Omega1Km = omega
+	st.Omega1Km = core.Omega1Km(s.world, plan.Redirects, stranded)
 }
 
 // publish emits shard observability: deterministic counters and

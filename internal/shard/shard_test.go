@@ -289,31 +289,57 @@ func TestShardedParamErrors(t *testing.T) {
 	}
 }
 
+// TestShardedRoundValidation drives the flat and the sharded round
+// through one table of caller-contract violations: both read the
+// contract from core.Constraints.Resolve, so both must refuse every
+// case, and both must accept the clean round the cases are cut from.
 func TestShardedRoundValidation(t *testing.T) {
 	world, tr := genWorld(t, 20, 500, 1000, 2000, 1)
 	d := slotDemands(t, world, tr)[0]
-	s, err := New(world, Params{CellKm: 5})
+	m := len(world.Hotspots)
+	flat, err := core.New(world, core.DefaultParams())
+	if err != nil {
+		t.Fatalf("core.New: %v", err)
+	}
+	sharded, err := New(world, Params{CellKm: 5})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if _, err := s.ScheduleRound(nil, core.Constraints{}); err == nil {
-		t.Error("nil demand accepted")
+	rounds := map[string]func(*core.Demand, core.Constraints) (*core.Plan, error){
+		"flat": flat.ScheduleRound, "sharded": sharded.ScheduleRound,
 	}
-	if _, err := s.ScheduleRound(core.NewDemand(3), core.Constraints{}); err == nil {
-		t.Error("wrong-size demand accepted")
+
+	negDemand := d.Clone()
+	negDemand.Totals[0] = -1
+	shortRows := d.Clone()
+	shortRows.PerVideo = shortRows.PerVideo[:m-1]
+	negService := make([]int64, m)
+	negService[0] = -5
+	negCache := make([]int, m)
+	negCache[0] = -1
+	cases := []struct {
+		name string
+		d    *core.Demand
+		cons core.Constraints
+	}{
+		{"nil demand", nil, core.Constraints{}},
+		{"mis-sized demand", core.NewDemand(3), core.Constraints{}},
+		{"mis-sized per-video rows", shortRows, core.Constraints{}},
+		{"negative demand", negDemand, core.Constraints{}},
+		{"mis-sized service", d, core.Constraints{Service: []int64{1}}},
+		{"negative service", d, core.Constraints{Service: negService}},
+		{"mis-sized cache", d, core.Constraints{Cache: []int{1}}},
+		{"negative cache", d, core.Constraints{Cache: negCache}},
 	}
-	if _, err := s.ScheduleRound(d, core.Constraints{Service: []int64{1}}); err == nil {
-		t.Error("wrong-size capacities accepted")
-	}
-	bad := make([]int64, len(world.Hotspots))
-	bad[0] = -5
-	if _, err := s.ScheduleRound(d, core.Constraints{Service: bad}); err == nil {
-		t.Error("negative capacity accepted")
-	}
-	badCache := make([]int, len(world.Hotspots))
-	badCache[0] = -1
-	if _, err := s.ScheduleRound(d, core.Constraints{Cache: badCache}); err == nil {
-		t.Error("negative cache capacity accepted")
+	for name, round := range rounds {
+		if _, err := round(d, core.Constraints{}); err != nil {
+			t.Errorf("%s: clean round refused: %v", name, err)
+		}
+		for _, tc := range cases {
+			if _, err := round(tc.d, tc.cons); err == nil {
+				t.Errorf("%s: %s accepted", name, tc.name)
+			}
+		}
 	}
 }
 
