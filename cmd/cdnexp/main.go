@@ -5,14 +5,9 @@
 //
 //	cdnexp [flags] [experiment ...]
 //
-// With no arguments every paper experiment runs in order. Experiments:
-//
-//	paper:      fig2 fig3a fig3b fig5 fig6 fig7 fig8 fig9 (or "all")
-//	extensions: ext-hier ext-churn ext-reactive ext-shard resilience
-//	            (or "ext")
-//	ablations:  abl-guides abl-theta abl-prediction abl-mcmf abl-cluster
-//	            abl-workers
-//	everything: "everything"
+// With no arguments (or "all") every paper experiment runs in order;
+// "ext" runs the extensions and ablations, "everything" both. cdnexp -h
+// lists the experiment ids from internal/exp's table.
 //
 // Flags:
 //
@@ -33,6 +28,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	crowdcdn "repro"
 )
@@ -51,6 +47,15 @@ func run(args []string) error {
 	workers := fs.Int("workers", 0, "scheduling parallelism (0 = all cores, 1 = serial; results identical)")
 	csvDir := fs.String("csv", "", "also write each figure's data as CSV into this directory")
 	debugAddr := fs.String("debug-addr", "", "serve pprof/expvar/metrics on this address (e.g. localhost:6060)")
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "usage: cdnexp [flags] [experiment ...]\n"+
+			"  paper:      %s (or \"all\", the default)\n"+
+			"  extensions: %s (or \"ext\")\n"+
+			"  everything: \"everything\"\nflags:\n",
+			strings.Join(crowdcdn.ExperimentIDs(), " "),
+			strings.Join(crowdcdn.ExtensionExperimentIDs(), " "))
+		fs.PrintDefaults()
+	}
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

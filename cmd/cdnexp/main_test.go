@@ -13,8 +13,8 @@ func TestRunSingleExperiment(t *testing.T) {
 }
 
 func TestRunExtensionExperiment(t *testing.T) {
-	if err := run([]string{"-scale", "0.05", "abl-mcmf"}); err != nil {
-		t.Fatalf("run(abl-mcmf): %v", err)
+	if err := run([]string{"-scale", "0.05", "abl-theta"}); err != nil {
+		t.Fatalf("run(abl-theta): %v", err)
 	}
 }
 

@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/mcmf"
 	"repro/internal/obs"
 	"repro/internal/similarity"
 	"repro/internal/trace"
@@ -79,8 +78,6 @@ type Params struct {
 
 	// GuideCost selects the guide-edge pricing (see GuideCostMode).
 	GuideCost GuideCostMode
-	// Algorithm selects the MCMF solver.
-	Algorithm mcmf.Algorithm
 
 	// BPeak caps the number of replicas pushed in the greedy local
 	// cache-fill stage of Procedure 1 (the paper's "server load
@@ -177,7 +174,6 @@ func DefaultParams() Params {
 		TopFraction: 0.2,
 		Linkage:     cluster.Complete,
 		GuideCost:   GuideCostAvgDistance,
-		Algorithm:   mcmf.SSPDijkstra,
 	}
 }
 
@@ -204,11 +200,6 @@ func (p Params) Validate() error {
 	case GuideCostAvgDistance, GuideCostAvgCapacity:
 	default:
 		return fmt.Errorf("core: unknown guide cost mode %v", p.GuideCost)
-	}
-	switch p.Algorithm {
-	case mcmf.SSPDijkstra, mcmf.BellmanFord:
-	default:
-		return fmt.Errorf("core: unknown MCMF algorithm %v", p.Algorithm)
 	}
 	if p.BPeak < 0 {
 		return fmt.Errorf("core: negative BPeak %d", p.BPeak)

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/geo"
-	"repro/internal/mcmf"
 	"repro/internal/trace"
 )
 
@@ -48,7 +47,6 @@ func TestParamsValidate(t *testing.T) {
 		{"zero top fraction", func(p *Params) { p.TopFraction = 0 }},
 		{"bad linkage", func(p *Params) { p.Linkage = cluster.Linkage(9) }},
 		{"bad guide cost", func(p *Params) { p.GuideCost = GuideCostMode(9) }},
-		{"bad algorithm", func(p *Params) { p.Algorithm = mcmf.Algorithm(9) }},
 		{"negative bpeak", func(p *Params) { p.BPeak = -1 }},
 	}
 	for _, tt := range mutations {

@@ -55,12 +55,12 @@ func TestDeadlineTruncatesSweep(t *testing.T) {
 func TestSolverFailureIsRecoverable(t *testing.T) {
 	cases := []struct {
 		name string
-		stub func(*mcmf.Graph, int, int, int64, mcmf.Algorithm) (mcmf.Result, error)
+		stub func(*mcmf.Graph, int, int, int64) (mcmf.Result, error)
 	}{
-		{"error", func(*mcmf.Graph, int, int, int64, mcmf.Algorithm) (mcmf.Result, error) {
+		{"error", func(*mcmf.Graph, int, int, int64) (mcmf.Result, error) {
 			return mcmf.Result{}, fmt.Errorf("injected solver failure")
 		}},
-		{"panic", func(*mcmf.Graph, int, int, int64, mcmf.Algorithm) (mcmf.Result, error) {
+		{"panic", func(*mcmf.Graph, int, int, int64) (mcmf.Result, error) {
 			panic("injected solver panic")
 		}},
 	}

@@ -341,7 +341,7 @@ func TestDeltaDegradedRoundNotReplayed(t *testing.T) {
 	}
 
 	orig := solveFn
-	solveFn = func(*mcmf.Graph, int, int, int64, mcmf.Algorithm) (mcmf.Result, error) {
+	solveFn = func(*mcmf.Graph, int, int, int64) (mcmf.Result, error) {
 		return mcmf.Result{}, fmt.Errorf("injected solver failure")
 	}
 	plan, err := s.Schedule(d.Clone())

@@ -355,7 +355,7 @@ func (s *Scheduler) AnalyzeTheta(d *Demand, theta float64) (ThetaAnalysis, error
 	over, under, phiOver, phiUnder := s.partition(d, nominalService(s.world))
 	dc := s.newDistCache(over, under, par.Workers(s.params.Workers))
 	nb := s.buildNetwork(theta, over, under, phiOver, phiUnder, dc, nil, false)
-	res, err := nb.g.Solve(nb.source, nb.sink, int64(1)<<62, s.params.Algorithm)
+	res, err := nb.g.Solve(nb.source, nb.sink, int64(1)<<62)
 	if err != nil {
 		return ThetaAnalysis{}, fmt.Errorf("core: solving Gd(θ=%v): %w", theta, err)
 	}

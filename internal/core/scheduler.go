@@ -79,20 +79,18 @@ func (s *Scheduler) Schedule(d *Demand) (*Plan, error) {
 
 // solveFn indirects the MCMF solve so tests can inject solver failures
 // and panics to exercise the degraded path.
-var solveFn = func(g *mcmf.Graph, source, sink int, limit int64, alg mcmf.Algorithm) (mcmf.Result, error) {
-	return g.Solve(source, sink, limit, alg)
-}
+var solveFn = (*mcmf.Graph).Solve
 
 // safeSolve runs one MCMF solve, converting a solver panic into an
 // error so a corrupted or over-constrained network can never take the
 // whole scheduling round down.
-func safeSolve(g *mcmf.Graph, source, sink int, limit int64, alg mcmf.Algorithm) (res mcmf.Result, err error) {
+func safeSolve(g *mcmf.Graph, source, sink int, limit int64) (res mcmf.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("core: mcmf solver panicked: %v", r)
 		}
 	}()
-	return solveFn(g, source, sink, limit, alg)
+	return solveFn(g, source, sink, limit)
 }
 
 // ScheduleRound is the fault-aware scheduling entry point: Schedule
@@ -369,7 +367,7 @@ func (s *Scheduler) solveStep(nb *flowNet, limit int64, flows map[int64]int64, p
 	if len(nb.edges) == 0 {
 		return 0, 0, 0
 	}
-	res, err := safeSolve(nb.g, nb.source, nb.sink, limit, s.params.Algorithm)
+	res, err := safeSolve(nb.g, nb.source, nb.sink, limit)
 	if err == nil {
 		extracted = s.extractFlows(nb, flows, phiOver, phiUnder)
 		paths = int64(res.Paths)

@@ -205,7 +205,6 @@ func TestAblationVariantsProduceValidPlans(t *testing.T) {
 		"no guides":    func() Params { p := DefaultParams(); p.DisableGuides = true; return p }(),
 		"single shot":  func() Params { p := DefaultParams(); p.SingleShotTheta = true; return p }(),
 		"literal cost": func() Params { p := DefaultParams(); p.GuideCost = GuideCostAvgCapacity; return p }(),
-		"bellman-ford": func() Params { p := DefaultParams(); p.Algorithm = 2; return p }(),
 		"bpeak":        func() Params { p := DefaultParams(); p.BPeak = 10; return p }(),
 	}
 	for name, params := range variants {

@@ -274,64 +274,86 @@ func scaleConfig(cfg trace.Config, s float64, seed int64) trace.Config {
 	return cfg
 }
 
-// Experiments lists the experiment IDs All runs, in order.
-func Experiments() []string {
-	return []string{"fig2", "fig3a", "fig3b", "fig5", "fig6", "fig7", "fig8", "fig9"}
+// experiment is one row of the experiment table.
+type experiment struct {
+	id string
+	// paper marks a figure of the paper's evaluation; the rest are this
+	// reproduction's extensions and ablations.
+	paper bool
+	run   func(*Runner) ([]*Figure, error)
 }
+
+// experiments is the one place an experiment id maps to the code that
+// runs it, in the order the lists report and cdnexp's "all"/"ext" run
+// them: the paper's figures, the extensions (DESIGN.md §6), the
+// ablations (§5).
+var experiments = []experiment{
+	{"fig2", true, one((*Runner).Fig2)},
+	{"fig3a", true, one((*Runner).Fig3a)},
+	{"fig3b", true, one((*Runner).Fig3b)},
+	{"fig5", true, one((*Runner).Fig5)},
+	{"fig6", true, (*Runner).Fig6},
+	{"fig7", true, (*Runner).Fig7},
+	{"fig8", true, one((*Runner).Fig8)},
+	{"fig9", true, one((*Runner).Fig9)},
+	{"ext-hier", false, one((*Runner).ExtHierarchical)},
+	{"ext-churn", false, one((*Runner).ExtChurn)},
+	{"ext-reactive", false, one((*Runner).ExtReactive)},
+	{"ext-shard", false, one((*Runner).ExtShard)},
+	{"resilience", false, (*Runner).Resilience},
+	ablation("abl-guides", "guide-node construction",
+		ablVariant{"avg-distance", func(p *core.Params) { p.GuideCost = core.GuideCostAvgDistance }},
+		ablVariant{"avg-capacity(literal)", func(p *core.Params) { p.GuideCost = core.GuideCostAvgCapacity }},
+		ablVariant{"no-guides", func(p *core.Params) { p.DisableGuides = true }}),
+	ablation("abl-theta", "θ schedule",
+		ablVariant{"sweep", func(p *core.Params) {}},
+		ablVariant{"single-shot", func(p *core.Params) { p.SingleShotTheta = true }}),
+	{"abl-prediction", false, one((*Runner).AblatePrediction)},
+	ablation("abl-cluster", "cluster cut threshold",
+		ablVariant{"cut=0.5(paper)", func(p *core.Params) { p.ClusterCut = 0.5 }},
+		ablVariant{"cut=0.65", func(p *core.Params) { p.ClusterCut = 0.65 }},
+		ablVariant{"cut=0.75", func(p *core.Params) { p.ClusterCut = 0.75 }},
+		ablVariant{"cut=0.85", func(p *core.Params) { p.ClusterCut = 0.85 }}),
+	{"abl-workers", false, one((*Runner).AblWorkers)},
+}
+
+// one adapts a single-figure experiment to the table's signature.
+func one(f func(*Runner) (*Figure, error)) func(*Runner) ([]*Figure, error) {
+	return func(r *Runner) ([]*Figure, error) {
+		fig, err := f(r)
+		if err != nil {
+			return nil, err
+		}
+		return []*Figure{fig}, nil
+	}
+}
+
+// ids lists the table's paper or non-paper experiment ids in order.
+func ids(paper bool) []string {
+	var out []string
+	for _, e := range experiments {
+		if e.paper == paper {
+			out = append(out, e.id)
+		}
+	}
+	return out
+}
+
+// Experiments lists the paper's experiment IDs, in order.
+func Experiments() []string { return ids(true) }
+
+// ExtensionExperiments lists the experiments this reproduction adds
+// beyond the paper's figures, in order.
+func ExtensionExperiments() []string { return ids(false) }
 
 // Run executes one experiment by ID and returns its figures (a sweep
 // like fig6 yields one figure per metric).
 func (r *Runner) Run(id string) ([]*Figure, error) {
-	switch id {
-	case "fig2":
-		f, err := r.Fig2()
-		return wrap(f, err)
-	case "fig3a":
-		f, err := r.Fig3a()
-		return wrap(f, err)
-	case "fig3b":
-		f, err := r.Fig3b()
-		return wrap(f, err)
-	case "fig5":
-		f, err := r.Fig5()
-		return wrap(f, err)
-	case "fig6":
-		return r.Fig6()
-	case "fig7":
-		return r.Fig7()
-	case "fig8":
-		f, err := r.Fig8()
-		return wrap(f, err)
-	case "fig9":
-		f, err := r.Fig9()
-		return wrap(f, err)
-	default:
-		for _, ext := range ExtensionExperiments() {
-			if id == ext {
-				return r.runExtension(id)
-			}
+	for _, e := range experiments {
+		if e.id == id {
+			return e.run(r)
 		}
-		return nil, fmt.Errorf("exp: unknown experiment %q (want one of %s or %s)",
-			id, strings.Join(Experiments(), ", "), strings.Join(ExtensionExperiments(), ", "))
 	}
-}
-
-// All executes every paper experiment in order.
-func (r *Runner) All() ([]*Figure, error) {
-	var out []*Figure
-	for _, id := range Experiments() {
-		figs, err := r.Run(id)
-		if err != nil {
-			return nil, fmt.Errorf("exp: running %s: %w", id, err)
-		}
-		out = append(out, figs...)
-	}
-	return out, nil
-}
-
-func wrap(f *Figure, err error) ([]*Figure, error) {
-	if err != nil {
-		return nil, err
-	}
-	return []*Figure{f}, nil
+	return nil, fmt.Errorf("exp: unknown experiment %q (want one of %s or %s)",
+		id, strings.Join(Experiments(), ", "), strings.Join(ExtensionExperiments(), ", "))
 }

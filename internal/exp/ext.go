@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"repro/internal/core"
-	"repro/internal/mcmf"
 	"repro/internal/obs"
 	"repro/internal/predict"
 	"repro/internal/region"
@@ -14,71 +13,6 @@ import (
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
-
-// ExtensionExperiments lists the experiments this reproduction adds
-// beyond the paper's figures: the cross-region hierarchical mode the
-// paper proposes as future work, robustness to crowdsourced-device
-// churn, a comparison against reactive edge caching and
-// power-of-two-choices routing, the resilience sweep over injected
-// failure scenarios (internal/fault), and the DESIGN.md ablations.
-func ExtensionExperiments() []string {
-	return []string{
-		"ext-hier", "ext-churn", "ext-reactive", "ext-shard", "resilience",
-		"abl-guides", "abl-theta", "abl-prediction", "abl-mcmf", "abl-cluster",
-		"abl-workers",
-	}
-}
-
-// runExtension dispatches an extension experiment by ID.
-func (r *Runner) runExtension(id string) ([]*Figure, error) {
-	switch id {
-	case "ext-hier":
-		f, err := r.ExtHierarchical()
-		return wrap(f, err)
-	case "ext-churn":
-		f, err := r.ExtChurn()
-		return wrap(f, err)
-	case "ext-reactive":
-		f, err := r.ExtReactive()
-		return wrap(f, err)
-	case "ext-shard":
-		f, err := r.ExtShard()
-		return wrap(f, err)
-	case "resilience":
-		return r.Resilience()
-	case "abl-guides":
-		return r.ablate("abl-guides", "guide-node construction", []ablVariant{
-			{"avg-distance", func(p *core.Params) { p.GuideCost = core.GuideCostAvgDistance }},
-			{"avg-capacity(literal)", func(p *core.Params) { p.GuideCost = core.GuideCostAvgCapacity }},
-			{"no-guides", func(p *core.Params) { p.DisableGuides = true }},
-		})
-	case "abl-theta":
-		return r.ablate("abl-theta", "θ schedule", []ablVariant{
-			{"sweep", func(p *core.Params) {}},
-			{"single-shot", func(p *core.Params) { p.SingleShotTheta = true }},
-		})
-	case "abl-mcmf":
-		return r.ablate("abl-mcmf", "MCMF algorithm", []ablVariant{
-			{"ssp-dijkstra", func(p *core.Params) { p.Algorithm = mcmf.SSPDijkstra }},
-			{"bellman-ford", func(p *core.Params) { p.Algorithm = mcmf.BellmanFord }},
-		})
-	case "abl-cluster":
-		return r.ablate("abl-cluster", "cluster cut threshold", []ablVariant{
-			{"cut=0.5(paper)", func(p *core.Params) { p.ClusterCut = 0.5 }},
-			{"cut=0.65", func(p *core.Params) { p.ClusterCut = 0.65 }},
-			{"cut=0.75", func(p *core.Params) { p.ClusterCut = 0.75 }},
-			{"cut=0.85", func(p *core.Params) { p.ClusterCut = 0.85 }},
-		})
-	case "abl-prediction":
-		f, err := r.AblatePrediction()
-		return wrap(f, err)
-	case "abl-workers":
-		f, err := r.AblWorkers()
-		return wrap(f, err)
-	default:
-		return nil, fmt.Errorf("exp: unknown extension experiment %q", id)
-	}
-}
 
 // ExtHierarchical compares flat RBCAer against the hierarchical
 // cross-region mode (paper Sec. VI / reference [28]) as the deployment
@@ -299,6 +233,13 @@ func (r *Runner) ExtShard() (*Figure, error) {
 type ablVariant struct {
 	name string
 	mut  func(*core.Params)
+}
+
+// ablation is the table row of an RBCAer parameter ablation.
+func ablation(id, what string, variants ...ablVariant) experiment {
+	return experiment{id: id, run: func(r *Runner) ([]*Figure, error) {
+		return r.ablate(id, what, variants)
+	}}
 }
 
 // ablate runs RBCAer variants over the evaluation workload and reports

@@ -139,7 +139,7 @@ func TestResilience(t *testing.T) {
 
 func TestUnknownExtension(t *testing.T) {
 	r := NewRunner(1, 0.05)
-	if _, err := r.runExtension("ext-nope"); err == nil {
-		t.Error("runExtension(unknown) succeeded")
+	if _, err := r.Run("ext-nope"); err == nil {
+		t.Error("Run(unknown extension) succeeded")
 	}
 }

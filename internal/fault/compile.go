@@ -212,15 +212,6 @@ func countCauses(tl *Timeline, world *trace.World) CauseCounts {
 	return c
 }
 
-// Counts returns the timeline's per-family fault counts. A nil timeline
-// has zero counts.
-func (tl *Timeline) Counts() CauseCounts {
-	if tl == nil {
-		return CauseCounts{}
-	}
-	return tl.counts
-}
-
 // Publish exports the timeline's per-family fault counts as
 // fault.cause.* counters, so scenario assertions and the debug server
 // can target them. All four family counters are published — zero-valued

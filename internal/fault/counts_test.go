@@ -12,7 +12,7 @@ func TestTimelineCounts(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	c := tl.Counts()
+	c := tl.counts
 	if c.OutageSlots <= 0 {
 		t.Errorf("OutageSlots = %d, want > 0 (outage covers slots [2, 4))", c.OutageSlots)
 	}
@@ -40,14 +40,11 @@ func TestTimelineCountsEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Compile: %v", err)
 	}
-	if got := tl.Counts(); got != (CauseCounts{}) {
-		t.Fatalf("empty scenario Counts() = %+v, want zero", got)
+	if got := tl.counts; got != (CauseCounts{}) {
+		t.Fatalf("empty scenario counts = %+v, want zero", got)
 	}
-	// Nil-safety: accessors on a nil timeline must not panic.
+	// Nil-safety: publishing a nil timeline must not panic.
 	var nilTL *Timeline
-	if got := nilTL.Counts(); got != (CauseCounts{}) {
-		t.Fatalf("nil timeline Counts() = %+v, want zero", got)
-	}
 	nilTL.Publish(obs.NewRegistry())
 }
 
@@ -78,7 +75,7 @@ func TestTimelinePublish(t *testing.T) {
 			t.Errorf("counter %s not published", name)
 		}
 	}
-	counts := tl.Counts()
+	counts := tl.counts
 	for _, c := range snap.Counters {
 		switch c.Name {
 		case "fault.cause.outage":

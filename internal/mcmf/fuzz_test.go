@@ -50,15 +50,11 @@ func FuzzGraphOps(f *testing.F) {
 					t.Fatalf("AddEdge(%d, %d, %d, %v) accepted invalid input", from, to, capacity, cost)
 				}
 				edges = append(edges, id)
-			case 2: // Solve
+			case 2: // Solve, on the solver or its oracle
 				source := int(pop()) - 8
 				sink := int(pop()) - 8
 				limit := int64(pop())
-				alg := SSPDijkstra
-				if pop()%2 == 1 {
-					alg = BellmanFord
-				}
-				res, err := g.Solve(source, sink, limit, alg)
+				res, err := solvers[pop()%2].solve(g, source, sink, limit)
 				if err != nil {
 					continue
 				}

@@ -1,11 +1,12 @@
 // Package mcmf implements exact minimum-cost maximum-flow over directed
 // graphs with integer capacities and real (float64) edge costs.
 //
-// Two algorithms are provided: successive shortest paths with Johnson
-// potentials (Dijkstra inner loop, the default) and a Bellman-Ford /
-// SPFA variant closest to the classical Ford-Fulkerson-style solver the
-// paper cites. Both are exact and produce flows of identical value and
-// cost; the simulator's ablation benches compare their speed.
+// The solver is successive shortest paths with Johnson potentials and
+// a Dijkstra inner loop; a graph whose residual arcs start out with a
+// negative cost is primed with one Bellman-Ford pass. The package's
+// tests hold it to a Bellman-Ford / SPFA augmenting solver
+// (reference_test.go), the textbook successor of the Ford-Fulkerson
+// scheme the paper cites.
 //
 // The request-balancing stage of RBCAer (paper Sec. IV-A/B) builds its
 // Gd and Gc networks on this package.
@@ -15,33 +16,6 @@ import (
 	"fmt"
 	"math"
 )
-
-// Algorithm selects the min-cost augmentation strategy.
-type Algorithm int
-
-const (
-	// SSPDijkstra is successive shortest paths with node potentials and
-	// a Dijkstra inner loop. Requires non-negative reduced costs, which
-	// the potentials maintain; graphs with negative original costs are
-	// primed with one Bellman-Ford pass.
-	SSPDijkstra Algorithm = iota + 1
-	// BellmanFord augments along Bellman-Ford (SPFA) shortest paths,
-	// the textbook successor of the Ford-Fulkerson scheme cited by the
-	// paper. Slower, but with no non-negativity requirements.
-	BellmanFord
-)
-
-// String implements fmt.Stringer.
-func (a Algorithm) String() string {
-	switch a {
-	case SSPDijkstra:
-		return "ssp-dijkstra"
-	case BellmanFord:
-		return "bellman-ford"
-	default:
-		return fmt.Sprintf("algorithm(%d)", int(a))
-	}
-}
 
 // EdgeID identifies an edge returned by AddEdge.
 type EdgeID int
@@ -64,18 +38,15 @@ type Edge struct {
 // across Solve calls and Reinit, so steady-state solves on a reused
 // graph perform no allocations.
 type Graph struct {
-	adj   [][]int32 // node -> indexes into arcs
-	arcs  []arc     // arcs[2k], arcs[2k+1] are a residual pair
-	costs int       // count of negative-cost arcs (to decide priming)
+	adj  [][]int32 // node -> indexes into arcs
+	arcs []arc     // arcs[2k], arcs[2k+1] are a residual pair
 
 	// Solver scratch, grown by ensureScratch and reused across solves.
 	dist    []float64
 	pot     []float64
 	prevArc []int32
-	visited []bool // Dijkstra: settled; SPFA: in-queue
-	relaxed []int32
+	visited []bool
 	heap    []nodeDist
-	queue   []int32
 }
 
 // arc is half of a residual edge pair. The reverse arc is arcs[i^1].
@@ -120,7 +91,6 @@ func (g *Graph) AddNode() int {
 // graph per round.
 func (g *Graph) Reinit(n int) {
 	g.arcs = g.arcs[:0]
-	g.costs = 0
 	if n > cap(g.adj) {
 		g.adj = append(g.adj[:cap(g.adj)], make([][]int32, n-cap(g.adj))...)
 	} else {
@@ -152,9 +122,6 @@ func (g *Graph) AddEdge(from, to int, capacity int64, cost float64) (EdgeID, err
 	g.arcs = append(g.arcs, arc{to: int32(to), cap: capacity, cost: cost})
 	g.adj[to] = append(g.adj[to], int32(len(g.arcs)))
 	g.arcs = append(g.arcs, arc{to: int32(from), cap: 0, cost: -cost})
-	if cost < 0 {
-		g.costs++
-	}
 	return id, nil
 }
 
@@ -246,36 +213,39 @@ type Result struct {
 }
 
 // MinCostMaxFlow pushes the maximum feasible flow from source to sink
-// at minimum total cost using the default SSPDijkstra algorithm.
+// at minimum total cost.
 func (g *Graph) MinCostMaxFlow(source, sink int) (Result, error) {
-	return g.Solve(source, sink, math.MaxInt64, SSPDijkstra)
+	return g.Solve(source, sink, math.MaxInt64)
 }
 
 // Solve pushes up to limit units of flow from source to sink at
-// minimum cost using the chosen algorithm. It augments on top of any
-// flow already present (call Reset to start over). The returned Result
-// covers only the flow pushed by this call.
-func (g *Graph) Solve(source, sink int, limit int64, alg Algorithm) (Result, error) {
+// minimum cost. It augments on top of any flow already present (call
+// Reset to start over): when that flow is a minimum-cost flow of its
+// value, so is the total. The returned Result covers only the flow
+// pushed by this call.
+func (g *Graph) Solve(source, sink int, limit int64) (Result, error) {
+	if err := g.checkSolveArgs(source, sink, limit); err != nil {
+		return Result{}, err
+	}
+	return g.solveDijkstra(source, sink, limit)
+}
+
+// checkSolveArgs rejects endpoints outside the graph and a negative
+// limit.
+func (g *Graph) checkSolveArgs(source, sink int, limit int64) error {
 	if source < 0 || source >= len(g.adj) {
-		return Result{}, fmt.Errorf("mcmf: source %d out of range [0, %d)", source, len(g.adj))
+		return fmt.Errorf("mcmf: source %d out of range [0, %d)", source, len(g.adj))
 	}
 	if sink < 0 || sink >= len(g.adj) {
-		return Result{}, fmt.Errorf("mcmf: sink %d out of range [0, %d)", sink, len(g.adj))
+		return fmt.Errorf("mcmf: sink %d out of range [0, %d)", sink, len(g.adj))
 	}
 	if source == sink {
-		return Result{}, fmt.Errorf("mcmf: source equals sink (%d)", source)
+		return fmt.Errorf("mcmf: source equals sink (%d)", source)
 	}
 	if limit < 0 {
-		return Result{}, fmt.Errorf("mcmf: negative flow limit %d", limit)
+		return fmt.Errorf("mcmf: negative flow limit %d", limit)
 	}
-	switch alg {
-	case SSPDijkstra:
-		return g.solveDijkstra(source, sink, limit)
-	case BellmanFord:
-		return g.solveBellmanFord(source, sink, limit)
-	default:
-		return Result{}, fmt.Errorf("mcmf: unknown algorithm %v", alg)
-	}
+	return nil
 }
 
 // costEps absorbs floating-point drift when comparing path costs.
@@ -288,13 +258,11 @@ func (g *Graph) ensureScratch(n int) {
 		g.pot = make([]float64, n)
 		g.prevArc = make([]int32, n)
 		g.visited = make([]bool, n)
-		g.relaxed = make([]int32, n)
 	}
 	g.dist = g.dist[:n]
 	g.pot = g.pot[:n]
 	g.prevArc = g.prevArc[:n]
 	g.visited = g.visited[:n]
-	g.relaxed = g.relaxed[:n]
 }
 
 func (g *Graph) solveDijkstra(source, sink int, limit int64) (Result, error) {
@@ -304,9 +272,12 @@ func (g *Graph) solveDijkstra(source, sink int, limit int64) (Result, error) {
 	for i := range pot {
 		pot[i] = 0
 	}
-	if g.costs > 0 {
-		// Negative original costs: prime potentials with one
-		// Bellman-Ford pass so reduced costs become non-negative.
+	if g.negativeResidual() {
+		// Zero potentials are valid only while no residual arc has a
+		// negative cost. A negative original cost breaks that, and so
+		// does flow already on a positive-cost edge (its reverse arc):
+		// prime with one Bellman-Ford pass so reduced costs become
+		// non-negative.
 		dist, ok := g.bellmanFordDistances(source)
 		if !ok {
 			return Result{}, fmt.Errorf("mcmf: negative-cost cycle reachable from source")
@@ -394,79 +365,15 @@ func (g *Graph) solveDijkstra(source, sink int, limit int64) (Result, error) {
 	return res, nil
 }
 
-func (g *Graph) solveBellmanFord(source, sink int, limit int64) (Result, error) {
-	n := len(g.adj)
-	g.ensureScratch(n)
-	dist := g.dist
-	prevArc := g.prevArc
-	inQueue := g.visited
-	relaxed := g.relaxed
-	var res Result
-
-	for res.Flow < limit {
-		for i := range dist {
-			dist[i] = math.Inf(1)
-			prevArc[i] = -1
-			inQueue[i] = false
-			relaxed[i] = 0
+// negativeResidual reports whether any arc with residual capacity has a
+// negative cost.
+func (g *Graph) negativeResidual() bool {
+	for _, a := range g.arcs {
+		if a.cap > 0 && a.cost < 0 {
+			return true
 		}
-		dist[source] = 0
-		queue := g.queue[:0]
-		if cap(queue) < n {
-			queue = make([]int32, 0, n)
-		}
-		queue = append(queue, int32(source))
-		inQueue[source] = true
-		// FIFO via a head cursor so the backing array survives for the
-		// next augmentation instead of being sliced away.
-		for head := 0; head < len(queue); {
-			u := int(queue[head])
-			head++
-			inQueue[u] = false
-			for _, ai := range g.adj[u] {
-				a := g.arcs[ai]
-				if a.cap <= 0 {
-					continue
-				}
-				v := int(a.to)
-				nd := dist[u] + a.cost
-				if nd < dist[v]-costEps {
-					dist[v] = nd
-					prevArc[v] = ai
-					if !inQueue[v] {
-						relaxed[v]++
-						if relaxed[v] > int32(n) {
-							return Result{}, fmt.Errorf("mcmf: negative-cost cycle reachable from source")
-						}
-						queue = append(queue, int32(v))
-						inQueue[v] = true
-					}
-				}
-			}
-		}
-		g.queue = queue[:0]
-		if math.IsInf(dist[sink], 1) {
-			break
-		}
-		push := limit - res.Flow
-		for v := sink; v != source; {
-			ai := prevArc[v]
-			if g.arcs[ai].cap < push {
-				push = g.arcs[ai].cap
-			}
-			v = int(g.arcs[ai^1].to)
-		}
-		for v := sink; v != source; {
-			ai := prevArc[v]
-			g.arcs[ai].cap -= push
-			g.arcs[ai^1].cap += push
-			res.Cost += g.arcs[ai].cost * float64(push)
-			v = int(g.arcs[ai^1].to)
-		}
-		res.Flow += push
-		res.Paths++
 	}
-	return res, nil
+	return false
 }
 
 // bellmanFordDistances returns shortest-path distances over residual

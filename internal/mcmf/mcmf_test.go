@@ -1,6 +1,8 @@
 package mcmf
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -41,34 +43,31 @@ func TestAddEdgeErrors(t *testing.T) {
 func TestSolveErrors(t *testing.T) {
 	g := NewGraph(3)
 	mustEdge(t, g, 0, 1, 1, 1)
-	if _, err := g.Solve(-1, 1, 10, SSPDijkstra); err == nil {
+	if _, err := g.Solve(-1, 1, 10); err == nil {
 		t.Error("Solve(bad source) succeeded")
 	}
-	if _, err := g.Solve(0, 9, 10, SSPDijkstra); err == nil {
+	if _, err := g.Solve(0, 9, 10); err == nil {
 		t.Error("Solve(bad sink) succeeded")
 	}
-	if _, err := g.Solve(0, 0, 10, SSPDijkstra); err == nil {
+	if _, err := g.Solve(0, 0, 10); err == nil {
 		t.Error("Solve(source==sink) succeeded")
 	}
-	if _, err := g.Solve(0, 1, -1, SSPDijkstra); err == nil {
+	if _, err := g.Solve(0, 1, -1); err == nil {
 		t.Error("Solve(negative limit) succeeded")
-	}
-	if _, err := g.Solve(0, 1, 10, Algorithm(99)); err == nil {
-		t.Error("Solve(bad algorithm) succeeded")
 	}
 }
 
 func TestSimpleTwoPath(t *testing.T) {
 	// source(0) → 1 → sink(3) capacity 2, total cost 1+1=2/unit
 	// source(0) → 2 → sink(3) capacity 3, total cost 2+2=4/unit
-	for _, alg := range []Algorithm{SSPDijkstra, BellmanFord} {
-		t.Run(alg.String(), func(t *testing.T) {
+	for _, sv := range solvers {
+		t.Run(sv.name, func(t *testing.T) {
 			g := NewGraph(4)
 			e1a := mustEdge(t, g, 0, 1, 2, 1)
 			e1b := mustEdge(t, g, 1, 3, 2, 1)
 			mustEdge(t, g, 0, 2, 3, 2)
 			mustEdge(t, g, 2, 3, 3, 2)
-			res, err := g.Solve(0, 3, math.MaxInt64, alg)
+			res, err := sv.solve(g, 0, 3, math.MaxInt64)
 			if err != nil {
 				t.Fatalf("Solve: %v", err)
 			}
@@ -94,7 +93,7 @@ func TestFlowLimitPrefersCheapPath(t *testing.T) {
 	mustEdge(t, g, 1, 3, 2, 1)
 	expensive := mustEdge(t, g, 0, 2, 3, 10)
 	mustEdge(t, g, 2, 3, 3, 10)
-	res, err := g.Solve(0, 3, 2, SSPDijkstra)
+	res, err := g.Solve(0, 3, 2)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -120,15 +119,15 @@ func TestRerouting(t *testing.T) {
 	// Max flow is 2: unit 0→1→3 and unit 0→2→3. A greedy shortest path
 	// first sends 0→1→2→3 (cost 3) and must then reroute through the
 	// residual 2→1 arc.
-	for _, alg := range []Algorithm{SSPDijkstra, BellmanFord} {
-		t.Run(alg.String(), func(t *testing.T) {
+	for _, sv := range solvers {
+		t.Run(sv.name, func(t *testing.T) {
 			g := NewGraph(4)
 			mustEdge(t, g, 0, 1, 1, 1)
 			mustEdge(t, g, 0, 2, 1, 4)
 			mustEdge(t, g, 1, 2, 1, 1)
 			mustEdge(t, g, 1, 3, 1, 5)
 			mustEdge(t, g, 2, 3, 1, 1)
-			res, err := g.Solve(0, 3, math.MaxInt64, alg)
+			res, err := sv.solve(g, 0, 3, math.MaxInt64)
 			if err != nil {
 				t.Fatalf("Solve: %v", err)
 			}
@@ -148,12 +147,12 @@ func TestRerouting(t *testing.T) {
 }
 
 func TestNegativeCosts(t *testing.T) {
-	for _, alg := range []Algorithm{SSPDijkstra, BellmanFord} {
-		t.Run(alg.String(), func(t *testing.T) {
+	for _, sv := range solvers {
+		t.Run(sv.name, func(t *testing.T) {
 			g := NewGraph(3)
 			mustEdge(t, g, 0, 1, 5, -2)
 			mustEdge(t, g, 1, 2, 5, 3)
-			res, err := g.Solve(0, 2, math.MaxInt64, alg)
+			res, err := sv.solve(g, 0, 2, math.MaxInt64)
 			if err != nil {
 				t.Fatalf("Solve: %v", err)
 			}
@@ -169,12 +168,11 @@ func TestNegativeCycleDetected(t *testing.T) {
 	mustEdge(t, g, 0, 1, 5, -1)
 	mustEdge(t, g, 1, 0, 5, -1)
 	mustEdge(t, g, 1, 2, 1, 1)
-	if _, err := g.Solve(0, 2, math.MaxInt64, BellmanFord); err == nil {
-		t.Error("BellmanFord ignored a negative cycle")
-	}
-	g.Reset()
-	if _, err := g.Solve(0, 2, math.MaxInt64, SSPDijkstra); err == nil {
-		t.Error("SSPDijkstra ignored a negative cycle")
+	for _, sv := range solvers {
+		g.Reset()
+		if _, err := sv.solve(g, 0, 2, math.MaxInt64); err == nil {
+			t.Errorf("%s ignored a negative cycle", sv.name)
+		}
 	}
 }
 
@@ -183,7 +181,7 @@ func TestDisconnected(t *testing.T) {
 	mustEdge(t, g, 0, 1, 3, 1)
 	// Node 2..3 unreachable.
 	mustEdge(t, g, 2, 3, 3, 1)
-	res, err := g.Solve(0, 3, math.MaxInt64, SSPDijkstra)
+	res, err := g.Solve(0, 3, math.MaxInt64)
 	if err != nil {
 		t.Fatalf("Solve: %v", err)
 	}
@@ -195,7 +193,7 @@ func TestDisconnected(t *testing.T) {
 func TestResetAndReuse(t *testing.T) {
 	g := NewGraph(2)
 	e := mustEdge(t, g, 0, 1, 4, 2)
-	res1, err := g.Solve(0, 1, math.MaxInt64, SSPDijkstra)
+	res1, err := g.Solve(0, 1, math.MaxInt64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +201,7 @@ func TestResetAndReuse(t *testing.T) {
 		t.Fatalf("first solve flow = %d (edge %d), want 4", res1.Flow, g.Flow(e))
 	}
 	// Saturated: augmenting again moves nothing.
-	res2, err := g.Solve(0, 1, math.MaxInt64, SSPDijkstra)
+	res2, err := g.Solve(0, 1, math.MaxInt64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +212,7 @@ func TestResetAndReuse(t *testing.T) {
 	if g.Flow(e) != 0 {
 		t.Errorf("Flow after Reset = %d, want 0", g.Flow(e))
 	}
-	res3, err := g.Solve(0, 1, math.MaxInt64, SSPDijkstra)
+	res3, err := g.Solve(0, 1, math.MaxInt64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +224,7 @@ func TestResetAndReuse(t *testing.T) {
 func TestEdgeInfo(t *testing.T) {
 	g := NewGraph(2)
 	e := mustEdge(t, g, 0, 1, 7, 2.5)
-	if _, err := g.Solve(0, 1, 3, SSPDijkstra); err != nil {
+	if _, err := g.Solve(0, 1, 3); err != nil {
 		t.Fatal(err)
 	}
 	info, err := g.EdgeInfo(e)
@@ -326,12 +324,12 @@ func TestRandomGraphsAlgorithmsAgree(t *testing.T) {
 		source, sink := 0, n-1
 
 		gd := build()
-		resD, err := gd.Solve(source, sink, math.MaxInt64, SSPDijkstra)
+		resD, err := gd.Solve(source, sink, math.MaxInt64)
 		if err != nil {
 			t.Fatalf("trial %d dijkstra: %v", trial, err)
 		}
 		gb := build()
-		resB, err := gb.Solve(source, sink, math.MaxInt64, BellmanFord)
+		resB, err := referenceBellmanFord(gb, source, sink, math.MaxInt64)
 		if err != nil {
 			t.Fatalf("trial %d bellman-ford: %v", trial, err)
 		}
@@ -359,6 +357,126 @@ func TestRandomGraphsAlgorithmsAgree(t *testing.T) {
 	}
 }
 
+// sweepNetwork rebuilds g as a seeded network of the shape
+// core.buildNetworkIn hands the solver on every θ step: source → at most
+// 40 overloaded nodes → guide nodes (zero-cost in-arcs, one priced
+// out-arc) or direct distance-priced arcs → at most 80 under-utilised
+// nodes → sink. Every cost is a multiple of 1/8 from a small range, so
+// equal-cost paths are the rule and cost sums are exact in float64. It
+// returns the total supply.
+func sweepNetwork(t *testing.T, g *Graph, seed int64) (source, sink int, supply int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	eighths := func() float64 { return float64(1+rng.Intn(24)) / 8 }
+	nOver, nUnder := 5+rng.Intn(36), 10+rng.Intn(71)
+	phiOver := make([]int64, nOver)
+	clusterOf := make([]int, nOver)
+	for i := range phiOver {
+		phiOver[i] = int64(1 + rng.Intn(30))
+		clusterOf[i] = rng.Intn(6)
+		supply += phiOver[i]
+	}
+	g.Reinit(2)
+	source, sink = 0, 1
+	overNode := make([]int, nOver) // 0 (the source) = not added yet
+	ensureOver := func(i int) int {
+		if overNode[i] == 0 {
+			overNode[i] = g.AddNode()
+			mustEdge(t, g, source, overNode[i], phiOver[i], 0)
+		}
+		return overNode[i]
+	}
+	for j := 0; j < nUnder; j++ {
+		phiJ := int64(1 + rng.Intn(20))
+		// Candidates within θ, bucketed by the source's content cluster
+		// in ascending cluster order, as the builder groups them.
+		var groups [6][]int
+		found := false
+		for i := 0; i < nOver; i++ {
+			if rng.Intn(8) == 0 {
+				groups[clusterOf[i]] = append(groups[clusterOf[i]], i)
+				found = true
+			}
+		}
+		if !found {
+			continue
+		}
+		nj := g.AddNode()
+		mustEdge(t, g, nj, sink, phiJ, 0)
+		for _, group := range groups {
+			var sumPhi int64
+			for _, i := range group {
+				sumPhi += min(phiOver[i], phiJ)
+			}
+			if len(group) > 0 && 2*sumPhi >= phiJ {
+				guide := g.AddNode()
+				mustEdge(t, g, guide, nj, min(sumPhi, phiJ), eighths())
+				for _, i := range group {
+					mustEdge(t, g, ensureOver(i), guide, min(phiOver[i], phiJ), 0)
+				}
+				continue
+			}
+			for _, i := range group {
+				mustEdge(t, g, ensureOver(i), nj, min(phiOver[i], phiJ), eighths())
+			}
+		}
+	}
+	return source, sink, supply
+}
+
+// TestSolveMatchesReferenceOnSweepNetworks holds Solve to the oracle on
+// the networks the θ-sweep actually solves — layered, sparse, tie-heavy,
+// a binding flow limit, then a second solve on top of the first one's
+// flow (the residual pass) — where TestRandomGraphsAlgorithmsAgree
+// covers dense random digraphs with an unbounded limit.
+func TestSolveMatchesReferenceOnSweepNetworks(t *testing.T) {
+	arcFlows := fnv.New64a()
+	var moved int64
+	for seed := int64(1); seed <= 40; seed++ {
+		gs, gr := NewGraph(0), NewGraph(0)
+		source, sink, supply := sweepNetwork(t, gs, seed)
+		sweepNetwork(t, gr, seed)
+		for step, limit := range []int64{supply / 3, supply} {
+			got, err := gs.Solve(source, sink, limit)
+			if err != nil {
+				t.Fatalf("seed %d step %d: Solve: %v", seed, step, err)
+			}
+			want, err := referenceBellmanFord(gr, source, sink, limit)
+			if err != nil {
+				t.Fatalf("seed %d step %d: oracle: %v", seed, step, err)
+			}
+			// Multiples of 1/8 times integer flows sum exactly.
+			if got.Flow != want.Flow || got.Cost != want.Cost {
+				t.Fatalf("seed %d step %d: Solve = flow %d cost %v, oracle = flow %d cost %v",
+					seed, step, got.Flow, got.Cost, want.Flow, want.Cost)
+			}
+			if got.Paths > int(got.Flow) {
+				t.Fatalf("seed %d step %d: %d paths for %d units", seed, step, got.Paths, got.Flow)
+			}
+			moved += got.Flow
+		}
+		net, err := CheckFlow(gs, source, sink)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if ref, err := CheckFlow(gr, source, sink); err != nil || ref != net {
+			t.Fatalf("seed %d: net flow %d, oracle's %d (%v)", seed, net, ref, err)
+		}
+		for id := 0; id < gs.NumEdges(); id++ {
+			binary.Write(arcFlows, binary.LittleEndian, gs.Flow(EdgeID(id)))
+		}
+	}
+	if moved == 0 {
+		t.Fatal("the family moved no flow")
+	}
+	// Which of the equal-cost optima Solve returns: core.extractFlows
+	// attributes per-arc flow to hotspot pairs, so a different optimum is
+	// a different plan. A solver change that moves this moves goldens.
+	if got, want := arcFlows.Sum64(), uint64(0x66f09ef3cdba2c15); got != want {
+		t.Errorf("per-arc flows fingerprint %#x, want %#x", got, want)
+	}
+}
+
 func TestAddNode(t *testing.T) {
 	g := NewGraph(0)
 	a := g.AddNode()
@@ -369,15 +487,6 @@ func TestAddNode(t *testing.T) {
 	mustEdge(t, g, a, b, 1, 1)
 	if g.NumEdges() != 1 {
 		t.Errorf("NumEdges() = %d, want 1", g.NumEdges())
-	}
-}
-
-func TestAlgorithmString(t *testing.T) {
-	if SSPDijkstra.String() != "ssp-dijkstra" || BellmanFord.String() != "bellman-ford" {
-		t.Error("Algorithm.String() unexpected values")
-	}
-	if Algorithm(9).String() == "" {
-		t.Error("unknown Algorithm.String() empty")
 	}
 }
 

@@ -26,7 +26,8 @@ func randomNetwork(t testing.TB, g *Graph, n int, seed int64) {
 // one arena graph across θ iterations and rounds.
 func TestReinitMatchesFreshGraph(t *testing.T) {
 	const n = 60
-	for _, alg := range []Algorithm{SSPDijkstra, BellmanFord} {
+	for _, sv := range solvers {
+		alg := sv.name
 		reused := NewGraph(0)
 		for trial := 0; trial < 5; trial++ {
 			seed := int64(100 + trial)
@@ -36,11 +37,11 @@ func TestReinitMatchesFreshGraph(t *testing.T) {
 			fresh := NewGraph(n)
 			randomNetwork(t, fresh, n, seed)
 
-			gotR, err := reused.Solve(0, n-1, 1<<40, alg)
+			gotR, err := sv.solve(reused, 0, n-1, 1<<40)
 			if err != nil {
 				t.Fatalf("%v trial %d: reused solve: %v", alg, trial, err)
 			}
-			gotF, err := fresh.Solve(0, n-1, 1<<40, alg)
+			gotF, err := sv.solve(fresh, 0, n-1, 1<<40)
 			if err != nil {
 				t.Fatalf("%v trial %d: fresh solve: %v", alg, trial, err)
 			}
@@ -104,26 +105,24 @@ func TestReinitShrinksNodes(t *testing.T) {
 }
 
 // TestSolveSteadyStateAllocs locks the arena contract: once a reused
-// graph has warmed its scratch, Reset+Solve performs zero allocations
-// for the Dijkstra solver (SPFA's queue is also retained; allow it the
-// same bound).
+// graph has warmed its scratch, Reset+Solve performs zero allocations.
+// (The oracle allocates its own scratch per call and is not held to
+// this.)
 func TestSolveSteadyStateAllocs(t *testing.T) {
-	for _, alg := range []Algorithm{SSPDijkstra, BellmanFord} {
-		g := NewGraph(0)
-		g.Reinit(80)
-		randomNetwork(t, g, 80, 9)
-		// Warm-up sizes the scratch and the heap/queue.
-		if _, err := g.Solve(0, 79, 1<<40, alg); err != nil {
+	g := NewGraph(0)
+	g.Reinit(80)
+	randomNetwork(t, g, 80, 9)
+	// Warm-up sizes the scratch and the heap.
+	if _, err := g.Solve(0, 79, 1<<40); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		g.Reset()
+		if _, err := g.Solve(0, 79, 1<<40); err != nil {
 			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(20, func() {
-			g.Reset()
-			if _, err := g.Solve(0, 79, 1<<40, alg); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("%v: steady-state Reset+Solve allocates %v objects per run, want 0", alg, allocs)
-		}
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state Reset+Solve allocates %v objects per run, want 0", allocs)
 	}
 }

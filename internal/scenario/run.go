@@ -195,12 +195,21 @@ func (doc *Doc) Execute(opt ExecOptions) (*Report, error) {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
 
-	if tl, err := fault.Compile(world, tr.Slots, simSeed, sc); err == nil && tl != nil {
-		rep.FaultCounts = tl.Counts()
-	}
-
 	rep.Metrics = m
 	rep.Snapshot = reg.Snapshot(false)
+	// The run compiled the fault timeline and published its counts.
+	for _, c := range rep.Snapshot.Counters {
+		switch c.Name {
+		case "fault.cause.churn":
+			rep.FaultCounts.ChurnSlots = c.Value
+		case "fault.cause.outage":
+			rep.FaultCounts.OutageSlots = c.Value
+		case "fault.cause.degradation":
+			rep.FaultCounts.DegradedSlots = c.Value
+		case "fault.cause.stale_drops":
+			rep.FaultCounts.DroppedReports = c.Value
+		}
+	}
 	rep.Results = make([]AssertResult, len(doc.Asserts))
 	pass := true
 	for i, a := range doc.Asserts {

@@ -21,12 +21,6 @@ import (
 type FactoredPredicted struct {
 	// Inner is the wrapped policy (typically *RBCAer).
 	Inner sim.Scheduler
-	// TotalMethod forecasts per-hotspot totals; nil selects
-	// predict.Seasonal{Period: 24}.
-	TotalMethod predict.Method
-	// ShareDecay is the exponential-smoothing factor of the per-hotspot
-	// video-share distribution in (0, 1]; 0 selects 0.3.
-	ShareDecay float64
 
 	world  *trace.World
 	totals *predict.Forecaster
@@ -35,6 +29,14 @@ type FactoredPredicted struct {
 
 var _ sim.Scheduler = (*FactoredPredicted)(nil)
 
+// factoredTotals forecasts the per-hotspot totals: a day-periodic
+// seasonal model over hourly slots.
+var factoredTotals = predict.Seasonal{Period: 24}
+
+// shareDecay is the exponential-smoothing factor of the per-hotspot
+// video-share distribution.
+const shareDecay = 0.3
+
 // NewFactoredPredicted wraps inner with factored demand forecasting.
 func NewFactoredPredicted(inner sim.Scheduler) *FactoredPredicted {
 	return &FactoredPredicted{Inner: inner}
@@ -42,11 +44,7 @@ func NewFactoredPredicted(inner sim.Scheduler) *FactoredPredicted {
 
 // Name implements sim.Scheduler.
 func (p *FactoredPredicted) Name() string {
-	method := p.TotalMethod
-	if method == nil {
-		method = predict.Seasonal{Period: 24}
-	}
-	return fmt.Sprintf("%s+factored(%s)", p.Inner.Name(), method.Name())
+	return fmt.Sprintf("%s+factored(%s)", p.Inner.Name(), factoredTotals.Name())
 }
 
 // Schedule implements sim.Scheduler.
@@ -58,21 +56,13 @@ func (p *FactoredPredicted) Schedule(ctx *sim.SlotContext) (*sim.Assignment, err
 		return nil, fmt.Errorf("scheme: FactoredPredicted needs an inner policy")
 	}
 	if p.world != ctx.World {
-		method := p.TotalMethod
-		if method == nil {
-			method = predict.Seasonal{Period: 24}
-		}
-		totals, err := predict.NewForecaster(method, 0)
+		totals, err := predict.NewForecaster(factoredTotals, 0)
 		if err != nil {
 			return nil, fmt.Errorf("scheme: building total forecaster: %w", err)
 		}
 		p.totals = totals
 		p.shares = make([]map[trace.VideoID]float64, len(ctx.World.Hotspots))
 		p.world = ctx.World
-	}
-	decay := p.ShareDecay
-	if decay <= 0 || decay > 1 {
-		decay = 0.3
 	}
 	m := len(ctx.World.Hotspots)
 
@@ -101,13 +91,13 @@ func (p *FactoredPredicted) Schedule(ctx *sim.SlotContext) (*sim.Assignment, err
 		// Exponential smoothing of the share distribution: decay old
 		// mass, add this slot's counts.
 		for v := range p.shares[h] {
-			p.shares[h][v] *= 1 - decay
+			p.shares[h][v] *= 1 - shareDecay
 			if p.shares[h][v] < 1e-3 {
 				delete(p.shares[h], v)
 			}
 		}
 		for v, n := range ctx.Demand.PerVideo[h] {
-			p.shares[h][v] += decay * float64(n)
+			p.shares[h][v] += shareDecay * float64(n)
 		}
 	}
 	p.totals.Observe(observedTotals)

@@ -20,8 +20,6 @@ type Predicted struct {
 	Inner sim.Scheduler
 	// Method is the forecasting method; nil selects predict.EWMA{0.5}.
 	Method predict.Method
-	// Window bounds per-key history length (0 = unbounded).
-	Window int
 
 	fc    *predict.Forecaster
 	world *trace.World
@@ -51,7 +49,7 @@ func (p *Predicted) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) {
 		if method == nil {
 			method = predict.EWMA{Alpha: 0.5}
 		}
-		fc, err := predict.NewForecaster(method, p.Window)
+		fc, err := predict.NewForecaster(method, 0)
 		if err != nil {
 			return nil, fmt.Errorf("scheme: building forecaster: %w", err)
 		}

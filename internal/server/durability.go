@@ -86,7 +86,7 @@ func (s *Server) openWAL() error {
 	// re-verified by install exactly like a live fan-out.
 	if st.Plan != nil {
 		for _, in := range s.instances {
-			if err := in.install(st.Plan.Epoch, st.Plan.Slot, 0, st.Plan.Canonical, st.Plan.Digest); err != nil {
+			if err := in.install(st.Plan.Epoch, st.Plan.Slot, st.Plan.Canonical, st.Plan.Digest); err != nil {
 				return fmt.Errorf("recovered plan rejected: %w", err)
 			}
 		}

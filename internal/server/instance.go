@@ -114,13 +114,13 @@ func (in *instance) handler() http.Handler {
 // frontend keeps serving its previous plan) and is counted loudly;
 // install never tears a plan, because publication is a single atomic
 // pointer store of a fully built plan.
-func (in *instance) install(epoch int64, slot int, requests int64, canonical []byte, digest uint64) error {
+func (in *instance) install(epoch int64, slot int, canonical []byte, digest uint64) error {
 	plan, err := core.VerifyCanonical(canonical, digest)
 	if err != nil {
 		in.rejects.Inc()
 		return fmt.Errorf("server: instance %d: %w", in.id, err)
 	}
-	in.current.Store(newServingPlan(epoch, slot, requests, plan, canonical, digest, in.srv.world.NumVideos))
+	in.current.Store(newServingPlan(epoch, slot, plan, canonical, digest, in.srv.world.NumVideos))
 	in.swaps.Inc()
 	return nil
 }

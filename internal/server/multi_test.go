@@ -67,18 +67,18 @@ func TestInstallVerification(t *testing.T) {
 	swaps, rejects := in.swaps.Value(), in.rejects.Value()
 
 	// Digest mismatch: advertised digest does not match the bytes.
-	if err := in.install(99, 9, 1, canonical, digest+1); err == nil {
+	if err := in.install(99, 9, canonical, digest+1); err == nil {
 		t.Error("install accepted a digest mismatch")
 	}
 	// Corrupted bytes with a matching (recomputed) digest: the parse or
 	// round-trip must catch it.
 	corrupt := append([]byte(nil), canonical...)
 	corrupt[len(corrupt)/2] ^= 0x40
-	if err := in.install(99, 9, 1, corrupt, core.DigestOf(corrupt)); err == nil {
+	if err := in.install(99, 9, corrupt, core.DigestOf(corrupt)); err == nil {
 		t.Error("install accepted corrupted plan bytes")
 	}
 	// Truncated bytes.
-	if err := in.install(99, 9, 1, canonical[:len(canonical)-3], core.DigestOf(canonical[:len(canonical)-3])); err == nil {
+	if err := in.install(99, 9, canonical[:len(canonical)-3], core.DigestOf(canonical[:len(canonical)-3])); err == nil {
 		t.Error("install accepted truncated plan bytes")
 	}
 	if got := in.current.Load(); got != base {
@@ -89,7 +89,7 @@ func TestInstallVerification(t *testing.T) {
 	}
 
 	// The genuine bytes install fine at a new epoch.
-	if err := in.install(base.epoch+1, 9, 1, canonical, digest); err != nil {
+	if err := in.install(base.epoch+1, 9, canonical, digest); err != nil {
 		t.Errorf("install rejected genuine plan bytes: %v", err)
 	}
 	if got := in.swaps.Value() - swaps; got != 1 {

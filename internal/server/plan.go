@@ -25,8 +25,6 @@ type servingPlan struct {
 	epoch int64
 	// slot is the timeslot whose demand produced the plan.
 	slot int
-	// requests is the demand volume the plan was computed from.
-	requests int64
 	// digest fingerprints canonical (core.Plan.Digest).
 	digest uint64
 	// canonical is the plan's deterministic byte encoding, kept for
@@ -38,12 +36,6 @@ type servingPlan struct {
 	redirect map[int64]*redirectEntry
 	// numVideos is the redirect key stride.
 	numVideos int64
-	// degraded mirrors core.Plan.Degraded.
-	degraded bool
-	// redirects is len(core.Plan.Redirects), kept for reporting.
-	redirects int
-	// stats is retained for /plans reporting.
-	stats core.Stats
 }
 
 // redirectEntry fans one (source hotspot, video) pair's lookups out
@@ -76,19 +68,15 @@ func (e *redirectEntry) next() int {
 // newServingPlan materialises a core plan for serving. canonical and
 // digest are the plan's verified encoding and fingerprint (install
 // holds both already; recomputing either re-encodes the whole plan).
-func newServingPlan(epoch int64, slot int, requests int64, plan *core.Plan, canonical []byte, digest uint64, numVideos int) *servingPlan {
+func newServingPlan(epoch int64, slot int, plan *core.Plan, canonical []byte, digest uint64, numVideos int) *servingPlan {
 	sp := &servingPlan{
 		epoch:     epoch,
 		slot:      slot,
-		requests:  requests,
 		canonical: canonical,
 		digest:    digest,
 		placement: plan.Placement,
 		redirect:  make(map[int64]*redirectEntry),
 		numVideos: int64(numVideos),
-		degraded:  plan.Degraded,
-		redirects: len(plan.Redirects),
-		stats:     plan.Stats,
 	}
 	for _, rd := range plan.Redirects {
 		if rd.Count <= 0 {

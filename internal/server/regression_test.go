@@ -108,7 +108,7 @@ func TestRedirectCursorOverflow(t *testing.T) {
 		Placement:     make([]similarity.Set, 3),
 		OverflowToCDN: make([]int64, 3),
 	}
-	sp := newServingPlan(1, 0, 1001, plan, nil, 0, 10)
+	sp := newServingPlan(1, 0, plan, nil, 0, 10)
 	e := sp.redirect[int64(0)*10+5]
 	if e == nil {
 		t.Fatal("no redirect entry for (0, 5)")

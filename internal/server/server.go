@@ -486,7 +486,7 @@ func (s *Server) runSlot(snap *slotSnapshot) {
 		s.syncWAL(lsn, aerr)
 	}
 	for _, in := range s.instances {
-		if err := in.install(epoch, snap.slot, snap.requests, canonical, digest); err != nil {
+		if err := in.install(epoch, snap.slot, canonical, digest); err != nil {
 			s.reg.Counter("server.plan.rejects").Inc()
 			if s.cfg.Tracer != nil {
 				s.cfg.Tracer.Emit(obs.Event{Type: "swap-reject", Slot: snap.slot, Attrs: []obs.Attr{

@@ -344,7 +344,7 @@ func TestRedirectEntryProportionalRouting(t *testing.T) {
 		Placement:     make([]similarity.Set, 3),
 		OverflowToCDN: make([]int64, 3),
 	}
-	sp := newServingPlan(1, 0, 3, plan, nil, 0, 10)
+	sp := newServingPlan(1, 0, plan, nil, 0, 10)
 	var got []int
 	for i := 0; i < 6; i++ {
 		got = append(got, sp.lookup(0, 5).target)

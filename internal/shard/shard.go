@@ -24,7 +24,7 @@ import (
 )
 
 // DefaultCellKm is the grid cell size used when Params selects neither
-// a shard count nor a cell size nor a custom partitioner.
+// a shard count nor a cell size.
 const DefaultCellKm = 3.0
 
 // Params configure a sharded Scheduler.
@@ -35,9 +35,6 @@ type Params struct {
 	// Shards partitions the world with region.ClusterPartition into
 	// this many shards. Mutually exclusive with CellKm.
 	Shards int
-	// Partitioner, when non-nil, overrides CellKm/Shards with a custom
-	// partition of the world.
-	Partitioner func(*trace.World) (*region.Partition, error)
 	// Local are the core parameters each per-shard scheduler runs
 	// with. The zero value means core.DefaultParams() with Workers
 	// forced to 1 (shard-level concurrency replaces intra-round
@@ -104,8 +101,6 @@ func New(world *trace.World, p Params) (*Scheduler, error) {
 	var part *region.Partition
 	var err error
 	switch {
-	case p.Partitioner != nil:
-		part, err = p.Partitioner(world)
 	case p.Shards > 0:
 		part, err = region.ClusterPartition(world, p.Shards)
 	case p.CellKm > 0:
@@ -115,9 +110,6 @@ func New(world *trace.World, p Params) (*Scheduler, error) {
 	}
 	if err != nil {
 		return nil, fmt.Errorf("shard: partition: %w", err)
-	}
-	if part == nil {
-		return nil, fmt.Errorf("shard: partitioner returned nil partition")
 	}
 	if err := part.Validate(len(world.Hotspots)); err != nil {
 		return nil, fmt.Errorf("shard: partition: %w", err)

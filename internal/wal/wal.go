@@ -69,7 +69,9 @@ func ParsePolicy(s string) (Policy, error) {
 	}
 }
 
-// Default option values.
+// Default option values. DefaultKeepCheckpoints is not an option: it is
+// how many of the newest checkpoint files WriteCheckpoint keeps (the
+// newest, and the fallback that segment GC lags for).
 const (
 	DefaultInterval        = 50 * time.Millisecond
 	DefaultSegmentBytes    = 4 << 20
@@ -86,9 +88,6 @@ type Options struct {
 	// SegmentBytes rotates the active segment beyond this size. 0
 	// selects DefaultSegmentBytes.
 	SegmentBytes int64
-	// KeepCheckpoints retains this many newest checkpoint files. 0
-	// selects DefaultKeepCheckpoints.
-	KeepCheckpoints int
 	// Registry receives the wal.* counters and the append-latency
 	// histogram. Nil allocates a private registry.
 	Registry *obs.Registry
@@ -178,9 +177,6 @@ func Open(dir string, opts Options) (*Log, *State, error) {
 	}
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
-	}
-	if opts.KeepCheckpoints <= 0 {
-		opts.KeepCheckpoints = DefaultKeepCheckpoints
 	}
 	if opts.Registry == nil {
 		opts.Registry = obs.NewRegistry()
@@ -543,7 +539,7 @@ func (l *Log) CheckpointSeq() uint64 {
 }
 
 // WriteCheckpoint atomically persists cp (assigning its sequence),
-// prunes checkpoints beyond KeepCheckpoints, and garbage-collects
+// prunes checkpoints beyond DefaultKeepCheckpoints, and garbage-collects
 // segments no retained checkpoint needs. mark is CurrentSegment() at
 // state-capture time; GC deliberately lags one checkpoint so the
 // older retained checkpoint keeps the segments it would replay if the
@@ -566,7 +562,7 @@ func (l *Log) WriteCheckpoint(cp *Checkpoint, mark uint64) error {
 	l.checkpoints.Inc()
 
 	if seqs, err := listCheckpoints(l.dir); err == nil {
-		for _, seq := range seqs[min(len(seqs), l.opts.KeepCheckpoints):] {
+		for _, seq := range seqs[min(len(seqs), DefaultKeepCheckpoints):] {
 			os.Remove(filepath.Join(l.dir, checkpointName(seq)))
 		}
 	}
