@@ -2,6 +2,7 @@ package core
 
 import (
 	"repro/internal/mcmf"
+	"repro/internal/trace"
 )
 
 // roundArena is the per-Scheduler reusable storage behind the
@@ -35,8 +36,29 @@ type roundArena struct {
 	groups  []cand   // cluster-stable-sort scratch
 	net     flowNet  // reused result shell; edges cap retained
 
-	flows  map[int64]int64 // per-round flow accumulator, cleared per round
-	counts map[int]int64   // contentClusters signature scratch
+	flows map[int64]int64 // per-round flow accumulator, cleared per round
+
+	// Procedure 1's flat tables (replicate.go), rebuilt by the round into
+	// storage that stays at the largest round's size — 16 B a demand
+	// entry (table, and lam for the flow sources), 24 B a flow pair,
+	// 24 + 2·4 B a candidate and its sort index, 8 B a contribution,
+	// 32 B a redirect: about 2.1 MB at 1,240 hotspots, 1 MB at 310.
+	// Ordinals are int32 throughout.
+	table     demandTable
+	pairs     []flowPair
+	lam       []demandEntry // flow sources' λ_rem rows, video-ascending
+	lamOf     []lamSpan     // hotspot -> its row in lam; lo == hi when it has none
+	cands     []euCand
+	order     []int32 // cands' indices in cmpEuCand order
+	orderBuf  []int32 // sortByEu's other half
+	contribs  []contribution
+	cursors   []int32 // per-source merge cursors of one target
+	stale     staleHeap
+	redirects []Redirect
+	placed    []placedVideo // stage A's replicas, sorted (hotspot, video)
+	placedIdx []int32       // hotspot h's replicas are placed[placedIdx[h]:placedIdx[h+1]]
+	refill    []demandEntry // fillCands' re-ranked row
+	fill      []trace.VideoID
 
 	// dist is contentClusters' m×m Jd matrix, 8·m² bytes held for the
 	// Scheduler's lifetime (12.3 MB at 1,240 hotspots) in exchange for
@@ -54,7 +76,9 @@ func newRoundArena(m int) *roundArena {
 		srcEp:  make([]int64, m),
 		snkEp:  make([]int64, m),
 		flows:  make(map[int64]int64),
-		counts: make(map[int]int64),
+
+		lamOf:     make([]lamSpan, m),
+		placedIdx: make([]int32, m+1),
 	}
 }
 

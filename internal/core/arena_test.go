@@ -34,7 +34,10 @@ func spreadDemand(n, k int, perOver int64) *Demand {
 // which the chain leaves half-consumed in the arena, its clusters, its
 // flow network — may reach the next one, whether that round clustered
 // (B) or took the MaxFlow == 0 fast path and never touched the matrix
-// (idle).
+// (idle). The demand table is per round and never per pointer: one
+// *Demand overwritten in place between rounds — A, then B, then idle,
+// then A again — is scheduled like the demand it currently holds, on
+// the full route, the fast path and a delta-mode scheduler's routes.
 func TestArenaReusePlansIdentical(t *testing.T) {
 	world := lineWorld(12, 0.4, 6, 8)
 	dA := spreadDemand(12, 3, 4)
@@ -70,19 +73,42 @@ func TestArenaReusePlansIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		dMut := NewDemand(12)
+		holds := func(src *Demand) func() {
+			return func() {
+				copy(dMut.Totals, src.Totals)
+				for h := range dMut.PerVideo {
+					if dMut.PerVideo[h] == nil {
+						dMut.PerVideo[h] = make(map[trace.VideoID]int64)
+					}
+					clear(dMut.PerVideo[h])
+					for v, n := range src.PerVideo[h] {
+						dMut.PerVideo[h][v] = n
+					}
+				}
+			}
+		}
 		sequence := []struct {
 			name string
+			prep func() // run before the round, nil for none
 			d    *Demand
 			want *Plan
 		}{
-			{"A-first", dA, wantA},
-			{"B-interleaved", dB, wantB},
-			{"A-again", dA, wantA},
-			{"B-again", dB, wantB},
-			{"idle-fast-path", dIdle, wantIdle},
-			{"A-after-idle", dA, wantA},
+			{"A-first", nil, dA, wantA},
+			{"B-interleaved", nil, dB, wantB},
+			{"A-again", nil, dA, wantA},
+			{"B-again", nil, dB, wantB},
+			{"idle-fast-path", nil, dIdle, wantIdle},
+			{"A-after-idle", nil, dA, wantA},
+			{"mutable-holds-A", holds(dA), dMut, wantA},
+			{"mutated-in-place-to-B", holds(dB), dMut, wantB},
+			{"mutated-in-place-to-idle", holds(dIdle), dMut, wantIdle},
+			{"mutated-in-place-to-A", holds(dA), dMut, wantA},
 		}
 		for _, step := range sequence {
+			if step.prep != nil {
+				step.prep()
+			}
 			got, err := s.Schedule(step.d)
 			if err != nil {
 				t.Fatalf("guides=%v %s: %v", !disableGuides, step.name, err)
@@ -93,6 +119,31 @@ func TestArenaReusePlansIdentical(t *testing.T) {
 			if !bytes.Equal(got.Canonical(), step.want.Canonical()) {
 				t.Errorf("guides=%v %s: reused-arena canonical bytes diverge from fresh scheduler", !disableGuides, step.name)
 			}
+		}
+
+		// The same on a delta-mode scheduler, whose warm rounds replay
+		// the sweep or run it cold without entering scheduleFull. Its
+		// contract forbids mutating a retained *Demand, so every round
+		// gets its own copy; the table must still follow the round.
+		params.DeltaThreshold = 1
+		sd, err := New(world, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, step := range sequence {
+			if step.prep != nil {
+				step.prep()
+			}
+			got, err := sd.Schedule(step.d.Clone())
+			if err != nil {
+				t.Fatalf("guides=%v delta %s: %v", !disableGuides, step.name, err)
+			}
+			if !bytes.Equal(got.Canonical(), step.want.Canonical()) {
+				t.Errorf("guides=%v delta %s: canonical bytes diverge from fresh scheduler", !disableGuides, step.name)
+			}
+		}
+		if ds := sd.DeltaStats(); ds.Rounds-ds.Fallbacks < 5 {
+			t.Errorf("guides=%v: only %d of %d delta-mode rounds took the delta path", !disableGuides, ds.Rounds-ds.Fallbacks, ds.Rounds)
 		}
 	}
 }
@@ -137,6 +188,40 @@ func TestRoundSteadyStateAllocatesNoMatrix(t *testing.T) {
 		if got := round(seed); got >= matrixBytes {
 			t.Errorf("steady-state round (seed %d) allocated %d bytes, want < 8·m² = %d", seed, got, matrixBytes)
 		}
+	}
+}
+
+// TestRoundSteadyStateAllocs bounds what a whole warm ScheduleRound
+// allocates at the same 600 hotspots. With the demand table, stage A's
+// ordinals and the fill's scratch in the arena, what remains is one map
+// per placement set and one per content signature (about two
+// allocations each at these sizes), the partition and budget vectors,
+// the over×under distance cache, the dendrogram and the plan's own
+// slices — 2,816 on this input, 4,039 with the map-based Procedure 1.
+// The bound sits a quarter above the former.
+func TestRoundSteadyStateAllocs(t *testing.T) {
+	const m = 600
+	world := lineWorld(m, 0.2, 5, 8)
+	params := DefaultParams()
+	params.Workers = 1
+	s, err := New(world, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := randomDemand(world, 6000, 2000, 1)
+	allocs := testing.AllocsPerRun(5, func() {
+		plan, err := s.ScheduleRound(d, Constraints{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan.Stats.Clusters < 2 || len(plan.Redirects) == 0 {
+			t.Fatalf("round did no clustering or realised no flow: %+v", plan.Stats)
+		}
+	})
+	t.Logf("steady-state ScheduleRound at %d hotspots: %.0f allocations", m, allocs)
+	const maxAllocs = 3500
+	if allocs > maxAllocs {
+		t.Errorf("steady-state ScheduleRound allocates %.0f objects, want <= %d", allocs, maxAllocs)
 	}
 }
 

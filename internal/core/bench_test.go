@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"testing"
 
 	"repro/internal/par"
@@ -38,8 +39,8 @@ func BenchmarkBuildNetwork(b *testing.B) {
 // the serving benchmark's city_sched size — the first round, which
 // allocates the arena and its m×m distance matrix, runs before the
 // timer. B/op is the steady-state figure behind the bench harness's
-// core.round_alloc_mb: signatures, the over×under distance cache,
-// replication heaps and the plan. A matrix allocated per round would add
+// core.round_alloc_mb: signatures, the over×under distance cache, the
+// placement sets and the plan. A matrix allocated per round would add
 // 8·1240² = 12.3 MB to it, and as much again for a chain that copies.
 func BenchmarkScheduleRoundSteady(b *testing.B) {
 	const m = 1240
@@ -65,5 +66,43 @@ func BenchmarkScheduleRoundSteady(b *testing.B) {
 		if plan.Stats.Clusters == 0 {
 			b.Fatal("round did not cluster")
 		}
+	}
+}
+
+// BenchmarkReplicate times Procedure 1 alone — demand table, stage A,
+// fill, placement sets — on the flows of a real θ sweep, at
+// BenchmarkScheduleRoundSteady's 1,240-hotspot inputs and on a
+// 310-hotspot twin.
+func BenchmarkReplicate(b *testing.B) {
+	for _, bc := range []struct {
+		name                string
+		m, requests, videos int
+	}{{"m1240", 1240, 50000, 15000}, {"m310", 310, 12500, 15000}} {
+		b.Run(bc.name, func(b *testing.B) {
+			world := lineWorld(bc.m, 0.1, 30, 40)
+			d := randomDemand(world, bc.requests, bc.videos, 1)
+			s, err := New(world, DefaultParams())
+			if err != nil {
+				b.Fatal(err)
+			}
+			plan, err := s.ScheduleRound(d, Constraints{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(plan.Redirects) == 0 {
+				b.Fatal("the sweep realised no flow")
+			}
+			flows := maps.Clone(s.ar.flows)
+			svc, cache := nominalService(world), nominalCache(world)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.ar.table.built = false // what ScheduleRound does on entry
+				redirects, _, _, _, err := s.replicate(d, flows, svc, cache)
+				if err != nil || len(redirects) != len(plan.Redirects) {
+					b.Fatalf("%d redirects (err %v), the round had %d", len(redirects), err, len(plan.Redirects))
+				}
+			}
+		})
 	}
 }

@@ -434,7 +434,7 @@ func (s *Scheduler) replicateDelta(d *Demand, flows map[int64]int64, svc []int64
 	ds := s.delta
 	m := len(s.world.Hotspots)
 
-	// Stage A (realizeFlows) depends on exactly: the flow map, the flow
+	// Stage A depends on exactly: the flow map, the flow
 	// sources' demand rows, and the flow targets' cache capacities. If
 	// all are unchanged its outputs are unchanged.
 	skippedA = flowsEqual(flows, ds.rec.flows)
@@ -451,21 +451,14 @@ func (s *Scheduler) replicateDelta(d *Demand, flows map[int64]int64, svc []int64
 		}
 	}
 
-	var lv *lambdaView
-	var cacheUsed []int
-	var stageA []similarity.Set
+	var t *demandTable
 	var freshOut, freshIn []map[trace.VideoID]int64
 	if skippedA {
 		redirects = ds.redirects
 		unrealized = ds.unrealized
 	} else {
-		lv = newLambdaView(d, m)
-		stageA = make([]similarity.Set, m)
-		for h := range stageA {
-			stageA[h] = make(similarity.Set)
-		}
-		cacheUsed = make([]int, m)
-		redirects, unrealized, _ = s.realizeFlows(flows, cache, lv, stageA, cacheUsed)
+		t = s.demandTable(d)
+		redirects, unrealized = s.stageA(t, flows, cache)
 		if unrealized < 0 {
 			return nil, nil, 0, 0, 0, false, fmt.Errorf("core: negative unrealized flow %d (bug)", unrealized)
 		}
@@ -474,7 +467,6 @@ func (s *Scheduler) replicateDelta(d *Demand, flows map[int64]int64, svc []int64
 
 	serveBudget := s.fillBudgets(svc, redirects)
 	placement = make([]similarity.Set, m)
-	var scratch []fillCand
 	for h := 0; h < m; h++ {
 		dirty := ds.demandDirty[h] || ds.svcDirty[h] || ds.cacheDirty[h]
 		if !skippedA && !dirty {
@@ -489,26 +481,45 @@ func (s *Scheduler) replicateDelta(d *Demand, flows map[int64]int64, svc []int64
 		}
 		patched++
 		if skippedA {
-			// Reconstruct the row's post-stage-A state from the
-			// retained footprints: stage A placed exactly the inbound
-			// redirect videos, and consumed outFoot[h] from the local
-			// demand.
-			pl := make(similarity.Set, len(ds.inFoot[h]))
-			for v := range ds.inFoot[h] {
-				pl.Add(int(v))
-			}
-			_, scratch = s.fillHotspot(d.PerVideo[h], ds.outFoot[h], pl, pl.Len(), cache[h], serveBudget[h], scratch)
-			placement[h] = pl
+			placement[h] = fillFromFootprint(d.PerVideo[h], ds.outFoot[h], ds.inFoot[h], cache[h], serveBudget[h])
 		} else {
-			pl := stageA[h]
-			_, scratch = s.fillHotspot(lv.row(h), nil, pl, cacheUsed[h], cache[h], serveBudget[h], scratch)
-			placement[h] = pl
+			placement[h] = s.fillRow(t, h, cache[h], serveBudget[h])
 		}
 	}
 	for h := 0; h < m; h++ {
 		replicas += int64(placement[h].Len())
 	}
 	return redirects, placement, unrealized, replicas, patched, skippedA, nil
+}
+
+// fillFromFootprint rebuilds one hotspot's placement when stage A was
+// skipped, from the retained redirect footprints: stage A placed exactly
+// the inbound videos in, and consumed out from the local demand base
+// (λ − out is the remaining demand). The fill itself is fillRow's —
+// (count desc, video asc), bounded by cache space and the serve budget.
+func fillFromFootprint(base, out, in map[trace.VideoID]int64, cacheCap int, budget int64) similarity.Set {
+	pl := make(similarity.Set, len(in))
+	for v := range in {
+		pl.Add(int(v))
+	}
+	if pl.Len() >= cacheCap || budget <= 0 {
+		return pl
+	}
+	var cands []demandEntry
+	for v, n := range base {
+		if n -= out[v]; n > 0 && !pl.Contains(int(v)) {
+			cands = append(cands, demandEntry{video: v, count: n})
+		}
+	}
+	slices.SortFunc(cands, byCountThenVideo)
+	for _, c := range cands {
+		if budget <= 0 || pl.Len() >= cacheCap {
+			break
+		}
+		pl.Add(int(c.video))
+		budget -= c.count
+	}
+	return pl
 }
 
 // diff compares the round's inputs against the retained snapshot,
@@ -547,28 +558,16 @@ func (ds *deltaState) diff(d *Demand, svc []int64, cache []int) (totalsOrSvcChan
 // replay.
 func (ds *deltaState) refreshClusters(s *Scheduler, d *Demand) ([]int, int, error) {
 	m := len(s.world.Hotspots)
-	counts := s.ar.counts
-	signature := func(h int) (similarity.Set, error) {
-		clear(counts)
-		for v, n := range d.PerVideo[h] {
-			counts[int(v)] = n
-		}
-		set, err := similarity.TopFraction(counts, s.params.TopFraction)
-		if err != nil {
-			return nil, fmt.Errorf("core: content signature of hotspot %d: %w", h, err)
-		}
-		return set, nil
+	var t *demandTable
+	if ds.sets == nil || len(ds.sigDirtyList) > 0 {
+		t = s.demandTable(d)
 	}
 
 	if ds.sets == nil {
 		// Cold: compute everything, exactly like contentClusters.
 		ds.sets = make([]similarity.Set, m)
 		for h := 0; h < m; h++ {
-			set, err := signature(h)
-			if err != nil {
-				return nil, 0, err
-			}
-			ds.sets[h] = set
+			ds.sets[h] = s.signature(t, h)
 		}
 		ds.sigDirtyList = ds.sigDirtyList[:0]
 		for h := range ds.sigDirty {
@@ -583,11 +582,7 @@ func (ds *deltaState) refreshClusters(s *Scheduler, d *Demand) ([]int, int, erro
 
 	var changed []int
 	for _, h := range ds.sigDirtyList {
-		set, err := signature(h)
-		if err != nil {
-			return nil, 0, err
-		}
-		if !setsEqual(set, ds.sets[h]) {
+		if set := s.signature(t, h); !setsEqual(set, ds.sets[h]) {
 			ds.sets[h] = set
 			changed = append(changed, h)
 		}

@@ -291,18 +291,10 @@ func (s *Scheduler) buildNetworkIn(
 // of clusters.
 func (s *Scheduler) contentClusters(d *Demand) ([]int, int, error) {
 	m := len(s.world.Hotspots)
+	t := s.demandTable(d)
 	sets := make([]similarity.Set, m)
-	counts := s.ar.counts // reused across hotspots; TopFraction copies what it keeps
-	for h := 0; h < m; h++ {
-		clear(counts)
-		for v, n := range d.PerVideo[h] {
-			counts[int(v)] = n
-		}
-		set, err := similarity.TopFraction(counts, s.params.TopFraction)
-		if err != nil {
-			return nil, 0, fmt.Errorf("core: content signature of hotspot %d: %w", h, err)
-		}
-		sets[h] = set
+	for h := range sets {
+		sets[h] = s.signature(t, h)
 	}
 	// The matrix costs one increment per pair of hotspots sharing a
 	// signature video; the (inherently sequential) nearest-neighbour

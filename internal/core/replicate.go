@@ -1,13 +1,78 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/similarity"
 	"repro/internal/trace"
 )
+
+// demandEntry is one (video, count) cell of a demand row.
+type demandEntry struct {
+	video trace.VideoID
+	count int64
+}
+
+// byCountThenVideo ranks demand entries by (count desc, video asc): the
+// order of the content signature's support and of the greedy local fill.
+func byCountThenVideo(a, b demandEntry) int {
+	if a.count != b.count {
+		return cmp.Compare(b.count, a.count)
+	}
+	return cmp.Compare(a.video, b.video)
+}
+
+// demandTable is one round's demand in CSR form: hotspot h's entries are
+// cells[rowAt[h]:rowAt[h+1]], every entry of d.PerVideo[h] (zero and
+// negative counts included), ranked byCountThenVideo. The signature of
+// h is the first TopCount entries of its row and the fill candidates of
+// a hotspot stage A never drew from are the row's positive prefix, so
+// one sort per row serves both. It is built at most once per
+// ScheduleRound (built is reset on entry, never keyed on the *Demand:
+// callers reuse and mutate demand objects) into storage the arena keeps.
+type demandTable struct {
+	built bool
+	rowAt []int32
+	cells []demandEntry
+}
+
+func (t *demandTable) row(h int) []demandEntry { return t.cells[t.rowAt[h]:t.rowAt[h+1]] }
+
+// demandTable returns the round's demand table, building it on the
+// round's first use — inside the cluster phase when the round clusters,
+// inside the replicate phase otherwise.
+func (s *Scheduler) demandTable(d *Demand) *demandTable {
+	t := &s.ar.table
+	if t.built {
+		return t
+	}
+	t.rowAt = append(t.rowAt[:0], 0)
+	t.cells = t.cells[:0]
+	for _, row := range d.PerVideo {
+		lo := len(t.cells)
+		for v, n := range row {
+			t.cells = append(t.cells, demandEntry{video: v, count: n})
+		}
+		slices.SortFunc(t.cells[lo:], byCountThenVideo)
+		t.rowAt = append(t.rowAt, int32(len(t.cells)))
+	}
+	t.built = true
+	return t
+}
+
+// signature returns hotspot h's content signature: its TopFraction
+// most-demanded videos, the leading entries of its table row.
+func (s *Scheduler) signature(t *demandTable, h int) similarity.Set {
+	row := t.row(h)
+	k := similarity.TopCount(len(row), s.params.TopFraction)
+	set := make(similarity.Set, k)
+	for _, e := range row[:k] {
+		set.Add(int(e.video))
+	}
+	return set
+}
 
 // replicate implements Procedure 1 (ContentAggregationReplication): it
 // converts the inter-hotspot flows f_ij into per-video request
@@ -31,15 +96,13 @@ func (s *Scheduler) replicate(d *Demand, flows map[int64]int64, svc []int64, cac
 	err error,
 ) {
 	m := len(s.world.Hotspots)
-	placement = make([]similarity.Set, m)
-	for h := range placement {
-		placement[h] = make(similarity.Set)
+	t := s.demandTable(d)
+	redirects, unrealized = s.stageA(t, flows, cache)
+	if unrealized < 0 {
+		return nil, nil, 0, 0, fmt.Errorf("core: negative unrealized flow %d (bug)", unrealized)
 	}
-	cacheUsed := make([]int, m)
-	lv := newLambdaView(d, m)
-
-	redirects, unrealized, replicas = s.realizeFlows(flows, cache, lv, placement, cacheUsed)
 	serveBudget := s.fillBudgets(svc, redirects)
+	placement = make([]similarity.Set, m)
 
 	if s.params.BPeak > 0 {
 		// Greedy local fill (Procedure 1, lines 14-19): replicate the
@@ -54,246 +117,297 @@ func (s *Scheduler) replicate(d *Demand, flows map[int64]int64, svc []int64, cac
 		}
 		var fill []localDemand
 		for i := 0; i < m; i++ {
-			if cacheUsed[i] >= cache[i] {
+			placed := s.ar.placedAt(i)
+			placement[i] = newPlacement(placed, nil)
+			replicas += int64(len(placed))
+			if len(placed) >= cache[i] {
 				continue
 			}
-			for v, n := range lv.row(i) {
-				if n <= 0 || placement[i].Contains(int(v)) {
-					continue
+			for _, e := range s.ar.fillCands(t, i) {
+				if e.count <= 0 {
+					break
 				}
-				fill = append(fill, localDemand{hotspot: i, video: v, count: n})
+				if !placedContains(placed, e.video) {
+					fill = append(fill, localDemand{hotspot: i, video: e.video, count: e.count})
+				}
 			}
 		}
 		slices.SortFunc(fill, func(a, b localDemand) int {
 			switch {
 			case a.count != b.count:
-				if a.count > b.count {
-					return -1
-				}
-				return 1
+				return cmp.Compare(b.count, a.count)
 			case a.hotspot != b.hotspot:
 				return a.hotspot - b.hotspot
 			default:
-				return int(a.video) - int(b.video)
+				return cmp.Compare(a.video, b.video)
 			}
 		})
 		for _, ld := range fill {
 			if replicas >= s.params.BPeak {
 				break
 			}
-			if serveBudget[ld.hotspot] <= 0 {
-				continue
-			}
-			if cacheUsed[ld.hotspot] >= cache[ld.hotspot] {
-				continue
-			}
-			if placement[ld.hotspot].Contains(int(ld.video)) {
+			if serveBudget[ld.hotspot] <= 0 || placement[ld.hotspot].Len() >= cache[ld.hotspot] {
 				continue
 			}
 			placement[ld.hotspot].Add(int(ld.video))
-			cacheUsed[ld.hotspot]++
 			replicas++
 			serveBudget[ld.hotspot] -= ld.count
 		}
-	} else {
-		// Without the global BPeak budget every state the fill walk
-		// touches — cache space, serve budget, placement — is
-		// per-hotspot, and the global (count desc, hotspot asc, video
-		// asc) order restricted to one hotspot is (count desc, video
-		// asc): the walk decomposes into independent per-hotspot fills
-		// in ascending hotspot order with identical output. The delta
-		// path patches exactly these rows.
-		var scratch []fillCand
-		for i := 0; i < m; i++ {
-			var added int64
-			added, scratch = s.fillHotspot(lv.row(i), nil, placement[i], cacheUsed[i], cache[i], serveBudget[i], scratch)
-			replicas += added
-		}
+		return redirects, placement, unrealized, replicas, nil
 	}
 
-	if unrealized < 0 {
-		return nil, nil, 0, 0, fmt.Errorf("core: negative unrealized flow %d (bug)", unrealized)
+	// Without the global BPeak budget every state the fill walk
+	// touches — cache space, serve budget, placement — is
+	// per-hotspot, and the global (count desc, hotspot asc, video
+	// asc) order restricted to one hotspot is (count desc, video
+	// asc): the walk decomposes into independent per-hotspot fills
+	// in ascending hotspot order with identical output. The delta
+	// path patches exactly these rows.
+	for i := 0; i < m; i++ {
+		placement[i] = s.fillRow(t, i, cache[i], serveBudget[i])
+		replicas += int64(placement[i].Len())
 	}
 	return redirects, placement, unrealized, replicas, nil
 }
 
-// lambdaView is the remaining-local-demand vector λ_rem of Procedure 1,
-// materialised lazily: a hotspot's row is copied (filtered to n > 0)
-// only when stage A mutates it; every other hotspot reads the raw
-// demand map with non-positive entries filtered at the use sites —
-// exactly the set the eager copy would have held. On typical rounds
-// only the flow sources (a few dozen of thousands of hotspots) ever
-// materialise. The view never mutates the underlying Demand.
-type lambdaView struct {
-	d   *Demand
-	mod []map[trace.VideoID]int64
+// flowPair is one positive flow f_ij of the round: its remaining budget
+// and its source's λ_rem row, a span of roundArena.lam.
+type flowPair struct {
+	src, dst int32
+	lam      lamSpan
+	rem      int64
 }
 
-func newLambdaView(d *Demand, m int) *lambdaView {
-	return &lambdaView{d: d, mod: make([]map[trace.VideoID]int64, m)}
+// lamSpan is a half-open span of roundArena.lam.
+type lamSpan struct{ lo, hi int32 }
+
+// contribution is one term of a candidate's eu sum: min(pairs[pair].rem,
+// lam[pos].count).
+type contribution struct{ pair, pos int32 }
+
+// euCand is a (video, target) candidate of stage A with the eu it was
+// last ranked by and its terms contribs[lo:hi], one per source of the
+// target that demands the video, in ascending source order.
+type euCand struct {
+	eu     int64
+	target int32
+	video  trace.VideoID
+	lo, hi int32
 }
 
-// materialize returns hotspot h's mutable remaining-demand row, copying
-// the filtered (n > 0) demand on first use.
-func (lv *lambdaView) materialize(h int) map[trace.VideoID]int64 {
-	if lv.mod[h] == nil {
-		row := make(map[trace.VideoID]int64, len(lv.d.PerVideo[h]))
-		for v, n := range lv.d.PerVideo[h] {
-			if n > 0 {
-				row[v] = n
-			}
+// cmpEuCand is stage A's strict total order: (eu desc, target asc,
+// video asc). No two live candidates share (target, video).
+func cmpEuCand(a, b euCand) int {
+	switch {
+	case a.eu != b.eu:
+		return cmp.Compare(b.eu, a.eu)
+	case a.target != b.target:
+		return cmp.Compare(a.target, b.target)
+	default:
+		return cmp.Compare(a.video, b.video)
+	}
+}
+
+// sortByEu returns the indices of cands ordered by cmpEuCand, in order
+// or buf, and the other of the two as spare. stageA emits candidates in
+// (target asc, video asc) order, so a stable sort on eu alone is the
+// whole order: one counting pass per byte the largest eu needs (one or
+// two on real demand), least significant first. Indices, not
+// candidates, move between the two halves — 4 B each instead of 24.
+func sortByEu(cands []euCand, order, buf []int32) (sorted, spare []int32) {
+	order = slices.Grow(order[:0], len(cands))[:len(cands)]
+	buf = slices.Grow(buf[:0], len(cands))[:len(cands)]
+	var top int64
+	for x, c := range cands {
+		order[x] = int32(x)
+		top = max(top, c.eu)
+	}
+	for shift := 0; top>>shift > 0; shift += 8 {
+		var at [257]int32 // at[b+1] counts bucket b, then at[b] is where b starts
+		for _, c := range cands {
+			at[256-(c.eu>>shift)&255]++
 		}
-		lv.mod[h] = row
+		for b := 0; b < 256; b++ {
+			at[b+1] += at[b]
+		}
+		for _, x := range order {
+			b := 255 - (cands[x].eu>>shift)&255 // larger digit, earlier bucket
+			buf[at[b]] = x
+			at[b]++
+		}
+		order, buf = buf, order
 	}
-	return lv.mod[h]
+	return order, buf
 }
 
-// at returns λ_rem for (h, v). Callers treat non-positive values as
-// absent, which makes the raw-row read equivalent to the filtered copy.
-func (lv *lambdaView) at(h int, v trace.VideoID) int64 {
-	if row := lv.mod[h]; row != nil {
-		return row[v]
-	}
-	return lv.d.PerVideo[h][v]
+// placedVideo is a replica stage A placed at a flow target.
+type placedVideo struct {
+	hotspot int32
+	video   trace.VideoID
 }
 
-// row returns hotspot h's remaining-demand row for read-only iteration:
-// the materialised row when stage A touched h, the raw demand map
-// otherwise (iterate with an n > 0 guard).
-func (lv *lambdaView) row(h int) map[trace.VideoID]int64 {
-	if lv.mod[h] != nil {
-		return lv.mod[h]
-	}
-	return lv.d.PerVideo[h]
-}
-
-// realizeFlows is stage A of Procedure 1: it converts the inter-hotspot
-// flows into per-video redirects in descending eu(v,j) order, placing
-// each redirected video at its target. It mutates lv (source rows),
-// placement, and cacheUsed (target rows) and returns the redirects, the
-// flow it could not realise, and the replicas it placed.
-func (s *Scheduler) realizeFlows(
-	flows map[int64]int64,
-	cache []int,
-	lv *lambdaView,
-	placement []similarity.Set,
-	cacheUsed []int,
-) (redirects []Redirect, unrealized int64, replicas int64) {
+// stageA is the first half of Procedure 1: it converts the
+// inter-hotspot flows into per-video redirects in descending eu(v,j)
+// order, placing each redirected video at its target, and returns the
+// redirects and the flow it could not realise. It leaves in the arena,
+// for fillRow: the replicas it placed, grouped by hotspot, and every
+// flow source's remaining demand λ_rem.
+//
+// The greedy is the lazy one — take the candidate with the largest
+// recorded eu, re-evaluate it, realise it if the value still holds,
+// re-queue it with the smaller value otherwise — but every candidate is
+// recorded before the first is taken and a recorded value only ever
+// falls, so the initial candidates are sorted once and consumed by a
+// cursor, and only re-queued ones live in a heap (DESIGN §9).
+func (s *Scheduler) stageA(t *demandTable, flows map[int64]int64, cache []int) (redirects []Redirect, unrealized int64) {
+	ar := s.ar
 	m := len(s.world.Hotspots)
 
-	// Remaining flow budget per (i, j) pair.
-	remaining := make(map[int64]int64, len(flows))
-	var totalFlow int64
+	// The positive flows sorted (target, source): a target's pairs are
+	// one run, its sources (SinktoSource(j) in the paper) ascending.
+	pairs := ar.pairs[:0]
 	for k, f := range flows {
 		if f > 0 {
-			remaining[k] = f
-			totalFlow += f
+			i, j := unpackPair(k, m)
+			pairs = append(pairs, flowPair{src: int32(i), dst: int32(j), rem: f})
+			unrealized += f
 		}
 	}
-
-	// Per-target source lists (SinktoSource(j) in the paper).
-	sourcesOf := make(map[int][]int)
-	for k := range remaining {
-		i, j := unpackPair(k, m)
-		sourcesOf[j] = append(sourcesOf[j], i)
-	}
-	for j := range sourcesOf {
-		sort.Ints(sourcesOf[j])
-	}
-
-	// eu(v, j) under the current remaining flow and demand.
-	euOf := func(v trace.VideoID, j int) int64 {
-		var sum int64
-		for _, i := range sourcesOf[j] {
-			rem := remaining[pairKey(i, j, m)]
-			if rem <= 0 {
-				continue
-			}
-			lam := lv.at(i, v)
-			if lam <= 0 {
-				continue
-			}
-			if lam < rem {
-				sum += lam
-			} else {
-				sum += rem
-			}
+	slices.SortFunc(pairs, func(a, b flowPair) int {
+		if a.dst != b.dst {
+			return cmp.Compare(a.dst, b.dst)
 		}
-		return sum
-	}
+		return cmp.Compare(a.src, b.src)
+	})
 
-	// Seed the lazy max-heap over (v, j) with initial eu values. Every
-	// flow source materialises its λ_rem row here, before any read.
-	var h euHeap
-	for j, srcs := range sourcesOf {
-		seen := make(map[trace.VideoID]struct{})
-		for _, i := range srcs {
-			for v := range lv.materialize(i) {
-				if _, dup := seen[v]; dup {
-					continue
+	// Every flow source copies its positive demand out of the table,
+	// video-ascending, as its mutable λ_rem row; lamOf finds it again
+	// (an empty span reads as "not a source", which ranks the same).
+	clear(ar.lamOf)
+	lam := ar.lam[:0]
+	for x := range pairs {
+		p := &pairs[x]
+		sp := &ar.lamOf[p.src]
+		if sp.lo == sp.hi {
+			sp.lo = int32(len(lam))
+			for _, e := range t.row(int(p.src)) {
+				if e.count <= 0 {
+					break
 				}
-				seen[v] = struct{}{}
-				if eu := euOf(v, j); eu > 0 {
-					h.push(euEntry{video: v, target: j, eu: eu})
-				}
+				lam = append(lam, e)
 			}
+			sp.hi = int32(len(lam))
+			slices.SortFunc(lam[sp.lo:], func(a, b demandEntry) int { return cmp.Compare(a.video, b.video) })
 		}
+		p.lam = *sp
 	}
 
-	remainingTotal := totalFlow
-	for len(h) > 0 && remainingTotal > 0 {
-		top := h.pop()
-		cur := euOf(top.video, top.target)
-		if cur <= 0 {
+	// A target's candidates are the union of its sources' rows: merge
+	// the video-sorted rows, one candidate per distinct video carrying
+	// one contribution per row that holds it.
+	cands, contribs, cur := ar.cands[:0], ar.contribs[:0], ar.cursors
+	for lo := 0; lo < len(pairs); {
+		hi := lo + 1
+		for hi < len(pairs) && pairs[hi].dst == pairs[lo].dst {
+			hi++
+		}
+		run := pairs[lo:hi]
+		cur = cur[:0]
+		for _, p := range run {
+			cur = append(cur, p.lam.lo)
+		}
+		for {
+			var v trace.VideoID
+			found := false
+			for x, p := range run {
+				if cur[x] < p.lam.hi && (!found || lam[cur[x]].video < v) {
+					v, found = lam[cur[x]].video, true
+				}
+			}
+			if !found {
+				break
+			}
+			c := euCand{target: run[0].dst, video: v, lo: int32(len(contribs))}
+			for x, p := range run {
+				if cur[x] < p.lam.hi && lam[cur[x]].video == v {
+					contribs = append(contribs, contribution{pair: int32(lo + x), pos: cur[x]})
+					c.eu += min(p.rem, lam[cur[x]].count)
+					cur[x]++
+				}
+			}
+			c.hi = int32(len(contribs))
+			cands = append(cands, c)
+		}
+		lo = hi
+	}
+	order, spare := sortByEu(cands, ar.order, ar.orderBuf)
+
+	// idx[h+1] counts the replicas placed at h while the greedy runs and
+	// is prefix-summed into the row index of placed afterwards.
+	idx := ar.placedIdx
+	clear(idx)
+	placed, stale, out := ar.placed[:0], ar.stale[:0], ar.redirects[:0]
+	for next := 0; unrealized > 0 && (next < len(order) || len(stale) > 0); {
+		var top euCand
+		if len(stale) == 0 || next < len(order) && cmpEuCand(cands[order[next]], stale[0]) < 0 {
+			top = cands[order[next]]
+			next++
+		} else {
+			top = stale.pop()
+		}
+		// eu(v, j) under the current remaining flow and demand.
+		var eu int64
+		for _, cb := range contribs[top.lo:top.hi] {
+			eu += max(0, min(pairs[cb.pair].rem, lam[cb.pos].count))
+		}
+		if eu <= 0 {
 			continue
 		}
-		if cur < top.eu {
+		if eu < top.eu {
 			// Stale priority: requeue with the refreshed value.
-			h.push(euEntry{video: top.video, target: top.target, eu: cur})
+			top.eu = eu
+			stale.push(top)
 			continue
 		}
+		// Redirecting v to j requires a replica at j. Realising (v, j)
+		// zeroes every one of its terms for good, so no candidate is
+		// realised twice and the replica is never there already.
 		j := top.target
-		v := top.video
-		// Redirecting v to j requires a replica at j.
-		if !placement[j].Contains(int(v)) {
-			if cacheUsed[j] >= cache[j] {
-				continue // target cache full; this (v, j) is unrealisable
-			}
-			placement[j].Add(int(v))
-			cacheUsed[j]++
-			replicas++
+		if int(idx[j+1]) >= cache[j] {
+			continue // target cache full; this (v, j) is unrealisable
 		}
-		for _, i := range sourcesOf[j] {
-			key := pairKey(i, j, m)
-			rem := remaining[key]
-			if rem <= 0 {
+		idx[j+1]++
+		placed = append(placed, placedVideo{hotspot: j, video: top.video})
+		for _, cb := range contribs[top.lo:top.hi] {
+			p, e := &pairs[cb.pair], &lam[cb.pos]
+			amt := min(p.rem, e.count)
+			if amt <= 0 {
 				continue
 			}
-			row := lv.mod[i] // materialised at seeding
-			lam := row[v]
-			if lam <= 0 {
-				continue
-			}
-			amt := lam
-			if rem < amt {
-				amt = rem
-			}
-			redirects = append(redirects, Redirect{
-				From:  trace.HotspotID(i),
-				To:    trace.HotspotID(j),
-				Video: v,
-				Count: amt,
-			})
-			remaining[key] = rem - amt
-			if lam == amt {
-				delete(row, v)
-			} else {
-				row[v] = lam - amt
-			}
-			remainingTotal -= amt
+			out = append(out, Redirect{From: trace.HotspotID(p.src), To: trace.HotspotID(j), Video: top.video, Count: amt})
+			p.rem -= amt
+			e.count -= amt
+			unrealized -= amt
 		}
 	}
-	return redirects, remainingTotal, replicas
+
+	// Group the placed replicas by hotspot, video-ascending within one.
+	slices.SortFunc(placed, func(a, b placedVideo) int {
+		if a.hotspot != b.hotspot {
+			return cmp.Compare(a.hotspot, b.hotspot)
+		}
+		return cmp.Compare(a.video, b.video)
+	})
+	for h := 0; h < m; h++ {
+		idx[h+1] += idx[h]
+	}
+	ar.pairs, ar.lam, ar.cands, ar.contribs, ar.cursors = pairs, lam, cands, contribs, cur
+	ar.order, ar.orderBuf = order, spare
+	ar.placed, ar.stale, ar.redirects = placed, stale, out
+	if len(out) > 0 {
+		redirects = slices.Clone(out) // the plan owns its redirects
+	}
+	return redirects, unrealized
 }
 
 // fillBudgets computes the per-hotspot serve budget of the greedy fill.
@@ -317,98 +431,81 @@ func (s *Scheduler) fillBudgets(svc []int64, redirects []Redirect) []int64 {
 	return serveBudget
 }
 
-// fillCand is one candidate of a single hotspot's greedy fill.
-type fillCand struct {
-	video trace.VideoID
-	count int64
+// placedAt returns the replicas the round's stage A placed at hotspot
+// h, video-ascending.
+func (ar *roundArena) placedAt(h int) []placedVideo {
+	return ar.placed[ar.placedIdx[h]:ar.placedIdx[h+1]]
 }
 
-// fillHotspot runs one hotspot's greedy local fill: remaining local
+func placedContains(placed []placedVideo, v trace.VideoID) bool {
+	_, ok := slices.BinarySearchFunc(placed, v, func(p placedVideo, v trace.VideoID) int { return cmp.Compare(p.video, v) })
+	return ok
+}
+
+// fillCands returns hotspot h's remaining local demand λ_rem ranked
+// byCountThenVideo: its table row in place when stage A drew nothing
+// from it, its λ_rem row re-ranked in scratch (valid until the next
+// call) when it was a flow source. Non-positive entries trail; callers
+// stop at the first.
+func (ar *roundArena) fillCands(t *demandTable, h int) []demandEntry {
+	sp := ar.lamOf[h]
+	if sp.lo == sp.hi {
+		return t.row(h)
+	}
+	ar.refill = append(ar.refill[:0], ar.lam[sp.lo:sp.hi]...)
+	slices.SortFunc(ar.refill, byCountThenVideo)
+	return ar.refill
+}
+
+// newPlacement returns a placement set holding placed and fill, created
+// at its final size.
+func newPlacement(placed []placedVideo, fill []trace.VideoID) similarity.Set {
+	set := make(similarity.Set, len(placed)+len(fill))
+	for _, p := range placed {
+		set.Add(int(p.video))
+	}
+	for _, v := range fill {
+		set.Add(int(v))
+	}
+	return set
+}
+
+// fillRow runs one hotspot's greedy local fill on top of what stage A
+// placed there and returns the hotspot's placement: remaining local
 // demand in (count desc, video asc) order, bounded by cache space and
-// the serve budget. base is the hotspot's demand row; minus, when
-// non-nil, holds per-video amounts already redirected away (λ − minus
-// is the remaining demand — the delta path reconstructs λ_rem this way
-// from the retained redirect footprint). Non-positive remaining demand
-// and videos already placed are skipped. Returns the replicas added and
-// the (possibly grown) candidate scratch for reuse.
-func (s *Scheduler) fillHotspot(
-	base map[trace.VideoID]int64,
-	minus map[trace.VideoID]int64,
-	placement similarity.Set,
-	used, cacheCap int,
-	budget int64,
-	scratch []fillCand,
-) (int64, []fillCand) {
-	if used >= cacheCap || budget <= 0 {
-		return 0, scratch
-	}
-	cands := scratch[:0]
-	for v, n := range base {
-		if minus != nil {
-			n -= minus[v]
-		}
-		if n <= 0 || placement.Contains(int(v)) {
-			continue
-		}
-		cands = append(cands, fillCand{video: v, count: n})
-	}
-	slices.SortFunc(cands, func(a, b fillCand) int {
-		switch {
-		case a.count != b.count:
-			if a.count > b.count {
-				return -1
+// the serve budget, skipping videos already placed.
+func (s *Scheduler) fillRow(t *demandTable, h, cacheCap int, budget int64) similarity.Set {
+	ar := s.ar
+	placed := ar.placedAt(h)
+	fill := ar.fill[:0]
+	if used := len(placed); used < cacheCap && budget > 0 {
+		for _, e := range ar.fillCands(t, h) {
+			if e.count <= 0 || budget <= 0 || used >= cacheCap {
+				break
 			}
-			return 1
-		default:
-			return int(a.video) - int(b.video)
+			if placedContains(placed, e.video) {
+				continue
+			}
+			fill = append(fill, e.video)
+			used++
+			budget -= e.count
 		}
-	})
-	var added int64
-	for _, c := range cands {
-		if budget <= 0 || used >= cacheCap {
-			break
-		}
-		placement.Add(int(c.video))
-		used++
-		added++
-		budget -= c.count
 	}
-	return added, cands
+	ar.fill = fill
+	return newPlacement(placed, fill)
 }
 
-// euEntry is a (video, target) candidate keyed by its content-placement
-// efficiency index.
-type euEntry struct {
-	video  trace.VideoID
-	target int
-	eu     int64
-}
+// staleHeap is the heap of re-queued stage A candidates, ordered by
+// cmpEuCand (sift-up/sift-down identical to container/heap, without its
+// boxing).
+type staleHeap []euCand
 
-// euHeap is a max-heap over euEntry with deterministic tie-breaking.
-// Hand-rolled (sift-up/sift-down identical to container/heap) because
-// the boxed interface{} Push/Pop of container/heap dominated the
-// round's allocation profile: one box per operation on a heap that sees
-// every (video, target) candidate of the round. The (eu, target, video)
-// order is strict and total, so pop order is deterministic.
-type euHeap []euEntry
-
-func (h euHeap) less(a, b int) bool {
-	if h[a].eu != h[b].eu {
-		return h[a].eu > h[b].eu
-	}
-	if h[a].target != h[b].target {
-		return h[a].target < h[b].target
-	}
-	return h[a].video < h[b].video
-}
-
-func (h *euHeap) push(e euEntry) {
-	*h = append(*h, e)
+func (h *staleHeap) push(c euCand) {
+	*h = append(*h, c)
 	s := *h
-	j := len(s) - 1
-	for j > 0 {
+	for j := len(s) - 1; j > 0; {
 		i := (j - 1) / 2 // parent
-		if !s.less(j, i) {
+		if cmpEuCand(s[j], s[i]) >= 0 {
 			break
 		}
 		s[i], s[j] = s[j], s[i]
@@ -416,22 +513,19 @@ func (h *euHeap) push(e euEntry) {
 	}
 }
 
-func (h *euHeap) pop() euEntry {
+func (h *staleHeap) pop() euCand {
 	s := *h
 	n := len(s) - 1
 	s[0], s[n] = s[n], s[0]
-	// Sift the new root down over s[:n].
-	i := 0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n {
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
 			break
 		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && s.less(j2, j1) {
-			j = j2
+		if j+1 < n && cmpEuCand(s[j+1], s[j]) < 0 {
+			j++
 		}
-		if !s.less(j, i) {
+		if cmpEuCand(s[j], s[i]) >= 0 {
 			break
 		}
 		s[i], s[j] = s[j], s[i]

@@ -114,6 +114,7 @@ func (s *Scheduler) ScheduleRound(d *Demand, cons Constraints) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.ar.table.built = false // the demand table is per round, whatever d held last time
 	if s.params.DeltaThreshold > 0 {
 		return s.scheduleDelta(d, svc, cache)
 	}

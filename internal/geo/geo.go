@@ -1,8 +1,7 @@
-// Package geo provides planar and spherical geometry primitives used by
-// the crowdsourced-CDN simulator: points on a local kilometre plane,
-// rectangles, lat/lon coordinates with haversine distance, an
-// equirectangular projection between the two, and a uniform-grid spatial
-// index for nearest-neighbour and range queries.
+// Package geo provides the planar geometry primitives used by the
+// crowdsourced-CDN simulator: points on a local kilometre plane,
+// rectangles, and a uniform-grid spatial index for nearest-neighbour
+// and range queries.
 //
 // Following the paper, network latency between two devices is modelled
 // as proportional to their geographic distance, so all "latency" values
@@ -13,9 +12,6 @@ import (
 	"fmt"
 	"math"
 )
-
-// EarthRadiusKm is the mean Earth radius used by Haversine.
-const EarthRadiusKm = 6371.0088
 
 // Point is a location on the local planar projection, in kilometres.
 type Point struct {
@@ -94,63 +90,3 @@ func (r Rect) Center() Point {
 
 // Valid reports whether the rectangle has non-negative extents.
 func (r Rect) Valid() bool { return r.MaxX >= r.MinX && r.MaxY >= r.MinY }
-
-// LatLon is a geographic coordinate in degrees.
-type LatLon struct {
-	Lat float64
-	Lon float64
-}
-
-// Haversine returns the great-circle distance between a and b in
-// kilometres.
-func Haversine(a, b LatLon) float64 {
-	const degToRad = math.Pi / 180
-	lat1 := a.Lat * degToRad
-	lat2 := b.Lat * degToRad
-	dLat := (b.Lat - a.Lat) * degToRad
-	dLon := (b.Lon - a.Lon) * degToRad
-	sinLat := math.Sin(dLat / 2)
-	sinLon := math.Sin(dLon / 2)
-	h := sinLat*sinLat + math.Cos(lat1)*math.Cos(lat2)*sinLon*sinLon
-	return 2 * EarthRadiusKm * math.Asin(math.Min(1, math.Sqrt(h)))
-}
-
-// Projection converts between lat/lon coordinates and the local
-// kilometre plane using an equirectangular approximation anchored at an
-// origin. The approximation is accurate to well under 1% over the tens
-// of kilometres spanned by a metropolitan deployment, matching the
-// paper's distance-as-latency assumption.
-type Projection struct {
-	origin LatLon
-	cosLat float64
-}
-
-// NewProjection returns a projection anchored at origin. The origin
-// maps to Point{0, 0}.
-func NewProjection(origin LatLon) *Projection {
-	return &Projection{
-		origin: origin,
-		cosLat: math.Cos(origin.Lat * math.Pi / 180),
-	}
-}
-
-// Origin returns the anchoring coordinate.
-func (pr *Projection) Origin() LatLon { return pr.origin }
-
-// ToPlane converts a geographic coordinate to the local plane.
-func (pr *Projection) ToPlane(ll LatLon) Point {
-	const kmPerDeg = math.Pi / 180 * EarthRadiusKm
-	return Point{
-		X: (ll.Lon - pr.origin.Lon) * kmPerDeg * pr.cosLat,
-		Y: (ll.Lat - pr.origin.Lat) * kmPerDeg,
-	}
-}
-
-// ToLatLon converts a local plane point back to geographic coordinates.
-func (pr *Projection) ToLatLon(p Point) LatLon {
-	const degPerKm = 180 / math.Pi / EarthRadiusKm
-	return LatLon{
-		Lat: pr.origin.Lat + p.Y*degPerKm,
-		Lon: pr.origin.Lon + p.X*degPerKm/pr.cosLat,
-	}
-}

@@ -105,58 +105,3 @@ func TestRectContainsAndClamp(t *testing.T) {
 		})
 	}
 }
-
-func TestHaversineKnownDistances(t *testing.T) {
-	tests := []struct {
-		name string
-		a, b LatLon
-		want float64 // km
-		tol  float64
-	}{
-		{"zero", LatLon{40, 116}, LatLon{40, 116}, 0, 1e-9},
-		// One degree of latitude is ~111.2 km everywhere.
-		{"one degree lat", LatLon{0, 0}, LatLon{1, 0}, 111.2, 0.5},
-		// One degree of longitude at 60N is ~55.6 km.
-		{"one degree lon at 60N", LatLon{60, 0}, LatLon{60, 1}, 55.6, 0.5},
-		// Beijing to Shanghai is ~1070 km.
-		{"beijing-shanghai", LatLon{39.9042, 116.4074}, LatLon{31.2304, 121.4737}, 1068, 15},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := Haversine(tt.a, tt.b); !almostEqual(got, tt.want, tt.tol) {
-				t.Errorf("Haversine() = %v, want %v +- %v", got, tt.want, tt.tol)
-			}
-		})
-	}
-}
-
-func TestProjectionRoundTrip(t *testing.T) {
-	pr := NewProjection(LatLon{Lat: 39.9, Lon: 116.4})
-	if o := pr.ToPlane(pr.Origin()); !almostEqual(o.X, 0, 1e-9) || !almostEqual(o.Y, 0, 1e-9) {
-		t.Fatalf("origin maps to %v, want (0,0)", o)
-	}
-	f := func(dlat, dlon float64) bool {
-		ll := LatLon{
-			Lat: 39.9 + math.Mod(dlat, 0.2),
-			Lon: 116.4 + math.Mod(dlon, 0.2),
-		}
-		back := pr.ToLatLon(pr.ToPlane(ll))
-		return almostEqual(back.Lat, ll.Lat, 1e-9) && almostEqual(back.Lon, ll.Lon, 1e-9)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestProjectionMatchesHaversineLocally(t *testing.T) {
-	origin := LatLon{Lat: 39.9, Lon: 116.4}
-	pr := NewProjection(origin)
-	// Within ~20 km of the origin the planar distance should agree with
-	// the great-circle distance to well under 1%.
-	other := LatLon{Lat: 39.99, Lon: 116.55}
-	planar := pr.ToPlane(other).DistanceTo(pr.ToPlane(origin))
-	sphere := Haversine(origin, other)
-	if rel := math.Abs(planar-sphere) / sphere; rel > 0.01 {
-		t.Errorf("planar %v vs haversine %v: relative error %v > 1%%", planar, sphere, rel)
-	}
-}

@@ -212,14 +212,18 @@ func TopFraction(demand map[int]int64, frac float64) (Set, error) {
 	if frac <= 0 || frac > 1 {
 		return nil, fmt.Errorf("similarity: fraction %v outside (0, 1]", frac)
 	}
-	if len(demand) == 0 {
-		return Set{}, nil
+	return TopK(demand, TopCount(len(demand), frac))
+}
+
+// TopCount is the size of the top-frac support of n entries,
+// ceil(frac·n) but never below 1 while there is an entry at all: the
+// one place TopFraction's k is spelled, for callers that rank the
+// entries themselves.
+func TopCount(n int, frac float64) int {
+	if n == 0 {
+		return 0
 	}
-	k := int(float64(len(demand))*frac + 0.999999)
-	if k < 1 {
-		k = 1
-	}
-	return TopK(demand, k)
+	return max(1, int(float64(n)*frac+0.999999))
 }
 
 // entry is one (item, demand) pair of a demand vector being ranked.

@@ -137,6 +137,37 @@ func TestTopFraction(t *testing.T) {
 	}
 }
 
+// TestTopCount pins the one spelling of the top-fraction support size —
+// ceil(frac·n), at least 1 of a non-empty support — and that
+// TopFraction returns exactly that many items.
+func TestTopCount(t *testing.T) {
+	fracs := []float64{0.2, 0.5, 1}
+	for _, tt := range []struct {
+		n    int
+		want [3]int
+	}{
+		{0, [3]int{0, 0, 0}},
+		{1, [3]int{1, 1, 1}},
+		{4, [3]int{1, 2, 4}},
+		{5, [3]int{1, 3, 5}},
+		{6, [3]int{2, 3, 6}},
+		{1000, [3]int{200, 500, 1000}},
+	} {
+		demand := make(map[int]int64, tt.n)
+		for id := 0; id < tt.n; id++ {
+			demand[id] = int64(id % 7)
+		}
+		for i, frac := range fracs {
+			if got := TopCount(tt.n, frac); got != tt.want[i] {
+				t.Errorf("TopCount(%d, %v) = %d, want %d", tt.n, frac, got, tt.want[i])
+			}
+			if set, err := TopFraction(demand, frac); err != nil || set.Len() != tt.want[i] {
+				t.Errorf("TopFraction(%d entries, %v) holds %d items (err %v), want %d", tt.n, frac, set.Len(), err, tt.want[i])
+			}
+		}
+	}
+}
+
 func TestRankedIDs(t *testing.T) {
 	demand := map[int]int64{5: 1, 1: 9, 3: 9, 7: 4}
 	got := RankedIDs(demand)
