@@ -18,8 +18,7 @@
 //	                  them digest-verified
 //	-slot DUR         timeslot length (default 10s; 0 = manual slots
 //	                  via POST /admin/advance)
-//	-shards N         demand accumulator lock stripes per instance
-//	-queue N          per-stripe backpressure bound (429 beyond it)
+//	-queue N          per-frontend backpressure bound (429 beyond it)
 //	-history N        per-slot plan records retained for GET /plans
 //	-drain DUR        graceful-shutdown drain timeout
 //	-seed N           world-generation seed (no -world only)
@@ -79,8 +78,7 @@ func run(args []string) error {
 	worldPath := fs.String("world", "", "world JSON file (default: generate from -seed)")
 	instances := fs.Int("instances", 0, "frontend instances sharded by consistent hashing (0 = 1)")
 	slot := fs.Duration("slot", 10*time.Second, "timeslot length (0 = manual slots)")
-	shards := fs.Int("shards", 0, "demand lock stripes (0 = default)")
-	queue := fs.Int("queue", 0, "per-stripe backpressure bound (0 = default)")
+	queue := fs.Int("queue", 0, "per-frontend backpressure bound (0 = default)")
 	history := fs.Int("history", 0, "plan records retained (0 = default)")
 	drain := fs.Duration("drain", 0, "graceful-shutdown drain timeout (0 = default)")
 	seed := fs.Int64("seed", 1, "world-generation seed")
@@ -122,7 +120,6 @@ func run(args []string) error {
 		Params:          params,
 		Addr:            *addr,
 		Instances:       *instances,
-		Shards:          *shards,
 		QueueBound:      *queue,
 		SlotDuration:    *slot,
 		PlanHistory:     *history,

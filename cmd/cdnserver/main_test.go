@@ -46,6 +46,10 @@ func TestBadFlags(t *testing.T) {
 	if err := run([]string{"-no-such-flag"}); err == nil {
 		t.Fatal("unknown flag accepted")
 	}
+	// The lock stripes and their knob are gone.
+	if err := run([]string{"-smoke", "-shards", "4"}); err == nil {
+		t.Fatal("-shards accepted")
+	}
 	if err := run([]string{"-world", "/does/not/exist.json"}); err == nil {
 		t.Fatal("missing world file accepted")
 	}
@@ -85,17 +89,16 @@ func TestCrashSmoke(t *testing.T) {
 	}
 }
 
-// TestSmokeDelta mirrors the CI delta-scheduling smoke step: the same
-// replay with incremental rounds, plans digest-identical slot by slot.
+// TestSmokeDelta is the delta-scheduling smoke: the same replay with
+// incremental rounds, plans digest-identical slot by slot.
 func TestSmokeDelta(t *testing.T) {
 	if err := run([]string{"-smoke", "-delta", "-seed", "3"}); err != nil {
 		t.Fatalf("run -smoke -delta: %v", err)
 	}
 }
 
-// TestSmokeMultiInstance mirrors the CI multi-instance smoke step:
-// ring-sharded ingestion across three frontends plus the open-loop
-// phase.
+// TestSmokeMultiInstance is the multi-instance smoke: ring-sharded
+// ingestion across three frontends plus the open-loop phase.
 func TestSmokeMultiInstance(t *testing.T) {
 	if err := run([]string{"-smoke", "-instances", "3", "-seed", "3"}); err != nil {
 		t.Fatalf("run -smoke -instances 3: %v", err)

@@ -275,6 +275,10 @@ func NewRBCAScheduler(world *World, params Params) (*RBCAScheduler, error) {
 	return core.New(world, params)
 }
 
+// NewDemand returns an empty slot demand over numHotspots hotspots, to
+// be filled with Demand.Add and handed to RBCAScheduler.Schedule.
+func NewDemand(numHotspots int) *Demand { return core.NewDemand(numHotspots) }
+
 // NewRBCAer returns the RBCAer simulator policy.
 func NewRBCAer(params Params) Scheduler { return scheme.NewRBCAer(params) }
 

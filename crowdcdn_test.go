@@ -75,10 +75,7 @@ func TestPublicAPILowLevelScheduler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	demand := &Demand{
-		PerVideo: make([]map[VideoID]int64, len(world.Hotspots)),
-		Totals:   make([]int64, len(world.Hotspots)),
-	}
+	demand := NewDemand(len(world.Hotspots))
 	for _, req := range tr.Requests {
 		h, _, ok := index.Nearest(req.Location)
 		if !ok {

@@ -65,7 +65,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	agg := newDemand(len(world.Hotspots))
+	agg := crowdcdn.NewDemand(len(world.Hotspots))
 	for _, req := range bySlot[busiest] {
 		h, _, ok := index.Nearest(req.Location)
 		if !ok {
@@ -86,13 +86,4 @@ func run() error {
 	fmt.Printf("  %d per-video redirects, %d replicas placed\n",
 		len(plan.Redirects), plan.Stats.Replicas)
 	return nil
-}
-
-// newDemand builds an empty per-hotspot demand aggregation.
-func newDemand(numHotspots int) *crowdcdn.Demand {
-	d := crowdcdn.Demand{
-		PerVideo: make([]map[crowdcdn.VideoID]int64, numHotspots),
-		Totals:   make([]int64, numHotspots),
-	}
-	return &d
 }

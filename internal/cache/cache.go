@@ -1,5 +1,5 @@
 // Package cache provides fixed-capacity cache replacement policies
-// (LRU, LFU, FIFO) for the reactive-caching baseline: the paper's
+// (LRU, LFU) for the reactive-caching baseline: the paper's
 // crowdsourced CDN *prefetches* content per scheduling round, and the
 // extension benches compare that against hotspots that instead cache
 // reactively on miss, the behaviour of an unmanaged edge cache.
@@ -13,7 +13,7 @@ import (
 // Cache is a fixed-capacity set of integer ids with an eviction policy.
 // Implementations are not safe for concurrent use.
 type Cache interface {
-	// Name identifies the policy ("lru", "lfu", "fifo").
+	// Name identifies the policy ("lru", "lfu").
 	Name() string
 	// Contains reports whether id is cached, without touching
 	// recency/frequency state.
@@ -204,70 +204,6 @@ func (c *LFU) Capacity() int { return c.capacity }
 
 // Items implements Cache.
 func (c *LFU) Items() []int {
-	out := make([]int, 0, len(c.byID))
-	for id := range c.byID {
-		out = append(out, id)
-	}
-	return out
-}
-
-// --- FIFO ---
-
-// FIFO evicts in insertion order, ignoring access recency.
-type FIFO struct {
-	capacity int
-	order    *list.List // front = newest
-	byID     map[int]struct{}
-}
-
-var _ Cache = (*FIFO)(nil)
-
-// NewFIFO returns a FIFO cache; capacity must be positive.
-func NewFIFO(capacity int) (*FIFO, error) {
-	if capacity <= 0 {
-		return nil, fmt.Errorf("cache: non-positive capacity %d", capacity)
-	}
-	return &FIFO{
-		capacity: capacity,
-		order:    list.New(),
-		byID:     make(map[int]struct{}, capacity),
-	}, nil
-}
-
-// Name implements Cache.
-func (c *FIFO) Name() string { return "fifo" }
-
-// Contains implements Cache.
-func (c *FIFO) Contains(id int) bool {
-	_, ok := c.byID[id]
-	return ok
-}
-
-// Access implements Cache.
-func (c *FIFO) Access(id int) (hit bool, evicted int, wasEvicted bool) {
-	if _, ok := c.byID[id]; ok {
-		return true, 0, false
-	}
-	if c.order.Len() >= c.capacity {
-		back := c.order.Back()
-		victim := back.Value.(int)
-		c.order.Remove(back)
-		delete(c.byID, victim)
-		evicted, wasEvicted = victim, true
-	}
-	c.order.PushFront(id)
-	c.byID[id] = struct{}{}
-	return false, evicted, wasEvicted
-}
-
-// Len implements Cache.
-func (c *FIFO) Len() int { return c.order.Len() }
-
-// Capacity implements Cache.
-func (c *FIFO) Capacity() int { return c.capacity }
-
-// Items implements Cache.
-func (c *FIFO) Items() []int {
 	out := make([]int, 0, len(c.byID))
 	for id := range c.byID {
 		out = append(out, id)

@@ -8,9 +8,8 @@ import (
 
 // constructors enumerates every policy for shared behaviour tests.
 var constructors = map[string]Constructor{
-	"lru":  func(c int) (Cache, error) { return NewLRU(c) },
-	"lfu":  func(c int) (Cache, error) { return NewLFU(c) },
-	"fifo": func(c int) (Cache, error) { return NewFIFO(c) },
+	"lru": func(c int) (Cache, error) { return NewLRU(c) },
+	"lfu": func(c int) (Cache, error) { return NewLFU(c) },
 }
 
 func TestConstructorsRejectBadCapacity(t *testing.T) {
@@ -129,20 +128,6 @@ func TestLFUTieBreaksLeastRecent(t *testing.T) {
 	_, victim, evicted := c.Access(3)
 	if !evicted || victim != 1 {
 		t.Errorf("evicted %d (%v), want oldest tie 1", victim, evicted)
-	}
-}
-
-func TestFIFOIgnoresRecency(t *testing.T) {
-	c, err := NewFIFO(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Access(1)
-	c.Access(2)
-	c.Access(1) // hit; does not refresh insertion order
-	_, victim, evicted := c.Access(3)
-	if !evicted || victim != 1 {
-		t.Errorf("evicted %d (%v), want first-in 1", victim, evicted)
 	}
 }
 

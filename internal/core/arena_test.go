@@ -77,13 +77,13 @@ func TestArenaReusePlansIdentical(t *testing.T) {
 		holds := func(src *Demand) func() {
 			return func() {
 				copy(dMut.Totals, src.Totals)
-				for h := range dMut.PerVideo {
-					if dMut.PerVideo[h] == nil {
-						dMut.PerVideo[h] = make(map[trace.VideoID]int64)
+				for h := range dMut.perVideo {
+					if dMut.perVideo[h] == nil {
+						dMut.perVideo[h] = make(map[trace.VideoID]int64)
 					}
-					clear(dMut.PerVideo[h])
-					for v, n := range src.PerVideo[h] {
-						dMut.PerVideo[h][v] = n
+					clear(dMut.perVideo[h])
+					for v, n := range src.perVideo[h] {
+						dMut.perVideo[h][v] = n
 					}
 				}
 			}

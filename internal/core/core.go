@@ -226,40 +226,91 @@ func (p Params) Validate() error {
 }
 
 // Demand is one timeslot's request demand aggregated at each request's
-// nearest hotspot (λ_h and λ_hv in the paper).
+// nearest hotspot (λ_h and λ_hv in the paper). It owns its per-video
+// representation: every other package reads and edits it through the
+// methods below, and writes Totals through them only.
 type Demand struct {
-	// PerVideo[h][v] is the number of requests for video v aggregated
-	// at hotspot h.
-	PerVideo []map[trace.VideoID]int64
-	// Totals[h] is λ_h = Σ_v PerVideo[h][v].
+	// perVideo[h][v] is the number of requests for video v aggregated
+	// at hotspot h. An entry exists from its first Add (whatever the
+	// count) until Move empties it or Clear drops its row.
+	perVideo []map[trace.VideoID]int64
+	// Totals[h] is λ_h = Σ_v Count(h, v). Read-only outside this
+	// package.
 	Totals []int64
 }
 
 // NewDemand returns an empty demand over numHotspots hotspots.
 func NewDemand(numHotspots int) *Demand {
 	return &Demand{
-		PerVideo: make([]map[trace.VideoID]int64, numHotspots),
+		perVideo: make([]map[trace.VideoID]int64, numHotspots),
 		Totals:   make([]int64, numHotspots),
 	}
 }
 
 // Add records n requests for video v aggregated at hotspot h.
 func (d *Demand) Add(h trace.HotspotID, v trace.VideoID, n int64) {
-	if d.PerVideo[h] == nil {
-		d.PerVideo[h] = make(map[trace.VideoID]int64)
+	if d.perVideo[h] == nil {
+		d.perVideo[h] = make(map[trace.VideoID]int64)
 	}
-	d.PerVideo[h][v] += n
+	d.perVideo[h][v] += n
 	d.Totals[h] += n
 }
 
 // NumHotspots returns the hotspot count the demand covers.
 func (d *Demand) NumHotspots() int { return len(d.Totals) }
 
+// Count returns λ_hv, the requests for video v aggregated at hotspot h.
+func (d *Demand) Count(h int, v trace.VideoID) int64 { return d.perVideo[h][v] }
+
+// Each calls fn once per entry of hotspot h, in no particular order.
+// fn must not edit d.
+func (d *Demand) Each(h int, fn func(v trace.VideoID, n int64)) {
+	for v, n := range d.perVideo[h] {
+		fn(v, n)
+	}
+}
+
+// Move shifts amt requests for video v from hotspot src to hotspot tgt.
+// A source entry it empties is removed, so it no longer counts towards
+// the hotspot's distinct videos.
+func (d *Demand) Move(src, tgt int, v trace.VideoID, amt int64) {
+	if d.perVideo[src][v] == amt {
+		delete(d.perVideo[src], v)
+	} else {
+		d.perVideo[src][v] -= amt
+	}
+	d.Totals[src] -= amt
+	d.Add(trace.HotspotID(tgt), v, amt)
+}
+
+// Clear drops every entry of hotspot h.
+func (d *Demand) Clear(h int) {
+	d.perVideo[h] = nil
+	d.Totals[h] = 0
+}
+
+// Merge folds src, a demand over the same hotspots, into d and consumes
+// it: a hotspot d has no entries for adopts src's row whole, so src must
+// not be used afterwards. Merging demands whose hotspots are disjoint
+// is O(hotspots), whatever they hold.
+func (d *Demand) Merge(src *Demand) {
+	for h, row := range src.perVideo {
+		if len(d.perVideo[h]) == 0 {
+			d.perVideo[h] = row
+		} else {
+			for v, n := range row {
+				d.perVideo[h][v] += n
+			}
+		}
+		d.Totals[h] += src.Totals[h]
+	}
+}
+
 // VideoCounts returns hotspot h's demand keyed by plain int video ids,
 // the form the similarity helpers consume.
 func (d *Demand) VideoCounts(h int) map[int]int64 {
-	out := make(map[int]int64, len(d.PerVideo[h]))
-	for v, n := range d.PerVideo[h] {
+	out := make(map[int]int64, len(d.perVideo[h]))
+	for v, n := range d.perVideo[h] {
 		out[int(v)] = n
 	}
 	return out
@@ -269,7 +320,7 @@ func (d *Demand) VideoCounts(h int) map[int]int64 {
 func (d *Demand) Clone() *Demand {
 	out := NewDemand(len(d.Totals))
 	copy(out.Totals, d.Totals)
-	for h, m := range d.PerVideo {
+	for h, m := range d.perVideo {
 		if m == nil {
 			continue
 		}
@@ -277,7 +328,7 @@ func (d *Demand) Clone() *Demand {
 		for v, n := range m {
 			cp[v] = n
 		}
-		out.PerVideo[h] = cp
+		out.perVideo[h] = cp
 	}
 	return out
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"maps"
+	"math/rand"
 	"testing"
 
 	"repro/internal/cluster"
@@ -88,12 +90,92 @@ func TestDemandAccumulation(t *testing.T) {
 	if d.Totals[0] != 7 || d.Totals[1] != 0 || d.Totals[2] != 1 {
 		t.Errorf("Totals = %v, want [7 0 1]", d.Totals)
 	}
-	if d.PerVideo[0][5] != 3 || d.PerVideo[0][7] != 4 {
-		t.Errorf("PerVideo[0] = %v", d.PerVideo[0])
+	if d.perVideo[0][5] != 3 || d.perVideo[0][7] != 4 {
+		t.Errorf("PerVideo[0] = %v", d.perVideo[0])
 	}
 	counts := d.VideoCounts(0)
 	if counts[5] != 3 || counts[7] != 4 {
 		t.Errorf("VideoCounts(0) = %v", counts)
+	}
+}
+
+// TestDemandMatchesOracle drives random Add/Move/Clear/Merge sequences
+// against the naive model — one count per (hotspot, video) key, a key
+// existing from its first Add until Move empties it or Clear drops its
+// row — and holds every reader to it after every step.
+func TestDemandMatchesOracle(t *testing.T) {
+	const hotspots, videos = 5, 7
+	type oracle map[[2]int]int64
+	check := func(t *testing.T, step int, d *Demand, o oracle) {
+		t.Helper()
+		for h := 0; h < hotspots; h++ {
+			want := map[int]int64{}
+			var total int64
+			for k, n := range o {
+				if k[0] == h {
+					want[k[1]] = n
+					total += n
+				}
+			}
+			each := map[int]int64{}
+			d.Each(h, func(v trace.VideoID, n int64) {
+				if _, dup := each[int(v)]; dup {
+					t.Fatalf("step %d: Each(%d) yields video %d twice", step, h, v)
+				}
+				each[int(v)] = n
+			})
+			if !maps.Equal(each, want) || !maps.Equal(d.VideoCounts(h), want) {
+				t.Fatalf("step %d: hotspot %d holds Each %v, VideoCounts %v, want %v", step, h, each, d.VideoCounts(h), want)
+			}
+			for v := 0; v < videos; v++ {
+				if got := d.Count(h, trace.VideoID(v)); got != want[v] {
+					t.Fatalf("step %d: Count(%d, %d) = %d, want %d", step, h, v, got, want[v])
+				}
+			}
+			if d.Totals[h] != total {
+				t.Fatalf("step %d: Totals[%d] = %d, want Σ_v Count = %d", step, h, d.Totals[h], total)
+			}
+		}
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		d, o := NewDemand(hotspots), oracle{}
+		for step := 0; step < 300; step++ {
+			h, v := rng.Intn(hotspots), rng.Intn(videos)
+			switch op := rng.Intn(10); {
+			case op < 5:
+				n := int64(rng.Intn(4)) // 0 makes an entry too
+				d.Add(trace.HotspotID(h), trace.VideoID(v), n)
+				o[[2]int{h, v}] += n
+			case op < 8:
+				have := o[[2]int{h, v}]
+				if have == 0 {
+					continue
+				}
+				tgt, amt := rng.Intn(hotspots), 1+rng.Int63n(have)
+				d.Move(h, tgt, trace.VideoID(v), amt)
+				if o[[2]int{h, v}] -= amt; o[[2]int{h, v}] == 0 {
+					delete(o, [2]int{h, v})
+				}
+				o[[2]int{tgt, v}] += amt
+			case op < 9:
+				d.Clear(h)
+				for k := range o {
+					if k[0] == h {
+						delete(o, k)
+					}
+				}
+			default:
+				src := NewDemand(hotspots)
+				for i := rng.Intn(8); i > 0; i-- {
+					sh, sv, n := rng.Intn(hotspots), rng.Intn(videos), int64(rng.Intn(4))
+					src.Add(trace.HotspotID(sh), trace.VideoID(sv), n)
+					o[[2]int{sh, sv}] += n
+				}
+				d.Merge(src)
+			}
+			check(t, step, d, o)
+		}
 	}
 }
 
@@ -103,7 +185,7 @@ func TestDemandClone(t *testing.T) {
 	c := d.Clone()
 	c.Add(0, 1, 3)
 	c.Add(1, 2, 1)
-	if d.PerVideo[0][1] != 5 || d.Totals[0] != 5 {
+	if d.perVideo[0][1] != 5 || d.Totals[0] != 5 {
 		t.Error("Clone() shares state with the original")
 	}
 	if d.Totals[1] != 0 {

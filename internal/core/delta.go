@@ -481,7 +481,7 @@ func (s *Scheduler) replicateDelta(d *Demand, flows map[int64]int64, svc []int64
 		}
 		patched++
 		if skippedA {
-			placement[h] = fillFromFootprint(d.PerVideo[h], ds.outFoot[h], ds.inFoot[h], cache[h], serveBudget[h])
+			placement[h] = fillFromFootprint(d.perVideo[h], ds.outFoot[h], ds.inFoot[h], cache[h], serveBudget[h])
 		} else {
 			placement[h] = s.fillRow(t, h, cache[h], serveBudget[h])
 		}
@@ -532,7 +532,7 @@ func (ds *deltaState) diff(d *Demand, svc []int64, cache []int) (totalsOrSvcChan
 	ds.dirtyList = ds.dirtyList[:0]
 	for h := 0; h < m; h++ {
 		demandChanged := d.Totals[h] != ds.demand.Totals[h] ||
-			!demandRowEqual(d.PerVideo[h], ds.demand.PerVideo[h])
+			!demandRowEqual(d.perVideo[h], ds.demand.perVideo[h])
 		ds.demandDirty[h] = demandChanged
 		ds.svcDirty[h] = svc[h] != ds.svc[h]
 		ds.cacheDirty[h] = cache[h] != ds.cache[h]

@@ -34,7 +34,7 @@ func deltaDriftSlots(w *trace.World, videos, slots int, seed int64) []deltaSlot 
 			// Totals-preserving mix drift at two hotspots.
 			for k := 0; k < 2; k++ {
 				h := trace.HotspotID(rng.Intn(m))
-				for v, n := range next.PerVideo[h] {
+				for v, n := range next.perVideo[h] {
 					if n <= 0 {
 						continue
 					}
@@ -51,7 +51,7 @@ func deltaDriftSlots(w *trace.World, videos, slots int, seed int64) []deltaSlot 
 				// Vanishing demand: one hotspot's row empties.
 				h := rng.Intn(m)
 				next.Totals[h] = 0
-				next.PerVideo[h] = make(map[trace.VideoID]int64)
+				next.perVideo[h] = make(map[trace.VideoID]int64)
 			}
 			if slot%6 == 3 {
 				// Service flip: halve one hotspot's capacity, which can

@@ -146,8 +146,8 @@ func newRefLambdaView(d *Demand, m int) *refLambdaView {
 // the filtered (n > 0) demand on first use.
 func (lv *refLambdaView) materialize(h int) map[trace.VideoID]int64 {
 	if lv.mod[h] == nil {
-		row := make(map[trace.VideoID]int64, len(lv.d.PerVideo[h]))
-		for v, n := range lv.d.PerVideo[h] {
+		row := make(map[trace.VideoID]int64, len(lv.d.perVideo[h]))
+		for v, n := range lv.d.perVideo[h] {
 			if n > 0 {
 				row[v] = n
 			}
@@ -163,7 +163,7 @@ func (lv *refLambdaView) at(h int, v trace.VideoID) int64 {
 	if row := lv.mod[h]; row != nil {
 		return row[v]
 	}
-	return lv.d.PerVideo[h][v]
+	return lv.d.perVideo[h][v]
 }
 
 // row returns hotspot h's remaining-demand row for read-only iteration:
@@ -173,7 +173,7 @@ func (lv *refLambdaView) row(h int) map[trace.VideoID]int64 {
 	if lv.mod[h] != nil {
 		return lv.mod[h]
 	}
-	return lv.d.PerVideo[h]
+	return lv.d.perVideo[h]
 }
 
 // realizeFlows is stage A of Procedure 1: it converts the inter-hotspot
@@ -475,11 +475,11 @@ func tieHeavyCase(rng *rand.Rand, trial int) replicateCase {
 			d.Add(trace.HotspotID(h), trace.VideoID(rng.Intn(12)), scale*int64(1+rng.Intn(3)))
 		}
 		if rng.Intn(3) == 0 {
-			if d.PerVideo[h] == nil {
-				d.PerVideo[h] = make(map[trace.VideoID]int64)
+			if d.perVideo[h] == nil {
+				d.perVideo[h] = make(map[trace.VideoID]int64)
 			}
-			d.PerVideo[h][trace.VideoID(20+rng.Intn(4))] = 0
-			d.PerVideo[h][trace.VideoID(30+rng.Intn(4))] = -int64(rng.Intn(2))
+			d.perVideo[h][trace.VideoID(20+rng.Intn(4))] = 0
+			d.perVideo[h][trace.VideoID(30+rng.Intn(4))] = -int64(rng.Intn(2))
 		}
 	}
 	flows := make(map[int64]int64)

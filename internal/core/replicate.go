@@ -25,7 +25,7 @@ func byCountThenVideo(a, b demandEntry) int {
 }
 
 // demandTable is one round's demand in CSR form: hotspot h's entries are
-// cells[rowAt[h]:rowAt[h+1]], every entry of d.PerVideo[h] (zero and
+// cells[rowAt[h]:rowAt[h+1]], every entry of d.perVideo[h] (zero and
 // negative counts included), ranked byCountThenVideo. The signature of
 // h is the first TopCount entries of its row and the fill candidates of
 // a hotspot stage A never drew from are the row's positive prefix, so
@@ -50,7 +50,7 @@ func (s *Scheduler) demandTable(d *Demand) *demandTable {
 	}
 	t.rowAt = append(t.rowAt[:0], 0)
 	t.cells = t.cells[:0]
-	for _, row := range d.PerVideo {
+	for _, row := range d.perVideo {
 		lo := len(t.cells)
 		for v, n := range row {
 			t.cells = append(t.cells, demandEntry{video: v, count: n})

@@ -134,8 +134,8 @@ func (cons Constraints) Resolve(world *trace.World, d *Demand) (svc []int64, cac
 	if d.NumHotspots() != m {
 		return nil, nil, fmt.Errorf("core: demand covers %d hotspots, world has %d", d.NumHotspots(), m)
 	}
-	if len(d.PerVideo) != m {
-		return nil, nil, fmt.Errorf("core: demand per-video covers %d hotspots, world has %d", len(d.PerVideo), m)
+	if len(d.perVideo) != m {
+		return nil, nil, fmt.Errorf("core: demand per-video covers %d hotspots, world has %d", len(d.perVideo), m)
 	}
 	for h, n := range d.Totals {
 		if n < 0 {

@@ -50,7 +50,7 @@ func checkPlanInvariants(t *testing.T, w *trace.World, d *Demand, plan *Plan) {
 		}
 	}
 	for key, cnt := range redirectVideo {
-		if lam := d.PerVideo[key[0]][trace.VideoID(key[1])]; cnt > lam {
+		if lam := d.perVideo[key[0]][trace.VideoID(key[1])]; cnt > lam {
 			t.Fatalf("hotspot %d video %d redirects %d exceed demand %d", key[0], key[1], cnt, lam)
 		}
 	}
@@ -354,7 +354,7 @@ func TestContentClustersMatchReference(t *testing.T) {
 		}
 		// 35 distinct videos, popular ones drawn from a small shared
 		// head so neighbours overlap: the top 20 % is 7 of them.
-		for len(d.PerVideo[h]) < 35 {
+		for len(d.perVideo[h]) < 35 {
 			v := 1 + rng.Intn(12)
 			if rng.Intn(4) == 0 {
 				v = 13 + rng.Intn(900)

@@ -30,11 +30,11 @@ func lpLowerBound(t *testing.T, ctx *sim.SlotContext, alpha, beta float64) float
 	}
 	var groups []group
 	for h := 0; h < m; h++ {
-		for v, n := range ctx.Demand.PerVideo[h] {
+		ctx.Demand.Each(h, func(v trace.VideoID, n int64) {
 			if n > 0 {
 				groups = append(groups, group{hotspot: h, video: v, count: n})
 			}
-		}
+		})
 	}
 	sort.Slice(groups, func(a, b int) bool {
 		if groups[a].hotspot != groups[b].hotspot {

@@ -118,9 +118,9 @@ func CheckPlan(world *trace.World, d *core.Demand, cons core.Constraints, plan *
 	}
 	for h, byVideo := range perVideoOut {
 		for v, n := range byVideo {
-			if n > d.PerVideo[h][v] {
+			if n > d.Count(h, v) {
 				return fmt.Errorf("invariant: hotspot %d redirects %d requests for video %d but aggregates only %d",
-					h, n, v, d.PerVideo[h][v])
+					h, n, v, d.Count(h, v))
 			}
 		}
 	}

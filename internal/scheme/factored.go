@@ -96,9 +96,9 @@ func (p *FactoredPredicted) Schedule(ctx *sim.SlotContext) (*sim.Assignment, err
 				delete(p.shares[h], v)
 			}
 		}
-		for v, n := range ctx.Demand.PerVideo[h] {
+		ctx.Demand.Each(h, func(v trace.VideoID, n int64) {
 			p.shares[h][v] += shareDecay * float64(n)
-		}
+		})
 	}
 	p.totals.Observe(observedTotals)
 

@@ -67,8 +67,8 @@ func TestSpreadDemandConservesTotal(t *testing.T) {
 		t.Fatalf("spread total = %d, want 100", d.Totals[0])
 	}
 	// Proportional: video 1 gets half.
-	if d.PerVideo[0][1] != 50 || d.PerVideo[0][2] != 30 || d.PerVideo[0][3] != 20 {
-		t.Errorf("allocation = %v, want 50/30/20", d.PerVideo[0])
+	if d.Count(0, 1) != 50 || d.Count(0, 2) != 30 || d.Count(0, 3) != 20 {
+		t.Errorf("allocation = %v, want 50/30/20", d.VideoCounts(0))
 	}
 	// Largest-remainder handling with a non-divisible total.
 	d2 := core.NewDemand(1)

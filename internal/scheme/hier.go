@@ -88,9 +88,9 @@ func (p *Hierarchical) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) {
 	virtualDemand := core.NewDemand(part.NumRegions())
 	virtualCap := make([]int64, part.NumRegions())
 	for h, k := range part.OfHotspot {
-		for v, n := range ctx.Demand.PerVideo[h] {
+		ctx.Demand.Each(h, func(v trace.VideoID, n int64) {
 			virtualDemand.Add(trace.HotspotID(k), v, n)
-		}
+		})
 		virtualCap[k] += capacity[h]
 	}
 	virtualPlan, err := p.virtual.ScheduleRound(virtualDemand, core.Constraints{Service: virtualCap})
@@ -155,7 +155,7 @@ func realizeCross(d *core.Demand, part *region.Partition, virtual []core.Redirec
 			if remaining <= 0 {
 				break
 			}
-			avail := d.PerVideo[src][rd.Video]
+			avail := d.Count(src, rd.Video)
 			for avail > 0 && remaining > 0 && ti < len(targets) {
 				tgt := targets[ti]
 				if slack[tgt] <= 0 {
@@ -163,7 +163,7 @@ func realizeCross(d *core.Demand, part *region.Partition, virtual []core.Redirec
 					continue
 				}
 				amt := min(avail, remaining, slack[tgt])
-				moveDemand(d, src, tgt, rd.Video, amt)
+				d.Move(src, tgt, rd.Video, amt)
 				slack[tgt] -= amt
 				slack[src] += amt
 				cross = append(cross, core.Redirect{
@@ -185,7 +185,7 @@ func realizeCross(d *core.Demand, part *region.Partition, virtual []core.Redirec
 func holdersByLoad(d *core.Demand, members []int, v trace.VideoID) []int {
 	var out []int
 	for _, h := range members {
-		if d.PerVideo[h][v] > 0 {
+		if d.Count(h, v) > 0 {
 			out = append(out, h)
 		}
 	}
@@ -208,19 +208,4 @@ func byDescendingSlack(slack []int64, members []int) []int {
 		return out[a] < out[b]
 	})
 	return out
-}
-
-// moveDemand shifts amt units of video v from src to tgt.
-func moveDemand(d *core.Demand, src, tgt int, v trace.VideoID, amt int64) {
-	if d.PerVideo[src][v] == amt {
-		delete(d.PerVideo[src], v)
-	} else {
-		d.PerVideo[src][v] -= amt
-	}
-	d.Totals[src] -= amt
-	if d.PerVideo[tgt] == nil {
-		d.PerVideo[tgt] = make(map[trace.VideoID]int64)
-	}
-	d.PerVideo[tgt][v] += amt
-	d.Totals[tgt] += amt
 }

@@ -106,9 +106,9 @@ func (p *referenceHier) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) 
 	virtualDemand := core.NewDemand(p.part.NumRegions())
 	for h := 0; h < m; h++ {
 		k := p.part.OfHotspot[h]
-		for v, n := range working.PerVideo[h] {
+		working.Each(h, func(v trace.VideoID, n int64) {
 			virtualDemand.Add(trace.HotspotID(k), v, n)
-		}
+		})
 	}
 	virtualCap := make([]int64, p.part.NumRegions())
 	for h := 0; h < m; h++ {
@@ -139,7 +139,7 @@ func (p *referenceHier) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) 
 			if remaining <= 0 {
 				break
 			}
-			avail := working.PerVideo[src][rd.Video]
+			avail := working.Count(src, rd.Video)
 			for avail > 0 && remaining > 0 && ti < len(targets) {
 				tgt := targets[ti]
 				if slack[tgt] <= 0 {
@@ -147,7 +147,7 @@ func (p *referenceHier) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) 
 					continue
 				}
 				amt := min(min(avail, remaining), slack[tgt])
-				moveDemand(working, src, tgt, rd.Video, amt)
+				working.Move(src, tgt, rd.Video, amt)
 				slack[tgt] -= amt
 				slack[src] += amt
 				crossInflow[tgt] += amt
@@ -172,11 +172,11 @@ func (p *referenceHier) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) 
 	for k, members := range p.part.Regions {
 		localDemand := core.NewDemand(len(members))
 		for li, h := range members {
-			for v, n := range working.PerVideo[h] {
+			working.Each(h, func(v trace.VideoID, n int64) {
 				if n > 0 {
 					localDemand.Add(trace.HotspotID(li), v, n)
 				}
-			}
+			})
 		}
 		localCap := make([]int64, len(members))
 		localCache := make([]int, len(members))

@@ -10,19 +10,19 @@ import (
 func TestMoveDemand(t *testing.T) {
 	d := core.NewDemand(2)
 	d.Add(0, 7, 5)
-	moveDemand(d, 0, 1, 7, 3)
-	if d.PerVideo[0][7] != 2 || d.PerVideo[1][7] != 3 {
-		t.Errorf("after partial move: %v", d.PerVideo)
+	d.Move(0, 1, 7, 3)
+	if d.Count(0, 7) != 2 || d.Count(1, 7) != 3 {
+		t.Errorf("after partial move: %v, %v", d.VideoCounts(0), d.VideoCounts(1))
 	}
 	if d.Totals[0] != 2 || d.Totals[1] != 3 {
 		t.Errorf("totals after partial move: %v", d.Totals)
 	}
-	moveDemand(d, 0, 1, 7, 2)
-	if _, ok := d.PerVideo[0][7]; ok {
+	d.Move(0, 1, 7, 2)
+	if _, ok := d.VideoCounts(0)[7]; ok {
 		t.Error("fully moved video still present at source")
 	}
-	if d.PerVideo[1][7] != 5 {
-		t.Errorf("target count %d, want 5", d.PerVideo[1][7])
+	if d.Count(1, 7) != 5 {
+		t.Errorf("target count %d, want 5", d.Count(1, 7))
 	}
 }
 

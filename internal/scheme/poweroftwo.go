@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/similarity"
+	"repro/internal/trace"
 )
 
 // PowerOfTwo is a load-balancing baseline from the DHT line of related
@@ -80,12 +81,12 @@ func neighborhoodPlacement(ctx *sim.SlotContext, radiusKm float64) ([]similarity
 		touched = touched[:0]
 		for _, nb := range nbrs {
 			neighborsOf[h] = append(neighborsOf[h], nb.ID)
-			for v, n := range ctx.Demand.PerVideo[nb.ID] {
+			ctx.Demand.Each(nb.ID, func(v trace.VideoID, n int64) {
 				if buf[v] == 0 {
 					touched = append(touched, int(v))
 				}
 				buf[v] += n
-			}
+			})
 		}
 		pairs := make([]videoCount, len(touched))
 		for i, v := range touched {

@@ -78,10 +78,10 @@ func (p *Predicted) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) {
 
 	// Record the true demand for future forecasts.
 	observed := make(map[int]int64)
-	for h := range ctx.Demand.PerVideo {
-		for v, n := range ctx.Demand.PerVideo[h] {
+	for h := 0; h < ctx.Demand.NumHotspots(); h++ {
+		ctx.Demand.Each(h, func(v trace.VideoID, n int64) {
 			observed[key(h, v)] = n
-		}
+		})
 	}
 	p.fc.Observe(observed)
 

@@ -11,7 +11,7 @@ import (
 )
 
 // Reactive is the unmanaged-edge baseline: no prefetching and no
-// redirection. Each hotspot keeps a reactive cache (LRU/LFU/FIFO) that
+// redirection. Each hotspot keeps a reactive cache (LRU or LFU) that
 // persists across timeslots; a request is served locally on a cache
 // hit (within service capacity) and by the origin otherwise, with the
 // miss admitting the video into the cache. It quantifies what the

@@ -54,7 +54,7 @@ func TestNearestTargetsAndPlacement(t *testing.T) {
 		}
 		// Every placed video must have local demand.
 		for v := range placement {
-			if ctx.Demand.PerVideo[h][trace.VideoID(v)] == 0 {
+			if ctx.Demand.Count(h, trace.VideoID(v)) == 0 {
 				t.Fatalf("hotspot %d cached video %d with no local demand", h, v)
 			}
 		}

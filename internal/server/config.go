@@ -13,8 +13,7 @@ import (
 
 // Default configuration values, applied by New for zero-valued fields.
 const (
-	DefaultShards       = 16
-	DefaultQueueBound   = 1 << 16
+	DefaultQueueBound   = 1 << 20
 	DefaultPlanHistory  = 64
 	DefaultMaxBodyBytes = 1 << 16
 	DefaultDrainTimeout = 5 * time.Second
@@ -22,11 +21,8 @@ const (
 	// WAL checkpoints when WALDir is set.
 	DefaultCheckpointEvery = 8
 
-	// maxShards bounds the lock-stripe count: beyond this the stripes
-	// stop reducing contention and only waste memory.
-	maxShards = 1 << 12
 	// maxInstances bounds the in-process frontend fleet: each instance
-	// carries its own stripe array, listener, and serving plan.
+	// carries its own accumulator, listener, and serving plan.
 	maxInstances = 64
 	// maxSnapshotQueue bounds the number of slot snapshots awaiting
 	// recomputation. When the scheduler falls this far behind the slot
@@ -51,21 +47,16 @@ type Config struct {
 	Addr string
 	// Instances is the number of frontend instances the serving tier
 	// runs in-process. A consistent-hash ring shards hotspot
-	// ingestion across them (each instance has its own lock-striped
-	// accumulators and its own listener), every slot's plan fans out
+	// ingestion across them (each instance has its own accumulator
+	// and its own listener), every slot's plan fans out
 	// to all of them digest-verified, and each serves redirect
 	// lookups from its own copy of the plan. 0 selects 1 (the
 	// single-instance server).
 	Instances int
-	// Shards is the number of lock stripes each instance's per-hotspot
-	// demand accumulators are spread over. Within an instance, hotspot
-	// h is owned by stripe h mod Shards, so concurrent ingests for
-	// different stripes never contend. 0 selects DefaultShards.
-	Shards int
-	// QueueBound caps the accepted-but-not-yet-snapshotted requests
-	// per stripe. An ingest that would exceed its stripe's bound is
-	// rejected with 429 (backpressure); accepted requests are never
-	// dropped. 0 selects DefaultQueueBound.
+	// QueueBound caps the requests a frontend instance has accepted
+	// but not yet handed to a slot. An ingest whose owning frontend is
+	// at the bound is rejected with 429 (backpressure); accepted
+	// requests are never dropped. 0 selects DefaultQueueBound.
 	QueueBound int
 	// SlotDuration is the timeslot length: every SlotDuration the
 	// ticker snapshots accumulated demand and hands it to the
@@ -132,12 +123,6 @@ func (c Config) Validate() error {
 	if c.Instances > maxInstances {
 		return fmt.Errorf("server: Instances %d above the %d instance cap", c.Instances, maxInstances)
 	}
-	if c.Shards < 0 {
-		return fmt.Errorf("server: negative Shards %d", c.Shards)
-	}
-	if c.Shards > maxShards {
-		return fmt.Errorf("server: Shards %d above the %d stripe cap", c.Shards, maxShards)
-	}
 	if c.QueueBound < 0 {
 		return fmt.Errorf("server: negative QueueBound %d", c.QueueBound)
 	}
@@ -191,9 +176,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Instances == 0 {
 		c.Instances = 1
-	}
-	if c.Shards == 0 {
-		c.Shards = DefaultShards
 	}
 	if c.QueueBound == 0 {
 		c.QueueBound = DefaultQueueBound

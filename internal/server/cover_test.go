@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/trace"
 	"repro/internal/wal"
 )
 
@@ -14,8 +13,9 @@ import (
 // checkpoint bytes are deterministic.
 func TestQueuedFromSnapshot(t *testing.T) {
 	d := core.NewDemand(3)
-	d.PerVideo[2] = map[trace.VideoID]int64{7: 4, 1: 2}
-	d.PerVideo[0] = map[trace.VideoID]int64{5: 1}
+	d.Add(2, 7, 4)
+	d.Add(2, 1, 2)
+	d.Add(0, 5, 1)
 	snap := &slotSnapshot{slot: 6, demand: d, requests: 7}
 	got := queuedFromSnapshot(snap)
 	want := wal.QueuedSlot{Slot: 6, Requests: 7, Entries: []wal.Entry{

@@ -13,19 +13,19 @@ import (
 // This file is the serving tier's side of the durability subsystem
 // (internal/wal). The protocol, end to end:
 //
-//   - Every accepted ingest is logged under its stripe's lock (so the
+//   - Every accepted ingest is logged under its frontend's lock (so the
 //     per-instance sequence watermark is exact) and group-committed
 //     before the 202 acknowledgment (acceptDemand).
 //   - Every slot boundary logs an advance record under s.mu *before*
-//     the drain re-stamps the stripes' slot tags, so in WAL order no
+//     handOver re-stamps the frontends' slot tags, so in WAL order no
 //     ingest tagged slot k+1 can precede advance k (Server.advance).
 //   - Every scheduled plan logs its canonical bytes + digest and is
 //     synced before the plan fans out to the frontends; a round that
 //     fails its contract logs a roundErr record instead, durably
 //     mirroring the live drop (Server.runSlot).
 //   - Every CheckpointEvery scheduled slots (and at Close) the server
-//     freezes s.mu plus every stripe lock and captures a checkpoint:
-//     slot/epoch counters, the last plan, merged pending demand,
+//     freezes s.mu plus every frontend's lock and captures a
+//     checkpoint: slot/epoch counters, the last plan, pending demand,
 //     queued-but-unplanned snapshots, and per-instance ingest cursors
 //     (writeCheckpoint).
 //
@@ -55,14 +55,14 @@ func (s *Server) openWAL() error {
 	s.epoch = st.Epoch
 	for id, seq := range st.Cursors {
 		if id >= 0 && id < len(s.instances) {
-			s.instances[id].seq.Store(seq)
+			s.instances[id].seq = seq
 		}
 	}
-	for _, sh := range s.allShards {
-		sh.slot = st.Slot
+	for _, in := range s.instances {
+		in.slot = st.Slot
 	}
 
-	// Accepted-but-undrained demand goes back into the stripes it
+	// Accepted-but-unscheduled demand goes back to the frontend it
 	// would live in, routed through the same ring.
 	m := len(s.world.Hotspots)
 	for _, e := range st.Pending {
@@ -76,10 +76,8 @@ func (s *Server) openWAL() error {
 		if len(s.instances) > 1 {
 			owner = s.instances[s.ring.OwnerOfHotspot(e.Hotspot)]
 		}
-		sh := owner.shards[e.Hotspot%len(owner.shards)]
-		sh.mu.Lock()
-		sh.applyLocked(trace.HotspotID(e.Hotspot), trace.VideoID(e.Video), e.Count)
-		sh.mu.Unlock()
+		owner.demand.Add(trace.HotspotID(e.Hotspot), trace.VideoID(e.Video), e.Count)
+		owner.pending += e.Count
 	}
 
 	// The last durable plan goes back to serving on every frontend,
@@ -161,9 +159,8 @@ func (s *Server) maybeCheckpoint(force bool) {
 // writeCheckpoint captures and persists the full durable state. The
 // segment mark is taken first so WriteCheckpoint's GC can never
 // collect a segment whose records postdate the capture; the capture
-// itself holds s.mu plus every stripe lock, so the per-instance
-// sequence counters are exact watermarks of applied-and-logged
-// ingests and the pending maps cannot move underneath it.
+// itself holds s.mu plus every frontend's lock, under which a sequence
+// counter and the demand it numbers only move together.
 func (s *Server) writeCheckpoint() {
 	mark := s.wal.CurrentSegment()
 	s.mu.Lock()
@@ -176,28 +173,21 @@ func (s *Server) writeCheckpoint() {
 	for _, snap := range s.queue {
 		cp.Queue = append(cp.Queue, queuedFromSnapshot(snap))
 	}
-	for _, sh := range s.allShards {
-		sh.mu.Lock()
+	for _, in := range s.instances {
+		in.mu.Lock()
 	}
 	for _, in := range s.instances {
-		if seq := in.seq.Load(); seq > 0 {
-			cp.Cursors[in.id] = seq
+		if in.seq > 0 {
+			cp.Cursors[in.id] = in.seq
 		}
+		cp.Pending = appendEntries(cp.Pending, in.demand)
 	}
-	pend := make(map[wal.EntryKey]int64)
-	for _, sh := range s.allShards {
-		for h, vids := range sh.perVideo {
-			for v, n := range vids {
-				pend[wal.EntryKey{Hotspot: int(h), Video: int(v)}] += n
-			}
-		}
-	}
-	for i := len(s.allShards) - 1; i >= 0; i-- {
-		s.allShards[i].mu.Unlock()
+	for i := len(s.instances) - 1; i >= 0; i-- {
+		s.instances[i].mu.Unlock()
 	}
 	s.mu.Unlock()
 
-	cp.Pending = wal.SortedEntries(pend)
+	wal.SortEntries(cp.Pending)
 	if err := s.wal.WriteCheckpoint(cp, mark); err != nil {
 		s.walErrors.Inc()
 	}
@@ -206,13 +196,19 @@ func (s *Server) writeCheckpoint() {
 // queuedFromSnapshot renders one queued slot snapshot as its durable
 // form.
 func queuedFromSnapshot(snap *slotSnapshot) wal.QueuedSlot {
-	m := make(map[wal.EntryKey]int64)
-	for h := range snap.demand.PerVideo {
-		for v, n := range snap.demand.PerVideo[h] {
-			m[wal.EntryKey{Hotspot: h, Video: int(v)}] += n
-		}
+	es := appendEntries(nil, snap.demand)
+	wal.SortEntries(es)
+	return wal.QueuedSlot{Slot: snap.slot, Requests: snap.requests, Entries: es}
+}
+
+// appendEntries appends d's entries to out in the WAL's form, unsorted.
+func appendEntries(out []wal.Entry, d *core.Demand) []wal.Entry {
+	for h := 0; h < d.NumHotspots(); h++ {
+		d.Each(h, func(v trace.VideoID, n int64) {
+			out = append(out, wal.Entry{Hotspot: h, Video: int(v), Count: n})
+		})
 	}
-	return wal.QueuedSlot{Slot: snap.slot, Requests: snap.requests, Entries: wal.SortedEntries(m)}
+	return out
 }
 
 // Kill terminates the server the way a crash would: listeners are

@@ -129,7 +129,7 @@ func TestCrashRecoveryMatchesOfflineSim(t *testing.T) {
 // the normal case on a timer-driven tier, where the worker's cadence
 // checkpoint lands while the ticker's next slot is filling, and one the
 // AdvanceSlot-driven drills never produce (they checkpoint with empty
-// stripes). The checkpoint's pending demand belongs to the slot that was
+// frontends). The checkpoint's pending demand belongs to the slot that was
 // open at the capture, so a log that goes on to close or plan that slot
 // must move it with the slot. Two kills, each after a forced mid-slot
 // checkpoint: (b) after the slot's plan record is durable — the demand

@@ -108,132 +108,58 @@ func resolveIngest(world *trace.World, index *geo.Grid, req ingestRequest) (hots
 	return h, trace.VideoID(req.Video), nil
 }
 
-// demandShard is one lock stripe of the per-hotspot demand
-// accumulators. Hotspot h belongs to stripe h mod Shards, so its
-// counters are only ever touched under this stripe's lock.
-type demandShard struct {
-	mu sync.Mutex
-	// slot tags the timeslot this stripe is currently accumulating
-	// for; the drain re-stamps it at every boundary. WAL ingest
-	// records carry it so recovery can place each accepted request in
-	// the right slot.
-	slot int
-	// pending is the number of accepted requests not yet snapshotted;
-	// the backpressure bound applies to it.
-	pending int64
-	// perVideo[h][v] counts accepted requests for video v aggregated
-	// at hotspot h (only hotspots owned by this stripe appear).
-	perVideo map[trace.HotspotID]map[trace.VideoID]int64
-}
-
-// applyLocked folds n requests for (h, v) into the stripe. Callers
-// hold sh.mu.
-func (sh *demandShard) applyLocked(h trace.HotspotID, v trace.VideoID, n int64) {
-	if sh.perVideo == nil {
-		sh.perVideo = make(map[trace.HotspotID]map[trace.VideoID]int64)
-	}
-	m := sh.perVideo[h]
-	if m == nil {
-		m = make(map[trace.VideoID]int64)
-		sh.perVideo[h] = m
-	}
-	m[v] += n
-	sh.pending += n
-}
-
-// add records one accepted request, or reports false when the stripe is
-// at its bound (the caller answers 429).
-func (sh *demandShard) add(h trace.HotspotID, v trace.VideoID, bound int64) bool {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.pending >= bound {
-		return false
-	}
-	sh.applyLocked(h, v, 1)
-	return true
-}
-
 // acceptDemand is the accepted-ingest path behind POST /ingest: bound
-// check, stripe accumulation, and — when durability is on — WAL
-// logging. The ingest record is appended under the stripe lock (so
-// the owning instance's sequence counter is an exact watermark of
-// applied-and-logged requests) and group-committed after the lock is
-// released, before the 202 acknowledgment. A Sync failure refuses the
-// acknowledgment: the request may be double-counted on retry, but an
-// acknowledged request is always part of the durable prefix.
-func (s *Server) acceptDemand(owner *instance, sh *demandShard, h trace.HotspotID, v trace.VideoID) (bool, error) {
-	if s.wal == nil {
-		return sh.add(h, v, int64(s.cfg.QueueBound)), nil
-	}
-	sh.mu.Lock()
-	if sh.pending >= int64(s.cfg.QueueBound) {
-		sh.mu.Unlock()
+// check, accumulation into the owning frontend's slot demand, and —
+// when durability is on — WAL logging. The ingest record is appended
+// under the frontend's lock (so its sequence counter is an exact
+// watermark of applied-and-logged requests) and group-committed after
+// the lock is released, before the 202 acknowledgment. A Sync failure
+// refuses the acknowledgment: the request may be double-counted on
+// retry, but an acknowledged request is always part of the durable
+// prefix. ok=false without an error means the frontend is at its bound
+// (the caller answers 429).
+func (s *Server) acceptDemand(owner *instance, h trace.HotspotID, v trace.VideoID) (ok bool, err error) {
+	owner.mu.Lock()
+	if owner.pending >= int64(s.cfg.QueueBound) {
+		owner.mu.Unlock()
 		return false, nil
 	}
-	seq := owner.seq.Add(1)
-	lsn, err := s.wal.AppendIngest(sh.slot, owner.id, seq, int(h), int(v), 1)
-	if err != nil {
-		sh.mu.Unlock()
-		s.walErrors.Inc()
-		return false, err
+	var lsn uint64
+	if s.wal != nil {
+		owner.seq++
+		lsn, err = s.wal.AppendIngest(owner.slot, owner.id, owner.seq, int(h), int(v), 1)
+		if err != nil {
+			owner.mu.Unlock()
+			s.walErrors.Inc()
+			return false, err
+		}
 	}
-	sh.applyLocked(h, v, 1)
-	sh.mu.Unlock()
-	if err := s.wal.Sync(lsn); err != nil {
-		s.walErrors.Inc()
-		return false, err
+	owner.demand.Add(h, v, 1)
+	owner.pending++
+	owner.mu.Unlock()
+	if s.wal != nil {
+		if err := s.wal.Sync(lsn); err != nil {
+			s.walErrors.Inc()
+			return false, err
+		}
 	}
 	return true, nil
 }
 
-// drain atomically takes the stripe's accumulated demand, leaving it
-// empty and accumulating for newSlot. The snapshot owns the returned
-// maps outright.
-func (sh *demandShard) drain(newSlot int) (map[trace.HotspotID]map[trace.VideoID]int64, int64) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	out, n := sh.perVideo, sh.pending
-	sh.perVideo = nil
-	sh.pending = 0
-	sh.slot = newSlot
-	return out, n
-}
-
-// drainDemand collects every stripe into one core.Demand, returning nil
-// when nothing was accepted since the last snapshot. Each stripe is
-// locked only for the O(1) map handoff; merging happens outside the
-// locks.
-func drainDemand(shards []*demandShard, numHotspots, newSlot int) (*core.Demand, int64) {
-	var total int64
-	parts := make([]map[trace.HotspotID]map[trace.VideoID]int64, 0, len(shards))
-	for _, sh := range shards {
-		part, n := sh.drain(newSlot)
-		if n > 0 {
-			parts = append(parts, part)
-			total += n
-		}
-	}
-	if total == 0 {
+// handOver closes the frontend's slot: it returns the demand accepted
+// since the last boundary — the very object ingest accumulated into,
+// now owned by the caller — and the request count behind it, and leaves
+// the frontend accumulating into a fresh one tagged newSlot. A frontend
+// that accepted nothing hands over nil.
+func (in *instance) handOver(newSlot int) (*core.Demand, int64) {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	in.slot = newSlot
+	if in.pending == 0 {
 		return nil, 0
 	}
-	d := core.NewDemand(numHotspots)
-	for _, part := range parts {
-		for h, videos := range part {
-			for v, n := range videos {
-				d.Add(h, v, n)
-			}
-		}
-	}
-	return d, total
-}
-
-// mergeDemand folds src into dst (used when a lagging recompute worker
-// forces snapshot coalescing; demand counts commute, so no accepted
-// request is ever lost).
-func mergeDemand(dst, src *core.Demand) {
-	for h := range src.PerVideo {
-		for v, n := range src.PerVideo[h] {
-			dst.Add(trace.HotspotID(h), v, n)
-		}
-	}
+	d, n := in.demand, in.pending
+	in.demand = core.NewDemand(d.NumHotspots())
+	in.pending = 0
+	return d, n
 }

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -16,49 +17,55 @@ import (
 	"repro/internal/trace"
 )
 
-// instance is one frontend of the serving tier. Each instance owns a
-// private array of lock-striped demand accumulators (the
-// consistent-hash ring decides which instance a hotspot's ingestion
-// lands in, and within the instance hotspot h belongs to stripe
-// h mod Shards), its own HTTP listener, and its own atomically
+// instance is one frontend of the serving tier. Each instance owns the
+// slot demand of the hotspots the consistent-hash ring assigns it (one
+// core.Demand under one lock, handed to the scheduler whole at every
+// slot boundary), its own HTTP listener, and its own atomically
 // swapped serving plan, rebuilt from the distributed canonical bytes
 // at every epoch. All instances answer the full API; lookups are
 // served from the instance's local plan, which install verifies is
 // the exact plan the scheduler published.
 type instance struct {
-	id     int
-	srv    *Server
-	shards []*demandShard
+	id  int
+	srv *Server
+
+	// mu guards the accumulator: everything an accepted ingest touches.
+	mu sync.Mutex
+	// demand counts the requests accepted since the last slot boundary
+	// (only hotspots this frontend owns appear).
+	demand *core.Demand
+	// pending is the number of those requests; the backpressure bound
+	// applies to it.
+	pending int64
+	// slot tags the timeslot demand is accumulating for; handOver
+	// re-stamps it at every boundary. WAL ingest records carry it so
+	// recovery can place each accepted request in the right slot.
+	slot int
+	// seq numbers this instance's accepted ingests for the WAL. It
+	// moves under mu, in the same hold as the append it numbers and
+	// the Add that applies it, so holding mu reads it as an exact
+	// applied-and-logged watermark (see Server.writeCheckpoint).
+	seq uint64
 
 	// current is this frontend's serving plan, swapped atomically by
 	// install. Lookups only ever Load it.
 	current atomic.Pointer[servingPlan]
-
-	// seq numbers this instance's accepted ingests for the WAL.
-	// Incremented under the accepting stripe's lock, so holding every
-	// stripe lock reads it as an exact applied-and-logged watermark
-	// (see Server.writeCheckpoint).
-	seq atomic.Uint64
 
 	httpSrv *http.Server
 	ln      net.Listener
 
 	// cached per-instance counters (server.shard.<id>.*): registry
 	// lookups are off the request hot path.
-	accepted  *obs.Counter // requests accumulated into this instance's stripes
+	accepted  *obs.Counter // requests accumulated into this instance's demand
 	forwarded *obs.Counter // arrived here, owned by (and routed to) another instance
 	swaps     *obs.Counter // verified plan installs
 	rejects   *obs.Counter // plan installs refused by verification
 	lookups   *obs.Counter // redirect lookups answered by this frontend
 }
 
-// newInstance builds frontend id with its own stripes and counters.
+// newInstance builds frontend id with its own accumulator and counters.
 func newInstance(s *Server, id int) *instance {
-	in := &instance{id: id, srv: s}
-	in.shards = make([]*demandShard, s.cfg.Shards)
-	for i := range in.shards {
-		in.shards[i] = &demandShard{}
-	}
+	in := &instance{id: id, srv: s, demand: core.NewDemand(len(s.world.Hotspots))}
 	pfx := "server.shard." + strconv.Itoa(id) + "."
 	in.accepted = s.reg.Counter(pfx + "accepted")
 	in.forwarded = s.reg.Counter(pfx + "forwarded")
@@ -160,8 +167,7 @@ func (in *instance) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if n := len(s.instances); n > 1 {
 		owner = s.instances[s.ring.OwnerOfHotspot(h)]
 	}
-	sh := owner.shards[h%len(owner.shards)]
-	ok, werr := s.acceptDemand(owner, sh, trace.HotspotID(h), v)
+	ok, werr := s.acceptDemand(owner, trace.HotspotID(h), v)
 	if werr != nil {
 		// Durability failure: the request must not be acknowledged as
 		// accepted, because a crash could lose it.
@@ -169,8 +175,8 @@ func (in *instance) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !ok {
-		// Backpressure: the stripe is at its bound until the next slot
-		// snapshot drains it. The rejection is visible (429 + counter),
+		// Backpressure: the owning frontend is at its bound until the
+		// next slot boundary takes its demand. The rejection is visible (429 + counter),
 		// never a silent drop.
 		s.ingestRejected.Inc()
 		writeJSON(w, http.StatusTooManyRequests, errorBody{Error: "ingest queue full, retry next slot"})
@@ -235,6 +241,9 @@ func (in *instance) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	slot, epoch := s.slot, s.epoch
 	s.mu.Unlock()
+	in.mu.Lock()
+	pending := in.pending
+	in.mu.Unlock()
 	mode := "full"
 	if s.cfg.Params.DeltaThreshold > 0 {
 		mode = "delta"
@@ -245,6 +254,7 @@ func (in *instance) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		"epoch":     epoch,
 		"mode":      mode,
 		"instance":  in.id,
+		"pending":   pending,
 		"instances": len(s.instances),
 	}
 	if sp := in.current.Load(); sp != nil {

@@ -113,7 +113,7 @@ func TestReplayUnreachableServer(t *testing.T) {
 // rejected with 429; Replay must report the split, not fail.
 func TestReplayCountsRejections(t *testing.T) {
 	world, tr := replayWorld(t)
-	srv, err := server.New(server.Config{World: world, Shards: 1, QueueBound: 7})
+	srv, err := server.New(server.Config{World: world, QueueBound: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

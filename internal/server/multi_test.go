@@ -117,7 +117,7 @@ func TestMultiInstanceIngestRouting(t *testing.T) {
 		}
 	}
 
-	// Demand must sit in the ring owner's stripes.
+	// Demand must sit in the ring owner's accumulator.
 	wantPerInstance := make([]int64, instances)
 	var wantForwarded int64
 	for h := 0; h < hotspots; h++ {
@@ -131,7 +131,7 @@ func TestMultiInstanceIngestRouting(t *testing.T) {
 		t.Fatalf("ring assigned all %d hotspots to instance 0 — test world too small", hotspots)
 	}
 	for i, in := range s.instances {
-		d, n := drainDemand(in.shards, hotspots, 1)
+		d, n := in.handOver(1)
 		if n != wantPerInstance[i] {
 			t.Errorf("instance %d holds %d requests, want %d", i, n, wantPerInstance[i])
 		}
@@ -141,11 +141,8 @@ func TestMultiInstanceIngestRouting(t *testing.T) {
 		if d == nil {
 			continue
 		}
-		for h, m := range d.PerVideo {
-			if len(m) == 0 {
-				continue
-			}
-			if got := s.ring.OwnerOfHotspot(h); got != i {
+		for h, total := range d.Totals {
+			if got := s.ring.OwnerOfHotspot(h); total != 0 && got != i {
 				t.Errorf("hotspot %d accumulated at instance %d, ring owner is %d", h, i, got)
 			}
 		}

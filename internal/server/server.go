@@ -1,10 +1,10 @@
 // Package server is the online scheduling service: the deployable
 // counterpart of the offline trace-driven simulator. User requests
 // arrive continuously over HTTP/JSON at one or more frontend
-// instances and are aggregated per hotspot into lock-striped demand
-// accumulators with bounded queues (overload answers 429, and
-// accepted requests are never dropped); a slot ticker snapshots the
-// accumulated demand each timeslot, runs one RBCAer round
+// instances and are aggregated per hotspot straight into the slot's
+// core.Demand, one bounded accumulator per frontend (overload answers
+// 429, and accepted requests are never dropped); a slot ticker takes
+// the accumulated demand each timeslot, runs one RBCAer round
 // (core.ScheduleRound, including the deadline/degradation path) on a
 // dedicated worker, and publishes the result by atomically swapping a
 // double-buffered immutable plan — lookups never observe a partially
@@ -16,18 +16,18 @@
 // Multi-instance mode (Config.Instances > 1) scales the serving tier
 // out in-process: a consistent-hash ring (internal/server/ring)
 // shards hotspot ingestion across N frontend instances, each with its
-// own lock-striped accumulators and its own HTTP listener. A request
-// may arrive at any frontend; the ring routes its hotspot's
-// accumulation to the owning instance (cross-instance arrivals are
-// counted as forwards). Each slot merges every instance's drained
-// demand into the single scheduler round, and the resulting plan fans
-// out to every frontend over the plan-distribution channel: the
-// canonical plan bytes plus their digest. Every instance
-// independently re-parses the bytes, re-encodes them, and verifies
-// both digest and byte identity before swapping — a frontend either
-// serves the exact (epoch, digest) the scheduler published or loudly
-// rejects the swap (server.shard.<i>.plan_rejects) and keeps its
-// previous plan. See DESIGN.md §15.
+// own accumulator and its own HTTP listener. A request may arrive at
+// any frontend; the ring routes its hotspot's accumulation to the
+// owning instance (cross-instance arrivals are counted as forwards).
+// Each slot merges every instance's handed-over demand (disjoint
+// hotspots, so whole rows change owner) into the single scheduler
+// round, and the resulting plan fans out to every frontend over the
+// plan-distribution channel: the canonical plan bytes plus their
+// digest. Every instance independently re-parses the bytes, re-encodes
+// them, and verifies both digest and byte identity before swapping — a
+// frontend either serves the exact (epoch, digest) the scheduler
+// published or loudly rejects the swap (server.shard.<i>.plan_rejects)
+// and keeps its previous plan. See DESIGN.md §15.
 //
 // The package is dependency-free: stdlib net/http plus this
 // repository's internal packages.
@@ -61,11 +61,10 @@ type Server struct {
 	reg   *obs.Registry
 
 	// ring owns the hotspot → instance ingestion mapping; instances
-	// are the frontends. allShards is every instance's stripes in
-	// instance order, drained together at each slot boundary.
+	// are the frontends, whose demand every slot boundary collects in
+	// instance order.
 	ring      *ring.Ring
 	instances []*instance
-	allShards []*demandShard
 
 	// mu guards the snapshot queue, slot counter, plan history, the
 	// closed flag, and the checkpoint cadence state.
@@ -110,7 +109,8 @@ type Server struct {
 	ingestMalformed *obs.Counter
 }
 
-// slotSnapshot is one timeslot's drained demand awaiting recomputation.
+// slotSnapshot is one timeslot's handed-over demand awaiting
+// recomputation.
 type slotSnapshot struct {
 	slot     int
 	demand   *core.Demand
@@ -158,9 +158,7 @@ func New(cfg Config) (*Server, error) {
 	s.lookupRedirect = s.reg.Counter("server.lookup.redirected")
 	s.lookupLocal = s.reg.Counter("server.lookup.local")
 	for i := 0; i < cfg.Instances; i++ {
-		in := newInstance(s, i)
-		s.instances = append(s.instances, in)
-		s.allShards = append(s.allShards, in.shards...)
+		s.instances = append(s.instances, newInstance(s, i))
 	}
 	s.walErrors = s.reg.Counter("server.wal.errors")
 	if cfg.WALDir != "" {
@@ -288,9 +286,9 @@ func (s *Server) Close() error {
 	return err
 }
 
-// tickLoop drives timed slots. The tick itself only drains the stripes
-// and enqueues a snapshot — recomputation happens on the worker — so a
-// slow scheduling round can never block the ticker.
+// tickLoop drives timed slots. The tick itself only collects the
+// frontends' demand and enqueues a snapshot — recomputation happens on
+// the worker — so a slow scheduling round can never block the ticker.
 func (s *Server) tickLoop() {
 	defer s.wg.Done()
 	t := time.NewTicker(s.cfg.SlotDuration)
@@ -305,11 +303,12 @@ func (s *Server) tickLoop() {
 	}
 }
 
-// advance closes out the current timeslot: it drains every instance's
-// stripes into one merged snapshot, enqueues it for the recompute
-// worker, and returns the slot number. An empty slot (nothing
-// accepted) advances the slot counter without queueing work. done,
-// when non-nil, is closed once the snapshot's plan is live
+// advance closes out the current timeslot: it takes every instance's
+// accumulated demand as one snapshot — with one frontend the very
+// object ingest filled, with more their row-wise merge — enqueues it
+// for the recompute worker, and returns the slot number. An empty slot
+// (nothing accepted) advances the slot counter without queueing work.
+// done, when non-nil, is closed once the snapshot's plan is live
 // (immediately for empty slots).
 //
 // After Close has marked the server closed, only Close's own final
@@ -327,17 +326,27 @@ func (s *Server) advance(done chan struct{}, final bool) (slot int, ok bool) {
 	}
 	slot = s.slot
 	s.slot++
-	// Durability ordering: the advance record is appended *before* the
-	// drain re-stamps the stripes' slot tags, so in WAL order an ingest
-	// tagged with the new slot can never precede this boundary (the
-	// tag is read and the ingest appended under the stripe lock, which
-	// the drain also takes).
+	// Durability ordering: the advance record is appended *before*
+	// handOver re-stamps the frontends' slot tags, so in WAL order an
+	// ingest tagged with the new slot can never precede this boundary
+	// (the tag is read and the ingest appended under the frontend's
+	// lock, which handOver also takes).
 	var advLSN uint64
 	var advErr error
 	if s.wal != nil {
 		advLSN, advErr = s.wal.AppendAdvance(slot)
 	}
-	demand, n := drainDemand(s.allShards, len(s.world.Hotspots), s.slot)
+	var demand *core.Demand
+	var n int64
+	for _, in := range s.instances {
+		d, k := in.handOver(s.slot)
+		if demand == nil {
+			demand = d
+		} else if d != nil {
+			demand.Merge(d)
+		}
+		n += k
+	}
 	s.reg.Counter("server.slots").Inc()
 	if demand == nil {
 		s.reg.Counter("server.slots.empty").Inc()
@@ -359,7 +368,7 @@ func (s *Server) advance(done chan struct{}, final bool) (slot int, ok bool) {
 		// merged demand schedules under the newer slot number; no
 		// accepted request is lost.
 		last := s.queue[len(s.queue)-1]
-		mergeDemand(last.demand, demand)
+		last.demand.Merge(demand)
 		last.requests += n
 		last.slot = slot
 		last.done = append(last.done, snap.done...)
@@ -511,7 +520,6 @@ func (s *Server) runSlot(snap *slotSnapshot) {
 	// Microsecond buckets: small rounds finish in well under a
 	// millisecond, and 2^24 µs ≈ 16.8 s covers the slowest degraded one.
 	s.reg.Histogram("server.slot.latency_us", obs.PowersOf2Buckets(24)).Observe(latency.Microseconds())
-	s.reg.Timer("server.slot.schedule").Observe(latency)
 	if s.cfg.Tracer != nil {
 		s.cfg.Tracer.Emit(obs.Event{Type: "swap", Slot: snap.slot, Attrs: []obs.Attr{
 			obs.I("epoch", epoch),
@@ -559,12 +567,13 @@ func (s *Server) Plans() []PlanRecord {
 //
 //	POST /ingest         accept one request ({"user","video","x","y"}
 //	                     or {"user","video","hotspot"}) — 202 accepted,
-//	                     429 overloaded (stripe queue full), 400 malformed
+//	                     429 overloaded (frontend queue full), 400 malformed
 //	GET  /redirect       ?video=V&hotspot=H → serving target for one
 //	                     request aggregated at H ({"target":-1} = CDN)
 //	GET  /plans          retained per-slot plan records (canonical bytes)
 //	GET  /healthz        liveness + slot/epoch counters + this
-//	                     frontend's serving (epoch, digest)
+//	                     frontend's serving (epoch, digest) and its
+//	                     accepted-but-unscheduled request count
 //	POST /admin/advance  force a slot boundary; returns the new record
 //
 // Every frontend instance serves the same API (see InstanceHandler).

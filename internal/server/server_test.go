@@ -9,6 +9,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -58,9 +59,6 @@ func TestConfigValidate(t *testing.T) {
 		{"instances", Config{World: world, Instances: 4}, true},
 		{"negative instances", Config{World: world, Instances: -1}, false},
 		{"instances above cap", Config{World: world, Instances: maxInstances + 1}, false},
-		{"shards", Config{World: world, Shards: 4}, true},
-		{"negative shards", Config{World: world, Shards: -1}, false},
-		{"shards above cap", Config{World: world, Shards: maxShards + 1}, false},
 		{"queue bound", Config{World: world, QueueBound: 10}, true},
 		{"negative queue bound", Config{World: world, QueueBound: -1}, false},
 		{"slot duration", Config{World: world, SlotDuration: time.Second}, true},
@@ -176,50 +174,98 @@ func TestIngestValidation(t *testing.T) {
 	}
 }
 
-// TestBackpressure fills one stripe to its bound and checks the 429
-// path: rejections are visible in the counter, accepted requests all
-// survive into the slot's demand, and draining reopens the stripe.
+// TestBackpressure fills one frontend to its bound and checks the 429
+// path: the bound is the frontend's, so every hotspot it owns is
+// refused and another frontend's is not; rejections are visible in the
+// counter, accepted requests all survive into the slot's demand, and
+// the slot boundary reopens the frontend.
 func TestBackpressure(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := newTestServer(t, Config{World: testWorld(2, 50, 50), Shards: 1, QueueBound: 3, Registry: reg})
-	body := `{"user":1,"video":2,"hotspot":0}`
-	for i := 0; i < 3; i++ {
-		if rr := do(t, s, http.MethodPost, "/ingest", body); rr.Code != http.StatusAccepted {
-			t.Fatalf("ingest %d: status %d", i, rr.Code)
+	const hotspots = 16
+	s := newTestServer(t, Config{World: testWorld(hotspots, 50, 50), Instances: 2, QueueBound: 3, Registry: reg})
+	full := s.ring.OwnerOfHotspot(0)
+	sibling, other := -1, -1
+	for h := 1; h < hotspots; h++ {
+		if s.ring.OwnerOfHotspot(h) != full {
+			other = h
+		} else {
+			sibling = h
 		}
 	}
-	for i := 0; i < 2; i++ {
-		if rr := do(t, s, http.MethodPost, "/ingest", body); rr.Code != http.StatusTooManyRequests {
-			t.Fatalf("over-bound ingest: status %d, want 429", rr.Code)
+	if sibling < 0 || other < 0 {
+		t.Fatalf("ring gave one frontend every hotspot or only hotspot 0 — test world too small")
+	}
+	ingest := func(h int) int {
+		return do(t, s, http.MethodPost, "/ingest", fmt.Sprintf(`{"user":1,"video":2,"hotspot":%d}`, h)).Code
+	}
+	for i := 0; i < 3; i++ {
+		if code := ingest(0); code != http.StatusAccepted {
+			t.Fatalf("ingest %d: status %d", i, code)
 		}
+	}
+	for _, h := range []int{0, sibling} {
+		if code := ingest(h); code != http.StatusTooManyRequests {
+			t.Fatalf("over-bound ingest at hotspot %d: status %d, want 429", h, code)
+		}
+	}
+	if code := ingest(other); code != http.StatusAccepted {
+		t.Fatalf("ingest at another frontend's hotspot %d: status %d, want 202", other, code)
 	}
 	if got := reg.Counter("server.ingest.rejected").Value(); got != 2 {
 		t.Errorf("rejected counter = %d, want 2", got)
 	}
-	demand, n := drainDemand(s.instances[0].shards, 2, 1)
+	demand, n := s.instances[full].handOver(1)
 	if n != 3 || demand.Totals[0] != 3 {
-		t.Fatalf("drained %d requests (hotspot0 %d), want 3 accepted", n, demand.Totals[0])
+		t.Fatalf("handed over %d requests (hotspot0 %d), want 3 accepted", n, demand.Totals[0])
 	}
-	// The stripe reopened after the drain.
-	if rr := do(t, s, http.MethodPost, "/ingest", body); rr.Code != http.StatusAccepted {
-		t.Fatalf("post-drain ingest rejected: %d", rr.Code)
+	// The frontend reopened at the boundary.
+	if code := ingest(sibling); code != http.StatusAccepted {
+		t.Fatalf("post-boundary ingest rejected: %d", code)
 	}
 }
 
-// TestMergeDemand: coalescing folds one snapshot's counts into another
-// without losing any.
+// TestMergeDemand: a slot boundary hands the round the very demand
+// ingest accumulated into, and coalescing into a full queue folds a
+// snapshot's counts into the newest queued one without losing any.
 func TestMergeDemand(t *testing.T) {
-	dst := core.NewDemand(3)
-	dst.Add(0, 1, 2)
-	dst.Add(2, 5, 1)
-	src := core.NewDemand(3)
-	src.Add(0, 1, 3)
-	src.Add(1, 4, 7)
-	mergeDemand(dst, src)
-	if dst.PerVideo[0][1] != 5 || dst.PerVideo[1][4] != 7 || dst.PerVideo[2][5] != 1 {
-		t.Fatalf("merged demand %+v", dst.PerVideo)
+	reg := obs.NewRegistry()
+	s := newTestServer(t, Config{World: testWorld(3, 10, 10), Registry: reg})
+	ingest := func(h, v int) {
+		t.Helper()
+		body := fmt.Sprintf(`{"user":1,"video":%d,"hotspot":%d}`, v, h)
+		if rr := do(t, s, http.MethodPost, "/ingest", body); rr.Code != http.StatusAccepted {
+			t.Fatalf("ingest: status %d", rr.Code)
+		}
 	}
-	if dst.Totals[0] != 5 || dst.Totals[1] != 7 || dst.Totals[2] != 1 {
+	// No worker runs: snapshots stay queued where the test can see them.
+	for k := 0; k < maxSnapshotQueue; k++ {
+		ingest(0, 1)
+		ingest(2, 5)
+		acc := s.instances[0].demand
+		s.advance(nil, false)
+		if got := s.queue[k].demand; got != acc {
+			t.Fatalf("slot %d schedules demand %p, ingest accumulated into %p", k, got, acc)
+		}
+		if s.instances[0].demand == acc || s.instances[0].pending != 0 {
+			t.Fatalf("slot %d: frontend kept the demand it handed over", k)
+		}
+	}
+	ingest(0, 1)
+	ingest(0, 1)
+	ingest(1, 4)
+	s.advance(nil, false)
+	if len(s.queue) != maxSnapshotQueue || reg.Counter("server.slots.coalesced").Value() != 1 {
+		t.Fatalf("queue %d snapshots, coalesced %d", len(s.queue), reg.Counter("server.slots.coalesced").Value())
+	}
+	last := s.queue[maxSnapshotQueue-1]
+	if last.slot != maxSnapshotQueue || last.requests != 5 {
+		t.Fatalf("coalesced snapshot: slot %d, %d requests", last.slot, last.requests)
+	}
+	dst := last.demand
+	if dst.Count(0, 1) != 3 || dst.Count(1, 4) != 1 || dst.Count(2, 5) != 1 {
+		t.Fatalf("merged demand %v %v %v", dst.VideoCounts(0), dst.VideoCounts(1), dst.VideoCounts(2))
+	}
+	if dst.Totals[0] != 3 || dst.Totals[1] != 1 || dst.Totals[2] != 1 {
 		t.Fatalf("merged totals %v", dst.Totals)
 	}
 }
@@ -394,118 +440,142 @@ func TestGracefulShutdownFlushesPending(t *testing.T) {
 // lookup, and slot swaps all run concurrently (under -race in CI), and
 // every lookup must observe an internally consistent plan — its
 // (epoch, digest) stamp must match a plan the server actually
-// published, proving no partially applied plan is ever visible.
+// published, proving no partially applied plan is ever visible — while
+// every request sent is accepted and lands in exactly one scheduled
+// slot. The three-frontend case rotates its posts over every frontend,
+// so hand-over, row adoption and WAL appends race real ingests.
 func TestConcurrentIngestLookupSwap(t *testing.T) {
 	world := testWorld(8, 20, 20)
-	reg := obs.NewRegistry()
-	s := newTestServer(t, Config{World: world, Registry: reg, Shards: 4, QueueBound: 1 << 20})
-	s.wg.Add(1)
-	go s.recomputeLoop()
-	defer func() {
-		s.stopOnce.Do(func() { close(s.stop) })
-		s.wg.Wait()
-	}()
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"one frontend", Config{World: world}},
+		{"three frontends, wal", Config{World: world, Instances: 3, WALDir: t.TempDir(), Fsync: "none"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			tc.cfg.Registry = reg
+			s := newTestServer(t, tc.cfg)
+			if err := s.Start(); err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			frontends := s.NumInstances()
 
-	type stamp struct {
-		Epoch  int64  `json:"epoch"`
-		Digest string `json:"digest"`
-	}
-	var (
-		mu       sync.Mutex
-		observed = map[stamp]bool{}
-	)
-	stopIngest := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			i := 0
-			for {
-				select {
-				case <-stopIngest:
-					return
-				default:
-				}
-				body := fmt.Sprintf(`{"user":%d,"video":%d,"hotspot":%d}`, w, (w*31+i)%world.NumVideos, (w+i)%len(world.Hotspots))
-				rr := do(t, s, http.MethodPost, "/ingest", body)
-				if rr.Code != http.StatusAccepted && rr.Code != http.StatusTooManyRequests {
+			type stamp struct {
+				Epoch  int64  `json:"epoch"`
+				Digest string `json:"digest"`
+			}
+			var (
+				mu       sync.Mutex
+				observed = map[stamp]bool{}
+				sent     atomic.Int64
+			)
+			post := func(at int, body string) {
+				sent.Add(1)
+				if rr := doAt(t, s, at%frontends, http.MethodPost, "/ingest", body); rr.Code != http.StatusAccepted {
 					t.Errorf("ingest status %d", rr.Code)
-					return
-				}
-				i++
-			}
-		}(w)
-	}
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stopIngest:
-					return
-				default:
-				}
-				rr := do(t, s, http.MethodGet,
-					fmt.Sprintf("/redirect?video=%d&hotspot=%d", (w*7+i)%world.NumVideos, i%len(world.Hotspots)), "")
-				if rr.Code != http.StatusOK {
-					t.Errorf("redirect status %d", rr.Code)
-					return
-				}
-				var st stamp
-				if err := json.Unmarshal(rr.Body.Bytes(), &st); err != nil {
-					t.Errorf("redirect body: %v", err)
-					return
-				}
-				if st.Epoch != 0 {
-					mu.Lock()
-					observed[st] = true
-					mu.Unlock()
 				}
 			}
-		}(w)
-	}
-	for k := 0; k < 20; k++ {
-		// Seed demand from the main goroutine too, so every slot has
-		// something to schedule even if the ingest workers are starved.
-		for v := 0; v < 8; v++ {
-			body := fmt.Sprintf(`{"user":1,"video":%d,"hotspot":%d}`, v, v%len(world.Hotspots))
-			do(t, s, http.MethodPost, "/ingest", body)
-		}
-		if _, _, err := s.AdvanceSlot(context.Background()); err != nil {
-			t.Fatalf("AdvanceSlot: %v", err)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	// Keep the lookup workers running until at least one plan has been
-	// observed (the swaps above guarantee plans exist).
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		mu.Lock()
-		n := len(observed)
-		mu.Unlock()
-		if n > 0 {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(stopIngest)
-	wg.Wait()
+			stopIngest := make(chan struct{})
+			var wg sync.WaitGroup
+			for w := 0; w < 4; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; ; i++ {
+						select {
+						case <-stopIngest:
+							return
+						default:
+						}
+						post(w+i, fmt.Sprintf(`{"user":%d,"video":%d,"hotspot":%d}`, w, (w*31+i)%world.NumVideos, (w+i)%len(world.Hotspots)))
+					}
+				}(w)
+			}
+			for w := 0; w < 4; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; ; i++ {
+						select {
+						case <-stopIngest:
+							return
+						default:
+						}
+						rr := doAt(t, s, (w+i)%frontends, http.MethodGet,
+							fmt.Sprintf("/redirect?video=%d&hotspot=%d", (w*7+i)%world.NumVideos, i%len(world.Hotspots)), "")
+						if rr.Code != http.StatusOK {
+							t.Errorf("redirect status %d", rr.Code)
+							return
+						}
+						var st stamp
+						if err := json.Unmarshal(rr.Body.Bytes(), &st); err != nil {
+							t.Errorf("redirect body: %v", err)
+							return
+						}
+						if st.Epoch != 0 {
+							mu.Lock()
+							observed[st] = true
+							mu.Unlock()
+						}
+					}
+				}(w)
+			}
+			for k := 0; k < 20; k++ {
+				// Seed demand from the main goroutine too, so every slot has
+				// something to schedule even if the ingest workers are starved.
+				for v := 0; v < 8; v++ {
+					post(v, fmt.Sprintf(`{"user":1,"video":%d,"hotspot":%d}`, v, v%len(world.Hotspots)))
+				}
+				if _, _, err := s.AdvanceSlot(context.Background()); err != nil {
+					t.Fatalf("AdvanceSlot: %v", err)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			// Keep the lookup workers running until at least one plan has been
+			// observed (the swaps above guarantee plans exist).
+			deadline := time.Now().Add(5 * time.Second)
+			for time.Now().Before(deadline) {
+				mu.Lock()
+				n := len(observed)
+				mu.Unlock()
+				if n > 0 {
+					break
+				}
+				time.Sleep(time.Millisecond)
+			}
+			close(stopIngest)
+			wg.Wait()
+			// One more boundary schedules whatever the workers posted last.
+			if _, _, err := s.AdvanceSlot(context.Background()); err != nil {
+				t.Fatalf("AdvanceSlot: %v", err)
+			}
 
-	published := map[stamp]bool{}
-	for _, rec := range s.Plans() {
-		published[stamp{Epoch: rec.Epoch, Digest: rec.Digest}] = true
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(observed) == 0 {
-		t.Fatalf("no lookup observed any plan")
-	}
-	for st := range observed {
-		if !published[st] {
-			t.Errorf("lookup observed (epoch %d, digest %s) never published — partial plan?", st.Epoch, st.Digest)
-		}
+			published := map[stamp]bool{}
+			var scheduled int64
+			for _, rec := range s.Plans() {
+				published[stamp{Epoch: rec.Epoch, Digest: rec.Digest}] = true
+				scheduled += rec.Requests
+			}
+			if accepted := reg.Counter("server.ingest.accepted").Value(); scheduled != accepted || accepted != sent.Load() {
+				t.Errorf("sent %d, accepted %d, scheduled %d: want all equal", sent.Load(), accepted, scheduled)
+			}
+			if got := reg.Counter("server.wal.errors").Value(); got != 0 {
+				t.Errorf("server.wal.errors = %d", got)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if len(observed) == 0 {
+				t.Fatalf("no lookup observed any plan")
+			}
+			for st := range observed {
+				if !published[st] {
+					t.Errorf("lookup observed (epoch %d, digest %s) never published — partial plan?", st.Epoch, st.Digest)
+				}
+			}
+		})
 	}
 }
 
@@ -539,11 +609,46 @@ func TestTimedSlots(t *testing.T) {
 	}
 }
 
-// TestHealthz smoke-checks the liveness endpoint.
+// TestHealthz checks the liveness endpoint and the queue depth it
+// reports: pending rises with accepted ingests and returns to 0 once a
+// slot boundary has taken them.
 func TestHealthz(t *testing.T) {
 	s := newTestServer(t, Config{World: testWorld(2, 5, 5)})
-	rr := do(t, s, http.MethodGet, "/healthz", "")
-	if rr.Code != http.StatusOK || !strings.Contains(rr.Body.String(), `"status":"ok"`) {
-		t.Fatalf("healthz = %d %s", rr.Code, rr.Body.String())
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	pending := func() int64 {
+		t.Helper()
+		rr := do(t, s, http.MethodGet, "/healthz", "")
+		var resp struct {
+			Status   string `json:"status"`
+			Instance *int   `json:"instance"`
+			Pending  *int64 `json:"pending"`
+		}
+		if err := json.Unmarshal(rr.Body.Bytes(), &resp); err != nil || rr.Code != http.StatusOK {
+			t.Fatalf("healthz = %d %s (%v)", rr.Code, rr.Body.String(), err)
+		}
+		if resp.Status != "ok" || resp.Instance == nil || resp.Pending == nil {
+			t.Fatalf("healthz = %s, want status ok with instance and pending", rr.Body.String())
+		}
+		return *resp.Pending
+	}
+	if got := pending(); got != 0 {
+		t.Fatalf("pending before any ingest = %d", got)
+	}
+	for i := 1; i <= 3; i++ {
+		if rr := do(t, s, http.MethodPost, "/ingest", `{"user":1,"video":2,"hotspot":1}`); rr.Code != http.StatusAccepted {
+			t.Fatalf("ingest: status %d", rr.Code)
+		}
+		if got := pending(); got != int64(i) {
+			t.Fatalf("pending after %d ingests = %d", i, got)
+		}
+	}
+	if _, _, err := s.AdvanceSlot(context.Background()); err != nil {
+		t.Fatalf("AdvanceSlot: %v", err)
+	}
+	if got := pending(); got != 0 {
+		t.Fatalf("pending after AdvanceSlot = %d, want 0", got)
 	}
 }

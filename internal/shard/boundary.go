@@ -151,11 +151,11 @@ func (s *Scheduler) reconcile(plan *core.Plan, d *core.Demand, svc []int64, cach
 		// Movable demand per video: the source's demand not already
 		// redirected, largest remaining first.
 		vids = vids[:0]
-		for v, n := range d.PerVideo[h] {
+		d.Each(h, func(v trace.VideoID, n int64) {
 			if rest := n - outPerVideo[h][v]; rest > 0 {
 				vids = append(vids, videoAvail{v, rest})
 			}
-		}
+		})
 		sort.Slice(vids, func(a, b int) bool {
 			if vids[a].avail != vids[b].avail {
 				return vids[a].avail > vids[b].avail

@@ -175,8 +175,8 @@ func (s *Scheduler) ScheduleRound(d *core.Demand, cons core.Constraints) (*core.
 	}
 	obsOn := s.params.Obs != nil
 
-	// Split the demand and constraints per shard. PerVideo maps are
-	// deep-copied: per-shard schedulers in delta mode retain the
+	// Split the demand and constraints per shard. Rows are copied
+	// entry by entry: per-shard schedulers in delta mode retain the
 	// demand they are handed across rounds, so handing them views of
 	// the caller's maps would break the delta caller contract.
 	subDemands := make([]*core.Demand, len(s.scheds))
@@ -186,9 +186,9 @@ func (s *Scheduler) ScheduleRound(d *core.Demand, cons core.Constraints) (*core.
 		ssvc := make([]int64, len(toGlobal))
 		scache := make([]int, len(toGlobal))
 		for li, g := range toGlobal {
-			for v, n := range d.PerVideo[g] {
+			d.Each(g, func(v trace.VideoID, n int64) {
 				sd.Add(trace.HotspotID(li), v, n)
-			}
+			})
 			ssvc[li] = svc[g]
 			scache[li] = cache[g]
 		}

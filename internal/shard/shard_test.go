@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -188,11 +189,11 @@ func driftDemands(base *core.Demand, steps int) []*core.Demand {
 		d := out[s-1].Clone()
 		for k := 0; k < 2; k++ {
 			h := rng.Intn(d.NumHotspots())
-			row := d.PerVideo[h]
+			row := d.VideoCounts(h)
 			if len(row) < 2 {
 				continue
 			}
-			videos := make([]trace.VideoID, 0, len(row))
+			videos := make([]int, 0, len(row))
 			for v := range row {
 				videos = append(videos, v)
 			}
@@ -214,6 +215,10 @@ func driftDemands(base *core.Demand, steps int) []*core.Demand {
 				}
 				row[dst] += n
 				move -= n
+			}
+			d.Clear(h)
+			for v, n := range row {
+				d.Add(trace.HotspotID(h), trace.VideoID(v), n)
 			}
 		}
 		out[s] = d
@@ -257,14 +262,9 @@ func TestShardedDemandNotMutated(t *testing.T) {
 	if !slices.Equal(d.Totals, snapshot.Totals) {
 		t.Fatal("ScheduleRound mutated demand totals")
 	}
-	for h := range d.PerVideo {
-		if len(d.PerVideo[h]) != len(snapshot.PerVideo[h]) {
+	for h := 0; h < d.NumHotspots(); h++ {
+		if !maps.Equal(d.VideoCounts(h), snapshot.VideoCounts(h)) {
 			t.Fatalf("ScheduleRound mutated per-video demand at hotspot %d", h)
-		}
-		for v, n := range d.PerVideo[h] {
-			if snapshot.PerVideo[h][v] != n {
-				t.Fatalf("ScheduleRound mutated demand at hotspot %d video %d", h, v)
-			}
 		}
 	}
 }
@@ -310,9 +310,8 @@ func TestShardedRoundValidation(t *testing.T) {
 	}
 
 	negDemand := d.Clone()
-	negDemand.Totals[0] = -1
-	shortRows := d.Clone()
-	shortRows.PerVideo = shortRows.PerVideo[:m-1]
+	negDemand.Add(0, 0, -negDemand.Totals[0]-1)
+	shortRows := &core.Demand{Totals: slices.Clone(d.Totals)}
 	negService := make([]int64, m)
 	negService[0] = -5
 	negCache := make([]int, m)

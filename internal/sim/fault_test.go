@@ -29,9 +29,9 @@ func (resilientPolicy) Schedule(ctx *SlotContext) (*Assignment, error) {
 	placement := make([]similarity.Set, m)
 	for h := 0; h < m; h++ {
 		placement[h] = similarity.NewSet()
-		videos := make([]int, 0, len(ctx.Demand.PerVideo[h]))
-		for v := range ctx.Demand.PerVideo[h] {
-			videos = append(videos, int(v))
+		var videos []int
+		for v := range ctx.Demand.VideoCounts(h) {
+			videos = append(videos, v)
 		}
 		sort.Ints(videos)
 		for _, v := range videos {
@@ -103,7 +103,6 @@ func TestRunParallelMatchesRunWithFaults(t *testing.T) {
 	opts := Options{
 		Seed:            11,
 		HotspotChurn:    0.1,
-		KeepSlotLoads:   true,
 		KeepSlotMetrics: true,
 		Faults:          stressScenario(world),
 	}
@@ -151,7 +150,7 @@ func TestOptionsValidate(t *testing.T) {
 	}{
 		{"zero value", Options{}, true},
 		{"seed only", Options{Seed: -42}, true},
-		{"flags", Options{KeepSlotLoads: true, KeepSlotMetrics: true}, true},
+		{"flags", Options{KeepSlotMetrics: true}, true},
 		{"churn zero", Options{HotspotChurn: 0}, true},
 		{"churn mid", Options{HotspotChurn: 0.5}, true},
 		{"churn one", Options{HotspotChurn: 1}, true},

@@ -167,8 +167,6 @@ type Metrics struct {
 	// PerHotspotServed[h] is the number of requests actually served by
 	// hotspot h over the run.
 	PerHotspotServed []int64
-	// PerHotspotSlotLoad[h][t] is λ_h per slot (the Fig. 3a series).
-	PerHotspotSlotLoad [][]int64
 
 	// OfflineHotspotSlots counts (hotspot, slot) pairs offline for any
 	// reason: i.i.d. HotspotChurn or injected faults (each pair counted
@@ -232,9 +230,6 @@ type SlotMetrics struct {
 type Options struct {
 	// Seed drives per-slot randomness handed to policies.
 	Seed int64
-	// KeepSlotLoads retains PerHotspotSlotLoad (needed for the
-	// correlation analyses; costs O(hotspots × slots) memory).
-	KeepSlotLoads bool
 	// KeepSlotMetrics retains a per-timeslot metrics timeline in
 	// Metrics.PerSlot (serving ratio, CDN load, and replicas per slot).
 	KeepSlotMetrics bool
@@ -350,7 +345,11 @@ func run(world *trace.World, tr *trace.Trace, policies []Scheduler, opts Options
 	}
 	churnRng := stats.SplitRand(opts.Seed, "hotspot-churn")
 
-	metrics := newRunMetrics(world, tr, policies[0].Name(), opts)
+	metrics := &Metrics{
+		Scheme:           policies[0].Name(),
+		PerHotspotLoad:   make([]int64, len(world.Hotspots)),
+		PerHotspotServed: make([]int64, len(world.Hotspots)),
+	}
 	metrics.FlashInjectedRequests = injected
 	var distanceSum float64
 	prevPlacement := make([]similarity.Set, len(world.Hotspots))
@@ -539,23 +538,6 @@ func validateRun(world *trace.World, tr *trace.Trace, opts Options) error {
 	return opts.Validate()
 }
 
-// newRunMetrics allocates the metrics accumulator for one run.
-func newRunMetrics(world *trace.World, tr *trace.Trace, scheme string, opts Options) *Metrics {
-	m := len(world.Hotspots)
-	metrics := &Metrics{
-		Scheme:           scheme,
-		PerHotspotLoad:   make([]int64, m),
-		PerHotspotServed: make([]int64, m),
-	}
-	if opts.KeepSlotLoads {
-		metrics.PerHotspotSlotLoad = make([][]int64, m)
-		for h := range metrics.PerHotspotSlotLoad {
-			metrics.PerHotspotSlotLoad[h] = make([]int64, tr.Slots)
-		}
-	}
-	return metrics
-}
-
 // drawOffline draws the slot's churned-out hotspots from rng (exactly
 // one draw per hotspot, so the stream is identical however slots are
 // later scheduled) and records them on w.
@@ -621,8 +603,7 @@ func scheduleSlot(world *trace.World, index *geo.Grid, policy Scheduler, opts Op
 		if w.drops != nil {
 			for h, dropped := range w.drops {
 				if dropped {
-					reported.Totals[h] = 0
-					reported.PerVideo[h] = nil
+					reported.Clear(h)
 				}
 			}
 		}
@@ -676,9 +657,6 @@ func applySlot(world *trace.World, opts Options, metrics *Metrics, w *slotWork, 
 	// stale reported view the policy may have scheduled against.
 	for h := 0; h < m; h++ {
 		metrics.PerHotspotLoad[h] += w.actual.Totals[h]
-		if opts.KeepSlotLoads {
-			metrics.PerHotspotSlotLoad[h][slot] = w.actual.Totals[h]
-		}
 	}
 
 	slotServedBefore := metrics.ServedByHotspot

@@ -56,9 +56,9 @@ func placeEverything(ctx *SlotContext) []similarity.Set {
 	placement := make([]similarity.Set, m)
 	for h := 0; h < m; h++ {
 		placement[h] = similarity.NewSet()
-		for v := range ctx.Demand.PerVideo[h] {
+		for v := range ctx.Demand.VideoCounts(h) {
 			if placement[h].Len() < ctx.World.Hotspots[h].CacheCapacity {
-				placement[h].Add(int(v))
+				placement[h].Add(v)
 			}
 		}
 	}
@@ -259,12 +259,9 @@ func TestRunSlotLoads(t *testing.T) {
 		placement := []similarity.Set{similarity.NewSet(), similarity.NewSet()}
 		return &Assignment{Placement: placement, Target: targets}, nil
 	}}
-	m, err := Run(world, tr, policy, Options{KeepSlotLoads: true})
+	m, err := Run(world, tr, policy, Options{})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if m.PerHotspotSlotLoad[0][0] != 2 || m.PerHotspotSlotLoad[1][1] != 1 {
-		t.Errorf("slot loads = %v", m.PerHotspotSlotLoad)
 	}
 	if m.PerHotspotLoad[0] != 2 || m.PerHotspotLoad[1] != 1 {
 		t.Errorf("aggregate loads = %v", m.PerHotspotLoad)
@@ -295,8 +292,8 @@ func TestBuildSlotContextAggregation(t *testing.T) {
 	if ctx.Demand.Totals[0] != 2 || ctx.Demand.Totals[1] != 1 {
 		t.Errorf("Totals = %v", ctx.Demand.Totals)
 	}
-	if ctx.Demand.PerVideo[0][1] != 2 || ctx.Demand.PerVideo[1][4] != 1 {
-		t.Errorf("PerVideo = %v", ctx.Demand.PerVideo)
+	if ctx.Demand.Count(0, 1) != 2 || ctx.Demand.Count(1, 4) != 1 {
+		t.Errorf("per-video counts = %v, %v", ctx.Demand.VideoCounts(0), ctx.Demand.VideoCounts(1))
 	}
 }
 
@@ -474,9 +471,9 @@ func (saltedPolicy) Schedule(ctx *SlotContext) (*Assignment, error) {
 	placement := make([]similarity.Set, m)
 	for h := 0; h < m; h++ {
 		placement[h] = similarity.NewSet()
-		videos := make([]int, 0, len(ctx.Demand.PerVideo[h]))
-		for v := range ctx.Demand.PerVideo[h] {
-			videos = append(videos, int(v))
+		var videos []int
+		for v := range ctx.Demand.VideoCounts(h) {
+			videos = append(videos, v)
 		}
 		sort.Ints(videos)
 		for _, v := range videos {
@@ -518,7 +515,7 @@ func TestRunParallelMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	opts := Options{Seed: 7, HotspotChurn: 0.15, KeepSlotLoads: true, KeepSlotMetrics: true}
+	opts := Options{Seed: 7, HotspotChurn: 0.15, KeepSlotMetrics: true}
 
 	want, err := Run(world, tr, saltedPolicy{}, opts)
 	if err != nil {

@@ -26,7 +26,7 @@ import (
 //	roundErr(4): slot
 //
 // ingest records one accepted request (or a pre-aggregated count)
-// tagged with the slot the owning stripe was accumulating for;
+// tagged with the slot the owning frontend was accumulating for;
 // advance marks a slot boundary (the drained slot number); plan
 // records a scheduled plan's canonical bytes and digest; roundErr
 // records that a slot's round failed its contract and the drained

@@ -85,23 +85,23 @@ func timedVerify(canonical []byte, digest uint64, spent *time.Duration) bool {
 	return ok
 }
 
-// EntryKey is the (hotspot, video) pair demand increments merge under.
-type EntryKey struct{ Hotspot, Video int }
+// entryKey is the (hotspot, video) pair demand increments merge under.
+type entryKey struct{ Hotspot, Video int }
 
 // slotDemand is merged demand under one slot tag: counts per
 // (hotspot, video) and the requests behind them.
 type slotDemand struct {
-	entries  map[EntryKey]int64
+	entries  map[entryKey]int64
 	requests int64
 }
 
 // add merges checkpointed entries in.
 func (d *slotDemand) add(es []Entry) {
 	if d.entries == nil {
-		d.entries = make(map[EntryKey]int64, len(es))
+		d.entries = make(map[entryKey]int64, len(es))
 	}
 	for _, e := range es {
-		d.entries[EntryKey{e.Hotspot, e.Video}] += e.Count
+		d.entries[entryKey{e.Hotspot, e.Video}] += e.Count
 	}
 }
 
@@ -208,12 +208,12 @@ func (rp *replay) apply(r record) {
 		d := rp.last
 		if d == nil || r.slot != rp.lastSlot {
 			if d = rp.demand[r.slot]; d == nil {
-				d = &slotDemand{entries: make(map[EntryKey]int64)}
+				d = &slotDemand{entries: make(map[entryKey]int64)}
 				rp.demand[r.slot] = d
 			}
 			rp.last, rp.lastSlot = d, r.slot
 		}
-		d.entries[EntryKey{r.hotspot, r.video}] += r.count
+		d.entries[entryKey{r.hotspot, r.video}] += r.count
 		d.requests += r.count
 	}
 	st.Records++
@@ -236,7 +236,7 @@ func (rp *replay) finish() *State {
 	}
 
 	if ckpt != nil && len(ckpt.Pending) > 0 {
-		// What the checkpoint found in the stripes is demand of the slot
+		// What the checkpoint found in the frontends is demand of the slot
 		// that was open at the capture — tagged ckpt.Slot like the
 		// ingests that put it there (all at or below the checkpoint's
 		// cursors, so none is counted again), and subject to the same
@@ -283,7 +283,7 @@ func (rp *replay) finish() *State {
 		}
 	}
 
-	st.Pending = SortedEntries(pending.entries)
+	st.Pending = sortedEntries(pending.entries)
 	st.PendingRequests = pending.requests
 	slots := make([]int, 0, len(queued))
 	for s := range queued {
@@ -291,7 +291,7 @@ func (rp *replay) finish() *State {
 	}
 	slices.Sort(slots)
 	for _, s := range slots {
-		es := SortedEntries(queued[s].entries)
+		es := sortedEntries(queued[s].entries)
 		if len(es) == 0 {
 			continue
 		}
@@ -300,19 +300,24 @@ func (rp *replay) finish() *State {
 	return st
 }
 
-// SortedEntries renders a merged demand map as (hotspot, video)-sorted
-// entries: the deterministic order of checkpoint bytes and of
-// recovered state.
-func SortedEntries(m map[EntryKey]int64) []Entry {
+// sortedEntries renders a merged demand map as sorted entries.
+func sortedEntries(m map[entryKey]int64) []Entry {
 	out := make([]Entry, 0, len(m))
 	for k, n := range m {
 		out = append(out, Entry{Hotspot: k.Hotspot, Video: k.Video, Count: n})
 	}
-	slices.SortFunc(out, func(a, b Entry) int {
+	SortEntries(out)
+	return out
+}
+
+// SortEntries puts entries with distinct keys in (hotspot, video)
+// order: the deterministic order of checkpoint bytes and of recovered
+// state.
+func SortEntries(es []Entry) {
+	slices.SortFunc(es, func(a, b Entry) int {
 		if c := cmp.Compare(a.Hotspot, b.Hotspot); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.Video, b.Video)
 	})
-	return out
 }

@@ -87,7 +87,7 @@ func referenceState(ckpt *Checkpoint, recs []record) *State {
 	}
 
 	// The one departure from the pre-fold replay (ISSUE 20): what the
-	// checkpoint found in the stripes is demand of the slot open at the
+	// checkpoint found in the frontends is demand of the slot open at the
 	// capture, so it enters as ingests tagged ckpt.Slot and meets the
 	// outcome / drainedBound rules below, where the old replay added it
 	// to pending whatever the log went on to show.
@@ -100,7 +100,7 @@ func referenceState(ckpt *Checkpoint, recs []record) *State {
 	// Deterministic replay order. Demand counts commute, so the merge
 	// result is order-independent — the sort pins the record-for-record
 	// reconstruction order regardless of how concurrent appends from
-	// different stripes interleaved in the log.
+	// different frontends interleaved in the log.
 	sort.SliceStable(ingests, func(i, j int) bool {
 		a, b := ingests[i], ingests[j]
 		if a.slot != b.slot {
@@ -112,8 +112,8 @@ func referenceState(ckpt *Checkpoint, recs []record) *State {
 		return a.seq < b.seq
 	})
 
-	pending := make(map[EntryKey]int64)
-	queued := make(map[int]map[EntryKey]int64)
+	pending := make(map[entryKey]int64)
+	queued := make(map[int]map[entryKey]int64)
 	queuedReqs := make(map[int]int64)
 	if ckpt != nil {
 		for _, q := range ckpt.Queue {
@@ -122,11 +122,11 @@ func referenceState(ckpt *Checkpoint, recs []record) *State {
 			}
 			m := queued[q.Slot]
 			if m == nil {
-				m = make(map[EntryKey]int64)
+				m = make(map[entryKey]int64)
 				queued[q.Slot] = m
 			}
 			for _, e := range q.Entries {
-				m[EntryKey{e.Hotspot, e.Video}] += e.Count
+				m[entryKey{e.Hotspot, e.Video}] += e.Count
 			}
 			queuedReqs[q.Slot] += q.Requests
 		}
@@ -138,25 +138,25 @@ func referenceState(ckpt *Checkpoint, recs []record) *State {
 		if r.slot < drainedBound {
 			m := queued[r.slot]
 			if m == nil {
-				m = make(map[EntryKey]int64)
+				m = make(map[entryKey]int64)
 				queued[r.slot] = m
 			}
-			m[EntryKey{r.hotspot, r.video}] += r.count
+			m[entryKey{r.hotspot, r.video}] += r.count
 			queuedReqs[r.slot] += r.count
 		} else {
-			pending[EntryKey{r.hotspot, r.video}] += r.count
+			pending[entryKey{r.hotspot, r.video}] += r.count
 			st.PendingRequests += r.count
 		}
 	}
 
-	st.Pending = SortedEntries(pending)
+	st.Pending = sortedEntries(pending)
 	slots := make([]int, 0, len(queued))
 	for s := range queued {
 		slots = append(slots, s)
 	}
 	sort.Ints(slots)
 	for _, s := range slots {
-		es := SortedEntries(queued[s])
+		es := sortedEntries(queued[s])
 		if len(es) == 0 {
 			continue
 		}
@@ -258,7 +258,7 @@ func outOfOrderIngests(t testing.TB) ([]record, *Checkpoint) {
 }
 
 // pendingThenAdvancePlan is a checkpoint captured mid-slot — slot 2
-// open with demand already in the stripes, as any timer-driven tier
+// open with demand already in the frontends, as any timer-driven tier
 // checkpoints — and a log that goes on to finish that slot: one of the
 // checkpointed ingests again (at the cursor), one more ingest for slot
 // 2, its advance, the next slot's first ingest, slot 2's plan.

@@ -418,8 +418,8 @@ func (l *Log) rotateLocked() error {
 }
 
 // AppendIngest logs one accepted demand increment: count requests for
-// (hotspot, video), tagged with the stripe's current slot and the
-// owning instance's sequence number.
+// (hotspot, video), tagged with the owning instance's current slot and
+// sequence number.
 func (l *Log) AppendIngest(slot, instance int, seq uint64, hotspot, video int, count int64) (uint64, error) {
 	return l.append(&record{kind: recIngest, slot: slot, instance: instance, seq: seq,
 		hotspot: hotspot, video: video, count: count})

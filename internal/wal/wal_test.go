@@ -585,11 +585,11 @@ func TestReplayBound(t *testing.T) {
 
 // drainEntries mirrors the test's ingest pattern as merged entries.
 func drainEntries(n int) []Entry {
-	m := make(map[EntryKey]int64)
+	m := make(map[entryKey]int64)
 	for i := 0; i < n; i++ {
-		m[EntryKey{i % 7, i % 11}]++
+		m[entryKey{i % 7, i % 11}]++
 	}
-	return SortedEntries(m)
+	return sortedEntries(m)
 }
 
 func TestCrashDropsUnsyncedTail(t *testing.T) {
