@@ -1,10 +1,10 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"strconv"
 
 	"repro/internal/similarity"
@@ -101,72 +101,121 @@ func DigestOf(canonical []byte) uint64 {
 	return h.Sum64()
 }
 
-// ParseCanonical decodes a canonical plan encoding back into a Plan
-// holding the logical scheduling content: flows, redirects, placement,
-// CDN overflow, and the degraded flag (stats and events are not part
-// of the encoding and come back zero). It is the receive side of the
-// serving tier's plan-distribution channel: each frontend instance
-// reconstructs its serving plan from the distributed bytes rather
-// than sharing the scheduler's. The parser is strict — any deviation
-// from the AppendCanonical grammar is an error, never a guess — and
-// for a well-formed input the round trip re-encodes to the identical
-// bytes (certified in canonical_test.go and re-checked on every swap
-// by the serving tier).
-func ParseCanonical(canonical []byte) (*Plan, error) {
-	cp := canonicalParser{rest: canonical}
-	p := &Plan{}
+// DecodedPlan is a canonical plan encoding decoded by DecodeCanonical:
+// the logical scheduling content — flows, redirects, placement, CDN
+// overflow and the degraded flag — with the placement held as sorted
+// runs in one span instead of one set per hotspot.
+type DecodedPlan struct {
+	Degraded      bool
+	Flows         []FlowEdge
+	Redirects     []Redirect
+	Placement     PlacementRuns
+	OverflowToCDN []int64
+}
 
-	if err := cp.literal("plan v1\n"); err != nil {
-		return nil, err
-	}
-	if err := cp.literal("degraded "); err != nil {
-		return nil, err
-	}
-	deg, err := cp.int64Until('\n')
-	if err != nil || (deg != 0 && deg != 1) {
-		return nil, fmt.Errorf("core: canonical plan: bad degraded flag")
-	}
-	p.Degraded = deg == 1
+// PlacementRuns is a placement as sorted runs in one span: hotspot h's
+// video ids, strictly ascending, are IDs[Off[h]:Off[h+1]].
+type PlacementRuns struct {
+	IDs []int32
+	Off []int
+}
 
-	if err := cp.literal("flows "); err != nil {
-		return nil, err
+// Rows returns the number of hotspot rows.
+func (p *PlacementRuns) Rows() int { return max(len(p.Off)-1, 0) }
+
+// Row returns hotspot h's video ids in ascending order.
+func (p *PlacementRuns) Row(h int) []int32 { return p.IDs[p.Off[h]:p.Off[h+1]] }
+
+// Contains reports whether hotspot h places video v (false for a
+// hotspot outside the rows). It is the /redirect path's cache probe: a
+// binary search whose one data-dependent step compiles to a
+// conditional move, because slices.BinarySearch's branches mispredict
+// on random probes and cost it about 1.7× as much on rows of a few
+// dozen ids.
+func (p *PlacementRuns) Contains(h, v int) bool {
+	if uint(h) >= uint(p.Rows()) || v < math.MinInt32 || v > math.MaxInt32 {
+		return false
 	}
-	nf, err := cp.count()
-	if err != nil {
-		return nil, fmt.Errorf("core: canonical plan: flows header: %w", err)
+	row, x := p.Row(h), int32(v)
+	if len(row) == 0 {
+		return false
 	}
-	p.Flows = make([]FlowEdge, 0, prealloc(nf))
-	for i := int64(0); i < nf; i++ {
-		if err := cp.literal("f "); err != nil {
-			return nil, err
+	// Invariant: row[lo] is the last id <= x, if any id is.
+	lo := 0
+	for n := len(row); n > 1; {
+		half := n / 2
+		if row[lo+half] <= x {
+			lo += half
 		}
-		from, err1 := cp.int64Until(' ')
-		to, err2 := cp.int64Until(' ')
-		amt, err3 := cp.int64Until('\n')
-		if err1 != nil || err2 != nil || err3 != nil {
-			return nil, fmt.Errorf("core: canonical plan: flow %d malformed", i)
-		}
-		p.Flows = append(p.Flows, FlowEdge{From: trace.HotspotID(from), To: trace.HotspotID(to), Amount: amt})
+		n -= half
+	}
+	return row[lo] == x
+}
+
+// The two ways VerifyCanonical refuses plan bytes.
+var (
+	ErrCanonicalDigest = errors.New("core: plan bytes do not hash to the advertised digest")
+	ErrCanonicalParse  = errors.New("core: plan bytes do not parse")
+)
+
+// maxSection caps a declared section length.
+const maxSection = 1 << 28
+
+// DecodeCanonical decodes a canonical plan encoding in one pass. It
+// accepts exactly the bytes AppendCanonical can emit and rejects
+// everything else with an error wrapping ErrCanonicalParse: a leading
+// zero, "-0" or a '+' sign; an integer outside int64, or a hotspot or
+// video id outside trace.HotspotID / trace.VideoID; placement ids that
+// are not strictly ascending; a row label out of sequence; a section
+// count that is negative or above 1<<28; a missing or extra separator,
+// and trailing bytes. That grammar admits one encoding per plan, so
+// accepting the bytes proves they re-encode to themselves: no
+// re-encode is needed to verify them.
+func DecodeCanonical(canonical []byte) (*DecodedPlan, error) {
+	d := decoder{b: canonical}
+	p := &DecodedPlan{}
+
+	d.literal("plan v1\ndegraded ")
+	switch d.field('\n') {
+	case 0:
+	case 1:
+		p.Degraded = true
+	default:
+		d.bad = true
+	}
+	if d.bad {
+		return nil, d.errorf("header or degraded flag")
 	}
 
-	if err := cp.literal("redirects "); err != nil {
-		return nil, err
+	nf := d.count("flows ")
+	if d.bad {
+		return nil, d.errorf("flows header")
 	}
-	nr, err := cp.count()
-	if err != nil {
-		return nil, fmt.Errorf("core: canonical plan: redirects header: %w", err)
-	}
-	p.Redirects = make([]Redirect, 0, prealloc(nr))
-	for i := int64(0); i < nr; i++ {
-		if err := cp.literal("r "); err != nil {
-			return nil, err
+	p.Flows = make([]FlowEdge, 0, d.capFor(nf, len("f 0 0 0\n")))
+	for i := 0; i < nf; i++ {
+		d.literal("f ")
+		from := d.id(' ')
+		to := d.id(' ')
+		amount := d.field('\n')
+		if d.bad {
+			return nil, d.errorf("flow %d", i)
 		}
-		from, err1 := cp.int64Until(' ')
-		to, err2 := cp.int64Until(' ')
-		video, err3 := cp.int64Until(' ')
-		count, err4 := cp.int64Until('\n')
-		if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
-			return nil, fmt.Errorf("core: canonical plan: redirect %d malformed", i)
+		p.Flows = append(p.Flows, FlowEdge{From: trace.HotspotID(from), To: trace.HotspotID(to), Amount: amount})
+	}
+
+	nr := d.count("redirects ")
+	if d.bad {
+		return nil, d.errorf("redirects header")
+	}
+	p.Redirects = make([]Redirect, 0, d.capFor(nr, len("r 0 0 0 0\n")))
+	for i := 0; i < nr; i++ {
+		d.literal("r ")
+		from := d.id(' ')
+		to := d.id(' ')
+		video := d.id(' ')
+		count := d.field('\n')
+		if d.bad {
+			return nil, d.errorf("redirect %d", i)
 		}
 		p.Redirects = append(p.Redirects, Redirect{
 			From: trace.HotspotID(from), To: trace.HotspotID(to),
@@ -174,149 +223,199 @@ func ParseCanonical(canonical []byte) (*Plan, error) {
 		})
 	}
 
-	if err := cp.literal("placement "); err != nil {
-		return nil, err
+	np := d.count("placement ")
+	if d.bad {
+		return nil, d.errorf("placement header")
 	}
-	np, err := cp.count()
-	if err != nil {
-		return nil, fmt.Errorf("core: canonical plan: placement header: %w", err)
-	}
-	p.Placement = make([]similarity.Set, 0, prealloc(np))
-	for i := int64(0); i < np; i++ {
-		if err := cp.literal("p "); err != nil {
-			return nil, err
+	pl := &p.Placement
+	pl.Off = make([]int, 1, d.capFor(np, len("p 0\n"))+1)
+	// A hint, not a bound: at paper scale an id and its space take
+	// four to six bytes.
+	pl.IDs = make([]int32, 0, d.remaining()/4)
+	for i := 0; i < np; i++ {
+		d.literal("p ")
+		if label, ok := d.number(); !ok || label != int64(i) {
+			return nil, d.errorf("placement row %d label", i)
 		}
-		line, err := cp.line()
-		if err != nil {
-			return nil, fmt.Errorf("core: canonical plan: placement row %d: %w", i, err)
-		}
-		fields := bytes.Split(line, []byte{' '})
-		h, err := strconv.ParseInt(string(fields[0]), 10, 64)
-		if err != nil || h != i {
-			return nil, fmt.Errorf("core: canonical plan: placement row %d labelled %q", i, fields[0])
-		}
-		set := make(similarity.Set, len(fields)-1)
-		for _, f := range fields[1:] {
-			v, err := strconv.ParseInt(string(f), 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("core: canonical plan: placement row %d video %q", i, f)
+		row := len(pl.IDs)
+		for d.skip(' ') {
+			v, ok := d.number()
+			if !ok || v < math.MinInt32 || v > math.MaxInt32 ||
+				(len(pl.IDs) > row && int32(v) <= pl.IDs[len(pl.IDs)-1]) {
+				return nil, d.errorf("placement row %d video", i)
 			}
-			set.Add(int(v))
+			pl.IDs = append(pl.IDs, int32(v))
 		}
-		p.Placement = append(p.Placement, set)
+		if !d.skip('\n') {
+			return nil, d.errorf("placement row %d", i)
+		}
+		pl.Off = append(pl.Off, len(pl.IDs))
 	}
 
-	if err := cp.literal("overflow"); err != nil {
-		return nil, err
-	}
-	tail, err := cp.line()
-	if err != nil {
-		return nil, fmt.Errorf("core: canonical plan: overflow row: %w", err)
-	}
-	if len(tail) > 0 {
-		if tail[0] != ' ' {
-			return nil, fmt.Errorf("core: canonical plan: overflow row malformed")
+	d.literal("overflow")
+	for d.skip(' ') {
+		o, ok := d.number()
+		if !ok {
+			return nil, d.errorf("overflow entry %d", len(p.OverflowToCDN))
 		}
-		for _, f := range bytes.Split(tail[1:], []byte{' '}) {
-			o, err := strconv.ParseInt(string(f), 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("core: canonical plan: overflow entry %q", f)
-			}
-			p.OverflowToCDN = append(p.OverflowToCDN, o)
-		}
+		p.OverflowToCDN = append(p.OverflowToCDN, o)
 	}
-	if len(cp.rest) != 0 {
-		return nil, fmt.Errorf("core: canonical plan: %d trailing bytes", len(cp.rest))
+	if !d.skip('\n') || d.remaining() != 0 {
+		return nil, d.errorf("overflow row or trailing bytes")
 	}
 	return p, nil
 }
 
-// The three ways VerifyCanonical refuses plan bytes.
-var (
-	ErrCanonicalDigest    = errors.New("core: plan bytes do not hash to the advertised digest")
-	ErrCanonicalParse     = errors.New("core: plan bytes do not parse")
-	ErrCanonicalRoundTrip = errors.New("core: plan bytes did not round-trip")
-)
+// ParseCanonical decodes a canonical plan encoding back into a Plan
+// holding the logical scheduling content (stats and events are not
+// part of the encoding and come back zero): DecodeCanonical, with each
+// placement row poured into a similarity.Set.
+func ParseCanonical(canonical []byte) (*Plan, error) {
+	d, err := DecodeCanonical(canonical)
+	if err != nil {
+		return nil, err
+	}
+	return d.plan(), nil
+}
+
+// plan converts the decoded content to a Plan.
+func (d *DecodedPlan) plan() *Plan {
+	p := &Plan{
+		Degraded:      d.Degraded,
+		Flows:         d.Flows,
+		Redirects:     d.Redirects,
+		Placement:     make([]similarity.Set, d.Placement.Rows()),
+		OverflowToCDN: d.OverflowToCDN,
+	}
+	for h := range p.Placement {
+		row := d.Placement.Row(h)
+		set := make(similarity.Set, len(row))
+		for _, v := range row {
+			set.Add(int(v))
+		}
+		p.Placement[h] = set
+	}
+	return p
+}
 
 // VerifyCanonical is the one gate received or recovered plan bytes
 // pass before anything serves them: canonical must hash to the
-// advertised digest, parse strictly, and re-encode to the identical
-// bytes. Each failure wraps its own Err* sentinel.
-func VerifyCanonical(canonical []byte, digest uint64) (*Plan, error) {
+// advertised digest and decode strictly (DecodeCanonical, whose
+// acceptance is the round-trip proof). Each failure wraps its own Err*
+// sentinel.
+func VerifyCanonical(canonical []byte, digest uint64) (*DecodedPlan, error) {
 	if got := DigestOf(canonical); got != digest {
 		return nil, fmt.Errorf("%w: got %016x, advertised %016x", ErrCanonicalDigest, got, digest)
 	}
-	plan, err := ParseCanonical(canonical)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCanonicalParse, err)
-	}
-	if !bytes.Equal(plan.Canonical(), canonical) {
-		return nil, ErrCanonicalRoundTrip
-	}
-	return plan, nil
+	return DecodeCanonical(canonical)
 }
 
-// prealloc clamps a declared section length to a safe preallocation
-// hint: the sections still parse to their full declared size via
-// append, but a corrupt header cannot force a huge upfront allocation.
-func prealloc(n int64) int64 {
-	const cap = 4096
-	if n > cap {
-		return cap
-	}
-	return n
+// decoder is DecodeCanonical's cursor over the bytes. A failed step
+// sets bad, and every later step is then a no-op, so a record is
+// checked once after all its fields.
+type decoder struct {
+	b   []byte
+	pos int
+	bad bool
 }
 
-// canonicalParser is a cursor over a canonical encoding.
-type canonicalParser struct{ rest []byte }
-
-// literal consumes an exact string.
-func (cp *canonicalParser) literal(s string) error {
-	if len(cp.rest) < len(s) || string(cp.rest[:len(s)]) != s {
-		return fmt.Errorf("core: canonical plan: expected %q", s)
-	}
-	cp.rest = cp.rest[len(s):]
-	return nil
+// errorf reports a decode failure at the cursor.
+func (d *decoder) errorf(format string, args ...any) error {
+	return fmt.Errorf("%w: %s at byte %d", ErrCanonicalParse, fmt.Sprintf(format, args...), d.pos)
 }
 
-// int64Until consumes a decimal integer terminated by sep (consuming
-// the separator too).
-func (cp *canonicalParser) int64Until(sep byte) (int64, error) {
-	i := bytes.IndexByte(cp.rest, sep)
-	if i < 0 {
-		return 0, fmt.Errorf("missing %q separator", sep)
+func (d *decoder) remaining() int { return len(d.b) - d.pos }
+
+// capFor bounds a declared section length by the records the remaining
+// bytes can hold at minLen bytes each, so a corrupt header cannot force
+// a huge allocation.
+func (d *decoder) capFor(n, minLen int) int { return min(n, d.remaining()/minLen) }
+
+// literal consumes s or marks the decode bad.
+func (d *decoder) literal(s string) {
+	if d.bad || d.remaining() < len(s) || string(d.b[d.pos:d.pos+len(s)]) != s {
+		d.bad = true
+		return
 	}
-	v, err := strconv.ParseInt(string(cp.rest[:i]), 10, 64)
-	if err != nil {
-		return 0, err
-	}
-	cp.rest = cp.rest[i+1:]
-	return v, nil
+	d.pos += len(s)
 }
 
-// count consumes a non-negative section length terminated by newline,
-// with a sanity cap so corrupt headers cannot force absurd
-// preallocation.
-func (cp *canonicalParser) count() (int64, error) {
-	n, err := cp.int64Until('\n')
-	if err != nil {
-		return 0, err
+// skip consumes c if it is the next byte.
+func (d *decoder) skip(c byte) bool {
+	if d.bad || d.pos >= len(d.b) || d.b[d.pos] != c {
+		return false
 	}
-	const maxSection = 1 << 28
+	d.pos++
+	return true
+}
+
+// number consumes one integer spelled as strconv.AppendInt spells it:
+// an optional '-', then "0" alone or a non-zero digit and more digits,
+// within int64 ("-0" is not a spelling AppendInt uses).
+func (d *decoder) number() (int64, bool) {
+	if d.bad {
+		return 0, false
+	}
+	i := d.pos
+	neg := i < len(d.b) && d.b[i] == '-'
+	if neg {
+		i++
+	}
+	start := i
+	// Nineteen digits cannot wrap a uint64; a twentieth is out of int64
+	// range whatever it is.
+	var u uint64
+	for ; i < len(d.b); i++ {
+		c := d.b[i] - '0'
+		if c > 9 {
+			break
+		}
+		if i-start == 19 {
+			return 0, false
+		}
+		u = u*10 + uint64(c)
+	}
+	limit := uint64(math.MaxInt64)
+	if neg {
+		limit++
+	}
+	if i == start || u > limit || (d.b[start] == '0' && (i-start > 1 || neg)) {
+		return 0, false
+	}
+	d.pos = i
+	if neg {
+		return -int64(u), true
+	}
+	return int64(u), true
+}
+
+// field consumes a number followed by sep, or marks the decode bad.
+func (d *decoder) field(sep byte) int64 {
+	v, ok := d.number()
+	if !ok || !d.skip(sep) {
+		d.bad = true
+		return 0
+	}
+	return v
+}
+
+// id is field for a hotspot or video id.
+func (d *decoder) id(sep byte) int32 {
+	v := d.field(sep)
+	if v < math.MinInt32 || v > math.MaxInt32 {
+		d.bad = true
+	}
+	return int32(v)
+}
+
+// count consumes a section header: header, then a length in
+// [0, maxSection] and a newline.
+func (d *decoder) count(header string) int {
+	d.literal(header)
+	n := d.field('\n')
 	if n < 0 || n > maxSection {
-		return 0, fmt.Errorf("section length %d out of range", n)
+		d.bad = true
+		return 0
 	}
-	return n, nil
-}
-
-// line consumes through the next newline, returning the bytes before
-// it.
-func (cp *canonicalParser) line() ([]byte, error) {
-	i := bytes.IndexByte(cp.rest, '\n')
-	if i < 0 {
-		return nil, fmt.Errorf("unterminated line")
-	}
-	out := cp.rest[:i]
-	cp.rest = cp.rest[i+1:]
-	return out, nil
+	return int(n)
 }

@@ -48,10 +48,10 @@ type Config struct {
 	// Instances is the number of frontend instances the serving tier
 	// runs in-process. A consistent-hash ring shards hotspot
 	// ingestion across them (each instance has its own accumulator
-	// and its own listener), every slot's plan fans out
-	// to all of them digest-verified, and each serves redirect
-	// lookups from its own copy of the plan. 0 selects 1 (the
-	// single-instance server).
+	// and its own listener), every slot's plan is digest-verified
+	// once and fans out to all of them as one shared serving table,
+	// and each serves redirect lookups from it with its own
+	// round-robin cursors. 0 selects 1 (the single-instance server).
 	Instances int
 	// QueueBound caps the requests a frontend instance has accepted
 	// but not yet handed to a slot. An ingest whose owning frontend is

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/hex"
 	"fmt"
 	"time"
 
@@ -80,19 +79,19 @@ func (s *Server) openWAL() error {
 		owner.pending += e.Count
 	}
 
-	// The last durable plan goes back to serving on every frontend,
-	// re-verified by install exactly like a live fan-out.
+	// The last durable plan goes back to serving on every frontend
+	// through publish, the live fan-out's install path.
 	if st.Plan != nil {
-		for _, in := range s.instances {
-			if err := in.install(st.Plan.Epoch, st.Plan.Slot, st.Plan.Canonical, st.Plan.Digest); err != nil {
-				return fmt.Errorf("recovered plan rejected: %w", err)
-			}
+		if err := s.publish(st.Plan.Epoch, st.Plan.Slot, st.Plan.Canonical, st.Plan.Digest); err != nil {
+			return fmt.Errorf("recovered plan rejected: %w", err)
 		}
-		s.history = append(s.history, PlanRecord{
-			Slot:      st.Plan.Slot,
-			Epoch:     st.Plan.Epoch,
-			Digest:    digestString(st.Plan.Digest),
-			Canonical: hex.EncodeToString(st.Plan.Canonical),
+		s.history = append(s.history, planEntry{
+			rec: PlanRecord{
+				Slot:   st.Plan.Slot,
+				Epoch:  st.Plan.Epoch,
+				Digest: digestString(st.Plan.Digest),
+			},
+			canonical: st.Plan.Canonical,
 		})
 		s.lastPlan = st.Plan
 	}

@@ -247,9 +247,9 @@ func TestMultiInstanceServerMatchesOfflineSim(t *testing.T) {
 	}
 
 	// Every frontend installed every epoch's exact plan: the swap counter
-	// only advances on digest-and-byte-verified installs, so
-	// swaps == epochs with zero rejects proves each epoch's fan-out
-	// delivered the identical plan to all frontends.
+	// only advances when publish verified the epoch's bytes against
+	// their digest, so swaps == epochs with zero rejects proves each
+	// epoch's fan-out delivered the identical plan to all frontends.
 	for i := 0; i < instances; i++ {
 		pfx := "server.shard." + strconv.Itoa(i) + "."
 		if got := reg.Counter(pfx + "swaps").Value(); got != int64(epochs) {

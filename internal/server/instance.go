@@ -20,11 +20,11 @@ import (
 // instance is one frontend of the serving tier. Each instance owns the
 // slot demand of the hotspots the consistent-hash ring assigns it (one
 // core.Demand under one lock, handed to the scheduler whole at every
-// slot boundary), its own HTTP listener, and its own atomically
-// swapped serving plan, rebuilt from the distributed canonical bytes
-// at every epoch. All instances answer the full API; lookups are
-// served from the instance's local plan, which install verifies is
-// the exact plan the scheduler published.
+// slot boundary), its own HTTP listener, and its own pointer to the
+// serving plan, which Server.publish swaps to the one table it built
+// for the epoch. All instances answer the full API; lookups are served
+// from the plan the pointer holds, with this instance's own redirect
+// cursors.
 type instance struct {
 	id  int
 	srv *Server
@@ -47,8 +47,8 @@ type instance struct {
 	// applied-and-logged watermark (see Server.writeCheckpoint).
 	seq uint64
 
-	// current is this frontend's serving plan, swapped atomically by
-	// install. Lookups only ever Load it.
+	// current is the plan this frontend serves, swapped atomically by
+	// Server.publish. Lookups only ever Load it.
 	current atomic.Pointer[servingPlan]
 
 	httpSrv *http.Server
@@ -58,8 +58,8 @@ type instance struct {
 	// lookups are off the request hot path.
 	accepted  *obs.Counter // requests accumulated into this instance's demand
 	forwarded *obs.Counter // arrived here, owned by (and routed to) another instance
-	swaps     *obs.Counter // verified plan installs
-	rejects   *obs.Counter // plan installs refused by verification
+	swaps     *obs.Counter // plans installed
+	rejects   *obs.Counter // epochs refused by verification
 	lookups   *obs.Counter // redirect lookups answered by this frontend
 }
 
@@ -112,24 +112,6 @@ func (in *instance) handler() http.Handler {
 	mux.HandleFunc("GET /healthz", in.handleHealthz)
 	mux.HandleFunc("POST /admin/advance", in.srv.handleAdvance)
 	return mux
-}
-
-// install is the receive side of the plan-distribution channel: the
-// frontend rebuilds its serving plan from the canonical bytes the
-// scheduler published, after core.VerifyCanonical proved they are
-// exactly the advertised plan. Any mismatch rejects the swap (the
-// frontend keeps serving its previous plan) and is counted loudly;
-// install never tears a plan, because publication is a single atomic
-// pointer store of a fully built plan.
-func (in *instance) install(epoch int64, slot int, canonical []byte, digest uint64) error {
-	plan, err := core.VerifyCanonical(canonical, digest)
-	if err != nil {
-		in.rejects.Inc()
-		return fmt.Errorf("server: instance %d: %w", in.id, err)
-	}
-	in.current.Store(newServingPlan(epoch, slot, plan, canonical, digest, in.srv.world.NumVideos))
-	in.swaps.Inc()
-	return nil
 }
 
 func (in *instance) handleIngest(w http.ResponseWriter, r *http.Request) {
@@ -207,7 +189,7 @@ func (in *instance) handleRedirect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sp := in.current.Load()
-	res := sp.lookup(hotspot, video)
+	res := sp.lookup(in.id, hotspot, video)
 	s.lookupTotal.Inc()
 	in.lookups.Inc()
 	switch {

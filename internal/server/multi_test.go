@@ -3,14 +3,17 @@ package server
 import (
 	"context"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/similarity"
 )
 
 // doAt runs one request against a specific frontend instance's mux.
@@ -27,13 +30,16 @@ func doAt(t *testing.T, s *Server, inst int, method, target, body string) *httpt
 	return rr
 }
 
-// TestInstallVerification pins the receive side of the plan-distribution
-// channel: an instance only swaps a plan whose bytes hash to the
-// advertised digest, parse, and re-encode to the identical bytes. Every
-// corruption is rejected loudly and leaves the previous plan serving.
+// TestInstallVerification pins the one install path: publish only
+// swaps in a plan whose bytes hash to the advertised digest and decode
+// strictly. Every corruption is refused loudly — once per frontend in
+// plan_rejects, once in server.plan.rejects, one swap-reject event —
+// and leaves every frontend on its previous plan.
 func TestInstallVerification(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := newTestServer(t, Config{World: testWorld(4, 10, 10), Registry: reg, QueueBound: 1 << 16})
+	tracer := obs.NewTracer(64, true)
+	const instances = 2
+	s := newTestServer(t, Config{World: testWorld(4, 10, 10), Registry: reg, Tracer: tracer, Instances: instances, QueueBound: 1 << 16})
 	s.wg.Add(1)
 	go s.recomputeLoop()
 	defer func() {
@@ -59,45 +65,83 @@ func TestInstallVerification(t *testing.T) {
 		t.Fatalf("decoding canonical hex: %v", err)
 	}
 	digest := core.DigestOf(canonical)
-	in := s.instances[0]
-	base := in.current.Load()
+	base := s.instances[0].current.Load()
 	if base == nil {
 		t.Fatalf("no plan serving after advance")
 	}
-	swaps, rejects := in.swaps.Value(), in.rejects.Value()
-
-	// Digest mismatch: advertised digest does not match the bytes.
-	if err := in.install(99, 9, canonical, digest+1); err == nil {
-		t.Error("install accepted a digest mismatch")
+	swaps := make([]int64, instances)
+	rejects := make([]int64, instances)
+	for i, in := range s.instances {
+		swaps[i], rejects[i] = in.swaps.Value(), in.rejects.Value()
 	}
-	// Corrupted bytes with a matching (recomputed) digest: the parse or
-	// round-trip must catch it.
+	planRejects := reg.Counter("server.plan.rejects").Value()
+	events := len(tracer.Events())
+
 	corrupt := append([]byte(nil), canonical...)
 	corrupt[len(corrupt)/2] ^= 0x40
-	if err := in.install(99, 9, corrupt, core.DigestOf(corrupt)); err == nil {
-		t.Error("install accepted corrupted plan bytes")
+	truncated := canonical[:len(canonical)-3]
+	refused := []struct {
+		name      string
+		canonical []byte
+		digest    uint64
+	}{
+		{"digest mismatch", canonical, digest + 1},
+		{"flipped byte under its own digest", corrupt, core.DigestOf(corrupt)},
+		{"truncation under its own digest", truncated, core.DigestOf(truncated)},
 	}
-	// Truncated bytes.
-	if err := in.install(99, 9, canonical[:len(canonical)-3], core.DigestOf(canonical[:len(canonical)-3])); err == nil {
-		t.Error("install accepted truncated plan bytes")
+	for _, tc := range refused {
+		if err := s.publish(99, 9, tc.canonical, tc.digest); err == nil {
+			t.Errorf("publish accepted a %s", tc.name)
+		}
 	}
-	if got := in.current.Load(); got != base {
-		t.Error("a rejected install replaced the serving plan")
+	for i, in := range s.instances {
+		if got := in.current.Load(); got != base {
+			t.Errorf("frontend %d: a refused publish replaced the serving plan", i)
+		}
+		if got := in.rejects.Value() - rejects[i]; got != int64(len(refused)) {
+			t.Errorf("frontend %d: plan_rejects grew by %d, want %d", i, got, len(refused))
+		}
 	}
-	if got := in.rejects.Value() - rejects; got != 3 {
-		t.Errorf("plan_rejects grew by %d, want 3", got)
+	if got := reg.Counter("server.plan.rejects").Value() - planRejects; got != int64(len(refused)) {
+		t.Errorf("server.plan.rejects grew by %d, want %d", got, len(refused))
+	}
+	evs := tracer.Events()[events:]
+	if len(evs) != len(refused) {
+		t.Fatalf("%d events for %d refused epochs, want one each: %+v", len(evs), len(refused), evs)
+	}
+	for _, ev := range evs {
+		if ev.Type != "swap-reject" || ev.Slot != 9 || !hasAttr(ev, "instances", instances) || !hasAttr(ev, "epoch", 99) {
+			t.Errorf("event %+v, want swap-reject for slot 9, epoch 99 on %d instances", ev, instances)
+		}
 	}
 
-	// The genuine bytes install fine at a new epoch.
-	if err := in.install(base.epoch+1, 9, canonical, digest); err != nil {
-		t.Errorf("install rejected genuine plan bytes: %v", err)
+	// The genuine bytes install fine at a new epoch, on every frontend,
+	// as one table.
+	if err := s.publish(base.epoch+1, 9, canonical, digest); err != nil {
+		t.Errorf("publish refused genuine plan bytes: %v", err)
 	}
-	if got := in.swaps.Value() - swaps; got != 1 {
-		t.Errorf("swaps grew by %d, want 1", got)
+	next := s.instances[0].current.Load()
+	if next.epoch != base.epoch+1 {
+		t.Errorf("serving epoch %d after publish, want %d", next.epoch, base.epoch+1)
 	}
-	if got := in.current.Load(); got.epoch != base.epoch+1 {
-		t.Errorf("serving epoch %d after install, want %d", got.epoch, base.epoch+1)
+	for i, in := range s.instances {
+		if got := in.swaps.Value() - swaps[i]; got != 1 {
+			t.Errorf("frontend %d: swaps grew by %d, want 1", i, got)
+		}
+		if in.current.Load() != next {
+			t.Errorf("frontend %d serves a different table than frontend 0", i)
+		}
 	}
+}
+
+// hasAttr reports whether ev carries the integer attribute key = v.
+func hasAttr(ev obs.Event, key string, v int64) bool {
+	for _, a := range ev.Attrs {
+		if a.Key == key {
+			return a.Int == v
+		}
+	}
+	return false
 }
 
 // TestMultiInstanceIngestRouting pins the ring routing: a request may
@@ -196,6 +240,9 @@ func TestMultiInstancePlanFanout(t *testing.T) {
 		}
 	}
 	for i, in := range s.instances {
+		if in.current.Load() != s.instances[0].current.Load() {
+			t.Errorf("instance %d serves a different table than instance 0", i)
+		}
 		if got := in.swaps.Value(); got != 1 {
 			t.Errorf("instance %d swaps %d, want 1", i, got)
 		}
@@ -211,6 +258,52 @@ func TestMultiInstancePlanFanout(t *testing.T) {
 		}
 		if !strings.Contains(rr.Body.String(), `"digest":"`+digest0+`"`) {
 			t.Errorf("instance %d redirect reply %s lacks serving digest %s", i, rr.Body.String(), digest0)
+		}
+	}
+}
+
+// TestRedirectSequencePerFrontend: the frontends share one table but
+// not its cursors. Interleaved lookups of one multi-target pair on a
+// two-frontend tier give each frontend the sequence a one-frontend
+// tier gives.
+func TestRedirectSequencePerFrontend(t *testing.T) {
+	plan := &core.Plan{
+		Redirects: []core.Redirect{
+			{From: 0, To: 1, Video: 5, Count: 2},
+			{From: 0, To: 2, Video: 5, Count: 1},
+		},
+		Placement:     make([]similarity.Set, 3),
+		OverflowToCDN: make([]int64, 3),
+	}
+	canonical := plan.Canonical()
+	targets := func(s *Server, order []int) map[int][]int {
+		t.Helper()
+		if err := s.publish(1, 0, canonical, core.DigestOf(canonical)); err != nil {
+			t.Fatal(err)
+		}
+		got := map[int][]int{}
+		for _, f := range order {
+			rr := doAt(t, s, f, http.MethodGet, "/redirect?video=5&hotspot=0", "")
+			var resp struct {
+				Target int `json:"target"`
+			}
+			if err := json.Unmarshal(rr.Body.Bytes(), &resp); err != nil {
+				t.Fatal(err)
+			}
+			got[f] = append(got[f], resp.Target)
+		}
+		return got
+	}
+	one := targets(newTestServer(t, Config{World: testWorld(3, 10, 10)}), []int{0, 0, 0, 0, 0, 0, 0})
+	two := targets(newTestServer(t, Config{World: testWorld(3, 10, 10), Instances: 2}),
+		[]int{0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 1, 0, 1, 0})
+	want := []int{1, 1, 2, 1, 1, 2, 1}
+	if !slices.Equal(one[0], want) {
+		t.Fatalf("one frontend: %v, want %v", one[0], want)
+	}
+	for f := 0; f < 2; f++ {
+		if !slices.Equal(two[f], want) {
+			t.Errorf("frontend %d of two: %v, one frontend alone: %v", f, two[f], want)
 		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/similarity"
 )
 
 // CDN is the lookup answer meaning "fetch from the origin CDN server"
@@ -14,48 +13,49 @@ import (
 const CDN = -1
 
 // servingPlan is one immutable, fully materialised scheduling plan plus
-// the lookup structures derived from it. It is built off to the side by
-// the recompute worker and published with a single atomic pointer swap,
-// so a concurrent lookup either sees the complete previous plan or the
-// complete new one — never a partial mix. Only the per-entry
-// round-robin cursors mutate after publication, and those are atomics
+// the lookup structures derived from it. Server.publish builds one per
+// epoch from the verified canonical bytes and stores the same pointer
+// into every frontend, so a concurrent lookup sees either the complete
+// previous plan or the complete new one — never a partial mix. Only the
+// round-robin cursors move after publication, and those are atomics
 // that never affect the plan's content.
 type servingPlan struct {
 	// epoch is the swap sequence number (1 for the first plan).
 	epoch int64
 	// slot is the timeslot whose demand produced the plan.
 	slot int
-	// digest fingerprints canonical (core.Plan.Digest).
+	// digest fingerprints the plan's canonical bytes (core.DigestOf).
 	digest uint64
-	// canonical is the plan's deterministic byte encoding, kept for
-	// /plans and the e2e byte-identity certification.
-	canonical []byte
-	// placement[h] is the video set hotspot h prefetches.
-	placement []similarity.Set
-	// redirect routes (hotspot, video) pairs the plan moves elsewhere.
-	redirect map[int64]*redirectEntry
+	// placement holds the video set each hotspot prefetches as a sorted
+	// run.
+	placement core.PlacementRuns
+	// redirect maps the (hotspot, video) pairs the plan moves elsewhere
+	// to their index in entries.
+	redirect map[int64]int32
+	entries  []redirectEntry
+	// cursors[f][e] is frontend f's round-robin position in entries[e]:
+	// each frontend cycles through the planned counts on its own.
+	cursors [][]atomic.Int64
 	// numVideos is the redirect key stride.
 	numVideos int64
 }
 
 // redirectEntry fans one (source hotspot, video) pair's lookups out
 // over the plan's redirect targets, proportionally to the planned
-// per-target counts. The targets and cumulative weights are immutable;
-// only the round-robin cursor advances.
+// per-target counts.
 type redirectEntry struct {
 	targets []int32
 	// cum[i] is the cumulative planned count through targets[i];
 	// total == cum[len-1].
-	cum    []int64
-	total  int64
-	cursor atomic.Int64
+	cum   []int64
+	total int64
 }
 
-// next returns the entry's next target, cycling deterministically
-// through the planned counts (first `cum[0]` lookups to targets[0],
-// and so on, modulo total).
-func (e *redirectEntry) next() int {
-	i := e.cursor.Add(1) - 1
+// next returns the entry's next target for a frontend whose cursor
+// this is, cycling deterministically through the planned counts (first
+// `cum[0]` lookups to targets[0], and so on, modulo total).
+func (e *redirectEntry) next(cursor *atomic.Int64) int {
+	i := cursor.Add(1) - 1
 	// Reduce modulo total in unsigned space: the int64 cursor
 	// eventually wraps negative, and a signed % would then yield a
 	// negative pos, pinning every lookup to targets[0] forever. The
@@ -65,17 +65,15 @@ func (e *redirectEntry) next() int {
 	return int(e.targets[j])
 }
 
-// newServingPlan materialises a core plan for serving. canonical and
-// digest are the plan's verified encoding and fingerprint (install
-// holds both already; recomputing either re-encodes the whole plan).
-func newServingPlan(epoch int64, slot int, plan *core.Plan, canonical []byte, digest uint64, numVideos int) *servingPlan {
+// newServingPlan materialises a verified plan for a tier of frontends
+// frontends, each with its own row of redirect cursors.
+func newServingPlan(epoch int64, slot int, plan *core.DecodedPlan, digest uint64, numVideos, frontends int) *servingPlan {
 	sp := &servingPlan{
 		epoch:     epoch,
 		slot:      slot,
-		canonical: canonical,
 		digest:    digest,
 		placement: plan.Placement,
-		redirect:  make(map[int64]*redirectEntry),
+		redirect:  make(map[int64]int32, len(plan.Redirects)),
 		numVideos: int64(numVideos),
 	}
 	for _, rd := range plan.Redirects {
@@ -83,14 +81,20 @@ func newServingPlan(epoch int64, slot int, plan *core.Plan, canonical []byte, di
 			continue
 		}
 		k := int64(rd.From)*sp.numVideos + int64(rd.Video)
-		e := sp.redirect[k]
-		if e == nil {
-			e = &redirectEntry{}
-			sp.redirect[k] = e
+		i, ok := sp.redirect[k]
+		if !ok {
+			i = int32(len(sp.entries))
+			sp.redirect[k] = i
+			sp.entries = append(sp.entries, redirectEntry{})
 		}
+		e := &sp.entries[i]
 		e.total += rd.Count
 		e.targets = append(e.targets, int32(rd.To))
 		e.cum = append(e.cum, e.total)
+	}
+	sp.cursors = make([][]atomic.Int64, frontends)
+	for f := range sp.cursors {
+		sp.cursors[f] = make([]atomic.Int64, len(sp.entries))
 	}
 	return sp
 }
@@ -105,18 +109,19 @@ type lookupResult struct {
 	redirected bool
 }
 
-// lookup routes one request aggregated at hotspot h for video v:
-// planned redirects first (cycling through targets proportionally to
-// the planned counts), then the local cache placement, then the CDN.
-// A nil plan (before the first swap) routes everything to the CDN.
-func (sp *servingPlan) lookup(h int, v int) lookupResult {
-	if sp == nil || sp.placement == nil {
+// lookup routes one request aggregated at hotspot h for video v, as
+// frontend f answers it: planned redirects first (cycling through
+// targets proportionally to the planned counts), then the local cache
+// placement, then the CDN. A nil plan (before the first swap) routes
+// everything to the CDN.
+func (sp *servingPlan) lookup(f, h, v int) lookupResult {
+	if sp == nil {
 		return lookupResult{target: CDN}
 	}
-	if e, ok := sp.redirect[int64(h)*sp.numVideos+int64(v)]; ok {
-		return lookupResult{target: e.next(), redirected: true}
+	if i, ok := sp.redirect[int64(h)*sp.numVideos+int64(v)]; ok {
+		return lookupResult{target: sp.entries[i].next(&sp.cursors[f][i]), redirected: true}
 	}
-	if sp.placement[h].Contains(v) {
+	if sp.placement.Contains(h, v) {
 		return lookupResult{target: h}
 	}
 	return lookupResult{target: CDN}

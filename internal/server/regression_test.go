@@ -108,16 +108,16 @@ func TestRedirectCursorOverflow(t *testing.T) {
 		Placement:     make([]similarity.Set, 3),
 		OverflowToCDN: make([]int64, 3),
 	}
-	sp := newServingPlan(1, 0, plan, nil, 0, 10)
-	e := sp.redirect[int64(0)*10+5]
-	if e == nil {
+	sp := servingPlanOf(t, plan, 10, 1)
+	e, ok := sp.redirect[int64(0)*10+5]
+	if !ok {
 		t.Fatal("no redirect entry for (0, 5)")
 	}
-	e.cursor.Store(math.MaxInt64 - 1)
+	sp.cursors[0][e].Store(math.MaxInt64 - 1)
 
 	counts := map[int]int{}
 	for i := 0; i < 4004; i++ {
-		counts[e.next()]++
+		counts[sp.lookup(0, 0, 5).target]++
 	}
 	// 4004 draws over a 1:1000 split must send the overwhelming
 	// majority to target 2, before AND after the cursor wraps. The
@@ -131,7 +131,8 @@ func TestRedirectCursorOverflow(t *testing.T) {
 // TestSlotLatencyMicrosHistogram pins the latency histogram to
 // microsecond buckets: sub-millisecond rounds (the norm for delta
 // slots) must land in a non-zero bucket instead of all collapsing into
-// bucket zero of a milliseconds histogram.
+// bucket zero of a milliseconds histogram. server.slot.install_us
+// times every publish: one observation per epoch.
 func TestSlotLatencyMicrosHistogram(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := newTestServer(t, Config{World: testWorld(3, 10, 10), Registry: reg})
@@ -141,17 +142,23 @@ func TestSlotLatencyMicrosHistogram(t *testing.T) {
 		s.stopOnce.Do(func() { close(s.stop) })
 		s.wg.Wait()
 	}()
-	for v := 0; v < 4; v++ {
-		body := fmt.Sprintf(`{"user":1,"video":%d,"hotspot":0}`, v)
-		if rr := do(t, s, http.MethodPost, "/ingest", body); rr.Code != http.StatusAccepted {
-			t.Fatalf("ingest: %d", rr.Code)
+	const slots = 3
+	for slot := 0; slot < slots; slot++ {
+		for v := 0; v < 4; v++ {
+			body := fmt.Sprintf(`{"user":1,"video":%d,"hotspot":0}`, v+slot)
+			if rr := do(t, s, http.MethodPost, "/ingest", body); rr.Code != http.StatusAccepted {
+				t.Fatalf("ingest: %d", rr.Code)
+			}
+		}
+		if _, _, err := s.AdvanceSlot(context.Background()); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if _, _, err := s.AdvanceSlot(context.Background()); err != nil {
-		t.Fatal(err)
+	if got := reg.Histogram("server.slot.latency_us", obs.PowersOf2Buckets(24)).Count(); got != slots {
+		t.Errorf("server.slot.latency_us count = %d, want %d", got, slots)
 	}
-	if got := reg.Histogram("server.slot.latency_us", obs.PowersOf2Buckets(24)).Count(); got != 1 {
-		t.Errorf("server.slot.latency_us count = %d, want 1", got)
+	if got := reg.Histogram("server.slot.install_us", obs.PowersOf2Buckets(24)).Count(); got != s.epoch || got != slots {
+		t.Errorf("server.slot.install_us count = %d, want one per epoch (%d)", got, s.epoch)
 	}
 }
 

@@ -21,13 +21,14 @@
 // owning instance (cross-instance arrivals are counted as forwards).
 // Each slot merges every instance's handed-over demand (disjoint
 // hotspots, so whole rows change owner) into the single scheduler
-// round, and the resulting plan fans out to every frontend over the
-// plan-distribution channel: the canonical plan bytes plus their
-// digest. Every instance independently re-parses the bytes, re-encodes
-// them, and verifies both digest and byte identity before swapping — a
-// frontend either serves the exact (epoch, digest) the scheduler
-// published or loudly rejects the swap (server.shard.<i>.plan_rejects)
-// and keeps its previous plan. See DESIGN.md §15.
+// round, and the resulting plan fans out to every frontend: its
+// canonical bytes are verified once against their digest by a strict
+// one-pass decode (core.VerifyCanonical), one immutable serving table
+// is built from them, and every frontend's plan pointer is swapped to
+// that same table. Every frontend serves the exact (epoch, digest) the
+// scheduler published, or all of them loudly refuse the epoch
+// (server.shard.<i>.plan_rejects) and keep their previous plan. See
+// DESIGN.md §15.
 //
 // The package is dependency-free: stdlib net/http plus this
 // repository's internal packages.
@@ -39,6 +40,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,7 +74,7 @@ type Server struct {
 	queue   []*slotSnapshot
 	slot    int
 	epoch   int64
-	history []PlanRecord
+	history []planEntry
 	closed  bool
 
 	// Durability (nil / zero when Config.WALDir is empty). lastPlan is
@@ -107,6 +109,14 @@ type Server struct {
 	lookupRedirect  *obs.Counter
 	lookupLocal     *obs.Counter
 	ingestMalformed *obs.Counter
+}
+
+// planEntry is one retained plan: its record, Canonical left empty,
+// and the canonical bytes (shared with lastPlan) that Plans
+// hex-encodes when read.
+type planEntry struct {
+	rec       PlanRecord
+	canonical []byte
 }
 
 // slotSnapshot is one timeslot's handed-over demand awaiting
@@ -407,8 +417,7 @@ func (s *Server) AdvanceSlot(ctx context.Context) (int, PlanRecord, error) {
 	defer s.mu.Unlock()
 	var rec PlanRecord
 	if len(s.history) > 0 {
-		rec = s.history[len(s.history)-1]
-		rec.Canonical = ""
+		rec = s.history[len(s.history)-1].rec
 	}
 	return slot, rec, nil
 }
@@ -455,9 +464,9 @@ func (s *Server) drainQueue() {
 // frontend. The round sees the same inputs the offline policy hands
 // core.ScheduleRound — the zero Constraints are the world's nominal
 // service and cache capacity rows — so a replayed trace produces
-// byte-identical plans (see e2e_test.go). Distribution ships the
-// canonical plan bytes plus their digest; each instance independently
-// decodes and verifies before swapping (see instance.install).
+// byte-identical plans (see e2e_test.go). Distribution is publish:
+// the canonical plan bytes plus their digest, verified once, serving
+// every frontend from one table.
 func (s *Server) runSlot(snap *slotSnapshot) {
 	defer func() {
 		for _, d := range snap.done {
@@ -483,28 +492,18 @@ func (s *Server) runSlot(snap *slotSnapshot) {
 	epoch := s.epoch
 	s.mu.Unlock()
 
-	// Plan distribution: every frontend receives the same canonical
-	// bytes and digest, decodes its own serving plan from them, and
-	// verifies the round trip before swapping. With durability on, the
-	// plan is logged and synced first — a plan is never served unless
-	// it is part of the durable prefix.
+	// Plan distribution: the canonical bytes and digest go through
+	// publish, the one install path. With durability on, the plan is
+	// logged and synced first — a plan is never served unless it is
+	// part of the durable prefix. A refusal is counted and traced
+	// inside publish; the previous plan keeps serving.
 	canonical := plan.Canonical()
 	digest := core.DigestOf(canonical)
 	if s.wal != nil {
 		lsn, aerr := s.wal.AppendPlan(snap.slot, epoch, digest, canonical)
 		s.syncWAL(lsn, aerr)
 	}
-	for _, in := range s.instances {
-		if err := in.install(epoch, snap.slot, canonical, digest); err != nil {
-			s.reg.Counter("server.plan.rejects").Inc()
-			if s.cfg.Tracer != nil {
-				s.cfg.Tracer.Emit(obs.Event{Type: "swap-reject", Slot: snap.slot, Attrs: []obs.Attr{
-					obs.I("epoch", epoch),
-					obs.I("instance", int64(in.id)),
-				}})
-			}
-		}
-	}
+	_ = s.publish(epoch, snap.slot, canonical, digest)
 
 	s.reg.Counter("server.plan.swaps").Inc()
 	if plan.Degraded {
@@ -535,7 +534,6 @@ func (s *Server) runSlot(snap *slotSnapshot) {
 		Epoch:     epoch,
 		Requests:  snap.requests,
 		Digest:    digestString(digest),
-		Canonical: hex.EncodeToString(canonical),
 		Degraded:  plan.Degraded,
 		Replicas:  plan.Stats.Replicas,
 		Redirects: len(plan.Redirects),
@@ -543,7 +541,7 @@ func (s *Server) runSlot(snap *slotSnapshot) {
 		Stranded:  plan.Stats.StrandedToCDN,
 	}
 	s.mu.Lock()
-	s.history = append(s.history, rec)
+	s.history = append(s.history, planEntry{rec: rec, canonical: canonical})
 	if len(s.history) > s.cfg.PlanHistory {
 		s.history = s.history[len(s.history)-s.cfg.PlanHistory:]
 	}
@@ -554,12 +552,51 @@ func (s *Server) runSlot(snap *slotSnapshot) {
 	s.maybeCheckpoint(false)
 }
 
+// publish is the one install path, for the live fan-out (runSlot) and
+// the recovered plan (openWAL) alike: it verifies the canonical bytes
+// against the advertised digest once (core.VerifyCanonical), builds
+// one immutable serving table from them, and stores that same pointer
+// into every frontend. Refused bytes leave every frontend on its
+// previous plan and count once per frontend
+// (server.shard.<i>.plan_rejects) and once for the epoch
+// (server.plan.rejects). server.slot.install_us times a successful
+// publish: decode, table build and the stores.
+func (s *Server) publish(epoch int64, slot int, canonical []byte, digest uint64) error {
+	t0 := time.Now()
+	plan, err := core.VerifyCanonical(canonical, digest)
+	if err != nil {
+		for _, in := range s.instances {
+			in.rejects.Inc()
+		}
+		s.reg.Counter("server.plan.rejects").Inc()
+		if s.cfg.Tracer != nil {
+			s.cfg.Tracer.Emit(obs.Event{Type: "swap-reject", Slot: slot, Attrs: []obs.Attr{
+				obs.I("epoch", epoch),
+				obs.I("instances", int64(len(s.instances))),
+			}})
+		}
+		return fmt.Errorf("server: epoch %d: %w", epoch, err)
+	}
+	sp := newServingPlan(epoch, slot, plan, digest, s.world.NumVideos, len(s.instances))
+	for _, in := range s.instances {
+		in.current.Store(sp)
+		in.swaps.Inc()
+	}
+	s.reg.Histogram("server.slot.install_us", obs.PowersOf2Buckets(24)).Observe(time.Since(t0).Microseconds())
+	return nil
+}
+
 // Plans returns the retained per-slot plan records, oldest first.
 func (s *Server) Plans() []PlanRecord {
+	// Hex-encode outside s.mu: the history may hold every slot of a run.
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]PlanRecord, len(s.history))
-	copy(out, s.history)
+	hist := slices.Clone(s.history)
+	s.mu.Unlock()
+	out := make([]PlanRecord, len(hist))
+	for i, e := range hist {
+		out[i] = e.rec
+		out[i].Canonical = hex.EncodeToString(e.canonical)
+	}
 	return out
 }
 

@@ -118,6 +118,18 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 	return s
 }
 
+// servingPlanOf builds the table publish builds for plan's canonical
+// bytes.
+func servingPlanOf(t *testing.T, plan *core.Plan, numVideos, frontends int) *servingPlan {
+	t.Helper()
+	canonical := plan.Canonical()
+	decoded, err := core.DecodeCanonical(canonical)
+	if err != nil {
+		t.Fatalf("DecodeCanonical: %v", err)
+	}
+	return newServingPlan(1, 0, decoded, core.DigestOf(canonical), numVideos, frontends)
+}
+
 // do runs one request against the server's mux.
 func do(t *testing.T, s *Server, method, target, body string) *httptest.ResponseRecorder {
 	t.Helper()
@@ -350,7 +362,7 @@ func TestManualSlotLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	if resp.Target == CDN {
-		t.Fatalf("demanded video routed to CDN: %+v (plan %s)", resp, sp.canonical)
+		t.Fatalf("demanded video routed to CDN: %+v (plans %+v)", resp, s.Plans())
 	}
 	if resp.Epoch != 1 || resp.Digest != digestString(sp.digest) {
 		t.Fatalf("lookup stamped %+v, want epoch 1 digest %s", resp, digestString(sp.digest))
@@ -385,15 +397,16 @@ func TestRedirectEntryProportionalRouting(t *testing.T) {
 	plan := &core.Plan{
 		Redirects: []core.Redirect{
 			{From: 0, To: 1, Video: 5, Count: 2},
+			{From: 0, To: 3, Video: 5, Count: 0}, // planned nothing: never a target
 			{From: 0, To: 2, Video: 5, Count: 1},
 		},
-		Placement:     make([]similarity.Set, 3),
-		OverflowToCDN: make([]int64, 3),
+		Placement:     make([]similarity.Set, 4),
+		OverflowToCDN: make([]int64, 4),
 	}
-	sp := newServingPlan(1, 0, plan, nil, 0, 10)
+	sp := servingPlanOf(t, plan, 10, 1)
 	var got []int
 	for i := 0; i < 6; i++ {
-		got = append(got, sp.lookup(0, 5).target)
+		got = append(got, sp.lookup(0, 0, 5).target)
 	}
 	want := []int{1, 1, 2, 1, 1, 2}
 	for i := range want {

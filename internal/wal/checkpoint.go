@@ -35,8 +35,8 @@ type Entry struct {
 
 // PlanState is a durable plan: the canonical bytes plus the identity
 // the serving tier advertises. Recovery re-verifies it exactly like
-// the plan fan-out does (digest check, strict parse, re-encode
-// byte-equality) before handing it to the server.
+// the plan fan-out does (core.VerifyCanonical: digest check, strict
+// canonical decode) before handing it to the server.
 type PlanState struct {
 	Slot      int
 	Epoch     int64

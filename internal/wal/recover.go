@@ -70,7 +70,7 @@ func ReplayBound(checkpointEvery, slotIngests int, segmentBytes int64) int {
 }
 
 // verifyPlanBytes holds durable plan bytes to the same gate as the
-// serving tier's fan-out install (core.VerifyCanonical). Durable state
+// serving tier's install (core.VerifyCanonical). Durable state
 // never reaches the server without passing this.
 func verifyPlanBytes(canonical []byte, digest uint64) bool {
 	_, err := core.VerifyCanonical(canonical, digest)

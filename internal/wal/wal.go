@@ -9,8 +9,8 @@
 // tail to the last valid frame — and returns a State provably equal
 // to the durable prefix of the previous run. Any plan the State
 // carries has been re-verified exactly like the serving tier's plan
-// fan-out: digest check, strict core.ParseCanonical, re-encode
-// byte-equality. See DESIGN.md §16.
+// fan-out: digest check plus the strict one-pass canonical decode
+// (core.VerifyCanonical). See DESIGN.md §16.
 package wal
 
 import (

@@ -24,9 +24,9 @@ func mkset(vs ...int) similarity.Set {
 }
 
 // testPlanBytes fabricates a small valid plan whose content varies
-// with epoch, returning its canonical bytes and digest. The bytes
-// round-trip through core.ParseCanonical, so verifyPlanBytes accepts
-// them.
+// with epoch, returning its canonical bytes and digest. The bytes are
+// AppendCanonical's own, so core.DecodeCanonical and verifyPlanBytes
+// accept them.
 func testPlanBytes(t testing.TB, epoch int64) ([]byte, uint64) {
 	t.Helper()
 	p := &core.Plan{
