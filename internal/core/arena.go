@@ -8,11 +8,12 @@ import (
 // roundArena is the per-Scheduler reusable storage behind the
 // scheduling hot path. One round builds roughly ten transient
 // structures per θ iteration — the flow graph, hotspot→node and
-// source/sink-arc tables, per-target candidate lists, the
-// cluster-grouping scratch, the attributed-edge list — and a fresh
-// flows accumulator per round. The arena persists all of them across θ
-// iterations and across rounds, so steady-state network construction
-// appends into retained storage instead of reallocating.
+// source/sink-arc tables, the target's candidate list, the
+// cluster-grouping scratch, the attributed-edge list — plus the θ2
+// candidate rows and a fresh flows accumulator per round. The arena
+// persists all of them across θ iterations and across rounds, so
+// steady-state network construction appends into retained storage
+// instead of reallocating.
 //
 // Membership tables (nodeOf, source/sink arcs) are epoch-stamped int
 // slices instead of maps: every buildNetwork call bumps epoch, and an
@@ -20,8 +21,8 @@ import (
 // map traffic and no per-round zeroing of the m-sized tables.
 //
 // The arena inherits the Scheduler's concurrency contract (sequential
-// use only); the worker fan-out inside a round writes disjoint candsOf
-// rows, never the shared tables.
+// use only); the worker fan-out inside a round writes disjoint rows of
+// the distance cache, never the shared tables.
 type roundArena struct {
 	g     *mcmf.Graph
 	epoch int64
@@ -32,18 +33,20 @@ type roundArena struct {
 	srcEp  []int64 // source arc added this epoch
 	snkEp  []int64 // sink arc added this epoch
 
-	candsOf [][]cand // per-under-target candidate rows, caps retained
-	groups  []cand   // cluster-stable-sort scratch
-	net     flowNet  // reused result shell; edges cap retained
+	dists  distCache // the round's θ2 candidate rows, row caps retained
+	within []cand    // one target's candidates within θ
+	groups []cand    // cluster-stable-sort scratch
+	net    flowNet   // reused result shell; edges cap retained
 
 	flows map[int64]int64 // per-round flow accumulator, cleared per round
 
 	// Procedure 1's flat tables (replicate.go), rebuilt by the round into
-	// storage that stays at the largest round's size — 16 B a demand
-	// entry (table, and lam for the flow sources), 24 B a flow pair,
-	// 24 + 2·4 B a candidate and its sort index, 8 B a contribution,
-	// 32 B a redirect: about 2.1 MB at 1,240 hotspots, 1 MB at 310.
-	// Ordinals are int32 throughout.
+	// storage that stays at the largest round's size — 4·16 B a demand
+	// entry in the table (two views and two pass buffers), 16 B one in
+	// lam for the flow sources, 24 B a flow pair, 24 + 2·4 B a candidate
+	// and its sort index, 8 B a contribution, 32 B a redirect: about
+	// 4 MB at 1,240 hotspots, 1.9 MB at 310. Ordinals are int32
+	// throughout.
 	table     demandTable
 	pairs     []flowPair
 	lam       []demandEntry // flow sources' λ_rem rows, video-ascending
@@ -57,7 +60,6 @@ type roundArena struct {
 	redirects []Redirect
 	placed    []placedVideo // stage A's replicas, sorted (hotspot, video)
 	placedIdx []int32       // hotspot h's replicas are placed[placedIdx[h]:placedIdx[h+1]]
-	refill    []demandEntry // fillCands' re-ranked row
 	fill      []trace.VideoID
 
 	// dist is contentClusters' m×m Jd matrix, 8·m² bytes held for the
@@ -66,6 +68,10 @@ type roundArena struct {
 	// first round that clusters; a scheduler that never does (guides
 	// disabled, no movable flow, delta mode) never pays for it.
 	dist []float64
+	// The signatures it is filled from, as runs of video ids: hotspot h's
+	// are sigIDs[sigAt[h]:sigAt[h+1]].
+	sigIDs []int32
+	sigAt  []int32
 }
 
 func newRoundArena(m int) *roundArena {
@@ -95,15 +101,4 @@ func (ar *roundArena) distMatrix(m int) []float64 {
 		ar.dist = make([]float64, m*m)
 	}
 	return ar.dist
-}
-
-// candRows returns the candidate table with n reusable rows, growing
-// the row directory while keeping every existing row's capacity.
-func (ar *roundArena) candRows(n int) [][]cand {
-	if cap(ar.candsOf) < n {
-		grown := make([][]cand, n)
-		copy(grown, ar.candsOf[:cap(ar.candsOf)])
-		ar.candsOf = grown
-	}
-	return ar.candsOf[:n]
 }

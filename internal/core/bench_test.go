@@ -24,7 +24,7 @@ func BenchmarkBuildNetwork(b *testing.B) {
 		b.Fatal(err)
 	}
 	over, under, phiOver, phiUnder := s.partition(d, nominalService(s.world))
-	dc := s.newDistCache(over, under, par.Workers(params.Workers))
+	dc := s.newDistCache(&s.ar.dists, over, under, params.Theta2, par.Workers(params.Workers))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -69,15 +69,66 @@ func BenchmarkScheduleRoundSteady(b *testing.B) {
 	}
 }
 
-// BenchmarkReplicate times Procedure 1 alone — demand table, stage A,
-// fill, placement sets — on the flows of a real θ sweep, at
-// BenchmarkScheduleRoundSteady's 1,240-hotspot inputs and on a
+// roundInputs are the per-layer benchmarks' inputs:
+// BenchmarkScheduleRoundSteady's 1,240-hotspot world and demand, and a
 // 310-hotspot twin.
+var roundInputs = []struct {
+	name                string
+	m, requests, videos int
+}{{"m1240", 1240, 50000, 15000}, {"m310", 310, 12500, 15000}}
+
+// BenchmarkDemandTable times the round demand table's build — the map
+// walk and the counting passes of both views — on roundInputs.
+func BenchmarkDemandTable(b *testing.B) {
+	for _, bc := range roundInputs {
+		b.Run(bc.name, func(b *testing.B) {
+			world := lineWorld(bc.m, 0.1, 30, 40)
+			d := randomDemand(world, bc.requests, bc.videos, 1)
+			s, err := New(world, DefaultParams())
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.ar.table.built = false // what ScheduleRound does on entry
+				if t := s.demandTable(d); len(t.byRank) == 0 {
+					b.Fatal("empty table")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkContentClusters times the cluster phase on a built table —
+// the signature runs, the Jaccard fill and the chain — on roundInputs.
+func BenchmarkContentClusters(b *testing.B) {
+	for _, bc := range roundInputs {
+		b.Run(bc.name, func(b *testing.B) {
+			world := lineWorld(bc.m, 0.1, 30, 40)
+			d := randomDemand(world, bc.requests, bc.videos, 1)
+			s, err := New(world, DefaultParams())
+			if err != nil {
+				b.Fatal(err)
+			}
+			s.ar.table.built = false
+			s.demandTable(d)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, n, err := s.contentClusters(d); err != nil || n < 2 {
+					b.Fatalf("%d clusters (err %v)", n, err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkReplicate times Procedure 1 alone — demand table, stage A,
+// fill, placement sets — on the flows of a real θ sweep, on
+// roundInputs.
 func BenchmarkReplicate(b *testing.B) {
-	for _, bc := range []struct {
-		name                string
-		m, requests, videos int
-	}{{"m1240", 1240, 50000, 15000}, {"m310", 310, 12500, 15000}} {
+	for _, bc := range roundInputs {
 		b.Run(bc.name, func(b *testing.B) {
 			world := lineWorld(bc.m, 0.1, 30, 40)
 			d := randomDemand(world, bc.requests, bc.videos, 1)

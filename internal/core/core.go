@@ -108,9 +108,9 @@ type Params struct {
 	Deadline time.Duration
 
 	// Workers bounds the parallelism of one scheduling round: the
-	// over×under pairwise-distance cache, the Jaccard distance matrix
-	// fed to clustering, and candidate-pair generation in the flow
-	// network all fan out over this many goroutines. 0 (the zero
+	// over×under pairwise distances behind the θ2 candidate rows and the
+	// Jaccard distance matrix fed to clustering fan out over this many
+	// goroutines. 0 (the zero
 	// value) selects runtime.GOMAXPROCS(0); 1 forces the serial path.
 	// The fan-out uses fixed work partitions writing into disjoint
 	// preallocated ranges, so plans are identical for every value.
@@ -398,10 +398,10 @@ type Stats struct {
 	// degrading.
 	StrandedToCDN int64
 	// DistanceCalcs is the number of pairwise geo-distance evaluations
-	// the round performed. The over×under distances are computed once
-	// into a per-round cache and reused by every θ iteration and the
-	// residual Gd pass, so this is |Hs|·|Ht| — independent of the
-	// number of θ iterations.
+	// the round performed. The over×under distances are computed once,
+	// the pairs within θ2 kept in a per-round cache that every θ
+	// iteration and the residual Gd pass filter, so this is |Hs|·|Ht| —
+	// independent of the number of θ iterations.
 	DistanceCalcs int64
 	// Replicas is the total number of video placements produced.
 	Replicas int64

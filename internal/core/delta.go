@@ -21,6 +21,7 @@ package core
 // the full solver and compares Plan.Digest at runtime.
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -332,7 +333,7 @@ func (s *Scheduler) deltaRound(d *Demand, svc []int64, cache []int, totalsOrSvcC
 		tBalance := ro.now()
 		dcache = rec.dcache
 		if dcache == nil || !slices.Equal(over, rec.over) || !slices.Equal(under, rec.under) {
-			dcache = s.newDistCache(over, under, par.Workers(s.params.Workers))
+			dcache = s.newDistCache(new(distCache), over, under, s.params.Theta2, par.Workers(s.params.Workers))
 		}
 		stats.DistanceCalcs = dcache.calcs()
 
@@ -490,6 +491,28 @@ func (s *Scheduler) replicateDelta(d *Demand, flows map[int64]int64, svc []int64
 		replicas += int64(placement[h].Len())
 	}
 	return redirects, placement, unrealized, replicas, patched, skippedA, nil
+}
+
+// signature returns hotspot h's content signature as a set: its
+// TopFraction most-demanded videos, the leading entries of its rank row.
+// contentClusters reads the same entries as a run.
+func (s *Scheduler) signature(t *demandTable, h int) similarity.Set {
+	row := t.rankRow(h)
+	k := similarity.TopCount(len(row), s.params.TopFraction)
+	set := make(similarity.Set, k)
+	for _, e := range row[:k] {
+		set.Add(int(e.video))
+	}
+	return set
+}
+
+// byCountThenVideo ranks demand entries by (count desc, video asc), the
+// order of the table's rank rows.
+func byCountThenVideo(a, b demandEntry) int {
+	if a.count != b.count {
+		return cmp.Compare(b.count, a.count)
+	}
+	return cmp.Compare(a.video, b.video)
 }
 
 // fillFromFootprint rebuilds one hotspot's placement when stage A was

@@ -37,44 +37,69 @@ type flowNet struct {
 	guideNodes  int
 }
 
-// distCache holds the over×under pairwise geo distances of one
-// scheduling round. Schedule computes it once and reuses it across
-// every θ iteration of the sweep and the residual Gd pass, so the
-// number of DistanceTo evaluations per round is |Hs|·|Ht| regardless
-// of how many θ rounds run.
+// distCache holds one round's candidate rows: for each under-utilised
+// target under[uj], the overloaded hotspots closer than a bound — θ2 for
+// the sweep — as (over ordinal, distance) in ascending ordinal order.
+// The round builds it once, evaluating every one of the |Hs|·|Ht|
+// distances, and every θ iteration of the sweep and the residual Gd pass
+// filters its rows instead of rescanning the pairs: θ never exceeds the
+// bound, so no pair outside a row could be admitted. At 1,240 hotspots
+// the round evaluates ≈ 314 k pairs and its steps admit ≈ 1 k of them.
 type distCache struct {
-	nu int       // len(under)
-	d  []float64 // d[oi*nu+uj] = distance(over[oi], under[uj])
+	rows      [][]overDist
+	evaluated int64 // distance evaluations: one per over × under pair
 }
 
-// newDistCache computes the over×under distance matrix, fanning the
-// rows out over workers goroutines (each row is written by exactly one
-// worker, so the cache is identical for every worker count).
-func (s *Scheduler) newDistCache(over, under []int, workers int) *distCache {
-	nu := len(under)
-	dc := &distCache{nu: nu, d: make([]float64, len(over)*nu)}
+// overDist is one entry of a candidate row: over[oi] lies d from the
+// row's target.
+type overDist struct {
+	oi int32
+	d  float64
+}
+
+// newDistCache rebuilds dc's rows (keeping their storage) for the pairs
+// of over × under closer than bound, fanning the targets out over
+// workers goroutines (each row is written by exactly one worker, so the
+// cache is identical for every worker count), and returns dc.
+func (s *Scheduler) newDistCache(dc *distCache, over, under []int, bound float64, workers int) *distCache {
+	dc.evaluated = int64(len(over)) * int64(len(under))
+	if cap(dc.rows) < len(under) {
+		dc.rows = append(dc.rows[:cap(dc.rows)], make([][]overDist, len(under)-cap(dc.rows))...)
+	}
+	dc.rows = dc.rows[:len(under)]
 	locs := s.locs
-	par.Chunks(len(over), workers, func(lo, hi int) {
-		for oi := lo; oi < hi; oi++ {
-			pi := locs[over[oi]]
-			row := dc.d[oi*nu : (oi+1)*nu]
-			for uj, j := range under {
-				row[uj] = pi.DistanceTo(locs[j])
+	par.Chunks(len(under), workers, func(lo, hi int) {
+		for uj := lo; uj < hi; uj++ {
+			pj := locs[under[uj]]
+			row := dc.rows[uj][:0]
+			for oi, i := range over {
+				if d := locs[i].DistanceTo(pj); d < bound {
+					row = append(row, overDist{oi: int32(oi), d: d})
+				}
 			}
+			dc.rows[uj] = row
 		}
 	})
 	return dc
 }
 
-// at returns the cached distance between over[oi] and under[uj].
-func (c *distCache) at(oi, uj int) float64 { return c.d[oi*c.nu+uj] }
-
 // calcs is the number of distance evaluations the cache performed.
-func (c *distCache) calcs() int64 {
-	if c.nu == 0 {
-		return 0
+func (c *distCache) calcs() int64 { return c.evaluated }
+
+// within appends to dst the admissible pairs of target under[uj], whose
+// slack is phiJ: the row's sources with d < θ and surplus left, in
+// ascending over order.
+func (c *distCache) within(dst []cand, uj int, theta float64, over []int, phiOver []int64, phiJ int64) []cand {
+	if phiJ <= 0 {
+		return dst
 	}
-	return int64(len(c.d)/c.nu) * int64(c.nu)
+	for _, od := range c.rows[uj] {
+		i := over[od.oi]
+		if od.d < theta && phiOver[i] > 0 {
+			dst = append(dst, cand{i: i, phiIJ: min(phiOver[i], phiJ), distIJ: od.d})
+		}
+	}
+	return dst
 }
 
 // cand is one admissible <i, j> pair: overloaded source i, the pair
@@ -87,7 +112,7 @@ type cand struct {
 
 // buildNetwork constructs the θ-bounded balancing network over the
 // hotspots with remaining surplus (over, phiOver) and remaining slack
-// (under, phiUnder), reading pair distances from dc. When useGuides is
+// (under, phiUnder), reading candidate pairs from dc. When useGuides is
 // true, flow-guide nodes implement the content-aggregation rewrite of
 // Sec. IV-B (turning Gd into Gc).
 //
@@ -123,6 +148,24 @@ func (s *Scheduler) buildNetworkIn(
 	clusterOf []int,
 	useGuides bool,
 ) *flowNet {
+	return s.assembleNetwork(g, shell, under, phiOver, phiUnder, clusterOf, useGuides, func(dst []cand, uj int) []cand {
+		return dc.within(dst, uj, theta, over, phiOver, phiUnder[under[uj]])
+	})
+}
+
+// assembleNetwork builds the network of buildNetworkIn from each
+// target's candidate pairs, which candsOf appends to its dst for target
+// under[uj] — a filter of the distance cache's rows in production, the
+// dense over × under scan in the test that holds the two equal.
+func (s *Scheduler) assembleNetwork(
+	g *mcmf.Graph,
+	shell *flowNet,
+	under []int,
+	phiOver, phiUnder []int64,
+	clusterOf []int,
+	useGuides bool,
+	candsOf func(dst []cand, uj int) []cand,
+) *flowNet {
 	ar := s.ar
 	ar.epoch++
 	g.Reinit(2)
@@ -133,39 +176,6 @@ func (s *Scheduler) buildNetworkIn(
 
 	*shell = flowNet{g: g, source: source, sink: sink, edges: shell.edges[:0]}
 	nb := shell
-
-	// Candidate pairs within θ, grouped by under-utilised target.
-	// candsOf is indexed alongside under; the O(|Hs|·|Ht|) enumeration
-	// is the per-iteration hot loop, so targets fan out over the
-	// round's workers — each writes only its own candsOf rows (reused
-	// from the arena, so steady state appends into retained storage).
-	candsOf := ar.candRows(len(under))
-	par.Chunks(len(under), par.Workers(s.params.Workers), func(lo, hi int) {
-		for uj := lo; uj < hi; uj++ {
-			cands := candsOf[uj][:0]
-			j := under[uj]
-			if phiUnder[j] > 0 {
-				for oi, i := range over {
-					if phiOver[i] <= 0 {
-						continue
-					}
-					d := dc.at(oi, uj)
-					if d >= theta {
-						continue
-					}
-					phiIJ := phiOver[i]
-					if phiUnder[j] < phiIJ {
-						phiIJ = phiUnder[j]
-					}
-					cands = append(cands, cand{i: i, phiIJ: phiIJ, distIJ: d})
-				}
-			}
-			candsOf[uj] = cands
-		}
-	})
-	for _, cands := range candsOf {
-		nb.directPairs += len(cands)
-	}
 
 	// Hotspot→node plus lazy source/sink arcs, epoch-stamped so the
 	// tables clear in O(1) per buildNetwork call instead of allocating
@@ -189,11 +199,15 @@ func (s *Scheduler) buildNetworkIn(
 		return id
 	}
 
-	for uj, cands := range candsOf {
+	// Targets in ascending hotspot order, each with its candidate pairs
+	// within θ.
+	for uj, j := range under {
+		cands := candsOf(ar.within[:0], uj)
+		ar.within = cands
+		nb.directPairs += len(cands)
 		if len(cands) == 0 {
 			continue
 		}
-		j := under[uj]
 		nj := ensureNode(j)
 		if ar.snkEp[j] != ar.epoch {
 			mustEdge(nj, sink, phiUnder[j], 0)
@@ -292,17 +306,24 @@ func (s *Scheduler) buildNetworkIn(
 func (s *Scheduler) contentClusters(d *Demand) ([]int, int, error) {
 	m := len(s.world.Hotspots)
 	t := s.demandTable(d)
-	sets := make([]similarity.Set, m)
-	for h := range sets {
-		sets[h] = s.signature(t, h)
+	ar := s.ar
+	// Hotspot h's signature is the first TopCount videos of its rank
+	// row, one run of the span the kernel reads.
+	ar.sigIDs, ar.sigAt = ar.sigIDs[:0], append(ar.sigAt[:0], 0)
+	for h := 0; h < m; h++ {
+		row := t.rankRow(h)
+		for _, e := range row[:similarity.TopCount(len(row), s.params.TopFraction)] {
+			ar.sigIDs = append(ar.sigIDs, int32(e.video))
+		}
+		ar.sigAt = append(ar.sigAt, int32(len(ar.sigIDs)))
 	}
 	// The matrix costs one increment per pair of hotspots sharing a
 	// signature video; the (inherently sequential) nearest-neighbour
 	// chain that takes it is the larger half of the phase. Both work in
 	// the arena's one m×m span: the fill rewrites every cell and the
 	// chain consumes them, so no round sees another's distances.
-	dist := s.ar.distMatrix(m)
-	similarity.FillDistanceMatrix(dist, sets, par.Workers(s.params.Workers))
+	dist := ar.distMatrix(m)
+	similarity.FillDistanceRuns(dist, ar.sigIDs, ar.sigAt, par.Workers(s.params.Workers))
 	dendro, err := cluster.AgglomerativeInPlace(m, dist, s.params.Linkage)
 	if err != nil {
 		return nil, 0, fmt.Errorf("core: clustering hotspots: %w", err)
@@ -345,7 +366,7 @@ func (s *Scheduler) AnalyzeTheta(d *Demand, theta float64) (ThetaAnalysis, error
 		return ThetaAnalysis{}, fmt.Errorf("core: negative theta %v", theta)
 	}
 	over, under, phiOver, phiUnder := s.partition(d, nominalService(s.world))
-	dc := s.newDistCache(over, under, par.Workers(s.params.Workers))
+	dc := s.newDistCache(&s.ar.dists, over, under, max(theta, s.params.Theta2), par.Workers(s.params.Workers))
 	nb := s.buildNetwork(theta, over, under, phiOver, phiUnder, dc, nil, false)
 	res, err := nb.g.Solve(nb.source, nb.sink, int64(1)<<62)
 	if err != nil {

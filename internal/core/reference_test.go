@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -597,5 +599,117 @@ func TestReplicateMatchesReference(t *testing.T) {
 	}
 	if redirects < 1000 || unrealised < 50 || binding < 20 {
 		t.Errorf("families too tame: %d redirects, %d cases with unrealised flow, %d with a binding BPeak", redirects, unrealised, binding)
+	}
+}
+
+// referenceDemandTable is demandTable as it stood before the counting
+// passes: a walk of each row's map and one comparison sort per row,
+// byCountThenVideo. It returns the row offsets and the rank rows.
+func referenceDemandTable(d *Demand) (rowAt []int32, cells []demandEntry) {
+	rowAt = append(rowAt, 0)
+	for h, row := range d.perVideo {
+		lo := len(cells)
+		for v, n := range row {
+			cells = append(cells, demandEntry{video: v, hotspot: int32(h), count: n})
+		}
+		slices.SortFunc(cells[lo:], byCountThenVideo)
+		rowAt = append(rowAt, int32(len(cells)))
+	}
+	return rowAt, cells
+}
+
+// TestDemandTableMatchesReference holds both views of the counting-built
+// table to the comparison-sorted one: every rank row equal to the
+// reference's row, every video row equal to that row sorted by video.
+// The demands cover what the passes size themselves by — zero and
+// negative counts, counts beyond ±2³² up to the int64 extremes, video
+// ids from MinInt32 through 0 to MaxInt32 — plus empty and one-entry
+// rows and a one-hotspot world, on long-lived schedulers so that no
+// case may see another's arena.
+func TestDemandTableMatchesReference(t *testing.T) {
+	type tableCase struct {
+		name string
+		d    *Demand
+	}
+	set := func(d *Demand, h int, v trace.VideoID, n int64) {
+		if d.perVideo[h] == nil {
+			d.perVideo[h] = make(map[trace.VideoID]int64)
+		}
+		d.perVideo[h][v] = n
+	}
+	var cases []tableCase
+	for seed := int64(1); seed <= 3; seed++ {
+		world := lineWorld(160, 0.15, 30, 12)
+		cases = append(cases, tableCase{fmt.Sprintf("random-seed%d", seed), randomDemand(world, 7000, 900, seed)})
+	}
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 60; trial++ {
+		c := tieHeavyCase(rng, trial)
+		cases = append(cases, tableCase{c.name, c.d})
+	}
+	for trial := 0; trial < 40; trial++ {
+		m := 1 + rng.Intn(12)
+		if trial%5 == 0 {
+			m = 1 // a one-hotspot world
+		}
+		d := NewDemand(m)
+		for h := 0; h < m; h++ {
+			switch rng.Intn(4) {
+			case 0: // an empty row
+				continue
+			case 1: // a one-entry row
+				set(d, h, trace.VideoID(rng.Int31()), rng.Int63n(5)-2)
+				continue
+			}
+			for k := 1 + rng.Intn(30); k > 0; k-- {
+				v := trace.VideoID(rng.Intn(50))
+				switch rng.Intn(6) {
+				case 0:
+					v = []trace.VideoID{0, math.MaxInt32, math.MinInt32, -1}[rng.Intn(4)]
+				case 1:
+					v = trace.VideoID(rng.Int31() - rng.Int31())
+				}
+				n := int64(rng.Intn(4)) - 1
+				switch rng.Intn(5) {
+				case 0:
+					n = []int64{1 << 32, -1 << 32, 1<<32 + 1, 3 << 40, -5 << 40, math.MaxInt64, math.MinInt64}[rng.Intn(7)]
+				case 1:
+					n = rng.Int63() - rng.Int63()
+				}
+				set(d, h, v, n)
+			}
+		}
+		cases = append(cases, tableCase{fmt.Sprintf("extremes-%d", trial), d})
+	}
+	cases = append(cases, tableCase{"all-empty", NewDemand(5)}, tableCase{"one-hotspot-empty", NewDemand(1)})
+
+	schedulers := make(map[int]*Scheduler)
+	for _, c := range cases {
+		m := c.d.NumHotspots()
+		s := schedulers[m]
+		if s == nil {
+			var err error
+			if s, err = New(lineWorld(m, 0.3, 5, 8), DefaultParams()); err != nil {
+				t.Fatal(err)
+			}
+			schedulers[m] = s
+		}
+		wantAt, want := referenceDemandTable(c.d)
+		s.ar.table.built = false // what ScheduleRound does on entry
+		tb := s.demandTable(c.d)
+		if !slices.Equal(tb.rowAt, wantAt) {
+			t.Fatalf("%s: row offsets %v, reference %v", c.name, tb.rowAt, wantAt)
+		}
+		for h := 0; h < m; h++ {
+			wantRank := want[wantAt[h]:wantAt[h+1]]
+			if got := tb.rankRow(h); !slices.Equal(got, wantRank) {
+				t.Fatalf("%s: rank row %d\n got %v\nwant %v", c.name, h, got, wantRank)
+			}
+			wantVideo := slices.Clone(wantRank)
+			slices.SortFunc(wantVideo, func(a, b demandEntry) int { return cmp.Compare(a.video, b.video) })
+			if got := tb.videoRow(h); !slices.Equal(got, wantVideo) {
+				t.Fatalf("%s: video row %d\n got %v\nwant %v", c.name, h, got, wantVideo)
+			}
+		}
 	}
 }

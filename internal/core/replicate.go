@@ -3,75 +3,136 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/similarity"
 	"repro/internal/trace"
 )
 
-// demandEntry is one (video, count) cell of a demand row.
+// demandEntry is one (video, count) cell of hotspot's demand row. The
+// hotspot rides in what would otherwise be padding: the table's last
+// pass keys on it.
 type demandEntry struct {
-	video trace.VideoID
-	count int64
+	video   trace.VideoID
+	hotspot int32
+	count   int64
 }
 
-// byCountThenVideo ranks demand entries by (count desc, video asc): the
-// order of the content signature's support and of the greedy local fill.
-func byCountThenVideo(a, b demandEntry) int {
-	if a.count != b.count {
-		return cmp.Compare(b.count, a.count)
-	}
-	return cmp.Compare(a.video, b.video)
-}
-
-// demandTable is one round's demand in CSR form: hotspot h's entries are
-// cells[rowAt[h]:rowAt[h+1]], every entry of d.perVideo[h] (zero and
-// negative counts included), ranked byCountThenVideo. The signature of
-// h is the first TopCount entries of its row and the fill candidates of
-// a hotspot stage A never drew from are the row's positive prefix, so
-// one sort per row serves both. It is built at most once per
-// ScheduleRound (built is reset on entry, never keyed on the *Demand:
-// callers reuse and mutate demand objects) into storage the arena keeps.
+// demandTable is one round's demand in CSR form, every entry of
+// d.perVideo (zero and negative counts included) in two views of the
+// same rows: hotspot h's entries are [rowAt[h], rowAt[h+1]) of byVideo,
+// video-ascending, and of byRank, ranked (count desc, video asc). The
+// signature of h is the first TopCount entries of its rank row, the fill
+// candidates of a hotspot stage A never drew from are its rank row's
+// positive prefix, and a flow source's λ_rem is its video row's positive
+// entries. Both views come from counting passes, not comparisons
+// (DESIGN §9). The table is built at most once per ScheduleRound (built
+// is reset on entry, never keyed on the *Demand: callers reuse and
+// mutate demand objects) into storage the arena keeps.
 type demandTable struct {
-	built bool
-	rowAt []int32
-	cells []demandEntry
+	built   bool
+	rowAt   []int32
+	byVideo []demandEntry
+	byRank  []demandEntry
+	a, b    []demandEntry // the passes' buffers, then fillCands'
+	next    []int32       // regroup's per-row cursors
 }
 
-func (t *demandTable) row(h int) []demandEntry { return t.cells[t.rowAt[h]:t.rowAt[h+1]] }
+func (t *demandTable) videoRow(h int) []demandEntry { return t.byVideo[t.rowAt[h]:t.rowAt[h+1]] }
+func (t *demandTable) rankRow(h int) []demandEntry  { return t.byRank[t.rowAt[h]:t.rowAt[h+1]] }
 
 // demandTable returns the round's demand table, building it on the
 // round's first use — inside the cluster phase when the round clusters,
 // inside the replicate phase otherwise.
+//
+// The rows are gathered in map order. Stable counting passes over the
+// bytes of video − minVideo and then one over the hotspot give the video
+// rows; passes over the bytes of maxCount − count, applied to the video
+// rows, and then one over the hotspot give the rank rows, ties left
+// video-ascending. The pass counts follow the ranges actually present.
 func (s *Scheduler) demandTable(d *Demand) *demandTable {
 	t := &s.ar.table
 	if t.built {
 		return t
 	}
+	raw := t.a[:0]
 	t.rowAt = append(t.rowAt[:0], 0)
-	t.cells = t.cells[:0]
-	for _, row := range d.perVideo {
-		lo := len(t.cells)
+	minV, maxV := trace.VideoID(math.MaxInt32), trace.VideoID(math.MinInt32)
+	minC, maxC := int64(math.MaxInt64), int64(math.MinInt64)
+	for h, row := range d.perVideo {
 		for v, n := range row {
-			t.cells = append(t.cells, demandEntry{video: v, count: n})
+			raw = append(raw, demandEntry{video: v, hotspot: int32(h), count: n})
+			minV, maxV = min(minV, v), max(maxV, v)
+			minC, maxC = min(minC, n), max(maxC, n)
 		}
-		slices.SortFunc(t.cells[lo:], byCountThenVideo)
-		t.rowAt = append(t.rowAt, int32(len(t.cells)))
+		t.rowAt = append(t.rowAt, int32(len(raw)))
 	}
+	n := len(raw)
+	grow := func(buf []demandEntry) []demandEntry { return slices.Grow(buf[:0], n)[:n] }
+	t.a, t.b, t.byVideo, t.byRank = raw, grow(t.b), grow(t.byVideo), grow(t.byRank)
+
+	// (With no cells the ranges are inverted and the passes run over
+	// nothing.)
+	sorted := radixPasses(t.a, t.b, t.a, false, int64(minV), uint64(uint32(maxV)-uint32(minV)))
+	t.regroup(sorted, t.byVideo)
+	// Two's-complement differences are exact: maxCount − count < 2⁶⁴.
+	sorted = radixPasses(t.byVideo, t.a, t.b, true, maxC, uint64(maxC)-uint64(minC))
+	t.regroup(sorted, t.byRank)
 	t.built = true
 	return t
 }
 
-// signature returns hotspot h's content signature: its TopFraction
-// most-demanded videos, the leading entries of its table row.
-func (s *Scheduler) signature(t *demandTable, h int) similarity.Set {
-	row := t.row(h)
-	k := similarity.TopCount(len(row), s.params.TopFraction)
-	set := make(similarity.Set, k)
-	for _, e := range row[:k] {
-		set.Add(int(e.video))
+// regroup is the table's last, most significant pass: it scatters src
+// into dst by hotspot, stably, hotspot h landing on [rowAt[h],
+// rowAt[h+1]).
+func (t *demandTable) regroup(src, dst []demandEntry) {
+	t.next = append(t.next[:0], t.rowAt[:len(t.rowAt)-1]...)
+	for _, e := range src {
+		dst[t.next[e.hotspot]] = e
+		t.next[e.hotspot]++
 	}
-	return set
+}
+
+// radixPasses stably sorts src by key ascending: one counting pass per
+// byte of top, the largest key, least significant first, with every
+// pass's histogram taken in one read of src. The key is base − count
+// when byCount is set (count descending) and video − base otherwise
+// (video ascending). The passes write a, then b, then a again; only the
+// first reads src, so b may be src when the caller has no further use
+// for it. It returns the sorted entries: src itself when top is 0.
+func radixPasses(src, a, b []demandEntry, byCount bool, base int64, top uint64) []demandEntry {
+	key := func(e demandEntry) uint64 {
+		if byCount {
+			return uint64(base) - uint64(e.count)
+		}
+		return uint64(uint32(e.video) - uint32(base))
+	}
+	passes := 0
+	for top>>(8*passes) > 0 {
+		passes++
+	}
+	var at [8][257]int32 // at[p][k+1] counts digit k of pass p, then at[p][k] is where k starts
+	for _, e := range src {
+		k := key(e)
+		for p := 0; p < passes; p++ {
+			at[p][k>>(8*p)&255+1]++
+		}
+	}
+	sorted, next, spare := src, a[:len(src)], b[:len(src)]
+	for p := 0; p < passes; p++ {
+		h := &at[p]
+		for k := 0; k < 256; k++ {
+			h[k+1] += h[k]
+		}
+		for _, e := range sorted {
+			k := key(e) >> (8 * p) & 255
+			next[h[k]] = e
+			h[k]++
+		}
+		sorted, next, spare = next, spare, next
+	}
+	return sorted
 }
 
 // replicate implements Procedure 1 (ContentAggregationReplication): it
@@ -280,9 +341,9 @@ func (s *Scheduler) stageA(t *demandTable, flows map[int64]int64, cache []int) (
 		return cmp.Compare(a.src, b.src)
 	})
 
-	// Every flow source copies its positive demand out of the table,
-	// video-ascending, as its mutable λ_rem row; lamOf finds it again
-	// (an empty span reads as "not a source", which ranks the same).
+	// Every flow source copies the positive entries of its video row,
+	// in order, as its mutable λ_rem row; lamOf finds it again (an empty
+	// span reads as "not a source", which ranks the same).
 	clear(ar.lamOf)
 	lam := ar.lam[:0]
 	for x := range pairs {
@@ -290,14 +351,12 @@ func (s *Scheduler) stageA(t *demandTable, flows map[int64]int64, cache []int) (
 		sp := &ar.lamOf[p.src]
 		if sp.lo == sp.hi {
 			sp.lo = int32(len(lam))
-			for _, e := range t.row(int(p.src)) {
-				if e.count <= 0 {
-					break
+			for _, e := range t.videoRow(int(p.src)) {
+				if e.count > 0 {
+					lam = append(lam, e)
 				}
-				lam = append(lam, e)
 			}
 			sp.hi = int32(len(lam))
-			slices.SortFunc(lam[sp.lo:], func(a, b demandEntry) int { return cmp.Compare(a.video, b.video) })
 		}
 		p.lam = *sp
 	}
@@ -443,18 +502,22 @@ func placedContains(placed []placedVideo, v trace.VideoID) bool {
 }
 
 // fillCands returns hotspot h's remaining local demand λ_rem ranked
-// byCountThenVideo: its table row in place when stage A drew nothing
-// from it, its λ_rem row re-ranked in scratch (valid until the next
-// call) when it was a flow source. Non-positive entries trail; callers
-// stop at the first.
+// (count desc, video asc): its rank row when stage A drew nothing from
+// it, its λ_rem row re-ranked when it was a flow source. That row is
+// video-ascending and its counts lie in [0, top], so counting passes on
+// top − count rank it, in the table's buffers (valid until the next
+// call). Non-positive entries trail; callers stop at the first.
 func (ar *roundArena) fillCands(t *demandTable, h int) []demandEntry {
 	sp := ar.lamOf[h]
 	if sp.lo == sp.hi {
-		return t.row(h)
+		return t.rankRow(h)
 	}
-	ar.refill = append(ar.refill[:0], ar.lam[sp.lo:sp.hi]...)
-	slices.SortFunc(ar.refill, byCountThenVideo)
-	return ar.refill
+	row := ar.lam[sp.lo:sp.hi]
+	var top int64
+	for _, e := range row {
+		top = max(top, e.count)
+	}
+	return radixPasses(row, t.a, t.b, true, top, uint64(top))
 }
 
 // newPlacement returns a placement set holding placed and fill, created

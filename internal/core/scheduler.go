@@ -253,10 +253,15 @@ func (s *Scheduler) scheduleFull(d *Demand, svc []int64, cache []int, rec *sweep
 	flows := s.ar.emptyFlows()
 
 	// The over×under distances are fixed for the whole round: compute
-	// them once and share the cache across every θ iteration and the
-	// residual Gd pass.
+	// them once, keep the pairs within θ2, and share those rows across
+	// every θ iteration and the residual Gd pass. A delta record keeps
+	// its cache past the round, so it gets its own.
 	tBalance := ro.now()
-	dcache := s.newDistCache(over, under, par.Workers(s.params.Workers))
+	dst := &s.ar.dists
+	if rec != nil {
+		dst = new(distCache)
+	}
+	dcache := s.newDistCache(dst, over, under, s.params.Theta2, par.Workers(s.params.Workers))
 	stats.DistanceCalcs = dcache.calcs()
 
 	mcmfPaths := s.runSweep(over, under, phiOver, phiUnder, dcache, clusterOf, flows, &stats, &ro, rec, overDeadline)

@@ -336,8 +336,8 @@ func randomDemand(w *trace.World, requests, videos int, seed int64) *Demand {
 }
 
 // TestContentClustersMatchReference holds the matrix path of
-// contentClusters (inverted-index DistanceMatrix into
-// AgglomerativeMatrix) to the per-pair reference — cluster.Agglomerative
+// contentClusters (signature runs through FillDistanceRuns into
+// AgglomerativeInPlace) to the per-pair reference — cluster.Agglomerative
 // over a JaccardDistance closure — on demand shaped like the serving
 // benchmark's city fleet: ~7-video signatures, one video in more than
 // half of them, a few hotspots with no demand at all.

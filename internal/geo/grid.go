@@ -90,8 +90,12 @@ func (g *Grid) cellOf(p Point) int {
 }
 
 // Nearest returns the ID and distance of the indexed point closest to
-// p. ok is false when the index is empty. Ties are broken by insertion
-// order.
+// p. ok is false when the index is empty. Among points at the minimum
+// distance the first one visited wins: the query's own cell first, then
+// each ring of cells around it in forEachRingCell order, and insertion
+// order only within one cell. Online ingest and offline slot contexts
+// both resolve requests through it, so this rule is part of what makes
+// their plans equal.
 func (g *Grid) Nearest(p Point) (id int, dist float64, ok bool) {
 	if len(g.ids) == 0 {
 		return 0, 0, false

@@ -194,6 +194,23 @@ func TestGridLenAndBounds(t *testing.T) {
 	}
 }
 
+// TestGridNearestTieVisitOrder pins Nearest's tie rule: of two points
+// equidistant from the query, the one in the query's own cell wins even
+// though the other was inserted first — ties go by ring-visit order, not
+// insertion order.
+func TestGridNearestTieVisitOrder(t *testing.T) {
+	g := newTestGrid(t, 1)
+	g.Insert(1, Point{4.75, 5.5}) // cell (4, 5), inserted first
+	g.Insert(2, Point{5.75, 5.5}) // cell (5, 5), the query's
+	q := Point{5.25, 5.5}
+	if a, b := q.DistanceTo(Point{4.75, 5.5}), q.DistanceTo(Point{5.75, 5.5}); a != b {
+		t.Fatalf("test points are not equidistant: %v vs %v", a, b)
+	}
+	if id, d, ok := g.Nearest(q); !ok || id != 2 || d != 0.5 {
+		t.Errorf("Nearest() = (%d, %v, %v), want the query cell's point 2 at 0.5", id, d, ok)
+	}
+}
+
 func TestGridDuplicateAndCoincidentPoints(t *testing.T) {
 	g := newTestGrid(t, 1)
 	g.Insert(1, Point{5, 5})
@@ -203,7 +220,7 @@ func TestGridDuplicateAndCoincidentPoints(t *testing.T) {
 		t.Fatalf("Nearest() = (%d, %v, %v), want distance 0", id, d, ok)
 	}
 	if id != 1 {
-		t.Errorf("Nearest() tie-break id = %d, want 1 (insertion order)", id)
+		t.Errorf("Nearest() tie-break id = %d, want 1 (insertion order within a cell)", id)
 	}
 	nbrs := g.Within(Point{5, 5}, 0)
 	if len(nbrs) != 2 {

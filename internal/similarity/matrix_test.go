@@ -2,6 +2,7 @@ package similarity
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -76,6 +77,79 @@ func TestDistanceMatrixKernelAgreement(t *testing.T) {
 			}
 		}
 		checkMatrix(t, fmt.Sprintf("trial %d", trial), sets)
+	}
+}
+
+// TestDistanceRunsMatchJaccard holds the runs kernel, and the []Set
+// adapter onto it, to the map kernel: every cell == JaccardDistance (0
+// on the diagonal) at workers 1, 2 and 7, on seeded families of int32
+// runs whose ids reach both ends of the range, with empty runs mixed in
+// and fixed cases for two empty sets (Jd 0) and an empty set against a
+// non-empty one (Jd 1).
+func TestDistanceRunsMatchJaccard(t *testing.T) {
+	families := [][][]int32{
+		{{}, {}},
+		{{}, {0}},
+		{{0, math.MaxInt32}, {math.MaxInt32}, {0}, {}},
+		{{math.MinInt32, -1, 0, math.MaxInt32}, {math.MaxInt32, math.MinInt32}, {-1}},
+	}
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 120; trial++ {
+		universe := 1 + rng.Intn(300)
+		runs := make([][]int32, rng.Intn(40))
+		for i := range runs {
+			if rng.Intn(6) == 0 {
+				continue
+			}
+			for id := range randomSet(rng, universe, rng.Intn(30)) {
+				v := int32(id)
+				switch trial % 3 {
+				case 1:
+					v = math.MaxInt32 - int32(id) // the top of the range
+				case 2:
+					v = int32(id) * (math.MaxInt32 / int32(universe)) // spread over all of it
+				}
+				runs[i] = append(runs[i], v)
+			}
+		}
+		families = append(families, runs)
+	}
+	for f, runs := range families {
+		n := len(runs)
+		sets := make([]Set, n)
+		at := []int32{0}
+		var ids []int32
+		for i, run := range runs {
+			sets[i] = make(Set)
+			for _, id := range run {
+				sets[i].Add(int(id))
+			}
+			ids = append(ids, run...)
+			at = append(at, int32(len(ids)))
+		}
+		for _, workers := range []int{1, 2, 7} {
+			fromRuns, fromSets := make([]float64, n*n), make([]float64, n*n)
+			FillDistanceRuns(fromRuns, ids, at, workers)
+			FillDistanceMatrix(fromSets, sets, workers)
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					want := JaccardDistance(sets[i], sets[j])
+					if i == j {
+						want = 0
+					}
+					if fromRuns[i*n+j] != want || fromSets[i*n+j] != want {
+						t.Fatalf("family %d workers=%d: d[%d][%d] = %v (runs) and %v (sets), reference %v",
+							f, workers, i, j, fromRuns[i*n+j], fromSets[i*n+j], want)
+					}
+				}
+			}
+		}
+	}
+	if got := DistanceMatrix([]Set{{}, {}}, 1); got[0][1] != 0 {
+		t.Errorf("two empty sets: Jd %v, want 0", got[0][1])
+	}
+	if got := DistanceMatrix([]Set{{}, NewSet(0)}, 1); got[0][1] != 1 {
+		t.Errorf("empty vs non-empty: Jd %v, want 1", got[0][1])
 	}
 }
 

@@ -4,8 +4,9 @@
 // Jaccard similarity of nearby hotspots' top-20% content sets both in
 // its measurement study (Fig. 3b) and as the clustering distance of the
 // content-aggregation stage (Eq. 13). The map-based Jaccard is the
-// definition and the reference; DistanceMatrix computes the same values
-// for a whole fleet from an inverted index of the sets.
+// definition and the reference; FillDistanceRuns computes the same
+// values for a whole fleet from an inverted index of the sets, and
+// DistanceMatrix is the same kernel over map sets.
 package similarity
 
 import (
@@ -90,29 +91,45 @@ func DistanceMatrix(sets []Set, workers int) [][]float64 {
 	return d
 }
 
-// FillDistanceMatrix writes the full pairwise JaccardDistance matrix of
-// sets into cells, row-major (cells[i*n+j] = Jd(sets[i], sets[j]),
-// n = len(sets)); cells must hold exactly n·n values and every one of
-// them is overwritten, so a caller may hand the same span back round
-// after round. The values are exact and cost time proportional to the
-// pairs that share an id rather than to pairs × id universe. The fill
-// builds the id → sets inverted index once; row i then walks the
-// posting lists of its own ids and counts, per later set j, how many
-// ids they share. That count is |A∩B|, |A∪B| = |A|+|B|−|A∩B| needs no
-// second pass, and a pair that shares nothing keeps the pre-filled
-// Jd = 1 without being visited (two empty sets are Jd = 0, as in
-// JaccardDistance). The work is one n²-cell pre-fill plus Σ_v C(n_v, 2)
-// increments, n_v the number of sets holding id v; DESIGN §9 sets that
-// against a dense word-parallel kernel.
+// FillDistanceMatrix is FillDistanceRuns over map sets: it lays sets out
+// as runs, in slice order, and fills cells (n = len(sets)) from them.
+func FillDistanceMatrix(cells []float64, sets []Set, workers int) {
+	at := make([]int32, 1, len(sets)+1)
+	var ids []int
+	for _, s := range sets {
+		for id := range s {
+			ids = append(ids, id)
+		}
+		at = append(at, int32(len(ids)))
+	}
+	FillDistanceRuns(cells, ids, at, workers)
+}
+
+// FillDistanceRuns writes the full pairwise JaccardDistance matrix of n
+// id sets laid out as runs of one span — set i is ids[at[i]:at[i+1]],
+// n = len(at)−1, at[0] = 0, and no run holds an id twice — into cells,
+// row-major (cells[i*n+j] = Jd(set i, set j)). cells must hold exactly
+// n·n values and every one of them is overwritten, so a caller may hand
+// the same span back round after round. The values are exact and cost
+// time proportional to the pairs that share an id rather than to pairs
+// × id universe. The fill builds the id → sets inverted index once; row
+// i then walks the posting lists of its own ids and counts, per later
+// set j, how many ids they share. That count is |A∩B|,
+// |A∪B| = |A|+|B|−|A∩B| needs no second pass, and a pair that shares
+// nothing keeps the pre-filled Jd = 1 without being visited (two empty
+// sets are Jd = 0, as in JaccardDistance). The work is one n²-cell
+// pre-fill plus Σ_v C(n_v, 2) increments, n_v the number of sets
+// holding id v; DESIGN §9 sets that against a dense word-parallel
+// kernel.
 //
 // Rows fan out over workers goroutines (0 selects GOMAXPROCS, 1 is
 // serial), striped so the shrinking upper-triangle rows balance; every
 // cell has exactly one writer and the same integers enter the same
 // 1 − inter/union float as in JaccardDistance, so the result is
-// bit-identical to it for every worker count and every map iteration
-// order. The diagonal is 0.
-func FillDistanceMatrix(cells []float64, sets []Set, workers int) {
-	n := len(sets)
+// bit-identical to it for every worker count and every order of the
+// ids within a run. The diagonal is 0.
+func FillDistanceRuns[ID ~int32 | ~int](cells []float64, ids []ID, at []int32, workers int) {
+	n := max(len(at)-1, 0)
 	if len(cells) != n*n {
 		panic(fmt.Sprintf("similarity: %d cells for a %d×%d distance matrix", len(cells), n, n))
 	}
@@ -123,47 +140,34 @@ func FillDistanceMatrix(cells []float64, sets []Set, workers int) {
 		cells[i*n+i] = 0
 	}
 
-	// Both directions of the membership relation in CSR form, so the
-	// row loop never touches a map: set i holds the dense ids
-	// member[setAt[i]:setAt[i+1]], and dense id k is held by the sets
-	// post[postAt[k]:postAt[k+1]], ascending because the fill visits
-	// the sets in order.
-	setAt := make([]int, n+1)
-	for i, s := range sets {
-		setAt[i+1] = setAt[i] + len(s)
-	}
-	member := make([]int32, 0, setAt[n])
-	dense := make(map[int]int32)
-	var postAt []int // per-id counts first, then their prefix sums
-	for _, s := range sets {
-		for id := range s {
-			k, ok := dense[id]
-			if !ok {
-				k = int32(len(dense))
-				dense[id] = k
-				postAt = append(postAt, 0)
-			}
-			postAt[k]++
-			member = append(member, k)
-		}
-	}
-	postAt = append(postAt, 0)
-	for k, sum := 0, 0; k < len(postAt); k++ {
-		postAt[k], sum = sum, sum+postAt[k]
-	}
-	post := make([]int32, len(member))
-	fill := slices.Clone(postAt[:len(dense)])
+	// Both directions of the membership relation in CSR form, with no
+	// map: the memberships ordered by id (stably, so each id's sets
+	// ascend) are the posting lists back to back, and a run of equal ids
+	// in that order is one dense id. Set i holds the dense ids
+	// member[at[i]:at[i+1]], and dense id k is held by the sets
+	// post[postAt[k]:postAt[k+1]].
+	setOf := make([]int32, len(ids))
 	var empty []int
-	for i := range sets {
-		mine := member[setAt[i]:setAt[i+1]]
-		if len(mine) == 0 {
+	for i := 0; i < n; i++ {
+		if at[i] == at[i+1] {
 			empty = append(empty, i)
 		}
-		for _, k := range mine {
-			post[fill[k]] = int32(i)
-			fill[k]++
+		for x := at[i]; x < at[i+1]; x++ {
+			setOf[x] = int32(i)
 		}
 	}
+	byID := orderByID(ids)
+	member := make([]int32, len(ids))
+	post := make([]int32, len(ids))
+	postAt := make([]int32, 0, len(ids)+1)
+	for x, pos := range byID {
+		if x == 0 || ids[pos] != ids[byID[x-1]] {
+			postAt = append(postAt, int32(x))
+		}
+		member[pos] = int32(len(postAt) - 1)
+		post[x] = setOf[pos]
+	}
+	postAt = append(postAt, int32(len(ids)))
 
 	// No posting list holds an empty set, so these cells are out of the
 	// row loop's reach and it out of theirs.
@@ -177,10 +181,10 @@ func FillDistanceMatrix(cells []float64, sets []Set, workers int) {
 	// its own scratch.
 	w := min(par.Workers(workers), n)
 	par.Strided(w, w, func(first int) {
-		shared := make([]int32, n) // |sets[i] ∩ sets[j]| for the current row i; zero between rows
+		shared := make([]int32, n) // |set i ∩ set j| for the current row i; zero between rows
 		var touched []int32        // the j with shared[j] > 0
 		for i := first; i < n; i += w {
-			mine := member[setAt[i]:setAt[i+1]]
+			mine := member[at[i]:at[i+1]]
 			for _, k := range mine {
 				p := post[postAt[k]:postAt[k+1]]
 				for x := len(p) - 1; x >= 0 && int(p[x]) > i; x-- {
@@ -193,7 +197,7 @@ func FillDistanceMatrix(cells []float64, sets []Set, workers int) {
 			}
 			for _, j := range touched {
 				inter := int(shared[j])
-				union := len(mine) + setAt[j+1] - setAt[j] - inter
+				union := len(mine) + int(at[j+1]-at[j]) - inter
 				v := 1 - float64(inter)/float64(union)
 				cells[i*n+int(j)], cells[int(j)*n+i] = v, v
 				shared[j] = 0
@@ -201,6 +205,43 @@ func FillDistanceMatrix(cells []float64, sets []Set, workers int) {
 			touched = touched[:0]
 		}
 	})
+}
+
+// orderByID returns the positions of ids ordered by id, equal ids in
+// position order: one stable counting pass per byte of the span
+// max − min, least significant first, so the pass count follows the ids
+// actually present whatever their range.
+func orderByID[ID ~int32 | ~int](ids []ID) []int32 {
+	order := make([]int32, len(ids))
+	for x := range order {
+		order[x] = int32(x)
+	}
+	if len(ids) == 0 {
+		return order
+	}
+	lo, hi := ids[0], ids[0]
+	for _, id := range ids {
+		lo, hi = min(lo, id), max(hi, id)
+	}
+	// Two's-complement differences are exact: hi − lo < 2⁶⁴.
+	key := func(id ID) uint64 { return uint64(id) - uint64(lo) }
+	buf := make([]int32, len(ids))
+	for shift := 0; key(hi)>>shift > 0; shift += 8 {
+		var at [257]int32 // at[b+1] counts bucket b, then at[b] is where b starts
+		for _, id := range ids {
+			at[key(id)>>shift&255+1]++
+		}
+		for b := 0; b < 256; b++ {
+			at[b+1] += at[b]
+		}
+		for _, x := range order {
+			b := key(ids[x]) >> shift & 255
+			buf[at[b]] = x
+			at[b]++
+		}
+		order, buf = buf, order
+	}
+	return order
 }
 
 // TopFraction returns the items accounting for the top frac of entries
