@@ -42,10 +42,6 @@
 //	                  mid-slot, restarts it from disk, and requires every
 //	                  plan to match an uninterrupted offline simulation
 //	                  byte for byte
-//	-delta            incremental delta scheduling: warm-start each
-//	                  slot from the previous one's solution (plans stay
-//	                  digest-identical to full solves)
-//	-delta-every N    with -delta: force a full re-solve every N slots
 //
 // The HTTP API is POST /ingest, GET /redirect, GET /plans,
 // GET /healthz, and POST /admin/advance (see internal/server).
@@ -86,20 +82,14 @@ func run(args []string) error {
 	fsync := fs.String("fsync", "", "WAL fsync policy: always, interval, or none (-wal-dir only)")
 	ckptEvery := fs.Int("checkpoint-every", 0, "checkpoint every N scheduled slots; an empty slot does not count (-wal-dir only; 0 = default)")
 	smoke := fs.Bool("smoke", false, "end-to-end smoke: boot, replay a generated trace, exit")
-	delta := fs.Bool("delta", false, "incremental delta scheduling (warm-started rounds, periodic full re-solve)")
-	deltaEvery := fs.Int("delta-every", 16, "with -delta: force a full re-solve every N slots (0 = never)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var params crowdcdn.Params
-	if *delta {
-		params = crowdcdn.DeltaParams(*deltaEvery)
-	}
 	if *smoke {
 		if *walDir != "" {
-			return runCrashSmoke(*seed, params, *instances, *walDir, *fsync, *ckptEvery)
+			return runCrashSmoke(*seed, *instances, *walDir, *fsync, *ckptEvery)
 		}
-		return runSmoke(*seed, params, *instances)
+		return runSmoke(*seed, *instances)
 	}
 
 	world, err := loadWorld(*worldPath, *seed)
@@ -117,7 +107,6 @@ func run(args []string) error {
 
 	srv, err := crowdcdn.NewServer(crowdcdn.ServerConfig{
 		World:           world,
-		Params:          params,
 		Addr:            *addr,
 		Instances:       *instances,
 		QueueBound:      *queue,
@@ -180,11 +169,10 @@ class smooth clients=2 arrival=weibull rate=20 shape=2   videos=uniform
 // it over real HTTP (rotating across every frontend), drive an
 // open-loop generated workload on top, require every slot to have
 // scheduled a plan with no rejections and every frontend to serve the
-// same (epoch, digest), and shut down cleanly. params carries the
-// scheduling mode (-delta smokes the incremental path); instances
-// sizes the frontend fleet (-instances 3 smokes ring sharding and the
+// same (epoch, digest), and shut down cleanly. instances sizes the
+// frontend fleet (-instances 3 smokes ring sharding and the
 // digest-verified plan fan-out).
-func runSmoke(seed int64, params crowdcdn.Params, instances int) error {
+func runSmoke(seed int64, instances int) error {
 	world, tr, err := crowdcdn.Generate(smokeConfig(seed))
 	if err != nil {
 		return err
@@ -192,7 +180,6 @@ func runSmoke(seed int64, params crowdcdn.Params, instances int) error {
 	reg := crowdcdn.NewMetricsRegistry()
 	srv, err := crowdcdn.NewServer(crowdcdn.ServerConfig{
 		World:       world,
-		Params:      params,
 		Instances:   instances,
 		Registry:    reg,
 		PlanHistory: tr.Slots + 16,
@@ -277,12 +264,12 @@ func runSmoke(seed int64, params crowdcdn.Params, instances int) error {
 // restart from the on-disk log, finish the trace, and require every
 // slot's plan to be byte-identical to an uninterrupted offline
 // simulation of the same trace.
-func runCrashSmoke(seed int64, params crowdcdn.Params, instances int, walDir, fsync string, ckptEvery int) error {
+func runCrashSmoke(seed int64, instances int, walDir, fsync string, ckptEvery int) error {
 	world, tr, err := crowdcdn.Generate(smokeConfig(seed))
 	if err != nil {
 		return err
 	}
-	offline, err := loadgen.OfflinePlans(world, tr, params)
+	offline, err := loadgen.OfflinePlans(world, tr)
 	if err != nil {
 		return err
 	}
@@ -296,7 +283,6 @@ func runCrashSmoke(seed int64, params crowdcdn.Params, instances int, walDir, fs
 		reg = crowdcdn.NewMetricsRegistry()
 		return crowdcdn.NewServer(crowdcdn.ServerConfig{
 			World:           world,
-			Params:          params,
 			Instances:       instances,
 			Registry:        reg,
 			PlanHistory:     tr.Slots + 1,

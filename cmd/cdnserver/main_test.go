@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -50,6 +51,13 @@ func TestBadFlags(t *testing.T) {
 	if err := run([]string{"-smoke", "-shards", "4"}); err == nil {
 		t.Fatal("-shards accepted")
 	}
+	// So is delta scheduling.
+	for _, flag := range []string{"-delta", "-delta-every"} {
+		err := run([]string{"-smoke", flag, "2"})
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+flag) {
+			t.Errorf("%s: err = %v, want an undefined flag", flag, err)
+		}
+	}
 	if err := run([]string{"-world", "/does/not/exist.json"}); err == nil {
 		t.Fatal("missing world file accepted")
 	}
@@ -86,14 +94,6 @@ func TestCrashSmoke(t *testing.T) {
 	args := []string{"-smoke", "-wal-dir", t.TempDir(), "-fsync", "always", "-checkpoint-every", "2", "-seed", "4"}
 	if err := run(args); err != nil {
 		t.Fatalf("run -smoke -wal-dir: %v", err)
-	}
-}
-
-// TestSmokeDelta is the delta-scheduling smoke: the same replay with
-// incremental rounds, plans digest-identical slot by slot.
-func TestSmokeDelta(t *testing.T) {
-	if err := run([]string{"-smoke", "-delta", "-seed", "3"}); err != nil {
-		t.Fatalf("run -smoke -delta: %v", err)
 	}
 }
 

@@ -18,10 +18,6 @@
 //	-capacity F -cache F       override capacities as fractions of the
 //	                           video-set size (0 keeps the input)
 //	-seed N                    simulation/generation seed
-//	-delta                     rbcaer: incremental delta scheduling
-//	-delta-verify              with -delta: shadow-verify every delta
-//	                           round against a full solve
-//	-delta-every N             with -delta: full re-solve every N slots
 //	-workers N                 scheduling parallelism: 0 uses every core,
 //	                           1 forces serial; results are identical
 //	-json                      emit metrics as JSON instead of text
@@ -62,9 +58,6 @@ func run(args []string) error {
 	churn := fs.Float64("churn", 0, "per-slot probability a hotspot is offline")
 	shards := fs.Int("shards", 0, "rbcaer only: cluster-partition the world into N shards scheduled concurrently")
 	shardCellKm := fs.Float64("shard-cell-km", 0, "rbcaer only: grid-partition the world into shards of this cell size in km")
-	delta := fs.Bool("delta", false, "rbcaer only: incremental delta scheduling (slots run sequentially, plans unchanged)")
-	deltaVerify := fs.Bool("delta-verify", false, "with -delta: shadow-run the full solver each delta round and compare digests")
-	deltaEvery := fs.Int("delta-every", 16, "with -delta: force a full re-solve every N slots (0 = never)")
 	asJSON := fs.Bool("json", false, "emit metrics as JSON")
 	debugAddr := fs.String("debug-addr", "", "serve pprof/expvar/metrics on this address (e.g. localhost:6060)")
 	metricsOut := fs.String("metrics-out", "", "write a metrics-registry snapshot (JSON) to this file")
@@ -106,10 +99,6 @@ func run(args []string) error {
 	}
 
 	params := crowdcdn.DefaultParams()
-	if *delta {
-		params = crowdcdn.DeltaParams(*deltaEvery)
-		params.DeltaVerify = *deltaVerify
-	}
 	params.Obs = reg
 	params.RecordEvents = tracer != nil
 	sp := crowdcdn.ShardParams{Shards: *shards, CellKm: *shardCellKm}

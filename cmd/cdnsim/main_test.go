@@ -148,13 +148,20 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-shards", "2", "-shard-cell-km", "3", "-world", worldPath, "-trace", tracePath}); err == nil {
 		t.Error("shards and shard-cell-km together accepted")
 	}
+	// Delta scheduling has no flags.
+	for _, flag := range []string{"-delta", "-delta-verify", "-delta-every"} {
+		err := run([]string{flag, "-world", worldPath, "-trace", tracePath})
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+flag) {
+			t.Errorf("%s: err = %v, want an undefined flag", flag, err)
+		}
+	}
 }
 
 func TestRunSharded(t *testing.T) {
 	worldPath, tracePath := writeTinyWorld(t)
 	for _, args := range [][]string{
 		{"-shard-cell-km", "4"},
-		{"-shards", "3", "-delta"},
+		{"-shards", "3"},
 	} {
 		err := run(append([]string{"-world", worldPath, "-trace", tracePath, "-scheme", "rbcaer", "-json"}, args...))
 		if err != nil {

@@ -254,21 +254,6 @@ func Generate(cfg TraceConfig) (*World, *Trace, error) { return trace.Generate(c
 // to this repository's trace — see DESIGN.md).
 func DefaultParams() Params { return core.DefaultParams() }
 
-// DefaultDeltaThreshold is the recommended Params.DeltaThreshold for
-// incremental delta scheduling (see DESIGN.md §12).
-const DefaultDeltaThreshold = core.DefaultDeltaThreshold
-
-// DeltaParams returns DefaultParams with incremental delta scheduling
-// enabled: delta rounds up to DefaultDeltaThreshold drift, with a full
-// re-solve every fullSolveEvery slots (0 disables the periodic
-// fallback).
-func DeltaParams(fullSolveEvery int) Params {
-	p := core.DefaultParams()
-	p.DeltaThreshold = DefaultDeltaThreshold
-	p.FullSolveEvery = fullSolveEvery
-	return p
-}
-
 // NewRBCAScheduler returns the low-level RBCAer scheduler for driving
 // rounds manually (see examples/online).
 func NewRBCAScheduler(world *World, params Params) (*RBCAScheduler, error) {

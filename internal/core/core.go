@@ -18,7 +18,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/obs"
@@ -97,16 +96,6 @@ type Params struct {
 	// (ablation: value of the incremental schedule).
 	SingleShotTheta bool
 
-	// Deadline bounds one scheduling round's wall clock. 0 (the zero
-	// value) disables the bound. When a round overruns the deadline,
-	// the θ sweep stops early and the best partial plan is returned
-	// with Stats.DeadlineExceeded and Plan.Degraded set; the surplus
-	// the truncated sweep could not move falls back to the CDN.
-	// Because the cutoff is wall-clock, deadline-bounded rounds are
-	// NOT deterministic across machines or worker counts — leave it 0
-	// when byte-identical reproducibility matters.
-	Deadline time.Duration
-
 	// Workers bounds the parallelism of one scheduling round: the
 	// over×under pairwise distances behind the θ2 candidate rows and the
 	// Jaccard distance matrix fed to clustering fan out over this many
@@ -127,9 +116,7 @@ type Params struct {
 	//
 	// Enabling delta mode imposes a caller contract: the *Demand passed
 	// to ScheduleRound is retained by reference until the next round and
-	// must not be mutated afterwards. Delta rounds ignore Params.Deadline
-	// (their whole point is bounded latency), and DeltaThreshold is
-	// incompatible with BPeak > 0 (the replica cap is a global budget
+	// must not be mutated afterwards. DeltaThreshold is incompatible with BPeak > 0 (the replica cap is a global budget
 	// that per-hotspot patching cannot preserve).
 	DeltaThreshold float64
 	// FullSolveEvery forces a periodic full solve every N delta rounds
@@ -156,9 +143,9 @@ type Params struct {
 	RecordEvents bool
 }
 
-// DefaultDeltaThreshold is the drift-fallback fraction the cmd-level
-// -delta flags use: a delta round re-solves from scratch when more than
-// a quarter of the hotspots' demand changed since the previous slot.
+// DefaultDeltaThreshold is the customary drift-fallback fraction for
+// delta mode: a delta round re-solves from scratch when more than a
+// quarter of the hotspots' demand changed since the previous slot.
 const DefaultDeltaThreshold = 0.25
 
 // DefaultParams returns the paper's evaluation parameters:
@@ -209,9 +196,6 @@ func (p Params) Validate() error {
 	}
 	if p.Workers < 0 {
 		return fmt.Errorf("core: negative Workers %d", p.Workers)
-	}
-	if p.Deadline < 0 {
-		return fmt.Errorf("core: negative Deadline %v", p.Deadline)
 	}
 	if p.DeltaThreshold < 0 || p.DeltaThreshold > 1 {
 		return fmt.Errorf("core: DeltaThreshold must be in [0,1], got %v", p.DeltaThreshold)
@@ -381,13 +365,9 @@ type Stats struct {
 	// Iterations is the number of θ rounds executed.
 	Iterations int
 	// Degraded reports that the round ran under degraded conditions:
-	// an MCMF solve failed and was recovered, or the deadline cut the
-	// sweep short. The plan is still complete and feasible; unmoved
+	// an MCMF solve failed and was recovered. The plan is still complete and feasible; unmoved
 	// surplus falls back to the CDN via OverflowToCDN.
 	Degraded bool
-	// DeadlineExceeded reports that Params.Deadline truncated the
-	// round (implies Degraded).
-	DeadlineExceeded bool
 	// RecoveredErrors counts MCMF solves (θ iterations or the residual
 	// Gd pass) that failed — error or panic — and were recovered by
 	// leaving their flow unmoved.
@@ -445,9 +425,8 @@ type Plan struct {
 	// balanced within θ2 and is redirected to the origin CDN server.
 	OverflowToCDN []int64
 	// Degraded mirrors Stats.Degraded: the round ran under degraded
-	// conditions (recovered solver failure or deadline cutoff) and
-	// this is the best partial plan, with stranded demand routed to
-	// the CDN.
+	// conditions (a recovered solver failure) and this is the best
+	// partial plan, with stranded demand routed to the CDN.
 	Degraded bool
 	// Stats summarises the round.
 	Stats Stats

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/mcmf"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -21,35 +21,6 @@ func overloadedDemand(m int) *Demand {
 		d.Add(trace.HotspotID(h), 1, 2)
 	}
 	return d
-}
-
-func TestDeadlineTruncatesSweep(t *testing.T) {
-	w := lineWorld(3, 1.0, 10, 50)
-	p := DefaultParams()
-	p.Deadline = time.Nanosecond // expires before the first θ round
-	s, err := New(w, p)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	d := overloadedDemand(3)
-	plan, err := s.Schedule(d)
-	if err != nil {
-		t.Fatalf("Schedule under deadline: %v", err)
-	}
-	checkPlanInvariants(t, w, d, plan)
-	if !plan.Degraded || !plan.Stats.Degraded {
-		t.Error("deadline-truncated round not marked Degraded")
-	}
-	if !plan.Stats.DeadlineExceeded {
-		t.Error("Stats.DeadlineExceeded not set")
-	}
-	// Nothing moved: the whole surplus must be stranded to the CDN.
-	if got := plan.OverflowToCDN[0]; got != 5 {
-		t.Errorf("overflow at hotspot 0 = %d, want full surplus 5", got)
-	}
-	if plan.Stats.StrandedToCDN != 5 {
-		t.Errorf("StrandedToCDN = %d, want 5", plan.Stats.StrandedToCDN)
-	}
 }
 
 func TestSolverFailureIsRecoverable(t *testing.T) {
@@ -71,7 +42,11 @@ func TestSolverFailureIsRecoverable(t *testing.T) {
 			defer func() { solveFn = orig }()
 
 			w := lineWorld(3, 1.0, 10, 50)
-			s, err := New(w, DefaultParams())
+			p := DefaultParams()
+			reg := obs.NewRegistry()
+			p.Obs = reg
+			p.RecordEvents = true
+			s, err := New(w, p)
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}
@@ -92,6 +67,16 @@ func TestSolverFailureIsRecoverable(t *testing.T) {
 			}
 			if plan.OverflowToCDN[0] != 5 {
 				t.Errorf("overflow at hotspot 0 = %d, want full surplus 5", plan.OverflowToCDN[0])
+			}
+			sawDegraded := false
+			for _, ev := range plan.Events {
+				sawDegraded = sawDegraded || ev.Type == "degraded"
+			}
+			if !sawDegraded {
+				t.Error("no degraded event recorded")
+			}
+			if v, _ := counterValue(reg.Snapshot(false), "core.degraded_rounds"); v != 1 {
+				t.Errorf("core.degraded_rounds = %d, want 1", v)
 			}
 		})
 	}
@@ -182,7 +167,7 @@ func TestHealthyRoundNotDegraded(t *testing.T) {
 	w := lineWorld(3, 1.0, 10, 50)
 	d := overloadedDemand(3)
 	plan := scheduleOK(t, w, DefaultParams(), d)
-	if plan.Degraded || plan.Stats.Degraded || plan.Stats.DeadlineExceeded {
+	if plan.Degraded || plan.Stats.Degraded {
 		t.Errorf("healthy round marked degraded: %+v", plan.Stats)
 	}
 	if plan.Stats.RecoveredErrors != 0 {

@@ -69,9 +69,6 @@ func publishRound(r *obs.Registry, st *Stats, mcmfPaths int64) {
 	if st.Degraded {
 		r.Counter("core.degraded_rounds").Inc()
 	}
-	if st.DeadlineExceeded {
-		r.Counter("core.deadline_exceeded").Inc()
-	}
 	r.Histogram("core.moved_flow_per_round", obs.PowersOf2Buckets(24)).Observe(st.MovedFlow)
 	r.Histogram("core.replicas_per_round", obs.PowersOf2Buckets(24)).Observe(st.Replicas)
 	r.Timer("core.phase.cluster").Observe(st.Phases.Cluster)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -70,45 +69,6 @@ func TestScheduleObservability(t *testing.T) {
 	}
 	if reg.Snapshot(false).Timers != nil {
 		t.Error("deterministic snapshot leaks wall-clock timers")
-	}
-}
-
-func TestScheduleDeadlineObservability(t *testing.T) {
-	params := DefaultParams()
-	params.Deadline = time.Nanosecond
-	reg := obs.NewRegistry()
-	params.Obs = reg
-	params.RecordEvents = true
-	s, err := New(lineWorld(6, 1, 5, 4), params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := s.Schedule(overloadDemand(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !plan.Degraded || !plan.Stats.DeadlineExceeded {
-		t.Fatalf("Degraded=%v DeadlineExceeded=%v; want an immediate deadline trip",
-			plan.Degraded, plan.Stats.DeadlineExceeded)
-	}
-	var sawDeadline, sawDegraded bool
-	for _, ev := range plan.Events {
-		switch ev.Type {
-		case "deadline":
-			sawDeadline = true
-		case "degraded":
-			sawDegraded = true
-		}
-	}
-	if !sawDeadline || !sawDegraded {
-		t.Errorf("deadline=%v degraded=%v events; want both", sawDeadline, sawDegraded)
-	}
-	snap := reg.Snapshot(false)
-	if v, _ := counterValue(snap, "core.degraded_rounds"); v != 1 {
-		t.Errorf("core.degraded_rounds = %d, want 1", v)
-	}
-	if v, _ := counterValue(snap, "core.deadline_exceeded"); v != 1 {
-		t.Errorf("core.deadline_exceeded = %d, want 1", v)
 	}
 }
 

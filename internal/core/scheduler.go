@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"time"
 
 	"repro/internal/geo"
 	"repro/internal/mcmf"
@@ -97,15 +96,11 @@ func safeSolve(g *mcmf.Graph, source, sink int, limit int64) (res mcmf.Result, e
 // with per-round effective service and cache capacities. It validates
 // its inputs and degrades gracefully instead of failing the round:
 //
-//   - an infeasible or failing MCMF solve (error or panic) is
-//     recoverable — the θ iteration's flow simply stays unmoved and
-//     falls back to the CDN, counted in Stats.RecoveredErrors;
-//   - when Params.Deadline is set and the round overruns it, the θ
-//     sweep stops early and the best partial plan so far is returned
-//     with Stats.DeadlineExceeded;
-//   - either way the plan is complete and feasible (placement within
-//     cache limits, stranded surplus routed to the CDN via
-//     OverflowToCDN) and marked with Plan.Degraded.
+// an infeasible or failing MCMF solve (error or panic) is recoverable —
+// the θ iteration's flow simply stays unmoved and falls back to the CDN,
+// counted in Stats.RecoveredErrors — and the plan is still complete and
+// feasible (placement within cache limits, stranded surplus routed to
+// the CDN via OverflowToCDN) and marked with Plan.Degraded.
 //
 // Hard errors remain only for contract violations by the caller: nil
 // or negative demand, mis-sized or negative capacity vectors.
@@ -174,20 +169,12 @@ func (cons Constraints) Resolve(world *trace.World, d *Demand) (svc []int64, cac
 // scheduleFull runs one complete scheduling round: clustering, the full
 // θ sweep, replication, and plan assembly. When rec is non-nil the round
 // belongs to a delta-mode scheduler: each θ iteration's network and flow
-// solution is recorded into rec for the next round's replay, clustering
-// goes through the memoised refresh path, and Params.Deadline is ignored
-// (delta mode's latency story is the delta path, not truncation). quiet
-// suppresses all observability side effects (events, metrics, timers) —
-// the DeltaVerify shadow solve uses it so verification never perturbs
-// the published counters.
+// solution is recorded into rec for the next round's replay, and
+// clustering goes through the memoised refresh path. quiet suppresses
+// all observability side effects (events, metrics, timers) — the
+// DeltaVerify shadow solve uses it so verification never perturbs the
+// published counters.
 func (s *Scheduler) scheduleFull(d *Demand, svc []int64, cache []int, rec *sweepRecord, quiet bool) (*Plan, error) {
-	start := time.Now()
-	overDeadline := func() bool {
-		if quiet || rec != nil {
-			return false
-		}
-		return s.params.Deadline > 0 && time.Since(start) >= s.params.Deadline
-	}
 	var ro roundObs
 	if !quiet {
 		ro = newRoundObs(s.params)
@@ -264,7 +251,7 @@ func (s *Scheduler) scheduleFull(d *Demand, svc []int64, cache []int, rec *sweep
 	dcache := s.newDistCache(dst, over, under, s.params.Theta2, par.Workers(s.params.Workers))
 	stats.DistanceCalcs = dcache.calcs()
 
-	mcmfPaths := s.runSweep(over, under, phiOver, phiUnder, dcache, clusterOf, flows, &stats, &ro, rec, overDeadline)
+	mcmfPaths := s.runSweep(over, under, phiOver, phiUnder, dcache, clusterOf, flows, &stats, &ro, rec, nil)
 	stats.Phases.Balance = ro.since(tBalance)
 	if rec != nil {
 		rec.captureRound(over, under, dcache, s.delta.clusterEpoch, !stats.Degraded)
@@ -278,7 +265,9 @@ func (s *Scheduler) scheduleFull(d *Demand, svc []int64, cache []int, rec *sweep
 // vectors. When rec is non-nil every iteration's network is built into
 // the record's own retained graph and its solved flow vector is
 // snapshotted so the next round can replay the sweep without solving.
-// Returns the total MCMF augmenting-path count.
+// Returns the total MCMF augmenting-path count. The last parameter is
+// unused: the delta path's call still passes a never-true stop func, and
+// the parameter goes with it.
 func (s *Scheduler) runSweep(
 	over, under []int,
 	phiOver, phiUnder []int64,
@@ -288,7 +277,7 @@ func (s *Scheduler) runSweep(
 	stats *Stats,
 	ro *roundObs,
 	rec *sweepRecord,
-	overDeadline func() bool,
+	_ func() bool,
 ) int64 {
 	var moved int64
 	var mcmfPaths int64
@@ -304,12 +293,6 @@ func (s *Scheduler) runSweep(
 	// accumulation cannot skip or double the final θ2 round.
 	for _, theta := range sweepThetas(s.params) {
 		if moved >= stats.MaxFlow {
-			break
-		}
-		if overDeadline() {
-			stats.Degraded = true
-			stats.DeadlineExceeded = true
-			ro.emit("deadline", obs.F("theta", theta))
 			break
 		}
 		tIter := ro.now()
@@ -336,7 +319,7 @@ func (s *Scheduler) runSweep(
 
 	// Residual pass on the plain balancing network Gd (Algorithm 1,
 	// lines 11-13): move whatever the guided rounds left behind.
-	if moved < stats.MaxFlow && !overDeadline() {
+	if moved < stats.MaxFlow {
 		tRes := ro.now()
 		g, shell := dest()
 		nb := s.buildNetworkIn(g, shell, s.params.Theta2, over, under, phiOver, phiUnder, dcache, nil, false)
@@ -352,10 +335,6 @@ func (s *Scheduler) runSweep(
 			obs.I("paths", paths),
 			obs.I("recovered", recovered),
 			obs.D("dur", ro.since(tRes)))
-	} else if moved < stats.MaxFlow && overDeadline() {
-		stats.Degraded = true
-		stats.DeadlineExceeded = true
-		ro.emit("deadline", obs.F("theta", s.params.Theta2))
 	}
 	stats.MovedFlow = moved
 	return mcmfPaths
@@ -456,9 +435,7 @@ func (s *Scheduler) assemblePlan(
 	stats.Omega1Km = Omega1Km(s.world, redirects, stats.StrandedToCDN)
 
 	if stats.Degraded {
-		ro.emit("degraded",
-			obs.I("recovered_errors", int64(stats.RecoveredErrors)),
-			obs.I("deadline_exceeded", boolAttr(stats.DeadlineExceeded)))
+		ro.emit("degraded", obs.I("recovered_errors", int64(stats.RecoveredErrors)))
 	}
 	ro.emit("round",
 		obs.I("max_flow", stats.MaxFlow),

@@ -85,7 +85,7 @@ func (a SlotAssertion) covers(slot int) bool {
 
 // runIdents names the run-level sim-metric vocabulary. Any other
 // identifier containing a '.' resolves against the obs registry
-// snapshot's counters (e.g. fault.cause.outage, core.delta.rounds).
+// snapshot's counters (e.g. fault.cause.outage, core.degraded_rounds).
 var runIdents = map[string]func(*sim.Metrics) float64{
 	"TotalRequests":         func(m *sim.Metrics) float64 { return float64(m.TotalRequests) },
 	"ServedByHotspot":       func(m *sim.Metrics) float64 { return float64(m.ServedByHotspot) },

@@ -58,19 +58,6 @@ type RunSpec struct {
 	Churn float64
 	// RadiusKm is the random/p2c routing radius (default 1.5).
 	RadiusKm float64
-	// Delta enables incremental delta scheduling (rbcaer only; slots
-	// run sequentially).
-	Delta bool
-	// DeltaEvery forces a full re-solve every N delta slots (default
-	// 16; 0 never).
-	DeltaEvery int
-	// DeltaThreshold overrides the drift fraction above which a delta
-	// round falls back to a full solve (0 keeps
-	// core.DefaultDeltaThreshold).
-	DeltaThreshold float64
-	// DeltaVerify shadow-verifies every delta round against a full
-	// solve.
-	DeltaVerify bool
 	// CapacityFrac overrides every hotspot's service capacity as a
 	// fraction of the video set (0 keeps the generated value).
 	CapacityFrac float64
@@ -271,10 +258,6 @@ func (doc *Doc) decodeRun(n *node) error {
 		Seed:            d.int64Of("seed", 0),
 		Churn:           d.float("churn", 0),
 		RadiusKm:        d.float("radius_km", 0),
-		Delta:           d.boolean("delta", false),
-		DeltaEvery:      d.integer("delta_every", 16),
-		DeltaThreshold:  d.float("delta_threshold", 0),
-		DeltaVerify:     d.boolean("delta_verify", false),
 		CapacityFrac:    d.float("capacity_frac", 0),
 		CacheFrac:       d.float("cache_frac", 0),
 		FailFast:        d.boolean("fail_fast", false),
@@ -512,9 +495,6 @@ func (doc *Doc) validate() error {
 			if doc.Spec.Scheme != "" && doc.Spec.Scheme != "rbcaer" {
 				return fmt.Errorf("scenario: events[%d]: theta requires run.scheme rbcaer, got %q", i, doc.Spec.Scheme)
 			}
-			if doc.Spec.Delta {
-				return fmt.Errorf("scenario: events[%d]: theta events are incompatible with delta mode (delta rounds reuse state across the θ regime change)", i)
-			}
 			if doc.Spec.Shards > 0 || doc.Spec.ShardCellKm > 0 {
 				return fmt.Errorf("scenario: events[%d]: theta events are incompatible with sharded scheduling", i)
 			}
@@ -529,15 +509,6 @@ func (doc *Doc) validate() error {
 	}
 	if staleEvents > 0 && doc.Stress != nil && doc.Stress.Staleness != nil {
 		return fmt.Errorf("scenario: explicit stale_reports event and stress.stale_reports both set; keep one")
-	}
-	if doc.Spec.Delta && doc.Spec.Scheme != "" && doc.Spec.Scheme != "rbcaer" {
-		return fmt.Errorf("scenario: run.delta requires run.scheme rbcaer, got %q", doc.Spec.Scheme)
-	}
-	if doc.Spec.DeltaThreshold < 0 {
-		return fmt.Errorf("scenario: run.delta_threshold %v must be non-negative", doc.Spec.DeltaThreshold)
-	}
-	if doc.Spec.DeltaThreshold > 0 && !doc.Spec.Delta {
-		return fmt.Errorf("scenario: run.delta_threshold needs run.delta: true")
 	}
 	return nil
 }
@@ -559,9 +530,6 @@ func (doc *Doc) validateServe() error {
 	}
 	if doc.Spec.Scheme != "" && doc.Spec.Scheme != "rbcaer" {
 		return fmt.Errorf("scenario: run.serve requires run.scheme rbcaer, got %q", doc.Spec.Scheme)
-	}
-	if doc.Spec.Delta {
-		return fmt.Errorf("scenario: run.serve does not support delta mode")
 	}
 	if doc.Spec.Shards > 0 || doc.Spec.ShardCellKm > 0 {
 		return fmt.Errorf("scenario: run.serve does not support sharded scheduling")

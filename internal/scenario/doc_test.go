@@ -92,9 +92,10 @@ func TestParseErrors(t *testing.T) {
 		{"bad world int", "world:\n  hotspots: many\n", "not an integer"},
 		{"unknown scheme", "run:\n  scheme: dijkstra\n", `unknown run.scheme "dijkstra"`},
 		{"churn out of range", "run:\n  churn: 1.5\n", "outside [0, 1]"},
-		{"delta non-rbcaer", "run:\n  scheme: nearest\n  delta: true\n", "run.delta requires run.scheme rbcaer"},
-		{"threshold without delta", "run:\n  delta_threshold: 0.5\n", "needs run.delta"},
-		{"negative threshold", "run:\n  delta: true\n  delta_threshold: -1\n", "non-negative"},
+		{"retired key delta", "run:\n  scheme: rbcaer\n  delta: true\n", `line 4: unknown key "delta" in run`},
+		{"retired key delta_every", "run:\n  delta_every: 4\n", `line 3: unknown key "delta_every" in run`},
+		{"retired key delta_threshold", "run:\n  delta_threshold: 0.5\n", `line 3: unknown key "delta_threshold" in run`},
+		{"retired key delta_verify", "run:\n  delta_verify: true\n", `line 3: unknown key "delta_verify" in run`},
 
 		{"event no action", "events:\n  - at: 1\n    for: 2\n", `missing "action"`},
 		{"event bad action", "events:\n  - action: meteor\n", "unknown action"},
@@ -115,7 +116,6 @@ func TestParseErrors(t *testing.T) {
 		{"theta with shards", "run:\n  shards: 2\nevents:\n  - action: theta\n    at: 2\n", "incompatible with sharded"},
 
 		{"theta non-rbcaer", "run:\n  scheme: lp\nevents:\n  - action: theta\n    at: 2\n    theta1: 1\n", "theta requires run.scheme rbcaer"},
-		{"theta with delta", "run:\n  delta: true\nevents:\n  - action: theta\n    at: 2\n", "incompatible with delta"},
 		{"theta order", "events:\n  - action: theta\n    at: 4\n  - action: theta\n    at: 2\n", "strictly increasing"},
 		{"churn event and stress", "events:\n  - action: churn\n    fail: 0.1\nstress:\n  churn:\n    fail: 0.2\n", "keep one"},
 

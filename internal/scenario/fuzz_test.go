@@ -21,7 +21,7 @@ func FuzzScenarioParse(f *testing.F) {
 		"name: a\nflow: [1, 2\n",
 		"a:\n\tb: tab\n",
 		"- seq\n- root\n",
-		"name: a\nrun:\n  delta: true\n  delta_threshold: 0.5\n",
+		"name: a\nrun:\n  serve: true\n  fsync: none\n",
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

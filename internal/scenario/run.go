@@ -23,7 +23,7 @@ import (
 // Workers 1 vs 4).
 type ExecOptions struct {
 	// Workers is the scheduling parallelism (0 = all cores, 1 =
-	// serial). Delta-mode scenarios always run sequentially.
+	// serial).
 	Workers int
 }
 
@@ -66,7 +66,6 @@ type Report struct {
 	Videos      int
 	Slots       int
 	Seed        int64
-	Delta       bool
 	StressCount int
 	FaultCounts fault.CauseCounts
 
@@ -139,7 +138,6 @@ func (doc *Doc) Execute(opt ExecOptions) (*Report, error) {
 		Videos:      world.NumVideos,
 		Slots:       cfg.Slots,
 		Seed:        simSeed,
-		Delta:       doc.Spec.Delta,
 		StressCount: stressCount,
 	}
 
@@ -174,12 +172,11 @@ func (doc *Doc) Execute(opt ExecOptions) (*Report, error) {
 	}
 
 	opts := sim.Options{
-		Seed:            simSeed,
-		HotspotChurn:    doc.Spec.Churn,
-		Faults:          sc,
-		Registry:        reg,
-		KeepSlotMetrics: true,
-		SlotSink:        sink,
+		Seed:         simSeed,
+		HotspotChurn: doc.Spec.Churn,
+		Faults:       sc,
+		Registry:     reg,
+		SlotSink:     sink,
 	}
 
 	m, err := factory.Run(world, tr, opt.Workers, opts)
@@ -340,14 +337,6 @@ func (doc *Doc) policy(reg *obs.Registry, workers int) (scheme.Factory, error) {
 		radius = 1.5
 	}
 	params := core.DefaultParams()
-	if doc.Spec.Delta {
-		params.DeltaThreshold = core.DefaultDeltaThreshold
-		if doc.Spec.DeltaThreshold > 0 {
-			params.DeltaThreshold = doc.Spec.DeltaThreshold
-		}
-		params.FullSolveEvery = doc.Spec.DeltaEvery
-		params.DeltaVerify = doc.Spec.DeltaVerify
-	}
 	params.Obs = reg
 	// Each theta event switches the θ-sweep parameters from its slot
 	// onward.
@@ -425,12 +414,8 @@ func (r *Report) Text() string {
 // rendering is byte-identical for equal runs at any worker count.
 func (r *Report) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "scenario: %s\n", r.Name)
-	deltaTag := ""
-	if r.Delta {
-		deltaTag = ", delta"
-	}
 	fmt.Fprintf(w, "world:    %d hotspots, %d videos, %d slots (seed %d)\n", r.Hotspots, r.Videos, r.Slots, r.Seed)
-	fmt.Fprintf(w, "scheme:   %s%s\n", r.Scheme, deltaTag)
+	fmt.Fprintf(w, "scheme:   %s\n", r.Scheme)
 	if r.Serve {
 		fmt.Fprintf(w, "serve:    %d frontends, fsync %s, %d crash(es); %d/%d plans byte-identical to offline\n",
 			r.ServeInstances, r.ServeFsync, r.Crashes, r.PlansMatched, r.PlansMatched+r.PlansMismatched)

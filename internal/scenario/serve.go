@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/server/loadgen"
@@ -46,8 +45,7 @@ func (doc *Doc) executeServe(opt ExecOptions) (*Report, error) {
 	if simSeed == 0 {
 		simSeed = cfg.Seed
 	}
-	params := core.DefaultParams()
-	offline, err := loadgen.OfflinePlans(world, tr, params)
+	offline, err := loadgen.OfflinePlans(world, tr)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
 	}
@@ -69,7 +67,6 @@ func (doc *Doc) executeServe(opt ExecOptions) (*Report, error) {
 	boot := func() (*server.Server, error) {
 		return server.New(server.Config{
 			World:           world,
-			Params:          params,
 			Instances:       instances,
 			Registry:        obs.NewRegistry(),
 			PlanHistory:     cfg.Slots + 1,

@@ -112,11 +112,6 @@ func TestServeValidation(t *testing.T) {
 			"run.serve requires run.scheme rbcaer",
 		},
 		{
-			"serve with delta",
-			"name: t\nrun:\n  serve: true\n  delta: true\n",
-			"does not support delta",
-		},
-		{
 			"serve with shards",
 			"name: t\nrun:\n  serve: true\n  shards: 2\n",
 			"does not support sharded",

@@ -90,7 +90,6 @@ func TestSchemeTableAcrossWorkers(t *testing.T) {
 		f.New = func() sim.Scheduler { out.made++; return newPolicy() }
 		tracer := obs.NewTracer(1<<16, true)
 		opts.Tracer = tracer
-		opts.KeepSlotMetrics = true
 		opts.SlotSink = func(sm sim.SlotMetrics) error { out.slots = append(out.slots, sm); return nil }
 		opts.PlanSink = func(slot int, plan *core.Plan) {
 			out.plans = append(out.plans, fmt.Sprintf("%d:%x", slot, plan.Canonical()))

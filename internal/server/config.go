@@ -5,7 +5,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/trace"
 	"repro/internal/wal"
@@ -15,7 +14,6 @@ import (
 const (
 	DefaultQueueBound   = 1 << 20
 	DefaultPlanHistory  = 64
-	DefaultMaxBodyBytes = 1 << 16
 	DefaultDrainTimeout = 5 * time.Second
 	// DefaultCheckpointEvery is how many scheduled slots elapse between
 	// WAL checkpoints when WALDir is set.
@@ -24,6 +22,9 @@ const (
 	// maxInstances bounds the in-process frontend fleet: each instance
 	// carries its own accumulator, listener, and serving plan.
 	maxInstances = 64
+	// maxBodyBytes caps an ingest request body; a larger one is answered
+	// 413 and counted as server.ingest.oversized.
+	maxBodyBytes = 1 << 16
 	// maxSnapshotQueue bounds the number of slot snapshots awaiting
 	// recomputation. When the scheduler falls this far behind the slot
 	// ticker, newer snapshots are coalesced into the newest queued one
@@ -37,11 +38,6 @@ const (
 type Config struct {
 	// World is the deployment the server schedules for. Required.
 	World *trace.World
-	// Params are RBCAer's parameters; the zero value selects
-	// core.DefaultParams. Params.Deadline bounds each slot's
-	// recomputation wall clock (the PR-2 degradation path): an
-	// overrunning round still swaps in its best partial plan.
-	Params core.Params
 	// Addr is the listen address ("host:port"; port 0 picks an
 	// ephemeral port). Empty selects "127.0.0.1:0".
 	Addr string
@@ -68,9 +64,6 @@ type Config struct {
 	// bytes + digest) retained for /plans. 0 selects
 	// DefaultPlanHistory.
 	PlanHistory int
-	// MaxBodyBytes caps an ingest request body. 0 selects
-	// DefaultMaxBodyBytes.
-	MaxBodyBytes int64
 	// DrainTimeout bounds graceful shutdown: how long Close waits for
 	// in-flight HTTP requests before cutting them off. 0 selects
 	// DefaultDrainTimeout.
@@ -112,11 +105,6 @@ func (c Config) Validate() error {
 	if err := c.World.Validate(); err != nil {
 		return fmt.Errorf("server: invalid world: %w", err)
 	}
-	if c.Params != (core.Params{}) {
-		if err := c.Params.Validate(); err != nil {
-			return fmt.Errorf("server: invalid params: %w", err)
-		}
-	}
 	if c.Instances < 0 {
 		return fmt.Errorf("server: negative Instances %d", c.Instances)
 	}
@@ -131,9 +119,6 @@ func (c Config) Validate() error {
 	}
 	if c.PlanHistory < 0 {
 		return fmt.Errorf("server: negative PlanHistory %d", c.PlanHistory)
-	}
-	if c.MaxBodyBytes < 0 {
-		return fmt.Errorf("server: negative MaxBodyBytes %d", c.MaxBodyBytes)
 	}
 	if c.DrainTimeout < 0 {
 		return fmt.Errorf("server: negative DrainTimeout %v", c.DrainTimeout)
@@ -168,9 +153,6 @@ func (c Config) Validate() error {
 // withDefaults returns the config with every zero-valued knob replaced
 // by its default.
 func (c Config) withDefaults() Config {
-	if c.Params == (core.Params{}) {
-		c.Params = core.DefaultParams()
-	}
 	if c.Addr == "" {
 		c.Addr = "127.0.0.1:0"
 	}
@@ -182,9 +164,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.PlanHistory == 0 {
 		c.PlanHistory = DefaultPlanHistory
-	}
-	if c.MaxBodyBytes == 0 {
-		c.MaxBodyBytes = DefaultMaxBodyBytes
 	}
 	if c.DrainTimeout == 0 {
 		c.DrainTimeout = DefaultDrainTimeout

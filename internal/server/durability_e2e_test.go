@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/server/loadgen"
@@ -65,8 +64,7 @@ func ingestVia(t *testing.T, srv *server.Server, i int, q trace.Request) {
 // byte-identical to an uninterrupted offline sim.Run.
 func TestCrashRecoveryMatchesOfflineSim(t *testing.T) {
 	world, tr := durabilityWorldAndTrace(t)
-	params := core.DefaultParams()
-	offline, err := loadgen.OfflinePlans(world, tr, params)
+	offline, err := loadgen.OfflinePlans(world, tr)
 	if err != nil {
 		t.Fatalf("OfflinePlans: %v", err)
 	}
@@ -75,7 +73,6 @@ func TestCrashRecoveryMatchesOfflineSim(t *testing.T) {
 	boot := func() (*server.Server, error) {
 		return server.New(server.Config{
 			World:           world,
-			Params:          params,
 			Instances:       3,
 			Registry:        obs.NewRegistry(),
 			PlanHistory:     tr.Slots + 1,
@@ -140,7 +137,7 @@ func TestCrashRecoveryMatchesOfflineSim(t *testing.T) {
 // reference's, byte for byte.
 func TestMidSlotCheckpointCrashMatchesOfflineSim(t *testing.T) {
 	world, tr := durabilityWorldAndTrace(t)
-	offline, err := loadgen.OfflinePlans(world, tr, core.Params{})
+	offline, err := loadgen.OfflinePlans(world, tr)
 	if err != nil {
 		t.Fatalf("OfflinePlans: %v", err)
 	}
@@ -446,7 +443,7 @@ func TestFsyncNoneKillReschedulesLostPlan(t *testing.T) {
 	srv.Kill()
 
 	ref := &trace.Trace{Slots: 2, Requests: append(append([]trace.Request(nil), bySlot[0]...), bySlot[1][:fed]...)}
-	offline, err := loadgen.OfflinePlans(world, ref, core.Params{})
+	offline, err := loadgen.OfflinePlans(world, ref)
 	if err != nil {
 		t.Fatalf("OfflinePlans: %v", err)
 	}

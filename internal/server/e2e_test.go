@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/server/loadgen"
@@ -41,10 +40,9 @@ func e2eWorldAndTrace(t *testing.T) (*trace.World, *trace.Trace) {
 // accumulation, capacity inputs, and ScheduleRound determinism.
 func TestServerMatchesOfflineSim(t *testing.T) {
 	world, tr := e2eWorldAndTrace(t)
-	params := core.DefaultParams()
 
 	// Offline reference: collect every slot's canonical plan bytes.
-	offline, err := loadgen.OfflinePlans(world, tr, params)
+	offline, err := loadgen.OfflinePlans(world, tr)
 	if err != nil {
 		t.Fatalf("OfflinePlans: %v", err)
 	}
@@ -56,7 +54,6 @@ func TestServerMatchesOfflineSim(t *testing.T) {
 	reg := obs.NewRegistry()
 	srv, err := server.New(server.Config{
 		World:       world,
-		Params:      params,
 		Registry:    reg,
 		PlanHistory: tr.Slots + 1,
 		QueueBound:  1 << 20,
@@ -117,67 +114,6 @@ func TestServerMatchesOfflineSim(t *testing.T) {
 	}
 }
 
-// TestServerDeltaMatchesOfflineFullSim holds the delta scheduler to the
-// same byte-identity bar: a live server running in delta mode
-// (incremental rounds with a periodic full-solve fallback) must serve
-// plans byte-identical to the offline simulator's full solves of the
-// same trace.
-func TestServerDeltaMatchesOfflineFullSim(t *testing.T) {
-	world, tr := e2eWorldAndTrace(t)
-
-	// Offline reference: plain full solves.
-	offline, err := loadgen.OfflinePlans(world, tr, core.DefaultParams())
-	if err != nil {
-		t.Fatalf("OfflinePlans: %v", err)
-	}
-
-	// Online: delta mode, never falling back on drift but re-solving
-	// fully every third slot, so the replay crosses cold, delta, and
-	// periodic-fallback rounds.
-	deltaParams := core.DefaultParams()
-	deltaParams.DeltaThreshold = 1
-	deltaParams.FullSolveEvery = 3
-	reg := obs.NewRegistry()
-	srv, err := server.New(server.Config{
-		World:       world,
-		Params:      deltaParams,
-		Registry:    reg,
-		PlanHistory: tr.Slots + 1,
-		QueueBound:  1 << 20,
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if err := srv.Start(); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	defer srv.Close()
-
-	report, err := loadgen.Replay("http://"+srv.Addr(), world, tr, loadgen.Options{Workers: 8})
-	if err != nil {
-		t.Fatalf("Replay: %v", err)
-	}
-	if report.Rejected != 0 {
-		t.Fatalf("%d requests rejected", report.Rejected)
-	}
-
-	online := make(map[int]string)
-	for _, rec := range srv.Plans() {
-		online[rec.Slot] = rec.Canonical
-	}
-	if len(online) != len(offline) {
-		t.Fatalf("online scheduled %d slots, offline %d", len(online), len(offline))
-	}
-	for slot, want := range offline {
-		if got := online[slot]; got != want {
-			t.Errorf("slot %d: delta-mode plan differs from offline full solve", slot)
-		}
-	}
-	if got := reg.Counter("server.plan.delta_rounds").Value(); got == 0 {
-		t.Error("no delta rounds recorded — the replay never exercised the delta path")
-	}
-}
-
 // TestMultiInstanceServerMatchesOfflineSim is the scaled-out
 // byte-identity certification: a four-frontend serving tier (real HTTP,
 // ingest rotated across every frontend, ring-sharded accumulation,
@@ -186,9 +122,8 @@ func TestServerDeltaMatchesOfflineFullSim(t *testing.T) {
 // the exact same (epoch, digest) after each swap.
 func TestMultiInstanceServerMatchesOfflineSim(t *testing.T) {
 	world, tr := e2eWorldAndTrace(t)
-	params := core.DefaultParams()
 
-	offline, err := loadgen.OfflinePlans(world, tr, params)
+	offline, err := loadgen.OfflinePlans(world, tr)
 	if err != nil {
 		t.Fatalf("OfflinePlans: %v", err)
 	}
@@ -197,7 +132,6 @@ func TestMultiInstanceServerMatchesOfflineSim(t *testing.T) {
 	reg := obs.NewRegistry()
 	srv, err := server.New(server.Config{
 		World:       world,
-		Params:      params,
 		Registry:    reg,
 		Instances:   instances,
 		PlanHistory: tr.Slots + 1,
@@ -307,16 +241,14 @@ func TestMultiInstanceServerMatchesOfflineSim(t *testing.T) {
 // client side must not change the plans.
 func TestReplayByHotspot(t *testing.T) {
 	world, tr := e2eWorldAndTrace(t)
-	params := core.DefaultParams()
 
-	offline, err := loadgen.OfflinePlans(world, tr, params)
+	offline, err := loadgen.OfflinePlans(world, tr)
 	if err != nil {
 		t.Fatalf("OfflinePlans: %v", err)
 	}
 
 	srv, err := server.New(server.Config{
 		World:       world,
-		Params:      params,
 		PlanHistory: tr.Slots + 1,
 		QueueBound:  1 << 20,
 	})

@@ -118,7 +118,7 @@ func (in *instance) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s := in.srv
 	sc := getScratch()
 	defer putScratch(sc)
-	body, err := readBody(w, r, s.cfg.MaxBodyBytes, sc.body[:0])
+	body, err := readBody(w, r, maxBodyBytes, sc.body[:0])
 	sc.body = body
 	if err != nil {
 		var mbe *http.MaxBytesError
@@ -226,15 +226,10 @@ func (in *instance) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	in.mu.Lock()
 	pending := in.pending
 	in.mu.Unlock()
-	mode := "full"
-	if s.cfg.Params.DeltaThreshold > 0 {
-		mode = "delta"
-	}
 	resp := map[string]any{
 		"status":    "ok",
 		"slot":      slot,
 		"epoch":     epoch,
-		"mode":      mode,
 		"instance":  in.id,
 		"pending":   pending,
 		"instances": len(s.instances),

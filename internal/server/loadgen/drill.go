@@ -14,13 +14,12 @@ import (
 )
 
 // OfflinePlans is the reference every online run is held to: sim.Run
-// of the trace under RBCAer with params (zero selects
-// core.DefaultParams, in scheme.RBCAer as in server.Config), returning
-// each scheduled slot's canonical plan bytes, hex-encoded like
-// PlanRecord.Canonical.
-func OfflinePlans(world *trace.World, tr *trace.Trace, params core.Params) (map[int]string, error) {
+// of the trace under RBCAer with core.DefaultParams, the parameters the
+// server schedules with, returning each scheduled slot's canonical plan
+// bytes, hex-encoded like PlanRecord.Canonical.
+func OfflinePlans(world *trace.World, tr *trace.Trace) (map[int]string, error) {
 	plans := make(map[int]string)
-	_, err := sim.Run(world, tr, scheme.NewRBCAer(params), sim.Options{
+	_, err := sim.Run(world, tr, scheme.NewRBCAer(core.DefaultParams()), sim.Options{
 		PlanSink: func(slot int, plan *core.Plan) {
 			plans[slot] = hex.EncodeToString(plan.Canonical())
 		},

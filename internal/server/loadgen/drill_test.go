@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/server/loadgen"
@@ -57,7 +56,7 @@ func drillBoot(world *trace.World, slots int, dirs ...string) func() (*server.Se
 // with each slot's plan byte-identical to OfflinePlans.
 func TestCrashDrill(t *testing.T) {
 	world, tr := drillWorldAndTrace(t)
-	offline, err := loadgen.OfflinePlans(world, tr, core.Params{})
+	offline, err := loadgen.OfflinePlans(world, tr)
 	if err != nil {
 		t.Fatalf("OfflinePlans: %v", err)
 	}

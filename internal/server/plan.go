@@ -99,6 +99,36 @@ func newServingPlan(epoch int64, slot int, plan *core.DecodedPlan, digest uint64
 	return sp
 }
 
+// checkFits refuses a decoded plan that does not belong to a world of
+// m hotspots and numVideos videos: a row count other than m, or a
+// hotspot or video id outside the world. A WAL recovered on another
+// world would otherwise serve redirects to hotspots outside the fleet.
+// Placement rows are ascending, so each row's first and last id bound
+// it. Cost: O(rows + flows + redirects).
+func checkFits(plan *core.DecodedPlan, m, numVideos int) error {
+	if plan.Placement.Rows() != m || len(plan.OverflowToCDN) != m {
+		return fmt.Errorf("plan covers %d placement rows and %d overflow entries, world has %d hotspots",
+			plan.Placement.Rows(), len(plan.OverflowToCDN), m)
+	}
+	outside := func(id int32, n int) bool { return uint32(id) >= uint32(n) }
+	for _, f := range plan.Flows {
+		if outside(int32(f.From), m) || outside(int32(f.To), m) {
+			return fmt.Errorf("flow %d -> %d outside the %d-hotspot world", f.From, f.To, m)
+		}
+	}
+	for _, rd := range plan.Redirects {
+		if outside(int32(rd.From), m) || outside(int32(rd.To), m) || outside(int32(rd.Video), numVideos) {
+			return fmt.Errorf("redirect %d -> %d of video %d outside the world", rd.From, rd.To, rd.Video)
+		}
+	}
+	for h := range m {
+		if row := plan.Placement.Row(h); len(row) > 0 && (outside(row[0], numVideos) || outside(row[len(row)-1], numVideos)) {
+			return fmt.Errorf("hotspot %d places a video outside the %d-video catalogue", h, numVideos)
+		}
+	}
+	return nil
+}
+
 // lookupResult is one routing decision.
 type lookupResult struct {
 	// target is the serving hotspot, or CDN.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -162,44 +163,81 @@ func TestSlotLatencyMicrosHistogram(t *testing.T) {
 	}
 }
 
-// TestServerDeltaMode checks the delta wiring: healthz reports the
-// scheduling mode, and delta rounds surface as server.plan.delta_*
-// counters.
-func TestServerDeltaMode(t *testing.T) {
-	params := core.DefaultParams()
-	params.DeltaThreshold = 1
+// TestRecoveredPlanFromAnotherWorldRejected boots a server on a WAL an
+// 8-hotspot world wrote, with a 2-hotspot world. The durable plan
+// passes its digest and grammar, but it redirects hotspot 1's surplus
+// to hotspots outside the new fleet: recovery must refuse it loudly
+// instead of serving targets that do not exist.
+func TestRecoveredPlanFromAnotherWorldRejected(t *testing.T) {
+	dir := t.TempDir()
+	big := newTestServer(t, Config{World: testWorld(8, 2, 10), WALDir: dir})
+	if err := big.Start(); err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < 12; v++ {
+		body := fmt.Sprintf(`{"user":%d,"video":%d,"hotspot":1}`, v, v%4)
+		if rr := do(t, big, http.MethodPost, "/ingest", body); rr.Code != http.StatusAccepted {
+			t.Fatalf("ingest: %d", rr.Code)
+		}
+	}
+	if _, _, err := big.AdvanceSlot(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	sp := big.instances[0].current.Load()
+	outside := false
+	for _, e := range sp.entries {
+		outside = outside || slices.ContainsFunc(e.targets, func(to int32) bool { return to >= 2 })
+	}
+	if !outside {
+		t.Fatal("the 8-hotspot plan redirects nothing past hotspot 1; the scenario needs it to")
+	}
+	if err := big.Close(); err != nil {
+		t.Fatal(err)
+	}
+
 	reg := obs.NewRegistry()
-	s := newTestServer(t, Config{World: testWorld(3, 10, 10), Params: params, Registry: reg})
-	s.wg.Add(1)
-	go s.recomputeLoop()
-	defer func() {
-		s.stopOnce.Do(func() { close(s.stop) })
-		s.wg.Wait()
-	}()
-
-	rr := do(t, s, http.MethodGet, "/healthz", "")
-	if !strings.Contains(rr.Body.String(), `"mode":"delta"`) {
-		t.Errorf("healthz = %s, want mode delta", rr.Body.String())
+	_, err := New(Config{World: testWorld(2, 2, 10), WALDir: dir, Registry: reg})
+	if err == nil || !strings.Contains(err.Error(), "recovered plan rejected") {
+		t.Fatalf("New on a foreign world's WAL: %v, want the recovered plan rejected", err)
 	}
+	if got := reg.Counter("server.plan.rejects").Value(); got != 1 {
+		t.Errorf("server.plan.rejects = %d, want 1", got)
+	}
+}
 
-	for slot := 0; slot < 2; slot++ {
-		for v := 0; v < 4; v++ {
-			body := fmt.Sprintf(`{"user":1,"video":%d,"hotspot":0}`, v)
-			if rr := do(t, s, http.MethodPost, "/ingest", body); rr.Code != http.StatusAccepted {
-				t.Fatalf("ingest: %d", rr.Code)
-			}
-		}
-		if _, _, err := s.AdvanceSlot(context.Background()); err != nil {
-			t.Fatal(err)
+// TestCheckFits refuses each way a decoded plan can reach outside a
+// world of 3 hotspots and 10 videos.
+func TestCheckFits(t *testing.T) {
+	fits := func() *core.DecodedPlan {
+		return &core.DecodedPlan{
+			Flows:         []core.FlowEdge{{From: 0, To: 1, Amount: 1}},
+			Redirects:     []core.Redirect{{From: 0, To: 1, Video: 2, Count: 1}},
+			Placement:     core.PlacementRuns{IDs: []int32{2, 3, 9}, Off: []int{0, 1, 3, 3}},
+			OverflowToCDN: make([]int64, 3),
 		}
 	}
-	if got := reg.Counter("server.plan.delta_rounds").Value(); got != 1 {
-		t.Errorf("server.plan.delta_rounds = %d, want 1 (cold slot + one delta slot)", got)
+	if err := checkFits(fits(), 3, 10); err != nil {
+		t.Fatalf("a fitting plan refused: %v", err)
 	}
-
-	full := newTestServer(t, Config{World: testWorld(3, 10, 10)})
-	rr = do(t, full, http.MethodGet, "/healthz", "")
-	if !strings.Contains(rr.Body.String(), `"mode":"full"`) {
-		t.Errorf("healthz = %s, want mode full", rr.Body.String())
+	cases := []struct {
+		name   string
+		mutate func(p *core.DecodedPlan)
+	}{
+		{"extra placement row", func(p *core.DecodedPlan) { p.Placement.Off = append(p.Placement.Off, 3) }},
+		{"short overflow", func(p *core.DecodedPlan) { p.OverflowToCDN = p.OverflowToCDN[:2] }},
+		{"flow source outside", func(p *core.DecodedPlan) { p.Flows[0].From = 3 }},
+		{"flow target negative", func(p *core.DecodedPlan) { p.Flows[0].To = -1 }},
+		{"redirect source outside", func(p *core.DecodedPlan) { p.Redirects[0].From = 5 }},
+		{"redirect target outside", func(p *core.DecodedPlan) { p.Redirects[0].To = 3 }},
+		{"redirect video outside", func(p *core.DecodedPlan) { p.Redirects[0].Video = 10 }},
+		{"placement id negative", func(p *core.DecodedPlan) { p.Placement.IDs[0] = -1 }},
+		{"placement id outside", func(p *core.DecodedPlan) { p.Placement.IDs[2] = 10 }},
+	}
+	for _, tc := range cases {
+		p := fits()
+		tc.mutate(p)
+		if err := checkFits(p, 3, 10); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
 	}
 }

@@ -5,11 +5,11 @@
 // core.Demand, one bounded accumulator per frontend (overload answers
 // 429, and accepted requests are never dropped); a slot ticker takes
 // the accumulated demand each timeslot, runs one RBCAer round
-// (core.ScheduleRound, including the deadline/degradation path) on a
-// dedicated worker, and publishes the result by atomically swapping a
-// double-buffered immutable plan — lookups never observe a partially
-// applied plan and keep serving the previous plan while the next one
-// is computed. Fed the same trace, the server produces plans
+// (core.ScheduleRound with core.DefaultParams, degrading instead of
+// failing on solver trouble) on a dedicated worker, and publishes the
+// result by atomically swapping in one immutable serving table — lookups
+// never observe a partially applied plan and keep serving the previous
+// plan while the next one is computed. Fed the same trace, the server produces plans
 // byte-identical to the offline simulator's (certified end to end in
 // e2e_test.go via core.Plan.Canonical).
 //
@@ -142,7 +142,7 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
-	sched, err := core.New(cfg.World, cfg.Params)
+	sched, err := core.New(cfg.World, core.DefaultParams())
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
@@ -173,6 +173,9 @@ func New(cfg Config) (*Server, error) {
 	s.walErrors = s.reg.Counter("server.wal.errors")
 	if cfg.WALDir != "" {
 		if err := s.openWAL(); err != nil {
+			if s.wal != nil {
+				s.wal.Close() // a refused recovery must not leak the log or its flusher
+			}
 			return nil, fmt.Errorf("server: wal: %w", err)
 		}
 	}
@@ -509,12 +512,6 @@ func (s *Server) runSlot(snap *slotSnapshot) {
 	if plan.Degraded {
 		s.reg.Counter("server.plan.degraded").Inc()
 	}
-	if plan.Stats.DeltaRound {
-		s.reg.Counter("server.plan.delta_rounds").Inc()
-	}
-	if plan.Stats.DeltaFallback {
-		s.reg.Counter("server.plan.delta_fallbacks").Inc()
-	}
 	latency := time.Since(snap.start)
 	// Microsecond buckets: small rounds finish in well under a
 	// millisecond, and 2^24 µs ≈ 16.8 s covers the slowest degraded one.
@@ -556,14 +553,18 @@ func (s *Server) runSlot(snap *slotSnapshot) {
 // the recovered plan (openWAL) alike: it verifies the canonical bytes
 // against the advertised digest once (core.VerifyCanonical), builds
 // one immutable serving table from them, and stores that same pointer
-// into every frontend. Refused bytes leave every frontend on its
-// previous plan and count once per frontend
+// into every frontend. Bytes that fail the verify, or decode to a plan
+// that does not fit the world (checkFits), are refused: every frontend
+// stays on its previous plan, and the refusal counts once per frontend
 // (server.shard.<i>.plan_rejects) and once for the epoch
 // (server.plan.rejects). server.slot.install_us times a successful
 // publish: decode, table build and the stores.
 func (s *Server) publish(epoch int64, slot int, canonical []byte, digest uint64) error {
 	t0 := time.Now()
 	plan, err := core.VerifyCanonical(canonical, digest)
+	if err == nil {
+		err = checkFits(plan, len(s.world.Hotspots), s.world.NumVideos)
+	}
 	if err != nil {
 		for _, in := range s.instances {
 			in.rejects.Inc()

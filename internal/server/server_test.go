@@ -53,8 +53,6 @@ func TestConfigValidate(t *testing.T) {
 		{"world only", Config{World: world}, true},
 		{"nil world", Config{}, false},
 		{"invalid world", Config{World: badWorld}, false},
-		{"explicit params", Config{World: world, Params: core.DefaultParams()}, true},
-		{"invalid params", Config{World: world, Params: core.Params{Theta1: -1, Theta2: 1, DeltaD: 0.5}}, false},
 		{"addr", Config{World: world, Addr: "127.0.0.1:0"}, true},
 		{"instances", Config{World: world, Instances: 4}, true},
 		{"negative instances", Config{World: world, Instances: -1}, false},
@@ -66,8 +64,6 @@ func TestConfigValidate(t *testing.T) {
 		{"negative slot duration", Config{World: world, SlotDuration: -time.Second}, false},
 		{"plan history", Config{World: world, PlanHistory: 8}, true},
 		{"negative plan history", Config{World: world, PlanHistory: -1}, false},
-		{"max body", Config{World: world, MaxBodyBytes: 1 << 10}, true},
-		{"negative max body", Config{World: world, MaxBodyBytes: -1}, false},
 		{"drain timeout", Config{World: world, DrainTimeout: time.Second}, true},
 		{"negative drain timeout", Config{World: world, DrainTimeout: -time.Second}, false},
 		{"wal dir", Config{World: world, WALDir: t.TempDir()}, true},
@@ -146,7 +142,7 @@ func do(t *testing.T, s *Server, method, target, body string) *httptest.Response
 
 func TestIngestValidation(t *testing.T) {
 	reg := obs.NewRegistry()
-	s := newTestServer(t, Config{World: testWorld(4, 5, 5), Registry: reg, MaxBodyBytes: 256})
+	s := newTestServer(t, Config{World: testWorld(4, 5, 5), Registry: reg})
 	cases := []struct {
 		name   string
 		body   string
@@ -164,7 +160,7 @@ func TestIngestValidation(t *testing.T) {
 		{"no aggregation point", `{"user":1,"video":2}`, http.StatusBadRequest},
 		{"missing y", `{"user":1,"video":2,"x":0}`, http.StatusBadRequest},
 		{"nan location", `{"user":1,"video":2,"x":1e999,"y":0}`, http.StatusBadRequest},
-		{"oversized body", `{"user":1,"video":2,"hotspot":0,"pad":"` + strings.Repeat("a", 600) + `"}`, http.StatusRequestEntityTooLarge},
+		{"oversized body", `{"user":1,"video":2,"hotspot":0,"pad":"` + strings.Repeat("a", maxBodyBytes) + `"}`, http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
 		rr := do(t, s, http.MethodPost, "/ingest", tc.body)

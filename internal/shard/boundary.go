@@ -130,10 +130,6 @@ func (s *Scheduler) reconcile(plan *core.Plan, d *core.Demand, svc []int64, cach
 			if s.part.OfHotspot[j] == srcShard || slack[j] <= 0 {
 				continue
 			}
-			if s.params.BoundaryThetaKm > 0 &&
-				from.DistanceTo(s.world.Hotspots[j].Location) > s.params.BoundaryThetaKm {
-				continue
-			}
 			targets = append(targets, j)
 		}
 		if len(targets) == 0 {

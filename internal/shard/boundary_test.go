@@ -188,27 +188,6 @@ func boundaryCases() []boundaryCase {
 				}
 			},
 		},
-		{
-			// BoundaryThetaKm caps move distance: with every other
-			// shard beyond the bound, nothing may move.
-			name: "boundary theta excludes all targets",
-			world: func(t *testing.T) *trace.World {
-				return buildWorld(t,
-					hot(0, 1, 1, 2, 4),
-					hot(1, 15, 15, 10, 4),
-				)
-			},
-			demand: func(d *core.Demand) {
-				d.Add(0, 1, 10)
-			},
-			params:    Params{CellKm: cell, BoundaryThetaKm: 7},
-			wantMoved: 0,
-			check: func(t *testing.T, s *Scheduler, plan *core.Plan) {
-				if got := plan.Stats.StrandedToCDN; got != 8 {
-					t.Errorf("residual overflow %d, want 8 (no target within theta)", got)
-				}
-			},
-		},
 	}
 }
 

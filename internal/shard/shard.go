@@ -43,10 +43,6 @@ type Params struct {
 	// Workers bounds the number of shard rounds solved concurrently;
 	// 0 means GOMAXPROCS. Plans are byte-identical for any value.
 	Workers int
-	// BoundaryThetaKm caps the distance of a boundary-reconciliation
-	// move, mirroring the θ2 locality bound of the local rounds.
-	// 0 means unbounded.
-	BoundaryThetaKm float64
 	// DisableBoundary skips the boundary-reconciliation pass, leaving
 	// each shard's residual overload stranded to the CDN. Used by the
 	// shard-size sweep to isolate the cost of federation itself, and by
@@ -93,9 +89,6 @@ func New(world *trace.World, p Params) (*Scheduler, error) {
 	}
 	if p.CellKm > 0 && p.Shards > 0 {
 		return nil, fmt.Errorf("shard: CellKm and Shards are mutually exclusive")
-	}
-	if p.BoundaryThetaKm < 0 {
-		return nil, fmt.Errorf("shard: negative boundary theta %v", p.BoundaryThetaKm)
 	}
 
 	var part *region.Partition
@@ -254,7 +247,6 @@ func (s *Scheduler) ScheduleRound(d *core.Demand, cons core.Constraints) (*core.
 		ms.RecoveredErrors += st.RecoveredErrors
 		ms.DistanceCalcs += st.DistanceCalcs
 		ms.PatchedRows += st.PatchedRows
-		ms.DeadlineExceeded = ms.DeadlineExceeded || st.DeadlineExceeded
 		ms.DeltaRound = ms.DeltaRound || st.DeltaRound
 		ms.DeltaFallback = ms.DeltaFallback || st.DeltaFallback
 		ms.SweepReplayed = ms.SweepReplayed || st.SweepReplayed

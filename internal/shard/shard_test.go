@@ -280,7 +280,6 @@ func TestShardedParamErrors(t *testing.T) {
 		{"negative cell", world, Params{CellKm: -1}},
 		{"negative shards", world, Params{Shards: -2}},
 		{"both cell and shards", world, Params{CellKm: 3, Shards: 2}},
-		{"negative boundary theta", world, Params{BoundaryThetaKm: -1}},
 	}
 	for _, tc := range cases {
 		if _, err := New(tc.world, tc.p); err == nil {

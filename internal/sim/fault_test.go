@@ -101,13 +101,13 @@ func TestRunParallelMatchesRunWithFaults(t *testing.T) {
 		t.Fatalf("Generate: %v", err)
 	}
 	opts := Options{
-		Seed:            11,
-		HotspotChurn:    0.1,
-		KeepSlotMetrics: true,
-		Faults:          stressScenario(world),
+		Seed:         11,
+		HotspotChurn: 0.1,
+		Faults:       stressScenario(world),
 	}
 
-	want, err := Run(world, tr, resilientPolicy{}, opts)
+	var wantTL []SlotMetrics
+	want, err := Run(world, tr, resilientPolicy{}, withTimeline(opts, &wantTL))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -129,11 +129,12 @@ func TestRunParallelMatchesRunWithFaults(t *testing.T) {
 		return cp
 	}
 	for _, workers := range []int{0, 1, 2, 3, 8} {
-		got, err := RunParallel(world, tr, func() Scheduler { return resilientPolicy{} }, workers, opts)
+		var gotTL []SlotMetrics
+		got, err := RunParallel(world, tr, func() Scheduler { return resilientPolicy{} }, workers, withTimeline(opts, &gotTL))
 		if err != nil {
 			t.Fatalf("RunParallel(workers=%d): %v", workers, err)
 		}
-		if !reflect.DeepEqual(norm(want), norm(got)) {
+		if !reflect.DeepEqual(norm(want), norm(got)) || !reflect.DeepEqual(wantTL, gotTL) {
 			t.Errorf("RunParallel(workers=%d) metrics diverge from Run under faults:\n got %+v\nwant %+v",
 				workers, norm(got), norm(want))
 		}
@@ -150,7 +151,6 @@ func TestOptionsValidate(t *testing.T) {
 	}{
 		{"zero value", Options{}, true},
 		{"seed only", Options{Seed: -42}, true},
-		{"flags", Options{KeepSlotMetrics: true}, true},
 		{"churn zero", Options{HotspotChurn: 0}, true},
 		{"churn mid", Options{HotspotChurn: 0.5}, true},
 		{"churn one", Options{HotspotChurn: 1}, true},
@@ -190,9 +190,10 @@ func TestAllOfflineRegression(t *testing.T) {
 	policy := stubPolicy{name: "never-called", schedule: func(ctx *SlotContext) (*Assignment, error) {
 		return nil, fmt.Errorf("policy must not run with the whole fleet offline")
 	}}
-	opts := Options{Seed: 5, HotspotChurn: 1, KeepSlotMetrics: true}
+	opts := Options{Seed: 5, HotspotChurn: 1}
 
-	want, err := Run(world, tr, policy, opts)
+	var wantTL []SlotMetrics
+	want, err := Run(world, tr, policy, withTimeline(opts, &wantTL))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -213,11 +214,12 @@ func TestAllOfflineRegression(t *testing.T) {
 		return cp
 	}
 	for _, workers := range []int{2, 8} {
-		got, err := RunParallel(world, tr, func() Scheduler { return policy }, workers, opts)
+		var gotTL []SlotMetrics
+		got, err := RunParallel(world, tr, func() Scheduler { return policy }, workers, withTimeline(opts, &gotTL))
 		if err != nil {
 			t.Fatalf("RunParallel(workers=%d): %v", workers, err)
 		}
-		if !reflect.DeepEqual(norm(want), norm(got)) {
+		if !reflect.DeepEqual(norm(want), norm(got)) || !reflect.DeepEqual(wantTL, gotTL) {
 			t.Errorf("RunParallel(workers=%d) all-offline metrics diverge:\n got %+v\nwant %+v",
 				workers, norm(got), norm(want))
 		}

@@ -191,10 +191,6 @@ type Metrics struct {
 	// during degraded rounds (part of ServedByCDN).
 	FallbackServedByCDN int64
 
-	// PerSlot holds a per-timeslot metrics timeline when
-	// Options.KeepSlotMetrics is set (nil otherwise).
-	PerSlot []SlotMetrics
-
 	// SchedulingTime is the total time spent inside Scheduler.Schedule.
 	SchedulingTime time.Duration
 	// Phases accumulates the per-slot scheduling-phase breakdown
@@ -230,9 +226,6 @@ type SlotMetrics struct {
 type Options struct {
 	// Seed drives per-slot randomness handed to policies.
 	Seed int64
-	// KeepSlotMetrics retains a per-timeslot metrics timeline in
-	// Metrics.PerSlot (serving ratio, CDN load, and replicas per slot).
-	KeepSlotMetrics bool
 	// HotspotChurn is the probability that a hotspot is offline for a
 	// given slot (crowdsourced edge devices are unreliable). Offline
 	// hotspots disappear from the slot's index — requests aggregate to
@@ -644,7 +637,7 @@ func applySlot(world *trace.World, opts Options, metrics *Metrics, w *slotWork, 
 			obs.I("replicas", 0),
 			obs.I("all_offline", 1),
 		}})
-		return sinkSlot(opts, metrics, SlotMetrics{
+		return sinkSlot(opts, SlotMetrics{
 			Slot:        slot,
 			Requests:    int64(len(requests)),
 			ServedByCDN: int64(len(requests)),
@@ -765,15 +758,12 @@ func applySlot(world *trace.World, opts Options, metrics *Metrics, w *slotWork, 
 	if sm.Requests > 0 {
 		sm.HotspotServingRatio = float64(sm.ServedByHotspot) / float64(sm.Requests)
 	}
-	return sinkSlot(opts, metrics, sm)
+	return sinkSlot(opts, sm)
 }
 
-// sinkSlot hands one applied slot's metrics to whoever asked for them:
-// the PerSlot timeline and the SlotSink, whose error aborts the run.
-func sinkSlot(opts Options, metrics *Metrics, sm SlotMetrics) error {
-	if opts.KeepSlotMetrics {
-		metrics.PerSlot = append(metrics.PerSlot, sm)
-	}
+// sinkSlot hands one applied slot's metrics to the SlotSink, if any,
+// whose error aborts the run.
+func sinkSlot(opts Options, sm SlotMetrics) error {
 	if opts.SlotSink != nil {
 		if err := opts.SlotSink(sm); err != nil {
 			return fmt.Errorf("sim: slot %d: %w", sm.Slot, err)

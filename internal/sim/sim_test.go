@@ -413,6 +413,8 @@ func TestRunRejectsNegativeExtraReplicas(t *testing.T) {
 	}
 }
 
+// TestRunKeepsSlotMetrics: the per-slot timeline a SlotSink collects
+// partitions the run's aggregate metrics exactly.
 func TestRunKeepsSlotMetrics(t *testing.T) {
 	world := twoHotspotWorld()
 	reqs := append(requestsAt([]trace.VideoID{1, 2}, 0, 0), requestsAt([]trace.VideoID{3}, 2, 1)...)
@@ -423,17 +425,18 @@ func TestRunKeepsSlotMetrics(t *testing.T) {
 	policy := stubPolicy{name: "local", schedule: func(ctx *SlotContext) (*Assignment, error) {
 		return &Assignment{Placement: placeEverything(ctx), Target: append([]int(nil), ctx.Nearest...)}, nil
 	}}
-	m, err := Run(world, tr, policy, Options{KeepSlotMetrics: true})
+	var timeline []SlotMetrics
+	m, err := Run(world, tr, policy, withTimeline(Options{}, &timeline))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if len(m.PerSlot) != 2 {
-		t.Fatalf("PerSlot has %d entries, want 2", len(m.PerSlot))
+	if len(timeline) != 2 {
+		t.Fatalf("timeline has %d entries, want 2", len(timeline))
 	}
 	var served, cdn, reqTotal, replicas int64
-	for i, sm := range m.PerSlot {
+	for i, sm := range timeline {
 		if sm.Slot != i {
-			t.Errorf("PerSlot[%d].Slot = %d", i, sm.Slot)
+			t.Errorf("timeline[%d].Slot = %d", i, sm.Slot)
 		}
 		served += sm.ServedByHotspot
 		cdn += sm.ServedByCDN
@@ -443,15 +446,7 @@ func TestRunKeepsSlotMetrics(t *testing.T) {
 	// The timeline must partition the aggregate metrics exactly.
 	if served != m.ServedByHotspot || cdn != m.ServedByCDN ||
 		reqTotal != m.TotalRequests || replicas != m.Replicas {
-		t.Errorf("timeline does not sum to aggregates: %+v vs totals %+v", m.PerSlot, m)
-	}
-	// Disabled by default.
-	m2, err := Run(world, tr, policy, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.PerSlot != nil {
-		t.Error("PerSlot retained without the option")
+		t.Errorf("timeline does not sum to aggregates: %+v vs totals %+v", timeline, m)
 	}
 }
 
@@ -515,9 +510,10 @@ func TestRunParallelMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	opts := Options{Seed: 7, HotspotChurn: 0.15, KeepSlotMetrics: true}
+	opts := Options{Seed: 7, HotspotChurn: 0.15}
 
-	want, err := Run(world, tr, saltedPolicy{}, opts)
+	var wantTL []SlotMetrics
+	want, err := Run(world, tr, saltedPolicy{}, withTimeline(opts, &wantTL))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -532,11 +528,12 @@ func TestRunParallelMatchesRun(t *testing.T) {
 		return cp
 	}
 	for _, workers := range []int{0, 1, 2, 3, 8} {
-		got, err := RunParallel(world, tr, func() Scheduler { return saltedPolicy{} }, workers, opts)
+		var gotTL []SlotMetrics
+		got, err := RunParallel(world, tr, func() Scheduler { return saltedPolicy{} }, workers, withTimeline(opts, &gotTL))
 		if err != nil {
 			t.Fatalf("RunParallel(workers=%d): %v", workers, err)
 		}
-		if !reflect.DeepEqual(norm(want), norm(got)) {
+		if !reflect.DeepEqual(norm(want), norm(got)) || !reflect.DeepEqual(wantTL, gotTL) {
 			t.Errorf("RunParallel(workers=%d) metrics diverge from Run:\n got %+v\nwant %+v",
 				workers, norm(got), norm(want))
 		}

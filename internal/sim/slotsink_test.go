@@ -47,21 +47,29 @@ func (cdnOnly) Schedule(ctx *SlotContext) (*Assignment, error) {
 	return &Assignment{Placement: placement, Target: target}, nil
 }
 
+// withTimeline returns opts with a SlotSink that appends every applied
+// slot's metrics to *tl.
+func withTimeline(opts Options, tl *[]SlotMetrics) Options {
+	opts.SlotSink = func(sm SlotMetrics) error {
+		*tl = append(*tl, sm)
+		return nil
+	}
+	return opts
+}
+
 // TestSlotSinkReceivesSlotsInOrder: the sink sees every applied slot's
-// metrics in slot order, matching PerSlot, regardless of worker count.
+// metrics in slot order, regardless of worker count.
 func TestSlotSinkReceivesSlotsInOrder(t *testing.T) {
 	world, tr := sinkWorldTrace(t, 4)
 	var sunk []SlotMetrics
 	opts := Options{
-		Seed:            1,
-		KeepSlotMetrics: true,
+		Seed: 1,
 		SlotSink: func(sm SlotMetrics) error {
 			sunk = append(sunk, sm)
 			return nil
 		},
 	}
-	m, err := Run(world, tr, cdnOnly{}, opts)
-	if err != nil {
+	if _, err := Run(world, tr, cdnOnly{}, opts); err != nil {
 		t.Fatal(err)
 	}
 	if len(sunk) != tr.Slots {
@@ -72,10 +80,6 @@ func TestSlotSinkReceivesSlotsInOrder(t *testing.T) {
 			t.Fatalf("sink slot %d arrived at position %d", sm.Slot, i)
 		}
 	}
-	if !reflect.DeepEqual(sunk, m.PerSlot) {
-		t.Fatalf("sink stream differs from PerSlot:\n%+v\n%+v", sunk, m.PerSlot)
-	}
-
 	// The parallel path must deliver the identical stream.
 	var sunkPar []SlotMetrics
 	optsPar := opts
@@ -88,27 +92,6 @@ func TestSlotSinkReceivesSlotsInOrder(t *testing.T) {
 	}
 	if !reflect.DeepEqual(sunk, sunkPar) {
 		t.Fatal("sink stream differs between Run and RunParallel")
-	}
-}
-
-// TestSlotSinkWithoutKeepSlotMetrics: the sink alone must not switch on
-// PerSlot retention.
-func TestSlotSinkWithoutKeepSlotMetrics(t *testing.T) {
-	world, tr := sinkWorldTrace(t, 3)
-	seen := 0
-	opts := Options{
-		Seed:     1,
-		SlotSink: func(SlotMetrics) error { seen++; return nil },
-	}
-	m, err := Run(world, tr, cdnOnly{}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seen != tr.Slots {
-		t.Fatalf("sink saw %d slots, want %d", seen, tr.Slots)
-	}
-	if m.PerSlot != nil {
-		t.Fatalf("PerSlot retained without KeepSlotMetrics: %d entries", len(m.PerSlot))
 	}
 }
 
