@@ -51,6 +51,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -96,16 +97,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	reg := crowdcdn.NewMetricsRegistry()
-	if *debugAddr != "" {
-		_, dbg, err := crowdcdn.ServeDebug(*debugAddr, reg, nil)
-		if err != nil {
-			return fmt.Errorf("starting debug server: %w", err)
-		}
-		fmt.Fprintf(os.Stderr, "cdnserver: debug server on http://%s/debug/metrics\n", dbg)
-	}
-
-	srv, err := crowdcdn.NewServer(crowdcdn.ServerConfig{
+	srv, dbg, dbgAddr, err := serve(crowdcdn.ServerConfig{
 		World:           world,
 		Addr:            *addr,
 		Instances:       *instances,
@@ -113,20 +105,20 @@ func run(args []string) error {
 		SlotDuration:    *slot,
 		PlanHistory:     *history,
 		DrainTimeout:    *drain,
-		Registry:        reg,
 		WALDir:          *walDir,
 		Fsync:           *fsync,
 		CheckpointEvery: *ckptEvery,
-	})
+	}, *debugAddr)
 	if err != nil {
 		return err
+	}
+	if dbg != nil {
+		defer dbg.Close()
+		fmt.Fprintf(os.Stderr, "cdnserver: debug server on http://%s/debug/metrics\n", dbgAddr)
 	}
 	if st := srv.WALState(); st != nil {
 		fmt.Fprintf(os.Stderr, "cdnserver: recovered slot %d from %s (%d WAL records, %d torn bytes truncated)\n",
 			st.Slot, *walDir, st.Records, st.TruncatedBytes)
-	}
-	if err := srv.Start(); err != nil {
-		return err
 	}
 	fmt.Fprintf(os.Stderr, "cdnserver: serving %d hotspots on http://%s (slot %v)\n",
 		len(world.Hotspots), srv.Addr(), *slot)
@@ -139,6 +131,31 @@ func run(args []string) error {
 	<-ctx.Done()
 	fmt.Fprintln(os.Stderr, "cdnserver: shutting down")
 	return srv.Close()
+}
+
+// serve boots serve mode: one metrics registry and, with debugAddr set,
+// one round tracer shared by the tier and the debug server on debugAddr
+// (so /debug/events carries the tier's swap and swap-reject events),
+// then the started tier. dbg is nil without debugAddr; closing it is
+// the caller's.
+func serve(cfg crowdcdn.ServerConfig, debugAddr string) (srv *crowdcdn.Server, dbg *http.Server, dbgAddr string, err error) {
+	cfg.Registry = crowdcdn.NewMetricsRegistry()
+	if debugAddr != "" {
+		cfg.Tracer = crowdcdn.NewRoundTracer(0, false)
+		if dbg, dbgAddr, err = crowdcdn.ServeDebug(debugAddr, cfg.Registry, cfg.Tracer); err != nil {
+			return nil, nil, "", fmt.Errorf("starting debug server: %w", err)
+		}
+	}
+	if srv, err = crowdcdn.NewServer(cfg); err == nil {
+		err = srv.Start()
+	}
+	if err != nil {
+		if dbg != nil {
+			dbg.Close()
+		}
+		return nil, nil, "", err
+	}
+	return srv, dbg, dbgAddr, nil
 }
 
 // smokeConfig is a deliberately small deployment so the smoke run
@@ -194,7 +211,7 @@ func runSmoke(seed int64, instances int) error {
 	for i := range targets {
 		targets[i] = "http://" + srv.InstanceAddr(i)
 	}
-	report, err := crowdcdn.ReplayTrace(targets[0], world, tr, crowdcdn.LoadgenOptions{Workers: 8, Targets: targets})
+	report, err := crowdcdn.ReplayTrace(targets[0], world, tr, crowdcdn.LoadgenOptions{Targets: targets})
 	if err != nil {
 		srv.Close()
 		return fmt.Errorf("replay: %w", err)
@@ -220,7 +237,7 @@ func runSmoke(seed int64, instances int) error {
 		srv.Close()
 		return fmt.Errorf("workload: %w", err)
 	}
-	open, err := crowdcdn.DriveWorkload(targets[0], stream, crowdcdn.LoadgenOptions{Workers: 8, Targets: targets})
+	open, err := crowdcdn.DriveWorkload(targets[0], stream, crowdcdn.LoadgenOptions{Targets: targets})
 	if err != nil {
 		srv.Close()
 		return fmt.Errorf("open-loop drive: %w", err)

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"encoding/json"
+	"io"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -41,6 +44,59 @@ func TestServeModeShutdown(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("serve loop did not shut down on SIGTERM")
 	}
+}
+
+// TestDebugEventsCarrySwaps boots serve mode with a debug server and
+// manual slots, schedules one slot over HTTP, and reads that slot's
+// swap event back from /debug/events: the tier and the debug server
+// share one tracer.
+func TestDebugEventsCarrySwaps(t *testing.T) {
+	world, err := loadWorld("", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, dbg, dbgAddr, err := serve(crowdcdn.ServerConfig{World: world, Addr: "127.0.0.1:0"}, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dbg.Close()
+	defer srv.Close()
+
+	base := "http://" + srv.Addr()
+	post := func(path, body string, want int) {
+		t.Helper()
+		resp, err := http.Post(base+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("POST %s: status %d, want %d", path, resp.StatusCode, want)
+		}
+	}
+	post("/ingest", `{"user":1,"video":5,"hotspot":2}`, http.StatusAccepted)
+	post("/admin/advance", "", http.StatusOK)
+
+	resp, err := http.Get("http://" + dbgAddr + "/debug/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(body)), "\n") {
+		var ev struct {
+			Type  string `json:"type"`
+			Slot  int    `json:"slot"`
+			Epoch int64  `json:"epoch"`
+		}
+		if json.Unmarshal([]byte(line), &ev) == nil && ev.Type == "swap" && ev.Slot == 0 && ev.Epoch == 1 {
+			return
+		}
+	}
+	t.Fatalf("/debug/events holds no swap event for slot 0 after one scheduled slot:\n%s", body)
 }
 
 func TestBadFlags(t *testing.T) {

@@ -36,7 +36,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/geo"
 	"repro/internal/obs"
-	"repro/internal/predict"
 	"repro/internal/scenario"
 	"repro/internal/scheme"
 	"repro/internal/server"
@@ -80,6 +79,9 @@ type (
 	Demand = core.Demand
 	// Plan is the output of one RBCAer scheduling round.
 	Plan = core.Plan
+	// Constraints override hotspot capacities for one round; the zero
+	// value schedules against the world's nominal capacities.
+	Constraints = core.Constraints
 	// RBCAScheduler runs RBCAer rounds directly (lower-level than the
 	// policy returned by NewRBCAer).
 	RBCAScheduler = core.Scheduler
@@ -261,7 +263,7 @@ func NewRBCAScheduler(world *World, params Params) (*RBCAScheduler, error) {
 }
 
 // NewDemand returns an empty slot demand over numHotspots hotspots, to
-// be filled with Demand.Add and handed to RBCAScheduler.Schedule.
+// be filled with Demand.Add and handed to RBCAScheduler.ScheduleRound.
 func NewDemand(numHotspots int) *Demand { return core.NewDemand(numHotspots) }
 
 // NewRBCAer returns the RBCAer simulator policy.
@@ -278,16 +280,11 @@ func NewRandom(radiusKm float64) Scheduler { return scheme.Random{RadiusKm: radi
 // running-time comparison.
 func NewLPBased() Scheduler { return scheme.LPBased{} }
 
-// NewPredicted wraps a policy so it schedules on EWMA-forecast demand
-// instead of oracle per-slot demand.
-func NewPredicted(inner Scheduler, ewmaAlpha float64) Scheduler {
-	return &scheme.Predicted{Inner: inner, Method: predict.EWMA{Alpha: ewmaAlpha}}
-}
-
 // NewFactoredPredicted wraps a policy with factored demand forecasting:
 // per-hotspot totals predicted seasonally and spread over each
-// hotspot's smoothed video-share distribution — the best-performing
-// learned-demand mode (see EXPERIMENTS.md, abl-prediction).
+// hotspot's smoothed video-share distribution — the learned-demand mode
+// (see EXPERIMENTS.md, abl-prediction, for the direct per-key
+// forecasters it beat).
 func NewFactoredPredicted(inner Scheduler) Scheduler {
 	return scheme.NewFactoredPredicted(inner)
 }

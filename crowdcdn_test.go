@@ -83,9 +83,9 @@ func TestPublicAPILowLevelScheduler(t *testing.T) {
 		}
 		demand.Add(HotspotID(h), req.Video, 1)
 	}
-	plan, err := sched.Schedule(demand)
+	plan, err := sched.ScheduleRound(demand, Constraints{})
 	if err != nil {
-		t.Fatalf("Schedule: %v", err)
+		t.Fatalf("ScheduleRound: %v", err)
 	}
 	if plan.Stats.MaxFlow > 0 && plan.Stats.MovedFlow == 0 {
 		t.Error("balancing moved nothing despite movable workload")
@@ -99,9 +99,9 @@ func TestPublicAPILowLevelScheduler(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewShardScheduler: %v", err)
 	}
-	splan, err := shardSched.Schedule(demand)
+	splan, err := shardSched.ScheduleRound(demand, Constraints{})
 	if err != nil {
-		t.Fatalf("sharded Schedule: %v", err)
+		t.Fatalf("sharded ScheduleRound: %v", err)
 	}
 	if len(splan.Placement) != len(world.Hotspots) {
 		t.Errorf("sharded placement covers %d hotspots, want %d", len(splan.Placement), len(world.Hotspots))
@@ -182,23 +182,6 @@ func TestPublicAPIMeasurementAnalyses(t *testing.T) {
 		if len(fig.Series) == 0 {
 			t.Errorf("%s produced no series", name)
 		}
-	}
-}
-
-func TestPublicAPIPredicted(t *testing.T) {
-	cfg := smallEvalConfig()
-	cfg.Slots = 6
-	cfg.NumRequests = 9000
-	world, tr, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := Simulate(world, tr, NewPredicted(NewRBCAer(DefaultParams()), 0.5), SimOptions{Seed: 1})
-	if err != nil {
-		t.Fatalf("Simulate(Predicted): %v", err)
-	}
-	if m.TotalRequests == 0 {
-		t.Error("nothing simulated")
 	}
 }
 

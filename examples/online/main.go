@@ -1,5 +1,5 @@
 // Online: drive RBCAer over a full day of hourly timeslots, comparing
-// oracle per-slot demand against EWMA-predicted demand (the paper
+// oracle per-slot demand against factored learned demand (the paper
 // assumes popularity "can be learned through some popularity
 // prediction algorithm"), and inspect one scheduling round's internals
 // through the low-level API.
@@ -34,11 +34,10 @@ func run() error {
 	}
 
 	oracle := crowdcdn.NewRBCAer(crowdcdn.DefaultParams())
-	ewma := crowdcdn.NewPredicted(crowdcdn.NewRBCAer(crowdcdn.DefaultParams()), 0.5)
 	factored := crowdcdn.NewFactoredPredicted(crowdcdn.NewRBCAer(crowdcdn.DefaultParams()))
 
 	fmt.Println("RBCAer over 24 hourly slots (oracle vs learned demand):")
-	for _, policy := range []crowdcdn.Scheduler{oracle, factored, ewma} {
+	for _, policy := range []crowdcdn.Scheduler{oracle, factored} {
 		m, err := crowdcdn.Simulate(world, tr, policy, crowdcdn.SimOptions{Seed: 1})
 		if err != nil {
 			return err
@@ -74,7 +73,7 @@ func run() error {
 		agg.Add(crowdcdn.HotspotID(h), req.Video, 1)
 	}
 
-	plan, err := sched.Schedule(agg)
+	plan, err := sched.ScheduleRound(agg, crowdcdn.Constraints{})
 	if err != nil {
 		return err
 	}

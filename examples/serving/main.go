@@ -61,7 +61,7 @@ func run() error {
 	// Replay the trace: each slot's requests are POSTed concurrently,
 	// then POST /admin/advance forces the slot boundary and blocks
 	// until the slot's plan is live.
-	report, err := crowdcdn.ReplayTrace(base, world, tr, crowdcdn.LoadgenOptions{Workers: 8})
+	report, err := crowdcdn.ReplayTrace(base, world, tr, crowdcdn.LoadgenOptions{})
 	if err != nil {
 		return err
 	}

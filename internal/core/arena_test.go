@@ -55,7 +55,7 @@ func TestArenaReusePlansIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, err := s.Schedule(d)
+			p, err := s.ScheduleRound(d, Constraints{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,7 +109,7 @@ func TestArenaReusePlansIdentical(t *testing.T) {
 			if step.prep != nil {
 				step.prep()
 			}
-			got, err := s.Schedule(step.d)
+			got, err := s.ScheduleRound(step.d, Constraints{})
 			if err != nil {
 				t.Fatalf("guides=%v %s: %v", !disableGuides, step.name, err)
 			}
@@ -134,7 +134,7 @@ func TestArenaReusePlansIdentical(t *testing.T) {
 			if step.prep != nil {
 				step.prep()
 			}
-			got, err := sd.Schedule(step.d.Clone())
+			got, err := sd.ScheduleRound(step.d.Clone(), Constraints{})
 			if err != nil {
 				t.Fatalf("guides=%v delta %s: %v", !disableGuides, step.name, err)
 			}
@@ -241,7 +241,7 @@ func TestFastPathNoMovableFlow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, err := s.Schedule(d)
+		plan, err := s.ScheduleRound(d, Constraints{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,7 +278,7 @@ func TestFastPathNoMovableFlow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, err := s.Schedule(d)
+		plan, err := s.ScheduleRound(d, Constraints{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -198,10 +198,10 @@ func TestScheduleDemandSizeMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Schedule(NewDemand(2)); err == nil {
-		t.Error("Schedule(wrong size) succeeded")
+	if _, err := s.ScheduleRound(NewDemand(2), Constraints{}); err == nil {
+		t.Error("ScheduleRound(wrong size) succeeded")
 	}
-	if _, err := s.Schedule(nil); err == nil {
+	if _, err := s.ScheduleRound(nil, Constraints{}); err == nil {
 		t.Error("Schedule(nil) succeeded")
 	}
 }

@@ -51,9 +51,9 @@ func TestSolverFailureIsRecoverable(t *testing.T) {
 				t.Fatalf("New: %v", err)
 			}
 			d := overloadedDemand(3)
-			plan, err := s.Schedule(d)
+			plan, err := s.ScheduleRound(d, Constraints{})
 			if err != nil {
-				t.Fatalf("Schedule with failing solver: %v", err)
+				t.Fatalf("ScheduleRound with failing solver: %v", err)
 			}
 			checkPlanInvariants(t, w, d, plan)
 			if !plan.Degraded {

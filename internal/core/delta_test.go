@@ -175,10 +175,10 @@ func TestDeltaUnchangedSlotPatchesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if _, err := s.Schedule(d.Clone()); err != nil {
+	if _, err := s.ScheduleRound(d.Clone(), Constraints{}); err != nil {
 		t.Fatalf("slot 0: %v", err)
 	}
-	plan, err := s.Schedule(d.Clone())
+	plan, err := s.ScheduleRound(d.Clone(), Constraints{})
 	if err != nil {
 		t.Fatalf("slot 1: %v", err)
 	}
@@ -254,14 +254,14 @@ func TestDeltaDriftFallback(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if _, err := s.Schedule(d.Clone()); err != nil {
+	if _, err := s.ScheduleRound(d.Clone(), Constraints{}); err != nil {
 		t.Fatalf("slot 0: %v", err)
 	}
 
 	// Small drift: one hotspot dirty out of 12 (8% <= 25%).
 	small := d.Clone()
 	small.Add(0, 99, 1)
-	plan, err := s.Schedule(small)
+	plan, err := s.ScheduleRound(small, Constraints{})
 	if err != nil {
 		t.Fatalf("small drift: %v", err)
 	}
@@ -275,7 +275,7 @@ func TestDeltaDriftFallback(t *testing.T) {
 	for h := 0; h < 12; h++ {
 		heavy.Add(trace.HotspotID(h), trace.VideoID(h), 2)
 	}
-	plan, err = s.Schedule(heavy)
+	plan, err = s.ScheduleRound(heavy, Constraints{})
 	if err != nil {
 		t.Fatalf("heavy drift: %v", err)
 	}
@@ -344,7 +344,7 @@ func TestDeltaDegradedRoundNotReplayed(t *testing.T) {
 	solveFn = func(*mcmf.Graph, int, int, int64) (mcmf.Result, error) {
 		return mcmf.Result{}, fmt.Errorf("injected solver failure")
 	}
-	plan, err := s.Schedule(d.Clone())
+	plan, err := s.ScheduleRound(d.Clone(), Constraints{})
 	solveFn = orig
 	if err != nil {
 		t.Fatalf("degraded slot: %v", err)
@@ -354,7 +354,7 @@ func TestDeltaDegradedRoundNotReplayed(t *testing.T) {
 	}
 
 	// Same demand, healed solver: the degraded record must not replay.
-	plan, err = s.Schedule(d.Clone())
+	plan, err = s.ScheduleRound(d.Clone(), Constraints{})
 	if err != nil {
 		t.Fatalf("healed slot: %v", err)
 	}
@@ -364,7 +364,7 @@ func TestDeltaDegradedRoundNotReplayed(t *testing.T) {
 	if !plan.Stats.DeltaRound {
 		t.Error("healed slot not a delta round")
 	}
-	fp, err := sFull.Schedule(d.Clone())
+	fp, err := sFull.ScheduleRound(d.Clone(), Constraints{})
 	if err != nil {
 		t.Fatalf("full reference: %v", err)
 	}
@@ -373,7 +373,7 @@ func TestDeltaDegradedRoundNotReplayed(t *testing.T) {
 	}
 
 	// Third identical slot: now the healthy record replays.
-	plan, err = s.Schedule(d.Clone())
+	plan, err = s.ScheduleRound(d.Clone(), Constraints{})
 	if err != nil {
 		t.Fatalf("replay slot: %v", err)
 	}

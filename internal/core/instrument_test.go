@@ -36,7 +36,7 @@ func TestScheduleObservability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := s.Schedule(overloadDemand(6))
+	plan, err := s.ScheduleRound(overloadDemand(6), Constraints{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestScheduleObsDisabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := s.Schedule(overloadDemand(6))
+	plan, err := s.ScheduleRound(overloadDemand(6), Constraints{})
 	if err != nil {
 		t.Fatal(err)
 	}

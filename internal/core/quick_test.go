@@ -42,7 +42,7 @@ func TestQuickPlanInvariants(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		plan, err := s.Schedule(d)
+		plan, err := s.ScheduleRound(d, Constraints{})
 		if err != nil {
 			return false
 		}

@@ -68,14 +68,6 @@ type Constraints struct {
 	Cache []int
 }
 
-// Schedule runs Algorithm 1 (request balancing with content
-// aggregation) followed by Procedure 1 (content aggregation
-// replication) on one timeslot's aggregated demand and returns the
-// resulting plan.
-func (s *Scheduler) Schedule(d *Demand) (*Plan, error) {
-	return s.ScheduleRound(d, Constraints{})
-}
-
 // solveFn indirects the MCMF solve so tests can inject solver failures
 // and panics to exercise the degraded path.
 var solveFn = (*mcmf.Graph).Solve
@@ -92,8 +84,11 @@ func safeSolve(g *mcmf.Graph, source, sink int, limit int64) (res mcmf.Result, e
 	return solveFn(g, source, sink, limit)
 }
 
-// ScheduleRound is the fault-aware scheduling entry point: Schedule
-// with per-round effective service and cache capacities. It validates
+// ScheduleRound runs Algorithm 1 (request balancing with content
+// aggregation) followed by Procedure 1 (content aggregation
+// replication) on one timeslot's aggregated demand and returns the
+// resulting plan. cons carries per-round effective service and cache
+// capacities (the zero value is the world's nominal ones). It validates
 // its inputs and degrades gracefully instead of failing the round:
 //
 // an infeasible or failing MCMF solve (error or panic) is recoverable —

@@ -107,9 +107,9 @@ func scheduleOK(t *testing.T, w *trace.World, p Params, d *Demand) *Plan {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	plan, err := s.Schedule(d)
+	plan, err := s.ScheduleRound(d, Constraints{})
 	if err != nil {
-		t.Fatalf("Schedule: %v", err)
+		t.Fatalf("ScheduleRound: %v", err)
 	}
 	checkPlanInvariants(t, w, d, plan)
 	return plan
@@ -243,11 +243,11 @@ func TestDeterministicPlans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1, err := s1.Schedule(d)
+	p1, err := s1.ScheduleRound(d, Constraints{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := s2.Schedule(d.Clone())
+	p2, err := s2.ScheduleRound(d.Clone(), Constraints{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,9 +15,9 @@ func mustPlan(t *testing.T, w *trace.World, p Params, d *Demand) *Plan {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	plan, err := s.Schedule(d.Clone())
+	plan, err := s.ScheduleRound(d.Clone(), Constraints{})
 	if err != nil {
-		t.Fatalf("Schedule: %v", err)
+		t.Fatalf("ScheduleRound: %v", err)
 	}
 	return plan
 }
@@ -38,11 +38,11 @@ func TestScheduleRunTwiceIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		first, err := s.Schedule(d.Clone())
+		first, err := s.ScheduleRound(d.Clone(), Constraints{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		again, err := s.Schedule(d.Clone())
+		again, err := s.ScheduleRound(d.Clone(), Constraints{})
 		if err != nil {
 			t.Fatal(err)
 		}

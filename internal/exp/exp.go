@@ -227,7 +227,7 @@ func NewRunner(seed int64, scale float64) *Runner {
 
 // evalConfig returns the Sec. V configuration scaled by r.Scale.
 func (r *Runner) evalConfig() trace.Config {
-	return scaleConfig(trace.EvalConfig(), r.Scale, r.Seed)
+	return scaleConfig(trace.DefaultConfig(), r.Scale, r.Seed)
 }
 
 // measurementConfig returns the Sec. II configuration scaled by

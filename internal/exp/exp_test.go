@@ -24,7 +24,7 @@ func TestNewRunnerClampsScale(t *testing.T) {
 }
 
 func TestScaleConfigPreservesLoadRatio(t *testing.T) {
-	base := trace.EvalConfig()
+	base := trace.DefaultConfig()
 	scaled := scaleConfig(base, 0.1, 7)
 	if err := scaled.Validate(); err != nil {
 		t.Fatalf("scaled config invalid: %v", err)
@@ -206,7 +206,7 @@ func TestRunnerCachesWorlds(t *testing.T) {
 }
 
 func TestWithCapacities(t *testing.T) {
-	cfg := scaleConfig(trace.EvalConfig(), 0.05, 1)
+	cfg := scaleConfig(trace.DefaultConfig(), 0.05, 1)
 	world, _, err := trace.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)

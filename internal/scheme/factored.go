@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/predict"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -15,23 +14,26 @@ import (
 // predictable), and spread over videos according to the hotspot's
 // exponentially-smoothed popularity distribution. This fixes the
 // failure mode of direct per-(hotspot, video) forecasting — those
-// series are so sparse that EWMA/AR/seasonal methods all collapse (see
-// the abl-prediction experiment) — and is how the paper's "popularity
-// changes slowly and can be learned" assumption becomes operational.
+// series are so sparse that EWMA/AR/seasonal methods all collapse (the
+// recorded abl-prediction finding in EXPERIMENTS.md) — and is how the
+// paper's "popularity changes slowly and can be learned" assumption
+// becomes operational.
 type FactoredPredicted struct {
 	// Inner is the wrapped policy (typically *RBCAer).
 	Inner sim.Scheduler
 
-	world  *trace.World
-	totals *predict.Forecaster
+	world *trace.World
+	// totals holds the last seasonPeriod slots' per-hotspot totals,
+	// oldest first.
+	totals [][]int64
 	shares []map[trace.VideoID]float64
 }
 
 var _ sim.Scheduler = (*FactoredPredicted)(nil)
 
-// factoredTotals forecasts the per-hotspot totals: a day-periodic
-// seasonal model over hourly slots.
-var factoredTotals = predict.Seasonal{Period: 24}
+// seasonPeriod is the season of the per-hotspot totals' seasonal-naive
+// forecast: a day of hourly slots.
+const seasonPeriod = 24
 
 // shareDecay is the exponential-smoothing factor of the per-hotspot
 // video-share distribution.
@@ -44,7 +46,30 @@ func NewFactoredPredicted(inner sim.Scheduler) *FactoredPredicted {
 
 // Name implements sim.Scheduler.
 func (p *FactoredPredicted) Name() string {
-	return fmt.Sprintf("%s+factored(%s)", p.Inner.Name(), factoredTotals.Name())
+	return fmt.Sprintf("%s+factored(seasonal(%d))", p.Inner.Name(), seasonPeriod)
+}
+
+// forecastTotals predicts the next slot's per-hotspot totals: the
+// totals seasonPeriod slots back once that many are held, the last
+// slot's before, and nil (the oracle) on the cold-start slot.
+func (p *FactoredPredicted) forecastTotals() []int64 {
+	switch n := len(p.totals); {
+	case n == 0:
+		return nil
+	case n < seasonPeriod:
+		return p.totals[n-1]
+	default:
+		return p.totals[n-seasonPeriod]
+	}
+}
+
+// observeTotals records one slot's per-hotspot totals, keeping the last
+// seasonPeriod slots.
+func (p *FactoredPredicted) observeTotals(totals []int64) {
+	p.totals = append(p.totals, append([]int64(nil), totals...))
+	if len(p.totals) > seasonPeriod {
+		p.totals = p.totals[1:]
+	}
 }
 
 // Schedule implements sim.Scheduler.
@@ -56,11 +81,7 @@ func (p *FactoredPredicted) Schedule(ctx *sim.SlotContext) (*sim.Assignment, err
 		return nil, fmt.Errorf("scheme: FactoredPredicted needs an inner policy")
 	}
 	if p.world != ctx.World {
-		totals, err := predict.NewForecaster(factoredTotals, 0)
-		if err != nil {
-			return nil, fmt.Errorf("scheme: building total forecaster: %w", err)
-		}
-		p.totals = totals
+		p.totals = nil
 		p.shares = make([]map[trace.VideoID]float64, len(ctx.World.Hotspots))
 		p.world = ctx.World
 	}
@@ -68,9 +89,9 @@ func (p *FactoredPredicted) Schedule(ctx *sim.SlotContext) (*sim.Assignment, err
 
 	// Forecast this slot from past slots; the cold-start slot falls
 	// back to the oracle demand.
-	predictedTotals := p.totals.Forecast()
+	predictedTotals := p.forecastTotals()
 	predicted := ctx.Demand
-	if len(predictedTotals) > 0 {
+	if predictedTotals != nil {
 		predicted = core.NewDemand(m)
 		for h := 0; h < m; h++ {
 			total := predictedTotals[h]
@@ -82,9 +103,8 @@ func (p *FactoredPredicted) Schedule(ctx *sim.SlotContext) (*sim.Assignment, err
 	}
 
 	// Learn from the true demand for future slots.
-	observedTotals := make(map[int]int64, m)
+	p.observeTotals(ctx.Demand.Totals[:m])
 	for h := 0; h < m; h++ {
-		observedTotals[h] = ctx.Demand.Totals[h]
 		if p.shares[h] == nil {
 			p.shares[h] = make(map[trace.VideoID]float64)
 		}
@@ -100,7 +120,6 @@ func (p *FactoredPredicted) Schedule(ctx *sim.SlotContext) (*sim.Assignment, err
 			p.shares[h][v] += shareDecay * float64(n)
 		})
 	}
-	p.totals.Observe(observedTotals)
 
 	innerCtx := *ctx
 	innerCtx.Demand = predicted

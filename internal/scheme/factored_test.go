@@ -4,12 +4,17 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/predict"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
-func TestFactoredPredictedRunsAndBeatsDirect(t *testing.T) {
+// TestFactoredPredictedMetricsPinned pins a 48-slot factored run (two
+// days of hourly slots, so the seasonal forecast reaches past a full
+// period) to its recorded metrics, exactly: the per-hotspot totals
+// forecast is the seasonal-naive one the direct per-key forecasters
+// were compared against, and these are the figures of that comparison's
+// world.
+func TestFactoredPredictedMetricsPinned(t *testing.T) {
 	cfg := trace.DefaultConfig()
 	cfg.NumHotspots = 40
 	cfg.NumVideos = 1500
@@ -23,25 +28,38 @@ func TestFactoredPredictedRunsAndBeatsDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	factored, err := sim.Run(world, tr,
+	m, err := sim.Run(world, tr,
 		NewFactoredPredicted(NewRBCAer(core.DefaultParams())), sim.Options{Seed: 1})
 	if err != nil {
 		t.Fatalf("Run(factored): %v", err)
 	}
-	if factored.Infeasible != 0 {
-		t.Errorf("factored produced %d infeasible targets", factored.Infeasible)
+	if m.Infeasible != 0 {
+		t.Errorf("factored produced %d infeasible targets", m.Infeasible)
 	}
-	direct, err := sim.Run(world, tr,
-		&Predicted{Inner: NewRBCAer(core.DefaultParams()), Method: predict.Seasonal{Period: 24}},
-		sim.Options{Seed: 1})
-	if err != nil {
-		t.Fatalf("Run(direct seasonal): %v", err)
+	if m.HotspotServingRatio != 0.528475 || m.ReplicationCost != 6.264666666666667 || m.CDNServerLoad != 0.70645 {
+		t.Errorf("serving %v, replication %v, CDN load %v; want 0.528475, 6.264666666666667, 0.70645",
+			m.HotspotServingRatio, m.ReplicationCost, m.CDNServerLoad)
 	}
-	// The factored forecaster's whole point: it must not be worse than
-	// direct per-(hotspot, video) forecasting.
-	if factored.HotspotServingRatio < direct.HotspotServingRatio-0.02 {
-		t.Errorf("factored serving %.3f clearly below direct seasonal %.3f",
-			factored.HotspotServingRatio, direct.HotspotServingRatio)
+}
+
+// TestForecastTotals walks the totals forecast through its three
+// regimes: nothing on the cold start (the oracle schedules), the last
+// slot's totals before a full period is held, then the totals one
+// period back.
+func TestForecastTotals(t *testing.T) {
+	p := &FactoredPredicted{}
+	if got := p.forecastTotals(); got != nil {
+		t.Fatalf("cold start forecast %v, want nil", got)
+	}
+	for slot := int64(0); slot < 2*seasonPeriod; slot++ {
+		p.observeTotals([]int64{slot, 100 + slot})
+		want := slot
+		if slot+1 >= seasonPeriod {
+			want = slot + 1 - seasonPeriod
+		}
+		if got := p.forecastTotals(); got[0] != want || got[1] != 100+want {
+			t.Fatalf("after slot %d: forecast %v, want [%d %d]", slot, got, want, 100+want)
+		}
 	}
 }
 
@@ -96,11 +114,11 @@ func TestFillOverprovisionPlacesMore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	basePlan, err := base.Schedule(ctx.Demand)
+	basePlan, err := base.ScheduleRound(ctx.Demand, core.Constraints{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	generousPlan, err := generous.Schedule(ctx.Demand)
+	generousPlan, err := generous.ScheduleRound(ctx.Demand, core.Constraints{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -170,39 +170,13 @@ func TestLPBasedProducesValidAssignment(t *testing.T) {
 	}
 }
 
-func TestPredictedWrapsInner(t *testing.T) {
-	_, world, tr := buildContext(t, func(c *trace.Config) {
-		c.Slots = 6
-		c.NumRequests = 6000
-	})
-	inner := NewRBCAer(core.DefaultParams())
-	policy := &Predicted{Inner: inner}
-	m, err := sim.Run(world, tr, policy, sim.Options{Seed: 1})
-	if err != nil {
-		t.Fatalf("Run(Predicted): %v", err)
-	}
-	if m.TotalRequests == 0 {
-		t.Error("nothing simulated")
-	}
-	if policy.Name() != "RBCAer+ewma(0.50)" {
-		t.Errorf("Name() = %q", policy.Name())
-	}
-	if _, err := (&Predicted{}).Schedule(nil); err == nil {
-		t.Error("Schedule(nil) succeeded")
-	}
-	ctx, _, _ := buildContext(t, nil)
-	if _, err := (&Predicted{}).Schedule(ctx); err == nil {
-		t.Error("Schedule without inner succeeded")
-	}
-}
-
 func TestMaterializePlanHonoursRedirects(t *testing.T) {
 	ctx, world, _ := buildContext(t, nil)
 	sched, err := core.New(world, core.DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := sched.Schedule(ctx.Demand)
+	plan, err := sched.ScheduleRound(ctx.Demand, core.Constraints{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,9 @@
 package server_test
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"strconv"
 	"testing"
@@ -66,7 +68,7 @@ func TestServerMatchesOfflineSim(t *testing.T) {
 	}
 	defer srv.Close()
 
-	report, err := loadgen.Replay("http://"+srv.Addr(), world, tr, loadgen.Options{Workers: 8})
+	report, err := loadgen.Replay("http://"+srv.Addr(), world, tr, loadgen.Options{})
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
@@ -153,7 +155,7 @@ func TestMultiInstanceServerMatchesOfflineSim(t *testing.T) {
 		}
 		targets[i] = "http://" + addr
 	}
-	report, err := loadgen.Replay(targets[0], world, tr, loadgen.Options{Workers: 8, Targets: targets})
+	report, err := loadgen.Replay(targets[0], world, tr, loadgen.Options{Targets: targets})
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
@@ -236,15 +238,35 @@ func TestMultiInstanceServerMatchesOfflineSim(t *testing.T) {
 	}
 }
 
-// TestReplayByHotspot exercises loadgen's pre-resolved aggregation mode
-// against the same byte-identity bar: resolving nearest hotspots on the
-// client side must not change the plans.
+// TestReplayByHotspot holds the {"hotspot":h} ingest form to the same
+// byte-identity bar: a trace whose requests the client resolves to
+// their nearest hotspot before posting must yield the offline plans.
 func TestReplayByHotspot(t *testing.T) {
+	replayByHotspot(t, func(int) bool { return true })
+}
+
+// TestReplayByHotspotMode mixes the two ingest forms within every slot
+// — even requests carry their location, odd ones their resolved
+// hotspot — so both must land in one demand table: every request is
+// answered 202 and the plans still match offline byte for byte.
+func TestReplayByHotspotMode(t *testing.T) {
+	replayByHotspot(t, func(i int) bool { return i%2 == 1 })
+}
+
+// replayByHotspot posts tr over HTTP, the i-th request of each slot as
+// {"hotspot":h} when byHotspot(i) and as {"x":…,"y":…} otherwise, and
+// checks the server's plans against the offline ones.
+func replayByHotspot(t *testing.T, byHotspot func(i int) bool) {
+	t.Helper()
 	world, tr := e2eWorldAndTrace(t)
 
 	offline, err := loadgen.OfflinePlans(world, tr)
 	if err != nil {
 		t.Fatalf("OfflinePlans: %v", err)
+	}
+	index, err := world.Index()
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	srv, err := server.New(server.Config{
@@ -260,16 +282,55 @@ func TestReplayByHotspot(t *testing.T) {
 	}
 	defer srv.Close()
 
-	report, err := loadgen.Replay("http://"+srv.Addr(), world, tr, loadgen.Options{Workers: 4, ByHotspot: true})
-	if err != nil {
-		t.Fatalf("Replay: %v", err)
+	base := "http://" + srv.Addr()
+	client := &http.Client{}
+	defer client.CloseIdleConnections()
+	post := func(path string, body []byte, want int) {
+		t.Helper()
+		resp, err := client.Post(base+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("POST %s %s: status %d, want %d", path, body, resp.StatusCode, want)
+		}
 	}
-	if report.Rejected != 0 {
-		t.Fatalf("%d rejected", report.Rejected)
+	type ingestBody struct {
+		User    int64    `json:"user"`
+		Video   int64    `json:"video"`
+		Hotspot *int     `json:"hotspot,omitempty"`
+		X       *float64 `json:"x,omitempty"`
+		Y       *float64 `json:"y,omitempty"`
 	}
-	for _, rec := range srv.Plans() {
+	for _, reqs := range tr.BySlot() {
+		for i, q := range reqs {
+			body := ingestBody{User: int64(q.User), Video: int64(q.Video)}
+			if byHotspot(i) {
+				h, _, ok := index.Nearest(q.Location)
+				if !ok {
+					t.Fatalf("no hotspot for request %d", q.ID)
+				}
+				body.Hotspot = &h
+			} else {
+				body.X, body.Y = &q.Location.X, &q.Location.Y
+			}
+			data, err := json.Marshal(body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			post("/ingest", data, http.StatusAccepted)
+		}
+		post("/admin/advance", nil, http.StatusOK)
+	}
+	plans := srv.Plans()
+	if len(plans) != len(offline) {
+		t.Fatalf("online scheduled %d slots, offline %d", len(plans), len(offline))
+	}
+	for _, rec := range plans {
 		if offline[rec.Slot] != rec.Canonical {
-			t.Errorf("slot %d: by-hotspot replay diverged from offline plan", rec.Slot)
+			t.Errorf("slot %d: by-hotspot ingest diverged from offline plan", rec.Slot)
 		}
 	}
 }

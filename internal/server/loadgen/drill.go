@@ -96,7 +96,7 @@ func CrashDrill(boot func() (*server.Server, error), tr *trace.Trace, crashes []
 
 	rep := &DrillReport{Plans: make(map[int]string)}
 	for slot, reqs := range tr.BySlot() {
-		bodies, err := encodeSlot(reqs, nil)
+		bodies, err := encodeSlot(reqs)
 		if err != nil {
 			return nil, err
 		}

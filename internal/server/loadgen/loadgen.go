@@ -19,48 +19,27 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/geo"
 	"repro/internal/trace"
 )
 
-// Options tunes a replay.
+// Options tunes a replay or an open-loop drive.
 type Options struct {
-	// Workers is the number of concurrent ingest posters per slot.
-	// 0 selects 4.
-	Workers int
-	// Client issues the HTTP requests. Nil selects a default client.
-	Client *http.Client
-	// ByHotspot posts {"hotspot":h} aggregation instead of the request
-	// location. Off by default: posting x/y exercises the server's
-	// nearest-hotspot resolution (the same code path the simulator
-	// aggregates with).
-	ByHotspot bool
 	// Targets, when non-empty, is the full list of frontend base URLs
 	// ingest posts rotate across round-robin (a multi-instance serving
 	// tier accepts any request at any frontend). Slot boundaries are
 	// still forced through baseURL. Empty selects baseURL alone.
 	Targets []string
-	// Pace, when positive, makes DriveOpenLoopContext post each
-	// generated request on its arrival schedule, sleeping until
-	// At/Pace from the drive's start (Pace 1 replays in real time,
-	// Pace 10 ten times faster). 0 posts as fast as the workers go.
-	// Only open-loop drives honour it.
-	Pace float64
 }
 
-// resolve applies the defaults: 4 workers, a private client, baseURL as
-// the only target.
-func (o Options) resolve(baseURL string) (int, *http.Client, []string) {
-	if o.Workers <= 0 {
-		o.Workers = 4
-	}
-	if o.Client == nil {
-		o.Client = &http.Client{}
-	}
+// workers is the number of concurrent ingest posters per slot.
+const workers = 8
+
+// targets applies the default: baseURL as the only target.
+func (o Options) targets(baseURL string) []string {
 	if len(o.Targets) == 0 {
-		o.Targets = []string{baseURL}
+		return []string{baseURL}
 	}
-	return o.Workers, o.Client, o.Targets
+	return o.Targets
 }
 
 // SlotReport is the outcome of replaying one timeslot.
@@ -84,13 +63,12 @@ type Report struct {
 	Rejected int64        `json:"rejected"`
 }
 
-// ingestBody mirrors the server's wire form.
+// ingestBody mirrors the server's by-location wire form.
 type ingestBody struct {
-	User    int64    `json:"user"`
-	Video   int64    `json:"video"`
-	Hotspot *int64   `json:"hotspot,omitempty"`
-	X       *float64 `json:"x,omitempty"`
-	Y       *float64 `json:"y,omitempty"`
+	User  int64   `json:"user"`
+	Video int64   `json:"video"`
+	X     float64 `json:"x"`
+	Y     float64 `json:"y"`
 }
 
 // Replay drives the full trace through the server at baseURL
@@ -102,7 +80,7 @@ func Replay(baseURL string, world *trace.World, tr *trace.Trace, opts Options) (
 	if err := tr.Validate(world); err != nil {
 		return nil, fmt.Errorf("loadgen: %w", err)
 	}
-	workers, client, targets := opts.resolve(baseURL)
+	client, targets := &http.Client{}, opts.targets(baseURL)
 	// Drop the keep-alive pool once the drive completes: conns left
 	// behind (including spare dials that never carried a request) keep
 	// the tier's graceful Shutdown waiting out its drain deadline.
@@ -110,7 +88,11 @@ func Replay(baseURL string, world *trace.World, tr *trace.Trace, opts Options) (
 
 	report := &Report{}
 	for slot, reqs := range tr.BySlot() {
-		sr, err := replaySlot(client, baseURL, targets, slot, reqs, workers, opts.ByHotspot, world)
+		bodies, err := encodeSlot(reqs)
+		if err != nil {
+			return report, err
+		}
+		sr, err := driveSlot(client, baseURL, targets, slot, bodies)
 		if err != nil {
 			return report, err
 		}
@@ -122,42 +104,13 @@ func Replay(baseURL string, world *trace.World, tr *trace.Trace, opts Options) (
 	return report, nil
 }
 
-// replaySlot encodes one slot's requests and drives them through the
-// tier.
-func replaySlot(client *http.Client, baseURL string, targets []string, slot int, reqs []trace.Request, workers int, byHotspot bool, world *trace.World) (SlotReport, error) {
-	var index *geo.Grid
-	if byHotspot {
-		g, err := world.Index()
-		if err != nil {
-			return SlotReport{Slot: slot, Sent: len(reqs)}, fmt.Errorf("loadgen: %w", err)
-		}
-		index = g
-	}
-	bodies, err := encodeSlot(reqs, index)
-	if err != nil {
-		return SlotReport{Slot: slot, Sent: len(reqs)}, err
-	}
-	return driveSlot(client, baseURL, targets, slot, bodies, workers)
-}
-
-// encodeSlot renders requests in the ingest wire form: by location, or
-// (index non-nil) pre-resolved to their nearest hotspot.
-func encodeSlot(reqs []trace.Request, index *geo.Grid) ([][]byte, error) {
+// encodeSlot renders requests in the ingest wire form, by location:
+// the server resolves each to its nearest hotspot, the same code path
+// the simulator aggregates with.
+func encodeSlot(reqs []trace.Request) ([][]byte, error) {
 	bodies := make([][]byte, len(reqs))
 	for i, req := range reqs {
-		body := ingestBody{User: int64(req.User), Video: int64(req.Video)}
-		if index != nil {
-			h, _, ok := index.Nearest(req.Location)
-			if !ok {
-				return nil, fmt.Errorf("loadgen: no hotspot for request %d", req.ID)
-			}
-			hh := int64(h)
-			body.Hotspot = &hh
-		} else {
-			x, y := req.Location.X, req.Location.Y
-			body.X, body.Y = &x, &y
-		}
-		data, err := json.Marshal(body)
+		data, err := json.Marshal(ingestBody{User: int64(req.User), Video: int64(req.Video), X: req.Location.X, Y: req.Location.Y})
 		if err != nil {
 			return nil, fmt.Errorf("loadgen: %w", err)
 		}
@@ -168,7 +121,7 @@ func encodeSlot(reqs []trace.Request, index *geo.Grid) ([][]byte, error) {
 
 // driveSlot posts one slot's pre-encoded ingest bodies (rotating across
 // targets) and forces the slot boundary through baseURL.
-func driveSlot(client *http.Client, baseURL string, targets []string, slot int, bodies [][]byte, workers int) (SlotReport, error) {
+func driveSlot(client *http.Client, baseURL string, targets []string, slot int, bodies [][]byte) (SlotReport, error) {
 	sr := SlotReport{Slot: slot, Sent: len(bodies)}
 	var accepted, rejected, rr atomic.Int64
 	errs := make(chan error, workers)
@@ -222,12 +175,6 @@ func driveSlot(client *http.Client, baseURL string, targets []string, slot int, 
 	}
 	sr.Accepted = accepted.Load()
 	sr.Rejected = rejected.Load()
-	return closeSlot(client, baseURL, sr)
-}
-
-// closeSlot forces the slot boundary through baseURL and records the
-// outcome in sr.
-func closeSlot(client *http.Client, baseURL string, sr SlotReport) (SlotReport, error) {
 	adv, err := advance(client, baseURL)
 	if err != nil {
 		return sr, err

@@ -61,7 +61,7 @@ func startServer(t *testing.T, world *trace.World) *server.Server {
 func TestReplay(t *testing.T) {
 	world, tr := replayWorld(t)
 	srv := startServer(t, world)
-	report, err := Replay("http://"+srv.Addr(), world, tr, Options{Workers: 3})
+	report, err := Replay("http://"+srv.Addr(), world, tr, Options{})
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}
@@ -81,18 +81,6 @@ func TestReplay(t *testing.T) {
 	}
 }
 
-func TestReplayByHotspotMode(t *testing.T) {
-	world, tr := replayWorld(t)
-	srv := startServer(t, world)
-	report, err := Replay("http://"+srv.Addr(), world, tr, Options{Workers: 2, ByHotspot: true})
-	if err != nil {
-		t.Fatalf("Replay: %v", err)
-	}
-	if report.Accepted != int64(len(tr.Requests)) {
-		t.Fatalf("accepted %d of %d", report.Accepted, len(tr.Requests))
-	}
-}
-
 func TestReplayInvalidTrace(t *testing.T) {
 	world, tr := replayWorld(t)
 	tr.Requests[0].Video = trace.VideoID(world.NumVideos)
@@ -103,7 +91,7 @@ func TestReplayInvalidTrace(t *testing.T) {
 
 func TestReplayUnreachableServer(t *testing.T) {
 	world, tr := replayWorld(t)
-	_, err := Replay("http://127.0.0.1:1", world, tr, Options{Workers: 1})
+	_, err := Replay("http://127.0.0.1:1", world, tr, Options{})
 	if err == nil || !strings.Contains(err.Error(), "loadgen") {
 		t.Fatalf("unreachable server: err = %v", err)
 	}
@@ -121,7 +109,7 @@ func TestReplayCountsRejections(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	report, err := Replay("http://"+srv.Addr(), world, tr, Options{Workers: 2})
+	report, err := Replay("http://"+srv.Addr(), world, tr, Options{})
 	if err != nil {
 		t.Fatalf("Replay: %v", err)
 	}

@@ -1,24 +1,21 @@
 package loadgen
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"net/http"
-	"sort"
 	"strconv"
-	"time"
 
 	"repro/internal/stats"
 )
 
-// Open-loop generation: every client injects requests on its own
-// arrival process's schedule, independent of how fast the server
-// answers — the ServeGen discipline, where load does not degrade
-// gracefully just because the system under test slowed down. The
-// schedule is materialised up front (Generate) so the same spec, seed,
-// and horizon always produce the byte-identical request stream,
-// whatever the transport later does with it.
+// Open-loop generation: every client draws requests from its own
+// arrival process, independent of how fast the server answers — the
+// ServeGen discipline. The schedule is materialised up front (Generate)
+// so the same spec, seed, and horizon always produce the byte-identical
+// request stream; an arrival time decides only the request's slot, and
+// DriveOpenLoop posts each slot as fast as its posters go rather than
+// on the schedule.
 
 // GenRequest is one generated request, pre-resolved to its aggregation
 // hotspot (open-loop clients are stationary: each client draws its
@@ -27,9 +24,6 @@ type GenRequest struct {
 	User    int64
 	Video   int64
 	Hotspot int64
-	// At is the arrival offset in seconds from the stream's start
-	// (paced drives sleep until it; the unpaced drive ignores it).
-	At float64
 }
 
 // AppendJSON appends the request's ingest wire form to b.
@@ -120,7 +114,7 @@ func (s *Spec) Generate(seed int64, slots int, slotSeconds float64, numHotspots,
 					video = rng.Int63n(int64(numVideos))
 				}
 				slot := int(t / slotSeconds)
-				out.Slots[slot] = append(out.Slots[slot], GenRequest{User: id, Video: video, Hotspot: hotspot, At: t})
+				out.Slots[slot] = append(out.Slots[slot], GenRequest{User: id, Video: video, Hotspot: hotspot})
 				out.Total++
 			}
 		}
@@ -130,42 +124,21 @@ func (s *Spec) Generate(seed int64, slots int, slotSeconds float64, numHotspots,
 
 // DriveOpenLoop posts a generated stream through a serving tier slot by
 // slot: each slot's requests fan out across opts.Targets (defaulting to
-// baseURL alone), then the slot boundary is forced through baseURL.
-// Reporting matches Replay's.
+// baseURL alone) as fast as the posters go, then the slot boundary is
+// forced through baseURL. Reporting matches Replay's.
 func DriveOpenLoop(baseURL string, stream *Stream, opts Options) (*Report, error) {
-	return DriveOpenLoopContext(context.Background(), baseURL, stream, opts)
-}
-
-// DriveOpenLoopContext is DriveOpenLoop bounded by ctx: cancellation
-// is honoured between slots, between posts, and — in paced mode —
-// during the inter-arrival sleeps themselves, so a paced drive never
-// outlives its caller by a sleep. With opts.Pace > 0 each request is
-// posted on its generated arrival time (sleeping At/Pace from the
-// drive's start, single in-order poster — the open-loop discipline);
-// with Pace 0 requests are fanned out as fast as the workers go.
-func DriveOpenLoopContext(ctx context.Context, baseURL string, stream *Stream, opts Options) (*Report, error) {
-	workers, client, targets := opts.resolve(baseURL)
+	client, targets := &http.Client{}, opts.targets(baseURL)
 	// See Replay: lingering keep-alives stall the tier's Shutdown.
 	defer client.CloseIdleConnections()
 	report := &Report{}
 	var scratch []byte
-	start := time.Now()
 	for slot, reqs := range stream.Slots {
-		if err := ctx.Err(); err != nil {
-			return report, err
+		bodies := make([][]byte, len(reqs))
+		for i, r := range reqs {
+			scratch = r.AppendJSON(scratch[:0])
+			bodies[i] = append([]byte(nil), scratch...)
 		}
-		var sr SlotReport
-		var err error
-		if opts.Pace > 0 {
-			sr, err = drivePacedSlot(ctx, client, baseURL, targets, slot, reqs, opts.Pace, start)
-		} else {
-			bodies := make([][]byte, len(reqs))
-			for i, r := range reqs {
-				scratch = r.AppendJSON(scratch[:0])
-				bodies[i] = append([]byte(nil), scratch...)
-			}
-			sr, err = driveSlot(client, baseURL, targets, slot, bodies, workers)
-		}
+		sr, err := driveSlot(client, baseURL, targets, slot, bodies)
 		report.Slots = append(report.Slots, sr)
 		report.Sent += sr.Sent
 		report.Accepted += sr.Accepted
@@ -175,48 +148,4 @@ func DriveOpenLoopContext(ctx context.Context, baseURL string, stream *Stream, o
 		}
 	}
 	return report, nil
-}
-
-// drivePacedSlot posts one slot's requests in arrival order, sleeping
-// until each request's scaled arrival offset. Every sleep selects on
-// ctx, so cancellation interrupts the drive mid-sleep.
-func drivePacedSlot(ctx context.Context, client *http.Client, baseURL string, targets []string, slot int, reqs []GenRequest, pace float64, start time.Time) (SlotReport, error) {
-	sorted := append([]GenRequest(nil), reqs...)
-	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].At < sorted[j].At })
-	sr := SlotReport{Slot: slot, Sent: len(reqs)}
-	timer := time.NewTimer(0)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	defer timer.Stop()
-	var scratch []byte
-	for i, r := range sorted {
-		d := time.Duration(r.At/pace*float64(time.Second)) - time.Since(start)
-		if d > 0 {
-			timer.Reset(d)
-			select {
-			case <-timer.C:
-			case <-ctx.Done():
-				return sr, ctx.Err()
-			}
-		} else if err := ctx.Err(); err != nil {
-			// Behind schedule: no sleep to interrupt, but cancellation
-			// still stops the burst.
-			return sr, err
-		}
-		scratch = r.AppendJSON(scratch[:0])
-		status, err := postIngest(client, targets[i%len(targets)], scratch)
-		if err != nil {
-			return sr, err
-		}
-		switch status {
-		case http.StatusAccepted:
-			sr.Accepted++
-		case http.StatusTooManyRequests:
-			sr.Rejected++
-		default:
-			return sr, fmt.Errorf("loadgen: ingest status %d", status)
-		}
-	}
-	return closeSlot(client, baseURL, sr)
 }

@@ -1,13 +1,10 @@
 package loadgen_test
 
 import (
-	"context"
-	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/geo"
 	"repro/internal/obs"
@@ -74,7 +71,7 @@ class bursty clients=5  arrival=gamma   rate=20 shape=0.5
 	for i := range targets {
 		targets[i] = "http://" + srv.InstanceAddr(i)
 	}
-	report, err := loadgen.DriveOpenLoop(targets[0], stream, loadgen.Options{Workers: 4, Targets: targets})
+	report, err := loadgen.DriveOpenLoop(targets[0], stream, loadgen.Options{Targets: targets})
 	if err != nil {
 		t.Fatalf("DriveOpenLoop: %v", err)
 	}
@@ -97,75 +94,14 @@ class bursty clients=5  arrival=gamma   rate=20 shape=0.5
 	}
 }
 
-// TestDriveOpenLoopCancellation: a paced drive sleeping toward a far
-// future arrival must return promptly — with ctx's error — when the
-// context is cancelled mid-sleep, and a drive handed an
-// already-cancelled context must not post anything at all.
-func TestDriveOpenLoopCancellation(t *testing.T) {
-	world := openLoopWorld(4)
-	srv, err := server.New(server.Config{
-		World:      world,
-		Registry:   obs.NewRegistry(),
-		QueueBound: 1 << 20,
-	})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if err := srv.Start(); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	defer srv.Close()
-	base := "http://" + srv.Addr()
-
-	// One slot, two arrivals: the first fires immediately, the second
-	// is hours away at Pace 1 — the drive can only finish early via
-	// cancellation.
-	stream := &loadgen.Stream{
-		Slots: [][]loadgen.GenRequest{{
-			{User: 0, Video: 1, Hotspot: 0, At: 0},
-			{User: 1, Video: 2, Hotspot: 1, At: 3600},
-		}},
-		Total: 2,
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		cancel()
-	}()
-	startAt := time.Now()
-	report, err := loadgen.DriveOpenLoopContext(ctx, base, stream, loadgen.Options{Pace: 1})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("paced drive returned %v, want context.Canceled", err)
-	}
-	if elapsed := time.Since(startAt); elapsed > 5*time.Second {
-		t.Fatalf("cancellation took %v, sleep was not interrupted", elapsed)
-	}
-	if report == nil || report.Accepted != 1 {
-		t.Fatalf("report %+v, want exactly the pre-cancel request accepted", report)
-	}
-
-	// Already-cancelled context: nothing is posted, the error surfaces
-	// before the first slot.
-	done, cancel2 := context.WithCancel(context.Background())
-	cancel2()
-	report, err = loadgen.DriveOpenLoopContext(done, base, stream, loadgen.Options{})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("pre-cancelled drive returned %v, want context.Canceled", err)
-	}
-	if report.Sent != 0 {
-		t.Fatalf("pre-cancelled drive sent %d requests, want 0", report.Sent)
-	}
-}
-
-// TestDriveOpenLoopErrorPaths drives the paced loop against stub
+// TestDriveOpenLoopErrorPaths drives the loop against stub
 // servers that reject, error, and garble the protocol, covering the
 // 429 accounting and both failure branches.
 func TestDriveOpenLoopErrorPaths(t *testing.T) {
 	stream := &loadgen.Stream{
 		Slots: [][]loadgen.GenRequest{{
-			{User: 0, Video: 1, Hotspot: 0, At: 0},
-			{User: 1, Video: 2, Hotspot: 1, At: 0.001},
+			{User: 0, Video: 1, Hotspot: 0},
+			{User: 1, Video: 2, Hotspot: 1},
 		}},
 		Total: 2,
 	}
@@ -175,7 +111,7 @@ func TestDriveOpenLoopErrorPaths(t *testing.T) {
 			w.WriteHeader(http.StatusInternalServerError)
 		}))
 		defer srv.Close()
-		_, err := loadgen.DriveOpenLoop(srv.URL, stream, loadgen.Options{Pace: 1000})
+		_, err := loadgen.DriveOpenLoop(srv.URL, stream, loadgen.Options{})
 		if err == nil || !strings.Contains(err.Error(), "ingest status 500") {
 			t.Fatalf("err = %v, want ingest status 500", err)
 		}
@@ -190,7 +126,7 @@ func TestDriveOpenLoopErrorPaths(t *testing.T) {
 			w.Write([]byte("{not json"))
 		}))
 		defer srv.Close()
-		report, err := loadgen.DriveOpenLoop(srv.URL, stream, loadgen.Options{Pace: 1000})
+		report, err := loadgen.DriveOpenLoop(srv.URL, stream, loadgen.Options{})
 		if err == nil || !strings.Contains(err.Error(), "decoding advance reply") {
 			t.Fatalf("err = %v, want advance decode failure", err)
 		}
@@ -208,7 +144,7 @@ func TestDriveOpenLoopErrorPaths(t *testing.T) {
 			w.WriteHeader(http.StatusBadGateway)
 		}))
 		defer srv.Close()
-		_, err := loadgen.DriveOpenLoop(srv.URL, stream, loadgen.Options{Pace: 1000})
+		_, err := loadgen.DriveOpenLoop(srv.URL, stream, loadgen.Options{})
 		if err == nil || !strings.Contains(err.Error(), "advance status 502") {
 			t.Fatalf("err = %v, want advance status 502", err)
 		}

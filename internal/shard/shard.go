@@ -151,11 +151,6 @@ func (s *Scheduler) Partition() *region.Partition { return s.part }
 // NumShards returns the number of shards.
 func (s *Scheduler) NumShards() int { return len(s.scheds) }
 
-// Schedule runs one round against the world's nominal capacities.
-func (s *Scheduler) Schedule(d *core.Demand) (*core.Plan, error) {
-	return s.ScheduleRound(d, core.Constraints{})
-}
-
 // ScheduleRound runs one sharded round: split the demand, solve every
 // shard concurrently, merge the shard plans in shard-index order, run
 // the boundary-reconciliation pass, and rebuild global flows and

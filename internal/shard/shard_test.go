@@ -358,9 +358,9 @@ func TestShardedObsPublish(t *testing.T) {
 	if s.Partition() == nil || s.Partition().NumRegions() != s.NumShards() {
 		t.Errorf("Partition() regions = %v, want %d shards", s.Partition(), s.NumShards())
 	}
-	plan, err := s.Schedule(d)
+	plan, err := s.ScheduleRound(d, core.Constraints{})
 	if err != nil {
-		t.Fatalf("Schedule: %v", err)
+		t.Fatalf("ScheduleRound: %v", err)
 	}
 	if plan == nil {
 		t.Fatal("nil plan")

@@ -10,7 +10,7 @@ import (
 )
 
 // Config parameterises the synthetic world and trace generator. The
-// defaults (DefaultConfig / EvalConfig / MeasurementConfig) are
+// defaults (DefaultConfig / MeasurementConfig) are
 // calibrated against the statistics the paper reports for its
 // proprietary datasets; see the package comment and DESIGN.md.
 type Config struct {
@@ -107,10 +107,6 @@ func DefaultConfig() Config {
 		JitterStdKm:         0.25,
 	}
 }
-
-// EvalConfig is an alias for DefaultConfig, named for readability at
-// call sites reproducing Sec. V figures.
-func EvalConfig() Config { return DefaultConfig() }
 
 // MeasurementConfig returns the measurement-scale configuration for the
 // Sec. II study: a city-scale region with 5,000 sampled hotspots and a

@@ -24,7 +24,7 @@ func TestObsOverheadSmoke(t *testing.T) {
 	if os.Getenv("OBS_SMOKE") == "" {
 		t.Skip("set OBS_SMOKE=1 to run the observability overhead smoke test")
 	}
-	cfg := trace.EvalConfig()
+	cfg := trace.DefaultConfig()
 	cfg.NumHotspots = 60
 	cfg.NumVideos = 3000
 	cfg.NumUsers = 6000
