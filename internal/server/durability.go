@@ -186,7 +186,7 @@ func (s *Server) writeCheckpoint() {
 	}
 	s.mu.Unlock()
 
-	wal.SortEntries(cp.Pending)
+	cp.Pending = wal.MergeEntries(cp.Pending)
 	if err := s.wal.WriteCheckpoint(cp, mark); err != nil {
 		s.walErrors.Inc()
 	}
@@ -195,8 +195,7 @@ func (s *Server) writeCheckpoint() {
 // queuedFromSnapshot renders one queued slot snapshot as its durable
 // form.
 func queuedFromSnapshot(snap *slotSnapshot) wal.QueuedSlot {
-	es := appendEntries(nil, snap.demand)
-	wal.SortEntries(es)
+	es := wal.MergeEntries(appendEntries(nil, snap.demand))
 	return wal.QueuedSlot{Slot: snap.slot, Requests: snap.requests, Entries: es}
 }
 

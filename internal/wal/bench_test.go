@@ -3,6 +3,7 @@ package wal
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -30,68 +31,102 @@ func BenchmarkWALAppendAlways(b *testing.B)   { benchAppend(b, PolicyAlways) }
 func BenchmarkWALAppendInterval(b *testing.B) { benchAppend(b, PolicyInterval) }
 func BenchmarkWALAppendNone(b *testing.B)     { benchAppend(b, PolicyNone) }
 
-// BenchmarkRecoveryReplay times Open on a log shaped like the serving
-// benchmark's restart drill (bench/drill.go): two scheduled slots, a
-// checkpoint that has absorbed them, one more scheduled slot and half
-// a slot of pending demand, nothing collected yet — so the scan meets
-// two slots of ingests at or below the checkpoint's cursors and folds
-// one and a half. Two instances alternate, hotspots are uniform over a
-// city-sized fleet and videos Zipf, one plan record per slot. The plan
-// is a toy, so ns/record is the scan and the fold alone: a boot costs
-// about that times wal.recovered_records plus core.verify_ms per plan
-// record and checkpoint (wal.recover_plan_verify_us).
-func BenchmarkRecoveryReplay(b *testing.B) {
+// recoveryShape is the log shape of the serving benchmark's restart
+// drill (bench/drill.go) at slotIngests ingests per slot: two
+// scheduled slots, a checkpoint that has absorbed them, one more
+// scheduled slot and half a slot of pending demand, nothing collected
+// yet — so the scan meets two slots of ingests at or below the
+// checkpoint's cursors and folds one and a half. Two instances
+// alternate, hotspots are uniform over a city-sized fleet and videos
+// Zipf, one plan record per slot. The plan is a toy.
+type recoveryShape struct {
+	// before and after are the log on either side of the checkpoint.
+	before, after []record
+	ckpt          *Checkpoint
+	// skipped counts the ingests at or below the checkpoint's cursors,
+	// pending the requests of the unfinished slot.
+	skipped, pending int
+}
+
+func newRecoveryShape(tb testing.TB, slotIngests int) *recoveryShape {
 	const (
-		slotIngests = 50000
-		hotspots    = 1240
-		videos      = 15000
+		hotspots = 1240
+		videos   = 15000
 	)
-	dir := b.TempDir()
-	l, _, err := Open(dir, Options{Policy: PolicyNone})
-	if err != nil {
-		b.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(1))
 	zipf := rand.NewZipf(rng, 1.2, 8, videos-1)
 	seqs := make([]uint64, 2)
-	records := 0
+	var log []record
 	feed := func(slot, n int) {
 		for i := 0; i < n; i++ {
 			in := i % len(seqs)
 			seqs[in]++
-			if _, err := l.AppendIngest(slot, in, seqs[in], rng.Intn(hotspots), int(zipf.Uint64()), 1); err != nil {
-				b.Fatal(err)
-			}
+			log = append(log, record{kind: recIngest, slot: slot, instance: in, seq: seqs[in],
+				hotspot: rng.Intn(hotspots), video: int(zipf.Uint64()), count: 1})
 		}
-		records += n
 	}
 	var plan *PlanState
 	schedule := func(slot int) {
-		canonical, digest := testPlanBytes(b, int64(slot+1))
-		if _, err := l.AppendAdvance(slot); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := l.AppendPlan(slot, int64(slot+1), digest, canonical); err != nil {
-			b.Fatal(err)
-		}
+		canonical, digest := testPlanBytes(tb, int64(slot+1))
+		log = append(log, record{kind: recAdvance, slot: slot},
+			record{kind: recPlan, slot: slot, epoch: int64(slot + 1), digest: digest, canonical: canonical})
 		plan = &PlanState{Slot: slot, Epoch: int64(slot + 1), Digest: digest, Canonical: canonical}
-		records += 2
 	}
 	for slot := 0; slot < 2; slot++ {
 		feed(slot, slotIngests)
 		schedule(slot)
 	}
-	skipped := 2 * slotIngests
-	cp := &Checkpoint{Slot: 2, Epoch: 2, Plan: plan, Cursors: map[int]uint64{0: seqs[0], 1: seqs[1]}}
-	if err := l.WriteCheckpoint(cp, l.CurrentSegment()); err != nil {
-		b.Fatal(err)
-	}
+	sh := &recoveryShape{before: log, skipped: 2 * slotIngests, pending: slotIngests / 2}
+	sh.ckpt = &Checkpoint{Slot: 2, Epoch: 2, Plan: plan, Cursors: map[int]uint64{0: seqs[0], 1: seqs[1]}}
+	log = nil
 	feed(2, slotIngests)
 	schedule(2)
 	feed(3, slotIngests/2)
-	if err := l.Close(); err != nil {
-		b.Fatal(err)
+	sh.after = log
+	return sh
+}
+
+// records is every record of the shape, in log order.
+func (sh *recoveryShape) records() []record {
+	return append(slices.Clip(sh.before), sh.after...)
+}
+
+// write logs the shape into dir as a server would: the records before
+// the checkpoint, the checkpoint, the rest.
+func (sh *recoveryShape) write(tb testing.TB, dir string) {
+	l, _, err := Open(dir, Options{Policy: PolicyNone})
+	if err != nil {
+		tb.Fatal(err)
 	}
+	appendAll := func(recs []record) {
+		for i := range recs {
+			if _, err := l.append(&recs[i]); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+	appendAll(sh.before)
+	cp := *sh.ckpt
+	if err := l.WriteCheckpoint(&cp, l.CurrentSegment()); err != nil {
+		tb.Fatal(err)
+	}
+	appendAll(sh.after)
+	if err := l.Close(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkRecoveryReplay times Open on the restart drill's log shape
+// (recoveryShape) at 50,000 ingests per slot. ns/record is the scan
+// and the fold alone: a boot costs about that times
+// wal.recovered_records plus core.verify_ms per plan record and
+// checkpoint (wal.recover_plan_verify_us).
+func BenchmarkRecoveryReplay(b *testing.B) {
+	const slotIngests = 50000
+	dir := b.TempDir()
+	sh := newRecoveryShape(b, slotIngests)
+	sh.write(b, dir)
+	records := len(sh.before) + len(sh.after)
 
 	b.ReportAllocs()
 	var before, after runtime.MemStats
@@ -102,9 +137,9 @@ func BenchmarkRecoveryReplay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if st.Records != records || st.Skipped != skipped || st.PendingRequests != slotIngests/2 || st.Epoch != 3 {
+		if st.Records != records || st.Skipped != sh.skipped || st.PendingRequests != int64(sh.pending) || st.Epoch != 3 {
 			b.Fatalf("recovered %d records (%d skipped), %d pending, epoch %d; want %d (%d), %d, 3",
-				st.Records, st.Skipped, st.PendingRequests, st.Epoch, records, skipped, slotIngests/2)
+				st.Records, st.Skipped, st.PendingRequests, st.Epoch, records, sh.skipped, sh.pending)
 		}
 		l2.Crash()
 	}

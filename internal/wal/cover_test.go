@@ -81,13 +81,15 @@ func TestDecodeRecordErrors(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := decodeRecord(tc.payload)
+			var r record
+			err := r.decode(tc.payload)
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("decodeRecord(% x) err = %v, want %q", tc.payload, err, tc.want)
+				t.Fatalf("decode(% x) err = %v, want %q", tc.payload, err, tc.want)
 			}
 		})
 	}
-	if _, err := decodeRecord(validPlan); err != nil {
+	var r record
+	if err := r.decode(validPlan); err != nil {
 		t.Fatalf("valid plan payload rejected: %v", err)
 	}
 }

@@ -169,7 +169,7 @@ func listSegments(dir string) ([]uint64, error) {
 // prefix and deleting all later segments — and each surviving record
 // is folded onto the checkpoint as the scan decodes it (replay); the
 // result equals a replay in (slot, instance, sequence) order, because
-// all the fold keeps of an ingest is a sum.
+// all the fold keeps of an ingest is a term of a sum.
 func Open(dir string, opts Options) (*Log, *State, error) {
 	start := time.Now()
 	if opts.Interval <= 0 {
@@ -215,22 +215,22 @@ func Open(dir string, opts Options) (*Log, *State, error) {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
 	rp := newReplay(ckpt)
+	sc := segmentScanner{window: readWindow}
 	var truncatedBytes int64
 	for i, idx := range segs {
 		path := filepath.Join(dir, segmentName(idx))
-		data, err := os.ReadFile(path)
+		validLen, size, err := sc.scan(path, rp.apply)
 		if err != nil {
 			return nil, nil, fmt.Errorf("wal: reading %s: %w", path, err)
 		}
-		validLen := scanSegment(data, rp.apply)
-		if validLen == len(data) {
+		if validLen == size {
 			continue
 		}
 		// Torn tail or corruption: truncate this segment to its valid
 		// prefix and delete every later segment — records beyond the
 		// first invalid frame are not part of the durable prefix.
-		truncatedBytes += int64(len(data) - validLen)
-		if err := os.Truncate(path, int64(validLen)); err != nil {
+		truncatedBytes += size - validLen
+		if err := os.Truncate(path, validLen); err != nil {
 			return nil, nil, fmt.Errorf("wal: truncating %s: %w", path, err)
 		}
 		for _, later := range segs[i+1:] {
