@@ -241,3 +241,51 @@ func TestCheckFits(t *testing.T) {
 		}
 	}
 }
+
+// TestCoalescedSlotNotRescheduledAfterCrash: with the worker lagging,
+// advance coalesces a slot into the newest queued snapshot, which
+// schedules under the newer slot number — the older slot's ingests
+// never get an outcome record of their own. A reboot before the next
+// checkpoint must still count them consumed by the plan that
+// scheduled them, not queue them for a second round.
+func TestCoalescedSlotNotRescheduledAfterCrash(t *testing.T) {
+	cfg := Config{World: testWorld(4, 50, 50), WALDir: t.TempDir()}
+	s := newTestServer(t, cfg) // never started: no worker drains the queue
+	ingest := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			body := fmt.Sprintf(`{"user":%d,"video":%d,"hotspot":%d}`, i, i%5, i%4)
+			if rr := do(t, s, http.MethodPost, "/ingest", body); rr.Code != http.StatusAccepted {
+				t.Fatalf("ingest: %d %s", rr.Code, rr.Body)
+			}
+		}
+	}
+	for k := 0; k <= maxSnapshotQueue; k++ {
+		ingest(3 + k)
+		if _, ok := s.advance(nil, false); !ok {
+			t.Fatalf("advance %d rejected", k)
+		}
+	}
+	if got := s.reg.Counter("server.slots.coalesced").Value(); got != 1 {
+		t.Fatalf("server.slots.coalesced = %d, want 1", got)
+	}
+	s.drainQueue()
+	if got := s.reg.Counter("server.plan.swaps").Value(); got != maxSnapshotQueue {
+		t.Fatalf("%d plans, want %d", got, maxSnapshotQueue)
+	}
+	const acked = 5 // acknowledged after the last advance
+	ingest(acked)
+	s.Kill()
+
+	cfg.Registry = obs.NewRegistry()
+	s2 := newTestServer(t, cfg)
+	defer s2.Kill()
+	st := s2.WALState()
+	if len(st.Queue) != 0 {
+		t.Errorf("recovery queued %+v again; every drained slot was scheduled", st.Queue)
+	}
+	if st.PendingRequests != acked || st.Slot != maxSnapshotQueue+1 {
+		t.Errorf("recovered %d pending requests at slot %d, want %d at slot %d",
+			st.PendingRequests, st.Slot, acked, maxSnapshotQueue+1)
+	}
+}

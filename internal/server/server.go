@@ -379,7 +379,10 @@ func (s *Server) advance(done chan struct{}, final bool) (slot int, ok bool) {
 		// The worker is lagging: coalesce into the newest queued
 		// snapshot instead of growing the queue or blocking. The
 		// merged demand schedules under the newer slot number; no
-		// accepted request is lost.
+		// accepted request is lost. Its plan record is the older
+		// slot's outcome too: recovery counts every slot at or below
+		// a durable outcome consumed, because this worker drains in
+		// FIFO order.
 		last := s.queue[len(s.queue)-1]
 		last.demand.Merge(demand)
 		last.requests += n

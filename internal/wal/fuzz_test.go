@@ -41,6 +41,9 @@ func FuzzWALReplay(f *testing.F) {
 	// whose slot the log then advances and plans.
 	midSlot, midSlotCkpt := pendingThenAdvancePlan(f)
 	f.Add(frames(midSlot), marshalCheckpoint(midSlotCkpt))
+	// And a slot coalesced into the next, planned under the newer
+	// number only.
+	f.Add(frames(coalescedSlot(f)), []byte{})
 
 	f.Fuzz(func(t *testing.T, seg, ckpt []byte) {
 		recs, validLen := scanRecords(seg)
