@@ -29,9 +29,8 @@
 //	-fsync POLICY     WAL fsync policy: always (group commit, the
 //	                  default), interval, or none (-wal-dir only)
 //	-checkpoint-every N
-//	                  write a checkpoint every N scheduled slots: an
-//	                  empty slot does not count (-wal-dir only;
-//	                  0 = default)
+//	                  write a checkpoint every N slots, empty ones
+//	                  included (-wal-dir only; 0 = default)
 //	-smoke            boot on an ephemeral port, replay a generated
 //	                  trace through the server over real HTTP (plus an
 //	                  open-loop generated workload when -instances > 1,
@@ -81,7 +80,7 @@ func run(args []string) error {
 	seed := fs.Int64("seed", 1, "world-generation seed")
 	walDir := fs.String("wal-dir", "", "write-ahead-log directory for durable serving state (empty = volatile)")
 	fsync := fs.String("fsync", "", "WAL fsync policy: always, interval, or none (-wal-dir only)")
-	ckptEvery := fs.Int("checkpoint-every", 0, "checkpoint every N scheduled slots; an empty slot does not count (-wal-dir only; 0 = default)")
+	ckptEvery := fs.Int("checkpoint-every", 0, "checkpoint every N slots, empty ones included (-wal-dir only; 0 = default)")
 	smoke := fs.Bool("smoke", false, "end-to-end smoke: boot, replay a generated trace, exit")
 	if err := fs.Parse(args); err != nil {
 		return err

@@ -15,8 +15,8 @@ const (
 	DefaultQueueBound   = 1 << 20
 	DefaultPlanHistory  = 64
 	DefaultDrainTimeout = 5 * time.Second
-	// DefaultCheckpointEvery is how many scheduled slots elapse between
-	// WAL checkpoints when WALDir is set.
+	// DefaultCheckpointEvery is how many slots (scheduled, dropped or
+	// empty) elapse between WAL checkpoints when WALDir is set.
 	DefaultCheckpointEvery = 8
 
 	// maxInstances bounds the in-process frontend fleet: each instance
@@ -82,9 +82,9 @@ type Config struct {
 	// FsyncInterval is the "interval" policy's flush cadence. 0
 	// selects wal.DefaultInterval. Only meaningful with WALDir.
 	FsyncInterval time.Duration
-	// CheckpointEvery writes a WAL checkpoint every this many
-	// scheduled slots. 0 selects DefaultCheckpointEvery. Only
-	// meaningful with WALDir.
+	// CheckpointEvery writes a WAL checkpoint every this many slots,
+	// scheduled, dropped or empty. 0 selects DefaultCheckpointEvery.
+	// Only meaningful with WALDir.
 	CheckpointEvery int
 	// Registry, when non-nil, receives the server's metrics
 	// (server.ingest.*, server.lookup.*, server.slots*, server.plan.*,
