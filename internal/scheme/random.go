@@ -2,8 +2,11 @@ package scheme
 
 import (
 	"fmt"
+	"math/rand"
 
 	"repro/internal/sim"
+	"repro/internal/similarity"
+	"repro/internal/trace"
 )
 
 // Random is the paper's local-random scheme: each hotspot caches the
@@ -22,20 +25,28 @@ func (r Random) Name() string { return fmt.Sprintf("Random(%.1fkm)", r.RadiusKm)
 
 // Schedule implements sim.Scheduler.
 func (r Random) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) {
+	return routeInRadius(ctx, "Random", r.RadiusKm, func(rng *rand.Rand, holders []int, _ []int64) int {
+		return holders[rng.Intn(len(holders))]
+	})
+}
+
+// routeInRadius is the Random/PowerOfTwo slot: cache each hotspot's
+// neighbourhood favourites (neighborhoodPlacement), then route each
+// request among the in-radius holders of its video that have service
+// capacity left. The candidate set is the radius-neighbourhood of the
+// request's aggregation (nearest) hotspot, matching the paper's
+// formulation where redirection happens between hotspots. pick chooses
+// one of a non-empty holder list, drawing from rng; a request with no
+// holder goes to the CDN without a draw.
+func routeInRadius(ctx *sim.SlotContext, scheme string, radiusKm float64, pick func(rng *rand.Rand, holders []int, capLeft []int64) int) (*sim.Assignment, error) {
 	if ctx == nil {
 		return nil, fmt.Errorf("scheme: nil context")
 	}
-	if r.RadiusKm <= 0 {
-		return nil, fmt.Errorf("scheme: Random radius must be positive, got %v", r.RadiusKm)
+	if radiusKm <= 0 {
+		return nil, fmt.Errorf("scheme: %s radius must be positive, got %v", scheme, radiusKm)
 	}
+	placement, neighborsOf := neighborhoodPlacement(ctx, radiusKm)
 
-	// Cache the most popular videos of each hotspot's neighbourhood.
-	placement, neighborsOf := neighborhoodPlacement(ctx, r.RadiusKm)
-
-	// Route each request to a random in-radius holder with remaining
-	// capacity. The candidate set is the radius-neighbourhood of the
-	// request's aggregation (nearest) hotspot, matching the paper's
-	// formulation where redirection happens between hotspots.
 	capLeft := append([]int64(nil), ctx.EffectiveCapacity()...)
 	targets := make([]int, len(ctx.Requests))
 	var holders []int
@@ -50,9 +61,42 @@ func (r Random) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) {
 			targets[i] = sim.CDN
 			continue
 		}
-		h := holders[ctx.Rand.Intn(len(holders))]
+		h := pick(ctx.Rand, holders, capLeft)
 		capLeft[h]--
 		targets[i] = h
 	}
 	return &sim.Assignment{Placement: placement, Target: targets}, nil
+}
+
+// neighborhoodPlacement computes the Random/PowerOfTwo cache policy:
+// each hotspot caches the most popular videos among the demand of
+// hotspots within the radius, and returns the per-hotspot neighbour
+// lists used for routing.
+func neighborhoodPlacement(ctx *sim.SlotContext, radiusKm float64) ([]similarity.Set, [][]int) {
+	m := len(ctx.World.Hotspots)
+	cache := ctx.EffectiveCacheCapacity()
+	placement := make([]similarity.Set, m)
+	neighborsOf := make([][]int, m)
+	buf := make([]int64, ctx.World.NumVideos)
+	touched := make([]int, 0, 1024)
+	for h := 0; h < m; h++ {
+		nbrs := ctx.Index.Within(ctx.World.Hotspots[h].Location, radiusKm)
+		touched = touched[:0]
+		for _, nb := range nbrs {
+			neighborsOf[h] = append(neighborsOf[h], nb.ID)
+			ctx.Demand.Each(nb.ID, func(v trace.VideoID, n int64) {
+				if buf[v] == 0 {
+					touched = append(touched, int(v))
+				}
+				buf[v] += n
+			})
+		}
+		pairs := make([]videoCount, len(touched))
+		for i, v := range touched {
+			pairs[i] = videoCount{id: v, n: buf[v]}
+			buf[v] = 0
+		}
+		placement[h] = topLocalPairs(pairs, cache[h])
+	}
+	return placement, neighborsOf
 }
