@@ -56,7 +56,6 @@ func run(args []string) error {
 	seed := fs.Int64("seed", 1, "simulation (and generation) seed")
 	workers := fs.Int("workers", 0, "scheduling parallelism (0 = all cores, 1 = serial; results identical)")
 	churn := fs.Float64("churn", 0, "per-slot probability a hotspot is offline")
-	shards := fs.Int("shards", 0, "rbcaer only: cluster-partition the world into N shards scheduled concurrently")
 	shardCellKm := fs.Float64("shard-cell-km", 0, "rbcaer only: grid-partition the world into shards of this cell size in km")
 	asJSON := fs.Bool("json", false, "emit metrics as JSON")
 	debugAddr := fs.String("debug-addr", "", "serve pprof/expvar/metrics on this address (e.g. localhost:6060)")
@@ -91,17 +90,17 @@ func run(args []string) error {
 		fmt.Fprintf(os.Stderr, "cdnsim: debug server on http://%s/debug/metrics\n", addr)
 	}
 
-	if *shards < 0 || *shardCellKm < 0 {
-		return fmt.Errorf("-shards and -shard-cell-km must be non-negative (got %d, %v)", *shards, *shardCellKm)
+	if *shardCellKm < 0 {
+		return fmt.Errorf("-shard-cell-km must be non-negative (got %v)", *shardCellKm)
 	}
-	if (*shards > 0 || *shardCellKm > 0) && *schemeName != "rbcaer" {
-		return fmt.Errorf("-shards/-shard-cell-km require -scheme rbcaer (got %q)", *schemeName)
+	if *shardCellKm > 0 && *schemeName != "rbcaer" {
+		return fmt.Errorf("-shard-cell-km requires -scheme rbcaer (got %q)", *schemeName)
 	}
 
 	params := crowdcdn.DefaultParams()
 	params.Obs = reg
 	params.RecordEvents = tracer != nil
-	sp := crowdcdn.ShardParams{Shards: *shards, CellKm: *shardCellKm}
+	sp := crowdcdn.ShardParams{CellKm: *shardCellKm}
 	policy, err := crowdcdn.LookupScheme(*schemeName, *radius, params, sp, *workers)
 	if err != nil {
 		return err

@@ -139,17 +139,14 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-churn", "2", "-world", worldPath, "-trace", tracePath}); err == nil {
 		t.Error("invalid churn accepted")
 	}
-	if err := run([]string{"-scheme", "nearest", "-shards", "3", "-world", worldPath, "-trace", tracePath}); err == nil {
+	if err := run([]string{"-scheme", "nearest", "-shard-cell-km", "3", "-world", worldPath, "-trace", tracePath}); err == nil {
 		t.Error("sharding with non-rbcaer scheme accepted")
 	}
-	if err := run([]string{"-shards", "-2", "-world", worldPath, "-trace", tracePath}); err == nil {
-		t.Error("negative shard count accepted")
+	if err := run([]string{"-shard-cell-km", "-2", "-world", worldPath, "-trace", tracePath}); err == nil {
+		t.Error("negative shard cell accepted")
 	}
-	if err := run([]string{"-shards", "2", "-shard-cell-km", "3", "-world", worldPath, "-trace", tracePath}); err == nil {
-		t.Error("shards and shard-cell-km together accepted")
-	}
-	// Delta scheduling has no flags.
-	for _, flag := range []string{"-delta", "-delta-verify", "-delta-every"} {
+	// Delta scheduling has no flags, and shards are grid cells only.
+	for _, flag := range []string{"-delta", "-delta-verify", "-delta-every", "-shards"} {
 		err := run([]string{flag, "-world", worldPath, "-trace", tracePath})
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+flag) {
 			t.Errorf("%s: err = %v, want an undefined flag", flag, err)
@@ -161,7 +158,7 @@ func TestRunSharded(t *testing.T) {
 	worldPath, tracePath := writeTinyWorld(t)
 	for _, args := range [][]string{
 		{"-shard-cell-km", "4"},
-		{"-shards", "3"},
+		{"-shard-cell-km", "2"},
 	} {
 		err := run(append([]string{"-world", worldPath, "-trace", tracePath, "-scheme", "rbcaer", "-json"}, args...))
 		if err != nil {

@@ -138,9 +138,6 @@ type (
 // LoadScenario reads and parses a scenario file.
 func LoadScenario(path string) (*ScenarioDoc, error) { return scenario.Load(path) }
 
-// ParseScenario parses scenario source text.
-func ParseScenario(src []byte) (*ScenarioDoc, error) { return scenario.Parse(src) }
-
 // Observability (see internal/obs and DESIGN.md §8). A Registry and a
 // Tracer plug into SimOptions (and Params.Obs for RBCAer round
 // counters); their deterministic outputs — Snapshot(false) and a
@@ -306,12 +303,6 @@ type ShardParams = shard.Params
 // identical to the plain RBCAer when the partition has one shard.
 func NewSharded(p ShardParams) Scheduler { return scheme.NewSharded(p) }
 
-// NewShardScheduler returns the low-level sharded scheduler for
-// driving rounds manually, mirroring NewRBCAScheduler.
-func NewShardScheduler(world *World, p ShardParams) (*shard.Scheduler, error) {
-	return shard.New(world, p)
-}
-
 // NewPowerOfTwo returns the power-of-two-choices baseline (related work
 // [20]): Random's caching with each request picking the less-loaded of
 // two random in-radius holders.
@@ -352,7 +343,7 @@ func SchemeNames() []string { return scheme.Names() }
 
 // LookupScheme resolves a policy name. radiusKm is the random/p2c
 // routing radius; params, sp and workers configure rbcaer only: a
-// non-zero sp.Shards or sp.CellKm selects the sharded scheduler.
+// non-zero sp.CellKm selects the sharded scheduler.
 func LookupScheme(name string, radiusKm float64, params Params, sp ShardParams, workers int) (SchemeFactory, error) {
 	return scheme.Lookup(name, radiusKm, params, sp, workers)
 }

@@ -93,19 +93,6 @@ func TestPublicAPILowLevelScheduler(t *testing.T) {
 	if len(plan.Placement) != len(world.Hotspots) {
 		t.Errorf("placement covers %d hotspots, want %d", len(plan.Placement), len(world.Hotspots))
 	}
-
-	// The sharded low-level scheduler accepts the same demand.
-	shardSched, err := NewShardScheduler(world, ShardParams{CellKm: 4})
-	if err != nil {
-		t.Fatalf("NewShardScheduler: %v", err)
-	}
-	splan, err := shardSched.ScheduleRound(demand, Constraints{})
-	if err != nil {
-		t.Fatalf("sharded ScheduleRound: %v", err)
-	}
-	if len(splan.Placement) != len(world.Hotspots) {
-		t.Errorf("sharded placement covers %d hotspots, want %d", len(splan.Placement), len(world.Hotspots))
-	}
 }
 
 func TestPublicAPIFileRoundTrip(t *testing.T) {

@@ -1,7 +1,6 @@
 // Package cluster implements agglomerative hierarchical clustering
-// (Johnson 1967, the paper's reference [18]) with single, complete, and
-// average linkage, using the nearest-neighbour-chain algorithm for
-// O(n^2) time on reducible linkages.
+// (Johnson 1967, the paper's reference [18]) under complete linkage,
+// using the nearest-neighbour-chain algorithm for O(n^2) time.
 //
 // RBCAer clusters content hotspots by the content-aware distance
 // Jd(i,j) = 1 - Jaccard(top-20% sets) and cuts the dendrogram at
@@ -19,34 +18,22 @@ import (
 )
 
 // Linkage selects how inter-cluster distance is derived when clusters
-// merge.
+// merge. Complete is the only one: RBCAer needs its cut property.
 type Linkage int
 
-const (
-	// Single linkage: distance between clusters is the minimum pairwise
-	// distance.
-	Single Linkage = iota + 1
-	// Complete linkage: maximum pairwise distance. With a threshold cut
-	// at h, every intra-cluster pair is guaranteed closer than h — the
-	// property the paper requires ("restrict Jd between any two
-	// hotspots in the same cluster lower than 0.5").
-	Complete
-	// Average linkage (UPGMA): size-weighted mean pairwise distance.
-	Average
-)
+// Complete linkage: the distance between two clusters is their maximum
+// pairwise distance. With a threshold cut at h, every intra-cluster
+// pair is guaranteed closer than h — the property the paper requires
+// ("restrict Jd between any two hotspots in the same cluster lower than
+// 0.5").
+const Complete Linkage = 1
 
 // String implements fmt.Stringer.
 func (l Linkage) String() string {
-	switch l {
-	case Single:
-		return "single"
-	case Complete:
+	if l == Complete {
 		return "complete"
-	case Average:
-		return "average"
-	default:
-		return fmt.Sprintf("linkage(%d)", int(l))
 	}
+	return fmt.Sprintf("linkage(%d)", int(l))
 }
 
 // Merge records one dendrogram join. Cluster identifiers are 0..n-1 for
@@ -64,45 +51,13 @@ type Dendrogram struct {
 	merges []Merge
 }
 
-// DistFunc returns the dissimilarity between items i and j. It must be
-// symmetric and non-negative; it is called once per unordered pair.
-type DistFunc func(i, j int) float64
-
-// Agglomerative clusters n items under the given linkage using the
-// nearest-neighbour-chain algorithm. n must be positive; distances must
-// be finite and non-negative.
-func Agglomerative(n int, dist DistFunc, link Linkage) (*Dendrogram, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("cluster: non-positive item count %d", n)
-	}
-	if err := checkLinkage(link); err != nil {
-		return nil, err
-	}
-	if n == 1 {
-		return &Dendrogram{n: 1}, nil
-	}
-	cells := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			v := dist(i, j)
-			if !validDistance(v) {
-				return nil, distanceError(v, i, j)
-			}
-			cells[i*n+j] = v
-			cells[j*n+i] = v
-		}
-	}
-	return agglomerate(n, cells, link), nil
-}
-
 // AgglomerativeMatrix clusters the n items whose pairwise distances
 // were precomputed into the n×n matrix dist — typically filled in
 // parallel (similarity.DistanceMatrix) so the O(n²) distance
 // evaluations come off the clustering hot path. The matrix must be
 // symmetric with finite, non-negative entries; only the upper triangle
 // is read and dist is left unmodified: the chain runs over a private
-// flat copy. The result is identical to Agglomerative over the same
-// distances. A caller that no longer needs its matrix saves the copy
+// flat copy. A caller that no longer needs its matrix saves the copy
 // with AgglomerativeInPlace.
 func AgglomerativeMatrix(dist [][]float64, link Linkage) (*Dendrogram, error) {
 	n := len(dist)
@@ -132,7 +87,7 @@ func AgglomerativeMatrix(dist [][]float64, link Linkage) (*Dendrogram, error) {
 			cells[j*n+i] = v
 		}
 	}
-	return agglomerate(n, cells, link), nil
+	return agglomerate(n, cells), nil
 }
 
 // AgglomerativeInPlace clusters the n items whose pairwise distances
@@ -165,16 +120,14 @@ func AgglomerativeInPlace(n int, cells []float64, link Linkage) (*Dendrogram, er
 	if n == 1 {
 		return &Dendrogram{n: 1}, nil
 	}
-	return agglomerate(n, cells, link), nil
+	return agglomerate(n, cells), nil
 }
 
 func checkLinkage(link Linkage) error {
-	switch link {
-	case Single, Complete, Average:
-		return nil
-	default:
+	if link != Complete {
 		return fmt.Errorf("cluster: unknown linkage %v", link)
 	}
+	return nil
 }
 
 // validDistance reports whether v is finite and non-negative (NaN fails
@@ -185,11 +138,11 @@ func distanceError(v float64, i, j int) error {
 	return fmt.Errorf("cluster: invalid distance %v between %d and %d", v, i, j)
 }
 
-// agglomerate runs the nearest-neighbour-chain algorithm over the
-// symmetric, validated, row-major n×n distance matrix d, which it
-// consumes: a merge writes the merged cluster's distances into the
-// surviving slot's row and column.
-func agglomerate(n int, d []float64, link Linkage) *Dendrogram {
+// agglomerate runs the nearest-neighbour-chain algorithm under complete
+// linkage over the symmetric, validated, row-major n×n distance matrix
+// d, which it consumes: a merge writes the merged cluster's distances
+// into the surviving slot's row and column.
+func agglomerate(n int, d []float64) *Dendrogram {
 	// The slots still holding a cluster, ascending. Every scan below
 	// walks this list instead of all n slots, so scans shrink as clusters
 	// merge while visiting the survivors in the same order — which is
@@ -236,36 +189,17 @@ func agglomerate(n int, d []float64, link Linkage) *Dendrogram {
 			chain = append(chain, nn)
 			continue
 		}
-		// Reciprocal nearest neighbours: merge top into prev's slot with
-		// the Lance-Williams update of its row and column.
+		// Reciprocal nearest neighbours: merge top into prev's slot; the
+		// merged cluster's distance to every other is the larger of the
+		// two (the complete-linkage Lance-Williams update).
 		chain = chain[:len(chain)-2]
 		a, b := prev, top
 		ra, rb := d[a*n:(a+1)*n], d[b*n:(b+1)*n]
-		switch link {
-		case Single:
-			for _, s32 := range active {
-				if s := int(s32); s != a && s != b {
-					nv := min(ra[s], rb[s])
-					ra[s] = nv
-					d[s*n+a] = nv
-				}
-			}
-		case Complete:
-			for _, s32 := range active {
-				if s := int(s32); s != a && s != b {
-					nv := max(ra[s], rb[s])
-					ra[s] = nv
-					d[s*n+a] = nv
-				}
-			}
-		case Average:
-			na, nb := float64(size[a]), float64(size[b])
-			for _, s32 := range active {
-				if s := int(s32); s != a && s != b {
-					nv := (na*ra[s] + nb*rb[s]) / (na + nb)
-					ra[s] = nv
-					d[s*n+a] = nv
-				}
+		for _, s32 := range active {
+			if s := int(s32); s != a && s != b {
+				nv := max(ra[s], rb[s])
+				ra[s] = nv
+				d[s*n+a] = nv
 			}
 		}
 		idA, idB := clusterID[a], clusterID[b]
@@ -287,9 +221,9 @@ func agglomerate(n int, d []float64, link Linkage) *Dendrogram {
 
 	// NN-chain emits merges in chain order, not height order. Re-sort
 	// by height so threshold cuts are well-defined, then renumber
-	// internal cluster ids to match the new order. For the monotone
-	// linkages supported here a child merge never has greater height
-	// than its parent, so a stable sort keeps children before parents.
+	// internal cluster ids to match the new order. Complete linkage is
+	// monotone: a child merge never has greater height than its
+	// parent, so a stable sort keeps children before parents.
 	order := make([]int, len(merges))
 	for i := range order {
 		order[i] = i
@@ -321,21 +255,6 @@ func agglomerate(n int, d []float64, link Linkage) *Dendrogram {
 // exactly one cluster; clusters are ordered by their smallest leaf and
 // leaves within a cluster are ascending.
 func (d *Dendrogram) Cut(threshold float64) [][]int {
-	return d.cut(func(_ int, m Merge) bool { return m.Height <= threshold })
-}
-
-// CutK returns exactly k clusters (1 <= k <= n) by applying the n-k
-// lowest merges, in the order Cut documents.
-func (d *Dendrogram) CutK(k int) ([][]int, error) {
-	if k < 1 || k > d.n {
-		return nil, fmt.Errorf("cluster: k %d outside [1, %d]", k, d.n)
-	}
-	return d.cut(func(i int, _ Merge) bool { return i < d.n-k }), nil
-}
-
-// cut applies the merges, lowest first, for as long as keep(i, merge i)
-// holds, and returns the leaves grouped by the cluster they end up in.
-func (d *Dendrogram) cut(keep func(i int, m Merge) bool) [][]int {
 	// Cluster ids are dense (leaves 0..n-1, merge i creates n+i) and
 	// each is joined into at most one later cluster, so "which applied
 	// merge consumed this id" is a forest in one flat table.
@@ -345,7 +264,7 @@ func (d *Dendrogram) cut(keep func(i int, m Merge) bool) [][]int {
 	}
 	applied := 0
 	for i, m := range d.merges {
-		if !keep(i, m) {
+		if m.Height > threshold {
 			break
 		}
 		parent[m.A], parent[m.B] = int32(d.n+i), int32(d.n+i)

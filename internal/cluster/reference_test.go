@@ -14,12 +14,12 @@ import (
 
 // referenceAgglomerate is the nearest-neighbour chain as it stood before
 // the kernel moved onto one flat, consumable matrix: [][]float64 rows, a
-// []bool of active slots scanned in full every time, the linkage switch
-// inside the update loop, math.Min/Max. Kept verbatim as the oracle —
+// []bool of active slots scanned in full every time, math.Max. Kept
+// verbatim, less the linkages the package no longer has, as the oracle —
 // the chain's tie-breaks (smallest slot, chain predecessor preferred)
 // decide which slot survives a merge and so every later merge, and with
 // Jaccard distances over ~7-video signatures ties are the rule.
-func referenceAgglomerate(n int, d [][]float64, link Linkage) (*Dendrogram, error) {
+func referenceAgglomerate(n int, d [][]float64) (*Dendrogram, error) {
 	active := make([]bool, n)
 	size := make([]int, n)
 	clusterID := make([]int, n) // slot -> current dendrogram cluster id
@@ -72,16 +72,7 @@ func referenceAgglomerate(n int, d [][]float64, link Linkage) (*Dendrogram, erro
 				if !active[s] || s == a || s == b {
 					continue
 				}
-				var nv float64
-				switch link {
-				case Single:
-					nv = math.Min(d[a][s], d[b][s])
-				case Complete:
-					nv = math.Max(d[a][s], d[b][s])
-				case Average:
-					na, nb := float64(size[a]), float64(size[b])
-					nv = (na*d[a][s] + nb*d[b][s]) / (na + nb)
-				}
+				nv := math.Max(d[a][s], d[b][s])
 				d[a][s] = nv
 				d[s][a] = nv
 			}
@@ -107,9 +98,9 @@ func referenceAgglomerate(n int, d [][]float64, link Linkage) (*Dendrogram, erro
 
 	// NN-chain emits merges in chain order, not height order. Re-sort
 	// by height so threshold cuts are well-defined, then renumber
-	// internal cluster ids to match the new order. For the monotone
-	// linkages supported here a child merge never has greater height
-	// than its parent, so a stable sort keeps children before parents.
+	// internal cluster ids to match the new order. Complete linkage is
+	// monotone: a child merge never has greater height than its
+	// parent, so a stable sort keeps children before parents.
 	order := make([]int, len(merges))
 	for i := range order {
 		order[i] = i
@@ -139,10 +130,9 @@ func referenceAgglomerate(n int, d [][]float64, link Linkage) (*Dendrogram, erro
 	return &Dendrogram{n: n, merges: sorted}, nil
 }
 
-// referenceCut and referenceCutK are Cut and CutK as they stood on a
-// map[int]int leaf table and a union-find grouped through a
-// map[int][]int, kept verbatim as the oracle for the slice version's
-// output order.
+// referenceCut is Cut as it stood on a map[int]int leaf table and a
+// union-find grouped through a map[int][]int, kept verbatim as the
+// oracle for the slice version's output order.
 func referenceCut(d *Dendrogram, threshold float64) [][]int {
 	uf := newReferenceUnionFind(d.n)
 	leafOf := make(map[int]int, d.n+len(d.merges)) // cluster id -> any leaf
@@ -161,28 +151,6 @@ func referenceCut(d *Dendrogram, threshold float64) [][]int {
 		leafOf[id] = la
 		if m.Height <= threshold {
 			uf.union(la, lb)
-		}
-	}
-	return uf.groups()
-}
-
-func referenceCutK(d *Dendrogram, k int) [][]int {
-	uf := newReferenceUnionFind(d.n)
-	leafOf := make(map[int]int, d.n+len(d.merges))
-	for i := 0; i < d.n; i++ {
-		leafOf[i] = i
-	}
-	nextID := d.n
-	applied := 0
-	for _, m := range d.merges {
-		la := leafOf[m.A]
-		lb := leafOf[m.B]
-		id := nextID
-		nextID++
-		leafOf[id] = la
-		if applied < d.n-k {
-			uf.union(la, lb)
-			applied++
 		}
 	}
 	return uf.groups()
@@ -331,62 +299,47 @@ func sameBits(a, b []float64) bool {
 }
 
 // TestAgglomerateMatchesReference holds the flat in-place kernel to the
-// old chain through all three doors: the full merge list — A, B, Height,
-// Size — must be deep-equal for every linkage on every tie-heavy family,
-// the copying door must leave its input bit-for-bit alone, and Cut/CutK
-// on slices must group exactly as the map versions did.
+// old chain through both doors: the full merge list — A, B, Height,
+// Size — must be deep-equal on every tie-heavy family, the copying door
+// must leave its input bit-for-bit alone, and Cut on slices must group
+// exactly as the map version did.
 func TestAgglomerateMatchesReference(t *testing.T) {
 	for _, fam := range tieFamilies {
 		for _, n := range []int{1, 2, 3, 17, 200} {
 			for seed := int64(1); seed <= 3; seed++ {
 				dist := fam.make(n, rand.New(rand.NewSource(seed*1000+int64(n))))
-				for _, link := range []Linkage{Single, Complete, Average} {
-					name := fmt.Sprintf("%s/n=%d/seed=%d/%v", fam.name, n, seed, link)
-					want, err := referenceAgglomerate(n, cloneMatrix(dist), link)
-					if err != nil {
-						t.Fatalf("%s: reference: %v", name, err)
-					}
-					if n == 1 {
-						want.merges = nil // the doors return before the kernel
-					}
+				name := fmt.Sprintf("%s/n=%d/seed=%d", fam.name, n, seed)
+				want, err := referenceAgglomerate(n, cloneMatrix(dist))
+				if err != nil {
+					t.Fatalf("%s: reference: %v", name, err)
+				}
+				if n == 1 {
+					want.merges = nil // the doors return before the kernel
+				}
 
-					input := cloneMatrix(dist)
-					viaMatrix, err := AgglomerativeMatrix(input, link)
-					if err != nil {
-						t.Fatalf("%s: AgglomerativeMatrix: %v", name, err)
+				input := cloneMatrix(dist)
+				viaMatrix, err := AgglomerativeMatrix(input, Complete)
+				if err != nil {
+					t.Fatalf("%s: AgglomerativeMatrix: %v", name, err)
+				}
+				if !sameBits(flatten(input), flatten(dist)) {
+					t.Errorf("%s: AgglomerativeMatrix modified its input", name)
+				}
+				inPlace, err := AgglomerativeInPlace(n, flatten(dist), Complete)
+				if err != nil {
+					t.Fatalf("%s: AgglomerativeInPlace: %v", name, err)
+				}
+				for door, got := range map[string]*Dendrogram{
+					"AgglomerativeMatrix": viaMatrix, "AgglomerativeInPlace": inPlace,
+				} {
+					if got.n != n || !reflect.DeepEqual(got.merges, want.merges) {
+						t.Fatalf("%s: %s diverges from the reference chain:\n got %+v\nwant %+v", name, door, got.merges, want.merges)
 					}
-					if !sameBits(flatten(input), flatten(dist)) {
-						t.Errorf("%s: AgglomerativeMatrix modified its input", name)
-					}
-					viaFunc, err := Agglomerative(n, matrixDist(dist), link)
-					if err != nil {
-						t.Fatalf("%s: Agglomerative: %v", name, err)
-					}
-					inPlace, err := AgglomerativeInPlace(n, flatten(dist), link)
-					if err != nil {
-						t.Fatalf("%s: AgglomerativeInPlace: %v", name, err)
-					}
-					for door, got := range map[string]*Dendrogram{
-						"AgglomerativeMatrix": viaMatrix, "Agglomerative": viaFunc, "AgglomerativeInPlace": inPlace,
-					} {
-						if got.n != n || !reflect.DeepEqual(got.merges, want.merges) {
-							t.Fatalf("%s: %s diverges from the reference chain:\n got %+v\nwant %+v", name, door, got.merges, want.merges)
-						}
-					}
+				}
 
-					for _, threshold := range []float64{-1, 0, 0.25, 0.5, 0.75, 1, 2} {
-						if got, ref := inPlace.Cut(threshold), referenceCut(want, threshold); !reflect.DeepEqual(got, ref) {
-							t.Fatalf("%s: Cut(%v) = %v, reference %v", name, threshold, got, ref)
-						}
-					}
-					for k := 1; k <= n; k += 1 + n/9 {
-						got, err := inPlace.CutK(k)
-						if err != nil {
-							t.Fatalf("%s: CutK(%d): %v", name, k, err)
-						}
-						if ref := referenceCutK(want, k); !reflect.DeepEqual(got, ref) {
-							t.Fatalf("%s: CutK(%d) = %v, reference %v", name, k, got, ref)
-						}
+				for _, threshold := range []float64{-1, 0, 0.25, 0.5, 0.75, 1, 2} {
+					if got, ref := inPlace.Cut(threshold), referenceCut(want, threshold); !reflect.DeepEqual(got, ref) {
+						t.Fatalf("%s: Cut(%v) = %v, reference %v", name, threshold, got, ref)
 					}
 				}
 			}

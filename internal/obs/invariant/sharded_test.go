@@ -49,9 +49,9 @@ func TestShardedPlanInvariants(t *testing.T) {
 	world, tr := genWorld(t, 3, nil)
 
 	partitioners := map[string]shard.Params{
-		"grid-4km":  {CellKm: 4},
-		"grid-2km":  {CellKm: 2},
-		"cluster-5": {Shards: 5},
+		"grid-4km": {CellKm: 4},
+		"grid-2km": {CellKm: 2},
+		"grid-6km": {CellKm: 6}, // six shards, the coarsest of the three
 	}
 	families := map[string]sim.Options{
 		"clean": {Seed: 9},

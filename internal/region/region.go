@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/cluster"
 	"repro/internal/geo"
 	"repro/internal/trace"
 )
@@ -133,44 +132,6 @@ func GridPartition(world *trace.World, cellKm float64) (*Partition, error) {
 	}
 	if len(p.Regions) == 0 {
 		return nil, fmt.Errorf("region: no hotspots to partition")
-	}
-	return p, nil
-}
-
-// ClusterPartition groups hotspots into k regions by agglomerative
-// clustering on geographic distance (average linkage) — an alternative
-// to GridPartition that adapts region shapes to the deployment's
-// density instead of imposing a grid.
-func ClusterPartition(world *trace.World, k int) (*Partition, error) {
-	if world == nil {
-		return nil, fmt.Errorf("region: nil world")
-	}
-	n := len(world.Hotspots)
-	if k < 1 || k > n {
-		return nil, fmt.Errorf("region: k %d outside [1, %d]", k, n)
-	}
-	dist := func(i, j int) float64 {
-		return world.Hotspots[i].Location.DistanceTo(world.Hotspots[j].Location)
-	}
-	dendro, err := cluster.Agglomerative(n, dist, cluster.Average)
-	if err != nil {
-		return nil, fmt.Errorf("region: clustering hotspots: %w", err)
-	}
-	groups, err := dendro.CutK(k)
-	if err != nil {
-		return nil, err
-	}
-	p := &Partition{OfHotspot: make([]int, n)}
-	for idx, members := range groups {
-		var cx, cy float64
-		for _, h := range members {
-			p.OfHotspot[h] = idx
-			cx += world.Hotspots[h].Location.X
-			cy += world.Hotspots[h].Location.Y
-		}
-		cnt := float64(len(members))
-		p.Regions = append(p.Regions, members)
-		p.Centroids = append(p.Centroids, geo.Point{X: cx / cnt, Y: cy / cnt})
 	}
 	return p, nil
 }

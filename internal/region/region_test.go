@@ -155,30 +155,3 @@ func TestPartitionWithClusteredHotspots(t *testing.T) {
 		t.Error("distant hotspots share a region")
 	}
 }
-
-func TestClusterPartition(t *testing.T) {
-	world, _ := genWorld(t, 50, 1000, 1000, 1000, 5)
-	p, err := ClusterPartition(world, 6)
-	if err != nil {
-		t.Fatalf("ClusterPartition: %v", err)
-	}
-	if err := p.Validate(len(world.Hotspots)); err != nil {
-		t.Fatalf("partition invalid: %v", err)
-	}
-	if p.NumRegions() != 6 {
-		t.Errorf("regions = %d, want 6", p.NumRegions())
-	}
-	if _, err := ClusterPartition(world, 0); err == nil {
-		t.Error("k=0 accepted")
-	}
-	if _, err := ClusterPartition(world, 51); err == nil {
-		t.Error("k>n accepted")
-	}
-	if _, err := ClusterPartition(nil, 3); err == nil {
-		t.Error("nil world accepted")
-	}
-	// Virtual world built over a cluster partition is valid too.
-	if _, err := VirtualWorld(world, p); err != nil {
-		t.Errorf("VirtualWorld over cluster partition: %v", err)
-	}
-}

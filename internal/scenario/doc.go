@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"repro/internal/scheme"
+	"repro/internal/wal"
 )
 
 // Doc is one parsed scenario file: a generated world, a run
@@ -66,12 +67,9 @@ type RunSpec struct {
 	// FailFast aborts the run at the first violated slot assertion
 	// instead of collecting every violation.
 	FailFast bool
-	// Shards cluster-partitions the world into this many shards and
-	// schedules them concurrently with boundary reconciliation
-	// (rbcaer only). Mutually exclusive with ShardCellKm.
-	Shards int
 	// ShardCellKm grid-partitions the world into shards of this cell
-	// size in km (rbcaer only). Mutually exclusive with Shards.
+	// size in km and schedules them concurrently with boundary
+	// reconciliation (rbcaer only).
 	ShardCellKm float64
 	// Serve drives the trace through a real WAL-backed serving tier
 	// (internal/server) over HTTP instead of the offline simulator and
@@ -261,7 +259,6 @@ func (doc *Doc) decodeRun(n *node) error {
 		CapacityFrac:    d.float("capacity_frac", 0),
 		CacheFrac:       d.float("cache_frac", 0),
 		FailFast:        d.boolean("fail_fast", false),
-		Shards:          d.integer("shards", 0),
 		ShardCellKm:     d.float("shard_cell_km", 0),
 		Serve:           d.boolean("serve", false),
 		Instances:       d.integer("instances", 0),
@@ -461,17 +458,10 @@ func (doc *Doc) validate() error {
 	if doc.Spec.Churn < 0 || doc.Spec.Churn > 1 {
 		return fmt.Errorf("scenario: run.churn %v outside [0, 1]", doc.Spec.Churn)
 	}
-	if doc.Spec.Shards < 0 {
-		return fmt.Errorf("scenario: run.shards %d negative", doc.Spec.Shards)
-	}
 	if doc.Spec.ShardCellKm < 0 {
 		return fmt.Errorf("scenario: run.shard_cell_km %v negative", doc.Spec.ShardCellKm)
 	}
-	if doc.Spec.Shards > 0 && doc.Spec.ShardCellKm > 0 {
-		return fmt.Errorf("scenario: run.shards and run.shard_cell_km are mutually exclusive")
-	}
-	if (doc.Spec.Shards > 0 || doc.Spec.ShardCellKm > 0) &&
-		doc.Spec.Scheme != "" && doc.Spec.Scheme != "rbcaer" {
+	if doc.Spec.ShardCellKm > 0 && doc.Spec.Scheme != "" && doc.Spec.Scheme != "rbcaer" {
 		return fmt.Errorf("scenario: sharding requires run.scheme rbcaer, got %q", doc.Spec.Scheme)
 	}
 	if err := doc.validateServe(); err != nil {
@@ -495,7 +485,7 @@ func (doc *Doc) validate() error {
 			if doc.Spec.Scheme != "" && doc.Spec.Scheme != "rbcaer" {
 				return fmt.Errorf("scenario: events[%d]: theta requires run.scheme rbcaer, got %q", i, doc.Spec.Scheme)
 			}
-			if doc.Spec.Shards > 0 || doc.Spec.ShardCellKm > 0 {
+			if doc.Spec.ShardCellKm > 0 {
 				return fmt.Errorf("scenario: events[%d]: theta events are incompatible with sharded scheduling", i)
 			}
 			if ev.At <= thetaAt {
@@ -531,7 +521,7 @@ func (doc *Doc) validateServe() error {
 	if doc.Spec.Scheme != "" && doc.Spec.Scheme != "rbcaer" {
 		return fmt.Errorf("scenario: run.serve requires run.scheme rbcaer, got %q", doc.Spec.Scheme)
 	}
-	if doc.Spec.Shards > 0 || doc.Spec.ShardCellKm > 0 {
+	if doc.Spec.ShardCellKm > 0 {
 		return fmt.Errorf("scenario: run.serve does not support sharded scheduling")
 	}
 	if doc.Spec.Churn != 0 {
@@ -549,10 +539,8 @@ func (doc *Doc) validateServe() error {
 	if doc.Spec.CheckpointEvery < 0 {
 		return fmt.Errorf("scenario: run.checkpoint_every %d negative", doc.Spec.CheckpointEvery)
 	}
-	switch doc.Spec.Fsync {
-	case "", "always", "interval", "none":
-	default:
-		return fmt.Errorf("scenario: run.fsync %q (want always, interval, or none)", doc.Spec.Fsync)
+	if _, err := wal.ParsePolicy(doc.Spec.Fsync); err != nil {
+		return fmt.Errorf("scenario: run.fsync %q: %w", doc.Spec.Fsync, err)
 	}
 	prev := 0
 	for i, ev := range doc.Events {

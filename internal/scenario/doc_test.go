@@ -109,11 +109,10 @@ func TestParseErrors(t *testing.T) {
 		{"duplicate churn", "events:\n  - action: churn\n    fail: 0.1\n  - action: churn\n    fail: 0.2\n", "duplicate churn"},
 		{"duplicate stale", "events:\n  - action: stale_reports\n    lag: 1\n  - action: stale_reports\n    lag: 2\n", "duplicate stale_reports"},
 		{"event unknown key", "events:\n  - action: flash_crowd\n    top_videos: 2\n    multiplier: 3\n    for: 1\n    surprise: 1\n", `unknown key "surprise"`},
-		{"sharding non-rbcaer", "run:\n  scheme: nearest\n  shards: 4\n", "sharding requires run.scheme rbcaer"},
-		{"shards and cell", "run:\n  shards: 2\n  shard_cell_km: 3\n", "mutually exclusive"},
-		{"negative shards", "run:\n  shards: -1\n", "negative"},
+		{"sharding non-rbcaer", "run:\n  scheme: nearest\n  shard_cell_km: 4\n", "sharding requires run.scheme rbcaer"},
+		{"retired key shards", "run:\n  shards: 2\n", `line 3: unknown key "shards" in run`},
 		{"negative shard cell", "run:\n  shard_cell_km: -2\n", "negative"},
-		{"theta with shards", "run:\n  shards: 2\nevents:\n  - action: theta\n    at: 2\n", "incompatible with sharded"},
+		{"theta with shards", "run:\n  shard_cell_km: 2\nevents:\n  - action: theta\n    at: 2\n", "incompatible with sharded"},
 
 		{"theta non-rbcaer", "run:\n  scheme: lp\nevents:\n  - action: theta\n    at: 2\n    theta1: 1\n", "theta requires run.scheme rbcaer"},
 		{"theta order", "events:\n  - action: theta\n    at: 4\n  - action: theta\n    at: 2\n", "strictly increasing"},

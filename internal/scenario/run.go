@@ -356,7 +356,7 @@ func (doc *Doc) policy(reg *obs.Registry, workers int) (scheme.Factory, error) {
 		}
 		starts, regimes = append(starts, ev.At), append(regimes, params)
 	}
-	sp := shard.Params{Shards: doc.Spec.Shards, CellKm: doc.Spec.ShardCellKm}
+	sp := shard.Params{CellKm: doc.Spec.ShardCellKm}
 	factories := make([]scheme.Factory, len(regimes))
 	for i, p := range regimes {
 		f, err := scheme.Lookup(doc.schemeName(), radius, p, sp, workers)

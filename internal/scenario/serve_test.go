@@ -113,7 +113,7 @@ func TestServeValidation(t *testing.T) {
 		},
 		{
 			"serve with shards",
-			"name: t\nrun:\n  serve: true\n  shards: 2\n",
+			"name: t\nrun:\n  serve: true\n  shard_cell_km: 2\n",
 			"does not support sharded",
 		},
 		{

@@ -63,7 +63,7 @@ func always(core.Params) bool { return true }
 func never(core.Params) bool  { return false }
 
 // newRBCAerScheme builds the flat policy, or the sharded one when sp
-// asks for a partition. Sharded, shard-level concurrency replaces
+// sets a grid cell size. Sharded, shard-level concurrency replaces
 // intra-round fan-out: the shards share the workers and each shard's
 // solver (params, as sp.Local) runs serial. Zero params select
 // core.DefaultParams.
@@ -71,7 +71,7 @@ func newRBCAerScheme(_ float64, params core.Params, sp shard.Params, workers int
 	if params == (core.Params{}) {
 		params = core.DefaultParams()
 	}
-	if sp.Shards > 0 || sp.CellKm > 0 {
+	if sp.CellKm > 0 {
 		params.Workers = 1
 		sp.Local, sp.Workers, sp.Obs = params, workers, params.Obs
 		return NewSharded(sp)

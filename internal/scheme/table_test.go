@@ -160,7 +160,7 @@ func TestLookup(t *testing.T) {
 	if _, err := Lookup("bogus", 1.5, core.Params{}, shard.Params{}, 1); err == nil {
 		t.Error("Lookup(bogus) succeeded")
 	}
-	f, err := Lookup("rbcaer", 0, core.Params{}, shard.Params{Shards: 2}, 1)
+	f, err := Lookup("rbcaer", 0, core.Params{}, shard.Params{CellKm: 4}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

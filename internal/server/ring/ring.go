@@ -116,13 +116,6 @@ func (r *Ring) Owner(key uint64) int {
 // OwnerOfHotspot returns the instance owning hotspot h's ingestion.
 func (r *Ring) OwnerOfHotspot(h int) int { return r.Owner(uint64(h)) }
 
-// Members returns the current instance ids, sorted ascending.
-func (r *Ring) Members() []int {
-	out := make([]int, len(r.members))
-	copy(out, r.members)
-	return out
-}
-
 // Add joins instance id to the ring. Adding a present member is an
 // error.
 func (r *Ring) Add(id int) error {

@@ -23,18 +23,15 @@ import (
 	"repro/internal/trace"
 )
 
-// DefaultCellKm is the grid cell size used when Params selects neither
-// a shard count nor a cell size.
+// DefaultCellKm is the grid cell size used when Params sets no cell
+// size.
 const DefaultCellKm = 3.0
 
 // Params configure a sharded Scheduler.
 type Params struct {
 	// CellKm partitions the world with region.GridPartition using this
-	// cell size. Mutually exclusive with Shards.
+	// cell size; 0 means DefaultCellKm.
 	CellKm float64
-	// Shards partitions the world with region.ClusterPartition into
-	// this many shards. Mutually exclusive with CellKm.
-	Shards int
 	// Local are the core parameters each per-shard scheduler runs
 	// with. The zero value means core.DefaultParams() with Workers
 	// forced to 1 (shard-level concurrency replaces intra-round
@@ -84,23 +81,11 @@ func New(world *trace.World, p Params) (*Scheduler, error) {
 	if p.CellKm < 0 {
 		return nil, fmt.Errorf("shard: negative cell size %v", p.CellKm)
 	}
-	if p.Shards < 0 {
-		return nil, fmt.Errorf("shard: negative shard count %d", p.Shards)
+	cellKm := p.CellKm
+	if cellKm == 0 {
+		cellKm = DefaultCellKm
 	}
-	if p.CellKm > 0 && p.Shards > 0 {
-		return nil, fmt.Errorf("shard: CellKm and Shards are mutually exclusive")
-	}
-
-	var part *region.Partition
-	var err error
-	switch {
-	case p.Shards > 0:
-		part, err = region.ClusterPartition(world, p.Shards)
-	case p.CellKm > 0:
-		part, err = region.GridPartition(world, p.CellKm)
-	default:
-		part, err = region.GridPartition(world, DefaultCellKm)
-	}
+	part, err := region.GridPartition(world, cellKm)
 	if err != nil {
 		return nil, fmt.Errorf("shard: partition: %w", err)
 	}

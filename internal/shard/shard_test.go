@@ -226,26 +226,6 @@ func driftDemands(base *core.Demand, steps int) []*core.Demand {
 	return out
 }
 
-// TestShardedClusterPartition exercises the ClusterPartition path.
-func TestShardedClusterPartition(t *testing.T) {
-	world, tr := genWorld(t, 40, 1000, 2000, 5000, 1)
-	d := slotDemands(t, world, tr)[0]
-	s, err := New(world, Params{Shards: 5})
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if s.NumShards() != 5 {
-		t.Fatalf("expected 5 shards, got %d", s.NumShards())
-	}
-	plan, err := s.ScheduleRound(d, core.Constraints{})
-	if err != nil {
-		t.Fatalf("ScheduleRound: %v", err)
-	}
-	if err := invariant.CheckPlan(world, d, core.Constraints{}, plan); err != nil {
-		t.Fatalf("merged plan violates invariants: %v", err)
-	}
-}
-
 // TestShardedDemandNotMutated: the sharded round must not mutate the
 // caller's demand (the delta caller contract depends on it).
 func TestShardedDemandNotMutated(t *testing.T) {
@@ -278,8 +258,6 @@ func TestShardedParamErrors(t *testing.T) {
 	}{
 		{"nil world", nil, Params{}},
 		{"negative cell", world, Params{CellKm: -1}},
-		{"negative shards", world, Params{Shards: -2}},
-		{"both cell and shards", world, Params{CellKm: 3, Shards: 2}},
 	}
 	for _, tc := range cases {
 		if _, err := New(tc.world, tc.p); err == nil {
