@@ -32,11 +32,13 @@
 //	                  write a checkpoint every N slots, empty ones
 //	                  included (-wal-dir only; 0 = default)
 //	-smoke            boot on an ephemeral port, replay a generated
-//	                  trace through the server over real HTTP (plus an
-//	                  open-loop generated workload when -instances > 1,
-//	                  spread across every frontend), verify every slot
-//	                  scheduled and every frontend serves the same
-//	                  (epoch, digest), shut down cleanly, exit. With
+//	                  trace through the server over real HTTP, then a
+//	                  trace generated from a client-class workload
+//	                  spec, spread across every frontend; verify every
+//	                  slot scheduled, every workload slot served the
+//	                  offline simulation's plan digest, and every
+//	                  frontend serves the same (epoch, digest); shut
+//	                  down cleanly, exit. With
 //	                  -wal-dir the smoke instead kills the tier abruptly
 //	                  mid-slot, restarts it from disk, and requires every
 //	                  plan to match an uninterrupted offline simulation
@@ -171,9 +173,9 @@ func smokeConfig(seed int64) crowdcdn.TraceConfig {
 	return cfg
 }
 
-// smokeWorkload is the open-loop workload the smoke run drives after
-// the trace replay: three small client classes covering every arrival
-// distribution of the workload-spec grammar.
+// smokeWorkload is the workload the smoke run generates a second trace
+// from after the first replay: three small client classes covering
+// every arrival distribution of the workload-spec grammar.
 const smokeWorkload = `
 class steady clients=8 arrival=poisson rate=40 videos=zipf:0.9
 class bursty clients=4 arrival=gamma   rate=30 shape=0.5 videos=zipf:1.1
@@ -182,11 +184,12 @@ class smooth clients=2 arrival=weibull rate=20 shape=2   videos=uniform
 
 // runSmoke is the CI end-to-end check: boot the serving tier on
 // ephemeral ports with manual slots, replay a generated trace through
-// it over real HTTP (rotating across every frontend), drive an
-// open-loop generated workload on top, require every slot to have
-// scheduled a plan with no rejections and every frontend to serve the
-// same (epoch, digest), and shut down cleanly. instances sizes the
-// frontend fleet (-instances 3 smokes ring sharding and the
+// it over real HTTP (rotating across every frontend), replay a trace
+// generated from smokeWorkload on top, require every slot to have
+// scheduled a plan with no rejections, every workload slot to serve
+// the digest of the offline simulation's plan and every frontend to
+// serve the same (epoch, digest), and shut down cleanly. instances
+// sizes the frontend fleet (-instances 3 smokes ring sharding and the
 // digest-verified plan fan-out).
 func runSmoke(seed int64, instances int) error {
 	world, tr, err := crowdcdn.Generate(smokeConfig(seed))
@@ -206,13 +209,13 @@ func runSmoke(seed int64, instances int) error {
 	if err := srv.Start(); err != nil {
 		return err
 	}
+	defer srv.Close() // on an error path; a no-op after the Close below
 	targets := make([]string, srv.NumInstances())
 	for i := range targets {
 		targets[i] = "http://" + srv.InstanceAddr(i)
 	}
 	report, err := crowdcdn.ReplayTrace(targets[0], world, tr, crowdcdn.LoadgenOptions{Targets: targets})
 	if err != nil {
-		srv.Close()
 		return fmt.Errorf("replay: %w", err)
 	}
 	for _, sr := range report.Slots {
@@ -224,25 +227,30 @@ func runSmoke(seed int64, instances int) error {
 			sr.Slot, sr.Sent, sr.Accepted, sr.Rejected, status, sr.Epoch, sr.Digest)
 	}
 
-	// Open-loop phase: a generated ServeGen-style stream across every
-	// frontend.
+	// Workload phase: a trace generated from a ServeGen-style spec,
+	// across every frontend, held to the offline simulation of it.
 	spec, err := crowdcdn.ParseWorkloadSpec(smokeWorkload)
 	if err != nil {
-		srv.Close()
 		return fmt.Errorf("workload spec: %w", err)
 	}
-	stream, err := spec.Generate(seed, 3, 1.0, len(world.Hotspots), world.NumVideos)
+	generated, err := spec.Generate(seed, 3, 1.0, world)
 	if err != nil {
-		srv.Close()
 		return fmt.Errorf("workload: %w", err)
 	}
-	open, err := crowdcdn.DriveWorkload(targets[0], stream, crowdcdn.LoadgenOptions{Targets: targets})
+	offline, err := loadgen.OfflinePlans(world, generated)
 	if err != nil {
-		srv.Close()
-		return fmt.Errorf("open-loop drive: %w", err)
+		return err
+	}
+	open, err := crowdcdn.ReplayTrace(targets[0], world, generated, crowdcdn.LoadgenOptions{Targets: targets})
+	if err != nil {
+		return fmt.Errorf("workload replay: %w", err)
 	}
 	fmt.Printf("open-loop: %d generated requests accepted %d rejected %d over %d slots\n",
-		stream.Total, open.Accepted, open.Rejected, len(open.Slots))
+		len(generated.Requests), open.Accepted, open.Rejected, len(open.Slots))
+	if err := loadgen.MatchOffline(open, offline); err != nil {
+		return fmt.Errorf("workload: %w", err)
+	}
+	fmt.Printf("open-loop: %d scheduled slots serve the offline plans' digests\n", len(offline))
 
 	// Every frontend must be serving the exact same (epoch, digest).
 	wantEpoch, wantDigest := srv.InstanceEpochDigest(0)
@@ -250,8 +258,7 @@ func runSmoke(seed int64, instances int) error {
 		epoch, digest := srv.InstanceEpochDigest(i)
 		fmt.Printf("frontend %d: serving epoch %d digest %s\n", i, epoch, digest)
 		if epoch != wantEpoch || digest != wantDigest {
-			srv.Close()
-			return fmt.Errorf("frontend %d serves (epoch %d, %s), frontend 0 (epoch %d, %s)",
+				return fmt.Errorf("frontend %d serves (epoch %d, %s), frontend 0 (epoch %d, %s)",
 				i, epoch, digest, wantEpoch, wantDigest)
 		}
 	}
@@ -261,8 +268,8 @@ func runSmoke(seed int64, instances int) error {
 	if report.Accepted != int64(len(tr.Requests)) || report.Rejected != 0 {
 		return fmt.Errorf("accepted %d rejected %d of %d requests", report.Accepted, report.Rejected, len(tr.Requests))
 	}
-	if open.Accepted != int64(stream.Total) || open.Rejected != 0 {
-		return fmt.Errorf("open-loop accepted %d rejected %d of %d requests", open.Accepted, open.Rejected, stream.Total)
+	if open.Accepted != int64(len(generated.Requests)) || open.Rejected != 0 {
+		return fmt.Errorf("open-loop accepted %d rejected %d of %d requests", open.Accepted, open.Rejected, len(generated.Requests))
 	}
 	for _, sr := range report.Slots {
 		if sr.Sent > 0 && !sr.Scheduled {

@@ -154,7 +154,8 @@ func TestCrashSmoke(t *testing.T) {
 }
 
 // TestSmokeMultiInstance is the multi-instance smoke: ring-sharded
-// ingestion across three frontends plus the open-loop phase.
+// ingestion across three frontends, plus the generated-workload phase
+// held to the offline plans.
 func TestSmokeMultiInstance(t *testing.T) {
 	if err := run([]string{"-smoke", "-instances", "3", "-seed", "3"}); err != nil {
 		t.Fatalf("run -smoke -instances 3: %v", err)

@@ -14,7 +14,9 @@
 //	                           a fresh eval-scale world is generated
 //	-scheme rbcaer|nearest|random|lp|hier|p2c|reactive-lru|reactive-lfu
 //	-radius KM                 Random/p2c routing radius (default 1.5)
-//	-churn P                   per-slot hotspot offline probability
+//	-churn P                   per-slot hotspot offline probability in
+//	                           [0, 1], i.i.d. across slots and hotspots
+//	                           (Markov churn with fail P, recover 1-P)
 //	-capacity F -cache F       override capacities as fractions of the
 //	                           video-set size (0 keeps the input)
 //	-seed N                    simulation/generation seed
@@ -55,7 +57,7 @@ func run(args []string) error {
 	cacheFrac := fs.Float64("cache", 0, "override cache size as a fraction of the video set")
 	seed := fs.Int64("seed", 1, "simulation (and generation) seed")
 	workers := fs.Int("workers", 0, "scheduling parallelism (0 = all cores, 1 = serial; results identical)")
-	churn := fs.Float64("churn", 0, "per-slot probability a hotspot is offline")
+	churn := fs.Float64("churn", 0, "per-slot probability in [0, 1] a hotspot is offline, i.i.d.")
 	shardCellKm := fs.Float64("shard-cell-km", 0, "rbcaer only: grid-partition the world into shards of this cell size in km")
 	asJSON := fs.Bool("json", false, "emit metrics as JSON")
 	debugAddr := fs.String("debug-addr", "", "serve pprof/expvar/metrics on this address (e.g. localhost:6060)")
@@ -111,8 +113,11 @@ func run(args []string) error {
 		return err
 	}
 	world.OverrideCapacities(*capFrac, *cacheFrac)
-	m, err := policy.Run(world, tr, *workers,
-		crowdcdn.SimOptions{Seed: *seed, HotspotChurn: *churn, Registry: reg, Tracer: tracer})
+	opts := crowdcdn.SimOptions{Seed: *seed, Registry: reg, Tracer: tracer}
+	if *churn != 0 {
+		opts.Faults = &crowdcdn.FaultScenario{Churn: &crowdcdn.MarkovChurn{FailPerSlot: *churn, RecoverPerSlot: 1 - *churn}}
+	}
+	m, err := policy.Run(world, tr, *workers, opts)
 	if err != nil {
 		return err
 	}

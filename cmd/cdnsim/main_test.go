@@ -79,12 +79,15 @@ func TestRunLPOnTinyWorld(t *testing.T) {
 
 func TestRunWithOverridesAndChurn(t *testing.T) {
 	worldPath, tracePath := writeTinyWorld(t)
-	err := run([]string{
-		"-world", worldPath, "-trace", tracePath,
-		"-scheme", "nearest", "-capacity", "0.1", "-cache", "0.05", "-churn", "0.2",
-	})
-	if err != nil {
-		t.Fatalf("run with overrides: %v", err)
+	// -churn takes [0, 1]; 1 is the whole fleet offline every slot.
+	for _, churn := range []string{"0.2", "1"} {
+		err := run([]string{
+			"-world", worldPath, "-trace", tracePath,
+			"-scheme", "nearest", "-capacity", "0.1", "-cache", "0.05", "-churn", churn,
+		})
+		if err != nil {
+			t.Fatalf("run with overrides and -churn %s: %v", churn, err)
+		}
 	}
 }
 
@@ -136,8 +139,10 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-world", worldPath, "-trace", "/does/not/exist.csv"}); err == nil {
 		t.Error("missing trace file accepted")
 	}
-	if err := run([]string{"-churn", "2", "-world", worldPath, "-trace", tracePath}); err == nil {
-		t.Error("invalid churn accepted")
+	for _, churn := range []string{"2", "-0.1"} {
+		if err := run([]string{"-churn", churn, "-world", worldPath, "-trace", tracePath}); err == nil {
+			t.Errorf("-churn %s accepted", churn)
+		}
 	}
 	if err := run([]string{"-scheme", "nearest", "-shard-cell-km", "3", "-world", worldPath, "-trace", tracePath}); err == nil {
 		t.Error("sharding with non-rbcaer scheme accepted")

@@ -181,9 +181,6 @@ type (
 	WorkloadSpec = loadgen.Spec
 	// WorkloadClass is one declared client class of a WorkloadSpec.
 	WorkloadClass = loadgen.ClassSpec
-	// WorkloadStream is a materialised open-loop request schedule,
-	// bucketed by timeslot (byte-reproducible per seed).
-	WorkloadStream = loadgen.Stream
 )
 
 // NewServer validates the configuration and builds an online scheduling
@@ -197,21 +194,13 @@ func ReplayTrace(baseURL string, world *World, tr *Trace, opts LoadgenOptions) (
 	return loadgen.Replay(baseURL, world, tr, opts)
 }
 
-// ParseWorkloadSpec parses the line-based open-loop workload grammar:
+// ParseWorkloadSpec parses the line-based workload grammar:
 //
 //	class <name> clients=N arrival=poisson|gamma|weibull rate=R [shape=S] [videos=zipf:A|uniform]
 //
-// Generate a byte-reproducible request stream with
-// (*WorkloadSpec).Generate and drive it with DriveWorkload.
+// (*WorkloadSpec).Generate turns a spec into a byte-reproducible Trace,
+// which ReplayTrace drives like any other.
 func ParseWorkloadSpec(text string) (*WorkloadSpec, error) { return loadgen.ParseSpec(text) }
-
-// DriveWorkload posts a generated open-loop stream through a serving
-// tier slot by slot, fanning requests across opts.Targets (every
-// frontend of a multi-instance server) and forcing slot boundaries
-// through baseURL.
-func DriveWorkload(baseURL string, stream *WorkloadStream, opts LoadgenOptions) (*LoadgenReport, error) {
-	return loadgen.DriveOpenLoop(baseURL, stream, opts)
-}
 
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
@@ -319,17 +308,6 @@ func NewReactiveLFU() Scheduler { return scheme.NewReactiveLFU() }
 // returns the paper's evaluation metrics.
 func Simulate(world *World, tr *Trace, policy Scheduler, opts SimOptions) (*Metrics, error) {
 	return sim.Run(world, tr, policy, opts)
-}
-
-// SimulateParallel is Simulate with independent timeslots scheduled
-// concurrently on up to workers goroutines (0 selects
-// runtime.GOMAXPROCS(0); 1 is Simulate). Each worker schedules with its
-// own policy instance from newPolicy, so the policy must be stateless
-// across slots (RBCAer, Nearest, Random and power-of-two qualify; the
-// reactive and predicted policies do not — LookupScheme knows which is
-// which). Metrics are identical to Simulate's for every worker count.
-func SimulateParallel(world *World, tr *Trace, newPolicy func() Scheduler, workers int, opts SimOptions) (*Metrics, error) {
-	return sim.RunParallel(world, tr, newPolicy, workers, opts)
 }
 
 // SchemeFactory is a scheme name resolved to a policy: New builds

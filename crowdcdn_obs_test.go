@@ -30,7 +30,11 @@ func TestFacadeObservability(t *testing.T) {
 	params.Obs = reg
 	params.RecordEvents = true
 	opts := SimOptions{Seed: 1, Registry: reg, Tracer: tracer}
-	m, err := SimulateParallel(world, tr, func() Scheduler { return NewRBCAer(params) }, 2, opts)
+	policy, err := LookupScheme("rbcaer", 1.5, params, ShardParams{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := policy.Run(world, tr, 2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -197,7 +197,9 @@ func TestPublicAPIExtensions(t *testing.T) {
 	}
 
 	// Churn through the facade.
-	m, err := Simulate(world, tr, NewRBCAer(DefaultParams()), SimOptions{Seed: 1, HotspotChurn: 0.2})
+	m, err := Simulate(world, tr, NewRBCAer(DefaultParams()), SimOptions{Seed: 1, Faults: &FaultScenario{
+		Churn: &MarkovChurn{FailPerSlot: 0.2, RecoverPerSlot: 0.8},
+	}})
 	if err != nil {
 		t.Fatalf("Simulate with churn: %v", err)
 	}

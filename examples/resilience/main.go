@@ -2,9 +2,9 @@
 // takes every hotspot within 4 km of the city centre offline for the
 // middle slots of the day while a flash crowd hits the hottest videos;
 // the simulator re-aggregates demand to the surviving fleet and falls
-// back to the CDN for the rest. The run uses SimulateParallel — fault
-// injection is deterministic, so the metrics are byte-identical for
-// every worker count.
+// back to the CDN for the rest. The run schedules slots on every core —
+// fault injection is deterministic, so the metrics are byte-identical
+// for every worker count.
 package main
 
 import (
@@ -44,7 +44,10 @@ func run() error {
 	fmt.Printf("world: %d hotspots over %.0fx%.0f km; outage radius 4 km around (%.1f, %.1f), slots 3-5\n\n",
 		len(world.Hotspots), world.Bounds.Width(), world.Bounds.Height(), center.X, center.Y)
 
-	newPolicy := func() crowdcdn.Scheduler { return crowdcdn.NewRBCAer(crowdcdn.DefaultParams()) }
+	policy, err := crowdcdn.LookupScheme("rbcaer", 1.5, crowdcdn.DefaultParams(), crowdcdn.ShardParams{}, 0)
+	if err != nil {
+		return err
+	}
 	fmt.Printf("%-10s %8s %9s %9s %9s %10s\n",
 		"run", "serving", "dist(km)", "offline", "stranded", "flash-reqs")
 	for _, f := range []struct {
@@ -54,8 +57,7 @@ func run() error {
 		{"healthy", nil},
 		{"blackout", outage},
 	} {
-		m, err := crowdcdn.SimulateParallel(world, tr, newPolicy, 0,
-			crowdcdn.SimOptions{Seed: 1, Faults: f.scenario})
+		m, err := policy.Run(world, tr, 0, crowdcdn.SimOptions{Seed: 1, Faults: f.scenario})
 		if err != nil {
 			return err
 		}

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/region"
 	"repro/internal/scheme"
@@ -107,7 +108,7 @@ func (r *Runner) ExtChurn() (*Figure, error) {
 	for _, churn := range churns {
 		for _, policy := range r.evalPolicies() {
 			opts := r.simOpts()
-			opts.HotspotChurn = churn
+			opts.Faults = &fault.Scenario{Churn: &fault.MarkovChurn{FailPerSlot: churn, RecoverPerSlot: 1 - churn}}
 			m, err := sim.Run(world, tr, policy, opts)
 			if err != nil {
 				return nil, fmt.Errorf("exp: ext-churn %s at %v: %w", policy.Name(), churn, err)

@@ -172,13 +172,11 @@ func (r *Runner) Resilience() ([]*Figure, error) {
 				100*rb[last]/rb[0])
 		}
 		if worst != nil {
-			var faultSlots int64
-			for _, n := range worst.FaultOutageSlots {
-				faultSlots += n
-			}
+			// Every offline pair has exactly one cause, a fault, so the
+			// fault-attributed count is the offline total.
 			fig.Note("RBCAer at max intensity: %d degraded rounds, %d stranded requests, %d CDN-fallback serves, %d offline hotspot-slots (%d fault-attributed), %d flash-injected requests",
 				worst.DegradedRounds, worst.StrandedRequests, worst.FallbackServedByCDN,
-				worst.OfflineHotspotSlots, faultSlots, worst.FlashInjectedRequests)
+				worst.OfflineHotspotSlots, worst.OfflineHotspotSlots, worst.FlashInjectedRequests)
 		}
 		figs = append(figs, fig)
 	}

@@ -7,7 +7,8 @@
 // pair:
 //
 //   - MarkovChurn: per-hotspot on/off Markov sessions (bursty
-//     multi-slot outages rather than independent coin flips),
+//     multi-slot outages, or independent coin flips when the two
+//     transition probabilities sum to 1),
 //   - RegionalOutage: geographically correlated failures — every
 //     hotspot within a radius goes dark for a slot window,
 //   - CapacityDegradation: service and/or cache capacity scaled down
@@ -45,26 +46,15 @@ const (
 	CauseOutage
 )
 
-// String implements fmt.Stringer.
-func (c Cause) String() string {
-	switch c {
-	case CauseNone:
-		return "none"
-	case CauseChurn:
-		return "markov-churn"
-	case CauseOutage:
-		return "regional-outage"
-	default:
-		return fmt.Sprintf("cause(%d)", uint8(c))
-	}
-}
-
 // MarkovChurn models bursty hotspot sessions as a per-hotspot two-state
 // Markov chain evolved once per slot: an online hotspot fails with
 // probability FailPerSlot, an offline one recovers with probability
 // RecoverPerSlot. The steady-state offline fraction is
-// Fail/(Fail+Recover), and mean outage length is 1/RecoverPerSlot slots
-// — unlike i.i.d. churn, outages persist across slots.
+// Fail/(Fail+Recover), and mean outage length is 1/RecoverPerSlot slots.
+// With Fail = p and Recover = 1 − p, both transitions into offline have
+// probability p, so every (slot, hotspot) is offline with probability p
+// independent of its past: i.i.d. churn, and at p = 1 the whole fleet
+// down every slot.
 type MarkovChurn struct {
 	FailPerSlot    float64
 	RecoverPerSlot float64
@@ -78,7 +68,7 @@ func (c *MarkovChurn) Validate() error {
 	if c.RecoverPerSlot < 0 || c.RecoverPerSlot > 1 {
 		return fmt.Errorf("fault: RecoverPerSlot %v outside [0, 1]", c.RecoverPerSlot)
 	}
-	if c.FailPerSlot > 0 && c.RecoverPerSlot == 0 {
+	if c.FailPerSlot > 0 && c.FailPerSlot < 1 && c.RecoverPerSlot == 0 {
 		return fmt.Errorf("fault: FailPerSlot %v with RecoverPerSlot 0 permanently absorbs the fleet", c.FailPerSlot)
 	}
 	return nil

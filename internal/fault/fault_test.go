@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -187,6 +188,75 @@ func TestMarkovChurnIsBursty(t *testing.T) {
 	mean := float64(offlineSlots) / float64(sessions)
 	if mean < 2 {
 		t.Errorf("mean outage session %.2f slots; Markov churn should be bursty (want >= 2)", mean)
+	}
+}
+
+// TestMarkovChurnIIDFold: with Recover = 1 − Fail the chain is i.i.d.
+// churn — every (slot, hotspot) is offline with probability Fail,
+// whatever the hotspot was the slot before. Checked on 2,000 hotspots ×
+// 50 slots, each estimate within 4σ of 0.2.
+func TestMarkovChurnIIDFold(t *testing.T) {
+	const m, slots, p = 2000, 50, 0.2
+	tl, err := Compile(lineWorld(m), slots, 9, &Scenario{Churn: &MarkovChurn{FailPerSlot: p, RecoverPerSlot: 1 - p}})
+	if err != nil {
+		t.Fatalf("Compile: %v", err)
+	}
+	offline := func(s, h int) bool {
+		causes := tl.Causes(s)
+		return causes != nil && causes[h] == CauseChurn
+	}
+	// [previous state][current state] counts; slot 0 follows an
+	// all-online fleet.
+	var n [2][2]int
+	for h := 0; h < m; h++ {
+		prev := false
+		for s := 0; s < slots; s++ {
+			now := offline(s, h)
+			n[b2i(prev)][b2i(now)]++
+			prev = now
+		}
+	}
+	check := func(name string, hits, total int) {
+		t.Helper()
+		if total == 0 {
+			t.Fatalf("%s: no samples", name)
+		}
+		got := float64(hits) / float64(total)
+		if sigma := math.Sqrt(p * (1 - p) / float64(total)); math.Abs(got-p) > 4*sigma {
+			t.Errorf("%s = %.4f over %d samples, want %.2f ± %.4f", name, got, total, p, 4*sigma)
+		}
+	}
+	check("offline fraction", n[0][1]+n[1][1], m*slots)
+	check("P(offline | offline before)", n[1][1], n[1][0]+n[1][1])
+	check("P(offline | online before)", n[0][1], n[0][0]+n[0][1])
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestMarkovChurnWholeFleet: {1, 0} — fail surely, never recover — is
+// the whole fleet offline every slot, and validates; a chain that
+// fails only sometimes but never recovers is still refused.
+func TestMarkovChurnWholeFleet(t *testing.T) {
+	const m, slots = 7, 5
+	tl, err := Compile(lineWorld(m), slots, 1, &Scenario{Churn: &MarkovChurn{FailPerSlot: 1, RecoverPerSlot: 0}})
+	if err != nil {
+		t.Fatalf("Compile {1, 0}: %v", err)
+	}
+	for s := 0; s < slots; s++ {
+		causes := tl.Causes(s)
+		for h := 0; h < m; h++ {
+			if causes == nil || causes[h] != CauseChurn {
+				t.Fatalf("slot %d hotspot %d online under {1, 0}", s, h)
+			}
+		}
+	}
+	if err := (&MarkovChurn{FailPerSlot: 0.3, RecoverPerSlot: 0}).Validate(); err == nil {
+		t.Error("{0.3, 0} accepted")
 	}
 }
 

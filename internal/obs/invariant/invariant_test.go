@@ -255,7 +255,7 @@ func TestAllSchemesAssignmentInvariants(t *testing.T) {
 	}
 	scenarios := map[string]sim.Options{
 		"clean": {Seed: 5},
-		"faults": {Seed: 5, HotspotChurn: 0.05, Faults: &fault.Scenario{
+		"faults": {Seed: 5, Faults: &fault.Scenario{
 			Name:  "invariant-stress",
 			Churn: &fault.MarkovChurn{FailPerSlot: 0.1, RecoverPerSlot: 0.4},
 			Degradations: []fault.CapacityDegradation{

@@ -54,9 +54,6 @@ type RunSpec struct {
 	Scheme string
 	// Seed is the simulation seed (default: the world seed).
 	Seed int64
-	// Churn is the i.i.d. per-slot offline probability, on top of any
-	// Markov churn event.
-	Churn float64
 	// RadiusKm is the random/p2c routing radius (default 1.5).
 	RadiusKm float64
 	// CapacityFrac overrides every hotspot's service capacity as a
@@ -75,8 +72,8 @@ type RunSpec struct {
 	// (internal/server) over HTTP instead of the offline simulator and
 	// requires every slot's plan to be byte-identical to an offline
 	// run; crash events kill the tier abruptly mid-slot and restart it
-	// from disk (rbcaer only; no fault events, stress, churn, sharding,
-	// or slot assertions).
+	// from disk (rbcaer only; no fault events, stress, sharding, or
+	// slot assertions).
 	Serve bool
 	// Instances is the serve-mode frontend count (0 = 2).
 	Instances int
@@ -254,7 +251,6 @@ func (doc *Doc) decodeRun(n *node) error {
 	doc.Spec = RunSpec{
 		Scheme:          d.str("scheme", ""),
 		Seed:            d.int64Of("seed", 0),
-		Churn:           d.float("churn", 0),
 		RadiusKm:        d.float("radius_km", 0),
 		CapacityFrac:    d.float("capacity_frac", 0),
 		CacheFrac:       d.float("cache_frac", 0),
@@ -455,9 +451,6 @@ func (doc *Doc) validate() error {
 	if doc.Spec.Scheme != "" && !slices.Contains(scheme.Names(), doc.Spec.Scheme) {
 		return fmt.Errorf("scenario: unknown run.scheme %q", doc.Spec.Scheme)
 	}
-	if doc.Spec.Churn < 0 || doc.Spec.Churn > 1 {
-		return fmt.Errorf("scenario: run.churn %v outside [0, 1]", doc.Spec.Churn)
-	}
 	if doc.Spec.ShardCellKm < 0 {
 		return fmt.Errorf("scenario: run.shard_cell_km %v negative", doc.Spec.ShardCellKm)
 	}
@@ -523,9 +516,6 @@ func (doc *Doc) validateServe() error {
 	}
 	if doc.Spec.ShardCellKm > 0 {
 		return fmt.Errorf("scenario: run.serve does not support sharded scheduling")
-	}
-	if doc.Spec.Churn != 0 {
-		return fmt.Errorf("scenario: run.serve does not support churn (the serving tier has no fault injection)")
 	}
 	if doc.Stress != nil {
 		return fmt.Errorf("scenario: run.serve does not support the stress section")

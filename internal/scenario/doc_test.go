@@ -22,7 +22,6 @@ world:
   slots: 4
 run:
   scheme: rbcaer
-  churn: 0.1
   fail_fast: true
 events:
   - at: slot 1
@@ -57,7 +56,7 @@ assert_slot:
 	if doc.Name != "full" || doc.World.Hotspots != 30 || doc.World.Slots != 4 {
 		t.Fatalf("doc header = %+v", doc)
 	}
-	if !doc.Spec.FailFast || doc.Spec.Churn != 0.1 {
+	if !doc.Spec.FailFast {
 		t.Fatalf("run spec = %+v", doc.Spec)
 	}
 	if len(doc.Events) != 2 || doc.Events[0].Kind != EventOutage || doc.Events[0].At != 1 || doc.Events[0].Until != 3 {
@@ -91,7 +90,7 @@ func TestParseErrors(t *testing.T) {
 		{"unknown world key", "world:\n  hotspot: 3\n", `unknown key "hotspot"`},
 		{"bad world int", "world:\n  hotspots: many\n", "not an integer"},
 		{"unknown scheme", "run:\n  scheme: dijkstra\n", `unknown run.scheme "dijkstra"`},
-		{"churn out of range", "run:\n  churn: 1.5\n", "outside [0, 1]"},
+		{"retired key churn", "run:\n  churn: 0.1\n", `line 3: unknown key "churn" in run`},
 		{"retired key delta", "run:\n  scheme: rbcaer\n  delta: true\n", `line 4: unknown key "delta" in run`},
 		{"retired key delta_every", "run:\n  delta_every: 4\n", `line 3: unknown key "delta_every" in run`},
 		{"retired key delta_threshold", "run:\n  delta_threshold: 0.5\n", `line 3: unknown key "delta_threshold" in run`},

@@ -103,6 +103,9 @@ func (doc *Doc) Execute(opt ExecOptions) (*Report, error) {
 		return doc.executeServe(opt)
 	}
 	cfg := doc.traceConfig()
+	if err := doc.checkEventSlots(cfg.Slots); err != nil {
+		return nil, err
+	}
 	world, tr, err := trace.Generate(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: generating world: %w", err)
@@ -172,11 +175,10 @@ func (doc *Doc) Execute(opt ExecOptions) (*Report, error) {
 	}
 
 	opts := sim.Options{
-		Seed:         simSeed,
-		HotspotChurn: doc.Spec.Churn,
-		Faults:       sc,
-		Registry:     reg,
-		SlotSink:     sink,
+		Seed:     simSeed,
+		Faults:   sc,
+		Registry: reg,
+		SlotSink: sink,
 	}
 
 	m, err := factory.Run(world, tr, opt.Workers, opts)
@@ -231,6 +233,18 @@ func (doc *Doc) Execute(opt ExecOptions) (*Report, error) {
 	}
 	rep.Pass = pass
 	return rep, nil
+}
+
+// checkEventSlots refuses an event that starts after the run's last
+// slot, which the run would drop without a word. Both Execute paths
+// call it once the world section has resolved the slot count.
+func (doc *Doc) checkEventSlots(slots int) error {
+	for i, ev := range doc.Events {
+		if ev.At >= slots {
+			return fmt.Errorf("scenario: events[%d]: %s.at %d outside the %d-slot run", i, ev.Kind, ev.At, slots)
+		}
+	}
+	return nil
 }
 
 // firstViolationSlot returns the earliest first-violation slot.

@@ -106,6 +106,21 @@ func TestExecuteReportDeterministic(t *testing.T) {
 	}
 }
 
+// TestExecuteEventBeyondRun: an event that starts after the run's last
+// slot would never fire, so Execute refuses it instead of passing a run
+// the event never touched.
+func TestExecuteEventBeyondRun(t *testing.T) {
+	src := strings.Replace(tinyRun, "  - at: 1\n", "  - at: 9\n", 1)
+	doc, err := Parse([]byte(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = doc.Execute(ExecOptions{Workers: 1})
+	if want := "scenario: events[0]: regional_outage.at 9 outside the 4-slot run"; err == nil || err.Error() != want {
+		t.Fatalf("Execute error = %v, want %q", err, want)
+	}
+}
+
 func TestExecuteFailingAssertion(t *testing.T) {
 	src := strings.Replace(tinyRun, "TotalRequests == 1200", "TotalRequests == 1", 1)
 	doc, err := Parse([]byte(src))

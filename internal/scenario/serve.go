@@ -20,25 +20,22 @@ import (
 // run-level assertions can pin it.
 func (doc *Doc) executeServe(opt ExecOptions) (*Report, error) {
 	cfg := doc.traceConfig()
+	if err := doc.checkEventSlots(cfg.Slots); err != nil {
+		return nil, err
+	}
 	world, tr, err := trace.Generate(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: generating world: %w", err)
 	}
 	world.OverrideCapacities(doc.Spec.CapacityFrac, doc.Spec.CacheFrac)
 
-	crash := make(map[int]bool)
-	for i, ev := range doc.Events {
-		if ev.At >= cfg.Slots {
-			return nil, fmt.Errorf("scenario: events[%d]: crash.at %d outside the %d-slot run", i, ev.At, cfg.Slots)
-		}
-		crash[ev.At] = true
-	}
 	// Each crash lands mid-slot: half the slot's requests accepted.
+	// Crash events are the only serve-mode events, in strictly
+	// increasing slots inside the run.
+	bySlot := tr.BySlot()
 	var crashes []loadgen.CrashPoint
-	for slot, reqs := range tr.BySlot() {
-		if crash[slot] {
-			crashes = append(crashes, loadgen.CrashPoint{Slot: slot, After: len(reqs) / 2})
-		}
+	for _, ev := range doc.Events {
+		crashes = append(crashes, loadgen.CrashPoint{Slot: ev.At, After: len(bySlot[ev.At]) / 2})
 	}
 
 	simSeed := doc.Spec.Seed

@@ -118,8 +118,8 @@ func TestServeValidation(t *testing.T) {
 		},
 		{
 			"serve with churn",
-			"name: t\nrun:\n  serve: true\n  churn: 0.1\n",
-			"does not support churn",
+			"name: t\nrun:\n  serve: true\nevents:\n  - action: churn\n    fail: 0.1\n    recover: 0.9\n",
+			"serve mode supports only crash events, got churn",
 		},
 		{
 			"serve with stress",

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fault"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -109,6 +110,12 @@ func TestReactiveNilContext(t *testing.T) {
 	}
 }
 
+// iidChurn is i.i.d. churn at probability p as the Markov chain that
+// draws it: offline with probability p whatever the slot before was.
+func iidChurn(p float64) *fault.MarkovChurn {
+	return &fault.MarkovChurn{FailPerSlot: p, RecoverPerSlot: 1 - p}
+}
+
 func TestChurnDegradesServingGracefully(t *testing.T) {
 	_, world, tr := buildContext(t, nil)
 	baseline, err := sim.Run(world, tr, NewRBCAer(core.DefaultParams()), sim.Options{Seed: 1})
@@ -116,7 +123,7 @@ func TestChurnDegradesServingGracefully(t *testing.T) {
 		t.Fatal(err)
 	}
 	churned, err := sim.Run(world, tr, NewRBCAer(core.DefaultParams()),
-		sim.Options{Seed: 1, HotspotChurn: 0.3})
+		sim.Options{Seed: 1, Faults: &fault.Scenario{Churn: iidChurn(0.3)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,15 +148,16 @@ func TestChurnDegradesServingGracefully(t *testing.T) {
 
 func TestChurnOptionValidation(t *testing.T) {
 	_, world, tr := buildContext(t, nil)
-	if _, err := sim.Run(world, tr, Nearest{}, sim.Options{HotspotChurn: -0.1}); err == nil {
+	churn := func(p float64) sim.Options { return sim.Options{Faults: &fault.Scenario{Churn: iidChurn(p)}} }
+	if _, err := sim.Run(world, tr, Nearest{}, churn(-0.1)); err == nil {
 		t.Error("negative churn accepted")
 	}
-	if _, err := sim.Run(world, tr, Nearest{}, sim.Options{HotspotChurn: 1.1}); err == nil {
+	if _, err := sim.Run(world, tr, Nearest{}, churn(1.1)); err == nil {
 		t.Error("churn above 1 accepted")
 	}
 	// Churn of exactly 1 is valid: the whole fleet is offline every
 	// slot and everything is served by the CDN.
-	m, err := sim.Run(world, tr, Nearest{}, sim.Options{HotspotChurn: 1.0})
+	m, err := sim.Run(world, tr, Nearest{}, churn(1.0))
 	if err != nil {
 		t.Fatalf("churn of 1.0 rejected: %v", err)
 	}

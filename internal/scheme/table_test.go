@@ -61,12 +61,14 @@ func TestSchemeTableAcrossWorkers(t *testing.T) {
 	)
 	faults := map[string]sim.Options{
 		"clean": {Seed: 7},
-		"churn+stale": {Seed: 7, HotspotChurn: 0.15, Faults: &fault.Scenario{
+		"churn+stale": {Seed: 7, Faults: &fault.Scenario{
 			Name:      "table",
+			Churn:     iidChurn(0.15),
 			Staleness: &fault.StaleReports{LagSlots: 1, DropFraction: 0.2},
 		}},
-		"churn+outage": {Seed: 7, HotspotChurn: 0.15, Faults: &fault.Scenario{
+		"churn+outage": {Seed: 7, Faults: &fault.Scenario{
 			Name:    "table-outage",
+			Churn:   iidChurn(0.15),
 			Outages: []fault.RegionalOutage{{Center: world.Bounds.Center(), RadiusKm: 3, StartSlot: 2, EndSlot: 4}},
 		}},
 	}

@@ -30,6 +30,35 @@ func OfflinePlans(world *trace.World, tr *trace.Trace) (map[int]string, error) {
 	return plans, nil
 }
 
+// MatchOffline holds a replay to its reference, OfflinePlans of the
+// same trace: the replay must have scheduled exactly the slots the
+// simulator planned, and served each under the digest of the
+// simulator's plan for it.
+func MatchOffline(report *Report, offline map[int]string) error {
+	scheduled := 0
+	for _, sr := range report.Slots {
+		want, planned := offline[sr.Slot]
+		if sr.Scheduled != planned {
+			return fmt.Errorf("loadgen: slot %d: online scheduled %v, offline planned %v", sr.Slot, sr.Scheduled, planned)
+		}
+		if !planned {
+			continue
+		}
+		canonical, err := hex.DecodeString(want)
+		if err != nil {
+			return fmt.Errorf("loadgen: slot %d: offline plan: %w", sr.Slot, err)
+		}
+		if digest := fmt.Sprintf("%016x", core.DigestOf(canonical)); sr.Digest != digest {
+			return fmt.Errorf("loadgen: slot %d: served digest %s, offline plan's %s", sr.Slot, sr.Digest, digest)
+		}
+		scheduled++
+	}
+	if scheduled != len(offline) {
+		return fmt.Errorf("loadgen: online scheduled %d slots, offline %d", scheduled, len(offline))
+	}
+	return nil
+}
+
 // CrashPoint kills the tier during slot Slot, once After of that
 // slot's requests have been accepted. After 0 is a crash right after
 // the previous slot's boundary.

@@ -7,7 +7,8 @@
 // carries the served plan's epoch and digest so harnesses can compare
 // the replay against an offline sim.Run of the same trace byte for
 // byte. OfflinePlans is that reference, and CrashDrill the one
-// kill/restart differential every durability check is a caller of.
+// kill/restart differential every durability check is a caller of. A
+// workload Spec generates a trace too, so it takes the same path.
 package loadgen
 
 import (
@@ -22,7 +23,7 @@ import (
 	"repro/internal/trace"
 )
 
-// Options tunes a replay or an open-loop drive.
+// Options tunes a replay.
 type Options struct {
 	// Targets, when non-empty, is the full list of frontend base URLs
 	// ingest posts rotate across round-robin (a multi-instance serving
@@ -33,14 +34,6 @@ type Options struct {
 
 // workers is the number of concurrent ingest posters per slot.
 const workers = 8
-
-// targets applies the default: baseURL as the only target.
-func (o Options) targets(baseURL string) []string {
-	if len(o.Targets) == 0 {
-		return []string{baseURL}
-	}
-	return o.Targets
-}
 
 // SlotReport is the outcome of replaying one timeslot.
 type SlotReport struct {
@@ -73,14 +66,18 @@ type ingestBody struct {
 
 // Replay drives the full trace through the server at baseURL
 // ("http://host:port"), slot by slot. Any HTTP or transport failure
-// aborts the replay; 429 rejections are counted, not retried, so a
-// harness asserting byte-identity should size the server's QueueBound
-// above the largest slot.
+// aborts the replay, returning the report up to and including the
+// failed slot; 429 rejections are counted, not retried, so a harness
+// asserting byte-identity should size the server's QueueBound above the
+// largest slot.
 func Replay(baseURL string, world *trace.World, tr *trace.Trace, opts Options) (*Report, error) {
 	if err := tr.Validate(world); err != nil {
 		return nil, fmt.Errorf("loadgen: %w", err)
 	}
-	client, targets := &http.Client{}, opts.targets(baseURL)
+	client, targets := &http.Client{}, opts.Targets
+	if len(targets) == 0 {
+		targets = []string{baseURL}
+	}
 	// Drop the keep-alive pool once the drive completes: conns left
 	// behind (including spare dials that never carried a request) keep
 	// the tier's graceful Shutdown waiting out its drain deadline.
@@ -93,13 +90,13 @@ func Replay(baseURL string, world *trace.World, tr *trace.Trace, opts Options) (
 			return report, err
 		}
 		sr, err := driveSlot(client, baseURL, targets, slot, bodies)
-		if err != nil {
-			return report, err
-		}
 		report.Slots = append(report.Slots, sr)
 		report.Sent += sr.Sent
 		report.Accepted += sr.Accepted
 		report.Rejected += sr.Rejected
+		if err != nil {
+			return report, err
+		}
 	}
 	return report, nil
 }

@@ -5,12 +5,17 @@ import (
 	"math"
 	"strconv"
 	"strings"
+
+	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // The ServeGen-style workload specification: a line-based grammar
 // declaring client classes, each an open-loop population of independent
 // clients with its own inter-arrival process and video-popularity
-// skew. Blank lines and '#' comments are ignored; every other line is
+// skew. Generate materialises a spec as a trace, so a generated
+// workload is replayed (Replay) and checked (OfflinePlans) like any
+// other. Blank lines and '#' comments are ignored; every other line is
 //
 //	class <name> clients=N arrival=<dist> rate=R [shape=S] [videos=zipf:A|uniform]
 //
@@ -196,4 +201,83 @@ func parsePositive(val string) (float64, error) {
 		return 0, fmt.Errorf("%v is not positive and finite", f)
 	}
 	return f, nil
+}
+
+// maxGeneratedRequests bounds a single generated trace (expected
+// count; guards against a spec whose offered load times horizon would
+// not fit in memory).
+const maxGeneratedRequests = 1 << 26
+
+// Generate materialises the spec as a trace of slots timeslots of
+// slotSeconds each over world; an arrival time decides only a request's
+// slot. Each client requests from the location of the hotspot it is
+// pinned to, so nearest-hotspot aggregation resolves the request to it.
+// Users are numbered class by class, and every draw comes from a
+// per-(class, client) stats.SplitRand stream derived from seed, so the
+// trace is byte-reproducible and editing one class never perturbs
+// another.
+func (s *Spec) Generate(seed int64, slots int, slotSeconds float64, world *trace.World) (*trace.Trace, error) {
+	if slots <= 0 {
+		return nil, fmt.Errorf("loadgen: non-positive slot count %d", slots)
+	}
+	if !(slotSeconds > 0) || math.IsInf(slotSeconds, 0) {
+		return nil, fmt.Errorf("loadgen: slot duration %v is not positive and finite", slotSeconds)
+	}
+	if len(world.Hotspots) == 0 || world.NumVideos <= 0 {
+		return nil, fmt.Errorf("loadgen: need hotspots and videos (got %d, %d)", len(world.Hotspots), world.NumVideos)
+	}
+	horizon := float64(slots) * slotSeconds
+	if expected := s.OfferedLoad() * horizon; expected > maxGeneratedRequests {
+		return nil, fmt.Errorf("loadgen: spec offers %.0f requests over the horizon, above the %d cap", expected, maxGeneratedRequests)
+	}
+
+	tr := &trace.Trace{Slots: slots}
+	var user trace.UserID
+	for _, c := range s.Classes {
+		var videos *stats.Alias
+		if !c.Uniform {
+			v, err := stats.NewZipf(world.NumVideos, c.ZipfAlpha)
+			if err != nil {
+				return nil, fmt.Errorf("loadgen: class %s: %w", c.Name, err)
+			}
+			videos = v
+		}
+		// Normalise each distribution to mean inter-arrival 1/rate so a
+		// class's offered load is clients·rate regardless of shape.
+		gammaScale := 1.0 / (c.Shape * c.Rate)
+		weibullScale := 1.0 / (c.Rate * math.Gamma(1+1/c.Shape))
+		for i := 0; i < c.Clients; i++ {
+			rng := stats.SplitRand(seed, "loadgen/"+c.Name+"/"+strconv.Itoa(i))
+			at := world.Hotspots[rng.Int63n(int64(len(world.Hotspots)))].Location
+			id := user
+			user++
+			for t := 0.0; ; {
+				switch c.Arrival {
+				case ArrivalPoisson:
+					t += stats.SampleExp(rng, c.Rate)
+				case ArrivalGamma:
+					t += stats.SampleGamma(rng, c.Shape, gammaScale)
+				default:
+					t += stats.SampleWeibull(rng, c.Shape, weibullScale)
+				}
+				if t >= horizon {
+					break
+				}
+				var video int
+				if videos != nil {
+					video = videos.Sample(rng)
+				} else {
+					video = int(rng.Int63n(int64(world.NumVideos)))
+				}
+				tr.Requests = append(tr.Requests, trace.Request{
+					ID:       len(tr.Requests),
+					User:     id,
+					Video:    trace.VideoID(video),
+					Location: at,
+					Slot:     int(t / slotSeconds),
+				})
+			}
+		}
+	}
+	return tr, nil
 }

@@ -5,6 +5,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/geo"
+	"repro/internal/trace"
 )
 
 const sampleSpec = `
@@ -83,57 +86,77 @@ func TestParseSpecRejects(t *testing.T) {
 	}
 }
 
+// specWorld is an m-hotspot line world with a v-video catalogue.
+func specWorld(m, v int) *trace.World {
+	w := &trace.World{
+		Bounds:        geo.Rect{MinX: -1, MinY: -1, MaxX: float64(m), MaxY: 1},
+		NumVideos:     v,
+		CDNDistanceKm: 20,
+	}
+	for h := 0; h < m; h++ {
+		w.Hotspots = append(w.Hotspots, trace.Hotspot{
+			ID:              trace.HotspotID(h),
+			Location:        geo.Point{X: float64(h), Y: 0},
+			ServiceCapacity: 50,
+			CacheCapacity:   20,
+		})
+	}
+	return w
+}
+
 // TestGenerateReproducible: same spec, seed, and horizon → the
-// identical stream; a different seed → a different stream.
+// identical trace; a different seed → a different trace. The trace is
+// valid for its world, and every request stands on a hotspot.
 func TestGenerateReproducible(t *testing.T) {
 	spec, err := ParseSpec(sampleSpec)
 	if err != nil {
 		t.Fatalf("ParseSpec: %v", err)
 	}
-	a, err := spec.Generate(11, 4, 1.0, 12, 200)
+	world := specWorld(12, 200)
+	a, err := spec.Generate(11, 4, 1.0, world)
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	b, err := spec.Generate(11, 4, 1.0, 12, 200)
+	b, err := spec.Generate(11, 4, 1.0, world)
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
 	if !reflect.DeepEqual(a, b) {
-		t.Fatal("same seed produced different streams")
+		t.Fatal("same seed produced different traces")
 	}
-	c, err := spec.Generate(12, 4, 1.0, 12, 200)
+	c, err := spec.Generate(12, 4, 1.0, world)
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
 	if reflect.DeepEqual(a, c) {
-		t.Fatal("different seeds produced identical streams")
+		t.Fatal("different seeds produced identical traces")
 	}
-	if len(a.Slots) != 4 {
-		t.Fatalf("got %d slots, want 4", len(a.Slots))
+	if a.Slots != 4 {
+		t.Fatalf("got %d slots, want 4", a.Slots)
 	}
-	// Offered load 188 req/s over 4 s: the open-loop total should land
-	// near 752 (loose 3-sigma-ish band; the draw is seeded, so this
-	// cannot flake).
-	if a.Total < 500 || a.Total > 1000 {
-		t.Errorf("generated %d requests, expected ≈752", a.Total)
+	if err := a.Validate(world); err != nil {
+		t.Fatalf("generated trace invalid: %v", err)
 	}
-	count := 0
-	for s, reqs := range a.Slots {
-		count += len(reqs)
-		for _, r := range reqs {
-			if r.Hotspot < 0 || r.Hotspot >= 12 {
-				t.Fatalf("slot %d: hotspot %d outside [0, 12)", s, r.Hotspot)
-			}
-			if r.Video < 0 || r.Video >= 200 {
-				t.Fatalf("slot %d: video %d outside [0, 200)", s, r.Video)
-			}
-			if r.User < 0 || r.User >= 32 {
-				t.Fatalf("slot %d: user %d outside the 32-client population", s, r.User)
-			}
+	// Offered load 188 req/s over 4 s: the total should land near 752
+	// (loose 3-sigma-ish band; the draw is seeded, so this cannot
+	// flake).
+	if n := len(a.Requests); n < 500 || n > 1000 {
+		t.Errorf("generated %d requests, expected ≈752", n)
+	}
+	at := make(map[geo.Point]bool)
+	for _, h := range world.Hotspots {
+		at[h.Location] = true
+	}
+	for i, r := range a.Requests {
+		if r.ID != i {
+			t.Fatalf("request %d has ID %d", i, r.ID)
 		}
-	}
-	if count != a.Total {
-		t.Errorf("Total %d, slots sum to %d", a.Total, count)
+		if !at[r.Location] {
+			t.Fatalf("request %d at %v, not on a hotspot", i, r.Location)
+		}
+		if r.User < 0 || r.User >= 32 {
+			t.Fatalf("request %d: user %d outside the 32-client population", i, r.User)
+		}
 	}
 }
 
@@ -148,28 +171,27 @@ func TestGenerateClassIndependence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseSpec: %v", err)
 	}
-	sa, err := one.Generate(5, 3, 1.0, 8, 50)
+	world := specWorld(8, 50)
+	ta, err := one.Generate(5, 3, 1.0, world)
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	sb, err := two.Generate(5, 3, 1.0, 8, 50)
+	tb, err := two.Generate(5, 3, 1.0, world)
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
 	// Class a is users [0, 6); its requests must be identical in both.
-	filter := func(st *Stream) [][]GenRequest {
-		out := make([][]GenRequest, len(st.Slots))
-		for s, reqs := range st.Slots {
-			for _, r := range reqs {
-				if r.User < 6 {
-					out[s] = append(out[s], r)
-				}
+	classA := func(tr *trace.Trace) []trace.Request {
+		var out []trace.Request
+		for _, r := range tr.Requests {
+			if r.User < 6 {
+				out = append(out, r)
 			}
 		}
 		return out
 	}
-	if !reflect.DeepEqual(filter(sa), filter(sb)) {
-		t.Fatal("editing class b perturbed class a's stream")
+	if !reflect.DeepEqual(classA(ta), classA(tb)) {
+		t.Fatal("editing class b perturbed class a's requests")
 	}
 }
 
@@ -178,31 +200,23 @@ func TestGenerateValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseSpec: %v", err)
 	}
-	if _, err := spec.Generate(1, 0, 1, 4, 10); err == nil {
+	if _, err := spec.Generate(1, 0, 1, specWorld(4, 10)); err == nil {
 		t.Error("accepted zero slots")
 	}
-	if _, err := spec.Generate(1, 2, 0, 4, 10); err == nil {
+	if _, err := spec.Generate(1, 2, 0, specWorld(4, 10)); err == nil {
 		t.Error("accepted zero slot duration")
 	}
-	if _, err := spec.Generate(1, 2, 1, 0, 10); err == nil {
+	if _, err := spec.Generate(1, 2, 1, specWorld(0, 10)); err == nil {
 		t.Error("accepted zero hotspots")
 	}
-	if _, err := spec.Generate(1, 2, 1, 4, 0); err == nil {
+	if _, err := spec.Generate(1, 2, 1, specWorld(4, 0)); err == nil {
 		t.Error("accepted zero videos")
 	}
 	huge, err := ParseSpec("class a clients=1000000 arrival=poisson rate=1000")
 	if err != nil {
 		t.Fatalf("ParseSpec: %v", err)
 	}
-	if _, err := huge.Generate(1, 1000, 1, 4, 10); err == nil || !strings.Contains(err.Error(), "cap") {
+	if _, err := huge.Generate(1, 1000, 1, specWorld(4, 10)); err == nil || !strings.Contains(err.Error(), "cap") {
 		t.Errorf("oversized horizon not rejected: %v", err)
-	}
-}
-
-func TestGenRequestAppendJSON(t *testing.T) {
-	got := string(GenRequest{User: 7, Video: 42, Hotspot: 3}.AppendJSON(nil))
-	want := `{"user":7,"video":42,"hotspot":3}`
-	if got != want {
-		t.Fatalf("AppendJSON = %s, want %s", got, want)
 	}
 }

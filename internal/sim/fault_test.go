@@ -101,9 +101,8 @@ func TestRunParallelMatchesRunWithFaults(t *testing.T) {
 		t.Fatalf("Generate: %v", err)
 	}
 	opts := Options{
-		Seed:         11,
-		HotspotChurn: 0.1,
-		Faults:       stressScenario(world),
+		Seed:   11,
+		Faults: stressScenario(world),
 	}
 
 	var wantTL []SlotMetrics
@@ -112,7 +111,7 @@ func TestRunParallelMatchesRunWithFaults(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	// The scenario must actually bite, or the test proves nothing.
-	if len(want.FaultOutageSlots) == 0 {
+	if want.OfflineHotspotSlots == 0 {
 		t.Fatal("fault scenario injected no outages")
 	}
 	if want.FlashInjectedRequests == 0 {
@@ -142,7 +141,7 @@ func TestRunParallelMatchesRunWithFaults(t *testing.T) {
 }
 
 // TestOptionsValidate is the table-driven validation contract for every
-// Options field (HotspotChurn is [0, 1] inclusive, matching its doc).
+// Options field.
 func TestOptionsValidate(t *testing.T) {
 	cases := []struct {
 		name string
@@ -151,11 +150,6 @@ func TestOptionsValidate(t *testing.T) {
 	}{
 		{"zero value", Options{}, true},
 		{"seed only", Options{Seed: -42}, true},
-		{"churn zero", Options{HotspotChurn: 0}, true},
-		{"churn mid", Options{HotspotChurn: 0.5}, true},
-		{"churn one", Options{HotspotChurn: 1}, true},
-		{"churn negative", Options{HotspotChurn: -0.01}, false},
-		{"churn above one", Options{HotspotChurn: 1.01}, false},
 		{"nil faults", Options{Faults: nil}, true},
 		{"empty faults", Options{Faults: &fault.Scenario{}}, true},
 		{"valid faults", Options{Faults: &fault.Scenario{
@@ -177,7 +171,7 @@ func TestOptionsValidate(t *testing.T) {
 }
 
 // TestAllOfflineRegression locks in the w.allOffline path for both Run
-// and RunParallel: at HotspotChurn 1 the policy must never run, every
+// and RunParallel: with churn {1, 0} the policy must never run, every
 // request is CDN-served at CDN distance, and the two entry points
 // produce identical metrics at every worker count.
 func TestAllOfflineRegression(t *testing.T) {
@@ -190,7 +184,7 @@ func TestAllOfflineRegression(t *testing.T) {
 	policy := stubPolicy{name: "never-called", schedule: func(ctx *SlotContext) (*Assignment, error) {
 		return nil, fmt.Errorf("policy must not run with the whole fleet offline")
 	}}
-	opts := Options{Seed: 5, HotspotChurn: 1}
+	opts := Options{Seed: 5, Faults: &fault.Scenario{Churn: &fault.MarkovChurn{FailPerSlot: 1}}}
 
 	var wantTL []SlotMetrics
 	want, err := Run(world, tr, policy, withTimeline(opts, &wantTL))
@@ -229,7 +223,7 @@ func TestAllOfflineRegression(t *testing.T) {
 // TestRegionalOutageServesByCDN pins the outage plumbing: a radius
 // covering only hotspot 0 takes it offline for the window, requests
 // re-aggregate to hotspot 1 or fall back to the CDN, and the outage is
-// attributed in FaultOutageSlots.
+// counted in OfflineHotspotSlots.
 func TestRegionalOutageServesByCDN(t *testing.T) {
 	world := twoHotspotWorld()
 	tr := &trace.Trace{Slots: 1, Requests: requestsAt([]trace.VideoID{1, 2}, 0, 0)}
@@ -241,9 +235,6 @@ func TestRegionalOutageServesByCDN(t *testing.T) {
 	m, err := Run(world, tr, resilientPolicy{}, opts)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
-	}
-	if m.FaultOutageSlots["regional-outage"] != 1 {
-		t.Errorf("FaultOutageSlots = %v, want regional-outage: 1", m.FaultOutageSlots)
 	}
 	if m.OfflineHotspotSlots != 1 {
 		t.Errorf("OfflineHotspotSlots = %d, want 1", m.OfflineHotspotSlots)

@@ -56,7 +56,7 @@ func TestObsDeterminism(t *testing.T) {
 
 	scenarios := map[string]Options{
 		"clean":  {Seed: 11},
-		"faults": {Seed: 11, HotspotChurn: 0.1, Faults: stressScenario(world)},
+		"faults": {Seed: 11, Faults: stressScenario(world)},
 	}
 	for name, opts := range scenarios {
 		t.Run(name, func(t *testing.T) {

@@ -46,7 +46,7 @@ type SlotContext struct {
 	Demand *core.Demand
 	// Capacity[h] is hotspot h's effective service capacity this slot:
 	// normally World.Hotspots[h].ServiceCapacity, but 0 for hotspots
-	// offline due to churn or injected faults, and scaled down under
+	// the injected faults take offline, and scaled down under
 	// capacity degradation. Policies must budget against this, not the
 	// world's nominal capacity.
 	Capacity []int64
@@ -168,16 +168,10 @@ type Metrics struct {
 	// hotspot h over the run.
 	PerHotspotServed []int64
 
-	// OfflineHotspotSlots counts (hotspot, slot) pairs offline for any
-	// reason: i.i.d. HotspotChurn or injected faults (each pair counted
-	// once even when causes overlap).
+	// OfflineHotspotSlots counts the (hotspot, slot) pairs Options.Faults
+	// took offline, over the non-empty slots. Each pair has exactly one
+	// cause; the per-cause split is the fault.cause.* counters.
 	OfflineHotspotSlots int64
-	// FaultOutageSlots counts (hotspot, slot) outage pairs injected by
-	// Options.Faults, keyed by cause ("markov-churn",
-	// "regional-outage"). Unlike OfflineHotspotSlots it attributes every
-	// fault pair to its cause even when the hotspot was already churned
-	// out by HotspotChurn. Nil when no fault outage occurred.
-	FaultOutageSlots map[string]int64
 	// FlashInjectedRequests is the number of synthetic requests
 	// flash-crowd faults added to the trace (part of TotalRequests).
 	FlashInjectedRequests int64
@@ -226,16 +220,12 @@ type SlotMetrics struct {
 type Options struct {
 	// Seed drives per-slot randomness handed to policies.
 	Seed int64
-	// HotspotChurn is the probability that a hotspot is offline for a
-	// given slot (crowdsourced edge devices are unreliable). Offline
-	// hotspots disappear from the slot's index — requests aggregate to
-	// the nearest online hotspot — and serve nothing; their cache
-	// contents survive for when they return. 0 disables churn; 1 takes
-	// the whole fleet down every slot (everything served by the CDN).
-	HotspotChurn float64
 	// Faults optionally injects structured failures — Markov session
 	// churn, correlated regional outages, capacity degradation, flash
-	// crowds, stale load reports — on top of the i.i.d. HotspotChurn.
+	// crowds, stale load reports. Offline hotspots disappear from the
+	// slot's index — requests aggregate to the nearest online hotspot —
+	// and serve nothing; their cache contents survive for when they
+	// return. I.i.d. churn with probability p is MarkovChurn{p, 1 − p}.
 	// The scenario is compiled into a deterministic per-slot timeline
 	// from Seed, so runs are reproducible across Run, RunParallel, and
 	// any worker count. Nil injects nothing.
@@ -271,9 +261,6 @@ type Options struct {
 
 // Validate checks the options.
 func (o Options) Validate() error {
-	if o.HotspotChurn < 0 || o.HotspotChurn > 1 {
-		return fmt.Errorf("sim: HotspotChurn %v outside [0, 1]", o.HotspotChurn)
-	}
 	if err := o.Faults.Validate(); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
@@ -293,9 +280,9 @@ func Run(world *trace.World, tr *trace.Trace, policy Scheduler, opts Options) (*
 // simulation's dominant cost — executed concurrently on up to workers
 // goroutines (0 selects GOMAXPROCS; 1 is Run). Each worker schedules
 // with its own policy instance from newPolicy, so policies need not be
-// safe for concurrent use, and everything order-sensitive (churn draws,
-// replica accounting against the previous slot's placement, request
-// serving, metric accumulation) still runs sequentially in slot order.
+// safe for concurrent use, and everything order-sensitive (replica
+// accounting against the previous slot's placement, request serving,
+// metric accumulation) still runs sequentially in slot order.
 // The metrics are therefore identical to Run's — including float
 // accumulation order — whenever each policy instance's decisions depend
 // only on the slot it is handed. Policies that carry state across slots
@@ -336,7 +323,6 @@ func run(world *trace.World, tr *trace.Trace, policies []Scheduler, opts Options
 	if err != nil {
 		return nil, err
 	}
-	churnRng := stats.SplitRand(opts.Seed, "hotspot-churn")
 
 	metrics := &Metrics{
 		Scheme:           policies[0].Name(),
@@ -356,7 +342,7 @@ func run(world *trace.World, tr *trace.Trace, policies []Scheduler, opts Options
 				continue
 			}
 			w := &slotWork{slot: next, requests: bySlot[next]}
-			prepareSlot(world, tl, bySlot, churnRng, opts, metrics, w)
+			prepareSlot(tl, bySlot, metrics, w)
 			window = append(window, w)
 		}
 		if len(window) == 0 {
@@ -415,7 +401,7 @@ func scheduleWindow(world *trace.World, index *geo.Grid, policies []Scheduler, o
 type slotWork struct {
 	slot       int
 	requests   []trace.Request
-	offline    []bool // nil when neither churn nor faults apply
+	offline    []bool // nil when no hotspot is offline
 	allOffline bool
 	// svc is the slot's degraded per-hotspot service-capacity base row
 	// (before offline zeroing); nil means nominal. Shared with the
@@ -469,42 +455,24 @@ func compileFaults(world *trace.World, tr *trace.Trace, opts Options) (*trace.Tr
 	return tr, tl, injected, nil
 }
 
-// prepareSlot draws the slot's i.i.d. churn and merges the fault
-// timeline into the slot's offline mask, capacity rows, and stale
-// report view. It must run sequentially in slot order (the churn
-// stream and metric accumulation are order-sensitive).
-func prepareSlot(world *trace.World, tl *fault.Timeline, bySlot [][]trace.Request, churnRng *rand.Rand, opts Options, metrics *Metrics, w *slotWork) {
-	if opts.HotspotChurn > 0 {
-		drawOffline(world, churnRng, opts, metrics, w)
-	}
+// prepareSlot reads the slot's offline mask, capacity rows and stale
+// report view off the fault timeline (nil in a fault-free run) and
+// counts the slot's offline hotspots. It runs sequentially in slot
+// order, since it accumulates metrics.
+func prepareSlot(tl *fault.Timeline, bySlot [][]trace.Request, metrics *Metrics, w *slotWork) {
 	if tl == nil {
 		return
 	}
-	m := len(world.Hotspots)
 	if causes := tl.Causes(w.slot); causes != nil {
-		if w.offline == nil {
-			w.offline = make([]bool, m)
-		}
+		w.offline = make([]bool, len(causes))
+		online := 0
 		for h, c := range causes {
 			if c == fault.CauseNone {
+				online++
 				continue
 			}
-			if metrics.FaultOutageSlots == nil {
-				metrics.FaultOutageSlots = make(map[string]int64)
-			}
-			metrics.FaultOutageSlots[c.String()]++
-			if !w.offline[h] {
-				w.offline[h] = true
-				metrics.OfflineHotspotSlots++
-			}
-		}
-	}
-	if w.offline != nil {
-		online := 0
-		for h := range w.offline {
-			if !w.offline[h] {
-				online++
-			}
+			w.offline[h] = true
+			metrics.OfflineHotspotSlots++
 		}
 		w.allOffline = online == 0
 	}
@@ -529,24 +497,6 @@ func validateRun(world *trace.World, tr *trace.Trace, opts Options) error {
 		return fmt.Errorf("sim: invalid trace: %w", err)
 	}
 	return opts.Validate()
-}
-
-// drawOffline draws the slot's churned-out hotspots from rng (exactly
-// one draw per hotspot, so the stream is identical however slots are
-// later scheduled) and records them on w.
-func drawOffline(world *trace.World, rng *rand.Rand, opts Options, metrics *Metrics, w *slotWork) {
-	m := len(world.Hotspots)
-	w.offline = make([]bool, m)
-	online := 0
-	for h := 0; h < m; h++ {
-		if rng.Float64() < opts.HotspotChurn {
-			w.offline[h] = true
-			metrics.OfflineHotspotSlots++
-		} else {
-			online++
-		}
-	}
-	w.allOffline = online == 0
 }
 
 // scheduleSlot builds the slot's context (indexing only online
@@ -799,9 +749,6 @@ func publishRunMetrics(r *obs.Registry, m *Metrics) {
 	r.Counter("sim.degraded_rounds").Add(m.DegradedRounds)
 	r.Counter("sim.stranded_requests").Add(m.StrandedRequests)
 	r.Counter("sim.fallback_served_by_cdn").Add(m.FallbackServedByCDN)
-	for cause, n := range m.FaultOutageSlots {
-		r.Counter("sim.fault_outage_slots." + cause).Add(n)
-	}
 	r.Timer("sim.phase.simulate").Observe(m.WallTime)
 	r.Timer("sim.phase.scheduling").Observe(m.SchedulingTime)
 	r.Timer("sim.phase.cluster").Observe(m.Phases.Cluster)

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/geo"
 	"repro/internal/obs"
 	"repro/internal/similarity"
@@ -333,7 +334,7 @@ func TestRunWithChurn(t *testing.T) {
 		}
 		return &Assignment{Placement: placement, Target: targets}, nil
 	}}
-	m, err := Run(world, tr, policy, Options{Seed: 3, HotspotChurn: 0.5})
+	m, err := Run(world, tr, policy, Options{Seed: 3, Faults: &fault.Scenario{Churn: &fault.MarkovChurn{FailPerSlot: 0.5, RecoverPerSlot: 0.5}}})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -357,7 +358,7 @@ func TestRunWholeFleetOffline(t *testing.T) {
 	// Churn just below 1 with a seed that takes both hotspots down: try
 	// seeds until the all-offline branch triggers.
 	for seed := int64(0); seed < 200; seed++ {
-		m, err := Run(world, tr, policy, Options{Seed: seed, HotspotChurn: 0.99})
+		m, err := Run(world, tr, policy, Options{Seed: seed, Faults: &fault.Scenario{Churn: &fault.MarkovChurn{FailPerSlot: 0.99, RecoverPerSlot: 0.01}}})
 		if err != nil {
 			continue // policy ran: fleet was partly online for this seed
 		}
@@ -510,7 +511,7 @@ func TestRunParallelMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Generate: %v", err)
 	}
-	opts := Options{Seed: 7, HotspotChurn: 0.15}
+	opts := Options{Seed: 7, Faults: &fault.Scenario{Churn: &fault.MarkovChurn{FailPerSlot: 0.15, RecoverPerSlot: 0.85}}}
 
 	var wantTL []SlotMetrics
 	want, err := Run(world, tr, saltedPolicy{}, withTimeline(opts, &wantTL))
