@@ -258,7 +258,7 @@ func runSmoke(seed int64, instances int) error {
 		epoch, digest := srv.InstanceEpochDigest(i)
 		fmt.Printf("frontend %d: serving epoch %d digest %s\n", i, epoch, digest)
 		if epoch != wantEpoch || digest != wantDigest {
-				return fmt.Errorf("frontend %d serves (epoch %d, %s), frontend 0 (epoch %d, %s)",
+			return fmt.Errorf("frontend %d serves (epoch %d, %s), frontend 0 (epoch %d, %s)",
 				i, epoch, digest, wantEpoch, wantDigest)
 		}
 	}
