@@ -249,7 +249,8 @@ func NewRBCAScheduler(world *World, params Params) (*RBCAScheduler, error) {
 }
 
 // NewDemand returns an empty slot demand over numHotspots hotspots, to
-// be filled with Demand.Add and handed to RBCAScheduler.ScheduleRound.
+// be filled with Demand.Add, folded with Demand.Fold and handed to
+// RBCAScheduler.ScheduleRound.
 func NewDemand(numHotspots int) *Demand { return core.NewDemand(numHotspots) }
 
 // NewRBCAer returns the RBCAer simulator policy.

@@ -90,8 +90,8 @@ func TestPublicAPILowLevelScheduler(t *testing.T) {
 	if plan.Stats.MaxFlow > 0 && plan.Stats.MovedFlow == 0 {
 		t.Error("balancing moved nothing despite movable workload")
 	}
-	if len(plan.Placement) != len(world.Hotspots) {
-		t.Errorf("placement covers %d hotspots, want %d", len(plan.Placement), len(world.Hotspots))
+	if plan.Placement.Rows() != len(world.Hotspots) {
+		t.Errorf("placement covers %d hotspots, want %d", plan.Placement.Rows(), len(world.Hotspots))
 	}
 }
 

@@ -72,6 +72,7 @@ func run() error {
 		}
 		agg.Add(crowdcdn.HotspotID(h), req.Video, 1)
 	}
+	agg.Fold()
 
 	plan, err := sched.ScheduleRound(agg, crowdcdn.Constraints{})
 	if err != nil {

@@ -40,7 +40,7 @@ func BenchmarkBuildNetwork(b *testing.B) {
 // allocates the arena and its m×m distance matrix, runs before the
 // timer. B/op is the steady-state figure behind the bench harness's
 // core.round_alloc_mb: signatures, the over×under distance cache, the
-// placement sets and the plan. A matrix allocated per round would add
+// placement runs and the plan. A matrix allocated per round would add
 // 8·1240² = 12.3 MB to it, and as much again for a chain that copies.
 func BenchmarkScheduleRoundSteady(b *testing.B) {
 	const m = 1240
@@ -77,8 +77,9 @@ var roundInputs = []struct {
 	m, requests, videos int
 }{{"m1240", 1240, 50000, 15000}, {"m310", 310, 12500, 15000}}
 
-// BenchmarkDemandTable times the round demand table's build — the map
-// walk and the counting passes of both views — on roundInputs.
+// BenchmarkDemandTable times the round demand table's build — the copy
+// of the folded rows and the rank view's counting passes — on
+// roundInputs.
 func BenchmarkDemandTable(b *testing.B) {
 	for _, bc := range roundInputs {
 		b.Run(bc.name, func(b *testing.B) {
@@ -125,7 +126,7 @@ func BenchmarkContentClusters(b *testing.B) {
 }
 
 // BenchmarkReplicate times Procedure 1 alone — demand table, stage A,
-// fill, placement sets — on the flows of a real θ sweep, on
+// fill, placement rows — on the flows of a real θ sweep, on
 // roundInputs.
 func BenchmarkReplicate(b *testing.B) {
 	for _, bc := range roundInputs {

@@ -7,15 +7,15 @@ import (
 	"math"
 	"strconv"
 
-	"repro/internal/similarity"
 	"repro/internal/trace"
 )
 
 // AppendCanonical appends a deterministic textual encoding of the
 // plan's logical content to b and returns the extended buffer. Two
 // plans encode identically iff they make the same scheduling decisions:
-// the encoding covers flows, redirects, placement (video ids in sorted
-// order), CDN overflow, and the degraded flag. Wall-clock stats and
+// the encoding covers flows, redirects, placement (each row's video
+// ids, ascending as the runs hold them), CDN overflow, and the degraded
+// flag. Wall-clock stats and
 // trace events are deliberately excluded — they never enter the
 // determinism contract (see DESIGN.md §8). The flow and redirect slices
 // are already in deterministic order for a deterministic round
@@ -51,12 +51,12 @@ func (p *Plan) AppendCanonical(b []byte) []byte {
 		b = append(b, '\n')
 	}
 	b = append(b, "placement "...)
-	b = strconv.AppendInt(b, int64(len(p.Placement)), 10)
+	b = strconv.AppendInt(b, int64(p.Placement.Rows()), 10)
 	b = append(b, '\n')
-	for h, set := range p.Placement {
+	for h := 0; h < p.Placement.Rows(); h++ {
 		b = append(b, 'p', ' ')
 		b = strconv.AppendInt(b, int64(h), 10)
-		for _, v := range set.Sorted() {
+		for _, v := range p.Placement.Row(h) {
 			b = append(b, ' ')
 			b = strconv.AppendInt(b, int64(v), 10)
 		}
@@ -111,45 +111,6 @@ type DecodedPlan struct {
 	Redirects     []Redirect
 	Placement     PlacementRuns
 	OverflowToCDN []int64
-}
-
-// PlacementRuns is a placement as sorted runs in one span: hotspot h's
-// video ids, strictly ascending, are IDs[Off[h]:Off[h+1]].
-type PlacementRuns struct {
-	IDs []int32
-	Off []int
-}
-
-// Rows returns the number of hotspot rows.
-func (p *PlacementRuns) Rows() int { return max(len(p.Off)-1, 0) }
-
-// Row returns hotspot h's video ids in ascending order.
-func (p *PlacementRuns) Row(h int) []int32 { return p.IDs[p.Off[h]:p.Off[h+1]] }
-
-// Contains reports whether hotspot h places video v (false for a
-// hotspot outside the rows). It is the /redirect path's cache probe: a
-// binary search whose one data-dependent step compiles to a
-// conditional move, because slices.BinarySearch's branches mispredict
-// on random probes and cost it about 1.7× as much on rows of a few
-// dozen ids.
-func (p *PlacementRuns) Contains(h, v int) bool {
-	if uint(h) >= uint(p.Rows()) || v < math.MinInt32 || v > math.MaxInt32 {
-		return false
-	}
-	row, x := p.Row(h), int32(v)
-	if len(row) == 0 {
-		return false
-	}
-	// Invariant: row[lo] is the last id <= x, if any id is.
-	lo := 0
-	for n := len(row); n > 1; {
-		half := n / 2
-		if row[lo+half] <= x {
-			lo += half
-		}
-		n -= half
-	}
-	return row[lo] == x
 }
 
 // The two ways VerifyCanonical refuses plan bytes.
@@ -268,34 +229,19 @@ func DecodeCanonical(canonical []byte) (*DecodedPlan, error) {
 
 // ParseCanonical decodes a canonical plan encoding back into a Plan
 // holding the logical scheduling content (stats and events are not
-// part of the encoding and come back zero): DecodeCanonical, with each
-// placement row poured into a similarity.Set.
+// part of the encoding and come back zero).
 func ParseCanonical(canonical []byte) (*Plan, error) {
 	d, err := DecodeCanonical(canonical)
 	if err != nil {
 		return nil, err
 	}
-	return d.plan(), nil
-}
-
-// plan converts the decoded content to a Plan.
-func (d *DecodedPlan) plan() *Plan {
-	p := &Plan{
+	return &Plan{
 		Degraded:      d.Degraded,
 		Flows:         d.Flows,
 		Redirects:     d.Redirects,
-		Placement:     make([]similarity.Set, d.Placement.Rows()),
+		Placement:     d.Placement,
 		OverflowToCDN: d.OverflowToCDN,
-	}
-	for h := range p.Placement {
-		row := d.Placement.Row(h)
-		set := make(similarity.Set, len(row))
-		for _, v := range row {
-			set.Add(int(v))
-		}
-		p.Placement[h] = set
-	}
-	return p
+	}, nil
 }
 
 // VerifyCanonical is the one gate received or recovered plan bytes

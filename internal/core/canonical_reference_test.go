@@ -21,7 +21,7 @@ var errReferenceRoundTrip = errors.New("core: plan bytes did not round-trip")
 
 // referenceVerifyCanonical is the digest → parse → re-encode → compare
 // gate VerifyCanonical used to be.
-func referenceVerifyCanonical(canonical []byte, digest uint64) (*Plan, error) {
+func referenceVerifyCanonical(canonical []byte, digest uint64) (*refPlan, error) {
 	if got := DigestOf(canonical); got != digest {
 		return nil, fmt.Errorf("%w: got %016x, advertised %016x", ErrCanonicalDigest, got, digest)
 	}
@@ -39,7 +39,7 @@ func referenceVerifyCanonical(canonical []byte, digest uint64) (*Plan, error) {
 // canonical, restricted — as DecodeCanonical is — to placement ids
 // that fit trace.VideoID (similarity.Set holds any int, so the
 // reference round-trips wider ids).
-func referenceAccepts(canonical []byte) (*Plan, bool) {
+func referenceAccepts(canonical []byte) (*refPlan, bool) {
 	plan, err := referenceVerifyCanonical(canonical, DigestOf(canonical))
 	if err != nil {
 		return nil, false
@@ -54,13 +54,58 @@ func referenceAccepts(canonical []byte) (*Plan, bool) {
 	return plan, true
 }
 
+// refPlan is a plan as the reference parses it: its placement rows are
+// sets of any int, the form Plan held before its placement became runs.
+type refPlan struct {
+	Degraded      bool
+	Flows         []FlowEdge
+	Redirects     []Redirect
+	Placement     []similarity.Set
+	OverflowToCDN []int64
+}
+
+// Canonical encodes p through AppendCanonical. A placement id outside
+// trace.VideoID has no run form; such a plan encodes as nothing, which
+// no input equals.
+func (p *refPlan) Canonical() []byte {
+	for _, set := range p.Placement {
+		for v := range set {
+			if v < math.MinInt32 || v > math.MaxInt32 {
+				return nil
+			}
+		}
+	}
+	plan := &Plan{Degraded: p.Degraded, Flows: p.Flows, Redirects: p.Redirects,
+		Placement: PlacementOf(p.Placement), OverflowToCDN: p.OverflowToCDN}
+	return plan.Canonical()
+}
+
+// plan converts the decoded content to the reference's form.
+func (d *DecodedPlan) plan() *refPlan {
+	p := &refPlan{
+		Degraded:      d.Degraded,
+		Flows:         d.Flows,
+		Redirects:     d.Redirects,
+		Placement:     make([]similarity.Set, d.Placement.Rows()),
+		OverflowToCDN: d.OverflowToCDN,
+	}
+	for h := range p.Placement {
+		set := make(similarity.Set)
+		for _, v := range d.Placement.Row(h) {
+			set.Add(int(v))
+		}
+		p.Placement[h] = set
+	}
+	return p
+}
+
 // referenceParseCanonical decodes a canonical plan encoding field by
 // field with strconv. It accepts some spellings AppendCanonical never
 // writes (leading zeros, '+', unsorted or repeated placement ids);
 // referenceVerifyCanonical's re-encode catches those.
-func referenceParseCanonical(canonical []byte) (*Plan, error) {
+func referenceParseCanonical(canonical []byte) (*refPlan, error) {
 	cp := canonicalParser{rest: canonical}
-	p := &Plan{}
+	p := &refPlan{}
 
 	if err := cp.literal("plan v1\n"); err != nil {
 		return nil, err

@@ -17,11 +17,13 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/obs"
-	"repro/internal/similarity"
 	"repro/internal/trace"
 )
 
@@ -212,44 +214,227 @@ func (p Params) Validate() error {
 // nearest hotspot (λ_h and λ_hv in the paper). It owns its per-video
 // representation: every other package reads and edits it through the
 // methods below, and writes Totals through them only.
+//
+// Each hotspot's row is a run of (video, count) entries: a folded
+// prefix, video-ascending with one entry per video, then the entries
+// added since the last fold in arrival order. Add appends, in O(1);
+// Fold orders and sums the tails. Readers give the same answers on a
+// folded and an unfolded demand and never write to it — on an unfolded
+// row they fold a copy — so a demand that is only read may be shared;
+// owners fold it where they hand it over (the simulator's slot context,
+// a frontend's slot), and the scheduler then reads the rows in place.
 type Demand struct {
-	// perVideo[h][v] is the number of requests for video v aggregated
-	// at hotspot h. An entry exists from its first Add (whatever the
-	// count) until Move empties it or Clear drops its row.
-	perVideo []map[trace.VideoID]int64
+	rows []demandRow
 	// Totals[h] is λ_h = Σ_v Count(h, v). Read-only outside this
 	// package.
 	Totals []int64
 }
 
+// demandRow is one hotspot's entries: entries[:folded] is the folded
+// prefix. An entry exists from its first Add (whatever the count) until
+// Move empties it or Clear drops the row.
+type demandRow struct {
+	entries []videoCount
+	folded  int
+}
+
+// videoCount is one (video, count) entry of a demand row.
+type videoCount struct {
+	video trace.VideoID
+	count int64
+}
+
 // NewDemand returns an empty demand over numHotspots hotspots.
 func NewDemand(numHotspots int) *Demand {
 	return &Demand{
-		perVideo: make([]map[trace.VideoID]int64, numHotspots),
-		Totals:   make([]int64, numHotspots),
+		rows:   make([]demandRow, numHotspots),
+		Totals: make([]int64, numHotspots),
 	}
+}
+
+// AggregateDemand returns the demand of requests, each aggregated at
+// hotspot nearest[r], folded: foldEntries builds every row in one span.
+func AggregateDemand(numHotspots int, nearest []int, requests []trace.Request) *Demand {
+	es := make([]demandEntry, len(requests))
+	for r, req := range requests {
+		es[r] = demandEntry{video: req.Video, hotspot: int32(nearest[r]), count: 1}
+	}
+	d := NewDemand(numHotspots)
+	runs, at := foldEntries(es, numHotspots)
+	for h := range d.rows {
+		row := runs[at[h]:at[h+1]:at[h+1]]
+		d.rows[h] = demandRow{entries: row, folded: len(row)}
+		for _, e := range row {
+			d.Totals[h] += e.count
+		}
+	}
+	return d
+}
+
+// foldEntries orders es by (hotspot, video) — stable counting passes
+// over the bytes of video − minVideo, then one over the hotspot — sums
+// the counts of equal pairs, and returns the runs in one span, hotspot
+// h's at [at[h], at[h+1]). It reorders es.
+func foldEntries(es []demandEntry, numHotspots int) (runs []videoCount, at []int32) {
+	minV, maxV := trace.VideoID(math.MaxInt32), trace.VideoID(math.MinInt32)
+	for _, e := range es {
+		minV, maxV = min(minV, e.video), max(maxV, e.video)
+	}
+	src, dst := es, make([]demandEntry, len(es))
+	for shift := 0; shift < 32 && (uint32(maxV)-uint32(minV))>>shift > 0; shift += 8 {
+		key := func(e demandEntry) uint32 { return (uint32(e.video) - uint32(minV)) >> shift & 255 }
+		var next [257]int32
+		for _, e := range src {
+			next[key(e)+1]++
+		}
+		for k := 0; k < 256; k++ {
+			next[k+1] += next[k]
+		}
+		for _, e := range src {
+			dst[next[key(e)]] = e
+			next[key(e)]++
+		}
+		src, dst = dst, src
+	}
+	at = make([]int32, numHotspots+1)
+	for _, e := range src {
+		at[e.hotspot+1]++
+	}
+	for h := 0; h < numHotspots; h++ {
+		at[h+1] += at[h]
+	}
+	runs = make([]videoCount, len(src))
+	next := slices.Clone(at[:numHotspots])
+	for _, e := range src {
+		runs[next[e.hotspot]] = videoCount{e.video, e.count}
+		next[e.hotspot]++
+	}
+	// Sum equal videos, each row compacted towards the front.
+	w := 0
+	for h := 0; h < numHotspots; h++ {
+		lo, hi := at[h], at[h+1]
+		at[h] = int32(w)
+		for _, e := range runs[lo:hi] {
+			if w > int(at[h]) && runs[w-1].video == e.video {
+				runs[w-1].count += e.count
+			} else {
+				runs[w] = e
+				w++
+			}
+		}
+	}
+	at[numHotspots] = int32(w)
+	return runs[:w], at
 }
 
 // Add records n requests for video v aggregated at hotspot h.
 func (d *Demand) Add(h trace.HotspotID, v trace.VideoID, n int64) {
-	if d.perVideo[h] == nil {
-		d.perVideo[h] = make(map[trace.VideoID]int64)
-	}
-	d.perVideo[h][v] += n
+	r := &d.rows[h]
+	r.entries = append(r.entries, videoCount{v, n})
 	d.Totals[h] += n
+}
+
+// Fold orders and sums every row's entries added since the last fold,
+// all rows' together (foldEntries), and merges each row's folded run
+// with its folded prefix.
+func (d *Demand) Fold() {
+	n := 0
+	for _, r := range d.rows {
+		n += len(r.entries) - r.folded
+	}
+	if n == 0 {
+		return
+	}
+	es := make([]demandEntry, 0, n)
+	for h, r := range d.rows {
+		for _, e := range r.entries[r.folded:] {
+			es = append(es, demandEntry{video: e.video, hotspot: int32(h), count: e.count})
+		}
+	}
+	runs, at := foldEntries(es, len(d.rows))
+	for h := range d.rows {
+		if r := &d.rows[h]; at[h] < at[h+1] {
+			r.entries = mergeRuns(r.entries[:r.folded], runs[at[h]:at[h+1]:at[h+1]])
+			r.folded = len(r.entries)
+		}
+	}
+}
+
+// fold folds one row (Fold's work on a single row).
+func (r *demandRow) fold() {
+	if r.folded < len(r.entries) {
+		r.entries = foldRow(r.entries, r.folded)
+		r.folded = len(r.entries)
+	}
+}
+
+// foldRow returns es folded, its first folded entries folded already,
+// without writing to es.
+func foldRow(es []videoCount, folded int) []videoCount {
+	tail := make([]demandEntry, 0, len(es)-folded)
+	for _, e := range es[folded:] {
+		tail = append(tail, demandEntry{video: e.video, count: e.count})
+	}
+	runs, _ := foldEntries(tail, 1)
+	return mergeRuns(es[:folded], runs)
+}
+
+// mergeRuns returns the union of two folded runs, summing the counts of
+// a video both hold; b itself when a is empty.
+func mergeRuns(a, b []videoCount) []videoCount {
+	if len(a) == 0 {
+		return b
+	}
+	out := make([]videoCount, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0].video < b[0].video:
+			out, a = append(out, a[0]), a[1:]
+		case a[0].video > b[0].video:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			out = append(out, videoCount{a[0].video, a[0].count + b[0].count})
+			a, b = a[1:], b[1:]
+		}
+	}
+	return append(append(out, a...), b...)
+}
+
+func videoOf(e videoCount, v trace.VideoID) int { return cmp.Compare(e.video, v) }
+
+// row returns hotspot h's entries folded: the row itself when it is
+// folded, a folded copy otherwise.
+func (d *Demand) row(h int) []videoCount {
+	r := &d.rows[h]
+	if r.folded == len(r.entries) {
+		return r.entries
+	}
+	return foldRow(r.entries, r.folded)
 }
 
 // NumHotspots returns the hotspot count the demand covers.
 func (d *Demand) NumHotspots() int { return len(d.Totals) }
 
 // Count returns λ_hv, the requests for video v aggregated at hotspot h.
-func (d *Demand) Count(h int, v trace.VideoID) int64 { return d.perVideo[h][v] }
+func (d *Demand) Count(h int, v trace.VideoID) int64 {
+	r := &d.rows[h]
+	var n int64
+	if i, ok := slices.BinarySearchFunc(r.entries[:r.folded], v, videoOf); ok {
+		n = r.entries[i].count
+	}
+	for _, e := range r.entries[r.folded:] {
+		if e.video == v {
+			n += e.count
+		}
+	}
+	return n
+}
 
-// Each calls fn once per entry of hotspot h, in no particular order.
-// fn must not edit d.
+// Each calls fn once per entry of hotspot h, video-ascending. fn must
+// not edit d.
 func (d *Demand) Each(h int, fn func(v trace.VideoID, n int64)) {
-	for v, n := range d.perVideo[h] {
-		fn(v, n)
+	for _, e := range d.row(h) {
+		fn(e.video, e.count)
 	}
 }
 
@@ -257,33 +442,39 @@ func (d *Demand) Each(h int, fn func(v trace.VideoID, n int64)) {
 // A source entry it empties is removed, so it no longer counts towards
 // the hotspot's distinct videos.
 func (d *Demand) Move(src, tgt int, v trace.VideoID, amt int64) {
-	if d.perVideo[src][v] == amt {
-		delete(d.perVideo[src], v)
-	} else {
-		d.perVideo[src][v] -= amt
+	r := &d.rows[src]
+	r.fold()
+	i, ok := slices.BinarySearchFunc(r.entries, v, videoOf)
+	switch {
+	case ok && r.entries[i].count == amt:
+		r.entries = slices.Delete(r.entries, i, i+1)
+	case ok:
+		r.entries[i].count -= amt
+	default:
+		r.entries = slices.Insert(r.entries, i, videoCount{v, -amt})
 	}
+	r.folded = len(r.entries)
 	d.Totals[src] -= amt
 	d.Add(trace.HotspotID(tgt), v, amt)
 }
 
 // Clear drops every entry of hotspot h.
 func (d *Demand) Clear(h int) {
-	d.perVideo[h] = nil
+	d.rows[h] = demandRow{}
 	d.Totals[h] = 0
 }
 
 // Merge folds src, a demand over the same hotspots, into d and consumes
 // it: a hotspot d has no entries for adopts src's row whole, so src must
 // not be used afterwards. Merging demands whose hotspots are disjoint
-// is O(hotspots), whatever they hold.
+// is O(hotspots), whatever they hold. The rows both hold entries for
+// stay unfolded until the next Fold.
 func (d *Demand) Merge(src *Demand) {
-	for h, row := range src.perVideo {
-		if len(d.perVideo[h]) == 0 {
-			d.perVideo[h] = row
+	for h, row := range src.rows {
+		if r := &d.rows[h]; len(r.entries) == 0 {
+			*r = row
 		} else {
-			for v, n := range row {
-				d.perVideo[h][v] += n
-			}
+			r.entries = append(r.entries, row.entries...)
 		}
 		d.Totals[h] += src.Totals[h]
 	}
@@ -292,26 +483,20 @@ func (d *Demand) Merge(src *Demand) {
 // VideoCounts returns hotspot h's demand keyed by plain int video ids,
 // the form the similarity helpers consume.
 func (d *Demand) VideoCounts(h int) map[int]int64 {
-	out := make(map[int]int64, len(d.perVideo[h]))
-	for v, n := range d.perVideo[h] {
-		out[int(v)] = n
+	row := d.row(h)
+	out := make(map[int]int64, len(row))
+	for _, e := range row {
+		out[int(e.video)] = e.count
 	}
 	return out
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy, folded or not as d's rows are.
 func (d *Demand) Clone() *Demand {
 	out := NewDemand(len(d.Totals))
 	copy(out.Totals, d.Totals)
-	for h, m := range d.perVideo {
-		if m == nil {
-			continue
-		}
-		cp := make(map[trace.VideoID]int64, len(m))
-		for v, n := range m {
-			cp[v] = n
-		}
-		out.perVideo[h] = cp
+	for h, r := range d.rows {
+		out.rows[h] = demandRow{entries: slices.Clone(r.entries), folded: r.folded}
 	}
 	return out
 }
@@ -418,8 +603,9 @@ type Plan struct {
 	Flows []FlowEdge
 	// Redirects is the per-video realisation of Flows.
 	Redirects []Redirect
-	// Placement[h] is the set of videos hotspot h prefetches (y_vh).
-	Placement []similarity.Set
+	// Placement is the videos each hotspot prefetches (y_vh), row h
+	// hotspot h's.
+	Placement PlacementRuns
 	// OverflowToCDN[h] is surplus workload at h that could not be
 	// balanced within θ2 and is redirected to the origin CDN server.
 	OverflowToCDN []int64

@@ -3,6 +3,7 @@ package core
 import (
 	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -90,8 +91,8 @@ func TestDemandAccumulation(t *testing.T) {
 	if d.Totals[0] != 7 || d.Totals[1] != 0 || d.Totals[2] != 1 {
 		t.Errorf("Totals = %v, want [7 0 1]", d.Totals)
 	}
-	if d.perVideo[0][5] != 3 || d.perVideo[0][7] != 4 {
-		t.Errorf("PerVideo[0] = %v", d.perVideo[0])
+	if d.Count(0, 5) != 3 || d.Count(0, 7) != 4 {
+		t.Errorf("row 0 = %v", d.row(0))
 	}
 	counts := d.VideoCounts(0)
 	if counts[5] != 3 || counts[7] != 4 {
@@ -185,7 +186,7 @@ func TestDemandClone(t *testing.T) {
 	c := d.Clone()
 	c.Add(0, 1, 3)
 	c.Add(1, 2, 1)
-	if d.perVideo[0][1] != 5 || d.Totals[0] != 5 {
+	if d.Count(0, 1) != 5 || d.Totals[0] != 5 {
 		t.Error("Clone() shares state with the original")
 	}
 	if d.Totals[1] != 0 {
@@ -213,5 +214,141 @@ func TestGuideCostModeString(t *testing.T) {
 	}
 	if GuideCostMode(9).String() == "" {
 		t.Error("unknown GuideCostMode.String() empty")
+	}
+}
+
+// setEntry sets hotspot h's entry for video v to n in place, leaving
+// Totals alone: the zero and negative entries no Add sequence leaves
+// behind but the round must still take.
+func setEntry(d *Demand, h int, v trace.VideoID, n int64) {
+	r := &d.rows[h]
+	r.fold()
+	if i, ok := slices.BinarySearchFunc(r.entries, v, videoOf); ok {
+		r.entries[i].count = n
+	} else {
+		r.entries = slices.Insert(r.entries, i, videoCount{v, n})
+	}
+	r.folded = len(r.entries)
+}
+
+// rowMap returns hotspot h's row as a map.
+func rowMap(d *Demand, h int) map[trace.VideoID]int64 {
+	out := make(map[trace.VideoID]int64)
+	d.Each(h, func(v trace.VideoID, n int64) { out[v] = n })
+	return out
+}
+
+// FuzzDemandOps runs Add/Merge/Move/Clear/Fold sequences against a map
+// model and holds Each, Count, Totals and VideoCounts to it after every
+// step, on folded and unfolded rows alike; Each must run
+// video-ascending.
+func FuzzDemandOps(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Add([]byte{0, 0, 0, 40, 41, 80, 120, 160, 200, 1, 2})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		const hotspots, videos = 3, 6
+		d, model := NewDemand(hotspots), map[[2]int]int64{}
+		for i := 0; i+1 < len(ops); i += 2 {
+			op, arg := ops[i], int(ops[i+1])
+			h, v, n := arg%hotspots, trace.VideoID(arg/hotspots%videos), int64(arg%4)-1
+			switch op % 6 {
+			case 0, 1:
+				d.Add(trace.HotspotID(h), v, n)
+				model[[2]int{h, int(v)}] += n
+			case 2:
+				have, ok := model[[2]int{h, int(v)}]
+				if !ok {
+					continue
+				}
+				amt := have
+				if op%2 == 0 && have > 1 {
+					amt = have - 1
+				}
+				if amt == 0 {
+					amt = 1
+				}
+				tgt := (h + 1 + int(op/6)%2) % hotspots
+				d.Move(h, tgt, v, amt)
+				if model[[2]int{h, int(v)}] -= amt; model[[2]int{h, int(v)}] == 0 {
+					delete(model, [2]int{h, int(v)})
+				}
+				model[[2]int{tgt, int(v)}] += amt
+			case 3:
+				d.Clear(h)
+				for k := range model {
+					if k[0] == h {
+						delete(model, k)
+					}
+				}
+			case 4:
+				src := NewDemand(hotspots)
+				for k := 0; k < arg%5; k++ {
+					sh, sv := (arg+k)%hotspots, trace.VideoID((arg*7+k)%videos)
+					src.Add(trace.HotspotID(sh), sv, 1)
+					model[[2]int{sh, int(sv)}]++
+				}
+				if op%2 == 0 {
+					src.Fold()
+				}
+				d.Merge(src)
+			default:
+				d.Fold()
+			}
+			for h := 0; h < hotspots; h++ {
+				want, total := map[int]int64{}, int64(0)
+				for k, n := range model {
+					if k[0] == h {
+						want[k[1]], total = n, total+n
+					}
+				}
+				each, last := map[int]int64{}, trace.VideoID(-1)
+				d.Each(h, func(v trace.VideoID, n int64) {
+					if v <= last {
+						t.Fatalf("step %d: Each(%d) not video-ascending at %d", i, h, v)
+					}
+					last, each[int(v)] = v, n
+				})
+				if !maps.Equal(each, want) || !maps.Equal(d.VideoCounts(h), want) || d.Totals[h] != total {
+					t.Fatalf("step %d: hotspot %d holds %v (total %d), want %v (total %d)", i, h, each, d.Totals[h], want, total)
+				}
+				for v := 0; v < videos; v++ {
+					if got := d.Count(h, trace.VideoID(v)); got != want[v] {
+						t.Fatalf("step %d: Count(%d, %d) = %d, want %d", i, h, v, got, want[v])
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestAggregateDemandMatchesAdd holds the counting-pass constructor to
+// one Add per request and a Fold, and checks that a later Add to a row
+// leaves its neighbour's entries alone.
+func TestAggregateDemandMatchesAdd(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 20; trial++ {
+		hotspots := 1 + rng.Intn(6)
+		reqs := make([]trace.Request, rng.Intn(200))
+		nearest := make([]int, len(reqs))
+		want := NewDemand(hotspots)
+		for r := range reqs {
+			reqs[r].Video = trace.VideoID(rng.Intn(1 + trial))
+			nearest[r] = rng.Intn(hotspots)
+			want.Add(trace.HotspotID(nearest[r]), reqs[r].Video, 1)
+		}
+		want.Fold()
+		got := AggregateDemand(hotspots, nearest, reqs)
+		for h := 0; h < hotspots; h++ {
+			if !slices.Equal(got.row(h), want.row(h)) || got.Totals[h] != want.Totals[h] || got.rows[h].folded != len(got.rows[h].entries) {
+				t.Fatalf("trial %d hotspot %d: %v (total %d), want %v (total %d)", trial, h, got.row(h), got.Totals[h], want.row(h), want.Totals[h])
+			}
+		}
+		if hotspots > 1 {
+			before := slices.Clone(got.row(1))
+			got.Add(0, 999, 1)
+			if !slices.Equal(got.row(1), before) {
+				t.Fatalf("trial %d: Add to row 0 changed row 1", trial)
+			}
+		}
 	}
 }

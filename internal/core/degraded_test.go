@@ -128,9 +128,9 @@ func TestZeroCacheStrandsSurplus(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ScheduleRound: %v", err)
 	}
-	for h, set := range plan.Placement {
-		if set.Len() != 0 {
-			t.Errorf("hotspot %d placed %d videos with zero cache", h, set.Len())
+	for h := 0; h < plan.Placement.Rows(); h++ {
+		if n := plan.Placement.Len(h); n != 0 {
+			t.Errorf("hotspot %d placed %d videos with zero cache", h, n)
 		}
 	}
 	if len(plan.Redirects) != 0 {
@@ -156,9 +156,9 @@ func TestDegradedCacheBoundsPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ScheduleRound: %v", err)
 	}
-	for h, set := range plan.Placement {
-		if set.Len() > cache[h] {
-			t.Errorf("hotspot %d placed %d videos, degraded cache is %d", h, set.Len(), cache[h])
+	for h := 0; h < plan.Placement.Rows(); h++ {
+		if n := plan.Placement.Len(h); n > cache[h] {
+			t.Errorf("hotspot %d placed %d videos, degraded cache is %d", h, n, cache[h])
 		}
 	}
 }

@@ -163,7 +163,7 @@ type deltaState struct {
 	// dirty test for fill-row reuse and the reconstruction basis for
 	// patched rows when stage A is skipped.
 	redirects  []Redirect
-	placement  []similarity.Set
+	placement  PlacementRuns
 	unrealized int64
 	outFoot    []map[trace.VideoID]int64
 	inFoot     []map[trace.VideoID]int64
@@ -425,7 +425,7 @@ func (s *Scheduler) replaySweep(rec *sweepRecord, flows map[int64]int64, phiOver
 // changed, aliasing the retained rows for everything else.
 func (s *Scheduler) replicateDelta(d *Demand, flows map[int64]int64, svc []int64, cache []int) (
 	redirects []Redirect,
-	placement []similarity.Set,
+	placement PlacementRuns,
 	unrealized int64,
 	replicas int64,
 	patched int,
@@ -461,13 +461,13 @@ func (s *Scheduler) replicateDelta(d *Demand, flows map[int64]int64, svc []int64
 		t = s.demandTable(d)
 		redirects, unrealized = s.stageA(t, flows, cache)
 		if unrealized < 0 {
-			return nil, nil, 0, 0, 0, false, fmt.Errorf("core: negative unrealized flow %d (bug)", unrealized)
+			return nil, PlacementRuns{}, 0, 0, 0, false, fmt.Errorf("core: negative unrealized flow %d (bug)", unrealized)
 		}
 		freshOut, freshIn = footprints(m, redirects)
 	}
 
 	serveBudget := s.fillBudgets(svc, redirects)
-	placement = make([]similarity.Set, m)
+	placement.Off = make([]int, 1, m+1)
 	for h := 0; h < m; h++ {
 		dirty := ds.demandDirty[h] || ds.svcDirty[h] || ds.cacheDirty[h]
 		if !skippedA && !dirty {
@@ -477,20 +477,17 @@ func (s *Scheduler) replicateDelta(d *Demand, flows map[int64]int64, svc []int64
 			// Every input of this row — demand, svc, cache, redirect
 			// footprint in and out — is unchanged, so a rebuild would
 			// reproduce the retained row exactly; alias it.
-			placement[h] = ds.placement[h]
+			placement.AppendRow(ds.placement.Row(h))
 			continue
 		}
 		patched++
 		if skippedA {
-			placement[h] = fillFromFootprint(d.perVideo[h], ds.outFoot[h], ds.inFoot[h], cache[h], serveBudget[h])
+			placement.AppendRow(fillFromFootprint(d.row(h), ds.outFoot[h], ds.inFoot[h], cache[h], serveBudget[h]))
 		} else {
-			placement[h] = s.fillRow(t, h, cache[h], serveBudget[h])
+			s.fillRow(t, h, cache[h], serveBudget[h], &placement)
 		}
 	}
-	for h := 0; h < m; h++ {
-		replicas += int64(placement[h].Len())
-	}
-	return redirects, placement, unrealized, replicas, patched, skippedA, nil
+	return redirects, placement, unrealized, int64(len(placement.IDs)), patched, skippedA, nil
 }
 
 // signature returns hotspot h's content signature as a set: its
@@ -515,34 +512,36 @@ func byCountThenVideo(a, b demandEntry) int {
 	return cmp.Compare(a.video, b.video)
 }
 
-// fillFromFootprint rebuilds one hotspot's placement when stage A was
-// skipped, from the retained redirect footprints: stage A placed exactly
-// the inbound videos in, and consumed out from the local demand base
-// (λ − out is the remaining demand). The fill itself is fillRow's —
+// fillFromFootprint rebuilds one hotspot's placement row when stage A
+// was skipped, from the retained redirect footprints: stage A placed
+// exactly the inbound videos in, and consumed out from the local demand
+// base (λ − out is the remaining demand). The fill itself is fillRow's —
 // (count desc, video asc), bounded by cache space and the serve budget.
-func fillFromFootprint(base, out, in map[trace.VideoID]int64, cacheCap int, budget int64) similarity.Set {
-	pl := make(similarity.Set, len(in))
+func fillFromFootprint(base []videoCount, out, in map[trace.VideoID]int64, cacheCap int, budget int64) []int32 {
+	row := make([]int32, 0, len(in))
 	for v := range in {
-		pl.Add(int(v))
+		row = append(row, int32(v))
 	}
-	if pl.Len() >= cacheCap || budget <= 0 {
-		return pl
-	}
-	var cands []demandEntry
-	for v, n := range base {
-		if n -= out[v]; n > 0 && !pl.Contains(int(v)) {
-			cands = append(cands, demandEntry{video: v, count: n})
+	if len(row) < cacheCap && budget > 0 {
+		var cands []demandEntry
+		for _, e := range base {
+			if _, placed := in[e.video]; !placed {
+				if n := e.count - out[e.video]; n > 0 {
+					cands = append(cands, demandEntry{video: e.video, count: n})
+				}
+			}
+		}
+		slices.SortFunc(cands, byCountThenVideo)
+		for _, c := range cands {
+			if budget <= 0 || len(row) >= cacheCap {
+				break
+			}
+			row = append(row, int32(c.video))
+			budget -= c.count
 		}
 	}
-	slices.SortFunc(cands, byCountThenVideo)
-	for _, c := range cands {
-		if budget <= 0 || pl.Len() >= cacheCap {
-			break
-		}
-		pl.Add(int(c.video))
-		budget -= c.count
-	}
-	return pl
+	slices.Sort(row)
+	return row
 }
 
 // diff compares the round's inputs against the retained snapshot,
@@ -555,7 +554,7 @@ func (ds *deltaState) diff(d *Demand, svc []int64, cache []int) (totalsOrSvcChan
 	ds.dirtyList = ds.dirtyList[:0]
 	for h := 0; h < m; h++ {
 		demandChanged := d.Totals[h] != ds.demand.Totals[h] ||
-			!demandRowEqual(d.perVideo[h], ds.demand.perVideo[h])
+			!slices.Equal(d.row(h), ds.demand.row(h))
 		ds.demandDirty[h] = demandChanged
 		ds.svcDirty[h] = svc[h] != ds.svc[h]
 		ds.cacheDirty[h] = cache[h] != ds.cache[h]
@@ -742,19 +741,6 @@ func footprints(m int, redirects []Redirect) (out, in []map[trace.VideoID]int64)
 		i[r.Video] += r.Count
 	}
 	return out, in
-}
-
-// demandRowEqual reports exact equality of two per-video demand rows.
-func demandRowEqual(a, b map[trace.VideoID]int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for v, n := range a {
-		if bn, ok := b[v]; !ok || bn != n {
-			return false
-		}
-	}
-	return true
 }
 
 // footEqual reports equality of two footprints (nil equals empty).

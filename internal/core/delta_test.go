@@ -34,12 +34,12 @@ func deltaDriftSlots(w *trace.World, videos, slots int, seed int64) []deltaSlot 
 			// Totals-preserving mix drift at two hotspots.
 			for k := 0; k < 2; k++ {
 				h := trace.HotspotID(rng.Intn(m))
-				for v, n := range next.perVideo[h] {
-					if n <= 0 {
+				for _, e := range next.row(int(h)) {
+					if e.count <= 0 {
 						continue
 					}
-					next.Add(h, v, -n)
-					next.Add(h, trace.VideoID(rng.Intn(videos)), n)
+					next.Add(h, e.video, -e.count)
+					next.Add(h, trace.VideoID(rng.Intn(videos)), e.count)
 					break
 				}
 			}
@@ -51,7 +51,7 @@ func deltaDriftSlots(w *trace.World, videos, slots int, seed int64) []deltaSlot 
 				// Vanishing demand: one hotspot's row empties.
 				h := rng.Intn(m)
 				next.Totals[h] = 0
-				next.perVideo[h] = make(map[trace.VideoID]int64)
+				next.rows[h] = demandRow{}
 			}
 			if slot%6 == 3 {
 				// Service flip: halve one hotspot's capacity, which can

@@ -136,20 +136,26 @@ func (s *Scheduler) referenceReplicate(d *Demand, flows map[int64]int64, svc []i
 // only the flow sources (a few dozen of thousands of hotspots) ever
 // materialise. The view never mutates the underlying Demand.
 type refLambdaView struct {
-	d   *Demand
 	mod []map[trace.VideoID]int64
+	// base[h] is hotspot h's demand row as a map, the form the demand
+	// held when this reference was written.
+	base []map[trace.VideoID]int64
 }
 
 func newRefLambdaView(d *Demand, m int) *refLambdaView {
-	return &refLambdaView{d: d, mod: make([]map[trace.VideoID]int64, m)}
+	lv := &refLambdaView{mod: make([]map[trace.VideoID]int64, m), base: make([]map[trace.VideoID]int64, m)}
+	for h := range lv.base {
+		lv.base[h] = rowMap(d, h)
+	}
+	return lv
 }
 
 // materialize returns hotspot h's mutable remaining-demand row, copying
 // the filtered (n > 0) demand on first use.
 func (lv *refLambdaView) materialize(h int) map[trace.VideoID]int64 {
 	if lv.mod[h] == nil {
-		row := make(map[trace.VideoID]int64, len(lv.d.perVideo[h]))
-		for v, n := range lv.d.perVideo[h] {
+		row := make(map[trace.VideoID]int64, len(lv.base[h]))
+		for v, n := range lv.base[h] {
 			if n > 0 {
 				row[v] = n
 			}
@@ -165,7 +171,7 @@ func (lv *refLambdaView) at(h int, v trace.VideoID) int64 {
 	if row := lv.mod[h]; row != nil {
 		return row[v]
 	}
-	return lv.d.perVideo[h][v]
+	return lv.base[h][v]
 }
 
 // row returns hotspot h's remaining-demand row for read-only iteration:
@@ -175,7 +181,7 @@ func (lv *refLambdaView) row(h int) map[trace.VideoID]int64 {
 	if lv.mod[h] != nil {
 		return lv.mod[h]
 	}
-	return lv.d.perVideo[h]
+	return lv.base[h]
 }
 
 // realizeFlows is stage A of Procedure 1: it converts the inter-hotspot
@@ -477,11 +483,8 @@ func tieHeavyCase(rng *rand.Rand, trial int) replicateCase {
 			d.Add(trace.HotspotID(h), trace.VideoID(rng.Intn(12)), scale*int64(1+rng.Intn(3)))
 		}
 		if rng.Intn(3) == 0 {
-			if d.perVideo[h] == nil {
-				d.perVideo[h] = make(map[trace.VideoID]int64)
-			}
-			d.perVideo[h][trace.VideoID(20+rng.Intn(4))] = 0
-			d.perVideo[h][trace.VideoID(30+rng.Intn(4))] = -int64(rng.Intn(2))
+			setEntry(d, h, trace.VideoID(20+rng.Intn(4)), 0)
+			setEntry(d, h, trace.VideoID(30+rng.Intn(4)), -int64(rng.Intn(2)))
 		}
 	}
 	flows := make(map[int64]int64)
@@ -583,7 +586,7 @@ func TestReplicateMatchesReference(t *testing.T) {
 		if !reflect.DeepEqual(gotRd, wantRd) {
 			t.Fatalf("%s: redirects diverge from the reference\n got %v\nwant %v", c.name, gotRd, wantRd)
 		}
-		if !reflect.DeepEqual(gotPl, wantPl) {
+		if want := PlacementOf(wantPl); !gotPl.Equal(&want) {
 			t.Fatalf("%s: placement diverges from the reference\n got %v\nwant %v", c.name, gotPl, wantPl)
 		}
 		if gotUn != wantUn || gotRep != wantRep {
@@ -607,9 +610,9 @@ func TestReplicateMatchesReference(t *testing.T) {
 // byCountThenVideo. It returns the row offsets and the rank rows.
 func referenceDemandTable(d *Demand) (rowAt []int32, cells []demandEntry) {
 	rowAt = append(rowAt, 0)
-	for h, row := range d.perVideo {
+	for h := range d.rows {
 		lo := len(cells)
-		for v, n := range row {
+		for v, n := range rowMap(d, h) {
 			cells = append(cells, demandEntry{video: v, hotspot: int32(h), count: n})
 		}
 		slices.SortFunc(cells[lo:], byCountThenVideo)
@@ -631,12 +634,7 @@ func TestDemandTableMatchesReference(t *testing.T) {
 		name string
 		d    *Demand
 	}
-	set := func(d *Demand, h int, v trace.VideoID, n int64) {
-		if d.perVideo[h] == nil {
-			d.perVideo[h] = make(map[trace.VideoID]int64)
-		}
-		d.perVideo[h][v] = n
-	}
+	set := setEntry
 	var cases []tableCase
 	for seed := int64(1); seed <= 3; seed++ {
 		world := lineWorld(160, 0.15, 30, 12)

@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 
-	"repro/internal/similarity"
 	"repro/internal/trace"
 )
 
@@ -19,17 +18,18 @@ type demandEntry struct {
 	count   int64
 }
 
-// demandTable is one round's demand in CSR form, every entry of
-// d.perVideo (zero and negative counts included) in two views of the
-// same rows: hotspot h's entries are [rowAt[h], rowAt[h+1]) of byVideo,
+// demandTable is one round's demand in CSR form, every entry of d's
+// rows (zero and negative counts included) in two views of the same
+// rows: hotspot h's entries are [rowAt[h], rowAt[h+1]) of byVideo,
 // video-ascending, and of byRank, ranked (count desc, video asc). The
 // signature of h is the first TopCount entries of its rank row, the fill
 // candidates of a hotspot stage A never drew from are its rank row's
 // positive prefix, and a flow source's λ_rem is its video row's positive
-// entries. Both views come from counting passes, not comparisons
-// (DESIGN §9). The table is built at most once per ScheduleRound (built
-// is reset on entry, never keyed on the *Demand: callers reuse and
-// mutate demand objects) into storage the arena keeps.
+// entries. The video rows are the demand's folded rows; the rank rows
+// come from counting passes over them, not comparisons (DESIGN §9). The
+// table is built at most once per ScheduleRound (built is reset on
+// entry, never keyed on the *Demand: callers reuse and mutate demand
+// objects) into storage the arena keeps.
 type demandTable struct {
 	built   bool
 	rowAt   []int32
@@ -46,38 +46,34 @@ func (t *demandTable) rankRow(h int) []demandEntry  { return t.byRank[t.rowAt[h]
 // round's first use — inside the cluster phase when the round clusters,
 // inside the replicate phase otherwise.
 //
-// The rows are gathered in map order. Stable counting passes over the
-// bytes of video − minVideo and then one over the hotspot give the video
-// rows; passes over the bytes of maxCount − count, applied to the video
-// rows, and then one over the hotspot give the rank rows, ties left
-// video-ascending. The pass counts follow the ranges actually present.
+// The video rows are copied from the demand's folded rows (a row still
+// holding unfolded entries is folded into a copy). Stable counting
+// passes over the bytes of maxCount − count, applied to the video rows,
+// and then one over the hotspot give the rank rows, ties left
+// video-ascending. The pass count follows the range actually present.
 func (s *Scheduler) demandTable(d *Demand) *demandTable {
 	t := &s.ar.table
 	if t.built {
 		return t
 	}
-	raw := t.a[:0]
+	byVideo := t.byVideo[:0]
 	t.rowAt = append(t.rowAt[:0], 0)
-	minV, maxV := trace.VideoID(math.MaxInt32), trace.VideoID(math.MinInt32)
 	minC, maxC := int64(math.MaxInt64), int64(math.MinInt64)
-	for h, row := range d.perVideo {
-		for v, n := range row {
-			raw = append(raw, demandEntry{video: v, hotspot: int32(h), count: n})
-			minV, maxV = min(minV, v), max(maxV, v)
-			minC, maxC = min(minC, n), max(maxC, n)
+	for h := range d.rows {
+		for _, e := range d.row(h) {
+			byVideo = append(byVideo, demandEntry{video: e.video, hotspot: int32(h), count: e.count})
+			minC, maxC = min(minC, e.count), max(maxC, e.count)
 		}
-		t.rowAt = append(t.rowAt, int32(len(raw)))
+		t.rowAt = append(t.rowAt, int32(len(byVideo)))
 	}
-	n := len(raw)
+	n := len(byVideo)
 	grow := func(buf []demandEntry) []demandEntry { return slices.Grow(buf[:0], n)[:n] }
-	t.a, t.b, t.byVideo, t.byRank = raw, grow(t.b), grow(t.byVideo), grow(t.byRank)
+	t.byVideo, t.a, t.b, t.byRank = byVideo, grow(t.a), grow(t.b), grow(t.byRank)
 
-	// (With no cells the ranges are inverted and the passes run over
-	// nothing.)
-	sorted := radixPasses(t.a, t.b, t.a, false, int64(minV), uint64(uint32(maxV)-uint32(minV)))
-	t.regroup(sorted, t.byVideo)
-	// Two's-complement differences are exact: maxCount − count < 2⁶⁴.
-	sorted = radixPasses(t.byVideo, t.a, t.b, true, maxC, uint64(maxC)-uint64(minC))
+	// (With no cells the range is inverted and the passes run over
+	// nothing.) Two's-complement differences are exact: maxCount −
+	// count < 2⁶⁴.
+	sorted := radixPasses(t.byVideo, t.a, t.b, maxC, uint64(maxC)-uint64(minC))
 	t.regroup(sorted, t.byRank)
 	t.built = true
 	return t
@@ -94,20 +90,14 @@ func (t *demandTable) regroup(src, dst []demandEntry) {
 	}
 }
 
-// radixPasses stably sorts src by key ascending: one counting pass per
-// byte of top, the largest key, least significant first, with every
-// pass's histogram taken in one read of src. The key is base − count
-// when byCount is set (count descending) and video − base otherwise
-// (video ascending). The passes write a, then b, then a again; only the
-// first reads src, so b may be src when the caller has no further use
-// for it. It returns the sorted entries: src itself when top is 0.
-func radixPasses(src, a, b []demandEntry, byCount bool, base int64, top uint64) []demandEntry {
-	key := func(e demandEntry) uint64 {
-		if byCount {
-			return uint64(base) - uint64(e.count)
-		}
-		return uint64(uint32(e.video) - uint32(base))
-	}
+// radixPasses stably sorts src by count descending: one counting pass
+// per byte of top, the largest key base − count, least significant
+// first, with every pass's histogram taken in one read of src. The
+// passes write a, then b, then a again; only the first reads src, so b
+// may be src when the caller has no further use for it. It returns the
+// sorted entries: src itself when top is 0.
+func radixPasses(src, a, b []demandEntry, base int64, top uint64) []demandEntry {
+	key := func(e demandEntry) uint64 { return uint64(base) - uint64(e.count) }
 	passes := 0
 	for top>>(8*passes) > 0 {
 		passes++
@@ -151,7 +141,7 @@ func radixPasses(src, a, b []demandEntry, byCount bool, base int64, top uint64) 
 // (nominal or degraded).
 func (s *Scheduler) replicate(d *Demand, flows map[int64]int64, svc []int64, cache []int) (
 	redirects []Redirect,
-	placement []similarity.Set,
+	placement PlacementRuns,
 	unrealized int64,
 	replicas int64,
 	err error,
@@ -160,10 +150,10 @@ func (s *Scheduler) replicate(d *Demand, flows map[int64]int64, svc []int64, cac
 	t := s.demandTable(d)
 	redirects, unrealized = s.stageA(t, flows, cache)
 	if unrealized < 0 {
-		return nil, nil, 0, 0, fmt.Errorf("core: negative unrealized flow %d (bug)", unrealized)
+		return nil, PlacementRuns{}, 0, 0, fmt.Errorf("core: negative unrealized flow %d (bug)", unrealized)
 	}
 	serveBudget := s.fillBudgets(svc, redirects)
-	placement = make([]similarity.Set, m)
+	placement.Off = make([]int, 1, m+1)
 
 	if s.params.BPeak > 0 {
 		// Greedy local fill (Procedure 1, lines 14-19): replicate the
@@ -177,9 +167,10 @@ func (s *Scheduler) replicate(d *Demand, flows map[int64]int64, svc []int64, cac
 			count   int64
 		}
 		var fill []localDemand
+		held := make([]int, m)
 		for i := 0; i < m; i++ {
 			placed := s.ar.placedAt(i)
-			placement[i] = newPlacement(placed, nil)
+			held[i] = len(placed)
 			replicas += int64(len(placed))
 			if len(placed) >= cache[i] {
 				continue
@@ -203,16 +194,31 @@ func (s *Scheduler) replicate(d *Demand, flows map[int64]int64, svc []int64, cac
 				return cmp.Compare(a.video, b.video)
 			}
 		})
+		added := fill[:0]
 		for _, ld := range fill {
 			if replicas >= s.params.BPeak {
 				break
 			}
-			if serveBudget[ld.hotspot] <= 0 || placement[ld.hotspot].Len() >= cache[ld.hotspot] {
+			if serveBudget[ld.hotspot] <= 0 || held[ld.hotspot] >= cache[ld.hotspot] {
 				continue
 			}
-			placement[ld.hotspot].Add(int(ld.video))
+			held[ld.hotspot]++
 			replicas++
 			serveBudget[ld.hotspot] -= ld.count
+			added = append(added, ld)
+		}
+		// Each row once: stage A's replicas merged with its fill.
+		slices.SortFunc(added, func(a, b localDemand) int {
+			return cmp.Or(a.hotspot-b.hotspot, cmp.Compare(a.video, b.video))
+		})
+		for i := 0; i < m; i++ {
+			fill := s.ar.fill[:0]
+			for len(added) > 0 && added[0].hotspot == i {
+				fill, added = append(fill, added[0].video), added[1:]
+			}
+			s.ar.fill = fill
+			placement.IDs = appendRow(placement.IDs, s.ar.placedAt(i), fill)
+			placement.Off = append(placement.Off, len(placement.IDs))
 		}
 		return redirects, placement, unrealized, replicas, nil
 	}
@@ -225,10 +231,9 @@ func (s *Scheduler) replicate(d *Demand, flows map[int64]int64, svc []int64, cac
 	// in ascending hotspot order with identical output. The delta
 	// path patches exactly these rows.
 	for i := 0; i < m; i++ {
-		placement[i] = s.fillRow(t, i, cache[i], serveBudget[i])
-		replicas += int64(placement[i].Len())
+		s.fillRow(t, i, cache[i], serveBudget[i], &placement)
 	}
-	return redirects, placement, unrealized, replicas, nil
+	return redirects, placement, unrealized, int64(len(placement.IDs)), nil
 }
 
 // flowPair is one positive flow f_ij of the round: its remaining budget
@@ -517,27 +522,35 @@ func (ar *roundArena) fillCands(t *demandTable, h int) []demandEntry {
 	for _, e := range row {
 		top = max(top, e.count)
 	}
-	return radixPasses(row, t.a, t.b, true, top, uint64(top))
+	return radixPasses(row, t.a, t.b, top, uint64(top))
 }
 
-// newPlacement returns a placement set holding placed and fill, created
-// at its final size.
-func newPlacement(placed []placedVideo, fill []trace.VideoID) similarity.Set {
-	set := make(similarity.Set, len(placed)+len(fill))
+// appendRow appends one hotspot's placement row to ids: the union of
+// stage A's replicas (video-ascending) and the fill's videos (distinct
+// from them, in any order; sorted in place).
+func appendRow(ids []int32, placed []placedVideo, fill []trace.VideoID) []int32 {
+	slices.Sort(fill)
+	for len(placed) > 0 && len(fill) > 0 {
+		if placed[0].video < fill[0] {
+			ids, placed = append(ids, int32(placed[0].video)), placed[1:]
+		} else {
+			ids, fill = append(ids, int32(fill[0])), fill[1:]
+		}
+	}
 	for _, p := range placed {
-		set.Add(int(p.video))
+		ids = append(ids, int32(p.video))
 	}
 	for _, v := range fill {
-		set.Add(int(v))
+		ids = append(ids, int32(v))
 	}
-	return set
+	return ids
 }
 
 // fillRow runs one hotspot's greedy local fill on top of what stage A
-// placed there and returns the hotspot's placement: remaining local
-// demand in (count desc, video asc) order, bounded by cache space and
-// the serve budget, skipping videos already placed.
-func (s *Scheduler) fillRow(t *demandTable, h, cacheCap int, budget int64) similarity.Set {
+// placed there and appends the hotspot's placement row to out: remaining
+// local demand in (count desc, video asc) order, bounded by cache space
+// and the serve budget, skipping videos already placed.
+func (s *Scheduler) fillRow(t *demandTable, h, cacheCap int, budget int64, out *PlacementRuns) {
 	ar := s.ar
 	placed := ar.placedAt(h)
 	fill := ar.fill[:0]
@@ -555,7 +568,8 @@ func (s *Scheduler) fillRow(t *demandTable, h, cacheCap int, budget int64) simil
 		}
 	}
 	ar.fill = fill
-	return newPlacement(placed, fill)
+	out.IDs = appendRow(out.IDs, placed, fill)
+	out.Off = append(out.Off, len(out.IDs))
 }
 
 // staleHeap is the heap of re-queued stage A candidates, ordered by

@@ -21,7 +21,7 @@ func TestReplicateAggregatesSharedVideo(t *testing.T) {
 	if plan.Stats.MovedFlow != 8 {
 		t.Fatalf("MovedFlow = %d, want 8", plan.Stats.MovedFlow)
 	}
-	if !plan.Placement[1].Contains(7) {
+	if !plan.Placement.Contains(1, 7) {
 		t.Fatal("video 7 not placed at the aggregation target")
 	}
 	// One replica of video 7 at hotspot 1 serves redirects from both
@@ -59,8 +59,8 @@ func TestReplicateTargetCacheFullUnrealized(t *testing.T) {
 	if plan.OverflowToCDN[0] != 5 {
 		t.Errorf("OverflowToCDN[0] = %d, want the whole surplus 5", plan.OverflowToCDN[0])
 	}
-	if plan.Placement[1].Len() != 0 {
-		t.Errorf("placement at cache-less hotspot: %v", plan.Placement[1].Sorted())
+	if plan.Placement.Len(1) != 0 {
+		t.Errorf("placement at cache-less hotspot: %v", plan.Placement.Row(1))
 	}
 }
 
@@ -74,10 +74,10 @@ func TestReplicateLocalFillByDemand(t *testing.T) {
 	d.Add(0, 3, 1)
 
 	plan := scheduleOK(t, w, DefaultParams(), d)
-	if !plan.Placement[0].Contains(1) || !plan.Placement[0].Contains(2) {
-		t.Errorf("placement = %v, want top-2 videos {1, 2}", plan.Placement[0].Sorted())
+	if !plan.Placement.Contains(0, 1) || !plan.Placement.Contains(0, 2) {
+		t.Errorf("placement = %v, want top-2 videos {1, 2}", plan.Placement.Row(0))
 	}
-	if plan.Placement[0].Contains(3) {
+	if plan.Placement.Contains(0, 3) {
 		t.Error("cache overfilled with video 3")
 	}
 	if plan.Stats.Replicas != 2 {
@@ -111,8 +111,8 @@ func TestReplicateSourceKeepsResidualDemand(t *testing.T) {
 	d.Add(1, 9, 1)
 
 	plan := scheduleOK(t, w, DefaultParams(), d)
-	if !plan.Placement[0].Contains(5) || !plan.Placement[0].Contains(6) {
-		t.Errorf("source placement = %v, want videos 5 and 6", plan.Placement[0].Sorted())
+	if !plan.Placement.Contains(0, 5) || !plan.Placement.Contains(0, 6) {
+		t.Errorf("source placement = %v, want videos 5 and 6", plan.Placement.Row(0))
 	}
 }
 
@@ -137,10 +137,10 @@ func TestReplicateFullyMovedVideoNotCachedAtSource(t *testing.T) {
 	if video5Moved != 4 {
 		t.Fatalf("video 5 moved %d units, want 4", video5Moved)
 	}
-	if plan.Placement[0].Contains(5) {
+	if plan.Placement.Contains(0, 5) {
 		t.Error("source cached video 5 although its whole demand was redirected")
 	}
-	if !plan.Placement[1].Contains(5) {
+	if !plan.Placement.Contains(1, 5) {
 		t.Error("target did not cache redirected video 5")
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/mcmf"
 	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/similarity"
 	"repro/internal/trace"
 )
 
@@ -124,8 +123,8 @@ func (cons Constraints) Resolve(world *trace.World, d *Demand) (svc []int64, cac
 	if d.NumHotspots() != m {
 		return nil, nil, fmt.Errorf("core: demand covers %d hotspots, world has %d", d.NumHotspots(), m)
 	}
-	if len(d.perVideo) != m {
-		return nil, nil, fmt.Errorf("core: demand per-video covers %d hotspots, world has %d", len(d.perVideo), m)
+	if len(d.rows) != m {
+		return nil, nil, fmt.Errorf("core: demand per-video covers %d hotspots, world has %d", len(d.rows), m)
 	}
 	for h, n := range d.Totals {
 		if n < 0 {
@@ -400,7 +399,7 @@ func (s *Scheduler) assemblePlan(
 	phiOver []int64,
 	flows map[int64]int64,
 	redirects []Redirect,
-	placement []similarity.Set,
+	placement PlacementRuns,
 	mcmfPaths int64,
 	quiet bool,
 ) *Plan {

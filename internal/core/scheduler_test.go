@@ -40,7 +40,7 @@ func checkPlanInvariants(t *testing.T, w *trace.World, d *Demand, plan *Plan) {
 		}
 		redirectPair[[2]int{int(r.From), int(r.To)}] += r.Count
 		redirectVideo[[2]int64{int64(r.From), int64(r.Video)}] += r.Count
-		if !plan.Placement[r.To].Contains(int(r.Video)) {
+		if !plan.Placement.Contains(int(r.To), int(r.Video)) {
 			t.Fatalf("redirect %+v but video not placed at target", r)
 		}
 	}
@@ -50,14 +50,14 @@ func checkPlanInvariants(t *testing.T, w *trace.World, d *Demand, plan *Plan) {
 		}
 	}
 	for key, cnt := range redirectVideo {
-		if lam := d.perVideo[key[0]][trace.VideoID(key[1])]; cnt > lam {
+		if lam := d.Count(int(key[0]), trace.VideoID(key[1])); cnt > lam {
 			t.Fatalf("hotspot %d video %d redirects %d exceed demand %d", key[0], key[1], cnt, lam)
 		}
 	}
 
 	var moved int64
 	for h := 0; h < m; h++ {
-		if got, cache := plan.Placement[h].Len(), w.Hotspots[h].CacheCapacity; got > cache {
+		if got, cache := plan.Placement.Len(h), w.Hotspots[h].CacheCapacity; got > cache {
 			t.Fatalf("hotspot %d placement %d exceeds cache %d", h, got, cache)
 		}
 		lambda := d.Totals[h]
@@ -260,15 +260,8 @@ func TestDeterministicPlans(t *testing.T) {
 			t.Fatalf("redirect %d differs: %+v vs %+v", i, p1.Redirects[i], p2.Redirects[i])
 		}
 	}
-	for h := range p1.Placement {
-		if p1.Placement[h].Len() != p2.Placement[h].Len() {
-			t.Fatalf("placement at %d differs", h)
-		}
-		for v := range p1.Placement[h] {
-			if !p2.Placement[h].Contains(v) {
-				t.Fatalf("placement at %d differs on video %d", h, v)
-			}
-		}
+	if !p1.Placement.Equal(&p2.Placement) {
+		t.Fatal("placements differ")
 	}
 }
 
@@ -332,6 +325,7 @@ func randomDemand(w *trace.World, requests, videos int, seed int64) *Demand {
 		}
 		d.Add(trace.HotspotID(h), trace.VideoID(v), 1)
 	}
+	d.Fold()
 	return d
 }
 
@@ -354,7 +348,7 @@ func TestContentClustersMatchReference(t *testing.T) {
 		}
 		// 35 distinct videos, popular ones drawn from a small shared
 		// head so neighbours overlap: the top 20 % is 7 of them.
-		for len(d.perVideo[h]) < 35 {
+		for len(d.row(h)) < 35 {
 			v := 1 + rng.Intn(12)
 			if rng.Intn(4) == 0 {
 				v = 13 + rng.Intn(900)

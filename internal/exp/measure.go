@@ -279,12 +279,13 @@ func contentSimilarities(world *trace.World, tr *trace.Trace, ratio float64, see
 	rng := stats.SplitRand(seed, fmt.Sprintf("fig3b-%v", ratio))
 	perm := rng.Perm(m)[:n]
 
-	grid, err := geo.NewGrid(world.Bounds, math.Max(0.05, math.Sqrt(world.Bounds.Area()/float64(n))))
+	locs := make([]geo.Point, n)
+	for i, h := range perm {
+		locs[i] = world.Hotspots[h].Location
+	}
+	grid, err := geo.NewIndex(world.Bounds, perm, locs)
 	if err != nil {
 		return nil, 0, err
-	}
-	for _, h := range perm {
-		grid.Insert(h, world.Hotspots[h].Location)
 	}
 
 	demand := make(map[int]map[int]int64, n)

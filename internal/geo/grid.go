@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 )
 
 // Grid is a uniform-grid spatial index over points with integer IDs.
@@ -18,6 +19,9 @@ import (
 //
 // Points may lie outside the nominal bounds; they are clamped into the
 // boundary cells, so queries remain correct (if slower) for outliers.
+//
+// A Grid is safe for concurrent queries once its points are in; Insert
+// must not run concurrently with anything.
 type Grid struct {
 	bounds   Rect
 	cellSize float64
@@ -26,6 +30,23 @@ type Grid struct {
 	cells    [][]int32 // cell -> point indexes
 	ids      []int
 	pts      []Point
+	// table answers in-bounds Nearest queries; nil until built, and
+	// dropped by Insert.
+	table atomic.Pointer[nearestTable]
+}
+
+// nearestTable lists, per cell, every point that can be nearest to a
+// query inside the cell: cell c's candidates are cands[at[c]:at[c+1]],
+// in the order the ring search visits them.
+type nearestTable struct {
+	at    []int32
+	cands []candidate
+}
+
+// candidate is a point stored inline, so a query reads one span.
+type candidate struct {
+	p  Point
+	id int
 }
 
 // NewGrid creates an index over bounds with roughly cellSize-sized
@@ -55,6 +76,42 @@ func NewGrid(bounds Rect, cellSize float64) (*Grid, error) {
 	}, nil
 }
 
+// NewIndex indexes the points pts[i] under ids[i], inserted in that
+// order, in cells sized for about one point each (at least 50 m), and
+// builds the nearest-candidate table.
+func NewIndex(bounds Rect, ids []int, pts []Point) (*Grid, error) {
+	if len(ids) != len(pts) {
+		return nil, fmt.Errorf("geo: %d ids for %d points", len(ids), len(pts))
+	}
+	cell := 1.0
+	if n := len(pts); n > 0 {
+		cell = math.Max(0.05, math.Sqrt(bounds.Area()/float64(n)))
+	}
+	g, err := NewGrid(bounds, cell)
+	if err != nil {
+		return nil, err
+	}
+	for i, p := range pts {
+		g.Insert(ids[i], p)
+	}
+	g.table.Store(g.buildTable())
+	return g, nil
+}
+
+// Subset returns an index over the same bounds and cells holding the
+// points whose id keep accepts, in insertion order, with its table
+// built.
+func (g *Grid) Subset(keep func(id int) bool) *Grid {
+	out := &Grid{bounds: g.bounds, cellSize: g.cellSize, cols: g.cols, rows: g.rows, cells: make([][]int32, len(g.cells))}
+	for i, id := range g.ids {
+		if keep(id) {
+			out.Insert(id, g.pts[i])
+		}
+	}
+	out.table.Store(out.buildTable())
+	return out
+}
+
 // Len returns the number of indexed points.
 func (g *Grid) Len() int { return len(g.ids) }
 
@@ -62,8 +119,10 @@ func (g *Grid) Len() int { return len(g.ids) }
 func (g *Grid) Bounds() Rect { return g.bounds }
 
 // Insert adds a point with the caller's identifier. IDs need not be
-// unique or dense; they are returned verbatim by queries.
+// unique or dense; they are returned verbatim by queries. It drops the
+// nearest-candidate table, which the next Nearest rebuilds.
 func (g *Grid) Insert(id int, p Point) {
+	g.table.Store(nil)
 	idx := int32(len(g.ids))
 	g.ids = append(g.ids, id)
 	g.pts = append(g.pts, p)
@@ -71,64 +130,80 @@ func (g *Grid) Insert(id int, p Point) {
 	g.cells[c] = append(g.cells[c], idx)
 }
 
-func (g *Grid) cellOf(p Point) int {
-	cx := int((p.X - g.bounds.MinX) / g.cellSize)
-	cy := int((p.Y - g.bounds.MinY) / g.cellSize)
-	if cx < 0 {
-		cx = 0
-	}
-	if cx >= g.cols {
-		cx = g.cols - 1
-	}
-	if cy < 0 {
-		cy = 0
-	}
-	if cy >= g.rows {
-		cy = g.rows - 1
-	}
-	return cy*g.cols + cx
+// col and row map a coordinate to its cell column or row, clamped into
+// the grid (NaN to 0).
+func (g *Grid) col(x float64) int {
+	return clampCell((x-g.bounds.MinX)/g.cellSize, g.cols)
 }
+
+func (g *Grid) row(y float64) int {
+	return clampCell((y-g.bounds.MinY)/g.cellSize, g.rows)
+}
+
+func clampCell(f float64, n int) int {
+	switch {
+	case !(f >= 0):
+		return 0
+	case f >= float64(n-1):
+		return n - 1
+	default:
+		return int(f)
+	}
+}
+
+func (g *Grid) cellOf(p Point) int { return g.row(p.Y)*g.cols + g.col(p.X) }
 
 // Nearest returns the ID and distance of the indexed point closest to
 // p. ok is false when the index is empty. Among points at the minimum
 // distance the first one visited wins: the query's own cell first, then
-// each ring of cells around it in forEachRingCell order, and insertion
+// each ring of cells around it in ringCells order, and insertion
 // order only within one cell. Online ingest and offline slot contexts
 // both resolve requests through it, so this rule is part of what makes
 // their plans equal.
+//
+// A query inside the bounds scans only its cell's candidate list, which
+// holds every point that can be nearest to anything in the cell, in
+// that visit order, so it returns what the ring search would. A query
+// outside the bounds runs the ring search.
 func (g *Grid) Nearest(p Point) (id int, dist float64, ok bool) {
 	if len(g.ids) == 0 {
 		return 0, 0, false
 	}
-	cx := int((p.X - g.bounds.MinX) / g.cellSize)
-	cy := int((p.Y - g.bounds.MinY) / g.cellSize)
-	if cx < 0 {
-		cx = 0
+	if !g.bounds.Contains(p) {
+		return g.ringNearest(p)
 	}
-	if cx >= g.cols {
-		cx = g.cols - 1
+	t := g.table.Load()
+	if t == nil {
+		// Concurrent first queries may each build the same table.
+		t = g.buildTable()
+		g.table.Store(t)
 	}
-	if cy < 0 {
-		cy = 0
+	c := g.cellOf(p)
+	best, bestD := 0, math.Inf(1)
+	for i, cd := range t.cands[t.at[c]:t.at[c+1]] {
+		if d := p.DistanceTo(cd.p); d < bestD {
+			best, bestD = i, d
+		}
 	}
-	if cy >= g.rows {
-		cy = g.rows - 1
-	}
+	return t.cands[int(t.at[c])+best].id, bestD, true
+}
 
+// ringNearest is Nearest by ring search: the query's own cell, then
+// each ring of cells around it until no unvisited point can be nearer.
+func (g *Grid) ringNearest(p Point) (id int, dist float64, ok bool) {
+	cx, cy := g.col(p.X), g.row(p.Y)
 	best := -1
 	bestD := math.Inf(1)
-	maxRing := g.cols
-	if g.rows > g.cols {
-		maxRing = g.rows
-	}
-	for ring := 0; ring <= maxRing; ring++ {
+	var ring []int32
+	for r := 0; r <= max(g.cols, g.rows); r++ {
 		// Once a candidate is found, one extra ring guarantees
-		// correctness: anything farther than (ring-1)*cellSize cannot
+		// correctness: anything farther than (r-1)*cellSize cannot
 		// beat a point already within that bound.
-		if best >= 0 && float64(ring-1)*g.cellSize > bestD {
+		if best >= 0 && float64(r-1)*g.cellSize > bestD {
 			break
 		}
-		g.forEachRingCell(cx, cy, ring, func(cell int) {
+		ring = g.ringCells(cx, cy, r, ring[:0])
+		for _, cell := range ring {
 			for _, idx := range g.cells[cell] {
 				d := p.DistanceTo(g.pts[idx])
 				if d < bestD {
@@ -136,7 +211,7 @@ func (g *Grid) Nearest(p Point) (id int, dist float64, ok bool) {
 					best = int(idx)
 				}
 			}
-		})
+		}
 	}
 	if best < 0 {
 		return 0, 0, false
@@ -144,37 +219,157 @@ func (g *Grid) Nearest(p Point) (id int, dist float64, ok bool) {
 	return g.ids[best], bestD, true
 }
 
-// forEachRingCell visits the cells forming the square ring at Chebyshev
-// distance ring from (cx, cy), skipping out-of-range cells.
-func (g *Grid) forEachRingCell(cx, cy, ring int, fn func(cell int)) {
+// buildTable computes every cell's nearest candidates. For a query q in
+// cell C and any point x, d(q, x) is at most x's farthest-corner
+// distance from C, so U, the least of those over all points, bounds q's
+// nearest distance; and a point farther than U from C can be nearest to
+// nothing in C. The candidates are therefore the points within U of C,
+// in the ring search's visit order, so that a scan with the same
+// distance and the same strict < keeps the ring search's tie rule.
+//
+// The build is local: it walks the rings around C in the ring search's
+// order, collecting each point within the running U of C and lowering
+// U by its farthest corner, and stops once a ring's lower bound,
+// (k − 1)·cell, exceeds U. Within a ring it visits only the cells whose
+// gap to C, in whole cells, is within U (clamped outliers lie beyond
+// their cell). The running U only falls, so a final filter against U
+// loses none, and a point beyond it cannot lower it. The comparisons
+// run on squared distances with a relative slack of 1e-9, which absorbs
+// rounding in the cell arithmetic: an extra candidate costs a query one
+// distance and changes no answer.
+func (g *Grid) buildTable() *nearestTable {
+	b := tableBuild{cellAt: make([]int32, 1, len(g.cells)+1), half: g.cellSize / 2}
+	b.byCell = make([]candidate, 0, len(g.pts))
+	for _, idxs := range g.cells {
+		for _, idx := range idxs {
+			b.byCell = append(b.byCell, candidate{g.pts[idx], g.ids[idx]})
+		}
+		b.cellAt = append(b.cellAt, int32(len(b.byCell)))
+	}
+	// About ten candidates a cell at one point a cell.
+	t := &nearestTable{at: make([]int32, 1, len(g.cells)+1), cands: make([]candidate, 0, 10*len(g.cells))}
+	if len(g.pts) == 0 {
+		t.at = make([]int32, len(g.cells)+1)
+		return t
+	}
+	cell2 := g.cellSize * g.cellSize
+	// reach returns how many cells off a ring's row (or column) can lie,
+	// the row's own gap to C being gap cells, and still be within U:
+	// -1 when none can.
+	reach := func(gap int, u2 float64) int {
+		room := u2/cell2 - float64(gap*gap)
+		if room < 0 {
+			return -1
+		}
+		return int(min(math.Sqrt(room), float64(len(g.cells)))) + 1
+	}
+	for cy := 0; cy < g.rows; cy++ {
+		for cx := 0; cx < g.cols; cx++ {
+			// C's centre: |x − centre| ∓ half are a coordinate's
+			// nearest and farthest reach to C along one axis.
+			b.mx = g.bounds.MinX + (float64(cx)+0.5)*g.cellSize
+			b.my = g.bounds.MinY + (float64(cy)+0.5)*g.cellSize
+			b.u2 = math.Inf(1) // U², scaled by the slack
+			b.cands, b.near = b.cands[:0], b.near[:0]
+			b.scan(cy*g.cols + cx)
+			for r := 1; r <= max(g.cols, g.rows) && float64((r-1)*(r-1))*cell2 <= b.u2; r++ {
+				// A column's top then bottom cell, then a row's left
+				// then right cell, as ringCells orders them.
+				if w := min(reach(r-1, b.u2), r); w >= 0 {
+					for x := max(cx-w, 0); x <= min(cx+w, g.cols-1); x++ {
+						if cy-r >= 0 {
+							b.scan((cy-r)*g.cols + x)
+						}
+						if cy+r < g.rows {
+							b.scan((cy+r)*g.cols + x)
+						}
+					}
+				}
+				if w := min(reach(r-1, b.u2), r-1); w >= 0 {
+					for y := max(cy-w, 0); y <= min(cy+w, g.rows-1); y++ {
+						if cx-r >= 0 {
+							b.scan(y*g.cols + cx - r)
+						}
+						if cx+r < g.cols {
+							b.scan(y*g.cols + cx + r)
+						}
+					}
+				}
+			}
+			for i, cd := range b.cands {
+				if b.near[i] <= b.u2 {
+					t.cands = append(t.cands, cd)
+				}
+			}
+			t.at = append(t.at, int32(len(t.cands)))
+		}
+	}
+	return t
+}
+
+// tableBuild is buildTable's state for one cell C: the points cell by
+// cell, C's centre, half a cell, U² so far, and the points collected
+// with their squared distances to C.
+type tableBuild struct {
+	byCell       []candidate
+	cellAt       []int32 // cell c's points are byCell[cellAt[c]:cellAt[c+1]]
+	mx, my, half float64
+	u2           float64
+	cands        []candidate
+	near         []float64
+}
+
+// scan collects cell c's points within the running U of C, lowering U
+// by each one's farthest corner.
+func (b *tableBuild) scan(c int) {
+	const slack = 1 + 1e-9
+	u2 := b.u2
+	for _, cd := range b.byCell[b.cellAt[c]:b.cellAt[c+1]] {
+		ax, ay := math.Abs(cd.p.X-b.mx), math.Abs(cd.p.Y-b.my)
+		dx, dy := positive(ax-b.half), positive(ay-b.half)
+		if d2 := dx*dx + dy*dy; d2 <= u2 {
+			fx, fy := ax+b.half, ay+b.half
+			if f2 := (fx*fx + fy*fy) * slack; f2 < u2 {
+				u2 = f2
+			}
+			b.cands = append(b.cands, cd)
+			b.near = append(b.near, d2)
+		}
+	}
+	b.u2 = u2
+}
+
+// positive returns x when it is positive and 0 otherwise, without a
+// branch: x + |x| is 2x or 0 exactly.
+func positive(x float64) float64 { return (x + math.Abs(x)) / 2 }
+
+// ringCells appends to buf the cells forming the square ring at
+// Chebyshev distance ring from (cx, cy), skipping out-of-range cells,
+// in the order queries visit them: along x, each column's top cell then
+// its bottom one; then along y, each row's left cell then its right.
+func (g *Grid) ringCells(cx, cy, ring int, buf []int32) []int32 {
 	if ring == 0 {
-		fn(cy*g.cols + cx)
-		return
+		return append(buf, int32(cy*g.cols+cx))
 	}
 	x0, x1 := cx-ring, cx+ring
 	y0, y1 := cy-ring, cy+ring
-	for x := x0; x <= x1; x++ {
-		if x < 0 || x >= g.cols {
-			continue
-		}
+	for x := max(x0, 0); x <= min(x1, g.cols-1); x++ {
 		if y0 >= 0 {
-			fn(y0*g.cols + x)
+			buf = append(buf, int32(y0*g.cols+x))
 		}
 		if y1 < g.rows {
-			fn(y1*g.cols + x)
+			buf = append(buf, int32(y1*g.cols+x))
 		}
 	}
-	for y := y0 + 1; y <= y1-1; y++ {
-		if y < 0 || y >= g.rows {
-			continue
-		}
+	for y := max(y0+1, 0); y <= min(y1-1, g.rows-1); y++ {
 		if x0 >= 0 {
-			fn(y*g.cols + x0)
+			buf = append(buf, int32(y*g.cols+x0))
 		}
 		if x1 < g.cols {
-			fn(y*g.cols + x1)
+			buf = append(buf, int32(y*g.cols+x1))
 		}
 	}
+	return buf
 }
 
 // Neighbor is a query result: an indexed point's ID and its distance
@@ -209,22 +404,11 @@ func (g *Grid) Within(p Point, radius float64) []Neighbor {
 }
 
 func (g *Grid) forEachCellNear(p Point, radius float64, fn func(cell int)) {
-	x0 := int((p.X - radius - g.bounds.MinX) / g.cellSize)
-	x1 := int((p.X + radius - g.bounds.MinX) / g.cellSize)
-	y0 := int((p.Y - radius - g.bounds.MinY) / g.cellSize)
-	y1 := int((p.Y + radius - g.bounds.MinY) / g.cellSize)
-	if x0 < 0 {
-		x0 = 0
-	}
-	if y0 < 0 {
-		y0 = 0
-	}
-	if x1 >= g.cols {
-		x1 = g.cols - 1
-	}
-	if y1 >= g.rows {
-		y1 = g.rows - 1
-	}
+	// Both ends are clamped into the grid, as cellOf clamps points: a
+	// disc wholly outside one side still reaches the boundary cells that
+	// hold the outliers beyond it.
+	x0, x1 := g.col(p.X-radius), g.col(p.X+radius)
+	y0, y1 := g.row(p.Y-radius), g.row(p.Y+radius)
 	for y := y0; y <= y1; y++ {
 		for x := x0; x <= x1; x++ {
 			fn(y*g.cols + x)

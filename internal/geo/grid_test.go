@@ -227,3 +227,160 @@ func TestGridDuplicateAndCoincidentPoints(t *testing.T) {
 		t.Errorf("Within(r=0) = %d results, want 2", len(nbrs))
 	}
 }
+
+// TestGridOutliersWithinAndPairs holds Within and Pairs to points
+// outside the bounds: a disc lying wholly beyond one side must still
+// reach the boundary cells the outliers are clamped into.
+func TestGridOutliersWithinAndPairs(t *testing.T) {
+	g := newTestGrid(t, 1)
+	g.Insert(1, Point{-5, 5})
+	if got := g.Within(Point{-5.1, 5}, 0.5); len(got) != 1 || got[0].ID != 1 || !almostEqual(got[0].Distance, 0.1, 1e-12) {
+		t.Errorf("Within((-5.1, 5), 0.5) = %v, want point 1 at 0.1", got)
+	}
+	g.Insert(2, Point{-5.2, 5})
+	if got := g.Pairs(0.5); len(got) != 1 || got[0].A != 1 || got[0].B != 2 {
+		t.Errorf("Pairs(0.5) = %v, want the pair (1, 2)", got)
+	}
+	if id, d, ok := g.Nearest(Point{-5.1, 5}); !ok || id != 1 || !almostEqual(d, 0.1, 1e-12) {
+		t.Errorf("Nearest((-5.1, 5)) = (%d, %v, %v), want point 1 at 0.1", id, d, ok)
+	}
+	// Beyond each side and each corner.
+	for _, p := range []Point{{15, 5}, {5, -7}, {5, 13}, {-3, -3}, {12, 14}} {
+		g := newTestGrid(t, 1)
+		g.Insert(7, p)
+		if got := g.Within(p.Add(0.1, 0), 0.2); len(got) != 1 || got[0].ID != 7 {
+			t.Errorf("Within near outlier %v = %v, want point 7", p, got)
+		}
+	}
+}
+
+func TestNewIndex(t *testing.T) {
+	if _, err := NewIndex(testBounds(), []int{1}, nil); err == nil {
+		t.Error("NewIndex with mismatched ids and points succeeded")
+	}
+	if _, err := NewIndex(Rect{MaxX: 1}, nil, nil); err == nil {
+		t.Error("NewIndex over zero-area bounds succeeded")
+	}
+	empty, err := NewIndex(testBounds(), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := empty.Nearest(Point{1, 1}); ok {
+		t.Error("Nearest on an empty index returned ok")
+	}
+	g, err := NewIndex(testBounds(), []int{10, 20, 30}, []Point{{1, 1}, {9, 9}, {5, 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Len() != 3 || g.table.Load() == nil {
+		t.Fatalf("NewIndex: %d points, table built %v", g.Len(), g.table.Load() != nil)
+	}
+	if id, _, _ := g.Nearest(Point{6, 6}); id != 30 {
+		t.Errorf("Nearest((6, 6)) = %d, want 30", id)
+	}
+	odd := g.Subset(func(id int) bool { return id != 30 })
+	if odd.Len() != 2 || odd.cellSize != g.cellSize || odd.table.Load() == nil {
+		t.Fatalf("Subset: %d points, cell %v (want %v)", odd.Len(), odd.cellSize, g.cellSize)
+	}
+	if id, _, _ := odd.Nearest(Point{6, 6}); id != 20 {
+		t.Errorf("Subset's Nearest((6, 6)) = %d, want 20", id)
+	}
+	// Insert drops the table; the next query rebuilds it.
+	g.Insert(40, Point{6, 6})
+	if g.table.Load() != nil {
+		t.Error("Insert kept a stale table")
+	}
+	if id, d, _ := g.Nearest(Point{6, 6}); id != 40 || d != 0 {
+		t.Errorf("Nearest after Insert = (%d, %v), want (40, 0)", id, d)
+	}
+	if g.table.Load() == nil {
+		t.Error("Nearest did not rebuild the table")
+	}
+}
+
+// TestGridNearestConcurrent runs Nearest from many goroutines on one
+// index, the ingest handlers' pattern; the race detector checks it.
+func TestGridNearestConcurrent(t *testing.T) {
+	g := newTestGrid(t, 1)
+	for i := 0; i < 50; i++ {
+		g.Insert(i, Point{X: float64(i%10) + 0.5, Y: float64(i/10) + 0.5})
+	}
+	done := make(chan struct{})
+	for w := 0; w < 4; w++ {
+		go func(w int) {
+			defer func() { done <- struct{}{} }()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < 500; i++ {
+				q := Point{X: rng.Float64() * 10, Y: rng.Float64() * 10}
+				if _, wantD := bruteNearest(g.pts, q); !almostEqual(wantD, mustNearest(t, g, q), 0) {
+					t.Errorf("concurrent Nearest(%v) disagrees with brute force", q)
+				}
+			}
+		}(w)
+	}
+	for w := 0; w < 4; w++ {
+		<-done
+	}
+}
+
+func mustNearest(t *testing.T, g *Grid, q Point) float64 {
+	_, d, ok := g.Nearest(q)
+	if !ok {
+		t.Errorf("Nearest(%v) not ok", q)
+	}
+	return d
+}
+
+// FuzzGridNearest holds the candidate table to the ring search it
+// replaces on point sets with duplicates, points on cell edges, empty
+// cells and outliers: an in-bounds query must get the ring search's id
+// and distance exactly, and every query a brute-force minimum distance.
+func FuzzGridNearest(f *testing.F) {
+	f.Add(int64(1), uint8(20), uint8(7), false)
+	f.Add(int64(2), uint8(3), uint8(2), true)
+	f.Add(int64(3), uint8(90), uint8(13), true)
+	f.Add(int64(4), uint8(1), uint8(40), false)
+	f.Fuzz(func(t *testing.T, seed int64, n, cellTenths uint8, grid bool) {
+		rng := rand.New(rand.NewSource(seed))
+		cell := 0.2 + float64(cellTenths%40)/10
+		g := newTestGrid(t, cell)
+		count := 1 + int(n)%120
+		var pts []Point
+		coord := func() float64 {
+			switch k := rng.Intn(10); {
+			case grid || k == 0: // on a cell edge or a lattice point
+				return float64(rng.Intn(13)-1) * cell
+			case k == 1: // outside the bounds
+				return rng.Float64()*30 - 10
+			default: // clustered, leaving cells empty
+				return 2 + rng.Float64()*3
+			}
+		}
+		for i := 0; i < count; i++ {
+			p := Point{X: coord(), Y: coord()}
+			if i > 0 && rng.Intn(8) == 0 {
+				p = pts[rng.Intn(len(pts))] // a duplicate
+			}
+			pts = append(pts, p)
+			g.Insert(i, p)
+		}
+		g.table.Store(g.buildTable())
+		for q := 0; q < 200; q++ {
+			query := Point{X: coord(), Y: coord()}
+			if q%3 == 0 {
+				query = Point{X: rng.Float64() * 10, Y: rng.Float64() * 10}
+			}
+			id, d, ok := g.Nearest(query)
+			rid, rd, rok := g.ringNearest(query)
+			if !ok || !rok {
+				t.Fatalf("query %v: not ok", query)
+			}
+			if g.bounds.Contains(query) && (id != rid || d != rd) {
+				t.Fatalf("query %v: table gives (%d, %v), ring search (%d, %v)", query, id, d, rid, rd)
+			}
+			if _, want := bruteNearest(pts, query); d != want || query.DistanceTo(pts[id]) != d {
+				t.Fatalf("query %v: got (%d, %v), brute-force minimum %v", query, id, d, want)
+			}
+		}
+	})
+}

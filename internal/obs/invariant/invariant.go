@@ -69,16 +69,9 @@ func CheckPlan(world *trace.World, d *core.Demand, cons core.Constraints, plan *
 	svc, cache := effective(world, cons)
 
 	// Cache constraint and Ω2 consistency.
-	if len(plan.Placement) != m {
-		return fmt.Errorf("invariant: placement covers %d hotspots, want %d", len(plan.Placement), m)
-	}
-	var replicas int64
-	for h, pl := range plan.Placement {
-		if pl.Len() > cache[h] {
-			return fmt.Errorf("invariant: hotspot %d places %d videos, effective cache is %d",
-				h, pl.Len(), cache[h])
-		}
-		replicas += int64(pl.Len())
+	replicas, err := checkPlacement(&plan.Placement, cache)
+	if err != nil {
+		return err
 	}
 	if replicas != plan.Stats.Replicas {
 		return fmt.Errorf("invariant: Stats.Replicas = %d, placement holds %d",
@@ -104,7 +97,7 @@ func CheckPlan(world *trace.World, d *core.Demand, cons core.Constraints, plan *
 		if r.Count <= 0 {
 			return fmt.Errorf("invariant: redirect %d has non-positive count %d", k, r.Count)
 		}
-		if !plan.Placement[j].Contains(int(r.Video)) {
+		if !plan.Placement.Contains(j, int(r.Video)) {
 			return fmt.Errorf("invariant: redirect %d sends video %d to hotspot %d, which does not place it",
 				k, r.Video, j)
 		}
@@ -231,21 +224,14 @@ func CheckAssignment(ctx *sim.SlotContext, asg *sim.Assignment) (*Outcome, error
 		return nil, fmt.Errorf("invariant: nil context or assignment")
 	}
 	m := len(ctx.World.Hotspots)
-	if len(asg.Placement) != m {
-		return nil, fmt.Errorf("invariant: placement covers %d hotspots, want %d", len(asg.Placement), m)
-	}
 	if len(asg.Target) != len(ctx.Requests) {
 		return nil, fmt.Errorf("invariant: %d targets for %d requests", len(asg.Target), len(ctx.Requests))
 	}
-	cache := ctx.EffectiveCacheCapacity()
-	out := &Outcome{Served: make([]int64, m)}
-	for h, pl := range asg.Placement {
-		if pl.Len() > cache[h] {
-			return nil, fmt.Errorf("invariant: hotspot %d places %d videos, effective cache is %d",
-				h, pl.Len(), cache[h])
-		}
-		out.Replicas += int64(pl.Len())
+	replicas, err := checkPlacement(&asg.Placement, ctx.EffectiveCacheCapacity())
+	if err != nil {
+		return nil, err
 	}
+	out := &Outcome{Served: make([]int64, m), Replicas: replicas}
 
 	// Enforce feasibility exactly as the simulator does, in request
 	// order, and account the aggregation-hotspot → server distances.
@@ -256,7 +242,7 @@ func CheckAssignment(ctx *sim.SlotContext, asg *sim.Assignment) (*Outcome, error
 			return nil, fmt.Errorf("invariant: request %d target %d out of range", r, target)
 		}
 		if target != sim.CDN {
-			if capLeft[target] <= 0 || !asg.Placement[target].Contains(int(req.Video)) {
+			if capLeft[target] <= 0 || !asg.Placement.Contains(target, int(req.Video)) {
 				target = sim.CDN
 			}
 		}
@@ -280,6 +266,28 @@ func CheckAssignment(ctx *sim.SlotContext, asg *sim.Assignment) (*Outcome, error
 		}
 	}
 	return out, nil
+}
+
+// checkPlacement verifies a placement covers every hotspot, each row
+// strictly ascending (a set) and within its effective cache, and returns
+// the replicas it holds.
+func checkPlacement(p *core.PlacementRuns, cache []int) (int64, error) {
+	if p.Rows() != len(cache) {
+		return 0, fmt.Errorf("invariant: placement covers %d hotspots, want %d", p.Rows(), len(cache))
+	}
+	for h := range cache {
+		row := p.Row(h)
+		if len(row) > cache[h] {
+			return 0, fmt.Errorf("invariant: hotspot %d places %d videos, effective cache is %d",
+				h, len(row), cache[h])
+		}
+		for i := 1; i < len(row); i++ {
+			if row[i] <= row[i-1] {
+				return 0, fmt.Errorf("invariant: hotspot %d placement row is not strictly ascending", h)
+			}
+		}
+	}
+	return int64(len(p.IDs)), nil
 }
 
 // Objective evaluates α·Ω1 + β·Ω2 for an enforced slot outcome: Ω1 is

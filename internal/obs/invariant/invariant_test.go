@@ -2,13 +2,13 @@ package invariant
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/scheme"
 	"repro/internal/sim"
-	"repro/internal/similarity"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -173,9 +173,7 @@ func TestCheckPlanNegative(t *testing.T) {
 			p.Redirects = append(p.Redirects, core.Redirect{From: 2, To: 2, Video: 0, Count: 1})
 		},
 		"cache-overflow": func(p *core.Plan) {
-			for v := world.NumVideos; p.Placement[0].Len() <= cache0; v++ {
-				p.Placement[0].Add(v)
-			}
+			p.Placement = withRow(p.Placement, 0, overfill(p.Placement.Row(0), world.NumVideos, cache0))
 		},
 		"replica-ledger": func(p *core.Plan) {
 			p.Stats.Replicas++
@@ -303,7 +301,10 @@ func TestCheckAssignmentNegative(t *testing.T) {
 
 	t.Run("short-placement", func(t *testing.T) {
 		bad := *asg
-		bad.Placement = asg.Placement[:len(asg.Placement)-1]
+		bad.Placement = core.PlacementRuns{}
+		for h := 0; h < asg.Placement.Rows()-1; h++ {
+			bad.Placement.AppendRow(asg.Placement.Row(h))
+		}
 		if _, err := CheckAssignment(ctx, &bad); err == nil {
 			t.Error("truncated placement accepted")
 		}
@@ -325,18 +326,33 @@ func TestCheckAssignmentNegative(t *testing.T) {
 	})
 	t.Run("cache-overflow", func(t *testing.T) {
 		bad := *asg
-		bad.Placement = append([]similarity.Set(nil), asg.Placement...)
-		over := similarity.NewSet()
-		for v := range asg.Placement[0] {
-			over.Add(v)
-		}
 		cache := ctx.EffectiveCacheCapacity()
-		for v := world.NumVideos; over.Len() <= cache[0]; v++ {
-			over.Add(v)
-		}
-		bad.Placement[0] = over
+		bad.Placement = withRow(asg.Placement, 0, overfill(asg.Placement.Row(0), world.NumVideos, cache[0]))
 		if _, err := CheckAssignment(ctx, &bad); err == nil {
 			t.Error("oversized placement accepted")
 		}
 	})
+}
+
+// withRow returns p with hotspot h's row replaced by row.
+func withRow(p core.PlacementRuns, h int, row []int32) core.PlacementRuns {
+	var out core.PlacementRuns
+	for i := 0; i < p.Rows(); i++ {
+		if i == h {
+			out.AppendRow(row)
+		} else {
+			out.AppendRow(p.Row(i))
+		}
+	}
+	return out
+}
+
+// overfill returns row extended with ids from first up until it holds
+// more than limit.
+func overfill(row []int32, first, limit int) []int32 {
+	out := slices.Clone(row)
+	for v := first; len(out) <= limit; v++ {
+		out = append(out, int32(v))
+	}
+	return out
 }

@@ -2,6 +2,7 @@ package invariant
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -162,7 +163,8 @@ func TestShardedBoundaryCorruptionDetected(t *testing.T) {
 		},
 		"drop boundary placement at target": func(s *shard.Scheduler, plan *core.Plan) {
 			r := plan.Redirects[boundaryIdx]
-			delete(plan.Placement[r.To], int(r.Video))
+			row := slices.DeleteFunc(slices.Clone(plan.Placement.Row(int(r.To))), func(v int32) bool { return v == int32(r.Video) })
+			plan.Placement = withRow(plan.Placement, int(r.To), row)
 		},
 		"re-strand moved flow at source": func(s *shard.Scheduler, plan *core.Plan) {
 			r := plan.Redirects[boundaryIdx]

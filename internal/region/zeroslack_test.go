@@ -130,8 +130,8 @@ func TestCrossMoveCacheFullTargetDropped(t *testing.T) {
 	if got[2] != 0 {
 		t.Errorf("cache-less b2 served %d redirected requests, want 0", got[2])
 	}
-	if asg.Placement[2].Len() != 0 {
-		t.Errorf("cache-less b2 placed %d videos", asg.Placement[2].Len())
+	if asg.Placement.Len(2) != 0 {
+		t.Errorf("cache-less b2 placed %d videos", asg.Placement.Len(2))
 	}
 	// b1 still absorbs its share.
 	if got[1] == 0 {

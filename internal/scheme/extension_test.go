@@ -20,7 +20,7 @@ func TestPowerOfTwoValidAndBalanced(t *testing.T) {
 		if target == sim.CDN {
 			continue
 		}
-		if !asg.Placement[target].Contains(int(ctx.Requests[r].Video)) {
+		if !asg.Placement.Contains(target, int(ctx.Requests[r].Video)) {
 			t.Fatalf("request %d routed to non-holder %d", r, target)
 		}
 	}

@@ -100,6 +100,7 @@ func (p *FactoredPredicted) Schedule(ctx *sim.SlotContext) (*sim.Assignment, err
 			}
 			spreadDemand(predicted, h, total, p.shares[h])
 		}
+		predicted.Fold()
 	}
 
 	// Learn from the true demand for future slots.

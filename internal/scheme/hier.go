@@ -93,6 +93,7 @@ func (p *Hierarchical) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) {
 		})
 		virtualCap[k] += capacity[h]
 	}
+	virtualDemand.Fold()
 	virtualPlan, err := p.virtual.ScheduleRound(virtualDemand, core.Constraints{Service: virtualCap})
 	if err != nil {
 		return nil, fmt.Errorf("scheme: virtual round: %w", err)
@@ -102,6 +103,7 @@ func (p *Hierarchical) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) {
 	// per-region rounds run.
 	working := ctx.Demand.Clone()
 	cross := realizeCross(working, part, virtualPlan.Redirects, capacity)
+	working.Fold()
 
 	// Stage 2: per-region rounds on the adjusted demand.
 	plan, err := p.local.ScheduleRound(working, core.Constraints{Service: capacity, Cache: cache})
@@ -117,16 +119,17 @@ func (p *Hierarchical) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) {
 		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.Video, b.Video))
 	})
 	kept := cross[:0]
+	added := make([][]int32, len(cache))
 	for _, mv := range cross {
-		held := plan.Placement[mv.To]
-		if !held.Contains(int(mv.Video)) {
-			if held.Len() >= cache[mv.To] {
+		if !plan.Placement.Contains(int(mv.To), int(mv.Video)) && !slices.Contains(added[mv.To], int32(mv.Video)) {
+			if plan.Placement.Len(int(mv.To))+len(added[mv.To]) >= cache[mv.To] {
 				continue
 			}
-			held.Add(int(mv.Video))
+			added[mv.To] = append(added[mv.To], int32(mv.Video))
 		}
 		kept = append(kept, mv)
 	}
+	plan.Placement = plan.Placement.WithAdded(added)
 
 	// Per-request targets: each (hotspot, video) queue drains its cross
 	// moves first, then the local plan's redirects.

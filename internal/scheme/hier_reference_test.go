@@ -189,8 +189,11 @@ func (p *referenceHier) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) 
 			return nil, fmt.Errorf("region: local round %d: %w", k, err)
 		}
 		for li, h := range members {
-			finalPlacement[h] = localPlan.Placement[li]
-			cacheUsed[h] = localPlan.Placement[li].Len()
+			finalPlacement[h] = similarity.NewSet()
+			for _, v := range localPlan.Placement.Row(li) {
+				finalPlacement[h].Add(int(v))
+			}
+			cacheUsed[h] = localPlan.Placement.Len(li)
 		}
 		for _, rd := range localPlan.Redirects {
 			src := p.toGlobal[k][rd.From]
@@ -270,7 +273,7 @@ func (p *referenceHier) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) 
 		}
 		targets[r] = sim.CDN
 	}
-	return &sim.Assignment{Placement: finalPlacement, Target: targets}, nil
+	return &sim.Assignment{Placement: core.PlacementOf(finalPlacement), Target: targets}, nil
 }
 
 // slotContexts packages every non-empty slot of a generated trace as a
@@ -449,7 +452,7 @@ func TestHierarchicalMatchesReference(t *testing.T) {
 					if !reflect.DeepEqual(g.Target, w.Target) {
 						t.Errorf("slot %d: targets diverge from the reference", ctx.Slot)
 					}
-					if !reflect.DeepEqual(g.Placement, w.Placement) {
+					if !g.Placement.Equal(&w.Placement) {
 						t.Errorf("slot %d: placement diverges from the reference", ctx.Slot)
 					}
 					if g.ExtraReplicas != w.ExtraReplicas {

@@ -48,7 +48,7 @@ func TestHierarchicalRepeatsUnderCacheContention(t *testing.T) {
 			if err != nil {
 				t.Fatalf("slot %d run %d: %v", ctx.Slot, run, err)
 			}
-			if !reflect.DeepEqual(got.Target, want.Target) || !reflect.DeepEqual(got.Placement, want.Placement) {
+			if !reflect.DeepEqual(got.Target, want.Target) || !got.Placement.Equal(&want.Placement) {
 				t.Fatalf("slot %d run %d: assignment differs from the first run's", ctx.Slot, run)
 			}
 		}

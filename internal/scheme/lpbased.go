@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/lp"
 	"repro/internal/sim"
 	"repro/internal/similarity"
@@ -292,5 +293,5 @@ func (s LPBased) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) {
 			}
 		}
 	}
-	return &sim.Assignment{Placement: placement, Target: targets}, nil
+	return &sim.Assignment{Placement: core.PlacementOf(placement), Target: targets}, nil
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/similarity"
 )
@@ -36,7 +37,7 @@ func (Nearest) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) {
 	}
 	targets := make([]int, len(ctx.Requests))
 	copy(targets, ctx.Nearest)
-	return &sim.Assignment{Placement: placement, Target: targets}, nil
+	return &sim.Assignment{Placement: core.PlacementOf(placement), Target: targets}, nil
 }
 
 // topLocal returns the up-to-limit most demanded videos.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/similarity"
 	"repro/internal/trace"
@@ -65,7 +66,7 @@ func routeInRadius(ctx *sim.SlotContext, scheme string, radiusKm float64, pick f
 		capLeft[h]--
 		targets[i] = h
 	}
-	return &sim.Assignment{Placement: placement, Target: targets}, nil
+	return &sim.Assignment{Placement: core.PlacementOf(placement), Target: targets}, nil
 }
 
 // neighborhoodPlacement computes the Random/PowerOfTwo cache policy:

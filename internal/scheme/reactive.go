@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"repro/internal/cache"
+	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/similarity"
 	"repro/internal/trace"
@@ -148,7 +149,7 @@ func (p *Reactive) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) {
 			fetches, newlyPlaced)
 	}
 	p.prev = placement
-	return &sim.Assignment{Placement: reported, Target: targets, ExtraReplicas: extra}, nil
+	return &sim.Assignment{Placement: core.PlacementOf(reported), Target: targets, ExtraReplicas: extra}, nil
 }
 
 // trimSet returns s when it fits limit, otherwise a deterministic

@@ -48,12 +48,13 @@ func TestNearestTargetsAndPlacement(t *testing.T) {
 			t.Fatalf("request %d targeted %d, want nearest %d", r, target, ctx.Nearest[r])
 		}
 	}
-	for h, placement := range asg.Placement {
-		if placement.Len() > world.Hotspots[h].CacheCapacity {
-			t.Fatalf("hotspot %d placement %d exceeds cache", h, placement.Len())
+	for h := 0; h < asg.Placement.Rows(); h++ {
+		placement := asg.Placement.Row(h)
+		if len(placement) > world.Hotspots[h].CacheCapacity {
+			t.Fatalf("hotspot %d placement %d exceeds cache", h, len(placement))
 		}
 		// Every placed video must have local demand.
-		for v := range placement {
+		for _, v := range placement {
 			if ctx.Demand.Count(h, trace.VideoID(v)) == 0 {
 				t.Fatalf("hotspot %d cached video %d with no local demand", h, v)
 			}
@@ -81,7 +82,7 @@ func TestRandomTargetsHoldVideoWithinRadius(t *testing.T) {
 		if target == sim.CDN {
 			continue
 		}
-		if !asg.Placement[target].Contains(int(ctx.Requests[r].Video)) {
+		if !asg.Placement.Contains(target, int(ctx.Requests[r].Video)) {
 			t.Fatalf("request %d routed to hotspot %d lacking its video", r, target)
 		}
 		agg := world.Hotspots[ctx.Nearest[r]].Location

@@ -113,6 +113,7 @@ func (s *Server) openWAL() error {
 		if reqs == 0 {
 			continue
 		}
+		d.Fold()
 		s.queue = append(s.queue, &slotSnapshot{slot: q.Slot, demand: d, requests: reqs, start: time.Now()})
 	}
 	return nil
@@ -186,18 +187,20 @@ func (s *Server) writeCheckpoint() {
 	for _, in := range s.instances {
 		in.mu.Lock()
 	}
+	pending := core.NewDemand(len(s.world.Hotspots))
 	for _, in := range s.instances {
 		if in.seq > 0 {
 			cp.Cursors[in.id] = in.seq
 		}
-		cp.Pending = appendEntries(cp.Pending, in.demand)
+		pending.Merge(in.demand.Clone())
 	}
 	for i := len(s.instances) - 1; i >= 0; i-- {
 		s.instances[i].mu.Unlock()
 	}
 	s.mu.Unlock()
 
-	cp.Pending = wal.MergeEntries(cp.Pending)
+	pending.Fold()
+	cp.Pending = appendEntries(nil, pending)
 	if err := s.wal.WriteCheckpoint(cp, mark); err != nil {
 		s.walErrors.Inc()
 	}
@@ -209,11 +212,11 @@ func (s *Server) writeCheckpoint() {
 // queuedFromSnapshot renders one queued slot snapshot as its durable
 // form.
 func queuedFromSnapshot(snap *slotSnapshot) wal.QueuedSlot {
-	es := wal.MergeEntries(appendEntries(nil, snap.demand))
-	return wal.QueuedSlot{Slot: snap.slot, Requests: snap.requests, Entries: es}
+	return wal.QueuedSlot{Slot: snap.slot, Requests: snap.requests, Entries: appendEntries(nil, snap.demand)}
 }
 
-// appendEntries appends d's entries to out in the WAL's form, unsorted.
+// appendEntries appends d's entries to out in the WAL's merged form,
+// (hotspot, video) ascending: d's rows are video-ascending already.
 func appendEntries(out []wal.Entry, d *core.Demand) []wal.Entry {
 	for h := 0; h < d.NumHotspots(); h++ {
 		d.Each(h, func(v trace.VideoID, n int64) {

@@ -146,11 +146,11 @@ func (s *Server) acceptDemand(owner *instance, h trace.HotspotID, v trace.VideoI
 	return true, nil
 }
 
-// handOver closes the frontend's slot: it returns the demand accepted
-// since the last boundary — the very object ingest accumulated into,
-// now owned by the caller — and the request count behind it, and leaves
-// the frontend accumulating into a fresh one tagged newSlot. A frontend
-// that accepted nothing hands over nil.
+// handOver closes the frontend's slot: it folds and returns the demand
+// accepted since the last boundary — the very object ingest accumulated
+// into, now owned by the caller — and the request count behind it, and
+// leaves the frontend accumulating into a fresh one tagged newSlot. A
+// frontend that accepted nothing hands over nil.
 func (in *instance) handOver(newSlot int) (*core.Demand, int64) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -159,6 +159,7 @@ func (in *instance) handOver(newSlot int) (*core.Demand, int64) {
 		return nil, 0
 	}
 	d, n := in.demand, in.pending
+	d.Fold()
 	in.demand = core.NewDemand(d.NumHotspots())
 	in.pending = 0
 	return d, n

@@ -272,7 +272,7 @@ func TestRedirectSequencePerFrontend(t *testing.T) {
 			{From: 0, To: 1, Video: 5, Count: 2},
 			{From: 0, To: 2, Video: 5, Count: 1},
 		},
-		Placement:     make([]similarity.Set, 3),
+		Placement:     core.PlacementOf(make([]similarity.Set, 3)),
 		OverflowToCDN: make([]int64, 3),
 	}
 	canonical := plan.Canonical()

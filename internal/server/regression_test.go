@@ -106,7 +106,7 @@ func TestRedirectCursorOverflow(t *testing.T) {
 			{From: 0, To: 1, Video: 5, Count: 1},
 			{From: 0, To: 2, Video: 5, Count: 1000},
 		},
-		Placement:     make([]similarity.Set, 3),
+		Placement:     core.PlacementOf(make([]similarity.Set, 3)),
 		OverflowToCDN: make([]int64, 3),
 	}
 	sp := servingPlanOf(t, plan, 10, 1)

@@ -352,6 +352,9 @@ func (s *Server) advance(done chan struct{}, final bool) (slot int, ok bool) {
 		}
 		n += k
 	}
+	if demand != nil {
+		demand.Fold() // the rows several frontends held, merged
+	}
 	s.reg.Counter("server.slots").Inc()
 	if demand == nil {
 		s.reg.Counter("server.slots.empty").Inc()
@@ -392,6 +395,7 @@ func (s *Server) advance(done chan struct{}, final bool) (slot int, ok bool) {
 		// FIFO order.
 		last := s.queue[len(s.queue)-1]
 		last.demand.Merge(demand)
+		last.demand.Fold()
 		last.requests += n
 		last.slot = slot
 		last.done = append(last.done, snap.done...)

@@ -396,7 +396,7 @@ func TestRedirectEntryProportionalRouting(t *testing.T) {
 			{From: 0, To: 3, Video: 5, Count: 0}, // planned nothing: never a target
 			{From: 0, To: 2, Video: 5, Count: 1},
 		},
-		Placement:     make([]similarity.Set, 4),
+		Placement:     core.PlacementOf(make([]similarity.Set, 4)),
 		OverflowToCDN: make([]int64, 4),
 	}
 	sp := servingPlanOf(t, plan, 10, 1)

@@ -1,11 +1,11 @@
 package shard
 
 import (
+	"slices"
 	"sort"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/similarity"
 	"repro/internal/trace"
 )
 
@@ -39,8 +39,8 @@ type boundaryStats struct {
 // visited nearest-first (ties by index); videos largest-remaining-
 // demand first (ties by id).
 //
-// Placement sets may be shared with per-shard delta state that is
-// retained across rounds, so they are copied on first write.
+// The videos a move places are collected per target and merged into
+// the placement once, at the end.
 func (s *Scheduler) reconcile(plan *core.Plan, d *core.Demand, svc []int64, cache []int) boundaryStats {
 	var bst boundaryStats
 	m := len(s.world.Hotspots)
@@ -69,7 +69,7 @@ func (s *Scheduler) reconcile(plan *core.Plan, d *core.Demand, svc []int64, cach
 	for j := 0; j < m; j++ {
 		retained := d.Totals[j] - outBy[j] - overflow[j]
 		slack[j] = svc[j] - retained - inBy[j]
-		cacheFree[j] = cache[j] - plan.Placement[j].Len()
+		cacheFree[j] = cache[j] - plan.Placement.Len(j)
 	}
 
 	// Shard overflow totals drive the source order: drain the most
@@ -96,19 +96,7 @@ func (s *Scheduler) reconcile(plan *core.Plan, d *core.Demand, svc []int64, cach
 		return ha < hb
 	})
 
-	cloned := make([]bool, m)
-	place := func(j int, v trace.VideoID) {
-		if !cloned[j] {
-			orig := plan.Placement[j]
-			cp := make(similarity.Set, orig.Len()+1)
-			for vid := range orig {
-				cp[vid] = struct{}{}
-			}
-			plan.Placement[j] = cp
-			cloned[j] = true
-		}
-		plan.Placement[j].Add(int(v))
-	}
+	added := make([][]int32, m)
 
 	type videoAvail struct {
 		v     trace.VideoID
@@ -171,7 +159,7 @@ func (s *Scheduler) reconcile(plan *core.Plan, d *core.Demand, svc []int64, cach
 				if slack[j] <= 0 {
 					continue
 				}
-				placed := plan.Placement[j].Contains(int(v))
+				placed := plan.Placement.Contains(j, int(v)) || slices.Contains(added[j], int32(v))
 				if !placed && cacheFree[j] <= 0 {
 					continue
 				}
@@ -186,7 +174,7 @@ func (s *Scheduler) reconcile(plan *core.Plan, d *core.Demand, svc []int64, cach
 					continue
 				}
 				if !placed {
-					place(j, v)
+					added[j] = append(added[j], int32(v))
 					cacheFree[j]--
 					bst.replicasAdded++
 				}
@@ -207,6 +195,9 @@ func (s *Scheduler) reconcile(plan *core.Plan, d *core.Demand, svc []int64, cach
 				bst.movedFlow += amt
 			}
 		}
+	}
+	if bst.replicasAdded > 0 {
+		plan.Placement = plan.Placement.WithAdded(added)
 	}
 	return bst
 }

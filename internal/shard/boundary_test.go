@@ -106,7 +106,7 @@ func boundaryCases() []boundaryCase {
 				if s.part.OfHotspot[r.From] == s.part.OfHotspot[r.To] {
 					t.Error("boundary move is not cross-shard")
 				}
-				if !plan.Placement[r.To].Contains(int(r.Video)) {
+				if !plan.Placement.Contains(int(r.To), int(r.Video)) {
 					t.Error("boundary move target does not place the video")
 				}
 			},

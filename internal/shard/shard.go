@@ -19,7 +19,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/region"
-	"repro/internal/similarity"
 	"repro/internal/trace"
 )
 
@@ -151,7 +150,7 @@ func (s *Scheduler) ScheduleRound(d *core.Demand, cons core.Constraints) (*core.
 	// Split the demand and constraints per shard. Rows are copied
 	// entry by entry: per-shard schedulers in delta mode retain the
 	// demand they are handed across rounds, so handing them views of
-	// the caller's maps would break the delta caller contract.
+	// the caller's rows would break the delta caller contract.
 	subDemands := make([]*core.Demand, len(s.scheds))
 	subCons := make([]core.Constraints, len(s.scheds))
 	for k, toGlobal := range s.toGlobal {
@@ -165,6 +164,7 @@ func (s *Scheduler) ScheduleRound(d *core.Demand, cons core.Constraints) (*core.
 			ssvc[li] = svc[g]
 			scache[li] = cache[g]
 		}
+		sd.Fold()
 		subDemands[k] = sd
 		subCons[k] = core.Constraints{Service: ssvc, Cache: scache}
 	}
@@ -195,16 +195,14 @@ func (s *Scheduler) ScheduleRound(d *core.Demand, cons core.Constraints) (*core.
 	// Merge in shard-index order (the ordering contract: shard k's
 	// redirects precede shard k+1's, boundary moves come last).
 	m := len(s.world.Hotspots)
-	merged := &core.Plan{
-		Placement:     make([]similarity.Set, m),
-		OverflowToCDN: make([]int64, m),
-	}
+	merged := &core.Plan{OverflowToCDN: make([]int64, m)}
+	rows := make([][]int32, m)
 	var sumUnrealized int64
 	for k := range rounds {
 		lp := rounds[k].plan
 		tg := s.toGlobal[k]
 		for li := range tg {
-			merged.Placement[tg[li]] = lp.Placement[li]
+			rows[tg[li]] = lp.Placement.Row(li)
 			merged.OverflowToCDN[tg[li]] = lp.OverflowToCDN[li]
 		}
 		for _, r := range lp.Redirects {
@@ -237,6 +235,9 @@ func (s *Scheduler) ScheduleRound(d *core.Demand, cons core.Constraints) (*core.
 		}
 	}
 	merged.Stats.Degraded = merged.Degraded
+	for _, row := range rows {
+		merged.Placement.AppendRow(row)
+	}
 
 	// Boundary reconciliation: offload residual overload across shard
 	// edges into other shards' remaining slack.
@@ -286,7 +287,7 @@ func (s *Scheduler) finalizeStats(plan *core.Plan, d *core.Demand, svc []int64, 
 	}
 	for h := range plan.OverflowToCDN {
 		stranded += plan.OverflowToCDN[h]
-		replicas += int64(plan.Placement[h].Len())
+		replicas += int64(plan.Placement.Len(h))
 	}
 	maxFlow := overSum
 	if underSum < maxFlow {

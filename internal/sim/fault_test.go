@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"repro/internal/core"
 	"sort"
 	"testing"
 
@@ -57,7 +58,7 @@ func (resilientPolicy) Schedule(ctx *SlotContext) (*Assignment, error) {
 		}
 	}
 	return &Assignment{
-		Placement:      placement,
+		Placement:      core.PlacementOf(placement),
 		Target:         targets,
 		Degraded:       salt == 3,
 		StrandedDemand: stranded,
@@ -253,7 +254,7 @@ func TestCapacityDegradationBoundsServing(t *testing.T) {
 	naive := stubPolicy{name: "nominal-budget", schedule: func(ctx *SlotContext) (*Assignment, error) {
 		// Deliberately budget against nominal capacity to prove the
 		// simulator enforces the degraded one.
-		return &Assignment{Placement: placeEverything(ctx), Target: append([]int(nil), ctx.Nearest...)}, nil
+		return &Assignment{Placement: core.PlacementOf(placeEverything(ctx)), Target: append([]int(nil), ctx.Nearest...)}, nil
 	}}
 	opts := Options{Faults: &fault.Scenario{
 		Degradations: []fault.CapacityDegradation{
@@ -287,7 +288,7 @@ func TestStaleReportsLagDemandView(t *testing.T) {
 		for i := range targets {
 			targets[i] = CDN
 		}
-		return &Assignment{Placement: []similarity.Set{{}, {}}, Target: targets}, nil
+		return &Assignment{Placement: core.PlacementOf([]similarity.Set{{}, {}}), Target: targets}, nil
 	}}
 	opts := Options{Faults: &fault.Scenario{Staleness: &fault.StaleReports{LagSlots: 1}}}
 	m, err := Run(world, tr, recorder, opts)
@@ -319,7 +320,7 @@ func TestDroppedReportsHideDemand(t *testing.T) {
 		for i := range targets {
 			targets[i] = CDN
 		}
-		return &Assignment{Placement: []similarity.Set{{}, {}}, Target: targets}, nil
+		return &Assignment{Placement: core.PlacementOf([]similarity.Set{{}, {}}), Target: targets}, nil
 	}}
 	opts := Options{Faults: &fault.Scenario{Staleness: &fault.StaleReports{DropFraction: 1}}}
 	if _, err := Run(world, tr, recorder, opts); err != nil {
@@ -367,7 +368,7 @@ func TestDegradedAssignmentMetrics(t *testing.T) {
 			targets[i] = CDN
 		}
 		return &Assignment{
-			Placement:      []similarity.Set{{}, {}},
+			Placement:      core.PlacementOf([]similarity.Set{{}, {}}),
 			Target:         targets,
 			Degraded:       true,
 			StrandedDemand: 2,
@@ -387,7 +388,7 @@ func TestDegradedAssignmentMetrics(t *testing.T) {
 		for i := range targets {
 			targets[i] = CDN
 		}
-		return &Assignment{Placement: []similarity.Set{{}, {}}, Target: targets, StrandedDemand: -1}, nil
+		return &Assignment{Placement: core.PlacementOf([]similarity.Set{{}, {}}), Target: targets, StrandedDemand: -1}, nil
 	}}
 	if _, err := Run(world, tr, negative, Options{}); err == nil {
 		t.Error("negative StrandedDemand accepted")

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/similarity"
 	"repro/internal/trace"
 )
 
@@ -24,12 +23,11 @@ func (planStubPolicy) Schedule(ctx *SlotContext) (*Assignment, error) {
 		targets[r] = CDN
 	}
 	plan := &core.Plan{
-		Placement:     make([]similarity.Set, m),
+		Placement:     core.PlacementOf(placement),
 		OverflowToCDN: make([]int64, m),
 		Flows:         []core.FlowEdge{{From: 0, To: 1, Amount: int64(ctx.Slot)}},
 	}
-	copy(plan.Placement, placement)
-	return &Assignment{Placement: placement, Target: targets, Plan: plan}, nil
+	return &Assignment{Placement: core.PlacementOf(placement), Target: targets, Plan: plan}, nil
 }
 
 // TestPlanSinkSlotOrder locks in the PlanSink contract: plans arrive in
@@ -102,7 +100,7 @@ func TestPlanSinkSkipsPlanlessPolicies(t *testing.T) {
 	called := false
 	policy := stubPolicy{name: "planless", schedule: func(ctx *SlotContext) (*Assignment, error) {
 		return &Assignment{
-			Placement: placeEverything(ctx),
+			Placement: core.PlacementOf(placeEverything(ctx)),
 			Target:    []int{CDN},
 		}, nil
 	}}

@@ -10,7 +10,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 	"time"
@@ -20,7 +19,6 @@ import (
 	"repro/internal/geo"
 	"repro/internal/obs"
 	"repro/internal/par"
-	"repro/internal/similarity"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -88,8 +86,9 @@ func (ctx *SlotContext) EffectiveCacheCapacity() []int {
 
 // Assignment is a policy's decision for one slot.
 type Assignment struct {
-	// Placement[h] is the set of videos hotspot h caches this slot.
-	Placement []similarity.Set
+	// Placement is the videos each hotspot caches this slot, row h
+	// hotspot h's.
+	Placement core.PlacementRuns
 	// Target[r] is the hotspot index that should serve Requests[r], or
 	// CDN. The simulator enforces feasibility: an infeasible target
 	// (video not placed, capacity exhausted) falls back to the CDN and
@@ -331,7 +330,7 @@ func run(world *trace.World, tr *trace.Trace, policies []Scheduler, opts Options
 	}
 	metrics.FlashInjectedRequests = injected
 	var distanceSum float64
-	prevPlacement := make([]similarity.Set, len(world.Hotspots))
+	var prevPlacement core.PlacementRuns // no rows: nothing cached yet
 
 	bySlot := tr.BySlot()
 	window := make([]*slotWork, 0, len(policies))
@@ -508,11 +507,7 @@ func validateRun(world *trace.World, tr *trace.Trace, opts Options) error {
 func scheduleSlot(world *trace.World, index *geo.Grid, policy Scheduler, opts Options, w *slotWork) error {
 	slotIndex := index
 	if w.offline != nil {
-		var err error
-		slotIndex, err = onlineIndex(world, w.offline)
-		if err != nil {
-			return err
-		}
+		slotIndex = index.Subset(func(h int) bool { return !w.offline[h] })
 	}
 	ctx, err := BuildSlotContext(world, slotIndex, w.slot, w.requests, stats.SplitRand(opts.Seed, fmt.Sprintf("slot-%d", w.slot)))
 	if err != nil {
@@ -550,6 +545,7 @@ func scheduleSlot(world *trace.World, index *geo.Grid, policy Scheduler, opts Op
 				}
 			}
 		}
+		reported.Fold()
 		ctx.Demand = reported
 	}
 	w.ctx = ctx
@@ -571,7 +567,7 @@ func scheduleSlot(world *trace.World, index *geo.Grid, policy Scheduler, opts Op
 // accounting, replica pushes against the previous placement, and
 // serving every request in order under placement and capacity
 // constraints. It must be called in slot order.
-func applySlot(world *trace.World, opts Options, metrics *Metrics, w *slotWork, prevPlacement []similarity.Set, distanceSum *float64) error {
+func applySlot(world *trace.World, opts Options, metrics *Metrics, w *slotWork, prevPlacement core.PlacementRuns, distanceSum *float64) error {
 	m := len(world.Hotspots)
 	slot, requests := w.slot, w.requests
 
@@ -602,6 +598,14 @@ func applySlot(world *trace.World, opts Options, metrics *Metrics, w *slotWork, 
 		metrics.PerHotspotLoad[h] += w.actual.Totals[h]
 	}
 
+	// Whether each request's target places its video, for all requests
+	// at once; the serving loop below then spends capacity in order.
+	videos := make([]trace.VideoID, len(requests))
+	for r := range requests {
+		videos[r] = requests[r].Video
+	}
+	placedAt := asg.Placement.Locate(core.NewProbes(asg.Target, videos, m, world.NumVideos))
+
 	slotServedBefore := metrics.ServedByHotspot
 	slotCDNBefore := metrics.ServedByCDN
 	slotReplicasBefore := metrics.Replicas
@@ -611,20 +615,20 @@ func applySlot(world *trace.World, opts Options, metrics *Metrics, w *slotWork, 
 	// Placements are bounded by the slot's effective (possibly
 	// degraded) cache capacities.
 	for h := 0; h < m; h++ {
-		pl := asg.Placement[h]
+		row := asg.Placement.Row(h)
 		cacheCap := world.Hotspots[h].CacheCapacity
 		if w.cache != nil {
 			cacheCap = w.cache[h]
 		}
-		if pl.Len() > cacheCap {
+		if len(row) > cacheCap {
 			return fmt.Errorf("sim: %s slot %d: hotspot %d placement %d exceeds cache %d",
-				metrics.Scheme, slot, h, pl.Len(), cacheCap)
+				metrics.Scheme, slot, h, len(row), cacheCap)
 		}
-		for v := range pl {
-			if prevPlacement[h] == nil || !prevPlacement[h].Contains(v) {
-				metrics.Replicas++
-			}
+		var prev []int32
+		if prevPlacement.Rows() > 0 {
+			prev = prevPlacement.Row(h)
 		}
+		metrics.Replicas += int64(newIn(row, prev))
 	}
 
 	// Serve requests in order, enforcing placement and effective
@@ -643,7 +647,7 @@ func applySlot(world *trace.World, opts Options, metrics *Metrics, w *slotWork, 
 	for r, req := range requests {
 		target := asg.Target[r]
 		if target != CDN {
-			feasible := capLeft[target] > 0 && asg.Placement[target].Contains(int(req.Video))
+			feasible := capLeft[target] > 0 && placedAt[r] >= 0
 			if !feasible {
 				metrics.Infeasible++
 				target = CDN
@@ -711,6 +715,21 @@ func applySlot(world *trace.World, opts Options, metrics *Metrics, w *slotWork, 
 	return sinkSlot(opts, sm)
 }
 
+// newIn counts the ids of the ascending run row that the ascending run
+// prev lacks, in one merge walk.
+func newIn(row, prev []int32) int {
+	n := 0
+	for _, v := range row {
+		for len(prev) > 0 && prev[0] < v {
+			prev = prev[1:]
+		}
+		if len(prev) == 0 || prev[0] != v {
+			n++
+		}
+	}
+	return n
+}
+
 // sinkSlot hands one applied slot's metrics to the SlotSink, if any,
 // whose error aborts the run.
 func sinkSlot(opts Options, sm SlotMetrics) error {
@@ -774,15 +793,17 @@ func finalizeMetrics(world *trace.World, metrics *Metrics, distanceSum float64) 
 // policies and experiments that drive scheduling outside Run.
 func BuildSlotContext(world *trace.World, index *geo.Grid, slot int, requests []trace.Request, rng *rand.Rand) (*SlotContext, error) {
 	nearest := make([]int, len(requests))
-	demand := core.NewDemand(len(world.Hotspots))
 	for r, req := range requests {
 		h, _, ok := index.Nearest(req.Location)
 		if !ok {
 			return nil, fmt.Errorf("sim: no hotspot found for request %d", req.ID)
 		}
+		if req.Video < 0 || int(req.Video) >= world.NumVideos {
+			return nil, fmt.Errorf("sim: request %d video %d outside [0, %d)", req.ID, req.Video, world.NumVideos)
+		}
 		nearest[r] = h
-		demand.Add(trace.HotspotID(h), req.Video, 1)
 	}
+	demand := core.AggregateDemand(len(world.Hotspots), nearest, requests)
 	capacity := make([]int64, len(world.Hotspots))
 	for h := range world.Hotspots {
 		capacity[h] = world.Hotspots[h].ServiceCapacity
@@ -799,30 +820,12 @@ func BuildSlotContext(world *trace.World, index *geo.Grid, slot int, requests []
 	}, nil
 }
 
-// onlineIndex builds a spatial index over the world's online hotspots.
-func onlineIndex(world *trace.World, offline []bool) (*geo.Grid, error) {
-	cell := 1.0
-	if n := len(world.Hotspots); n > 0 {
-		cell = math.Max(0.05, math.Sqrt(world.Bounds.Area()/float64(n)))
-	}
-	g, err := geo.NewGrid(world.Bounds, cell)
-	if err != nil {
-		return nil, fmt.Errorf("sim: building online index: %w", err)
-	}
-	for _, h := range world.Hotspots {
-		if !offline[h.ID] {
-			g.Insert(int(h.ID), h.Location)
-		}
-	}
-	return g, nil
-}
-
 func checkAssignment(asg *Assignment, numHotspots, numRequests int) error {
 	if asg == nil {
 		return fmt.Errorf("nil assignment")
 	}
-	if len(asg.Placement) != numHotspots {
-		return fmt.Errorf("placement covers %d hotspots, want %d", len(asg.Placement), numHotspots)
+	if asg.Placement.Rows() != numHotspots {
+		return fmt.Errorf("placement covers %d hotspots, want %d", asg.Placement.Rows(), numHotspots)
 	}
 	if len(asg.Target) != numRequests {
 		return fmt.Errorf("assignment covers %d requests, want %d", len(asg.Target), numRequests)

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"repro/internal/core"
 	"sort"
 	"testing"
 
@@ -70,7 +71,7 @@ func TestRunInputValidation(t *testing.T) {
 	world := twoHotspotWorld()
 	tr := &trace.Trace{Slots: 1, Requests: requestsAt([]trace.VideoID{1}, 0, 0)}
 	nearest := stubPolicy{name: "stub", schedule: func(ctx *SlotContext) (*Assignment, error) {
-		return &Assignment{Placement: placeEverything(ctx), Target: append([]int(nil), ctx.Nearest...)}, nil
+		return &Assignment{Placement: core.PlacementOf(placeEverything(ctx)), Target: append([]int(nil), ctx.Nearest...)}, nil
 	}}
 	if _, err := Run(nil, tr, nearest, Options{}); err == nil {
 		t.Error("Run(nil world) succeeded")
@@ -97,7 +98,7 @@ func TestRunServesFeasibleTargets(t *testing.T) {
 	// Two requests at hotspot 0 for video 1: capacity 2, cache fits.
 	tr := &trace.Trace{Slots: 1, Requests: requestsAt([]trace.VideoID{1, 1}, 0.1, 0)}
 	policy := stubPolicy{name: "local", schedule: func(ctx *SlotContext) (*Assignment, error) {
-		return &Assignment{Placement: placeEverything(ctx), Target: append([]int(nil), ctx.Nearest...)}, nil
+		return &Assignment{Placement: core.PlacementOf(placeEverything(ctx)), Target: append([]int(nil), ctx.Nearest...)}, nil
 	}}
 	m, err := Run(world, tr, policy, Options{Seed: 1})
 	if err != nil {
@@ -133,7 +134,7 @@ func TestRunEnforcesCapacity(t *testing.T) {
 	// Three requests at hotspot 0: capacity 2 → one bounced to CDN.
 	tr := &trace.Trace{Slots: 1, Requests: requestsAt([]trace.VideoID{1, 1, 1}, 0, 0)}
 	policy := stubPolicy{name: "overload", schedule: func(ctx *SlotContext) (*Assignment, error) {
-		return &Assignment{Placement: placeEverything(ctx), Target: append([]int(nil), ctx.Nearest...)}, nil
+		return &Assignment{Placement: core.PlacementOf(placeEverything(ctx)), Target: append([]int(nil), ctx.Nearest...)}, nil
 	}}
 	m, err := Run(world, tr, policy, Options{})
 	if err != nil {
@@ -154,7 +155,7 @@ func TestRunEnforcesPlacement(t *testing.T) {
 	tr := &trace.Trace{Slots: 1, Requests: requestsAt([]trace.VideoID{1}, 0, 0)}
 	policy := stubPolicy{name: "no-placement", schedule: func(ctx *SlotContext) (*Assignment, error) {
 		placement := []similarity.Set{similarity.NewSet(), similarity.NewSet()}
-		return &Assignment{Placement: placement, Target: append([]int(nil), ctx.Nearest...)}, nil
+		return &Assignment{Placement: core.PlacementOf(placement), Target: append([]int(nil), ctx.Nearest...)}, nil
 	}}
 	m, err := Run(world, tr, policy, Options{})
 	if err != nil {
@@ -170,7 +171,7 @@ func TestRunRejectsOversizedPlacement(t *testing.T) {
 	tr := &trace.Trace{Slots: 1, Requests: requestsAt([]trace.VideoID{1}, 0, 0)}
 	policy := stubPolicy{name: "cache-buster", schedule: func(ctx *SlotContext) (*Assignment, error) {
 		placement := []similarity.Set{similarity.NewSet(1, 2, 3), similarity.NewSet()}
-		return &Assignment{Placement: placement, Target: append([]int(nil), ctx.Nearest...)}, nil
+		return &Assignment{Placement: core.PlacementOf(placement), Target: append([]int(nil), ctx.Nearest...)}, nil
 	}}
 	if _, err := Run(world, tr, policy, Options{}); err == nil {
 		t.Error("Run accepted placement exceeding cache capacity")
@@ -183,13 +184,13 @@ func TestRunRejectsBadAssignment(t *testing.T) {
 	cases := map[string]func(ctx *SlotContext) (*Assignment, error){
 		"nil assignment": func(ctx *SlotContext) (*Assignment, error) { return nil, nil },
 		"short placement": func(ctx *SlotContext) (*Assignment, error) {
-			return &Assignment{Placement: []similarity.Set{similarity.NewSet()}, Target: []int{0}}, nil
+			return &Assignment{Placement: core.PlacementOf([]similarity.Set{similarity.NewSet()}), Target: []int{0}}, nil
 		},
 		"short targets": func(ctx *SlotContext) (*Assignment, error) {
-			return &Assignment{Placement: placeEverything(ctx), Target: nil}, nil
+			return &Assignment{Placement: core.PlacementOf(placeEverything(ctx)), Target: nil}, nil
 		},
 		"target out of range": func(ctx *SlotContext) (*Assignment, error) {
-			return &Assignment{Placement: placeEverything(ctx), Target: []int{7}}, nil
+			return &Assignment{Placement: core.PlacementOf(placeEverything(ctx)), Target: []int{7}}, nil
 		},
 		"policy error": func(ctx *SlotContext) (*Assignment, error) {
 			return nil, fmt.Errorf("boom")
@@ -213,7 +214,7 @@ func TestRunReplicaAccountingAcrossSlots(t *testing.T) {
 	// The same placement both slots: the replica is pushed once.
 	stable := stubPolicy{name: "stable", schedule: func(ctx *SlotContext) (*Assignment, error) {
 		placement := []similarity.Set{similarity.NewSet(1), similarity.NewSet()}
-		return &Assignment{Placement: placement, Target: append([]int(nil), ctx.Nearest...)}, nil
+		return &Assignment{Placement: core.PlacementOf(placement), Target: append([]int(nil), ctx.Nearest...)}, nil
 	}}
 	m, err := Run(world, tr, stable, Options{})
 	if err != nil {
@@ -234,7 +235,7 @@ func TestRunReplicaAccountingAcrossSlots(t *testing.T) {
 		for i := range targets {
 			targets[i] = CDN
 		}
-		return &Assignment{Placement: placement, Target: targets}, nil
+		return &Assignment{Placement: core.PlacementOf(placement), Target: targets}, nil
 	}}
 	m2, err := Run(world, tr, churn, Options{})
 	if err != nil {
@@ -258,7 +259,7 @@ func TestRunSlotLoads(t *testing.T) {
 			targets[i] = CDN
 		}
 		placement := []similarity.Set{similarity.NewSet(), similarity.NewSet()}
-		return &Assignment{Placement: placement, Target: targets}, nil
+		return &Assignment{Placement: core.PlacementOf(placement), Target: targets}, nil
 	}}
 	m, err := Run(world, tr, policy, Options{})
 	if err != nil {
@@ -332,7 +333,7 @@ func TestRunWithChurn(t *testing.T) {
 				targets[r] = CDN
 			}
 		}
-		return &Assignment{Placement: placement, Target: targets}, nil
+		return &Assignment{Placement: core.PlacementOf(placement), Target: targets}, nil
 	}}
 	m, err := Run(world, tr, policy, Options{Seed: 3, Faults: &fault.Scenario{Churn: &fault.MarkovChurn{FailPerSlot: 0.5, RecoverPerSlot: 0.5}}})
 	if err != nil {
@@ -388,10 +389,12 @@ func TestEffectiveCapacityFallback(t *testing.T) {
 
 func TestOnlineIndexExcludesOffline(t *testing.T) {
 	world := twoHotspotWorld()
-	idx, err := onlineIndex(world, []bool{true, false})
+	full, err := world.Index()
 	if err != nil {
-		t.Fatalf("onlineIndex: %v", err)
+		t.Fatal(err)
 	}
+	offline := []bool{true, false}
+	idx := full.Subset(func(h int) bool { return !offline[h] })
 	if idx.Len() != 1 {
 		t.Fatalf("online index has %d points, want 1", idx.Len())
 	}
@@ -407,7 +410,7 @@ func TestRunRejectsNegativeExtraReplicas(t *testing.T) {
 	policy := stubPolicy{name: "bad-extra", schedule: func(ctx *SlotContext) (*Assignment, error) {
 		targets := []int{CDN}
 		placement := []similarity.Set{similarity.NewSet(), similarity.NewSet()}
-		return &Assignment{Placement: placement, Target: targets, ExtraReplicas: -1}, nil
+		return &Assignment{Placement: core.PlacementOf(placement), Target: targets, ExtraReplicas: -1}, nil
 	}}
 	if _, err := Run(world, tr, policy, Options{}); err == nil {
 		t.Error("negative ExtraReplicas accepted")
@@ -424,7 +427,7 @@ func TestRunKeepsSlotMetrics(t *testing.T) {
 	}
 	tr := &trace.Trace{Slots: 2, Requests: reqs}
 	policy := stubPolicy{name: "local", schedule: func(ctx *SlotContext) (*Assignment, error) {
-		return &Assignment{Placement: placeEverything(ctx), Target: append([]int(nil), ctx.Nearest...)}, nil
+		return &Assignment{Placement: core.PlacementOf(placeEverything(ctx)), Target: append([]int(nil), ctx.Nearest...)}, nil
 	}}
 	var timeline []SlotMetrics
 	m, err := Run(world, tr, policy, withTimeline(Options{}, &timeline))
@@ -490,7 +493,7 @@ func (saltedPolicy) Schedule(ctx *SlotContext) (*Assignment, error) {
 			targets[r] = CDN
 		}
 	}
-	return &Assignment{Placement: placement, Target: targets}, nil
+	return &Assignment{Placement: core.PlacementOf(placement), Target: targets}, nil
 }
 
 // TestRunParallelMatchesRun locks in RunParallel's contract: for a

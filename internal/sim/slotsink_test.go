@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"repro/internal/core"
 	"sync"
 	"testing"
 
@@ -44,7 +45,7 @@ func (cdnOnly) Schedule(ctx *SlotContext) (*Assignment, error) {
 	for h := range placement {
 		placement[h] = similarity.NewSet()
 	}
-	return &Assignment{Placement: placement, Target: target}, nil
+	return &Assignment{Placement: core.PlacementOf(placement), Target: target}, nil
 }
 
 // withTimeline returns opts with a SlotSink that appends every applied

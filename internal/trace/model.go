@@ -19,7 +19,6 @@ package trace
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/geo"
 )
@@ -116,18 +115,16 @@ func (w *World) OverrideCapacities(svcFrac, cacheFrac float64) {
 }
 
 // Index builds a spatial index over the world's hotspots for
-// nearest/range queries. Cell size is chosen for ~1 hotspot per cell.
+// nearest/range queries (geo.NewIndex: about one hotspot per cell).
 func (w *World) Index() (*geo.Grid, error) {
-	cell := 1.0
-	if n := len(w.Hotspots); n > 0 {
-		cell = math.Max(0.05, math.Sqrt(w.Bounds.Area()/float64(n)))
+	ids := make([]int, len(w.Hotspots))
+	pts := make([]geo.Point, len(w.Hotspots))
+	for i, h := range w.Hotspots {
+		ids[i], pts[i] = int(h.ID), h.Location
 	}
-	g, err := geo.NewGrid(w.Bounds, cell)
+	g, err := geo.NewIndex(w.Bounds, ids, pts)
 	if err != nil {
 		return nil, fmt.Errorf("trace: building hotspot index: %w", err)
-	}
-	for _, h := range w.Hotspots {
-		g.Insert(int(h.ID), h.Location)
 	}
 	return g, nil
 }

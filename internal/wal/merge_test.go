@@ -10,7 +10,7 @@ import (
 	"testing"
 )
 
-// oracleMerge is MergeEntries by map and comparison sort.
+// oracleMerge is mergeEntries by map and comparison sort.
 func oracleMerge(es []Entry) []Entry {
 	m := make(map[entryKey]int64)
 	for _, e := range es {
@@ -19,17 +19,17 @@ func oracleMerge(es []Entry) []Entry {
 	return sortedEntries(m)
 }
 
-// requireMergeMatchesOracle holds MergeEntries to oracleMerge on es,
+// requireMergeMatchesOracle holds mergeEntries to oracleMerge on es,
 // leaving es itself untouched.
 func requireMergeMatchesOracle(t *testing.T, es []Entry, ctx string) {
 	t.Helper()
 	want := oracleMerge(es)
-	got := MergeEntries(slices.Clone(es))
+	got, _ := mergeEntries(slices.Clone(es), nil)
 	if len(got) == 0 && len(want) == 0 {
 		return
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s: MergeEntries = %+v, want %+v", ctx, got, want)
+		t.Fatalf("%s: mergeEntries = %+v, want %+v", ctx, got, want)
 	}
 }
 
@@ -120,7 +120,7 @@ func TestMergeEntriesMatchesOracle(t *testing.T) {
 	})
 }
 
-// FuzzMergeEntries holds MergeEntries to the oracle on arbitrary entry
+// FuzzMergeEntries holds mergeEntries to the oracle on arbitrary entry
 // lists: each entry is three uvarints (hotspot, video, count) of the
 // input, the ids bounded by maxEntityValue.
 func FuzzMergeEntries(f *testing.F) {

@@ -359,16 +359,10 @@ func settle(es, scratch []Entry) ([]Entry, []Entry) {
 	return append(make([]Entry, 0, len(es)), es...), scratch
 }
 
-// MergeEntries puts es in (hotspot, video) order and sums the counts
-// of equal keys, in place, returning the merged prefix: the
-// deterministic form of checkpoint bytes and of recovered state.
-func MergeEntries(es []Entry) []Entry {
-	es, _ = mergeEntries(es, nil)
-	return es
-}
-
-// mergeEntries is MergeEntries through a reusable scratch buffer,
-// returned (grown to len(es) if it was shorter) for the next call. The
+// mergeEntries puts es in (hotspot, video) order and sums the counts
+// of equal keys, in place, returning the merged prefix — the
+// deterministic form of recovered state — and a reusable scratch
+// buffer (grown to len(es) if it was shorter) for the next call. The
 // order comes from stable counting passes — one per byte of the span
 // of video ids present, then one per byte of the span of hotspot ids
 // (the pattern of similarity.orderByID, moving entries rather than

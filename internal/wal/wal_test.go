@@ -32,7 +32,7 @@ func testPlanBytes(t testing.TB, epoch int64) ([]byte, uint64) {
 	p := &core.Plan{
 		Flows:         []core.FlowEdge{{From: 0, To: 1, Amount: epoch + 3}},
 		Redirects:     []core.Redirect{{From: 1, To: 0, Video: 2, Count: epoch}},
-		Placement:     []similarity.Set{mkset(1, 2), mkset(0)},
+		Placement:     core.PlacementOf([]similarity.Set{mkset(1, 2), mkset(0)}),
 		OverflowToCDN: []int64{0, epoch},
 	}
 	c := p.Canonical()
