@@ -65,24 +65,34 @@ func BenchmarkGridNearest(b *testing.B) {
 	}
 }
 
-// BenchmarkSimSlot times sim.Run under RBCAer over a bench-shaped
-// 310-hotspot trace, reported per slot: aggregation, the round, the
-// plan's materialisation and the slot's evaluation, the path the
-// serving benchmark's sim_slot_ms measures.
+// BenchmarkSimSlot times the simulator under RBCAer over bench-shaped
+// traces, reported per slot: aggregation, the round, the plan's
+// materialisation and the slot's evaluation, the path the serving
+// benchmark's sim_slot_ms measures. The cases are one instance (which
+// is sim.Run) at 310 hotspots (edge_*) and 1,240 (city_sched), and two
+// instances at 310.
 func BenchmarkSimSlot(b *testing.B) {
-	world, tr := benchShaped(b, 1, 25000, 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, err := sim.Run(world, tr, scheme.NewRBCAer(core.DefaultParams()), sim.Options{})
-		if err != nil {
-			b.Fatal(err)
+	for _, bc := range []struct{ fleet, requests, workers int }{{1, 25000, 1}, {4, 50000, 1}, {1, 25000, 2}} {
+		world, tr := benchShaped(b, bc.fleet, bc.requests, 4)
+		name := fmt.Sprintf("hotspots=%d", len(world.Hotspots))
+		if bc.workers > 1 {
+			name += fmt.Sprintf("/workers=%d", bc.workers)
 		}
-		if m.TotalRequests != int64(len(tr.Requests)) {
-			b.Fatalf("served %d of %d requests", m.TotalRequests, len(tr.Requests))
-		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				newPolicy := func() sim.Scheduler { return scheme.NewRBCAer(core.DefaultParams()) }
+				m, err := sim.RunParallel(world, tr, newPolicy, bc.workers, sim.Options{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if m.TotalRequests != int64(len(tr.Requests)) {
+					b.Fatalf("served %d of %d requests", m.TotalRequests, len(tr.Requests))
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tr.Slots), "ns/slot")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*tr.Slots), "ns/slot")
 }
 
 // TestIndexTableBuildTime bounds the hotspot index's build, candidate

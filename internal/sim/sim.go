@@ -123,7 +123,10 @@ type Assignment struct {
 	Plan *core.Plan
 }
 
-// Scheduler is a request-redirection and content-placement policy.
+// Scheduler is a request-redirection and content-placement policy. The
+// simulator may run an instance's next Schedule while it still applies
+// the instance's previous Assignment (and sinks its Plan), so a
+// returned Assignment must not share memory the policy writes later.
 type Scheduler interface {
 	// Name identifies the policy in reports ("RBCAer", "Nearest", ...).
 	Name() string
@@ -300,15 +303,8 @@ func RunParallel(world *trace.World, tr *trace.Trace, newPolicy func() Scheduler
 	return run(world, tr, policies, opts)
 }
 
-// run is the simulator's one slot loop, a pipeline over windows of
-// W = len(policies) slots: take the next ≤ W non-empty slots, prepare
-// them in slot order, schedule them (window position k on policies[k],
-// so an instance sees every W-th non-empty slot), then apply them in
-// slot order. Only the scheduling step runs concurrently; with one
-// policy the window is one slot and the loop is strictly sequential.
-// At most W slots' contexts and assignments are live at a time, and an
-// error — a failing round, or a SlotSink abort — stops the run before
-// the next window is scheduled.
+// run validates the inputs, compiles the faults, drives the slot
+// pipeline over W = len(policies) instances and finalises the metrics.
 func run(world *trace.World, tr *trace.Trace, policies []Scheduler, opts Options) (*Metrics, error) {
 	runStart := time.Now()
 	if err := validateRun(world, tr, opts); err != nil {
@@ -324,44 +320,14 @@ func run(world *trace.World, tr *trace.Trace, policies []Scheduler, opts Options
 	}
 
 	metrics := &Metrics{
-		Scheme:           policies[0].Name(),
-		PerHotspotLoad:   make([]int64, len(world.Hotspots)),
-		PerHotspotServed: make([]int64, len(world.Hotspots)),
+		Scheme:                policies[0].Name(),
+		PerHotspotLoad:        make([]int64, len(world.Hotspots)),
+		PerHotspotServed:      make([]int64, len(world.Hotspots)),
+		FlashInjectedRequests: injected,
 	}
-	metrics.FlashInjectedRequests = injected
-	var distanceSum float64
-	var prevPlacement core.PlacementRuns // no rows: nothing cached yet
-
-	bySlot := tr.BySlot()
-	window := make([]*slotWork, 0, len(policies))
-	for next := 0; ; {
-		window = window[:0]
-		for ; next < len(bySlot) && len(window) < len(policies); next++ {
-			if len(bySlot[next]) == 0 {
-				continue
-			}
-			w := &slotWork{slot: next, requests: bySlot[next]}
-			prepareSlot(tl, bySlot, metrics, w)
-			window = append(window, w)
-		}
-		if len(window) == 0 {
-			break
-		}
-		scheduleWindow(world, index, policies, opts, window)
-		for _, w := range window {
-			if w.err != nil {
-				return nil, w.err
-			}
-			// SchedulingTime sums the per-slot rounds, i.e. total CPU
-			// time spent scheduling, not the window's wall time.
-			metrics.SchedulingTime += w.took
-			if err := applySlot(world, opts, metrics, w, prevPlacement, &distanceSum); err != nil {
-				return nil, err
-			}
-			if w.asg != nil {
-				prevPlacement = w.asg.Placement
-			}
-		}
+	distanceSum, err := pipeline(world, index, tl, tr.BySlot(), policies, opts, metrics)
+	if err != nil {
+		return nil, err
 	}
 	finalizeMetrics(world, metrics, distanceSum)
 	metrics.WallTime = time.Since(runStart)
@@ -369,39 +335,168 @@ func run(world *trace.World, tr *trace.Trace, policies []Scheduler, opts Options
 	return metrics, nil
 }
 
-// scheduleWindow schedules window[k] on policies[k], recording each
-// slot's outcome on its slotWork. A lone slot runs on the caller's
-// goroutine; otherwise each slot gets its own, and since a goroutine
-// touches only its own slotWork and policy, the final Wait is the only
-// synchronisation needed.
-func scheduleWindow(world *trace.World, index *geo.Grid, policies []Scheduler, opts Options, window []*slotWork) {
-	if len(window) == 1 {
-		if w := window[0]; !w.allOffline {
-			w.err = scheduleSlot(world, index, policies[0], opts, w)
-		}
-		return
-	}
+// pipeline is the simulator's one slot loop, three stages over the
+// non-empty slots:
+//
+//  1. one goroutine, in slot order: prepareSlot, then the slot's
+//     context (buildContext);
+//  2. the i-th non-empty slot's round on policies[i mod W], one
+//     goroutine per instance, so an instance sees every W-th non-empty
+//     slot;
+//  3. the caller's goroutine, in slot order: applySlot — replica
+//     accounting, serving, metrics, sinks and tracer.
+//
+// Slot i's round starts only once slot i−W−1 has applied, and its
+// context only once slot i−W−2 has, so at most W+2 slots are in flight;
+// with one instance, slot s+1's context and slot s−1's evaluation
+// overlap slot s's round. A failing round or a SlotSink abort at slot a
+// stops the run: the slots ≤ a+W, whose rounds were already released,
+// are still scheduled, and nothing after them. A context that cannot be
+// built stops stage 1 at its slot. A panic in stage 1 or 2 is re-raised
+// on the caller's goroutine when stage 3 reaches its slot, and every
+// goroutine is joined before pipeline returns or panics.
+func pipeline(world *trace.World, index *geo.Grid, tl *fault.Timeline, bySlot [][]trace.Request, policies []Scheduler, opts Options, metrics *Metrics) (float64, error) {
+	W := len(policies)
+	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for k, w := range window {
-		if w.allOffline {
-			continue
-		}
-		wg.Add(1)
-		go func(policy Scheduler, w *slotWork) {
-			defer wg.Done()
-			w.err = scheduleSlot(world, index, policy, opts, w)
-		}(policies[k], w)
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	in, out := make([]chan *slotWork, W), make([]chan *slotWork, W)
+	for k := range policies {
+		in[k], out[k] = make(chan *slotWork, 1), make(chan *slotWork, 1)
 	}
-	wg.Wait()
+
+	wg.Add(1 + W)
+	go func() {
+		defer wg.Done()
+		defer func() {
+			for _, c := range in {
+				close(c)
+			}
+		}()
+		var applied []chan struct{} // closes once the i-th non-empty slot applied
+		for slot, requests := range bySlot {
+			if len(requests) == 0 {
+				continue
+			}
+			i := len(applied)
+			if i >= W+2 && !await(applied[i-W-2], stop) {
+				return
+			}
+			w := &slotWork{slot: slot, requests: requests, applied: make(chan struct{})}
+			if i >= W+1 {
+				w.released = applied[i-W-1]
+			}
+			applied = append(applied, w.applied)
+			catch(w, func() {
+				prepareSlot(tl, w)
+				if !w.allOffline {
+					w.err = buildContext(world, index, tl, bySlot, opts, w)
+				}
+			})
+			built := w.err == nil && w.panicked == nil
+			// No select on stop: a worker drains its channel until it
+			// closes, and a slot whose round was released before an
+			// abort must still reach its worker.
+			in[i%W] <- w
+			if !built {
+				return
+			}
+		}
+	}()
+	for k, policy := range policies {
+		go func() {
+			defer wg.Done()
+			defer close(out[k])
+			for w := range in[k] {
+				// No context: it failed, or the whole fleet is offline.
+				if w.ctx != nil && await(w.released, stop) {
+					catch(w, func() { w.err = scheduleSlot(policy, w) })
+				}
+				select {
+				case out[k] <- w:
+				case <-stop:
+				}
+			}
+		}()
+	}
+
+	var distanceSum float64
+	var prevPlacement core.PlacementRuns // no rows: nothing cached yet
+	for i := 0; ; i++ {
+		w, ok := <-out[i%W]
+		if !ok {
+			return distanceSum, nil
+		}
+		if w.panicked != nil {
+			panic(w.panicked)
+		}
+		if w.err != nil {
+			return 0, w.err
+		}
+		metrics.OfflineHotspotSlots += w.offlineCount
+		// SchedulingTime sums the per-slot rounds, i.e. total CPU time
+		// spent scheduling, not the pipeline's wall time.
+		metrics.SchedulingTime += w.took
+		if err := applySlot(world, opts, metrics, w, prevPlacement, &distanceSum); err != nil {
+			return 0, err
+		}
+		if w.asg != nil {
+			prevPlacement = w.asg.Placement
+		}
+		close(w.applied)
+	}
 }
 
-// slotWork carries one non-empty timeslot through run's prepare →
-// schedule → apply pipeline.
+// await blocks until gate closes (true) or stop does (false); a nil
+// gate is open. A gate closed before stop still reads open, since stage
+// 3 closes a slot's gate before it can close stop, so an abort never
+// withdraws a round it had already released.
+func await(gate, stop <-chan struct{}) bool {
+	if gate == nil {
+		return true
+	}
+	select {
+	case <-gate:
+		return true
+	case <-stop:
+		select {
+		case <-gate:
+			return true
+		default:
+			return false
+		}
+	}
+}
+
+// catch runs f, recording a panic out of it on w for stage 3 to re-raise
+// on the caller's goroutine.
+func catch(w *slotWork, f func()) {
+	defer func() {
+		if r := recover(); r != nil {
+			w.panicked = r
+		}
+	}()
+	f()
+}
+
+// slotWork carries one non-empty timeslot through the pipeline's three
+// stages. Each stage writes its fields before handing w on over a
+// channel, so no field is shared.
 type slotWork struct {
-	slot       int
-	requests   []trace.Request
-	offline    []bool // nil when no hotspot is offline
-	allOffline bool
+	slot     int
+	requests []trace.Request
+	// released is closed once the non-empty slot W+1 places earlier has
+	// applied (nil: nothing to wait for); applied is this slot's.
+	released <-chan struct{}
+	applied  chan struct{}
+	offline  []bool // nil when no hotspot is offline
+	// offlineCount is how many hotspots the faults took offline this
+	// slot; stage 3 adds it to Metrics.OfflineHotspotSlots.
+	offlineCount int64
+	allOffline   bool
 	// svc is the slot's degraded per-hotspot service-capacity base row
 	// (before offline zeroing); nil means nominal. Shared with the
 	// fault timeline — never mutated.
@@ -409,21 +504,14 @@ type slotWork struct {
 	// cache is the slot's degraded per-hotspot cache capacities; nil
 	// means nominal. Shared with the fault timeline — never mutated.
 	cache []int
-	// reportRequests are the requests the scheduler's (stale) load
-	// report actually describes; nil when reports are fresh.
-	reportRequests []trace.Request
-	// drops marks hotspots whose load report was lost this slot.
-	drops []bool
-	// stale is set when the policy's demand view must be rebuilt from
-	// reportRequests/drops instead of the slot's true requests.
-	stale bool
 	// actual is the slot's true aggregated demand, kept for metrics
 	// when ctx.Demand carries the stale reported view.
-	actual *core.Demand
-	ctx    *SlotContext
-	asg    *Assignment
-	took   time.Duration
-	err    error
+	actual   *core.Demand
+	ctx      *SlotContext
+	asg      *Assignment
+	took     time.Duration
+	err      error
+	panicked any // a panic recovered in stage 1 or 2
 }
 
 // compileFaults expands Options.Faults against the run: flash crowds
@@ -454,34 +542,25 @@ func compileFaults(world *trace.World, tr *trace.Trace, opts Options) (*trace.Tr
 	return tr, tl, injected, nil
 }
 
-// prepareSlot reads the slot's offline mask, capacity rows and stale
-// report view off the fault timeline (nil in a fault-free run) and
-// counts the slot's offline hotspots. It runs sequentially in slot
-// order, since it accumulates metrics.
-func prepareSlot(tl *fault.Timeline, bySlot [][]trace.Request, metrics *Metrics, w *slotWork) {
+// prepareSlot reads the slot's offline mask and capacity rows off the
+// fault timeline (nil in a fault-free run) and counts the slot's
+// offline hotspots on w.
+func prepareSlot(tl *fault.Timeline, w *slotWork) {
 	if tl == nil {
 		return
 	}
 	if causes := tl.Causes(w.slot); causes != nil {
 		w.offline = make([]bool, len(causes))
-		online := 0
 		for h, c := range causes {
-			if c == fault.CauseNone {
-				online++
-				continue
+			if c != fault.CauseNone {
+				w.offline[h] = true
+				w.offlineCount++
 			}
-			w.offline[h] = true
-			metrics.OfflineHotspotSlots++
 		}
-		w.allOffline = online == 0
+		w.allOffline = w.offlineCount == int64(len(causes))
 	}
 	w.svc = tl.ServiceCapacities(w.slot)
 	w.cache = tl.CacheCapacities(w.slot)
-	if tl.Stale() {
-		w.stale = true
-		w.reportRequests = bySlot[tl.ReportSlot(w.slot)]
-		w.drops = tl.DroppedReports(w.slot)
-	}
 }
 
 // validateRun checks a run's inputs.
@@ -498,13 +577,11 @@ func validateRun(world *trace.World, tr *trace.Trace, opts Options) error {
 	return opts.Validate()
 }
 
-// scheduleSlot builds the slot's context (indexing only online
-// hotspots under churn or faults, degrading capacities, and swapping
-// in the stale reported demand when load reports lag) and runs one
-// policy scheduling round, recording the assignment and its duration
-// on w. Everything it reads from w was fixed by the sequential
-// prepareSlot, so slots may be scheduled concurrently in any order.
-func scheduleSlot(world *trace.World, index *geo.Grid, policy Scheduler, opts Options, w *slotWork) error {
+// buildContext builds the slot's context: it indexes only online
+// hotspots under churn or faults, degrades capacities, and swaps in the
+// stale reported demand when load reports lag. Everything it reads from
+// w was fixed by prepareSlot.
+func buildContext(world *trace.World, index *geo.Grid, tl *fault.Timeline, bySlot [][]trace.Request, opts Options, w *slotWork) error {
 	slotIndex := index
 	if w.offline != nil {
 		slotIndex = index.Subset(func(h int) bool { return !w.offline[h] })
@@ -525,21 +602,21 @@ func scheduleSlot(world *trace.World, index *geo.Grid, policy Scheduler, opts Op
 	}
 	ctx.CacheCapacity = w.cache
 	w.actual = ctx.Demand
-	if w.stale {
+	if tl != nil && tl.Stale() {
 		// The policy schedules against the load report it would have
 		// received: the lagged slot's requests aggregated through
 		// *today's* online index, minus reports lost in flight. The
 		// simulator still serves (and accounts) the true requests.
 		reported := core.NewDemand(len(world.Hotspots))
-		for _, req := range w.reportRequests {
+		for _, req := range bySlot[tl.ReportSlot(w.slot)] {
 			h, _, ok := slotIndex.Nearest(req.Location)
 			if !ok {
 				continue
 			}
 			reported.Add(trace.HotspotID(h), req.Video, 1)
 		}
-		if w.drops != nil {
-			for h, dropped := range w.drops {
+		if drops := tl.DroppedReports(w.slot); drops != nil {
+			for h, dropped := range drops {
 				if dropped {
 					reported.Clear(h)
 				}
@@ -549,14 +626,19 @@ func scheduleSlot(world *trace.World, index *geo.Grid, policy Scheduler, opts Op
 		ctx.Demand = reported
 	}
 	w.ctx = ctx
+	return nil
+}
 
+// scheduleSlot runs one policy round on the slot's context, recording
+// the assignment and its duration on w.
+func scheduleSlot(policy Scheduler, w *slotWork) error {
 	start := time.Now()
-	asg, err := policy.Schedule(ctx)
+	asg, err := policy.Schedule(w.ctx)
 	w.took = time.Since(start)
 	if err != nil {
 		return fmt.Errorf("sim: %s slot %d: %w", policy.Name(), w.slot, err)
 	}
-	if err := checkAssignment(asg, len(world.Hotspots), len(w.requests)); err != nil {
+	if err := checkAssignment(asg, len(w.ctx.World.Hotspots), len(w.requests)); err != nil {
 		return fmt.Errorf("sim: %s slot %d: %w", policy.Name(), w.slot, err)
 	}
 	w.asg = asg

@@ -4,10 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"repro/internal/core"
+	"runtime"
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/similarity"
 	"repro/internal/trace"
 )
@@ -144,11 +145,12 @@ func (p recordingPolicy) Schedule(ctx *SlotContext) (*Assignment, error) {
 	return p.cdnOnly.Schedule(ctx)
 }
 
-// TestSlotSinkAbortStopsScheduling: a fail-fast sink error stops the
-// run at the window that raised it. With three policies and an abort at
-// slot 1, the first window (slots 0-2) has been scheduled and nothing
-// after it, and the sink saw slots 0 and 1 only; a round that fails
-// likewise lets the slots before it through and stops there.
+// TestSlotSinkAbortStopsScheduling pins the pipeline's exact stopping
+// bound. An abort at slot a — a fail-fast sink error or a failing round
+// — lets exactly the slots ≤ a+W be scheduled (their rounds were
+// released before the abort) and nothing after them; the sink sees the
+// slots before a, and a itself when the sink aborted; and no goroutine
+// outlives the run.
 func TestSlotSinkAbortStopsScheduling(t *testing.T) {
 	world, tr := sinkWorldTrace(t, 9)
 	sentinel := errors.New("enough")
@@ -157,36 +159,42 @@ func TestSlotSinkAbortStopsScheduling(t *testing.T) {
 		// the sink aborts at sinkAbort; the policy fails at roundFail.
 		sinkAbort, roundFail int
 		wantSunk             []int
-		lastScheduled        int
 	}{
-		{"sink abort", 1, -1, []int{0, 1}, 2},
-		{"failing round", -1, 4, []int{0, 1, 2, 3}, 5},
+		{"sink abort", 1, -1, []int{0, 1}},
+		{"failing round", -1, 4, []int{0, 1, 2, 3}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var mu sync.Mutex
-			scheduled := make(map[int]bool)
-			policies := make([]Scheduler, 3)
-			for k := range policies {
-				policies[k] = recordingPolicy{mu: &mu, scheduled: scheduled, failAt: tc.roundFail, err: sentinel}
-			}
-			var sunk []int
-			_, err := run(world, tr, policies, Options{Seed: 1, SlotSink: func(sm SlotMetrics) error {
-				sunk = append(sunk, sm.Slot)
-				if sm.Slot == tc.sinkAbort {
-					return sentinel
-				}
-				return nil
-			}})
-			if !errors.Is(err, sentinel) {
-				t.Fatalf("run error = %v, want the sentinel", err)
-			}
-			if !reflect.DeepEqual(sunk, tc.wantSunk) {
-				t.Errorf("sink saw slots %v, want %v", sunk, tc.wantSunk)
-			}
-			for slot := 0; slot < tr.Slots; slot++ {
-				if scheduled[slot] != (slot <= tc.lastScheduled) {
-					t.Errorf("slot %d scheduled = %v; the aborting window ends at slot %d", slot, scheduled[slot], tc.lastScheduled)
-				}
+			for _, workers := range []int{1, 3} {
+				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+					var mu sync.Mutex
+					scheduled := make(map[int]bool)
+					policies := make([]Scheduler, workers)
+					for k := range policies {
+						policies[k] = recordingPolicy{mu: &mu, scheduled: scheduled, failAt: tc.roundFail, err: sentinel}
+					}
+					var sunk []int
+					base := runtime.NumGoroutine()
+					_, err := run(world, tr, policies, Options{Seed: 1, SlotSink: func(sm SlotMetrics) error {
+						sunk = append(sunk, sm.Slot)
+						if sm.Slot == tc.sinkAbort {
+							return sentinel
+						}
+						return nil
+					}})
+					checkNoLeak(t, base)
+					if !errors.Is(err, sentinel) {
+						t.Fatalf("run error = %v, want the sentinel", err)
+					}
+					if !reflect.DeepEqual(sunk, tc.wantSunk) {
+						t.Errorf("sink saw slots %v, want %v", sunk, tc.wantSunk)
+					}
+					last := max(tc.sinkAbort, tc.roundFail) + workers
+					for slot := 0; slot < tr.Slots; slot++ {
+						if scheduled[slot] != (slot <= last) {
+							t.Errorf("slot %d scheduled = %v; the run should schedule exactly the slots <= %d", slot, scheduled[slot], last)
+						}
+					}
+				})
 			}
 		})
 	}
