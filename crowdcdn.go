@@ -161,9 +161,9 @@ type (
 
 // Online serving (see internal/server and DESIGN.md §10). A Server
 // ingests live requests over HTTP, recomputes an RBCAer plan each
-// timeslot on a dedicated worker, and serves redirect lookups from an
-// atomically swapped immutable plan. Fed the same trace, it produces
-// plans byte-identical to Simulate's.
+// timeslot on a dedicated worker, and routes redirect lookups by an
+// atomically swapped plan under the simulator's routing rule. Fed the
+// same trace, it produces plans byte-identical to Simulate's.
 type (
 	// ServerConfig configures an online scheduling server.
 	ServerConfig = server.Config
@@ -222,7 +222,7 @@ func ServeDebug(addr string, reg *MetricsRegistry, tr *RoundTracer) (*http.Serve
 
 // CDN is the simulator's sentinel target meaning "served by the origin
 // CDN server".
-const CDN = sim.CDN
+const CDN = core.CDN
 
 // DefaultTraceConfig returns the paper's Sec. V evaluation-scale
 // configuration (17x11 km, 310 hotspots, 15,190 videos, 212,472

@@ -314,7 +314,7 @@ func TestBuildNetworkSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	over, under, phiOver, phiUnder := s.partition(d, nominalService(s.world))
+	over, under, phiOver, phiUnder := s.partition(d, s.world.ServiceCapacities())
 	dc := s.newDistCache(&s.ar.dists, over, under, params.Theta2, par.Workers(params.Workers))
 
 	for _, useGuides := range []bool{true, false} {

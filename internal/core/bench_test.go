@@ -23,7 +23,7 @@ func BenchmarkBuildNetwork(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	over, under, phiOver, phiUnder := s.partition(d, nominalService(s.world))
+	over, under, phiOver, phiUnder := s.partition(d, s.world.ServiceCapacities())
 	dc := s.newDistCache(&s.ar.dists, over, under, params.Theta2, par.Workers(params.Workers))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -145,7 +145,7 @@ func BenchmarkReplicate(b *testing.B) {
 				b.Fatal("the sweep realised no flow")
 			}
 			flows := maps.Clone(s.ar.flows)
-			svc, cache := nominalService(world), nominalCache(world)
+			svc, cache := world.ServiceCapacities(), nominalCache(world)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

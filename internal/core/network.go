@@ -365,7 +365,7 @@ func (s *Scheduler) AnalyzeTheta(d *Demand, theta float64) (ThetaAnalysis, error
 	if theta < 0 {
 		return ThetaAnalysis{}, fmt.Errorf("core: negative theta %v", theta)
 	}
-	over, under, phiOver, phiUnder := s.partition(d, nominalService(s.world))
+	over, under, phiOver, phiUnder := s.partition(d, s.world.ServiceCapacities())
 	dc := s.newDistCache(&s.ar.dists, over, under, max(theta, s.params.Theta2), par.Workers(s.params.Workers))
 	nb := s.buildNetwork(theta, over, under, phiOver, phiUnder, dc, nil, false)
 	res, err := nb.g.Solve(nb.source, nb.sink, int64(1)<<62)

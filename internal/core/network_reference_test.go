@@ -104,7 +104,7 @@ func TestBuildNetworkMatchesDense(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			over, under, phiOver, phiUnder := s.partition(d, nominalService(world))
+			over, under, phiOver, phiUnder := s.partition(d, world.ServiceCapacities())
 			dc := s.newDistCache(&s.ar.dists, over, under, params.Theta2, par.Workers(0))
 			dense := s.referenceDistances(over, under)
 			if dc.calcs() != int64(len(dense)) || dc.calcs() == 0 {
@@ -153,7 +153,7 @@ func TestBuildNetworkMatchesDense(t *testing.T) {
 			for _, theta := range []float64{params.Theta1 / 2, params.Theta2, 2 * params.Theta2} {
 				// The sweep spent φ; AnalyzeTheta starts from the same
 				// nominal partition, so dense still indexes it.
-				over, under, phiOver, phiUnder = s.partition(d, nominalService(world))
+				over, under, phiOver, phiUnder = s.partition(d, world.ServiceCapacities())
 				ta, err := s.AnalyzeTheta(d, theta)
 				if err != nil {
 					t.Fatal(err)

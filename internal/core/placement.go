@@ -51,18 +51,22 @@ func (p *PlacementRuns) Equal(q *PlacementRuns) bool {
 }
 
 // Contains reports whether hotspot h places video v (false for a
-// hotspot outside the rows). It is the /redirect path's cache probe: a
-// binary search whose one data-dependent step compiles to a
-// conditional move, because slices.BinarySearch's branches mispredict
-// on random probes and cost it about 1.7× as much on rows of a few
-// dozen ids.
-func (p *PlacementRuns) Contains(h, v int) bool {
+// hotspot outside the rows).
+func (p *PlacementRuns) Contains(h, v int) bool { return p.find(h, v) >= 0 }
+
+// find returns the position in IDs of video v in hotspot h's row, or
+// -1 when the row lacks it or h is not a row. It is the /redirect
+// path's probe: a binary search whose one data-dependent step compiles
+// to a conditional move, because slices.BinarySearch's branches
+// mispredict on random probes and cost it about 1.7× as much on rows
+// of a few dozen ids.
+func (p *PlacementRuns) find(h, v int) int32 {
 	if uint(h) >= uint(p.Rows()) || v < math.MinInt32 || v > math.MaxInt32 {
-		return false
+		return -1
 	}
 	row, x := p.Row(h), int32(v)
 	if len(row) == 0 {
-		return false
+		return -1
 	}
 	// Invariant: row[lo] is the last id <= x, if any id is.
 	lo := 0
@@ -73,7 +77,10 @@ func (p *PlacementRuns) Contains(h, v int) bool {
 		}
 		n -= half
 	}
-	return row[lo] == x
+	if row[lo] != x {
+		return -1
+	}
+	return int32(p.Off[h] + lo)
 }
 
 // Probes are (hotspot, video) lookups ordered for Locate: by hotspot,

@@ -512,7 +512,7 @@ func sweptCase(t *testing.T, seed int64, degraded bool, bpeak int64) replicateCa
 	var cons Constraints
 	if degraded {
 		rng := rand.New(rand.NewSource(seed))
-		cons.Service = nominalService(world)
+		cons.Service = world.ServiceCapacities()
 		cons.Cache = nominalCache(world)
 		for h := range cons.Service {
 			switch rng.Intn(5) {

@@ -133,7 +133,7 @@ func (cons Constraints) Resolve(world *trace.World, d *Demand) (svc []int64, cac
 	}
 	svc = cons.Service
 	if svc == nil {
-		svc = nominalService(world)
+		svc = world.ServiceCapacities()
 	} else {
 		if len(svc) != m {
 			return nil, nil, fmt.Errorf("core: capacities cover %d hotspots, world has %d", len(svc), m)
@@ -561,14 +561,4 @@ func FlowEdges(redirects []Redirect, m int) []FlowEdge {
 		out[n] = FlowEdge{From: trace.HotspotID(i), To: trace.HotspotID(j), Amount: realized[k]}
 	}
 	return out
-}
-
-// nominalService returns the world's nominal per-hotspot service
-// capacities.
-func nominalService(world *trace.World) []int64 {
-	svc := make([]int64, len(world.Hotspots))
-	for h := range world.Hotspots {
-		svc[h] = world.Hotspots[h].ServiceCapacity
-	}
-	return svc
 }

@@ -247,11 +247,7 @@ func (tl *Timeline) serviceRow(slot int, world *trace.World) {
 		tl.service = make([][]int64, tl.slots)
 	}
 	if tl.service[slot] == nil {
-		row := make([]int64, tl.m)
-		for h := range world.Hotspots {
-			row[h] = world.Hotspots[h].ServiceCapacity
-		}
-		tl.service[slot] = row
+		tl.service[slot] = world.ServiceCapacities()
 	}
 }
 

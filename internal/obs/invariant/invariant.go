@@ -25,10 +25,7 @@ func effective(world *trace.World, cons core.Constraints) (svc []int64, cache []
 	m := len(world.Hotspots)
 	svc = cons.Service
 	if svc == nil {
-		svc = make([]int64, m)
-		for h := range world.Hotspots {
-			svc[h] = world.Hotspots[h].ServiceCapacity
-		}
+		svc = world.ServiceCapacities()
 	}
 	cache = cons.Cache
 	if cache == nil {

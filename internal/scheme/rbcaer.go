@@ -1,9 +1,7 @@
 package scheme
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"repro/internal/core"
 	"repro/internal/shard"
@@ -94,93 +92,22 @@ func (p *PlanPolicy) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) {
 	return asg, nil
 }
 
-// MaterializePlan converts a core.Plan into per-request targets:
-// redirected (hotspot, video) demand is sent to the plan's targets, the
-// rest is served locally while the local service budget (capacity minus
-// reserved inflow) lasts, and everything else goes to the CDN. It is
-// exported so experiments can route a plan produced outside the policy
-// (e.g. from predicted demand).
-//
-// The redirects are grouped by (source, video) — sorted by (source,
-// video, plan position), so each group keeps plan order — and each
-// group is a queue drained front to back by a cursor: a request takes its group's current redirect and
-// the cursor moves on once that redirect's count is spent. Which group
-// and which placement entry each request's (hotspot, video) meets is
-// looked up for all requests at once (core.Probes); the requests are
-// then routed in order.
+// MaterializePlan converts a core.Plan into per-request targets by
+// the plan's routing rule (core.Router) under the slot's effective
+// capacities: redirected (hotspot, video) demand goes to the plan's
+// targets for their planned counts, the rest is served locally while
+// the local service budget (capacity minus reserved inflow) lasts, and
+// everything else goes to the CDN. It is exported so experiments can
+// route a plan produced outside the policy (e.g. from predicted
+// demand).
 func MaterializePlan(ctx *sim.SlotContext, plan *core.Plan) (*sim.Assignment, error) {
-	m := len(ctx.World.Hotspots)
-
-	// order lists the redirects by (source, video, plan position); the
-	// groups are its runs, keyed like a placement: row h holds the
-	// videos of hotspot h's groups, ascending.
-	order := make([]int32, len(plan.Redirects))
-	inflow := make([]int64, m)
-	for i, rd := range plan.Redirects {
-		order[i] = int32(i)
-		inflow[rd.To] += rd.Count
+	router, err := core.NewRouter(plan.Placement, plan.Redirects, ctx.EffectiveCapacity())
+	if err != nil {
+		return nil, err
 	}
-	slices.SortFunc(order, func(a, b int32) int {
-		ra, rb := &plan.Redirects[a], &plan.Redirects[b]
-		return cmp.Or(cmp.Compare(ra.From, rb.From), cmp.Compare(ra.Video, rb.Video), cmp.Compare(a, b))
-	})
-	type group struct {
-		next, end int32 // the redirect being drained, as a position in order
-		left      int64 // what that redirect has left to serve
-	}
-	var groups []group
-	keys := core.PlacementRuns{IDs: make([]int32, 0, len(order)), Off: make([]int, 1, m+1)}
-	for lo := 0; lo < len(order); {
-		first := plan.Redirects[order[lo]]
-		hi := lo + 1
-		for hi < len(order) && plan.Redirects[order[hi]].From == first.From && plan.Redirects[order[hi]].Video == first.Video {
-			hi++
-		}
-		for len(keys.Off) <= int(first.From) {
-			keys.Off = append(keys.Off, len(keys.IDs))
-		}
-		groups = append(groups, group{next: int32(lo), end: int32(hi), left: first.Count})
-		keys.IDs = append(keys.IDs, int32(first.Video))
-		lo = hi
-	}
-	for len(keys.Off) <= m {
-		keys.Off = append(keys.Off, len(keys.IDs))
-	}
-
-	capacity := ctx.EffectiveCapacity()
-	localBudget := make([]int64, m)
-	for h := 0; h < m; h++ {
-		localBudget[h] = capacity[h] - inflow[h]
-		if localBudget[h] < 0 {
-			return nil, fmt.Errorf("scheme: plan reserves %d inflow at hotspot %d beyond capacity %d",
-				inflow[h], h, capacity[h])
-		}
-	}
-
 	videos := make([]trace.VideoID, len(ctx.Requests))
 	for r := range ctx.Requests {
 		videos[r] = ctx.Requests[r].Video
 	}
-	probes := core.NewProbes(ctx.Nearest, videos, m, ctx.World.NumVideos)
-	groupOf, placedAt := keys.Locate(probes), plan.Placement.Locate(probes)
-	targets := make([]int, len(ctx.Requests))
-	for r, h := range ctx.Nearest {
-		if k := groupOf[r]; k >= 0 && groups[k].next < groups[k].end {
-			g := &groups[k]
-			targets[r] = int(plan.Redirects[order[g.next]].To)
-			if g.left--; g.left == 0 {
-				if g.next++; g.next < g.end {
-					g.left = plan.Redirects[order[g.next]].Count
-				}
-			}
-			continue
-		}
-		if localBudget[h] > 0 && placedAt[r] >= 0 {
-			targets[r] = h
-			localBudget[h]--
-			continue
-		}
-		targets[r] = sim.CDN
-	}
-	return &sim.Assignment{Placement: plan.Placement, Target: targets}, nil
+	return &sim.Assignment{Placement: plan.Placement, Target: router.RouteAll(ctx.Nearest, videos)}, nil
 }

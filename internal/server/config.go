@@ -46,8 +46,9 @@ type Config struct {
 	// ingestion across them (each instance has its own accumulator
 	// and its own listener), every slot's plan is digest-verified
 	// once and fans out to all of them as one shared serving table,
-	// and each serves redirect lookups from it with its own
-	// round-robin cursors. 0 selects 1 (the single-instance server).
+	// and all of them route redirect lookups through its one router,
+	// so a hotspot's answers do not depend on which frontend takes
+	// them. 0 selects 1 (the single-instance server).
 	Instances int
 	// QueueBound caps the requests a frontend instance has accepted
 	// but not yet handed to a slot. An ingest whose owning frontend is

@@ -22,9 +22,9 @@ import (
 // core.Demand under one lock, handed to the scheduler whole at every
 // slot boundary), its own HTTP listener, and its own pointer to the
 // serving plan, which Server.publish swaps to the one table it built
-// for the epoch. All instances answer the full API; lookups are served
-// from the plan the pointer holds, with this instance's own redirect
-// cursors.
+// for the epoch. All instances answer the full API; lookups are routed
+// by the router of the plan the pointer holds, which every frontend
+// shares.
 type instance struct {
 	id  int
 	srv *Server
@@ -189,21 +189,21 @@ func (in *instance) handleRedirect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sp := in.current.Load()
-	res := sp.lookup(in.id, hotspot, video)
+	target := sp.lookup(hotspot, video)
 	s.lookupTotal.Inc()
 	in.lookups.Inc()
-	switch {
-	case res.target == CDN:
+	switch target {
+	case CDN:
 		s.lookupCDN.Inc()
-	case res.redirected:
-		s.lookupRedirect.Inc()
-	default:
+	case hotspot:
 		s.lookupLocal.Inc()
+	default:
+		s.lookupRedirect.Inc()
 	}
 	sc := getScratch()
 	defer putScratch(sc)
 	b := append(sc.resp[:0], `{"target":`...)
-	b = strconv.AppendInt(b, int64(res.target), 10)
+	b = strconv.AppendInt(b, int64(target), 10)
 	if sp != nil {
 		b = append(b, `,"epoch":`...)
 		b = strconv.AppendInt(b, sp.epoch, 10)

@@ -3,17 +3,14 @@ package server
 import (
 	"context"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/similarity"
 )
 
 // doAt runs one request against a specific frontend instance's mux.
@@ -28,6 +25,44 @@ func doAt(t *testing.T, s *Server, inst int, method, target, body string) *httpt
 	rr := httptest.NewRecorder()
 	s.InstanceHandler(inst).ServeHTTP(rr, req)
 	return rr
+}
+
+// TestOverReservingPlanRefused: a plan that passes its digest, its
+// grammar and checkFits but reserves more inflow at a hotspot than its
+// nominal capacity is refused like any other bad epoch — once per
+// frontend, once in server.plan.rejects — and every frontend keeps
+// serving its previous plan.
+func TestOverReservingPlanRefused(t *testing.T) {
+	reg := obs.NewRegistry()
+	const instances = 2
+	s := newTestServer(t, Config{World: testWorld(3, 2, 10), Registry: reg, Instances: instances})
+	publish := func(epoch int64, count int64) error {
+		plan := &core.Plan{
+			Redirects:     []core.Redirect{{From: 0, To: 1, Video: 5, Count: count}},
+			Placement:     core.PlacementRuns{Off: []int{0, 0, 0, 0}},
+			OverflowToCDN: make([]int64, 3),
+		}
+		canonical := plan.Canonical()
+		return s.publish(epoch, 0, canonical, core.DigestOf(canonical))
+	}
+	if err := publish(1, 2); err != nil {
+		t.Fatalf("a plan reserving hotspot 1's whole capacity: %v", err)
+	}
+	base := s.instances[0].current.Load()
+	if err := publish(2, 3); err == nil {
+		t.Fatal("publish accepted a plan reserving 3 at a hotspot of capacity 2")
+	}
+	for i, in := range s.instances {
+		if in.current.Load() != base {
+			t.Errorf("frontend %d: the refused plan replaced the serving plan", i)
+		}
+		if got := in.rejects.Value(); got != 1 {
+			t.Errorf("frontend %d: plan_rejects %d, want 1", i, got)
+		}
+	}
+	if got := reg.Counter("server.plan.rejects").Value(); got != 1 {
+		t.Errorf("server.plan.rejects = %d, want 1", got)
+	}
 }
 
 // TestInstallVerification pins the one install path: publish only
@@ -258,52 +293,6 @@ func TestMultiInstancePlanFanout(t *testing.T) {
 		}
 		if !strings.Contains(rr.Body.String(), `"digest":"`+digest0+`"`) {
 			t.Errorf("instance %d redirect reply %s lacks serving digest %s", i, rr.Body.String(), digest0)
-		}
-	}
-}
-
-// TestRedirectSequencePerFrontend: the frontends share one table but
-// not its cursors. Interleaved lookups of one multi-target pair on a
-// two-frontend tier give each frontend the sequence a one-frontend
-// tier gives.
-func TestRedirectSequencePerFrontend(t *testing.T) {
-	plan := &core.Plan{
-		Redirects: []core.Redirect{
-			{From: 0, To: 1, Video: 5, Count: 2},
-			{From: 0, To: 2, Video: 5, Count: 1},
-		},
-		Placement:     core.PlacementOf(make([]similarity.Set, 3)),
-		OverflowToCDN: make([]int64, 3),
-	}
-	canonical := plan.Canonical()
-	targets := func(s *Server, order []int) map[int][]int {
-		t.Helper()
-		if err := s.publish(1, 0, canonical, core.DigestOf(canonical)); err != nil {
-			t.Fatal(err)
-		}
-		got := map[int][]int{}
-		for _, f := range order {
-			rr := doAt(t, s, f, http.MethodGet, "/redirect?video=5&hotspot=0", "")
-			var resp struct {
-				Target int `json:"target"`
-			}
-			if err := json.Unmarshal(rr.Body.Bytes(), &resp); err != nil {
-				t.Fatal(err)
-			}
-			got[f] = append(got[f], resp.Target)
-		}
-		return got
-	}
-	one := targets(newTestServer(t, Config{World: testWorld(3, 10, 10)}), []int{0, 0, 0, 0, 0, 0, 0})
-	two := targets(newTestServer(t, Config{World: testWorld(3, 10, 10), Instances: 2}),
-		[]int{0, 1, 1, 0, 1, 0, 0, 1, 1, 0, 1, 0, 1, 0})
-	want := []int{1, 1, 2, 1, 1, 2, 1}
-	if !slices.Equal(one[0], want) {
-		t.Fatalf("one frontend: %v, want %v", one[0], want)
-	}
-	for f := 0; f < 2; f++ {
-		if !slices.Equal(two[f], want) {
-			t.Errorf("frontend %d of two: %v, one frontend alone: %v", f, two[f], want)
 		}
 	}
 }

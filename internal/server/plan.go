@@ -2,23 +2,23 @@ package server
 
 import (
 	"fmt"
-	"sort"
-	"sync/atomic"
+	"sync"
 
 	"repro/internal/core"
+	"repro/internal/trace"
 )
 
-// CDN is the lookup answer meaning "fetch from the origin CDN server"
-// (the same sentinel as sim.CDN).
-const CDN = -1
+// CDN is the lookup answer meaning "fetch from the origin CDN server".
+const CDN = core.CDN
 
-// servingPlan is one immutable, fully materialised scheduling plan plus
-// the lookup structures derived from it. Server.publish builds one per
-// epoch from the verified canonical bytes and stores the same pointer
-// into every frontend, so a concurrent lookup sees either the complete
-// previous plan or the complete new one — never a partial mix. Only the
-// round-robin cursors move after publication, and those are atomics
-// that never affect the plan's content.
+// servingPlan is one verified scheduling plan and the one router
+// (core.Router) that routes its requests. Server.publish builds one per
+// epoch from the canonical bytes and stores the same pointer into every
+// frontend, so a concurrent lookup sees either the complete previous
+// plan or the complete new one — never a partial mix. Only the
+// router's per-hotspot state moves after publication, each hotspot's
+// under its own lock: a hotspot's answers follow the order its lookups
+// take that lock, whichever frontends they arrive at.
 type servingPlan struct {
 	// epoch is the swap sequence number (1 for the first plan).
 	epoch int64
@@ -26,77 +26,21 @@ type servingPlan struct {
 	slot int
 	// digest fingerprints the plan's canonical bytes (core.DigestOf).
 	digest uint64
-	// placement holds the video set each hotspot prefetches as a sorted
-	// run.
-	placement core.PlacementRuns
-	// redirect maps the (hotspot, video) pairs the plan moves elsewhere
-	// to their index in entries.
-	redirect map[int64]int32
-	entries  []redirectEntry
-	// cursors[f][e] is frontend f's round-robin position in entries[e]:
-	// each frontend cycles through the planned counts on its own.
-	cursors [][]atomic.Int64
-	// numVideos is the redirect key stride.
-	numVideos int64
+	router *core.Router
+	// mu[h] serialises the lookups aggregated at hotspot h.
+	mu []sync.Mutex
 }
 
-// redirectEntry fans one (source hotspot, video) pair's lookups out
-// over the plan's redirect targets, proportionally to the planned
-// per-target counts.
-type redirectEntry struct {
-	targets []int32
-	// cum[i] is the cumulative planned count through targets[i];
-	// total == cum[len-1].
-	cum   []int64
-	total int64
-}
-
-// next returns the entry's next target for a frontend whose cursor
-// this is, cycling deterministically through the planned counts (first
-// `cum[0]` lookups to targets[0], and so on, modulo total).
-func (e *redirectEntry) next(cursor *atomic.Int64) int {
-	i := cursor.Add(1) - 1
-	// Reduce modulo total in unsigned space: the int64 cursor
-	// eventually wraps negative, and a signed % would then yield a
-	// negative pos, pinning every lookup to targets[0] forever. The
-	// uint64 view of the counter stays continuous across the wrap.
-	pos := int64(uint64(i) % uint64(e.total))
-	j := sort.Search(len(e.cum), func(k int) bool { return e.cum[k] > pos })
-	return int(e.targets[j])
-}
-
-// newServingPlan materialises a verified plan for a tier of frontends
-// frontends, each with its own row of redirect cursors.
-func newServingPlan(epoch int64, slot int, plan *core.DecodedPlan, digest uint64, numVideos, frontends int) *servingPlan {
-	sp := &servingPlan{
-		epoch:     epoch,
-		slot:      slot,
-		digest:    digest,
-		placement: plan.Placement,
-		redirect:  make(map[int64]int32, len(plan.Redirects)),
-		numVideos: int64(numVideos),
+// newServingPlan builds the router of a verified plan that fits world,
+// for the world's nominal service capacities — those the round
+// schedules against (core.Constraints{}). It refuses a plan that
+// reserves more inflow at a hotspot than its capacity.
+func newServingPlan(epoch int64, slot int, plan *core.DecodedPlan, digest uint64, world *trace.World) (*servingPlan, error) {
+	router, err := core.NewRouter(plan.Placement, plan.Redirects, world.ServiceCapacities())
+	if err != nil {
+		return nil, err
 	}
-	for _, rd := range plan.Redirects {
-		if rd.Count <= 0 {
-			continue
-		}
-		k := int64(rd.From)*sp.numVideos + int64(rd.Video)
-		i, ok := sp.redirect[k]
-		if !ok {
-			i = int32(len(sp.entries))
-			sp.redirect[k] = i
-			sp.entries = append(sp.entries, redirectEntry{})
-		}
-		e := &sp.entries[i]
-		e.total += rd.Count
-		e.targets = append(e.targets, int32(rd.To))
-		e.cum = append(e.cum, e.total)
-	}
-	sp.cursors = make([][]atomic.Int64, frontends)
-	for f := range sp.cursors {
-		sp.cursors[f] = make([]atomic.Int64, len(sp.entries))
-	}
-	return sp
+	return &servingPlan{epoch: epoch, slot: slot, digest: digest, router: router, mu: make([]sync.Mutex, len(world.Hotspots))}, nil
 }
 
 // checkFits refuses a decoded plan that does not belong to a world of
@@ -129,32 +73,16 @@ func checkFits(plan *core.DecodedPlan, m, numVideos int) error {
 	return nil
 }
 
-// lookupResult is one routing decision.
-type lookupResult struct {
-	// target is the serving hotspot, or CDN.
-	target int
-	// redirected reports the request followed a plan redirect edge
-	// (target differs from its aggregation hotspot by plan, not by
-	// cache miss).
-	redirected bool
-}
-
-// lookup routes one request aggregated at hotspot h for video v, as
-// frontend f answers it: planned redirects first (cycling through
-// targets proportionally to the planned counts), then the local cache
-// placement, then the CDN. A nil plan (before the first swap) routes
+// lookup routes one request aggregated at hotspot h for video v by
+// the plan's router. A nil plan (before the first swap) routes
 // everything to the CDN.
-func (sp *servingPlan) lookup(f, h, v int) lookupResult {
+func (sp *servingPlan) lookup(h, v int) int {
 	if sp == nil {
-		return lookupResult{target: CDN}
+		return CDN
 	}
-	if i, ok := sp.redirect[int64(h)*sp.numVideos+int64(v)]; ok {
-		return lookupResult{target: sp.entries[i].next(&sp.cursors[f][i]), redirected: true}
-	}
-	if sp.placement.Contains(h, v) {
-		return lookupResult{target: h}
-	}
-	return lookupResult{target: CDN}
+	sp.mu[h].Lock()
+	defer sp.mu[h].Unlock()
+	return sp.router.Route(h, v)
 }
 
 // PlanRecord is the public per-slot plan summary served by /plans and

@@ -2,8 +2,8 @@ package server
 
 import (
 	"context"
+	"encoding/hex"
 	"fmt"
-	"math"
 	"net/http"
 	"slices"
 	"strings"
@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/similarity"
 )
 
 // TestAdvanceRejectedAfterClose is the lifecycle regression: a tick or
@@ -96,39 +95,6 @@ func TestCloseAdvanceSlotRace(t *testing.T) {
 	}
 }
 
-// TestRedirectCursorOverflow is the ~2^63-lookup regression: once the
-// signed round-robin cursor wraps negative, a signed modulo pinned
-// every lookup to targets[0] forever. Seeding the cursor just below the
-// wrap must keep the proportional fan-out intact across it.
-func TestRedirectCursorOverflow(t *testing.T) {
-	plan := &core.Plan{
-		Redirects: []core.Redirect{
-			{From: 0, To: 1, Video: 5, Count: 1},
-			{From: 0, To: 2, Video: 5, Count: 1000},
-		},
-		Placement:     core.PlacementOf(make([]similarity.Set, 3)),
-		OverflowToCDN: make([]int64, 3),
-	}
-	sp := servingPlanOf(t, plan, 10, 1)
-	e, ok := sp.redirect[int64(0)*10+5]
-	if !ok {
-		t.Fatal("no redirect entry for (0, 5)")
-	}
-	sp.cursors[0][e].Store(math.MaxInt64 - 1)
-
-	counts := map[int]int{}
-	for i := 0; i < 4004; i++ {
-		counts[sp.lookup(0, 0, 5).target]++
-	}
-	// 4004 draws over a 1:1000 split must send the overwhelming
-	// majority to target 2, before AND after the cursor wraps. The
-	// broken signed modulo sent everything after the wrap to target 1.
-	if counts[2] < 3990 {
-		t.Fatalf("target 2 served %d of 4004 lookups across the cursor wrap (target 1: %d)",
-			counts[2], counts[1])
-	}
-}
-
 // TestSlotLatencyMicrosHistogram pins the latency histogram to
 // microsecond buckets: sub-millisecond rounds (the norm for delta
 // slots) must land in a non-zero bucket instead of all collapsing into
@@ -183,12 +149,15 @@ func TestRecoveredPlanFromAnotherWorldRejected(t *testing.T) {
 	if _, _, err := big.AdvanceSlot(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	sp := big.instances[0].current.Load()
-	outside := false
-	for _, e := range sp.entries {
-		outside = outside || slices.ContainsFunc(e.targets, func(to int32) bool { return to >= 2 })
+	canonical, err := hex.DecodeString(big.Plans()[0].Canonical)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !outside {
+	plan, err := core.DecodeCanonical(canonical)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(plan.Redirects, func(rd core.Redirect) bool { return rd.To >= 2 }) {
 		t.Fatal("the 8-hotspot plan redirects nothing past hotspot 1; the scenario needs it to")
 	}
 	if err := big.Close(); err != nil {
@@ -196,7 +165,7 @@ func TestRecoveredPlanFromAnotherWorldRejected(t *testing.T) {
 	}
 
 	reg := obs.NewRegistry()
-	_, err := New(Config{World: testWorld(2, 2, 10), WALDir: dir, Registry: reg})
+	_, err = New(Config{World: testWorld(2, 2, 10), WALDir: dir, Registry: reg})
 	if err == nil || !strings.Contains(err.Error(), "recovered plan rejected") {
 		t.Fatalf("New on a foreign world's WAL: %v, want the recovered plan rejected", err)
 	}

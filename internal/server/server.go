@@ -7,8 +7,9 @@
 // the accumulated demand each timeslot, runs one RBCAer round
 // (core.ScheduleRound with core.DefaultParams, degrading instead of
 // failing on solver trouble) on a dedicated worker, and publishes the
-// result by atomically swapping in one immutable serving table — lookups
-// never observe a partially applied plan and keep serving the previous
+// result by atomically swapping in one serving table, the plan's router
+// (core.Router, the simulator's routing rule) — lookups never observe a
+// partially applied plan and keep serving the previous
 // plan while the next one is computed. Fed the same trace, the server produces plans
 // byte-identical to the offline simulator's (certified end to end in
 // e2e_test.go via core.Plan.Canonical).
@@ -23,8 +24,8 @@
 // hotspots, so whole rows change owner) into the single scheduler
 // round, and the resulting plan fans out to every frontend: its
 // canonical bytes are verified once against their digest by a strict
-// one-pass decode (core.VerifyCanonical), one immutable serving table
-// is built from them, and every frontend's plan pointer is swapped to
+// one-pass decode (core.VerifyCanonical), one serving table is built
+// from them, and every frontend's plan pointer is swapped to
 // that same table. Every frontend serves the exact (epoch, digest) the
 // scheduler published, or all of them loudly refuse the epoch
 // (server.shard.<i>.plan_rejects) and keep their previous plan. See
@@ -579,18 +580,24 @@ func (s *Server) runSlot(snap *slotSnapshot) {
 // publish is the one install path, for the live fan-out (runSlot) and
 // the recovered plan (openWAL) alike: it verifies the canonical bytes
 // against the advertised digest once (core.VerifyCanonical), builds
-// one immutable serving table from them, and stores that same pointer
-// into every frontend. Bytes that fail the verify, or decode to a plan
-// that does not fit the world (checkFits), are refused: every frontend
-// stays on its previous plan, and the refusal counts once per frontend
+// one serving table — the plan's router — from them, and stores that
+// same pointer into every frontend. Bytes that fail the verify, or
+// decode to a plan that does not fit the world (checkFits) or that
+// reserves more inflow at a hotspot than its nominal capacity
+// (core.NewRouter), are refused: every frontend stays on its previous
+// plan, and the refusal counts once per frontend
 // (server.shard.<i>.plan_rejects) and once for the epoch
 // (server.plan.rejects). server.slot.install_us times a successful
-// publish: decode, table build and the stores.
+// publish: decode, router build and the stores.
 func (s *Server) publish(epoch int64, slot int, canonical []byte, digest uint64) error {
 	t0 := time.Now()
 	plan, err := core.VerifyCanonical(canonical, digest)
 	if err == nil {
 		err = checkFits(plan, len(s.world.Hotspots), s.world.NumVideos)
+	}
+	var sp *servingPlan
+	if err == nil {
+		sp, err = newServingPlan(epoch, slot, plan, digest, s.world)
 	}
 	if err != nil {
 		for _, in := range s.instances {
@@ -605,7 +612,6 @@ func (s *Server) publish(epoch int64, slot int, canonical []byte, digest uint64)
 		}
 		return fmt.Errorf("server: epoch %d: %w", epoch, err)
 	}
-	sp := newServingPlan(epoch, slot, plan, digest, s.world.NumVideos, len(s.instances))
 	for _, in := range s.instances {
 		in.current.Store(sp)
 		in.swaps.Inc()

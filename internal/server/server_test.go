@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,7 +17,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/obs"
-	"repro/internal/similarity"
 	"repro/internal/trace"
 )
 
@@ -115,15 +115,19 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 }
 
 // servingPlanOf builds the table publish builds for plan's canonical
-// bytes.
-func servingPlanOf(t *testing.T, plan *core.Plan, numVideos, frontends int) *servingPlan {
+// bytes on world.
+func servingPlanOf(t *testing.T, plan *core.Plan, world *trace.World) *servingPlan {
 	t.Helper()
 	canonical := plan.Canonical()
 	decoded, err := core.DecodeCanonical(canonical)
 	if err != nil {
 		t.Fatalf("DecodeCanonical: %v", err)
 	}
-	return newServingPlan(1, 0, decoded, core.DigestOf(canonical), numVideos, frontends)
+	sp, err := newServingPlan(1, 0, decoded, core.DigestOf(canonical), world)
+	if err != nil {
+		t.Fatalf("newServingPlan: %v", err)
+	}
+	return sp
 }
 
 // do runs one request against the server's mux.
@@ -387,8 +391,11 @@ func TestManualSlotLifecycle(t *testing.T) {
 	}
 }
 
-// TestRedirectEntryProportionalRouting checks the redirect fan-out
-// follows the planned per-target counts.
+// TestRedirectEntryProportionalRouting pins the plan's routing order
+// at one hotspot: its redirect group's planned counts once, in plan
+// order, then local service while the budget (capacity minus reserved
+// inflow) lasts, then the CDN. Hotspot 1 places the video too, but the
+// inflow the plan reserves there fills its capacity.
 func TestRedirectEntryProportionalRouting(t *testing.T) {
 	plan := &core.Plan{
 		Redirects: []core.Redirect{
@@ -396,19 +403,19 @@ func TestRedirectEntryProportionalRouting(t *testing.T) {
 			{From: 0, To: 3, Video: 5, Count: 0}, // planned nothing: never a target
 			{From: 0, To: 2, Video: 5, Count: 1},
 		},
-		Placement:     core.PlacementOf(make([]similarity.Set, 4)),
+		Placement:     core.PlacementRuns{IDs: []int32{5, 5}, Off: []int{0, 1, 2, 2, 2}},
 		OverflowToCDN: make([]int64, 4),
 	}
-	sp := servingPlanOf(t, plan, 10, 1)
+	sp := servingPlanOf(t, plan, testWorld(4, 2, 10))
 	var got []int
-	for i := 0; i < 6; i++ {
-		got = append(got, sp.lookup(0, 0, 5).target)
+	for i := 0; i < 7; i++ {
+		got = append(got, sp.lookup(0, 5))
 	}
-	want := []int{1, 1, 2, 1, 1, 2}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("routing sequence %v, want %v", got, want)
-		}
+	if want := []int{1, 1, 2, 0, 0, CDN, CDN}; !slices.Equal(got, want) {
+		t.Fatalf("routing sequence %v, want %v", got, want)
+	}
+	if got := sp.lookup(1, 5); got != CDN {
+		t.Fatalf("hotspot 1, its capacity reserved by inflow, answered %d, want the CDN", got)
 	}
 }
 

@@ -24,7 +24,7 @@ import (
 )
 
 // CDN is the sentinel target meaning "served by the origin CDN server".
-const CDN = -1
+const CDN = core.CDN
 
 // SlotContext carries everything a scheduling policy may use for one
 // timeslot.
@@ -63,11 +63,7 @@ func (ctx *SlotContext) EffectiveCapacity() []int64 {
 	if ctx.Capacity != nil {
 		return ctx.Capacity
 	}
-	out := make([]int64, len(ctx.World.Hotspots))
-	for h := range ctx.World.Hotspots {
-		out[h] = ctx.World.Hotspots[h].ServiceCapacity
-	}
-	return out
+	return ctx.World.ServiceCapacities()
 }
 
 // EffectiveCacheCapacity returns ctx.CacheCapacity, falling back to the
@@ -886,10 +882,7 @@ func BuildSlotContext(world *trace.World, index *geo.Grid, slot int, requests []
 		nearest[r] = h
 	}
 	demand := core.AggregateDemand(len(world.Hotspots), nearest, requests)
-	capacity := make([]int64, len(world.Hotspots))
-	for h := range world.Hotspots {
-		capacity[h] = world.Hotspots[h].ServiceCapacity
-	}
+	capacity := world.ServiceCapacities()
 	return &SlotContext{
 		World:    world,
 		Index:    index,

@@ -114,6 +114,16 @@ func (w *World) OverrideCapacities(svcFrac, cacheFrac float64) {
 	}
 }
 
+// ServiceCapacities returns the hotspots' nominal service capacities,
+// indexed by hotspot.
+func (w *World) ServiceCapacities() []int64 {
+	out := make([]int64, len(w.Hotspots))
+	for h := range w.Hotspots {
+		out[h] = w.Hotspots[h].ServiceCapacity
+	}
+	return out
+}
+
 // Index builds a spatial index over the world's hotspots for
 // nearest/range queries (geo.NewIndex: about one hotspot per cell).
 func (w *World) Index() (*geo.Grid, error) {
