@@ -2,7 +2,9 @@ package scheme
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
+	"hash"
 	"reflect"
 	"runtime"
 	"testing"
@@ -23,6 +25,61 @@ type tableRun struct {
 	events  []byte
 	// made counts the policy instances the run asked the factory for.
 	made int
+	// digest hashes, on a serial run, every slot's Assignment (placement
+	// runs, targets, extra replicas) in slot order and then the metrics.
+	digest string
+}
+
+// hashingPolicy feeds every Assignment its policy returns to h.
+type hashingPolicy struct {
+	sim.Scheduler
+	h hash.Hash
+}
+
+func (p hashingPolicy) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) {
+	a, err := p.Scheduler.Schedule(ctx)
+	if err == nil {
+		fmt.Fprintf(p.h, "%d %v %v %v %d\n", ctx.Slot, a.Placement.IDs, a.Placement.Off, a.Target, a.ExtraReplicas)
+	}
+	return a, err
+}
+
+// assignmentDigests pins the serial run of every scheme-table row under
+// each fault mix to the bytes of its assignments and metrics (tableRun.digest).
+// A refactor of a policy leaves every entry as it is; only a change
+// that moves plans on purpose regenerates them.
+var assignmentDigests = map[string]string{
+	"TestSchemeTableAcrossWorkers/rbcaer/clean":                "e7e7e5cc043dff04",
+	"TestSchemeTableAcrossWorkers/rbcaer/churn+stale":          "bec41ee9d27d0353",
+	"TestSchemeTableAcrossWorkers/rbcaer/churn+outage":         "7811061f4cef563d",
+	"TestSchemeTableAcrossWorkers/nearest/clean":               "b31fec73437afda6",
+	"TestSchemeTableAcrossWorkers/nearest/churn+stale":         "397f1581d139043e",
+	"TestSchemeTableAcrossWorkers/nearest/churn+outage":        "bf6a052deb945460",
+	"TestSchemeTableAcrossWorkers/random/clean":                "00c0de3a8394068e",
+	"TestSchemeTableAcrossWorkers/random/churn+stale":          "125f44892dc854be",
+	"TestSchemeTableAcrossWorkers/random/churn+outage":         "19c7398c7e4faa28",
+	"TestSchemeTableAcrossWorkers/lp/clean":                    "4d88d0b38734c3f8",
+	"TestSchemeTableAcrossWorkers/lp/churn+stale":              "18d85479fdfe4929",
+	"TestSchemeTableAcrossWorkers/lp/churn+outage":             "8c82ae681ca88824",
+	"TestSchemeTableAcrossWorkers/hier/clean":                  "596b5454c75628e9",
+	"TestSchemeTableAcrossWorkers/hier/churn+stale":            "3856c8463e4e2b19",
+	"TestSchemeTableAcrossWorkers/hier/churn+outage":           "c472fe37e5cc9bfc",
+	"TestSchemeTableAcrossWorkers/p2c/clean":                   "d132d458e843da23",
+	"TestSchemeTableAcrossWorkers/p2c/churn+stale":             "596b7a3296334bda",
+	"TestSchemeTableAcrossWorkers/p2c/churn+outage":            "07d5b6734215b1c1",
+	"TestSchemeTableAcrossWorkers/reactive-lru/clean":          "8d14fdd64ef0748f",
+	"TestSchemeTableAcrossWorkers/reactive-lru/churn+stale":    "f2f99eb5644e2db6",
+	"TestSchemeTableAcrossWorkers/reactive-lru/churn+outage":   "1eecfc7dcf27cfcf",
+	"TestSchemeTableAcrossWorkers/reactive-lfu/clean":          "c30d3978639d8cee",
+	"TestSchemeTableAcrossWorkers/reactive-lfu/churn+stale":    "8863f3cd5f5c776f",
+	"TestSchemeTableAcrossWorkers/reactive-lfu/churn+outage":   "c6c2fa9b4371d818",
+	"TestSchemeTableAcrossWorkers/rbcaer-sharded/clean":        "34de4c7badb8a446",
+	"TestSchemeTableAcrossWorkers/rbcaer-sharded/churn+stale":  "60b842fbd1753d61",
+	"TestSchemeTableAcrossWorkers/rbcaer-sharded/churn+outage": "bfedb2d8a33116c2",
+	// The delta variant's assignments equal the full round's on this world.
+	"TestSchemeTableAcrossWorkers/rbcaer-delta/clean":        "e7e7e5cc043dff04",
+	"TestSchemeTableAcrossWorkers/rbcaer-delta/churn+stale":  "bec41ee9d27d0353",
+	"TestSchemeTableAcrossWorkers/rbcaer-delta/churn+outage": "7811061f4cef563d",
 }
 
 // TestSchemeTableAcrossWorkers runs every row of the scheme table (and
@@ -30,7 +87,8 @@ type tableRun struct {
 // clean trace, under churn plus stale load reports and under churn plus
 // a regional outage, and requires
 // what a run can show — metrics, the SlotSink, PlanSink and tracer
-// sequences — to be the same at every worker count. A policy whose
+// sequences — to be the same at every worker count, and the serial
+// run's assignments and metrics to hash to assignmentDigests. A policy whose
 // slots are not independent must be given exactly one instance however
 // many workers are asked for.
 func TestSchemeTableAcrossWorkers(t *testing.T) {
@@ -89,7 +147,14 @@ func TestSchemeTableAcrossWorkers(t *testing.T) {
 		}
 		var out tableRun
 		newPolicy := f.New
-		f.New = func() sim.Scheduler { out.made++; return newPolicy() }
+		digest := sha256.New()
+		f.New = func() sim.Scheduler {
+			out.made++
+			if workers == 1 {
+				return hashingPolicy{newPolicy(), digest}
+			}
+			return newPolicy()
+		}
 		tracer := obs.NewTracer(1<<16, true)
 		opts.Tracer = tracer
 		opts.SlotSink = func(sm sim.SlotMetrics) error { out.slots = append(out.slots, sm); return nil }
@@ -105,6 +170,10 @@ func TestSchemeTableAcrossWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		out.events = evs.Bytes()
+		if workers == 1 {
+			fmt.Fprintf(digest, "%+v", *out.metrics)
+			out.digest = fmt.Sprintf("%x", digest.Sum(nil)[:8])
+		}
 		return out
 	}
 
@@ -121,6 +190,9 @@ func TestSchemeTableAcrossWorkers(t *testing.T) {
 				ref := run(t, v, 1, opts)
 				if len(ref.slots) != cfg.Slots || ref.made != 1 {
 					t.Fatalf("serial run: %d slots sunk, %d instances; want %d and 1", len(ref.slots), ref.made, cfg.Slots)
+				}
+				if want := assignmentDigests[t.Name()]; ref.digest != want {
+					t.Errorf("serial run's assignments and metrics hash to %s, want %s", ref.digest, want)
 				}
 				for _, workers := range []int{2, 4} {
 					got := run(t, v, workers, opts)
