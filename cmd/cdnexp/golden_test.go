@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -34,7 +35,7 @@ var goldenFiles = []string{
 func TestGoldenCSV(t *testing.T) {
 	dir := t.TempDir()
 	args := append([]string{"-seed", "1", "-scale", "0.05", "-workers", "2", "-csv", dir}, goldenExperiments...)
-	if err := run(args); err != nil {
+	if err := run(args, io.Discard); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 

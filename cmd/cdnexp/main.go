@@ -11,6 +11,10 @@
 //
 // Flags:
 //
+//	-world FILE -trace FILE  run the Sec. II measurement figures (fig2,
+//	            fig3a, fig3b, the default ids then) on these files (from
+//	            cdntrace) instead of the generated measurement world;
+//	            any other experiment is refused
 //	-seed N     seed (default 1)
 //	-scale F    world scale in (0, 1]; 1 = paper scale (default 1)
 //	-workers N  scheduling parallelism (0 = all cores, 1 = serial;
@@ -26,22 +30,26 @@ import (
 	"encoding/csv"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	crowdcdn "repro"
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "cdnexp: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("cdnexp", flag.ContinueOnError)
+	worldPath := fs.String("world", "", "world JSON file for fig2/fig3a/fig3b (default: generate the measurement world)")
+	tracePath := fs.String("trace", "", "requests CSV file for fig2/fig3a/fig3b (default: generate the measurement trace)")
 	seed := fs.Int64("seed", 1, "seed")
 	scale := fs.Float64("scale", 1, "world scale in (0, 1]; 1 reproduces paper scale")
 	workers := fs.Int("workers", 0, "scheduling parallelism (0 = all cores, 1 = serial; results identical)")
@@ -70,14 +78,34 @@ func run(args []string) error {
 		ids = append(crowdcdn.ExperimentIDs(), crowdcdn.ExtensionExperimentIDs()...)
 	}
 
+	runner := crowdcdn.NewExperimentRunner(*seed, *scale)
+	runner.Workers = *workers
+	world, tr, err := crowdcdn.LoadFiles(*worldPath, *tracePath)
+	if err != nil {
+		return err
+	}
+	if world != nil {
+		runner.UseMeasurementData(world, tr)
+		measured := crowdcdn.MeasurementExperimentIDs()
+		if fs.NArg() == 0 {
+			ids = measured
+		}
+		for _, id := range ids {
+			if !slices.Contains(measured, id) {
+				return fmt.Errorf("experiment %q does not read -world/-trace (only %s do)", id, strings.Join(measured, ", "))
+			}
+		}
+		if tr.Slots < 2 && slices.Contains(ids, "fig3a") {
+			ids = slices.DeleteFunc(slices.Clone(ids), func(id string) bool { return id == "fig3a" })
+			fmt.Fprintln(stdout, "(trace has a single slot; skipping workload correlation — regenerate with -slots 24)")
+		}
+	}
+
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
 			return fmt.Errorf("creating csv directory: %w", err)
 		}
 	}
-
-	runner := crowdcdn.NewExperimentRunner(*seed, *scale)
-	runner.Workers = *workers
 
 	// One registry serves the whole run; per-experiment phase timings
 	// are the deltas between successive snapshots.
@@ -101,7 +129,7 @@ func run(args []string) error {
 		}
 		timings.record(id, runner.Obs)
 		for _, fig := range figs {
-			if err := fig.Render(os.Stdout); err != nil {
+			if err := fig.Render(stdout); err != nil {
 				return err
 			}
 			if *csvDir != "" {

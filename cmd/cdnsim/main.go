@@ -108,9 +108,16 @@ func run(args []string) error {
 		return err
 	}
 
-	world, tr, err := loadOrGenerate(*worldPath, *tracePath, *seed)
+	world, tr, err := crowdcdn.LoadFiles(*worldPath, *tracePath)
 	if err != nil {
 		return err
+	}
+	if world == nil {
+		cfg := crowdcdn.DefaultTraceConfig()
+		cfg.Seed = *seed
+		if world, tr, err = crowdcdn.Generate(cfg); err != nil {
+			return err
+		}
 	}
 	world.OverrideCapacities(*capFrac, *cacheFrac)
 	opts := crowdcdn.SimOptions{Seed: *seed, Registry: reg, Tracer: tracer}
@@ -213,34 +220,4 @@ func writeEvents(path string, tracer *crowdcdn.RoundTracer) error {
 		return fmt.Errorf("writing %s: %w", path, err)
 	}
 	return f.Close()
-}
-
-func loadOrGenerate(worldPath, tracePath string, seed int64) (*crowdcdn.World, *crowdcdn.Trace, error) {
-	if (worldPath == "") != (tracePath == "") {
-		return nil, nil, fmt.Errorf("provide both -world and -trace, or neither")
-	}
-	if worldPath == "" {
-		cfg := crowdcdn.DefaultTraceConfig()
-		cfg.Seed = seed
-		return crowdcdn.Generate(cfg)
-	}
-	wf, err := os.Open(worldPath)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer wf.Close()
-	world, err := crowdcdn.ReadWorld(wf)
-	if err != nil {
-		return nil, nil, fmt.Errorf("reading %s: %w", worldPath, err)
-	}
-	tf, err := os.Open(tracePath)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer tf.Close()
-	tr, err := crowdcdn.ReadRequests(tf)
-	if err != nil {
-		return nil, nil, fmt.Errorf("reading %s: %w", tracePath, err)
-	}
-	return world, tr, nil
 }

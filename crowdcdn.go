@@ -342,6 +342,11 @@ func ExperimentIDs() []string { return exp.Experiments() }
 // robustness, the reactive-caching comparison, and the ablations.
 func ExtensionExperimentIDs() []string { return exp.ExtensionExperiments() }
 
+// MeasurementExperimentIDs lists the experiments that read the Sec. II
+// measurement data (ExperimentRunner.UseMeasurementData): Fig. 2, 3a
+// and 3b.
+func MeasurementExperimentIDs() []string { return exp.MeasurementExperiments() }
+
 // AnalyzeWorkloadDistribution runs the paper's Fig. 2 measurement on
 // any world and trace: per-hotspot workload CDFs under nearest and
 // random routing, with the replication-cost comparison.
@@ -374,6 +379,13 @@ func WriteRequests(w io.Writer, tr *Trace) error { return trace.WriteRequests(w,
 
 // ReadRequests decodes a trace written by WriteRequests.
 func ReadRequests(r io.Reader) (*Trace, error) { return trace.ReadRequests(r) }
+
+// LoadFiles reads the world and trace files cdntrace writes and checks
+// that the trace fits the world. Two empty paths return a nil pair (the
+// caller generates one); one empty path is an error.
+func LoadFiles(worldPath, tracePath string) (*World, *Trace, error) {
+	return trace.LoadFiles(worldPath, tracePath)
+}
 
 // TraceSummary describes a world/trace pair with the measurement
 // study's key statistics (workload skew, Gini, Zipf fit).

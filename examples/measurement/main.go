@@ -20,7 +20,8 @@ func main() {
 
 func run() error {
 	// A quarter-scale measurement world keeps the example fast while
-	// preserving the statistics; run cmd/cdnmeasure for full scale.
+	// preserving the statistics; run cmd/cdnexp fig2 fig3a fig3b for
+	// full scale, or with -world/-trace on cdntrace's files.
 	cfg := crowdcdn.MeasurementTraceConfig()
 	cfg.NumHotspots = 1200
 	cfg.NumVideos = 15000
@@ -50,6 +51,6 @@ func run() error {
 		}
 		fmt.Println()
 	}
-	fmt.Println("full CDF tables: go run ./cmd/cdnmeasure")
+	fmt.Println("full CDF tables: go run ./cmd/cdnexp fig2 fig3a fig3b (-world/-trace for files)")
 	return nil
 }

@@ -76,7 +76,7 @@ func (p *refPlan) Canonical() []byte {
 		}
 	}
 	plan := &Plan{Degraded: p.Degraded, Flows: p.Flows, Redirects: p.Redirects,
-		Placement: PlacementOf(p.Placement), OverflowToCDN: p.OverflowToCDN}
+		Placement: placementOf(p.Placement), OverflowToCDN: p.OverflowToCDN}
 	return plan.Canonical()
 }
 

@@ -33,7 +33,7 @@ func TestCanonicalDistinguishesPlans(t *testing.T) {
 		return &Plan{
 			Flows:         []FlowEdge{{From: 0, To: 1, Amount: 3}},
 			Redirects:     []Redirect{{From: 0, To: 1, Video: 7, Count: 2}},
-			Placement:     PlacementOf([]similarity.Set{similarity.NewSet(1, 2), similarity.NewSet(7)}),
+			Placement:     placementOf([]similarity.Set{similarity.NewSet(1, 2), similarity.NewSet(7)}),
 			OverflowToCDN: []int64{0, 4},
 		}
 	}
@@ -43,7 +43,7 @@ func TestCanonicalDistinguishesPlans(t *testing.T) {
 		"redirect video": func(p *Plan) { p.Redirects[0].Video = 8 },
 		"redirect count": func(p *Plan) { p.Redirects[0].Count = 1 },
 		"placement video": func(p *Plan) {
-			p.Placement = PlacementOf([]similarity.Set{similarity.NewSet(1, 2), similarity.NewSet(9)})
+			p.Placement = placementOf([]similarity.Set{similarity.NewSet(1, 2), similarity.NewSet(9)})
 		},
 		"overflow": func(p *Plan) { p.OverflowToCDN[1] = 5 },
 		"degraded": func(p *Plan) { p.Degraded = true },
@@ -97,7 +97,7 @@ func TestParseCanonicalRoundTrip(t *testing.T) {
 	hand := &Plan{
 		Degraded:      true,
 		Redirects:     []Redirect{{From: 2, To: 0, Video: 5, Count: 9}},
-		Placement:     PlacementOf([]similarity.Set{similarity.NewSet(4, 1), similarity.NewSet()}),
+		Placement:     placementOf([]similarity.Set{similarity.NewSet(4, 1), similarity.NewSet()}),
 		OverflowToCDN: []int64{7, 0},
 	}
 	hb := hand.Canonical()
@@ -128,7 +128,7 @@ func TestParseCanonicalRejectsMalformed(t *testing.T) {
 	good := (&Plan{
 		Flows:         []FlowEdge{{From: 0, To: 1, Amount: 3}},
 		Redirects:     []Redirect{{From: 0, To: 1, Video: 7, Count: 2}},
-		Placement:     PlacementOf([]similarity.Set{similarity.NewSet(1, 2), similarity.NewSet(7)}),
+		Placement:     placementOf([]similarity.Set{similarity.NewSet(1, 2), similarity.NewSet(7)}),
 		OverflowToCDN: []int64{0, 4},
 	}).Canonical()
 	if _, err := ParseCanonical(good); err != nil {
@@ -161,7 +161,7 @@ func TestVerifyCanonical(t *testing.T) {
 	good := (&Plan{
 		Flows:         []FlowEdge{{From: 0, To: 1, Amount: 3}},
 		Redirects:     []Redirect{{From: 0, To: 1, Video: 7, Count: 2}},
-		Placement:     PlacementOf([]similarity.Set{similarity.NewSet(1, 2), similarity.NewSet(7)}),
+		Placement:     placementOf([]similarity.Set{similarity.NewSet(1, 2), similarity.NewSet(7)}),
 		OverflowToCDN: []int64{0, 4},
 	}).Canonical()
 	plan, err := VerifyCanonical(good, DigestOf(good))
@@ -201,7 +201,7 @@ func TestDecodeCanonicalRejectsNonCanonical(t *testing.T) {
 	good := (&Plan{
 		Flows:         []FlowEdge{{From: 0, To: 1, Amount: 3}},
 		Redirects:     []Redirect{{From: 0, To: 1, Video: 7, Count: 2}},
-		Placement:     PlacementOf([]similarity.Set{similarity.NewSet(1, 2), similarity.NewSet(7)}),
+		Placement:     placementOf([]similarity.Set{similarity.NewSet(1, 2), similarity.NewSet(7)}),
 		OverflowToCDN: []int64{0, 4},
 	}).Canonical()
 	if _, err := DecodeCanonical(good); err != nil {
@@ -277,7 +277,7 @@ func TestDecodeCanonicalExtremes(t *testing.T) {
 			{From: -1, To: 0, Amount: math.MaxInt64},
 		},
 		Redirects:     []Redirect{{From: math.MaxInt32, To: math.MinInt32, Video: math.MinInt32, Count: math.MinInt64}},
-		Placement:     PlacementOf([]similarity.Set{similarity.NewSet(math.MinInt32, -1, 0, math.MaxInt32)}),
+		Placement:     placementOf([]similarity.Set{similarity.NewSet(math.MinInt32, -1, 0, math.MaxInt32)}),
 		OverflowToCDN: []int64{math.MinInt64, math.MaxInt64, 0},
 	}
 	canonical := p.Canonical()
@@ -329,13 +329,13 @@ func canonicalSeeds(t testing.TB) [][]byte {
 		(&Plan{
 			Flows:         []FlowEdge{{From: 0, To: 1, Amount: 3}},
 			Redirects:     []Redirect{{From: 0, To: 1, Video: 7, Count: 2}},
-			Placement:     PlacementOf([]similarity.Set{similarity.NewSet(1, 2), similarity.NewSet(7)}),
+			Placement:     placementOf([]similarity.Set{similarity.NewSet(1, 2), similarity.NewSet(7)}),
 			OverflowToCDN: []int64{0, 4},
 		}).Canonical(),
 		(&Plan{
 			Degraded:      true,
 			Redirects:     []Redirect{{From: 2, To: 0, Video: 5, Count: 9}},
-			Placement:     PlacementOf([]similarity.Set{similarity.NewSet(4, 1), similarity.NewSet()}),
+			Placement:     placementOf([]similarity.Set{similarity.NewSet(4, 1), similarity.NewSet()}),
 			OverflowToCDN: []int64{7, 0},
 		}).Canonical(),
 		(&Plan{}).Canonical(),
@@ -445,8 +445,8 @@ func BenchmarkVerifyCanonical(b *testing.B) {
 // TestCanonicalSetOrderIndependent checks placement serialisation does
 // not depend on map insertion order.
 func TestCanonicalSetOrderIndependent(t *testing.T) {
-	a := &Plan{Placement: PlacementOf([]similarity.Set{similarity.NewSet(3, 1, 2)}), OverflowToCDN: []int64{0}}
-	b := &Plan{Placement: PlacementOf([]similarity.Set{similarity.NewSet(2, 3, 1)}), OverflowToCDN: []int64{0}}
+	a := &Plan{Placement: placementOf([]similarity.Set{similarity.NewSet(3, 1, 2)}), OverflowToCDN: []int64{0}}
+	b := &Plan{Placement: placementOf([]similarity.Set{similarity.NewSet(2, 3, 1)}), OverflowToCDN: []int64{0}}
 	if !bytes.Equal(a.Canonical(), b.Canonical()) {
 		t.Fatalf("set insertion order leaked into canonical bytes")
 	}

@@ -438,6 +438,49 @@ func (d *Demand) Each(h int, fn func(v trace.VideoID, n int64)) {
 	}
 }
 
+// Len returns the number of entries of hotspot h's folded row: the
+// distinct videos aggregated there.
+func (d *Demand) Len(h int) int { return len(d.row(h)) }
+
+// Top appends to dst, id-ascending, the up-to-k videos that rank first
+// in hotspot h's row by count, descending, ties to the smaller id —
+// the order of the round's rank rows — and returns the extended slice.
+// It finds the k-th largest count, then takes every video above it and
+// the smallest ids at it in one walk of the row.
+func (d *Demand) Top(dst []int32, h, k int) []int32 {
+	row := d.row(h)
+	if k <= 0 {
+		return dst
+	}
+	if k >= len(row) {
+		for _, e := range row {
+			dst = append(dst, int32(e.video))
+		}
+		return dst
+	}
+	counts := make([]int64, len(row))
+	for i, e := range row {
+		counts[i] = e.count
+	}
+	slices.Sort(counts)
+	cut := counts[len(counts)-k]
+	atCut := k // the top-k entries whose count is cut
+	for _, c := range counts[len(counts)-k:] {
+		if c > cut {
+			atCut--
+		}
+	}
+	for _, e := range row {
+		if e.count > cut || e.count == cut && atCut > 0 {
+			if e.count == cut {
+				atCut--
+			}
+			dst = append(dst, int32(e.video))
+		}
+	}
+	return dst
+}
+
 // Move shifts amt requests for video v from hotspot src to hotspot tgt.
 // A source entry it empties is removed, so it no longer counts towards
 // the hotspot's distinct videos.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"maps"
 	"math/rand"
 	"slices"
@@ -131,6 +132,29 @@ func TestDemandMatchesOracle(t *testing.T) {
 			for v := 0; v < videos; v++ {
 				if got := d.Count(h, trace.VideoID(v)); got != want[v] {
 					t.Fatalf("step %d: Count(%d, %d) = %d, want %d", step, h, v, got, want[v])
+				}
+			}
+			// Top is a prefix of the ranking by count, descending, ties
+			// to the smaller id, handed back id-ascending.
+			var ranked []int
+			for v := range want {
+				ranked = append(ranked, v)
+			}
+			slices.SortFunc(ranked, func(a, b int) int {
+				return cmp.Or(cmp.Compare(want[b], want[a]), cmp.Compare(a, b))
+			})
+			if d.Len(h) != len(ranked) {
+				t.Fatalf("step %d: Len(%d) = %d, want %d", step, h, d.Len(h), len(ranked))
+			}
+			for k := -1; k <= len(ranked)+1; k++ {
+				top := slices.Clone(ranked[:max(0, min(k, len(ranked)))])
+				slices.Sort(top)
+				var got []int
+				for _, v := range d.Top([]int32{-1}, h, k)[1:] {
+					got = append(got, int(v))
+				}
+				if !slices.Equal(got, top) {
+					t.Fatalf("step %d: Top(%d, %d) = %v, want %v", step, h, k, got, top)
 				}
 			}
 			if d.Totals[h] != total {

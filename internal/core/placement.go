@@ -4,7 +4,6 @@ import (
 	"math"
 	"slices"
 
-	"repro/internal/similarity"
 	"repro/internal/trace"
 )
 
@@ -186,21 +185,4 @@ func mergeIDs(dst, a, b []int32) []int32 {
 		}
 	}
 	return append(append(dst, a...), b...)
-}
-
-// PlacementOf converts per-hotspot sets, the form the baseline policies
-// build a placement in, to runs.
-func PlacementOf(sets []similarity.Set) PlacementRuns {
-	n := 0
-	for _, set := range sets {
-		n += set.Len()
-	}
-	out := PlacementRuns{IDs: make([]int32, 0, n), Off: make([]int, 1, len(sets)+1)}
-	for _, set := range sets {
-		for _, v := range set.Sorted() {
-			out.IDs = append(out.IDs, int32(v))
-		}
-		out.Off = append(out.Off, len(out.IDs))
-	}
-	return out
 }

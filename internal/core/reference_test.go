@@ -586,7 +586,7 @@ func TestReplicateMatchesReference(t *testing.T) {
 		if !reflect.DeepEqual(gotRd, wantRd) {
 			t.Fatalf("%s: redirects diverge from the reference\n got %v\nwant %v", c.name, gotRd, wantRd)
 		}
-		if want := PlacementOf(wantPl); !gotPl.Equal(&want) {
+		if want := placementOf(wantPl); !gotPl.Equal(&want) {
 			t.Fatalf("%s: placement diverges from the reference\n got %v\nwant %v", c.name, gotPl, wantPl)
 		}
 		if gotUn != wantUn || gotRep != wantRep {
@@ -710,4 +710,17 @@ func TestDemandTableMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// placementOf lays per-hotspot sets out as placement runs, the form
+// the reference implementations' set placements are compared in.
+func placementOf(sets []similarity.Set) PlacementRuns {
+	out := PlacementRuns{Off: []int{0}}
+	for _, set := range sets {
+		for _, v := range set.Sorted() {
+			out.IDs = append(out.IDs, int32(v))
+		}
+		out.Off = append(out.Off, len(out.IDs))
+	}
+	return out
 }

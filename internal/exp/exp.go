@@ -217,6 +217,13 @@ func (r *Runner) measureData() (*trace.World, *trace.Trace, error) {
 	return r.measWorld, r.measTrace, nil
 }
 
+// UseMeasurementData makes world and tr the Sec. II data the
+// measurement experiments (MeasurementExperiments) read, in place of
+// the generated measurement-scale pair.
+func (r *Runner) UseMeasurementData(world *trace.World, tr *trace.Trace) {
+	r.measWorld, r.measTrace = world, tr
+}
+
 // NewRunner returns a runner at the given scale (clamped into (0, 1]).
 func NewRunner(seed int64, scale float64) *Runner {
 	if scale <= 0 || scale > 1 {
@@ -345,6 +352,10 @@ func Experiments() []string { return ids(true) }
 // ExtensionExperiments lists the experiments this reproduction adds
 // beyond the paper's figures, in order.
 func ExtensionExperiments() []string { return ids(false) }
+
+// MeasurementExperiments lists the experiments that read the Sec. II
+// measurement data, in order; no other experiment reads it.
+func MeasurementExperiments() []string { return []string{"fig2", "fig3a", "fig3b"} }
 
 // Run executes one experiment by ID and returns its figures (a sweep
 // like fig6 yields one figure per metric).

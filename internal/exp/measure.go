@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/similarity"
 	"repro/internal/stats"
@@ -288,37 +289,29 @@ func contentSimilarities(world *trace.World, tr *trace.Trace, ratio float64, see
 		return nil, 0, err
 	}
 
-	demand := make(map[int]map[int]int64, n)
+	demand := core.NewDemand(m)
 	for _, req := range tr.Requests {
 		h, _, ok := grid.Nearest(req.Location)
 		if !ok {
 			return nil, 0, fmt.Errorf("exp: empty sampled index")
 		}
-		if demand[h] == nil {
-			demand[h] = make(map[int]int64)
-		}
-		demand[h][int(req.Video)]++
+		demand.Add(trace.HotspotID(h), req.Video, 1)
 	}
-
-	sets := make(map[int]similarity.Set, len(demand))
-	for h, counts := range demand {
-		set, err := similarity.TopFraction(counts, 0.20)
-		if err != nil {
-			return nil, 0, err
-		}
-		sets[h] = set
+	demand.Fold()
+	sigs := make([][]int32, m)
+	for h := range sigs {
+		sigs[h] = demand.Top(nil, h, similarity.TopCount(demand.Len(h), 0.20))
 	}
 
 	pairs := grid.Pairs(5.0)
 	pairs = samplePairs(pairs, maxCorrelationPairs, seed)
 	var sims []float64
 	for _, p := range pairs {
-		sa, okA := sets[p.A]
-		sb, okB := sets[p.B]
-		if !okA || !okB || sa.Len() == 0 || sb.Len() == 0 {
+		sa, sb := sigs[p.A], sigs[p.B]
+		if len(sa) == 0 || len(sb) == 0 {
 			continue // hotspots with no demand have no signature
 		}
-		sims = append(sims, similarity.Jaccard(sa, sb))
+		sims = append(sims, similarity.JaccardRuns(sa, sb))
 	}
 	return sims, n, nil
 }

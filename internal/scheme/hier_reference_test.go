@@ -273,7 +273,7 @@ func (p *referenceHier) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) 
 		}
 		targets[r] = sim.CDN
 	}
-	return &sim.Assignment{Placement: core.PlacementOf(finalPlacement), Target: targets}, nil
+	return &sim.Assignment{Placement: placementOf(finalPlacement), Target: targets}, nil
 }
 
 // slotContexts packages every non-empty slot of a generated trace as a
@@ -470,4 +470,16 @@ func TestHierarchicalMatchesReference(t *testing.T) {
 			t.Errorf("%s: no request was served across regions at any cell size", name)
 		}
 	}
+}
+
+// placementOf lays per-hotspot sets out as placement runs.
+func placementOf(sets []similarity.Set) core.PlacementRuns {
+	out := core.PlacementRuns{Off: []int{0}}
+	for _, set := range sets {
+		for _, v := range set.Sorted() {
+			out.IDs = append(out.IDs, int32(v))
+		}
+		out.Off = append(out.Off, len(out.IDs))
+	}
+	return out
 }

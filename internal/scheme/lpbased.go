@@ -2,12 +2,11 @@ package scheme
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/lp"
 	"repro/internal/sim"
-	"repro/internal/similarity"
 	"repro/internal/trace"
 )
 
@@ -215,12 +214,8 @@ func (s LPBased) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) {
 
 	// Round: start from Nearest placement, force-in replicas for the
 	// groups' chosen servers, then route sampled demand accordingly.
-	placement := make([]similarity.Set, m)
-	cacheUsed := make([]int, m)
-	for h := 0; h < m; h++ {
-		placement[h] = topLocal(ctx.Demand.VideoCounts(h), cache[h])
-		cacheUsed[h] = placement[h].Len()
-	}
+	nearest := topPlacement(ctx.Demand, cache)
+	forced := make([][]int32, m) // videos forced in at each hotspot
 
 	type route struct {
 		target int
@@ -262,12 +257,11 @@ func (s LPBased) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) {
 			if amt <= 0 {
 				continue
 			}
-			if !placement[sh.j].Contains(int(g.video)) {
-				if cacheUsed[sh.j] >= cache[sh.j] {
+			if !nearest.Contains(sh.j, int(g.video)) && !slices.Contains(forced[sh.j], int32(g.video)) {
+				if nearest.Len(sh.j)+len(forced[sh.j]) >= cache[sh.j] {
 					continue
 				}
-				placement[sh.j].Add(int(g.video))
-				cacheUsed[sh.j]++
+				forced[sh.j] = append(forced[sh.j], int32(g.video))
 			}
 			routesOf[gKey(g.hotspot, g.video)] = append(routesOf[gKey(g.hotspot, g.video)],
 				&route{target: sh.j, budget: amt})
@@ -293,5 +287,5 @@ func (s LPBased) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) {
 			}
 		}
 	}
-	return &sim.Assignment{Placement: core.PlacementOf(placement), Target: targets}, nil
+	return &sim.Assignment{Placement: nearest.WithAdded(forced), Target: targets}, nil
 }

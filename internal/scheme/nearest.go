@@ -7,11 +7,9 @@ package scheme
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/sim"
-	"repro/internal/similarity"
 )
 
 // Nearest routes every request to its nearest hotspot; each hotspot
@@ -29,53 +27,18 @@ func (Nearest) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) {
 	if ctx == nil {
 		return nil, fmt.Errorf("scheme: nil context")
 	}
-	m := len(ctx.World.Hotspots)
-	cache := ctx.EffectiveCacheCapacity()
-	placement := make([]similarity.Set, m)
-	for h := 0; h < m; h++ {
-		placement[h] = topLocal(ctx.Demand.VideoCounts(h), cache[h])
-	}
 	targets := make([]int, len(ctx.Requests))
 	copy(targets, ctx.Nearest)
-	return &sim.Assignment{Placement: core.PlacementOf(placement), Target: targets}, nil
+	return &sim.Assignment{Placement: topPlacement(ctx.Demand, ctx.EffectiveCacheCapacity()), Target: targets}, nil
 }
 
-// topLocal returns the up-to-limit most demanded videos.
-func topLocal(counts map[int]int64, limit int) similarity.Set {
-	if limit <= 0 || len(counts) == 0 {
-		return similarity.Set{}
+// topPlacement places at each hotspot h the up-to-cache[h] videos its
+// row of d ranks first (core.Demand.Top).
+func topPlacement(d *core.Demand, cache []int) core.PlacementRuns {
+	p := core.PlacementRuns{Off: make([]int, 1, len(cache)+1)}
+	for h, k := range cache {
+		p.IDs = d.Top(p.IDs, h, k)
+		p.Off = append(p.Off, len(p.IDs))
 	}
-	ranked := similarity.RankedIDs(counts)
-	if len(ranked) > limit {
-		ranked = ranked[:limit]
-	}
-	return similarity.NewSet(ranked...)
-}
-
-// videoCount pairs a video id with a demand count.
-type videoCount struct {
-	id int
-	n  int64
-}
-
-// topLocalPairs is topLocal over a pair slice, avoiding map overhead on
-// hot paths. The input slice is reordered.
-func topLocalPairs(pairs []videoCount, limit int) similarity.Set {
-	if limit <= 0 || len(pairs) == 0 {
-		return similarity.Set{}
-	}
-	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a].n != pairs[b].n {
-			return pairs[a].n > pairs[b].n
-		}
-		return pairs[a].id < pairs[b].id
-	})
-	if len(pairs) > limit {
-		pairs = pairs[:limit]
-	}
-	out := make(similarity.Set, len(pairs))
-	for _, p := range pairs {
-		out.Add(p.id)
-	}
-	return out
+	return p
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sim"
-	"repro/internal/similarity"
 	"repro/internal/trace"
 )
 
@@ -54,7 +53,7 @@ func routeInRadius(ctx *sim.SlotContext, scheme string, radiusKm float64, pick f
 	for i, req := range ctx.Requests {
 		holders = holders[:0]
 		for _, nb := range neighborsOf[ctx.Nearest[i]] {
-			if capLeft[nb] > 0 && placement[nb].Contains(int(req.Video)) {
+			if capLeft[nb] > 0 && placement.Contains(nb, int(req.Video)) {
 				holders = append(holders, nb)
 			}
 		}
@@ -66,38 +65,24 @@ func routeInRadius(ctx *sim.SlotContext, scheme string, radiusKm float64, pick f
 		capLeft[h]--
 		targets[i] = h
 	}
-	return &sim.Assignment{Placement: core.PlacementOf(placement), Target: targets}, nil
+	return &sim.Assignment{Placement: placement, Target: targets}, nil
 }
 
 // neighborhoodPlacement computes the Random/PowerOfTwo cache policy:
 // each hotspot caches the most popular videos among the demand of
-// hotspots within the radius, and returns the per-hotspot neighbour
-// lists used for routing.
-func neighborhoodPlacement(ctx *sim.SlotContext, radiusKm float64) ([]similarity.Set, [][]int) {
+// hotspots within the radius — their rows summed into one demand row
+// per hotspot — and returns the per-hotspot neighbour lists used for
+// routing.
+func neighborhoodPlacement(ctx *sim.SlotContext, radiusKm float64) (core.PlacementRuns, [][]int) {
 	m := len(ctx.World.Hotspots)
-	cache := ctx.EffectiveCacheCapacity()
-	placement := make([]similarity.Set, m)
+	local := core.NewDemand(m)
 	neighborsOf := make([][]int, m)
-	buf := make([]int64, ctx.World.NumVideos)
-	touched := make([]int, 0, 1024)
 	for h := 0; h < m; h++ {
-		nbrs := ctx.Index.Within(ctx.World.Hotspots[h].Location, radiusKm)
-		touched = touched[:0]
-		for _, nb := range nbrs {
+		for _, nb := range ctx.Index.Within(ctx.World.Hotspots[h].Location, radiusKm) {
 			neighborsOf[h] = append(neighborsOf[h], nb.ID)
-			ctx.Demand.Each(nb.ID, func(v trace.VideoID, n int64) {
-				if buf[v] == 0 {
-					touched = append(touched, int(v))
-				}
-				buf[v] += n
-			})
+			ctx.Demand.Each(nb.ID, func(v trace.VideoID, n int64) { local.Add(trace.HotspotID(h), v, n) })
 		}
-		pairs := make([]videoCount, len(touched))
-		for i, v := range touched {
-			pairs[i] = videoCount{id: v, n: buf[v]}
-			buf[v] = 0
-		}
-		placement[h] = topLocalPairs(pairs, cache[h])
 	}
-	return placement, neighborsOf
+	local.Fold()
+	return topPlacement(local, ctx.EffectiveCacheCapacity()), neighborsOf
 }

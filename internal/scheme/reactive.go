@@ -2,12 +2,11 @@ package scheme
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/sim"
-	"repro/internal/similarity"
 	"repro/internal/trace"
 )
 
@@ -23,7 +22,9 @@ import (
 // requests are then served against the end-of-slot contents (the
 // simulator models placement per slot); fetches for videos that were
 // admitted and evicted again inside the slot are accounted through
-// Assignment.ExtraReplicas.
+// Assignment.ExtraReplicas. A hotspot without cache space has no cache:
+// it places nothing, its requests go to the origin, and its misses
+// admit (and fetch) nothing.
 type Reactive struct {
 	// NewCache builds each hotspot's cache; nil selects cache.NewLRU.
 	NewCache cache.Constructor
@@ -31,8 +32,8 @@ type Reactive struct {
 	Label string
 
 	world  *trace.World
-	caches []cache.Cache
-	prev   []similarity.Set
+	caches []cache.Cache // nil for a hotspot without cache space
+	prev   core.PlacementRuns
 }
 
 var _ sim.Scheduler = (*Reactive)(nil)
@@ -74,19 +75,18 @@ func (p *Reactive) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) {
 		}
 		m := len(ctx.World.Hotspots)
 		p.caches = make([]cache.Cache, m)
-		p.prev = make([]similarity.Set, m)
 		for h := 0; h < m; h++ {
 			capacity := ctx.World.Hotspots[h].CacheCapacity
 			if capacity < 1 {
-				capacity = 1
+				continue
 			}
 			c, err := ctor(capacity)
 			if err != nil {
 				return nil, fmt.Errorf("scheme: building cache for hotspot %d: %w", h, err)
 			}
 			p.caches[h] = c
-			p.prev[h] = similarity.Set{}
 		}
+		p.prev = core.PlacementRuns{Off: make([]int, m+1)}
 		p.world = ctx.World
 	}
 	m := len(ctx.World.Hotspots)
@@ -95,8 +95,11 @@ func (p *Reactive) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) {
 	// counting origin fetches (misses).
 	var fetches int64
 	for i := range ctx.Requests {
-		h := ctx.Nearest[i]
-		if hit, _, _ := p.caches[h].Access(int(ctx.Requests[i].Video)); !hit {
+		c := p.caches[ctx.Nearest[i]]
+		if c == nil {
+			continue
+		}
+		if hit, _, _ := c.Access(int(ctx.Requests[i].Video)); !hit {
 			fetches++
 		}
 	}
@@ -105,15 +108,19 @@ func (p *Reactive) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) {
 	// accounting below compares physical contents slot over slot, so it
 	// stays consistent even when degraded cache capacity hides part of
 	// the cache from the reported placement.
-	placement := make([]similarity.Set, m)
+	placement := core.PlacementRuns{Off: make([]int, 1, m+1)}
 	var newlyPlaced int64
-	for h := 0; h < m; h++ {
-		placement[h] = similarity.NewSet(p.caches[h].Items()...)
-		for v := range placement[h] {
-			if !p.prev[h].Contains(v) {
-				newlyPlaced++
+	for h, c := range p.caches {
+		start := len(placement.IDs)
+		if c != nil {
+			for _, v := range c.Items() {
+				placement.IDs = append(placement.IDs, int32(v))
 			}
 		}
+		row := placement.IDs[start:]
+		slices.Sort(row)
+		newlyPlaced += countAbsent(row, p.prev.Row(h))
+		placement.Off = append(placement.Off, len(placement.IDs))
 	}
 
 	// Under cache degradation the device has lost cache space: only an
@@ -122,9 +129,10 @@ func (p *Reactive) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) {
 	// resurfaces when the fault clears.
 	reported := placement
 	if cache := ctx.CacheCapacity; cache != nil {
-		reported = make([]similarity.Set, m)
+		reported = core.PlacementRuns{Off: make([]int, 1, m+1)}
 		for h := 0; h < m; h++ {
-			reported[h] = trimSet(placement[h], cache[h])
+			row := placement.Row(h)
+			reported.AppendRow(row[:min(len(row), cache[h])])
 		}
 	}
 
@@ -133,7 +141,7 @@ func (p *Reactive) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) {
 	targets := make([]int, len(ctx.Requests))
 	for i, req := range ctx.Requests {
 		h := ctx.Nearest[i]
-		if capLeft[h] > 0 && reported[h].Contains(int(req.Video)) {
+		if capLeft[h] > 0 && reported.Contains(h, int(req.Video)) {
 			targets[i] = h
 			capLeft[h]--
 		} else {
@@ -149,22 +157,20 @@ func (p *Reactive) Schedule(ctx *sim.SlotContext) (*sim.Assignment, error) {
 			fetches, newlyPlaced)
 	}
 	p.prev = placement
-	return &sim.Assignment{Placement: core.PlacementOf(reported), Target: targets, ExtraReplicas: extra}, nil
+	return &sim.Assignment{Placement: reported, Target: targets, ExtraReplicas: extra}, nil
 }
 
-// trimSet returns s when it fits limit, otherwise a deterministic
-// limit-sized subset (smallest ids kept).
-func trimSet(s similarity.Set, limit int) similarity.Set {
-	if s.Len() <= limit {
-		return s
+// countAbsent returns how many ids of the ascending run ids the
+// ascending run prev lacks, in one merge walk.
+func countAbsent(ids, prev []int32) (n int64) {
+	i := 0
+	for _, v := range ids {
+		for i < len(prev) && prev[i] < v {
+			i++
+		}
+		if i == len(prev) || prev[i] != v {
+			n++
+		}
 	}
-	if limit <= 0 {
-		return similarity.Set{}
-	}
-	ids := make([]int, 0, s.Len())
-	for v := range s {
-		ids = append(ids, v)
-	}
-	sort.Ints(ids)
-	return similarity.NewSet(ids[:limit]...)
+	return n
 }

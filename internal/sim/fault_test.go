@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"reflect"
-	"repro/internal/core"
 	"sort"
 	"testing"
 
@@ -58,7 +57,7 @@ func (resilientPolicy) Schedule(ctx *SlotContext) (*Assignment, error) {
 		}
 	}
 	return &Assignment{
-		Placement:      core.PlacementOf(placement),
+		Placement:      placementOf(placement),
 		Target:         targets,
 		Degraded:       salt == 3,
 		StrandedDemand: stranded,
@@ -254,7 +253,7 @@ func TestCapacityDegradationBoundsServing(t *testing.T) {
 	naive := stubPolicy{name: "nominal-budget", schedule: func(ctx *SlotContext) (*Assignment, error) {
 		// Deliberately budget against nominal capacity to prove the
 		// simulator enforces the degraded one.
-		return &Assignment{Placement: core.PlacementOf(placeEverything(ctx)), Target: append([]int(nil), ctx.Nearest...)}, nil
+		return &Assignment{Placement: placementOf(placeEverything(ctx)), Target: append([]int(nil), ctx.Nearest...)}, nil
 	}}
 	opts := Options{Faults: &fault.Scenario{
 		Degradations: []fault.CapacityDegradation{
@@ -288,7 +287,7 @@ func TestStaleReportsLagDemandView(t *testing.T) {
 		for i := range targets {
 			targets[i] = CDN
 		}
-		return &Assignment{Placement: core.PlacementOf([]similarity.Set{{}, {}}), Target: targets}, nil
+		return &Assignment{Placement: placementOf([]similarity.Set{{}, {}}), Target: targets}, nil
 	}}
 	opts := Options{Faults: &fault.Scenario{Staleness: &fault.StaleReports{LagSlots: 1}}}
 	m, err := Run(world, tr, recorder, opts)
@@ -320,7 +319,7 @@ func TestDroppedReportsHideDemand(t *testing.T) {
 		for i := range targets {
 			targets[i] = CDN
 		}
-		return &Assignment{Placement: core.PlacementOf([]similarity.Set{{}, {}}), Target: targets}, nil
+		return &Assignment{Placement: placementOf([]similarity.Set{{}, {}}), Target: targets}, nil
 	}}
 	opts := Options{Faults: &fault.Scenario{Staleness: &fault.StaleReports{DropFraction: 1}}}
 	if _, err := Run(world, tr, recorder, opts); err != nil {
@@ -368,7 +367,7 @@ func TestDegradedAssignmentMetrics(t *testing.T) {
 			targets[i] = CDN
 		}
 		return &Assignment{
-			Placement:      core.PlacementOf([]similarity.Set{{}, {}}),
+			Placement:      placementOf([]similarity.Set{{}, {}}),
 			Target:         targets,
 			Degraded:       true,
 			StrandedDemand: 2,
@@ -388,7 +387,7 @@ func TestDegradedAssignmentMetrics(t *testing.T) {
 		for i := range targets {
 			targets[i] = CDN
 		}
-		return &Assignment{Placement: core.PlacementOf([]similarity.Set{{}, {}}), Target: targets, StrandedDemand: -1}, nil
+		return &Assignment{Placement: placementOf([]similarity.Set{{}, {}}), Target: targets, StrandedDemand: -1}, nil
 	}}
 	if _, err := Run(world, tr, negative, Options{}); err == nil {
 		t.Error("negative StrandedDemand accepted")

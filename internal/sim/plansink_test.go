@@ -23,11 +23,11 @@ func (planStubPolicy) Schedule(ctx *SlotContext) (*Assignment, error) {
 		targets[r] = CDN
 	}
 	plan := &core.Plan{
-		Placement:     core.PlacementOf(placement),
+		Placement:     placementOf(placement),
 		OverflowToCDN: make([]int64, m),
 		Flows:         []core.FlowEdge{{From: 0, To: 1, Amount: int64(ctx.Slot)}},
 	}
-	return &Assignment{Placement: core.PlacementOf(placement), Target: targets, Plan: plan}, nil
+	return &Assignment{Placement: placementOf(placement), Target: targets, Plan: plan}, nil
 }
 
 // TestPlanSinkSlotOrder locks in the PlanSink contract: plans arrive in
@@ -100,7 +100,7 @@ func TestPlanSinkSkipsPlanlessPolicies(t *testing.T) {
 	called := false
 	policy := stubPolicy{name: "planless", schedule: func(ctx *SlotContext) (*Assignment, error) {
 		return &Assignment{
-			Placement: core.PlacementOf(placeEverything(ctx)),
+			Placement: placementOf(placeEverything(ctx)),
 			Target:    []int{CDN},
 		}, nil
 	}}

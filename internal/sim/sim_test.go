@@ -53,6 +53,18 @@ func requestsAt(videos []trace.VideoID, x float64, slot int) []trace.Request {
 	return out
 }
 
+// placementOf lays per-hotspot sets out as placement runs.
+func placementOf(sets []similarity.Set) core.PlacementRuns {
+	out := core.PlacementRuns{Off: []int{0}}
+	for _, set := range sets {
+		for _, v := range set.Sorted() {
+			out.IDs = append(out.IDs, int32(v))
+		}
+		out.Off = append(out.Off, len(out.IDs))
+	}
+	return out
+}
+
 func placeEverything(ctx *SlotContext) []similarity.Set {
 	m := len(ctx.World.Hotspots)
 	placement := make([]similarity.Set, m)
@@ -71,7 +83,7 @@ func TestRunInputValidation(t *testing.T) {
 	world := twoHotspotWorld()
 	tr := &trace.Trace{Slots: 1, Requests: requestsAt([]trace.VideoID{1}, 0, 0)}
 	nearest := stubPolicy{name: "stub", schedule: func(ctx *SlotContext) (*Assignment, error) {
-		return &Assignment{Placement: core.PlacementOf(placeEverything(ctx)), Target: append([]int(nil), ctx.Nearest...)}, nil
+		return &Assignment{Placement: placementOf(placeEverything(ctx)), Target: append([]int(nil), ctx.Nearest...)}, nil
 	}}
 	if _, err := Run(nil, tr, nearest, Options{}); err == nil {
 		t.Error("Run(nil world) succeeded")
@@ -98,7 +110,7 @@ func TestRunServesFeasibleTargets(t *testing.T) {
 	// Two requests at hotspot 0 for video 1: capacity 2, cache fits.
 	tr := &trace.Trace{Slots: 1, Requests: requestsAt([]trace.VideoID{1, 1}, 0.1, 0)}
 	policy := stubPolicy{name: "local", schedule: func(ctx *SlotContext) (*Assignment, error) {
-		return &Assignment{Placement: core.PlacementOf(placeEverything(ctx)), Target: append([]int(nil), ctx.Nearest...)}, nil
+		return &Assignment{Placement: placementOf(placeEverything(ctx)), Target: append([]int(nil), ctx.Nearest...)}, nil
 	}}
 	m, err := Run(world, tr, policy, Options{Seed: 1})
 	if err != nil {
@@ -134,7 +146,7 @@ func TestRunEnforcesCapacity(t *testing.T) {
 	// Three requests at hotspot 0: capacity 2 → one bounced to CDN.
 	tr := &trace.Trace{Slots: 1, Requests: requestsAt([]trace.VideoID{1, 1, 1}, 0, 0)}
 	policy := stubPolicy{name: "overload", schedule: func(ctx *SlotContext) (*Assignment, error) {
-		return &Assignment{Placement: core.PlacementOf(placeEverything(ctx)), Target: append([]int(nil), ctx.Nearest...)}, nil
+		return &Assignment{Placement: placementOf(placeEverything(ctx)), Target: append([]int(nil), ctx.Nearest...)}, nil
 	}}
 	m, err := Run(world, tr, policy, Options{})
 	if err != nil {
@@ -155,7 +167,7 @@ func TestRunEnforcesPlacement(t *testing.T) {
 	tr := &trace.Trace{Slots: 1, Requests: requestsAt([]trace.VideoID{1}, 0, 0)}
 	policy := stubPolicy{name: "no-placement", schedule: func(ctx *SlotContext) (*Assignment, error) {
 		placement := []similarity.Set{similarity.NewSet(), similarity.NewSet()}
-		return &Assignment{Placement: core.PlacementOf(placement), Target: append([]int(nil), ctx.Nearest...)}, nil
+		return &Assignment{Placement: placementOf(placement), Target: append([]int(nil), ctx.Nearest...)}, nil
 	}}
 	m, err := Run(world, tr, policy, Options{})
 	if err != nil {
@@ -171,7 +183,7 @@ func TestRunRejectsOversizedPlacement(t *testing.T) {
 	tr := &trace.Trace{Slots: 1, Requests: requestsAt([]trace.VideoID{1}, 0, 0)}
 	policy := stubPolicy{name: "cache-buster", schedule: func(ctx *SlotContext) (*Assignment, error) {
 		placement := []similarity.Set{similarity.NewSet(1, 2, 3), similarity.NewSet()}
-		return &Assignment{Placement: core.PlacementOf(placement), Target: append([]int(nil), ctx.Nearest...)}, nil
+		return &Assignment{Placement: placementOf(placement), Target: append([]int(nil), ctx.Nearest...)}, nil
 	}}
 	if _, err := Run(world, tr, policy, Options{}); err == nil {
 		t.Error("Run accepted placement exceeding cache capacity")
@@ -184,13 +196,13 @@ func TestRunRejectsBadAssignment(t *testing.T) {
 	cases := map[string]func(ctx *SlotContext) (*Assignment, error){
 		"nil assignment": func(ctx *SlotContext) (*Assignment, error) { return nil, nil },
 		"short placement": func(ctx *SlotContext) (*Assignment, error) {
-			return &Assignment{Placement: core.PlacementOf([]similarity.Set{similarity.NewSet()}), Target: []int{0}}, nil
+			return &Assignment{Placement: placementOf([]similarity.Set{similarity.NewSet()}), Target: []int{0}}, nil
 		},
 		"short targets": func(ctx *SlotContext) (*Assignment, error) {
-			return &Assignment{Placement: core.PlacementOf(placeEverything(ctx)), Target: nil}, nil
+			return &Assignment{Placement: placementOf(placeEverything(ctx)), Target: nil}, nil
 		},
 		"target out of range": func(ctx *SlotContext) (*Assignment, error) {
-			return &Assignment{Placement: core.PlacementOf(placeEverything(ctx)), Target: []int{7}}, nil
+			return &Assignment{Placement: placementOf(placeEverything(ctx)), Target: []int{7}}, nil
 		},
 		"policy error": func(ctx *SlotContext) (*Assignment, error) {
 			return nil, fmt.Errorf("boom")
@@ -214,7 +226,7 @@ func TestRunReplicaAccountingAcrossSlots(t *testing.T) {
 	// The same placement both slots: the replica is pushed once.
 	stable := stubPolicy{name: "stable", schedule: func(ctx *SlotContext) (*Assignment, error) {
 		placement := []similarity.Set{similarity.NewSet(1), similarity.NewSet()}
-		return &Assignment{Placement: core.PlacementOf(placement), Target: append([]int(nil), ctx.Nearest...)}, nil
+		return &Assignment{Placement: placementOf(placement), Target: append([]int(nil), ctx.Nearest...)}, nil
 	}}
 	m, err := Run(world, tr, stable, Options{})
 	if err != nil {
@@ -235,7 +247,7 @@ func TestRunReplicaAccountingAcrossSlots(t *testing.T) {
 		for i := range targets {
 			targets[i] = CDN
 		}
-		return &Assignment{Placement: core.PlacementOf(placement), Target: targets}, nil
+		return &Assignment{Placement: placementOf(placement), Target: targets}, nil
 	}}
 	m2, err := Run(world, tr, churn, Options{})
 	if err != nil {
@@ -259,7 +271,7 @@ func TestRunSlotLoads(t *testing.T) {
 			targets[i] = CDN
 		}
 		placement := []similarity.Set{similarity.NewSet(), similarity.NewSet()}
-		return &Assignment{Placement: core.PlacementOf(placement), Target: targets}, nil
+		return &Assignment{Placement: placementOf(placement), Target: targets}, nil
 	}}
 	m, err := Run(world, tr, policy, Options{})
 	if err != nil {
@@ -333,7 +345,7 @@ func TestRunWithChurn(t *testing.T) {
 				targets[r] = CDN
 			}
 		}
-		return &Assignment{Placement: core.PlacementOf(placement), Target: targets}, nil
+		return &Assignment{Placement: placementOf(placement), Target: targets}, nil
 	}}
 	m, err := Run(world, tr, policy, Options{Seed: 3, Faults: &fault.Scenario{Churn: &fault.MarkovChurn{FailPerSlot: 0.5, RecoverPerSlot: 0.5}}})
 	if err != nil {
@@ -410,7 +422,7 @@ func TestRunRejectsNegativeExtraReplicas(t *testing.T) {
 	policy := stubPolicy{name: "bad-extra", schedule: func(ctx *SlotContext) (*Assignment, error) {
 		targets := []int{CDN}
 		placement := []similarity.Set{similarity.NewSet(), similarity.NewSet()}
-		return &Assignment{Placement: core.PlacementOf(placement), Target: targets, ExtraReplicas: -1}, nil
+		return &Assignment{Placement: placementOf(placement), Target: targets, ExtraReplicas: -1}, nil
 	}}
 	if _, err := Run(world, tr, policy, Options{}); err == nil {
 		t.Error("negative ExtraReplicas accepted")
@@ -427,7 +439,7 @@ func TestRunKeepsSlotMetrics(t *testing.T) {
 	}
 	tr := &trace.Trace{Slots: 2, Requests: reqs}
 	policy := stubPolicy{name: "local", schedule: func(ctx *SlotContext) (*Assignment, error) {
-		return &Assignment{Placement: core.PlacementOf(placeEverything(ctx)), Target: append([]int(nil), ctx.Nearest...)}, nil
+		return &Assignment{Placement: placementOf(placeEverything(ctx)), Target: append([]int(nil), ctx.Nearest...)}, nil
 	}}
 	var timeline []SlotMetrics
 	m, err := Run(world, tr, policy, withTimeline(Options{}, &timeline))
@@ -493,7 +505,7 @@ func (saltedPolicy) Schedule(ctx *SlotContext) (*Assignment, error) {
 			targets[r] = CDN
 		}
 	}
-	return &Assignment{Placement: core.PlacementOf(placement), Target: targets}, nil
+	return &Assignment{Placement: placementOf(placement), Target: targets}, nil
 }
 
 // TestRunParallelMatchesRun locks in RunParallel's contract: for a

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/similarity"
 	"repro/internal/trace"
 )
@@ -46,7 +45,7 @@ func (cdnOnly) Schedule(ctx *SlotContext) (*Assignment, error) {
 	for h := range placement {
 		placement[h] = similarity.NewSet()
 	}
-	return &Assignment{Placement: core.PlacementOf(placement), Target: target}, nil
+	return &Assignment{Placement: placementOf(placement), Target: target}, nil
 }
 
 // withTimeline returns opts with a SlotSink that appends every applied

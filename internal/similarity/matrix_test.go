@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -80,16 +81,19 @@ func TestDistanceMatrixKernelAgreement(t *testing.T) {
 	}
 }
 
-// TestDistanceRunsMatchJaccard holds the runs kernel, and the []Set
-// adapter onto it, to the map kernel: every cell == JaccardDistance (0
-// on the diagonal) at workers 1, 2 and 7, on seeded families of int32
-// runs whose ids reach both ends of the range, with empty runs mixed in
-// and fixed cases for two empty sets (Jd 0) and an empty set against a
-// non-empty one (Jd 1).
+// TestDistanceRunsMatchJaccard holds the runs kernels to the map
+// kernel: every cell of FillDistanceRuns, and of the []Set adapter onto
+// it, == JaccardDistance (0 on the diagonal) at workers 1, 2 and 7, and
+// JaccardRuns on every ordered pair of sorted runs == Jaccard, on
+// seeded families of int32 runs whose ids reach both ends of the range,
+// with empty runs mixed in and fixed cases for two empty sets (Jd 0,
+// similarity 1), an empty set against a non-empty one (Jd 1), and
+// identical and disjoint sets.
 func TestDistanceRunsMatchJaccard(t *testing.T) {
 	families := [][][]int32{
 		{{}, {}},
 		{{}, {0}},
+		{{3, 1, 2}, {2, 3, 1}, {4, 5}},
 		{{0, math.MaxInt32}, {math.MaxInt32}, {0}, {}},
 		{{math.MinInt32, -1, 0, math.MaxInt32}, {math.MaxInt32, math.MinInt32}, {-1}},
 	}
@@ -126,6 +130,18 @@ func TestDistanceRunsMatchJaccard(t *testing.T) {
 			}
 			ids = append(ids, run...)
 			at = append(at, int32(len(ids)))
+		}
+		sorted := make([][]int32, n)
+		for i, run := range runs {
+			sorted[i] = slices.Clone(run)
+			slices.Sort(sorted[i])
+		}
+		for i, a := range sorted {
+			for j, b := range sorted {
+				if got, want := JaccardRuns(a, b), Jaccard(sets[i], sets[j]); got != want {
+					t.Fatalf("family %d: JaccardRuns(%v, %v) = %v, reference %v", f, a, b, got, want)
+				}
+			}
 		}
 		for _, workers := range []int{1, 2, 7} {
 			fromRuns, fromSets := make([]float64, n*n), make([]float64, n*n)

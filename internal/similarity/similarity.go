@@ -4,9 +4,10 @@
 // Jaccard similarity of nearby hotspots' top-20% content sets both in
 // its measurement study (Fig. 3b) and as the clustering distance of the
 // content-aggregation stage (Eq. 13). The map-based Jaccard is the
-// definition and the reference; FillDistanceRuns computes the same
-// values for a whole fleet from an inverted index of the sets, and
-// DistanceMatrix is the same kernel over map sets.
+// definition and the reference; JaccardRuns computes the same value for
+// one pair of sorted id runs, FillDistanceRuns for a whole fleet from
+// an inverted index of the sets, and DistanceMatrix is that kernel over
+// map sets.
 package similarity
 
 import (
@@ -67,6 +68,29 @@ func Jaccard(a, b Set) float64 {
 	for id := range small {
 		if large.Contains(id) {
 			inter++
+		}
+	}
+	union := len(a) + len(b) - inter
+	return float64(inter) / float64(union)
+}
+
+// JaccardRuns is Jaccard over two strictly ascending id runs: one merge
+// walk counts |a ∩ b|, and the same integers enter the same float
+// expression, so it equals Jaccard on the sets the runs hold (1 for two
+// empty runs).
+func JaccardRuns(a, b []int32) float64 {
+	if len(a) == 0 && len(b) == 0 {
+		return 1
+	}
+	inter := 0
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			inter, i, j = inter+1, i+1, j+1
 		}
 	}
 	union := len(a) + len(b) - inter
@@ -312,20 +336,4 @@ func TopK(demand map[int]int64, k int) (Set, error) {
 		out.Add(e.id)
 	}
 	return out, nil
-}
-
-// RankedIDs returns all item ids ordered by descending demand with ties
-// broken by smaller identifier. Used by cache-filling policies that
-// replicate "most popular first".
-func RankedIDs(demand map[int]int64) []int {
-	entries := make([]entry, 0, len(demand))
-	for id, cnt := range demand {
-		entries = append(entries, entry{id: id, cnt: cnt})
-	}
-	slices.SortFunc(entries, cmpEntry)
-	out := make([]int, len(entries))
-	for i, e := range entries {
-		out[i] = e.id
-	}
-	return out
 }

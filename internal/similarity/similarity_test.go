@@ -168,23 +168,6 @@ func TestTopCount(t *testing.T) {
 	}
 }
 
-func TestRankedIDs(t *testing.T) {
-	demand := map[int]int64{5: 1, 1: 9, 3: 9, 7: 4}
-	got := RankedIDs(demand)
-	want := []int{1, 3, 7, 5} // counts 9, 9 (tie → smaller id), 4, 1
-	if len(got) != len(want) {
-		t.Fatalf("RankedIDs() = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("RankedIDs() = %v, want %v", got, want)
-		}
-	}
-	if got := RankedIDs(nil); len(got) != 0 {
-		t.Errorf("RankedIDs(nil) = %v, want empty", got)
-	}
-}
-
 func TestTopKDeterministic(t *testing.T) {
 	demand := map[int]int64{}
 	for i := 0; i < 50; i++ {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 
 	"repro/internal/geo"
@@ -177,4 +178,39 @@ func parseRequest(rec []string) (Request, error) {
 		Location: geo.Point{X: x, Y: y},
 		Slot:     slot,
 	}, nil
+}
+
+// LoadFiles reads a world file (WriteWorld's JSON) and a trace file
+// (WriteRequests' CSV) and checks that the trace fits the world, as the
+// simulator does. Two empty paths return a nil world and trace, for a
+// caller that generates its own; one empty path is an error.
+func LoadFiles(worldPath, tracePath string) (*World, *Trace, error) {
+	if (worldPath == "") != (tracePath == "") {
+		return nil, nil, fmt.Errorf("provide both -world and -trace, or neither")
+	}
+	if worldPath == "" {
+		return nil, nil, nil
+	}
+	wf, err := os.Open(worldPath)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer wf.Close()
+	world, err := ReadWorld(wf)
+	if err != nil {
+		return nil, nil, fmt.Errorf("reading %s: %w", worldPath, err)
+	}
+	tf, err := os.Open(tracePath)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer tf.Close()
+	tr, err := ReadRequests(tf)
+	if err != nil {
+		return nil, nil, fmt.Errorf("reading %s: %w", tracePath, err)
+	}
+	if err := tr.Validate(world); err != nil {
+		return nil, nil, fmt.Errorf("%s does not fit %s: %w", tracePath, worldPath, err)
+	}
+	return world, tr, nil
 }

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -141,5 +143,49 @@ func TestGeneratedTraceRoundTrip(t *testing.T) {
 	if len(tr2.Requests) != len(tr.Requests) || tr2.Slots != tr.Slots {
 		t.Errorf("round trip lost requests: %d/%d slots %d/%d",
 			len(tr2.Requests), len(tr.Requests), tr2.Slots, tr.Slots)
+	}
+}
+
+// TestLoadFiles reads a world/trace file pair back and refuses a lone
+// path, missing or malformed files, and a trace that does not fit the
+// world.
+func TestLoadFiles(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, fill func(*bytes.Buffer) error) string {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := fill(&buf); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	world := testWorld()
+	worldPath := write("world.json", func(b *bytes.Buffer) error { return WriteWorld(b, world) })
+	fits := &Trace{Slots: 2, Requests: []Request{{ID: 0, Video: 99, Slot: 1}}}
+	tracePath := write("requests.csv", func(b *bytes.Buffer) error { return WriteRequests(b, fits) })
+	misfit := &Trace{Slots: 1, Requests: []Request{{ID: 0, Video: 100}}}
+	misfitPath := write("misfit.csv", func(b *bytes.Buffer) error { return WriteRequests(b, misfit) })
+	garbage := write("garbage", func(b *bytes.Buffer) error { _, err := b.WriteString("not json"); return err })
+
+	w, tr, err := LoadFiles(worldPath, tracePath)
+	if err != nil || len(w.Hotspots) != len(world.Hotspots) || tr.Slots != 2 || len(tr.Requests) != 1 {
+		t.Fatalf("LoadFiles = %+v, %+v, %v", w, tr, err)
+	}
+	if w, tr, err := LoadFiles("", ""); w != nil || tr != nil || err != nil {
+		t.Errorf("LoadFiles with no paths = %v, %v, %v; want nil, nil, nil", w, tr, err)
+	}
+	for _, paths := range [][2]string{
+		{worldPath, ""}, {"", tracePath},
+		{filepath.Join(dir, "missing.json"), tracePath}, {worldPath, filepath.Join(dir, "missing.csv")},
+		{garbage, tracePath}, {worldPath, garbage},
+		{worldPath, misfitPath},
+	} {
+		if _, _, err := LoadFiles(paths[0], paths[1]); err == nil {
+			t.Errorf("LoadFiles(%q, %q) succeeded", paths[0], paths[1])
+		}
 	}
 }

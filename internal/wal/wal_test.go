@@ -11,16 +11,15 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/similarity"
 )
 
-// mkset builds a placement set.
-func mkset(vs ...int) similarity.Set {
-	s := make(similarity.Set, len(vs))
-	for _, v := range vs {
-		s.Add(v)
+// mkPlacement builds a placement from ascending rows.
+func mkPlacement(rows ...[]int32) core.PlacementRuns {
+	var p core.PlacementRuns
+	for _, row := range rows {
+		p.AppendRow(row)
 	}
-	return s
+	return p
 }
 
 // testPlanBytes fabricates a small valid plan whose content varies
@@ -32,7 +31,7 @@ func testPlanBytes(t testing.TB, epoch int64) ([]byte, uint64) {
 	p := &core.Plan{
 		Flows:         []core.FlowEdge{{From: 0, To: 1, Amount: epoch + 3}},
 		Redirects:     []core.Redirect{{From: 1, To: 0, Video: 2, Count: epoch}},
-		Placement:     core.PlacementOf([]similarity.Set{mkset(1, 2), mkset(0)}),
+		Placement:     mkPlacement([]int32{1, 2}, []int32{0}),
 		OverflowToCDN: []int64{0, epoch},
 	}
 	c := p.Canonical()
