@@ -5,13 +5,16 @@ import (
 	"encoding/hex"
 	"fmt"
 	"net/http"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/wal"
 )
 
 // TestAdvanceRejectedAfterClose is the lifecycle regression: a tick or
@@ -337,5 +340,70 @@ func TestEmptySlotCheckpointKeepsInFlightRound(t *testing.T) {
 	if len(st.Queue) != 1 || st.Queue[0].Slot != 0 || st.Queue[0].Requests != acked || st.Slot != 2 {
 		t.Errorf("recovered queue %+v at slot %d (checkpoint %d), want slot 0's %d requests queued at slot 2",
 			st.Queue, st.Slot, st.CheckpointSeq, acked)
+	}
+}
+
+// TestCheckpointAfterFleetShrinkCountsPendingOnce boots a one-frontend
+// tier on a log three frontends wrote: slot 0 drained with no plan,
+// slot 1 open with 30 accepted ingests spread over all three. The tier
+// schedules slot 0 and checkpoints, so the checkpoint holds slot 1's
+// 30 requests as pending. After a kill, the reboot must recover those
+// 30 once: every logged ingest is part of that checkpoint, whichever
+// frontend wrote it.
+func TestCheckpointAfterFleetShrinkCountsPendingOnce(t *testing.T) {
+	const frontends, slot0, slot1 = 3, 9, 30
+	dir := t.TempDir()
+	l, _, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seq uint64
+	ingest := func(slot, i int) {
+		t.Helper()
+		seq++
+		if _, err := l.AppendIngest(slot, i%frontends, seq, i%4, i%7, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < slot0; i++ {
+		ingest(0, i)
+	}
+	if _, err := l.AppendAdvance(0); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < slot1; i++ {
+		ingest(1, i)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := Config{World: testWorld(4, 50, 50), WALDir: dir, Instances: 1, CheckpointEvery: 1, Registry: obs.NewRegistry()}
+	s := newTestServer(t, cfg)
+	if st := s.WALState(); st.PendingRequests != slot1 || len(st.Queue) != 1 || st.Queue[0].Requests != slot0 {
+		t.Fatalf("first boot recovered %d pending requests and queue %+v, want %d pending and slot 0's %d queued",
+			st.PendingRequests, st.Queue, slot1, slot0)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	checkpoints := cfg.Registry.Counter("wal.checkpoints")
+	for deadline := time.Now().Add(20 * time.Second); checkpoints.Value() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("the tier never checkpointed after scheduling slot 0")
+		}
+		runtime.Gosched()
+	}
+	s.Kill()
+
+	cfg.Registry = obs.NewRegistry()
+	s2 := newTestServer(t, cfg)
+	defer s2.Kill()
+	st := s2.WALState()
+	if st.CheckpointSeq == 0 || st.Epoch != 1 || len(st.Queue) != 0 {
+		t.Fatalf("reboot: checkpoint %d, epoch %d, queue %+v; want slot 0 scheduled and checkpointed", st.CheckpointSeq, st.Epoch, st.Queue)
+	}
+	if st.PendingRequests != slot1 {
+		t.Errorf("reboot recovered %d pending requests, %d were accepted", st.PendingRequests, slot1)
 	}
 }
