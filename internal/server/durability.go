@@ -12,9 +12,10 @@ import (
 // This file is the serving tier's side of the durability subsystem
 // (internal/wal). The protocol, end to end:
 //
-//   - Every accepted ingest is logged under its frontend's lock (so the
-//     per-instance sequence watermark is exact) and group-committed
-//     before the 202 acknowledgment (acceptDemand).
+//   - Every accepted ingest is numbered from the tier's one ingest
+//     sequence and logged under its frontend's lock (so the sequence
+//     read under every frontend's lock is an exact watermark) and
+//     group-committed before the 202 acknowledgment (acceptDemand).
 //   - Every slot boundary logs an advance record under s.mu *before*
 //     handOver re-stamps the frontends' slot tags, so in WAL order no
 //     ingest tagged slot k+1 can precede advance k (Server.advance).
@@ -27,12 +28,14 @@ import (
 //     between rounds (and Close, after the worker exits), freezes s.mu
 //     plus every frontend's lock and captures a checkpoint: slot/epoch
 //     counters, the last plan, pending demand, queued-but-unplanned
-//     snapshots, and per-instance ingest cursors (writeCheckpoint).
+//     snapshots, and the ingest watermark (writeCheckpoint).
 //
 // On boot, openWAL replays the newest valid checkpoint plus the WAL
 // suffix and re-seeds the server: recovery hands back exactly the
 // durable prefix, so a kill/restart finishes a trace byte-identical
-// to an uninterrupted run (certified in durability_e2e_test.go).
+// to an uninterrupted run (certified in durability_e2e_test.go),
+// whatever frontend count either run had — the watermark is the
+// tier's, not a frontend's.
 
 // openWAL opens cfg.WALDir, recovers the durable state, and applies it
 // to the freshly built (not yet started) server.
@@ -53,17 +56,14 @@ func (s *Server) openWAL() error {
 	s.walState = st
 	s.slot = st.Slot
 	s.epoch = st.Epoch
-	for id, seq := range st.Cursors {
-		if id >= 0 && id < len(s.instances) {
-			s.instances[id].seq = seq
-		}
-	}
+	s.ingestSeq.Store(st.LastSeq)
 	for _, in := range s.instances {
 		in.slot = st.Slot
 	}
 
 	// Accepted-but-unscheduled demand goes back to the frontend it
-	// would live in, routed through the same ring.
+	// would live in, routed through the same ring; recovery hands the
+	// entries back unmerged, and the frontend's core.Demand folds them.
 	m := len(s.world.Hotspots)
 	for _, e := range st.Pending {
 		if e.Hotspot < 0 || e.Hotspot >= m || e.Video < 0 || e.Video >= s.world.NumVideos {
@@ -81,9 +81,10 @@ func (s *Server) openWAL() error {
 	}
 
 	// The last durable plan goes back to serving on every frontend
-	// through publish, the live fan-out's install path.
+	// through install, the live fan-out's install path: recovery has
+	// verified and decoded it already.
 	if st.Plan != nil {
-		if err := s.publish(st.Plan.Epoch, st.Plan.Slot, st.Plan.Canonical, st.Plan.Digest); err != nil {
+		if err := s.install(time.Now(), st.Plan.Epoch, st.Plan.Slot, st.Plan.Decoded, st.Plan.Digest); err != nil {
 			return fmt.Errorf("recovered plan rejected: %w", err)
 		}
 		s.history = append(s.history, planEntry{
@@ -167,8 +168,9 @@ func (s *Server) checkpointDue() bool {
 // releases the empty slots that waited for it. The segment mark is
 // taken first so WriteCheckpoint's GC can never collect a segment
 // whose records postdate the capture; the capture itself holds s.mu
-// plus every frontend's lock, under which a sequence counter and the
-// demand it numbers only move together.
+// plus every frontend's lock, under which the ingest sequence and the
+// demand it numbers only move together: every ingest at or below the
+// watermark it reads is in the captured demand.
 func (s *Server) writeCheckpoint() {
 	mark := s.wal.CurrentSegment()
 	s.mu.Lock()
@@ -176,10 +178,9 @@ func (s *Server) writeCheckpoint() {
 	waiters := s.ckptWaiters
 	s.ckptWaiters = nil
 	cp := &wal.Checkpoint{
-		Slot:    s.slot,
-		Epoch:   s.epoch,
-		Plan:    s.lastPlan,
-		Cursors: make(map[int]uint64, len(s.instances)),
+		Slot:  s.slot,
+		Epoch: s.epoch,
+		Plan:  s.lastPlan,
 	}
 	for _, snap := range s.queue {
 		cp.Queue = append(cp.Queue, queuedFromSnapshot(snap))
@@ -187,11 +188,9 @@ func (s *Server) writeCheckpoint() {
 	for _, in := range s.instances {
 		in.mu.Lock()
 	}
+	cp.Watermark = s.ingestSeq.Load()
 	pending := core.NewDemand(len(s.world.Hotspots))
 	for _, in := range s.instances {
-		if in.seq > 0 {
-			cp.Cursors[in.id] = in.seq
-		}
 		pending.Merge(in.demand.Clone())
 	}
 	for i := len(s.instances) - 1; i >= 0; i-- {
@@ -215,8 +214,8 @@ func queuedFromSnapshot(snap *slotSnapshot) wal.QueuedSlot {
 	return wal.QueuedSlot{Slot: snap.slot, Requests: snap.requests, Entries: appendEntries(nil, snap.demand)}
 }
 
-// appendEntries appends d's entries to out in the WAL's merged form,
-// (hotspot, video) ascending: d's rows are video-ascending already.
+// appendEntries appends d's entries to out, one per (hotspot, video)
+// pair, ascending: d's rows are video-ascending already.
 func appendEntries(out []wal.Entry, d *core.Demand) []wal.Entry {
 	for h := 0; h < d.NumHotspots(); h++ {
 		d.Each(h, func(v trace.VideoID, n int64) {

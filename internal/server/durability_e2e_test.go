@@ -57,67 +57,87 @@ func ingestVia(t *testing.T, srv *server.Server, i int, q trace.Request) {
 }
 
 // TestCrashRecoveryMatchesOfflineSim is the durability centerpiece: a
-// three-frontend serving tier with the WAL on is killed abruptly twice
-// while replaying a trace — once mid-slot (half the slot's requests
+// serving tier with the WAL on is killed abruptly twice while
+// replaying a trace — once mid-slot (half the slot's requests
 // accepted) and once right after a slot boundary — restarted from disk
 // each time, and must still finish the trace with every slot's plan
-// byte-identical to an uninterrupted offline sim.Run.
+// byte-identical to an uninterrupted offline sim.Run. It runs twice:
+// with three frontends throughout, and with the frontend count changed
+// on each reboot (3, then 1, then 2), whose recovery must not depend
+// on which frontend logged an ingest.
 func TestCrashRecoveryMatchesOfflineSim(t *testing.T) {
 	world, tr := durabilityWorldAndTrace(t)
 	offline, err := loadgen.OfflinePlans(world, tr)
 	if err != nil {
 		t.Fatalf("OfflinePlans: %v", err)
 	}
+	for _, tc := range []struct {
+		name      string
+		instances []int // per boot
+	}{
+		{"three frontends", []int{3, 3, 3}},
+		{"frontend count changed on each reboot", []int{3, 1, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			walDir := t.TempDir()
+			boots := 0
+			boot := func() (*server.Server, error) {
+				n := tc.instances[boots]
+				boots++
+				return server.New(server.Config{
+					World:           world,
+					Instances:       n,
+					Registry:        obs.NewRegistry(),
+					PlanHistory:     tr.Slots + 1,
+					QueueBound:      1 << 20,
+					WALDir:          walDir,
+					Fsync:           "always",
+					CheckpointEvery: 2,
+				})
+			}
+			drill, err := loadgen.CrashDrill(boot, tr, []loadgen.CrashPoint{
+				// Mid-slot: half the slot's requests are accepted and
+				// durable, then the process dies without any graceful
+				// work.
+				{Slot: 2, After: len(tr.BySlot()[2]) / 2},
+				// On a boundary: slot 3's plan published and became
+				// durable, then the process dies before slot 4's first
+				// request.
+				{Slot: 4, After: 0},
+			})
+			if err != nil {
+				t.Fatalf("CrashDrill: %v", err)
+			}
+			if boots != len(tc.instances) {
+				t.Fatalf("%d boots, want %d", boots, len(tc.instances))
+			}
+			if st := drill.Recovered[0]; st.Records == 0 {
+				t.Errorf("mid-slot restart recovered no WAL records: %+v", st)
+			}
+			if st := drill.Recovered[1]; st.Plan == nil || st.Plan.Slot != 3 {
+				t.Errorf("restart after the boundary crash did not recover slot 3's plan: %+v", st.Plan)
+			}
+			// Recovery is bounded by the checkpoint cadence (DESIGN §16).
+			slotMax := 0
+			for _, reqs := range tr.BySlot() {
+				slotMax = max(slotMax, len(reqs))
+			}
+			for i, st := range drill.Recovered {
+				if bound := wal.ReplayBound(2, slotMax, 0); st.Records > bound {
+					t.Errorf("restart %d replayed %d records, wal.ReplayBound(2, %d, 0) = %d", i, st.Records, slotMax, bound)
+				}
+			}
 
-	walDir := t.TempDir()
-	boot := func() (*server.Server, error) {
-		return server.New(server.Config{
-			World:           world,
-			Instances:       3,
-			Registry:        obs.NewRegistry(),
-			PlanHistory:     tr.Slots + 1,
-			QueueBound:      1 << 20,
-			WALDir:          walDir,
-			Fsync:           "always",
-			CheckpointEvery: 2,
+			if len(drill.Plans) != len(offline) {
+				t.Fatalf("online scheduled %d slots, offline %d", len(drill.Plans), len(offline))
+			}
+			for slot, want := range offline {
+				if got := drill.Plans[slot]; got != want {
+					t.Errorf("slot %d: plan after kill/restart differs from offline (%d vs %d hex bytes)",
+						slot, len(got), len(want))
+				}
+			}
 		})
-	}
-	drill, err := loadgen.CrashDrill(boot, tr, []loadgen.CrashPoint{
-		// Mid-slot: half the slot's requests are accepted and durable,
-		// then the process dies without any graceful work.
-		{Slot: 2, After: len(tr.BySlot()[2]) / 2},
-		// On a boundary: slot 3's plan published and became durable,
-		// then the process dies before slot 4's first request.
-		{Slot: 4, After: 0},
-	})
-	if err != nil {
-		t.Fatalf("CrashDrill: %v", err)
-	}
-	if st := drill.Recovered[0]; st.Records == 0 {
-		t.Errorf("mid-slot restart recovered no WAL records: %+v", st)
-	}
-	if st := drill.Recovered[1]; st.Plan == nil || st.Plan.Slot != 3 {
-		t.Errorf("restart after the boundary crash did not recover slot 3's plan: %+v", st.Plan)
-	}
-	// Recovery is bounded by the checkpoint cadence (DESIGN §16).
-	slotMax := 0
-	for _, reqs := range tr.BySlot() {
-		slotMax = max(slotMax, len(reqs))
-	}
-	for i, st := range drill.Recovered {
-		if bound := wal.ReplayBound(2, slotMax, 0); st.Records > bound {
-			t.Errorf("restart %d replayed %d records, wal.ReplayBound(2, %d, 0) = %d", i, st.Records, slotMax, bound)
-		}
-	}
-
-	if len(drill.Plans) != len(offline) {
-		t.Fatalf("online scheduled %d slots, offline %d", len(drill.Plans), len(offline))
-	}
-	for slot, want := range offline {
-		if got := drill.Plans[slot]; got != want {
-			t.Errorf("slot %d: plan after kill/restart differs from offline (%d vs %d hex bytes)",
-				slot, len(got), len(want))
-		}
 	}
 }
 

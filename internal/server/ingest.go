@@ -110,13 +110,15 @@ func resolveIngest(world *trace.World, index *geo.Grid, req ingestRequest) (hots
 
 // acceptDemand is the accepted-ingest path behind POST /ingest: bound
 // check, accumulation into the owning frontend's slot demand, and —
-// when durability is on — WAL logging. The ingest record is appended
-// under the frontend's lock (so its sequence counter is an exact
-// watermark of applied-and-logged requests) and group-committed after
-// the lock is released, before the 202 acknowledgment. A Sync failure
-// refuses the acknowledgment: the request may be double-counted on
-// retry, but an acknowledged request is always part of the durable
-// prefix. ok=false without an error means the frontend is at its bound
+// when durability is on — WAL logging. The tier's ingest sequence
+// moves, and the record it numbers is appended, under the frontend's
+// lock, in the same hold as the Add (so a capture holding every
+// frontend's lock reads the sequence as an exact watermark of
+// applied-and-logged requests), and the record is group-committed
+// after the lock is released, before the 202 acknowledgment. A Sync
+// failure refuses the acknowledgment: the request may be
+// double-counted on retry, but an acknowledged request is always part
+// of the durable prefix. ok=false without an error means the frontend is at its bound
 // (the caller answers 429).
 func (s *Server) acceptDemand(owner *instance, h trace.HotspotID, v trace.VideoID) (ok bool, err error) {
 	owner.mu.Lock()
@@ -126,8 +128,7 @@ func (s *Server) acceptDemand(owner *instance, h trace.HotspotID, v trace.VideoI
 	}
 	var lsn uint64
 	if s.wal != nil {
-		owner.seq++
-		lsn, err = s.wal.AppendIngest(owner.slot, owner.id, owner.seq, int(h), int(v), 1)
+		lsn, err = s.wal.AppendIngest(owner.slot, owner.id, s.ingestSeq.Add(1), int(h), int(v), 1)
 		if err != nil {
 			owner.mu.Unlock()
 			s.walErrors.Inc()

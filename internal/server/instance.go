@@ -41,11 +41,6 @@ type instance struct {
 	// re-stamps it at every boundary. WAL ingest records carry it so
 	// recovery can place each accepted request in the right slot.
 	slot int
-	// seq numbers this instance's accepted ingests for the WAL. It
-	// moves under mu, in the same hold as the append it numbers and
-	// the Add that applies it, so holding mu reads it as an exact
-	// applied-and-logged watermark (see Server.writeCheckpoint).
-	seq uint64
 
 	// current is the plan this frontend serves, swapped atomically by
 	// Server.publish. Lookups only ever Load it.

@@ -4,16 +4,8 @@ import (
 	"testing"
 )
 
-// ownersOf maps every key in [0, n) to its owner.
-func ownersOf(r *Ring, n int) []int {
-	out := make([]int, n)
-	for k := 0; k < n; k++ {
-		out[k] = r.Owner(uint64(k))
-	}
-	return out
-}
-
-// TestRingValidation pins the constructor and membership error paths.
+// TestRingValidation pins the constructor's error paths and its
+// default replica count.
 func TestRingValidation(t *testing.T) {
 	if _, err := New(0, 8); err == nil {
 		t.Error("New(0, 8) accepted zero instances")
@@ -28,23 +20,9 @@ func TestRingValidation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if r.replicas != DefaultReplicas {
-		t.Errorf("replicas = %d, want default %d", r.replicas, DefaultReplicas)
-	}
-	if err := r.Add(1); err == nil {
-		t.Error("Add(1) accepted a duplicate member")
-	}
-	if err := r.Add(-3); err == nil {
-		t.Error("Add(-3) accepted a negative id")
-	}
-	if err := r.Remove(7); err == nil {
-		t.Error("Remove(7) removed an absent member")
-	}
-	if err := r.Remove(0); err != nil {
-		t.Fatalf("Remove(0): %v", err)
-	}
-	if err := r.Remove(1); err == nil {
-		t.Error("Remove removed the last member")
+	if len(r.vnodes) != 2*DefaultReplicas || len(r.owners) != len(r.vnodes) {
+		t.Errorf("%d vnodes, %d owners; want %d of each (the default replicas per instance)",
+			len(r.vnodes), len(r.owners), 2*DefaultReplicas)
 	}
 }
 
@@ -65,21 +43,6 @@ func TestRingDeterminism(t *testing.T) {
 		}
 		if first, again := a.Owner(uint64(k)), a.Owner(uint64(k)); first != again {
 			t.Fatalf("key %d: owner changed between lookups (%d, %d)", k, first, again)
-		}
-	}
-	// A ring grown member by member matches one built whole.
-	g, err := New(1, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id := 1; id < 8; id++ {
-		if err := g.Add(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for k := 0; k < 1000; k++ {
-		if ao, gown := a.Owner(uint64(k)), g.Owner(uint64(k)); ao != gown {
-			t.Fatalf("key %d: whole-built owner %d, grown owner %d", k, ao, gown)
 		}
 	}
 }
@@ -109,76 +72,6 @@ func TestRingBalance(t *testing.T) {
 			}
 			if float64(l) > 2*mean {
 				t.Errorf("n=%d: instance %d owns %d keys, above 2x the mean %.0f", n, id, l, mean)
-			}
-		}
-	}
-}
-
-// TestRingMinimalMovementOnJoin: when an instance joins, the only keys
-// that change owner are those the new instance takes — no key moves
-// between two instances present both before and after.
-func TestRingMinimalMovementOnJoin(t *testing.T) {
-	const keys = 1000
-	for _, n := range []int{1, 2, 4, 7} {
-		before, err := New(n, DefaultReplicas)
-		if err != nil {
-			t.Fatal(err)
-		}
-		after, err := New(n, DefaultReplicas)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := after.Add(n); err != nil {
-			t.Fatal(err)
-		}
-		ob, oa := ownersOf(before, keys), ownersOf(after, keys)
-		moved := 0
-		for k := 0; k < keys; k++ {
-			if ob[k] == oa[k] {
-				continue
-			}
-			moved++
-			if oa[k] != n {
-				t.Fatalf("n=%d: key %d moved %d -> %d, not to the joining instance %d",
-					n, k, ob[k], oa[k], n)
-			}
-		}
-		// The joiner should take roughly keys/(n+1); allow a wide
-		// deterministic band but reject wholesale reshuffles.
-		if max := 2 * keys / (n + 1); moved > max {
-			t.Errorf("n=%d: join moved %d of %d keys, above the %d bound", n, moved, keys, max)
-		}
-		if moved == 0 {
-			t.Errorf("n=%d: join moved no keys", n)
-		}
-	}
-}
-
-// TestRingMinimalMovementOnLeave: when an instance leaves, only its
-// own keys are redistributed.
-func TestRingMinimalMovementOnLeave(t *testing.T) {
-	const keys = 1000
-	for _, n := range []int{2, 4, 8} {
-		before, err := New(n, DefaultReplicas)
-		if err != nil {
-			t.Fatal(err)
-		}
-		leaving := n - 1
-		after, err := New(n, DefaultReplicas)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := after.Remove(leaving); err != nil {
-			t.Fatal(err)
-		}
-		ob, oa := ownersOf(before, keys), ownersOf(after, keys)
-		for k := 0; k < keys; k++ {
-			if ob[k] != leaving && ob[k] != oa[k] {
-				t.Fatalf("n=%d: key %d moved %d -> %d though instance %d left",
-					n, k, ob[k], oa[k], leaving)
-			}
-			if oa[k] == leaving {
-				t.Fatalf("n=%d: key %d still owned by departed instance %d", n, k, leaving)
 			}
 		}
 	}

@@ -78,7 +78,11 @@ type Server struct {
 	history []planEntry
 	closed  bool
 
-	// Durability (nil / zero when Config.WALDir is empty). lastPlan is
+	// Durability (nil / zero when Config.WALDir is empty). ingestSeq
+	// numbers the tier's accepted ingests for the WAL; it moves only
+	// under the owning frontend's lock (acceptDemand), so a capture
+	// holding every frontend's lock reads it as an exact watermark of
+	// applied-and-logged requests (writeCheckpoint). lastPlan is
 	// the most recently published plan in checkpoint form; sinceCkpt
 	// counts slot outcomes (plan, roundErr or empty advance) since the
 	// last checkpoint; ckptWaiters are the done channels of empty slots
@@ -87,6 +91,7 @@ type Server struct {
 	// work.
 	wal         *wal.Log
 	walState    *wal.State
+	ingestSeq   atomic.Uint64
 	lastPlan    *wal.PlanState
 	sinceCkpt   int
 	ckptWaiters []chan struct{}
@@ -524,10 +529,10 @@ func (s *Server) runSlot(snap *slotSnapshot) {
 	s.mu.Unlock()
 
 	// Plan distribution: the canonical bytes and digest go through
-	// publish, the one install path. With durability on, the plan is
-	// logged and synced first — a plan is never served unless it is
-	// part of the durable prefix. A refusal is counted and traced
-	// inside publish; the previous plan keeps serving.
+	// publish, one verify and the one install path. With durability
+	// on, the plan is logged and synced first — a plan is never served
+	// unless it is part of the durable prefix. A refusal is counted
+	// and traced inside publish; the previous plan keeps serving.
 	canonical := plan.Canonical()
 	digest := core.DigestOf(canonical)
 	if s.wal != nil {
@@ -577,40 +582,35 @@ func (s *Server) runSlot(snap *slotSnapshot) {
 	s.maybeCheckpoint(false)
 }
 
-// publish is the one install path, for the live fan-out (runSlot) and
-// the recovered plan (openWAL) alike: it verifies the canonical bytes
-// against the advertised digest once (core.VerifyCanonical), builds
-// one serving table — the plan's router — from them, and stores that
-// same pointer into every frontend. Bytes that fail the verify, or
-// decode to a plan that does not fit the world (checkFits) or that
-// reserves more inflow at a hotspot than its nominal capacity
-// (core.NewRouter), are refused: every frontend stays on its previous
-// plan, and the refusal counts once per frontend
-// (server.shard.<i>.plan_rejects) and once for the epoch
-// (server.plan.rejects). server.slot.install_us times a successful
-// publish: decode, router build and the stores.
+// publish is the live fan-out's install path (runSlot): it verifies
+// the canonical bytes against the advertised digest once
+// (core.VerifyCanonical) and installs the decoded plan. Bytes that
+// fail the verify are refused like a plan install refuses.
 func (s *Server) publish(epoch int64, slot int, canonical []byte, digest uint64) error {
 	t0 := time.Now()
 	plan, err := core.VerifyCanonical(canonical, digest)
-	if err == nil {
-		err = checkFits(plan, len(s.world.Hotspots), s.world.NumVideos)
+	if err != nil {
+		return s.refuse(epoch, slot, err)
 	}
+	return s.install(t0, epoch, slot, plan, digest)
+}
+
+// install is the one install path, for the live fan-out (publish) and
+// the recovered plan (openWAL, which WAL recovery verified and decoded)
+// alike: it builds one serving table — the plan's router — and stores
+// that same pointer into every frontend. A plan that does not fit the
+// world (checkFits) or that reserves more inflow at a hotspot than its
+// nominal capacity (core.NewRouter) is refused. server.slot.install_us
+// times a successful install from t0: for the live path the decode
+// too, then the router build and the stores.
+func (s *Server) install(t0 time.Time, epoch int64, slot int, plan *core.DecodedPlan, digest uint64) error {
+	err := checkFits(plan, len(s.world.Hotspots), s.world.NumVideos)
 	var sp *servingPlan
 	if err == nil {
 		sp, err = newServingPlan(epoch, slot, plan, digest, s.world)
 	}
 	if err != nil {
-		for _, in := range s.instances {
-			in.rejects.Inc()
-		}
-		s.reg.Counter("server.plan.rejects").Inc()
-		if s.cfg.Tracer != nil {
-			s.cfg.Tracer.Emit(obs.Event{Type: "swap-reject", Slot: slot, Attrs: []obs.Attr{
-				obs.I("epoch", epoch),
-				obs.I("instances", int64(len(s.instances))),
-			}})
-		}
-		return fmt.Errorf("server: epoch %d: %w", epoch, err)
+		return s.refuse(epoch, slot, err)
 	}
 	for _, in := range s.instances {
 		in.current.Store(sp)
@@ -618,6 +618,24 @@ func (s *Server) publish(epoch int64, slot int, canonical []byte, digest uint64)
 	}
 	s.reg.Histogram("server.slot.install_us", obs.PowersOf2Buckets(24)).Observe(time.Since(t0).Microseconds())
 	return nil
+}
+
+// refuse accounts a refused epoch: every frontend stays on its
+// previous plan, and the refusal counts once per frontend
+// (server.shard.<i>.plan_rejects) and once for the epoch
+// (server.plan.rejects), with one swap-reject event.
+func (s *Server) refuse(epoch int64, slot int, err error) error {
+	for _, in := range s.instances {
+		in.rejects.Inc()
+	}
+	s.reg.Counter("server.plan.rejects").Inc()
+	if s.cfg.Tracer != nil {
+		s.cfg.Tracer.Emit(obs.Event{Type: "swap-reject", Slot: slot, Attrs: []obs.Attr{
+			obs.I("epoch", epoch),
+			obs.I("instances", int64(len(s.instances))),
+		}})
+	}
+	return fmt.Errorf("server: epoch %d: %w", epoch, err)
 }
 
 // Plans returns the retained per-slot plan records, oldest first.

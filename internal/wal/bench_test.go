@@ -36,14 +36,14 @@ func BenchmarkWALAppendNone(b *testing.B)     { benchAppend(b, PolicyNone) }
 // scheduled slots, a checkpoint that has absorbed them, one more
 // scheduled slot and half a slot of pending demand, nothing collected
 // yet — so the scan meets two slots of ingests at or below the
-// checkpoint's cursors and folds one and a half. Two instances
-// alternate, hotspots are uniform over a city-sized fleet and videos
+// checkpoint's watermark and folds one and a half. Two frontends
+// alternate, numbering their ingests from one sequence, hotspots are uniform over a city-sized fleet and videos
 // Zipf, one plan record per slot. The plan is a toy.
 type recoveryShape struct {
 	// before and after are the log on either side of the checkpoint.
 	before, after []record
 	ckpt          *Checkpoint
-	// skipped counts the ingests at or below the checkpoint's cursors,
+	// skipped counts the ingests at or below the checkpoint's watermark,
 	// pending the requests of the unfinished slot.
 	skipped, pending int
 }
@@ -55,13 +55,12 @@ func newRecoveryShape(tb testing.TB, slotIngests int) *recoveryShape {
 	)
 	rng := rand.New(rand.NewSource(1))
 	zipf := rand.NewZipf(rng, 1.2, 8, videos-1)
-	seqs := make([]uint64, 2)
+	var seq uint64
 	var log []record
 	feed := func(slot, n int) {
 		for i := 0; i < n; i++ {
-			in := i % len(seqs)
-			seqs[in]++
-			log = append(log, record{kind: recIngest, slot: slot, instance: in, seq: seqs[in],
+			seq++
+			log = append(log, record{kind: recIngest, slot: slot, instance: i % 2, seq: seq,
 				hotspot: rng.Intn(hotspots), video: int(zipf.Uint64()), count: 1})
 		}
 	}
@@ -77,7 +76,7 @@ func newRecoveryShape(tb testing.TB, slotIngests int) *recoveryShape {
 		schedule(slot)
 	}
 	sh := &recoveryShape{before: log, skipped: 2 * slotIngests, pending: slotIngests / 2}
-	sh.ckpt = &Checkpoint{Slot: 2, Epoch: 2, Plan: plan, Cursors: map[int]uint64{0: seqs[0], 1: seqs[1]}}
+	sh.ckpt = &Checkpoint{Slot: 2, Epoch: 2, Plan: plan, Watermark: seq}
 	log = nil
 	feed(2, slotIngests)
 	schedule(2)

@@ -3,11 +3,14 @@ package wal
 import (
 	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"slices"
+
+	"repro/internal/core"
 )
 
 // Checkpoints compact the log: one file captures the full durable
@@ -16,12 +19,14 @@ import (
 //
 //	"WALCKPT1" | u32le length | u32le crc32c(body) | body
 //
-// with the body a uvarint-encoded Checkpoint. Files are written to a
-// temp name, fsynced, renamed into place, and the directory fsynced —
-// a checkpoint is either entirely durable or invisible. Recovery
-// loads the newest checkpoint that passes CRC, strict decoding, and
-// plan verification, falling back to older ones (and then to an empty
-// base state) when the newest is damaged.
+// with the body a uvarint-encoded Checkpoint behind its version
+// (checkpointVersion). Files are written to a temp name, fsynced,
+// renamed into place, and the directory fsynced — a checkpoint is
+// either entirely durable or invisible. Recovery loads the newest
+// checkpoint that passes CRC, strict decoding, and plan verification,
+// falling back to older ones (and then to an empty base state) when
+// the newest is damaged; a body of another version is not damage, and
+// Open refuses it.
 
 var ckptMagic = []byte("WALCKPT1")
 
@@ -34,14 +39,19 @@ type Entry struct {
 }
 
 // PlanState is a durable plan: the canonical bytes plus the identity
-// the serving tier advertises. Recovery re-verifies it exactly like
-// the plan fan-out does (core.VerifyCanonical: digest check, strict
-// canonical decode) before handing it to the server.
+// the serving tier advertises. Recovery verifies it exactly like the
+// plan fan-out does (core.VerifyCanonical: digest check, strict
+// canonical decode) before handing it to the server, and hands the
+// decoded plan along so the server installs it without a second pass.
 type PlanState struct {
 	Slot      int
 	Epoch     int64
 	Digest    uint64
 	Canonical []byte
+	// Decoded is the plan recovery's verification decoded from
+	// Canonical; nil on a plan recovery did not produce (the server's
+	// own, captured for a checkpoint). It is not written to disk.
+	Decoded *core.DecodedPlan
 }
 
 // QueuedSlot is one drained-but-unscheduled slot snapshot: demand
@@ -64,22 +74,29 @@ type Checkpoint struct {
 	Epoch int64
 	// Plan is the serving plan at capture (nil before the first plan).
 	Plan *PlanState
-	// Cursors maps instance id to its last assigned ingest sequence
-	// number: every ingest record with seq <= Cursors[instance] is
-	// reflected in this checkpoint's state.
-	Cursors map[int]uint64
-	// Pending is the accepted-but-not-yet-drained demand, merged
-	// across instances and sorted (hotspot, video). It is slot Slot's:
-	// recovery queues it with that slot once the log shows the slot's
-	// advance, and drops it once the log holds the slot's plan.
+	// Watermark is the tier's ingest sequence at capture: every ingest
+	// record with seq <= Watermark is reflected in this checkpoint's
+	// state, whichever frontend logged it.
+	Watermark uint64
+	// Pending is the accepted-but-not-yet-drained demand. It is slot
+	// Slot's: recovery queues it with that slot once the log shows the
+	// slot's advance, and drops it once the log holds the slot's plan.
 	Pending []Entry
 	// Queue is the drained-but-unscheduled slot snapshots, slot order.
 	Queue []QueuedSlot
 }
 
+// checkpointVersion is the body version this build writes and reads.
+// Version 1 kept one ingest cursor per frontend.
+const checkpointVersion = 2
+
+// errCheckpointVersion marks a checkpoint that decoded as far as its
+// version: it is not damage but another format, which Open refuses.
+var errCheckpointVersion = errors.New("wal: checkpoint: unsupported version")
+
 // encode serialises the checkpoint body (no magic or frame).
 func (c *Checkpoint) encode(b []byte) []byte {
-	b = binary.AppendUvarint(b, 1) // body version
+	b = binary.AppendUvarint(b, checkpointVersion)
 	b = binary.AppendUvarint(b, c.Seq)
 	b = binary.AppendUvarint(b, uint64(c.Slot))
 	b = binary.AppendUvarint(b, uint64(c.Epoch))
@@ -93,16 +110,7 @@ func (c *Checkpoint) encode(b []byte) []byte {
 		b = binary.AppendUvarint(b, uint64(len(c.Plan.Canonical)))
 		b = append(b, c.Plan.Canonical...)
 	}
-	ids := make([]int, 0, len(c.Cursors))
-	for id := range c.Cursors {
-		ids = append(ids, id)
-	}
-	slices.Sort(ids)
-	b = binary.AppendUvarint(b, uint64(len(ids)))
-	for _, id := range ids {
-		b = binary.AppendUvarint(b, uint64(id))
-		b = binary.AppendUvarint(b, c.Cursors[id])
-	}
+	b = binary.AppendUvarint(b, c.Watermark)
 	b = appendEntries(b, c.Pending)
 	b = binary.AppendUvarint(b, uint64(len(c.Queue)))
 	for _, q := range c.Queue {
@@ -153,10 +161,13 @@ func decodeEntries(b []byte) ([]Entry, []byte, error) {
 // decodeCheckpoint strictly decodes a checkpoint body.
 func decodeCheckpoint(b []byte) (*Checkpoint, error) {
 	ver, b, ok := uvarint(b)
-	if !ok || ver != 1 {
-		return nil, fmt.Errorf("wal: checkpoint: unsupported version")
+	if !ok {
+		return nil, fmt.Errorf("wal: checkpoint: bad version")
 	}
-	c := &Checkpoint{Cursors: make(map[int]uint64)}
+	if ver != checkpointVersion {
+		return nil, fmt.Errorf("%w %d (this build reads %d)", errCheckpointVersion, ver, checkpointVersion)
+	}
+	c := &Checkpoint{}
 	var v uint64
 	if c.Seq, b, ok = uvarint(b); !ok {
 		return nil, fmt.Errorf("wal: checkpoint: bad seq")
@@ -202,20 +213,10 @@ func decodeCheckpoint(b []byte) (*Checkpoint, error) {
 	default:
 		return nil, fmt.Errorf("wal: checkpoint: bad plan flag %d", hasPlan)
 	}
+	if c.Watermark, b, ok = uvarint(b); !ok {
+		return nil, fmt.Errorf("wal: checkpoint: bad watermark")
+	}
 	var n uint64
-	if n, b, ok = uvarintBounded(b, uint64(len(b))/2+1); !ok {
-		return nil, fmt.Errorf("wal: checkpoint: bad cursor count")
-	}
-	for i := uint64(0); i < n; i++ {
-		var id, seq uint64
-		if id, b, ok = uvarintBounded(b, maxInstanceValue); !ok {
-			return nil, fmt.Errorf("wal: checkpoint: bad cursor instance")
-		}
-		if seq, b, ok = uvarint(b); !ok {
-			return nil, fmt.Errorf("wal: checkpoint: bad cursor seq")
-		}
-		c.Cursors[int(id)] = seq
-	}
 	var err error
 	if c.Pending, b, err = decodeEntries(b); err != nil {
 		return nil, err

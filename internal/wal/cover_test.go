@@ -101,12 +101,12 @@ func TestDecodeRecordErrors(t *testing.T) {
 func TestDecodeCheckpointErrors(t *testing.T) {
 	canon, dig := testPlanBytes(t, 5)
 	cp := &Checkpoint{
-		Seq:     3,
-		Slot:    9,
-		Epoch:   5,
-		Plan:    &PlanState{Slot: 8, Epoch: 5, Digest: dig, Canonical: canon},
-		Cursors: map[int]uint64{0: 12, 2: 7},
-		Pending: []Entry{{Hotspot: 1, Video: 2, Count: 3}},
+		Seq:       3,
+		Slot:      9,
+		Epoch:     5,
+		Plan:      &PlanState{Slot: 8, Epoch: 5, Digest: dig, Canonical: canon},
+		Watermark: 12,
+		Pending:   []Entry{{Hotspot: 1, Video: 2, Count: 3}},
 		Queue: []QueuedSlot{
 			{Slot: 9, Requests: 4, Entries: []Entry{{Hotspot: 0, Video: 1, Count: 4}}},
 		},
@@ -158,7 +158,7 @@ func TestDecodeCheckpointErrors(t *testing.T) {
 // TestUnmarshalCheckpointErrors covers the file-level checks in front
 // of the strict decoder: magic, framed length, CRC.
 func TestUnmarshalCheckpointErrors(t *testing.T) {
-	data := marshalCheckpoint(&Checkpoint{Slot: 1, Cursors: map[int]uint64{}})
+	data := marshalCheckpoint(&Checkpoint{Slot: 1})
 	if _, err := unmarshalCheckpoint(data); err != nil {
 		t.Fatalf("valid checkpoint rejected: %v", err)
 	}
@@ -224,7 +224,7 @@ func TestLogAccessors(t *testing.T) {
 		t.Fatalf("Sync past end err = %v", err)
 	}
 
-	if err := l.WriteCheckpoint(&Checkpoint{Slot: 1, Cursors: map[int]uint64{0: 1}}, l.CurrentSegment()); err != nil {
+	if err := l.WriteCheckpoint(&Checkpoint{Slot: 1, Watermark: 1}, l.CurrentSegment()); err != nil {
 		t.Fatal(err)
 	}
 	if got := l.CheckpointSeq(); got != 1 {
@@ -279,19 +279,26 @@ func TestWriteFileAtomicError(t *testing.T) {
 // TestLoadCheckpointsSkipsDamaged: recovery must fall back to the
 // newest checkpoint that passes CRC + strict decode + plan
 // verification, while new checkpoint sequence numbers never collide
-// with the damaged newer file.
+// with the damaged newer file. A checkpoint of another body version is
+// not damage: Open refuses it.
 func TestLoadCheckpointsSkipsDamaged(t *testing.T) {
 	dir := t.TempDir()
-	good := marshalCheckpoint(&Checkpoint{Slot: 4, Cursors: map[int]uint64{0: 9}})
+	good := marshalCheckpoint(&Checkpoint{Slot: 4, Watermark: 9})
 	if err := os.WriteFile(filepath.Join(dir, checkpointName(2)), good, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// Newest file is CRC-valid garbage at the decode layer.
-	bad := append([]byte(nil), good...)
-	bad[len(ckptMagic)+frameHeaderBytes] = 9 // version byte inside the framed body
-	body := bad[len(ckptMagic)+frameHeaderBytes:]
-	binary.LittleEndian.PutUint32(bad[len(ckptMagic)+4:], crc32.Checksum(body, crcTable))
-	if err := os.WriteFile(filepath.Join(dir, checkpointName(5)), bad, 0o644); err != nil {
+	// withBodyByte is good with one byte of its framed body set, CRC
+	// recomputed: CRC-valid, and damaged or not only at the decode layer.
+	withBodyByte := func(off int, v byte) []byte {
+		out := append([]byte(nil), good...)
+		out[len(ckptMagic)+frameHeaderBytes+off] = v
+		body := out[len(ckptMagic)+frameHeaderBytes:]
+		binary.LittleEndian.PutUint32(out[len(ckptMagic)+4:], crc32.Checksum(body, crcTable))
+		return out
+	}
+	// Newest file is CRC-valid garbage at the decode layer: its plan
+	// flag (after the version, seq, slot and epoch bytes) reads 9.
+	if err := os.WriteFile(filepath.Join(dir, checkpointName(5)), withBodyByte(4, 9), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	// And one that is pure noise (fails CRC outright).
@@ -321,5 +328,14 @@ func TestLoadCheckpointsSkipsDamaged(t *testing.T) {
 	}
 	if got := l.CheckpointSeq(); got != 5 {
 		t.Fatalf("CheckpointSeq = %d, want 5", got)
+	}
+	l.Close()
+
+	// A version-1 body is refused, not skipped for the older file.
+	if err := os.WriteFile(filepath.Join(dir, checkpointName(6)), withBodyByte(0, 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("Open on a version-1 checkpoint: %v, want it refused", err)
 	}
 }

@@ -16,11 +16,11 @@ func FuzzWALReplay(f *testing.F) {
 	// Seed with a well-formed segment and checkpoint so the fuzzer
 	// starts from structurally valid corpora.
 	seedCkpt := marshalCheckpoint(&Checkpoint{
-		Slot:    2,
-		Epoch:   3,
-		Cursors: map[int]uint64{0: 5},
-		Pending: []Entry{{Hotspot: 1, Video: 2, Count: 3}},
-		Queue:   []QueuedSlot{{Slot: 1, Requests: 2, Entries: []Entry{{Hotspot: 0, Video: 0, Count: 2}}}},
+		Slot:      2,
+		Epoch:     3,
+		Watermark: 5,
+		Pending:   []Entry{{Hotspot: 1, Video: 2, Count: 3}},
+		Queue:     []QueuedSlot{{Slot: 1, Requests: 2, Entries: []Entry{{Hotspot: 0, Video: 0, Count: 2}}}},
 	})
 	f.Add(frames([]record{
 		{kind: recIngest, slot: 0, instance: 1, seq: 1, hotspot: 2, video: 3, count: 4},
@@ -44,6 +44,10 @@ func FuzzWALReplay(f *testing.F) {
 	// And a slot coalesced into the next, planned under the newer
 	// number only.
 	f.Add(frames(coalescedSlot(f)), []byte{})
+	// And three frontends' ingests out of sequence order on both sides
+	// of a checkpoint's watermark.
+	around, aroundCkpt := aroundWatermark()
+	f.Add(frames(around), marshalCheckpoint(aroundCkpt))
 
 	f.Fuzz(func(t *testing.T, seg, ckpt []byte) {
 		recs, validLen := scanRecords(seg)

@@ -28,8 +28,10 @@ import (
 //	roundErr(4): slot
 //
 // ingest records one accepted request (or a pre-aggregated count)
-// tagged with the slot the owning frontend was accumulating for;
-// advance marks a slot boundary (the drained slot number); plan
+// tagged with the slot the owning frontend was accumulating for and
+// the tier's ingest sequence number, which recovery compares with a
+// checkpoint's watermark; instance is the frontend that accepted it,
+// provenance only — recovery does not read it. advance marks a slot boundary (the drained slot number); plan
 // records a scheduled plan's canonical bytes and digest; roundErr
 // records that a slot's round failed its contract and the drained
 // demand was dropped (mirroring the live server, which keeps serving

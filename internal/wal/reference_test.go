@@ -7,14 +7,22 @@ import (
 	"slices"
 	"sort"
 	"testing"
+
+	"repro/internal/core"
 )
+
+// verifyPlanBytes reports whether durable plan bytes pass the serving
+// tier's install gate (core.VerifyCanonical), as recovery requires.
+func verifyPlanBytes(canonical []byte, digest uint64) bool {
+	_, err := core.VerifyCanonical(canonical, digest)
+	return err == nil
+}
 
 // entryKey is the (hotspot, video) pair the oracle merges demand under.
 type entryKey struct{ Hotspot, Video int }
 
 // sortedEntries renders a merged demand map as entries in (hotspot,
-// video) order, by a comparison sort: the oracle's own, independent of
-// the counting merge the fold uses.
+// video) order, by a comparison sort: the oracle's own fold.
 func sortedEntries(m map[entryKey]int64) []Entry {
 	out := make([]Entry, 0, len(m))
 	for k, n := range m {
@@ -29,27 +37,48 @@ func sortedEntries(m map[entryKey]int64) []Entry {
 	return out
 }
 
+// merged folds entries the oracle's way (a map, then sortedEntries):
+// the form the tests compare recovered demand in, which the fold hands
+// back unmerged.
+func merged(es []Entry) []Entry {
+	m := make(map[entryKey]int64)
+	for _, e := range es {
+		m[entryKey{e.Hotspot, e.Video}] += e.Count
+	}
+	return sortedEntries(m)
+}
+
+// mergedQueue is qs with every slot's entries merged.
+func mergedQueue(qs []QueuedSlot) []QueuedSlot {
+	var out []QueuedSlot
+	for _, q := range qs {
+		out = append(out, QueuedSlot{Slot: q.Slot, Requests: q.Requests, Entries: merged(q.Entries)})
+	}
+	return out
+}
+
 // referenceState is the independent oracle the fold (replay) is held
 // to: recovery as it was before the fold, kept verbatim but for the
-// tagging of Checkpoint.Pending and the outcome high-water mark (both
-// marked below) — the whole log
+// tagging of Checkpoint.Pending, the outcome high-water mark and the
+// one ingest watermark (all marked below) — the whole log
 // as a slice, a pass that cuts it at the first plan record failing
 // verification, a pass over the survivors, a stable sort of the
 // ingests into (slot, instance, seq) order, then the merge. It
 // deterministically reconstructs server state from a base checkpoint
 // (nil for none) plus the decoded WAL records, in log order.
 func referenceState(ckpt *Checkpoint, recs []record) *State {
-	st := &State{Cursors: make(map[int]uint64)}
-	base := make(map[int]uint64) // checkpoint cursors, frozen for skip decisions
+	st := &State{}
+	// The third departure: one watermark for the tier, where the
+	// pre-fold replay kept a cursor per frontend. An ingest at or below
+	// it is part of the checkpoint, whichever frontend logged it.
+	var watermark uint64
 	if ckpt != nil {
 		st.Slot = ckpt.Slot
 		st.Epoch = ckpt.Epoch
 		st.Plan = ckpt.Plan
 		st.CheckpointSeq = ckpt.Seq
-		for id, seq := range ckpt.Cursors {
-			base[id] = seq
-			st.Cursors[id] = seq
-		}
+		watermark = ckpt.Watermark
+		st.LastSeq = watermark
 	}
 
 	// A plan record whose bytes fail verification is corruption that
@@ -90,11 +119,11 @@ func referenceState(ckpt *Checkpoint, recs []record) *State {
 		case recRoundErr:
 			consumed = max(consumed, r.slot)
 		case recIngest:
-			if r.seq > base[r.instance] {
+			if r.seq > watermark {
 				ingests = append(ingests, r)
 			}
-			if r.seq > st.Cursors[r.instance] {
-				st.Cursors[r.instance] = r.seq
+			if r.seq > st.LastSeq {
+				st.LastSeq = r.seq
 			}
 		}
 	}
@@ -254,17 +283,18 @@ func badPlanMidLog(t testing.TB) []record {
 
 // outOfOrderIngests is a checkpoint plus a suffix that respects none of
 // the orders a live server writes in: ingests for slot 1 after slot 1's
-// plan, sequence numbers descending, a duplicate (instance, seq), an
-// ingest below the checkpoint's cursor between two above it, slot tags
-// interleaved, and demand for a slot the checkpoint still queues.
+// plan, sequence numbers descending, a duplicate sequence, an ingest
+// below the checkpoint's watermark between two above it and one at it
+// from another frontend at the end, slot tags interleaved, and demand
+// for a slot the checkpoint still queues.
 func outOfOrderIngests(t testing.TB) ([]record, *Checkpoint) {
 	c1, d1 := testPlanBytes(t, 4)
 	ckpt := &Checkpoint{
-		Seq:     3,
-		Slot:    3,
-		Epoch:   3,
-		Cursors: map[int]uint64{0: 4, 1: 2},
-		Pending: []Entry{{Hotspot: 0, Video: 0, Count: 2}, {Hotspot: 5, Video: 1, Count: 1}},
+		Seq:       3,
+		Slot:      3,
+		Epoch:     3,
+		Watermark: 4,
+		Pending:   []Entry{{Hotspot: 0, Video: 0, Count: 2}, {Hotspot: 5, Video: 1, Count: 1}},
 		Queue: []QueuedSlot{
 			{Slot: 1, Requests: 3, Entries: []Entry{{Hotspot: 1, Video: 1, Count: 3}}},
 			{Slot: 2, Requests: 1, Entries: []Entry{{Hotspot: 2, Video: 2, Count: 1}}},
@@ -273,31 +303,31 @@ func outOfOrderIngests(t testing.TB) ([]record, *Checkpoint) {
 	return []record{
 		{kind: recIngest, slot: 3, instance: 0, seq: 7, hotspot: 0, video: 0, count: 1},
 		{kind: recIngest, slot: 2, instance: 1, seq: 5, hotspot: 2, video: 2, count: 2},
-		{kind: recIngest, slot: 3, instance: 0, seq: 3, hotspot: 9, video: 9, count: 9}, // below the cursor
+		{kind: recIngest, slot: 3, instance: 0, seq: 3, hotspot: 9, video: 9, count: 9}, // below the watermark
 		{kind: recIngest, slot: 3, instance: 0, seq: 6, hotspot: 0, video: 0, count: 1},
 		{kind: recPlan, slot: 1, epoch: 4, digest: d1, canonical: c1},
-		{kind: recIngest, slot: 1, instance: 1, seq: 4, hotspot: 1, video: 1, count: 1}, // after its slot's plan
-		{kind: recIngest, slot: 3, instance: 0, seq: 6, hotspot: 0, video: 0, count: 1}, // duplicate (instance, seq)
-		{kind: recIngest, slot: 4, instance: 2, seq: 1, hotspot: 4, video: 4, count: 3},
+		{kind: recIngest, slot: 1, instance: 1, seq: 8, hotspot: 1, video: 1, count: 1}, // after its slot's plan
+		{kind: recIngest, slot: 3, instance: 0, seq: 6, hotspot: 0, video: 0, count: 1}, // duplicate seq
+		{kind: recIngest, slot: 4, instance: 2, seq: 10, hotspot: 4, video: 4, count: 3},
 		{kind: recAdvance, slot: 3},
-		{kind: recIngest, slot: 3, instance: 1, seq: 3, hotspot: 5, video: 1, count: 1},
-		{kind: recIngest, slot: 0, instance: 2, seq: 0, hotspot: 6, video: 6, count: 6}, // seq 0: never above a cursor
+		{kind: recIngest, slot: 3, instance: 1, seq: 9, hotspot: 5, video: 1, count: 1},
+		{kind: recIngest, slot: 0, instance: 2, seq: 4, hotspot: 6, video: 6, count: 6}, // at the watermark
 	}, ckpt
 }
 
 // pendingThenAdvancePlan is a checkpoint captured mid-slot — slot 2
 // open with demand already in the frontends, as any timer-driven tier
 // checkpoints — and a log that goes on to finish that slot: one of the
-// checkpointed ingests again (at the cursor), one more ingest for slot
+// checkpointed ingests again (at the watermark), one more ingest for slot
 // 2, its advance, the next slot's first ingest, slot 2's plan.
 func pendingThenAdvancePlan(t testing.TB) ([]record, *Checkpoint) {
 	c, d := testPlanBytes(t, 3)
 	ckpt := &Checkpoint{
-		Seq:     1,
-		Slot:    2,
-		Epoch:   2,
-		Cursors: map[int]uint64{0: 3},
-		Pending: []Entry{{Hotspot: 1, Video: 1, Count: 2}, {Hotspot: 3, Video: 0, Count: 1}},
+		Seq:       1,
+		Slot:      2,
+		Epoch:     2,
+		Watermark: 3,
+		Pending:   []Entry{{Hotspot: 1, Video: 1, Count: 2}, {Hotspot: 3, Video: 0, Count: 1}},
 	}
 	return []record{
 		{kind: recIngest, slot: 2, instance: 0, seq: 3, hotspot: 3, video: 0, count: 1}, // already in Pending
@@ -305,6 +335,23 @@ func pendingThenAdvancePlan(t testing.TB) ([]record, *Checkpoint) {
 		{kind: recAdvance, slot: 2},
 		{kind: recIngest, slot: 3, instance: 0, seq: 5, hotspot: 7, video: 7, count: 4},
 		{kind: recPlan, slot: 2, epoch: 3, digest: d, canonical: c},
+	}, ckpt
+}
+
+// aroundWatermark is a checkpoint with watermark 5 and a suffix three
+// frontends wrote out of sequence order, as concurrent appends
+// interleave: each frontend's ingests straddle the watermark, and two
+// at or below it arrive after later ones.
+func aroundWatermark() ([]record, *Checkpoint) {
+	ckpt := &Checkpoint{Seq: 1, Slot: 1, Watermark: 5, Pending: []Entry{{Hotspot: 1, Video: 1, Count: 3}}}
+	return []record{
+		{kind: recIngest, slot: 1, instance: 2, seq: 7, hotspot: 1, video: 1, count: 1},
+		{kind: recIngest, slot: 1, instance: 0, seq: 5, hotspot: 1, video: 1, count: 1}, // at the watermark
+		{kind: recIngest, slot: 1, instance: 1, seq: 6, hotspot: 2, video: 1, count: 1},
+		{kind: recIngest, slot: 1, instance: 1, seq: 4, hotspot: 2, video: 1, count: 1}, // below, after one above
+		{kind: recIngest, slot: 1, instance: 2, seq: 3, hotspot: 1, video: 1, count: 1}, // below
+		{kind: recIngest, slot: 1, instance: 0, seq: 9, hotspot: 3, video: 2, count: 2},
+		{kind: recIngest, slot: 1, instance: 1, seq: 8, hotspot: 1, video: 1, count: 1},
 	}, ckpt
 }
 
@@ -343,8 +390,8 @@ func TestFoldAdversarialStreams(t *testing.T) {
 		if !reflect.DeepEqual(st.Queue, wantQueue) {
 			t.Errorf("queue %+v, want %+v", st.Queue, wantQueue)
 		}
-		if want := map[int]uint64{0: 2}; !reflect.DeepEqual(st.Cursors, want) {
-			t.Errorf("cursors %v, want %v (nothing after the bad plan)", st.Cursors, want)
+		if st.LastSeq != 2 {
+			t.Errorf("last seq %d, want 2 (nothing after the bad plan)", st.LastSeq)
 		}
 		// Every prefix of the stream, so the cut is right wherever the
 		// log happens to end.
@@ -358,8 +405,8 @@ func TestFoldAdversarialStreams(t *testing.T) {
 		if st.Skipped != 2 || st.Records != len(recs) {
 			t.Errorf("skipped %d of %d records, want 2 of %d", st.Skipped, st.Records, len(recs))
 		}
-		if want := map[int]uint64{0: 7, 1: 5, 2: 1}; !reflect.DeepEqual(st.Cursors, want) {
-			t.Errorf("cursors %v, want %v", st.Cursors, want)
+		if st.LastSeq != 10 {
+			t.Errorf("last seq %d, want 10", st.LastSeq)
 		}
 		// Slot 1 went to its plan (queued entry and late ingest both),
 		// slot 2 keeps the checkpoint's queued demand plus the suffix's,
@@ -370,8 +417,8 @@ func TestFoldAdversarialStreams(t *testing.T) {
 			{Slot: 2, Requests: 3, Entries: []Entry{{Hotspot: 2, Video: 2, Count: 3}}},
 			{Slot: 3, Requests: 7, Entries: []Entry{{Hotspot: 0, Video: 0, Count: 5}, {Hotspot: 5, Video: 1, Count: 2}}},
 		}
-		if !reflect.DeepEqual(st.Queue, wantQueue) {
-			t.Errorf("queue %+v, want %+v", st.Queue, wantQueue)
+		if got := mergedQueue(st.Queue); !reflect.DeepEqual(got, wantQueue) {
+			t.Errorf("queue %+v, want %+v", got, wantQueue)
 		}
 		wantPending := []Entry{{Hotspot: 4, Video: 4, Count: 3}}
 		if !reflect.DeepEqual(st.Pending, wantPending) || st.PendingRequests != 3 {
@@ -414,7 +461,7 @@ func TestFoldAdversarialStreams(t *testing.T) {
 			queue   []QueuedSlot
 		}{
 			0: {2, 2, slot2(0), nil},
-			1: {2, 2, slot2(0), nil}, // the ingest at the cursor is skipped
+			1: {2, 2, slot2(0), nil}, // the ingest at the watermark is skipped
 			2: {2, 2, slot2(1), nil},
 			3: {3, 2, []Entry{}, []QueuedSlot{{Slot: 2, Requests: 4, Entries: slot2(1)}}},
 			4: {3, 2, slot3, []QueuedSlot{{Slot: 2, Requests: 4, Entries: slot2(1)}}},
@@ -426,11 +473,11 @@ func TestFoldAdversarialStreams(t *testing.T) {
 			if st.Slot != w.slot || st.Epoch != w.epoch {
 				t.Errorf("%s: slot %d epoch %d, want %d and %d", ctx, st.Slot, st.Epoch, w.slot, w.epoch)
 			}
-			if !reflect.DeepEqual(st.Pending, w.pending) {
-				t.Errorf("%s: pending %+v, want %+v", ctx, st.Pending, w.pending)
+			if got := merged(st.Pending); !reflect.DeepEqual(got, w.pending) {
+				t.Errorf("%s: pending %+v, want %+v", ctx, got, w.pending)
 			}
-			if !reflect.DeepEqual(st.Queue, w.queue) {
-				t.Errorf("%s: queue %+v, want %+v", ctx, st.Queue, w.queue)
+			if got := mergedQueue(st.Queue); !reflect.DeepEqual(got, w.queue) {
+				t.Errorf("%s: queue %+v, want %+v", ctx, got, w.queue)
 			}
 			var reqs int64
 			for _, e := range w.pending {
@@ -442,6 +489,69 @@ func TestFoldAdversarialStreams(t *testing.T) {
 		}
 		if st := foldState(ckpt, recs); st.Plan == nil || st.Plan.Slot != 2 || st.Plan.Epoch != 3 || st.Skipped != 1 {
 			t.Errorf("full stream: plan %+v, skipped %d; want slot 2's plan at epoch 3 and 1 skipped", st.Plan, st.Skipped)
+		}
+	})
+	t.Run("cross-frontend ingests out of sequence order around the watermark", func(t *testing.T) {
+		recs, ckpt := aroundWatermark()
+		st := requireFoldMatchesReference(t, ckpt, recs, "around the watermark")
+		want := []Entry{{Hotspot: 1, Video: 1, Count: 5}, {Hotspot: 2, Video: 1, Count: 1}, {Hotspot: 3, Video: 2, Count: 2}}
+		if got := merged(st.Pending); !reflect.DeepEqual(got, want) || st.PendingRequests != 8 {
+			t.Errorf("pending %+v (%d requests), want %+v (8)", got, st.PendingRequests, want)
+		}
+		if st.Skipped != 3 || st.LastSeq != 9 {
+			t.Errorf("skipped %d, last seq %d; want the 3 at or below the watermark skipped and 9", st.Skipped, st.LastSeq)
+		}
+		for n := range recs {
+			requireFoldMatchesReference(t, ckpt, recs[:n], "around the watermark, prefix "+itoa(n))
+		}
+	})
+	ingest := func(slot, instance int, seq uint64, h, v int, n int64) record {
+		return record{kind: recIngest, slot: slot, instance: instance, seq: seq, hotspot: h, video: v, count: n}
+	}
+	t.Run("one key split across tags of one destination", func(t *testing.T) {
+		// Slots 1 and 2 are past their boundary and queue apart; slots
+		// 3 and 4 are both pending, and their entries fold together.
+		recs := []record{
+			ingest(1, 0, 1, 5, 5, 1), ingest(2, 0, 2, 5, 5, 2), ingest(3, 0, 3, 5, 5, 3),
+			ingest(4, 1, 4, 5, 5, 4), ingest(3, 1, 5, 1<<33, 5, 1), ingest(4, 0, 6, 1<<33, 5, 1),
+			{kind: recAdvance, slot: 2},
+		}
+		st := requireFoldMatchesReference(t, nil, recs, "split tags")
+		if want := []Entry{{Hotspot: 5, Video: 5, Count: 7}, {Hotspot: 1 << 33, Video: 5, Count: 2}}; !reflect.DeepEqual(merged(st.Pending), want) {
+			t.Errorf("pending %+v, want %+v", merged(st.Pending), want)
+		}
+		if len(st.Queue) != 2 {
+			t.Errorf("queue %+v, want slots 1 and 2 apart", st.Queue)
+		}
+	})
+	t.Run("checkpoint demand overlapping the log's", func(t *testing.T) {
+		ckpt := &Checkpoint{
+			Slot:      3,
+			Watermark: 2,
+			Pending:   []Entry{{Hotspot: 1, Video: 2, Count: 2}, {Hotspot: 4, Video: 4, Count: 1}},
+			Queue: []QueuedSlot{
+				{Slot: 1, Requests: 2, Entries: []Entry{{Hotspot: 1, Video: 1, Count: 2}}},
+				{Slot: 2, Requests: 3, Entries: []Entry{{Hotspot: 9, Video: 0, Count: 3}}},
+			},
+		}
+		recs := []record{
+			ingest(3, 0, 3, 1, 2, 5), ingest(3, 0, 4, 4, 4, 1), ingest(2, 0, 5, 9, 0, 1),
+			ingest(1, 1, 6, 1, 1, 1), ingest(4, 1, 7, 1, 2, 1),
+		}
+		for n := range len(recs) + 1 {
+			requireFoldMatchesReference(t, ckpt, recs[:n], "overlap, prefix "+itoa(n))
+		}
+		// Slot 3 closes: the checkpoint's pending demand and the log's
+		// queue under it together.
+		recs = append(recs, record{kind: recAdvance, slot: 3})
+		st := requireFoldMatchesReference(t, ckpt, recs, "overlap, slot 3 closed")
+		want := []QueuedSlot{
+			{Slot: 1, Requests: 3, Entries: []Entry{{Hotspot: 1, Video: 1, Count: 3}}},
+			{Slot: 2, Requests: 4, Entries: []Entry{{Hotspot: 9, Video: 0, Count: 4}}},
+			{Slot: 3, Requests: 9, Entries: []Entry{{Hotspot: 1, Video: 2, Count: 7}, {Hotspot: 4, Video: 4, Count: 2}}},
+		}
+		if got := mergedQueue(st.Queue); !reflect.DeepEqual(got, want) {
+			t.Errorf("queue %+v, want %+v", got, want)
 		}
 	})
 }

@@ -8,13 +8,15 @@
 // newest valid checkpoint plus the WAL suffix — truncating any torn
 // tail to the last valid frame — and returns a State provably equal
 // to the durable prefix of the previous run. Any plan the State
-// carries has been re-verified exactly like the serving tier's plan
-// fan-out: digest check plus the strict one-pass canonical decode
-// (core.VerifyCanonical). See DESIGN.md §16.
+// carries has been verified exactly like the serving tier's plan
+// fan-out — digest check plus the strict one-pass canonical decode
+// (core.VerifyCanonical) — and comes decoded, so the server installs
+// it without verifying it again. See DESIGN.md §16.
 package wal
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -167,9 +169,9 @@ func listSegments(dir string) ([]uint64, error) {
 // retained segment is scanned in order — the scan stops at the first
 // invalid frame, physically truncating that segment to its valid
 // prefix and deleting all later segments — and each surviving record
-// is folded onto the checkpoint as the scan decodes it (replay); the
-// result equals a replay in (slot, instance, sequence) order, because
-// all the fold keeps of an ingest is a term of a sum.
+// is folded onto the checkpoint as the scan decodes it (replay): an
+// ingest at or below the checkpoint's watermark is already part of it
+// and is skipped. A checkpoint of another body version fails Open.
 func Open(dir string, opts Options) (*Log, *State, error) {
 	start := time.Now()
 	if opts.Interval <= 0 {
@@ -286,9 +288,11 @@ func Open(dir string, opts Options) (*Log, *State, error) {
 }
 
 // loadCheckpoints loads the newest fully valid checkpoint (nil when
-// none) and the highest checkpoint sequence present in any file name,
-// so newly written checkpoints never collide with a damaged one; verify
-// is the time spent verifying checkpointed plans.
+// none), its plan decoded, and the highest checkpoint sequence present
+// in any file name, so newly written checkpoints never collide with a
+// damaged one; verify is the time spent verifying checkpointed plans.
+// A checkpoint of another body version is an error, not damage to fall
+// back from.
 func loadCheckpoints(dir string) (ckpt *Checkpoint, maxSeq uint64, verify time.Duration, err error) {
 	seqs, err := listCheckpoints(dir)
 	if err != nil {
@@ -303,11 +307,16 @@ func loadCheckpoints(dir string) (ckpt *Checkpoint, maxSeq uint64, verify time.D
 			continue
 		}
 		c, err := unmarshalCheckpoint(data)
+		if errors.Is(err, errCheckpointVersion) {
+			return nil, 0, 0, fmt.Errorf("%s: %w", checkpointName(seq), err)
+		}
 		if err != nil {
 			continue
 		}
-		if c.Plan != nil && !timedVerify(c.Plan.Canonical, c.Plan.Digest, &verify) {
-			continue
+		if c.Plan != nil {
+			if c.Plan.Decoded = verifyPlan(c.Plan.Canonical, c.Plan.Digest, &verify); c.Plan.Decoded == nil {
+				continue
+			}
 		}
 		return c, maxSeq, verify, nil
 	}
@@ -418,8 +427,10 @@ func (l *Log) rotateLocked() error {
 }
 
 // AppendIngest logs one accepted demand increment: count requests for
-// (hotspot, video), tagged with the owning instance's current slot and
-// sequence number.
+// (hotspot, video), tagged with the owning frontend's current slot,
+// the tier's ingest sequence number (which recovery compares with a
+// checkpoint's watermark) and the frontend's id (provenance only:
+// recovery does not read it).
 func (l *Log) AppendIngest(slot, instance int, seq uint64, hotspot, video int, count int64) (uint64, error) {
 	return l.append(&record{kind: recIngest, slot: slot, instance: instance, seq: seq,
 		hotspot: hotspot, video: video, count: count})

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -54,7 +55,8 @@ func must(t testing.TB) func(uint64, error) uint64 {
 
 // writeScriptedLog writes a fixed record script through the public
 // API: two scheduled slots, one contract-error slot, and pending
-// demand for the next slot, across two instances.
+// demand for the next slot, across two frontends numbering their
+// ingests from one sequence.
 func writeScriptedLog(t *testing.T, dir string, segBytes int64) {
 	t.Helper()
 	l, st, err := Open(dir, Options{Policy: PolicyAlways, SegmentBytes: segBytes})
@@ -70,19 +72,19 @@ func writeScriptedLog(t *testing.T, dir string, segBytes int64) {
 
 	m(l.AppendIngest(0, 0, 1, 0, 0, 1))
 	m(l.AppendIngest(0, 0, 2, 1, 3, 2))
-	m(l.AppendIngest(0, 1, 1, 2, 1, 1))
+	m(l.AppendIngest(0, 1, 3, 2, 1, 1))
 	m(l.AppendAdvance(0))
 	m(l.AppendPlan(0, 1, d0, c0))
 
-	m(l.AppendIngest(1, 0, 3, 0, 2, 1))
+	m(l.AppendIngest(1, 0, 4, 0, 2, 1))
 	m(l.AppendAdvance(1))
 	m(l.AppendPlan(1, 2, d1, c1))
 
-	m(l.AppendIngest(2, 1, 2, 3, 1, 1))
+	m(l.AppendIngest(2, 1, 5, 3, 1, 1))
 	m(l.AppendAdvance(2))
 	m(l.AppendRoundErr(2))
 
-	lsn := m(l.AppendIngest(3, 0, 4, 1, 1, 1))
+	lsn := m(l.AppendIngest(3, 0, 6, 1, 1, 1))
 	if err := l.Sync(lsn); err != nil {
 		t.Fatalf("sync: %v", err)
 	}
@@ -127,7 +129,8 @@ func copyDir(t testing.TB, src, dst string) {
 	}
 }
 
-// stateCore projects a State onto its comparable durable content.
+// stateCore projects a State onto its comparable durable content, its
+// demand merged.
 type stateCore struct {
 	Slot            int
 	Epoch           int64
@@ -138,17 +141,17 @@ type stateCore struct {
 	Pending         []Entry
 	PendingRequests int64
 	Queue           []QueuedSlot
-	Cursors         map[int]uint64
+	LastSeq         uint64
 }
 
 func coreOf(st *State) stateCore {
 	sc := stateCore{
 		Slot:            st.Slot,
 		Epoch:           st.Epoch,
-		Pending:         st.Pending,
+		Pending:         merged(st.Pending),
 		PendingRequests: st.PendingRequests,
-		Queue:           st.Queue,
-		Cursors:         st.Cursors,
+		Queue:           mergedQueue(st.Queue),
+		LastSeq:         st.LastSeq,
 	}
 	if st.Plan != nil {
 		sc.PlanSlot = st.Plan.Slot
@@ -171,6 +174,9 @@ func requireStateEqual(t *testing.T, got, want *State, ctx string) {
 	}
 	if got.Plan != nil && !verifyPlanBytes(got.Plan.Canonical, got.Plan.Digest) {
 		t.Fatalf("%s: recovery installed an unverified plan", ctx)
+	}
+	if got.Plan != nil && got.Plan != want.Plan && got.Plan.Decoded == nil {
+		t.Fatalf("%s: recovery verified the log's plan but kept no decoded form", ctx)
 	}
 }
 
@@ -205,9 +211,11 @@ func TestLogRoundTrip(t *testing.T) {
 	if len(st.Queue) != 0 {
 		t.Errorf("queue %+v, want empty", st.Queue)
 	}
-	wantCursors := map[int]uint64{0: 4, 1: 2}
-	if !reflect.DeepEqual(st.Cursors, wantCursors) {
-		t.Errorf("cursors %v, want %v", st.Cursors, wantCursors)
+	if st.LastSeq != 6 {
+		t.Errorf("last seq %d, want 6", st.LastSeq)
+	}
+	if st.Plan.Decoded == nil || st.Plan.Decoded.Placement.Rows() != 2 {
+		t.Errorf("recovered plan not handed back decoded: %+v", st.Plan.Decoded)
 	}
 	if st.Records != 12 {
 		t.Errorf("recovered records %d, want 12", st.Records)
@@ -365,23 +373,25 @@ func TestCheckpointCursorSkip(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := must(t)
-	// Two accepted requests, then a checkpoint that has absorbed them.
-	m(l.AppendIngest(0, 0, 1, 0, 0, 1))
-	lsn := m(l.AppendIngest(0, 0, 2, 1, 1, 1))
+	// Two accepted requests from two frontends, then a checkpoint that
+	// has absorbed them.
+	m(l.AppendIngest(0, 1, 2, 1, 1, 1))
+	lsn := m(l.AppendIngest(0, 0, 1, 0, 0, 1))
 	if err := l.Sync(lsn); err != nil {
 		t.Fatal(err)
 	}
 	mark := l.CurrentSegment()
 	cp := &Checkpoint{
-		Slot:    0,
-		Cursors: map[int]uint64{0: 2},
-		Pending: []Entry{{Hotspot: 0, Video: 0, Count: 1}, {Hotspot: 1, Video: 1, Count: 1}},
+		Slot:      0,
+		Watermark: 2,
+		Pending:   []Entry{{Hotspot: 0, Video: 0, Count: 1}, {Hotspot: 1, Video: 1, Count: 1}},
 	}
 	if err := l.WriteCheckpoint(cp, mark); err != nil {
 		t.Fatal(err)
 	}
-	// One more accepted request after the checkpoint, then a crash.
-	lsn = m(l.AppendIngest(0, 0, 3, 2, 2, 1))
+	// One more accepted request after the checkpoint, at a third
+	// frontend, then a crash.
+	lsn = m(l.AppendIngest(0, 2, 3, 2, 2, 1))
 	if err := l.Sync(lsn); err != nil {
 		t.Fatal(err)
 	}
@@ -396,16 +406,16 @@ func TestCheckpointCursorSkip(t *testing.T) {
 		t.Errorf("checkpoint seq %d, want 1", st.CheckpointSeq)
 	}
 	// seq 1 and 2 must come from the checkpoint only (the log records
-	// are skipped by the cursor), seq 3 from the WAL suffix.
+	// are at or below its watermark), seq 3 from the WAL suffix.
 	want := []Entry{{Hotspot: 0, Video: 0, Count: 1}, {Hotspot: 1, Video: 1, Count: 1}, {Hotspot: 2, Video: 2, Count: 1}}
 	if !reflect.DeepEqual(st.Pending, want) {
-		t.Errorf("pending %+v, want %+v (cursor-skipped replay)", st.Pending, want)
+		t.Errorf("pending %+v, want %+v (watermark-skipped replay)", st.Pending, want)
 	}
-	if st.Cursors[0] != 3 {
-		t.Errorf("cursor %d, want 3", st.Cursors[0])
+	if st.LastSeq != 3 {
+		t.Errorf("last seq %d, want 3", st.LastSeq)
 	}
 	if st.Records != 3 || st.Skipped != 2 {
-		t.Errorf("replayed %d records, skipped %d; want 3 scanned, 2 of them under the cursor", st.Records, st.Skipped)
+		t.Errorf("replayed %d records, skipped %d; want 3 scanned, 2 of them at or below the watermark", st.Records, st.Skipped)
 	}
 }
 
@@ -467,7 +477,7 @@ func TestSegmentRotationAndGC(t *testing.T) {
 		t.Fatalf("expected rotation, still on segment %d", l.CurrentSegment())
 	}
 	mark1 := l.CurrentSegment()
-	if err := l.WriteCheckpoint(&Checkpoint{Slot: 0, Cursors: map[int]uint64{0: 40},
+	if err := l.WriteCheckpoint(&Checkpoint{Slot: 0, Watermark: 40,
 		Pending: drainEntries(40)}, mark1); err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +485,7 @@ func TestSegmentRotationAndGC(t *testing.T) {
 		m(l.AppendIngest(0, 0, uint64(i+1), i%7, i%11, 1))
 	}
 	mark2 := l.CurrentSegment()
-	if err := l.WriteCheckpoint(&Checkpoint{Slot: 0, Cursors: map[int]uint64{0: 60},
+	if err := l.WriteCheckpoint(&Checkpoint{Slot: 0, Watermark: 60,
 		Pending: drainEntries(60)}, mark2); err != nil {
 		t.Fatal(err)
 	}
@@ -495,8 +505,8 @@ func TestSegmentRotationAndGC(t *testing.T) {
 		t.Fatalf("recovery after GC: %v", err)
 	}
 	defer l2.Close()
-	if st.PendingRequests != 60 || st.Cursors[0] != 60 {
-		t.Errorf("recovered %d pending (cursor %d), want 60/60", st.PendingRequests, st.Cursors[0])
+	if st.PendingRequests != 60 || st.LastSeq != 60 {
+		t.Errorf("recovered %d pending (last seq %d), want 60/60", st.PendingRequests, st.LastSeq)
 	}
 }
 
@@ -567,11 +577,11 @@ func TestReplayBound(t *testing.T) {
 		}
 		mark := l.CurrentSegment()
 		if err := l.WriteCheckpoint(&Checkpoint{
-			Slot:    slot + 1,
-			Epoch:   int64(slot + 1),
-			Plan:    &PlanState{Slot: slot, Epoch: int64(slot + 1), Digest: d, Canonical: c},
-			Cursors: map[int]uint64{0: seq},
-			Pending: arrived,
+			Slot:      slot + 1,
+			Epoch:     int64(slot + 1),
+			Plan:      &PlanState{Slot: slot, Epoch: int64(slot + 1), Digest: d, Canonical: c},
+			Watermark: seq,
+			Pending:   arrived,
 		}, mark); err != nil {
 			t.Fatal(err)
 		}
@@ -649,6 +659,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	const goroutines, perG = 8, 25
+	var seq atomic.Uint64
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines)
 	for g := 0; g < goroutines; g++ {
@@ -656,7 +667,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				lsn, err := l.AppendIngest(0, g, uint64(i+1), g, i, 1)
+				lsn, err := l.AppendIngest(0, g, seq.Add(1), g, i, 1)
 				if err == nil {
 					err = l.Sync(lsn)
 				}
@@ -686,10 +697,8 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	if st.PendingRequests != goroutines*perG {
 		t.Errorf("recovered %d pending requests, want %d", st.PendingRequests, goroutines*perG)
 	}
-	for g := 0; g < goroutines; g++ {
-		if st.Cursors[g] != perG {
-			t.Errorf("instance %d cursor %d, want %d", g, st.Cursors[g], perG)
-		}
+	if st.LastSeq != goroutines*perG {
+		t.Errorf("last seq %d, want %d", st.LastSeq, goroutines*perG)
 	}
 }
 
@@ -728,7 +737,7 @@ func TestMetricsCounters(t *testing.T) {
 	if err := l.Sync(lsn); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.WriteCheckpoint(&Checkpoint{Slot: 0, Cursors: map[int]uint64{0: 1},
+	if err := l.WriteCheckpoint(&Checkpoint{Slot: 0, Watermark: 1,
 		Pending: []Entry{{Hotspot: 0, Video: 0, Count: 1}}}, 0); err != nil {
 		t.Fatal(err)
 	}
