@@ -11,8 +11,8 @@
 //	-debug-addr ADDR  serve pprof/expvar/metrics on ADDR
 //	-world FILE       world JSON file (from cdntrace); when absent a
 //	                  small world is generated from -seed
-//	-instances N      frontend instances: a consistent-hash ring shards
-//	                  hotspot ingestion across N in-process frontends
+//	-instances N      frontend instances: hotspot h's ingestion belongs
+//	                  to frontend h mod N of N in-process frontends
 //	                  (instance 0 on -addr, the rest on ephemeral
 //	                  ports), and every slot's plan fans out to all of
 //	                  them digest-verified
@@ -74,7 +74,7 @@ func run(args []string) error {
 	addr := fs.String("addr", "127.0.0.1:8370", "listen address")
 	debugAddr := fs.String("debug-addr", "", "serve pprof/expvar/metrics on this address")
 	worldPath := fs.String("world", "", "world JSON file (default: generate from -seed)")
-	instances := fs.Int("instances", 0, "frontend instances sharded by consistent hashing (0 = 1)")
+	instances := fs.Int("instances", 0, "frontend instances; hotspot h's ingestion belongs to instance h mod N (0 = 1)")
 	slot := fs.Duration("slot", 10*time.Second, "timeslot length (0 = manual slots)")
 	queue := fs.Int("queue", 0, "per-frontend backpressure bound (0 = default)")
 	history := fs.Int("history", 0, "plan records retained (0 = default)")
@@ -189,7 +189,7 @@ class smooth clients=2 arrival=weibull rate=20 shape=2   videos=uniform
 // scheduled a plan with no rejections, every workload slot to serve
 // the digest of the offline simulation's plan and every frontend to
 // serve the same (epoch, digest), and shut down cleanly. instances
-// sizes the frontend fleet (-instances 3 smokes ring sharding and the
+// sizes the frontend fleet (-instances 3 smokes ingest sharding and the
 // digest-verified plan fan-out).
 func runSmoke(seed int64, instances int) error {
 	world, tr, err := crowdcdn.Generate(smokeConfig(seed))

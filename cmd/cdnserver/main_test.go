@@ -153,7 +153,7 @@ func TestCrashSmoke(t *testing.T) {
 	}
 }
 
-// TestSmokeMultiInstance is the multi-instance smoke: ring-sharded
+// TestSmokeMultiInstance is the multi-instance smoke: owner-sharded
 // ingestion across three frontends, plus the generated-workload phase
 // held to the offline plans.
 func TestSmokeMultiInstance(t *testing.T) {

@@ -137,28 +137,6 @@ func TestSlotAssertionWindow(t *testing.T) {
 	}
 }
 
-// TestEventKindStrings pins the event-kind names used in validation
-// messages and reports.
-func TestEventKindStrings(t *testing.T) {
-	for _, tc := range []struct {
-		k    EventKind
-		want string
-	}{
-		{EventChurn, "churn"},
-		{EventOutage, "regional_outage"},
-		{EventDegrade, "degrade_capacity"},
-		{EventFlash, "flash_crowd"},
-		{EventStale, "stale_reports"},
-		{EventTheta, "theta"},
-		{EventCrash, "crash"},
-		{EventKind(99), "event(99)"},
-	} {
-		if got := tc.k.String(); got != tc.want {
-			t.Errorf("EventKind(%d).String() = %q, want %q", int(tc.k), got, tc.want)
-		}
-	}
-}
-
 // TestNodeKindStrings pins the YAML node-kind names used in parse
 // errors.
 func TestNodeKindStrings(t *testing.T) {

@@ -7,23 +7,37 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/fault"
+	"repro/internal/geo"
 	"repro/internal/scheme"
+	"repro/internal/trace"
 	"repro/internal/wal"
 )
 
 // Doc is one parsed scenario file: a generated world, a run
-// configuration, explicit timed fault events, an optional seeded stress
-// generator, and the assertions the run must satisfy.
+// configuration, explicit timed events, an optional seeded stress
+// generator, and the assertions the run must satisfy. Each section
+// decodes straight into the type that runs it.
 type Doc struct {
 	// Name labels the scenario in reports.
 	Name string
 	// Description is free-form documentation (unused by the runner).
 	Description string
 
-	World  WorldSpec
-	Spec   RunSpec
-	Events []Event
-	Stress *Stress
+	// World is the generator configuration: trace.DefaultConfig (seed
+	// 1) with the world section's positive values over it.
+	World trace.Config
+	Spec  RunSpec
+	// Faults holds the explicit fault events (churn, regional_outage,
+	// degrade_capacity, flash_crowd, stale_reports), named after the
+	// doc; Execute appends the stress expansion to a copy.
+	Faults fault.Scenario
+	// Thetas are the theta events, in strictly increasing slot order.
+	Thetas []ThetaChange
+	// Crashes are the serve-mode crash slots, strictly increasing, each
+	// at least 1.
+	Crashes []int
+	Stress  *Stress
 
 	// Asserts are evaluated once against the finished run's metrics and
 	// obs snapshot.
@@ -34,18 +48,6 @@ type Doc struct {
 
 	// SourcePath is the file the doc was loaded from ("" for Parse).
 	SourcePath string
-}
-
-// WorldSpec overrides the synthetic world/trace generator. Zero fields
-// keep trace.DefaultConfig's evaluation-scale values; scenario files
-// are expected to scale down for CI.
-type WorldSpec struct {
-	Seed     int64
-	Hotspots int
-	Videos   int
-	Users    int
-	Requests int
-	Slots    int
 }
 
 // RunSpec configures the simulation run.
@@ -85,75 +87,11 @@ type RunSpec struct {
 	CheckpointEvery int
 }
 
-// EventKind discriminates timed scenario events.
-type EventKind int
-
-const (
-	// EventChurn switches on Markov session churn for the whole run.
-	EventChurn EventKind = iota + 1
-	// EventOutage is a correlated regional outage window.
-	EventOutage
-	// EventDegrade is a capacity-degradation window.
-	EventDegrade
-	// EventFlash is a flash-crowd window.
-	EventFlash
-	// EventStale degrades the scheduler's load reports for the whole
-	// run.
-	EventStale
-	// EventTheta switches RBCAer's θ-sweep parameters from a slot
-	// onward.
-	EventTheta
-	// EventCrash kills the serve-mode tier abruptly mid-slot and
-	// restarts it from the write-ahead log (run.serve only).
-	EventCrash
-)
-
-// String implements fmt.Stringer.
-func (k EventKind) String() string {
-	switch k {
-	case EventChurn:
-		return "churn"
-	case EventOutage:
-		return "regional_outage"
-	case EventDegrade:
-		return "degrade_capacity"
-	case EventFlash:
-		return "flash_crowd"
-	case EventStale:
-		return "stale_reports"
-	case EventTheta:
-		return "theta"
-	case EventCrash:
-		return "crash"
-	default:
-		return fmt.Sprintf("event(%d)", int(k))
-	}
-}
-
-// Event is one explicit timed entry of the events section. At/Until
-// bound windowed families ([At, Until)); whole-run families (churn,
-// stale_reports) require At == 0.
-type Event struct {
-	Kind  EventKind
-	At    int
-	Until int
-
-	// churn
-	Fail    float64
-	Recover float64
-	// regional_outage
-	X, Y, RadiusKm float64
-	// degrade_capacity
-	Fraction      float64
-	ServiceFactor float64
-	CacheFactor   float64
-	// flash_crowd
-	TopVideos  int
-	Multiplier int
-	// stale_reports
-	Lag          int
-	DropFraction float64
-	// theta
+// ThetaChange switches RBCAer's θ-sweep parameters from slot At
+// onward. A negative Theta1 or Theta2, or a non-positive DeltaD, keeps
+// the previous regime's value.
+type ThetaChange struct {
+	At                     int
 	Theta1, Theta2, DeltaD float64
 }
 
@@ -181,9 +119,10 @@ func Parse(src []byte) (*Doc, error) {
 	if err != nil {
 		return nil, err
 	}
-	doc := &Doc{}
+	doc := &Doc{World: trace.DefaultConfig()}
 	doc.Name = d.str("name", "")
 	doc.Description = d.str("description", "")
+	doc.Faults.Name = doc.Name
 
 	if w := d.get("world"); w != nil {
 		if err := doc.decodeWorld(w); err != nil {
@@ -227,18 +166,30 @@ func Parse(src []byte) (*Doc, error) {
 	return doc, nil
 }
 
+// decodeWorld writes the world section over the generator defaults. A
+// zero or negative value keeps the default, as does seed 0.
 func (doc *Doc) decodeWorld(n *node) error {
 	d, err := newDec(n, "world")
 	if err != nil {
 		return err
 	}
-	doc.World = WorldSpec{
-		Seed:     d.int64Of("seed", 1),
-		Hotspots: d.integer("hotspots", 0),
-		Videos:   d.integer("videos", 0),
-		Users:    d.integer("users", 0),
-		Requests: d.integer("requests", 0),
-		Slots:    d.integer("slots", 0),
+	w := &doc.World
+	if seed := d.int64Of("seed", 0); seed != 0 {
+		w.Seed = seed
+	}
+	for _, f := range []struct {
+		key string
+		dst *int
+	}{
+		{"hotspots", &w.NumHotspots},
+		{"videos", &w.NumVideos},
+		{"users", &w.NumUsers},
+		{"requests", &w.NumRequests},
+		{"slots", &w.Slots},
+	} {
+		if v := d.integer(f.key, 0); v > 0 {
+			*f.dst = v
+		}
 	}
 	return d.finish()
 }
@@ -261,7 +212,46 @@ func (doc *Doc) decodeRun(n *node) error {
 		Fsync:           d.str("fsync", ""),
 		CheckpointEvery: d.integer("checkpoint_every", 0),
 	}
-	return d.finish()
+	if err := d.finish(); err != nil {
+		return err
+	}
+	return doc.Spec.validate()
+}
+
+// validate checks the run section on its own; the events section,
+// decoded after it, is checked against it as it decodes.
+func (r *RunSpec) validate() error {
+	if r.Scheme != "" && !slices.Contains(scheme.Names(), r.Scheme) {
+		return fmt.Errorf("scenario: unknown run.scheme %q", r.Scheme)
+	}
+	if r.ShardCellKm < 0 {
+		return fmt.Errorf("scenario: run.shard_cell_km %v negative", r.ShardCellKm)
+	}
+	if r.ShardCellKm > 0 && r.Scheme != "" && r.Scheme != "rbcaer" {
+		return fmt.Errorf("scenario: sharding requires run.scheme rbcaer, got %q", r.Scheme)
+	}
+	if !r.Serve {
+		if r.Instances != 0 || r.Fsync != "" || r.CheckpointEvery != 0 {
+			return fmt.Errorf("scenario: run.instances/fsync/checkpoint_every need run.serve: true")
+		}
+		return nil
+	}
+	if r.Scheme != "" && r.Scheme != "rbcaer" {
+		return fmt.Errorf("scenario: run.serve requires run.scheme rbcaer, got %q", r.Scheme)
+	}
+	if r.ShardCellKm > 0 {
+		return fmt.Errorf("scenario: run.serve does not support sharded scheduling")
+	}
+	if r.Instances < 0 {
+		return fmt.Errorf("scenario: run.instances %d negative", r.Instances)
+	}
+	if r.CheckpointEvery < 0 {
+		return fmt.Errorf("scenario: run.checkpoint_every %d negative", r.CheckpointEvery)
+	}
+	if _, err := wal.ParsePolicy(r.Fsync); err != nil {
+		return fmt.Errorf("scenario: run.fsync %q: %w", r.Fsync, err)
+	}
+	return nil
 }
 
 // parseAt parses an event start slot: either a bare integer or the
@@ -284,28 +274,35 @@ func parseAt(d *dec) int {
 	return v
 }
 
-// parseWindow resolves an event's [At, Until) window from at plus
+// parseWindow resolves an event's [start, end) window from at plus
 // either "for" (a duration in slots) or "until" (an exclusive end
 // slot).
-func parseWindow(d *dec, ev *Event) {
-	ev.At = parseAt(d)
+func parseWindow(d *dec) (start, end int) {
+	start = parseAt(d)
 	hasFor, hasUntil := d.n.child("for") != nil, d.n.child("until") != nil
 	switch {
 	case hasFor && hasUntil:
 		d.fail("%s: give \"for\" or \"until\", not both", d.ctx)
 	case hasFor:
-		ev.Until = ev.At + d.integer("for", 0)
+		end = start + d.integer("for", 0)
 	case hasUntil:
-		ev.Until = d.integer("until", 0)
+		end = d.integer("until", 0)
 	default:
 		d.fail("%s: windowed event needs \"for\" (slots) or \"until\" (end slot)", d.ctx)
 	}
+	return start, end
 }
 
+// decodeEvents writes each event into what runs it: the five fault
+// families into Faults, theta into Thetas, crash into Crashes. The
+// world and run sections are decoded by now, so each event is checked
+// against them here: serve mode takes only crashes, theta only plain
+// rbcaer, and every event starts inside the run.
 func (doc *Doc) decodeEvents(n *node) error {
 	if n.kind != seqNode {
 		return fmt.Errorf("scenario: line %d: events must be a sequence", n.line)
 	}
+	sc := &doc.Faults
 	for i, item := range n.items {
 		ctx := fmt.Sprintf("events[%d]", i)
 		d, err := newDec(item, ctx)
@@ -313,64 +310,88 @@ func (doc *Doc) decodeEvents(n *node) error {
 			return err
 		}
 		action := d.str("action", "")
-		var ev Event
+		at := 0
 		switch action {
 		case "churn":
-			ev = Event{
-				Kind:    EventChurn,
-				At:      parseAt(d),
-				Fail:    d.float("fail", 0),
-				Recover: d.float("recover", 0),
-			}
-			if ev.At != 0 {
+			at = parseAt(d)
+			c := &fault.MarkovChurn{FailPerSlot: d.float("fail", 0), RecoverPerSlot: d.float("recover", 0)}
+			switch {
+			case at != 0:
 				d.fail("%s: churn is whole-run (the Markov chain has no window); at must be 0", ctx)
+			case sc.Churn != nil:
+				d.fail("%s: duplicate churn event", ctx)
 			}
+			sc.Churn = c
 		case "regional_outage":
-			ev = Event{
-				Kind:     EventOutage,
-				X:        d.float("x", 0),
-				Y:        d.float("y", 0),
+			o := fault.RegionalOutage{
+				Center:   geo.Point{X: d.float("x", 0), Y: d.float("y", 0)},
 				RadiusKm: d.float("radius_km", -1),
 			}
-			parseWindow(d, &ev)
-			if ev.RadiusKm < 0 {
+			o.StartSlot, o.EndSlot = parseWindow(d)
+			if o.RadiusKm < 0 {
 				d.fail("%s: regional_outage needs radius_km >= 0", ctx)
 			}
+			at = o.StartSlot
+			sc.Outages = append(sc.Outages, o)
 		case "degrade_capacity":
-			ev = Event{
-				Kind:          EventDegrade,
+			g := fault.CapacityDegradation{
 				Fraction:      d.float("fraction", 1),
 				ServiceFactor: d.float("service_factor", 1),
 				CacheFactor:   d.float("cache_factor", 1),
 			}
-			parseWindow(d, &ev)
+			g.StartSlot, g.EndSlot = parseWindow(d)
+			at = g.StartSlot
+			sc.Degradations = append(sc.Degradations, g)
 		case "flash_crowd":
-			ev = Event{
-				Kind:       EventFlash,
+			f := fault.FlashCrowd{
 				TopVideos:  d.integer("top_videos", 0),
 				Multiplier: d.integer("multiplier", 0),
 			}
-			parseWindow(d, &ev)
+			f.StartSlot, f.EndSlot = parseWindow(d)
+			at = f.StartSlot
+			sc.FlashCrowds = append(sc.FlashCrowds, f)
 		case "stale_reports":
-			ev = Event{
-				Kind:         EventStale,
-				At:           parseAt(d),
-				Lag:          d.integer("lag", 0),
-				DropFraction: d.float("drop_fraction", 0),
-			}
-			if ev.At != 0 {
+			at = parseAt(d)
+			st := &fault.StaleReports{LagSlots: d.integer("lag", 0), DropFraction: d.float("drop_fraction", 0)}
+			switch {
+			case at != 0:
 				d.fail("%s: stale_reports is whole-run; at must be 0", ctx)
+			case sc.Staleness != nil:
+				d.fail("%s: duplicate stale_reports event", ctx)
 			}
+			sc.Staleness = st
 		case "theta":
-			ev = Event{
-				Kind:   EventTheta,
+			th := ThetaChange{
 				At:     parseAt(d),
 				Theta1: d.float("theta1", -1),
 				Theta2: d.float("theta2", -1),
 				DeltaD: d.float("delta_d", -1),
 			}
+			prev := -1
+			if k := len(doc.Thetas); k > 0 {
+				prev = doc.Thetas[k-1].At
+			}
+			switch {
+			case doc.Spec.Scheme != "" && doc.Spec.Scheme != "rbcaer":
+				d.fail("%s: theta requires run.scheme rbcaer, got %q", ctx, doc.Spec.Scheme)
+			case doc.Spec.ShardCellKm > 0:
+				d.fail("%s: theta events are incompatible with sharded scheduling", ctx)
+			case th.At <= prev:
+				d.fail("%s: theta events must have strictly increasing \"at\" slots", ctx)
+			}
+			at = th.At
+			doc.Thetas = append(doc.Thetas, th)
 		case "crash":
-			ev = Event{Kind: EventCrash, At: parseAt(d)}
+			at = parseAt(d)
+			switch {
+			case !doc.Spec.Serve:
+				d.fail("%s: crash needs run.serve: true", ctx)
+			case at < 1:
+				d.fail("%s: crash.at must be >= 1", ctx)
+			case len(doc.Crashes) > 0 && at <= doc.Crashes[len(doc.Crashes)-1]:
+				d.fail("%s: crash events must have strictly increasing \"at\" slots", ctx)
+			}
+			doc.Crashes = append(doc.Crashes, at)
 		case "":
 			d.fail("line %d: %s: missing \"action\"", item.line, ctx)
 		default:
@@ -380,7 +401,14 @@ func (doc *Doc) decodeEvents(n *node) error {
 		if err := d.finish(); err != nil {
 			return err
 		}
-		doc.Events = append(doc.Events, ev)
+		if doc.Spec.Serve && action != "crash" {
+			return fmt.Errorf("scenario: %s: serve mode supports only crash events, got %s", ctx, action)
+		}
+		// An event past the last slot would never fire; refuse it rather
+		// than pass a run it never touched.
+		if at >= doc.World.Slots {
+			return fmt.Errorf("scenario: %s: %s.at %d outside the %d-slot run", ctx, action, at, doc.World.Slots)
+		}
 	}
 	return nil
 }
@@ -444,106 +472,22 @@ func (doc *Doc) decodeSlotAsserts(n *node) error {
 	return nil
 }
 
-// validate cross-checks the decoded document. Fault parameter ranges
-// themselves are validated again by fault.Scenario.Validate at compile
-// time; this layer catches scenario-level contradictions.
+// validate cross-checks the sections the decoders could not: serve
+// mode against the stress section and slot assertions, and explicit
+// whole-run families against their stress generators. Fault parameter
+// ranges are validated by fault.Scenario.Validate when Execute runs.
 func (doc *Doc) validate() error {
-	if doc.Spec.Scheme != "" && !slices.Contains(scheme.Names(), doc.Spec.Scheme) {
-		return fmt.Errorf("scenario: unknown run.scheme %q", doc.Spec.Scheme)
-	}
-	if doc.Spec.ShardCellKm < 0 {
-		return fmt.Errorf("scenario: run.shard_cell_km %v negative", doc.Spec.ShardCellKm)
-	}
-	if doc.Spec.ShardCellKm > 0 && doc.Spec.Scheme != "" && doc.Spec.Scheme != "rbcaer" {
-		return fmt.Errorf("scenario: sharding requires run.scheme rbcaer, got %q", doc.Spec.Scheme)
-	}
-	if err := doc.validateServe(); err != nil {
-		return err
-	}
-	var churnEvents, staleEvents int
-	thetaAt := -1
-	for i, ev := range doc.Events {
-		switch ev.Kind {
-		case EventChurn:
-			churnEvents++
-			if churnEvents > 1 {
-				return fmt.Errorf("scenario: events[%d]: duplicate churn event", i)
-			}
-		case EventStale:
-			staleEvents++
-			if staleEvents > 1 {
-				return fmt.Errorf("scenario: events[%d]: duplicate stale_reports event", i)
-			}
-		case EventTheta:
-			if doc.Spec.Scheme != "" && doc.Spec.Scheme != "rbcaer" {
-				return fmt.Errorf("scenario: events[%d]: theta requires run.scheme rbcaer, got %q", i, doc.Spec.Scheme)
-			}
-			if doc.Spec.ShardCellKm > 0 {
-				return fmt.Errorf("scenario: events[%d]: theta events are incompatible with sharded scheduling", i)
-			}
-			if ev.At <= thetaAt {
-				return fmt.Errorf("scenario: events[%d]: theta events must have strictly increasing \"at\" slots", i)
-			}
-			thetaAt = ev.At
-		}
-	}
-	if churnEvents > 0 && doc.Stress != nil && doc.Stress.Churn != nil {
-		return fmt.Errorf("scenario: explicit churn event and stress.churn both set; keep one")
-	}
-	if staleEvents > 0 && doc.Stress != nil && doc.Stress.Staleness != nil {
-		return fmt.Errorf("scenario: explicit stale_reports event and stress.stale_reports both set; keep one")
-	}
-	return nil
-}
-
-// validateServe cross-checks serve mode: a serve run drives a real
-// durable serving tier, so only crash events apply, and the simulator's
-// fault/stress machinery (and its per-slot metrics) is unavailable.
-func (doc *Doc) validateServe() error {
-	if !doc.Spec.Serve {
-		if doc.Spec.Instances != 0 || doc.Spec.Fsync != "" || doc.Spec.CheckpointEvery != 0 {
-			return fmt.Errorf("scenario: run.instances/fsync/checkpoint_every need run.serve: true")
-		}
-		for i, ev := range doc.Events {
-			if ev.Kind == EventCrash {
-				return fmt.Errorf("scenario: events[%d]: crash needs run.serve: true", i)
-			}
-		}
-		return nil
-	}
-	if doc.Spec.Scheme != "" && doc.Spec.Scheme != "rbcaer" {
-		return fmt.Errorf("scenario: run.serve requires run.scheme rbcaer, got %q", doc.Spec.Scheme)
-	}
-	if doc.Spec.ShardCellKm > 0 {
-		return fmt.Errorf("scenario: run.serve does not support sharded scheduling")
-	}
-	if doc.Stress != nil {
+	if doc.Spec.Serve && doc.Stress != nil {
 		return fmt.Errorf("scenario: run.serve does not support the stress section")
 	}
-	if len(doc.SlotAsserts) > 0 {
+	if doc.Spec.Serve && len(doc.SlotAsserts) > 0 {
 		return fmt.Errorf("scenario: run.serve does not support assert_slot (serve runs have no per-slot sim metrics)")
 	}
-	if doc.Spec.Instances < 0 {
-		return fmt.Errorf("scenario: run.instances %d negative", doc.Spec.Instances)
+	if doc.Faults.Churn != nil && doc.Stress != nil && doc.Stress.Churn != nil {
+		return fmt.Errorf("scenario: explicit churn event and stress.churn both set; keep one")
 	}
-	if doc.Spec.CheckpointEvery < 0 {
-		return fmt.Errorf("scenario: run.checkpoint_every %d negative", doc.Spec.CheckpointEvery)
-	}
-	if _, err := wal.ParsePolicy(doc.Spec.Fsync); err != nil {
-		return fmt.Errorf("scenario: run.fsync %q: %w", doc.Spec.Fsync, err)
-	}
-	prev := 0
-	for i, ev := range doc.Events {
-		if ev.Kind != EventCrash {
-			return fmt.Errorf("scenario: events[%d]: serve mode supports only crash events, got %s", i, ev.Kind)
-		}
-		if ev.At < 1 {
-			return fmt.Errorf("scenario: events[%d]: crash.at must be >= 1", i)
-		}
-		if ev.At <= prev {
-			return fmt.Errorf("scenario: events[%d]: crash events must have strictly increasing \"at\" slots", i)
-		}
-		prev = ev.At
+	if doc.Faults.Staleness != nil && doc.Stress != nil && doc.Stress.Staleness != nil {
+		return fmt.Errorf("scenario: explicit stale_reports event and stress.stale_reports both set; keep one")
 	}
 	return nil
 }

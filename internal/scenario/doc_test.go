@@ -1,10 +1,15 @@
 package scenario
 
 import (
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
+	"repro/internal/geo"
 	"repro/internal/scheme"
+	"repro/internal/trace"
 )
 
 // minDoc wraps an events/assert fragment into a parseable document.
@@ -33,6 +38,10 @@ events:
   - action: churn
     fail: 0.1
     recover: 0.5
+  - at: 2
+    action: theta
+    theta1: 1
+    delta_d: 0.25
 stress:
   seed: 42
   outages:
@@ -53,14 +62,31 @@ assert_slot:
 	if err != nil {
 		t.Fatal(err)
 	}
-	if doc.Name != "full" || doc.World.Hotspots != 30 || doc.World.Slots != 4 {
+	if doc.Name != "full" {
 		t.Fatalf("doc header = %+v", doc)
+	}
+	// The world section writes over the generator defaults.
+	world := trace.DefaultConfig()
+	world.Seed, world.NumHotspots, world.NumVideos, world.Slots = 5, 30, 500, 4
+	if doc.World != world {
+		t.Fatalf("world = %+v, want %+v", doc.World, world)
 	}
 	if !doc.Spec.FailFast {
 		t.Fatalf("run spec = %+v", doc.Spec)
 	}
-	if len(doc.Events) != 2 || doc.Events[0].Kind != EventOutage || doc.Events[0].At != 1 || doc.Events[0].Until != 3 {
-		t.Fatalf("events = %+v", doc.Events)
+	faults := fault.Scenario{
+		Name:    "full",
+		Churn:   &fault.MarkovChurn{FailPerSlot: 0.1, RecoverPerSlot: 0.5},
+		Outages: []fault.RegionalOutage{{Center: geo.Point{X: 2, Y: 3}, RadiusKm: 1.5, StartSlot: 1, EndSlot: 3}},
+	}
+	if !reflect.DeepEqual(doc.Faults, faults) {
+		t.Fatalf("faults = %+v, want %+v", doc.Faults, faults)
+	}
+	if want := []ThetaChange{{At: 2, Theta1: 1, Theta2: -1, DeltaD: 0.25}}; !slices.Equal(doc.Thetas, want) {
+		t.Fatalf("thetas = %+v, want %+v", doc.Thetas, want)
+	}
+	if doc.Crashes != nil {
+		t.Fatalf("crashes = %v in a simulator run", doc.Crashes)
 	}
 	if doc.Stress == nil || !doc.Stress.SeedSet || doc.Stress.Seed != 42 || doc.Stress.Outages.Count != 2 {
 		t.Fatalf("stress = %+v", doc.Stress)
@@ -114,7 +140,7 @@ func TestParseErrors(t *testing.T) {
 		{"theta with shards", "run:\n  shard_cell_km: 2\nevents:\n  - action: theta\n    at: 2\n", "incompatible with sharded"},
 
 		{"theta non-rbcaer", "run:\n  scheme: lp\nevents:\n  - action: theta\n    at: 2\n    theta1: 1\n", "theta requires run.scheme rbcaer"},
-		{"theta order", "events:\n  - action: theta\n    at: 4\n  - action: theta\n    at: 2\n", "strictly increasing"},
+		{"theta order", "world:\n  slots: 6\nevents:\n  - action: theta\n    at: 4\n  - action: theta\n    at: 2\n", "strictly increasing"},
 		{"churn event and stress", "events:\n  - action: churn\n    fail: 0.1\nstress:\n  churn:\n    fail: 0.2\n", "keep one"},
 
 		{"assert not seq", "assert: StrandedRequests < 5\n", "must be a sequence"},
@@ -129,6 +155,7 @@ func TestParseErrors(t *testing.T) {
 		{"slot window empty", "assert_slot:\n  - expr: stranded < 5\n    from: 3\n    to: 2\n", "bad slot window"},
 		{"slot missing expr", "assert_slot:\n  - from: 1\n    to: 2\n", `missing "expr"`},
 		{"stress unknown key", "stress:\n  quakes: 1\n", `unknown key "quakes"`},
+		{"stress seed not an integer", "stress:\n  seed: 7abc\n", `stress.seed: "7abc" is not an integer`},
 		{"stress bad fleet weight", "stress:\n  fleet:\n    - name: a\n      weight: 0\n", "weight must be positive"},
 		{"stress inverted range", "stress:\n  outages:\n    radius_km: [3, 1]\n", "hi < lo"},
 	}
@@ -165,13 +192,13 @@ func TestParseMissingName(t *testing.T) {
 
 func TestParseAtForms(t *testing.T) {
 	for _, at := range []string{"3", `"slot 3"`} {
-		src := minDoc("events:\n  - action: regional_outage\n    at: " + at + "\n    radius_km: 1\n    for: 2\n")
+		src := minDoc("world:\n  slots: 6\nevents:\n  - action: regional_outage\n    at: " + at + "\n    radius_km: 1\n    for: 2\n")
 		doc, err := Parse(src)
 		if err != nil {
 			t.Fatalf("at: %s: %v", at, err)
 		}
-		if doc.Events[0].At != 3 || doc.Events[0].Until != 5 {
-			t.Fatalf("at: %s: event = %+v", at, doc.Events[0])
+		if o := doc.Faults.Outages[0]; o.StartSlot != 3 || o.EndSlot != 5 {
+			t.Fatalf("at: %s: outage = %+v", at, o)
 		}
 	}
 }

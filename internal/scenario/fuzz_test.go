@@ -1,11 +1,16 @@
 package scenario
 
-import "testing"
+import (
+	"os"
+	"path/filepath"
+	"testing"
+)
 
 // FuzzScenarioParse enforces the parser's no-panic contract: any byte
 // input either parses into a validated Doc or returns an error — never
 // panics, never hangs. CI runs this as a smoke alongside the other
-// fuzzers.
+// fuzzers. Besides the inline fragments, every committed scenario file
+// is a seed, so mutations start from the real grammar.
 func FuzzScenarioParse(f *testing.F) {
 	seeds := []string{
 		"",
@@ -25,6 +30,17 @@ func FuzzScenarioParse(f *testing.F) {
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
+	}
+	files, err := filepath.Glob(filepath.Join("..", "..", "examples", "scenarios", "*.yaml"))
+	if err != nil || len(files) == 0 {
+		f.Fatalf("no committed scenario files to seed from (%v)", err)
+	}
+	for _, path := range files {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(src)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		doc, err := Parse(data)

@@ -4,12 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/geo"
 	"repro/internal/obs"
 	"repro/internal/scheme"
 	"repro/internal/shard"
@@ -92,36 +92,40 @@ type Report struct {
 	Pass bool
 }
 
-// Execute generates the scenario's world and trace, compiles the
-// explicit events and stress expansion onto one fault.Scenario, runs
-// the simulation with in-run slot assertions, evaluates the run-level
-// assertions, and returns the report. The returned error is non-nil
-// only for scenario/infrastructure failures — assertion failures are
-// reported via Report.Pass.
+// Execute generates the scenario's world and trace, appends the stress
+// expansion to a copy of the doc's fault.Scenario, runs the simulation
+// with in-run slot assertions, evaluates the run-level assertions, and
+// returns the report. The returned error is non-nil only for
+// scenario/infrastructure failures — assertion failures are reported
+// via Report.Pass.
 func (doc *Doc) Execute(opt ExecOptions) (*Report, error) {
 	if doc.Spec.Serve {
 		return doc.executeServe(opt)
 	}
-	cfg := doc.traceConfig()
-	if err := doc.checkEventSlots(cfg.Slots); err != nil {
-		return nil, err
-	}
+	cfg := doc.World
 	world, tr, err := trace.Generate(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: generating world: %w", err)
 	}
 	world.OverrideCapacities(doc.Spec.CapacityFrac, doc.Spec.CacheFrac)
 
-	stressSeed := cfg.Seed
-	if doc.Stress != nil && doc.Stress.SeedSet {
-		stressSeed = doc.Stress.Seed
+	// The explicit faults, clipped so the stress expansion's appends
+	// never write into the doc's arrays.
+	sc := doc.Faults
+	sc.Outages = slices.Clip(sc.Outages)
+	sc.Degradations = slices.Clip(sc.Degradations)
+	sc.FlashCrowds = slices.Clip(sc.FlashCrowds)
+	stressCount := 0
+	if st := doc.Stress; st != nil {
+		seed := cfg.Seed
+		if st.SeedSet {
+			seed = st.Seed
+		}
+		st.applyFleet(world, seed)
+		stressCount = st.expand(&sc, world, cfg.Slots, seed)
 	}
-	if doc.Stress != nil {
-		doc.Stress.applyFleet(world, stressSeed)
-	}
-	sc, stressCount, err := doc.compileFaults(world, cfg.Slots, stressSeed)
-	if err != nil {
-		return nil, err
+	if err := sc.Validate(); err != nil {
+		return nil, fmt.Errorf("scenario: compiled fault scenario invalid: %w", err)
 	}
 
 	reg := obs.NewRegistry()
@@ -176,7 +180,7 @@ func (doc *Doc) Execute(opt ExecOptions) (*Report, error) {
 
 	opts := sim.Options{
 		Seed:     simSeed,
-		Faults:   sc,
+		Faults:   &sc,
 		Registry: reg,
 		SlotSink: sink,
 	}
@@ -235,18 +239,6 @@ func (doc *Doc) Execute(opt ExecOptions) (*Report, error) {
 	return rep, nil
 }
 
-// checkEventSlots refuses an event that starts after the run's last
-// slot, which the run would drop without a word. Both Execute paths
-// call it once the world section has resolved the slot count.
-func (doc *Doc) checkEventSlots(slots int) error {
-	for i, ev := range doc.Events {
-		if ev.At >= slots {
-			return fmt.Errorf("scenario: events[%d]: %s.at %d outside the %d-slot run", i, ev.Kind, ev.At, slots)
-		}
-	}
-	return nil
-}
-
 // firstViolationSlot returns the earliest first-violation slot.
 func firstViolationSlot(rs []SlotAssertResult) int {
 	first := -1
@@ -258,82 +250,6 @@ func firstViolationSlot(rs []SlotAssertResult) int {
 	return first
 }
 
-// traceConfig folds the world section onto the default generator
-// config.
-func (doc *Doc) traceConfig() trace.Config {
-	cfg := trace.DefaultConfig()
-	cfg.Seed = doc.World.Seed
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
-	if doc.World.Hotspots > 0 {
-		cfg.NumHotspots = doc.World.Hotspots
-	}
-	if doc.World.Videos > 0 {
-		cfg.NumVideos = doc.World.Videos
-	}
-	if doc.World.Users > 0 {
-		cfg.NumUsers = doc.World.Users
-	}
-	if doc.World.Requests > 0 {
-		cfg.NumRequests = doc.World.Requests
-	}
-	if doc.World.Slots > 0 {
-		cfg.Slots = doc.World.Slots
-	}
-	return cfg
-}
-
-// compileFaults lowers the explicit events plus the stress expansion
-// onto a single fault.Scenario — the same structure PR-2 composes in Go
-// — so there is exactly one injection path. θ events are handled by the
-// policy layer, not the fault layer.
-func (doc *Doc) compileFaults(world *trace.World, slots int, stressSeed int64) (*fault.Scenario, int, error) {
-	sc := &fault.Scenario{Name: doc.Name}
-	for i, ev := range doc.Events {
-		switch ev.Kind {
-		case EventChurn:
-			sc.Churn = &fault.MarkovChurn{FailPerSlot: ev.Fail, RecoverPerSlot: ev.Recover}
-		case EventOutage:
-			sc.Outages = append(sc.Outages, fault.RegionalOutage{
-				Center:    point(ev.X, ev.Y),
-				RadiusKm:  ev.RadiusKm,
-				StartSlot: ev.At,
-				EndSlot:   ev.Until,
-			})
-		case EventDegrade:
-			sc.Degradations = append(sc.Degradations, fault.CapacityDegradation{
-				StartSlot:     ev.At,
-				EndSlot:       ev.Until,
-				Fraction:      ev.Fraction,
-				ServiceFactor: ev.ServiceFactor,
-				CacheFactor:   ev.CacheFactor,
-			})
-		case EventFlash:
-			sc.FlashCrowds = append(sc.FlashCrowds, fault.FlashCrowd{
-				StartSlot:  ev.At,
-				EndSlot:    ev.Until,
-				TopVideos:  ev.TopVideos,
-				Multiplier: ev.Multiplier,
-			})
-		case EventStale:
-			sc.Staleness = &fault.StaleReports{LagSlots: ev.Lag, DropFraction: ev.DropFraction}
-		case EventTheta:
-			// Policy-layer event; nothing to inject.
-		default:
-			return nil, 0, fmt.Errorf("scenario: events[%d]: unhandled kind %v", i, ev.Kind)
-		}
-	}
-	stressCount := 0
-	if doc.Stress != nil {
-		stressCount = doc.Stress.expand(sc, world, slots, stressSeed)
-	}
-	if err := sc.Validate(); err != nil {
-		return nil, 0, fmt.Errorf("scenario: compiled fault scenario invalid: %w", err)
-	}
-	return sc, stressCount, nil
-}
-
 // schemeName resolves the run scheme with its default.
 func (doc *Doc) schemeName() string {
 	if doc.Spec.Scheme == "" {
@@ -342,8 +258,8 @@ func (doc *Doc) schemeName() string {
 	return doc.Spec.Scheme
 }
 
-// policy resolves the run scheme through the scheme table. θ events
-// (rbcaer only, see validate) wrap the factory's instances in a
+// policy resolves the run scheme through the scheme table. θ changes
+// (rbcaer only, checked as the events decode) wrap the factory's instances in a
 // per-regime router.
 func (doc *Doc) policy(reg *obs.Registry, workers int) (scheme.Factory, error) {
 	radius := doc.Spec.RadiusKm
@@ -352,23 +268,20 @@ func (doc *Doc) policy(reg *obs.Registry, workers int) (scheme.Factory, error) {
 	}
 	params := core.DefaultParams()
 	params.Obs = reg
-	// Each theta event switches the θ-sweep parameters from its slot
+	// Each theta change switches the θ-sweep parameters from its slot
 	// onward.
 	starts, regimes := []int{0}, []core.Params{params}
-	for _, ev := range doc.Events {
-		if ev.Kind != EventTheta {
-			continue
+	for _, th := range doc.Thetas {
+		if th.Theta1 >= 0 {
+			params.Theta1 = th.Theta1
 		}
-		if ev.Theta1 >= 0 {
-			params.Theta1 = ev.Theta1
+		if th.Theta2 >= 0 {
+			params.Theta2 = th.Theta2
 		}
-		if ev.Theta2 >= 0 {
-			params.Theta2 = ev.Theta2
+		if th.DeltaD > 0 {
+			params.DeltaD = th.DeltaD
 		}
-		if ev.DeltaD > 0 {
-			params.DeltaD = ev.DeltaD
-		}
-		starts, regimes = append(starts, ev.At), append(regimes, params)
+		starts, regimes = append(starts, th.At), append(regimes, params)
 	}
 	sp := shard.Params{CellKm: doc.Spec.ShardCellKm}
 	factories := make([]scheme.Factory, len(regimes))
@@ -488,8 +401,3 @@ func (r *Report) WriteText(w io.Writer) {
 
 // fnum renders a float deterministically (shortest round-trip form).
 func fnum(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// point builds a geo point.
-func point(x, y float64) geo.Point {
-	return geo.Point{X: x, Y: y}
-}

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -107,17 +108,14 @@ func TestExecuteReportDeterministic(t *testing.T) {
 }
 
 // TestExecuteEventBeyondRun: an event that starts after the run's last
-// slot would never fire, so Execute refuses it instead of passing a run
-// the event never touched.
+// slot would never fire, so Parse refuses it (the world section, decoded
+// first, fixes the slot count) instead of passing a run the event never
+// touched.
 func TestExecuteEventBeyondRun(t *testing.T) {
 	src := strings.Replace(tinyRun, "  - at: 1\n", "  - at: 9\n", 1)
-	doc, err := Parse([]byte(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = doc.Execute(ExecOptions{Workers: 1})
+	_, err := Parse([]byte(src))
 	if want := "scenario: events[0]: regional_outage.at 9 outside the 4-slot run"; err == nil || err.Error() != want {
-		t.Fatalf("Execute error = %v, want %q", err, want)
+		t.Fatalf("Parse error = %v, want %q", err, want)
 	}
 }
 
@@ -224,6 +222,12 @@ func TestExecuteThetaRegimes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if want := []ThetaChange{{At: 2, Theta1: 1, Theta2: 2.5, DeltaD: -1}}; !slices.Equal(doc.Thetas, want) {
+		t.Fatalf("thetas = %+v, want %+v", doc.Thetas, want)
+	}
+	if len(doc.Faults.Outages) != 1 {
+		t.Fatalf("faults = %+v, want the one outage", doc.Faults)
+	}
 	texts := make([]string, 2)
 	for i, workers := range []int{1, 4} {
 		rep, err := doc.Execute(ExecOptions{Workers: workers})
@@ -231,6 +235,9 @@ func TestExecuteThetaRegimes(t *testing.T) {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		texts[i] = rep.Text()
+	}
+	if len(doc.Faults.Outages) != 1 {
+		t.Fatalf("Execute changed the doc's faults: %+v", doc.Faults)
 	}
 	if texts[0] != texts[1] {
 		t.Fatalf("theta reports differ across worker counts:\n%s\n---\n%s", texts[0], texts[1])

@@ -19,10 +19,7 @@ import (
 // offline one; the outcome is published as serve.* counters so
 // run-level assertions can pin it.
 func (doc *Doc) executeServe(opt ExecOptions) (*Report, error) {
-	cfg := doc.traceConfig()
-	if err := doc.checkEventSlots(cfg.Slots); err != nil {
-		return nil, err
-	}
+	cfg := doc.World
 	world, tr, err := trace.Generate(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: generating world: %w", err)
@@ -30,12 +27,11 @@ func (doc *Doc) executeServe(opt ExecOptions) (*Report, error) {
 	world.OverrideCapacities(doc.Spec.CapacityFrac, doc.Spec.CacheFrac)
 
 	// Each crash lands mid-slot: half the slot's requests accepted.
-	// Crash events are the only serve-mode events, in strictly
-	// increasing slots inside the run.
+	// The decoder keeps crash slots strictly increasing inside the run.
 	bySlot := tr.BySlot()
 	var crashes []loadgen.CrashPoint
-	for _, ev := range doc.Events {
-		crashes = append(crashes, loadgen.CrashPoint{Slot: ev.At, After: len(bySlot[ev.At]) / 2})
+	for _, slot := range doc.Crashes {
+		crashes = append(crashes, loadgen.CrashPoint{Slot: slot, After: len(bySlot[slot]) / 2})
 	}
 
 	simSeed := doc.Spec.Seed

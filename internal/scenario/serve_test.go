@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -36,6 +37,9 @@ func TestExecuteServeCrashRecovery(t *testing.T) {
 	doc, err := Parse([]byte(tinyServe))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !slices.Equal(doc.Crashes, []int{2}) || !doc.Faults.Empty() || doc.Thetas != nil {
+		t.Fatalf("crashes %v, faults %+v, thetas %v: want one crash at slot 2 and nothing else", doc.Crashes, doc.Faults, doc.Thetas)
 	}
 	rep, err := doc.Execute(ExecOptions{Workers: 1})
 	if err != nil {
@@ -143,7 +147,7 @@ func TestServeValidation(t *testing.T) {
 		},
 		{
 			"crash slots not increasing",
-			"name: t\nrun:\n  serve: true\nevents:\n  - at: 2\n    action: crash\n  - at: 2\n    action: crash\n",
+			"name: t\nworld:\n  slots: 4\nrun:\n  serve: true\nevents:\n  - at: 2\n    action: crash\n  - at: 2\n    action: crash\n",
 			"strictly increasing",
 		},
 		{
@@ -170,8 +174,8 @@ func TestServeValidation(t *testing.T) {
 	}
 }
 
-// TestServeCrashBeyondRun: a crash slot outside the run is an execution
-// error (the slot count is only resolved at execute time).
+// TestServeCrashBeyondRun: a crash slot outside the run is a parse
+// error, named like any other event past the last slot.
 func TestServeCrashBeyondRun(t *testing.T) {
 	src := `name: t
 world:
@@ -187,11 +191,8 @@ events:
   - at: 7
     action: crash
 `
-	doc, err := Parse([]byte(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := doc.Execute(ExecOptions{}); err == nil || !strings.Contains(err.Error(), "outside the 2-slot run") {
-		t.Fatalf("Execute error = %v", err)
+	_, err := Parse([]byte(src))
+	if want := "scenario: events[0]: crash.at 7 outside the 2-slot run"; err == nil || err.Error() != want {
+		t.Fatalf("Parse error = %v, want %q", err, want)
 	}
 }

@@ -113,16 +113,8 @@ func (doc *Doc) decodeStress(n *node) error {
 		return err
 	}
 	st := &Stress{}
-	if c := d.get("seed"); c != nil {
-		s, ok := d.scalarOf("seed", c)
-		if ok {
-			v, perr := parseInt64(s)
-			if perr != nil {
-				d.fail("line %d: stress.seed: %q is not an integer", c.line, s)
-			} else {
-				st.Seed, st.SeedSet = v, true
-			}
-		}
+	if d.n.child("seed") != nil {
+		st.Seed, st.SeedSet = d.int64Of("seed", 0), true
 	}
 	if f := d.get("fleet"); f != nil {
 		if err := st.decodeFleet(f); err != nil {
@@ -241,12 +233,6 @@ func (st *Stress) decodeFleet(n *node) error {
 		return fmt.Errorf("scenario: line %d: stress.fleet must not be empty", n.line)
 	}
 	return nil
-}
-
-func parseInt64(s string) (int64, error) {
-	var v int64
-	_, err := fmt.Sscanf(s, "%d", &v)
-	return v, err
 }
 
 // applyFleet reshapes the world's hotspot capacities from the weighted

@@ -1,8 +1,10 @@
 // Package scenario is the declarative chaos-scenario layer: a
 // zero-dependency YAML-subset parser, a scenario schema (explicit timed
-// fault events, seeded stress generation, and in-run assertions), and a
-// runner that compiles everything onto the existing fault.Scenario /
-// fault.Timeline — there is no second injection path — executes the
+// fault events, seeded stress generation, and in-run assertions) whose
+// decoder writes each section straight into the type that runs it —
+// fault events into a fault.Scenario, the world into a trace.Config —
+// and a runner that appends the stress expansion to that
+// fault.Scenario — there is no second injection path — executes the
 // simulation, and evaluates the assertions into a deterministic
 // pass/fail report.
 //
@@ -398,9 +400,6 @@ func (d *dec) get(key string) *node {
 	d.used[key] = true
 	return d.n.child(key)
 }
-
-// has reports whether the key is present (marking it used).
-func (d *dec) has(key string) bool { return d.get(key) != nil }
 
 // finish returns the first decode error, or an unknown-key error.
 func (d *dec) finish() error {

@@ -42,8 +42,8 @@ type Config struct {
 	// ephemeral port). Empty selects "127.0.0.1:0".
 	Addr string
 	// Instances is the number of frontend instances the serving tier
-	// runs in-process. A consistent-hash ring shards hotspot
-	// ingestion across them (each instance has its own accumulator
+	// runs in-process. Hotspot h's ingestion belongs to instance
+	// h mod Instances (each instance has its own accumulator
 	// and its own listener), every slot's plan is digest-verified
 	// once and fans out to all of them as one shared serving table,
 	// and all of them route redirect lookups through its one router,

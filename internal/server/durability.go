@@ -62,7 +62,7 @@ func (s *Server) openWAL() error {
 	}
 
 	// Accepted-but-unscheduled demand goes back to the frontend it
-	// would live in, routed through the same ring; recovery hands the
+	// would live in, by the same owner rule; recovery hands the
 	// entries back unmerged, and the frontend's core.Demand folds them.
 	m := len(s.world.Hotspots)
 	for _, e := range st.Pending {
@@ -72,10 +72,7 @@ func (s *Server) openWAL() error {
 			s.walErrors.Inc()
 			continue
 		}
-		owner := s.instances[0]
-		if len(s.instances) > 1 {
-			owner = s.instances[s.ring.OwnerOfHotspot(e.Hotspot)]
-		}
+		owner := s.owner(e.Hotspot)
 		owner.demand.Add(trace.HotspotID(e.Hotspot), trace.VideoID(e.Video), e.Count)
 		owner.pending += e.Count
 	}

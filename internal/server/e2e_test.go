@@ -118,7 +118,7 @@ func TestServerMatchesOfflineSim(t *testing.T) {
 
 // TestMultiInstanceServerMatchesOfflineSim is the scaled-out
 // byte-identity certification: a four-frontend serving tier (real HTTP,
-// ingest rotated across every frontend, ring-sharded accumulation,
+// ingest rotated across every frontend, owner-sharded accumulation,
 // digest-verified plan fan-out) must serve per-slot plans byte-identical
 // to sim.Run's offline plans for the same trace, with every frontend on
 // the exact same (epoch, digest) after each swap.
@@ -234,7 +234,7 @@ func TestMultiInstanceServerMatchesOfflineSim(t *testing.T) {
 		}
 	}
 	if busy < 2 {
-		t.Errorf("only %d of %d instances accumulated demand — ring sharding inert", busy, instances)
+		t.Errorf("only %d of %d instances accumulated demand — ingest sharding inert", busy, instances)
 	}
 }
 

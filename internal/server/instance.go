@@ -18,7 +18,7 @@ import (
 )
 
 // instance is one frontend of the serving tier. Each instance owns the
-// slot demand of the hotspots the consistent-hash ring assigns it (one
+// slot demand of the hotspots Server.owner assigns it (one
 // core.Demand under one lock, handed to the scheduler whole at every
 // slot boundary), its own HTTP listener, and its own pointer to the
 // serving plan, which Server.publish swaps to the one table it built
@@ -69,6 +69,12 @@ func newInstance(s *Server, id int) *instance {
 	in.lookups = s.reg.Counter(pfx + "lookups")
 	return in
 }
+
+// owner is the frontend that accumulates hotspot h's demand: h mod N.
+// The frontend set is fixed at boot, so the rule needs no ring; the
+// ownership itself keeps each hotspot's row on one frontend, which is
+// what lets the slot boundary's Demand.Merge adopt whole rows.
+func (s *Server) owner(h int) *instance { return s.instances[h%len(s.instances)] }
 
 // listen starts this frontend's HTTP server on addr.
 func (in *instance) listen(addr string) error {
@@ -138,12 +144,9 @@ func (in *instance) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return
 	}
-	// The ring owns the hotspot → instance mapping; a request may
-	// arrive at any frontend and is accumulated at the owner.
-	owner := in
-	if n := len(s.instances); n > 1 {
-		owner = s.instances[s.ring.OwnerOfHotspot(h)]
-	}
+	// A request may arrive at any frontend and is accumulated at its
+	// hotspot's owner.
+	owner := s.owner(h)
 	ok, werr := s.acceptDemand(owner, trace.HotspotID(h), v)
 	if werr != nil {
 		// Durability failure: the request must not be acknowledged as

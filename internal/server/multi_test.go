@@ -179,9 +179,9 @@ func hasAttr(ev obs.Event, key string, v int64) bool {
 	return false
 }
 
-// TestMultiInstanceIngestRouting pins the ring routing: a request may
-// arrive at any frontend, but its demand is accumulated at the
-// ring-designated owner, with cross-instance arrivals counted as
+// TestMultiInstanceIngestRouting pins ingest routing: a request may
+// arrive at any frontend, but its demand is accumulated at its
+// hotspot's owner (h mod N), with cross-instance arrivals counted as
 // forwards.
 func TestMultiInstanceIngestRouting(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -196,18 +196,21 @@ func TestMultiInstanceIngestRouting(t *testing.T) {
 		}
 	}
 
-	// Demand must sit in the ring owner's accumulator.
+	// Demand must sit in the owner's accumulator.
 	wantPerInstance := make([]int64, instances)
 	var wantForwarded int64
 	for h := 0; h < hotspots; h++ {
-		owner := s.ring.OwnerOfHotspot(h)
+		owner := s.owner(h).id
+		if owner != h%instances {
+			t.Fatalf("hotspot %d owned by instance %d, want %d", h, owner, h%instances)
+		}
 		wantPerInstance[owner]++
 		if owner != 0 {
 			wantForwarded++
 		}
 	}
 	if wantForwarded == 0 {
-		t.Fatalf("ring assigned all %d hotspots to instance 0 — test world too small", hotspots)
+		t.Fatalf("owner assigned all %d hotspots to instance 0 — test world too small", hotspots)
 	}
 	for i, in := range s.instances {
 		d, n := in.handOver(1)
@@ -221,8 +224,8 @@ func TestMultiInstanceIngestRouting(t *testing.T) {
 			continue
 		}
 		for h, total := range d.Totals {
-			if got := s.ring.OwnerOfHotspot(h); total != 0 && got != i {
-				t.Errorf("hotspot %d accumulated at instance %d, ring owner is %d", h, i, got)
+			if got := s.owner(h).id; total != 0 && got != i {
+				t.Errorf("hotspot %d accumulated at instance %d, owner is %d", h, i, got)
 			}
 		}
 	}

@@ -1,5 +1,8 @@
-// Package ring is the consistent-hash ring that shards hotspot
-// ingestion across the serving tier's frontend instances. Each
+// Package ring is a consistent-hash ring over frontend instances. The
+// serving tier no longer routes by it (its frontend set is fixed at
+// boot, so hotspot h belongs to frontend h mod N); only the benchmark's
+// ring.owner_ns layer still times it, and the package goes with that
+// metric. Each
 // instance owns a fixed number of virtual nodes placed on a 64-bit
 // hash circle; a hotspot is owned by the instance whose virtual node
 // is the first at or clockwise of the hotspot's hash. The placement

@@ -15,11 +15,10 @@
 // e2e_test.go via core.Plan.Canonical).
 //
 // Multi-instance mode (Config.Instances > 1) scales the serving tier
-// out in-process: a consistent-hash ring (internal/server/ring)
-// shards hotspot ingestion across N frontend instances, each with its
-// own accumulator and its own HTTP listener. A request may arrive at
-// any frontend; the ring routes its hotspot's accumulation to the
-// owning instance (cross-instance arrivals are counted as forwards).
+// out in-process: hotspot ingestion is sharded across N frontend
+// instances, each with its own accumulator and its own HTTP listener.
+// A request may arrive at any frontend; its hotspot h is accumulated at
+// instance h mod N (cross-instance arrivals are counted as forwards).
 // Each slot merges every instance's handed-over demand (disjoint
 // hotspots, so whole rows change owner) into the single scheduler
 // round, and the resulting plan fans out to every frontend: its
@@ -49,7 +48,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/geo"
 	"repro/internal/obs"
-	"repro/internal/server/ring"
 	"repro/internal/trace"
 	"repro/internal/wal"
 )
@@ -63,10 +61,8 @@ type Server struct {
 	index *geo.Grid
 	reg   *obs.Registry
 
-	// ring owns the hotspot → instance ingestion mapping; instances
-	// are the frontends, whose demand every slot boundary collects in
-	// instance order.
-	ring      *ring.Ring
+	// instances are the frontends (owner maps a hotspot to one), whose
+	// demand every slot boundary collects in instance order.
 	instances []*instance
 
 	// mu guards the snapshot queue, slot counter, plan history, the
@@ -155,16 +151,11 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
 	}
-	rg, err := ring.New(cfg.Instances, 0)
-	if err != nil {
-		return nil, fmt.Errorf("server: %w", err)
-	}
 	s := &Server{
 		cfg:   cfg,
 		world: cfg.World,
 		index: index,
 		reg:   cfg.Registry,
-		ring:  rg,
 		kick:  make(chan struct{}, 1),
 		stop:  make(chan struct{}),
 		sched: sched,

@@ -195,17 +195,17 @@ func TestBackpressure(t *testing.T) {
 	reg := obs.NewRegistry()
 	const hotspots = 16
 	s := newTestServer(t, Config{World: testWorld(hotspots, 50, 50), Instances: 2, QueueBound: 3, Registry: reg})
-	full := s.ring.OwnerOfHotspot(0)
+	full := s.owner(0).id
 	sibling, other := -1, -1
 	for h := 1; h < hotspots; h++ {
-		if s.ring.OwnerOfHotspot(h) != full {
+		if s.owner(h).id != full {
 			other = h
 		} else {
 			sibling = h
 		}
 	}
 	if sibling < 0 || other < 0 {
-		t.Fatalf("ring gave one frontend every hotspot or only hotspot 0 — test world too small")
+		t.Fatalf("owner gave one frontend every hotspot or only hotspot 0 — test world too small")
 	}
 	ingest := func(h int) int {
 		return do(t, s, http.MethodPost, "/ingest", fmt.Sprintf(`{"user":1,"video":2,"hotspot":%d}`, h)).Code

@@ -70,9 +70,9 @@ func BenchmarkGridNearest(b *testing.B) {
 // materialisation and the slot's evaluation, the path the serving
 // benchmark's sim_slot_ms measures. The cases are one instance (which
 // is sim.Run) at 310 hotspots (edge_*) and 1,240 (city_sched), and two
-// instances at 310.
+// instances at each size.
 func BenchmarkSimSlot(b *testing.B) {
-	for _, bc := range []struct{ fleet, requests, workers int }{{1, 25000, 1}, {4, 50000, 1}, {1, 25000, 2}} {
+	for _, bc := range []struct{ fleet, requests, workers int }{{1, 25000, 1}, {4, 50000, 1}, {1, 25000, 2}, {4, 50000, 2}} {
 		world, tr := benchShaped(b, bc.fleet, bc.requests, 4)
 		name := fmt.Sprintf("hotspots=%d", len(world.Hotspots))
 		if bc.workers > 1 {
