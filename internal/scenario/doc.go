@@ -25,7 +25,7 @@ type Doc struct {
 	Description string
 
 	// World is the generator configuration: trace.DefaultConfig (seed
-	// 1) with the world section's positive values over it.
+	// 1) with the world section's values over it.
 	World trace.Config
 	Spec  RunSpec
 	// Faults holds the explicit fault events (churn, regional_outage,
@@ -166,8 +166,9 @@ func Parse(src []byte) (*Doc, error) {
 	return doc, nil
 }
 
-// decodeWorld writes the world section over the generator defaults. A
-// zero or negative value keeps the default, as does seed 0.
+// decodeWorld writes the world section over the generator defaults.
+// Seed 0 keeps the default seed; a count (hotspots, videos, users,
+// requests, slots) must be positive.
 func (doc *Doc) decodeWorld(n *node) error {
 	d, err := newDec(n, "world")
 	if err != nil {
@@ -187,8 +188,10 @@ func (doc *Doc) decodeWorld(n *node) error {
 		{"requests", &w.NumRequests},
 		{"slots", &w.Slots},
 	} {
-		if v := d.integer(f.key, 0); v > 0 {
+		if v := d.integer(f.key, *f.dst); v > 0 {
 			*f.dst = v
+		} else {
+			d.fail("line %d: world.%s: %d must be positive", d.n.child(f.key).line, f.key, v)
 		}
 	}
 	return d.finish()

@@ -115,6 +115,11 @@ func TestParseErrors(t *testing.T) {
 		{"unknown top key", "bogus: 1\n", `unknown key "bogus"`},
 		{"unknown world key", "world:\n  hotspot: 3\n", `unknown key "hotspot"`},
 		{"bad world int", "world:\n  hotspots: many\n", "not an integer"},
+		{"negative hotspots", "world:\n  hotspots: -5\n", "line 3: world.hotspots: -5 must be positive"},
+		{"zero videos", "world:\n  videos: 0\n", "world.videos: 0 must be positive"},
+		{"zero users", "world:\n  users: 0\n", "world.users: 0 must be positive"},
+		{"negative requests", "world:\n  requests: -1\n", "world.requests: -1 must be positive"},
+		{"zero slots", "world:\n  seed: 0\n  slots: 0\n", "world.slots: 0 must be positive"},
 		{"unknown scheme", "run:\n  scheme: dijkstra\n", `unknown run.scheme "dijkstra"`},
 		{"retired key churn", "run:\n  churn: 0.1\n", `line 3: unknown key "churn" in run`},
 		{"retired key delta", "run:\n  scheme: rbcaer\n  delta: true\n", `line 4: unknown key "delta" in run`},

@@ -28,14 +28,15 @@ import (
 //     between rounds (and Close, after the worker exits), freezes s.mu
 //     plus every frontend's lock and captures a checkpoint: slot/epoch
 //     counters, the last plan, pending demand, queued-but-unplanned
-//     snapshots, and the ingest watermark (writeCheckpoint).
+//     snapshots, the ingest watermark and the log position
+//     (writeCheckpoint).
 //
-// On boot, openWAL replays the newest valid checkpoint plus the WAL
-// suffix and re-seeds the server: recovery hands back exactly the
-// durable prefix, so a kill/restart finishes a trace byte-identical
-// to an uninterrupted run (certified in durability_e2e_test.go),
-// whatever frontend count either run had — the watermark is the
-// tier's, not a frontend's.
+// On boot, openWAL loads the newest valid checkpoint, replays the WAL
+// suffix from its position and re-seeds the server: recovery hands
+// back exactly the durable prefix, so a kill/restart finishes a trace
+// byte-identical to an uninterrupted run (certified in
+// durability_e2e_test.go), whatever frontend count either run had —
+// the watermark is the tier's, not a frontend's.
 
 // openWAL opens cfg.WALDir, recovers the durable state, and applies it
 // to the freshly built (not yet started) server.
@@ -162,14 +163,15 @@ func (s *Server) checkpointDue() bool {
 }
 
 // writeCheckpoint captures and persists the full durable state, then
-// releases the empty slots that waited for it. The segment mark is
-// taken first so WriteCheckpoint's GC can never collect a segment
-// whose records postdate the capture; the capture itself holds s.mu
-// plus every frontend's lock, under which the ingest sequence and the
-// demand it numbers only move together: every ingest at or below the
-// watermark it reads is in the captured demand.
+// releases the empty slots that waited for it. The capture holds s.mu
+// plus every frontend's lock, under which the ingest sequence, the
+// demand it numbers and the log's append position only move together:
+// every ingest at or below the watermark it reads is in the captured
+// demand, and the position is an exact cut — every record before it is
+// in the captured state (advances append under s.mu, ingests under
+// their frontend's lock, plans and round errors on this worker), and
+// every ingest after it is above the watermark.
 func (s *Server) writeCheckpoint() {
-	mark := s.wal.CurrentSegment()
 	s.mu.Lock()
 	s.sinceCkpt = 0
 	waiters := s.ckptWaiters
@@ -186,6 +188,7 @@ func (s *Server) writeCheckpoint() {
 		in.mu.Lock()
 	}
 	cp.Watermark = s.ingestSeq.Load()
+	cp.Pos = s.wal.Position()
 	pending := core.NewDemand(len(s.world.Hotspots))
 	for _, in := range s.instances {
 		pending.Merge(in.demand.Clone())
@@ -197,7 +200,7 @@ func (s *Server) writeCheckpoint() {
 
 	pending.Fold()
 	cp.Pending = appendEntries(nil, pending)
-	if err := s.wal.WriteCheckpoint(cp, mark); err != nil {
+	if err := s.wal.WriteCheckpoint(cp); err != nil {
 		s.walErrors.Inc()
 	}
 	for _, d := range waiters {

@@ -123,8 +123,8 @@ func TestCrashRecoveryMatchesOfflineSim(t *testing.T) {
 				slotMax = max(slotMax, len(reqs))
 			}
 			for i, st := range drill.Recovered {
-				if bound := wal.ReplayBound(2, slotMax, 0); st.Records > bound {
-					t.Errorf("restart %d replayed %d records, wal.ReplayBound(2, %d, 0) = %d", i, st.Records, slotMax, bound)
+				if bound := wal.ReplayBound(2, slotMax); st.Records > bound {
+					t.Errorf("restart %d replayed %d records, wal.ReplayBound(2, %d) = %d", i, st.Records, slotMax, bound)
 				}
 			}
 

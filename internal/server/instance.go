@@ -242,6 +242,7 @@ func (in *instance) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 			"appended_lsn":   s.wal.LastLSN(),
 			"durable_lsn":    s.wal.DurableLSN(),
 			"checkpoint_seq": s.wal.CheckpointSeq(),
+			"replay_records": s.wal.ReplayRecords(),
 		}
 		if st := s.walState; st != nil {
 			walResp["recovered_records"] = st.Records

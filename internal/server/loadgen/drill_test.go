@@ -69,7 +69,7 @@ func TestCrashDrill(t *testing.T) {
 	for _, reqs := range bySlot {
 		slotMax = max(slotMax, len(reqs))
 	}
-	replayBound := wal.ReplayBound(2, slotMax, 0) // drillBoot checkpoints every 2 slots
+	replayBound := wal.ReplayBound(2, slotMax) // drillBoot checkpoints every 2 slots
 
 	cases := []struct {
 		name    string

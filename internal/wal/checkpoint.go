@@ -14,19 +14,22 @@ import (
 )
 
 // Checkpoints compact the log: one file captures the full durable
-// state at a slot boundary so recovery only replays the WAL suffix
-// written after it. The file is
+// state at a slot boundary together with the log position it covers,
+// so recovery only replays the WAL suffix written after that position.
+// The file is
 //
 //	"WALCKPT1" | u32le length | u32le crc32c(body) | body
 //
 // with the body a uvarint-encoded Checkpoint behind its version
-// (checkpointVersion). Files are written to a temp name, fsynced,
-// renamed into place, and the directory fsynced — a checkpoint is
-// either entirely durable or invisible. Recovery loads the newest
-// checkpoint that passes CRC, strict decoding, and plan verification,
-// falling back to older ones (and then to an empty base state) when
-// the newest is damaged; a body of another version is not damage, and
-// Open refuses it.
+// (checkpointVersion). WriteCheckpoint first makes the log durable
+// through the position, then writes the file to a temp name, fsyncs
+// it, renames it into place and fsyncs the directory — a checkpoint is
+// either entirely durable, with every record it skips on disk, or
+// invisible. Recovery loads the newest checkpoint that passes CRC,
+// strict decoding, and plan verification, falling back to older ones
+// (and then to an empty base state scanned from the first segment)
+// when the newest is damaged; a body of another version is not damage,
+// and Open refuses it.
 
 var ckptMagic = []byte("WALCKPT1")
 
@@ -64,6 +67,16 @@ type QueuedSlot struct {
 	Entries  []Entry
 }
 
+// Position is a place in the log: a byte offset into one segment. A
+// checkpoint's is the log's append position at capture.
+type Position struct {
+	Segment uint64
+	Offset  int64
+	// lsn is the LSN of the last record the Log that returned the
+	// position had appended before it; it is not written to disk.
+	lsn uint64
+}
+
 // Checkpoint is the slot-boundary state capture.
 type Checkpoint struct {
 	// Seq orders checkpoint files; assigned by WriteCheckpoint.
@@ -78,6 +91,11 @@ type Checkpoint struct {
 	// record with seq <= Watermark is reflected in this checkpoint's
 	// state, whichever frontend logged it.
 	Watermark uint64
+	// Pos is the log's append position (Log.Position), read in the same
+	// hold as Watermark: every record before it is reflected in this
+	// checkpoint's state, and every ingest after it is above the
+	// watermark. Recovery scans from it.
+	Pos Position
 	// Pending is the accepted-but-not-yet-drained demand. It is slot
 	// Slot's: recovery queues it with that slot once the log shows the
 	// slot's advance, and drops it once the log holds the slot's plan.
@@ -87,8 +105,9 @@ type Checkpoint struct {
 }
 
 // checkpointVersion is the body version this build writes and reads.
-// Version 1 kept one ingest cursor per frontend.
-const checkpointVersion = 2
+// Version 1 kept one ingest cursor per frontend; version 2 had no log
+// position.
+const checkpointVersion = 3
 
 // errCheckpointVersion marks a checkpoint that decoded as far as its
 // version: it is not damage but another format, which Open refuses.
@@ -111,6 +130,8 @@ func (c *Checkpoint) encode(b []byte) []byte {
 		b = append(b, c.Plan.Canonical...)
 	}
 	b = binary.AppendUvarint(b, c.Watermark)
+	b = binary.AppendUvarint(b, c.Pos.Segment)
+	b = binary.AppendUvarint(b, uint64(c.Pos.Offset))
 	b = appendEntries(b, c.Pending)
 	b = binary.AppendUvarint(b, uint64(len(c.Queue)))
 	for _, q := range c.Queue {
@@ -216,6 +237,13 @@ func decodeCheckpoint(b []byte) (*Checkpoint, error) {
 	if c.Watermark, b, ok = uvarint(b); !ok {
 		return nil, fmt.Errorf("wal: checkpoint: bad watermark")
 	}
+	if c.Pos.Segment, b, ok = uvarint(b); !ok {
+		return nil, fmt.Errorf("wal: checkpoint: bad position segment")
+	}
+	if v, b, ok = uvarintBounded(b, 1<<62); !ok {
+		return nil, fmt.Errorf("wal: checkpoint: bad position offset")
+	}
+	c.Pos.Offset = int64(v)
 	var n uint64
 	var err error
 	if c.Pending, b, err = decodeEntries(b); err != nil {

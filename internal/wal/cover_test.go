@@ -106,6 +106,7 @@ func TestDecodeCheckpointErrors(t *testing.T) {
 		Epoch:     5,
 		Plan:      &PlanState{Slot: 8, Epoch: 5, Digest: dig, Canonical: canon},
 		Watermark: 12,
+		Pos:       Position{Segment: 4, Offset: 300},
 		Pending:   []Entry{{Hotspot: 1, Video: 2, Count: 3}},
 		Queue: []QueuedSlot{
 			{Slot: 9, Requests: 4, Entries: []Entry{{Hotspot: 0, Video: 1, Count: 4}}},
@@ -198,8 +199,8 @@ func TestLogAccessors(t *testing.T) {
 	if got := l.Policy(); got != PolicyAlways {
 		t.Fatalf("Policy() = %v", got)
 	}
-	if got := l.CurrentSegment(); got != 1 {
-		t.Fatalf("CurrentSegment() = %d", got)
+	if got := l.Position(); got.Segment != 1 || got.Offset != 0 {
+		t.Fatalf("Position() = %+v", got)
 	}
 	if got := l.CheckpointSeq(); got != 0 {
 		t.Fatalf("CheckpointSeq() = %d", got)
@@ -224,7 +225,7 @@ func TestLogAccessors(t *testing.T) {
 		t.Fatalf("Sync past end err = %v", err)
 	}
 
-	if err := l.WriteCheckpoint(&Checkpoint{Slot: 1, Watermark: 1}, l.CurrentSegment()); err != nil {
+	if err := l.WriteCheckpoint(&Checkpoint{Slot: 1, Watermark: 1, Pos: l.Position()}); err != nil {
 		t.Fatal(err)
 	}
 	if got := l.CheckpointSeq(); got != 1 {
@@ -240,7 +241,7 @@ func TestLogAccessors(t *testing.T) {
 	if _, err := l.AppendAdvance(0); err == nil || !strings.Contains(err.Error(), "log closed") {
 		t.Fatalf("append on closed log err = %v", err)
 	}
-	if err := l.WriteCheckpoint(&Checkpoint{}, 1); err == nil || !strings.Contains(err.Error(), "log closed") {
+	if err := l.WriteCheckpoint(&Checkpoint{}); err == nil || !strings.Contains(err.Error(), "log closed") {
 		t.Fatalf("checkpoint on closed log err = %v", err)
 	}
 	l.Crash() // no-op after Close, must not panic
@@ -283,7 +284,10 @@ func TestWriteFileAtomicError(t *testing.T) {
 // not damage: Open refuses it.
 func TestLoadCheckpointsSkipsDamaged(t *testing.T) {
 	dir := t.TempDir()
-	good := marshalCheckpoint(&Checkpoint{Slot: 4, Watermark: 9})
+	good := marshalCheckpoint(&Checkpoint{Slot: 4, Watermark: 9, Pos: Position{Segment: 1}})
+	if err := os.WriteFile(filepath.Join(dir, segmentName(1)), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	if err := os.WriteFile(filepath.Join(dir, checkpointName(2)), good, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -331,11 +335,12 @@ func TestLoadCheckpointsSkipsDamaged(t *testing.T) {
 	}
 	l.Close()
 
-	// A version-1 body is refused, not skipped for the older file.
-	if err := os.WriteFile(filepath.Join(dir, checkpointName(6)), withBodyByte(0, 1), 0o644); err != nil {
+	// A version-2 body (no log position) is refused, not skipped for
+	// the older file.
+	if err := os.WriteFile(filepath.Join(dir, checkpointName(6)), withBodyByte(0, 2), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), "unsupported version 1") {
-		t.Fatalf("Open on a version-1 checkpoint: %v, want it refused", err)
+	if _, _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), "unsupported version 2") {
+		t.Fatalf("Open on a version-2 checkpoint: %v, want it refused", err)
 	}
 }

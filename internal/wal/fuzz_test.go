@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -11,7 +12,9 @@ import (
 // fold must never panic, the valid prefix must be stable (re-scanning
 // it yields the same records), the fold must equal the two-pass oracle
 // field by field, and any plan that reaches a State must pass full
-// verification.
+// verification. A checkpoint is also placed inside the stream at every
+// record boundary, as a server captures one, and folding only the
+// records after it must recover what folding them all onto it does.
 func FuzzWALReplay(f *testing.F) {
 	// Seed with a well-formed segment and checkpoint so the fuzzer
 	// starts from structurally valid corpora.
@@ -61,6 +64,7 @@ func FuzzWALReplay(f *testing.F) {
 		}
 
 		st := requireFoldMatchesReference(t, nil, recs, "no checkpoint")
+		requireCutMatchesWhole(t, recs)
 		for _, q := range st.Queue {
 			if len(q.Entries) == 0 {
 				t.Fatal("the fold surfaced an empty queued slot")
@@ -85,4 +89,38 @@ func FuzzWALReplay(f *testing.F) {
 			}
 		}
 	})
+}
+
+// requireCutMatchesWhole places a checkpoint at every record boundary
+// of recs that a server could capture one at — before any plan record
+// failing verification, where a fold stops — holding the state the
+// records before it fold to, and requires the fold of the records
+// after it to recover what today's read-everything fold of the whole
+// stream onto that checkpoint does. The suffix keeps the server's
+// order: no ingest logged after the cut is tagged with a slot the
+// checkpoint had closed.
+func requireCutMatchesWhole(t *testing.T, recs []record) {
+	t.Helper()
+	for k := 0; k <= len(recs); k++ {
+		rp := newReplay(nil)
+		for i := range recs[:k] {
+			rp.apply(&recs[i])
+		}
+		if rp.stopped {
+			return
+		}
+		pre := rp.finish()
+		cp := &Checkpoint{Slot: pre.Slot, Epoch: pre.Epoch, Plan: pre.Plan, Watermark: pre.LastSeq,
+			Pending: pre.Pending, Queue: pre.Queue}
+		var suffix []record
+		for _, r := range recs[k:] {
+			if r.kind != recIngest || r.slot >= cp.Slot {
+				suffix = append(suffix, r)
+			}
+		}
+		whole := append(slices.Clip(recs[:k]), suffix...)
+		if diff := sameRecovery(foldState(cp, suffix), foldState(cp, whole)); diff != "" {
+			t.Fatalf("checkpoint after record %d of %d: the suffix folds to another state than the whole stream:%s", k, len(recs), diff)
+		}
+	}
 }

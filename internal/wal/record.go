@@ -251,11 +251,12 @@ type segmentScanner struct {
 	rec    record
 }
 
-// scan hands every record of the segment at path's longest valid
-// prefix to visit, in log order, and returns the byte length of that
-// prefix and of the file. The file is read window by window: only the
-// frame the window ends inside moves to its front before the next read.
-func (sc *segmentScanner) scan(path string, visit func(*record)) (validLen, size int64, err error) {
+// scan hands every record of the longest valid run of frames starting
+// at byte from of the segment at path to visit, in log order, and
+// returns where that run ends and the file's size; a file shorter than
+// from is an error. The file is read window by window: only the frame
+// the window ends inside moves to its front before the next read.
+func (sc *segmentScanner) scan(path string, from int64, visit func(*record)) (validLen, size int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, err
@@ -266,7 +267,14 @@ func (sc *segmentScanner) scan(path string, visit func(*record)) (validLen, size
 		return 0, 0, err
 	}
 	size = fi.Size()
-	if want := int(max(min(size, int64(sc.window)), frameHeaderBytes)); cap(sc.buf) < want {
+	if size < from {
+		return 0, 0, fmt.Errorf("%d bytes, shorter than the checkpoint's offset %d", size, from)
+	}
+	if _, err := f.Seek(from, io.SeekStart); err != nil {
+		return 0, 0, err
+	}
+	validLen = from
+	if want := int(max(min(size-from, int64(sc.window)), frameHeaderBytes)); cap(sc.buf) < want {
 		sc.buf = make([]byte, 0, want)
 	}
 	buf := sc.buf[:0]

@@ -37,9 +37,12 @@ type State struct {
 	LastSeq uint64
 	// CheckpointSeq is the loaded checkpoint's sequence (0 = none).
 	CheckpointSeq uint64
-	// Records counts WAL records replayed on top of the checkpoint,
-	// Skipped the ingests among them at or below the checkpoint's
-	// watermark (scanned, but already part of the checkpoint's state).
+	// Records counts the WAL records the scan decoded and folded:
+	// those after the loaded checkpoint's position (every retained
+	// record without a checkpoint). Skipped counts the ingests among
+	// them at or below the checkpoint's watermark — scanned, but already
+	// part of its state; a server's checkpoint cuts the log exactly
+	// there, so its logs have none.
 	Records int
 	Skipped int
 	// TruncatedBytes counts bytes discarded as torn tail / corruption
@@ -56,21 +59,15 @@ type State struct {
 // scans, whichever checkpoint it loads — for a server that checkpoints
 // every checkpointEvery scheduled slots, logs at most slotIngests
 // ingests per slot, schedules every slot it closes and is not lagging
-// when it captures a checkpoint. Segment collection lags one checkpoint
-// (WriteCheckpoint), so the log on disk starts with the segment that
-// was active when the previous checkpoint was captured: at most one
-// segment of rounding before that capture, checkpointEvery slots up to
-// the newest checkpoint, checkpointEvery more until the next one has
-// collected, and the slot that is open meanwhile — each slot its
-// ingests, an advance and a plan record. DESIGN §16 says what the
-// excluded cases add. segmentBytes 0 selects DefaultSegmentBytes.
-func ReplayBound(checkpointEvery, slotIngests int, segmentBytes int64) int {
-	if segmentBytes <= 0 {
-		segmentBytes = DefaultSegmentBytes
-	}
-	// The shortest frame is an advance record: header, kind, slot.
-	const minFrameBytes = frameHeaderBytes + 2
-	return int(segmentBytes/minFrameBytes) + 1 + (2*checkpointEvery+1)*(slotIngests+2)
+// when it captures a checkpoint. A boot scans from the position of the
+// checkpoint it loads; the worst case falls back to the older retained
+// one (segment GC lags one checkpoint, so its suffix is on disk):
+// checkpointEvery slots up to the newest checkpoint, checkpointEvery
+// more until the next one is written, and the slot that is open
+// meanwhile — each slot its ingests, an advance and a plan record.
+// DESIGN §16 says what the excluded cases add.
+func ReplayBound(checkpointEvery, slotIngests int) int {
+	return (2*checkpointEvery + 1) * (slotIngests + 2)
 }
 
 // verifyPlan holds durable plan bytes to the same gate as the serving
@@ -107,9 +104,11 @@ func (dst *run) absorb(src *run) {
 }
 
 // replay is the recovery fold. Seeded from the base checkpoint (nil
-// for none), it is handed every valid log record once, in log order
-// (apply), keeps only runs and high-water marks — no record outlives
-// its call — and finish renders the State. An ingest is skipped when
+// for none), it is handed every valid log record after the
+// checkpoint's position once, in log order (apply), keeps only runs
+// and high-water marks — no record outlives its call — and finish
+// renders the State. A server's checkpoint already holds what the
+// records before its position built. An ingest is skipped when
 // its sequence is at or below the checkpoint's watermark, and
 // otherwise appended to its slot tag's run as it is scanned; the rules
 // that need the whole log (had a slot's boundary passed) wait for

@@ -3,6 +3,9 @@ package wal
 import (
 	"bytes"
 	"cmp"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"sort"
@@ -249,6 +252,121 @@ func requireFoldMatchesReference(t *testing.T, ckpt *Checkpoint, recs []record, 
 	st := foldState(ckpt, recs)
 	requireStateEqual(t, st, referenceState(ckpt, recs), ctx)
 	return st
+}
+
+// referenceRecover is recovery as Open did it before a checkpoint
+// recorded the log position it covers, kept read-only as the oracle
+// Open is held to: the newest valid checkpoint, then every retained
+// segment scanned from byte 0 — up to the first invalid frame, whose
+// segment's rest and every later segment count as truncated (but stay
+// on disk) — each record folded by replay as the scan decodes it. It
+// reads everything Open skips; on a log whose checkpoint cuts it
+// exactly, skipping must not change the state.
+func referenceRecover(tb testing.TB, dir string) *State {
+	tb.Helper()
+	ckpt, _, verify, err := loadCheckpoints(dir)
+	if err != nil {
+		tb.Fatalf("reference: %v", err)
+	}
+	segs, err := listSegments(dir)
+	if err != nil {
+		tb.Fatalf("reference: %v", err)
+	}
+	rp := newReplay(ckpt)
+	sc := segmentScanner{window: readWindow}
+	var truncated int64
+	for i, idx := range segs {
+		validLen, size, err := sc.scan(filepath.Join(dir, segmentName(idx)), 0, rp.apply)
+		if err != nil {
+			tb.Fatalf("reference: %v", err)
+		}
+		if validLen == size {
+			continue
+		}
+		truncated += size - validLen
+		for _, later := range segs[i+1:] {
+			if fi, err := os.Stat(filepath.Join(dir, segmentName(later))); err == nil {
+				truncated += fi.Size()
+			}
+		}
+		break
+	}
+	st := rp.finish()
+	st.TruncatedBytes = truncated
+	st.PlanVerify += verify
+	return st
+}
+
+// sameRecovery reports how got differs from want field for field —
+// "" when it does not — except in what reading less changes: Records,
+// Skipped, Elapsed and PlanVerify. A plan is compared by its durable
+// fields, an empty demand list equals a nil one.
+func sameRecovery(got, want *State) string {
+	type planCore struct {
+		Slot      int
+		Epoch     int64
+		Digest    uint64
+		Canonical string
+		Decoded   bool
+	}
+	type recovery struct {
+		Slot            int
+		Epoch           int64
+		Plan            *planCore
+		Pending         []Entry
+		PendingRequests int64
+		Queue           []QueuedSlot
+		LastSeq         uint64
+		CheckpointSeq   uint64
+		TruncatedBytes  int64
+	}
+	project := func(st *State) recovery {
+		r := recovery{
+			Slot: st.Slot, Epoch: st.Epoch, Pending: st.Pending, PendingRequests: st.PendingRequests,
+			Queue: st.Queue, LastSeq: st.LastSeq, CheckpointSeq: st.CheckpointSeq, TruncatedBytes: st.TruncatedBytes,
+		}
+		if len(r.Pending) == 0 {
+			r.Pending = nil
+		}
+		if p := st.Plan; p != nil {
+			r.Plan = &planCore{p.Slot, p.Epoch, p.Digest, string(p.Canonical), p.Decoded != nil}
+		}
+		return r
+	}
+	g, w := project(got), project(want)
+	if reflect.DeepEqual(g, w) {
+		return ""
+	}
+	return fmt.Sprintf("\n got: %+v\nwant: %+v", g, w)
+}
+
+// requireOpenMatchesReference boots dir with Open and requires the
+// State it recovers to be referenceRecover's on the same bytes, read
+// before Open may truncate them, having scanned no more records. The
+// log is closed again; the State is returned.
+func requireOpenMatchesReference(t testing.TB, dir, ctx string) *State {
+	t.Helper()
+	want := referenceRecover(t, dir)
+	l, st, err := Open(dir, Options{Policy: PolicyNone})
+	if err != nil {
+		t.Fatalf("%s: %v", ctx, err)
+	}
+	l.Crash()
+	requireSameRecovery(t, st, want, ctx)
+	return st
+}
+
+// requireSameRecovery requires got to be want, referenceRecover's State
+// on the same log bytes, as sameRecovery compares them, having scanned
+// no more records.
+func requireSameRecovery(t testing.TB, got, want *State, ctx string) {
+	t.Helper()
+	if diff := sameRecovery(got, want); diff != "" {
+		t.Fatalf("%s: recovered another state than reading the whole log:%s", ctx, diff)
+	}
+	if got.Records > want.Records {
+		t.Fatalf("%s: scanned %d records, reading the whole log %d", ctx, got.Records, want.Records)
+	}
 }
 
 // frames renders recs as one segment's bytes.

@@ -10,7 +10,8 @@ import (
 )
 
 // TestFoldMatchesReferenceAtBenchShape holds the fold to the oracle on
-// the log BenchmarkRecoveryReplay times.
+// the log BenchmarkRecoveryReplay times, and Open, which reads only
+// the records after the checkpoint's position, to reading all of them.
 func TestFoldMatchesReferenceAtBenchShape(t *testing.T) {
 	slotIngests := 50000
 	if testing.Short() {
@@ -21,6 +22,13 @@ func TestFoldMatchesReferenceAtBenchShape(t *testing.T) {
 	if st.Skipped != sh.skipped || st.PendingRequests != int64(sh.pending) || len(st.Queue) != 0 {
 		t.Errorf("skipped %d, %d pending requests, queue %d slots; want %d, %d, 0",
 			st.Skipped, st.PendingRequests, len(st.Queue), sh.skipped, sh.pending)
+	}
+	dir := t.TempDir()
+	sh.write(t, dir)
+	st = requireOpenMatchesReference(t, dir, "bench shape on disk")
+	if st.Records != len(sh.after) || st.Skipped != 0 || st.PendingRequests != int64(sh.pending) {
+		t.Errorf("Open scanned %d records (%d skipped), %d pending; want %d (0), %d",
+			st.Records, st.Skipped, st.PendingRequests, len(sh.after), sh.pending)
 	}
 }
 
@@ -52,10 +60,11 @@ func TestOpenAllocationsIndependentOfLogLength(t *testing.T) {
 
 // TestScanThroughSmallWindows reads a segment through windows shorter
 // than its frames — down to one byte, with plan frames many windows
-// long — truncated at every offset and with a byte flipped at every
-// offset: the records and the valid prefix must be those of one scan
-// over the whole bytes. One scanner per window size reads every file,
-// as Open reuses one from segment to segment.
+// long — truncated at every offset, with a byte flipped at every
+// offset, and whole from every frame boundary on: the records and the
+// valid prefix must be those of one scan over the bytes from the
+// start offset. One scanner per window size reads every file, as Open
+// reuses one from segment to segment.
 func TestScanThroughSmallWindows(t *testing.T) {
 	src := t.TempDir()
 	writeScriptedLog(t, src, DefaultSegmentBytes)
@@ -67,29 +76,33 @@ func TestScanThroughSmallWindows(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "seg")
 	for _, window := range []int{1, 2, 7, 8, 9, 40, readWindow} {
 		sc := segmentScanner{window: window}
-		check := func(data []byte, ctx string) {
+		check := func(data []byte, from int, ctx string) {
 			if err := os.WriteFile(path, data, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			var got []record
-			validLen, size, err := sc.scan(path, func(r *record) {
+			validLen, size, err := sc.scan(path, int64(from), func(r *record) {
 				rec := *r
 				rec.canonical = bytes.Clone(r.canonical)
 				got = append(got, rec)
 			})
-			want, wantLen := scanRecords(data)
+			want, wantLen := scanRecords(data[from:])
+			wantLen += from
 			if err != nil || validLen != int64(wantLen) || size != int64(len(data)) || !reflect.DeepEqual(got, want) {
 				t.Fatalf("window %d, %s: %d records, valid %d of %d (err %v); want %d records, valid %d of %d",
 					window, ctx, len(got), validLen, size, err, len(want), wantLen, len(data))
 			}
 		}
 		for off := 0; off <= len(seg); off++ {
-			check(seg[:off], "truncated at "+itoa(off))
+			check(seg[:off], 0, "truncated at "+itoa(off))
 		}
 		for off := range seg {
 			flipped := slices.Clone(seg)
 			flipped[off] ^= 0x41
-			check(flipped, "flipped at "+itoa(off))
+			check(flipped, 0, "flipped at "+itoa(off))
+		}
+		for _, from := range frameEnds(seg) {
+			check(seg, from, "from "+itoa(from))
 		}
 	}
 }

@@ -4,10 +4,11 @@
 // repository's internal packages).
 //
 // The server logs every accepted ingest, every slot boundary, and
-// every scheduled plan before acknowledging them; Open replays the
-// newest valid checkpoint plus the WAL suffix — truncating any torn
-// tail to the last valid frame — and returns a State provably equal
-// to the durable prefix of the previous run. Any plan the State
+// every scheduled plan before acknowledging them; Open loads the
+// newest valid checkpoint and replays the WAL suffix from the log
+// position that checkpoint covers — truncating any torn tail to the
+// last valid frame — and returns a State provably equal to the durable
+// prefix of the previous run. Any plan the State
 // carries has been verified exactly like the serving tier's plan
 // fan-out — digest check plus the strict one-pass canonical decode
 // (core.VerifyCanonical) — and comes decoded, so the server installs
@@ -73,7 +74,7 @@ func ParsePolicy(s string) (Policy, error) {
 
 // Default option values. DefaultKeepCheckpoints is not an option: it is
 // how many of the newest checkpoint files WriteCheckpoint keeps (the
-// newest, and the fallback that segment GC lags for).
+// newest, and the fallback whose position segment GC lags for).
 const (
 	DefaultInterval        = 50 * time.Millisecond
 	DefaultSegmentBytes    = 4 << 20
@@ -126,11 +127,17 @@ type Log struct {
 	flushDone chan struct{}
 	flushOnce sync.Once
 
-	// Checkpoint bookkeeping: the last assigned checkpoint sequence
-	// and the previous checkpoint's segment mark (GC lags one
-	// checkpoint so the retained older checkpoint keeps its suffix).
-	ckptSeq  uint64
-	prevMark uint64
+	// Checkpoint bookkeeping: the last assigned checkpoint sequence and
+	// the segment of the last written checkpoint's position (GC lags
+	// one checkpoint, so the older retained checkpoint keeps its
+	// suffix). The next boot would scan replayCarry records plus those
+	// appended after LSN replayBase: this boot's recovered suffix and
+	// every append until it writes a checkpoint, then only the appends
+	// after that checkpoint's position.
+	ckptSeq     uint64
+	prevSegment uint64
+	replayBase  uint64
+	replayCarry int
 
 	appends     *obs.Counter
 	fsyncs      *obs.Counter
@@ -165,13 +172,17 @@ func listSegments(dir string) ([]uint64, error) {
 // Open opens (or creates) the log in dir, runs recovery, and returns
 // the log ready for appends plus the recovered State. Recovery:
 // leftover temp files are removed, the newest checkpoint that passes
-// CRC, strict decoding, and plan verification is loaded, every
-// retained segment is scanned in order — the scan stops at the first
-// invalid frame, physically truncating that segment to its valid
-// prefix and deleting all later segments — and each surviving record
-// is folded onto the checkpoint as the scan decodes it (replay): an
-// ingest at or below the checkpoint's watermark is already part of it
-// and is skipped. A checkpoint of another body version fails Open.
+// CRC, strict decoding, and plan verification is loaded, and the log
+// is scanned in order from that checkpoint's position (from the first
+// segment without one) — segments below the position are not opened,
+// the scan stops at the first invalid frame, physically truncating
+// that segment to its valid prefix and deleting all later segments —
+// and each surviving record is folded onto the checkpoint as the scan
+// decodes it (replay): an ingest at or below the checkpoint's
+// watermark is already part of it and is skipped. A checkpoint of
+// another body version fails Open, and so does one whose position's
+// segment is missing or shorter than its offset: appending there would
+// put records below a durable checkpoint's position.
 func Open(dir string, opts Options) (*Log, *State, error) {
 	start := time.Now()
 	if opts.Interval <= 0 {
@@ -216,15 +227,25 @@ func Open(dir string, opts Options) (*Log, *State, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
+	var from int64 // where the scan of segs[0] starts
+	if ckpt != nil {
+		i, found := slices.BinarySearch(segs, ckpt.Pos.Segment)
+		if !found {
+			return nil, nil, fmt.Errorf("wal: %s: segment %s of its position is missing",
+				checkpointName(ckpt.Seq), segmentName(ckpt.Pos.Segment))
+		}
+		segs, from = segs[i:], ckpt.Pos.Offset
+	}
 	rp := newReplay(ckpt)
 	sc := segmentScanner{window: readWindow}
 	var truncatedBytes int64
 	for i, idx := range segs {
 		path := filepath.Join(dir, segmentName(idx))
-		validLen, size, err := sc.scan(path, rp.apply)
+		validLen, size, err := sc.scan(path, from, rp.apply)
 		if err != nil {
 			return nil, nil, fmt.Errorf("wal: reading %s: %w", path, err)
 		}
+		from = 0
 		if validLen == size {
 			continue
 		}
@@ -251,6 +272,7 @@ func Open(dir string, opts Options) (*Log, *State, error) {
 	st := rp.finish()
 	st.TruncatedBytes = truncatedBytes
 	st.PlanVerify += ckptVerify
+	l.replayCarry = st.Records
 
 	// Open the newest segment for appends (creating the first one on a
 	// fresh dir), and make the recovery-time truncations durable.
@@ -339,19 +361,26 @@ func (l *Log) flushLoop() {
 			target := l.nextLSN - 1
 			err := l.flushLocked()
 			l.mu.Unlock()
-			l.syncMu.Lock()
-			if err != nil {
-				if l.syncErr == nil {
-					l.syncErr = err
-				}
-			} else if target > l.durableLSN {
-				l.durableLSN = target
-			}
-			l.syncMu.Unlock()
+			l.settle(target, err)
 		case <-l.flushStop:
 			return
 		}
 	}
+}
+
+// settle records the outcome of a flush that covered every record up
+// to target: the durable high-water mark rises, or the error poisons
+// the log.
+func (l *Log) settle(target uint64, err error) {
+	l.syncMu.Lock()
+	if err != nil {
+		if l.syncErr == nil {
+			l.syncErr = err
+		}
+	} else if target > l.durableLSN {
+		l.durableLSN = target
+	}
+	l.syncMu.Unlock()
 }
 
 // flushLocked flushes the buffered writer and fsyncs the active
@@ -409,12 +438,7 @@ func (l *Log) rotateLocked() error {
 		return err
 	}
 	// Everything up to this point is now durable.
-	sealed := l.nextLSN - 1
-	l.syncMu.Lock()
-	if sealed > l.durableLSN {
-		l.durableLSN = sealed
-	}
-	l.syncMu.Unlock()
+	l.settle(l.nextLSN-1, nil)
 	l.segIndex++
 	f, err := os.OpenFile(filepath.Join(l.dir, segmentName(l.segIndex)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -533,13 +557,23 @@ func (l *Log) DurableLSN() uint64 {
 // Policy returns the configured fsync policy.
 func (l *Log) Policy() Policy { return l.opts.Policy }
 
-// CurrentSegment returns the active segment index. Capture it before
-// snapshotting state for a checkpoint and pass it to WriteCheckpoint
-// so segment GC never outruns the capture point.
-func (l *Log) CurrentSegment() uint64 {
+// Position returns the log's append position: the segment appends go
+// to and the bytes appended to it, buffered ones included. A checkpoint
+// stores the position read in the same hold as its state (Checkpoint.Pos).
+func (l *Log) Position() Position {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.segIndex
+	return Position{Segment: l.segIndex, Offset: l.segBytes, lsn: l.nextLSN - 1}
+}
+
+// ReplayRecords returns how many records the next boot would scan if
+// this process crashed now: those appended after the newest written
+// checkpoint's position, or, before this Log writes one, the suffix
+// its own recovery scanned plus every append.
+func (l *Log) ReplayRecords() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.replayCarry + int(l.nextLSN-1-l.replayBase)
 }
 
 // CheckpointSeq returns the last written checkpoint sequence.
@@ -549,28 +583,39 @@ func (l *Log) CheckpointSeq() uint64 {
 	return l.ckptSeq
 }
 
-// WriteCheckpoint atomically persists cp (assigning its sequence),
-// prunes checkpoints beyond DefaultKeepCheckpoints, and garbage-collects
-// segments no retained checkpoint needs. mark is CurrentSegment() at
-// state-capture time; GC deliberately lags one checkpoint so the
-// older retained checkpoint keeps the segments it would replay if the
-// newest one turns out damaged.
-func (l *Log) WriteCheckpoint(cp *Checkpoint, mark uint64) error {
+// WriteCheckpoint makes the log durable through cp.Pos (flush and
+// fsync, whatever the policy), then atomically persists cp (assigning
+// its sequence), prunes checkpoints beyond DefaultKeepCheckpoints, and
+// garbage-collects the segments below the previous checkpoint's
+// position: GC lags one checkpoint, so the older retained checkpoint
+// keeps the suffix it would replay if the newest one turns out damaged.
+func (l *Log) WriteCheckpoint(cp *Checkpoint) error {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return fmt.Errorf("wal: log closed")
 	}
-	l.ckptSeq++
-	cp.Seq = l.ckptSeq
-	gcBefore := l.prevMark
-	l.prevMark = mark
+	target := l.nextLSN - 1
+	err := l.flushLocked()
+	if err == nil {
+		l.ckptSeq++
+		cp.Seq = l.ckptSeq
+	}
 	l.mu.Unlock()
+	l.settle(target, err)
+	if err != nil {
+		return fmt.Errorf("wal: making the log durable for a checkpoint: %w", err)
+	}
 
 	if err := writeFileAtomic(filepath.Join(l.dir, checkpointName(cp.Seq)), marshalCheckpoint(cp)); err != nil {
 		return fmt.Errorf("wal: writing checkpoint: %w", err)
 	}
 	l.checkpoints.Inc()
+	l.mu.Lock()
+	gcBefore := l.prevSegment
+	l.prevSegment = cp.Pos.Segment
+	l.replayBase, l.replayCarry = cp.Pos.lsn, 0
+	l.mu.Unlock()
 
 	if seqs, err := listCheckpoints(l.dir); err == nil {
 		for _, seq := range seqs[min(len(seqs), DefaultKeepCheckpoints):] {

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -374,19 +375,22 @@ func TestCheckpointCursorSkip(t *testing.T) {
 	}
 	m := must(t)
 	// Two accepted requests from two frontends, then a checkpoint that
-	// has absorbed them.
+	// has absorbed them. Its position is read before they were logged,
+	// so the scan meets both, and the watermark alone keeps them from
+	// counting twice.
+	pos := l.Position()
 	m(l.AppendIngest(0, 1, 2, 1, 1, 1))
 	lsn := m(l.AppendIngest(0, 0, 1, 0, 0, 1))
 	if err := l.Sync(lsn); err != nil {
 		t.Fatal(err)
 	}
-	mark := l.CurrentSegment()
 	cp := &Checkpoint{
 		Slot:      0,
 		Watermark: 2,
+		Pos:       pos,
 		Pending:   []Entry{{Hotspot: 0, Video: 0, Count: 1}, {Hotspot: 1, Video: 1, Count: 1}},
 	}
-	if err := l.WriteCheckpoint(cp, mark); err != nil {
+	if err := l.WriteCheckpoint(cp); err != nil {
 		t.Fatal(err)
 	}
 	// One more accepted request after the checkpoint, at a third
@@ -419,27 +423,58 @@ func TestCheckpointCursorSkip(t *testing.T) {
 	}
 }
 
+// TestCheckpointFallbackToOlder: with the newest checkpoint damaged,
+// recovery falls back to the older one rather than fail or trust
+// damaged bytes, and scans from the older one's position — whose
+// segments segment GC, lagging one checkpoint, left on disk — to the
+// state the newest would have given.
 func TestCheckpointFallbackToOlder(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := Open(dir, Options{Policy: PolicyAlways})
+	l, _, err := Open(dir, Options{Policy: PolicyAlways, SegmentBytes: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c0, d0 := testPlanBytes(t, 1)
-	if err := l.WriteCheckpoint(&Checkpoint{Slot: 1, Epoch: 1,
-		Plan: &PlanState{Slot: 0, Epoch: 1, Digest: d0, Canonical: c0}}, 0); err != nil {
+	m := must(t)
+	var seq uint64
+	var pending []Entry
+	feed := func(n int) {
+		for i := 0; i < n; i++ {
+			seq++
+			m(l.AppendIngest(0, 0, seq, int(seq)%5, int(seq)%3, 1))
+			pending = append(pending, Entry{Hotspot: int(seq) % 5, Video: int(seq) % 3, Count: 1})
+		}
+	}
+	checkpoint := func() Position {
+		cp := &Checkpoint{Watermark: seq, Pos: l.Position(), Pending: merged(pending)}
+		if err := l.WriteCheckpoint(cp); err != nil {
+			t.Fatal(err)
+		}
+		return cp.Pos
+	}
+	feed(20)
+	checkpoint()
+	feed(20)
+	older := checkpoint()
+	feed(20)
+	newest := checkpoint()
+	feed(5)
+	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	c1, d1 := testPlanBytes(t, 2)
-	if err := l.WriteCheckpoint(&Checkpoint{Slot: 2, Epoch: 2,
-		Plan: &PlanState{Slot: 1, Epoch: 2, Digest: d1, Canonical: c1}}, 0); err != nil {
+	if older.Segment < 3 || newest.Segment <= older.Segment {
+		t.Fatalf("positions %+v and %+v: the test needs segments collected below the older one", older, newest)
+	}
+	segs, err := listSegments(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	l.Close()
+	if segs[0] != older.Segment {
+		t.Fatalf("segments %v: want the older checkpoint's segment %d the oldest retained", segs, older.Segment)
+	}
+	intact := t.TempDir()
+	copyDir(t, dir, intact)
 
-	// Damage the newest checkpoint: recovery must fall back to the
-	// older one rather than fail or trust damaged bytes.
-	p := filepath.Join(dir, checkpointName(2))
+	p := filepath.Join(dir, checkpointName(3))
 	data, err := os.ReadFile(p)
 	if err != nil {
 		t.Fatal(err)
@@ -448,17 +483,17 @@ func TestCheckpointFallbackToOlder(t *testing.T) {
 	if err := os.WriteFile(p, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	l2, st, err := Open(dir, Options{Policy: PolicyAlways})
-	if err != nil {
-		t.Fatalf("recovery: %v", err)
+	st := requireOpenMatchesReference(t, dir, "newest checkpoint damaged")
+	want := requireOpenMatchesReference(t, intact, "intact")
+	if st.CheckpointSeq != 2 || want.CheckpointSeq != 3 {
+		t.Fatalf("recovered from checkpoints %d and %d, want 2 (fallback) and 3", st.CheckpointSeq, want.CheckpointSeq)
 	}
-	defer l2.Close()
-	if st.CheckpointSeq != 1 || st.Slot != 1 || st.Epoch != 1 {
-		t.Errorf("fell back to state %+v, want checkpoint 1 (slot 1, epoch 1)", st)
+	if st.Records != 25 || st.Skipped != 0 || want.Records != 5 {
+		t.Errorf("scanned %d records (%d skipped) from the older position and %d from the newest; want 25 (0) and 5",
+			st.Records, st.Skipped, want.Records)
 	}
-	if st.Plan == nil || st.Plan.Digest != d0 {
-		t.Errorf("plan %+v, want the older checkpoint's", st.Plan)
+	if !reflect.DeepEqual(merged(st.Pending), merged(want.Pending)) || st.PendingRequests != 65 || want.PendingRequests != 65 {
+		t.Errorf("pending %d / %d requests, want 65 both ways", st.PendingRequests, want.PendingRequests)
 	}
 }
 
@@ -473,30 +508,30 @@ func TestSegmentRotationAndGC(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		m(l.AppendIngest(0, 0, uint64(i+1), i%7, i%11, 1))
 	}
-	if l.CurrentSegment() < 3 {
-		t.Fatalf("expected rotation, still on segment %d", l.CurrentSegment())
+	pos1 := l.Position()
+	if pos1.Segment < 3 {
+		t.Fatalf("expected rotation, still on segment %d", pos1.Segment)
 	}
-	mark1 := l.CurrentSegment()
-	if err := l.WriteCheckpoint(&Checkpoint{Slot: 0, Watermark: 40,
-		Pending: drainEntries(40)}, mark1); err != nil {
+	if err := l.WriteCheckpoint(&Checkpoint{Slot: 0, Watermark: 40, Pos: pos1,
+		Pending: drainEntries(40)}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 40; i < 60; i++ {
 		m(l.AppendIngest(0, 0, uint64(i+1), i%7, i%11, 1))
 	}
-	mark2 := l.CurrentSegment()
-	if err := l.WriteCheckpoint(&Checkpoint{Slot: 0, Watermark: 60,
-		Pending: drainEntries(60)}, mark2); err != nil {
+	pos2 := l.Position()
+	if err := l.WriteCheckpoint(&Checkpoint{Slot: 0, Watermark: 60, Pos: pos2,
+		Pending: drainEntries(60)}); err != nil {
 		t.Fatal(err)
 	}
-	// GC lags one checkpoint: segments below mark1 are gone, those
-	// mark1..mark2 retained for the older checkpoint's replay.
+	// GC lags one checkpoint: segments below pos1's are gone, those
+	// from it to pos2's retained for the older checkpoint's replay.
 	idxs, err := listSegments(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(idxs) == 0 || idxs[0] != mark1 {
-		t.Errorf("segments %v, want oldest retained = %d", idxs, mark1)
+	if len(idxs) == 0 || idxs[0] != pos1.Segment {
+		t.Errorf("segments %v, want oldest retained = %d", idxs, pos1.Segment)
 	}
 	l.Close()
 
@@ -512,11 +547,13 @@ func TestSegmentRotationAndGC(t *testing.T) {
 
 // TestReplayBound drives the log the way the server does — a slot's
 // ingests, its advance, the next slot's ingests arriving while the
-// round runs, the plan, a checkpoint every few slots with the segment
-// mark taken at capture — over segments small enough to rotate many
-// times a slot, and boots a copy at every point a crash could leave
-// the most behind: no boot may scan more than ReplayBound records, and
-// the worst boot must come close to it.
+// round runs, the plan, a checkpoint every few slots at the position
+// read at capture — over segments small enough to rotate many times a
+// slot, and boots a copy at every point a crash could leave the most
+// behind, once as it is and once with the newest checkpoint damaged:
+// no boot may scan more than ReplayBound records, each must recover
+// what reading the whole log does, and the worst must reach the
+// bound's fallback term.
 func TestReplayBound(t *testing.T) {
 	const (
 		every       = 3
@@ -541,7 +578,7 @@ func TestReplayBound(t *testing.T) {
 		}
 		return es
 	}
-	bound := ReplayBound(every, slotIngests, segBytes)
+	bound := ReplayBound(every, slotIngests)
 	worst := 0
 	scratch := t.TempDir()
 	boot := func(ctx string) {
@@ -549,21 +586,28 @@ func TestReplayBound(t *testing.T) {
 		if err := l.Sync(l.LastLSN()); err != nil { // the buffered tail reaches the files
 			t.Fatal(err)
 		}
-		cp := filepath.Join(scratch, ctx)
-		if err := os.MkdirAll(cp, 0o755); err != nil {
-			t.Fatal(err)
+		for _, damaged := range []bool{false, true} {
+			name := ctx
+			if damaged {
+				name += ", newest checkpoint damaged"
+			}
+			cp := filepath.Join(scratch, ctx+"-"+strconv.FormatBool(damaged))
+			if err := os.MkdirAll(cp, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			copyDir(t, dir, cp)
+			if seq := l.CheckpointSeq(); damaged && seq > 0 {
+				if err := os.WriteFile(filepath.Join(cp, checkpointName(seq)), []byte("damaged"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			st := requireOpenMatchesReference(t, cp, name)
+			if st.Records > bound {
+				t.Fatalf("%s: boot scanned %d records, ReplayBound(%d, %d) = %d",
+					name, st.Records, every, slotIngests, bound)
+			}
+			worst = max(worst, st.Records)
 		}
-		copyDir(t, dir, cp)
-		l2, st, err := Open(cp, Options{Policy: PolicyNone, SegmentBytes: segBytes})
-		if err != nil {
-			t.Fatalf("%s: %v", ctx, err)
-		}
-		l2.Crash()
-		if st.Records > bound {
-			t.Fatalf("%s: boot scanned %d records, ReplayBound(%d, %d, %d) = %d",
-				ctx, st.Records, every, slotIngests, segBytes, bound)
-		}
-		worst = max(worst, st.Records)
 	}
 	feed(0)
 	for slot := 0; slot < slots; slot++ {
@@ -575,18 +619,19 @@ func TestReplayBound(t *testing.T) {
 		if (slot+1)%every != 0 {
 			continue
 		}
-		mark := l.CurrentSegment()
 		if err := l.WriteCheckpoint(&Checkpoint{
 			Slot:      slot + 1,
 			Epoch:     int64(slot + 1),
 			Plan:      &PlanState{Slot: slot, Epoch: int64(slot + 1), Digest: d, Canonical: c},
 			Watermark: seq,
+			Pos:       l.Position(),
 			Pending:   arrived,
-		}, mark); err != nil {
+		}); err != nil {
 			t.Fatal(err)
 		}
 		boot("checkpointed-" + itoa(slot))
 	}
+	t.Logf("worst boot scanned %d records of a bound of %d", worst, bound)
 	if floor := 2 * every * (slotIngests + 2); worst < floor {
 		t.Errorf("worst boot scanned %d records, expected at least %d: the test no longer reaches the case the bound is for", worst, floor)
 	}
@@ -737,8 +782,8 @@ func TestMetricsCounters(t *testing.T) {
 	if err := l.Sync(lsn); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.WriteCheckpoint(&Checkpoint{Slot: 0, Watermark: 1,
-		Pending: []Entry{{Hotspot: 0, Video: 0, Count: 1}}}, 0); err != nil {
+	if err := l.WriteCheckpoint(&Checkpoint{Slot: 0, Watermark: 1, Pos: l.Position(),
+		Pending: []Entry{{Hotspot: 0, Video: 0, Count: 1}}}); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
