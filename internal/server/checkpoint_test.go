@@ -1,9 +1,13 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -113,5 +117,94 @@ func TestHealthzReplayRecords(t *testing.T) {
 	if n, _, _ := walHealth(t, s2); n != s2.WALState().Records+2 || s2.WALState().Records != 3 {
 		t.Fatalf("replay_records = %d after a boot that scanned %d records and 2 ingests, want 3 + 2",
 			n, s2.WALState().Records)
+	}
+}
+
+// TestConcurrentCutCountsEveryAckOnce is the guard over the capture:
+// three frontends take ingests from several goroutines while the test
+// captures checkpoints back to back, advancing a slot between some of
+// them, and kills the tier with the last capture taken mid-traffic.
+// The reboot must account for every acknowledged request exactly once
+// — pending, queued, or in a plan published before the kill. Only the
+// capture's one hold of s.mu and every frontend lock keeps the log
+// position it records an exact cut; read outside that hold, requests
+// appended between the demand copy and the position are lost, or
+// counted twice. Three kill/reboot cycles, each checked.
+func TestConcurrentCutCountsEveryAckOnce(t *testing.T) {
+	const frontends, posters, cycles, captures = 3, 6, 8, 6
+	world := testWorld(8, 20, 20)
+	cfg := Config{World: world, Instances: frontends, WALDir: t.TempDir(), Fsync: "always",
+		CheckpointEvery: 1 << 30, QueueBound: 1 << 20, PlanHistory: cycles * captures}
+	var acked, planned int64
+	for cycle := 0; ; cycle++ {
+		cfg.Registry = obs.NewRegistry()
+		s := newTestServer(t, cfg)
+		if cycle > 0 {
+			st := s.WALState()
+			var queued int64
+			for _, q := range st.Queue {
+				queued += q.Requests
+			}
+			if got := st.PendingRequests + queued + planned; got != acked {
+				t.Fatalf("reboot %d: %d pending + %d queued + %d planned = %d, want the %d acknowledged",
+					cycle, st.PendingRequests, queued, planned, got, acked)
+			}
+			if st.CheckpointSeq == 0 || st.Records == 0 {
+				t.Fatalf("reboot %d: checkpoint %d, %d records after it; want the last capture, taken mid-traffic",
+					cycle, st.CheckpointSeq, st.Records)
+			}
+		}
+		if cycle == cycles {
+			s.Kill()
+			return
+		}
+		if err := s.Start(); err != nil {
+			t.Fatal(err)
+		}
+		var sent atomic.Int64
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for p := 0; p < posters; p++ {
+			wg.Add(1)
+			go func(p int) {
+				defer wg.Done()
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					body := fmt.Sprintf(`{"user":%d,"video":%d,"hotspot":%d}`, p, (p*31+i)%world.NumVideos, (p+i)%len(world.Hotspots))
+					if rr := doAt(t, s, (p+i)%frontends, http.MethodPost, "/ingest", body); rr.Code != http.StatusAccepted {
+						t.Errorf("ingest status %d %s", rr.Code, rr.Body)
+						return
+					}
+					sent.Add(1)
+				}
+			}(p)
+		}
+		for k := 1; k <= captures; k++ {
+			for sent.Load() < int64(k*posters) && !t.Failed() {
+				runtime.Gosched()
+			}
+			s.writeCheckpoint()
+			if k%2 == 0 && k < captures {
+				if _, _, err := s.AdvanceSlot(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		// At most one ingest per poster was in flight at the last
+		// capture: one more acknowledgment than that was logged after it.
+		for at := sent.Load(); sent.Load() <= at+posters && !t.Failed(); {
+			runtime.Gosched()
+		}
+		close(stop)
+		wg.Wait()
+		acked += sent.Load()
+		for _, rec := range s.Plans() {
+			planned += rec.Requests
+		}
+		s.Kill()
 	}
 }

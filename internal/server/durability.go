@@ -12,9 +12,8 @@ import (
 // This file is the serving tier's side of the durability subsystem
 // (internal/wal). The protocol, end to end:
 //
-//   - Every accepted ingest is numbered from the tier's one ingest
-//     sequence and logged under its frontend's lock (so the sequence
-//     read under every frontend's lock is an exact watermark) and
+//   - Every accepted ingest is logged under its frontend's lock, in the
+//     same hold as its Add to the frontend's demand, and
 //     group-committed before the 202 acknowledgment (acceptDemand).
 //   - Every slot boundary logs an advance record under s.mu *before*
 //     handOver re-stamps the frontends' slot tags, so in WAL order no
@@ -28,15 +27,15 @@ import (
 //     between rounds (and Close, after the worker exits), freezes s.mu
 //     plus every frontend's lock and captures a checkpoint: slot/epoch
 //     counters, the last plan, pending demand, queued-but-unplanned
-//     snapshots, the ingest watermark and the log position
-//     (writeCheckpoint).
+//     snapshots and the log's append position (writeCheckpoint). That
+//     one hold makes the position an exact cut of the log.
 //
 // On boot, openWAL loads the newest valid checkpoint, replays the WAL
 // suffix from its position and re-seeds the server: recovery hands
 // back exactly the durable prefix, so a kill/restart finishes a trace
 // byte-identical to an uninterrupted run (certified in
 // durability_e2e_test.go), whatever frontend count either run had —
-// the watermark is the tier's, not a frontend's.
+// the cut is the log's, not a frontend's.
 
 // openWAL opens cfg.WALDir, recovers the durable state, and applies it
 // to the freshly built (not yet started) server.
@@ -57,7 +56,6 @@ func (s *Server) openWAL() error {
 	s.walState = st
 	s.slot = st.Slot
 	s.epoch = st.Epoch
-	s.ingestSeq.Store(st.LastSeq)
 	for _, in := range s.instances {
 		in.slot = st.Slot
 	}
@@ -163,14 +161,13 @@ func (s *Server) checkpointDue() bool {
 }
 
 // writeCheckpoint captures and persists the full durable state, then
-// releases the empty slots that waited for it. The capture holds s.mu
-// plus every frontend's lock, under which the ingest sequence, the
-// demand it numbers and the log's append position only move together:
-// every ingest at or below the watermark it reads is in the captured
-// demand, and the position is an exact cut — every record before it is
-// in the captured state (advances append under s.mu, ingests under
-// their frontend's lock, plans and round errors on this worker), and
-// every ingest after it is above the watermark.
+// releases the empty slots that waited for it. The capture reads the
+// log's append position and copies the state in one hold of s.mu and
+// every frontend's lock, and that hold is what makes the position an
+// exact cut: advances append under s.mu, ingests under their
+// frontend's lock, plans and round errors on this worker, so no record
+// is appended during the hold — every record before the position is in
+// the captured state, and none after it.
 func (s *Server) writeCheckpoint() {
 	s.mu.Lock()
 	s.sinceCkpt = 0
@@ -187,7 +184,10 @@ func (s *Server) writeCheckpoint() {
 	for _, in := range s.instances {
 		in.mu.Lock()
 	}
-	cp.Watermark = s.ingestSeq.Load()
+	// The position must be read inside this hold: read after the
+	// frontends unlock, it could lie past ingests the copied demand
+	// lacks (lost on recovery); read before they lock, before ingests
+	// the demand holds (counted twice).
 	cp.Pos = s.wal.Position()
 	pending := core.NewDemand(len(s.world.Hotspots))
 	for _, in := range s.instances {

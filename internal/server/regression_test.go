@@ -357,11 +357,9 @@ func TestCheckpointAfterFleetShrinkCountsPendingOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var seq uint64
 	ingest := func(slot, i int) {
 		t.Helper()
-		seq++
-		if _, err := l.AppendIngest(slot, i%frontends, seq, i%4, i%7, 1); err != nil {
+		if _, err := l.AppendIngest(slot, i%frontends, 0, i%4, i%7, 1); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -74,11 +74,7 @@ type Server struct {
 	history []planEntry
 	closed  bool
 
-	// Durability (nil / zero when Config.WALDir is empty). ingestSeq
-	// numbers the tier's accepted ingests for the WAL; it moves only
-	// under the owning frontend's lock (acceptDemand), so a capture
-	// holding every frontend's lock reads it as an exact watermark of
-	// applied-and-logged requests (writeCheckpoint). lastPlan is
+	// Durability (nil / zero when Config.WALDir is empty). lastPlan is
 	// the most recently published plan in checkpoint form; sinceCkpt
 	// counts slot outcomes (plan, roundErr or empty advance) since the
 	// last checkpoint; ckptWaiters are the done channels of empty slots
@@ -87,7 +83,6 @@ type Server struct {
 	// work.
 	wal         *wal.Log
 	walState    *wal.State
-	ingestSeq   atomic.Uint64
 	lastPlan    *wal.PlanState
 	sinceCkpt   int
 	ckptWaiters []chan struct{}

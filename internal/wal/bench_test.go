@@ -17,7 +17,7 @@ func benchAppend(b *testing.B, policy Policy) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		lsn, err := l.AppendIngest(i>>10, 0, uint64(i+1), i%64, i%512, 1)
+		lsn, err := l.AppendIngest(i>>10, 0, 0, i%64, i%512, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -35,19 +35,16 @@ func BenchmarkWALAppendNone(b *testing.B)     { benchAppend(b, PolicyNone) }
 // drill (bench/drill.go) at slotIngests ingests per slot: two
 // scheduled slots, a checkpoint that has absorbed them, one more
 // scheduled slot and half a slot of pending demand, nothing collected
-// yet — so a boot that reads the whole log meets two slots of ingests
-// at or below the checkpoint's watermark, and one that starts at the
-// checkpoint's position reads only the slot and a half after it. Two frontends
-// alternate, numbering their ingests from one sequence, hotspots are uniform over a city-sized fleet and videos
-// Zipf, one plan record per slot. The plan is a toy.
+// yet — so a boot that starts at the checkpoint's position reads only
+// the slot and a half after it. Two frontends alternate, hotspots are
+// uniform over a city-sized fleet and videos Zipf, one plan record per
+// slot. The plan is a toy.
 type recoveryShape struct {
 	// before and after are the log on either side of the checkpoint.
 	before, after []record
 	ckpt          *Checkpoint
-	// skipped counts the ingests at or below the checkpoint's watermark
-	// (all of them before it), pending the requests of the unfinished
-	// slot.
-	skipped, pending int
+	// pending is the requests of the unfinished slot.
+	pending int
 }
 
 func newRecoveryShape(tb testing.TB, slotIngests int) *recoveryShape {
@@ -57,12 +54,10 @@ func newRecoveryShape(tb testing.TB, slotIngests int) *recoveryShape {
 	)
 	rng := rand.New(rand.NewSource(1))
 	zipf := rand.NewZipf(rng, 1.2, 8, videos-1)
-	var seq uint64
 	var log []record
 	feed := func(slot, n int) {
 		for i := 0; i < n; i++ {
-			seq++
-			log = append(log, record{kind: recIngest, slot: slot, instance: i % 2, seq: seq,
+			log = append(log, record{kind: recIngest, slot: slot, instance: i % 2,
 				hotspot: rng.Intn(hotspots), video: int(zipf.Uint64()), count: 1})
 		}
 	}
@@ -77,8 +72,8 @@ func newRecoveryShape(tb testing.TB, slotIngests int) *recoveryShape {
 		feed(slot, slotIngests)
 		schedule(slot)
 	}
-	sh := &recoveryShape{before: log, skipped: 2 * slotIngests, pending: slotIngests / 2}
-	sh.ckpt = &Checkpoint{Slot: 2, Epoch: 2, Plan: plan, Watermark: seq}
+	sh := &recoveryShape{before: log, pending: slotIngests / 2}
+	sh.ckpt = &Checkpoint{Slot: 2, Epoch: 2, Plan: plan}
 	log = nil
 	feed(2, slotIngests)
 	schedule(2)
@@ -140,9 +135,9 @@ func BenchmarkRecoveryReplay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if st.Records != records || st.Skipped != 0 || st.PendingRequests != int64(sh.pending) || st.Epoch != 3 {
-			b.Fatalf("recovered %d records (%d skipped), %d pending, epoch %d; want %d (0), %d, 3",
-				st.Records, st.Skipped, st.PendingRequests, st.Epoch, records, sh.pending)
+		if st.Records != records || st.PendingRequests != int64(sh.pending) || st.Epoch != 3 {
+			b.Fatalf("recovered %d records, %d pending, epoch %d; want %d, %d, 3",
+				st.Records, st.PendingRequests, st.Epoch, records, sh.pending)
 		}
 		l2.Crash()
 	}

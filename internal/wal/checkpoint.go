@@ -27,9 +27,9 @@ import (
 // either entirely durable, with every record it skips on disk, or
 // invisible. Recovery loads the newest checkpoint that passes CRC,
 // strict decoding, and plan verification, falling back to older ones
-// (and then to an empty base state scanned from the first segment)
-// when the newest is damaged; a body of another version is not damage,
-// and Open refuses it.
+// (and then to an empty base state scanned from segment 1, refused
+// once segment GC has collected it) when the newest is damaged; a body
+// of another version is not damage, and Open refuses it.
 
 var ckptMagic = []byte("WALCKPT1")
 
@@ -87,14 +87,9 @@ type Checkpoint struct {
 	Epoch int64
 	// Plan is the serving plan at capture (nil before the first plan).
 	Plan *PlanState
-	// Watermark is the tier's ingest sequence at capture: every ingest
-	// record with seq <= Watermark is reflected in this checkpoint's
-	// state, whichever frontend logged it.
-	Watermark uint64
 	// Pos is the log's append position (Log.Position), read in the same
-	// hold as Watermark: every record before it is reflected in this
-	// checkpoint's state, and every ingest after it is above the
-	// watermark. Recovery scans from it.
+	// hold as the state: every record before it is reflected in this
+	// checkpoint's state, and none after it. Recovery scans from it.
 	Pos Position
 	// Pending is the accepted-but-not-yet-drained demand. It is slot
 	// Slot's: recovery queues it with that slot once the log shows the
@@ -106,8 +101,9 @@ type Checkpoint struct {
 
 // checkpointVersion is the body version this build writes and reads.
 // Version 1 kept one ingest cursor per frontend; version 2 had no log
-// position.
-const checkpointVersion = 3
+// position; version 3 also kept the last number of a tier-wide ingest
+// sequence, which ingest records carried.
+const checkpointVersion = 4
 
 // errCheckpointVersion marks a checkpoint that decoded as far as its
 // version: it is not damage but another format, which Open refuses.
@@ -129,7 +125,6 @@ func (c *Checkpoint) encode(b []byte) []byte {
 		b = binary.AppendUvarint(b, uint64(len(c.Plan.Canonical)))
 		b = append(b, c.Plan.Canonical...)
 	}
-	b = binary.AppendUvarint(b, c.Watermark)
 	b = binary.AppendUvarint(b, c.Pos.Segment)
 	b = binary.AppendUvarint(b, uint64(c.Pos.Offset))
 	b = appendEntries(b, c.Pending)
@@ -233,9 +228,6 @@ func decodeCheckpoint(b []byte) (*Checkpoint, error) {
 		c.Plan = p
 	default:
 		return nil, fmt.Errorf("wal: checkpoint: bad plan flag %d", hasPlan)
-	}
-	if c.Watermark, b, ok = uvarint(b); !ok {
-		return nil, fmt.Errorf("wal: checkpoint: bad watermark")
 	}
 	if c.Pos.Segment, b, ok = uvarint(b); !ok {
 		return nil, fmt.Errorf("wal: checkpoint: bad position segment")

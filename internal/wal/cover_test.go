@@ -65,11 +65,11 @@ func TestDecodeRecordErrors(t *testing.T) {
 		{"ingest truncated slot", []byte{recIngest}, "bad slot"},
 		{"ingest slot out of range", uv([]byte{recIngest}, maxSlotValue+1), "bad slot"},
 		{"ingest truncated instance", uv([]byte{recIngest}, 1), "bad instance"},
-		{"ingest truncated seq", uv([]byte{recIngest}, 1, 0), "bad seq"},
-		{"ingest truncated hotspot", uv([]byte{recIngest}, 1, 0, 9), "bad hotspot"},
-		{"ingest truncated video", uv([]byte{recIngest}, 1, 0, 9, 4), "bad video"},
-		{"ingest truncated count", uv([]byte{recIngest}, 1, 0, 9, 4, 2), "bad count"},
-		{"ingest zero count", uv([]byte{recIngest}, 1, 0, 9, 4, 2, 0), "bad count"},
+		{"ingest truncated hotspot", uv([]byte{recIngest}, 1, 0), "bad hotspot"},
+		{"ingest truncated video", uv([]byte{recIngest}, 1, 0, 4), "bad video"},
+		{"ingest truncated count", uv([]byte{recIngest}, 1, 0, 4, 2), "bad count"},
+		{"ingest zero count", uv([]byte{recIngest}, 1, 0, 4, 2, 0), "bad count"},
+		{"ingest of the retired format", uv([]byte{recRetired}, 1, 0, 9, 4, 2, 1), "retired format"},
 		{"advance truncated slot", []byte{recAdvance}, "bad slot"},
 		{"rounderr truncated slot", []byte{recRoundErr}, "bad slot"},
 		{"plan truncated slot", []byte{recPlan}, "bad slot"},
@@ -101,13 +101,12 @@ func TestDecodeRecordErrors(t *testing.T) {
 func TestDecodeCheckpointErrors(t *testing.T) {
 	canon, dig := testPlanBytes(t, 5)
 	cp := &Checkpoint{
-		Seq:       3,
-		Slot:      9,
-		Epoch:     5,
-		Plan:      &PlanState{Slot: 8, Epoch: 5, Digest: dig, Canonical: canon},
-		Watermark: 12,
-		Pos:       Position{Segment: 4, Offset: 300},
-		Pending:   []Entry{{Hotspot: 1, Video: 2, Count: 3}},
+		Seq:     3,
+		Slot:    9,
+		Epoch:   5,
+		Plan:    &PlanState{Slot: 8, Epoch: 5, Digest: dig, Canonical: canon},
+		Pos:     Position{Segment: 4, Offset: 300},
+		Pending: []Entry{{Hotspot: 1, Video: 2, Count: 3}},
 		Queue: []QueuedSlot{
 			{Slot: 9, Requests: 4, Entries: []Entry{{Hotspot: 0, Video: 1, Count: 4}}},
 		},
@@ -206,7 +205,7 @@ func TestLogAccessors(t *testing.T) {
 		t.Fatalf("CheckpointSeq() = %d", got)
 	}
 
-	lsn, err := l.AppendIngest(0, 0, 1, 3, 4, 2)
+	lsn, err := l.AppendIngest(0, 0, 0, 3, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +224,7 @@ func TestLogAccessors(t *testing.T) {
 		t.Fatalf("Sync past end err = %v", err)
 	}
 
-	if err := l.WriteCheckpoint(&Checkpoint{Slot: 1, Watermark: 1, Pos: l.Position()}); err != nil {
+	if err := l.WriteCheckpoint(&Checkpoint{Slot: 1, Pos: l.Position()}); err != nil {
 		t.Fatal(err)
 	}
 	if got := l.CheckpointSeq(); got != 1 {
@@ -284,7 +283,7 @@ func TestWriteFileAtomicError(t *testing.T) {
 // not damage: Open refuses it.
 func TestLoadCheckpointsSkipsDamaged(t *testing.T) {
 	dir := t.TempDir()
-	good := marshalCheckpoint(&Checkpoint{Slot: 4, Watermark: 9, Pos: Position{Segment: 1}})
+	good := marshalCheckpoint(&Checkpoint{Slot: 4, Pos: Position{Segment: 1}})
 	if err := os.WriteFile(filepath.Join(dir, segmentName(1)), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -335,12 +334,15 @@ func TestLoadCheckpointsSkipsDamaged(t *testing.T) {
 	}
 	l.Close()
 
-	// A version-2 body (no log position) is refused, not skipped for
-	// the older file.
-	if err := os.WriteFile(filepath.Join(dir, checkpointName(6)), withBodyByte(0, 2), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), "unsupported version 2") {
-		t.Fatalf("Open on a version-2 checkpoint: %v, want it refused", err)
+	// A version-2 body (no log position) or version-3 body (a
+	// watermark besides the position) is refused, not skipped for the
+	// older file.
+	for _, v := range []byte{2, 3} {
+		if err := os.WriteFile(filepath.Join(dir, checkpointName(6)), withBodyByte(0, v), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), "unsupported version "+itoa(int(v))) {
+			t.Fatalf("Open on a version-%d checkpoint: %v, want it refused", v, err)
+		}
 	}
 }

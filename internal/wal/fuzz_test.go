@@ -14,19 +14,18 @@ import (
 // field by field, and any plan that reaches a State must pass full
 // verification. A checkpoint is also placed inside the stream at every
 // record boundary, as a server captures one, and folding only the
-// records after it must recover what folding them all onto it does.
+// records after it onto it must recover what folding them all does.
 func FuzzWALReplay(f *testing.F) {
 	// Seed with a well-formed segment and checkpoint so the fuzzer
 	// starts from structurally valid corpora.
 	seedCkpt := marshalCheckpoint(&Checkpoint{
-		Slot:      2,
-		Epoch:     3,
-		Watermark: 5,
-		Pending:   []Entry{{Hotspot: 1, Video: 2, Count: 3}},
-		Queue:     []QueuedSlot{{Slot: 1, Requests: 2, Entries: []Entry{{Hotspot: 0, Video: 0, Count: 2}}}},
+		Slot:    2,
+		Epoch:   3,
+		Pending: []Entry{{Hotspot: 1, Video: 2, Count: 3}},
+		Queue:   []QueuedSlot{{Slot: 1, Requests: 2, Entries: []Entry{{Hotspot: 0, Video: 0, Count: 2}}}},
 	})
 	f.Add(frames([]record{
-		{kind: recIngest, slot: 0, instance: 1, seq: 1, hotspot: 2, video: 3, count: 4},
+		{kind: recIngest, slot: 0, instance: 1, hotspot: 2, video: 3, count: 4},
 		{kind: recAdvance, slot: 0},
 		{kind: recPlan, slot: 0, epoch: 1, digest: 42, canonical: []byte("plan v1\n")},
 		{kind: recRoundErr, slot: 1},
@@ -35,8 +34,8 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte{}, []byte("WALCKPT1garbage"))
 	// Two streams the fold could plausibly get wrong: a plan record
-	// failing verification mid-log, and ingests out of slot and
-	// sequence order on top of a checkpoint.
+	// failing verification mid-log, and ingests out of slot order on
+	// top of a checkpoint.
 	f.Add(frames(badPlanMidLog(f)), []byte{})
 	outOfOrder, outOfOrderCkpt := outOfOrderIngests(f)
 	f.Add(frames(outOfOrder), marshalCheckpoint(outOfOrderCkpt))
@@ -47,10 +46,9 @@ func FuzzWALReplay(f *testing.F) {
 	// And a slot coalesced into the next, planned under the newer
 	// number only.
 	f.Add(frames(coalescedSlot(f)), []byte{})
-	// And three frontends' ingests out of sequence order on both sides
-	// of a checkpoint's watermark.
-	around, aroundCkpt := aroundWatermark()
-	f.Add(frames(around), marshalCheckpoint(aroundCkpt))
+	// And a log an older build wrote: its valid prefix ends at the
+	// first ingest record of the retired format.
+	f.Add(append(frames([]record{{kind: recAdvance, slot: 0}}), retiredIngestFrame()...), []byte{})
 
 	f.Fuzz(func(t *testing.T, seg, ckpt []byte) {
 		recs, validLen := scanRecords(seg)
@@ -95,32 +93,41 @@ func FuzzWALReplay(f *testing.F) {
 // of recs that a server could capture one at — before any plan record
 // failing verification, where a fold stops — holding the state the
 // records before it fold to, and requires the fold of the records
-// after it to recover what today's read-everything fold of the whole
-// stream onto that checkpoint does. The suffix keeps the server's
-// order: no ingest logged after the cut is tagged with a slot the
+// after it onto that checkpoint to recover what the fold of the whole
+// stream does. Both sides keep the server's order: the frontends
+// accumulate only for the open slot, so no ingest before the cut is
+// tagged with a later one, and none after it with a slot the
 // checkpoint had closed.
 func requireCutMatchesWhole(t *testing.T, recs []record) {
 	t.Helper()
 	for k := 0; k <= len(recs); k++ {
+		// Ingests do not move the slot counter or stop the fold, so the
+		// open slot is the prefix's with or without them.
+		open := foldState(nil, recs[:k])
+		var prefix []record
+		for _, r := range recs[:k] {
+			if r.kind != recIngest || r.slot <= open.Slot {
+				prefix = append(prefix, r)
+			}
+		}
 		rp := newReplay(nil)
-		for i := range recs[:k] {
-			rp.apply(&recs[i])
+		for i := range prefix {
+			rp.apply(&prefix[i])
 		}
 		if rp.stopped {
 			return
 		}
 		pre := rp.finish()
-		cp := &Checkpoint{Slot: pre.Slot, Epoch: pre.Epoch, Plan: pre.Plan, Watermark: pre.LastSeq,
-			Pending: pre.Pending, Queue: pre.Queue}
+		cp := &Checkpoint{Slot: pre.Slot, Epoch: pre.Epoch, Plan: pre.Plan, Pending: pre.Pending, Queue: pre.Queue}
 		var suffix []record
 		for _, r := range recs[k:] {
 			if r.kind != recIngest || r.slot >= cp.Slot {
 				suffix = append(suffix, r)
 			}
 		}
-		whole := append(slices.Clip(recs[:k]), suffix...)
-		if diff := sameRecovery(foldState(cp, suffix), foldState(cp, whole)); diff != "" {
-			t.Fatalf("checkpoint after record %d of %d: the suffix folds to another state than the whole stream:%s", k, len(recs), diff)
+		whole := append(slices.Clip(prefix), suffix...)
+		if diff := sameRecovery(foldState(cp, suffix), foldState(nil, whole)); diff != "" {
+			t.Fatalf("checkpoint after record %d of %d: the suffix folds onto it to another state than the whole stream:%s", k, len(recs), diff)
 		}
 	}
 }

@@ -18,20 +18,20 @@ func checkpointedLog(t *testing.T, dir string, segBytes int64) (Position, int) {
 	c0, d0 := testPlanBytes(t, 1)
 	c1, d1 := testPlanBytes(t, 2)
 	before := []record{
-		{kind: recIngest, slot: 0, instance: 0, seq: 1, hotspot: 0, video: 0, count: 1},
-		{kind: recIngest, slot: 0, instance: 1, seq: 2, hotspot: 1, video: 3, count: 2},
+		{kind: recIngest, slot: 0, instance: 0, hotspot: 0, video: 0, count: 1},
+		{kind: recIngest, slot: 0, instance: 1, hotspot: 1, video: 3, count: 2},
 		{kind: recAdvance, slot: 0},
 		{kind: recPlan, slot: 0, epoch: 1, digest: d0, canonical: c0},
-		{kind: recIngest, slot: 1, instance: 0, seq: 3, hotspot: 0, video: 2, count: 1},
+		{kind: recIngest, slot: 1, instance: 0, hotspot: 0, video: 2, count: 1},
 		{kind: recAdvance, slot: 1},
 		{kind: recPlan, slot: 1, epoch: 2, digest: d1, canonical: c1},
-		{kind: recIngest, slot: 2, instance: 1, seq: 4, hotspot: 3, video: 1, count: 1},
+		{kind: recIngest, slot: 2, instance: 1, hotspot: 3, video: 1, count: 1},
 	}
 	after := []record{
 		{kind: recAdvance, slot: 2},
 		{kind: recRoundErr, slot: 2},
-		{kind: recIngest, slot: 3, instance: 0, seq: 5, hotspot: 1, video: 1, count: 1},
-		{kind: recIngest, slot: 3, instance: 1, seq: 6, hotspot: 2, video: 4, count: 3},
+		{kind: recIngest, slot: 3, instance: 0, hotspot: 1, video: 1, count: 1},
+		{kind: recIngest, slot: 3, instance: 1, hotspot: 2, video: 4, count: 3},
 	}
 	l, _, err := Open(dir, Options{Policy: PolicyAlways, SegmentBytes: segBytes})
 	if err != nil {
@@ -46,7 +46,7 @@ func checkpointedLog(t *testing.T, dir string, segBytes int64) (Position, int) {
 	}
 	appendAll(before)
 	pre := foldState(nil, before)
-	cp := &Checkpoint{Slot: pre.Slot, Epoch: pre.Epoch, Plan: pre.Plan, Watermark: pre.LastSeq,
+	cp := &Checkpoint{Slot: pre.Slot, Epoch: pre.Epoch, Plan: pre.Plan,
 		Pos: l.Position(), Pending: pre.Pending, Queue: pre.Queue}
 	if err := l.WriteCheckpoint(cp); err != nil {
 		t.Fatal(err)
@@ -81,9 +81,9 @@ func TestOpenStartsAtCheckpointPosition(t *testing.T) {
 	}
 
 	clean := requireOpenMatchesReference(t, boot("clean"), "clean")
-	if clean.Records != after || clean.Skipped != 0 || clean.TruncatedBytes != 0 {
-		t.Fatalf("scanned %d records (%d skipped, %d bytes truncated), want the %d after the position",
-			clean.Records, clean.Skipped, clean.TruncatedBytes, after)
+	if clean.Records != after || clean.TruncatedBytes != 0 {
+		t.Fatalf("scanned %d records (%d bytes truncated), want the %d after the position",
+			clean.Records, clean.TruncatedBytes, after)
 	}
 	if clean.Slot != 3 || clean.PendingRequests != 4 || len(clean.Queue) != 0 || clean.Plan == nil || clean.Plan.Epoch != 2 {
 		t.Fatalf("recovered slot %d, %d pending, queue %+v, plan %+v; want slot 3, its 4 pending, slot 2 dropped, epoch 2",
@@ -160,10 +160,10 @@ func TestCheckpointMakesItsPositionDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := must(t)
-	m(l.AppendIngest(0, 0, 1, 1, 1, 1))
-	m(l.AppendIngest(0, 0, 2, 2, 2, 1))
+	m(l.AppendIngest(0, 0, 0, 1, 1, 1))
+	m(l.AppendIngest(0, 0, 0, 2, 2, 1))
 	pos := l.Position()
-	if err := l.WriteCheckpoint(&Checkpoint{Watermark: 2, Pos: pos,
+	if err := l.WriteCheckpoint(&Checkpoint{Pos: pos,
 		Pending: []Entry{{Hotspot: 1, Video: 1, Count: 1}, {Hotspot: 2, Video: 2, Count: 1}}}); err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestCheckpointMakesItsPositionDurable(t *testing.T) {
 	if got := l2.Position(); got.Segment != pos.Segment || got.Offset != pos.Offset {
 		t.Fatalf("boot appends at %+v, want the checkpoint's position %+v", got, pos)
 	}
-	m(l2.AppendIngest(0, 0, 3, 3, 3, 1))
+	m(l2.AppendIngest(0, 0, 0, 3, 3, 1))
 	if err := l2.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -203,12 +203,12 @@ func TestReplayRecords(t *testing.T) {
 	}
 	m := must(t)
 	for i := 1; i <= 3; i++ {
-		m(l.AppendIngest(0, 0, uint64(i), i, i, 1))
+		m(l.AppendIngest(0, 0, 0, i, i, 1))
 	}
 	if got := l.ReplayRecords(); got != 3 {
 		t.Fatalf("ReplayRecords = %d before any checkpoint, want 3", got)
 	}
-	cp := &Checkpoint{Watermark: 3, Pos: l.Position()}
+	cp := &Checkpoint{Pos: l.Position()}
 	m(l.AppendAdvance(0)) // between the capture and the write
 	if err := l.WriteCheckpoint(cp); err != nil {
 		t.Fatal(err)
@@ -216,7 +216,7 @@ func TestReplayRecords(t *testing.T) {
 	if got := l.ReplayRecords(); got != 1 {
 		t.Fatalf("ReplayRecords = %d after the checkpoint, want the 1 record logged after its position", got)
 	}
-	m(l.AppendIngest(1, 0, 4, 4, 4, 1))
+	m(l.AppendIngest(1, 0, 0, 4, 4, 1))
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestReplayRecords(t *testing.T) {
 	if st.Records != 2 || l2.ReplayRecords() != 2 {
 		t.Fatalf("boot scanned %d records and counts %d to replay, want 2 and 2", st.Records, l2.ReplayRecords())
 	}
-	m(l2.AppendIngest(1, 0, 5, 5, 5, 1))
+	m(l2.AppendIngest(1, 0, 0, 5, 5, 1))
 	if got := l2.ReplayRecords(); got != 3 {
 		t.Fatalf("ReplayRecords = %d, want the 2 recovered plus 1 appended", got)
 	}

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -22,20 +23,22 @@ import (
 //
 // Payloads are a kind byte followed by uvarint fields:
 //
-//	ingest  (1): slot, instance, seq, hotspot, video, count
+//	ingest  (5): slot, instance, hotspot, video, count
 //	advance (2): slot
 //	plan    (3): slot, epoch, digest (8 bytes le), len, canonical bytes
 //	roundErr(4): slot
 //
 // ingest records one accepted request (or a pre-aggregated count)
-// tagged with the slot the owning frontend was accumulating for and
-// the tier's ingest sequence number, which recovery compares with a
-// checkpoint's watermark; instance is the frontend that accepted it,
-// provenance only — recovery does not read it. advance marks a slot boundary (the drained slot number); plan
-// records a scheduled plan's canonical bytes and digest; roundErr
-// records that a slot's round failed its contract and the drained
-// demand was dropped (mirroring the live server, which keeps serving
-// the previous plan).
+// tagged with the slot the owning frontend was accumulating for;
+// instance is the frontend that accepted it, provenance only —
+// recovery does not read it. advance marks a slot boundary (the
+// drained slot number); plan records a scheduled plan's canonical
+// bytes and digest; roundErr records that a slot's round failed its
+// contract and the drained demand was dropped (mirroring the live
+// server, which keeps serving the previous plan). Kind 1 is the
+// retired ingest record, which also carried a tier-wide ingest
+// sequence: a log holding one was written by an older build, and Open
+// refuses it rather than misread it.
 
 const (
 	frameHeaderBytes = 8
@@ -45,11 +48,20 @@ const (
 )
 
 const (
-	recIngest   byte = 1
+	recRetired  byte = 1 // the retired ingest record, which carried a sequence
 	recAdvance  byte = 2
 	recPlan     byte = 3
 	recRoundErr byte = 4
+	recIngest   byte = 5
 )
+
+// errRetiredIngest marks a CRC-valid ingest frame of the retired
+// format: not damage to truncate, but a log this build cannot read.
+var errRetiredIngest = errors.New("wal: ingest record of a retired format (kind 1, an older build's log)")
+
+// errBadFrame marks a frame whose length is implausible or whose CRC
+// mismatches: where the log's valid prefix ends.
+var errBadFrame = errors.New("wal: invalid frame")
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -61,7 +73,6 @@ type record struct {
 	kind      byte
 	slot      int
 	instance  int
-	seq       uint64
 	hotspot   int
 	video     int
 	count     int64
@@ -86,7 +97,6 @@ func (r *record) encode(b []byte) []byte {
 	case recIngest:
 		b = binary.AppendUvarint(b, uint64(r.slot))
 		b = binary.AppendUvarint(b, uint64(r.instance))
-		b = binary.AppendUvarint(b, r.seq)
 		b = binary.AppendUvarint(b, uint64(r.hotspot))
 		b = binary.AppendUvarint(b, uint64(r.video))
 		b = binary.AppendUvarint(b, uint64(r.count))
@@ -128,11 +138,11 @@ const (
 	maxCountValue    = 1 << 50
 )
 
-// ingestBounds are the upper bounds of an ingest's six uvarint fields
-// in payload order: slot, instance, seq, hotspot, video, count.
-var ingestBounds = [6]uint64{maxSlotValue, maxInstanceValue, 1<<64 - 1, maxEntityValue, maxEntityValue, maxCountValue}
+// ingestBounds are the upper bounds of an ingest's five uvarint fields
+// in payload order: slot, instance, hotspot, video, count.
+var ingestBounds = [5]uint64{maxSlotValue, maxInstanceValue, maxEntityValue, maxEntityValue, maxCountValue}
 
-var ingestFields = [6]string{"slot", "instance", "seq", "hotspot", "video", "count"}
+var ingestFields = [5]string{"slot", "instance", "hotspot", "video", "count"}
 
 // decode strictly decodes one payload into r, overwriting every field.
 // Trailing bytes or out-of-range fields are errors: a CRC-valid frame
@@ -148,10 +158,10 @@ func (r *record) decode(payload []byte) error {
 	var ok bool
 	switch r.kind {
 	case recIngest:
-		// One pass over the six fields; a field below 0x80 is one byte,
+		// One pass over the five fields; a field below 0x80 is one byte,
 		// the rest go through binary.Uvarint — the same acceptance as
 		// uvarintBounded field by field.
-		var f [6]uint64
+		var f [5]uint64
 		for i := range f {
 			if len(b) > 0 && b[0] < 0x80 {
 				v, b = uint64(b[0]), b[1:]
@@ -162,13 +172,13 @@ func (r *record) decode(payload []byte) error {
 				}
 				b = b[n:]
 			}
-			if v > ingestBounds[i] || i == 5 && v == 0 {
+			if v > ingestBounds[i] || i == 4 && v == 0 {
 				return fmt.Errorf("wal: ingest record: bad %s", ingestFields[i])
 			}
 			f[i] = v
 		}
-		r.slot, r.instance, r.seq = int(f[0]), int(f[1]), f[2]
-		r.hotspot, r.video, r.count = int(f[3]), int(f[4]), int64(f[5])
+		r.slot, r.instance = int(f[0]), int(f[1])
+		r.hotspot, r.video, r.count = int(f[2]), int(f[3]), int64(f[4])
 	case recAdvance, recRoundErr:
 		if v, b, ok = uvarintBounded(b, maxSlotValue); !ok {
 			return fmt.Errorf("wal: advance record: bad slot")
@@ -196,6 +206,8 @@ func (r *record) decode(payload []byte) error {
 		}
 		r.canonical = b[:v:v]
 		b = b[v:]
+	case recRetired:
+		return errRetiredIngest
 	default:
 		return fmt.Errorf("wal: unknown record kind %d", r.kind)
 	}
@@ -207,31 +219,31 @@ func (r *record) decode(payload []byte) error {
 
 // scanFrames walks the whole frames at the front of data, decoding
 // each CRC-valid one into rec and handing rec to visit in log order,
-// and returns how many bytes they span. bad reports that the walk
-// stopped at an invalid frame — implausible length, CRC mismatch or a
-// failed strict decode — rather than at a frame data holds only part
-// of. rec is reused for every frame: visit copies what it keeps.
+// and returns how many bytes they span. stop says why the walk ended
+// at an invalid frame — implausible length, CRC mismatch or the strict
+// decode's error — and is nil when it ended at a frame data holds only
+// part of. rec is reused for every frame: visit copies what it keeps.
 // scanFrames never panics, whatever the bytes (FuzzWALReplay holds it
 // to that).
-func scanFrames(data []byte, rec *record, visit func(*record)) (off int, bad bool) {
+func scanFrames(data []byte, rec *record, visit func(*record)) (off int, stop error) {
 	for {
 		rest := data[off:]
 		if len(rest) < frameHeaderBytes {
-			return off, false
+			return off, nil
 		}
 		n := binary.LittleEndian.Uint32(rest[0:4])
 		if n > maxRecordBytes {
-			return off, true
+			return off, errBadFrame
 		}
 		if int(n) > len(rest)-frameHeaderBytes {
-			return off, false
+			return off, nil
 		}
 		payload := rest[frameHeaderBytes : frameHeaderBytes+int(n)]
 		if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(rest[4:8]) {
-			return off, true
+			return off, errBadFrame
 		}
-		if rec.decode(payload) != nil {
-			return off, true
+		if err := rec.decode(payload); err != nil {
+			return off, err
 		}
 		visit(rec)
 		off += frameHeaderBytes + int(n)
@@ -254,8 +266,9 @@ type segmentScanner struct {
 // scan hands every record of the longest valid run of frames starting
 // at byte from of the segment at path to visit, in log order, and
 // returns where that run ends and the file's size; a file shorter than
-// from is an error. The file is read window by window: only the frame
-// the window ends inside moves to its front before the next read.
+// from is an error, and so is a run that ends at an ingest record of
+// the retired format. The file is read window by window: only the
+// frame the window ends inside moves to its front before the next read.
 func (sc *segmentScanner) scan(path string, from int64, visit func(*record)) (validLen, size int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -285,9 +298,12 @@ func (sc *segmentScanner) scan(path string, from int64, visit func(*record)) (va
 		if rerr != nil && !eof {
 			return 0, 0, rerr
 		}
-		off, bad := scanFrames(buf, &sc.rec, visit)
+		off, stop := scanFrames(buf, &sc.rec, visit)
 		validLen += int64(off)
-		if bad || eof {
+		if errors.Is(stop, errRetiredIngest) {
+			return 0, 0, fmt.Errorf("byte %d: %w", validLen, stop)
+		}
+		if stop != nil || eof {
 			sc.buf = buf
 			return validLen, size, nil
 		}

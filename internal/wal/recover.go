@@ -11,9 +11,10 @@ import (
 // State is what recovery hands the server: provably equal to the
 // durable prefix of the crashed run. Slot/Epoch restore the counters,
 // Plan (if any) is the newest verified plan, Pending is accepted
-// demand not yet drained into a slot, Queue is drained demand whose
-// plan never became durable, and LastSeq is the ingest sequence the
-// server resumes numbering after.
+// demand not yet drained into a slot, and Queue is drained demand
+// whose plan never became durable. The loaded checkpoint's state
+// covers every record before its position, and recovery folds each
+// record after it exactly once.
 type State struct {
 	// Slot is the restored slot counter (the next slot to drain).
 	Slot int
@@ -32,19 +33,12 @@ type State struct {
 	// Queue holds drained slots awaiting (re)scheduling, slot order,
 	// their entries unmerged like Pending's.
 	Queue []QueuedSlot
-	// LastSeq is the highest ingest sequence in the durable prefix,
-	// the checkpoint's watermark included.
-	LastSeq uint64
 	// CheckpointSeq is the loaded checkpoint's sequence (0 = none).
 	CheckpointSeq uint64
 	// Records counts the WAL records the scan decoded and folded:
-	// those after the loaded checkpoint's position (every retained
-	// record without a checkpoint). Skipped counts the ingests among
-	// them at or below the checkpoint's watermark — scanned, but already
-	// part of its state; a server's checkpoint cuts the log exactly
-	// there, so its logs have none.
+	// those after the loaded checkpoint's position (the whole log
+	// without a checkpoint).
 	Records int
-	Skipped int
 	// TruncatedBytes counts bytes discarded as torn tail / corruption
 	// (including whole segments after the first invalid frame).
 	TruncatedBytes int64
@@ -107,22 +101,17 @@ func (dst *run) absorb(src *run) {
 // for none), it is handed every valid log record after the
 // checkpoint's position once, in log order (apply), keeps only runs
 // and high-water marks — no record outlives its call — and finish
-// renders the State. A server's checkpoint already holds what the
-// records before its position built. An ingest is skipped when
-// its sequence is at or below the checkpoint's watermark, and
-// otherwise appended to its slot tag's run as it is scanned; the rules
-// that need the whole log (had a slot's boundary passed) wait for
-// finish. Nothing is summed here: demand counts commute, and the
-// server's core.Demand folds the entries. The fold never panics,
-// whatever the records (FuzzWALReplay drives it with adversarial
-// streams), and any plan it returns has passed verifyPlan.
+// renders the State. The checkpoint already holds what the records
+// before its position built, and none after it: an ingest is appended
+// to its slot tag's run as it is scanned; the rules that need the
+// whole log (had a slot's boundary passed) wait for finish. Nothing
+// is summed here: demand counts commute, and the server's core.Demand
+// folds the entries. The fold never panics, whatever the records
+// (FuzzWALReplay drives it with adversarial streams), and any plan it
+// returns has passed verifyPlan.
 type replay struct {
 	st   *State
 	ckpt *Checkpoint
-	// watermark is the checkpoint's (0 without one): it decides the
-	// skip, while st.LastSeq advances with the scan — the log need not
-	// hold ingests in sequence order.
-	watermark uint64
 	// maxAdv is the advance high-water mark, consumed the outcome one:
 	// the highest slot whose plan or contract error is durable. The
 	// server's single worker drains its queue in FIFO order, so an
@@ -162,8 +151,6 @@ func newReplay(ckpt *Checkpoint) *replay {
 		st.Epoch = ckpt.Epoch
 		st.Plan = ckpt.Plan
 		st.CheckpointSeq = ckpt.Seq
-		st.LastSeq = ckpt.Watermark
-		rp.watermark = ckpt.Watermark
 	}
 	return rp
 }
@@ -176,11 +163,6 @@ func (rp *replay) apply(r *record) {
 	st := rp.st
 	switch r.kind {
 	case recIngest:
-		st.LastSeq = max(st.LastSeq, r.seq)
-		if r.seq <= rp.watermark {
-			st.Skipped++
-			break
-		}
 		if r.slot != rp.lastSlot {
 			rp.last, rp.lastSlot = rp.runFor(r.slot), r.slot
 		}
@@ -281,8 +263,8 @@ func (rp *replay) finish() *State {
 	if ckpt != nil {
 		// What the checkpoint found in the frontends is demand of the
 		// slot that was open at the capture — tagged ckpt.Slot like the
-		// ingests that put it there (all at or below the watermark, so
-		// none is counted again), and subject to the same rules: when
+		// ingests that put it there (all before its position, so none
+		// is counted again), and subject to the same rules: when
 		// the log goes on to close that slot it is queued, and when it
 		// holds the slot's plan it has been scheduled.
 		if len(ckpt.Pending) > 0 && ckpt.Slot > rp.consumed {

@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -62,26 +63,21 @@ func mergedQueue(qs []QueuedSlot) []QueuedSlot {
 
 // referenceState is the independent oracle the fold (replay) is held
 // to: recovery as it was before the fold, kept verbatim but for the
-// tagging of Checkpoint.Pending, the outcome high-water mark and the
-// one ingest watermark (all marked below) — the whole log
-// as a slice, a pass that cuts it at the first plan record failing
+// tagging of Checkpoint.Pending, the outcome high-water mark (both
+// marked below) and the ingest cursors it no longer has — the whole
+// log as a slice, a pass that cuts it at the first plan record failing
 // verification, a pass over the survivors, a stable sort of the
-// ingests into (slot, instance, seq) order, then the merge. It
+// ingests into (slot, instance) order, then the merge. It
 // deterministically reconstructs server state from a base checkpoint
-// (nil for none) plus the decoded WAL records, in log order.
+// (nil for none) plus the decoded WAL records after its position, in
+// log order.
 func referenceState(ckpt *Checkpoint, recs []record) *State {
 	st := &State{}
-	// The third departure: one watermark for the tier, where the
-	// pre-fold replay kept a cursor per frontend. An ingest at or below
-	// it is part of the checkpoint, whichever frontend logged it.
-	var watermark uint64
 	if ckpt != nil {
 		st.Slot = ckpt.Slot
 		st.Epoch = ckpt.Epoch
 		st.Plan = ckpt.Plan
 		st.CheckpointSeq = ckpt.Seq
-		watermark = ckpt.Watermark
-		st.LastSeq = watermark
 	}
 
 	// A plan record whose bytes fail verification is corruption that
@@ -122,12 +118,7 @@ func referenceState(ckpt *Checkpoint, recs []record) *State {
 		case recRoundErr:
 			consumed = max(consumed, r.slot)
 		case recIngest:
-			if r.seq > watermark {
-				ingests = append(ingests, r)
-			}
-			if r.seq > st.LastSeq {
-				st.LastSeq = r.seq
-			}
+			ingests = append(ingests, r)
 		}
 	}
 	if maxAdv+1 > st.Slot {
@@ -164,10 +155,7 @@ func referenceState(ckpt *Checkpoint, recs []record) *State {
 		if a.slot != b.slot {
 			return a.slot < b.slot
 		}
-		if a.instance != b.instance {
-			return a.instance < b.instance
-		}
-		return a.seq < b.seq
+		return a.instance < b.instance
 	})
 
 	pending := make(map[entryKey]int64)
@@ -254,15 +242,16 @@ func requireFoldMatchesReference(t *testing.T, ckpt *Checkpoint, recs []record, 
 	return st
 }
 
-// referenceRecover is recovery as Open did it before a checkpoint
-// recorded the log position it covers, kept read-only as the oracle
-// Open is held to: the newest valid checkpoint, then every retained
-// segment scanned from byte 0 — up to the first invalid frame, whose
-// segment's rest and every later segment count as truncated (but stay
-// on disk) — each record folded by replay as the scan decodes it. It
-// reads everything Open skips; on a log whose checkpoint cuts it
+// referenceRecover is the oracle Open is held to: recovery that reads
+// the whole log. It loads the newest valid checkpoint, then reads every
+// retained segment whole from byte 0 up to the first invalid frame —
+// whose segment's rest and every later segment count as truncated (but
+// stay on disk) — and folds by replay each record whose frame starts at
+// or after the checkpoint's position, the earlier ones dropped by their
+// offset and counted in absorbed. It reads everything Open skips and
+// finds the cut without Open's seek; on a log whose checkpoint cuts it
 // exactly, skipping must not change the state.
-func referenceRecover(tb testing.TB, dir string) *State {
+func referenceRecover(tb testing.TB, dir string) (st *State, absorbed int) {
 	tb.Helper()
 	ckpt, _, verify, err := loadCheckpoints(dir)
 	if err != nil {
@@ -272,18 +261,31 @@ func referenceRecover(tb testing.TB, dir string) *State {
 	if err != nil {
 		tb.Fatalf("reference: %v", err)
 	}
+	var cut Position
+	if ckpt != nil {
+		cut = ckpt.Pos
+	}
 	rp := newReplay(ckpt)
-	sc := segmentScanner{window: readWindow}
 	var truncated int64
 	for i, idx := range segs {
-		validLen, size, err := sc.scan(filepath.Join(dir, segmentName(idx)), 0, rp.apply)
+		data, err := os.ReadFile(filepath.Join(dir, segmentName(idx)))
 		if err != nil {
 			tb.Fatalf("reference: %v", err)
 		}
-		if validLen == size {
+		start := 0 // where the frame being visited starts
+		validLen, _ := scanFrames(data, new(record), func(r *record) {
+			at := start
+			start += frameHeaderBytes + int(binary.LittleEndian.Uint32(data[at:]))
+			if idx > cut.Segment || idx == cut.Segment && int64(at) >= cut.Offset {
+				rp.apply(r)
+			} else {
+				absorbed++
+			}
+		})
+		if validLen == len(data) {
 			continue
 		}
-		truncated += size - validLen
+		truncated += int64(len(data) - validLen)
 		for _, later := range segs[i+1:] {
 			if fi, err := os.Stat(filepath.Join(dir, segmentName(later))); err == nil {
 				truncated += fi.Size()
@@ -291,15 +293,15 @@ func referenceRecover(tb testing.TB, dir string) *State {
 		}
 		break
 	}
-	st := rp.finish()
+	st = rp.finish()
 	st.TruncatedBytes = truncated
 	st.PlanVerify += verify
-	return st
+	return st, absorbed
 }
 
 // sameRecovery reports how got differs from want field for field —
 // "" when it does not — except in what reading less changes: Records,
-// Skipped, Elapsed and PlanVerify. A plan is compared by its durable
+// Elapsed and PlanVerify. A plan is compared by its durable
 // fields, an empty demand list equals a nil one.
 func sameRecovery(got, want *State) string {
 	type planCore struct {
@@ -316,14 +318,13 @@ func sameRecovery(got, want *State) string {
 		Pending         []Entry
 		PendingRequests int64
 		Queue           []QueuedSlot
-		LastSeq         uint64
 		CheckpointSeq   uint64
 		TruncatedBytes  int64
 	}
 	project := func(st *State) recovery {
 		r := recovery{
 			Slot: st.Slot, Epoch: st.Epoch, Pending: st.Pending, PendingRequests: st.PendingRequests,
-			Queue: st.Queue, LastSeq: st.LastSeq, CheckpointSeq: st.CheckpointSeq, TruncatedBytes: st.TruncatedBytes,
+			Queue: st.Queue, CheckpointSeq: st.CheckpointSeq, TruncatedBytes: st.TruncatedBytes,
 		}
 		if len(r.Pending) == 0 {
 			r.Pending = nil
@@ -346,7 +347,7 @@ func sameRecovery(got, want *State) string {
 // log is closed again; the State is returned.
 func requireOpenMatchesReference(t testing.TB, dir, ctx string) *State {
 	t.Helper()
-	want := referenceRecover(t, dir)
+	want, _ := referenceRecover(t, dir)
 	l, st, err := Open(dir, Options{Policy: PolicyNone})
 	if err != nil {
 		t.Fatalf("%s: %v", ctx, err)
@@ -386,14 +387,14 @@ func badPlanMidLog(t testing.TB) []record {
 	c0, d0 := testPlanBytes(t, 1)
 	c1, d1 := testPlanBytes(t, 2)
 	return []record{
-		{kind: recIngest, slot: 0, instance: 0, seq: 1, hotspot: 1, video: 1, count: 2},
+		{kind: recIngest, slot: 0, instance: 0, hotspot: 1, video: 1, count: 2},
 		{kind: recAdvance, slot: 0},
 		{kind: recPlan, slot: 0, epoch: 1, digest: d0, canonical: c0},
-		{kind: recIngest, slot: 1, instance: 0, seq: 2, hotspot: 2, video: 2, count: 1},
+		{kind: recIngest, slot: 1, instance: 0, hotspot: 2, video: 2, count: 1},
 		{kind: recAdvance, slot: 1},
 		{kind: recPlan, slot: 1, epoch: 2, digest: d1 + 1, canonical: c1},
-		{kind: recIngest, slot: 2, instance: 0, seq: 3, hotspot: 3, video: 3, count: 5},
-		{kind: recIngest, slot: 2, instance: 7, seq: 1, hotspot: 3, video: 4, count: 5},
+		{kind: recIngest, slot: 2, instance: 0, hotspot: 3, video: 3, count: 5},
+		{kind: recIngest, slot: 2, instance: 7, hotspot: 3, video: 4, count: 5},
 		{kind: recAdvance, slot: 2},
 		{kind: recPlan, slot: 2, epoch: 3, digest: d1, canonical: c1},
 	}
@@ -401,75 +402,54 @@ func badPlanMidLog(t testing.TB) []record {
 
 // outOfOrderIngests is a checkpoint plus a suffix that respects none of
 // the orders a live server writes in: ingests for slot 1 after slot 1's
-// plan, sequence numbers descending, a duplicate sequence, an ingest
-// below the checkpoint's watermark between two above it and one at it
-// from another frontend at the end, slot tags interleaved, and demand
-// for a slot the checkpoint still queues.
+// plan, one for slot 0 from another frontend at the end, the same
+// (hotspot, video) logged again and again, slot tags interleaved, and
+// demand for a slot the checkpoint still queues.
 func outOfOrderIngests(t testing.TB) ([]record, *Checkpoint) {
 	c1, d1 := testPlanBytes(t, 4)
 	ckpt := &Checkpoint{
-		Seq:       3,
-		Slot:      3,
-		Epoch:     3,
-		Watermark: 4,
-		Pending:   []Entry{{Hotspot: 0, Video: 0, Count: 2}, {Hotspot: 5, Video: 1, Count: 1}},
+		Seq:     3,
+		Slot:    3,
+		Epoch:   3,
+		Pending: []Entry{{Hotspot: 0, Video: 0, Count: 2}, {Hotspot: 5, Video: 1, Count: 1}},
 		Queue: []QueuedSlot{
 			{Slot: 1, Requests: 3, Entries: []Entry{{Hotspot: 1, Video: 1, Count: 3}}},
 			{Slot: 2, Requests: 1, Entries: []Entry{{Hotspot: 2, Video: 2, Count: 1}}},
 		},
 	}
 	return []record{
-		{kind: recIngest, slot: 3, instance: 0, seq: 7, hotspot: 0, video: 0, count: 1},
-		{kind: recIngest, slot: 2, instance: 1, seq: 5, hotspot: 2, video: 2, count: 2},
-		{kind: recIngest, slot: 3, instance: 0, seq: 3, hotspot: 9, video: 9, count: 9}, // below the watermark
-		{kind: recIngest, slot: 3, instance: 0, seq: 6, hotspot: 0, video: 0, count: 1},
+		{kind: recIngest, slot: 3, instance: 0, hotspot: 0, video: 0, count: 1},
+		{kind: recIngest, slot: 2, instance: 1, hotspot: 2, video: 2, count: 2},
+		{kind: recIngest, slot: 3, instance: 0, hotspot: 9, video: 9, count: 9},
+		{kind: recIngest, slot: 3, instance: 0, hotspot: 0, video: 0, count: 1},
 		{kind: recPlan, slot: 1, epoch: 4, digest: d1, canonical: c1},
-		{kind: recIngest, slot: 1, instance: 1, seq: 8, hotspot: 1, video: 1, count: 1}, // after its slot's plan
-		{kind: recIngest, slot: 3, instance: 0, seq: 6, hotspot: 0, video: 0, count: 1}, // duplicate seq
-		{kind: recIngest, slot: 4, instance: 2, seq: 10, hotspot: 4, video: 4, count: 3},
+		{kind: recIngest, slot: 1, instance: 1, hotspot: 1, video: 1, count: 1}, // after its slot's plan
+		{kind: recIngest, slot: 3, instance: 0, hotspot: 0, video: 0, count: 1}, // the same key a third time
+		{kind: recIngest, slot: 4, instance: 2, hotspot: 4, video: 4, count: 3},
 		{kind: recAdvance, slot: 3},
-		{kind: recIngest, slot: 3, instance: 1, seq: 9, hotspot: 5, video: 1, count: 1},
-		{kind: recIngest, slot: 0, instance: 2, seq: 4, hotspot: 6, video: 6, count: 6}, // at the watermark
+		{kind: recIngest, slot: 3, instance: 1, hotspot: 5, video: 1, count: 1},
+		{kind: recIngest, slot: 0, instance: 2, hotspot: 6, video: 6, count: 6}, // long consumed
 	}, ckpt
 }
 
 // pendingThenAdvancePlan is a checkpoint captured mid-slot — slot 2
 // open with demand already in the frontends, as any timer-driven tier
-// checkpoints — and a log that goes on to finish that slot: one of the
-// checkpointed ingests again (at the watermark), one more ingest for slot
-// 2, its advance, the next slot's first ingest, slot 2's plan.
+// checkpoints — and the log after its position, which goes on to
+// finish that slot: one more ingest for slot 2, its advance, the next
+// slot's first ingest, slot 2's plan.
 func pendingThenAdvancePlan(t testing.TB) ([]record, *Checkpoint) {
 	c, d := testPlanBytes(t, 3)
 	ckpt := &Checkpoint{
-		Seq:       1,
-		Slot:      2,
-		Epoch:     2,
-		Watermark: 3,
-		Pending:   []Entry{{Hotspot: 1, Video: 1, Count: 2}, {Hotspot: 3, Video: 0, Count: 1}},
+		Seq:     1,
+		Slot:    2,
+		Epoch:   2,
+		Pending: []Entry{{Hotspot: 1, Video: 1, Count: 2}, {Hotspot: 3, Video: 0, Count: 1}},
 	}
 	return []record{
-		{kind: recIngest, slot: 2, instance: 0, seq: 3, hotspot: 3, video: 0, count: 1}, // already in Pending
-		{kind: recIngest, slot: 2, instance: 0, seq: 4, hotspot: 1, video: 1, count: 1},
+		{kind: recIngest, slot: 2, instance: 0, hotspot: 1, video: 1, count: 1},
 		{kind: recAdvance, slot: 2},
-		{kind: recIngest, slot: 3, instance: 0, seq: 5, hotspot: 7, video: 7, count: 4},
+		{kind: recIngest, slot: 3, instance: 0, hotspot: 7, video: 7, count: 4},
 		{kind: recPlan, slot: 2, epoch: 3, digest: d, canonical: c},
-	}, ckpt
-}
-
-// aroundWatermark is a checkpoint with watermark 5 and a suffix three
-// frontends wrote out of sequence order, as concurrent appends
-// interleave: each frontend's ingests straddle the watermark, and two
-// at or below it arrive after later ones.
-func aroundWatermark() ([]record, *Checkpoint) {
-	ckpt := &Checkpoint{Seq: 1, Slot: 1, Watermark: 5, Pending: []Entry{{Hotspot: 1, Video: 1, Count: 3}}}
-	return []record{
-		{kind: recIngest, slot: 1, instance: 2, seq: 7, hotspot: 1, video: 1, count: 1},
-		{kind: recIngest, slot: 1, instance: 0, seq: 5, hotspot: 1, video: 1, count: 1}, // at the watermark
-		{kind: recIngest, slot: 1, instance: 1, seq: 6, hotspot: 2, video: 1, count: 1},
-		{kind: recIngest, slot: 1, instance: 1, seq: 4, hotspot: 2, video: 1, count: 1}, // below, after one above
-		{kind: recIngest, slot: 1, instance: 2, seq: 3, hotspot: 1, video: 1, count: 1}, // below
-		{kind: recIngest, slot: 1, instance: 0, seq: 9, hotspot: 3, video: 2, count: 2},
-		{kind: recIngest, slot: 1, instance: 1, seq: 8, hotspot: 1, video: 1, count: 1},
 	}, ckpt
 }
 
@@ -479,11 +459,11 @@ func aroundWatermark() ([]record, *Checkpoint) {
 func coalescedSlot(t testing.TB) []record {
 	c, d := testPlanBytes(t, 1)
 	return []record{
-		{kind: recIngest, slot: 3, instance: 0, seq: 1, hotspot: 1, video: 1, count: 2},
+		{kind: recIngest, slot: 3, instance: 0, hotspot: 1, video: 1, count: 2},
 		{kind: recAdvance, slot: 3},
-		{kind: recIngest, slot: 4, instance: 0, seq: 2, hotspot: 1, video: 1, count: 1},
+		{kind: recIngest, slot: 4, instance: 0, hotspot: 1, video: 1, count: 1},
 		{kind: recAdvance, slot: 4},
-		{kind: recIngest, slot: 5, instance: 0, seq: 3, hotspot: 2, video: 2, count: 1},
+		{kind: recIngest, slot: 5, instance: 0, hotspot: 2, video: 2, count: 1},
 		{kind: recPlan, slot: 4, epoch: 1, digest: d, canonical: c},
 	}
 }
@@ -508,9 +488,6 @@ func TestFoldAdversarialStreams(t *testing.T) {
 		if !reflect.DeepEqual(st.Queue, wantQueue) {
 			t.Errorf("queue %+v, want %+v", st.Queue, wantQueue)
 		}
-		if st.LastSeq != 2 {
-			t.Errorf("last seq %d, want 2 (nothing after the bad plan)", st.LastSeq)
-		}
 		// Every prefix of the stream, so the cut is right wherever the
 		// log happens to end.
 		for n := range recs {
@@ -520,20 +497,17 @@ func TestFoldAdversarialStreams(t *testing.T) {
 	t.Run("ingests out of slot and sequence order on a checkpoint", func(t *testing.T) {
 		recs, ckpt := outOfOrderIngests(t)
 		st := requireFoldMatchesReference(t, ckpt, recs, "out of order")
-		if st.Skipped != 2 || st.Records != len(recs) {
-			t.Errorf("skipped %d of %d records, want 2 of %d", st.Skipped, st.Records, len(recs))
-		}
-		if st.LastSeq != 10 {
-			t.Errorf("last seq %d, want 10", st.LastSeq)
+		if st.Records != len(recs) {
+			t.Errorf("folded %d records, want %d", st.Records, len(recs))
 		}
 		// Slot 1 went to its plan (queued entry and late ingest both),
-		// slot 2 keeps the checkpoint's queued demand plus the suffix's,
-		// slot 3 passed its boundary with no plan — and takes the
-		// checkpoint's pending demand with it, which was slot 3's —
-		// so only slot 4 is pending.
+		// slot 0's late ingest with it, slot 2 keeps the checkpoint's
+		// queued demand plus the suffix's, slot 3 passed its boundary
+		// with no plan — and takes the checkpoint's pending demand with
+		// it, which was slot 3's — so only slot 4 is pending.
 		wantQueue := []QueuedSlot{
 			{Slot: 2, Requests: 3, Entries: []Entry{{Hotspot: 2, Video: 2, Count: 3}}},
-			{Slot: 3, Requests: 7, Entries: []Entry{{Hotspot: 0, Video: 0, Count: 5}, {Hotspot: 5, Video: 1, Count: 2}}},
+			{Slot: 3, Requests: 16, Entries: []Entry{{Hotspot: 0, Video: 0, Count: 5}, {Hotspot: 5, Video: 1, Count: 2}, {Hotspot: 9, Video: 9, Count: 9}}},
 		}
 		if got := mergedQueue(st.Queue); !reflect.DeepEqual(got, wantQueue) {
 			t.Errorf("queue %+v, want %+v", got, wantQueue)
@@ -579,11 +553,10 @@ func TestFoldAdversarialStreams(t *testing.T) {
 			queue   []QueuedSlot
 		}{
 			0: {2, 2, slot2(0), nil},
-			1: {2, 2, slot2(0), nil}, // the ingest at the watermark is skipped
-			2: {2, 2, slot2(1), nil},
-			3: {3, 2, []Entry{}, []QueuedSlot{{Slot: 2, Requests: 4, Entries: slot2(1)}}},
-			4: {3, 2, slot3, []QueuedSlot{{Slot: 2, Requests: 4, Entries: slot2(1)}}},
-			5: {3, 3, slot3, nil},
+			1: {2, 2, slot2(1), nil},
+			2: {3, 2, []Entry{}, []QueuedSlot{{Slot: 2, Requests: 4, Entries: slot2(1)}}},
+			3: {3, 2, slot3, []QueuedSlot{{Slot: 2, Requests: 4, Entries: slot2(1)}}},
+			4: {3, 3, slot3, nil},
 		}
 		for n, w := range want {
 			ctx := "pending then advance + plan, prefix " + itoa(n)
@@ -605,33 +578,19 @@ func TestFoldAdversarialStreams(t *testing.T) {
 				t.Errorf("%s: %d pending requests, want %d", ctx, st.PendingRequests, reqs)
 			}
 		}
-		if st := foldState(ckpt, recs); st.Plan == nil || st.Plan.Slot != 2 || st.Plan.Epoch != 3 || st.Skipped != 1 {
-			t.Errorf("full stream: plan %+v, skipped %d; want slot 2's plan at epoch 3 and 1 skipped", st.Plan, st.Skipped)
+		if st := foldState(ckpt, recs); st.Plan == nil || st.Plan.Slot != 2 || st.Plan.Epoch != 3 {
+			t.Errorf("full stream: plan %+v; want slot 2's plan at epoch 3", st.Plan)
 		}
 	})
-	t.Run("cross-frontend ingests out of sequence order around the watermark", func(t *testing.T) {
-		recs, ckpt := aroundWatermark()
-		st := requireFoldMatchesReference(t, ckpt, recs, "around the watermark")
-		want := []Entry{{Hotspot: 1, Video: 1, Count: 5}, {Hotspot: 2, Video: 1, Count: 1}, {Hotspot: 3, Video: 2, Count: 2}}
-		if got := merged(st.Pending); !reflect.DeepEqual(got, want) || st.PendingRequests != 8 {
-			t.Errorf("pending %+v (%d requests), want %+v (8)", got, st.PendingRequests, want)
-		}
-		if st.Skipped != 3 || st.LastSeq != 9 {
-			t.Errorf("skipped %d, last seq %d; want the 3 at or below the watermark skipped and 9", st.Skipped, st.LastSeq)
-		}
-		for n := range recs {
-			requireFoldMatchesReference(t, ckpt, recs[:n], "around the watermark, prefix "+itoa(n))
-		}
-	})
-	ingest := func(slot, instance int, seq uint64, h, v int, n int64) record {
-		return record{kind: recIngest, slot: slot, instance: instance, seq: seq, hotspot: h, video: v, count: n}
+	ingest := func(slot, instance int, h, v int, n int64) record {
+		return record{kind: recIngest, slot: slot, instance: instance, hotspot: h, video: v, count: n}
 	}
 	t.Run("one key split across tags of one destination", func(t *testing.T) {
 		// Slots 1 and 2 are past their boundary and queue apart; slots
 		// 3 and 4 are both pending, and their entries fold together.
 		recs := []record{
-			ingest(1, 0, 1, 5, 5, 1), ingest(2, 0, 2, 5, 5, 2), ingest(3, 0, 3, 5, 5, 3),
-			ingest(4, 1, 4, 5, 5, 4), ingest(3, 1, 5, 1<<33, 5, 1), ingest(4, 0, 6, 1<<33, 5, 1),
+			ingest(1, 0, 5, 5, 1), ingest(2, 0, 5, 5, 2), ingest(3, 0, 5, 5, 3),
+			ingest(4, 1, 5, 5, 4), ingest(3, 1, 1<<33, 5, 1), ingest(4, 0, 1<<33, 5, 1),
 			{kind: recAdvance, slot: 2},
 		}
 		st := requireFoldMatchesReference(t, nil, recs, "split tags")
@@ -644,17 +603,16 @@ func TestFoldAdversarialStreams(t *testing.T) {
 	})
 	t.Run("checkpoint demand overlapping the log's", func(t *testing.T) {
 		ckpt := &Checkpoint{
-			Slot:      3,
-			Watermark: 2,
-			Pending:   []Entry{{Hotspot: 1, Video: 2, Count: 2}, {Hotspot: 4, Video: 4, Count: 1}},
+			Slot:    3,
+			Pending: []Entry{{Hotspot: 1, Video: 2, Count: 2}, {Hotspot: 4, Video: 4, Count: 1}},
 			Queue: []QueuedSlot{
 				{Slot: 1, Requests: 2, Entries: []Entry{{Hotspot: 1, Video: 1, Count: 2}}},
 				{Slot: 2, Requests: 3, Entries: []Entry{{Hotspot: 9, Video: 0, Count: 3}}},
 			},
 		}
 		recs := []record{
-			ingest(3, 0, 3, 1, 2, 5), ingest(3, 0, 4, 4, 4, 1), ingest(2, 0, 5, 9, 0, 1),
-			ingest(1, 1, 6, 1, 1, 1), ingest(4, 1, 7, 1, 2, 1),
+			ingest(3, 0, 1, 2, 5), ingest(3, 0, 4, 4, 1), ingest(2, 0, 9, 0, 1),
+			ingest(1, 1, 1, 1, 1), ingest(4, 1, 1, 2, 1),
 		}
 		for n := range len(recs) + 1 {
 			requireFoldMatchesReference(t, ckpt, recs[:n], "overlap, prefix "+itoa(n))

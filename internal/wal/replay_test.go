@@ -10,25 +10,29 @@ import (
 )
 
 // TestFoldMatchesReferenceAtBenchShape holds the fold to the oracle on
-// the log BenchmarkRecoveryReplay times, and Open, which reads only
-// the records after the checkpoint's position, to reading all of them.
+// the log BenchmarkRecoveryReplay times, the records after the
+// checkpoint folded onto it to all of them folded from nothing, and
+// Open, which reads only the records after the checkpoint's position,
+// to reading all of them.
 func TestFoldMatchesReferenceAtBenchShape(t *testing.T) {
 	slotIngests := 50000
 	if testing.Short() {
 		slotIngests = 5000
 	}
 	sh := newRecoveryShape(t, slotIngests)
-	st := requireFoldMatchesReference(t, sh.ckpt, sh.records(), "bench shape")
-	if st.Skipped != sh.skipped || st.PendingRequests != int64(sh.pending) || len(st.Queue) != 0 {
-		t.Errorf("skipped %d, %d pending requests, queue %d slots; want %d, %d, 0",
-			st.Skipped, st.PendingRequests, len(st.Queue), sh.skipped, sh.pending)
+	st := requireFoldMatchesReference(t, sh.ckpt, sh.after, "bench shape")
+	if st.PendingRequests != int64(sh.pending) || len(st.Queue) != 0 {
+		t.Errorf("%d pending requests, queue %d slots; want %d, 0", st.PendingRequests, len(st.Queue), sh.pending)
+	}
+	if diff := sameRecovery(st, foldState(nil, sh.records())); diff != "" {
+		t.Errorf("the records after the checkpoint fold onto it to another state than the whole log:%s", diff)
 	}
 	dir := t.TempDir()
 	sh.write(t, dir)
 	st = requireOpenMatchesReference(t, dir, "bench shape on disk")
-	if st.Records != len(sh.after) || st.Skipped != 0 || st.PendingRequests != int64(sh.pending) {
-		t.Errorf("Open scanned %d records (%d skipped), %d pending; want %d (0), %d",
-			st.Records, st.Skipped, st.PendingRequests, len(sh.after), sh.pending)
+	if st.Records != len(sh.after) || st.PendingRequests != int64(sh.pending) {
+		t.Errorf("Open scanned %d records, %d pending; want %d, %d",
+			st.Records, st.PendingRequests, len(sh.after), sh.pending)
 	}
 }
 

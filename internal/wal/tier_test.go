@@ -73,10 +73,8 @@ func (bl *bootLog) checked(t *testing.T, cfg server.Config) (*server.Server, err
 	if err != nil {
 		return nil, err
 	}
-	got := srv.WALState()
-	want := wal.RequireRecoveryMatchesReference(t, got, twin)
 	bl.boots++
-	if got.Records < want.Records {
+	if wal.RequireRecoveryMatchesReference(t, srv.WALState(), twin) > 0 {
 		bl.shorter++
 	}
 	return srv, nil
@@ -225,11 +223,9 @@ func TestTierFleetShrinkMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var seq uint64
 	for slot, n := range []int{9, 30} {
 		for i := 0; i < n; i++ {
-			seq++
-			if _, err := l.AppendIngest(slot, i%3, seq, i%4, i%7, 1); err != nil {
+			if _, err := l.AppendIngest(slot, i%3, 0, i%4, i%7, 1); err != nil {
 				t.Fatal(err)
 			}
 		}

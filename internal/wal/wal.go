@@ -173,16 +173,18 @@ func listSegments(dir string) ([]uint64, error) {
 // the log ready for appends plus the recovered State. Recovery:
 // leftover temp files are removed, the newest checkpoint that passes
 // CRC, strict decoding, and plan verification is loaded, and the log
-// is scanned in order from that checkpoint's position (from the first
-// segment without one) — segments below the position are not opened,
-// the scan stops at the first invalid frame, physically truncating
-// that segment to its valid prefix and deleting all later segments —
-// and each surviving record is folded onto the checkpoint as the scan
-// decodes it (replay): an ingest at or below the checkpoint's
-// watermark is already part of it and is skipped. A checkpoint of
-// another body version fails Open, and so does one whose position's
-// segment is missing or shorter than its offset: appending there would
-// put records below a durable checkpoint's position.
+// is scanned in order from that checkpoint's position (from segment 1
+// without one) — segments below the position are not opened, the scan
+// stops at the first invalid frame, physically truncating that segment
+// to its valid prefix and deleting all later segments — and each
+// surviving record is folded onto the checkpoint as the scan decodes
+// it (replay). A checkpoint of another body version fails Open, and so
+// does one whose position's segment is missing or shorter than its
+// offset: appending there would put records below a durable
+// checkpoint's position. Without a checkpoint, a log whose segment 1
+// segment GC has collected fails Open too: the records it held are
+// gone. A scan that stops at an ingest record of the retired format
+// fails Open and leaves the segment as it is.
 func Open(dir string, opts Options) (*Log, *State, error) {
 	start := time.Now()
 	if opts.Interval <= 0 {
@@ -235,6 +237,9 @@ func Open(dir string, opts Options) (*Log, *State, error) {
 				checkpointName(ckpt.Seq), segmentName(ckpt.Pos.Segment))
 		}
 		segs, from = segs[i:], ckpt.Pos.Offset
+	} else if len(segs) > 0 && segs[0] != 1 {
+		return nil, nil, fmt.Errorf("wal: no checkpoint loads and segment %s, where the log starts, is missing",
+			segmentName(1))
 	}
 	rp := newReplay(ckpt)
 	sc := segmentScanner{window: readWindow}
@@ -303,7 +308,6 @@ func Open(dir string, opts Options) (*Log, *State, error) {
 	st.Elapsed = time.Since(start)
 	reg.Counter("wal.recovered_records").Add(int64(st.Records))
 	reg.Counter("wal.truncated_tail").Add(truncatedBytes)
-	reg.Counter("wal.recover_skipped").Add(int64(st.Skipped))
 	reg.Counter("wal.recover_us").Add(st.Elapsed.Microseconds())
 	reg.Counter("wal.recover_plan_verify_us").Add(st.PlanVerify.Microseconds())
 	return l, st, nil
@@ -451,12 +455,12 @@ func (l *Log) rotateLocked() error {
 }
 
 // AppendIngest logs one accepted demand increment: count requests for
-// (hotspot, video), tagged with the owning frontend's current slot,
-// the tier's ingest sequence number (which recovery compares with a
-// checkpoint's watermark) and the frontend's id (provenance only:
-// recovery does not read it).
-func (l *Log) AppendIngest(slot, instance int, seq uint64, hotspot, video int, count int64) (uint64, error) {
-	return l.append(&record{kind: recIngest, slot: slot, instance: instance, seq: seq,
+// (hotspot, video), tagged with the owning frontend's current slot and
+// the frontend's id (provenance only: recovery does not read it). The
+// third argument is ignored and not logged; it stays until the
+// benchmark's callers stop passing it.
+func (l *Log) AppendIngest(slot, instance int, _ uint64, hotspot, video int, count int64) (uint64, error) {
+	return l.append(&record{kind: recIngest, slot: slot, instance: instance,
 		hotspot: hotspot, video: video, count: count})
 }
 

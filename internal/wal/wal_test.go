@@ -2,12 +2,13 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strconv"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -56,8 +57,7 @@ func must(t testing.TB) func(uint64, error) uint64 {
 
 // writeScriptedLog writes a fixed record script through the public
 // API: two scheduled slots, one contract-error slot, and pending
-// demand for the next slot, across two frontends numbering their
-// ingests from one sequence.
+// demand for the next slot, across two frontends.
 func writeScriptedLog(t *testing.T, dir string, segBytes int64) {
 	t.Helper()
 	l, st, err := Open(dir, Options{Policy: PolicyAlways, SegmentBytes: segBytes})
@@ -71,21 +71,21 @@ func writeScriptedLog(t *testing.T, dir string, segBytes int64) {
 	c1, d1 := testPlanBytes(t, 2)
 	m := must(t)
 
-	m(l.AppendIngest(0, 0, 1, 0, 0, 1))
-	m(l.AppendIngest(0, 0, 2, 1, 3, 2))
-	m(l.AppendIngest(0, 1, 3, 2, 1, 1))
+	m(l.AppendIngest(0, 0, 0, 0, 0, 1))
+	m(l.AppendIngest(0, 0, 0, 1, 3, 2))
+	m(l.AppendIngest(0, 1, 0, 2, 1, 1))
 	m(l.AppendAdvance(0))
 	m(l.AppendPlan(0, 1, d0, c0))
 
-	m(l.AppendIngest(1, 0, 4, 0, 2, 1))
+	m(l.AppendIngest(1, 0, 0, 0, 2, 1))
 	m(l.AppendAdvance(1))
 	m(l.AppendPlan(1, 2, d1, c1))
 
-	m(l.AppendIngest(2, 1, 5, 3, 1, 1))
+	m(l.AppendIngest(2, 1, 0, 3, 1, 1))
 	m(l.AppendAdvance(2))
 	m(l.AppendRoundErr(2))
 
-	lsn := m(l.AppendIngest(3, 0, 6, 1, 1, 1))
+	lsn := m(l.AppendIngest(3, 0, 0, 1, 1, 1))
 	if err := l.Sync(lsn); err != nil {
 		t.Fatalf("sync: %v", err)
 	}
@@ -142,7 +142,6 @@ type stateCore struct {
 	Pending         []Entry
 	PendingRequests int64
 	Queue           []QueuedSlot
-	LastSeq         uint64
 }
 
 func coreOf(st *State) stateCore {
@@ -152,7 +151,6 @@ func coreOf(st *State) stateCore {
 		Pending:         merged(st.Pending),
 		PendingRequests: st.PendingRequests,
 		Queue:           mergedQueue(st.Queue),
-		LastSeq:         st.LastSeq,
 	}
 	if st.Plan != nil {
 		sc.PlanSlot = st.Plan.Slot
@@ -211,9 +209,6 @@ func TestLogRoundTrip(t *testing.T) {
 	// record, mirroring the live server dropping it.
 	if len(st.Queue) != 0 {
 		t.Errorf("queue %+v, want empty", st.Queue)
-	}
-	if st.LastSeq != 6 {
-		t.Errorf("last seq %d, want 6", st.LastSeq)
 	}
 	if st.Plan.Decoded == nil || st.Plan.Decoded.Placement.Rows() != 2 {
 		t.Errorf("recovered plan not handed back decoded: %+v", st.Plan.Decoded)
@@ -367,62 +362,6 @@ func itoa(v int) string {
 	return string(b[i:])
 }
 
-func TestCheckpointCursorSkip(t *testing.T) {
-	dir := t.TempDir()
-	l, _, err := Open(dir, Options{Policy: PolicyAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := must(t)
-	// Two accepted requests from two frontends, then a checkpoint that
-	// has absorbed them. Its position is read before they were logged,
-	// so the scan meets both, and the watermark alone keeps them from
-	// counting twice.
-	pos := l.Position()
-	m(l.AppendIngest(0, 1, 2, 1, 1, 1))
-	lsn := m(l.AppendIngest(0, 0, 1, 0, 0, 1))
-	if err := l.Sync(lsn); err != nil {
-		t.Fatal(err)
-	}
-	cp := &Checkpoint{
-		Slot:      0,
-		Watermark: 2,
-		Pos:       pos,
-		Pending:   []Entry{{Hotspot: 0, Video: 0, Count: 1}, {Hotspot: 1, Video: 1, Count: 1}},
-	}
-	if err := l.WriteCheckpoint(cp); err != nil {
-		t.Fatal(err)
-	}
-	// One more accepted request after the checkpoint, at a third
-	// frontend, then a crash.
-	lsn = m(l.AppendIngest(0, 2, 3, 2, 2, 1))
-	if err := l.Sync(lsn); err != nil {
-		t.Fatal(err)
-	}
-	l.Crash()
-
-	l2, st, err := Open(dir, Options{Policy: PolicyAlways})
-	if err != nil {
-		t.Fatalf("recovery: %v", err)
-	}
-	defer l2.Close()
-	if st.CheckpointSeq != 1 {
-		t.Errorf("checkpoint seq %d, want 1", st.CheckpointSeq)
-	}
-	// seq 1 and 2 must come from the checkpoint only (the log records
-	// are at or below its watermark), seq 3 from the WAL suffix.
-	want := []Entry{{Hotspot: 0, Video: 0, Count: 1}, {Hotspot: 1, Video: 1, Count: 1}, {Hotspot: 2, Video: 2, Count: 1}}
-	if !reflect.DeepEqual(st.Pending, want) {
-		t.Errorf("pending %+v, want %+v (watermark-skipped replay)", st.Pending, want)
-	}
-	if st.LastSeq != 3 {
-		t.Errorf("last seq %d, want 3", st.LastSeq)
-	}
-	if st.Records != 3 || st.Skipped != 2 {
-		t.Errorf("replayed %d records, skipped %d; want 3 scanned, 2 of them at or below the watermark", st.Records, st.Skipped)
-	}
-}
-
 // TestCheckpointFallbackToOlder: with the newest checkpoint damaged,
 // recovery falls back to the older one rather than fail or trust
 // damaged bytes, and scans from the older one's position — whose
@@ -435,17 +374,16 @@ func TestCheckpointFallbackToOlder(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := must(t)
-	var seq uint64
 	var pending []Entry
 	feed := func(n int) {
 		for i := 0; i < n; i++ {
-			seq++
-			m(l.AppendIngest(0, 0, seq, int(seq)%5, int(seq)%3, 1))
-			pending = append(pending, Entry{Hotspot: int(seq) % 5, Video: int(seq) % 3, Count: 1})
+			k := len(pending) + 1
+			m(l.AppendIngest(0, 0, 0, k%5, k%3, 1))
+			pending = append(pending, Entry{Hotspot: k % 5, Video: k % 3, Count: 1})
 		}
 	}
 	checkpoint := func() Position {
-		cp := &Checkpoint{Watermark: seq, Pos: l.Position(), Pending: merged(pending)}
+		cp := &Checkpoint{Pos: l.Position(), Pending: merged(pending)}
 		if err := l.WriteCheckpoint(cp); err != nil {
 			t.Fatal(err)
 		}
@@ -488,12 +426,103 @@ func TestCheckpointFallbackToOlder(t *testing.T) {
 	if st.CheckpointSeq != 2 || want.CheckpointSeq != 3 {
 		t.Fatalf("recovered from checkpoints %d and %d, want 2 (fallback) and 3", st.CheckpointSeq, want.CheckpointSeq)
 	}
-	if st.Records != 25 || st.Skipped != 0 || want.Records != 5 {
-		t.Errorf("scanned %d records (%d skipped) from the older position and %d from the newest; want 25 (0) and 5",
-			st.Records, st.Skipped, want.Records)
+	if st.Records != 25 || want.Records != 5 {
+		t.Errorf("scanned %d records from the older position and %d from the newest; want 25 and 5",
+			st.Records, want.Records)
 	}
 	if !reflect.DeepEqual(merged(st.Pending), merged(want.Pending)) || st.PendingRequests != 65 || want.PendingRequests != 65 {
 		t.Errorf("pending %d / %d requests, want 65 both ways", st.PendingRequests, want.PendingRequests)
+	}
+}
+
+// TestNoCheckpointAfterGCRefused: with every retained checkpoint
+// damaged, recovery has no base state and would have to scan the log
+// from segment 1 — but segment GC has collected the segments below the
+// older checkpoint's position, and with them requests that were
+// acknowledged. Open must refuse by naming the missing segment, not
+// hand back the part of the demand the retained segments hold.
+func TestNoCheckpointAfterGCRefused(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := Open(dir, Options{Policy: PolicyAlways, SegmentBytes: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := must(t)
+	var pending []Entry
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 20; i++ {
+			m(l.AppendIngest(0, 0, 0, i%5, i%3, 1))
+			pending = append(pending, Entry{Hotspot: i % 5, Video: i % 3, Count: 1})
+		}
+		if err := l.WriteCheckpoint(&Checkpoint{Pos: l.Position(), Pending: merged(pending)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if segs, _ := listSegments(dir); len(segs) == 0 || segs[0] == 1 {
+		t.Fatalf("segments %v: the test needs segment 1 collected", segs)
+	}
+	seqs, err := listCheckpoints(dir)
+	if err != nil || len(seqs) != DefaultKeepCheckpoints {
+		t.Fatalf("checkpoints %v (%v), want %d retained", seqs, err, DefaultKeepCheckpoints)
+	}
+	for _, seq := range seqs {
+		if err := os.WriteFile(filepath.Join(dir, checkpointName(seq)), []byte("damaged"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, st, err := Open(dir, Options{Policy: PolicyAlways})
+	if err == nil || !strings.Contains(err.Error(), segmentName(1)) || !strings.Contains(err.Error(), "missing") {
+		var got int64
+		if st != nil {
+			got = st.PendingRequests
+		}
+		t.Fatalf("Open err = %v (recovered %d of %d requests), want a refusal naming %s",
+			err, got, len(pending), segmentName(1))
+	}
+}
+
+// retiredIngestFrame is one framed ingest record of the retired
+// format: kind 1, then slot, instance, sequence, hotspot, video, count.
+func retiredIngestFrame() []byte {
+	payload := []byte{recRetired}
+	for _, v := range []uint64{0, 1, 7, 2, 3, 1} {
+		payload = binary.AppendUvarint(payload, v)
+	}
+	return appendFrame(nil, payload)
+}
+
+// TestRetiredIngestFormatRefused: an ingest frame of the retired
+// format (kind 1, a sequence number between the frontend and the
+// hotspot) is CRC-valid but not this build's. Open must refuse the log
+// by naming the segment and leave its bytes as they are, not truncate
+// there as if it were a torn tail or read the fields shifted.
+func TestRetiredIngestFormatRefused(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		before []record
+	}{
+		{"first frame", nil},
+		{"after records of this build", []record{{kind: recAdvance, slot: 0}, {kind: recIngest, slot: 1, hotspot: 2, video: 3, count: 1}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			seg := append(frames(tc.before), retiredIngestFrame()...)
+			seg = append(seg, frames([]record{{kind: recAdvance, slot: 1}})...)
+			path := filepath.Join(dir, segmentName(1))
+			if err := os.WriteFile(path, seg, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, _, err := Open(dir, Options{Policy: PolicyAlways})
+			if err == nil || !strings.Contains(err.Error(), segmentName(1)) || !strings.Contains(err.Error(), "retired format") {
+				t.Fatalf("Open err = %v, want a refusal naming %s and the retired format", err, segmentName(1))
+			}
+			if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, seg) {
+				t.Fatalf("segment after the refused Open: %d bytes (%v), want its %d bytes untouched", len(got), err, len(seg))
+			}
+		})
 	}
 }
 
@@ -506,21 +535,21 @@ func TestSegmentRotationAndGC(t *testing.T) {
 	}
 	m := must(t)
 	for i := 0; i < 40; i++ {
-		m(l.AppendIngest(0, 0, uint64(i+1), i%7, i%11, 1))
+		m(l.AppendIngest(0, 0, 0, i%7, i%11, 1))
 	}
 	pos1 := l.Position()
 	if pos1.Segment < 3 {
 		t.Fatalf("expected rotation, still on segment %d", pos1.Segment)
 	}
-	if err := l.WriteCheckpoint(&Checkpoint{Slot: 0, Watermark: 40, Pos: pos1,
+	if err := l.WriteCheckpoint(&Checkpoint{Slot: 0, Pos: pos1,
 		Pending: drainEntries(40)}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 40; i < 60; i++ {
-		m(l.AppendIngest(0, 0, uint64(i+1), i%7, i%11, 1))
+		m(l.AppendIngest(0, 0, 0, i%7, i%11, 1))
 	}
 	pos2 := l.Position()
-	if err := l.WriteCheckpoint(&Checkpoint{Slot: 0, Watermark: 60, Pos: pos2,
+	if err := l.WriteCheckpoint(&Checkpoint{Slot: 0, Pos: pos2,
 		Pending: drainEntries(60)}); err != nil {
 		t.Fatal(err)
 	}
@@ -540,8 +569,8 @@ func TestSegmentRotationAndGC(t *testing.T) {
 		t.Fatalf("recovery after GC: %v", err)
 	}
 	defer l2.Close()
-	if st.PendingRequests != 60 || st.LastSeq != 60 {
-		t.Errorf("recovered %d pending (last seq %d), want 60/60", st.PendingRequests, st.LastSeq)
+	if st.PendingRequests != 60 {
+		t.Errorf("recovered %d pending, want 60", st.PendingRequests)
 	}
 }
 
@@ -568,12 +597,10 @@ func TestReplayBound(t *testing.T) {
 	}
 	defer l.Close()
 	m := must(t)
-	var seq uint64
 	feed := func(slot int) []Entry {
 		es := make([]Entry, slotIngests)
 		for i := range es {
-			seq++
-			m(l.AppendIngest(slot, 0, seq, slot%7, i, 1))
+			m(l.AppendIngest(slot, 0, 0, slot%7, i, 1))
 			es[i] = Entry{Hotspot: slot % 7, Video: i, Count: 1}
 		}
 		return es
@@ -620,12 +647,11 @@ func TestReplayBound(t *testing.T) {
 			continue
 		}
 		if err := l.WriteCheckpoint(&Checkpoint{
-			Slot:      slot + 1,
-			Epoch:     int64(slot + 1),
-			Plan:      &PlanState{Slot: slot, Epoch: int64(slot + 1), Digest: d, Canonical: c},
-			Watermark: seq,
-			Pos:       l.Position(),
-			Pending:   arrived,
+			Slot:    slot + 1,
+			Epoch:   int64(slot + 1),
+			Plan:    &PlanState{Slot: slot, Epoch: int64(slot + 1), Digest: d, Canonical: c},
+			Pos:     l.Position(),
+			Pending: arrived,
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -652,7 +678,7 @@ func TestCrashDropsUnsyncedTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lsn := must(t)(l.AppendIngest(0, 0, 1, 0, 0, 1))
+	lsn := must(t)(l.AppendIngest(0, 0, 0, 0, 0, 1))
 	if err := l.Sync(lsn); err != nil { // no-op under PolicyNone
 		t.Fatal(err)
 	}
@@ -675,7 +701,7 @@ func TestIntervalPolicyFlushes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lsn := must(t)(l.AppendIngest(0, 0, 1, 3, 4, 2))
+	lsn := must(t)(l.AppendIngest(0, 0, 0, 3, 4, 2))
 	if err := l.Sync(lsn); err != nil { // returns immediately
 		t.Fatal(err)
 	}
@@ -704,7 +730,6 @@ func TestGroupCommitConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	const goroutines, perG = 8, 25
-	var seq atomic.Uint64
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines)
 	for g := 0; g < goroutines; g++ {
@@ -712,7 +737,7 @@ func TestGroupCommitConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
-				lsn, err := l.AppendIngest(0, g, seq.Add(1), g, i, 1)
+				lsn, err := l.AppendIngest(0, g, 0, g, i, 1)
 				if err == nil {
 					err = l.Sync(lsn)
 				}
@@ -741,9 +766,6 @@ func TestGroupCommitConcurrent(t *testing.T) {
 	defer l2.Close()
 	if st.PendingRequests != goroutines*perG {
 		t.Errorf("recovered %d pending requests, want %d", st.PendingRequests, goroutines*perG)
-	}
-	if st.LastSeq != goroutines*perG {
-		t.Errorf("last seq %d, want %d", st.LastSeq, goroutines*perG)
 	}
 }
 
@@ -778,11 +800,11 @@ func TestMetricsCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lsn := must(t)(l.AppendIngest(0, 0, 1, 0, 0, 1))
+	lsn := must(t)(l.AppendIngest(0, 0, 0, 0, 0, 1))
 	if err := l.Sync(lsn); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.WriteCheckpoint(&Checkpoint{Slot: 0, Watermark: 1, Pos: l.Position(),
+	if err := l.WriteCheckpoint(&Checkpoint{Slot: 0, Pos: l.Position(),
 		Pending: []Entry{{Hotspot: 0, Video: 0, Count: 1}}}); err != nil {
 		t.Fatal(err)
 	}
