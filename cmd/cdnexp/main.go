@@ -67,6 +67,9 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if !(*scale > 0 && *scale <= 1) {
+		return fmt.Errorf("-scale %v outside (0, 1]", *scale)
+	}
 
 	ids := fs.Args()
 	switch {

@@ -30,6 +30,13 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-not-a-flag"}, io.Discard); err == nil {
 		t.Error("bad flag accepted")
 	}
+	// A scale outside (0, 1] is refused, not run at paper scale.
+	for _, scale := range []string{"0", "-0.5", "2", "NaN"} {
+		err := run([]string{"-scale", scale, "fig9"}, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "outside (0, 1]") {
+			t.Errorf("-scale %s: err = %v, want it refused", scale, err)
+		}
+	}
 }
 
 func TestRunMeasurementErrors(t *testing.T) {

@@ -15,7 +15,8 @@ import (
 )
 
 // TestSmoke runs the full -smoke path: boot on an ephemeral port,
-// replay a generated trace over real HTTP, verify, shut down.
+// replay a generated trace over real HTTP, hold it to the offline
+// plans, shut down.
 func TestSmoke(t *testing.T) {
 	if err := run([]string{"-smoke", "-seed", "3"}); err != nil {
 		t.Fatalf("run -smoke: %v", err)
@@ -154,8 +155,8 @@ func TestCrashSmoke(t *testing.T) {
 }
 
 // TestSmokeMultiInstance is the multi-instance smoke: owner-sharded
-// ingestion across three frontends, plus the generated-workload phase
-// held to the offline plans.
+// ingestion across three frontends, every scheduled slot held to the
+// offline plans and every frontend to one (epoch, digest).
 func TestSmokeMultiInstance(t *testing.T) {
 	if err := run([]string{"-smoke", "-instances", "3", "-seed", "3"}); err != nil {
 		t.Fatalf("run -smoke -instances 3: %v", err)

@@ -73,6 +73,9 @@ func run(args []string) error {
 		}
 		return runScenario(*scenarioPath, *workers)
 	}
+	if !(*capFrac >= 0) || !(*cacheFrac >= 0) {
+		return fmt.Errorf("-capacity %v / -cache %v: must be non-negative (0 keeps the world's)", *capFrac, *cacheFrac)
+	}
 
 	// Observability backends are allocated only when asked for, so the
 	// default path stays instrumentation-free.

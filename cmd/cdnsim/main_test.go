@@ -150,6 +150,13 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-shard-cell-km", "-2", "-world", worldPath, "-trace", tracePath}); err == nil {
 		t.Error("negative shard cell accepted")
 	}
+	// A negative capacity fraction is refused, not skipped.
+	for _, flag := range []string{"-capacity", "-cache"} {
+		err := run([]string{flag, "-0.05", "-world", worldPath, "-trace", tracePath})
+		if err == nil || !strings.Contains(err.Error(), "must be non-negative") {
+			t.Errorf("%s -0.05: err = %v, want it refused", flag, err)
+		}
+	}
 	// Delta scheduling has no flags, and shards are grid cells only.
 	for _, flag := range []string{"-delta", "-delta-verify", "-delta-every", "-shards"} {
 		err := run([]string{flag, "-world", worldPath, "-trace", tracePath})

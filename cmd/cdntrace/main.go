@@ -53,20 +53,23 @@ func run(args []string) error {
 		return fmt.Errorf("unknown preset %q (want eval or measurement)", *preset)
 	}
 	cfg.Seed = *seed
-	if *hotspots > 0 {
-		cfg.NumHotspots = *hotspots
-	}
-	if *videos > 0 {
-		cfg.NumVideos = *videos
-	}
-	if *users > 0 {
-		cfg.NumUsers = *users
-	}
-	if *requests > 0 {
-		cfg.NumRequests = *requests
-	}
-	if *slots > 0 {
-		cfg.Slots = *slots
+	for _, o := range []struct {
+		flag string
+		v    int
+		dst  *int
+	}{
+		{"hotspots", *hotspots, &cfg.NumHotspots},
+		{"videos", *videos, &cfg.NumVideos},
+		{"users", *users, &cfg.NumUsers},
+		{"requests", *requests, &cfg.NumRequests},
+		{"slots", *slots, &cfg.Slots},
+	} {
+		if o.v < 0 {
+			return fmt.Errorf("-%s %d: must be non-negative (0 keeps the preset's)", o.flag, o.v)
+		}
+		if o.v > 0 {
+			*o.dst = o.v
+		}
 	}
 
 	world, tr, err := crowdcdn.Generate(cfg)

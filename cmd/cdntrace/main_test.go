@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	crowdcdn "repro"
@@ -70,9 +71,11 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-not-a-flag"}); err == nil {
 		t.Error("bad flag accepted")
 	}
-	if err := run([]string{"-hotspots", "-5", "-out", t.TempDir()}); err == nil {
-		// -5 is ignored as an override (<= 0), so this should actually
-		// succeed with the preset value; require no crash either way.
-		t.Log("negative override ignored (preset value used)")
+	// A negative count is refused, not replaced by the preset's.
+	for _, flag := range []string{"-hotspots", "-videos", "-users", "-requests", "-slots"} {
+		err := run([]string{flag, "-5", "-out", t.TempDir()})
+		if err == nil || !strings.Contains(err.Error(), flag+" -5: must be non-negative") {
+			t.Errorf("%s -5: err = %v, want it refused", flag, err)
+		}
 	}
 }

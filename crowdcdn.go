@@ -175,12 +175,6 @@ type (
 	LoadgenOptions = loadgen.Options
 	// LoadgenReport is the outcome of a replay.
 	LoadgenReport = loadgen.Report
-	// WorkloadSpec is a parsed ServeGen-style open-loop workload
-	// specification (client classes with Poisson/gamma/Weibull
-	// arrivals; see ParseWorkloadSpec and DESIGN.md §15).
-	WorkloadSpec = loadgen.Spec
-	// WorkloadClass is one declared client class of a WorkloadSpec.
-	WorkloadClass = loadgen.ClassSpec
 )
 
 // NewServer validates the configuration and builds an online scheduling
@@ -189,18 +183,11 @@ func NewServer(cfg ServerConfig) (*Server, error) { return server.New(cfg) }
 
 // ReplayTrace drives a trace through a running server slot by slot
 // (POST /ingest + POST /admin/advance) and reports per-slot outcomes,
-// including each served plan's digest.
+// including each served plan's digest. A workload is a trace: one from
+// Generate (or cdntrace's files) is what a replay drives.
 func ReplayTrace(baseURL string, world *World, tr *Trace, opts LoadgenOptions) (*LoadgenReport, error) {
 	return loadgen.Replay(baseURL, world, tr, opts)
 }
-
-// ParseWorkloadSpec parses the line-based workload grammar:
-//
-//	class <name> clients=N arrival=poisson|gamma|weibull rate=R [shape=S] [videos=zipf:A|uniform]
-//
-// (*WorkloadSpec).Generate turns a spec into a byte-reproducible Trace,
-// which ReplayTrace drives like any other.
-func ParseWorkloadSpec(text string) (*WorkloadSpec, error) { return loadgen.ParseSpec(text) }
 
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }

@@ -226,7 +226,7 @@ func (r *Runner) UseMeasurementData(world *trace.World, tr *trace.Trace) {
 
 // NewRunner returns a runner at the given scale (clamped into (0, 1]).
 func NewRunner(seed int64, scale float64) *Runner {
-	if scale <= 0 || scale > 1 {
+	if !(scale > 0 && scale <= 1) {
 		scale = 1
 	}
 	return &Runner{Seed: seed, Scale: scale}

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -17,6 +18,9 @@ func TestNewRunnerClampsScale(t *testing.T) {
 	}
 	if r := NewRunner(1, 2); r.Scale != 1 {
 		t.Errorf("scale 2 → %v, want clamp to 1", r.Scale)
+	}
+	if r := NewRunner(1, math.NaN()); r.Scale != 1 {
+		t.Errorf("scale NaN → %v, want clamp to 1", r.Scale)
 	}
 	if r := NewRunner(1, 0.5); r.Scale != 0.5 {
 		t.Errorf("scale 0.5 → %v", r.Scale)

@@ -123,12 +123,6 @@ func (p *Problem) AddVariable(cost float64) Var {
 	return Var(len(p.costs) - 1)
 }
 
-// NumVariables returns the number of variables added so far.
-func (p *Problem) NumVariables() int { return len(p.costs) }
-
-// NumConstraints returns the number of constraints added so far.
-func (p *Problem) NumConstraints() int { return len(p.cons) }
-
 // AddConstraint adds the constraint sum(coeffs[v]*v) op rhs. All
 // referenced variables must already exist and all values be finite.
 func (p *Problem) AddConstraint(coeffs map[Var]float64, op Op, rhs float64) error {

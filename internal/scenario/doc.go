@@ -230,6 +230,9 @@ func (r *RunSpec) validate() error {
 	if r.ShardCellKm < 0 {
 		return fmt.Errorf("scenario: run.shard_cell_km %v negative", r.ShardCellKm)
 	}
+	if !(r.CapacityFrac >= 0) || !(r.CacheFrac >= 0) {
+		return fmt.Errorf("scenario: run.capacity_frac %v / cache_frac %v: must be non-negative (0 keeps the world's)", r.CapacityFrac, r.CacheFrac)
+	}
 	if r.ShardCellKm > 0 && r.Scheme != "" && r.Scheme != "rbcaer" {
 		return fmt.Errorf("scenario: sharding requires run.scheme rbcaer, got %q", r.Scheme)
 	}

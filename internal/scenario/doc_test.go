@@ -142,6 +142,8 @@ func TestParseErrors(t *testing.T) {
 		{"sharding non-rbcaer", "run:\n  scheme: nearest\n  shard_cell_km: 4\n", "sharding requires run.scheme rbcaer"},
 		{"retired key shards", "run:\n  shards: 2\n", `line 3: unknown key "shards" in run`},
 		{"negative shard cell", "run:\n  shard_cell_km: -2\n", "negative"},
+		{"negative capacity_frac", "run:\n  capacity_frac: -0.05\n", "run.capacity_frac -0.05 / cache_frac 0: must be non-negative"},
+		{"negative cache_frac", "run:\n  cache_frac: -0.01\n", "run.capacity_frac 0 / cache_frac -0.01: must be non-negative"},
 		{"theta with shards", "run:\n  shard_cell_km: 2\nevents:\n  - action: theta\n    at: 2\n", "incompatible with sharded"},
 
 		{"theta non-rbcaer", "run:\n  scheme: lp\nevents:\n  - action: theta\n    at: 2\n    theta1: 1\n", "theta requires run.scheme rbcaer"},

@@ -6,9 +6,10 @@
 // which blocks until the slot's plan is live. The per-slot report
 // carries the served plan's epoch and digest so harnesses can compare
 // the replay against an offline sim.Run of the same trace byte for
-// byte. OfflinePlans is that reference, and CrashDrill the one
-// kill/restart differential every durability check is a caller of. A
-// workload Spec generates a trace too, so it takes the same path.
+// byte. OfflinePlans is that reference, MatchOffline holds a replay to
+// it, and CrashDrill is the one kill/restart differential every
+// durability check is a caller of. A workload is a trace, from
+// trace.Generate or cdntrace's files.
 package loadgen
 
 import (

@@ -123,23 +123,11 @@ func TestReplayCountsRejections(t *testing.T) {
 	}
 }
 
-// TestReplayGeneratedMatchesOffline: a generated workload is a trace,
-// so it replays through a two-frontend tier like any other and is held
-// to the same reference — every scheduled slot serves the digest of
-// OfflinePlans' plan for it.
-func TestReplayGeneratedMatchesOffline(t *testing.T) {
-	spec, err := ParseSpec(`
-class steady clients=10 arrival=poisson rate=30 videos=zipf:1.0
-class bursty clients=5  arrival=gamma   rate=20 shape=0.5
-`)
-	if err != nil {
-		t.Fatalf("ParseSpec: %v", err)
-	}
-	world := specWorld(8, 120)
-	tr, err := spec.Generate(3, 4, 0.5, world)
-	if err != nil {
-		t.Fatalf("Generate: %v", err)
-	}
+// TestReplayMatchesOffline: a replay through a two-frontend tier is
+// held to its reference — every scheduled slot serves the digest of
+// OfflinePlans' plan for it — and the check bites.
+func TestReplayMatchesOffline(t *testing.T) {
+	world, tr := replayWorld(t)
 	offline, err := OfflinePlans(world, tr)
 	if err != nil {
 		t.Fatalf("OfflinePlans: %v", err)
@@ -162,7 +150,7 @@ class bursty clients=5  arrival=gamma   rate=20 shape=0.5
 		t.Fatalf("Replay: %v", err)
 	}
 	if report.Accepted != int64(len(tr.Requests)) || report.Rejected != 0 {
-		t.Fatalf("accepted %d rejected %d of %d generated", report.Accepted, report.Rejected, len(tr.Requests))
+		t.Fatalf("accepted %d rejected %d of %d sent", report.Accepted, report.Rejected, len(tr.Requests))
 	}
 	if err := MatchOffline(report, offline); err != nil {
 		t.Fatal(err)
@@ -184,7 +172,7 @@ class bursty clients=5  arrival=gamma   rate=20 shape=0.5
 // and garble the protocol, covering the 429 accounting and both
 // failure branches.
 func TestReplayErrorPaths(t *testing.T) {
-	world := specWorld(2, 10)
+	world, _ := replayWorld(t)
 	tr := &trace.Trace{Slots: 1, Requests: []trace.Request{
 		{ID: 0, User: 0, Video: 1, Location: world.Hotspots[0].Location},
 		{ID: 1, User: 1, Video: 2, Location: world.Hotspots[1].Location},
