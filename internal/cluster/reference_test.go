@@ -298,10 +298,48 @@ func sameBits(a, b []float64) bool {
 	return true
 }
 
-// TestAgglomerateMatchesReference holds the flat in-place kernel to the
-// old chain through both doors: the full merge list — A, B, Height,
-// Size — must be deep-equal on every tie-heavy family, the copying door
-// must leave its input bit-for-bit alone, and Cut on slices must group
+// rankMatrix is the rank span of a float distance matrix: every
+// distinct value in it, ascending, and each cell's index among them —
+// what the round's rank fill hands the in-place door.
+func rankMatrix(m [][]float64) ([]uint16, []float64) {
+	var levels []float64
+	for _, row := range m {
+		levels = append(levels, row...)
+	}
+	slices.Sort(levels)
+	levels = slices.Compact(levels)
+	ranks := make([]uint16, 0, len(m)*len(m))
+	for _, row := range m {
+		for _, v := range row {
+			r, _ := slices.BinarySearch(levels, v)
+			ranks = append(ranks, uint16(r))
+		}
+	}
+	return ranks, levels
+}
+
+// widen is a rank span on the uint32 fallback's type.
+func widen(ranks []uint16) []uint32 {
+	out := make([]uint32, len(ranks))
+	for i, r := range ranks {
+		out[i] = uint32(r)
+	}
+	return out
+}
+
+// sameMerges reports whether two merge lists agree on every A, B, Size
+// and the bits of every Height.
+func sameMerges(a, b []Merge) bool {
+	return slices.EqualFunc(a, b, func(x, y Merge) bool {
+		return x.A == y.A && x.B == y.B && x.Size == y.Size && math.Float64bits(x.Height) == math.Float64bits(y.Height)
+	})
+}
+
+// TestAgglomerateMatchesReference holds the rank kernel to the old
+// float chain through every door: the full merge list — A, B, Height
+// bits, Size — must be equal on every tie-heavy family, through the
+// copying door (which must leave its input bit-for-bit alone) and the
+// in-place one at both rank widths, and Cut on slices must group
 // exactly as the map version did.
 func TestAgglomerateMatchesReference(t *testing.T) {
 	for _, fam := range tieFamilies {
@@ -325,14 +363,20 @@ func TestAgglomerateMatchesReference(t *testing.T) {
 				if !sameBits(flatten(input), flatten(dist)) {
 					t.Errorf("%s: AgglomerativeMatrix modified its input", name)
 				}
-				inPlace, err := AgglomerativeInPlace(n, flatten(dist), Complete)
+				ranks, levels := rankMatrix(dist)
+				wide := widen(ranks)
+				inPlace, err := AgglomerativeInPlace(n, ranks, levels)
 				if err != nil {
 					t.Fatalf("%s: AgglomerativeInPlace: %v", name, err)
 				}
+				inPlaceWide, err := AgglomerativeInPlace(n, wide, levels)
+				if err != nil {
+					t.Fatalf("%s: AgglomerativeInPlace (uint32): %v", name, err)
+				}
 				for door, got := range map[string]*Dendrogram{
-					"AgglomerativeMatrix": viaMatrix, "AgglomerativeInPlace": inPlace,
+					"AgglomerativeMatrix": viaMatrix, "AgglomerativeInPlace": inPlace, "AgglomerativeInPlace (uint32)": inPlaceWide,
 				} {
-					if got.n != n || !reflect.DeepEqual(got.merges, want.merges) {
+					if got.n != n || !sameMerges(got.merges, want.merges) {
 						t.Fatalf("%s: %s diverges from the reference chain:\n got %+v\nwant %+v", name, door, got.merges, want.merges)
 					}
 				}
@@ -349,53 +393,72 @@ func TestAgglomerateMatchesReference(t *testing.T) {
 
 // TestAgglomerativeInPlaceRejectsBeforeMutating feeds the in-place door
 // inputs it must refuse and checks it hands every cell back as it got
-// it: the bad value sits in the last upper-triangle cell, behind every
-// cell a validate-as-you-go kernel would already have consumed.
+// it: a bad rank sits in the last upper-triangle cell, behind every
+// cell a validate-as-you-go kernel would already have consumed. The
+// float values the rank door cannot be handed — NaN, ±Inf, negative —
+// are refused by the copying door, which never writes its input.
 func TestAgglomerativeInPlaceRejectsBeforeMutating(t *testing.T) {
 	const n = 17
 	rng := rand.New(rand.NewSource(23))
-	good := flatten(symmetric(n, func(int, int) float64 { return float64(rng.Intn(9)) / 8 }))
+	good, levels := rankMatrix(symmetric(n, func(int, int) float64 { return float64(rng.Intn(9)) / 8 }))
 	last := (n-2)*n + (n - 1)
-	bad := func(v float64) []float64 {
+	descending := slices.Clone(levels)
+	slices.Reverse(descending)
+	bad := func(r uint16) []uint16 {
 		c := slices.Clone(good)
-		c[last] = v
+		c[last] = r
 		return c
 	}
 	cases := []struct {
-		name  string
-		n     int
-		link  Linkage
-		cells []float64
+		name   string
+		n      int
+		levels []float64
+		cells  []uint16
 	}{
-		{"NaN", n, Complete, bad(math.NaN())},
-		{"+Inf", n, Complete, bad(math.Inf(1))},
-		{"-Inf", n, Complete, bad(math.Inf(-1))},
-		{"negative", n, Complete, bad(-0.125)},
-		{"too-short", n, Complete, slices.Clone(good[:n*n-1])},
-		{"too-long", n, Complete, append(slices.Clone(good), 0)},
-		{"n=0", 0, Complete, nil},
-		{"n<0", -3, Complete, nil},
-		{"bad-linkage", n, Linkage(9), slices.Clone(good)},
+		{"rank=len(levels)", n, levels, bad(uint16(len(levels)))},
+		{"rank=max", n, levels, bad(math.MaxUint16)},
+		{"no levels", n, nil, slices.Clone(good)},
+		{"NaN level", n, append(slices.Clone(levels[:len(levels)-1]), math.NaN()), slices.Clone(good)},
+		{"+Inf level", n, append(slices.Clone(levels[:len(levels)-1]), math.Inf(1)), slices.Clone(good)},
+		{"negative level", n, append([]float64{-0.125}, levels[1:]...), slices.Clone(good)},
+		{"repeated level", n, append([]float64{levels[1]}, levels[1:]...), slices.Clone(good)},
+		{"descending levels", n, descending, slices.Clone(good)},
+		{"too-short", n, levels, slices.Clone(good[:n*n-1])},
+		{"too-long", n, levels, append(slices.Clone(good), 0)},
+		{"n=0", 0, levels, nil},
+		{"n<0", -3, levels, nil},
 	}
 	for _, tc := range cases {
 		before := slices.Clone(tc.cells)
-		if d, err := AgglomerativeInPlace(tc.n, tc.cells, tc.link); err == nil {
+		if d, err := AgglomerativeInPlace(tc.n, tc.cells, tc.levels); err == nil {
 			t.Errorf("%s: accepted, dendrogram %+v", tc.name, d)
 		}
-		if !sameBits(tc.cells, before) {
+		if !slices.Equal(tc.cells, before) {
 			t.Errorf("%s: rejected input came back modified", tc.name)
+		}
+	}
+	floats := symmetric(n, func(i, j int) float64 { return levels[good[i*n+j]] })
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.125} {
+		m := cloneMatrix(floats)
+		m[n-2][n-1], m[n-1][n-2] = v, v
+		before := cloneMatrix(m)
+		if d, err := AgglomerativeMatrix(m, Complete); err == nil {
+			t.Errorf("distance %v: accepted, dendrogram %+v", v, d)
+		}
+		if !sameBits(flatten(m), flatten(before)) {
+			t.Errorf("distance %v: rejected input came back modified", v)
 		}
 	}
 	// The accepted case does consume its input — that is the contract the
 	// rejections are measured against.
 	cells := slices.Clone(good)
-	if _, err := AgglomerativeInPlace(n, cells, Complete); err != nil {
+	if _, err := AgglomerativeInPlace(n, cells, levels); err != nil {
 		t.Fatal(err)
 	}
-	if sameBits(cells, good) {
-		t.Error("in-place door left a valid matrix untouched: the test no longer exercises the consuming kernel")
+	if slices.Equal(cells, good) {
+		t.Error("in-place door left a valid span untouched: the test no longer exercises the consuming kernel")
 	}
-	if d, err := AgglomerativeInPlace(1, []float64{0}, Complete); err != nil || d.n != 1 || len(d.merges) != 0 {
+	if d, err := AgglomerativeInPlace(1, []uint16{0}, []float64{0}); err != nil || d.n != 1 || len(d.merges) != 0 {
 		t.Errorf("single item: %+v, %v", d, err)
 	}
 }

@@ -245,7 +245,7 @@ func (s *Scheduler) scheduleFull(d *Demand, svc []int64, cache []int, rec *sweep
 	dcache := s.newDistCache(dst, over, under, s.params.Theta2, par.Workers(s.params.Workers))
 	stats.DistanceCalcs = dcache.calcs()
 
-	mcmfPaths := s.runSweep(over, under, phiOver, phiUnder, dcache, clusterOf, flows, &stats, &ro, rec, nil)
+	mcmfPaths := s.runSweep(over, under, phiOver, phiUnder, dcache, clusterOf, flows, &stats, &ro, rec)
 	stats.Phases.Balance = ro.since(tBalance)
 	if rec != nil {
 		rec.captureRound(over, under, dcache, s.delta.clusterEpoch, !stats.Degraded)
@@ -259,9 +259,7 @@ func (s *Scheduler) scheduleFull(d *Demand, svc []int64, cache []int, rec *sweep
 // vectors. When rec is non-nil every iteration's network is built into
 // the record's own retained graph and its solved flow vector is
 // snapshotted so the next round can replay the sweep without solving.
-// Returns the total MCMF augmenting-path count. The last parameter is
-// unused: the delta path's call still passes a never-true stop func, and
-// the parameter goes with it.
+// Returns the total MCMF augmenting-path count.
 func (s *Scheduler) runSweep(
 	over, under []int,
 	phiOver, phiUnder []int64,
@@ -271,7 +269,6 @@ func (s *Scheduler) runSweep(
 	stats *Stats,
 	ro *roundObs,
 	rec *sweepRecord,
-	_ func() bool,
 ) int64 {
 	var moved int64
 	var mcmfPaths int64
