@@ -70,6 +70,9 @@ func run(args []string, stdout io.Writer) error {
 	if !(*scale > 0 && *scale <= 1) {
 		return fmt.Errorf("-scale %v outside (0, 1]", *scale)
 	}
+	if *workers < 0 {
+		return fmt.Errorf("-workers %d: must be non-negative (0 uses every core)", *workers)
+	}
 
 	ids := fs.Args()
 	switch {

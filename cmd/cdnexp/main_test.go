@@ -37,6 +37,11 @@ func TestRunErrors(t *testing.T) {
 			t.Errorf("-scale %s: err = %v, want it refused", scale, err)
 		}
 	}
+	// A negative worker count is refused before anything runs.
+	err := run([]string{"-workers", "-3", "-scale", "0.05", "fig2"}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "must be non-negative") {
+		t.Errorf("-workers -3: err = %v, want it refused", err)
+	}
 }
 
 func TestRunMeasurementErrors(t *testing.T) {

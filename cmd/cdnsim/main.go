@@ -66,6 +66,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *workers < 0 {
+		return fmt.Errorf("-workers %d: must be non-negative (0 uses every core)", *workers)
+	}
 
 	if *scenarioPath != "" {
 		if *worldPath != "" || *tracePath != "" {

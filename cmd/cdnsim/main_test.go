@@ -157,6 +157,19 @@ func TestRunErrors(t *testing.T) {
 			t.Errorf("%s -0.05: err = %v, want it refused", flag, err)
 		}
 	}
+	// A negative worker count is refused right after flag parsing, in
+	// both modes and for every scheme, before any world is generated.
+	for _, args := range [][]string{
+		{"-workers", "-3", "-world", worldPath, "-trace", tracePath},
+		{"-workers", "-3", "-scheme", "nearest", "-world", worldPath, "-trace", tracePath},
+		{"-workers", "-3"},
+		{"-workers", "-3", "-scenario", "/does/not/exist.yaml"},
+	} {
+		err := run(args)
+		if err == nil || !strings.Contains(err.Error(), "-workers -3: must be non-negative") {
+			t.Errorf("%v: err = %v, want it refused", args, err)
+		}
+	}
 	// Delta scheduling has no flags, and shards are grid cells only.
 	for _, flag := range []string{"-delta", "-delta-verify", "-delta-every", "-shards"} {
 		err := run([]string{flag, "-world", worldPath, "-trace", tracePath})

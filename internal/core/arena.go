@@ -71,8 +71,7 @@ type roundArena struct {
 	// uint16 ones released) from the first round whose matrix takes more
 	// than 65,536 distinct distances. Allocated by the first round that
 	// clusters; a scheduler that never does (guides disabled, no movable
-	// flow) never pays for it. Delta mode ranks its retained counts into
-	// it before each recut.
+	// flow) never pays for it.
 	span similarity.RankSpan
 	// The signatures it is filled from, as runs of video ids: hotspot h's
 	// are sigIDs[sigAt[h]:sigAt[h+1]].

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/trace"
 )
@@ -117,11 +118,12 @@ func TestArenaReusePlansIdentical(t *testing.T) {
 			}
 		}
 
-		// The same on a delta-mode scheduler, whose warm rounds replay
-		// the sweep or run it cold without entering scheduleFull. Its
+		// The same on a delta-mode scheduler, whose warm rounds restore
+		// the sweep or run it without entering scheduleFull. Its
 		// contract forbids mutating a retained *Demand, so every round
 		// gets its own copy; the table must still follow the round.
 		params.DeltaThreshold = 1
+		params.Obs = obs.NewRegistry()
 		sd, err := New(world, params)
 		if err != nil {
 			t.Fatal(err)
@@ -138,8 +140,8 @@ func TestArenaReusePlansIdentical(t *testing.T) {
 				t.Errorf("guides=%v delta %s: canonical bytes diverge from fresh scheduler", !disableGuides, step.name)
 			}
 		}
-		if ds := sd.DeltaStats(); ds.Rounds-ds.Fallbacks < 5 {
-			t.Errorf("guides=%v: only %d of %d delta-mode rounds took the delta path", !disableGuides, ds.Rounds-ds.Fallbacks, ds.Rounds)
+		if got := deltaCount(sd, "rounds"); got < 5 {
+			t.Errorf("guides=%v: only %d of %d delta-mode rounds took the delta path", !disableGuides, got, len(sequence))
 		}
 	}
 }
@@ -319,7 +321,7 @@ func TestBuildNetworkSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	over, under, phiOver, phiUnder := s.partition(d, s.world.ServiceCapacities())
-	dc := s.newDistCache(&s.ar.dists, over, under, params.Theta2, par.Workers(params.Workers))
+	dc := s.newDistCache(over, under, params.Theta2, par.Workers(params.Workers))
 
 	for _, useGuides := range []bool{true, false} {
 		// Warm the arena at this shape.

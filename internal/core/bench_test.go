@@ -24,7 +24,7 @@ func BenchmarkBuildNetwork(b *testing.B) {
 		b.Fatal(err)
 	}
 	over, under, phiOver, phiUnder := s.partition(d, s.world.ServiceCapacities())
-	dc := s.newDistCache(&s.ar.dists, over, under, params.Theta2, par.Workers(params.Workers))
+	dc := s.newDistCache(over, under, params.Theta2, par.Workers(params.Workers))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -109,29 +109,20 @@ type Params struct {
 	Workers int
 
 	// DeltaThreshold enables incremental delta scheduling when > 0:
-	// the scheduler retains the previous round's demand snapshot, flow
-	// solution, and over/under partition, and re-solves only what a
-	// demand diff invalidates, reusing the rest verbatim (see
+	// the scheduler retains the previous round's demand snapshot, cluster
+	// cut, θ-sweep outputs and replication outputs, and recomputes only
+	// what a demand diff invalidates, reusing the rest verbatim (see
 	// DESIGN.md §12). A round falls back to a full solve when the
-	// fraction of hotspots whose demand changed exceeds the threshold
+	// fraction of hotspots whose inputs changed exceeds the threshold
 	// (1 disables drift fallback entirely). Delta rounds are certified
 	// digest-identical to full solves by the differential suite.
 	//
 	// Enabling delta mode imposes a caller contract: the *Demand passed
 	// to ScheduleRound is retained by reference until the next round and
-	// must not be mutated afterwards. DeltaThreshold is incompatible with BPeak > 0 (the replica cap is a global budget
-	// that per-hotspot patching cannot preserve).
+	// must not be mutated afterwards. DeltaThreshold is incompatible with
+	// BPeak > 0 (the replica cap is a global budget that per-hotspot
+	// patching cannot preserve).
 	DeltaThreshold float64
-	// FullSolveEvery forces a periodic full solve every N delta rounds
-	// regardless of drift (0 disables the periodic fallback). Only
-	// meaningful when DeltaThreshold > 0.
-	FullSolveEvery int
-	// DeltaVerify shadow-runs the full solver alongside every delta
-	// round and compares Plan.Digest(); on mismatch the full plan wins,
-	// the retained delta state is dropped, and a verify-mismatch counter
-	// is published. Expensive — a debugging/soak aid, not a production
-	// setting.
-	DeltaVerify bool
 
 	// Obs, when non-nil, receives the round's metrics: logical
 	// counters and histograms (deterministic for any Workers count)
@@ -200,9 +191,6 @@ func (p Params) Validate() error {
 	}
 	if p.DeltaThreshold < 0 || p.DeltaThreshold > 1 {
 		return fmt.Errorf("core: DeltaThreshold must be in [0,1], got %v", p.DeltaThreshold)
-	}
-	if p.FullSolveEvery < 0 {
-		return fmt.Errorf("core: negative FullSolveEvery %d", p.FullSolveEvery)
 	}
 	if p.DeltaThreshold > 0 && p.BPeak > 0 {
 		return fmt.Errorf("core: DeltaThreshold is incompatible with BPeak > 0 (global replica cap cannot be patched per hotspot)")
@@ -623,12 +611,12 @@ type Stats struct {
 	// delta plan is certified identical to the full solve's.
 	DeltaRound bool
 	// DeltaFallback reports a delta-mode round fell back to a full
-	// solve (drift above DeltaThreshold, the FullSolveEvery period, or
-	// a dropped retained state). The very first round of a delta-mode
-	// scheduler is a cold full solve, not a fallback.
+	// solve (drift above DeltaThreshold). The very first round of a
+	// delta-mode scheduler, and the first after a round error dropped
+	// the retained state, is a cold full solve, not a fallback.
 	DeltaFallback bool
-	// SweepReplayed reports the round reused the previous round's θ-sweep
-	// flow solution verbatim instead of re-running MCMF.
+	// SweepReplayed reports the round restored the recorded θ sweep's
+	// outputs (flows and counts) instead of re-running it.
 	SweepReplayed bool
 	// PatchedRows is the number of per-hotspot plan rows (placement +
 	// fill) rebuilt by a delta round; the remaining rows were reused.

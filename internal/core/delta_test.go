@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/mcmf"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -99,12 +100,20 @@ func effWorld(w *trace.World, cons Constraints) *trace.World {
 }
 
 // deltaParams returns params running in delta mode with fallbacks
-// disabled (threshold 1 never trips on drift).
+// disabled (threshold 1 never trips on drift), publishing into a fresh
+// registry whose core.delta.* counters the tests read.
 func deltaParams(workers int) Params {
 	p := DefaultParams()
 	p.Workers = workers
 	p.DeltaThreshold = 1
+	p.Obs = obs.NewRegistry()
 	return p
+}
+
+// deltaCount reads one of a delta-mode scheduler's core.delta.*
+// counters.
+func deltaCount(s *Scheduler, name string) int64 {
+	return s.params.Obs.Counter("core.delta." + name).Value()
 }
 
 // TestDeltaMatchesFullDifferential is the tentpole property: across a
@@ -151,23 +160,24 @@ func TestDeltaMatchesFullDifferential(t *testing.T) {
 				}
 			}
 
-			st := sDelta.DeltaStats()
-			if st.Rounds != int64(len(slots)) {
-				t.Errorf("DeltaStats.Rounds = %d, want %d", st.Rounds, len(slots))
+			if got := deltaCount(sDelta, "rounds"); got != int64(len(slots)-1) {
+				t.Errorf("core.delta.rounds = %d, want %d (every slot but the cold one)", got, len(slots)-1)
 			}
-			if st.SweepReplays == 0 {
+			if deltaCount(sDelta, "sweep_replays") == 0 {
 				t.Error("no sweep replays across unchanged slots")
 			}
-			if st.Fallbacks != 0 {
-				t.Errorf("DeltaStats.Fallbacks = %d, want 0 at threshold 1", st.Fallbacks)
+			if got := deltaCount(sDelta, "fallbacks"); got != 0 {
+				t.Errorf("core.delta.fallbacks = %d, want 0 at threshold 1", got)
 			}
 		})
 	}
 }
 
 // TestDeltaUnchangedSlotPatchesNothing locks the zero-work fast path:
-// an identical slot replays the sweep, skips stage A, and patches no
-// rows.
+// an identical slot restores the recorded sweep without calling the
+// solver, skips stage A and patches no rows, and its plan is a fresh
+// full solve's, digest and Stats alike, with the solve's MCMF path
+// count published again.
 func TestDeltaUnchangedSlotPatchesNothing(t *testing.T) {
 	w := lineWorld(16, 1.0, 10, 30)
 	d := randomDemand(w, 400, 150, 7)
@@ -178,7 +188,15 @@ func TestDeltaUnchangedSlotPatchesNothing(t *testing.T) {
 	if _, err := s.ScheduleRound(d.Clone(), Constraints{}); err != nil {
 		t.Fatalf("slot 0: %v", err)
 	}
+	paths := s.params.Obs.Counter("core.mcmf_paths")
+	solvedPaths := paths.Value()
+	orig := solveFn
+	solveFn = func(*mcmf.Graph, int, int, int64) (mcmf.Result, error) {
+		t.Error("the solver ran in a replayed round")
+		return mcmf.Result{}, fmt.Errorf("solver called in a replayed round")
+	}
 	plan, err := s.ScheduleRound(d.Clone(), Constraints{})
+	solveFn = orig
 	if err != nil {
 		t.Fatalf("slot 1: %v", err)
 	}
@@ -189,57 +207,29 @@ func TestDeltaUnchangedSlotPatchesNothing(t *testing.T) {
 	if plan.Stats.PatchedRows != 0 {
 		t.Errorf("PatchedRows = %d on an unchanged slot, want 0", plan.Stats.PatchedRows)
 	}
-}
+	if got := paths.Value() - solvedPaths; solvedPaths == 0 || got != solvedPaths {
+		t.Errorf("replayed round published %d MCMF paths, the solve %d", got, solvedPaths)
+	}
 
-// TestDeltaVerifySelfChecks runs the drift sequence with shadow
-// verification on: every delta round is checked against a live full
-// solve, and no mismatch may occur.
-func TestDeltaVerifySelfChecks(t *testing.T) {
-	w := lineWorld(20, 1.0, 10, 30)
-	slots := deltaDriftSlots(w, 150, 16, 11)
-	p := deltaParams(2)
-	p.DeltaVerify = true
-	s, err := New(w, p)
+	sFull, err := New(w, DefaultParams())
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("New(full): %v", err)
 	}
-	for i, slot := range slots {
-		if _, err := s.ScheduleRound(slot.d, slot.cons); err != nil {
-			t.Fatalf("slot %d: %v", i, err)
-		}
-	}
-	if st := s.DeltaStats(); st.VerifyMismatches != 0 {
-		t.Fatalf("VerifyMismatches = %d, want 0", st.VerifyMismatches)
-	}
-}
-
-// TestDeltaPeriodicFallback checks FullSolveEvery: with N=3 the rounds
-// at 3, 6, 9, ... re-solve fully and are marked as fallbacks.
-func TestDeltaPeriodicFallback(t *testing.T) {
-	w := lineWorld(12, 1.0, 10, 30)
-	slots := deltaDriftSlots(w, 100, 10, 3)
-	p := deltaParams(1)
-	p.FullSolveEvery = 3
-	s, err := New(w, p)
+	fp, err := sFull.ScheduleRound(d.Clone(), Constraints{})
 	if err != nil {
-		t.Fatalf("New: %v", err)
+		t.Fatalf("full reference: %v", err)
 	}
-	for i, slot := range slots {
-		plan, err := s.ScheduleRound(slot.d, slot.cons)
-		if err != nil {
-			t.Fatalf("slot %d: %v", i, err)
-		}
-		wantFallback := i > 0 && i%3 == 0
-		if plan.Stats.DeltaFallback != wantFallback {
-			t.Errorf("slot %d: DeltaFallback = %v, want %v", i, plan.Stats.DeltaFallback, wantFallback)
-		}
-		if plan.Stats.DeltaRound == plan.Stats.DeltaFallback && i > 0 {
-			t.Errorf("slot %d: DeltaRound=%v DeltaFallback=%v; want exactly one after warmup",
-				i, plan.Stats.DeltaRound, plan.Stats.DeltaFallback)
-		}
+	if fp.Stats.Iterations == 0 || fp.Stats.MovedFlow == 0 {
+		t.Fatalf("full solve ran %d θ steps moving %d; the slot does not exercise the sweep", fp.Stats.Iterations, fp.Stats.MovedFlow)
 	}
-	if st := s.DeltaStats(); st.Fallbacks != 3 {
-		t.Errorf("Fallbacks = %d, want 3 (slots 3, 6, 9)", st.Fallbacks)
+	if plan.Digest() != fp.Digest() {
+		t.Errorf("replayed digest %x != full digest %x", plan.Digest(), fp.Digest())
+	}
+	got := plan.Stats
+	got.DeltaRound, got.SweepReplayed = false, false
+	got.Phases, fp.Stats.Phases = obs.PhaseTimings{}, obs.PhaseTimings{}
+	if got != fp.Stats {
+		t.Errorf("replayed Stats\n%+v\nfull solve's\n%+v", got, fp.Stats)
 	}
 }
 
@@ -283,12 +273,12 @@ func TestDeltaDriftFallback(t *testing.T) {
 		t.Errorf("heavy drift: DeltaRound=%v DeltaFallback=%v; want a drift fallback",
 			plan.Stats.DeltaRound, plan.Stats.DeltaFallback)
 	}
-	if st := s.DeltaStats(); st.Fallbacks != 1 {
-		t.Errorf("Fallbacks = %d, want 1", st.Fallbacks)
+	if got := deltaCount(s, "fallbacks"); got != 1 {
+		t.Errorf("core.delta.fallbacks = %d, want 1", got)
 	}
 }
 
-// TestDeltaParamsValidate covers the new knobs' validation.
+// TestDeltaParamsValidate covers DeltaThreshold's validation.
 func TestDeltaParamsValidate(t *testing.T) {
 	cases := []struct {
 		name string
@@ -296,7 +286,6 @@ func TestDeltaParamsValidate(t *testing.T) {
 	}{
 		{"negative threshold", func(p *Params) { p.DeltaThreshold = -0.1 }},
 		{"threshold above one", func(p *Params) { p.DeltaThreshold = 1.5 }},
-		{"negative FullSolveEvery", func(p *Params) { p.FullSolveEvery = -1 }},
 		{"delta with BPeak", func(p *Params) { p.DeltaThreshold = 0.5; p.BPeak = 10 }},
 	}
 	for _, tc := range cases {
@@ -310,8 +299,6 @@ func TestDeltaParamsValidate(t *testing.T) {
 	}
 	good := DefaultParams()
 	good.DeltaThreshold = DefaultDeltaThreshold
-	good.FullSolveEvery = 10
-	good.DeltaVerify = true
 	if err := good.Validate(); err != nil {
 		t.Errorf("Validate rejected valid delta params: %v", err)
 	}

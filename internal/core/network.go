@@ -56,11 +56,13 @@ type overDist struct {
 	d  float64
 }
 
-// newDistCache rebuilds dc's rows (keeping their storage) for the pairs
-// of over × under closer than bound, fanning the targets out over
-// workers goroutines (each row is written by exactly one worker, so the
-// cache is identical for every worker count), and returns dc.
-func (s *Scheduler) newDistCache(dc *distCache, over, under []int, bound float64, workers int) *distCache {
+// newDistCache rebuilds the arena's candidate rows (keeping their
+// storage) for the pairs of over × under closer than bound, fanning the
+// targets out over workers goroutines (each row is written by exactly
+// one worker, so the cache is identical for every worker count), and
+// returns them.
+func (s *Scheduler) newDistCache(over, under []int, bound float64, workers int) *distCache {
+	dc := &s.ar.dists
 	dc.evaluated = int64(len(over)) * int64(len(under))
 	if cap(dc.rows) < len(under) {
 		dc.rows = append(dc.rows[:cap(dc.rows)], make([][]overDist, len(under)-cap(dc.rows))...)
@@ -127,32 +129,13 @@ func (s *Scheduler) buildNetwork(
 	clusterOf []int,
 	useGuides bool,
 ) *flowNet {
-	return s.buildNetworkIn(s.ar.g, &s.ar.net, theta, over, under, phiOver, phiUnder, dc, clusterOf, useGuides)
-}
-
-// buildNetworkIn is buildNetwork with an explicit destination: the graph
-// is rebuilt in g (Reinit, storage retained) and the result shell is
-// written into *shell (edges capacity retained). The arena's
-// epoch-stamped tables and candidate scratch are shared across
-// destinations — only one network is ever under construction at a time.
-// The delta path uses this to record each θ iteration's network into its
-// own retained graph so the next round can replay the sweep.
-func (s *Scheduler) buildNetworkIn(
-	g *mcmf.Graph,
-	shell *flowNet,
-	theta float64,
-	over, under []int,
-	phiOver, phiUnder []int64,
-	dc *distCache,
-	clusterOf []int,
-	useGuides bool,
-) *flowNet {
-	return s.assembleNetwork(g, shell, under, phiOver, phiUnder, clusterOf, useGuides, func(dst []cand, uj int) []cand {
+	return s.assembleNetwork(s.ar.g, &s.ar.net, under, phiOver, phiUnder, clusterOf, useGuides, func(dst []cand, uj int) []cand {
 		return dc.within(dst, uj, theta, over, phiOver, phiUnder[under[uj]])
 	})
 }
 
-// assembleNetwork builds the network of buildNetworkIn from each
+// assembleNetwork builds the network of buildNetwork into g (Reinit,
+// storage retained) and *shell (edges capacity retained) from each
 // target's candidate pairs, which candsOf appends to its dst for target
 // under[uj] — a filter of the distance cache's rows in production, the
 // dense over × under scan in the test that holds the two equal.
@@ -364,7 +347,7 @@ func (s *Scheduler) AnalyzeTheta(d *Demand, theta float64) (ThetaAnalysis, error
 		return ThetaAnalysis{}, fmt.Errorf("core: negative theta %v", theta)
 	}
 	over, under, phiOver, phiUnder := s.partition(d, s.world.ServiceCapacities())
-	dc := s.newDistCache(&s.ar.dists, over, under, max(theta, s.params.Theta2), par.Workers(s.params.Workers))
+	dc := s.newDistCache(over, under, max(theta, s.params.Theta2), par.Workers(s.params.Workers))
 	nb := s.buildNetwork(theta, over, under, phiOver, phiUnder, dc, nil, false)
 	res, err := nb.g.Solve(nb.source, nb.sink, int64(1)<<62)
 	if err != nil {

@@ -28,7 +28,7 @@ func (s *Scheduler) referenceDistances(over, under []int) []float64 {
 	return d
 }
 
-// referenceCandidates is buildNetworkIn's per-θ scan as it stood: target
+// referenceCandidates is buildNetwork's per-θ scan as it stood: target
 // under[uj]'s admissible pairs, found by reading every overloaded
 // hotspot's cell of the dense matrix.
 func referenceCandidates(dense []float64, uj int, theta float64, over, under []int, phiOver, phiUnder []int64) []cand {
@@ -105,7 +105,7 @@ func TestBuildNetworkMatchesDense(t *testing.T) {
 				t.Fatal(err)
 			}
 			over, under, phiOver, phiUnder := s.partition(d, world.ServiceCapacities())
-			dc := s.newDistCache(&s.ar.dists, over, under, params.Theta2, par.Workers(0))
+			dc := s.newDistCache(over, under, params.Theta2, par.Workers(0))
 			dense := s.referenceDistances(over, under)
 			if dc.calcs() != int64(len(dense)) || dc.calcs() == 0 {
 				t.Fatalf("%s: the cache counts %d distance evaluations, the dense matrix holds %d", name, dc.calcs(), len(dense))
@@ -167,7 +167,7 @@ func TestBuildNetworkMatchesDense(t *testing.T) {
 					t.Fatalf("%s AnalyzeTheta(%v): %d edges carry %d, dense scan %d carry %d",
 						name, theta, ta.DirectEdges, ta.Flow, want.directPairs, res.Flow)
 				}
-				dc := s.newDistCache(&s.ar.dists, over, under, max(theta, params.Theta2), par.Workers(0))
+				dc := s.newDistCache(over, under, max(theta, params.Theta2), par.Workers(0))
 				got := s.buildNetwork(theta, over, under, phiOver, phiUnder, dc, nil, false)
 				want = s.assembleNetwork(refG, refShell, under, phiOver, phiUnder, nil, false, denseCands(theta))
 				sameNetwork(t, fmt.Sprintf("%s AnalyzeTheta(%v)", name, theta), got, want)

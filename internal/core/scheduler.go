@@ -24,11 +24,8 @@ type Scheduler struct {
 	ar *roundArena
 	// delta is the retained incremental-scheduling state, allocated
 	// lazily on the first round when Params.DeltaThreshold > 0 and
-	// dropped whenever a round errors or shadow verification mismatches.
+	// dropped whenever a round errors.
 	delta *deltaState
-	// deltaTotals are the cumulative delta counters; unlike delta they
-	// survive retained-state drops for the Scheduler's lifetime.
-	deltaTotals DeltaStats
 }
 
 // New validates the inputs and returns a scheduler for the world.
@@ -107,7 +104,7 @@ func (s *Scheduler) ScheduleRound(d *Demand, cons Constraints) (*Plan, error) {
 	if s.params.DeltaThreshold > 0 {
 		return s.scheduleDelta(d, svc, cache)
 	}
-	return s.scheduleFull(d, svc, cache, nil, false)
+	return s.scheduleFull(d, svc, cache)
 }
 
 // Resolve is the caller contract of a scheduling round, shared by every
@@ -161,35 +158,13 @@ func (cons Constraints) Resolve(world *trace.World, d *Demand) (svc []int64, cac
 }
 
 // scheduleFull runs one complete scheduling round: clustering, the full
-// θ sweep, replication, and plan assembly. When rec is non-nil the round
-// belongs to a delta-mode scheduler: each θ iteration's network and flow
-// solution is recorded into rec for the next round's replay, and
-// clustering goes through the memoised refresh path. quiet suppresses
-// all observability side effects (events, metrics, timers) — the
-// DeltaVerify shadow solve uses it so verification never perturbs the
-// published counters.
-func (s *Scheduler) scheduleFull(d *Demand, svc []int64, cache []int, rec *sweepRecord, quiet bool) (*Plan, error) {
-	var ro roundObs
-	if !quiet {
-		ro = newRoundObs(s.params)
-	}
-
+// θ sweep, replication, and plan assembly.
+func (s *Scheduler) scheduleFull(d *Demand, svc []int64, cache []int) (*Plan, error) {
+	ro := newRoundObs(s.params)
 	over, under, phiOver, phiUnder := s.partition(d, svc)
-	var stats Stats
-	stats.Overloaded = len(over)
-	stats.Underutilized = len(under)
-
-	var sumOver, sumUnder int64
-	for _, i := range over {
-		sumOver += phiOver[i]
-	}
-	for _, j := range under {
-		sumUnder += phiUnder[j]
-	}
-	stats.MaxFlow = sumOver
-	if sumUnder < stats.MaxFlow {
-		stats.MaxFlow = sumUnder
-	}
+	stats := partitionStats(over, under, phiOver, phiUnder)
+	flows := s.ar.emptyFlows()
+	var mcmfPaths int64
 
 	// Fast path: no movable workload (no overloaded or no
 	// under-utilised hotspots) means the θ sweep cannot move anything —
@@ -199,85 +174,82 @@ func (s *Scheduler) scheduleFull(d *Demand, svc []int64, cache []int, rec *sweep
 	// the sweep breaks before its first iteration and the distance
 	// cache is empty whenever either side of the partition is, so the
 	// plan is identical to the full path's.
-	if stats.MaxFlow == 0 {
-		if rec != nil {
-			// A zero-iteration record: the next round, if unchanged,
-			// "replays" an empty sweep.
-			rec.captureRound(over, under, &distCache{}, s.delta.clusterEpoch, true)
-		}
-		return s.finishRound(d, &stats, &ro, over, phiOver, s.ar.emptyFlows(), svc, cache, 0, quiet)
-	}
-
-	var clusterOf []int
-	if !s.params.DisableGuides {
-		t0 := ro.now()
-		var nClusters int
-		var err error
-		if rec != nil {
-			clusterOf, nClusters, err = s.delta.refreshClusters(s, d)
-		} else {
-			clusterOf, nClusters, err = s.contentClusters(d)
-		}
+	if stats.MaxFlow > 0 {
+		clusterOf, err := s.clusterPhase(d, &stats, &ro)
 		if err != nil {
 			return nil, err
 		}
-		stats.Clusters = nClusters
-		stats.Phases.Cluster = ro.since(t0)
-		ro.emit("cluster",
-			obs.I("clusters", int64(nClusters)),
-			obs.I("overloaded", int64(stats.Overloaded)),
-			obs.I("underutilized", int64(stats.Underutilized)),
-			obs.I("max_flow", stats.MaxFlow),
-			obs.D("dur", stats.Phases.Cluster))
+		mcmfPaths = s.runSweep(over, under, phiOver, phiUnder, clusterOf, flows, &stats, &ro)
 	}
+	return s.finishRound(d, &stats, &ro, over, phiOver, flows, svc, cache, mcmfPaths)
+}
 
-	flows := s.ar.emptyFlows()
-
-	// The over×under distances are fixed for the whole round: compute
-	// them once, keep the pairs within θ2, and share those rows across
-	// every θ iteration and the residual Gd pass. A delta record keeps
-	// its cache past the round, so it gets its own.
-	tBalance := ro.now()
-	dst := &s.ar.dists
-	if rec != nil {
-		dst = new(distCache)
+// partitionStats starts a round's Stats from its partition: the side
+// counts and the movable workload min(Σφ_i, Σφ_j).
+func partitionStats(over, under []int, phiOver, phiUnder []int64) Stats {
+	var stats Stats
+	stats.Overloaded = len(over)
+	stats.Underutilized = len(under)
+	var sumOver, sumUnder int64
+	for _, i := range over {
+		sumOver += phiOver[i]
 	}
-	dcache := s.newDistCache(dst, over, under, s.params.Theta2, par.Workers(s.params.Workers))
-	stats.DistanceCalcs = dcache.calcs()
-
-	mcmfPaths := s.runSweep(over, under, phiOver, phiUnder, dcache, clusterOf, flows, &stats, &ro, rec)
-	stats.Phases.Balance = ro.since(tBalance)
-	if rec != nil {
-		rec.captureRound(over, under, dcache, s.delta.clusterEpoch, !stats.Degraded)
+	for _, j := range under {
+		sumUnder += phiUnder[j]
 	}
+	stats.MaxFlow = min(sumOver, sumUnder)
+	return stats
+}
 
-	return s.finishRound(d, &stats, &ro, over, phiOver, flows, svc, cache, mcmfPaths, quiet)
+// clusterPhase runs the round's content clustering, unless guides are
+// off, and returns each hotspot's cluster (nil without guides).
+func (s *Scheduler) clusterPhase(d *Demand, stats *Stats, ro *roundObs) ([]int, error) {
+	if s.params.DisableGuides {
+		return nil, nil
+	}
+	t0 := ro.now()
+	var clusterOf []int
+	var nClusters int
+	var err error
+	if s.delta != nil {
+		clusterOf, nClusters, err = s.delta.clusters(s, d)
+	} else {
+		clusterOf, nClusters, err = s.contentClusters(d)
+	}
+	if err != nil {
+		return nil, err
+	}
+	stats.Clusters = nClusters
+	stats.Phases.Cluster = ro.since(t0)
+	ro.emit("cluster",
+		obs.I("clusters", int64(nClusters)),
+		obs.I("overloaded", int64(stats.Overloaded)),
+		obs.I("underutilized", int64(stats.Underutilized)),
+		obs.I("max_flow", stats.MaxFlow),
+		obs.D("dur", stats.Phases.Cluster))
+	return clusterOf, nil
 }
 
 // runSweep runs Algorithm 1's θ sweep plus the residual Gd pass,
 // accumulating extracted flows into flows and decrementing the φ
-// vectors. When rec is non-nil every iteration's network is built into
-// the record's own retained graph and its solved flow vector is
-// snapshotted so the next round can replay the sweep without solving.
-// Returns the total MCMF augmenting-path count.
+// vectors, and times it as the round's balance phase. Returns the total
+// MCMF augmenting-path count.
 func (s *Scheduler) runSweep(
 	over, under []int,
 	phiOver, phiUnder []int64,
-	dcache *distCache,
 	clusterOf []int,
 	flows map[int64]int64,
 	stats *Stats,
 	ro *roundObs,
-	rec *sweepRecord,
 ) int64 {
+	// The over×under distances are fixed for the whole round: compute
+	// them once, keep the pairs within θ2, and share those rows across
+	// every θ iteration and the residual Gd pass.
+	tBalance := ro.now()
+	dcache := s.newDistCache(over, under, s.params.Theta2, par.Workers(s.params.Workers))
+	stats.DistanceCalcs = dcache.calcs()
 	var moved int64
 	var mcmfPaths int64
-	dest := func() (*mcmf.Graph, *flowNet) {
-		if rec != nil {
-			return rec.dest()
-		}
-		return s.ar.g, &s.ar.net
-	}
 
 	// θ sweep over the content-aggregation network Gc (Algorithm 1,
 	// lines 5-10). The sweep is driven by integer step index so float
@@ -287,16 +259,12 @@ func (s *Scheduler) runSweep(
 			break
 		}
 		tIter := ro.now()
-		g, shell := dest()
-		nb := s.buildNetworkIn(g, shell, theta, over, under, phiOver, phiUnder, dcache, clusterOf, !s.params.DisableGuides)
+		nb := s.buildNetwork(theta, over, under, phiOver, phiUnder, dcache, clusterOf, !s.params.DisableGuides)
 		stats.DirectEdges += nb.directPairs
 		stats.GuideNodes += nb.guideNodes
 		extracted, paths, recovered := s.solveStep(nb, stats.MaxFlow-moved, flows, phiOver, phiUnder, stats)
 		mcmfPaths += paths
 		moved += extracted
-		if rec != nil {
-			rec.capture(theta, false, extracted, paths)
-		}
 		stats.Iterations++
 		ro.emit("theta-iter",
 			obs.F("theta", theta),
@@ -312,14 +280,10 @@ func (s *Scheduler) runSweep(
 	// lines 11-13): move whatever the guided rounds left behind.
 	if moved < stats.MaxFlow {
 		tRes := ro.now()
-		g, shell := dest()
-		nb := s.buildNetworkIn(g, shell, s.params.Theta2, over, under, phiOver, phiUnder, dcache, nil, false)
+		nb := s.buildNetwork(s.params.Theta2, over, under, phiOver, phiUnder, dcache, nil, false)
 		extracted, paths, recovered := s.solveStep(nb, stats.MaxFlow-moved, flows, phiOver, phiUnder, stats)
 		mcmfPaths += paths
 		moved += extracted
-		if rec != nil {
-			rec.capture(s.params.Theta2, true, extracted, paths)
-		}
 		ro.emit("residual-pass",
 			obs.I("direct_pairs", int64(nb.directPairs)),
 			obs.I("moved", extracted),
@@ -328,6 +292,7 @@ func (s *Scheduler) runSweep(
 			obs.D("dur", ro.since(tRes)))
 	}
 	stats.MovedFlow = moved
+	stats.Phases.Balance = ro.since(tBalance)
 	return mcmfPaths
 }
 
@@ -369,7 +334,6 @@ func (s *Scheduler) finishRound(
 	svc []int64,
 	cache []int,
 	mcmfPaths int64,
-	quiet bool,
 ) (*Plan, error) {
 	// Procedure 1: realise flows into per-video redirects and build
 	// the placement.
@@ -381,12 +345,12 @@ func (s *Scheduler) finishRound(
 	stats.UnrealizedFlow = unrealized
 	stats.Replicas = replicas
 	stats.Phases.Replicate = ro.since(tRep)
-	return s.assemblePlan(stats, ro, over, phiOver, flows, redirects, placement, mcmfPaths, quiet), nil
+	return s.assemblePlan(stats, ro, over, phiOver, flows, redirects, placement, mcmfPaths), nil
 }
 
 // assemblePlan runs the round's final accounting — CDN overflow, the
-// realised-flow reconciliation, Ω1 — publishes the round's metrics
-// (unless quiet), and assembles the Plan. It is shared by the full and
+// realised-flow reconciliation, Ω1 — publishes the round's metrics,
+// and assembles the Plan. It is shared by the full and
 // delta paths, so both produce byte-identical canonical output from
 // identical inputs.
 func (s *Scheduler) assemblePlan(
@@ -398,7 +362,6 @@ func (s *Scheduler) assemblePlan(
 	redirects []Redirect,
 	placement PlacementRuns,
 	mcmfPaths int64,
-	quiet bool,
 ) *Plan {
 	m := len(s.world.Hotspots)
 
@@ -442,9 +405,7 @@ func (s *Scheduler) assemblePlan(
 		obs.D("cluster_dur", stats.Phases.Cluster),
 		obs.D("balance_dur", stats.Phases.Balance),
 		obs.D("replicate_dur", stats.Phases.Replicate))
-	if !quiet {
-		publishRound(s.params.Obs, stats, mcmfPaths)
-	}
+	publishRound(s.params.Obs, stats, mcmfPaths)
 
 	return &Plan{
 		Flows:         edges,

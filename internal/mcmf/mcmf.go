@@ -161,50 +161,6 @@ func (g *Graph) Reset() {
 	}
 }
 
-// AppendFlows appends the current flow of every edge, in EdgeID order,
-// to dst and returns the extended slice. Together with SetFlows it is
-// the warm-start snapshot/restore pair: a caller can record a solved
-// graph's per-edge flows and later re-impose them on the same topology
-// without re-running the solver.
-func (g *Graph) AppendFlows(dst []int64) []int64 {
-	for i := 0; i+1 < len(g.arcs); i += 2 {
-		dst = append(dst, g.arcs[i+1].cap)
-	}
-	return dst
-}
-
-// SetFlows imposes a per-edge flow assignment (one value per edge in
-// EdgeID order, as recorded by AppendFlows) by patching the residual
-// arc pairs directly: edge k's forward residual becomes capacity−f and
-// its reverse residual f. This warm-starts the graph into a previously
-// solved state in O(edges) with no augmentation; a subsequent Solve
-// augments on top of the imposed flow.
-//
-// The whole vector is validated (length and 0 ≤ f ≤ capacity per edge)
-// before any arc is touched, so an invalid vector leaves the graph
-// unchanged. SetFlows does not check flow conservation — it is a
-// low-level primitive for re-imposing flows that came out of this
-// graph (or one built identically).
-func (g *Graph) SetFlows(flows []int64) error {
-	if len(flows) != g.NumEdges() {
-		return fmt.Errorf("mcmf: SetFlows got %d flows for %d edges", len(flows), g.NumEdges())
-	}
-	for k, f := range flows {
-		i := 2 * k
-		total := g.arcs[i].cap + g.arcs[i+1].cap
-		if f < 0 || f > total {
-			return fmt.Errorf("mcmf: SetFlows edge %d flow %d outside [0, %d]", k, f, total)
-		}
-	}
-	for k, f := range flows {
-		i := 2 * k
-		total := g.arcs[i].cap + g.arcs[i+1].cap
-		g.arcs[i].cap = total - f
-		g.arcs[i+1].cap = f
-	}
-	return nil
-}
-
 // Result reports the outcome of a flow computation.
 type Result struct {
 	Flow  int64   // total flow pushed from source to sink

@@ -358,7 +358,7 @@ func TestRandomGraphsAlgorithmsAgree(t *testing.T) {
 }
 
 // sweepNetwork rebuilds g as a seeded network of the shape
-// core.buildNetworkIn hands the solver on every θ step: source → at most
+// core.buildNetwork hands the solver on every θ step: source → at most
 // 40 overloaded nodes → guide nodes (zero-cost in-arcs, one priced
 // out-arc) or direct distance-priced arcs → at most 80 under-utilised
 // nodes → sink. Every cost is a multiple of 1/8 from a small range, so

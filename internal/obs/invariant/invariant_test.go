@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/scheme"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -115,16 +116,18 @@ func TestCheckPlanRBCAer(t *testing.T) {
 
 // TestCheckPlanDeltaRounds runs the same invariant bar over the
 // incremental scheduler: a single stateful delta-mode scheduler walks
-// every slot of the trace while the effective constraints flip between
-// regimes, and every plan — cold, patched, replayed, or fallen back —
-// must satisfy the full invariant set and match an independent full
-// solve digest-for-digest.
+// every slot of the trace once per constraint regime, so that each slot
+// repeats (a replayed round), then flips regime at half the hotspots (a
+// patched delta round), and the next slot's new demand everywhere
+// crosses the drift threshold (a fallback). Every plan — cold, patched,
+// replayed, or fallen back — must satisfy the full invariant set and
+// match an independent full solve digest-for-digest.
 func TestCheckPlanDeltaRounds(t *testing.T) {
 	for _, seed := range []int64{1, 2} {
 		world, tr := genWorld(t, seed, nil)
 		params := core.DefaultParams()
-		params.DeltaThreshold = 1
-		params.FullSolveEvery = 3
+		params.DeltaThreshold = 0.6
+		params.Obs = obs.NewRegistry()
 		sched, err := core.New(world, params)
 		if err != nil {
 			t.Fatal(err)
@@ -135,8 +138,9 @@ func TestCheckPlanDeltaRounds(t *testing.T) {
 		}
 		variants := constraintVariants(world)
 		order := []string{"nominal", "nominal", "degraded", "blackout"}
-		for slot := 0; slot < tr.Slots; slot++ {
-			cons := variants[order[slot%len(order)]]
+		for round := 0; round < tr.Slots*len(order); round++ {
+			slot := round / len(order)
+			cons := variants[order[round%len(order)]]
 			d := slotContext(t, world, tr, slot).Demand
 			plan, err := sched.ScheduleRound(d, cons)
 			if err != nil {
@@ -153,8 +157,10 @@ func TestCheckPlanDeltaRounds(t *testing.T) {
 				t.Errorf("seed %d slot %d: delta plan diverges from full solve", seed, slot)
 			}
 		}
-		if st := sched.DeltaStats(); st.Rounds == 0 || st.Fallbacks == 0 {
-			t.Errorf("seed %d: delta stats %+v never exercised rounds and fallbacks", seed, st)
+		for _, name := range []string{"rounds", "sweep_replays", "patched_rows", "fallbacks"} {
+			if params.Obs.Counter("core.delta."+name).Value() == 0 {
+				t.Errorf("seed %d: core.delta.%s = 0; the walk never exercised it", seed, name)
+			}
 		}
 	}
 }

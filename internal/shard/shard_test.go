@@ -140,25 +140,26 @@ func TestShardedDeterministicAcrossWorkers(t *testing.T) {
 
 // TestShardedDeltaMatchesShardedFull proves per-shard delta state keeps
 // the merged plan digest-identical to sharded full solves over a
-// drifting demand sequence.
+// drifting demand sequence. The drift touches two hotspots a step, so
+// at this threshold a small shard that holds one falls back while the
+// large ones patch, and untouched shards replay.
 func TestShardedDeltaMatchesShardedFull(t *testing.T) {
 	world, tr := genWorld(t, 50, 1500, 3000, 9000, 2)
 	base := slotDemands(t, world, tr)[0]
 	demands := driftDemands(base, 12)
 
 	deltaLocal := localParams()
-	deltaLocal.DeltaThreshold = 0.9
-	deltaLocal.FullSolveEvery = 6
+	deltaLocal.DeltaThreshold = 0.3
 
 	full, err := New(world, Params{CellKm: 4, Local: localParams()})
 	if err != nil {
 		t.Fatalf("New(full): %v", err)
 	}
-	delta, err := New(world, Params{CellKm: 4, Local: deltaLocal, Workers: 4})
+	reg := obs.NewRegistry()
+	delta, err := New(world, Params{CellKm: 4, Local: deltaLocal, Workers: 4, Obs: reg})
 	if err != nil {
 		t.Fatalf("New(delta): %v", err)
 	}
-	sawDelta := false
 	for s, d := range demands {
 		fp, err := full.ScheduleRound(d, core.Constraints{})
 		if err != nil {
@@ -171,10 +172,11 @@ func TestShardedDeltaMatchesShardedFull(t *testing.T) {
 		if fp.Digest() != dp.Digest() {
 			t.Fatalf("round %d: delta digest diverged from full", s)
 		}
-		sawDelta = sawDelta || dp.Stats.DeltaRound
 	}
-	if !sawDelta {
-		t.Error("no round ran on the delta path; drift generator too aggressive?")
+	for _, name := range []string{"rounds", "sweep_replays", "patched_rows", "fallbacks"} {
+		if reg.Counter("core.delta."+name).Value() == 0 {
+			t.Errorf("core.delta.%s = 0; the drift never exercised it", name)
+		}
 	}
 }
 

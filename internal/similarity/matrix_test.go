@@ -82,10 +82,9 @@ func TestDistanceMatrixKernelAgreement(t *testing.T) {
 }
 
 // TestDistanceRunsMatchJaccard holds the runs kernels to the map
-// kernel: every count of FillShared == SharedRuns on the sorted runs,
-// the level of every cell of RankSpan.Fill, at both rank widths, and of
-// RankShared on the counts, with the pair keys collected both ways, and
-// every cell of the []Set adapter == JaccardDistance (0 on the
+// kernel: the level of every cell of RankSpan.Fill, at both rank
+// widths, with the pair keys collected both ways, and every cell of the
+// []Set adapter == JaccardDistance (0 on the
 // diagonal) at workers 1, 2 and 7, each span's Levels exactly the
 // distances its cells take plus 0 and 1, and JaccardRuns on every
 // ordered pair of sorted runs == Jaccard, on
@@ -148,18 +147,16 @@ func TestDistanceRunsMatchJaccard(t *testing.T) {
 			}
 		}
 		for _, workers := range []int{1, 2, 7} {
-			counts, fromSets := make([]uint32, n*n), make([]float64, n*n)
-			FillShared(counts, ids, at, workers)
+			fromSets := make([]float64, n*n)
 			FillDistanceMatrix(fromSets, sets, workers)
 			for _, dense := range []bool{true, false} {
 				restore := forceKeys(dense)
-				var narrow, fromCounts RankSpan
+				var narrow RankSpan
 				wide := RankSpan{Wide: []uint32{}} // a span that has widened once
 				narrow.Fill(ids, at, workers)
 				wide.Fill(ids, at, workers)
-				fromCounts.RankShared(n, counts, workers)
 				restore()
-				if narrow.Wide != nil || fromCounts.Wide != nil || len(wide.Wide) != n*n || wide.Narrow != nil {
+				if narrow.Wide != nil || len(wide.Wide) != n*n || wide.Narrow != nil {
 					t.Fatalf("family %d: spans of %d and %d narrow cells, %d and %d wide", f, len(narrow.Narrow), len(wide.Narrow), len(narrow.Wide), len(wide.Wide))
 				}
 				for i := 0; i < n; i++ {
@@ -169,19 +166,14 @@ func TestDistanceRunsMatchJaccard(t *testing.T) {
 							want = 0
 						}
 						c := i*n + j
-						if got := narrow.Levels[narrow.Narrow[c]]; got != want || wide.Levels[wide.Wide[c]] != want ||
-							fromCounts.Levels[fromCounts.Narrow[c]] != want || fromSets[c] != want {
-							t.Fatalf("family %d workers=%d dense=%v: d[%d][%d] = %v (uint16 rank %d), %v (uint32 rank %d), %v (from counts) and %v (sets), reference %v",
-								f, workers, dense, i, j, got, narrow.Narrow[c], wide.Levels[wide.Wide[c]], wide.Wide[c], fromCounts.Levels[fromCounts.Narrow[c]], fromSets[c], want)
-						}
-						if want := SharedRuns(sorted[i], sorted[j]); int(counts[c]) != want {
-							t.Fatalf("family %d workers=%d: %d ids shared by %d and %d, SharedRuns %d", f, workers, counts[c], i, j, want)
+						if got := narrow.Levels[narrow.Narrow[c]]; got != want || wide.Levels[wide.Wide[c]] != want || fromSets[c] != want {
+							t.Fatalf("family %d workers=%d dense=%v: d[%d][%d] = %v (uint16 rank %d), %v (uint32 rank %d) and %v (sets), reference %v",
+								f, workers, dense, i, j, got, narrow.Narrow[c], wide.Levels[wide.Wide[c]], wide.Wide[c], fromSets[c], want)
 						}
 					}
 				}
 				checkLevels(t, &narrow, fromSets)
 				checkLevels(t, &wide, fromSets)
-				checkLevels(t, &fromCounts, fromSets)
 			}
 		}
 	}
@@ -311,12 +303,10 @@ func TestFillRefuses(t *testing.T) {
 		}()
 		fill()
 	}
-	ids, at := []int32{1, 2, 3, 2}, []int32{0, 3, 4}
-	mustPanic("short counts", func() { FillShared(make([]uint32, 3), ids, at, 1) })
 	mustPanic("short distances", func() { FillDistanceMatrix(make([]float64, 3), []Set{NewSet(1), NewSet(2)}, 1) })
-	mustPanic("short count span", func() { new(RankSpan).RankShared(2, make([]uint32, 3), 1) })
 
-	ids, at = nil, []int32{0}
+	var ids []int32
+	at := []int32{0}
 	for i := 0; i < 2; i++ {
 		for id := 0; id < 5000; id++ {
 			ids = append(ids, int32(id+2500*i))

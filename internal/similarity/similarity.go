@@ -6,10 +6,10 @@
 // content-aggregation stage (Eq. 13). The map-based Jaccard is the
 // definition and the reference; JaccardRuns computes the same value for
 // one pair of sorted id runs, and one walk of the sets' inverted index
-// does it for a whole fleet: FillShared counts every pair's shared ids,
-// RankSpan holds the distances as ranks into the table of the values
-// they take, and DistanceMatrix is the counts over map sets, expanded
-// to floats.
+// does it for a whole fleet, with two writers: RankSpan.Fill holds the
+// distances as ranks into the table of the values they take, and
+// FillDistanceMatrix (behind DistanceMatrix) writes them as floats for
+// map sets.
 package similarity
 
 import (
@@ -78,12 +78,12 @@ func Jaccard(a, b Set) float64 {
 // expression, so it equals Jaccard on the sets the runs hold (1 for two
 // empty runs).
 func JaccardRuns(a, b []int32) float64 {
-	inter := SharedRuns(a, b)
+	inter := sharedRuns(a, b)
 	return ratio(inter, len(a)+len(b)-inter)
 }
 
-// SharedRuns returns |a ∩ b| for two strictly ascending id runs.
-func SharedRuns(a, b []int32) int {
+// sharedRuns returns |a ∩ b| for two strictly ascending id runs.
+func sharedRuns(a, b []int32) int {
 	inter := 0
 	for i, j := 0, 0; i < len(a) && j < len(b); {
 		switch {
@@ -128,8 +128,8 @@ func DistanceMatrix(sets []Set, workers int) [][]float64 {
 
 // FillDistanceMatrix writes the full pairwise JaccardDistance matrix
 // of sets into cells (n = len(sets), row-major): it lays the sets out as
-// runs, in slice order, and the walk that FillShared counts with writes
-// each touched pair's 1 − inter/union — the float expression of
+// runs, in slice order, and the postings walk writes each touched
+// pair's 1 − inter/union — the float expression of
 // JaccardDistance on the same two integers, so every cell is == to it
 // — into cells pre-filled with Jd = 1.
 func FillDistanceMatrix(cells []float64, sets []Set, workers int) {
@@ -176,32 +176,6 @@ func prefill[T ~uint16 | ~uint32 | ~float64](cells []T, at []int32, far T) {
 			cells[i*n+j], cells[j*n+i] = 0, 0
 		}
 	}
-}
-
-// FillShared writes |set i ∩ set j| for every pair of n id sets laid
-// out as runs of one span — set i is ids[at[i]:at[i+1]], n = len(at)−1,
-// at[0] = 0, and no run holds an id twice — into cells[i*n+j],
-// row-major; the diagonal holds each set's own size. cells must hold
-// exactly n·n values; every cell is overwritten, so a caller may hand
-// the same span back round after round. The counts come from one walk
-// of the sets' postings, so a pair that shares nothing keeps the
-// pre-filled 0 without being visited, and the result is identical for
-// every worker count and every order of the ids within a run.
-func FillShared(cells []uint32, ids, at []int32, workers int) {
-	n := max(len(at)-1, 0)
-	if len(cells) != n*n {
-		panic(fmt.Sprintf("similarity: %d cells for a %d×%d matrix", len(cells), n, n))
-	}
-	clear(cells)
-	for i := 0; i < n; i++ {
-		cells[i*n+i] = uint32(at[i+1] - at[i])
-	}
-	newPostings(ids, at).walk(workers, func(i int, touched, shared []int32) {
-		for _, j := range touched {
-			c := uint32(shared[j])
-			cells[i*n+int(j)], cells[int(j)*n+i] = c, c
-		}
-	})
 }
 
 // postings is the id → sets inverted index of n id sets laid out as
@@ -320,10 +294,12 @@ type levelKey struct {
 	at int
 }
 
-// Fill makes sp the distance matrix of the n = len(at)−1 id sets laid
-// out as runs the way FillShared takes them: the walk FillShared counts
-// with writes each touched pair's rank into cells pre-filled with the
-// rank of Jd = 1 (two empty sets are Jd = 0, as in JaccardDistance).
+// Fill makes sp the distance matrix of n = len(at)−1 id sets laid out
+// as runs of one span — set i is ids[at[i]:at[i+1]], at[0] = 0, and no
+// run holds an id twice: the postings walk writes each touched pair's
+// rank into cells pre-filled with the rank of Jd = 1 (two empty sets
+// are Jd = 0, as in JaccardDistance). The result is identical for every
+// worker count and every order of the ids within a run.
 func (sp *RankSpan) Fill(ids, at []int32, workers int) {
 	n := max(len(at)-1, 0)
 	sp.sizes = resize(sp.sizes, n)
@@ -356,58 +332,6 @@ func fillRanks[R ~uint16 | ~uint32](sp *RankSpan, cells []R, p *postings, worker
 		for _, j := range touched {
 			r := R(sp.rank(sp.key(i, int(j), int(shared[j]))))
 			cells[i*n+int(j)], cells[int(j)*n+i] = r, r
-		}
-	})
-}
-
-// RankShared makes sp the distance matrix of n sets whose pairwise
-// shared-id counts are shared, as FillShared leaves them (the diagonal
-// holding each set's size), and leaves shared as it was.
-func (sp *RankSpan) RankShared(n int, shared []uint32, workers int) {
-	if len(shared) != n*n {
-		panic(fmt.Sprintf("similarity: %d cells for a %d×%d matrix", len(shared), n, n))
-	}
-	sp.sizes = resize(sp.sizes, n)
-	for i := range sp.sizes {
-		sp.sizes[i] = int32(shared[i*n+i])
-	}
-	if longest := sp.longest(); denseKeys(n, longest) {
-		sp.reachTo(longest)
-	} else {
-		sp.collect(longest, func(mark func(key int)) {
-			for i := 0; i < n; i++ {
-				for j := i + 1; j < n; j++ {
-					if inter := int(shared[i*n+j]); inter > 0 {
-						mark(sp.key(i, j, inter))
-					}
-				}
-			}
-		})
-	}
-	if sp.sizeCells(n) {
-		writeRanks(sp, sp.Narrow, shared, workers)
-	} else {
-		writeRanks(sp, sp.Wide, shared, workers)
-	}
-}
-
-// writeRanks writes the rank of every pair of shared into cells, row by
-// row over workers.
-func writeRanks[R ~uint16 | ~uint32](sp *RankSpan, cells []R, shared []uint32, workers int) {
-	n := len(sp.sizes)
-	disjoint := R(len(sp.Levels) - 1)
-	w := min(par.Workers(workers), n)
-	par.Strided(w, w, func(first int) {
-		for i := first; i < n; i += w {
-			for j, inter := range shared[i*n : (i+1)*n] {
-				r := disjoint
-				if i == j || sp.sizes[i]+sp.sizes[j] == 0 {
-					r = 0 // the diagonal and two empty sets: the level 0
-				} else if inter > 0 {
-					r = R(sp.rank(sp.key(i, j, int(inter))))
-				}
-				cells[i*n+j] = r
-			}
 		}
 	})
 }
