@@ -303,7 +303,8 @@ func runCrashSmoke(seed int64, instances int, walDir, fsync string, ckptEvery in
 	for _, c := range reg.Snapshot(false).Counters {
 		counters[c.Name] = true
 	}
-	for _, name := range []string{"wal.recover_us", "wal.recover_plan_verify_us"} {
+	for _, name := range []string{"wal.recover_us", "wal.recover_plan_verify_us",
+		"server.boot.index_us", "server.boot.pending_fold_us", "server.boot.install_us"} {
 		if !counters[name] {
 			return fmt.Errorf("restart left no %s in the registry", name)
 		}

@@ -49,17 +49,24 @@ type routeGroup struct {
 
 // NewRouter builds the router of a plan's placement and redirects for
 // the service capacities the plan was scheduled against. It refuses a
-// plan that reserves more inflow at a hotspot than its capacity.
-// Redirects must name hotspots among the placement's rows.
+// plan that reserves more inflow at a hotspot than its capacity, and
+// one that redirects from a hotspot outside the placement's rows.
+// Redirects must lead to hotspots among them.
 func NewRouter(placement PlacementRuns, redirects []Redirect, capacity []int64) (*Router, error) {
 	m := placement.Rows()
 	if len(capacity) != m {
 		return nil, fmt.Errorf("core: capacities cover %d hotspots, placement has %d", len(capacity), m)
 	}
 	r := &Router{placement: placement, budget: slices.Clone(capacity)}
+	// rows[h+1] counts the redirects from hotspot h, then is
+	// prefix-summed into where h's row starts.
+	rows := make([]int, m+1)
 	for _, rd := range redirects {
 		if rd.Count > 0 {
-			r.redirects = append(r.redirects, rd)
+			if uint(rd.From) >= uint(m) {
+				return nil, fmt.Errorf("core: redirect from hotspot %d outside the %d placement rows", rd.From, m)
+			}
+			rows[rd.From+1]++
 			r.budget[rd.To] -= rd.Count
 		}
 	}
@@ -69,9 +76,10 @@ func NewRouter(placement PlacementRuns, redirects []Redirect, capacity []int64) 
 				capacity[h]-b, h, capacity[h])
 		}
 	}
-	slices.SortStableFunc(r.redirects, func(a, b Redirect) int {
-		return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.Video, b.Video))
-	})
+	for h := 0; h < m; h++ {
+		rows[h+1] += rows[h]
+	}
+	r.redirects = sortRedirects(redirects, rows)
 	r.keys = PlacementRuns{IDs: make([]int32, 0, len(r.redirects)), Off: make([]int, 1, m+1)}
 	for lo := 0; lo < len(r.redirects); {
 		first := r.redirects[lo]
@@ -90,6 +98,29 @@ func NewRouter(placement PlacementRuns, redirects []Redirect, capacity []int64) 
 		r.keys.Off = append(r.keys.Off, len(r.keys.IDs))
 	}
 	return r, nil
+}
+
+// sortRedirects returns the redirects with a positive count sorted by
+// (source, video, plan position) — the order slices.SortStableFunc on
+// (source, video) gives — where rows, prefix-summed, says where each
+// source's row starts: a stable counting pass over the sources, then
+// each row sorted stably by video.
+func sortRedirects(redirects []Redirect, rows []int) []Redirect {
+	m := len(rows) - 1
+	out := make([]Redirect, rows[m])
+	next := slices.Clone(rows[:m])
+	for _, rd := range redirects {
+		if rd.Count > 0 {
+			out[next[rd.From]] = rd
+			next[rd.From]++
+		}
+	}
+	for h := 0; h < m; h++ {
+		if row := out[rows[h]:rows[h+1]]; len(row) > 1 {
+			slices.SortStableFunc(row, func(a, b Redirect) int { return cmp.Compare(a.Video, b.Video) })
+		}
+	}
+	return out
 }
 
 // RouteAll routes a slot's requests in order: request i is video

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"testing"
@@ -109,5 +110,78 @@ func TestRouterZeroCapacityServesNothingLocally(t *testing.T) {
 	got := []int{r.Route(0, 1), r.Route(0, 2), r.Route(0, 3), r.Route(0, 3), r.Route(1, 2)}
 	if want := []int{CDN, CDN, 1, CDN, 1}; !slices.Equal(got, want) {
 		t.Fatalf("answers %v, want %v", got, want)
+	}
+}
+
+// TestSortRedirectsMatchesStableSort holds the router's counting sort
+// to slices.SortStableFunc on (source, video) over shuffled redirects
+// whose keys repeat — so plan order decides among them — with zero
+// counts mixed in, which the router drops.
+func TestSortRedirectsMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		m, videos := 1+rng.Intn(12), 1+rng.Intn(6)
+		redirects := make([]Redirect, rng.Intn(300))
+		for i := range redirects {
+			redirects[i] = Redirect{
+				From:  trace.HotspotID(rng.Intn(m)),
+				To:    trace.HotspotID(rng.Intn(m)),
+				Video: trace.VideoID(rng.Intn(videos)),
+				Count: int64(rng.Intn(4)),
+			}
+		}
+		var want []Redirect
+		rows := make([]int, m+1)
+		for _, rd := range redirects {
+			if rd.Count > 0 {
+				want = append(want, rd)
+				rows[rd.From+1]++
+			}
+		}
+		for h := 0; h < m; h++ {
+			rows[h+1] += rows[h]
+		}
+		slices.SortStableFunc(want, func(a, b Redirect) int {
+			return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.Video, b.Video))
+		})
+		if got := sortRedirects(redirects, rows); !slices.Equal(got, want) && len(got)+len(want) > 0 {
+			t.Fatalf("trial %d: %v\nstable sort: %v", trial, got, want)
+		}
+	}
+}
+
+// TestRouterRefusesRedirectOutsideRows: a redirect from a hotspot the
+// placement has no row for builds no router.
+func TestRouterRefusesRedirectOutsideRows(t *testing.T) {
+	placement := PlacementRuns{Off: []int{0, 0, 0}}
+	if _, err := NewRouter(placement, []Redirect{{From: 2, To: 1, Video: 4, Count: 1}}, []int64{5, 5}); err == nil {
+		t.Fatal("a redirect from hotspot 2 of a 2-row placement was accepted")
+	}
+}
+
+// BenchmarkNewRouter times the router build behind every install
+// (server.slot.install_us) on a real round's plan at 310 and 1,240
+// hotspots (BenchmarkReplicate's inputs).
+func BenchmarkNewRouter(b *testing.B) {
+	for _, bc := range roundInputs {
+		world := lineWorld(bc.m, 0.1, 30, 40)
+		s, err := New(world, DefaultParams())
+		if err != nil {
+			b.Fatal(err)
+		}
+		plan, err := s.ScheduleRound(randomDemand(world, bc.requests, bc.videos, 1), Constraints{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		capacity := world.ServiceCapacities()
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewRouter(plan.Placement, plan.Redirects, capacity); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(plan.Redirects)), "redirects")
+		})
 	}
 }

@@ -60,42 +60,25 @@ func (s *Server) openWAL() error {
 		in.slot = st.Slot
 	}
 
-	// Accepted-but-unscheduled demand goes back to the frontend it
-	// would live in, by the same owner rule; recovery hands the
-	// entries back unmerged, and the frontend's core.Demand folds them.
-	m := len(s.world.Hotspots)
-	for _, e := range st.Pending {
-		if e.Hotspot < 0 || e.Hotspot >= m || e.Video < 0 || e.Video >= s.world.NumVideos {
-			// A WAL from a different world: drop the entry loudly
-			// rather than corrupt the accumulators.
-			s.walErrors.Inc()
-			continue
-		}
-		owner := s.owner(e.Hotspot)
-		owner.demand.Add(trace.HotspotID(e.Hotspot), trace.VideoID(e.Video), e.Count)
-		owner.pending += e.Count
-	}
-
-	// The last durable plan goes back to serving on every frontend
-	// through install, the live fan-out's install path: recovery has
-	// verified and decoded it already.
-	if st.Plan != nil {
-		if err := s.install(time.Now(), st.Plan.Epoch, st.Plan.Slot, st.Plan.Decoded, st.Plan.Digest); err != nil {
-			return fmt.Errorf("recovered plan rejected: %w", err)
-		}
-		s.history = append(s.history, planEntry{
-			rec: PlanRecord{
-				Slot:   st.Plan.Slot,
-				Epoch:  st.Plan.Epoch,
-				Digest: digestString(st.Plan.Digest),
-			},
-			canonical: st.Plan.Canonical,
-		})
-		s.lastPlan = st.Plan
+	// Accepted-but-unscheduled demand goes back to the frontends while
+	// the last durable plan installs: the two touch disjoint state.
+	folded := make(chan time.Duration, 1)
+	go func() {
+		t0 := time.Now()
+		s.restorePending(st.Pending)
+		folded <- time.Since(t0)
+	}()
+	t0 := time.Now()
+	err = s.restorePlan(t0, st.Plan)
+	s.reg.Counter("server.boot.install_us").Add(time.Since(t0).Microseconds())
+	s.reg.Counter("server.boot.pending_fold_us").Add((<-folded).Microseconds())
+	if err != nil {
+		return err
 	}
 
 	// Drained-but-unplanned slots go back on the recompute queue; the
 	// worker schedules them as soon as Start kicks it.
+	m := len(s.world.Hotspots)
 	for _, q := range st.Queue {
 		d := core.NewDemand(m)
 		var reqs int64
@@ -113,6 +96,46 @@ func (s *Server) openWAL() error {
 		d.Fold()
 		s.queue = append(s.queue, &slotSnapshot{slot: q.Slot, demand: d, requests: reqs, start: time.Now()})
 	}
+	return nil
+}
+
+// restorePending hands recovered pending demand back to the frontend
+// it would live in, by the same owner rule; recovery hands the entries
+// back unmerged, and the frontend's core.Demand folds them.
+func (s *Server) restorePending(pending []wal.Entry) {
+	m := len(s.world.Hotspots)
+	for _, e := range pending {
+		if e.Hotspot < 0 || e.Hotspot >= m || e.Video < 0 || e.Video >= s.world.NumVideos {
+			// A WAL from a different world: drop the entry loudly
+			// rather than corrupt the accumulators.
+			s.walErrors.Inc()
+			continue
+		}
+		owner := s.owner(e.Hotspot)
+		owner.demand.Add(trace.HotspotID(e.Hotspot), trace.VideoID(e.Video), e.Count)
+		owner.pending += e.Count
+	}
+}
+
+// restorePlan puts the last durable plan (nil for none) back to
+// serving on every frontend through install, the live fan-out's
+// install path: recovery has verified and decoded it already.
+func (s *Server) restorePlan(t0 time.Time, plan *wal.PlanState) error {
+	if plan == nil {
+		return nil
+	}
+	if err := s.install(t0, plan.Epoch, plan.Slot, plan.Decoded, plan.Digest); err != nil {
+		return fmt.Errorf("recovered plan rejected: %w", err)
+	}
+	s.history = append(s.history, planEntry{
+		rec: PlanRecord{
+			Slot:   plan.Slot,
+			Epoch:  plan.Epoch,
+			Digest: digestString(plan.Digest),
+		},
+		canonical: plan.Canonical,
+	})
+	s.lastPlan = plan
 	return nil
 }
 

@@ -358,6 +358,17 @@ func TestRecoveryServesLastDurablePlan(t *testing.T) {
 			t.Errorf("%s = %d after replaying a log with a plan in it", name, got)
 		}
 	}
+	// The boot's own stages, which overlap, each publish their time (on
+	// this small world a stage may take under a microsecond).
+	published := make(map[string]bool)
+	for _, c := range cfg.Registry.Snapshot(false).Counters {
+		published[c.Name] = true
+	}
+	for _, name := range []string{"server.boot.index_us", "server.boot.pending_fold_us", "server.boot.install_us"} {
+		if !published[name] {
+			t.Errorf("the boot left no %s in the registry", name)
+		}
+	}
 	if hz.WAL.RecoveredSlot != 1 {
 		t.Errorf("healthz recovered slot %d, want 1", hz.WAL.RecoveredSlot)
 	}

@@ -138,10 +138,40 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	index, err := cfg.World.Index()
-	if err != nil {
-		return nil, fmt.Errorf("server: %w", err)
+	// The nearest table is built while the rest of New runs, recovery
+	// included: ingest is its only reader, and no ingest is served
+	// before New returns.
+	type built struct {
+		index *geo.Grid
+		err   error
+		took  time.Duration
 	}
+	indexed := make(chan built, 1)
+	go func() {
+		t0 := time.Now()
+		index, err := cfg.World.Index()
+		indexed <- built{index, err, time.Since(t0)}
+	}()
+	s, err := newServer(cfg)
+	ix := <-indexed
+	if ix.err != nil {
+		if s != nil && s.wal != nil {
+			s.wal.Close()
+		}
+		return nil, fmt.Errorf("server: %w", ix.err)
+	}
+	if err != nil {
+		return nil, err
+	}
+	s.index = ix.index
+	s.reg.Counter("server.boot.index_us").Add(ix.took.Microseconds())
+	return s, nil
+}
+
+// newServer builds the server but for its nearest table, recovering
+// cfg.WALDir when it is set. On an error it returns nil, having closed
+// the log.
+func newServer(cfg Config) (*Server, error) {
 	sched, err := core.New(cfg.World, core.DefaultParams())
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
@@ -149,7 +179,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:   cfg,
 		world: cfg.World,
-		index: index,
 		reg:   cfg.Registry,
 		kick:  make(chan struct{}, 1),
 		stop:  make(chan struct{}),

@@ -275,7 +275,7 @@ func marshalCheckpoint(c *Checkpoint) []byte {
 
 // unmarshalCheckpoint parses and validates a checkpoint file's bytes
 // (magic, frame, CRC, strict decode). Plan verification is the
-// caller's concern — loadCheckpoints layers it on.
+// caller's concern — Open runs it beside the scan (recoverFrom).
 func unmarshalCheckpoint(data []byte) (*Checkpoint, error) {
 	if len(data) < len(ckptMagic)+frameHeaderBytes {
 		return nil, fmt.Errorf("wal: checkpoint: short file")
@@ -293,6 +293,22 @@ func unmarshalCheckpoint(data []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("wal: checkpoint: CRC mismatch")
 	}
 	return decodeCheckpoint(body)
+}
+
+// readCheckpoint reads and unmarshals the checkpoint of sequence seq
+// in dir, its plan not yet verified. A checkpoint of another body
+// version is an error naming the file (errCheckpointVersion), not
+// damage to fall back from.
+func readCheckpoint(dir string, seq uint64) (*Checkpoint, error) {
+	data, err := os.ReadFile(filepath.Join(dir, checkpointName(seq)))
+	if err != nil {
+		return nil, err
+	}
+	c, err := unmarshalCheckpoint(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", checkpointName(seq), err)
+	}
+	return c, nil
 }
 
 // checkpointName renders the file name for a checkpoint sequence.

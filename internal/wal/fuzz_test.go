@@ -112,7 +112,7 @@ func requireCutMatchesWhole(t *testing.T, recs []record) {
 		}
 		rp := newReplay(nil)
 		for i := range prefix {
-			rp.apply(&prefix[i])
+			applyVerified(rp, &prefix[i])
 		}
 		if rp.stopped {
 			return

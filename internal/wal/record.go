@@ -1,12 +1,17 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
+	"time"
+
+	"repro/internal/core"
 )
 
 // Record framing: every log record is one frame,
@@ -66,9 +71,9 @@ var errBadFrame = errors.New("wal: invalid frame")
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // record is one decoded log record. canonical aliases the payload it
-// was decoded from: whoever keeps a plan record past the scan copies
-// the bytes. The scan decodes every frame into one record and hands
-// the fold a pointer to it.
+// was decoded from until the scan verifies the plan record (verify),
+// which copies the bytes that pass. The scan decodes frames into
+// blocks of records and hands the fold each block whole.
 type record struct {
 	kind      byte
 	slot      int
@@ -79,6 +84,9 @@ type record struct {
 	epoch     int64
 	digest    uint64
 	canonical []byte
+	// plan is the verdict on a plan record's bytes, set by verify: the
+	// decoded plan, nil when they fail verification.
+	plan *core.DecodedPlan
 }
 
 // appendFrame appends payload as one framed record.
@@ -152,7 +160,15 @@ func (r *record) decode(payload []byte) error {
 	if len(payload) == 0 {
 		return fmt.Errorf("wal: empty record payload")
 	}
-	*r = record{kind: payload[0]}
+	// Every field is overwritten. r is a block's slot, reused: its
+	// pointers are cleared only when a plan record left them set, since
+	// clearing the whole struct takes the write barrier on every record
+	// while a collection runs.
+	if r.canonical != nil || r.plan != nil {
+		r.canonical, r.plan = nil, nil
+	}
+	r.kind, r.slot, r.instance, r.hotspot, r.video = payload[0], 0, 0, 0, 0
+	r.count, r.epoch, r.digest = 0, 0, 0
 	b := payload[1:]
 	var v uint64
 	var ok bool
@@ -217,59 +233,164 @@ func (r *record) decode(payload []byte) error {
 	return nil
 }
 
-// scanFrames walks the whole frames at the front of data, decoding
-// each CRC-valid one into rec and handing rec to visit in log order,
-// and returns how many bytes they span. stop says why the walk ended
-// at an invalid frame — implausible length, CRC mismatch or the strict
-// decode's error — and is nil when it ended at a frame data holds only
-// part of. rec is reused for every frame: visit copies what it keeps.
-// scanFrames never panics, whatever the bytes (FuzzWALReplay holds it
-// to that).
-func scanFrames(data []byte, rec *record, visit func(*record)) (off int, stop error) {
-	for {
+// decodeFrames decodes the whole frames at the front of data into
+// recs, in log order, until recs is full or data holds only part of
+// the next frame, and returns the bytes and the records it took. stop
+// says why it ended at an invalid frame — implausible length, CRC
+// mismatch or the strict decode's error — and is nil otherwise. A plan
+// record's canonical aliases data. decodeFrames never panics, whatever
+// the bytes (FuzzWALReplay holds it to that).
+func decodeFrames(data []byte, recs []record) (off, n int, stop error) {
+	for n < len(recs) {
 		rest := data[off:]
 		if len(rest) < frameHeaderBytes {
-			return off, nil
+			return off, n, nil
 		}
-		n := binary.LittleEndian.Uint32(rest[0:4])
-		if n > maxRecordBytes {
-			return off, errBadFrame
+		size := binary.LittleEndian.Uint32(rest[0:4])
+		if size > maxRecordBytes {
+			return off, n, errBadFrame
 		}
-		if int(n) > len(rest)-frameHeaderBytes {
-			return off, nil
+		if int(size) > len(rest)-frameHeaderBytes {
+			return off, n, nil
 		}
-		payload := rest[frameHeaderBytes : frameHeaderBytes+int(n)]
+		payload := rest[frameHeaderBytes : frameHeaderBytes+int(size)]
 		if crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(rest[4:8]) {
-			return off, errBadFrame
+			return off, n, errBadFrame
 		}
-		if err := rec.decode(payload); err != nil {
-			return off, err
+		if err := recs[n].decode(payload); err != nil {
+			return off, n, err
 		}
-		visit(rec)
-		off += frameHeaderBytes + int(n)
+		off += frameHeaderBytes + int(size)
+		n++
+	}
+	return off, n, nil
+}
+
+// verify holds a plan record's bytes to verifyPlan and hands the
+// verdict to the fold in r.plan. Bytes that pass are copied out of the
+// read window they alias, which the scan reuses before the fold gets
+// to them; bytes that fail are dropped.
+func (r *record) verify(spent *time.Duration) {
+	if r.plan = verifyPlan(r.canonical, r.digest, spent); r.plan != nil {
+		r.canonical = bytes.Clone(r.canonical)
+	} else {
+		r.canonical = nil
 	}
 }
 
-// readWindow is the size of the buffer segments are scanned through; a
-// frame longer than it grows the buffer to fit.
-const readWindow = 256 << 10
+const (
+	// readWindow is the size of the buffer segments are scanned
+	// through; a frame longer than it grows the buffer to fit.
+	readWindow = 256 << 10
+	// blockRecords is how many records the scan hands the fold at a
+	// time, and pipeBlocks how many blocks are in flight between them.
+	blockRecords = 1024
+	pipeBlocks   = 4
+	// minFrameBytes is the shortest frame (an advance or roundErr of a
+	// one-byte slot), minIngestFrameBytes the shortest ingest frame
+	// (five one-byte fields): the bytes left to scan bound the records,
+	// and the ingests, still to come.
+	minFrameBytes       = frameHeaderBytes + 2
+	minIngestFrameBytes = frameHeaderBytes + 6
+)
 
-// segmentScanner scans segment files through one buffer, reused from
-// segment to segment, decoding into one reused record.
-type segmentScanner struct {
-	// window is how many bytes a read asks for (readWindow in Open).
-	window int
-	buf    []byte
-	rec    record
+// A block is a run of consecutive records the scan hands the fold
+// whole. Blocks go round between the two goroutines: the fold hands a
+// block back once it has folded it, and the scan overwrites it.
+type block struct {
+	recs []record
+	// left is the bytes the scan had yet to read when it decoded the
+	// block's first record: the fold sizes runs from it.
+	left int64
 }
 
-// scan hands every record of the longest valid run of frames starting
-// at byte from of the segment at path to visit, in log order, and
-// returns where that run ends and the file's size; a file shorter than
-// from is an error, and so is a run that ends at an ingest record of
-// the retired format. The file is read window by window: only the
-// frame the window ends inside moves to its front before the next read.
-func (sc *segmentScanner) scan(path string, from int64, visit func(*record)) (validLen, size int64, err error) {
+// segmentScanner scans segment files through one buffer, reused from
+// segment to segment, decoding the frames into blocks of records that
+// it hands to the fold, which runs on a goroutine of its own. The
+// scan owns the read window, so it verifies plan records too (verify):
+// the fold gets the verdict. After the first plan record that fails,
+// it verifies no more — the fold stops at that record — but scans on,
+// to find where the valid prefix ends.
+type segmentScanner struct {
+	// window is how many bytes a read asks for (readWindow in Open),
+	// block how many records a block holds (blockRecords).
+	window, block int
+	buf           []byte
+	// left is the bytes the scan has yet to read.
+	left int64
+	// cur is the block being filled (nil between blocks); full and
+	// free carry blocks to the fold and back, made counts the blocks
+	// allocated.
+	cur        *block
+	full, free chan *block
+	made       int
+	// verify is the time spent verifying plan records, failed whether
+	// one has failed.
+	verify time.Duration
+	failed bool
+}
+
+// scanEnd is where a scan of the log stopped: at byte valid of the
+// segment segs[seg], size bytes long, or after the last segment, whole
+// (seg == len(segs)).
+type scanEnd struct {
+	seg         int
+	valid, size int64
+}
+
+// run scans the segments segs of the log in dir in order, the first
+// from byte from, on the calling goroutine, and hands fold every block
+// of records on a second one, in log order, until a segment ends at
+// an invalid frame. It returns when both are done: on an error too, so
+// no goroutine outlives it.
+func (sc *segmentScanner) run(dir string, segs []uint64, from int64, fold func(*block)) (end scanEnd, err error) {
+	sc.left = -from
+	for _, idx := range segs {
+		if fi, err := os.Stat(filepath.Join(dir, segmentName(idx))); err == nil {
+			sc.left += fi.Size()
+		}
+	}
+	// Both channels hold every block there can be, so neither side's
+	// send ever waits: the scan waits only for a free block, the fold
+	// only for a full one.
+	sc.full, sc.free, sc.made = make(chan *block, pipeBlocks), make(chan *block, pipeBlocks), 0
+	folded := make(chan struct{})
+	go func() {
+		defer close(folded)
+		for b := range sc.full {
+			fold(b)
+			sc.free <- b
+		}
+	}()
+	defer func() {
+		if sc.cur != nil && len(sc.cur.recs) > 0 {
+			sc.full <- sc.cur
+		}
+		sc.cur = nil
+		close(sc.full)
+		<-folded
+	}()
+	for i, idx := range segs {
+		path := filepath.Join(dir, segmentName(idx))
+		valid, size, err := sc.scan(path, from)
+		if err != nil {
+			return scanEnd{}, fmt.Errorf("wal: reading %s: %w", path, err)
+		}
+		from = 0
+		if valid < size {
+			return scanEnd{seg: i, valid: valid, size: size}, nil
+		}
+	}
+	return scanEnd{seg: len(segs)}, nil
+}
+
+// scan decodes the longest valid run of frames starting at byte from
+// of the segment at path into blocks, and returns where that run ends
+// and the file's size; a file shorter than from is an error, and so is
+// a run that ends at an ingest record of the retired format. The file
+// is read window by window: only the frame the window ends inside
+// moves to its front before the next read.
+func (sc *segmentScanner) scan(path string, from int64) (validLen, size int64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return 0, 0, err
@@ -298,7 +419,7 @@ func (sc *segmentScanner) scan(path string, from int64, visit func(*record)) (va
 		if rerr != nil && !eof {
 			return 0, 0, rerr
 		}
-		off, stop := scanFrames(buf, &sc.rec, visit)
+		off, stop := sc.decode(buf)
 		validLen += int64(off)
 		if errors.Is(stop, errRetiredIngest) {
 			return 0, 0, fmt.Errorf("byte %d: %w", validLen, stop)
@@ -319,4 +440,56 @@ func (sc *segmentScanner) scan(path string, from int64, visit func(*record)) (va
 			}
 		}
 	}
+}
+
+// decode decodes the whole frames at the front of data into blocks,
+// verifying each plan record, and hands every block it fills to the
+// fold. It returns the bytes the frames span and, like decodeFrames,
+// why it stopped at an invalid frame.
+func (sc *segmentScanner) decode(data []byte) (off int, stop error) {
+	for {
+		if sc.cur == nil {
+			sc.cur = sc.next()
+		}
+		b := sc.cur
+		at := len(b.recs)
+		o, n, stop := decodeFrames(data[off:], b.recs[at:cap(b.recs)])
+		b.recs = b.recs[:at+n]
+		for i := at; i < at+n; i++ {
+			if r := &b.recs[i]; r.kind == recPlan {
+				if sc.failed {
+					r.canonical = nil
+				} else if r.verify(&sc.verify); r.plan == nil {
+					sc.failed = true
+				}
+			}
+		}
+		off += o
+		sc.left -= int64(o)
+		if len(b.recs) < cap(b.recs) {
+			return off, stop
+		}
+		sc.full <- b
+		sc.cur = nil
+	}
+}
+
+// next returns an empty block to fill: one the fold has handed back,
+// a new one while fewer than pipeBlocks exist, or else the first the
+// fold hands back. A block holds no more records than the bytes left
+// to scan can.
+func (sc *segmentScanner) next() *block {
+	var b *block
+	select {
+	case b = <-sc.free:
+	default:
+		if sc.made < pipeBlocks {
+			sc.made++
+			b = &block{recs: make([]record, 0, max(1, min(int64(sc.block), sc.left/minFrameBytes+1)))}
+		} else {
+			b = <-sc.free
+		}
+	}
+	b.recs, b.left = b.recs[:0], sc.left
+	return b
 }

@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"bytes"
 	"slices"
 	"time"
 
@@ -106,9 +105,10 @@ func (dst *run) absorb(src *run) {
 // to its slot tag's run as it is scanned; the rules that need the
 // whole log (had a slot's boundary passed) wait for finish. Nothing
 // is summed here: demand counts commute, and the server's core.Demand
-// folds the entries. The fold never panics, whatever the records
-// (FuzzWALReplay drives it with adversarial streams), and any plan it
-// returns has passed verifyPlan.
+// folds the entries. A plan record comes verified (record.verify), and
+// the fold takes the verdict. The fold never panics, whatever the
+// records (FuzzWALReplay drives it with adversarial streams), and any
+// plan it returns has passed verifyPlan.
 type replay struct {
 	st   *State
 	ckpt *Checkpoint
@@ -132,6 +132,10 @@ type replay struct {
 	// spare is the largest buffer a released run left: the next run
 	// starts in it.
 	spare []Entry
+	// left bounds the log bytes still to fold, from the block being
+	// folded on (applyBlock); 0 when unknown. A run that fills grows
+	// by the ingests they can hold, so in Open it grows once.
+	left int64
 	// stopped is set by the first plan record that fails verification.
 	stopped bool
 }
@@ -155,6 +159,14 @@ func newReplay(ckpt *Checkpoint) *replay {
 	return rp
 }
 
+// applyBlock folds one block of the scan in, in order.
+func (rp *replay) applyBlock(b *block) {
+	rp.left = b.left
+	for i := range b.recs {
+		rp.apply(&b.recs[i])
+	}
+}
+
 // apply folds one record in.
 func (rp *replay) apply(r *record) {
 	if rp.stopped {
@@ -168,8 +180,10 @@ func (rp *replay) apply(r *record) {
 		}
 		if d := rp.last; d != nil {
 			if len(d.entries) == cap(d.entries) {
-				// Doubling: a run's buffers sum to twice its length.
-				d.entries = slices.Grow(d.entries, max(len(d.entries), 64))
+				// Sized from the bytes left to fold: no ingest frame is
+				// shorter than minIngestFrameBytes. Without that bound
+				// (left 0) the run doubles.
+				d.entries = slices.Grow(d.entries, max(int(rp.left/minIngestFrameBytes), len(d.entries), 64))
 			}
 			d.entries = append(d.entries, Entry{Hotspot: r.hotspot, Video: r.video, Count: r.count})
 			d.requests += r.count
@@ -180,14 +194,13 @@ func (rp *replay) apply(r *record) {
 		// A plan record whose bytes fail verification is corruption
 		// that slipped past the CRC; trusting anything after it would
 		// violate the durable-prefix contract, so replay stops there.
-		plan := verifyPlan(r.canonical, r.digest, &st.PlanVerify)
-		if plan == nil {
+		if r.plan == nil {
 			rp.stopped = true
 			return
 		}
 		rp.consume(r.slot)
 		if st.Plan == nil || r.epoch > st.Plan.Epoch {
-			st.Plan = &PlanState{Slot: r.slot, Epoch: r.epoch, Digest: r.digest, Canonical: bytes.Clone(r.canonical), Decoded: plan}
+			st.Plan = &PlanState{Slot: r.slot, Epoch: r.epoch, Digest: r.digest, Canonical: r.canonical, Decoded: r.plan}
 		}
 		st.Epoch = max(st.Epoch, r.epoch)
 	case recRoundErr:

@@ -3,7 +3,7 @@ package wal
 import (
 	"bytes"
 	"cmp"
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,6 +11,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -211,11 +212,27 @@ func referenceState(ckpt *Checkpoint, recs []record) *State {
 	return st
 }
 
+// eachFrame decodes data's whole frames one at a time, handing visit
+// each record and the byte its frame starts at, and returns the byte
+// length of the valid prefix they span — everything after it is a torn
+// tail or corruption.
+func eachFrame(data []byte, visit func(r *record, at int)) (validLen int) {
+	var rec [1]record
+	for {
+		off, n, _ := decodeFrames(data[validLen:], rec[:])
+		if n == 0 {
+			return validLen
+		}
+		visit(&rec[0], validLen)
+		validLen += off
+	}
+}
+
 // scanRecords collects data's longest valid record prefix for the
 // oracle, plan bytes copied out of data, and returns the byte length of
-// that prefix — everything after it is a torn tail or corruption.
+// that prefix.
 func scanRecords(data []byte) (recs []record, validLen int) {
-	validLen, _ = scanFrames(data, new(record), func(r *record) {
+	validLen = eachFrame(data, func(r *record, _ int) {
 		rec := *r
 		rec.canonical = bytes.Clone(r.canonical)
 		recs = append(recs, rec)
@@ -223,12 +240,22 @@ func scanRecords(data []byte) (recs []record, validLen int) {
 	return recs, validLen
 }
 
+// applyVerified hands r to the fold as Open's scan does: a plan record
+// verified first (on a copy, so r keeps its bytes).
+func applyVerified(rp *replay, r *record) {
+	rec := *r
+	if rec.kind == recPlan {
+		rec.verify(&rp.st.PlanVerify)
+	}
+	rp.apply(&rec)
+}
+
 // foldState runs recovery's fold over recs, as Open does over the
 // records its scan decodes.
 func foldState(ckpt *Checkpoint, recs []record) *State {
 	rp := newReplay(ckpt)
 	for i := range recs {
-		rp.apply(&recs[i])
+		applyVerified(rp, &recs[i])
 	}
 	return rp.finish()
 }
@@ -242,6 +269,34 @@ func requireFoldMatchesReference(t *testing.T, ckpt *Checkpoint, recs []record, 
 	return st
 }
 
+// loadCheckpoints is the oracle's checkpoint loader, one file at a
+// time: the newest checkpoint that passes CRC, strict decoding and plan
+// verification (nil when none), its plan decoded, and the time spent
+// verifying checkpointed plans. A checkpoint of another body version
+// is an error, not damage to fall back from.
+func loadCheckpoints(dir string) (ckpt *Checkpoint, verify time.Duration, err error) {
+	seqs, err := listCheckpoints(dir)
+	if err != nil {
+		return nil, 0, err
+	}
+	for _, seq := range seqs {
+		c, err := readCheckpoint(dir, seq)
+		if errors.Is(err, errCheckpointVersion) {
+			return nil, 0, err
+		}
+		if err != nil {
+			continue
+		}
+		if c.Plan != nil {
+			if c.Plan.Decoded = verifyPlan(c.Plan.Canonical, c.Plan.Digest, &verify); c.Plan.Decoded == nil {
+				continue
+			}
+		}
+		return c, verify, nil
+	}
+	return nil, verify, nil
+}
+
 // referenceRecover is the oracle Open is held to: recovery that reads
 // the whole log. It loads the newest valid checkpoint, then reads every
 // retained segment whole from byte 0 up to the first invalid frame —
@@ -253,7 +308,7 @@ func requireFoldMatchesReference(t *testing.T, ckpt *Checkpoint, recs []record, 
 // exactly, skipping must not change the state.
 func referenceRecover(tb testing.TB, dir string) (st *State, absorbed int) {
 	tb.Helper()
-	ckpt, _, verify, err := loadCheckpoints(dir)
+	ckpt, verify, err := loadCheckpoints(dir)
 	if err != nil {
 		tb.Fatalf("reference: %v", err)
 	}
@@ -272,12 +327,9 @@ func referenceRecover(tb testing.TB, dir string) (st *State, absorbed int) {
 		if err != nil {
 			tb.Fatalf("reference: %v", err)
 		}
-		start := 0 // where the frame being visited starts
-		validLen, _ := scanFrames(data, new(record), func(r *record) {
-			at := start
-			start += frameHeaderBytes + int(binary.LittleEndian.Uint32(data[at:]))
+		validLen := eachFrame(data, func(r *record, at int) {
 			if idx > cut.Segment || idx == cut.Segment && int64(at) >= cut.Offset {
-				rp.apply(r)
+				applyVerified(rp, r)
 			} else {
 				absorbed++
 			}

@@ -1,7 +1,6 @@
 package wal
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -38,10 +37,10 @@ func TestFoldMatchesReferenceAtBenchShape(t *testing.T) {
 
 // TestOpenAllocationsIndependentOfLogLength pins "no allocation per
 // record": Open on the bench shape with eight times the ingests may
-// allocate only a few more times — three more doublings of the open
-// slot's run, plus whatever sync.Pool caches a collection during the
-// longer scan emptied (2–10 more in all, measured; a per-record or
-// per-key allocation makes it 180).
+// allocate only a few more times — a run grows once whatever its
+// length, and the scan's blocks are as many either way, so what
+// differs is whatever sync.Pool caches a collection during the longer
+// scan emptied (a per-record or per-key allocation makes it 180).
 func TestOpenAllocationsIndependentOfLogLength(t *testing.T) {
 	const n, budget = 2000, 16
 	allocs := func(slotIngests int) float64 {
@@ -64,11 +63,12 @@ func TestOpenAllocationsIndependentOfLogLength(t *testing.T) {
 
 // TestScanThroughSmallWindows reads a segment through windows shorter
 // than its frames — down to one byte, with plan frames many windows
-// long — truncated at every offset, with a byte flipped at every
-// offset, and whole from every frame boundary on: the records and the
-// valid prefix must be those of one scan over the bytes from the
-// start offset. One scanner per window size reads every file, as Open
-// reuses one from segment to segment.
+// long — into blocks down to one record, truncated at every offset,
+// with a byte flipped at every offset, and whole from every frame
+// boundary on: the records the fold receives, in order, and the valid
+// prefix must be those of one scan over the bytes from the start
+// offset, every plan record verified. One scanner per window and block
+// size reads every file, as Open reuses one from segment to segment.
 func TestScanThroughSmallWindows(t *testing.T) {
 	src := t.TempDir()
 	writeScriptedLog(t, src, DefaultSegmentBytes)
@@ -77,36 +77,50 @@ func TestScanThroughSmallWindows(t *testing.T) {
 		t.Fatalf("want one segment, got %d", len(segs))
 	}
 	seg := segs[0]
-	path := filepath.Join(t.TempDir(), "seg")
-	for _, window := range []int{1, 2, 7, 8, 9, 40, readWindow} {
-		sc := segmentScanner{window: window}
-		check := func(data []byte, from int, ctx string) {
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				t.Fatal(err)
+	dir := t.TempDir()
+	path := filepath.Join(dir, segmentName(1))
+	for _, blockLen := range []int{1, 3, blockRecords} {
+		for _, window := range []int{1, 2, 7, 8, 9, 40, readWindow} {
+			sc := segmentScanner{window: window, block: blockLen}
+			check := func(data []byte, from int, ctx string) {
+				if err := os.WriteFile(path, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				var got []record
+				end, err := sc.run(dir, []uint64{1}, int64(from), func(b *block) {
+					if len(b.recs) > blockLen {
+						t.Errorf("block of %d records, want at most %d", len(b.recs), blockLen)
+					}
+					for _, r := range b.recs {
+						if r.kind == recPlan && r.plan == nil {
+							t.Errorf("%s: a plan record reached the fold unverified", ctx)
+						}
+						r.plan = nil
+						got = append(got, r)
+					}
+				})
+				want, wantLen := scanRecords(data[from:])
+				wantLen += from
+				validLen := end.valid
+				if end.seg == 1 {
+					validLen = int64(len(data))
+				}
+				if err != nil || validLen != int64(wantLen) || end.seg == 0 && end.size != int64(len(data)) || !reflect.DeepEqual(got, want) {
+					t.Fatalf("block %d, window %d, %s: %d records, valid %d of %d (err %v); want %d records, valid %d of %d",
+						blockLen, window, ctx, len(got), validLen, len(data), err, len(want), wantLen, len(data))
+				}
 			}
-			var got []record
-			validLen, size, err := sc.scan(path, int64(from), func(r *record) {
-				rec := *r
-				rec.canonical = bytes.Clone(r.canonical)
-				got = append(got, rec)
-			})
-			want, wantLen := scanRecords(data[from:])
-			wantLen += from
-			if err != nil || validLen != int64(wantLen) || size != int64(len(data)) || !reflect.DeepEqual(got, want) {
-				t.Fatalf("window %d, %s: %d records, valid %d of %d (err %v); want %d records, valid %d of %d",
-					window, ctx, len(got), validLen, size, err, len(want), wantLen, len(data))
+			for off := 0; off <= len(seg); off++ {
+				check(seg[:off], 0, "truncated at "+itoa(off))
 			}
-		}
-		for off := 0; off <= len(seg); off++ {
-			check(seg[:off], 0, "truncated at "+itoa(off))
-		}
-		for off := range seg {
-			flipped := slices.Clone(seg)
-			flipped[off] ^= 0x41
-			check(flipped, 0, "flipped at "+itoa(off))
-		}
-		for _, from := range frameEnds(seg) {
-			check(seg, from, "from "+itoa(from))
+			for off := range seg {
+				flipped := slices.Clone(seg)
+				flipped[off] ^= 0x41
+				check(flipped, 0, "flipped at "+itoa(off))
+			}
+			for _, from := range frameEnds(seg) {
+				check(seg, from, "from "+itoa(from))
+			}
 		}
 	}
 }

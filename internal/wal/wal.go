@@ -26,6 +26,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -177,11 +178,12 @@ func listSegments(dir string) ([]uint64, error) {
 // without one) — segments below the position are not opened, the scan
 // stops at the first invalid frame, physically truncating that segment
 // to its valid prefix and deleting all later segments — and each
-// surviving record is folded onto the checkpoint as the scan decodes
-// it (replay). A checkpoint of another body version fails Open, and so
-// does one whose position's segment is missing or shorter than its
-// offset: appending there would put records below a durable
-// checkpoint's position. Without a checkpoint, a log whose segment 1
+// surviving record is folded onto the checkpoint in log order (replay)
+// on a goroutine beside the scan, while a third verifies the
+// checkpoint's plan (recoverFrom). A checkpoint of another body
+// version fails Open, and so does one whose position's segment is
+// missing or shorter than its offset: appending there would put
+// records below a durable checkpoint's position. Without a checkpoint, a log whose segment 1
 // segment GC has collected fails Open too: the records it held are
 // gone. A scan that stops at an ingest record of the retired format
 // fails Open and leaves the segment as it is.
@@ -219,46 +221,51 @@ func Open(dir string, opts Options) (*Log, *State, error) {
 		}
 	}
 
-	ckpt, maxCkptSeq, ckptVerify, err := loadCheckpoints(dir)
+	seqs, err := listCheckpoints(dir)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
-	l.ckptSeq = maxCkptSeq
-
+	if len(seqs) > 0 {
+		l.ckptSeq = seqs[0] // a damaged file still reserves its sequence
+	}
 	segs, err := listSegments(dir)
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
-	var from int64 // where the scan of segs[0] starts
-	if ckpt != nil {
-		i, found := slices.BinarySearch(segs, ckpt.Pos.Segment)
-		if !found {
-			return nil, nil, fmt.Errorf("wal: %s: segment %s of its position is missing",
-				checkpointName(ckpt.Seq), segmentName(ckpt.Pos.Segment))
+	// Try the checkpoints newest first, then no checkpoint: the first
+	// whose plan passes verification is the base.
+	var rc *recovery
+	var ckptVerify time.Duration
+	for _, seq := range seqs {
+		c, err := readCheckpoint(dir, seq)
+		if errors.Is(err, errCheckpointVersion) {
+			return nil, nil, err
 		}
-		segs, from = segs[i:], ckpt.Pos.Offset
-	} else if len(segs) > 0 && segs[0] != 1 {
-		return nil, nil, fmt.Errorf("wal: no checkpoint loads and segment %s, where the log starts, is missing",
-			segmentName(1))
-	}
-	rp := newReplay(ckpt)
-	sc := segmentScanner{window: readWindow}
-	var truncatedBytes int64
-	for i, idx := range segs {
-		path := filepath.Join(dir, segmentName(idx))
-		validLen, size, err := sc.scan(path, from, rp.apply)
 		if err != nil {
-			return nil, nil, fmt.Errorf("wal: reading %s: %w", path, err)
-		}
-		from = 0
-		if validLen == size {
 			continue
 		}
+		rc = recoverFrom(dir, segs, c)
+		ckptVerify += rc.ckptVerify
+		if rc.st != nil {
+			break
+		}
+		rc = nil
+	}
+	if rc == nil {
+		rc = recoverFrom(dir, segs, nil)
+	}
+	if rc.err != nil {
+		return nil, nil, rc.err
+	}
+	segs = rc.segs
+	var truncatedBytes int64
+	if i := rc.end.seg; i < len(segs) {
 		// Torn tail or corruption: truncate this segment to its valid
 		// prefix and delete every later segment — records beyond the
 		// first invalid frame are not part of the durable prefix.
-		truncatedBytes += size - validLen
-		if err := os.Truncate(path, validLen); err != nil {
+		path := filepath.Join(dir, segmentName(segs[i]))
+		truncatedBytes += rc.end.size - rc.end.valid
+		if err := os.Truncate(path, rc.end.valid); err != nil {
 			return nil, nil, fmt.Errorf("wal: truncating %s: %w", path, err)
 		}
 		for _, later := range segs[i+1:] {
@@ -271,10 +278,9 @@ func Open(dir string, opts Options) (*Log, *State, error) {
 			}
 		}
 		segs = segs[:i+1]
-		break
 	}
 
-	st := rp.finish()
+	st := rc.st
 	st.TruncatedBytes = truncatedBytes
 	st.PlanVerify += ckptVerify
 	l.replayCarry = st.Records
@@ -313,40 +319,62 @@ func Open(dir string, opts Options) (*Log, *State, error) {
 	return l, st, nil
 }
 
-// loadCheckpoints loads the newest fully valid checkpoint (nil when
-// none), its plan decoded, and the highest checkpoint sequence present
-// in any file name, so newly written checkpoints never collide with a
-// damaged one; verify is the time spent verifying checkpointed plans.
-// A checkpoint of another body version is an error, not damage to fall
-// back from.
-func loadCheckpoints(dir string) (ckpt *Checkpoint, maxSeq uint64, verify time.Duration, err error) {
-	seqs, err := listCheckpoints(dir)
-	if err != nil {
-		return nil, 0, 0, fmt.Errorf("wal: %w", err)
+// recovery is one attempt at recovering the log on a checkpoint.
+type recovery struct {
+	// st is the recovered State, nil when the checkpoint's plan failed
+	// verification: the attempt is void, and the caller falls back.
+	st *State
+	// segs are the segments scanned, from the position's on, and end
+	// is where the scan stopped in them.
+	segs []uint64
+	end  scanEnd
+	// err is why the log cannot be recovered on this checkpoint.
+	err error
+	// ckptVerify is the time spent verifying the checkpoint's plan.
+	ckptVerify time.Duration
+}
+
+// recoverFrom recovers the log in dir, whose segments are segs, on the
+// checkpoint c (nil for none): it scans the log from c's position
+// (from segment 1 without one) and folds each record onto c's state.
+// Three goroutines share the work — the scan, the fold (segmentScanner)
+// and the verification of c's plan — and all three have finished when
+// recoverFrom returns. It has no effect on disk: the caller truncates
+// what the scan found invalid, and only once c's plan has passed, so a
+// checkpoint that fails is as if its scan had never run.
+func recoverFrom(dir string, segs []uint64, c *Checkpoint) *recovery {
+	rc := &recovery{}
+	var verdict chan *core.DecodedPlan
+	if c != nil && c.Plan != nil {
+		verdict = make(chan *core.DecodedPlan, 1)
+		go func() { verdict <- verifyPlan(c.Plan.Canonical, c.Plan.Digest, &rc.ckptVerify) }()
 	}
-	if len(seqs) > 0 {
-		maxSeq = seqs[0]
+	rp := newReplay(c)
+	var from int64 // where the scan of segs[0] starts
+	if c != nil {
+		i, found := slices.BinarySearch(segs, c.Pos.Segment)
+		if !found {
+			rc.err = fmt.Errorf("wal: %s: segment %s of its position is missing",
+				checkpointName(c.Seq), segmentName(c.Pos.Segment))
+		}
+		segs, from = segs[i:], c.Pos.Offset
+	} else if len(segs) > 0 && segs[0] != 1 {
+		rc.err = fmt.Errorf("wal: no checkpoint loads and segment %s, where the log starts, is missing",
+			segmentName(1))
 	}
-	for _, seq := range seqs {
-		data, err := os.ReadFile(filepath.Join(dir, checkpointName(seq)))
-		if err != nil {
-			continue
-		}
-		c, err := unmarshalCheckpoint(data)
-		if errors.Is(err, errCheckpointVersion) {
-			return nil, 0, 0, fmt.Errorf("%s: %w", checkpointName(seq), err)
-		}
-		if err != nil {
-			continue
-		}
-		if c.Plan != nil {
-			if c.Plan.Decoded = verifyPlan(c.Plan.Canonical, c.Plan.Digest, &verify); c.Plan.Decoded == nil {
-				continue
-			}
-		}
-		return c, maxSeq, verify, nil
+	sc := segmentScanner{window: readWindow, block: blockRecords}
+	if rc.err == nil {
+		rc.segs = segs
+		rc.end, rc.err = sc.run(dir, segs, from, rp.applyBlock)
 	}
-	return nil, maxSeq, verify, nil
+	if verdict != nil {
+		if c.Plan.Decoded = <-verdict; c.Plan.Decoded == nil {
+			return &recovery{ckptVerify: rc.ckptVerify}
+		}
+	}
+	rc.st = rp.finish()
+	rc.st.PlanVerify += sc.verify
+	return rc
 }
 
 // flushLoop is the PolicyInterval flusher.
