@@ -146,7 +146,7 @@ func BenchmarkReplicate(b *testing.B) {
 				b.Fatal("the sweep realised no flow")
 			}
 			flows := maps.Clone(s.ar.flows)
-			svc, cache := world.ServiceCapacities(), nominalCache(world)
+			svc, cache := world.ServiceCapacities(), world.CacheCapacities()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

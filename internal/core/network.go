@@ -231,17 +231,14 @@ func (s *Scheduler) assembleNetwork(
 				sumPhi += c.phiIJ
 				sumDist += c.distIJ
 			}
-			guided := false
-			if useGuides && k >= 0 {
-				// Insert a guide node when the cluster can cover at
-				// least half of j's slack, or when j itself belongs to
-				// the cluster (Sec. IV-B).
-				if 2*sumPhi >= phiUnder[j] || clusterOf[j] == k {
-					guided = true
-				}
-			}
+			// Insert a guide node when the cluster can cover at least
+			// half of j's slack, or when j itself belongs to the
+			// cluster (Sec. IV-B). Its members reach it at cost 0 and
+			// it reaches j at the group's cost; without a guide each
+			// member reaches j directly at d_ij.
+			to, guided := nj, useGuides && (2*sumPhi >= phiUnder[j] || clusterOf[j] == k)
 			if guided {
-				guide := g.AddNode()
+				to = g.AddNode()
 				nb.guideNodes++
 				var outCost float64
 				switch s.params.GuideCost {
@@ -250,30 +247,20 @@ func (s *Scheduler) assembleNetwork(
 				default: // GuideCostAvgDistance
 					outCost = sumDist / float64(len(group))
 				}
-				outCap := sumPhi
-				if phiUnder[j] < outCap {
-					outCap = phiUnder[j]
+				mustEdge(to, nj, min(sumPhi, phiUnder[j]), outCost)
+			}
+			for _, c := range group {
+				ni := ensureNode(c.i)
+				if ar.srcEp[c.i] != ar.epoch {
+					mustEdge(source, ni, phiOver[c.i], 0)
+					ar.srcEp[c.i] = ar.epoch
 				}
-				mustEdge(guide, nj, outCap, outCost)
-				for _, c := range group {
-					ni := ensureNode(c.i)
-					if ar.srcEp[c.i] != ar.epoch {
-						mustEdge(source, ni, phiOver[c.i], 0)
-						ar.srcEp[c.i] = ar.epoch
-					}
-					id := mustEdge(ni, guide, c.phiIJ, 0)
-					nb.edges = append(nb.edges, attributedEdge{id: id, i: c.i, j: j})
+				cost := c.distIJ
+				if guided {
+					cost = 0
 				}
-			} else {
-				for _, c := range group {
-					ni := ensureNode(c.i)
-					if ar.srcEp[c.i] != ar.epoch {
-						mustEdge(source, ni, phiOver[c.i], 0)
-						ar.srcEp[c.i] = ar.epoch
-					}
-					id := mustEdge(ni, nj, c.phiIJ, c.distIJ)
-					nb.edges = append(nb.edges, attributedEdge{id: id, i: c.i, j: j})
-				}
+				id := mustEdge(ni, to, c.phiIJ, cost)
+				nb.edges = append(nb.edges, attributedEdge{id: id, i: c.i, j: j})
 			}
 		}
 	}

@@ -513,7 +513,7 @@ func sweptCase(t *testing.T, seed int64, degraded bool, bpeak int64) replicateCa
 	if degraded {
 		rng := rand.New(rand.NewSource(seed))
 		cons.Service = world.ServiceCapacities()
-		cons.Cache = nominalCache(world)
+		cons.Cache = world.CacheCapacities()
 		for h := range cons.Service {
 			switch rng.Intn(5) {
 			case 0:

@@ -143,7 +143,7 @@ func (cons Constraints) Resolve(world *trace.World, d *Demand) (svc []int64, cac
 	}
 	cache = cons.Cache
 	if cache == nil {
-		cache = nominalCache(world)
+		cache = world.CacheCapacities()
 	} else {
 		if len(cache) != m {
 			return nil, nil, fmt.Errorf("core: cache capacities cover %d hotspots, world has %d", len(cache), m)
@@ -437,16 +437,6 @@ func Omega1Km(world *trace.World, redirects []Redirect, stranded int64) float64 
 		sum += float64(r.Count) * world.Hotspots[r.From].Location.DistanceTo(world.Hotspots[r.To].Location)
 	}
 	return sum + float64(stranded)*world.CDNDistanceKm
-}
-
-// nominalCache returns the world's nominal per-hotspot cache
-// capacities.
-func nominalCache(world *trace.World) []int {
-	cache := make([]int, len(world.Hotspots))
-	for h := range world.Hotspots {
-		cache[h] = world.Hotspots[h].CacheCapacity
-	}
-	return cache
 }
 
 // sweepThetas returns the θ values Algorithm 1's sweep visits:

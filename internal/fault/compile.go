@@ -257,11 +257,7 @@ func (tl *Timeline) cacheRow(slot int, world *trace.World) {
 		tl.cache = make([][]int, tl.slots)
 	}
 	if tl.cache[slot] == nil {
-		row := make([]int, tl.m)
-		for h := range world.Hotspots {
-			row[h] = world.Hotspots[h].CacheCapacity
-		}
-		tl.cache[slot] = row
+		tl.cache[slot] = world.CacheCapacities()
 	}
 }
 

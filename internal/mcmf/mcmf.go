@@ -1,12 +1,12 @@
 // Package mcmf implements exact minimum-cost maximum-flow over directed
-// graphs with integer capacities and real (float64) edge costs.
+// graphs with integer capacities and non-negative real (float64) edge
+// costs.
 //
 // The solver is successive shortest paths with Johnson potentials and
-// a Dijkstra inner loop; a graph whose residual arcs start out with a
-// negative cost is primed with one Bellman-Ford pass. The package's
-// tests hold it to a Bellman-Ford / SPFA augmenting solver
-// (reference_test.go), the textbook successor of the Ford-Fulkerson
-// scheme the paper cites.
+// a Dijkstra inner loop, started from zero flow and zero potentials.
+// The package's tests hold it to a Bellman-Ford / SPFA augmenting
+// solver (reference_test.go), the textbook successor of the
+// Ford-Fulkerson scheme the paper cites.
 //
 // The request-balancing stage of RBCAer (paper Sec. IV-A/B) builds its
 // Gd and Gc networks on this package.
@@ -103,7 +103,7 @@ func (g *Graph) Reinit(n int) {
 
 // AddEdge adds a directed edge with the given capacity and per-unit
 // cost and returns its identifier. Capacity must be non-negative and
-// cost finite.
+// cost finite and non-negative.
 func (g *Graph) AddEdge(from, to int, capacity int64, cost float64) (EdgeID, error) {
 	if from < 0 || from >= len(g.adj) {
 		return 0, fmt.Errorf("mcmf: from node %d out of range [0, %d)", from, len(g.adj))
@@ -116,6 +116,9 @@ func (g *Graph) AddEdge(from, to int, capacity int64, cost float64) (EdgeID, err
 	}
 	if math.IsNaN(cost) || math.IsInf(cost, 0) {
 		return 0, fmt.Errorf("mcmf: non-finite cost %v", cost)
+	}
+	if cost < 0 {
+		return 0, fmt.Errorf("mcmf: negative cost %v", cost)
 	}
 	id := EdgeID(len(g.arcs) / 2)
 	g.adj[from] = append(g.adj[from], int32(len(g.arcs)))
@@ -152,15 +155,6 @@ func (g *Graph) Flow(id EdgeID) int64 {
 	return g.arcs[i+1].cap
 }
 
-// Reset zeroes all flows, restoring original capacities.
-func (g *Graph) Reset() {
-	for i := 0; i+1 < len(g.arcs); i += 2 {
-		total := g.arcs[i].cap + g.arcs[i+1].cap
-		g.arcs[i].cap = total
-		g.arcs[i+1].cap = 0
-	}
-}
-
 // Result reports the outcome of a flow computation.
 type Result struct {
 	Flow  int64   // total flow pushed from source to sink
@@ -174,16 +168,14 @@ func (g *Graph) MinCostMaxFlow(source, sink int) (Result, error) {
 	return g.Solve(source, sink, math.MaxInt64)
 }
 
-// Solve pushes up to limit units of flow from source to sink at
-// minimum cost. It augments on top of any flow already present (call
-// Reset to start over): when that flow is a minimum-cost flow of its
-// value, so is the total. The returned Result covers only the flow
-// pushed by this call.
+// Solve computes a minimum-cost flow of value at most limit from source
+// to sink, starting from zero flow: whatever flow an earlier solve left
+// on the graph is cleared first.
 func (g *Graph) Solve(source, sink int, limit int64) (Result, error) {
 	if err := g.checkSolveArgs(source, sink, limit); err != nil {
 		return Result{}, err
 	}
-	return g.solveDijkstra(source, sink, limit)
+	return g.solveDijkstra(source, sink, limit), nil
 }
 
 // checkSolveArgs rejects endpoints outside the graph and a negative
@@ -221,28 +213,18 @@ func (g *Graph) ensureScratch(n int) {
 	g.visited = g.visited[:n]
 }
 
-func (g *Graph) solveDijkstra(source, sink int, limit int64) (Result, error) {
+func (g *Graph) solveDijkstra(source, sink int, limit int64) Result {
 	n := len(g.adj)
 	g.ensureScratch(n)
 	pot := g.pot
 	for i := range pot {
 		pot[i] = 0
 	}
-	if g.negativeResidual() {
-		// Zero potentials are valid only while no residual arc has a
-		// negative cost. A negative original cost breaks that, and so
-		// does flow already on a positive-cost edge (its reverse arc):
-		// prime with one Bellman-Ford pass so reduced costs become
-		// non-negative.
-		dist, ok := g.bellmanFordDistances(source)
-		if !ok {
-			return Result{}, fmt.Errorf("mcmf: negative-cost cycle reachable from source")
-		}
-		for i, d := range dist {
-			if !math.IsInf(d, 1) {
-				pot[i] = d
-			}
-		}
+	// Start from zero flow. With every cost non-negative, zero
+	// potentials are then valid for the first Dijkstra pass.
+	for i := 0; i < len(g.arcs); i += 2 {
+		g.arcs[i].cap += g.arcs[i+1].cap
+		g.arcs[i+1].cap = 0
 	}
 
 	dist := g.dist
@@ -274,11 +256,9 @@ func (g *Graph) solveDijkstra(source, sink int, limit int64) (Result, error) {
 				}
 				v := int(a.to)
 				rc := a.cost + pot[u] - pot[v]
-				if rc < -costEps {
-					// Should not happen with valid potentials; clamp
-					// tiny negatives from floating error.
-					rc = 0
-				} else if rc < 0 {
+				if rc < 0 {
+					// Valid potentials leave only floating-point
+					// drift below zero.
 					rc = 0
 				}
 				nd2 := dist[u] + rc
@@ -318,51 +298,7 @@ func (g *Graph) solveDijkstra(source, sink int, limit int64) (Result, error) {
 		res.Flow += push
 		res.Paths++
 	}
-	return res, nil
-}
-
-// negativeResidual reports whether any arc with residual capacity has a
-// negative cost.
-func (g *Graph) negativeResidual() bool {
-	for _, a := range g.arcs {
-		if a.cap > 0 && a.cost < 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// bellmanFordDistances returns shortest-path distances over residual
-// arcs from src, or ok=false when a negative cycle is reachable.
-func (g *Graph) bellmanFordDistances(src int) ([]float64, bool) {
-	n := len(g.adj)
-	dist := make([]float64, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	dist[src] = 0
-	for iter := 0; iter < n; iter++ {
-		changed := false
-		for u := 0; u < n; u++ {
-			if math.IsInf(dist[u], 1) {
-				continue
-			}
-			for _, ai := range g.adj[u] {
-				a := g.arcs[ai]
-				if a.cap <= 0 {
-					continue
-				}
-				if nd := dist[u] + a.cost; nd < dist[a.to]-costEps {
-					dist[a.to] = nd
-					changed = true
-				}
-			}
-		}
-		if !changed {
-			return dist, true
-		}
-	}
-	return nil, false
+	return res
 }
 
 // nodeDist is a priority-queue entry for Dijkstra.

@@ -2,6 +2,7 @@ package mcmf
 
 import (
 	"encoding/binary"
+	"hash"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -30,6 +31,7 @@ func TestAddEdgeErrors(t *testing.T) {
 		{"negative capacity", 0, 1, -1, 0},
 		{"NaN cost", 0, 1, 1, math.NaN()},
 		{"Inf cost", 0, 1, 1, math.Inf(1)},
+		{"negative cost", 0, 1, 1, -1},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -146,36 +148,6 @@ func TestRerouting(t *testing.T) {
 	}
 }
 
-func TestNegativeCosts(t *testing.T) {
-	for _, sv := range solvers {
-		t.Run(sv.name, func(t *testing.T) {
-			g := NewGraph(3)
-			mustEdge(t, g, 0, 1, 5, -2)
-			mustEdge(t, g, 1, 2, 5, 3)
-			res, err := sv.solve(g, 0, 2, math.MaxInt64)
-			if err != nil {
-				t.Fatalf("Solve: %v", err)
-			}
-			if res.Flow != 5 || !almost(res.Cost, 5) {
-				t.Errorf("got flow %d cost %v, want 5 and 5", res.Flow, res.Cost)
-			}
-		})
-	}
-}
-
-func TestNegativeCycleDetected(t *testing.T) {
-	g := NewGraph(3)
-	mustEdge(t, g, 0, 1, 5, -1)
-	mustEdge(t, g, 1, 0, 5, -1)
-	mustEdge(t, g, 1, 2, 1, 1)
-	for _, sv := range solvers {
-		g.Reset()
-		if _, err := sv.solve(g, 0, 2, math.MaxInt64); err == nil {
-			t.Errorf("%s ignored a negative cycle", sv.name)
-		}
-	}
-}
-
 func TestDisconnected(t *testing.T) {
 	g := NewGraph(4)
 	mustEdge(t, g, 0, 1, 3, 1)
@@ -190,34 +162,35 @@ func TestDisconnected(t *testing.T) {
 	}
 }
 
-func TestResetAndReuse(t *testing.T) {
-	g := NewGraph(2)
-	e := mustEdge(t, g, 0, 1, 4, 2)
-	res1, err := g.Solve(0, 1, math.MaxInt64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res1.Flow != 4 || g.Flow(e) != 4 {
-		t.Fatalf("first solve flow = %d (edge %d), want 4", res1.Flow, g.Flow(e))
-	}
-	// Saturated: augmenting again moves nothing.
-	res2, err := g.Solve(0, 1, math.MaxInt64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Flow != 0 {
-		t.Errorf("second solve flow = %d, want 0", res2.Flow)
-	}
-	g.Reset()
-	if g.Flow(e) != 0 {
-		t.Errorf("Flow after Reset = %d, want 0", g.Flow(e))
-	}
-	res3, err := g.Solve(0, 1, math.MaxInt64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res3.Flow != 4 {
-		t.Errorf("post-reset solve flow = %d, want 4", res3.Flow)
+// TestSolveTwiceRepeats: Solve starts from zero flow, so solving one
+// graph again returns the same Result and leaves the same per-edge flows.
+func TestSolveTwiceRepeats(t *testing.T) {
+	g := NewGraph(0)
+	source, sink, supply := sweepNetwork(t, g, 7)
+	for _, limit := range []int64{supply / 3, supply} {
+		first, err := g.Solve(source, sink, limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first.Flow == 0 {
+			t.Fatalf("limit %d: first solve moved no flow", limit)
+		}
+		flows := make([]int64, g.NumEdges())
+		for id := range flows {
+			flows[id] = g.Flow(EdgeID(id))
+		}
+		again, err := g.Solve(source, sink, limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again != first {
+			t.Fatalf("limit %d: second solve %+v, first %+v", limit, again, first)
+		}
+		for id, want := range flows {
+			if got := g.Flow(EdgeID(id)); got != want {
+				t.Fatalf("limit %d: edge %d flow %d after the second solve, %d after the first", limit, id, got, want)
+			}
+		}
 	}
 }
 
@@ -426,44 +399,57 @@ func sweepNetwork(t *testing.T, g *Graph, seed int64) (source, sink int, supply 
 
 // TestSolveMatchesReferenceOnSweepNetworks holds Solve to the oracle on
 // the networks the θ-sweep actually solves — layered, sparse, tie-heavy,
-// a binding flow limit, then a second solve on top of the first one's
-// flow (the residual pass) — where TestRandomGraphsAlgorithmsAgree
-// covers dense random digraphs with an unbounded limit.
+// first under a binding flow limit, then again at the full supply, as
+// the residual pass's rebuilt network is — where
+// TestRandomGraphsAlgorithmsAgree covers dense random digraphs with an
+// unbounded limit.
 func TestSolveMatchesReferenceOnSweepNetworks(t *testing.T) {
-	arcFlows := fnv.New64a()
+	steps := []struct {
+		name   string
+		third  bool // limit supply/3 instead of the full supply
+		flows  hash.Hash64
+		pinned uint64
+	}{
+		{"limited", true, fnv.New64a(), 0x9647be7580d60f3e},
+		{"full", false, fnv.New64a(), 0x66f09ef3cdba2c15},
+	}
 	var moved int64
 	for seed := int64(1); seed <= 40; seed++ {
 		gs, gr := NewGraph(0), NewGraph(0)
 		source, sink, supply := sweepNetwork(t, gs, seed)
 		sweepNetwork(t, gr, seed)
-		for step, limit := range []int64{supply / 3, supply} {
+		for _, st := range steps {
+			limit := supply
+			if st.third {
+				limit = supply / 3
+			}
 			got, err := gs.Solve(source, sink, limit)
 			if err != nil {
-				t.Fatalf("seed %d step %d: Solve: %v", seed, step, err)
+				t.Fatalf("seed %d %s: Solve: %v", seed, st.name, err)
 			}
 			want, err := referenceBellmanFord(gr, source, sink, limit)
 			if err != nil {
-				t.Fatalf("seed %d step %d: oracle: %v", seed, step, err)
+				t.Fatalf("seed %d %s: oracle: %v", seed, st.name, err)
 			}
 			// Multiples of 1/8 times integer flows sum exactly.
 			if got.Flow != want.Flow || got.Cost != want.Cost {
-				t.Fatalf("seed %d step %d: Solve = flow %d cost %v, oracle = flow %d cost %v",
-					seed, step, got.Flow, got.Cost, want.Flow, want.Cost)
+				t.Fatalf("seed %d %s: Solve = flow %d cost %v, oracle = flow %d cost %v",
+					seed, st.name, got.Flow, got.Cost, want.Flow, want.Cost)
 			}
 			if got.Paths > int(got.Flow) {
-				t.Fatalf("seed %d step %d: %d paths for %d units", seed, step, got.Paths, got.Flow)
+				t.Fatalf("seed %d %s: %d paths for %d units", seed, st.name, got.Paths, got.Flow)
 			}
 			moved += got.Flow
-		}
-		net, err := CheckFlow(gs, source, sink)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if ref, err := CheckFlow(gr, source, sink); err != nil || ref != net {
-			t.Fatalf("seed %d: net flow %d, oracle's %d (%v)", seed, net, ref, err)
-		}
-		for id := 0; id < gs.NumEdges(); id++ {
-			binary.Write(arcFlows, binary.LittleEndian, gs.Flow(EdgeID(id)))
+			net, err := CheckFlow(gs, source, sink)
+			if err != nil || net != got.Flow {
+				t.Fatalf("seed %d %s: net flow %d, reported %d (%v)", seed, st.name, net, got.Flow, err)
+			}
+			if ref, err := CheckFlow(gr, source, sink); err != nil || ref != net {
+				t.Fatalf("seed %d %s: net flow %d, oracle's %d (%v)", seed, st.name, net, ref, err)
+			}
+			for id := 0; id < gs.NumEdges(); id++ {
+				binary.Write(st.flows, binary.LittleEndian, gs.Flow(EdgeID(id)))
+			}
 		}
 	}
 	if moved == 0 {
@@ -471,9 +457,11 @@ func TestSolveMatchesReferenceOnSweepNetworks(t *testing.T) {
 	}
 	// Which of the equal-cost optima Solve returns: core.extractFlows
 	// attributes per-arc flow to hotspot pairs, so a different optimum is
-	// a different plan. A solver change that moves this moves goldens.
-	if got, want := arcFlows.Sum64(), uint64(0x66f09ef3cdba2c15); got != want {
-		t.Errorf("per-arc flows fingerprint %#x, want %#x", got, want)
+	// a different plan. A solver change that moves these moves goldens.
+	for _, st := range steps {
+		if got := st.flows.Sum64(); got != st.pinned {
+			t.Errorf("%s: per-arc flows fingerprint %#x, want %#x", st.name, got, st.pinned)
+		}
 	}
 }
 

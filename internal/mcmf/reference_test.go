@@ -18,12 +18,17 @@ var solvers = []struct {
 
 // referenceBellmanFord is the Bellman-Ford / SPFA augmenting solver
 // that shipped as mcmf.BellmanFord, kept verbatim (only its scratch is
-// now its own) as the oracle for Solve: it shares no shortest-path code
-// with solveDijkstra — no potentials, no heap, no reduced costs — and
-// has no non-negativity requirement.
+// now its own, and it clears the graph's flow first, as Solve does) as
+// the oracle for Solve: it shares no shortest-path code with
+// solveDijkstra — no potentials, no heap, no reduced costs — and has no
+// non-negativity requirement.
 func referenceBellmanFord(g *Graph, source, sink int, limit int64) (Result, error) {
 	if err := g.checkSolveArgs(source, sink, limit); err != nil {
 		return Result{}, err
+	}
+	for i := 0; i < len(g.arcs); i += 2 {
+		g.arcs[i].cap += g.arcs[i+1].cap
+		g.arcs[i+1].cap = 0
 	}
 	n := len(g.adj)
 	dist := make([]float64, n)

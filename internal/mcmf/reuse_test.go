@@ -105,7 +105,7 @@ func TestReinitShrinksNodes(t *testing.T) {
 }
 
 // TestSolveSteadyStateAllocs locks the arena contract: once a reused
-// graph has warmed its scratch, Reset+Solve performs zero allocations.
+// graph has warmed its scratch, Solve performs zero allocations.
 // (The oracle allocates its own scratch per call and is not held to
 // this.)
 func TestSolveSteadyStateAllocs(t *testing.T) {
@@ -117,12 +117,11 @@ func TestSolveSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		g.Reset()
 		if _, err := g.Solve(0, 79, 1<<40); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("steady-state Reset+Solve allocates %v objects per run, want 0", allocs)
+		t.Errorf("steady-state Solve allocates %v objects per run, want 0", allocs)
 	}
 }

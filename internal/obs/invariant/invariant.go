@@ -22,17 +22,13 @@ const omega1Eps = 1e-6
 // effective resolves a round's effective service and cache capacities
 // from the constraints, falling back to the world's nominal values.
 func effective(world *trace.World, cons core.Constraints) (svc []int64, cache []int) {
-	m := len(world.Hotspots)
 	svc = cons.Service
 	if svc == nil {
 		svc = world.ServiceCapacities()
 	}
 	cache = cons.Cache
 	if cache == nil {
-		cache = make([]int, m)
-		for h := range world.Hotspots {
-			cache[h] = world.Hotspots[h].CacheCapacity
-		}
+		cache = world.CacheCapacities()
 	}
 	return svc, cache
 }

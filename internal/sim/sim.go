@@ -73,11 +73,7 @@ func (ctx *SlotContext) EffectiveCacheCapacity() []int {
 	if ctx.CacheCapacity != nil {
 		return ctx.CacheCapacity
 	}
-	out := make([]int, len(ctx.World.Hotspots))
-	for h := range ctx.World.Hotspots {
-		out[h] = ctx.World.Hotspots[h].CacheCapacity
-	}
-	return out
+	return ctx.World.CacheCapacities()
 }
 
 // Assignment is a policy's decision for one slot.

@@ -124,6 +124,16 @@ func (w *World) ServiceCapacities() []int64 {
 	return out
 }
 
+// CacheCapacities returns the hotspots' nominal cache capacities,
+// indexed by hotspot, in a fresh slice.
+func (w *World) CacheCapacities() []int {
+	out := make([]int, len(w.Hotspots))
+	for h := range w.Hotspots {
+		out[h] = w.Hotspots[h].CacheCapacity
+	}
+	return out
+}
+
 // Index builds a spatial index over the world's hotspots for
 // nearest/range queries (geo.NewIndex: about one hotspot per cell).
 func (w *World) Index() (*geo.Grid, error) {

@@ -96,3 +96,26 @@ func TestWorldIndex(t *testing.T) {
 		t.Errorf("Nearest = (%d, %v), want hotspot 1", id, ok)
 	}
 }
+
+// TestCapacityRows: both nominal rows are indexed by hotspot, and each
+// call returns a fresh slice, so a caller that degrades its row in
+// place leaves the world and the next row as they were.
+func TestCapacityRows(t *testing.T) {
+	w := testWorld()
+	svc, cache := w.ServiceCapacities(), w.CacheCapacities()
+	if len(svc) != len(w.Hotspots) || len(cache) != len(w.Hotspots) {
+		t.Fatalf("rows of %d and %d for %d hotspots", len(svc), len(cache), len(w.Hotspots))
+	}
+	for h, hs := range w.Hotspots {
+		if svc[h] != hs.ServiceCapacity || cache[h] != hs.CacheCapacity {
+			t.Fatalf("hotspot %d: rows (%d, %d), world (%d, %d)", h, svc[h], cache[h], hs.ServiceCapacity, hs.CacheCapacity)
+		}
+	}
+	svc[0], cache[0] = -1, -1
+	if w.Hotspots[0].ServiceCapacity == -1 || w.Hotspots[0].CacheCapacity == -1 {
+		t.Fatal("a row aliases the world's hotspots")
+	}
+	if w.ServiceCapacities()[0] == -1 || w.CacheCapacities()[0] == -1 {
+		t.Fatal("a second call returned the degraded row")
+	}
+}

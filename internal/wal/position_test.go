@@ -33,7 +33,7 @@ func checkpointedLog(t *testing.T, dir string, segBytes int64) (Position, int) {
 		{kind: recIngest, slot: 3, instance: 0, hotspot: 1, video: 1, count: 1},
 		{kind: recIngest, slot: 3, instance: 1, hotspot: 2, video: 4, count: 3},
 	}
-	l, _, err := Open(dir, Options{Policy: PolicyAlways, SegmentBytes: segBytes})
+	l, _, err := Open(dir, Options{Policy: PolicyAlways, segmentBytes: segBytes})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -89,12 +89,14 @@ type Options struct {
 	// Interval is the PolicyInterval flush cadence. 0 selects
 	// DefaultInterval.
 	Interval time.Duration
-	// SegmentBytes rotates the active segment beyond this size. 0
-	// selects DefaultSegmentBytes.
-	SegmentBytes int64
 	// Registry receives the wal.* counters and the append-latency
 	// histogram. Nil allocates a private registry.
 	Registry *obs.Registry
+
+	// segmentBytes rotates the active segment beyond this size. 0
+	// selects DefaultSegmentBytes; only the package's tests set it, to
+	// force rotation.
+	segmentBytes int64
 }
 
 // Log is an open write-ahead log. Appends are safe for concurrent
@@ -192,8 +194,8 @@ func Open(dir string, opts Options) (*Log, *State, error) {
 	if opts.Interval <= 0 {
 		opts.Interval = DefaultInterval
 	}
-	if opts.SegmentBytes <= 0 {
-		opts.SegmentBytes = DefaultSegmentBytes
+	if opts.segmentBytes <= 0 {
+		opts.segmentBytes = DefaultSegmentBytes
 	}
 	if opts.Registry == nil {
 		opts.Registry = obs.NewRegistry()
@@ -447,7 +449,7 @@ func (l *Log) append(r *record) (uint64, error) {
 	lsn := l.nextLSN
 	l.nextLSN++
 	l.segBytes += int64(n)
-	if l.segBytes >= l.opts.SegmentBytes {
+	if l.segBytes >= l.opts.segmentBytes {
 		if err := l.rotateLocked(); err != nil {
 			l.mu.Unlock()
 			return 0, err

@@ -60,7 +60,7 @@ func must(t testing.TB) func(uint64, error) uint64 {
 // demand for the next slot, across two frontends.
 func writeScriptedLog(t *testing.T, dir string, segBytes int64) {
 	t.Helper()
-	l, st, err := Open(dir, Options{Policy: PolicyAlways, SegmentBytes: segBytes})
+	l, st, err := Open(dir, Options{Policy: PolicyAlways, segmentBytes: segBytes})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -369,7 +369,7 @@ func itoa(v int) string {
 // state the newest would have given.
 func TestCheckpointFallbackToOlder(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := Open(dir, Options{Policy: PolicyAlways, SegmentBytes: 128})
+	l, _, err := Open(dir, Options{Policy: PolicyAlways, segmentBytes: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +443,7 @@ func TestCheckpointFallbackToOlder(t *testing.T) {
 // hand back the part of the demand the retained segments hold.
 func TestNoCheckpointAfterGCRefused(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := Open(dir, Options{Policy: PolicyAlways, SegmentBytes: 128})
+	l, _, err := Open(dir, Options{Policy: PolicyAlways, segmentBytes: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +529,7 @@ func TestRetiredIngestFormatRefused(t *testing.T) {
 func TestSegmentRotationAndGC(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
-	l, _, err := Open(dir, Options{Policy: PolicyAlways, SegmentBytes: 128, Registry: reg})
+	l, _, err := Open(dir, Options{Policy: PolicyAlways, segmentBytes: 128, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -591,7 +591,7 @@ func TestReplayBound(t *testing.T) {
 		slots       = 4*every + 2
 	)
 	dir := t.TempDir()
-	l, _, err := Open(dir, Options{Policy: PolicyAlways, SegmentBytes: segBytes})
+	l, _, err := Open(dir, Options{Policy: PolicyAlways, segmentBytes: segBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
