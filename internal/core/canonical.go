@@ -101,18 +101,6 @@ func DigestOf(canonical []byte) uint64 {
 	return h.Sum64()
 }
 
-// DecodedPlan is a canonical plan encoding decoded by DecodeCanonical:
-// the logical scheduling content — flows, redirects, placement, CDN
-// overflow and the degraded flag — with the placement held as sorted
-// runs in one span instead of one set per hotspot.
-type DecodedPlan struct {
-	Degraded      bool
-	Flows         []FlowEdge
-	Redirects     []Redirect
-	Placement     PlacementRuns
-	OverflowToCDN []int64
-}
-
 // The two ways VerifyCanonical refuses plan bytes.
 var (
 	ErrCanonicalDigest = errors.New("core: plan bytes do not hash to the advertised digest")
@@ -122,19 +110,21 @@ var (
 // maxSection caps a declared section length.
 const maxSection = 1 << 28
 
-// DecodeCanonical decodes a canonical plan encoding in one pass. It
-// accepts exactly the bytes AppendCanonical can emit and rejects
-// everything else with an error wrapping ErrCanonicalParse: a leading
-// zero, "-0" or a '+' sign; an integer outside int64, or a hotspot or
-// video id outside trace.HotspotID / trace.VideoID; placement ids that
-// are not strictly ascending; a row label out of sequence; a section
-// count that is negative or above 1<<28; a missing or extra separator,
-// and trailing bytes. That grammar admits one encoding per plan, so
+// ParseCanonical decodes a canonical plan encoding in one pass into a
+// Plan holding the logical scheduling content (Stats and Events are not
+// part of the encoding and come back zero). It accepts exactly the
+// bytes AppendCanonical can emit and rejects everything else with an
+// error wrapping ErrCanonicalParse: a leading zero, "-0" or a '+'
+// sign; an integer outside int64, or a hotspot or video id outside
+// trace.HotspotID / trace.VideoID; placement ids that are not strictly
+// ascending; a row label out of sequence; a section count that is
+// negative or above 1<<28; a missing or extra separator, and trailing
+// bytes. That grammar admits one encoding per plan, so
 // accepting the bytes proves they re-encode to themselves: no
 // re-encode is needed to verify them.
-func DecodeCanonical(canonical []byte) (*DecodedPlan, error) {
+func ParseCanonical(canonical []byte) (*Plan, error) {
 	d := decoder{b: canonical}
-	p := &DecodedPlan{}
+	p := &Plan{}
 
 	d.literal("plan v1\ndegraded ")
 	switch d.field('\n') {
@@ -227,36 +217,19 @@ func DecodeCanonical(canonical []byte) (*DecodedPlan, error) {
 	return p, nil
 }
 
-// ParseCanonical decodes a canonical plan encoding back into a Plan
-// holding the logical scheduling content (stats and events are not
-// part of the encoding and come back zero).
-func ParseCanonical(canonical []byte) (*Plan, error) {
-	d, err := DecodeCanonical(canonical)
-	if err != nil {
-		return nil, err
-	}
-	return &Plan{
-		Degraded:      d.Degraded,
-		Flows:         d.Flows,
-		Redirects:     d.Redirects,
-		Placement:     d.Placement,
-		OverflowToCDN: d.OverflowToCDN,
-	}, nil
-}
-
 // VerifyCanonical is the one gate received or recovered plan bytes
 // pass before anything serves them: canonical must hash to the
-// advertised digest and decode strictly (DecodeCanonical, whose
+// advertised digest and decode strictly (ParseCanonical, whose
 // acceptance is the round-trip proof). Each failure wraps its own Err*
 // sentinel.
-func VerifyCanonical(canonical []byte, digest uint64) (*DecodedPlan, error) {
+func VerifyCanonical(canonical []byte, digest uint64) (*Plan, error) {
 	if got := DigestOf(canonical); got != digest {
 		return nil, fmt.Errorf("%w: got %016x, advertised %016x", ErrCanonicalDigest, got, digest)
 	}
-	return DecodeCanonical(canonical)
+	return ParseCanonical(canonical)
 }
 
-// decoder is DecodeCanonical's cursor over the bytes. A failed step
+// decoder is ParseCanonical's cursor over the bytes. A failed step
 // sets bad, and every later step is then a no-op, so a record is
 // checked once after all its fields.
 type decoder struct {

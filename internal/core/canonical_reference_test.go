@@ -11,8 +11,8 @@ import (
 	"repro/internal/trace"
 )
 
-// This file keeps the plan decoder DecodeCanonical replaced, as the
-// reference it is held to: a lenient parse into fresh maps
+// This file keeps the plan gate ParseCanonical's strict decode
+// replaced, as the reference it is held to: a lenient parse into fresh maps
 // (referenceParseCanonical), then a full re-encode and a byte compare
 // to rule out every spelling AppendCanonical would not have written
 // (referenceVerifyCanonical).
@@ -36,7 +36,7 @@ func referenceVerifyCanonical(canonical []byte, digest uint64) (*refPlan, error)
 }
 
 // referenceAccepts reports whether the reference gate accepts
-// canonical, restricted — as DecodeCanonical is — to placement ids
+// canonical, restricted — as ParseCanonical is — to placement ids
 // that fit trace.VideoID (similarity.Set holds any int, so the
 // reference round-trips wider ids).
 func referenceAccepts(canonical []byte) (*refPlan, bool) {
@@ -80,8 +80,8 @@ func (p *refPlan) Canonical() []byte {
 	return plan.Canonical()
 }
 
-// plan converts the decoded content to the reference's form.
-func (d *DecodedPlan) plan() *refPlan {
+// refPlanOf converts a decoded plan to the reference's form.
+func refPlanOf(d *Plan) *refPlan {
 	p := &refPlan{
 		Degraded:      d.Degraded,
 		Flows:         d.Flows,

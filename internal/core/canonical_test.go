@@ -165,7 +165,7 @@ func TestVerifyCanonical(t *testing.T) {
 		OverflowToCDN: []int64{0, 4},
 	}).Canonical()
 	plan, err := VerifyCanonical(good, DigestOf(good))
-	if err != nil || !bytes.Equal(plan.plan().Canonical(), good) {
+	if err != nil || !bytes.Equal(plan.Canonical(), good) {
 		t.Fatalf("genuine bytes: plan %v, err %v", plan, err)
 	}
 
@@ -193,18 +193,18 @@ func TestVerifyCanonical(t *testing.T) {
 	}
 }
 
-// TestDecodeCanonicalRejectsNonCanonical: every spelling the grammar
+// TestParseCanonicalRejectsNonCanonical: every spelling the grammar
 // could be read to allow but AppendCanonical never writes is refused
 // with ErrCanonicalParse — that refusal is what lets acceptance stand
 // in for the re-encode.
-func TestDecodeCanonicalRejectsNonCanonical(t *testing.T) {
+func TestParseCanonicalRejectsNonCanonical(t *testing.T) {
 	good := (&Plan{
 		Flows:         []FlowEdge{{From: 0, To: 1, Amount: 3}},
 		Redirects:     []Redirect{{From: 0, To: 1, Video: 7, Count: 2}},
 		Placement:     placementOf([]similarity.Set{similarity.NewSet(1, 2), similarity.NewSet(7)}),
 		OverflowToCDN: []int64{0, 4},
 	}).Canonical()
-	if _, err := DecodeCanonical(good); err != nil {
+	if _, err := ParseCanonical(good); err != nil {
 		t.Fatalf("good plan rejected: %v", err)
 	}
 	swap := func(old, new string) []byte {
@@ -259,7 +259,7 @@ func TestDecodeCanonicalRejectsNonCanonical(t *testing.T) {
 		{"carriage return", swap("flows 1\n", "flows 1\r\n")},
 	}
 	for _, tc := range cases {
-		if d, err := DecodeCanonical(tc.data); d != nil || !errors.Is(err, ErrCanonicalParse) {
+		if d, err := ParseCanonical(tc.data); d != nil || !errors.Is(err, ErrCanonicalParse) {
 			t.Errorf("%s: decoded %v, err %v, want ErrCanonicalParse", tc.name, d, err)
 		}
 		if _, ok := referenceAccepts(tc.data); ok {
@@ -268,9 +268,9 @@ func TestDecodeCanonicalRejectsNonCanonical(t *testing.T) {
 	}
 }
 
-// TestDecodeCanonicalExtremes: the integer range is exactly
+// TestParseCanonicalExtremes: the integer range is exactly
 // strconv.ParseInt's — MinInt64 included — and ids take all of int32.
-func TestDecodeCanonicalExtremes(t *testing.T) {
+func TestParseCanonicalExtremes(t *testing.T) {
 	p := &Plan{
 		Flows: []FlowEdge{
 			{From: math.MinInt32, To: math.MaxInt32, Amount: math.MinInt64},
@@ -281,11 +281,11 @@ func TestDecodeCanonicalExtremes(t *testing.T) {
 		OverflowToCDN: []int64{math.MinInt64, math.MaxInt64, 0},
 	}
 	canonical := p.Canonical()
-	d, err := DecodeCanonical(canonical)
+	d, err := ParseCanonical(canonical)
 	if err != nil {
 		t.Fatalf("extremes rejected: %v\n%s", err, canonical)
 	}
-	if !bytes.Equal(d.plan().Canonical(), canonical) {
+	if !bytes.Equal(refPlanOf(d).Canonical(), canonical) {
 		t.Fatalf("extremes did not decode to the plan they encode")
 	}
 	if !d.Placement.Contains(0, math.MinInt32) || !d.Placement.Contains(0, math.MaxInt32) ||
@@ -300,7 +300,7 @@ func TestDecodeCanonicalExtremes(t *testing.T) {
 // ends of the int32 range.
 func TestPlacementRunsContains(t *testing.T) {
 	seeds := canonicalSeeds(t)
-	d, err := DecodeCanonical(seeds[len(seeds)-1])
+	d, err := ParseCanonical(seeds[len(seeds)-1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,13 +355,13 @@ func canonicalSeeds(t testing.TB) [][]byte {
 	return seeds
 }
 
-// FuzzCanonicalDecode holds DecodeCanonical to the reference: it must
+// FuzzCanonicalDecode holds ParseCanonical to the reference: it must
 // accept exactly the inputs the reference parses *and* re-encodes to
 // identical bytes (with placement ids inside trace.VideoID), and where
 // both accept, decode the same content.
 func FuzzCanonicalDecode(f *testing.F) {
 	for _, s := range canonicalSeeds(f) {
-		if _, err := DecodeCanonical(s); err != nil {
+		if _, err := ParseCanonical(s); err != nil {
 			f.Fatalf("seed rejected: %v", err)
 		}
 		f.Add(s)
@@ -369,10 +369,10 @@ func FuzzCanonicalDecode(f *testing.F) {
 		f.Add(bytes.Replace(s, []byte("\n"), []byte(" \n"), 1))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		d, err := DecodeCanonical(data)
+		d, err := ParseCanonical(data)
 		ref, ok := referenceAccepts(data)
 		if (err == nil) != ok {
-			t.Fatalf("DecodeCanonical err %v, reference accepts %v, on %q", err, ok, data)
+			t.Fatalf("ParseCanonical err %v, reference accepts %v, on %q", err, ok, data)
 		}
 		if err != nil {
 			if !errors.Is(err, ErrCanonicalParse) {
@@ -380,7 +380,7 @@ func FuzzCanonicalDecode(f *testing.F) {
 			}
 			return
 		}
-		got := d.plan()
+		got := refPlanOf(d)
 		if got.Degraded != ref.Degraded || !slices.Equal(got.Flows, ref.Flows) ||
 			!slices.Equal(got.Redirects, ref.Redirects) || !slices.Equal(got.OverflowToCDN, ref.OverflowToCDN) ||
 			len(got.Placement) != len(ref.Placement) {

@@ -259,31 +259,19 @@ func AggregateDemand(numHotspots int, nearest []int, requests []trace.Request) *
 	return d
 }
 
-// foldEntries orders es by (hotspot, video) — stable counting passes
-// over the bytes of video − minVideo, then one over the hotspot — sums
-// the counts of equal pairs, and returns the runs in one span, hotspot
-// h's at [at[h], at[h+1]). It reorders es.
+// foldEntries orders es by (hotspot, video) — radixPasses over the
+// bytes of video − minVideo, then one counting pass over the hotspot —
+// sums the counts of equal pairs, and returns the runs in one span,
+// hotspot h's at [at[h], at[h+1]). It reorders es.
 func foldEntries(es []demandEntry, numHotspots int) (runs []videoCount, at []int32) {
 	minV, maxV := trace.VideoID(math.MaxInt32), trace.VideoID(math.MinInt32)
 	for _, e := range es {
 		minV, maxV = min(minV, e.video), max(maxV, e.video)
 	}
-	src, dst := es, make([]demandEntry, len(es))
-	for shift := 0; shift < 32 && (uint32(maxV)-uint32(minV))>>shift > 0; shift += 8 {
-		key := func(e demandEntry) uint32 { return (uint32(e.video) - uint32(minV)) >> shift & 255 }
-		var next [257]int32
-		for _, e := range src {
-			next[key(e)+1]++
-		}
-		for k := 0; k < 256; k++ {
-			next[k+1] += next[k]
-		}
-		for _, e := range src {
-			dst[next[key(e)]] = e
-			next[key(e)]++
-		}
-		src, dst = dst, src
-	}
+	// With no entries the range is inverted and the passes run over
+	// nothing.
+	src := radixPasses(es, make([]demandEntry, len(es)), es,
+		videoAsc(minV), uint64(maxV)-uint64(minV))
 	at = make([]int32, numHotspots+1)
 	for _, e := range src {
 		at[e.hotspot+1]++
@@ -628,7 +616,9 @@ type Stats struct {
 	Phases obs.PhaseTimings
 }
 
-// Plan is the output of one scheduling round.
+// Plan is the output of one scheduling round. It is also what
+// ParseCanonical yields from a plan's canonical bytes: the same
+// scheduling content, with Stats and Events zero.
 type Plan struct {
 	// Flows is the realised inter-hotspot flow f_ij.
 	Flows []FlowEdge

@@ -73,7 +73,7 @@ func (s *Scheduler) demandTable(d *Demand) *demandTable {
 	// (With no cells the range is inverted and the passes run over
 	// nothing.) Two's-complement differences are exact: maxCount −
 	// count < 2⁶⁴.
-	sorted := radixPasses(t.byVideo, t.a, t.b, maxC, uint64(maxC)-uint64(minC))
+	sorted := radixPasses(t.byVideo, t.a, t.b, countDesc(maxC), uint64(maxC)-uint64(minC))
 	t.regroup(sorted, t.byRank)
 	t.built = true
 	return t
@@ -90,39 +90,55 @@ func (t *demandTable) regroup(src, dst []demandEntry) {
 	}
 }
 
-// radixPasses stably sorts src by count descending: one counting pass
-// per byte of top, the largest key base − count, least significant
-// first, with every pass's histogram taken in one read of src. The
-// passes write a, then b, then a again; only the first reads src, so b
-// may be src when the caller has no further use for it. It returns the
-// sorted entries: src itself when top is 0.
-func radixPasses(src, a, b []demandEntry, base int64, top uint64) []demandEntry {
-	key := func(e demandEntry) uint64 { return uint64(base) - uint64(e.count) }
-	passes := 0
-	for top>>(8*passes) > 0 {
-		passes++
-	}
-	var at [8][257]int32 // at[p][k+1] counts digit k of pass p, then at[p][k] is where k starts
-	for _, e := range src {
-		k := key(e)
-		for p := 0; p < passes; p++ {
-			at[p][k>>(8*p)&255+1]++
-		}
-	}
+// radixKey is the key radixPasses sorts on, off + video&vmask −
+// count&cmask: count descending from a base (countDesc) or video
+// ascending from one (videoAsc). Masks, not a branch, select the field,
+// which keeps the passes' loops branch-free.
+type radixKey struct {
+	off, vmask, cmask uint64
+}
+
+func countDesc(base int64) radixKey {
+	return radixKey{off: uint64(base), cmask: math.MaxUint64}
+}
+
+func videoAsc(base trace.VideoID) radixKey {
+	return radixKey{off: -uint64(base), vmask: math.MaxUint64}
+}
+
+func (k radixKey) of(e demandEntry) uint64 {
+	return k.off + uint64(e.video)&k.vmask - uint64(e.count)&k.cmask
+}
+
+// radixPasses stably sorts src by key ascending: one counting pass per
+// byte of top, the largest key, least significant first. The passes
+// write a, then b, then a again; only the first reads src, so b may be
+// src when the caller has no further use for it. It returns the sorted
+// entries: src itself when top is 0.
+func radixPasses(src, a, b []demandEntry, key radixKey, top uint64) []demandEntry {
 	sorted, next, spare := src, a[:len(src)], b[:len(src)]
-	for p := 0; p < passes; p++ {
-		h := &at[p]
-		for k := 0; k < 256; k++ {
-			h[k+1] += h[k]
-		}
-		for _, e := range sorted {
-			k := key(e) >> (8 * p) & 255
-			next[h[k]] = e
-			h[k]++
-		}
+	for shift := uint(0); top>>shift > 0; shift += 8 {
+		countingPass(sorted, next, key, shift)
 		sorted, next, spare = next, spare, next
 	}
 	return sorted
+}
+
+// countingPass writes src into dst stably by the digit key >> shift &
+// 255.
+func countingPass(src, dst []demandEntry, key radixKey, shift uint) {
+	var at [257]int32 // at[k+1] counts digit k, then at[k] is where k goes next
+	for _, e := range src {
+		at[int(uint8(key.of(e)>>shift))+1]++
+	}
+	for k := 0; k < 256; k++ {
+		at[k+1] += at[k]
+	}
+	for _, e := range src {
+		k := uint8(key.of(e) >> shift)
+		dst[at[k]] = e
+		at[k]++
+	}
 }
 
 // replicate implements Procedure 1 (ContentAggregationReplication): it
@@ -522,7 +538,7 @@ func (ar *roundArena) fillCands(t *demandTable, h int) []demandEntry {
 	for _, e := range row {
 		top = max(top, e.count)
 	}
-	return radixPasses(row, t.a, t.b, top, uint64(top))
+	return radixPasses(row, t.a, t.b, countDesc(top), uint64(top))
 }
 
 // appendRow appends one hotspot's placement row to ids: the union of

@@ -261,9 +261,6 @@ func (tl *Timeline) cacheRow(slot int, world *trace.World) {
 	}
 }
 
-// Slots returns the number of slots the timeline covers.
-func (tl *Timeline) Slots() int { return tl.slots }
-
 // Causes returns the slot's per-hotspot outage causes, or nil when the
 // whole fleet is online. The returned slice is shared; do not mutate.
 func (tl *Timeline) Causes(slot int) []Cause {

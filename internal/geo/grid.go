@@ -3,8 +3,8 @@ package geo
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
-	"sync/atomic"
 )
 
 // Grid is a uniform-grid spatial index over points with integer IDs.
@@ -20,8 +20,8 @@ import (
 // Points may lie outside the nominal bounds; they are clamped into the
 // boundary cells, so queries remain correct (if slower) for outliers.
 //
-// A Grid is safe for concurrent queries once its points are in; Insert
-// must not run concurrently with anything.
+// A Grid is complete when NewIndex or Subset returns it, and never
+// changes after: it is safe for concurrent queries.
 type Grid struct {
 	bounds   Rect
 	cellSize float64
@@ -30,9 +30,8 @@ type Grid struct {
 	cells    [][]int32 // cell -> point indexes
 	ids      []int
 	pts      []Point
-	// table answers in-bounds Nearest queries; nil until built, and
-	// dropped by Insert.
-	table atomic.Pointer[nearestTable]
+	// table answers in-bounds Nearest queries.
+	table nearestTable
 }
 
 // nearestTable lists, per cell, every point that can be nearest to a
@@ -49,33 +48,6 @@ type candidate struct {
 	id int
 }
 
-// NewGrid creates an index over bounds with roughly cellSize-sized
-// cells. cellSize must be positive and bounds must be valid with
-// positive area.
-func NewGrid(bounds Rect, cellSize float64) (*Grid, error) {
-	if !bounds.Valid() || bounds.Width() <= 0 || bounds.Height() <= 0 {
-		return nil, fmt.Errorf("geo: invalid grid bounds %+v", bounds)
-	}
-	if cellSize <= 0 {
-		return nil, fmt.Errorf("geo: non-positive cell size %v", cellSize)
-	}
-	cols := int(math.Ceil(bounds.Width() / cellSize))
-	rows := int(math.Ceil(bounds.Height() / cellSize))
-	if cols < 1 {
-		cols = 1
-	}
-	if rows < 1 {
-		rows = 1
-	}
-	return &Grid{
-		bounds:   bounds,
-		cellSize: cellSize,
-		cols:     cols,
-		rows:     rows,
-		cells:    make([][]int32, cols*rows),
-	}, nil
-}
-
 // NewIndex indexes the points pts[i] under ids[i], inserted in that
 // order, in cells sized for about one point each (at least 50 m), and
 // builds the nearest-candidate table.
@@ -87,14 +59,11 @@ func NewIndex(bounds Rect, ids []int, pts []Point) (*Grid, error) {
 	if n := len(pts); n > 0 {
 		cell = math.Max(0.05, math.Sqrt(bounds.Area()/float64(n)))
 	}
-	g, err := NewGrid(bounds, cell)
+	g, err := newGrid(bounds, cell)
 	if err != nil {
 		return nil, err
 	}
-	for i, p := range pts {
-		g.Insert(ids[i], p)
-	}
-	g.table.Store(g.buildTable())
+	g.fill(slices.Clone(ids), slices.Clone(pts))
 	return g, nil
 }
 
@@ -102,14 +71,48 @@ func NewIndex(bounds Rect, ids []int, pts []Point) (*Grid, error) {
 // points whose id keep accepts, in insertion order, with its table
 // built.
 func (g *Grid) Subset(keep func(id int) bool) *Grid {
-	out := &Grid{bounds: g.bounds, cellSize: g.cellSize, cols: g.cols, rows: g.rows, cells: make([][]int32, len(g.cells))}
+	out := &Grid{bounds: g.bounds, cellSize: g.cellSize, cols: g.cols, rows: g.rows}
+	var ids []int
+	var pts []Point
 	for i, id := range g.ids {
 		if keep(id) {
-			out.Insert(id, g.pts[i])
+			ids = append(ids, id)
+			pts = append(pts, g.pts[i])
 		}
 	}
-	out.table.Store(out.buildTable())
+	out.fill(ids, pts)
 	return out
+}
+
+// newGrid lays out an empty index over bounds with roughly
+// cellSize-sized cells. cellSize must be positive and bounds must be
+// valid with positive area.
+func newGrid(bounds Rect, cellSize float64) (*Grid, error) {
+	if !bounds.Valid() || bounds.Width() <= 0 || bounds.Height() <= 0 {
+		return nil, fmt.Errorf("geo: invalid grid bounds %+v", bounds)
+	}
+	if cellSize <= 0 {
+		return nil, fmt.Errorf("geo: non-positive cell size %v", cellSize)
+	}
+	return &Grid{
+		bounds:   bounds,
+		cellSize: cellSize,
+		cols:     max(int(math.Ceil(bounds.Width()/cellSize)), 1),
+		rows:     max(int(math.Ceil(bounds.Height()/cellSize)), 1),
+	}, nil
+}
+
+// fill indexes pts[i] under ids[i], in that order, taking both slices,
+// and builds the nearest-candidate table. IDs need not be unique or
+// dense; queries return them verbatim.
+func (g *Grid) fill(ids []int, pts []Point) {
+	g.ids, g.pts = ids, pts
+	g.cells = make([][]int32, g.cols*g.rows)
+	for i, p := range pts {
+		c := g.cellOf(p)
+		g.cells[c] = append(g.cells[c], int32(i))
+	}
+	g.table = g.buildTable()
 }
 
 // Len returns the number of indexed points.
@@ -117,18 +120,6 @@ func (g *Grid) Len() int { return len(g.ids) }
 
 // Bounds returns the nominal bounds of the index.
 func (g *Grid) Bounds() Rect { return g.bounds }
-
-// Insert adds a point with the caller's identifier. IDs need not be
-// unique or dense; they are returned verbatim by queries. It drops the
-// nearest-candidate table, which the next Nearest rebuilds.
-func (g *Grid) Insert(id int, p Point) {
-	g.table.Store(nil)
-	idx := int32(len(g.ids))
-	g.ids = append(g.ids, id)
-	g.pts = append(g.pts, p)
-	c := g.cellOf(p)
-	g.cells[c] = append(g.cells[c], idx)
-}
 
 // col and row map a coordinate to its cell column or row, clamped into
 // the grid (NaN to 0).
@@ -172,12 +163,7 @@ func (g *Grid) Nearest(p Point) (id int, dist float64, ok bool) {
 	if !g.bounds.Contains(p) {
 		return g.ringNearest(p)
 	}
-	t := g.table.Load()
-	if t == nil {
-		// Concurrent first queries may each build the same table.
-		t = g.buildTable()
-		g.table.Store(t)
-	}
+	t := &g.table
 	c := g.cellOf(p)
 	best, bestD := 0, math.Inf(1)
 	for i, cd := range t.cands[t.at[c]:t.at[c+1]] {
@@ -237,7 +223,7 @@ func (g *Grid) ringNearest(p Point) (id int, dist float64, ok bool) {
 // run on squared distances with a relative slack of 1e-9, which absorbs
 // rounding in the cell arithmetic: an extra candidate costs a query one
 // distance and changes no answer.
-func (g *Grid) buildTable() *nearestTable {
+func (g *Grid) buildTable() nearestTable {
 	b := tableBuild{cellAt: make([]int32, 1, len(g.cells)+1), half: g.cellSize / 2}
 	b.byCell = make([]candidate, 0, len(g.pts))
 	for _, idxs := range g.cells {
@@ -247,7 +233,7 @@ func (g *Grid) buildTable() *nearestTable {
 		b.cellAt = append(b.cellAt, int32(len(b.byCell)))
 	}
 	// About ten candidates a cell at one point a cell.
-	t := &nearestTable{at: make([]int32, 1, len(g.cells)+1), cands: make([]candidate, 0, 10*len(g.cells))}
+	t := nearestTable{at: make([]int32, 1, len(g.cells)+1), cands: make([]candidate, 0, 10*len(g.cells))}
 	if len(g.pts) == 0 {
 		t.at = make([]int32, len(g.cells)+1)
 		return t

@@ -9,13 +9,25 @@ import (
 
 func testBounds() Rect { return Rect{MinX: 0, MinY: 0, MaxX: 10, MaxY: 10} }
 
-func newTestGrid(t *testing.T, cell float64) *Grid {
+// newTestGrid indexes pts[i] under ids[i] over testBounds in cells of
+// side cell.
+func newTestGrid(t *testing.T, cell float64, ids []int, pts []Point) *Grid {
 	t.Helper()
-	g, err := NewGrid(testBounds(), cell)
+	g, err := newGrid(testBounds(), cell)
 	if err != nil {
-		t.Fatalf("NewGrid: %v", err)
+		t.Fatalf("newGrid: %v", err)
 	}
+	g.fill(ids, pts)
 	return g
+}
+
+// seq returns the ids 0, 1, …, n-1.
+func seq(n int) []int {
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	return ids
 }
 
 func TestNewGridErrors(t *testing.T) {
@@ -31,23 +43,22 @@ func TestNewGridErrors(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if _, err := NewGrid(tt.bounds, tt.cell); err == nil {
-				t.Error("NewGrid() succeeded, want error")
+			if _, err := newGrid(tt.bounds, tt.cell); err == nil {
+				t.Error("newGrid() succeeded, want error")
 			}
 		})
 	}
 }
 
 func TestGridNearestEmpty(t *testing.T) {
-	g := newTestGrid(t, 1)
+	g := newTestGrid(t, 1, nil, nil)
 	if _, _, ok := g.Nearest(Point{5, 5}); ok {
 		t.Error("Nearest() on empty grid returned ok")
 	}
 }
 
 func TestGridNearestSingle(t *testing.T) {
-	g := newTestGrid(t, 1)
-	g.Insert(42, Point{3, 3})
+	g := newTestGrid(t, 1, []int{42}, []Point{{3, 3}})
 	id, d, ok := g.Nearest(Point{0, 0})
 	if !ok || id != 42 {
 		t.Fatalf("Nearest() = (%d, %v, %v), want id 42", id, d, ok)
@@ -71,14 +82,13 @@ func bruteNearest(pts []Point, q Point) (int, float64) {
 func TestGridNearestMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
-		g := newTestGrid(t, 0.8)
 		n := 1 + rng.Intn(60)
 		pts := make([]Point, n)
 		for i := range pts {
 			// Include occasional out-of-bounds points.
 			pts[i] = Point{X: rng.Float64()*14 - 2, Y: rng.Float64()*14 - 2}
-			g.Insert(i, pts[i])
 		}
+		g := newTestGrid(t, 0.8, seq(n), pts)
 		for q := 0; q < 20; q++ {
 			query := Point{X: rng.Float64()*14 - 2, Y: rng.Float64()*14 - 2}
 			_, wantD := bruteNearest(pts, query)
@@ -97,13 +107,12 @@ func TestGridNearestMatchesBruteForce(t *testing.T) {
 func TestGridWithinMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 30; trial++ {
-		g := newTestGrid(t, 1.3)
 		n := rng.Intn(80)
 		pts := make([]Point, n)
 		for i := range pts {
 			pts[i] = Point{X: rng.Float64() * 10, Y: rng.Float64() * 10}
-			g.Insert(i, pts[i])
 		}
+		g := newTestGrid(t, 1.3, seq(n), pts)
 		query := Point{X: rng.Float64() * 10, Y: rng.Float64() * 10}
 		radius := rng.Float64() * 4
 		var want []int
@@ -137,8 +146,7 @@ func TestGridWithinMatchesBruteForce(t *testing.T) {
 }
 
 func TestGridWithinNegativeRadius(t *testing.T) {
-	g := newTestGrid(t, 1)
-	g.Insert(1, Point{5, 5})
+	g := newTestGrid(t, 1, []int{1}, []Point{{5, 5}})
 	if got := g.Within(Point{5, 5}, -1); got != nil {
 		t.Errorf("Within(negative radius) = %v, want nil", got)
 	}
@@ -147,13 +155,12 @@ func TestGridWithinNegativeRadius(t *testing.T) {
 func TestGridPairsMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 20; trial++ {
-		g := newTestGrid(t, 1.1)
 		n := rng.Intn(50)
 		pts := make([]Point, n)
 		for i := range pts {
 			pts[i] = Point{X: rng.Float64() * 10, Y: rng.Float64() * 10}
-			g.Insert(i, pts[i])
 		}
+		g := newTestGrid(t, 1.1, seq(n), pts)
 		radius := rng.Float64() * 3
 		want := make(map[[2]int]bool)
 		for i := 0; i < n; i++ {
@@ -180,12 +187,10 @@ func TestGridPairsMatchesBruteForce(t *testing.T) {
 }
 
 func TestGridLenAndBounds(t *testing.T) {
-	g := newTestGrid(t, 1)
-	if g.Len() != 0 {
+	if g := newTestGrid(t, 1, nil, nil); g.Len() != 0 {
 		t.Errorf("Len() = %d, want 0", g.Len())
 	}
-	g.Insert(1, Point{1, 1})
-	g.Insert(2, Point{2, 2})
+	g := newTestGrid(t, 1, []int{1, 2}, []Point{{1, 1}, {2, 2}})
 	if g.Len() != 2 {
 		t.Errorf("Len() = %d, want 2", g.Len())
 	}
@@ -199,9 +204,10 @@ func TestGridLenAndBounds(t *testing.T) {
 // though the other was inserted first — ties go by ring-visit order, not
 // insertion order.
 func TestGridNearestTieVisitOrder(t *testing.T) {
-	g := newTestGrid(t, 1)
-	g.Insert(1, Point{4.75, 5.5}) // cell (4, 5), inserted first
-	g.Insert(2, Point{5.75, 5.5}) // cell (5, 5), the query's
+	g := newTestGrid(t, 1, []int{1, 2}, []Point{
+		{4.75, 5.5}, // cell (4, 5), inserted first
+		{5.75, 5.5}, // cell (5, 5), the query's
+	})
 	q := Point{5.25, 5.5}
 	if a, b := q.DistanceTo(Point{4.75, 5.5}), q.DistanceTo(Point{5.75, 5.5}); a != b {
 		t.Fatalf("test points are not equidistant: %v vs %v", a, b)
@@ -212,9 +218,7 @@ func TestGridNearestTieVisitOrder(t *testing.T) {
 }
 
 func TestGridDuplicateAndCoincidentPoints(t *testing.T) {
-	g := newTestGrid(t, 1)
-	g.Insert(1, Point{5, 5})
-	g.Insert(2, Point{5, 5})
+	g := newTestGrid(t, 1, []int{1, 2}, []Point{{5, 5}, {5, 5}})
 	id, d, ok := g.Nearest(Point{5, 5})
 	if !ok || d != 0 {
 		t.Fatalf("Nearest() = (%d, %v, %v), want distance 0", id, d, ok)
@@ -232,12 +236,11 @@ func TestGridDuplicateAndCoincidentPoints(t *testing.T) {
 // outside the bounds: a disc lying wholly beyond one side must still
 // reach the boundary cells the outliers are clamped into.
 func TestGridOutliersWithinAndPairs(t *testing.T) {
-	g := newTestGrid(t, 1)
-	g.Insert(1, Point{-5, 5})
+	g := newTestGrid(t, 1, []int{1}, []Point{{-5, 5}})
 	if got := g.Within(Point{-5.1, 5}, 0.5); len(got) != 1 || got[0].ID != 1 || !almostEqual(got[0].Distance, 0.1, 1e-12) {
 		t.Errorf("Within((-5.1, 5), 0.5) = %v, want point 1 at 0.1", got)
 	}
-	g.Insert(2, Point{-5.2, 5})
+	g = newTestGrid(t, 1, []int{1, 2}, []Point{{-5, 5}, {-5.2, 5}})
 	if got := g.Pairs(0.5); len(got) != 1 || got[0].A != 1 || got[0].B != 2 {
 		t.Errorf("Pairs(0.5) = %v, want the pair (1, 2)", got)
 	}
@@ -246,8 +249,7 @@ func TestGridOutliersWithinAndPairs(t *testing.T) {
 	}
 	// Beyond each side and each corner.
 	for _, p := range []Point{{15, 5}, {5, -7}, {5, 13}, {-3, -3}, {12, 14}} {
-		g := newTestGrid(t, 1)
-		g.Insert(7, p)
+		g := newTestGrid(t, 1, []int{7}, []Point{p})
 		if got := g.Within(p.Add(0.1, 0), 0.2); len(got) != 1 || got[0].ID != 7 {
 			t.Errorf("Within near outlier %v = %v, want point 7", p, got)
 		}
@@ -272,39 +274,29 @@ func TestNewIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.Len() != 3 || g.table.Load() == nil {
-		t.Fatalf("NewIndex: %d points, table built %v", g.Len(), g.table.Load() != nil)
+	if g.Len() != 3 || len(g.table.at) != len(g.cells)+1 {
+		t.Fatalf("NewIndex: %d points, table of %d offsets", g.Len(), len(g.table.at))
 	}
 	if id, _, _ := g.Nearest(Point{6, 6}); id != 30 {
 		t.Errorf("Nearest((6, 6)) = %d, want 30", id)
 	}
 	odd := g.Subset(func(id int) bool { return id != 30 })
-	if odd.Len() != 2 || odd.cellSize != g.cellSize || odd.table.Load() == nil {
+	if odd.Len() != 2 || odd.cellSize != g.cellSize || len(odd.table.at) != len(odd.cells)+1 {
 		t.Fatalf("Subset: %d points, cell %v (want %v)", odd.Len(), odd.cellSize, g.cellSize)
 	}
 	if id, _, _ := odd.Nearest(Point{6, 6}); id != 20 {
 		t.Errorf("Subset's Nearest((6, 6)) = %d, want 20", id)
-	}
-	// Insert drops the table; the next query rebuilds it.
-	g.Insert(40, Point{6, 6})
-	if g.table.Load() != nil {
-		t.Error("Insert kept a stale table")
-	}
-	if id, d, _ := g.Nearest(Point{6, 6}); id != 40 || d != 0 {
-		t.Errorf("Nearest after Insert = (%d, %v), want (40, 0)", id, d)
-	}
-	if g.table.Load() == nil {
-		t.Error("Nearest did not rebuild the table")
 	}
 }
 
 // TestGridNearestConcurrent runs Nearest from many goroutines on one
 // index, the ingest handlers' pattern; the race detector checks it.
 func TestGridNearestConcurrent(t *testing.T) {
-	g := newTestGrid(t, 1)
-	for i := 0; i < 50; i++ {
-		g.Insert(i, Point{X: float64(i%10) + 0.5, Y: float64(i/10) + 0.5})
+	pts := make([]Point, 50)
+	for i := range pts {
+		pts[i] = Point{X: float64(i%10) + 0.5, Y: float64(i/10) + 0.5}
 	}
+	g := newTestGrid(t, 1, seq(len(pts)), pts)
 	done := make(chan struct{})
 	for w := 0; w < 4; w++ {
 		go func(w int) {
@@ -343,7 +335,6 @@ func FuzzGridNearest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, n, cellTenths uint8, grid bool) {
 		rng := rand.New(rand.NewSource(seed))
 		cell := 0.2 + float64(cellTenths%40)/10
-		g := newTestGrid(t, cell)
 		count := 1 + int(n)%120
 		var pts []Point
 		coord := func() float64 {
@@ -362,9 +353,8 @@ func FuzzGridNearest(f *testing.F) {
 				p = pts[rng.Intn(len(pts))] // a duplicate
 			}
 			pts = append(pts, p)
-			g.Insert(i, p)
 		}
-		g.table.Store(g.buildTable())
+		g := newTestGrid(t, cell, seq(count), pts)
 		for q := 0; q < 200; q++ {
 			query := Point{X: coord(), Y: coord()}
 			if q%3 == 0 {

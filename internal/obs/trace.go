@@ -16,8 +16,6 @@ const (
 	KindInt AttrKind = iota + 1
 	// KindFloat is a float attribute.
 	KindFloat
-	// KindStr is a string attribute.
-	KindStr
 	// KindDur is a wall-clock duration attribute (nanoseconds). Unlike
 	// the other kinds it is nondeterministic, and a Tracer constructed
 	// with dropTimings=true drops it at emit.
@@ -31,7 +29,6 @@ type Attr struct {
 	Kind  AttrKind
 	Int   int64
 	Float float64
-	Str   string
 }
 
 // I returns an integer attribute.
@@ -39,9 +36,6 @@ func I(key string, v int64) Attr { return Attr{Key: key, Kind: KindInt, Int: v} 
 
 // F returns a float attribute.
 func F(key string, v float64) Attr { return Attr{Key: key, Kind: KindFloat, Float: v} }
-
-// S returns a string attribute.
-func S(key string, v string) Attr { return Attr{Key: key, Kind: KindStr, Str: v} }
 
 // D returns a duration attribute (timing-kind; dropped by tracers
 // configured for deterministic output).
@@ -74,8 +68,6 @@ func (e Event) appendJSON(b []byte) []byte {
 		switch a.Kind {
 		case KindFloat:
 			b = strconv.AppendFloat(b, a.Float, 'g', -1, 64)
-		case KindStr:
-			b = strconv.AppendQuote(b, a.Str)
 		default: // KindInt, KindDur
 			b = strconv.AppendInt(b, a.Int, 10)
 		}

@@ -82,14 +82,13 @@ func TestWriteJSONL(t *testing.T) {
 	tr.Emit(Event{Type: "theta-iter", Slot: 2, Attrs: []Attr{
 		F("theta", 0.25),
 		I("moved", 12),
-		S("mode", "gc"),
 		D("dur", 5*time.Microsecond),
 	}})
 	var buf bytes.Buffer
 	if err := tr.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	want := `{"seq":0,"type":"theta-iter","slot":2,"theta":0.25,"moved":12,"mode":"gc","dur":5000}` + "\n"
+	want := `{"seq":0,"type":"theta-iter","slot":2,"theta":0.25,"moved":12,"dur":5000}` + "\n"
 	if buf.String() != want {
 		t.Fatalf("jsonl:\n%q\nwant:\n%q", buf.String(), want)
 	}

@@ -81,15 +81,7 @@ func (s *Server) openWAL() error {
 	m := len(s.world.Hotspots)
 	for _, q := range st.Queue {
 		d := core.NewDemand(m)
-		var reqs int64
-		for _, e := range q.Entries {
-			if e.Hotspot < 0 || e.Hotspot >= m || e.Video < 0 || e.Video >= s.world.NumVideos {
-				s.walErrors.Inc()
-				continue
-			}
-			d.Add(trace.HotspotID(e.Hotspot), trace.VideoID(e.Video), e.Count)
-			reqs += e.Count
-		}
+		reqs := s.restoreEntries(q.Entries, []*core.Demand{d})[0]
 		if reqs == 0 {
 			continue
 		}
@@ -103,18 +95,33 @@ func (s *Server) openWAL() error {
 // it would live in, by the same owner rule; recovery hands the entries
 // back unmerged, and the frontend's core.Demand folds them.
 func (s *Server) restorePending(pending []wal.Entry) {
+	demands := make([]*core.Demand, len(s.instances))
+	for i, in := range s.instances {
+		demands[i] = in.demand
+	}
+	for i, n := range s.restoreEntries(pending, demands) {
+		s.instances[i].pending += n
+	}
+}
+
+// restoreEntries adds each recovered entry to demands[hotspot mod
+// len(demands)] — given one demand per frontend, its owner's (owner) —
+// and returns the requests each demand received. An entry outside the
+// world — a WAL from a different world — is dropped and counted once
+// in server.wal.errors rather than corrupt a demand.
+func (s *Server) restoreEntries(es []wal.Entry, demands []*core.Demand) []int64 {
+	added := make([]int64, len(demands))
 	m := len(s.world.Hotspots)
-	for _, e := range pending {
+	for _, e := range es {
 		if e.Hotspot < 0 || e.Hotspot >= m || e.Video < 0 || e.Video >= s.world.NumVideos {
-			// A WAL from a different world: drop the entry loudly
-			// rather than corrupt the accumulators.
 			s.walErrors.Inc()
 			continue
 		}
-		owner := s.owner(e.Hotspot)
-		owner.demand.Add(trace.HotspotID(e.Hotspot), trace.VideoID(e.Video), e.Count)
-		owner.pending += e.Count
+		i := e.Hotspot % len(demands)
+		demands[i].Add(trace.HotspotID(e.Hotspot), trace.VideoID(e.Video), e.Count)
+		added[i] += e.Count
 	}
+	return added
 }
 
 // restorePlan puts the last durable plan (nil for none) back to

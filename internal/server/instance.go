@@ -102,9 +102,20 @@ func (in *instance) shutdown(ctx context.Context) error {
 	return in.httpSrv.Shutdown(ctx)
 }
 
-// handler builds this frontend's HTTP API (every instance serves the
+// handler builds this frontend's HTTP API. Every instance serves the
 // same routes; ingest and redirect act on instance-local state, the
-// admin and history routes on the shared scheduler).
+// admin and history routes on the shared scheduler:
+//
+//	POST /ingest         accept one request ({"user","video","x","y"}
+//	                     or {"user","video","hotspot"}) — 202 accepted,
+//	                     429 overloaded (frontend queue full), 400 malformed
+//	GET  /redirect       ?video=V&hotspot=H → serving target for one
+//	                     request aggregated at H ({"target":-1} = CDN)
+//	GET  /plans          retained per-slot plan records (canonical bytes)
+//	GET  /healthz        liveness + slot/epoch counters + this
+//	                     frontend's serving (epoch, digest) and its
+//	                     accepted-but-unscheduled request count
+//	POST /admin/advance  force a slot boundary; returns the new record
 func (in *instance) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /ingest", in.handleIngest)

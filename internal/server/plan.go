@@ -35,7 +35,7 @@ type servingPlan struct {
 // for the world's nominal service capacities — those the round
 // schedules against (core.Constraints{}). It refuses a plan that
 // reserves more inflow at a hotspot than its capacity.
-func newServingPlan(epoch int64, slot int, plan *core.DecodedPlan, digest uint64, world *trace.World) (*servingPlan, error) {
+func newServingPlan(epoch int64, slot int, plan *core.Plan, digest uint64, world *trace.World) (*servingPlan, error) {
 	router, err := core.NewRouter(plan.Placement, plan.Redirects, world.ServiceCapacities())
 	if err != nil {
 		return nil, err
@@ -49,7 +49,7 @@ func newServingPlan(epoch int64, slot int, plan *core.DecodedPlan, digest uint64
 // world would otherwise serve redirects to hotspots outside the fleet.
 // Placement rows are ascending, so each row's first and last id bound
 // it. Cost: O(rows + flows + redirects).
-func checkFits(plan *core.DecodedPlan, m, numVideos int) error {
+func checkFits(plan *core.Plan, m, numVideos int) error {
 	if plan.Placement.Rows() != m || len(plan.OverflowToCDN) != m {
 		return fmt.Errorf("plan covers %d placement rows and %d overflow entries, world has %d hotspots",
 			plan.Placement.Rows(), len(plan.OverflowToCDN), m)

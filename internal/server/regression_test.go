@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"net/http"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -14,6 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/trace"
 	"repro/internal/wal"
 )
 
@@ -156,7 +158,7 @@ func TestRecoveredPlanFromAnotherWorldRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := core.DecodeCanonical(canonical)
+	plan, err := core.ParseCanonical(canonical)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,8 +182,8 @@ func TestRecoveredPlanFromAnotherWorldRejected(t *testing.T) {
 // TestCheckFits refuses each way a decoded plan can reach outside a
 // world of 3 hotspots and 10 videos.
 func TestCheckFits(t *testing.T) {
-	fits := func() *core.DecodedPlan {
-		return &core.DecodedPlan{
+	fits := func() *core.Plan {
+		return &core.Plan{
 			Flows:         []core.FlowEdge{{From: 0, To: 1, Amount: 1}},
 			Redirects:     []core.Redirect{{From: 0, To: 1, Video: 2, Count: 1}},
 			Placement:     core.PlacementRuns{IDs: []int32{2, 3, 9}, Off: []int{0, 1, 3, 3}},
@@ -193,17 +195,17 @@ func TestCheckFits(t *testing.T) {
 	}
 	cases := []struct {
 		name   string
-		mutate func(p *core.DecodedPlan)
+		mutate func(p *core.Plan)
 	}{
-		{"extra placement row", func(p *core.DecodedPlan) { p.Placement.Off = append(p.Placement.Off, 3) }},
-		{"short overflow", func(p *core.DecodedPlan) { p.OverflowToCDN = p.OverflowToCDN[:2] }},
-		{"flow source outside", func(p *core.DecodedPlan) { p.Flows[0].From = 3 }},
-		{"flow target negative", func(p *core.DecodedPlan) { p.Flows[0].To = -1 }},
-		{"redirect source outside", func(p *core.DecodedPlan) { p.Redirects[0].From = 5 }},
-		{"redirect target outside", func(p *core.DecodedPlan) { p.Redirects[0].To = 3 }},
-		{"redirect video outside", func(p *core.DecodedPlan) { p.Redirects[0].Video = 10 }},
-		{"placement id negative", func(p *core.DecodedPlan) { p.Placement.IDs[0] = -1 }},
-		{"placement id outside", func(p *core.DecodedPlan) { p.Placement.IDs[2] = 10 }},
+		{"extra placement row", func(p *core.Plan) { p.Placement.Off = append(p.Placement.Off, 3) }},
+		{"short overflow", func(p *core.Plan) { p.OverflowToCDN = p.OverflowToCDN[:2] }},
+		{"flow source outside", func(p *core.Plan) { p.Flows[0].From = 3 }},
+		{"flow target negative", func(p *core.Plan) { p.Flows[0].To = -1 }},
+		{"redirect source outside", func(p *core.Plan) { p.Redirects[0].From = 5 }},
+		{"redirect target outside", func(p *core.Plan) { p.Redirects[0].To = 3 }},
+		{"redirect video outside", func(p *core.Plan) { p.Redirects[0].Video = 10 }},
+		{"placement id negative", func(p *core.Plan) { p.Placement.IDs[0] = -1 }},
+		{"placement id outside", func(p *core.Plan) { p.Placement.IDs[2] = 10 }},
 	}
 	for _, tc := range cases {
 		p := fits()
@@ -403,5 +405,85 @@ func TestCheckpointAfterFleetShrinkCountsPendingOnce(t *testing.T) {
 	}
 	if st.PendingRequests != slot1 {
 		t.Errorf("reboot recovered %d pending requests, %d were accepted", st.PendingRequests, slot1)
+	}
+}
+
+// TestRecoveredDemandFromAnotherWorldDropped boots a 2-hotspot,
+// 10-video world on a log a larger world wrote: slot 0 drained with no
+// plan (so it comes back queued) and slot 1 open (so it comes back
+// pending), each holding entries whose hotspot or video the booting
+// world lacks. Every such entry must be dropped and counted once in
+// server.wal.errors, and every other entry restored: the queued slot's
+// demand and requests, and each frontend's demand and pending count.
+func TestRecoveredDemandFromAnotherWorldDropped(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type entry struct {
+		h, v int
+		n    int64
+	}
+	ingest := func(slot int, es ...entry) {
+		t.Helper()
+		for _, e := range es {
+			if _, err := l.AppendIngest(slot, 0, 0, e.h, e.v, e.n); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Two out-of-world entries queued and three pending: 2a + 3b = 5
+	// holds only for a = b = 1, so the total pins each path's count.
+	ingest(0, entry{0, 1, 2}, entry{3, 1, 1}, entry{1, 3, 1}, entry{0, 15, 1})
+	if _, err := l.AppendAdvance(0); err != nil {
+		t.Fatal(err)
+	}
+	ingest(1, entry{0, 2, 1}, entry{2, 0, 1}, entry{1, 2, 3}, entry{1, 12, 2},
+		entry{0, 5, 1}, entry{5, 50, 1}, entry{1, 2, 1})
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	world := testWorld(2, 50, 50)
+	world.NumVideos = 10
+	reg := obs.NewRegistry()
+	s := newTestServer(t, Config{World: world, WALDir: dir, Instances: 2, Registry: reg})
+	defer s.Kill()
+	if got := reg.Counter("server.wal.errors").Value(); got != 5 {
+		t.Errorf("server.wal.errors = %d, want 5 (2 queued + 3 pending entries outside the world)", got)
+	}
+
+	rows := func(d *core.Demand) []map[int]int64 {
+		out := make([]map[int]int64, d.NumHotspots())
+		for h := range out {
+			out[h] = map[int]int64{}
+			d.Each(h, func(v trace.VideoID, n int64) { out[h][int(v)] += n })
+		}
+		return out
+	}
+	if len(s.queue) != 1 {
+		t.Fatalf("%d queued slots, want slot 0's", len(s.queue))
+	}
+	q := s.queue[0]
+	if want := []map[int]int64{{1: 2}, {3: 1}}; q.slot != 0 || q.requests != 3 || !reflect.DeepEqual(rows(q.demand), want) {
+		t.Errorf("queued slot %d: %d requests, rows %v; want slot 0, 3 requests, rows %v", q.slot, q.requests, rows(q.demand), want)
+	}
+	// Frontend i owns hotspot i (h mod 2).
+	want := [][]map[int]int64{
+		{{2: 1, 5: 1}, {}},
+		{{}, {2: 4}},
+	}
+	for i, in := range s.instances {
+		var total int64
+		for _, n := range in.demand.Totals {
+			total += n
+		}
+		if got := rows(in.demand); !reflect.DeepEqual(got, want[i]) {
+			t.Errorf("frontend %d: rows %v, want %v", i, got, want[i])
+		}
+		if wantPending := []int64{2, 4}[i]; in.pending != total || total != wantPending {
+			t.Errorf("frontend %d: pending %d, rows total %d; want both %d", i, in.pending, total, wantPending)
+		}
 	}
 }

@@ -77,7 +77,7 @@ func TestRouterDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			plan, err := core.DecodeCanonical(canonical)
+			plan, err := core.ParseCanonical(canonical)
 			if err != nil {
 				t.Fatal(err)
 			}

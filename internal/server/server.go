@@ -618,7 +618,7 @@ func (s *Server) publish(epoch int64, slot int, canonical []byte, digest uint64)
 // nominal capacity (core.NewRouter) is refused. server.slot.install_us
 // times a successful install from t0: for the live path the decode
 // too, then the router build and the stores.
-func (s *Server) install(t0 time.Time, epoch int64, slot int, plan *core.DecodedPlan, digest uint64) error {
+func (s *Server) install(t0 time.Time, epoch int64, slot int, plan *core.Plan, digest uint64) error {
 	err := checkFits(plan, len(s.world.Hotspots), s.world.NumVideos)
 	var sp *servingPlan
 	if err == nil {
@@ -665,26 +665,6 @@ func (s *Server) Plans() []PlanRecord {
 		out[i].Canonical = hex.EncodeToString(e.canonical)
 	}
 	return out
-}
-
-// Handler returns the first frontend's HTTP API:
-//
-//	POST /ingest         accept one request ({"user","video","x","y"}
-//	                     or {"user","video","hotspot"}) — 202 accepted,
-//	                     429 overloaded (frontend queue full), 400 malformed
-//	GET  /redirect       ?video=V&hotspot=H → serving target for one
-//	                     request aggregated at H ({"target":-1} = CDN)
-//	GET  /plans          retained per-slot plan records (canonical bytes)
-//	GET  /healthz        liveness + slot/epoch counters + this
-//	                     frontend's serving (epoch, digest) and its
-//	                     accepted-but-unscheduled request count
-//	POST /admin/advance  force a slot boundary; returns the new record
-//
-// Every frontend instance serves the same API (see InstanceHandler).
-// It is exported so tests and benchmarks can drive the mux without a
-// socket.
-func (s *Server) Handler() http.Handler {
-	return s.instances[0].handler()
 }
 
 func (s *Server) handlePlans(w http.ResponseWriter, _ *http.Request) {

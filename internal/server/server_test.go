@@ -119,9 +119,9 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 func servingPlanOf(t *testing.T, plan *core.Plan, world *trace.World) *servingPlan {
 	t.Helper()
 	canonical := plan.Canonical()
-	decoded, err := core.DecodeCanonical(canonical)
+	decoded, err := core.ParseCanonical(canonical)
 	if err != nil {
-		t.Fatalf("DecodeCanonical: %v", err)
+		t.Fatalf("ParseCanonical: %v", err)
 	}
 	sp, err := newServingPlan(1, 0, decoded, core.DigestOf(canonical), world)
 	if err != nil {
@@ -140,7 +140,7 @@ func do(t *testing.T, s *Server, method, target, body string) *httptest.Response
 		req = httptest.NewRequest(method, target, strings.NewReader(body))
 	}
 	rr := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rr, req)
+	s.InstanceHandler(0).ServeHTTP(rr, req)
 	return rr
 }
 

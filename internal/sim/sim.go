@@ -92,7 +92,8 @@ type Assignment struct {
 	// leave it zero.
 	ExtraReplicas int64
 	// Degraded reports that the policy produced this assignment under
-	// degraded conditions (recovered solver failure, deadline cutoff).
+	// degraded conditions (a recovered solver failure: RBCAer copies
+	// Plan.Degraded here).
 	// The simulator counts such slots in Metrics.DegradedRounds.
 	Degraded bool
 	// StrandedDemand is the workload the policy knowingly abandoned to

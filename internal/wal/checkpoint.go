@@ -54,7 +54,7 @@ type PlanState struct {
 	// Decoded is the plan recovery's verification decoded from
 	// Canonical; nil on a plan recovery did not produce (the server's
 	// own, captured for a checkpoint). It is not written to disk.
-	Decoded *core.DecodedPlan
+	Decoded *core.Plan
 }
 
 // QueuedSlot is one drained-but-unscheduled slot snapshot: demand

@@ -86,7 +86,7 @@ type record struct {
 	canonical []byte
 	// plan is the verdict on a plan record's bytes, set by verify: the
 	// decoded plan, nil when they fail verification.
-	plan *core.DecodedPlan
+	plan *core.Plan
 }
 
 // appendFrame appends payload as one framed record.

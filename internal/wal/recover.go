@@ -67,7 +67,7 @@ func ReplayBound(checkpointEvery, slotIngests int) int {
 // tier's install (core.VerifyCanonical), adding its wall time to
 // *spent, and returns the decoded plan — nil when the bytes fail.
 // Durable state never reaches the server without passing this.
-func verifyPlan(canonical []byte, digest uint64, spent *time.Duration) *core.DecodedPlan {
+func verifyPlan(canonical []byte, digest uint64, spent *time.Duration) *core.Plan {
 	t0 := time.Now()
 	plan, err := core.VerifyCanonical(canonical, digest)
 	*spent += time.Since(t0)

@@ -346,9 +346,9 @@ type recovery struct {
 // checkpoint that fails is as if its scan had never run.
 func recoverFrom(dir string, segs []uint64, c *Checkpoint) *recovery {
 	rc := &recovery{}
-	var verdict chan *core.DecodedPlan
+	var verdict chan *core.Plan
 	if c != nil && c.Plan != nil {
-		verdict = make(chan *core.DecodedPlan, 1)
+		verdict = make(chan *core.Plan, 1)
 		go func() { verdict <- verifyPlan(c.Plan.Canonical, c.Plan.Digest, &rc.ckptVerify) }()
 	}
 	rp := newReplay(c)

@@ -27,7 +27,7 @@ func mkPlacement(rows ...[]int32) core.PlacementRuns {
 
 // testPlanBytes fabricates a small valid plan whose content varies
 // with epoch, returning its canonical bytes and digest. The bytes are
-// AppendCanonical's own, so core.DecodeCanonical and verifyPlanBytes
+// AppendCanonical's own, so core.ParseCanonical and verifyPlanBytes
 // accept them.
 func testPlanBytes(t testing.TB, epoch int64) ([]byte, uint64) {
 	t.Helper()
