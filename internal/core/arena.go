@@ -9,10 +9,11 @@ import (
 
 // roundArena is the per-Scheduler reusable storage behind the
 // scheduling hot path. One round builds roughly ten transient
-// structures per θ iteration — the flow graph, hotspot→node and
-// source/sink-arc tables, the target's candidate list, the
-// cluster-grouping scratch, the attributed-edge list — plus the θ2
-// candidate rows and a fresh flows accumulator per round. The arena
+// structures per θ iteration — the step's candidate pairs and
+// components, the flow graph of each component, hotspot→node and
+// source/sink-arc tables, the cluster-grouping scratch, the
+// attributed-edge list — plus the θ2 candidate rows and a fresh flows
+// accumulator per round. The arena
 // persists all of them across θ iterations and across rounds, so
 // steady-state network construction appends into retained storage
 // instead of reallocating.
@@ -34,9 +35,11 @@ type roundArena struct {
 	nodeEp []int64
 	srcEp  []int64 // source arc added this epoch
 	snkEp  []int64 // sink arc added this epoch
+	uf     []int32 // newStep's union-find forest over the step's hotspots
+	label  []int32 // newStep's component number per union-find root
 
 	dists  distCache // the round's θ2 candidate rows, row caps retained
-	within []cand    // one target's candidates within θ
+	step   stepNet   // the current θ step's pairs and components
 	groups []cand    // cluster-stable-sort scratch
 	net    flowNet   // reused result shell; edges cap retained
 
@@ -86,11 +89,25 @@ func newRoundArena(m int) *roundArena {
 		nodeEp: make([]int64, m),
 		srcEp:  make([]int64, m),
 		snkEp:  make([]int64, m),
+		uf:     make([]int32, m),
+		label:  make([]int32, m),
 		flows:  make(map[int64]int64),
 
 		lamOf:     make([]lamSpan, m),
 		placedIdx: make([]int32, m+1),
 	}
+}
+
+// node returns hotspot h's node in g, adding it the first time this
+// epoch names h.
+func (ar *roundArena) node(g *mcmf.Graph, h int) int {
+	if ar.nodeEp[h] == ar.epoch {
+		return int(ar.nodeOf[h])
+	}
+	n := g.AddNode()
+	ar.nodeOf[h] = int32(n)
+	ar.nodeEp[h] = ar.epoch
+	return n
 }
 
 // emptyFlows returns the round flow accumulator, cleared for reuse.

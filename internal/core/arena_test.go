@@ -303,10 +303,11 @@ func TestFastPathNoMovableFlow(t *testing.T) {
 }
 
 // TestBuildNetworkSteadyStateAllocs bounds the steady-state allocation
-// cost of network construction so arena reuse cannot silently rot. The
-// first build sizes the arena; subsequent builds should only pay a
-// handful of incidental allocations (closure headers and the like),
-// not the ~10 maps/slices the pre-arena path allocated.
+// cost of a step's network construction — gathering its pairs and
+// components, then building every component — so arena reuse cannot
+// silently rot. The first build sizes the arena; subsequent builds
+// should only pay a handful of incidental allocations (closure headers
+// and the like), not the ~10 maps/slices the pre-arena path allocated.
 func TestBuildNetworkSteadyStateAllocs(t *testing.T) {
 	world := lineWorld(24, 0.3, 5, 8)
 	d := spreadDemand(24, 8, 6)
@@ -322,19 +323,23 @@ func TestBuildNetworkSteadyStateAllocs(t *testing.T) {
 	}
 	over, under, phiOver, phiUnder := s.partition(d, s.world.ServiceCapacities())
 	dc := s.newDistCache(over, under, params.Theta2, par.Workers(params.Workers))
+	build := func(useGuides bool) {
+		st := s.newStep(params.Theta2, over, under, phiOver, phiUnder, dc)
+		for c := range st.components() {
+			s.buildNetwork(st, c, phiOver, phiUnder, clusterOf, useGuides)
+		}
+	}
 
 	for _, useGuides := range []bool{true, false} {
 		// Warm the arena at this shape.
-		nb := s.buildNetwork(params.Theta2, over, under, phiOver, phiUnder, dc, clusterOf, useGuides)
-		if nb.directPairs == 0 {
+		build(useGuides)
+		if s.ar.step.directPairs == 0 {
 			t.Fatal("test network is empty — nothing exercised")
 		}
-		allocs := testing.AllocsPerRun(20, func() {
-			s.buildNetwork(params.Theta2, over, under, phiOver, phiUnder, dc, clusterOf, useGuides)
-		})
+		allocs := testing.AllocsPerRun(20, func() { build(useGuides) })
 		const maxAllocs = 8
 		if allocs > maxAllocs {
-			t.Errorf("guides=%v: steady-state buildNetwork allocates %v objects per call, want <= %d",
+			t.Errorf("guides=%v: steady-state network construction allocates %v objects per step, want <= %d",
 				useGuides, allocs, maxAllocs)
 		}
 	}

@@ -8,8 +8,9 @@ import (
 )
 
 // BenchmarkBuildNetwork measures steady-state network construction on
-// the round arena — the per-θ-iteration cost of the sweep, with the
-// graph, candidate rows, and node tables all reused.
+// the round arena — the per-θ-iteration cost of the sweep before any
+// solve: the step's pairs and components, then every component's
+// graph, with the graph, candidate rows, and node tables all reused.
 func BenchmarkBuildNetwork(b *testing.B) {
 	world := lineWorld(64, 0.2, 5, 8)
 	d := spreadDemand(64, 20, 6)
@@ -28,9 +29,12 @@ func BenchmarkBuildNetwork(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		nb := s.buildNetwork(params.Theta2, over, under, phiOver, phiUnder, dc, clusterOf, true)
-		if nb.directPairs == 0 {
+		st := s.newStep(params.Theta2, over, under, phiOver, phiUnder, dc)
+		if st.directPairs == 0 {
 			b.Fatal("empty network")
+		}
+		for c := range st.components() {
+			s.buildNetwork(st, c, phiOver, phiUnder, clusterOf, true)
 		}
 	}
 }
@@ -43,6 +47,11 @@ func BenchmarkBuildNetwork(b *testing.B) {
 // cache, the placement runs and the plan. A rank span allocated per
 // round would add 2·1240² = 3.1 MB to it, and as much again for a chain
 // that copies.
+//
+// Its lineWorld (hotspots 0.1 km apart on a line) is one big component
+// from the sweep's first step on (one holds 324 of the 344 targets with
+// pairs at θ1), so it cannot show what solving one component at a time
+// saves; BenchmarkBalance on the serving benchmark's worlds does.
 func BenchmarkScheduleRoundSteady(b *testing.B) {
 	const m = 1240
 	world := lineWorld(m, 0.1, 30, 40)
@@ -67,6 +76,67 @@ func BenchmarkScheduleRoundSteady(b *testing.B) {
 		if plan.Stats.Clusters == 0 {
 			b.Fatal("round did not cluster")
 		}
+	}
+}
+
+// BenchmarkBalance times the balance phase alone — the round's θ2
+// candidate rows, the θ sweep and the residual pass, as runSweep runs
+// them in a round — on the serving benchmark's worlds at seed 1
+// (benchShapedTrace: 310 hotspots as edge_*, 1,240 as city_sched). Op i
+// sweeps slot i mod slots from its nominal partition, with that slot's
+// content clusters computed before the timer. paths/op is the MCMF
+// augmenting paths of an op and components/op the connected components
+// its step networks were solved as.
+func BenchmarkBalance(b *testing.B) {
+	for _, wl := range []struct {
+		name                       string
+		fleet, slotRequests, slots int
+	}{{"m310", 1, 25000, 16}, {"m1240", 4, 50000, 10}} {
+		b.Run(wl.name, func(b *testing.B) {
+			world, tr := benchShapedTrace(b, wl.fleet, wl.slotRequests, wl.slots, 1)
+			s, err := New(world, DefaultParams())
+			if err != nil {
+				b.Fatal(err)
+			}
+			svc := world.ServiceCapacities()
+			type slotIn struct {
+				over, under       []int
+				phiOver, phiUnder []int64
+				clusterOf         []int
+			}
+			var ins []slotIn
+			for _, d := range slotDemands(b, world, tr) {
+				s.ar.table.built = false // what ScheduleRound does on entry
+				clusterOf, _, err := s.contentClusters(d)
+				if err != nil {
+					b.Fatal(err)
+				}
+				over, under, phiOver, phiUnder := s.partition(d, svc)
+				ins = append(ins, slotIn{over, under, phiOver, phiUnder, clusterOf})
+			}
+			var components int64
+			stepCheck = func(_ *Scheduler, st *stepNet, _, _ []int64, _ []int, _ bool) {
+				components += int64(st.components())
+			}
+			defer func() { stepCheck = nil }()
+			phiOver, phiUnder := make([]int64, len(svc)), make([]int64, len(svc))
+			var paths int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				in := ins[i%len(ins)]
+				copy(phiOver, in.phiOver)
+				copy(phiUnder, in.phiUnder)
+				stats := partitionStats(in.over, in.under, phiOver, phiUnder)
+				ro := newRoundObs(s.params)
+				paths += s.runSweep(in.over, in.under, phiOver, phiUnder, in.clusterOf, s.ar.emptyFlows(), &stats, &ro)
+				if stats.MovedFlow == 0 {
+					b.Fatal("the sweep moved nothing")
+				}
+			}
+			b.ReportMetric(float64(paths)/float64(b.N), "paths/op")
+			b.ReportMetric(float64(components)/float64(b.N), "components/op")
+		})
 	}
 }
 

@@ -303,6 +303,13 @@ func foldEntries(es []demandEntry, numHotspots int) (runs []videoCount, at []int
 	return runs[:w], at
 }
 
+// Grow makes room in hotspot h's row for n more entries, so the next n
+// Adds to it do not reallocate.
+func (d *Demand) Grow(h trace.HotspotID, n int) {
+	r := &d.rows[h]
+	r.entries = slices.Grow(r.entries, n)
+}
+
 // Add records n requests for video v aggregated at hotspot h.
 func (d *Demand) Add(h trace.HotspotID, v trace.VideoID, n int64) {
 	r := &d.rows[h]
@@ -571,9 +578,10 @@ type Stats struct {
 	// an MCMF solve failed and was recovered. The plan is still complete and feasible; unmoved
 	// surplus falls back to the CDN via OverflowToCDN.
 	Degraded bool
-	// RecoveredErrors counts MCMF solves (θ iterations or the residual
-	// Gd pass) that failed — error or panic — and were recovered by
-	// leaving their flow unmoved.
+	// RecoveredErrors counts MCMF solves (one per connected component
+	// of a θ iteration's network or of the residual Gd pass) that
+	// failed — error or panic — and were recovered by leaving their
+	// flow unmoved.
 	RecoveredErrors int
 	// StrandedToCDN is the total surplus workload routed to the origin
 	// CDN server (Σ OverflowToCDN): demand the round could not balance

@@ -26,12 +26,12 @@ func overloadedDemand(m int) *Demand {
 func TestSolverFailureIsRecoverable(t *testing.T) {
 	cases := []struct {
 		name string
-		stub func(*mcmf.Graph, int, int, int64) (mcmf.Result, error)
+		stub func(*mcmf.Graph, int, int) (mcmf.Result, error)
 	}{
-		{"error", func(*mcmf.Graph, int, int, int64) (mcmf.Result, error) {
+		{"error", func(*mcmf.Graph, int, int) (mcmf.Result, error) {
 			return mcmf.Result{}, fmt.Errorf("injected solver failure")
 		}},
-		{"panic", func(*mcmf.Graph, int, int, int64) (mcmf.Result, error) {
+		{"panic", func(*mcmf.Graph, int, int) (mcmf.Result, error) {
 			panic("injected solver panic")
 		}},
 	}

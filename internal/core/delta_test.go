@@ -191,7 +191,7 @@ func TestDeltaUnchangedSlotPatchesNothing(t *testing.T) {
 	paths := s.params.Obs.Counter("core.mcmf_paths")
 	solvedPaths := paths.Value()
 	orig := solveFn
-	solveFn = func(*mcmf.Graph, int, int, int64) (mcmf.Result, error) {
+	solveFn = func(*mcmf.Graph, int, int) (mcmf.Result, error) {
 		t.Error("the solver ran in a replayed round")
 		return mcmf.Result{}, fmt.Errorf("solver called in a replayed round")
 	}
@@ -328,7 +328,7 @@ func TestDeltaDegradedRoundNotReplayed(t *testing.T) {
 	}
 
 	orig := solveFn
-	solveFn = func(*mcmf.Graph, int, int, int64) (mcmf.Result, error) {
+	solveFn = func(*mcmf.Graph, int, int) (mcmf.Result, error) {
 		return mcmf.Result{}, fmt.Errorf("injected solver failure")
 	}
 	plan, err := s.ScheduleRound(d.Clone(), Constraints{})

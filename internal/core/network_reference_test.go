@@ -53,45 +53,60 @@ func referenceCandidates(dense []float64, uj int, theta float64, over, under []i
 	return cands
 }
 
-// sameNetwork fails unless got and want are the same network: the same
-// counts, nodes, edges in the same order with the same endpoints,
-// capacities, costs and flows, and the same flow attribution.
-func sameNetwork(t *testing.T, name string, got, want *flowNet) {
-	t.Helper()
-	if got.directPairs != want.directPairs || got.guideNodes != want.guideNodes {
-		t.Fatalf("%s: %d direct pairs and %d guide nodes, dense scan %d and %d",
-			name, got.directPairs, got.guideNodes, want.directPairs, want.guideNodes)
+// denseStep is the step at θ gathered by the dense scan: every
+// target's admissible pairs, with no components found.
+func denseStep(dense []float64, theta float64, over, under []int, phiOver, phiUnder []int64) *stepNet {
+	st := &stepNet{under: under, at: []int32{0}}
+	for uj := range under {
+		st.cands = append(st.cands, referenceCandidates(dense, uj, theta, over, under, phiOver, phiUnder)...)
+		st.at = append(st.at, int32(len(st.cands)))
 	}
-	if got.g.NumNodes() != want.g.NumNodes() || got.g.NumEdges() != want.g.NumEdges() {
-		t.Fatalf("%s: %d nodes and %d edges, dense scan %d and %d",
-			name, got.g.NumNodes(), got.g.NumEdges(), want.g.NumNodes(), want.g.NumEdges())
-	}
-	for id := mcmf.EdgeID(0); int(id) < got.g.NumEdges(); id++ {
-		ge, _ := got.g.EdgeInfo(id)
-		we, _ := want.g.EdgeInfo(id)
-		if ge != we {
-			t.Fatalf("%s: edge %d is %+v, dense scan %+v", name, id, ge, we)
+	st.directPairs = len(st.cands)
+	return st
+}
+
+// referenceNetwork builds the whole network of st into g as one graph —
+// every target with pairs in ascending hotspot order, as the sweep built
+// it before it solved one component at a time — and returns it. It is
+// the oracle the component solves are held to.
+func (s *Scheduler) referenceNetwork(g *mcmf.Graph, st *stepNet, phiOver, phiUnder []int64, clusterOf []int, useGuides bool) *flowNet {
+	s.ar.epoch++
+	g.Reinit(2)
+	nb := &flowNet{g: g}
+	for uj, j := range st.under {
+		if cands := st.pairs(int32(uj)); len(cands) > 0 {
+			s.addTarget(nb, j, cands, phiOver, phiUnder, clusterOf, useGuides)
 		}
 	}
-	if !slices.Equal(got.edges, want.edges) {
-		t.Fatalf("%s: flow attribution diverges from the dense scan", name)
+	return nb
+}
+
+// samePairs fails unless got and want gather the same pairs, target by
+// target.
+func samePairs(t *testing.T, name string, got, want *stepNet) {
+	t.Helper()
+	if got.directPairs != want.directPairs || !slices.Equal(got.at, want.at) || !slices.Equal(got.cands, want.cands) {
+		t.Fatalf("%s: %d pairs gathered from the rows, %d by the dense scan (or they differ)", name, got.directPairs, want.directPairs)
 	}
 }
 
 // TestBuildNetworkMatchesDense holds the θ2 candidate rows to the dense
 // over × under scan they replaced, on real sweeps at 310 and 1,240
-// hotspots: at every θ step and the residual Gd pass, the network built
-// from the rows and the one built from the dense scan's candidates must
-// be the same network, and the cache must count the same distance
-// evaluations. The sweep is driven step by step as runSweep drives it —
-// solve the network, extract its flows — and must end where
+// hotspots: at every θ step and the residual Gd pass, the pairs gathered
+// from the rows and those of the dense scan must be the same, target by
+// target, and the cache must count the same distance evaluations. The
+// sweep is driven step by step as runSweep drives it — gather the step,
+// solve its components, extract their flows — and must end where
 // ScheduleRound ends. AnalyzeTheta, whose rows are bounded by
-// max(θ, θ2), is held to the dense scan below θ1, at θ2 and beyond it.
+// max(θ, θ2), is held to the dense scan's whole network below θ1, at θ2
+// and beyond it.
 func TestBuildNetworkMatchesDense(t *testing.T) {
+	thetas := sweepThetas(DefaultParams())
+	admitted := make([]int, len(thetas)+1) // pairs per step over every case
 	for _, bc := range []struct {
 		m, requests, videos int
 	}{{310, 12500, 15000}, {1240, 50000, 15000}} {
-		world := lineWorld(bc.m, 0.3, 30, 40) // sparse enough that every θ step admits pairs
+		world := lineWorld(bc.m, 0.3, 30, 40) // sparse enough that every θ step admits pairs in some case
 		params := DefaultParams()
 		for seed := int64(1); seed <= 2; seed++ {
 			name := fmt.Sprintf("m%d-seed%d", bc.m, seed)
@@ -110,17 +125,10 @@ func TestBuildNetworkMatchesDense(t *testing.T) {
 			if dc.calcs() != int64(len(dense)) || dc.calcs() == 0 {
 				t.Fatalf("%s: the cache counts %d distance evaluations, the dense matrix holds %d", name, dc.calcs(), len(dense))
 			}
-			refG, refShell := mcmf.NewGraph(0), new(flowNet)
-			denseCands := func(theta float64) func([]cand, int) []cand {
-				return func(dst []cand, uj int) []cand {
-					return append(dst, referenceCandidates(dense, uj, theta, over, under, phiOver, phiUnder)...)
-				}
-			}
 
 			flows := s.ar.emptyFlows()
 			var moved int64
 			var stats Stats
-			thetas := sweepThetas(params)
 			for step, theta := range append(thetas, params.Theta2) {
 				residual := step == len(thetas)
 				cl, guides := clusterOf, true
@@ -128,14 +136,10 @@ func TestBuildNetworkMatchesDense(t *testing.T) {
 					cl, guides = nil, false
 				}
 				stepName := fmt.Sprintf("%s θ=%v residual=%v", name, theta, residual)
-				got := s.buildNetwork(theta, over, under, phiOver, phiUnder, dc, cl, guides)
-				want := s.assembleNetwork(refG, refShell, under, phiOver, phiUnder, cl, guides, denseCands(theta))
-				sameNetwork(t, stepName, got, want)
-				if got.directPairs == 0 && !residual {
-					t.Fatalf("%s: an empty network exercises nothing", stepName)
-				}
-				extracted, _, _ := s.solveStep(got, int64(1)<<62, flows, phiOver, phiUnder, &stats)
-				moved += extracted
+				got := s.newStep(theta, over, under, phiOver, phiUnder, dc)
+				samePairs(t, stepName, got, denseStep(dense, theta, over, under, phiOver, phiUnder))
+				admitted[step] += got.directPairs
+				moved += s.solveStep(got, cl, guides, flows, phiOver, phiUnder, &stats).moved
 			}
 
 			fresh, err := New(world, params)
@@ -150,6 +154,7 @@ func TestBuildNetworkMatchesDense(t *testing.T) {
 				t.Fatalf("%s: the driven sweep moved %d, ScheduleRound %d (or their flows differ)", name, moved, plan.Stats.MovedFlow)
 			}
 
+			refG := mcmf.NewGraph(0)
 			for _, theta := range []float64{params.Theta1 / 2, params.Theta2, 2 * params.Theta2} {
 				// The sweep spent φ; AnalyzeTheta starts from the same
 				// nominal partition, so dense still indexes it.
@@ -158,8 +163,8 @@ func TestBuildNetworkMatchesDense(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want := s.assembleNetwork(refG, refShell, under, phiOver, phiUnder, nil, false, denseCands(theta))
-				res, err := want.g.Solve(want.source, want.sink, int64(1)<<62)
+				want := denseStep(dense, theta, over, under, phiOver, phiUnder)
+				res, err := s.referenceNetwork(refG, want, phiOver, phiUnder, nil, false).g.MinCostMaxFlow(netSource, netSink)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -168,10 +173,13 @@ func TestBuildNetworkMatchesDense(t *testing.T) {
 						name, theta, ta.DirectEdges, ta.Flow, want.directPairs, res.Flow)
 				}
 				dc := s.newDistCache(over, under, max(theta, params.Theta2), par.Workers(0))
-				got := s.buildNetwork(theta, over, under, phiOver, phiUnder, dc, nil, false)
-				want = s.assembleNetwork(refG, refShell, under, phiOver, phiUnder, nil, false, denseCands(theta))
-				sameNetwork(t, fmt.Sprintf("%s AnalyzeTheta(%v)", name, theta), got, want)
+				samePairs(t, fmt.Sprintf("%s AnalyzeTheta(%v)", name, theta), s.newStep(theta, over, under, phiOver, phiUnder, dc), want)
 			}
+		}
+	}
+	for step, theta := range thetas {
+		if admitted[step] == 0 {
+			t.Errorf("θ=%v admits no pair in any case: an empty network exercises nothing", theta)
 		}
 	}
 }

@@ -64,20 +64,26 @@ type Constraints struct {
 	Cache []int
 }
 
+// stepCheck, when set, sees every network solveStep is handed before it
+// is solved. Tests set it to hold the per-component solve to the
+// whole-network oracle on every step of real sweeps; it must leave the
+// φ vectors as it found them.
+var stepCheck func(s *Scheduler, st *stepNet, phiOver, phiUnder []int64, clusterOf []int, useGuides bool)
+
 // solveFn indirects the MCMF solve so tests can inject solver failures
 // and panics to exercise the degraded path.
-var solveFn = (*mcmf.Graph).Solve
+var solveFn = (*mcmf.Graph).MinCostMaxFlow
 
 // safeSolve runs one MCMF solve, converting a solver panic into an
 // error so a corrupted or over-constrained network can never take the
 // whole scheduling round down.
-func safeSolve(g *mcmf.Graph, source, sink int, limit int64) (res mcmf.Result, err error) {
+func safeSolve(g *mcmf.Graph, source, sink int) (res mcmf.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("core: mcmf solver panicked: %v", r)
 		}
 	}()
-	return solveFn(g, source, sink, limit)
+	return solveFn(g, source, sink)
 }
 
 // ScheduleRound runs Algorithm 1 (request balancing with content
@@ -259,20 +265,22 @@ func (s *Scheduler) runSweep(
 			break
 		}
 		tIter := ro.now()
-		nb := s.buildNetwork(theta, over, under, phiOver, phiUnder, dcache, clusterOf, !s.params.DisableGuides)
-		stats.DirectEdges += nb.directPairs
-		stats.GuideNodes += nb.guideNodes
-		extracted, paths, recovered := s.solveStep(nb, stats.MaxFlow-moved, flows, phiOver, phiUnder, stats)
-		mcmfPaths += paths
-		moved += extracted
+		st := s.newStep(theta, over, under, phiOver, phiUnder, dcache)
+		step := s.solveStep(st, clusterOf, !s.params.DisableGuides, flows, phiOver, phiUnder, stats)
+		stats.DirectEdges += st.directPairs
+		stats.GuideNodes += step.guideNodes
+		mcmfPaths += step.paths
+		moved += step.moved
 		stats.Iterations++
 		ro.emit("theta-iter",
 			obs.F("theta", theta),
-			obs.I("direct_pairs", int64(nb.directPairs)),
-			obs.I("guide_nodes", int64(nb.guideNodes)),
-			obs.I("moved", extracted),
-			obs.I("paths", paths),
-			obs.I("recovered", recovered),
+			obs.I("direct_pairs", int64(st.directPairs)),
+			obs.I("guide_nodes", int64(step.guideNodes)),
+			obs.I("components", int64(step.components)),
+			obs.I("largest", int64(step.largest)),
+			obs.I("moved", step.moved),
+			obs.I("paths", step.paths),
+			obs.I("recovered", step.recovered),
 			obs.D("dur", ro.since(tIter)))
 	}
 
@@ -280,15 +288,17 @@ func (s *Scheduler) runSweep(
 	// lines 11-13): move whatever the guided rounds left behind.
 	if moved < stats.MaxFlow {
 		tRes := ro.now()
-		nb := s.buildNetwork(s.params.Theta2, over, under, phiOver, phiUnder, dcache, nil, false)
-		extracted, paths, recovered := s.solveStep(nb, stats.MaxFlow-moved, flows, phiOver, phiUnder, stats)
-		mcmfPaths += paths
-		moved += extracted
+		st := s.newStep(s.params.Theta2, over, under, phiOver, phiUnder, dcache)
+		step := s.solveStep(st, nil, false, flows, phiOver, phiUnder, stats)
+		mcmfPaths += step.paths
+		moved += step.moved
 		ro.emit("residual-pass",
-			obs.I("direct_pairs", int64(nb.directPairs)),
-			obs.I("moved", extracted),
-			obs.I("paths", paths),
-			obs.I("recovered", recovered),
+			obs.I("direct_pairs", int64(st.directPairs)),
+			obs.I("components", int64(step.components)),
+			obs.I("largest", int64(step.largest)),
+			obs.I("moved", step.moved),
+			obs.I("paths", step.paths),
+			obs.I("recovered", step.recovered),
 			obs.D("dur", ro.since(tRes)))
 	}
 	stats.MovedFlow = moved
@@ -296,29 +306,49 @@ func (s *Scheduler) runSweep(
 	return mcmfPaths
 }
 
+// stepResult is what one network of the sweep moved and how it split.
+type stepResult struct {
+	moved, paths, recovered int64
+	guideNodes              int
+	components, largest     int // largest: the most nodes of one component, source and sink aside
+}
+
 // solveStep solves one network of the sweep (a θ iteration's Gc or the
-// residual Gd) for at most limit units and extracts the attributed
-// flows. It returns the units extracted, the augmenting-path count, and
-// 1 in recovered when the step degraded the round instead of failing
-// it: a solver error or panic leaves the step's flow unmoved, to fall
-// back to the CDN with the rest of the surplus; an attribution mismatch
-// trusts the extracted flows (they reflect the edges actually carrying
-// flow, and φ was decremented to match).
-func (s *Scheduler) solveStep(nb *flowNet, limit int64, flows map[int64]int64, phiOver, phiUnder []int64, stats *Stats) (extracted, paths, recovered int64) {
-	if len(nb.edges) == 0 {
-		return 0, 0, 0
+// residual Gd) one connected component at a time, in st's order, and
+// extracts the attributed flows. The components share only the source
+// and sink, so the network's maximum flow at minimum cost is theirs
+// summed, and no component's flow depends on another's: each is built
+// and solved on its own, for its maximum flow. That never exceeds what
+// the round can still move, min(Σφ_i, Σφ_j) over the remaining φ.
+//
+// A component's solver error or panic degrades the round instead of
+// failing it: its flow stays unmoved, to fall back to the CDN with the
+// rest of the surplus, and recovered counts it. So does an attribution
+// mismatch, which trusts the extracted flows (they reflect the edges
+// actually carrying flow, and φ was decremented to match).
+func (s *Scheduler) solveStep(st *stepNet, clusterOf []int, useGuides bool, flows map[int64]int64, phiOver, phiUnder []int64, stats *Stats) (r stepResult) {
+	if stepCheck != nil {
+		stepCheck(s, st, phiOver, phiUnder, clusterOf, useGuides)
 	}
-	res, err := safeSolve(nb.g, nb.source, nb.sink, limit)
-	if err == nil {
-		extracted = s.extractFlows(nb, flows, phiOver, phiUnder)
-		paths = int64(res.Paths)
+	r.components = st.components()
+	for c := range r.components {
+		nb := s.buildNetwork(st, c, phiOver, phiUnder, clusterOf, useGuides)
+		r.guideNodes += nb.guideNodes
+		r.largest = max(r.largest, nb.g.NumNodes()-2)
+		res, err := safeSolve(nb.g, netSource, netSink)
+		var extracted int64
+		if err == nil {
+			extracted = s.extractFlows(nb, flows, phiOver, phiUnder)
+			r.paths += int64(res.Paths)
+		}
+		if err != nil || extracted != res.Flow {
+			stats.Degraded = true
+			stats.RecoveredErrors++
+			r.recovered++
+		}
+		r.moved += extracted
 	}
-	if err != nil || extracted != res.Flow {
-		stats.Degraded = true
-		stats.RecoveredErrors++
-		recovered = 1
-	}
-	return extracted, paths, recovered
+	return r
 }
 
 // finishRound runs the round's tail shared by the full θ-sweep path and
