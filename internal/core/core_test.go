@@ -101,6 +101,30 @@ func TestDemandAccumulation(t *testing.T) {
 	}
 }
 
+// TestDemandGrow checks that a row grown for n entries takes n Adds
+// without reallocating and that growing changes no count.
+func TestDemandGrow(t *testing.T) {
+	d := NewDemand(2)
+	d.Add(1, 3, 2)
+	d.Grow(1, 600)
+	d.Grow(0, 600)
+	if d.Totals[1] != 2 || d.Count(1, 3) != 2 || d.Len(0) != 0 {
+		t.Fatalf("growing changed the demand: totals %v, row 1 %v", d.Totals, d.row(1))
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		for v := range 100 {
+			d.Add(0, trace.VideoID(v), 1)
+			d.Add(1, trace.VideoID(v), 1)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("adding into grown rows allocates %v objects per 200 entries, want 0", allocs)
+	}
+	if d.Totals[0] != 600 || d.Totals[1] != 602 {
+		t.Errorf("Totals = %v, want [600 602]", d.Totals)
+	}
+}
+
 // TestDemandMatchesOracle drives random Add/Move/Clear/Merge sequences
 // against the naive model — one count per (hotspot, video) key, a key
 // existing from its first Add until Move empties it or Clear drops its

@@ -106,14 +106,30 @@ func (s *Server) restorePending(pending []wal.Entry) {
 
 // restoreEntries adds each recovered entry to demands[hotspot mod
 // len(demands)] — given one demand per frontend, its owner's (owner) —
-// and returns the requests each demand received. An entry outside the
-// world — a WAL from a different world — is dropped and counted once
-// in server.wal.errors rather than corrupt a demand.
+// and returns the requests each demand received. It counts each
+// hotspot's entries first and grows the row once to hold them, instead
+// of letting Add grow it by doubling. An entry outside the world — a
+// WAL from a different world — is dropped and counted once in
+// server.wal.errors rather than corrupt a demand.
 func (s *Server) restoreEntries(es []wal.Entry, demands []*core.Demand) []int64 {
 	added := make([]int64, len(demands))
 	m := len(s.world.Hotspots)
+	inWorld := func(e wal.Entry) bool {
+		return e.Hotspot >= 0 && e.Hotspot < m && e.Video >= 0 && e.Video < s.world.NumVideos
+	}
+	perRow := make([]int32, m)
 	for _, e := range es {
-		if e.Hotspot < 0 || e.Hotspot >= m || e.Video < 0 || e.Video >= s.world.NumVideos {
+		if inWorld(e) {
+			perRow[e.Hotspot]++
+		}
+	}
+	for h, n := range perRow {
+		if n > 0 {
+			demands[h%len(demands)].Grow(trace.HotspotID(h), int(n))
+		}
+	}
+	for _, e := range es {
+		if !inWorld(e) {
 			s.walErrors.Inc()
 			continue
 		}
