@@ -12,7 +12,7 @@
 //	                           assertion fails (see DESIGN.md §13)
 //	-world FILE -trace FILE    input files (from cdntrace); when absent
 //	                           a fresh eval-scale world is generated
-//	-scheme rbcaer|nearest|random|lp|hier|p2c|reactive-lru|reactive-lfu
+//	-scheme rbcaer|nearest|random|lp|hier|p2c
 //	-radius KM                 Random/p2c routing radius (default 1.5)
 //	-churn P                   per-slot hotspot offline probability in
 //	                           [0, 1], i.i.d. across slots and hotspots

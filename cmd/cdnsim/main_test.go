@@ -130,6 +130,12 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-scheme", "bogus", "-world", worldPath, "-trace", tracePath}); err == nil {
 		t.Error("unknown scheme accepted")
 	}
+	// A retired scheme name is refused like any unknown one, with the
+	// table's names.
+	err := run([]string{"-scheme", "reactive-lru", "-world", worldPath, "-trace", tracePath})
+	if want := `unknown scheme "reactive-lru" (want rbcaer, nearest, random, lp, hier, p2c)`; err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("-scheme reactive-lru: err = %v, want %q", err, want)
+	}
 	if err := run([]string{"-world", worldPath}); err == nil {
 		t.Error("world without trace accepted")
 	}

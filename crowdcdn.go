@@ -285,13 +285,6 @@ func NewSharded(p ShardParams) Scheduler { return scheme.NewSharded(p) }
 // two random in-radius holders.
 func NewPowerOfTwo(radiusKm float64) Scheduler { return scheme.PowerOfTwo{RadiusKm: radiusKm} }
 
-// NewReactiveLRU returns the unmanaged-edge baseline: no prefetching,
-// per-hotspot LRU caches filled on miss.
-func NewReactiveLRU() Scheduler { return scheme.NewReactiveLRU() }
-
-// NewReactiveLFU is NewReactiveLRU with LFU eviction.
-func NewReactiveLFU() Scheduler { return scheme.NewReactiveLFU() }
-
 // Simulate replays the trace against the world under the policy and
 // returns the paper's evaluation metrics.
 func Simulate(world *World, tr *Trace, policy Scheduler, opts SimOptions) (*Metrics, error) {
@@ -326,7 +319,7 @@ func ExperimentIDs() []string { return exp.Experiments() }
 
 // ExtensionExperimentIDs lists the experiments this reproduction adds
 // beyond the paper: the hierarchical cross-region mode, device-churn
-// robustness, the reactive-caching comparison, and the ablations.
+// robustness, the power-of-two-choices comparison, and the ablations.
 func ExtensionExperimentIDs() []string { return exp.ExtensionExperiments() }
 
 // MeasurementExperimentIDs lists the experiments that read the Sec. II

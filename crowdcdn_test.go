@@ -182,8 +182,6 @@ func TestPublicAPIExtensions(t *testing.T) {
 		NewHierarchical(3.0),
 		NewSharded(ShardParams{CellKm: 4}),
 		NewPowerOfTwo(1.5),
-		NewReactiveLRU(),
-		NewReactiveLFU(),
 		NewLPBased(),
 	}
 	for _, p := range policies {

@@ -305,7 +305,6 @@ var experiments = []experiment{
 	{"fig9", true, one((*Runner).Fig9)},
 	{"ext-hier", false, one((*Runner).ExtHierarchical)},
 	{"ext-churn", false, one((*Runner).ExtChurn)},
-	{"ext-reactive", false, one((*Runner).ExtReactive)},
 	{"ext-shard", false, one((*Runner).ExtShard)},
 	{"resilience", false, (*Runner).Resilience},
 	ablation("abl-guides", "guide-node construction",

@@ -129,45 +129,6 @@ func (r *Runner) ExtChurn() (*Figure, error) {
 	return fig, nil
 }
 
-// ExtReactive compares the paper's proactive prefetch-and-balance
-// designs against reactive edge caching (LRU/LFU) and
-// power-of-two-choices routing over a day of hourly slots.
-func (r *Runner) ExtReactive() (*Figure, error) {
-	cfg := r.evalConfig()
-	cfg.Slots = 24
-	cfg.NumRequests *= 2 // a day's volume spread over hourly rounds
-	// Per-slot demand is ~1/12 of the single-round setup; shrink the
-	// per-slot service capacity accordingly so balancing still matters.
-	cfg.ServiceCapacityFrac /= 8
-	world, tr, err := trace.Generate(cfg)
-	if err != nil {
-		return nil, err
-	}
-	// Proactive policies are per-slot independent and schedule their 24
-	// slots concurrently; the reactive caches carry state across slots
-	// and replay sequentially (the scheme table knows which is which).
-	policies := []string{"rbcaer", "nearest", "p2c", "reactive-lru", "reactive-lfu"}
-	fig := &Figure{
-		ID:     "ext-reactive",
-		Title:  "Proactive prefetch vs reactive edge caching (24 hourly slots)",
-		XLabel: "metric",
-		YLabel: "value",
-	}
-	for _, policy := range policies {
-		m, err := r.runScheme(policy, world, tr, r.simOpts())
-		if err != nil {
-			return nil, fmt.Errorf("exp: ext-reactive %s: %w", policy, err)
-		}
-		fig.AddSeries(m.Scheme,
-			[]float64{0, 1, 2},
-			[]float64{m.HotspotServingRatio, m.ReplicationCost, m.CDNServerLoad})
-		fig.Note("%s: serving %.3f, replication %.2fx, CDN load %.3f",
-			m.Scheme, m.HotspotServingRatio, m.ReplicationCost, m.CDNServerLoad)
-	}
-	fig.Note("metric axis: 0 = hotspot serving ratio, 1 = replication cost, 2 = CDN server load")
-	return fig, nil
-}
-
 // ExtShard sweeps the shard size of the sharded scheduler (DESIGN.md
 // §14) over the evaluation workload, measuring the communication-cost
 // vs load-balancing tradeoff: smaller cells mean more shards and more

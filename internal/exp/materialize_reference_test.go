@@ -96,7 +96,6 @@ func referenceApply(ctx *sim.SlotContext, asg *sim.Assignment, prev []similarity
 		}
 	}
 	sm.Slot, sm.Requests = ctx.Slot, int64(len(ctx.Requests))
-	sm.Replicas += asg.ExtraReplicas
 	return sm, placement
 }
 

@@ -254,7 +254,6 @@ func TestAllSchemesAssignmentInvariants(t *testing.T) {
 		"Nearest":    func() sim.Scheduler { return scheme.Nearest{} },
 		"Random":     func() sim.Scheduler { return scheme.Random{RadiusKm: 1.5} },
 		"PowerOfTwo": func() sim.Scheduler { return scheme.PowerOfTwo{RadiusKm: 1.5} },
-		"Reactive":   func() sim.Scheduler { return scheme.NewReactiveLRU() },
 		"LP-based":   func() sim.Scheduler { return scheme.LPBased{MaxGroups: 120, Dantzig: true} },
 	}
 	scenarios := map[string]sim.Options{

@@ -248,7 +248,7 @@ func TestExecuteAllSchemes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	for _, s := range []string{"nearest", "random", "p2c", "lp", "hier", "reactive-lru", "reactive-lfu"} {
+	for _, s := range []string{"nearest", "random", "p2c", "lp", "hier"} {
 		s := s
 		t.Run(s, func(t *testing.T) {
 			src := strings.Replace(tinyRun, "scheme: rbcaer", "scheme: "+s, 1)

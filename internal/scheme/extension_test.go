@@ -1,13 +1,11 @@
 package scheme
 
 import (
-	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 func TestPowerOfTwoValidAndBalanced(t *testing.T) {
@@ -55,93 +53,6 @@ func TestPowerOfTwoErrors(t *testing.T) {
 	ctx, _, _ := buildContext(t, nil)
 	if _, err := (PowerOfTwo{}).Schedule(ctx); err == nil {
 		t.Error("Schedule with zero radius succeeded")
-	}
-}
-
-// TestReactiveLRUAcrossSlots runs the reactive baselines over six slots
-// on a cached world, on one where every other hotspot has no cache and
-// on one with no cache anywhere. A hotspot without cache space serves
-// nothing and fetches nothing.
-func TestReactiveLRUAcrossSlots(t *testing.T) {
-	_, world, tr := buildContext(t, func(c *trace.Config) {
-		c.Slots = 6
-		c.NumRequests = 6000
-	})
-	half := *world
-	half.Hotspots = slices.Clone(world.Hotspots)
-	for h := 0; h < len(half.Hotspots); h += 2 {
-		half.Hotspots[h].CacheCapacity = 0
-	}
-	none := half
-	none.Hotspots = slices.Clone(half.Hotspots)
-	for h := range none.Hotspots {
-		none.Hotspots[h].CacheCapacity = 0
-	}
-	for _, w := range []struct {
-		name  string
-		world *trace.World
-	}{{"cached", world}, {"half-without-cache", &half}, {"no-cache", &none}} {
-		for _, policy := range []*Reactive{NewReactiveLRU(), NewReactiveLFU()} {
-			t.Run(w.name+"/"+policy.Name(), func(t *testing.T) {
-				m, err := sim.Run(w.world, tr, policy, sim.Options{Seed: 1})
-				if err != nil {
-					t.Fatalf("Run: %v", err)
-				}
-				if m.Infeasible != 0 {
-					t.Errorf("reactive produced %d infeasible targets", m.Infeasible)
-				}
-				for h, hs := range w.world.Hotspots {
-					if hs.CacheCapacity == 0 && m.PerHotspotServed[h] != 0 {
-						t.Errorf("hotspot %d has no cache but served %d requests", h, m.PerHotspotServed[h])
-					}
-				}
-				if w.name == "no-cache" {
-					if m.ServedByHotspot != 0 || m.Replicas != 0 {
-						t.Errorf("no cache anywhere: %d served at the edge, %d replicas; want 0 and 0", m.ServedByHotspot, m.Replicas)
-					}
-					return
-				}
-				if m.HotspotServingRatio <= 0 {
-					t.Error("reactive never served anything from the edge")
-				}
-				// Reactive fetches at least one replica per distinct
-				// (hotspot, video) it ever serves — replication
-				// accounting must be positive.
-				if m.Replicas <= 0 {
-					t.Error("reactive reported no replicas")
-				}
-			})
-		}
-	}
-	if got := NewReactiveLRU().Name(); got != "Reactive(lru)" {
-		t.Errorf("Name() = %q", got)
-	}
-}
-
-func TestReactiveLFUAndProactiveComparison(t *testing.T) {
-	_, world, tr := buildContext(t, func(c *trace.Config) {
-		c.Slots = 6
-		c.NumRequests = 6000
-	})
-	reactive, err := sim.Run(world, tr, NewReactiveLFU(), sim.Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	proactive, err := sim.Run(world, tr, NewRBCAer(core.DefaultParams()), sim.Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The paper's proactive push-and-balance should beat an unmanaged
-	// reactive edge on serving ratio.
-	if proactive.HotspotServingRatio <= reactive.HotspotServingRatio {
-		t.Errorf("RBCAer serving %.3f not above reactive %.3f",
-			proactive.HotspotServingRatio, reactive.HotspotServingRatio)
-	}
-}
-
-func TestReactiveNilContext(t *testing.T) {
-	if _, err := NewReactiveLRU().Schedule(nil); err == nil {
-		t.Error("Schedule(nil) succeeded")
 	}
 }
 

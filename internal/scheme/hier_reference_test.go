@@ -455,9 +455,6 @@ func TestHierarchicalMatchesReference(t *testing.T) {
 					if !g.Placement.Equal(&w.Placement) {
 						t.Errorf("slot %d: placement diverges from the reference", ctx.Slot)
 					}
-					if g.ExtraReplicas != w.ExtraReplicas {
-						t.Errorf("slot %d: ExtraReplicas %d, reference %d", ctx.Slot, g.ExtraReplicas, w.ExtraReplicas)
-					}
 					for r, tgt := range g.Target {
 						if tgt != sim.CDN && want.part.OfHotspot[tgt] != want.part.OfHotspot[ctx.Nearest[r]] {
 							moved++

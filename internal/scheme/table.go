@@ -37,8 +37,7 @@ func (f Factory) Run(world *trace.World, tr *trace.Trace, workers int, opts sim.
 // schemes is the scheme table: every name cdnsim -scheme and a
 // scenario's run.scheme accept, in the order usage strings list them.
 // independent reports whether the policy's slots may be scheduled
-// concurrently; the others carry state from slot to slot (or, for lp,
-// nobody has certified that it does not).
+// concurrently; the others carry state from slot to slot.
 var schemes = []struct {
 	name        string
 	independent func(core.Params) bool
@@ -50,17 +49,14 @@ var schemes = []struct {
 	{"random", always, func(radiusKm float64, _ core.Params, _ shard.Params, _ int) sim.Scheduler {
 		return Random{RadiusKm: radiusKm}
 	}},
-	{"lp", never, func(float64, core.Params, shard.Params, int) sim.Scheduler { return LPBased{} }},
+	{"lp", always, func(float64, core.Params, shard.Params, int) sim.Scheduler { return LPBased{} }},
 	{"hier", always, func(float64, core.Params, shard.Params, int) sim.Scheduler { return NewHierarchical(0) }},
 	{"p2c", always, func(radiusKm float64, _ core.Params, _ shard.Params, _ int) sim.Scheduler {
 		return PowerOfTwo{RadiusKm: radiusKm}
 	}},
-	{"reactive-lru", never, func(float64, core.Params, shard.Params, int) sim.Scheduler { return NewReactiveLRU() }},
-	{"reactive-lfu", never, func(float64, core.Params, shard.Params, int) sim.Scheduler { return NewReactiveLFU() }},
 }
 
 func always(core.Params) bool { return true }
-func never(core.Params) bool  { return false }
 
 // newRBCAerScheme builds the flat policy, or the sharded one when sp
 // sets a grid cell size. Sharded, shard-level concurrency replaces

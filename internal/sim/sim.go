@@ -86,11 +86,6 @@ type Assignment struct {
 	// (video not placed, capacity exhausted) falls back to the CDN and
 	// is counted in Metrics.Infeasible.
 	Target []int
-	// ExtraReplicas reports origin fetches beyond the slot-to-slot
-	// placement difference the simulator already accounts (reactive
-	// caching policies fetch and evict within a slot). Most policies
-	// leave it zero.
-	ExtraReplicas int64
 	// Degraded reports that the policy produced this assignment under
 	// degraded conditions (a recovered solver failure: RBCAer copies
 	// Plan.Degraded here).
@@ -281,8 +276,8 @@ func Run(world *trace.World, tr *trace.Trace, policy Scheduler, opts Options) (*
 // The metrics are therefore identical to Run's — including float
 // accumulation order — whenever each policy instance's decisions depend
 // only on the slot it is handed. Policies that carry state across slots
-// (demand predictors, reactive caches) would observe every workers-th
-// slot only; run those on one worker.
+// (demand predictors, RBCAer's delta rounds) would observe every
+// workers-th slot only; run those on one worker.
 func RunParallel(world *trace.World, tr *trace.Trace, newPolicy func() Scheduler, workers int, opts Options) (*Metrics, error) {
 	if newPolicy == nil {
 		return nil, fmt.Errorf("sim: nil policy factory")
@@ -739,15 +734,10 @@ func applySlot(world *trace.World, opts Options, metrics *Metrics, w *slotWork, 
 		}
 	}
 	metrics.TotalRequests += int64(len(requests))
-	if asg.ExtraReplicas < 0 {
-		return fmt.Errorf("sim: %s slot %d: negative ExtraReplicas %d",
-			metrics.Scheme, slot, asg.ExtraReplicas)
-	}
 	if asg.StrandedDemand < 0 {
 		return fmt.Errorf("sim: %s slot %d: negative StrandedDemand %d",
 			metrics.Scheme, slot, asg.StrandedDemand)
 	}
-	metrics.Replicas += asg.ExtraReplicas
 	metrics.StrandedRequests += asg.StrandedDemand
 	if opts.PlanSink != nil && asg.Plan != nil {
 		opts.PlanSink(slot, asg.Plan)

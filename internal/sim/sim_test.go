@@ -416,19 +416,6 @@ func TestOnlineIndexExcludesOffline(t *testing.T) {
 	}
 }
 
-func TestRunRejectsNegativeExtraReplicas(t *testing.T) {
-	world := twoHotspotWorld()
-	tr := &trace.Trace{Slots: 1, Requests: requestsAt([]trace.VideoID{1}, 0, 0)}
-	policy := stubPolicy{name: "bad-extra", schedule: func(ctx *SlotContext) (*Assignment, error) {
-		targets := []int{CDN}
-		placement := []similarity.Set{similarity.NewSet(), similarity.NewSet()}
-		return &Assignment{Placement: placementOf(placement), Target: targets, ExtraReplicas: -1}, nil
-	}}
-	if _, err := Run(world, tr, policy, Options{}); err == nil {
-		t.Error("negative ExtraReplicas accepted")
-	}
-}
-
 // TestRunKeepsSlotMetrics: the per-slot timeline a SlotSink collects
 // partitions the run's aggregate metrics exactly.
 func TestRunKeepsSlotMetrics(t *testing.T) {
